@@ -1,6 +1,7 @@
 package dircache_test
 
 import (
+	"fmt"
 	"testing"
 
 	"dircache"
@@ -37,5 +38,51 @@ func TestWarmWalkZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("warm walk allocates: %.2f allocs/op (want 0 — the slab arenas exist so this path never touches the GC heap)", avg)
+	}
+}
+
+// TestEvictingReadsReclaimSlab: a read-only workload larger than the cache
+// evicts on every miss but has no mutation tail to pace reclamation, so
+// the walk itself must return retired slots once it leaves its epoch
+// section. Slots awaiting their grace period stay bounded by a few reap
+// batches however long the scan runs, instead of growing with it.
+func TestEvictingReadsReclaimSlab(t *testing.T) {
+	const dirs, files, capacity = 16, 64, 256
+	cfg := dircache.Optimized()
+	cfg.SignatureSeed = 1
+	cfg.CacheCapacity = capacity
+	sys := dircache.New(cfg)
+	p := sys.Start(dircache.RootCreds())
+	for d := 0; d < dirs; d++ {
+		if err := p.Mkdir(fmt.Sprintf("/d%02d", d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < files; f++ {
+			if err := p.Create(fmt.Sprintf("/d%02d/f%02d", d, f), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	scan := func(passes int) int64 {
+		before := sys.Stats()
+		for pass := 0; pass < passes; pass++ {
+			for d := 0; d < dirs; d++ {
+				for f := 0; f < files; f++ {
+					if _, err := p.Stat(fmt.Sprintf("/d%02d/f%02d", d, f)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if ev := sys.Stats().Delta(before).Evictions; ev < int64(passes*dirs*files/2) {
+			t.Fatalf("scan evicted %d dentries; the working set should not fit", ev)
+		}
+		m := sys.MemStats()
+		return m.Dentries.Limbo + m.ChainNodes.Limbo + m.FastDentries.Limbo + m.DLHTNodes.Limbo + m.LimboQueue
+	}
+	const bound = 4 * 256 // four of the kernel's 256-slot reap batches
+	short, long := scan(2), scan(20)
+	if short > bound || long > bound {
+		t.Fatalf("slots in limbo after 2 / 22 passes = %d / %d, want <= %d both times", short, long, bound)
 	}
 }

@@ -4,32 +4,19 @@
 //
 // Usage:
 //
-//	dcbench [-scale small|paper] [-list] [-json file] [-smoke file]
+//	dcbench [-scale small|paper] [-list] [-json file]
 //	        [-telemetry] [-trace-sample n] [-metrics-addr host:port]
 //	        [experiment ...]
 //
 // With no experiment arguments, every experiment runs in paper order.
-// -json additionally writes every report's structured data to the named
-// file (conventionally BENCH_parallel.json, committed nowhere but diffed
-// across PRs to track the perf trajectory) plus a compact BENCH_micro.json,
-// a warm-app BENCH_apps.json, a cold-scan BENCH_cold.json, a deep-walk
-// BENCH_deep.json, a 9P connection-storm BENCH_serve.json, and a
-// sharded-tier BENCH_shard.json beside it (schemas in EXPERIMENTS.md;
-// the small-scale BENCH_apps.json, BENCH_cold.json, BENCH_deep.json,
-// BENCH_serve.json and BENCH_shard.json are committed as the -smoke
-// baselines).
-// -smoke re-runs the warm-app suite and fails if any application's
-// opt/unmod ratio drifts beyond tolerance from that committed baseline,
-// then re-runs the deterministic cold-scan, deep-walk, connection-storm
-// and sharded-tier trajectories against the committed BENCH_cold.json,
-// BENCH_deep.json, BENCH_serve.json and BENCH_shard.json (this is
-// `make bench-smoke`, part of `make ci`).
+// -json additionally writes the selected reports' structured data to the
+// named file. Numbers kept over time come from benchmark/ (see
+// benchmark/README.md), not from this tool.
 // -telemetry attaches one
 // process-wide telemetry subsystem to every system the experiments build;
 // -metrics-addr serves its histograms and walk traces live over HTTP
 // while the run progresses.
-// Experiment IDs: fig1 fig2 fig3 fig6 fig7 fig8 fig9 fig10 table1 table2
-// table3 table4.
+// -list prints the experiment IDs.
 package main
 
 import (
@@ -37,9 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"dircache"
@@ -49,14 +33,13 @@ import (
 func main() {
 	scale := flag.String("scale", "paper", "experiment scale: small or paper")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonOut := flag.String("json", "", "write machine-readable results to this file (e.g. BENCH_parallel.json); also writes BENCH_micro.json and BENCH_apps.json beside it")
-	smoke := flag.String("smoke", "", "run the warm-app suite and compare opt/unmod ratios against this committed BENCH_apps.json baseline; exits nonzero on drift")
+	jsonOut := flag.String("json", "", "write the selected reports' structured data to this file")
 	telemetryOn := flag.Bool("telemetry", false, "attach one process-wide telemetry subsystem to every system the experiments build")
 	traceSample := flag.Int("trace-sample", 64, "with -telemetry, trace 1-in-N walks into the trace ring (0 disables tracing)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (e.g. localhost:9150); implies -telemetry")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof and Go runtime metrics on the metrics endpoint; implies -telemetry (default address localhost:0)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dcbench [-scale small|paper] [-list] [-json file] [-smoke file] [-telemetry] [-trace-sample n] [-metrics-addr host:port] [-pprof] [experiment ...]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: dcbench [-scale small|paper] [-list] [-json file] [-telemetry] [-trace-sample n] [-metrics-addr host:port] [-pprof] [experiment ...]\n\n")
 		fmt.Fprintf(os.Stderr, "experiments:\n")
 		for _, e := range bench.Experiments() {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.ID, e.Desc)
@@ -108,14 +91,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *smoke != "" {
-		if err := runSmoke(*smoke, sc); err != nil {
-			fmt.Fprintf(os.Stderr, "dcbench: smoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	var todo []bench.Experiment
 	if flag.NArg() == 0 {
 		todo = bench.Experiments()
@@ -155,49 +130,8 @@ func main() {
 		if err := writeJSON(*jsonOut, *scale, results); err != nil {
 			fmt.Fprintf(os.Stderr, "dcbench: %v\n", err)
 			failed++
-		}
-		microPath := filepath.Join(filepath.Dir(*jsonOut), "BENCH_micro.json")
-		if err := writeMicro(microPath, *scale, sc); err != nil {
-			fmt.Fprintf(os.Stderr, "dcbench: %v\n", err)
-			failed++
-		}
-		appsPath := filepath.Join(filepath.Dir(*jsonOut), "BENCH_apps.json")
-		if err := writeApps(appsPath, *scale, sc); err != nil {
-			fmt.Fprintf(os.Stderr, "dcbench: %v\n", err)
-			failed++
-		}
-		coldPath := filepath.Join(filepath.Dir(*jsonOut), "BENCH_cold.json")
-		if err := writeCold(coldPath, *scale, sc); err != nil {
-			fmt.Fprintf(os.Stderr, "dcbench: %v\n", err)
-			failed++
-		}
-		deepPath := filepath.Join(filepath.Dir(*jsonOut), "BENCH_deep.json")
-		if err := writeDeep(deepPath, *scale, sc); err != nil {
-			fmt.Fprintf(os.Stderr, "dcbench: %v\n", err)
-			failed++
-		}
-		servePath := filepath.Join(filepath.Dir(*jsonOut), "BENCH_serve.json")
-		if err := writeServe(servePath, *scale, sc); err != nil {
-			fmt.Fprintf(os.Stderr, "dcbench: %v\n", err)
-			failed++
-		}
-		tracePath := filepath.Join(filepath.Dir(*jsonOut), "BENCH_trace.json")
-		if err := writeTrace(tracePath, *scale, sc); err != nil {
-			fmt.Fprintf(os.Stderr, "dcbench: %v\n", err)
-			failed++
-		}
-		memPath := filepath.Join(filepath.Dir(*jsonOut), "BENCH_mem.json")
-		if err := writeMem(memPath, *scale, sc); err != nil {
-			fmt.Fprintf(os.Stderr, "dcbench: %v\n", err)
-			failed++
-		}
-		shardPath := filepath.Join(filepath.Dir(*jsonOut), "BENCH_shard.json")
-		if err := writeShard(shardPath, *scale, sc); err != nil {
-			fmt.Fprintf(os.Stderr, "dcbench: %v\n", err)
-			failed++
-		}
-		if failed == 0 {
-			fmt.Printf("wrote %s, %s, %s, %s, %s, %s, %s, %s and %s\n", *jsonOut, microPath, appsPath, coldPath, deepPath, servePath, tracePath, memPath, shardPath)
+		} else {
+			fmt.Printf("wrote %s\n", *jsonOut)
 		}
 	}
 	if tel != nil {
@@ -232,499 +166,6 @@ func writeJSON(path, scale string, results []jsonReport) error {
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Scale:       scale,
 		Experiments: results,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// microDoc is the BENCH_micro.json perf-trajectory schema: a flat
-// "series/point" → value map from bench.MicroTrajectory, diffed across
-// PRs (schema documented in EXPERIMENTS.md).
-type microDoc struct {
-	GeneratedAt string             `json:"generated_at"`
-	Scale       string             `json:"scale"`
-	Metrics     map[string]float64 `json:"metrics"`
-}
-
-func writeMicro(path, scale string, sc bench.Scale) error {
-	metrics, err := bench.MicroTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	doc := microDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       scale,
-		Metrics:     metrics,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// writeApps emits BENCH_apps.json: the warm-cache application trajectory
-// (bench.AppTrajectory) in the same schema as BENCH_micro.json. The small-
-// scale file is committed as the smoke-test baseline.
-func writeApps(path, scale string, sc bench.Scale) error {
-	metrics, err := bench.AppTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	doc := microDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       scale,
-		Metrics:     metrics,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// writeCold emits BENCH_cold.json: the deterministic cold-miss scan
-// trajectory (bench.ColdTrajectory) in the same schema as
-// BENCH_micro.json. The small-scale file is committed as the smoke-test
-// baseline; its values are exact RPC counts, so the smoke gate treats
-// any drift as a behavior change.
-func writeCold(path, scale string, sc bench.Scale) error {
-	metrics, err := bench.ColdTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	doc := microDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       scale,
-		Metrics:     metrics,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// writeDeep emits BENCH_deep.json: the deterministic deep-walk hashing
-// trajectory (bench.DeepTrajectory) in the same schema as
-// BENCH_micro.json. The small-scale file is committed as the smoke-test
-// baseline; its values are exact per-operation counters (hashed bytes,
-// resumes, components saved), so drift is a behavior change.
-func writeDeep(path, scale string, sc bench.Scale) error {
-	metrics, err := bench.DeepTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	doc := microDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       scale,
-		Metrics:     metrics,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// writeServe emits BENCH_serve.json: the deterministic 9P connection-
-// storm trajectory (bench.ServeTrajectory) in the same schema as
-// BENCH_micro.json. The small-scale file is committed as the smoke-test
-// baseline; its values are exact backend-Lookup and wire-RPC counts, so
-// drift is a behavior change in the server or coalescing machinery.
-func writeServe(path, scale string, sc bench.Scale) error {
-	metrics, err := bench.ServeTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	doc := microDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       scale,
-		Metrics:     metrics,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// writeTrace emits BENCH_trace.json: the tracing-tax trajectory
-// (bench.TraceTrajectory) in the same schema as BENCH_micro.json. The
-// headline metric is trace/ratio — warm fastpath cost with tracing at
-// 1/64 sampling over the same loop with tracing disabled — gated
-// absolutely (< 1.03) rather than against the committed file, since a
-// same-machine ratio is machine-independent.
-func writeTrace(path, scale string, sc bench.Scale) error {
-	metrics, err := bench.TraceTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	doc := microDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       scale,
-		Metrics:     metrics,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// writeMem emits BENCH_mem.json: the memory-scale ladder
-// (bench.MemTrajectory — bytes per entry, worst GC pause, warm walk p99
-// for slab arenas vs the pointer-heap baseline) in the same schema as
-// BENCH_micro.json. Bytes/entry is the trackable series; the pause and
-// p99 series are timing-derived, so the smoke gate for this work is
-// `make memscale-smoke` (zero allocs on the warm path), not a ratio
-// band on this file.
-func writeMem(path, scale string, sc bench.Scale) error {
-	metrics, err := bench.MemTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	doc := microDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       scale,
-		Metrics:     metrics,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// smokeTolerance bounds how far an app's opt/unmod wall-time ratio may
-// drift from the committed baseline before the smoke run fails. Ratios
-// (not absolute times) make the check robust to machine speed; the wide
-// band absorbs scheduler noise while still catching gross regressions
-// like a teardown path going 2x slower than baseline.
-const smokeTolerance = 0.35
-
-// appTolerance narrows the band for applications whose ratio a change is
-// specifically accountable for. "rm -r" is the teardown gate of the
-// memory-scale work: lazy slab reclaim plus the fastpath child hop
-// brought its opt/unmod ratio from ~1.25 to ~1.08, and this band keeps
-// the regression headroom at the acceptance bar (within 10% of
-// unmodified, plus measurement noise) instead of the generic 35%.
-var appTolerance = map[string]float64{
-	"rm -r": 0.15,
-}
-
-// runSmoke re-runs the warm-app suite and compares each application's
-// opt/unmod ratio against the committed BENCH_apps.json baseline.
-func runSmoke(baselinePath string, sc bench.Scale) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var base microDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	now, err := bench.AppTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	ratio := func(m map[string]float64, app string) (float64, bool) {
-		o, ok1 := m["app/"+app+"/opt"]
-		u, ok2 := m["app/"+app+"/unmod"]
-		if !ok1 || !ok2 || u == 0 {
-			return 0, false
-		}
-		return o / u, true
-	}
-	apps := map[string]bool{}
-	for k := range base.Metrics {
-		rest, ok := strings.CutPrefix(k, "app/")
-		if !ok {
-			continue
-		}
-		if app, ok := strings.CutSuffix(rest, "/opt"); ok {
-			apps[app] = true
-		}
-	}
-	names := make([]string, 0, len(apps))
-	for app := range apps {
-		names = append(names, app)
-	}
-	sort.Strings(names)
-	bad := 0
-	fmt.Printf("%-18s %-10s %-10s %s\n", "app", "base o/u", "now o/u", "drift")
-	for _, app := range names {
-		b, ok1 := ratio(base.Metrics, app)
-		n, ok2 := ratio(now, app)
-		if !ok1 || !ok2 {
-			continue
-		}
-		drift := n - b
-		tol := smokeTolerance
-		if t, ok := appTolerance[app]; ok {
-			tol = t
-		}
-		mark := ""
-		if drift > tol || drift < -tol {
-			bad++
-			mark = "  <-- exceeds ±" + fmt.Sprintf("%.2f", tol)
-		}
-		fmt.Printf("%-18s %-10.2f %-10.2f %+.2f%s\n", app, b, n, drift, mark)
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d app ratio(s) drifted beyond the committed baseline band", bad)
-	}
-	fmt.Println("smoke: app ratios within tolerance")
-	return runColdSmoke(filepath.Join(filepath.Dir(baselinePath), "BENCH_cold.json"), sc)
-}
-
-// runColdSmoke compares the deterministic cold-scan RPC trajectory
-// against the committed BENCH_cold.json beside the app baseline. The
-// metrics are exact RPC counts over a virtual clock (no scheduler in the
-// loop), so the same wide smokeTolerance band — applied relatively —
-// catches any real behavior change while never flaking.
-func runColdSmoke(baselinePath string, sc bench.Scale) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			fmt.Printf("smoke: no cold baseline at %s, skipping cold-scan gate\n", baselinePath)
-			return nil
-		}
-		return err
-	}
-	var base microDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	now, err := bench.ColdTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	names := make([]string, 0, len(base.Metrics))
-	for k := range base.Metrics {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	bad := 0
-	fmt.Printf("%-28s %-10s %-10s %s\n", "cold metric", "base", "now", "drift")
-	for _, name := range names {
-		b := base.Metrics[name]
-		n, ok := now[name]
-		if !ok || b == 0 {
-			continue
-		}
-		drift := (n - b) / b
-		mark := ""
-		if drift > smokeTolerance || drift < -smokeTolerance {
-			bad++
-			mark = "  <-- exceeds ±" + fmt.Sprintf("%.2f", smokeTolerance)
-		}
-		fmt.Printf("%-28s %-10.2f %-10.2f %+.2f%s\n", name, b, n, drift, mark)
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d cold-scan metric(s) drifted beyond ±%.2f of the committed baseline", bad, smokeTolerance)
-	}
-	fmt.Println("smoke: cold-scan RPC trajectory within tolerance")
-	return runDeepSmoke(filepath.Join(filepath.Dir(baselinePath), "BENCH_deep.json"), sc)
-}
-
-// runDeepSmoke compares the deterministic deep-walk hashing trajectory
-// against the committed BENCH_deep.json beside the other baselines. Like
-// the cold-scan gate, the metrics are exact event counts, so relative
-// drift beyond the band is a behavior change in the shortcut-resume
-// machinery, not noise.
-func runDeepSmoke(baselinePath string, sc bench.Scale) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			fmt.Printf("smoke: no deep baseline at %s, skipping deep-walk gate\n", baselinePath)
-			return nil
-		}
-		return err
-	}
-	var base microDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	now, err := bench.DeepTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	names := make([]string, 0, len(base.Metrics))
-	for k := range base.Metrics {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	bad := 0
-	fmt.Printf("%-40s %-10s %-10s %s\n", "deep metric", "base", "now", "drift")
-	for _, name := range names {
-		b := base.Metrics[name]
-		n, ok := now[name]
-		if !ok || b == 0 {
-			continue
-		}
-		drift := (n - b) / b
-		mark := ""
-		if drift > smokeTolerance || drift < -smokeTolerance {
-			bad++
-			mark = "  <-- exceeds ±" + fmt.Sprintf("%.2f", smokeTolerance)
-		}
-		fmt.Printf("%-40s %-10.2f %-10.2f %+.2f%s\n", name, b, n, drift, mark)
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d deep-walk metric(s) drifted beyond ±%.2f of the committed baseline", bad, smokeTolerance)
-	}
-	fmt.Println("smoke: deep-walk hashing trajectory within tolerance")
-	return runServeSmoke(filepath.Join(filepath.Dir(baselinePath), "BENCH_serve.json"), sc)
-}
-
-// runServeSmoke compares the deterministic 9P connection-storm trajectory
-// against the committed BENCH_serve.json beside the other baselines. The
-// metrics are exact counts — one backend Lookup per cold path component
-// across 64 concurrent connections, two RPCs per warm walk — so any
-// relative drift beyond the band is a behavior change in the wire path.
-func runServeSmoke(baselinePath string, sc bench.Scale) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			fmt.Printf("smoke: no serve baseline at %s, skipping 9P gate\n", baselinePath)
-			return nil
-		}
-		return err
-	}
-	var base microDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	now, err := bench.ServeTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	names := make([]string, 0, len(base.Metrics))
-	for k := range base.Metrics {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	bad := 0
-	fmt.Printf("%-28s %-10s %-10s %s\n", "serve metric", "base", "now", "drift")
-	for _, name := range names {
-		b := base.Metrics[name]
-		n, ok := now[name]
-		if !ok || b == 0 {
-			continue
-		}
-		drift := (n - b) / b
-		mark := ""
-		if drift > smokeTolerance || drift < -smokeTolerance {
-			bad++
-			mark = "  <-- exceeds ±" + fmt.Sprintf("%.2f", smokeTolerance)
-		}
-		fmt.Printf("%-28s %-10.2f %-10.2f %+.2f%s\n", name, b, n, drift, mark)
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d serve metric(s) drifted beyond ±%.2f of the committed baseline", bad, smokeTolerance)
-	}
-	fmt.Println("smoke: 9P connection-storm trajectory within tolerance")
-	return runTraceSmoke(filepath.Join(filepath.Dir(baselinePath), "BENCH_trace.json"), sc)
-}
-
-// runTraceSmoke gates the observability tax. Unlike the other smoke
-// gates it does not drift-compare against the committed BENCH_trace.json
-// (absolute ns/op are machine-dependent and the interesting number — the
-// on/off ratio — hovers at 1.0 where a relative band is meaningless);
-// the committed file records the trajectory, and the gate is the
-// absolute budget enforced inside bench.TraceOverhead: tracing at 1/64
-// sampling must cost < 3% on the warm fastpath.
-func runTraceSmoke(baselinePath string, sc bench.Scale) error {
-	if _, err := os.Stat(baselinePath); os.IsNotExist(err) {
-		fmt.Printf("smoke: no trace baseline at %s, skipping tracing-tax gate\n", baselinePath)
-		return runShardSmoke(filepath.Join(filepath.Dir(baselinePath), "BENCH_shard.json"), sc)
-	}
-	now, err := bench.TraceTrajectory(sc)
-	if err != nil {
-		return fmt.Errorf("tracing tax: %w", err)
-	}
-	fmt.Printf("smoke: tracing tax %.1f%% at 1/64 sampling (on %.0f ns/op, off %.0f ns/op; budget <3%%)\n",
-		(now["trace/ratio"]-1)*100, now["trace/on_ns"], now["trace/off_ns"])
-	return runShardSmoke(filepath.Join(filepath.Dir(baselinePath), "BENCH_shard.json"), sc)
-}
-
-// runShardSmoke compares the deterministic sharded-tier trajectory
-// against the committed BENCH_shard.json beside the other baselines —
-// exact coherence event counts and ring placement fractions — and hard-
-// gates the invariants the tier cannot drift on at all: zero stale reads
-// after the rename storm converges, and zero fell-behind fallbacks.
-func runShardSmoke(baselinePath string, sc bench.Scale) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			fmt.Printf("smoke: no shard baseline at %s, skipping sharded-tier gate\n", baselinePath)
-			return nil
-		}
-		return err
-	}
-	var base microDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	now, err := bench.ShardTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	if n := now["shard/stale_reads"]; n != 0 {
-		return fmt.Errorf("sharded tier served %.0f stale reads after convergence (must be 0)", n)
-	}
-	if n := now["shard/fallbacks"]; n != 0 {
-		return fmt.Errorf("sharded tier took %.0f fell-behind fallbacks during the storm (must be 0)", n)
-	}
-	names := make([]string, 0, len(base.Metrics))
-	for k := range base.Metrics {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	bad := 0
-	fmt.Printf("%-30s %-10s %-10s %s\n", "shard metric", "base", "now", "drift")
-	for _, name := range names {
-		b := base.Metrics[name]
-		n, ok := now[name]
-		if !ok || b == 0 {
-			continue
-		}
-		drift := (n - b) / b
-		mark := ""
-		if drift > smokeTolerance || drift < -smokeTolerance {
-			bad++
-			mark = "  <-- exceeds ±" + fmt.Sprintf("%.2f", smokeTolerance)
-		}
-		fmt.Printf("%-30s %-10.2f %-10.2f %+.2f%s\n", name, b, n, drift, mark)
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d shard metric(s) drifted beyond ±%.2f of the committed baseline", bad, smokeTolerance)
-	}
-	fmt.Println("smoke: sharded-tier coherence trajectory within tolerance")
-	return nil
-}
-
-// writeShard emits BENCH_shard.json: the deterministic sharded-tier
-// trajectory (bench.ShardTrajectory) in the same schema as
-// BENCH_micro.json. The small-scale file is committed as the smoke-test
-// baseline; its values are exact coherence event counts and ring
-// placement fractions, so drift is a behavior change in the routing or
-// journal-subscription machinery. The timed aggregate stat rates stay
-// out of the file — the >=3x speedup claim is asserted by the shardstorm
-// experiment and the internal/bench package test.
-func writeShard(path, scale string, sc bench.Scale) error {
-	metrics, err := bench.ShardTrajectory(sc)
-	if err != nil {
-		return err
-	}
-	doc := microDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       scale,
-		Metrics:     metrics,
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

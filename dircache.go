@@ -102,8 +102,6 @@ type Config struct {
 	Era SyncEra
 	// CacheCapacity bounds cached dentries (0 = unlimited).
 	CacheCapacity int
-	// HashBuckets sizes the baseline dentry hash table (0 = 2^18).
-	HashBuckets int
 	// PCCBytes sizes each per-credential prefix check cache (0 = 64 KiB,
 	// the paper's configuration).
 	PCCBytes int
@@ -121,24 +119,6 @@ type Config struct {
 	// lookup pays the full fastpath cost and then the slow walk — the
 	// worst case Figure 6 quantifies. Benchmarks only.
 	ForcePCCMiss bool
-	// AdmitAfter defers fastpath population until a dentry's Nth slow-path
-	// touch, so single-touch workloads (tar extraction, rm -r) skip
-	// population cost entirely. 0 = the default of 2; 1 admits on first
-	// touch (the pre-admission behaviour). Scan-shaped walks (readdir-
-	// then-stat streaks) always admit eagerly.
-	AdmitAfter int
-	// BulkAfter sets the miss-streak threshold for readdir-driven bulk
-	// population: once that many consecutive cache misses land in one
-	// directory on a CheapReadDir backend, the next miss issues a single
-	// ReadDir and installs every child (marking the directory complete)
-	// instead of one per-name Lookup each. 0 = the default of 3; negative
-	// disables. Requires Features.DirCompleteness.
-	BulkAfter int
-	// HeapAlloc switches the dentry/fast-dentry/chain-node slab arenas to
-	// one-GC-object-per-slot mode with recycling disabled — the pointer-heap
-	// allocation model the memscale experiment measures against. Strictly a
-	// measurement baseline: it leaks retired slots by design. Leave off.
-	HeapAlloc bool
 	// Root supplies the root file system backend; nil means a fresh
 	// in-memory backend.
 	Root *Backend
@@ -176,13 +156,10 @@ func New(cfg Config) *System {
 	}
 	k := vfs.NewKernel(vfs.Config{
 		SyncMode:            syncMode,
-		HashBuckets:         cfg.HashBuckets,
 		CacheCapacity:       cfg.CacheCapacity,
 		DirCompleteness:     cfg.Features.DirCompleteness,
 		AggressiveNegatives: cfg.Features.AggressiveNegatives,
-		BulkAfter:           cfg.BulkAfter,
 		PhaseTrace:          cfg.PhaseTrace,
-		HeapAlloc:           cfg.HeapAlloc,
 	}, root.fs)
 	s := &System{k: k, root: root}
 	if cfg.Features.DirectLookup {
@@ -194,7 +171,6 @@ func New(cfg Config) *System {
 			SymlinkAliases: cfg.Features.SymlinkAliases,
 			LexicalDotDot:  cfg.Features.LexicalDotDot,
 			ForcePCCMiss:   cfg.ForcePCCMiss,
-			AdmitAfter:     cfg.AdmitAfter,
 			DirShortcuts:   cfg.Features.DirShortcuts,
 		})
 	}

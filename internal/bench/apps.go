@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"dircache"
@@ -368,27 +367,3 @@ func Table2(sc Scale) (*Report, error) {
 }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
-
-// AppTrajectory runs the warm-cache application suite (Table 1) and
-// flattens it into the BENCH_apps.json perf-trajectory metrics, the
-// application-level counterpart of MicroTrajectory:
-//
-//	app/<name>/unmod  best-rep wall time, ns, unmodified kernel
-//	app/<name>/opt    best-rep wall time, ns, optimized kernel
-//	app/<name>/hit    optimized warm-cache hit %
-//	app/<name>/neg    optimized negative-answer %
-func AppTrajectory(sc Scale) (map[string]float64, error) {
-	rep, err := Table1(sc)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(rep.Data))
-	for k, v := range rep.Data {
-		i := strings.IndexByte(k, '/')
-		if i < 0 {
-			continue
-		}
-		out["app/"+k[i+1:]+"/"+k[:i]] = v
-	}
-	return out, nil
-}

@@ -372,27 +372,6 @@ func TestLatShape(t *testing.T) {
 	}
 }
 
-func TestMicroTrajectoryKeys(t *testing.T) {
-	m, err := MicroTrajectory(SmallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []string{"unmod", "opt"} {
-		for _, pt := range latPaths {
-			k := "stat/" + pt.name + "/" + mode
-			if m[k] <= 0 {
-				t.Errorf("missing or non-positive %s = %.0f", k, m[k])
-			}
-		}
-		for _, q := range []string{"p50", "p95", "p99"} {
-			k := "walkq/" + q + "/" + mode
-			if m[k] <= 0 {
-				t.Errorf("missing or non-positive %s = %.0f", k, m[k])
-			}
-		}
-	}
-}
-
 func TestCoherenceShape(t *testing.T) {
 	r := runExp(t, Coherence)
 	// The storm must actually exercise coherence machinery: renames and
@@ -483,6 +462,11 @@ func TestColdStormShape(t *testing.T) {
 	// counts over a virtual clock), so asserted strictly.
 	if ratio := r.Get("scan/bulk_ratio"); ratio < 5 {
 		t.Errorf("cold-scan RPC ratio %.2f, want >= 5", ratio)
+	}
+	// The counts behind the ratio are exact too: one LOOKUP per name
+	// without readdir-plus; two LOOKUPs then one READDIR with it.
+	if off, on := r.Get("scan/rpc/bulkoff"), r.Get("scan/rpc/bulkon"); off != coldWidth || on != 3 {
+		t.Errorf("cold-scan RPCs off/on = %.0f/%.0f, want %d/3", off, on, coldWidth)
 	}
 	if n := r.Get("scan/bulk_populations/bulkon"); n != 1 {
 		t.Errorf("bulk populations with bulk on = %.0f, want 1", n)

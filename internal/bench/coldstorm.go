@@ -10,8 +10,8 @@ import (
 // Cold-miss storm experiment: how many server round trips a cold
 // directory scan over remotefs costs with readdir-driven bulk population
 // on vs off, and how miss coalescing behaves when concurrent walkers hit
-// the same cold tree. The deterministic scan half is tracked across PRs
-// in BENCH_cold.json (ColdTrajectory) and gated by `dcbench -smoke`.
+// the same cold tree. The deterministic scan half (ColdTrajectory) is
+// asserted by TestColdStormShape.
 
 // coldWidth is the scanned directory's child count — the acceptance
 // configuration (a 16-wide cold scan must cost >= 5x fewer RPCs with
@@ -24,20 +24,18 @@ const coldStormG = 8
 // coldName returns the i'th child name of the scan directory.
 func coldName(i int) string { return fmt.Sprintf("f%02d", i) }
 
-// newColdSystem builds an optimized system over a remotefs backend whose
-// server offers readdir-plus, with bulk population on or off, and a
-// populated scan directory at dir.
+// newColdSystem builds an optimized system over a remotefs backend with a
+// populated scan directory at dir. bulk is whether the server offers
+// readdir-plus (CheapReadDir) — the capability that makes the cache bulk
+// populate, so the off arm is the same cache over a server without it.
 func newColdSystem(dir string, bulk bool) (*dircache.System, *dircache.Backend, *dircache.Process, error) {
 	be := dircache.NewRemoteBackend(dircache.RemoteOptions{
 		RTTNanos:     200_000,
-		CheapReadDir: true,
+		CheapReadDir: bulk,
 	})
 	cfg := dircache.Optimized()
 	cfg.SignatureSeed = 0xc01d
 	cfg.Root = be
-	if !bulk {
-		cfg.BulkAfter = -1
-	}
 	sys := dircache.New(cfg)
 	p := sys.Start(dircache.RootCreds())
 	if err := p.Mkdir(dir, 0o755); err != nil {
@@ -100,7 +98,7 @@ func coldScan(bulk bool) (cold, warm int64, bulkPops int64, err error) {
 }
 
 // ColdStorm reports the cold-miss storm experiment: the deterministic
-// scan comparison (the smoke-gated half) plus a concurrent storm phase
+// scan comparison plus a concurrent storm phase
 // showing miss coalescing soak up duplicate LOOKUPs.
 func ColdStorm(sc Scale) (*Report, error) {
 	r := newReport("coldstorm", "cold-miss storms over remotefs (RPCs per stat)",
@@ -123,11 +121,11 @@ func ColdStorm(sc Scale) (*Report, error) {
 		r.put(k, v)
 	}
 	ratio := det["scan/bulk_ratio"]
-	r.note("bulk population answers the %d-wide cold scan with %.1fx fewer round trips " +
+	r.note("bulk population answers the %d-wide cold scan with %.1fx fewer round trips "+
 		"(acceptance floor: 5x)", coldWidth, ratio)
 
 	// Storm phase: concurrent walkers over one cold tree. Scheduling-
-	// dependent, so reported but not smoke-gated.
+	// dependent, so reported but not asserted.
 	sys, be, p, err := newColdSystem("/storm", true)
 	if err != nil {
 		return nil, err
@@ -173,20 +171,19 @@ func ColdStorm(sc Scale) (*Report, error) {
 	r.put("storm/lookup_rpcs", float64(perOp["lookup"]))
 	r.put("storm/coalesced", float64(d.MissCoalesced))
 	if p50, p95, p99, ok := tl.HistogramQuantiles("walk"); ok {
-		r.note("storm walk latency p50=%v p95=%v p99=%v over %d walkers " +
+		r.note("storm walk latency p50=%v p95=%v p99=%v over %d walkers "+
 			"(wall time; the injected 200us RTT is virtual and excluded)", p50, p95, p99, coldStormG)
 		r.put("storm/walk_p95_ns", float64(p95.Nanoseconds()))
 	}
 	sys.DisableTelemetry()
-	r.note("without coalescing and bulk population the storm's worst case is %d LOOKUPs; " +
-		"the deterministic cold-scan rows above are the smoke-gated trajectory (BENCH_cold.json)", ops)
+	r.note("without coalescing and bulk population the storm's worst case is %d LOOKUPs; "+
+		"the cold-scan rows above are deterministic counts (TestColdStormShape)", ops)
 	return r, nil
 }
 
 // ColdTrajectory runs the deterministic half of the cold-storm experiment
 // — the single-threaded cold scan with bulk population on and off — and
-// returns the flat "series/point" metric map written to BENCH_cold.json
-// and gated by `dcbench -smoke` (these are exact RPC counts over a
+// returns the flat "series/point" metric map (exact RPC counts over a
 // virtual clock, so any drift is a behavior change, not noise).
 func ColdTrajectory(Scale) (map[string]float64, error) {
 	out := map[string]float64{}

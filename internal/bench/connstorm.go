@@ -15,9 +15,9 @@ import (
 // dcserve-style server, all walking the same deep path. The deterministic
 // half — backend Lookups during the cold storm (miss coalescing must hold
 // it to exactly one per path component) and wire RPCs per warm walk — is
-// tracked across PRs in BENCH_serve.json (ServeTrajectory) and gated by
-// `dcbench -smoke`. Latency quantiles from the per-op server histograms
-// are reported but not gated (wall-clock, scheduler-dependent).
+// asserted by TestConnStormTrajectory. Latency quantiles from the per-op
+// server histograms are reported but not gated (wall-clock,
+// scheduler-dependent).
 
 const (
 	// connStormConns is the client connection count (acceptance floor: 64).
@@ -36,7 +36,7 @@ const (
 
 // connStormResult carries one storm run's outcomes.
 type connStormResult struct {
-	det   map[string]float64 // the deterministic, smoke-gated metrics
+	det   map[string]float64 // the deterministic counts
 	srv   ninep.ServerStats
 	tl    *dircache.Telemetry
 	depth int
@@ -166,26 +166,7 @@ func runConnStorm() (*connStormResult, error) {
 	return res, nil
 }
 
-// ServeTrajectory runs the connection storm and returns the deterministic
-// metric map written to BENCH_serve.json and gated by `dcbench -smoke`:
-// exact backend Lookup counts and wire RPC ratios, no wall-clock numbers.
-func ServeTrajectory(Scale) (map[string]float64, error) {
-	res, err := runConnStorm()
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]float64{}
-	for _, k := range []string{
-		"storm/conns", "storm/uids", "storm/components",
-		"storm/cold_fs_lookups", "storm/cold_errors",
-		"storm/warm_fs_lookups", "storm/warm_walks", "storm/rpcs_per_walk",
-	} {
-		out[k] = res.det[k]
-	}
-	return out, nil
-}
-
-// ConnStorm reports the connection-storm experiment: the smoke-gated
+// ConnStorm reports the connection-storm experiment: the
 // deterministic counts plus wire-op latency quantiles from the server's
 // telemetry histograms.
 func ConnStorm(Scale) (*Report, error) {
@@ -211,7 +192,7 @@ func ConnStorm(Scale) (*Report, error) {
 			res.det["storm/rpcs_per_walk"], res.det["storm/fast_hits_warm"]))
 
 	if res.det["storm/cold_fs_lookups"] == comp {
-		r.note("cold storm held to exactly one backend Lookup per path component " +
+		r.note("cold storm held to exactly one backend Lookup per path component "+
 			"(%.0f for %d concurrent connections) — the miss-coalescing guarantee on the wire", comp, connStormConns)
 	} else {
 		r.note("WARNING: cold storm cost %.0f backend Lookups for a %.0f-component path",
@@ -230,7 +211,6 @@ func ConnStorm(Scale) (*Report, error) {
 	r.note("server totals: %d conns, %d ops, %d walks, %d errors; pool gets=%d reuses=%d",
 		res.srv.ConnsTotal, res.srv.Ops, res.srv.Walks, res.srv.ErrorsSent,
 		res.srv.PoolGets, res.srv.PoolReuses)
-	r.note("deterministic counts are the smoke-gated trajectory (BENCH_serve.json); " +
-		"latencies are wall-clock and not gated")
+	r.note("counts are deterministic (TestConnStormTrajectory); latencies are wall-clock and not gated")
 	return r, nil
 }

@@ -2,15 +2,16 @@ package bench
 
 import "testing"
 
-// TestConnStormTrajectory asserts the deterministic wire-level claims the
-// smoke gate relies on: a 64-connection cold storm over one deep path
+// TestConnStormTrajectory asserts the deterministic wire-level claims:
+// a 64-connection cold storm over one deep path
 // costs exactly one backend Lookup per component, warm walks never touch
 // the backend, and a warm walk is exactly two RPCs (Twalk+Tclunk).
 func TestConnStormTrajectory(t *testing.T) {
-	m, err := ServeTrajectory(SmallScale())
+	res, err := runConnStorm()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := res.det
 	if m["storm/conns"] < 64 {
 		t.Fatalf("storm ran %v conns, acceptance floor is 64", m["storm/conns"])
 	}

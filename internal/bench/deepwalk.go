@@ -10,9 +10,8 @@ import (
 // Deep-tree walk experiment: how lookup cost scales with path depth on
 // maven- and node_modules-shaped trees, with directory shortcut resume
 // (DESIGN §5f) on and off. The deterministic half — hashed bytes per
-// warm lookup, resumes and components saved per cold leaf — is tracked
-// across PRs in BENCH_deep.json (DeepTrajectory) and gated by
-// `dcbench -smoke`; the timed half reports per-depth ns/op and the
+// warm lookup, resumes and components saved per cold leaf — is
+// DeepTrajectory, asserted by TestDeepwalkShape; the timed half reports per-depth ns/op and the
 // depth-flatness ratio the acceptance criterion bounds.
 
 // deepShapes are the tree shapes measured; both nest far deeper than
@@ -55,7 +54,7 @@ func warmDeepSpine(p *dircache.Process, tr *workload.DeepTree) error {
 }
 
 // DeepTrajectory runs the deterministic half of the deepwalk experiment
-// and returns the flat "series/point" map written to BENCH_deep.json.
+// and returns its flat "series/point" map.
 // Every metric is a per-operation count (hashed bytes, resumes, saved
 // components), so it is scale-independent and exact: drift means a
 // behavior change, not noise.
@@ -182,8 +181,8 @@ func Deepwalk(sc Scale) (*Report, error) {
 				depths[len(depths)-1], flat, depths[0])
 		}
 	}
-	r.note("deterministic per-op counters (hash bytes, resumes, saved components) are the " +
-		"smoke-gated trajectory (BENCH_deep.json); timings are reported, not gated")
+	r.note("per-op counters (hash bytes, resumes, saved components) are deterministic " +
+		"(TestDeepwalkShape); timings are reported, not gated")
 	return r, nil
 }
 

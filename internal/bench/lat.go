@@ -7,7 +7,7 @@ import (
 )
 
 // latPaths is the subset of the Figure 6 fixture measured by the latency
-// distribution experiment and the micro perf-trajectory file: one shallow
+// distribution experiment: one shallow
 // hit, one deep hit, a symlink, and a cached negative.
 var latPaths = []struct{ name, path string }{
 	{"1-comp", "/FFF"},
@@ -62,40 +62,4 @@ func Lat(sc Scale) (*Report, error) {
 	r.note("quantiles come from the telemetry walk histogram over the measured loop; " +
 		"ns/op includes enabled-recording cost (compare within this table only)")
 	return r, nil
-}
-
-// MicroTrajectory runs the compact warm-path micro set whose numbers are
-// tracked across PRs in BENCH_micro.json: stat ns/op per path pattern for
-// the baseline and optimized caches (telemetry detached — the honest
-// hot-path number), plus walk p50/p95/p99 for the deep path with
-// telemetry attached. Keys follow the report convention "series/point":
-// "stat/<path>/<config>" and "walkq/<quantile>/<config>".
-func MicroTrajectory(sc Scale) (map[string]float64, error) {
-	out := map[string]float64{}
-	for _, mode := range []string{"unmod", "opt"} {
-		cfg := dircache.Baseline()
-		if mode == "opt" {
-			cfg = dircache.Optimized()
-			cfg.SignatureSeed = 0x31c40
-		}
-		sys := dircache.New(cfg)
-		p := sys.Start(dircache.RootCreds())
-		if err := buildMicroTree(p); err != nil {
-			return nil, err
-		}
-		for _, pt := range latPaths {
-			out[fmt.Sprintf("stat/%s/%s", pt.name, mode)] = statLoop(sc, p, pt.path)
-		}
-		tl := sys.EnableTelemetry(dircache.TelemetryOptions{})
-		statLoop(sc, p, "/XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF")
-		p50, p95, p99, ok := tl.HistogramQuantiles("walk")
-		sys.DisableTelemetry()
-		if !ok {
-			return nil, fmt.Errorf("microtrajectory: empty walk histogram (%s)", mode)
-		}
-		out["walkq/p50/"+mode] = float64(p50.Nanoseconds())
-		out["walkq/p95/"+mode] = float64(p95.Nanoseconds())
-		out["walkq/p99/"+mode] = float64(p99.Nanoseconds())
-	}
-	return out, nil
 }

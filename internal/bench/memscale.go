@@ -15,12 +15,9 @@ import (
 // without GC collapse? Dentries, fast-dentries, and hash-chain nodes
 // live in slab arenas — a handful of large chunks the collector scans
 // as single objects — so the marginal cost of a cached entry is slots,
-// not GC-visible pointers. The control is the same code with
-// Config.HeapAlloc: every slot its own GC object with recycling off,
-// the pointer-heap allocation model a straight Go port would have.
+// not GC-visible pointers (DESIGN §5g).
 //
-// Per (entry count N, allocation mode) the experiment populates N
-// entries, then measures
+// Per entry count N the experiment populates N entries, then measures
 //   - bytes per entry: live heap growth (post-GC HeapAlloc delta) / N,
 //   - max GC pause: the /gc/pauses:seconds histogram delta across
 //     walk-while-collecting churn at full population, and
@@ -28,18 +25,10 @@ import (
 //     of the resident paths.
 //
 // PaperScale runs the acceptance ladder {1M, 10M}; SmallScale keeps CI
-// honest at {20k, 100k}. BENCH_mem.json carries the trajectory.
+// honest at {20k, 100k}.
 
 // memPerDir is the fanout of the populated tree: files per directory.
 const memPerDir = 512
-
-// memModes orders the two allocation models; slab first so the
-// baseline's deliberate leak (HeapAlloc never recycles) is built and
-// released last.
-var memModes = []struct {
-	name string
-	heap bool
-}{{"slab", false}, {"heap", true}}
 
 // memPaths returns the i-th populated path for a ladder of n entries.
 // Directory entries count toward n: each memPerDir-sized directory
@@ -48,16 +37,15 @@ func memPath(dir, file int) string {
 	return fmt.Sprintf("/mem/d%05d/f%05d", dir, file)
 }
 
-// memPopulate builds a system in the given mode and fills it with n
+// memPopulate builds a system and fills it with n
 // cached entries, returning the system, a process, and a sample of up
 // to 512 resident file paths spread evenly across the tree. capacity
 // bounds the dentry cache (0 = unlimited — the measured configuration);
 // the backend control passes a tiny capacity so the same tree is built
 // with almost nothing resident.
-func memPopulate(n int, heap bool, capacity int) (*dircache.System, *dircache.Process, []string, error) {
+func memPopulate(n int, capacity int) (*dircache.System, *dircache.Process, []string, error) {
 	cfg := dircache.Optimized()
 	cfg.SignatureSeed = 0x3e45ca1e
-	cfg.HeapAlloc = heap
 	cfg.CacheCapacity = capacity
 	sys := dircache.New(cfg)
 	p := sys.Start(dircache.RootCreds())
@@ -185,65 +173,8 @@ func memWalkP99(p *dircache.Process, sample []string) (float64, error) {
 	return lat[len(lat)*99/100], nil
 }
 
-// MemTrajectory runs the memory-scale ladder and returns the flat
-// "series/point" map written to BENCH_mem.json. Keys:
-//
-//	mem/<N>/<mode>/entries                dentries resident after populate
-//	mem/<N>/<mode>/bytes_per_entry        live-heap bytes per resident entry
-//	mem/<N>/<mode>/dcache_bytes_per_entry same, minus the backend control
-//	mem/<N>/<mode>/gc_max_pause_ns        worst STW pause under churn
-//	mem/<N>/<mode>/walk_p99_ns            warm fastpath Stat p99
-//	mem/<N>/backend_bytes_per_entry       dropped-caches residual (memfs tree)
-//	mem/<N>/bytes_ratio                   heap/slab dcache bytes per entry
-//	mem/<N>/pause_ratio                   heap/slab max pause
-//	mem/p99_growth/<mode>                 p99 at the largest N / at the smallest
-//
-// Bytes per entry is stable run to run; the pause and p99 series are
-// timing-derived and reported, not smoke-gated.
-func MemTrajectory(sc Scale) (map[string]float64, error) {
-	out := map[string]float64{}
-	for _, n := range sc.MemEntries {
-		if err := memBackendControl(out, n); err != nil {
-			return nil, fmt.Errorf("memscale control n=%d: %w", n, err)
-		}
-	}
-	for _, mode := range memModes {
-		for _, n := range sc.MemEntries {
-			if err := memMeasure(out, n, mode.name, mode.heap); err != nil {
-				return nil, fmt.Errorf("memscale %s n=%d: %w", mode.name, n, err)
-			}
-		}
-	}
-	for _, n := range sc.MemEntries {
-		backend := out[fmt.Sprintf("mem/%d/backend_bytes_per_entry", n)]
-		slabB := out[fmt.Sprintf("mem/%d/slab/bytes_per_entry", n)] - backend
-		heapB := out[fmt.Sprintf("mem/%d/heap/bytes_per_entry", n)] - backend
-		if slabB > 0 {
-			out[fmt.Sprintf("mem/%d/slab/dcache_bytes_per_entry", n)] = slabB
-			out[fmt.Sprintf("mem/%d/heap/dcache_bytes_per_entry", n)] = heapB
-			out[fmt.Sprintf("mem/%d/bytes_ratio", n)] = heapB / slabB
-		}
-		slabP := out[fmt.Sprintf("mem/%d/slab/gc_max_pause_ns", n)]
-		heapP := out[fmt.Sprintf("mem/%d/heap/gc_max_pause_ns", n)]
-		if slabP > 0 {
-			out[fmt.Sprintf("mem/%d/pause_ratio", n)] = heapP / slabP
-		}
-	}
-	if len(sc.MemEntries) >= 2 {
-		lo, hi := sc.MemEntries[0], sc.MemEntries[len(sc.MemEntries)-1]
-		for _, mode := range memModes {
-			small := out[fmt.Sprintf("mem/%d/%s/walk_p99_ns", lo, mode.name)]
-			big := out[fmt.Sprintf("mem/%d/%s/walk_p99_ns", hi, mode.name)]
-			if small > 0 {
-				out[fmt.Sprintf("mem/p99_growth/%s", mode.name)] = big / small
-			}
-		}
-	}
-	return out, nil
-}
-
-// memBackendControl measures the mode-independent cost both designs
-// pay per entry — the memfs tree itself — by building the same tree
+// memBackendControl measures the per-entry cost that is not the cache's
+// — the memfs tree itself — by building the same tree
 // under a tiny dentry-cache capacity, so almost nothing but the backend
 // is resident. Subtracting it from the populated measurements isolates
 // what the cache charges per entry (dcache_bytes_per_entry). A fresh
@@ -253,7 +184,7 @@ func MemTrajectory(sc Scale) (map[string]float64, error) {
 // skeleton.
 func memBackendControl(out map[string]float64, n int) error {
 	heapBefore := liveHeapBytes()
-	sys, _, _, err := memPopulate(n, false, 512)
+	sys, _, _, err := memPopulate(n, 512)
 	if err != nil {
 		return err
 	}
@@ -263,17 +194,19 @@ func memBackendControl(out map[string]float64, n int) error {
 	return nil
 }
 
-// memMeasure runs one (N, mode) point and records its four series.
-func memMeasure(out map[string]float64, n int, name string, heap bool) error {
-	prefix := fmt.Sprintf("mem/%d/%s", n, name)
+// memMeasure runs one ladder point and records its series.
+func memMeasure(out map[string]float64, n int) error {
+	prefix := fmt.Sprintf("mem/%d/slab", n)
 	heapBefore := liveHeapBytes()
-	sys, p, sample, err := memPopulate(n, heap, 0)
+	sys, p, sample, err := memPopulate(n, 0)
 	if err != nil {
 		return err
 	}
 	entries := float64(sys.DentryCount())
 	out[prefix+"/entries"] = entries
-	out[prefix+"/bytes_per_entry"] = (liveHeapBytes() - heapBefore) / entries
+	bytesPer := (liveHeapBytes() - heapBefore) / entries
+	out[prefix+"/bytes_per_entry"] = bytesPer
+	out[prefix+"/dcache_bytes_per_entry"] = bytesPer - out[fmt.Sprintf("mem/%d/backend_bytes_per_entry", n)]
 
 	hist := pauseHist()
 	memChurn(p, sample)
@@ -293,43 +226,46 @@ func memMeasure(out map[string]float64, n int, name string, heap bool) error {
 }
 
 // Memscale reports the memory-scale experiment: entries vs live bytes
-// per entry, worst GC pause, and warm walk p99, slab arenas against the
-// one-object-per-dentry pointer heap.
+// per entry, worst GC pause, and warm walk p99 on the slab arenas. Data
+// keys:
+//
+//	mem/<N>/slab/entries                dentries resident after populate
+//	mem/<N>/slab/bytes_per_entry        live-heap bytes per resident entry
+//	mem/<N>/slab/dcache_bytes_per_entry same, minus the backend control
+//	mem/<N>/slab/gc_max_pause_ns        worst STW pause under churn
+//	mem/<N>/slab/walk_p99_ns            warm fastpath Stat p99
+//	mem/<N>/backend_bytes_per_entry     capacity-bounded residual (memfs tree)
+//	mem/p99_growth/slab                 p99 at the largest N / at the smallest
 func Memscale(sc Scale) (*Report, error) {
-	r := newReport("memscale", "memory-scale dentries: slab arenas vs pointer heap",
-		"entries", "mode", "resident", "B/entry", "dcache B/entry", "max pause", "warm p99")
-	data, err := MemTrajectory(sc)
-	if err != nil {
-		return nil, err
-	}
-	for k, v := range data {
-		r.put(k, v)
+	r := newReport("memscale", "memory-scale dentries on slab arenas",
+		"entries", "resident", "B/entry", "dcache B/entry", "max pause", "warm p99")
+	data := r.Data
+	for _, n := range sc.MemEntries {
+		if err := memBackendControl(data, n); err != nil {
+			return nil, fmt.Errorf("memscale control n=%d: %w", n, err)
+		}
 	}
 	for _, n := range sc.MemEntries {
-		for _, mode := range memModes {
-			prefix := fmt.Sprintf("mem/%d/%s", n, mode.name)
-			r.add(fmt.Sprintf("%d", n), mode.name,
-				fmt.Sprintf("%.0f", data[prefix+"/entries"]),
-				fmt.Sprintf("%.0f", data[prefix+"/bytes_per_entry"]),
-				fmt.Sprintf("%.0f", data[prefix+"/dcache_bytes_per_entry"]),
-				fmt.Sprintf("%.2fms", data[prefix+"/gc_max_pause_ns"]/1e6),
-				fmtNS(data[prefix+"/walk_p99_ns"]))
+		if err := memMeasure(data, n); err != nil {
+			return nil, fmt.Errorf("memscale n=%d: %w", n, err)
 		}
+		prefix := fmt.Sprintf("mem/%d/slab", n)
+		r.add(fmt.Sprintf("%d", n),
+			fmt.Sprintf("%.0f", data[prefix+"/entries"]),
+			fmt.Sprintf("%.0f", data[prefix+"/bytes_per_entry"]),
+			fmt.Sprintf("%.0f", data[prefix+"/dcache_bytes_per_entry"]),
+			fmt.Sprintf("%.2fms", data[prefix+"/gc_max_pause_ns"]/1e6),
+			fmtNS(data[prefix+"/walk_p99_ns"]))
 	}
-	if len(sc.MemEntries) > 0 {
-		top := sc.MemEntries[len(sc.MemEntries)-1]
-		if ratio := data[fmt.Sprintf("mem/%d/bytes_ratio", top)]; ratio > 0 {
-			r.note("at %d entries the pointer heap charges %.2fx the slab arenas' cache-side bytes per entry "+
-				"(backend control subtracted; acceptance: slab >= 25%% lower, i.e. ratio >= 1.33)", top, ratio)
+	if len(sc.MemEntries) >= 2 {
+		lo, hi := sc.MemEntries[0], sc.MemEntries[len(sc.MemEntries)-1]
+		small := data[fmt.Sprintf("mem/%d/slab/walk_p99_ns", lo)]
+		if small > 0 {
+			g := data[fmt.Sprintf("mem/%d/slab/walk_p99_ns", hi)] / small
+			r.put("mem/p99_growth/slab", g)
+			r.note("warm walk p99 grows %.2fx from the smallest to the largest ladder point "+
+				"(acceptance: within 10%% at paper scale)", g)
 		}
-		if ratio := data[fmt.Sprintf("mem/%d/pause_ratio", top)]; ratio > 0 {
-			r.note("worst GC pause under churn at %d entries: pointer heap %.2fx the slab arenas "+
-				"(acceptance: >= 2x at paper scale)", top, ratio)
-		}
-	}
-	if g := data["mem/p99_growth/slab"]; g > 0 {
-		r.note("slab warm walk p99 grows %.2fx from the smallest to the largest ladder point "+
-			"(acceptance: within 10%% at paper scale)", g)
 	}
 	r.note("bytes/entry is deterministic enough to track; pauses and p99 are timing series, reported not gated")
 	return r, nil

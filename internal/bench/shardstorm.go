@@ -26,11 +26,10 @@ import (
 //     must come back empty.
 //
 // The deterministic half — event counts, zero fallbacks, zero stale
-// reads, ring balance and remap fractions — is tracked across PRs in
-// BENCH_shard.json (ShardTrajectory) and gated by `dcbench -smoke`.
-// The stat rates are wall-clock and reported, not smoke-gated; the
-// speedup claim (4 shards >= 3x one shard) is asserted by the package
-// test on the same sum-of-isolated-rates measurement.
+// reads, ring balance and remap fractions — is asserted by
+// TestShardTrajectory. The stat rates are a wall-clock sum of shards
+// timed in isolation and are reported, not asserted; four shards live
+// at once are measured by the shard_mix workload in benchmark/.
 
 const (
 	// shardStormShards is the tier size under test (acceptance: 4).
@@ -254,35 +253,11 @@ func runShardStorm(sc Scale) (map[string]float64, error) {
 	out["shard/balance_max_share"] = float64(maxOwned) / float64(len(files))
 	out["shard/remap_4to5"] = float64(moved) / float64(len(files))
 
-	// Timed, not smoke-gated.
+	// Timed, not asserted.
 	out["shard/agg_statps_1"] = agg1
 	out["shard/agg_statps_4"] = agg4
 	if agg1 > 0 {
 		out["shard/speedup"] = agg4 / agg1
-	}
-	return out, nil
-}
-
-// shardDetKeys are the deterministic metrics committed to
-// BENCH_shard.json and drift-gated by `dcbench -smoke`: exact coherence
-// event counts and ring placement fractions, no wall-clock numbers.
-var shardDetKeys = []string{
-	"shard/shards", "shard/files", "shard/dirs", "shard/renames",
-	"shard/published", "shard/applied", "shard/fallbacks",
-	"shard/stale_reads", "shard/audit_findings", "shard/lag_after_converge",
-	"shard/balance_max_share", "shard/remap_4to5",
-}
-
-// ShardTrajectory runs the shard storm and returns the deterministic
-// metric map written to BENCH_shard.json (schema in EXPERIMENTS.md).
-func ShardTrajectory(sc Scale) (map[string]float64, error) {
-	res, err := runShardStorm(sc)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]float64{}
-	for _, k := range shardDetKeys {
-		out[k] = res[k]
 	}
 	return out, nil
 }
@@ -326,6 +301,6 @@ func Shardstorm(sc Scale) (*Report, error) {
 		r.note("WARNING: %.0f stale reads, %.0f audit findings after convergence",
 			res["shard/stale_reads"], res["shard/audit_findings"])
 	}
-	r.note("deterministic counts are the smoke-gated trajectory (BENCH_shard.json); stat rates are wall-clock and not gated")
+	r.note("counts are deterministic (TestShardTrajectory); stat rates are wall-clock and not gated")
 	return r, nil
 }

@@ -1,11 +1,12 @@
-// The observability-tax gate: end-to-end tracing must be affordable to
-// leave on in production at its default 1-in-64 sampling. The experiment
-// runs the BenchmarkParallelWalk workload shape — a warm fastpath stat
-// loop on a 7-component path — with tracing sampled at 1/64 and with
-// tracing disabled, interleaved round-robin so both modes see the same
-// thermal and scheduler conditions, and gates on the min-of-rounds
-// ratio. The budget is absolute (not a committed-baseline drift band)
-// because a ratio of two runs on the same machine is machine-independent.
+// The observability tax: end-to-end tracing must be affordable to leave
+// on in production at its default 1-in-64 sampling. The experiment runs
+// the BenchmarkParallelWalk workload shape — a warm fastpath stat loop
+// on a 7-component path — with tracing sampled at 1/64 and with tracing
+// disabled, interleaved round-robin so both modes see the same thermal
+// and scheduler conditions, and reports the min-of-rounds ratio. It is a
+// report, not a gate: the ratio sits at 1.0 inside a single-shot noise
+// floor wider than any budget worth setting (benchmark/ measures the
+// tracing tax with repetitions as harness.trace_overhead_ratio).
 package bench
 
 import (
@@ -15,33 +16,17 @@ import (
 	"dircache"
 )
 
-// traceOverheadBudget is the acceptance ceiling: tracing at 1/64
-// sampling may cost at most 3% on the warm fastpath.
-const traceOverheadBudget = 1.03
-
 // traceOverheadRounds is how many interleaved disabled/sampled rounds
-// feed the min-of-rounds estimate per attempt.
+// feed the min-of-rounds estimate.
 const traceOverheadRounds = 3
 
-// TraceOverhead measures and gates the tracing tax.
+// TraceOverhead measures the tracing tax.
 func TraceOverhead(sc Scale) (*Report, error) {
 	r := newReport("traceoverhead", "walk tracing tax: warm stat loop at 1/64 sampling vs disabled",
 		"mode", "ns/op", "ratio")
 	onNS, offNS, err := traceOverheadPair(sc)
 	if err != nil {
 		return nil, err
-	}
-	// Retries on whole fresh systems: a ratio over budget is far more
-	// often a scheduler artifact than a real regression, and the minimum
-	// across independent attempts discards exactly that artifact.
-	for attempt := 0; attempt < 2 && onNS/offNS >= traceOverheadBudget; attempt++ {
-		on2, off2, err := traceOverheadPair(sc)
-		if err != nil {
-			return nil, err
-		}
-		if on2/off2 < onNS/offNS {
-			onNS, offNS = on2, off2
-		}
 	}
 	ratio := onNS / offNS
 	r.add("disabled", fmtNS(offNS), "1.000")
@@ -51,12 +36,7 @@ func TraceOverhead(sc Scale) (*Report, error) {
 	r.put("trace/ratio", ratio)
 	r.note("disabled tracing is one atomic load + branch per walk; the sampled walk "+
 		"builds its span in per-Task scratch (0 allocs) and pays one ring push per %d walks", 64)
-	r.note("gate: ratio < %.2f (min of %d interleaved rounds, one fresh-system retry)",
-		traceOverheadBudget, traceOverheadRounds)
-	if ratio >= traceOverheadBudget {
-		return r, fmt.Errorf("tracing at 1/64 sampling costs %.1f%% on the warm fastpath (budget %.0f%%)",
-			(ratio-1)*100, (traceOverheadBudget-1)*100)
-	}
+	r.note("min of %d interleaved rounds; single-shot wall clock, reported not gated", traceOverheadRounds)
 	return r, nil
 }
 
@@ -105,17 +85,4 @@ func traceOverheadPair(sc Scale) (onNS, offNS float64, err error) {
 		}
 	}
 	return onNS, offNS, nil
-}
-
-// TraceTrajectory returns the BENCH_trace.json metrics: the per-mode
-// costs and the gated ratio.
-func TraceTrajectory(sc Scale) (map[string]float64, error) {
-	rep, err := TraceOverhead(sc)
-	if err != nil {
-		if rep == nil {
-			return nil, err
-		}
-		return rep.Data, err
-	}
-	return rep.Data, nil
 }

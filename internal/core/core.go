@@ -83,7 +83,6 @@ type Stats struct {
 	ShortcutResumes    int64 // walks resumed from a cached ancestor
 	ShortcutDepthSaved int64 // path components skipped by those resumes
 	HashedBytes        int64 // bytes fed to the path hash (all paths)
-	ChildHops          int64 // DLHT misses answered from the base dir's cached children
 }
 
 // statsCell holds the fastpath counters. The miss counters sit on the
@@ -96,10 +95,6 @@ type statsCell struct {
 	// Shortcut-resume counters ride the warm fastpath (seeded scans) and
 	// every scan feeds hashedBytes, so all three are striped too.
 	shortcutResumes, shortcutDepthSaved, hashedBytes stripe.Int64
-
-	// childHops counts fastpath answers taken directly from the base
-	// directory's cached children on a DLHT miss (hot path too).
-	childHops stripe.Int64
 
 	populations, invalidations, staleTokens, aliasCreated,
 	deepNegCreated, seqBumps atomic.Int64
@@ -276,8 +271,8 @@ func Install(k *vfs.Kernel, cfg Config) *Core {
 		cfg.Seed = 0x5ca1ab1e0ddba11 ^ (seedCounter.Add(1) * 0x9e3779b97f4a7c15)
 	}
 	c := &Core{cfg: cfg, k: k, key: sig.NewKey(cfg.Seed)}
-	c.fds = slab.New[fastDentry](k.Gate(), k.SlabOptions())
-	c.nodes = slab.New[dnode](k.Gate(), k.SlabOptions())
+	c.fds = slab.New[fastDentry](k.Gate(), slab.Options{})
+	c.nodes = slab.New[dnode](k.Gate(), slab.Options{})
 	c.admitAfter = cfg.AdmitAfter
 	if c.admitAfter == 0 {
 		c.admitAfter = 2
@@ -317,7 +312,6 @@ func (c *Core) Stats() Stats {
 		ShortcutResumes:    c.stats.shortcutResumes.Load(),
 		ShortcutDepthSaved: c.stats.shortcutDepthSaved.Load(),
 		HashedBytes:        c.stats.hashedBytes.Load(),
-		ChildHops:          c.stats.childHops.Load(),
 	}
 }
 

@@ -173,7 +173,7 @@ func (c *Core) lexicalHash(t *vfs.Task, ns *vfs.Namespace, dl *DLHT, pcc *PCC, s
 
 	for rem := path; ; {
 		var comp string
-		comp, rem = nextComp(rem)
+		comp, rem = vfs.NextComponent(rem)
 		if comp == "" {
 			break
 		}

@@ -137,9 +137,8 @@ func TestAdmissionScanBypass(t *testing.T) {
 	}
 
 	// A single-component stat over a DIR_COMPLETE parent is scan-shaped:
-	// the fastpath's child hop steps aside (scans revisit, so these
-	// belong in the DLHT) and the slow walk's bypass admits each stat
-	// eagerly despite AdmitAfter — the find/du/updatedb shape.
+	// scans revisit, so the slow walk's bypass admits each stat eagerly
+	// despite AdmitAfter — the find/du/updatedb shape.
 	s0 := c.Stats()
 	for _, n := range names {
 		if _, err := root.Stat(n); err != nil {
@@ -150,17 +149,13 @@ func TestAdmissionScanBypass(t *testing.T) {
 	if got := d.Bypassed - s0.Bypassed; got != int64(len(names)) {
 		t.Fatalf("scan-shaped stats should bypass admission: want %d, got %d", len(names), got)
 	}
-	if d.ChildHops != s0.ChildHops {
-		t.Fatal("child hop answered a scan-shaped walk; it belongs in the DLHT")
-	}
 	if d.Deferred != s0.Deferred {
 		t.Fatal("scan-shaped stat was deferred")
 	}
 
 	// Cold scan: drop the cache and re-list, installing unhydrated
-	// readdir stubs. Stubs force the slow walk (the hop cannot answer
-	// from them), and the scan-shaped bypass admits each stat eagerly
-	// despite AdmitAfter — the find/du/updatedb shape.
+	// readdir stubs. Stubs force the slow walk, and the scan-shaped
+	// bypass admits each stat eagerly despite AdmitAfter.
 	k.DropCaches()
 	f, err = root.Open("/scan", vfs.O_RDONLY|vfs.O_DIRECTORY, 0)
 	if err != nil {

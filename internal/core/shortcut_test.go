@@ -20,9 +20,9 @@ func TestExtendsPrefix(t *testing.T) {
 	}{
 		{"/a/b/c", "/a/b", true},
 		{"/a/b/c", "/a", true},
-		{"/a/b", "/a/b", false},   // nothing left to walk
+		{"/a/b", "/a/b", false},    // nothing left to walk
 		{"/a/bb/c", "/a/b", false}, // component-boundary mismatch
-		{"/a/b/", "/a/b", false},  // only slashes remain
+		{"/a/b/", "/a/b", false},   // only slashes remain
 		{"/a/b///", "/a/b", false},
 		{"/a/b/c", "", false}, // empty prefix never extends
 		{"/x/y", "/a", false},

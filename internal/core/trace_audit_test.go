@@ -22,9 +22,6 @@ func traceAuditFixture(t *testing.T) (aud *audit.Auditor, c *Core, fire func()) 
 		// A miss below the published, PCC-covered ancestor resumes the
 		// slow walk from it: the traced walk gains a shortcut_resume span
 		// event and the journal a shortcut event carrying its trace ID.
-		// The probe sits two components under the resume point: a direct
-		// child miss would be answered by the fastpath's child hop (the
-		// ancestor is DComplete) and never reach the resume hook.
 		s0 := c.Stats()
 		if _, err := root.Stat("/secret/team/deep/nope"); !errors.Is(err, fsapi.ENOENT) {
 			t.Fatalf("want ENOENT, got %v", err)

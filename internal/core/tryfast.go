@@ -10,19 +10,6 @@ import (
 	"dircache/internal/vfs"
 )
 
-// nextComp splits the leading path component from s, skipping slashes.
-func nextComp(s string) (comp, rest string) {
-	i := 0
-	for i < len(s) && s[i] == '/' {
-		i++
-	}
-	j := i
-	for j < len(s) && s[j] != '/' {
-		j++
-	}
-	return s[i:j], s[j:]
-}
-
 // parentRef steps one directory up from ref with mount climbing and the
 // task-root (chroot) barrier, mirroring the slow walk's dot-dot rule.
 func parentRef(t *vfs.Task, ref vfs.PathRef) vfs.PathRef {
@@ -98,11 +85,10 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 
 	mustDir := fl&vfs.WalkDirectory != 0
 	sawTrailingSlash := false
-	var lastComp string
 
 	for {
 		var comp string
-		comp, rem = nextComp(rem)
+		comp, rem = vfs.NextComponent(rem)
 		if comp == "" {
 			break
 		}
@@ -138,7 +124,6 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 			if !cur.push(comp, len(path)-len(rem)) {
 				return vfs.PathRef{}, nil, false
 			}
-			lastComp = comp
 		}
 	}
 	if sawTrailingSlash {
@@ -180,13 +165,6 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 	// a stale entry (covered by a range shootdown) is lazily discarded and
 	// the walk falls back.
 	if d == nil || !c.fresh(d) {
-		// Only a true absence is hop-eligible: a stale entry must take
-		// the slow walk so EndSlowLookup refreshes it in place.
-		if d == nil {
-			if res, err, ok := c.childHop(t, &cur, lastComp, seeded != nil, fl, mustDir, tr); ok {
-				return res, err, true
-			}
-		}
 		c.stats.dlhtMiss.Add(1)
 		tr.Event(telemetry.EvDLHTMiss, path)
 		return miss()
@@ -320,84 +298,6 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 		k.RecordPhases(ph)
 	}
 	return vfs.PathRef{Mnt: mnt, D: d}, nil, true
-}
-
-// childHop answers a one-component scan from the base directory's cached
-// children when the DLHT has no entry for the target — the
-// readdir-then-operate shape whose terminals admission control
-// deliberately defers (tar extraction streams, rm -r teardown scans,
-// stat streaks before their Nth touch). The base is either the task's
-// own start reference or a fully validated resume point, so the prefix
-// check to it holds; FastChildLookup verifies search permission on the
-// base itself and probes the same hash table a slow walk's component
-// step would, making the answer authoritative without DLHT or PCC state.
-// Final-symlink resolution stays with the slow walk unless the caller
-// asked for the link itself.
-func (c *Core) childHop(t *vfs.Task, cur *pathCursor, comp string, seeded bool, fl vfs.WalkFlags, mustDir bool, tr *telemetry.WalkTrace) (vfs.PathRef, error, bool) {
-	if cur.depth() != 1 || cur.dotted || comp == "" {
-		return vfs.PathRef{}, nil, false
-	}
-	base := cur.base
-	if !seeded && base.D != nil && base.D.Flags()&vfs.DComplete != 0 {
-		// An unseeded one-component walk over a complete directory is
-		// scan-shaped: admission control admits those eagerly (they
-		// revisit), so the slow walk publishes them and later visits pay
-		// one DLHT+PCC probe instead of a per-walk permission evaluation
-		// here. The hop is for the seeded shape — absolute-path
-		// readdir-then-operate streaks resumed at the parent.
-		return vfs.PathRef{}, nil, false
-	}
-	d, errno, known := c.k.FastChildLookup(t, base, comp)
-	if !known {
-		return vfs.PathRef{}, nil, false
-	}
-	if errno == nil && d.IsSymlink() && (fl&vfs.WalkNoFollow == 0 || mustDir) {
-		return vfs.PathRef{}, nil, false
-	}
-	if d != nil && !c.hopAdmissible(d) {
-		return vfs.PathRef{}, nil, false
-	}
-	if errno != nil {
-		c.stats.childHops.Add(1)
-		tr.Event(telemetry.EvNegative, comp)
-		c.k.AddFastHit(true)
-		return vfs.PathRef{}, errno, true
-	}
-	c.stats.childHops.Add(1)
-	if mustDir && !d.IsDir() {
-		c.k.AddFastHit(false)
-		return vfs.PathRef{}, fsapi.ENOTDIR, true
-	}
-	c.k.AddFastHit(false)
-	return vfs.PathRef{Mnt: base.Mnt, D: d}, nil, true
-}
-
-// hopAdmissible decides whether the child hop may answer with d without
-// starving admission control. Published entries are answered outright
-// (population already happened; the DLHT probe just missed — e.g. a
-// seeded scan hashing a different prefix). Unpublished entries accrue a
-// touch on the same counter EndSlowLookup uses, but the touch that would
-// cross the admission threshold declines the hop: that walk still goes
-// slow, and admitPopulate sees the Nth touch and publishes into the
-// DLHT. Deferred entries — the readdir-then-operate streaks the hop
-// exists for — stay below the threshold and are answered from the
-// parent's children.
-func (c *Core) hopAdmissible(d *vfs.Dentry) bool {
-	fd := fast(d)
-	if fd == nil {
-		return false
-	}
-	fd.mu.Lock()
-	published := fd.inTable != nil
-	fd.mu.Unlock()
-	if published {
-		return true
-	}
-	if int(fd.touches.Load())+1 >= c.admitAfter {
-		return false
-	}
-	fd.touches.Add(1)
-	return true
 }
 
 // checkPrefixDir resolves the current lexical prefix (the base directory

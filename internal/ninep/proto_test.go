@@ -42,7 +42,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		{Type: MsgTflush, Tag: 3, Oldtag: 2},
 		{Type: MsgRflush, Tag: 3},
 		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2, Wname: []string{"a", "b", "c"}},
-		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2}, // clone: zero names
+		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2},                                                    // clone: zero names
 		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2, Wname: []string{"a"}, TraceID: 0x1122334455667788}, // dctrace
 		{Type: MsgRwalk, Tag: 4, Wqid: []Qid{qid, {Type: QTFile, Version: 1, Path: 42}}},
 		{Type: MsgRwalk, Tag: 4}, // clone response: zero qids

@@ -60,19 +60,8 @@ const DefaultChunkLog2 = 13
 // Options configures an arena.
 type Options struct {
 	// ChunkLog2 is log2 of the slots per chunk (0 means
-	// DefaultChunkLog2; pass 1 via NoReuse baselines for per-object
-	// chunks).
+	// DefaultChunkLog2).
 	ChunkLog2 int
-	// NoReuse puts the arena in pointer-heap-baseline mode: retired
-	// slots are never returned to the free-list, so every Alloc hits a
-	// fresh slot. Combined with ChunkLog2 tiny this approximates the
-	// one-GC-object-per-entry layout the memscale experiment compares
-	// against. Long-running NoReuse arenas leak by design; the mode is
-	// for measurement, not production.
-	NoReuse bool
-	// ForceChunkLog2 makes ChunkLog2 authoritative even when zero (one
-	// slot per chunk — each slot its own GC-visible allocation).
-	ForceChunkLog2 bool
 }
 
 // chunk is one slab: a contiguous run of slots plus their generation
@@ -94,7 +83,6 @@ type limboSlot struct {
 // Get and Resolve are lock-free.
 type Arena[T any] struct {
 	gate *Gate
-	opts Options
 	log2 uint
 
 	chunks atomic.Pointer[[]*chunk[T]] // copy-on-grow under mu
@@ -115,10 +103,10 @@ type Arena[T any] struct {
 // New builds an arena whose reclamation is driven by gate.
 func New[T any](gate *Gate, opts Options) *Arena[T] {
 	log2 := opts.ChunkLog2
-	if log2 == 0 && !opts.ForceChunkLog2 {
+	if log2 == 0 {
 		log2 = DefaultChunkLog2
 	}
-	a := &Arena[T]{gate: gate, opts: opts, log2: uint(log2)}
+	a := &Arena[T]{gate: gate, log2: uint(log2)}
 	empty := []*chunk[T]{}
 	a.chunks.Store(&empty)
 	return a
@@ -153,7 +141,7 @@ func (a *Arena[T]) Alloc() (Ref, *T) {
 // The directory doubles in capacity: spare capacity is extended in
 // place (readers bound themselves by their snapshot's length, and the
 // Store below publishes the new elements with release ordering), so
-// growth is amortized O(1) even at one slot per chunk.
+// growth is amortized O(1) however small the chunks.
 func (a *Arena[T]) grow(h Handle) {
 	idx := uint32(h-1) >> a.log2
 	cur := *a.chunks.Load()
@@ -261,8 +249,8 @@ func (a *Arena[T]) Retire(r Ref) {
 
 // Reclaim processes up to max limbo entries whose grace period has
 // elapsed (retire epoch + 2 <= current epoch), returning them to the
-// free-list — or dropping them in NoReuse mode. It nudges the epoch
-// clock forward first. Returns the number of slots reclaimed.
+// free-list. It nudges the epoch clock forward first. Returns the number
+// of slots reclaimed.
 func (a *Arena[T]) Reclaim(max int) int {
 	if a.limboLen.Load() == 0 {
 		return 0 // nothing aging; skip the epoch nudge and the lock
@@ -277,10 +265,8 @@ func (a *Arena[T]) Reclaim(max int) int {
 			break // limbo is FIFO in epoch order; the rest are younger
 		}
 		a.limboHead++
-		if !a.opts.NoReuse {
-			a.free = append(a.free, ls.h)
-			a.freeLen.Add(1)
-		}
+		a.free = append(a.free, ls.h)
+		a.freeLen.Add(1)
 		n++
 	}
 	if a.limboHead == len(a.limbo) && a.limboHead > 0 {

@@ -90,30 +90,11 @@ func TestArenaPinnedReaderBlocksReclaim(t *testing.T) {
 	}
 }
 
-// TestArenaNoReuse: baseline mode never refills the free-list, so every
-// Alloc hits a fresh slot.
-func TestArenaNoReuse(t *testing.T) {
-	g := NewGate()
-	a := New[obj](g, Options{ChunkLog2: 0, ForceChunkLog2: true, NoReuse: true})
-	r1, _ := a.Alloc()
-	a.Retire(r1)
-	for i := 0; i < 4; i++ {
-		a.Reclaim(100)
-	}
-	r2, _ := a.Alloc()
-	if r2.H == r1.H {
-		t.Fatal("NoReuse arena recycled a slot")
-	}
-	if a.Stats().Free != 0 {
-		t.Fatalf("NoReuse free-list depth %d", a.Stats().Free)
-	}
-}
-
 // TestArenaChunkGrowthKeepsPointers: growing the chunk directory must not
 // move existing slots (interior pointers stay valid).
 func TestArenaChunkGrowthKeepsPointers(t *testing.T) {
 	g := NewGate()
-	a := New[obj](g, Options{ChunkLog2: 2, ForceChunkLog2: true}) // 4 slots/chunk
+	a := New[obj](g, Options{ChunkLog2: 2}) // 4 slots/chunk
 	type held struct {
 		r Ref
 		p *obj
@@ -216,7 +197,7 @@ func TestGateConcurrentSections(t *testing.T) {
 // generation).
 func TestArenaConcurrentChurn(t *testing.T) {
 	g := NewGate()
-	a := New[[2]uint64](g, Options{ChunkLog2: 6, ForceChunkLog2: true})
+	a := New[[2]uint64](g, Options{ChunkLog2: 6})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -89,7 +89,7 @@ const (
 	// when the joiner actually blocked on the resolution.
 	JCoalesce
 	// JBulkPopulate: a miss streak under one directory crossed
-	// Config.BulkAfter on a CheapReadDir backend, so one ReadDir
+	// the bulk threshold on a CheapReadDir backend, so one ReadDir
 	// installed every child and set DIR_COMPLETE. Ref = directory
 	// dentry ID, Aux = children installed.
 	JBulkPopulate

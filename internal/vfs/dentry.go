@@ -125,7 +125,7 @@ type Dentry struct {
 	inLookup *inLookupState
 
 	// missStreak counts consecutive slow-path backend misses under this
-	// directory; crossing Config.BulkAfter on a CheapReadDir file system
+	// directory; crossing bulkAfter on a CheapReadDir file system
 	// triggers readdir-driven bulk population. Reset on bulk population
 	// and on readdir-established completeness.
 	missStreak atomic.Int32
@@ -237,6 +237,22 @@ func (d *Dentry) child(name string) *Dentry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.children[name]
+}
+
+// completeWithout reports whether d can answer authoritatively that it
+// has no child called name (§5.1): DIR_COMPLETE is set and the child map
+// has no entry. Both are read under d.mu, which orders them against the
+// flag's two writers — bulk population installs children before setting
+// it, eviction clears it before detaching the child — so a probe that
+// merely missed the hash table never takes a half-populated or
+// just-evicted directory's word for it.
+func (d *Dentry) completeWithout(name string) bool {
+	if d.Flags()&DComplete == 0 {
+		return false
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.children[name] == nil && d.Flags()&DComplete != 0
 }
 
 // attachChild links c under d (c's pn must already point at d).

@@ -63,25 +63,19 @@ type tbucket struct {
 // synchronization era and slab-backed chains.
 type hashTable struct {
 	mode     SyncMode
-	mask     uint64
 	buckets  []tbucket
 	nodes    *slab.Arena[tnode]
 	dentries *slab.Arena[Dentry]
 }
 
-func newHashTable(mode SyncMode, buckets int, nodes *slab.Arena[tnode], dentries *slab.Arena[Dentry]) *hashTable {
-	if buckets <= 0 {
-		buckets = 1 << 18 // Linux's default dentry_hashtable order
-	}
-	// round up to a power of two
-	n := 1
-	for n < buckets {
-		n <<= 1
-	}
+// hashBuckets is the bucket count: Linux's default dentry_hashtable
+// order. A power of two, so hash&(hashBuckets-1) selects a bucket.
+const hashBuckets = 1 << 18
+
+func newHashTable(mode SyncMode, nodes *slab.Arena[tnode], dentries *slab.Arena[Dentry]) *hashTable {
 	return &hashTable{
 		mode:     mode,
-		mask:     uint64(n - 1),
-		buckets:  make([]tbucket, n),
+		buckets:  make([]tbucket, hashBuckets),
 		nodes:    nodes,
 		dentries: dentries,
 	}
@@ -112,7 +106,7 @@ func hashKey(parentID uint64, name string) uint64 {
 // lock-free (SyncBigLock relies on the kernel-wide lock held by the
 // caller). Callers are inside an epoch section.
 func (t *hashTable) lookup(parentID uint64, name string) *Dentry {
-	b := &t.buckets[hashKey(parentID, name)&t.mask]
+	b := &t.buckets[hashKey(parentID, name)&(hashBuckets-1)]
 	if t.mode == SyncBucketLock {
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -138,7 +132,7 @@ func (t *hashTable) insert(parentID uint64, name string, d *Dentry) {
 	n.parentID = parentID
 	n.name = name
 	n.dref = d.self.Pack()
-	b := &t.buckets[hashKey(parentID, name)&t.mask]
+	b := &t.buckets[hashKey(parentID, name)&(hashBuckets-1)]
 	b.mu.Lock()
 	n.next.Store(b.head.Load())
 	b.head.Store(uint32(r.H))
@@ -151,7 +145,7 @@ func (t *hashTable) insert(parentID uint64, name string, d *Dentry) {
 // next link are preserved until every section from its epoch has exited.
 func (t *hashTable) remove(parentID uint64, name string, d *Dentry) {
 	want := d.self.Pack()
-	b := &t.buckets[hashKey(parentID, name)&t.mask]
+	b := &t.buckets[hashKey(parentID, name)&(hashBuckets-1)]
 	b.mu.Lock()
 	var prev *tnode
 	for h := b.head.Load(); h != 0; {

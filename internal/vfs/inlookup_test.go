@@ -246,7 +246,7 @@ func TestBulkPopulate(t *testing.T) {
 	if d.BulkPopulations != 1 {
 		t.Fatalf("BulkPopulations = %d, want 1", d.BulkPopulations)
 	}
-	// BulkAfter defaults to 3: two per-name lookups, then the third miss
+	// bulkAfter is 3: two per-name lookups, then the third miss
 	// triggers the ReadDir; everything after is served from the cache.
 	if d.FSLookups != 2 {
 		t.Fatalf("FSLookups = %d, want 2 (misses before the bulk threshold)", d.FSLookups)
@@ -269,11 +269,13 @@ func TestBulkPopulate(t *testing.T) {
 	}
 }
 
-// TestBulkPopulateDisabled proves the negative BulkAfter switch: the same
+// TestBulkPopulateNeedsCheapReadDir proves bulkEligible's capability
+// branch: over a backend that does not advertise CheapReadDir the same
 // cold scan issues one FS lookup per name and never bulk-populates.
-func TestBulkPopulateDisabled(t *testing.T) {
+func TestBulkPopulateNeedsCheapReadDir(t *testing.T) {
 	const children = 8
-	k := NewKernel(Config{DirCompleteness: true, BulkAfter: -1}, memfs.New(memfs.Options{}))
+	remote := remotefs.New(memfs.New(memfs.Options{}), remotefs.Options{RTTNanos: 1})
+	k := NewKernel(Config{DirCompleteness: true}, remote)
 	root := k.NewTask(cred.Root())
 	if err := root.Mkdir("/dir", 0o755); err != nil {
 		t.Fatal(err)
@@ -288,6 +290,7 @@ func TestBulkPopulateDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := k.Stats()
+	preReadDir := remote.OpCount("readdir")
 	for i := 0; i < children; i++ {
 		if _, err := root.Stat("/dir/" + string(rune('a'+i))); err != nil {
 			t.Fatal(err)
@@ -295,9 +298,12 @@ func TestBulkPopulateDisabled(t *testing.T) {
 	}
 	d := k.Stats().Delta(before)
 	if d.BulkPopulations != 0 {
-		t.Fatalf("BulkPopulations = %d with BulkAfter < 0, want 0", d.BulkPopulations)
+		t.Fatalf("BulkPopulations = %d without CheapReadDir, want 0", d.BulkPopulations)
 	}
 	if d.FSLookups != children {
 		t.Fatalf("FSLookups = %d, want %d (one per name)", d.FSLookups, children)
+	}
+	if n := remote.OpCount("readdir") - preReadDir; n != 0 {
+		t.Fatalf("scan issued %d READDIRs to a backend without CheapReadDir, want 0", n)
 	}
 }

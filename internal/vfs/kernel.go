@@ -20,10 +20,6 @@ type Config struct {
 	// SyncMode selects the hash table synchronization era (Figure 2).
 	SyncMode SyncMode
 
-	// HashBuckets sizes the (parent,name) dentry hash table (0 = 2^18,
-	// Linux's default).
-	HashBuckets int
-
 	// CacheCapacity bounds the number of cached dentries; 0 = unlimited.
 	// When the cache exceeds it, cold leaf dentries are evicted.
 	CacheCapacity int
@@ -41,30 +37,9 @@ type Config struct {
 	// unlink/rename, and cache negatives on pseudo file systems.
 	AggressiveNegatives bool
 
-	// MaxSymlinks bounds symlink resolution depth (0 = 40, Linux's
-	// MAXSYMLINKS).
-	MaxSymlinks int
-
-	// BulkAfter is the miss-streak threshold for readdir-driven bulk
-	// population: once this many consecutive slow-path backend misses
-	// land under one directory on a CheapReadDir file system, the next
-	// miss issues a single ReadDir, installs every child, and marks the
-	// directory DIR_COMPLETE instead of continuing one Lookup per name.
-	// 0 = 3; negative disables bulk population. Requires
-	// DirCompleteness (a bulk-set DComplete must be honoured).
-	BulkAfter int
-
 	// PhaseTrace enables per-walk phase timing (Figure 3). Costs a few
 	// timestamps per lookup; leave off except when measuring.
 	PhaseTrace bool
-
-	// HeapAlloc puts the dentry/chain-node slab arenas in
-	// pointer-heap-baseline mode: one slot per chunk (each entry its own
-	// GC-visible allocation) and no free-list reuse, approximating the
-	// pre-slab layout where every dentry was an individually GC-tracked
-	// object. Only the memscale experiment sets this; it exists so the
-	// baseline and the slab build run the identical code path.
-	HeapAlloc bool
 }
 
 // Invalidation tells hooks why a subtree invalidation is happening.
@@ -416,17 +391,10 @@ func (k *Kernel) AliasingEpoch() uint64 { return k.aliasEpoch.Load() }
 
 // NewKernel creates a kernel whose root file system is rootFS.
 func NewKernel(cfg Config, rootFS fsapi.FileSystem) *Kernel {
-	if cfg.MaxSymlinks == 0 {
-		cfg.MaxSymlinks = 40
-	}
-	if cfg.BulkAfter == 0 {
-		cfg.BulkAfter = 3
-	}
 	k := &Kernel{cfg: cfg, supers: make(map[fsapi.FileSystem]*Super)}
 	k.gate = slab.NewGate()
-	opts := k.SlabOptions()
-	k.dentries = slab.New[Dentry](k.gate, opts)
-	k.table = newHashTable(cfg.SyncMode, cfg.HashBuckets, slab.New[tnode](k.gate, opts), k.dentries)
+	k.dentries = slab.New[Dentry](k.gate, slab.Options{})
+	k.table = newHashTable(cfg.SyncMode, slab.New[tnode](k.gate, slab.Options{}), k.dentries)
 	k.lru.arena = k.dentries
 	k.lru.tel = &k.tel
 
@@ -576,17 +544,22 @@ const reapBatch = 256
 // time with proportionally larger batches, not on every operation.
 const reapStride = 32
 
-// reapSome opportunistically drains the teardown queue and returns
-// reclaimed slots to the arenas' free-lists. Called outside epoch
-// sections (at the tail of mutation operations) so the epoch clock can
-// advance past the sections that might still hold raw pointers.
+// reapSome opportunistically drains the teardown queue and, every
+// reapStride calls, returns reclaimed slots to the arenas' free-lists.
+// Called at the tail of mutation operations and of Shrink.
 func (k *Kernel) reapSome() {
 	if k.limboLen.Load() >= reapBatch {
 		k.sweepLimbo(2 * reapBatch)
 	}
-	if k.reapTick.Add(1)%reapStride != 0 {
-		return
+	if k.reapTick.Add(1)%reapStride == 0 {
+		k.reclaimArenas()
 	}
+}
+
+// reclaimArenas returns grace-elapsed slots to the arenas' free-lists.
+// It only makes progress outside epoch sections: a caller's own section
+// pins the epoch clock one step short of the slots it just retired.
+func (k *Kernel) reclaimArenas() {
 	k.dentries.Reclaim(reapStride * reapBatch)
 	k.table.nodes.Reclaim(reapStride * reapBatch)
 	if k.hooks != nil {
@@ -661,16 +634,6 @@ func (k *Kernel) ReclaimAll() {
 // own arenas (fast-dentry, DLHT nodes) off the same clock, and so
 // out-of-band readers (the auditor) can pin sections.
 func (k *Kernel) Gate() *slab.Gate { return k.gate }
-
-// SlabOptions returns the arena options the kernel's own arenas use, so
-// hook layers keep their side tables in the same allocation mode — slab
-// chunks normally, one-GC-object-per-slot under the HeapAlloc baseline.
-func (k *Kernel) SlabOptions() slab.Options {
-	if k.cfg.HeapAlloc {
-		return slab.Options{ChunkLog2: 0, ForceChunkLog2: true, NoReuse: true}
-	}
-	return slab.Options{}
-}
 
 // DentryFromRef resolves a generation-tagged dentry reference, returning
 // nil when the slot has been retired or recycled since the ref was
@@ -800,9 +763,12 @@ func (k *Kernel) Shrink(n int) int {
 		pn := d.pn.Load()
 		d.setFlags(DDead)
 		if pn.parent != nil {
-			pn.parent.detachChild(pn.name)
+			// Clear DComplete before the child leaves the map (see
+			// completeWithout): a walker in between would read an
+			// authoritative ENOENT for a name that exists.
 			wasComplete := pn.parent.Flags()&DComplete != 0
 			pn.parent.clearFlags(DComplete)
+			pn.parent.detachChild(pn.name)
 			if wasComplete && tel != nil {
 				tel.Emit(telemetry.JDirIncomplete, pn.parent.ID(), 0, "evict-child")
 			}

@@ -105,7 +105,7 @@ func TestLRUEpochPerEviction(t *testing.T) {
 	l := newTestLRU()
 	var ds []*Dentry
 	for i := 0; i < 8; i++ {
-		d := lruDentry(l, uint64(i + 1))
+		d := lruDentry(l, uint64(i+1))
 		ds = append(ds, d)
 		l.add(d)
 	}

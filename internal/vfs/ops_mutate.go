@@ -26,67 +26,11 @@ func (k *Kernel) lookupChild(parent PathRef, name string) (*Dentry, error) {
 		}
 		return d, nil
 	}
-	// As in walkSlow: DComplete is only authoritative after a locked
-	// re-read of the child map, since bulk population installs children
-	// before setting the flag.
-	if k.cfg.DirCompleteness && parent.D.Flags()&DComplete != 0 &&
-		parent.D.child(name) == nil {
+	if k.cfg.DirCompleteness && parent.D.completeWithout(name) {
 		k.stats.cell().completeShort.Add(1)
 		return nil, fsapi.ENOENT
 	}
-	return k.missLookup(parent, name)
-}
-
-// FastChildLookup is the cache-only single-component step offered to the
-// fastpath: the hash-table probe and §5.1 completeness shortcut of a
-// slow-walk component step — including the parent's search-permission
-// check, the one permission a memoized prefix check to the parent does
-// not cover — but with no FS fallback and no negative installation.
-// known=false means the cache cannot answer authoritatively (unhydrated,
-// alias, or mounted-on child, a revalidating FS, a racing teardown, or a
-// permission failure whose errno the slow walk must produce) and the
-// caller falls back. With known=true the result is exactly what a slow
-// walk's component step would yield: a live positive child (LRU-touched)
-// or ENOENT/ENOTDIR from a negative child (returned alongside the errno
-// so the caller can meter it) or, with a nil dentry, from a complete
-// directory that lacks the name.
-func (k *Kernel) FastChildLookup(t *Task, parent PathRef, name string) (*Dentry, error, bool) {
-	pd := parent.D
-	if pd == nil || pd.IsDead() {
-		return nil, nil, false
-	}
-	ino := pd.Inode()
-	if ino == nil || !ino.Mode().IsDir() {
-		return nil, nil, false
-	}
-	if k.mayLookup(t.Cred(), parent.Mnt, ino) != nil {
-		return nil, nil, false
-	}
-	sc := k.stats.cell()
-	if d := k.table.lookup(pd.id, name); d != nil {
-		if d.IsDead() || d.sb.caps.Revalidate ||
-			d.Flags()&(DAlias|DUnhydrated|DMounted|DInLookup) != 0 {
-			return nil, nil, false
-		}
-		sc.cacheHits.Add(1)
-		k.lru.touch(d)
-		if d.IsNegative() {
-			sc.negativeHits.Add(1)
-			if d.Flags()&DNotDir != 0 {
-				return d, fsapi.ENOTDIR, true
-			}
-			return d, fsapi.ENOENT, true
-		}
-		return d, nil, true
-	}
-	// As in walkSlow: DComplete is only authoritative after a re-read of
-	// the child map (bulk population installs children before setting it).
-	if k.cfg.DirCompleteness && pd.Flags()&DComplete != 0 &&
-		pd.child(name) == nil {
-		sc.completeShort.Add(1)
-		return nil, fsapi.ENOENT, true
-	}
-	return nil, nil, false
+	return k.missLookup(parent, name, nil)
 }
 
 // childDentryForCreate returns the cached dentry for (parent, name) even if

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -115,6 +116,61 @@ func TestStressWalkVsMutate(t *testing.T) {
 			if _, err := root.Stat("/usr/include/sys/types.h"); err != nil {
 				t.Fatalf("tree damaged by stress run: %v", err)
 			}
+		})
+	}
+}
+
+// TestSeqRetryNeverEscapes: errSeqRetry is the walk's internal "redo"
+// signal. Eviction takes none of the era locks, so in every SyncMode a
+// walk can step onto a dentry Shrink killed under it; the walk must redo,
+// never hand the sentinel to its caller.
+func TestSeqRetryNeverEscapes(t *testing.T) {
+	for _, mode := range []SyncMode{SyncRCU, SyncBucketLock, SyncBigLock} {
+		t.Run(mode.String(), func(t *testing.T) {
+			k, root := newKernel(t, Config{SyncMode: mode, CacheCapacity: 32, DirCompleteness: true})
+			for i := 0; i < 64; i++ {
+				if err := root.Create(fmt.Sprintf("/tmp/s%03d", i), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			iters := 3000
+			if testing.Short() {
+				iters = 300
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(seed int) {
+					defer wg.Done()
+					task := k.NewTask(cred.Root())
+					for i := 0; i < iters; i++ {
+						for _, path := range []string{
+							"/usr/include/sys/types.h",
+							fmt.Sprintf("/tmp/s%03d", (seed*31+i)%64),
+							"/etc/enoent",
+						} {
+							if _, err := task.Walk(path, 0); errors.Is(err, errSeqRetry) {
+								t.Errorf("Walk(%s) returned the internal retry sentinel", path)
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			// Churner and shrinker: allocation at capacity plus explicit
+			// eviction, so dentries die under the walkers' feet.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				task := k.NewTask(cred.Root())
+				for i := 0; i < iters; i++ {
+					p := fmt.Sprintf("/tmp/churn%02d", i%16)
+					task.Create(p, 0o644)
+					task.Unlink(p)
+					k.Shrink(8)
+				}
+			}()
+			wg.Wait()
 		})
 	}
 }

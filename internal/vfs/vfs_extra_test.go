@@ -343,14 +343,14 @@ func TestPathTooLong(t *testing.T) {
 func TestHashTableEraSemantics(t *testing.T) {
 	for _, mode := range []SyncMode{SyncRCU, SyncBucketLock, SyncBigLock} {
 		k, root := newKernel(t, Config{SyncMode: mode})
-		ht := newHashTable(mode, 16, slab.New[tnode](k.gate, slab.Options{}), k.dentries)
+		ht := newHashTable(mode, slab.New[tnode](k.gate, slab.Options{}), k.dentries)
 		root.Create("/etc/probe", 0o644)
 		ref, err := root.Walk("/etc/probe", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ht.insert(1, "probe", ref.D)
-		ht.insert(1, "probe2", ref.D) // same bucket size 16: likely chained
+		ht.insert(1, "probe2", ref.D)
 		if got := ht.lookup(1, "probe"); got != ref.D {
 			t.Fatalf("%v: lookup lost entry", mode)
 		}

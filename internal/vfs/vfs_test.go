@@ -651,12 +651,12 @@ func TestDropCaches(t *testing.T) {
 }
 
 func TestHashChainStats(t *testing.T) {
-	k, root := newKernel(t, Config{HashBuckets: 64})
+	k, root := newKernel(t, Config{})
 	for i := 0; i < 100; i++ {
 		root.Create(fmt.Sprintf("/tmp/c%d", i), 0o644)
 	}
 	empty, one, two, more := k.ChainStats()
-	if empty+one+two+more != 64 {
+	if empty+one+two+more != hashBuckets {
 		t.Fatalf("bucket accounting: %d %d %d %d", empty, one, two, more)
 	}
 	if one+two+more == 0 {

@@ -72,7 +72,7 @@ type CacheStats struct {
 	PCCResizes  int64 // PCC generation growths
 
 	// Admission control and batched shootdown (zero when DirectLookup is
-	// off or Config.AdmitAfter is 1).
+	// off).
 	Admitted        int64 // populations allowed on a dentry's Nth touch
 	Deferred        int64 // populations declined pending more touches
 	Bypassed        int64 // scan-shaped walks admitted eagerly
@@ -83,7 +83,10 @@ type CacheStats struct {
 	ShortcutResumes    int64 // walks resumed from a cached ancestor
 	ShortcutDepthSaved int64 // path components skipped by those resumes
 	HashedBytes        int64 // bytes fed to the path hash, all walks
-	ChildHops          int64 // DLHT misses answered from a parent's cached children
+	// ChildHops always reads 0: the child hop it counted is gone. The
+	// field stays because benchmark/metrics.go reads CacheStats fields by
+	// name and panics on a missing one.
+	ChildHops int64
 }
 
 // Delta returns the events counted between prev and s: every cumulative
@@ -159,7 +162,7 @@ func (s *System) Stats() CacheStats {
 		BulkPopulations: v.BulkPopulations,
 
 		Evictions: v.Evictions,
-		Dentries:      int64(s.k.DentryCount()),
+		Dentries:  int64(s.k.DentryCount()),
 	}
 	if s.core != nil {
 		c := s.core.Stats()
@@ -184,7 +187,6 @@ func (s *System) Stats() CacheStats {
 		out.ShortcutResumes = c.ShortcutResumes
 		out.ShortcutDepthSaved = c.ShortcutDepthSaved
 		out.HashedBytes = c.HashedBytes
-		out.ChildHops = c.ChildHops
 	}
 	return out
 }

@@ -1,7 +1,8 @@
 # Build/test entry points. `make ci` is the tier-1 gate: vet + tests +
 # the race detector (stress tests in internal/vfs and internal/core run
-# concurrent walks against rename/chmod/Shrink under the detector, and
-# internal/telemetry races recording against export).
+# concurrent walks against rename/chmod/Shrink under the detector,
+# internal/telemetry races recording against export, and
+# internal/coherence races eight publishers against a reader).
 
 GO ?= go
 
@@ -41,7 +42,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/vfs/... ./internal/core/... ./internal/telemetry/...
+	$(GO) test -race ./internal/vfs/... ./internal/core/... ./internal/telemetry/... ./internal/coherence/...
 
 # The invariant auditor under fire: the concurrent audit stress tests and
 # the injected-bug detection test, all under the race detector.
@@ -86,10 +87,10 @@ serve-smoke:
 # suite — ring placement properties, the 4-shard in-process tier
 # (routing, rename storms, converge, injected-bug detection, racing
 # rename-vs-walk), and the 2-shard over-the-wire tier (dcshard journal
-# subscription + Tshoot fallback) — plus the ninep pipelined-dispatch
-# tests the journal stream rides on.
+# subscription + Tshoot fallback) — plus the coherence log they all read
+# and the ninep pipelined-dispatch tests the journal stream rides on.
 shard-smoke:
-	$(GO) test -race -count=1 ./internal/shard/
+	$(GO) test -race -count=1 ./internal/coherence/... ./internal/shard/
 	$(GO) test -race -run 'TestPipeline' -count=1 ./internal/ninep/
 
 # Every paper table and figure, printed. Numbers kept over time come

@@ -23,8 +23,8 @@ var topInterval = time.Second
 
 // shardSystems and shardRouter are set by main when -shards builds a
 // sharded tier: 'top' then renders one row per shard (walks/s, fastpath
-// ratio, dentry occupancy, journal lag) instead of silently showing only
-// shard 0, and 'pump' drains the coherence subscription.
+// ratio, dentry occupancy, coherence lag) instead of silently showing only
+// shard 0, and 'pump' drains the coherence logs.
 var (
 	shardSystems []*dircache.System
 	shardRouter  *shard.Router
@@ -69,7 +69,7 @@ type topShot struct {
 	// Per-shard samples (len > 1 only when -shards built a tier).
 	shards []dircache.CacheStats
 	dents  []int
-	lag    []int // unconsumed coherence events per shard's journal
+	lag    []int // per shard: coherence records its peers have not consumed
 }
 
 // topOps are the 9P per-op cost centers shown as rate columns.
@@ -212,8 +212,8 @@ func renderTop(sys *dircache.System, prev, cur topShot, tick, ticks int) {
 		cur.slDrop, cur.slDrop-prev.slDrop,
 		func() int { tr, _ := tl.SlowTraces(); return len(tr) }())
 
-	// The sharded tier: one row per shard. journal-lag is how many
-	// coherence events the shard's journal holds that its peers have not
+	// The sharded tier: one row per shard. coherence-lag is how many
+	// records the shard's coherence log holds that its peers have not
 	// consumed ('pump' drains them; nonzero steady-state means stale risk).
 	if len(cur.shards) > 1 {
 		for i, st := range cur.shards {
@@ -230,7 +230,7 @@ func renderTop(sys *dircache.System, prev, cur topShot, tick, ticks int) {
 			if i < len(cur.lag) {
 				lag = cur.lag[i]
 			}
-			fmt.Printf("shard%-2d %8.0f walks/s   fastpath %5.1f%%   dentries %-8d journal-lag %d\n",
+			fmt.Printf("shard%-2d %8.0f walks/s   fastpath %5.1f%%   dentries %-8d coherence-lag %d\n",
 				i, rate(pst.Lookups, st.Lookups), fast, cur.dents[i], lag)
 		}
 	}

@@ -59,7 +59,7 @@ func TestConsoleCommands(t *testing.T) {
 
 // TestConsoleSharded drives 'top' and 'pump' with a live sharded tier:
 // top must sample and render every shard (not just shard 0), and pump
-// must drain the coherence events a shard-0 mutation published.
+// must drain the coherence records a shard-0 mutation published.
 func TestConsoleSharded(t *testing.T) {
 	g := shard.NewLocalGroup(3, dircache.Optimized(), shard.Options{})
 	defer g.Close()
@@ -74,7 +74,7 @@ func TestConsoleSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if lag := shardRouter.Lag(); lag[0] == 0 {
-		t.Fatal("shard 0 published no coherence events after MkdirAll")
+		t.Fatal("shard 0 published no coherence records after MkdirAll")
 	}
 
 	old := topInterval
@@ -92,7 +92,7 @@ func TestConsoleSharded(t *testing.T) {
 	}
 	for i, lag := range shardRouter.Lag() {
 		if lag != 0 {
-			t.Fatalf("shard %d journal lag %d after pump", i, lag)
+			t.Fatalf("shard %d coherence lag %d after pump", i, lag)
 		}
 	}
 }

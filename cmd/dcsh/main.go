@@ -46,7 +46,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (e.g. localhost:9150); implies -telemetry")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof and Go runtime metrics on the metrics endpoint; implies -telemetry (default address localhost:0)")
 	serveAddr := flag.String("serve", "", "export the kernel over 9P2000 on this address from startup (same listener as the 'serve' command)")
-	shards := flag.Int("shards", 1, "run N shard systems over one shared backend; the shell drives shard 0, 'top' and the metrics exporter grow per-shard rows, 'pump' drains the coherence journals")
+	shards := flag.Int("shards", 1, "run N shard systems over one shared backend; the shell drives shard 0, 'top' and the metrics exporter grow per-shard rows, 'pump' drains the coherence logs")
 	flag.Parse()
 
 	if *pprofOn && *metricsAddr == "" {
@@ -64,10 +64,11 @@ func main() {
 	var sys *dircache.System
 	if *shards > 1 {
 		// A sharded tier over one backend: shard 0 is the shell's kernel
-		// (telemetry comes enabled on every shard — the journal is the
-		// coherence channel). The tier is inspection-grade here: 'top'
-		// samples every shard, 'pump' applies journaled mutations to
-		// peers, and the exporter registers each shard as its own source.
+		// (NewLocalGroup gives every shard telemetry, for 'top' and
+		// 'doctor'; coherence does not need it). The tier is
+		// inspection-grade here: 'top' samples every shard, 'pump' applies
+		// each shard's published mutations to its peers, and the exporter
+		// registers each shard as its own source.
 		g := shard.NewLocalGroup(*shards, cfg, shard.Options{})
 		defer g.Close()
 		sys = g.Systems[0]
@@ -161,10 +162,11 @@ telem:  lat (walk latency quantiles)  traces (sampled walk traces)
 	top [TICKS] (live ops console: rates, hit ratios, stage latencies,
 	per-principal 9P ops, pool and slab-arena occupancy, reclaim rates,
 	drop counters; default 3 ticks. With -shards N: one row per
-	shard — walks/s, fastpath ratio, dentries, journal lag)
+	shard — walks/s, fastpath ratio, dentries, coherence lag:
+	mutations published that peers have not applied yet)
 	(run dcsh with -telemetry; -metrics-addr serves them over HTTP,
 	-pprof adds /debug/pprof and runtime metrics)
-shard:  pump  (drain each shard's coherence journal to its peers;
+shard:  pump  (apply each shard's coherence log to its peers;
 	run dcsh with -shards N to build the tier)
 serve:  serve [ADDR]  (export this kernel over 9P2000; default localhost:5640)
 	serve stop    (close the listener and drain connections)
@@ -350,7 +352,7 @@ other:  help  exit
 		}
 		n := shardRouter.Pump()
 		pub, applied, fallbacks := shardRouter.Stats()
-		fmt.Printf("pumped %d coherence event(s); totals: published %d, applied %d, fallbacks %d\n",
+		fmt.Printf("pumped %d coherence record(s); totals: published %d, applied %d, fallbacks %d\n",
 			n, pub, applied, fallbacks)
 	case "dropcaches":
 		n := sys.DropCaches()

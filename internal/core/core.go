@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dircache/internal/coherence"
 	"dircache/internal/cred"
 	"dircache/internal/sig"
 	"dircache/internal/slab"
@@ -211,12 +212,13 @@ type Core struct {
 	// admitAfter caches Config.AdmitAfter with the default applied.
 	admitAfter int
 
-	// pathEvents, when set, makes root-level invalidation events
-	// (seq_bump / batch_shoot) carry the subject's path so cross-shard
-	// coherence subscribers can route them. Off by default: PathTo walks
-	// the parent chain and allocates, a cost only sharded deployments
-	// should pay.
-	pathEvents atomic.Bool
+	// coh, when set, is the coherence log peer shards read (DESIGN §8):
+	// every root invalidation that did not itself come from a peer
+	// publishes the mutated dentry's path there when its mutation
+	// completes. Nil unless the System is
+	// a shard: PathTo walks the parent chain and allocates, a cost only
+	// sharded deployments should pay.
+	coh atomic.Pointer[coherence.Log]
 
 	// regMu guards the registries below. pccs registers every live PCC
 	// (with its owning credential) so that a per-dentry version counter
@@ -491,7 +493,8 @@ func (c *Core) tokenValid(token uint64) bool {
 
 // BeginMutation implements vfs.Hooks (§3.2): bump the invalidation epoch,
 // shoot down the subtree's fastpath state, and return the closure that
-// re-bumps the epoch when the mutation completes. The shootdown is timed
+// re-bumps the epoch when the mutation completes — and, on a shard, then
+// publishes the mutated path to the coherence log. The shootdown is timed
 // into the reason's mutation-side histogram and journaled: one epoch_bump
 // per edge, one seq_bump at the root carrying the subtree size.
 func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) func() {
@@ -499,31 +502,41 @@ func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) func() {
 	epoch := c.epoch.Add(1)
 	c.stats.invalidations.Add(1)
 	var start time.Time
-	var epath string
 	if tel != nil {
-		if c.pathEvents.Load() {
-			epath = d.PathTo()
-		}
 		tel.Emit(telemetry.JEpochBump, d.ID(), int64(epoch), why.String())
 		start = time.Now()
 	}
 	if c.batchable(d, why) {
-		c.batchShoot(d, why, tel, epath)
+		c.batchShoot(d, why, tel)
 	} else {
 		n := c.invalidateSubtree(d, tel)
 		c.stats.seqBumps.Add(int64(n))
 		if tel != nil {
-			tel.EmitPath(telemetry.JSeqBump, d.ID(), int64(n), why.String(), epath)
+			tel.Emit(telemetry.JSeqBump, d.ID(), int64(n), why.String())
 		}
 	}
 	if tel != nil {
 		tel.Record(invalHist(why), time.Since(start))
 	}
-	return func() {
-		end := c.epoch.Add(1)
+	end := func() {
+		epoch := c.epoch.Add(1)
 		if tel != nil {
-			tel.Emit(telemetry.JEpochBump, d.ID(), int64(end), why.String()+"-end")
+			tel.Emit(telemetry.JEpochBump, d.ID(), int64(epoch), why.String()+"-end")
 		}
+	}
+	// Peer-applied invalidations never enter the log: republishing them
+	// would bounce every invalidation between shards forever.
+	log := c.coh.Load()
+	if log == nil || why == vfs.InvalRemote {
+		return end
+	}
+	// The path is read now, before a rename moves d, and published only
+	// once the mutation is done: a peer that applied the record any
+	// earlier could re-read the backend's old state and cache it for good.
+	path := d.PathTo()
+	return func() {
+		end()
+		log.Publish(path, why.String())
 	}
 }
 
@@ -541,11 +554,22 @@ func (c *Core) batchable(d *vfs.Dentry, why vfs.Invalidation) bool {
 	return false
 }
 
-// EnablePathEvents makes subsequent root-level invalidation events carry
-// the mutated dentry's path (see the pathEvents field). Sharded
-// deployments enable this so the coherence journal doubles as the
-// cross-shard invalidation stream.
-func (c *Core) EnablePathEvents() { c.pathEvents.Store(true) }
+// EnableCoherence attaches the coherence log (see the coh field) on first
+// call.
+func (c *Core) EnableCoherence() {
+	if c.coh.Load() == nil {
+		c.coh.CompareAndSwap(nil, coherence.New())
+	}
+}
+
+// Coherence returns the coherence log: nil until EnableCoherence, and on
+// the nil Core of a System built without the fastpath.
+func (c *Core) Coherence() *coherence.Log {
+	if c == nil {
+		return nil
+	}
+	return c.coh.Load()
+}
 
 // batchShoot is the epoch-tagged range shootdown: bump the generation
 // counter once, eagerly invalidate only the subtree root (its seq bump
@@ -553,7 +577,7 @@ func (c *Core) EnablePathEvents() { c.pathEvents.Store(true) }
 // shootMark so fastpath probes and sweeps lazily discard every
 // descendant's state on next encounter (Core.fresh). O(1) instead of
 // O(subtree), which is what rm -r and rename teardown pay per call.
-func (c *Core) batchShoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemetry, epath string) {
+func (c *Core) batchShoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemetry) {
 	gen := c.shootGen.Add(1)
 	c.stats.batchShootdowns.Add(1)
 	c.stats.seqBumps.Add(1)
@@ -579,7 +603,7 @@ func (c *Core) batchShoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Te
 		}
 	}
 	if tel != nil {
-		tel.EmitPath(telemetry.JBatchShoot, d.ID(), int64(gen), why.String(), epath)
+		tel.Emit(telemetry.JBatchShoot, d.ID(), int64(gen), why.String())
 	}
 }
 

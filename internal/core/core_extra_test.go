@@ -283,3 +283,41 @@ func TestSeqWraparoundInvalidatesAllPCCs(t *testing.T) {
 		t.Fatal("fastpath did not recover after wraparound wipe")
 	}
 }
+
+// TestCoherencePublication pins what BeginMutation puts in the coherence
+// log and when: nothing until EnableCoherence; then one record per root
+// invalidation, carrying the path the dentry had when the mutation began
+// and appearing only once the mutation has ended (a peer that applied it
+// earlier could re-read the backend's old state); never one for an
+// invalidation a peer asked for.
+func TestCoherencePublication(t *testing.T) {
+	_, c, root := optimized(t)
+	ref, err := root.Walk("/home/alice", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.BeginMutation(ref.D, vfs.InvalPerm)()
+	if c.Coherence().Head() != 0 {
+		t.Fatal("a Core that is not a shard published a record")
+	}
+
+	c.EnableCoherence()
+	log := c.Coherence()
+	c.EnableCoherence()
+	if c.Coherence() != log {
+		t.Fatal("EnableCoherence replaced the log on its second call")
+	}
+	end := c.BeginMutation(ref.D, vfs.InvalRename)
+	if log.Head() != 0 {
+		t.Fatal("record visible before the mutation ended")
+	}
+	end()
+	recs, next, fell := log.Since(0)
+	if fell || next != 1 || len(recs) != 1 || recs[0].Path != "/home/alice" || recs[0].Note != vfs.InvalRename.String() {
+		t.Fatalf("after one rename: recs=%+v next=%d fell=%v", recs, next, fell)
+	}
+	c.BeginMutation(ref.D, vfs.InvalRemote)()
+	if log.Head() != 1 {
+		t.Fatal("a peer-applied invalidation was republished")
+	}
+}

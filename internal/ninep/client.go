@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dircache/internal/coherence"
 	"dircache/internal/telemetry"
 )
 
@@ -163,12 +164,12 @@ func (c *Client) rpc(req *Fcall) (*Fcall, error) {
 // Sharded reports whether the server negotiated the dcshard extension.
 func (c *Client) Sharded() bool { return c.shard }
 
-// Journal reads the server's coherence journal from cursor, returning
-// the filtered events, the next cursor, and whether the cursor fell
-// behind journal retention (dcshard only). The RjournalMore flag is
-// absorbed internally: truncated batches are re-polled until drained.
-func (c *Client) Journal(cursor uint64) ([]JournalRec, uint64, bool, error) {
-	var out []JournalRec
+// Journal reads the server's coherence log from cursor, returning the
+// records, the next cursor, and whether the cursor fell behind the log's
+// retention (dcshard only). The RjournalMore flag is absorbed internally:
+// truncated batches are re-polled until drained.
+func (c *Client) Journal(cursor uint64) ([]coherence.Record, uint64, bool, error) {
+	var out []coherence.Record
 	fell := false
 	for {
 		resp, err := c.rpc(&Fcall{Type: MsgTjournal, Offset: cursor})

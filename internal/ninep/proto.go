@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 
+	"dircache/internal/coherence"
 	"dircache/internal/fsapi"
 )
 
@@ -52,12 +53,13 @@ const (
 	MsgRwstat
 )
 
-// 9P2000.dcshard vendor-extension message types: the coherence-journal
+// 9P2000.dcshard vendor-extension message types: the coherence-log
 // subscription and the remote shootdown, numbered above the 9P2000 range.
 const (
-	// MsgTjournal asks for coherence-journal events after a cursor
-	// (carried in Offset). MsgRjournal answers with the retained events,
-	// the advanced cursor, and the fell-behind/truncated flags in Mode.
+	// MsgTjournal asks for coherence-log records after a cursor (carried
+	// in Offset). MsgRjournal answers with the records (id[8] note[s]
+	// path[s] each), the advanced cursor, and the fell-behind/truncated
+	// flags in Mode.
 	MsgTjournal uint8 = 130
 	MsgRjournal uint8 = 131
 	// MsgTshoot applies a remote invalidation for Name ("" or "/" = drop
@@ -68,7 +70,7 @@ const (
 
 // Rjournal Mode flag bits.
 const (
-	// RjournalFellBehind: the cursor lagged past journal retention; the
+	// RjournalFellBehind: the cursor lagged past the log's retention; the
 	// subscriber must fail closed (full invalidation) before resuming from
 	// the returned cursor.
 	RjournalFellBehind uint8 = 1 << 0
@@ -76,16 +78,6 @@ const (
 	// immediately from the returned cursor.
 	RjournalMore uint8 = 1 << 1
 )
-
-// JournalRec is one coherence event on the wire: the journal ID (cursor
-// ordering), the event kind, its note (invalidation cause), and the
-// affected path.
-type JournalRec struct {
-	ID   uint64
-	Kind uint8
-	Note string
-	Path string
-}
 
 var msgNames = map[uint8]string{
 	MsgTversion: "Tversion", MsgRversion: "Rversion",
@@ -128,11 +120,10 @@ const (
 	// length-framed decoder, including ours).
 	VersionTrace = "9P2000.dctrace"
 	// VersionShard is the dcshard vendor extension: everything in dctrace
-	// plus the Tjournal/Rjournal coherence-journal subscription and the
+	// plus the Tjournal/Rjournal coherence-log subscription and the
 	// Tshoot/Rshoot remote shootdown — the wire legs of the sharded
 	// metadata tier. Negotiated by exact match at Tversion; negotiating it
-	// also turns on shard coherence (path-bearing journal events) on the
-	// serving System.
+	// also turns on shard coherence on the serving System.
 	VersionShard = "9P2000.dcshard"
 	// VersionUnknown is the Rversion reply to an unsupported version.
 	VersionUnknown = "unknown"
@@ -262,10 +253,10 @@ type Fcall struct {
 	// VersionTrace was negotiated). Zero means untraced.
 	TraceID uint64
 
-	// Journal carries Rjournal's event batch (dcshard extension). The
+	// Journal carries Rjournal's record batch (dcshard extension). The
 	// cursor rides in Offset (both directions), the flag bits in Mode,
 	// the Tshoot path in Name, and the Rshoot drop count in Count.
-	Journal []JournalRec
+	Journal []coherence.Record
 }
 
 // --- wire primitives -------------------------------------------------
@@ -523,7 +514,6 @@ func Marshal(f *Fcall) ([]byte, error) {
 		e.u16(uint16(len(f.Journal)))
 		for _, rec := range f.Journal {
 			e.u64(rec.ID)
-			e.u8(rec.Kind)
 			e.str(rec.Note)
 			e.str(rec.Path)
 		}
@@ -720,12 +710,9 @@ func Unmarshal(buf []byte) (*Fcall, error) {
 		if n, err = d.u16(); err != nil {
 			return nil, err
 		}
-		f.Journal = make([]JournalRec, n)
+		f.Journal = make([]coherence.Record, n)
 		for i := range f.Journal {
 			if f.Journal[i].ID, err = d.u64(); err != nil {
-				return nil, err
-			}
-			if f.Journal[i].Kind, err = d.u8(); err != nil {
 				return nil, err
 			}
 			if f.Journal[i].Note, err = d.str(); err != nil {

@@ -56,25 +56,10 @@ type Server struct {
 	stats   serverStats
 	userOps sync.Map // uname → *atomic.Int64: per-principal op counts
 
-	// shardActive latches once any connection negotiates dcshard: from
-	// then on creations and rename destinations publish synthetic
-	// coherence events (the kernel journals no seq bump when a binding
-	// appears, yet a subscribed peer may hold negatives or authoritative
-	// listings the new binding falsifies).
-	shardActive atomic.Bool
-
 	// testStall is copied onto each new conn (see conn.testStall). Tests
 	// store it (atomically — the accept loop is already running) before
 	// dialing.
 	testStall atomic.Pointer[func(*Fcall)]
-}
-
-// publishCoherence emits a synthetic coherence event for path when a
-// dcshard subscriber is listening.
-func (s *Server) publishCoherence(path, note string) {
-	if s.shardActive.Load() {
-		s.sys.PublishCoherence(path, note)
-	}
 }
 
 // serverStats are the server's own counters, exported through the
@@ -644,13 +629,12 @@ func (c *conn) tversion(req *Fcall) (*Fcall, error) {
 		// Exact matches only — checked before the 9P2000 prefix fallback,
 		// which both extensions would otherwise satisfy. dcshard implies
 		// dctrace and additionally opens the journal stream: negotiating it
-		// turns on shard coherence (path-bearing journal events) so
-		// Tjournal subscribers see this server's mutations.
+		// turns on shard coherence so Tjournal subscribers see this
+		// server's mutations.
 		ver = VersionShard
 		c.trace = true
 		c.shard = true
 		c.srv.sys.EnableShardCoherence()
-		c.srv.shardActive.Store(true)
 	case req.Version == VersionTrace:
 		ver = VersionTrace
 		c.trace = true
@@ -918,7 +902,7 @@ func (c *conn) finishCreate(f *fidEntry, req *Fcall, path string, of *dircache.F
 	f.qid = qidOf(fi)
 	f.dirBuf = nil
 	f.dirOff = 0
-	c.srv.publishCoherence(path, "create")
+	c.srv.sys.PublishCoherence(path, "create")
 	return &Fcall{Type: MsgRcreate, Qid: f.qid, Iounit: c.iounit()}, nil
 }
 
@@ -1128,53 +1112,41 @@ func (c *conn) twstat(req *Fcall) (*Fcall, error) {
 			return nil, err
 		}
 		f.path = dst
-		c.srv.publishCoherence(dst, "rename-dst")
+		c.srv.sys.PublishCoherence(dst, "rename-dst")
 	}
 	return &Fcall{Type: MsgRwstat}, nil
 }
 
-// tjournal serves the coherence-journal subscription (9P2000.dcshard
-// only): read path-bearing invalidation events after the client's cursor
-// (carried in Offset), return them with the advanced cursor and the
-// fell-behind flag. Events are filtered server-side to the
-// coherence-relevant shape — path-bearing, not peer-originated — so the
-// stream carries only what a remote shard must apply. The record batch is
-// capped to the negotiated msize; a truncated batch sets RjournalMore and
-// rewinds the returned cursor to the last record shipped.
+// tjournal serves the coherence-log subscription (9P2000.dcshard only):
+// the records after the client's cursor (carried in Offset), the advanced
+// cursor and the fell-behind flag, straight from the System's log. The
+// batch is capped to the negotiated msize; a truncated batch sets
+// RjournalMore and rewinds the returned cursor to the last record
+// shipped, so the client's re-poll resumes there. A record that does not
+// fit an empty batch can never be shipped: the subscriber is told it fell
+// behind, which makes it drop everything that record could have named.
 func (c *conn) tjournal(req *Fcall) (*Fcall, error) {
 	if !c.shard {
 		return nil, protoErr("journal stream requires " + VersionShard)
 	}
-	evs, next, fell := c.srv.sys.EventsSince(req.Offset)
-	budget := int(c.iounit())
-	resp := &Fcall{Type: MsgRjournal, Offset: next}
+	recs, next, fell := c.srv.sys.EventsSince(req.Offset)
+	resp := &Fcall{Type: MsgRjournal, Offset: next, Journal: recs}
 	if fell {
 		resp.Mode |= RjournalFellBehind
 	}
-	used := 0
-	for _, ev := range evs {
-		if ev.Path == "" || ev.Note == "remote" {
+	budget := int(c.iounit())
+	for i, rec := range recs {
+		if budget -= 8 + 2 + len(rec.Note) + 2 + len(rec.Path); budget >= 0 {
 			continue
 		}
-		sz := 8 + 1 + 2 + len(ev.Note) + 2 + len(ev.Path)
-		if used+sz > budget {
-			// Rewind the cursor to the last shipped record so the client
-			// re-polls from there.
+		resp.Journal = recs[:i]
+		if i == 0 {
+			resp.Mode |= RjournalFellBehind
+		} else {
 			resp.Mode |= RjournalMore
-			if n := len(resp.Journal); n > 0 {
-				resp.Offset = resp.Journal[n-1].ID
-			} else {
-				resp.Offset = req.Offset
-			}
-			break
+			resp.Offset = recs[i-1].ID
 		}
-		used += sz
-		resp.Journal = append(resp.Journal, JournalRec{
-			ID:   ev.ID,
-			Kind: uint8(ev.Kind),
-			Note: ev.Note,
-			Path: ev.Path,
-		})
+		break
 	}
 	return resp, nil
 }

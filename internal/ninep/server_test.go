@@ -3,6 +3,7 @@ package ninep
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -371,5 +372,50 @@ func TestServerUsersMap(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Attach("svc", ""); err != nil {
 		t.Fatalf("configured uname refused: %v", err)
+	}
+}
+
+// TestJournalSpansManyReplies pends more coherence records than one
+// msize holds: every truncated Rjournal rewinds its cursor to the last
+// record it shipped, so the client's re-poll loop must deliver each
+// record exactly once, in order, and without claiming it fell behind.
+func TestJournalSpansManyReplies(t *testing.T) {
+	sys, srv := startServer(t, Config{MaxMsize: MinMsize})
+	c, err := DialShard(srv.Addr().String())
+	if err != nil {
+		t.Fatalf("DialShard: %v", err)
+	}
+	defer c.Close()
+
+	const pending = 200 // ~40 bytes each against 488 bytes of payload per reply
+	for i := 0; i < pending; i++ {
+		sys.PublishCoherence(fmt.Sprintf("/srv/app/static/js/f%03d", i), "create")
+	}
+	before := c.RPCs()
+	recs, next, fell, err := c.Journal(0)
+	if err != nil || fell {
+		t.Fatalf("Journal: err=%v fell=%v", err, fell)
+	}
+	if polls := c.RPCs() - before; polls < pending*40/int64(MinMsize) {
+		t.Fatalf("%d records arrived in %d replies of msize %d: nothing was truncated", pending, polls, MinMsize)
+	}
+	if len(recs) != pending || next != pending {
+		t.Fatalf("got %d records and cursor %d, want %d and %d", len(recs), next, pending, pending)
+	}
+	for i, r := range recs {
+		if want := fmt.Sprintf("/srv/app/static/js/f%03d", i); r.ID != uint64(i+1) || r.Path != want || r.Note != "create" {
+			t.Fatalf("record %d is %+v, want ID %d path %s", i, r, i+1, want)
+		}
+	}
+	if recs, again, fell, err := c.Journal(next); err != nil || fell || len(recs) != 0 || again != next {
+		t.Fatalf("caught-up re-read: %d records, cursor %d, fell=%v, err=%v", len(recs), again, fell, err)
+	}
+
+	// A record no reply can carry is not retried forever: the subscriber
+	// is told it fell behind, and its cursor moves past the record.
+	sys.PublishCoherence("/"+strings.Repeat("x", MinMsize), "create")
+	if recs, after, fell, err := c.Journal(next); err != nil || !fell || len(recs) != 0 || after != next+1 {
+		t.Fatalf("oversized record: %d records, cursor %d, fell=%v, err=%v; want fell-behind at %d",
+			len(recs), after, fell, err, next+1)
 	}
 }

@@ -23,7 +23,8 @@ type Group struct {
 
 // NewLocalGroup builds n shards over one shared backend. base supplies
 // the per-shard cache configuration (Root and Telemetry are overridden:
-// each shard gets the shared backend and its own journal).
+// each shard gets the shared backend and telemetry of its own, which the
+// shard's Doctor cross-checks and dcsh top read; coherence needs neither).
 func NewLocalGroup(n int, base dircache.Config, opt Options) *Group {
 	g := &Group{}
 	backend := base.Root

@@ -5,9 +5,9 @@ import (
 	"strings"
 
 	"dircache"
+	"dircache/internal/coherence"
 	"dircache/internal/fsapi"
 	"dircache/internal/ninep"
-	"dircache/internal/telemetry"
 )
 
 // Remote is a Shard over a dcserve endpoint speaking the 9P2000.dcshard
@@ -219,23 +219,21 @@ func (r *Remote) Chmod(path string, perm uint32) error {
 	return f.Wstat(st)
 }
 
-func (r *Remote) EventsSince(cursor uint64) ([]telemetry.Event, uint64, bool) {
+func (r *Remote) EventsSince(cursor uint64) ([]coherence.Record, uint64, bool) {
 	recs, next, fell, err := r.c.Journal(cursor)
 	if err != nil {
 		// A dead journal stream must not read as "caught up": report
 		// fell-behind so the subscriber fails closed.
 		return nil, cursor, true
 	}
-	evs := make([]telemetry.Event, 0, len(recs))
-	for _, rec := range recs {
-		evs = append(evs, telemetry.Event{
-			ID:   rec.ID,
-			Kind: telemetry.JournalKind(rec.Kind),
-			Note: rec.Note,
-			Path: rec.Path,
-		})
-	}
-	return evs, next, fell
+	return recs, next, fell
+}
+
+// Pending reads the records and counts them: the wire has no cheaper
+// question to ask.
+func (r *Remote) Pending(cursor uint64) int {
+	recs, _, _ := r.EventsSince(cursor)
+	return len(recs)
 }
 
 func (r *Remote) Invalidate(path string) int {

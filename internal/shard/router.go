@@ -7,12 +7,11 @@ import (
 
 	"dircache"
 	"dircache/internal/audit"
-	"dircache/internal/telemetry"
 )
 
 // Router fronts a set of shards as one namespace: every operation routes
 // to the owning shard of its path (Ring), and mutations propagate to
-// peers over each shard's journal cursor subscription (Pump). The Router
+// peers over a cursor into each shard's coherence log (Pump). The Router
 // serializes its own bookkeeping; the shards themselves are concurrent.
 type Router struct {
 	ring   *Ring
@@ -26,7 +25,7 @@ type Router struct {
 	recentW int
 
 	// Coherence counters (introspection + bench determinism gates).
-	published atomic.Uint64 // coherence events read from owners' journals
+	published atomic.Uint64 // records read from owners' coherence logs
 	applied   atomic.Uint64 // per-peer invalidation applications
 	fallbacks atomic.Uint64 // fell-behind full invalidations
 
@@ -156,29 +155,19 @@ func (r *Router) noteMutation(path string) {
 	r.mu.Unlock()
 }
 
-// coherenceEvent reports whether a journal event must propagate to peers:
-// a path-bearing root-level invalidation (seq bump or batch shootdown)
-// that did not itself originate from a peer ("remote" — re-propagating
-// those would ping-pong invalidations between shards forever).
-func coherenceEvent(ev telemetry.Event) bool {
-	if ev.Path == "" || ev.Note == "remote" {
-		return false
-	}
-	return ev.Kind == telemetry.JSeqBump || ev.Kind == telemetry.JBatchShoot
-}
-
-// Pump drains each shard's journal from its cursor and applies the
-// mutations to every peer. A shard whose subscriber fell behind the
-// ring's retention triggers the fail-closed fallback: every peer drops
-// its whole cache (never stale; the gap is unreconstructible). Returns
-// the number of coherence events processed — 0 means the tier is
-// quiescent.
+// Pump drains each shard's coherence log from its cursor and applies
+// the records to every peer. It costs the invalidations it applies —
+// pending × (N−1) — plus one atomic load per caught-up shard. A shard
+// whose subscriber fell behind the log's retention triggers the
+// fail-closed fallback: every peer drops its whole cache (never stale;
+// the gap is unreconstructible). Returns the number of records processed
+// — 0 means the tier is quiescent.
 func (r *Router) Pump() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	work := 0
 	for i, src := range r.shards {
-		evs, next, fell := src.EventsSince(r.cursors[i])
+		recs, next, fell := src.EventsSince(r.cursors[i])
 		r.cursors[i] = next
 		if fell {
 			work++
@@ -192,18 +181,18 @@ func (r *Router) Pump() int {
 			}
 			continue
 		}
-		for _, ev := range evs {
-			if !coherenceEvent(ev) {
-				continue
-			}
-			work++
-			r.published.Add(1)
-			if r.dropInvalidations.Load() {
-				continue
-			}
+		if len(recs) == 0 {
+			continue
+		}
+		work += len(recs)
+		r.published.Add(uint64(len(recs)))
+		if r.dropInvalidations.Load() {
+			continue
+		}
+		for _, rec := range recs {
 			for j, peer := range r.shards {
 				if j != i {
-					peer.Invalidate(ev.Path)
+					peer.Invalidate(rec.Path)
 					r.applied.Add(1)
 				}
 			}
@@ -213,9 +202,8 @@ func (r *Router) Pump() int {
 }
 
 // Converge pumps until quiescent (or maxRounds). Applying an invalidation
-// journals only "remote"-tagged events, which the pump filters, so a
-// round that starts quiescent stays quiescent: convergence is one clean
-// round.
+// publishes nothing, so a round that starts quiescent stays quiescent:
+// convergence is one clean round.
 func (r *Router) Converge(maxRounds int) bool {
 	if maxRounds <= 0 {
 		maxRounds = 8
@@ -237,21 +225,14 @@ func (r *Router) Stats() (published, applied, fallbacks uint64) {
 	return r.published.Load(), r.applied.Load(), r.fallbacks.Load()
 }
 
-// Lag returns, per shard, how many retained journal events its peers have
-// not yet consumed (0 across the board when the tier is quiescent).
+// Lag returns, per shard, how many records of its coherence log its peers
+// have not yet consumed (0 across the board when the tier is quiescent).
 func (r *Router) Lag() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]int, len(r.shards))
 	for i, src := range r.shards {
-		evs, _, _ := src.EventsSince(r.cursors[i])
-		n := 0
-		for _, ev := range evs {
-			if coherenceEvent(ev) {
-				n++
-			}
-		}
-		out[i] = n
+		out[i] = src.Pending(r.cursors[i])
 	}
 	return out
 }
@@ -270,10 +251,10 @@ func (r *Router) Close() error {
 // Audit runs the tier's cross-shard agreement checks plus each shard's
 // own invariant audit:
 //
-//   - cross_shard_lag: after Converge, no shard's journal may hold
-//     coherence events its peers have not applied — a shard answering
+//   - cross_shard_lag: after Converge, no shard's log may hold
+//     coherence records its peers have not applied — a shard answering
 //     fresh for a prefix another shard shot down at a later seq is
-//     exactly an unapplied event.
+//     exactly an unapplied record.
 //   - cross_shard_stale: for recently mutated paths, no shard's cache may
 //     hold a claim (positive or negative) that contradicts ground truth.
 //     A miss is never stale — the next walk consults the backend.
@@ -295,7 +276,7 @@ func (r *Router) Audit(truth func(path string) (bool, error)) []audit.Finding {
 		if lag > 0 {
 			findings = append(findings, audit.Finding{
 				Check:  "cross_shard_lag",
-				Detail: fmt.Sprintf("shard %d holds %d coherence events its peers have not applied", i, lag),
+				Detail: fmt.Sprintf("shard %d holds %d coherence records its peers have not applied", i, lag),
 			})
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"dircache"
+	"dircache/internal/coherence"
+	"dircache/internal/fsapi"
 )
 
 // buildTree populates /srv/app{0..apps-1}/lib/pkg{0..pkgs-1}/file.go
@@ -49,6 +51,8 @@ func warm(t testing.TB, g *Group, files []string) {
 		}
 	}
 }
+
+func isENOENT(_ dircache.FileInfo, err error) bool { return fsapi.ToErrno(err) == fsapi.ENOENT }
 
 func newTestGroup(t testing.TB, n int) *Group {
 	t.Helper()
@@ -93,7 +97,7 @@ func TestRouterRoutesAndServes(t *testing.T) {
 
 // TestRouterRenameCoherence: a cross-shard rename storm converges with
 // zero stale reads — peers that cached the moved prefix (as walk
-// ancestors) drop it when the journal events arrive, and the old path
+// ancestors) drop it when the coherence records arrive, and the old path
 // answers ENOENT everywhere afterwards.
 func TestRouterRenameCoherence(t *testing.T) {
 	g := newTestGroup(t, 4)
@@ -172,34 +176,33 @@ func TestRouterInjectedBugCaught(t *testing.T) {
 	}
 }
 
-// TestRouterFellBehindFallback: a subscriber lagging past the journal's
-// retention takes the fail-closed full invalidation instead of serving
-// stale entries.
+// TestRouterFellBehindFallback: a subscriber lagging past the coherence
+// log's retention takes the fail-closed full invalidation instead of
+// serving stale entries.
 func TestRouterFellBehindFallback(t *testing.T) {
-	cfg := dircache.Optimized()
-	cfg.SignatureSeed = 0x5eed
-	// Tiny journals: easy to overrun.
-	g := NewLocalGroup(2, cfg, Options{})
-	defer g.Close()
+	g := newTestGroup(t, 2)
 	files := buildTree(t, g, 2, 4)
 	warm(t, g, files)
 	g.Router.Converge(0)
 
-	// Overrun shard 0's journal between pumps: thousands of mutations on
-	// one subject directory without a pump.
+	// Overrun shard 0's log between pumps: one more creation than it
+	// retains (each publishes exactly one record; removing an empty
+	// directory invalidates nothing and publishes none), so the record
+	// after the router's cursor is gone.
 	l := g.Locals[0]
-	for i := 0; i < 6000; i++ {
-		p := fmt.Sprintf("/srv/app0/lib/pkg0/churn%d", i%7)
-		if i%2 == 0 {
-			_ = l.Mkdir(p, 0o755)
-		} else {
-			_ = l.Rmdir(p)
+	const churn = "/srv/app0/lib/pkg0/churn"
+	for i := 0; i <= coherence.Capacity; i++ {
+		if err := l.Mkdir(churn, 0o755); err != nil {
+			t.Fatalf("Mkdir %d: %v", i, err)
+		}
+		if err := l.Rmdir(churn); err != nil {
+			t.Fatalf("Rmdir %d: %v", i, err)
 		}
 	}
 	g.Router.Pump()
 	_, _, fallbacks := g.Router.Stats()
 	if fallbacks == 0 {
-		t.Fatal("journal overrun did not trigger the fail-closed fallback")
+		t.Fatal("log overrun did not trigger the fail-closed fallback")
 	}
 	if !g.Router.Converge(0) {
 		t.Fatal("did not converge after fallback")
@@ -273,5 +276,103 @@ func TestRouterRenameVsWalkRace(t *testing.T) {
 	if (errA == nil) == (errB == nil) {
 		t.Fatalf("subtree reachable under %v names (errA=%v errB=%v)",
 			map[bool]string{true: "both", false: "neither"}[errA == nil], errA, errB)
+	}
+}
+
+// TestReadOnlyTrafficNeverFallsBehind: the coherence log's retention is
+// counted in mutations, so no amount of read traffic between two pumps —
+// hits, misses, whatever they insert, admit and evict locally — can push
+// a peer past it and cost the tier a full-cache drop.
+func TestReadOnlyTrafficNeverFallsBehind(t *testing.T) {
+	g := newTestGroup(t, 2)
+	files := buildTree(t, g, 8, 16)
+	g.Router.Converge(0)
+	_, _, before := g.Router.Stats()
+	for round := 0; round < 40; round++ {
+		for _, f := range files {
+			if _, err := g.Router.Lstat(f); err != nil {
+				t.Fatalf("Lstat %s: %v", f, err)
+			}
+			// A name never asked for before: each miss caches a fresh
+			// negative dentry, which the telemetry journal records.
+			if miss := fmt.Sprintf("%s.absent%d", f, round); !isENOENT(g.Router.Lstat(miss)) {
+				t.Fatalf("Lstat %s did not answer ENOENT", miss)
+			}
+		}
+	}
+	if n := g.Router.Pump(); n != 0 {
+		t.Fatalf("pump after read-only traffic processed %d records", n)
+	}
+	if _, _, after := g.Router.Stats(); after != before {
+		t.Fatalf("read-only traffic forced %d full-cache drop(s)", after-before)
+	}
+}
+
+// TestCoherenceSurvivesTelemetryOff: observability is not the coherence
+// channel. With telemetry switched off on the shard that executes the
+// renames (the app roots share a parent, so one shard owns them all), its
+// peers still drop the moved subtrees.
+func TestCoherenceSurvivesTelemetryOff(t *testing.T) {
+	g := newTestGroup(t, 4)
+	files := buildTree(t, g, 4, 8)
+	warm(t, g, files)
+	g.Systems[g.Router.Owner("/srv/app0")].DisableTelemetry()
+	_, appliedBefore, _ := g.Router.Stats()
+	for a := 0; a < 4; a++ {
+		old := fmt.Sprintf("/srv/app%d", a)
+		if err := g.Router.Rename(old, old+"-moved"); err != nil {
+			t.Fatalf("Rename %s: %v", old, err)
+		}
+	}
+	if !g.Router.Converge(0) {
+		t.Fatal("rename storm did not converge")
+	}
+	if _, applied, fallbacks := g.Router.Stats(); applied == appliedBefore || fallbacks != 0 {
+		t.Fatalf("applied %d invalidations, fallbacks=%d: peers were not invalidated record by record", applied-appliedBefore, fallbacks)
+	}
+	if f := g.Audit(); len(f) != 0 {
+		t.Fatalf("audit with telemetry off: %v", f)
+	}
+	for _, f := range files {
+		for i, l := range g.Locals {
+			if c := l.Claim(f); c == dircache.ClaimPositive {
+				t.Fatalf("shard %d still claims %s exists after its app root moved", i, f)
+			}
+		}
+	}
+}
+
+// TestQuiescentPumpDoesNotAllocate is the tier-1 guard that the pump
+// stays O(pending): a count, not a clock. On a quiescent tier — whatever
+// its logs and telemetry journals hold from the traffic before — Pump
+// allocates nothing and Lag only the slice it returns.
+func TestQuiescentPumpDoesNotAllocate(t *testing.T) {
+	g := newTestGroup(t, 4)
+	files := buildTree(t, g, 4, 8)
+	warm(t, g, files)
+	for a := 0; a < 4; a++ {
+		old := fmt.Sprintf("/srv/app%d", a)
+		if err := g.Router.Rename(old, old+"-moved"); err != nil {
+			t.Fatalf("Rename %s: %v", old, err)
+		}
+	}
+	if !g.Router.Converge(0) {
+		t.Fatal("did not converge")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if g.Router.Pump() != 0 {
+			t.Fatal("quiescent tier had work to pump")
+		}
+	}); n != 0 {
+		t.Fatalf("quiescent Pump allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i, lag := range g.Router.Lag() {
+			if lag != 0 {
+				t.Fatalf("shard %d lags by %d on a quiescent tier", i, lag)
+			}
+		}
+	}); n > 1 {
+		t.Fatalf("quiescent Lag allocates %v times per call, want only its result", n)
 	}
 }

@@ -3,12 +3,12 @@ package shard
 import (
 	"dircache"
 	"dircache/internal/audit"
-	"dircache/internal/telemetry"
+	"dircache/internal/coherence"
 )
 
 // Shard is one member of the metadata tier: a directory cache that owns a
 // slice of the namespace, publishes its invalidation-relevant mutations
-// through its coherence journal, and applies peer invalidations by
+// through its coherence log, and applies peer invalidations by
 // discarding its cached view of the affected paths. Implemented by Local
 // (an in-process System) and Remote (a dcserve endpoint over 9P).
 type Shard interface {
@@ -25,9 +25,11 @@ type Shard interface {
 	Rmdir(path string) error
 	Chmod(path string, perm uint32) error
 
-	// EventsSince reads the shard's coherence journal from cursor (the
-	// cursor subscription: events in ID order, next cursor, fellBehind).
-	EventsSince(cursor uint64) ([]telemetry.Event, uint64, bool)
+	// EventsSince reads the shard's coherence log from cursor (records in
+	// ID order, next cursor, fellBehind); see coherence.Log.Since.
+	EventsSince(cursor uint64) ([]coherence.Record, uint64, bool)
+	// Pending reports how many records the log holds past cursor.
+	Pending(cursor uint64) int
 	// Invalidate applies a peer's mutation under path to this shard's
 	// cache (cached-only teardown); returns dentries discarded.
 	Invalidate(path string) int
@@ -53,16 +55,15 @@ type Doctorable interface {
 }
 
 // Local is a Shard over an in-process System. All operations run as root
-// through one Process; creations publish synthetic coherence events (the
-// journal records no seq bump when a binding appears, yet peers may hold
+// through one Process; creations publish their path themselves (nothing
+// is invalidated locally when a binding appears, yet peers may hold
 // negatives or authoritative listings the new binding falsifies).
 type Local struct {
 	Sys *dircache.System
 	p   *dircache.Process
 }
 
-// NewLocal wraps sys as a shard, enabling shard coherence (journal
-// attached, path-bearing invalidation events) on it.
+// NewLocal wraps sys as a shard, enabling shard coherence on it.
 func NewLocal(sys *dircache.System) *Local {
 	sys.EnableShardCoherence()
 	return &Local{Sys: sys, p: sys.Start(dircache.RootCreds())}
@@ -107,9 +108,9 @@ func (l *Local) MkdirAll(path string, perm uint32) error {
 	return nil
 }
 
-// Rename publishes the destination path explicitly: the kernel's own
-// journal event (rename seq bump / batch shoot) carries the source path —
-// PathTo runs before the move — but peers may also hold stale state at
+// Rename publishes the destination path explicitly: the record the
+// rename's own invalidation publishes carries the source path — PathTo
+// runs before the move — but peers may also hold stale state at
 // the destination (a negative dentry the move just falsified, a complete
 // listing of the destination parent).
 func (l *Local) Rename(oldPath, newPath string) error {
@@ -126,9 +127,10 @@ func (l *Local) Chmod(path string, perm uint32) error {
 	return l.p.Chmod(path, perm)
 }
 
-func (l *Local) EventsSince(cursor uint64) ([]telemetry.Event, uint64, bool) {
+func (l *Local) EventsSince(cursor uint64) ([]coherence.Record, uint64, bool) {
 	return l.Sys.EventsSince(cursor)
 }
+func (l *Local) Pending(cursor uint64) int              { return int(l.Sys.CoherenceHead() - cursor) }
 func (l *Local) Invalidate(path string) int             { return l.Sys.RemoteInvalidate(path) }
 func (l *Local) InvalidateAll() int                     { return l.Sys.RemoteInvalidateAll() }
 func (l *Local) Claim(path string) dircache.CachedClaim { return l.Sys.CachedClaim(path) }

@@ -140,7 +140,7 @@ func TestWireShardTier(t *testing.T) {
 	// Quiescent tier: no unconsumed coherence events, no findings.
 	for i, lag := range g.Router.Lag() {
 		if lag != 0 {
-			t.Fatalf("shard %d journal lag %d after converge", i, lag)
+			t.Fatalf("shard %d coherence lag %d after converge", i, lag)
 		}
 	}
 	if f := g.Router.Audit(nil); len(f) != 0 {
@@ -170,5 +170,33 @@ func TestWireShootdownFallback(t *testing.T) {
 	}
 	if _, err := g.Remotes[0].Lstat("/srv/data/f.txt"); err != nil {
 		t.Fatalf("Lstat after full shootdown: %v", err)
+	}
+}
+
+// TestWireDeadStreamFailsClosed: a journal stream that cannot be read
+// must not look caught up — the subscriber is told it fell behind, so the
+// router drops the peers' caches instead of trusting them.
+func TestWireDeadStreamFailsClosed(t *testing.T) {
+	g := newWireGroup(t, 2)
+	if err := g.Remotes[0].MkdirAll("/srv/data", 0o755); err != nil {
+		t.Fatalf("MkdirAll: %v", err)
+	}
+	if !g.Router.Converge(0) {
+		t.Fatal("creations did not converge")
+	}
+	_, cursor, fell := g.Remotes[0].EventsSince(0)
+	if fell || cursor == 0 {
+		t.Fatalf("live stream: cursor=%d fell=%v", cursor, fell)
+	}
+	g.Remotes[0].Close()
+	recs, next, fell := g.Remotes[0].EventsSince(cursor)
+	if !fell || len(recs) != 0 || next != cursor {
+		t.Fatalf("dead stream: %d records, next=%d (cursor %d), fell=%v; want fell-behind at the same cursor",
+			len(recs), next, cursor, fell)
+	}
+	_, _, before := g.Router.Stats()
+	g.Router.Pump()
+	if _, _, after := g.Router.Stats(); after != before+1 {
+		t.Fatalf("pump over a dead stream took %d fallbacks, want 1", after-before)
 	}
 }

@@ -3,45 +3,48 @@ package dircache
 import (
 	"fmt"
 
-	"dircache/internal/telemetry"
+	"dircache/internal/coherence"
 )
 
 // Shard support: the hooks internal/shard uses to run N System instances
-// as one sharded namespace. Each shard publishes its invalidation-relevant
-// mutations through its coherence journal (path-bearing seq_bump /
-// batch_shoot events, read via the cursor subscription) and applies peer
-// mutations by discarding its cached view of the affected path —
-// fail-closed, never replayed.
+// as one sharded namespace. Each shard publishes the paths whose cached
+// answers its mutations falsify into its coherence log (internal/coherence,
+// read by cursor) and applies peer mutations by discarding its cached view
+// of the affected path — fail-closed, never replayed.
+
+// CoherenceRecord is one published invalidation: a path whose cached view
+// may be wrong on every peer, and why.
+type CoherenceRecord = coherence.Record
 
 // EnableShardCoherence prepares the System to act as one shard of a
-// sharded namespace: telemetry is attached if missing (the journal is the
-// publication channel) and root-level invalidation events start carrying
-// the mutated path so peers can route them. Idempotent.
-func (s *System) EnableShardCoherence() {
-	if s.k.Telemetry() == nil {
-		s.EnableTelemetry(TelemetryOptions{})
-	}
-	s.core.EnablePathEvents()
-}
+// sharded namespace: from here on every mutation's root invalidation
+// publishes the mutated path to the System's coherence log. It needs the
+// fastpath core (Features.DirectLookup) and nothing else — telemetry can
+// be on or off. Idempotent.
+func (s *System) EnableShardCoherence() { s.core.EnableCoherence() }
 
-// PublishCoherence emits a synthetic path-bearing coherence event for a
-// mutation the journal does not record on its own — a creation: the kernel
-// journals no seq bump when a binding appears, yet a peer shard may hold a
-// negative dentry or an authoritative listing that the new binding
-// falsifies. Ref 0 marks the event as synthetic (no dentry ID is 0).
+// PublishCoherence publishes path for a mutation that invalidates nothing
+// locally and so reaches the log no other way — a creation or a rename's
+// destination: no dentry is shot down when a binding appears, yet a peer
+// shard may hold a negative dentry or an authoritative listing that the
+// new binding falsifies. A no-op until EnableShardCoherence.
 func (s *System) PublishCoherence(path, note string) {
-	if t := s.k.Telemetry(); t != nil {
-		t.EmitPath(telemetry.JSeqBump, 0, 0, note, path)
+	if log := s.core.Coherence(); log != nil {
+		log.Publish(path, note)
 	}
 }
 
-// EventsSince reads the System's coherence journal from cursor: events
-// with ID > cursor in ID order, the next cursor, and fellBehind = true
-// when the ring overwrote events the reader never saw (the reader must
-// fall back to RemoteInvalidateAll).
-func (s *System) EventsSince(cursor uint64) (events []JournalEvent, next uint64, fellBehind bool) {
-	return s.k.Telemetry().EventsSince(cursor)
+// EventsSince reads the System's coherence log from cursor: records with
+// ID > cursor in ID order, the next cursor, and fellBehind = true when the
+// log overwrote records the reader never saw (the reader must fall back
+// to RemoteInvalidateAll).
+func (s *System) EventsSince(cursor uint64) (recs []CoherenceRecord, next uint64, fellBehind bool) {
+	return s.core.Coherence().Since(cursor)
 }
+
+// CoherenceHead is the ID of the newest record in the coherence log: a
+// reader at cursor has CoherenceHead() − cursor records to go.
+func (s *System) CoherenceHead() uint64 { return s.core.Coherence().Head() }
 
 // RemoteInvalidate applies a peer shard's mutation under path to this
 // System's cache: the cached view of the path (if any) is torn down and

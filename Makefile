@@ -1,8 +1,9 @@
 # Build/test entry points. `make ci` is the tier-1 gate: vet + tests +
 # the race detector (stress tests in internal/vfs and internal/core run
 # concurrent walks against rename/chmod/Shrink under the detector,
-# internal/telemetry races recording against export, and
-# internal/coherence races eight publishers against a reader).
+# internal/telemetry races recording against export,
+# internal/coherence races eight publishers against a reader, and
+# internal/ninep runs its reader, resident workers and clients together).
 
 GO ?= go
 
@@ -42,7 +43,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/vfs/... ./internal/core/... ./internal/telemetry/... ./internal/coherence/...
+	$(GO) test -race ./internal/vfs/... ./internal/core/... ./internal/telemetry/... ./internal/coherence/... ./internal/ninep/...
 
 # The invariant auditor under fire: the concurrent audit stress tests and
 # the injected-bug detection test, all under the race detector.

@@ -21,6 +21,8 @@ import (
 // storm).
 type Client struct {
 	nc      net.Conn
+	fr      frameReader // response frames (under mu)
+	wbuf    []byte      // request encode buffer (under mu)
 	msize   uint32
 	tag     uint16
 	nextFid uint32
@@ -61,11 +63,15 @@ func dial(addr, version string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{nc: nc, msize: DefaultMsize}
-	resp, err := c.rpc(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: version})
-	if err != nil {
+	c := newClient(nc)
+	var resp Fcall
+	if err := c.rpc(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: version}, &resp); err != nil {
 		nc.Close()
 		return nil, err
+	}
+	if resp.Msize < MinMsize || resp.Msize > DefaultMsize {
+		nc.Close()
+		return nil, fmt.Errorf("server negotiated msize %d, offered %d", resp.Msize, DefaultMsize)
 	}
 	switch resp.Version {
 	case VersionShard:
@@ -83,6 +89,12 @@ func dial(addr, version string) (*Client, error) {
 	return c, nil
 }
 
+// newClient wraps an established connection; until Tversion settles the
+// msize it is the one the client offers.
+func newClient(nc net.Conn) *Client {
+	return &Client{nc: nc, fr: frameReader{r: nc}, msize: DefaultMsize}
+}
+
 // SetTelemetry attaches a span sink: Walk/Open/Stat RPCs then open
 // client-origin spans (subject to the sink's sampling rate) carrying a
 // wire trace id the server's span stitches to — when the server
@@ -94,12 +106,12 @@ func (c *Client) Traced() bool { return c.trace }
 
 // startSpan opens a client RPC span and allocates the wire trace id it
 // carries (span.RemoteID). Nil when tracing is off or unsampled.
-func (c *Client) startSpan(op, path string) (*telemetry.WalkTrace, time.Time) {
+func (c *Client) startSpan(op string) (*telemetry.WalkTrace, time.Time) {
 	if !c.trace || !c.tel.On() || !c.tel.Sampled() {
 		return nil, time.Time{}
 	}
 	wid := c.tel.NextTraceID()
-	return c.tel.StartSpan("client", op, path, wid), time.Now()
+	return c.tel.StartSpan("client", op, "", wid), time.Now()
 }
 
 // finishSpan completes a client span opened by startSpan.
@@ -119,11 +131,12 @@ func (c *Client) RPCs() int64 { return c.rpcs.Load() }
 // Msize reports the negotiated message size.
 func (c *Client) Msize() uint32 { return c.msize }
 
-// rpc sends one request and reads its response, mapping Rerror back into
-// an fsapi.Errno so errors.Is works across the wire. The mutex makes the
-// Client shareable across goroutines; requests are not pipelined from
-// this client (the server's dispatcher pipelines across clients).
-func (c *Client) rpc(req *Fcall) (*Fcall, error) {
+// rpc sends one request and decodes its response into resp, mapping
+// Rerror back into an fsapi.Errno so errors.Is works across the wire. A
+// response frame larger than the negotiated msize is an error. The mutex
+// makes the Client shareable across goroutines; requests are not pipelined
+// from this client (the server's dispatcher pipelines across clients).
+func (c *Client) rpc(req, resp *Fcall) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rpcs.Add(1)
@@ -134,31 +147,38 @@ func (c *Client) rpc(req *Fcall) (*Fcall, error) {
 		}
 		req.Tag = c.tag
 	}
-	out, err := Marshal(req)
+	out, err := AppendMarshal(c.wbuf[:0], req)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	c.wbuf = out
 	if _, err := c.nc.Write(out); err != nil {
-		return nil, err
+		return err
 	}
-	body, err := ReadMsg(c.nc, MaxMsize)
+	body, err := c.fr.next(c.msize)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	resp, err := Unmarshal(body)
-	if err != nil {
-		return nil, err
+	if err := resp.unmarshal(body); err != nil {
+		return err
 	}
 	if resp.Tag != req.Tag {
-		return nil, fmt.Errorf("response tag %d for request tag %d", resp.Tag, req.Tag)
+		return fmt.Errorf("response tag %d for request tag %d", resp.Tag, req.Tag)
 	}
 	if resp.Type == MsgRerror {
-		return nil, EnameErrno(resp.Ename)
+		return EnameErrno(resp.Ename)
 	}
 	if resp.Type != req.Type+1 {
-		return nil, fmt.Errorf("response %s to request %s", MsgName(resp.Type), MsgName(req.Type))
+		return fmt.Errorf("response %s to request %s", MsgName(resp.Type), MsgName(req.Type))
 	}
-	return resp, nil
+	return nil
+}
+
+// call is rpc for requests whose response carries nothing the caller
+// reads.
+func (c *Client) call(req *Fcall) error {
+	var resp Fcall
+	return c.rpc(req, &resp)
 }
 
 // Sharded reports whether the server negotiated the dcshard extension.
@@ -172,8 +192,8 @@ func (c *Client) Journal(cursor uint64) ([]coherence.Record, uint64, bool, error
 	var out []coherence.Record
 	fell := false
 	for {
-		resp, err := c.rpc(&Fcall{Type: MsgTjournal, Offset: cursor})
-		if err != nil {
+		var resp Fcall
+		if err := c.rpc(&Fcall{Type: MsgTjournal, Offset: cursor}, &resp); err != nil {
 			return out, cursor, fell, err
 		}
 		out = append(out, resp.Journal...)
@@ -190,8 +210,8 @@ func (c *Client) Journal(cursor uint64) ([]coherence.Record, uint64, bool, error
 // Shoot applies a remote invalidation for path on the server ("" or "/"
 // drops everything), returning the dentry count discarded (dcshard only).
 func (c *Client) Shoot(path string) (int, error) {
-	resp, err := c.rpc(&Fcall{Type: MsgTshoot, Name: path})
-	if err != nil {
+	var resp Fcall
+	if err := c.rpc(&Fcall{Type: MsgTshoot, Name: path}, &resp); err != nil {
 		return 0, err
 	}
 	return int(resp.Count), nil
@@ -217,8 +237,8 @@ func (c *Client) fid() uint32 {
 // uname's credentials.
 func (c *Client) Attach(uname, aname string) (*Fid, error) {
 	n := c.fid()
-	resp, err := c.rpc(&Fcall{Type: MsgTattach, Fid: n, Afid: NoFid, Uname: uname, Aname: aname})
-	if err != nil {
+	var resp Fcall
+	if err := c.rpc(&Fcall{Type: MsgTattach, Fid: n, Afid: NoFid, Uname: uname, Aname: aname}, &resp); err != nil {
 		return nil, err
 	}
 	return &Fid{c: c, n: n, Qid: resp.Qid}, nil
@@ -228,7 +248,10 @@ func (c *Client) Attach(uname, aname string) (*Fid, error) {
 // A partial walk (fewer qids than names) is reported as an error carrying
 // how far it got.
 func (f *Fid) Walk(names ...string) (*Fid, error) {
-	span, t0 := f.c.startSpan("Twalk", strings.Join(names, "/"))
+	span, t0 := f.c.startSpan("Twalk")
+	if span != nil {
+		span.Path = strings.Join(names, "/")
+	}
 	nf, err := f.walk(span, names)
 	f.c.finishSpan(span, err, t0)
 	return nf, err
@@ -248,9 +271,12 @@ func (f *Fid) walk(span *telemetry.WalkTrace, names []string) (*Fid, error) {
 		if span != nil {
 			req.TraceID = span.RemoteID
 		}
+		var resp Fcall
 		r0 := time.Now()
-		resp, err := c.rpc(req)
-		span.EventDur(telemetry.EvRPC, fmt.Sprintf("Twalk %d names", len(batch)), time.Since(r0))
+		err := c.rpc(req, &resp)
+		if span != nil {
+			span.EventDur(telemetry.EvRPC, fmt.Sprintf("Twalk %d names", len(batch)), time.Since(r0))
+		}
 		if err == nil && len(resp.Wqid) < len(batch) {
 			// Partial walk: Rwalk reports how far it got but swallows why.
 			// Re-ask for the failing name alone from a fid parked at the
@@ -280,15 +306,19 @@ func (f *Fid) walk(span *telemetry.WalkTrace, names []string) (*Fid, error) {
 // walkErr recovers the errno behind a partial walk that resolved ok of
 // the batch names from fid.
 func (c *Client) walkErr(fid uint32, batch []string, ok int) error {
+	stall := fmt.Errorf("walk stopped after %d of %d names", ok, len(batch))
 	pn := c.fid()
-	if _, err := c.rpc(&Fcall{Type: MsgTwalk, Fid: fid, Newfid: pn, Wname: batch[:ok]}); err != nil {
-		return fmt.Errorf("walk stopped after %d of %d names", ok, len(batch))
+	if c.call(&Fcall{Type: MsgTwalk, Fid: fid, Newfid: pn, Wname: batch[:ok]}) != nil {
+		return stall
 	}
-	_, err := c.rpc(&Fcall{Type: MsgTwalk, Fid: pn, Newfid: c.fid(), Wname: batch[ok : ok+1]})
-	c.rpc(&Fcall{Type: MsgTclunk, Fid: pn})
+	nn := c.fid()
+	err := c.call(&Fcall{Type: MsgTwalk, Fid: pn, Newfid: nn, Wname: batch[ok : ok+1]})
+	c.call(&Fcall{Type: MsgTclunk, Fid: pn})
 	if err == nil {
-		// The tree changed between the two walks; report the stall.
-		return fmt.Errorf("walk stopped after %d of %d names", ok, len(batch))
+		// The tree changed between the two walks and the name resolved:
+		// release the fid that walk created, and report the stall.
+		c.call(&Fcall{Type: MsgTclunk, Fid: nn})
+		return stall
 	}
 	return err
 }
@@ -306,12 +336,13 @@ func (f *Fid) WalkPath(path string) (*Fid, error) {
 
 // Open prepares the fid for I/O.
 func (f *Fid) Open(mode uint8) error {
-	span, t0 := f.c.startSpan("Topen", "")
+	span, t0 := f.c.startSpan("Topen")
 	req := &Fcall{Type: MsgTopen, Fid: f.n, Mode: mode}
 	if span != nil {
 		req.TraceID = span.RemoteID
 	}
-	resp, err := f.c.rpc(req)
+	var resp Fcall
+	err := f.c.rpc(req, &resp)
 	span.EventDur(telemetry.EvRPC, "Topen", time.Since(t0))
 	f.c.finishSpan(span, err, t0)
 	if err != nil {
@@ -324,8 +355,8 @@ func (f *Fid) Open(mode uint8) error {
 
 // Create makes name under the directory fid and leaves f open on it.
 func (f *Fid) Create(name string, perm uint32, mode uint8) error {
-	resp, err := f.c.rpc(&Fcall{Type: MsgTcreate, Fid: f.n, Name: name, Perm: perm, Mode: mode})
-	if err != nil {
+	var resp Fcall
+	if err := f.c.rpc(&Fcall{Type: MsgTcreate, Fid: f.n, Name: name, Perm: perm, Mode: mode}, &resp); err != nil {
 		return err
 	}
 	f.Qid = resp.Qid
@@ -339,8 +370,8 @@ func (f *Fid) Read(b []byte, offset uint64) (int, error) {
 	if max := f.c.msize - IOHeaderSize; count > max {
 		count = max
 	}
-	resp, err := f.c.rpc(&Fcall{Type: MsgTread, Fid: f.n, Offset: offset, Count: count})
-	if err != nil {
+	var resp Fcall
+	if err := f.c.rpc(&Fcall{Type: MsgTread, Fid: f.n, Offset: offset, Count: count}, &resp); err != nil {
 		return 0, err
 	}
 	return copy(b, resp.Data), nil
@@ -362,23 +393,35 @@ func (f *Fid) ReadAll() ([]byte, error) {
 	}
 }
 
-// Write writes b at offset.
+// Write writes b at offset, in as many Twrites as the negotiated msize
+// needs, stopping at the first error or short write.
 func (f *Fid) Write(b []byte, offset uint64) (int, error) {
-	resp, err := f.c.rpc(&Fcall{Type: MsgTwrite, Fid: f.n, Offset: offset, Data: b})
-	if err != nil {
-		return 0, err
+	done := 0
+	for {
+		chunk := b[done:]
+		if max := int(f.c.msize - IOHeaderSize); len(chunk) > max {
+			chunk = chunk[:max]
+		}
+		var resp Fcall
+		if err := f.c.rpc(&Fcall{Type: MsgTwrite, Fid: f.n, Offset: offset + uint64(done), Data: chunk}, &resp); err != nil {
+			return done, err
+		}
+		done += int(resp.Count)
+		if done == len(b) || int(resp.Count) < len(chunk) {
+			return done, nil
+		}
 	}
-	return int(resp.Count), nil
 }
 
 // Stat fetches the fid's metadata.
 func (f *Fid) Stat() (Stat, error) {
-	span, t0 := f.c.startSpan("Tstat", "")
+	span, t0 := f.c.startSpan("Tstat")
 	req := &Fcall{Type: MsgTstat, Fid: f.n}
 	if span != nil {
 		req.TraceID = span.RemoteID
 	}
-	resp, err := f.c.rpc(req)
+	var resp Fcall
+	err := f.c.rpc(req, &resp)
 	span.EventDur(telemetry.EvRPC, "Tstat", time.Since(t0))
 	f.c.finishSpan(span, err, t0)
 	if err != nil {
@@ -389,8 +432,7 @@ func (f *Fid) Stat() (Stat, error) {
 
 // Wstat applies a metadata change (start from EmptyStat and set fields).
 func (f *Fid) Wstat(st Stat) error {
-	_, err := f.c.rpc(&Fcall{Type: MsgTwstat, Fid: f.n, Stat: st})
-	return err
+	return f.c.call(&Fcall{Type: MsgTwstat, Fid: f.n, Stat: st})
 }
 
 // ReadDir reads the whole directory through an open-for-read fid and
@@ -405,12 +447,10 @@ func (f *Fid) ReadDir() ([]Stat, error) {
 
 // Clunk releases the fid.
 func (f *Fid) Clunk() error {
-	_, err := f.c.rpc(&Fcall{Type: MsgTclunk, Fid: f.n})
-	return err
+	return f.c.call(&Fcall{Type: MsgTclunk, Fid: f.n})
 }
 
 // Remove deletes the object and clunks the fid.
 func (f *Fid) Remove() error {
-	_, err := f.c.rpc(&Fcall{Type: MsgTremove, Fid: f.n})
-	return err
+	return f.c.call(&Fcall{Type: MsgTremove, Fid: f.n})
 }

@@ -15,7 +15,6 @@ package ninep
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"dircache/internal/coherence"
 	"dircache/internal/fsapi"
@@ -279,23 +278,41 @@ func (e *encoder) qid(q Qid) {
 	e.u64(q.Path)
 }
 
+// mark reserves a size[2] slot and returns its offset; patch16 fills it
+// with the byte count appended since.
+func (e *encoder) mark() int {
+	e.buf = append(e.buf, 0, 0)
+	return len(e.buf)
+}
+
+func (e *encoder) patch16(mark int) {
+	binary.LittleEndian.PutUint16(e.buf[mark-2:], uint16(len(e.buf)-mark))
+}
+
 // stat appends the record with its own leading size[2] (the inner framing
 // shared by Rstat, Twstat, and directory reads).
 func (e *encoder) stat(st Stat) {
-	body := &encoder{}
-	body.u16(st.Type)
-	body.u32(st.Dev)
-	body.qid(st.Qid)
-	body.u32(st.Mode)
-	body.u32(st.Atime)
-	body.u32(st.Mtime)
-	body.u64(st.Length)
-	body.str(st.Name)
-	body.str(st.UID)
-	body.str(st.GID)
-	body.str(st.MUID)
-	e.u16(uint16(len(body.buf)))
-	e.buf = append(e.buf, body.buf...)
+	m := e.mark()
+	e.u16(st.Type)
+	e.u32(st.Dev)
+	e.qid(st.Qid)
+	e.u32(st.Mode)
+	e.u32(st.Atime)
+	e.u32(st.Mtime)
+	e.u64(st.Length)
+	e.str(st.Name)
+	e.str(st.UID)
+	e.str(st.GID)
+	e.str(st.MUID)
+	e.patch16(m)
+}
+
+// nstat appends stat[n]: Rstat and Twstat wrap the size-prefixed record
+// in an outer byte count.
+func (e *encoder) nstat(st Stat) {
+	m := e.mark()
+	e.stat(st)
+	e.patch16(m)
 }
 
 var errTruncated = fmt.Errorf("ninep: truncated message")
@@ -413,7 +430,15 @@ func (d *decoder) stat() (Stat, error) {
 
 // Marshal renders f as one wire message, including the size[4] prefix.
 func Marshal(f *Fcall) ([]byte, error) {
-	e := &encoder{buf: make([]byte, 4, 64)} // size backpatched below
+	return AppendMarshal(make([]byte, 0, 64), f)
+}
+
+// AppendMarshal appends f's wire message (size[4] prefix included) to dst
+// and returns the extended slice, so a caller that owns a buffer encodes
+// without allocating. On error dst comes back at its original length.
+func AppendMarshal(dst []byte, f *Fcall) ([]byte, error) {
+	start := len(dst)
+	e := encoder{buf: append(dst, 0, 0, 0, 0)} // size backpatched below
 	e.u8(f.Type)
 	e.u16(f.Tag)
 	switch f.Type {
@@ -442,7 +467,7 @@ func Marshal(f *Fcall) ([]byte, error) {
 		e.u32(f.Fid)
 		e.u32(f.Newfid)
 		if len(f.Wname) > MaxWalkNames {
-			return nil, fmt.Errorf("ninep: Twalk with %d names (max %d)", len(f.Wname), MaxWalkNames)
+			return dst, fmt.Errorf("ninep: Twalk with %d names (max %d)", len(f.Wname), MaxWalkNames)
 		}
 		e.u16(uint16(len(f.Wname)))
 		for _, n := range f.Wname {
@@ -493,18 +518,10 @@ func Marshal(f *Fcall) ([]byte, error) {
 		}
 	case MsgRclunk, MsgRremove, MsgRwstat:
 	case MsgRstat:
-		// Rstat carries stat[n]: an outer byte count around the
-		// size-prefixed record.
-		inner := &encoder{}
-		inner.stat(f.Stat)
-		e.u16(uint16(len(inner.buf)))
-		e.buf = append(e.buf, inner.buf...)
+		e.nstat(f.Stat)
 	case MsgTwstat:
 		e.u32(f.Fid)
-		inner := &encoder{}
-		inner.stat(f.Stat)
-		e.u16(uint16(len(inner.buf)))
-		e.buf = append(e.buf, inner.buf...)
+		e.nstat(f.Stat)
 	case MsgTjournal:
 		e.u64(f.Offset) // cursor
 		e.u32(f.Count)  // max events (0 = server default)
@@ -522,49 +539,59 @@ func Marshal(f *Fcall) ([]byte, error) {
 	case MsgRshoot:
 		e.u32(f.Count)
 	default:
-		return nil, fmt.Errorf("ninep: marshal of unknown message type %d", f.Type)
+		return dst, fmt.Errorf("ninep: marshal of unknown message type %d", f.Type)
 	}
-	binary.LittleEndian.PutUint32(e.buf[:4], uint32(len(e.buf)))
+	binary.LittleEndian.PutUint32(e.buf[start:], uint32(len(e.buf)-start))
 	return e.buf, nil
 }
 
 // Unmarshal parses one wire message (without the size[4] prefix, which
-// ReadMsg strips).
+// the frame reader strips).
 func Unmarshal(buf []byte) (*Fcall, error) {
-	d := decoder{buf: buf}
-	f := &Fcall{}
-	var err error
-	if f.Type, err = d.u8(); err != nil {
+	f := new(Fcall)
+	if err := f.unmarshal(buf); err != nil {
 		return nil, err
 	}
+	return f, nil
+}
+
+// unmarshal overwrites f with the message in buf. Every string and Data
+// is copied out, so buf may be reused as soon as it returns.
+func (f *Fcall) unmarshal(buf []byte) error {
+	*f = Fcall{}
+	d := decoder{buf: buf}
+	var err error
+	if f.Type, err = d.u8(); err != nil {
+		return err
+	}
 	if f.Tag, err = d.u16(); err != nil {
-		return nil, err
+		return err
 	}
 	switch f.Type {
 	case MsgTversion, MsgRversion:
 		if f.Msize, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		f.Version, err = d.str()
 	case MsgTauth:
 		if f.Afid, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Uname, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 		f.Aname, err = d.str()
 	case MsgRauth:
 		f.Qid, err = d.qid()
 	case MsgTattach:
 		if f.Fid, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Afid, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Uname, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 		f.Aname, err = d.str()
 	case MsgRattach:
@@ -576,23 +603,37 @@ func Unmarshal(buf []byte) (*Fcall, error) {
 	case MsgRflush:
 	case MsgTwalk:
 		if f.Fid, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Newfid, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		var n uint16
 		if n, err = d.u16(); err != nil {
-			return nil, err
+			return err
 		}
 		if n > MaxWalkNames {
-			return nil, fmt.Errorf("ninep: Twalk with %d names (max %d)", n, MaxWalkNames)
+			return fmt.Errorf("ninep: Twalk with %d names (max %d)", n, MaxWalkNames)
 		}
-		f.Wname = make([]string, n)
-		for i := range f.Wname {
-			if f.Wname[i], err = d.str(); err != nil {
-				return nil, err
+		// The names are decoded as substrings of ONE copy of the wire's
+		// len[2]-prefixed run: one allocation however deep the walk.
+		run := d.buf
+		for i := 0; i < int(n); i++ {
+			var l uint16
+			if l, err = d.u16(); err != nil {
+				return err
 			}
+			if len(d.buf) < int(l) {
+				return errTruncated
+			}
+			d.buf = d.buf[l:]
+		}
+		all := string(run[:len(run)-len(d.buf)])
+		f.Wname = make([]string, n)
+		for i, off := 0, 0; i < int(n); i++ {
+			end := off + 2 + int(binary.LittleEndian.Uint16(run[off:]))
+			f.Wname[i] = all[off+2 : end]
+			off = end
 		}
 		if len(d.buf) >= 8 {
 			f.TraceID, _ = d.u64() // dctrace trailing trace-id[8]
@@ -600,73 +641,73 @@ func Unmarshal(buf []byte) (*Fcall, error) {
 	case MsgRwalk:
 		var n uint16
 		if n, err = d.u16(); err != nil {
-			return nil, err
+			return err
 		}
 		if n > MaxWalkNames {
-			return nil, fmt.Errorf("ninep: Rwalk with %d qids (max %d)", n, MaxWalkNames)
+			return fmt.Errorf("ninep: Rwalk with %d qids (max %d)", n, MaxWalkNames)
 		}
 		f.Wqid = make([]Qid, n)
 		for i := range f.Wqid {
 			if f.Wqid[i], err = d.qid(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case MsgTopen:
 		if f.Fid, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Mode, err = d.u8(); err != nil {
-			return nil, err
+			return err
 		}
 		if len(d.buf) >= 8 {
 			f.TraceID, _ = d.u64() // dctrace trailing trace-id[8]
 		}
 	case MsgRopen, MsgRcreate:
 		if f.Qid, err = d.qid(); err != nil {
-			return nil, err
+			return err
 		}
 		f.Iounit, err = d.u32()
 	case MsgTcreate:
 		if f.Fid, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Name, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Perm, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		f.Mode, err = d.u8()
 	case MsgTread:
 		if f.Fid, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Offset, err = d.u64(); err != nil {
-			return nil, err
+			return err
 		}
 		f.Count, err = d.u32()
 	case MsgRread:
 		var n uint32
 		if n, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if len(d.buf) < int(n) {
-			return nil, errTruncated
+			return errTruncated
 		}
 		f.Data = append([]byte(nil), d.buf[:n]...)
 	case MsgTwrite:
 		if f.Fid, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Offset, err = d.u64(); err != nil {
-			return nil, err
+			return err
 		}
 		var n uint32
 		if n, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if len(d.buf) < int(n) {
-			return nil, errTruncated
+			return errTruncated
 		}
 		f.Data = append([]byte(nil), d.buf[:n]...)
 	case MsgRwrite:
@@ -675,7 +716,7 @@ func Unmarshal(buf []byte) (*Fcall, error) {
 		f.Fid, err = d.u32()
 	case MsgTstat:
 		if f.Fid, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if len(d.buf) >= 8 {
 			f.TraceID, _ = d.u64() // dctrace trailing trace-id[8]
@@ -683,43 +724,43 @@ func Unmarshal(buf []byte) (*Fcall, error) {
 	case MsgRclunk, MsgRremove, MsgRwstat:
 	case MsgRstat:
 		if _, err = d.u16(); err != nil { // outer stat[n] count
-			return nil, err
+			return err
 		}
 		f.Stat, err = d.stat()
 	case MsgTwstat:
 		if f.Fid, err = d.u32(); err != nil {
-			return nil, err
+			return err
 		}
 		if _, err = d.u16(); err != nil {
-			return nil, err
+			return err
 		}
 		f.Stat, err = d.stat()
 	case MsgTjournal:
 		if f.Offset, err = d.u64(); err != nil {
-			return nil, err
+			return err
 		}
 		f.Count, err = d.u32()
 	case MsgRjournal:
 		if f.Offset, err = d.u64(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Mode, err = d.u8(); err != nil {
-			return nil, err
+			return err
 		}
 		var n uint16
 		if n, err = d.u16(); err != nil {
-			return nil, err
+			return err
 		}
 		f.Journal = make([]coherence.Record, n)
 		for i := range f.Journal {
 			if f.Journal[i].ID, err = d.u64(); err != nil {
-				return nil, err
+				return err
 			}
 			if f.Journal[i].Note, err = d.str(); err != nil {
-				return nil, err
+				return err
 			}
 			if f.Journal[i].Path, err = d.str(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case MsgTshoot:
@@ -727,18 +768,15 @@ func Unmarshal(buf []byte) (*Fcall, error) {
 	case MsgRshoot:
 		f.Count, err = d.u32()
 	default:
-		return nil, fmt.Errorf("ninep: unknown message type %d", f.Type)
+		return fmt.Errorf("ninep: unknown message type %d", f.Type)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return err
 }
 
 // MarshalStat renders one size-prefixed stat record — the unit of
 // directory-read payloads.
 func MarshalStat(st Stat) []byte {
-	e := &encoder{}
+	var e encoder
 	e.stat(st)
 	return e.buf
 }
@@ -756,30 +794,6 @@ func UnmarshalStats(buf []byte) ([]Stat, error) {
 		out = append(out, st)
 	}
 	return out, nil
-}
-
-// ReadMsg reads one size-prefixed message from r, enforcing maxSize, and
-// returns its body (type byte onward).
-func ReadMsg(r io.Reader, maxSize uint32) ([]byte, error) {
-	var szb [4]byte
-	if _, err := io.ReadFull(r, szb[:]); err != nil {
-		return nil, err
-	}
-	size := binary.LittleEndian.Uint32(szb[:])
-	if size < 7 { // size[4] type[1] tag[2]
-		return nil, fmt.Errorf("ninep: runt message (size %d)", size)
-	}
-	if maxSize == 0 {
-		maxSize = MaxMsize
-	}
-	if size > maxSize {
-		return nil, fmt.Errorf("ninep: message size %d exceeds msize %d", size, maxSize)
-	}
-	body := make([]byte, size-4)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
 }
 
 // --- error mapping ---------------------------------------------------

@@ -2,12 +2,33 @@ package ninep
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 
 	"dircache/internal/fsapi"
 )
+
+// ReadMsg is the reference framing the tests hold frameReader to, and
+// what they read raw connections with (it never reads past the frame): one
+// read for size[4], one for the body, a fresh body per message.
+func ReadMsg(r io.Reader, maxSize uint32) ([]byte, error) {
+	var szb [4]byte
+	if _, err := io.ReadFull(r, szb[:]); err != nil {
+		return nil, err
+	}
+	size := binary.LittleEndian.Uint32(szb[:])
+	if err := checkFrameSize(size, maxSize); err != nil {
+		return nil, err
+	}
+	body := make([]byte, size-4)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
 
 // roundTrip marshals f and unmarshals it back.
 func roundTrip(t *testing.T, f *Fcall) *Fcall {
@@ -15,6 +36,32 @@ func roundTrip(t *testing.T, f *Fcall) *Fcall {
 	buf, err := Marshal(f)
 	if err != nil {
 		t.Fatalf("Marshal(%s): %v", MsgName(f.Type), err)
+	}
+	// AppendMarshal must produce the same frame behind whatever dst
+	// already holds, whether dst has no room, too little, or plenty.
+	dirty := bytes.Repeat([]byte{0xA5}, 9)
+	for _, dst := range [][]byte{
+		nil,
+		append(make([]byte, 0, len(dirty)+3), dirty...),
+		append(make([]byte, 0, len(dirty)+4*len(buf)), dirty...),
+	} {
+		out, err := AppendMarshal(dst, f)
+		if err != nil {
+			t.Fatalf("AppendMarshal(%s): %v", MsgName(f.Type), err)
+		}
+		if !bytes.Equal(out[:len(dst)], dst) || !bytes.Equal(out[len(dst):], buf) {
+			t.Fatalf("AppendMarshal(%s) into a dst of len %d cap %d: frame differs from Marshal's", MsgName(f.Type), len(dst), cap(dst))
+		}
+		// A dirty tail beyond len must not leak into the frame either.
+		if spare := out[len(out):cap(out)]; len(spare) > 0 {
+			for i := range spare {
+				spare[i] = 0xFF
+			}
+			again, _ := AppendMarshal(out[:len(dst)], f)
+			if !bytes.Equal(again[len(dst):], buf) {
+				t.Fatalf("AppendMarshal(%s) over a dirty buffer: frame differs from Marshal's", MsgName(f.Type))
+			}
+		}
 	}
 	body, err := ReadMsg(bytes.NewReader(buf), MaxMsize)
 	if err != nil {

@@ -30,9 +30,9 @@ type Config struct {
 }
 
 // Server exports one dircache.System over 9P2000. Each accepted
-// connection is served by its own reader goroutine which dispatches
-// requests to a bounded per-connection worker pool: requests with
-// distinct tags complete out of order (a slow Twalk no longer blocks the
+// connection is served by its own reader goroutine, which hands requests
+// to a bounded pool of resident per-connection workers: requests with
+// distinct tags complete out of order (a slow Twalk does not block the
 // Tstats queued behind it), responses are serialized on a write mutex,
 // and Tflush answers only after the flushed request has settled.
 // Connections proceed fully in parallel against the shared directory
@@ -303,33 +303,40 @@ type connProc struct {
 const maxInflight = 8
 
 // conn is one client connection: its fid table, the Processes checked out
-// of the pool per attached uname, and the in-flight tag table the
-// pipelined dispatcher and Tflush coordinate through.
+// of the pool per attached uname, the resident workers its reader feeds,
+// and the in-flight tag table they and Tflush coordinate through.
 type conn struct {
 	srv   *Server
 	nc    net.Conn
-	msize uint32
-	trace bool // dctrace negotiated: honor trailing trace ids
-	shard bool // dcshard negotiated: journal stream + remote shootdown
+	msize uint32 // negotiated; the reader refuses larger frames
+	trace bool   // dctrace negotiated: honor trailing trace ids
+	shard bool   // dcshard negotiated: journal stream + remote shootdown
 
-	mu       sync.Mutex // fids, procs, inflight
-	fids     map[uint32]*fidEntry
-	procs    map[string]*connProc
-	inflight map[uint16]*inflightReq
+	mu    sync.Mutex // fids, procs, inflight
+	fids  map[uint32]*fidEntry
+	procs map[string]*connProc
+	// inflight holds every dispatched tag until its response is written.
+	// The channel is nil until a Tflush needs to wait on the tag.
+	inflight map[uint16]chan struct{}
 
-	wmu sync.Mutex     // serializes response frames onto nc
-	wg  sync.WaitGroup // all in-flight workers (and Tflush waiters)
-	sem chan struct{}  // bounded worker pool
+	wmu sync.Mutex // serializes response frames onto nc
+
+	// work feeds the resident workers. It is unbuffered, so a request is
+	// only ever handed to a worker that is free to run it and at most
+	// maxInflight run at once. Workers are spawned by the reader, one at a
+	// time, when a request arrives and every existing worker is busy: a
+	// closed-loop client only ever has one, whose stack is grown once for
+	// the connection instead of once per request.
+	work     chan Fcall
+	workers  int            // spawned so far (reader goroutine only)
+	busy     atomic.Int32   // requests handed off whose response is not yet on its way
+	workerWG sync.WaitGroup // worker goroutines
+	reqs     sync.WaitGroup // requests (and Tflush waiters) not yet settled: the Tversion barrier
 
 	// testStall, when set by a test before any request arrives, is called
 	// at the top of every handler — a hook to hold one tag open and prove
 	// later tags complete ahead of it.
 	testStall func(*Fcall)
-}
-
-// inflightReq tracks one dispatched request so Tflush can await it.
-type inflightReq struct {
-	done chan struct{} // closed after the response is written
 }
 
 func (s *Server) serveConn(nc net.Conn) {
@@ -341,11 +348,11 @@ func (s *Server) serveConn(nc net.Conn) {
 	c := &conn{
 		srv:      s,
 		nc:       nc,
-		msize:    DefaultMsize,
+		msize:    min(DefaultMsize, s.cfg.MaxMsize),
 		fids:     map[uint32]*fidEntry{},
 		procs:    map[string]*connProc{},
-		inflight: map[uint16]*inflightReq{},
-		sem:      make(chan struct{}, maxInflight),
+		inflight: map[uint16]chan struct{}{},
+		work:     make(chan Fcall),
 	}
 	if fn := s.testStall.Load(); fn != nil {
 		c.testStall = *fn
@@ -360,7 +367,11 @@ func (s *Server) serveConn(nc net.Conn) {
 	s.connMu.Unlock()
 
 	defer func() {
-		c.wg.Wait() // drain workers before tearing down their state
+		// Drain before tearing down the state requests use: workers finish
+		// what they hold and exit, Tflush waiters follow their oldtags.
+		close(c.work)
+		c.workerWG.Wait()
+		c.reqs.Wait()
 		c.reset()
 		c.mu.Lock()
 		for uname, cp := range c.procs {
@@ -374,48 +385,81 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.connMu.Unlock()
 	}()
 
+	// The reader owns one frame reader and one request it decodes every
+	// frame into (workers get a copy). The few responses it writes itself
+	// (Rversion, an immediate Rflush, a duplicate-tag Rerror) are rare
+	// enough to encode into a fresh buffer each.
+	fr := frameReader{r: nc}
+	var req Fcall
 	for {
-		body, err := ReadMsg(nc, s.cfg.MaxMsize)
+		body, err := fr.next(c.msize)
 		if err != nil {
 			return // EOF, reset, or framing violation: drop the connection
 		}
 		s.stats.bytesRead.Add(int64(len(body) + 4))
-		req, err := Unmarshal(body)
-		if err != nil {
+		if req.unmarshal(body) != nil {
 			return
 		}
 		switch req.Type {
 		case MsgTversion:
 			// Version resets the session: barrier on everything in
 			// flight, then handle serially.
-			c.wg.Wait()
-			c.respond(req, c.dispatch(req))
+			c.reqs.Wait()
+			c.respond(nil, req.Tag, c.dispatch(&req))
 		case MsgTflush:
-			c.tflush(req)
+			c.tflush(&req)
 		default:
-			c.sem <- struct{}{} // bound concurrency before registering
-			ir := &inflightReq{done: make(chan struct{})}
 			c.mu.Lock()
-			if _, dup := c.inflight[req.Tag]; dup {
-				c.mu.Unlock()
-				<-c.sem
+			_, dup := c.inflight[req.Tag]
+			if !dup {
+				c.inflight[req.Tag] = nil
+			}
+			c.mu.Unlock()
+			if dup {
 				c.srv.stats.ops.Add(1)
-				c.respond(req, &Fcall{Type: MsgRerror, Ename: "duplicate tag"})
+				c.respond(nil, req.Tag, &Fcall{Type: MsgRerror, Ename: "duplicate tag"})
 				continue
 			}
-			c.inflight[req.Tag] = ir
-			c.mu.Unlock()
-			c.wg.Add(1)
-			go func() {
-				defer c.wg.Done()
-				c.respond(req, c.dispatch(req))
-				c.mu.Lock()
-				delete(c.inflight, req.Tag)
-				c.mu.Unlock()
-				close(ir.done)
-				<-c.sem
-			}()
+			c.reqs.Add(1)
+			if int(c.busy.Add(1)) > c.workers && c.workers < maxInflight {
+				c.workers++
+				c.workerWG.Add(1)
+				go c.worker()
+			}
+			c.work <- req // blocks while maxInflight requests are running
 		}
+	}
+}
+
+// worker is one resident worker: it runs requests off c.work until the
+// reader closes the channel, encoding every response into a buffer it
+// keeps.
+func (c *conn) worker() {
+	defer c.workerWG.Done()
+	var out []byte
+	// One request variable for the worker's lifetime: it escapes (through
+	// the testStall hook), so a per-iteration one would be a heap
+	// allocation per request.
+	var req Fcall
+	for {
+		var ok bool
+		if req, ok = <-c.work; !ok {
+			return
+		}
+		resp := c.dispatch(&req)
+		// Before the response can reach the peer: once a client has its
+		// answer and sends the next request, the reader must count this
+		// worker as free and wait for it rather than spawn another.
+		c.busy.Add(-1)
+		out = c.respond(out, req.Tag, resp)
+		c.mu.Lock()
+		flushed := c.inflight[req.Tag]
+		delete(c.inflight, req.Tag)
+		c.mu.Unlock()
+		if flushed != nil {
+			close(flushed)
+		}
+		c.reqs.Done()
 	}
 }
 
@@ -427,30 +471,36 @@ func (s *Server) serveConn(nc net.Conn) {
 func (c *conn) tflush(req *Fcall) {
 	c.srv.stats.ops.Add(1)
 	c.mu.Lock()
-	ir := c.inflight[req.Oldtag]
+	settled, inflight := c.inflight[req.Oldtag]
+	if inflight && settled == nil {
+		settled = make(chan struct{})
+		c.inflight[req.Oldtag] = settled
+	}
 	c.mu.Unlock()
-	if ir == nil {
-		c.respond(req, &Fcall{Type: MsgRflush})
+	if !inflight {
+		c.respond(nil, req.Tag, &Fcall{Type: MsgRflush})
 		return
 	}
-	c.wg.Add(1)
+	tag := req.Tag
+	c.reqs.Add(1)
 	go func() {
-		defer c.wg.Done()
-		<-ir.done
-		c.respond(req, &Fcall{Type: MsgRflush})
+		defer c.reqs.Done()
+		<-settled
+		c.respond(nil, tag, &Fcall{Type: MsgRflush})
 	}()
 }
 
-// respond marshals and writes one response frame (tagged from req),
-// serialized against concurrent workers by the write mutex.
-func (c *conn) respond(req *Fcall, resp *Fcall) {
-	resp.Tag = req.Tag
-	out, err := Marshal(resp)
+// respond encodes resp under tag into buf (nil for a one-off) and writes
+// the frame, serialized against concurrent workers by the write mutex. It
+// returns the buffer so a worker can reuse it for its next response.
+func (c *conn) respond(buf []byte, tag uint16, resp *Fcall) []byte {
+	resp.Tag = tag
+	out, err := AppendMarshal(buf[:0], resp)
 	if err != nil {
 		// Response exceeded wire limits (e.g. a >64KiB stat); report
 		// rather than killing the conn.
-		resp = &Fcall{Type: MsgRerror, Tag: req.Tag, Ename: ErrnoEname(fsapi.EINVAL)}
-		out, _ = Marshal(resp)
+		resp = &Fcall{Type: MsgRerror, Tag: tag, Ename: ErrnoEname(fsapi.EINVAL)}
+		out, _ = AppendMarshal(buf[:0], resp)
 	}
 	if resp.Type == MsgRerror {
 		c.srv.stats.errorsSent.Add(1)
@@ -461,6 +511,7 @@ func (c *conn) respond(req *Fcall, resp *Fcall) {
 	if werr == nil {
 		c.srv.stats.bytesWritten.Add(int64(len(out)))
 	}
+	return out
 }
 
 // reset clunks every fid (closing open files), as Tversion demands. The
@@ -570,17 +621,23 @@ func (c *conn) handle(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 // single per-Task slot, so a concurrent walk on the same Process would
 // annotate its stages into the wrong span. Untraced requests share the
 // read side and run concurrently.
-func (c *conn) lockProc(cp *connProc, span *telemetry.WalkTrace) func() {
+func (c *conn) lockProc(cp *connProc, span *telemetry.WalkTrace) {
 	if span != nil {
 		cp.mu.Lock()
 		cp.p.ArmTrace(span)
-		return func() {
-			cp.p.ArmTrace(nil)
-			cp.mu.Unlock()
-		}
+		return
 	}
 	cp.mu.RLock()
-	return func() { cp.mu.RUnlock() }
+}
+
+// unlockProc undoes lockProc for the same span.
+func (c *conn) unlockProc(cp *connProc, span *telemetry.WalkTrace) {
+	if span != nil {
+		cp.p.ArmTrace(nil)
+		cp.mu.Unlock()
+		return
+	}
+	cp.mu.RUnlock()
 }
 
 // insertFid installs nf at n, failing if n is busy. The install-time check
@@ -734,18 +791,31 @@ func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 		return &Fcall{Type: MsgRwalk}, nil
 	}
 
-	paths := make([]string, len(req.Wname))
-	cur := src.path
+	// One joined path for the kernel walk; each name's prefix is a
+	// substring of it until a "." or ".." has to be folded lexically.
+	full := withDotDot(src.path, req.Wname)
+	var pathBuf [MaxWalkNames]string
+	paths := pathBuf[:len(req.Wname)]
+	cur, end, folded := src.path, len(src.path), false
+	if cur == "/" {
+		end = 0
+	}
 	for i, name := range req.Wname {
 		if strings.ContainsRune(name, '/') || name == "" {
 			return nil, fsapi.EINVAL
 		}
-		cur = joinStep(cur, name)
+		folded = folded || name == "." || name == ".."
+		if folded {
+			cur = joinStep(cur, name)
+		} else {
+			end += 1 + len(name)
+			cur = full[:end]
+		}
 		paths[i] = cur
 	}
 
-	unlock := c.lockProc(src.cp, span)
-	defer unlock()
+	c.lockProc(src.cp, span)
+	defer c.unlockProc(src.cp, span)
 
 	final := paths[len(paths)-1]
 	qids := make([]Qid, 0, len(paths))
@@ -753,9 +823,9 @@ func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 		// The armed span is consumed by the walk the full-path Lstat
 		// triggers, so the per-prefix qid read-backs (and any twalkSlow
 		// fallback steps) stay out of it.
-		span.Path = withDotDot(src.path, req.Wname)
+		span.Path = full
 	}
-	fi, err := src.proc.Lstat(withDotDot(src.path, req.Wname)) // the one multi-component walk
+	fi, err := src.proc.Lstat(full) // the one multi-component walk
 	if err == nil {
 		for _, p := range paths[:len(paths)-1] {
 			pfi, perr := src.proc.Lstat(p)
@@ -823,8 +893,8 @@ func (c *conn) topen(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 	if err != nil {
 		return nil, err
 	}
-	unlock := c.lockProc(f.cp, span)
-	defer unlock()
+	c.lockProc(f.cp, span)
+	defer c.unlockProc(f.cp, span)
 	if span != nil {
 		span.Path = f.path
 	}
@@ -853,8 +923,8 @@ func (c *conn) tcreate(req *Fcall) (*Fcall, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	unlock := c.lockProc(f.cp, nil)
-	defer unlock()
+	c.lockProc(f.cp, nil)
+	defer c.unlockProc(f.cp, nil)
 	if f.open != nil {
 		return nil, protoErr("fid already open")
 	}
@@ -913,8 +983,8 @@ func (c *conn) tread(req *Fcall) (*Fcall, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	unlock := c.lockProc(f.cp, nil)
-	defer unlock()
+	c.lockProc(f.cp, nil)
+	defer c.unlockProc(f.cp, nil)
 	if f.open == nil {
 		return nil, protoErr("fid not open")
 	}
@@ -980,8 +1050,8 @@ func (c *conn) twrite(req *Fcall) (*Fcall, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	unlock := c.lockProc(f.cp, nil)
-	defer unlock()
+	c.lockProc(f.cp, nil)
+	defer c.unlockProc(f.cp, nil)
 	if f.open == nil {
 		return nil, protoErr("fid not open")
 	}
@@ -1009,9 +1079,9 @@ func (c *conn) tclunk(req *Fcall) (*Fcall, error) {
 		f.open.Close()
 	}
 	if f.rclose {
-		unlock := c.lockProc(f.cp, nil)
+		c.lockProc(f.cp, nil)
 		f.proc.Unlink(f.path) // best-effort, like Plan 9
-		unlock()
+		c.unlockProc(f.cp, nil)
 	}
 	return &Fcall{Type: MsgRclunk}, nil
 }
@@ -1027,8 +1097,8 @@ func (c *conn) tremove(req *Fcall) (*Fcall, error) {
 	if f.open != nil {
 		f.open.Close()
 	}
-	unlock := c.lockProc(f.cp, nil)
-	defer unlock()
+	c.lockProc(f.cp, nil)
+	defer c.unlockProc(f.cp, nil)
 	if f.qid.IsDir() {
 		err = f.proc.Rmdir(f.path)
 	} else {
@@ -1047,8 +1117,8 @@ func (c *conn) tstat(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	unlock := c.lockProc(f.cp, span)
-	defer unlock()
+	c.lockProc(f.cp, span)
+	defer c.unlockProc(f.cp, span)
 	if span != nil {
 		span.Path = f.path
 	}
@@ -1066,8 +1136,8 @@ func (c *conn) twstat(req *Fcall) (*Fcall, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	unlock := c.lockProc(f.cp, nil)
-	defer unlock()
+	c.lockProc(f.cp, nil)
+	defer c.unlockProc(f.cp, nil)
 	st := req.Stat
 	if st.Mode != noChange32 {
 		if err := f.proc.Chmod(f.path, st.Mode&0o777); err != nil {
@@ -1192,9 +1262,20 @@ func joinStep(dir, name string) string {
 // through verbatim.
 func withDotDot(base string, names []string) string {
 	if base == "/" {
-		return "/" + strings.Join(names, "/")
+		base = ""
 	}
-	return base + "/" + strings.Join(names, "/")
+	n := len(base)
+	for _, name := range names {
+		n += 1 + len(name)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(base)
+	for _, name := range names {
+		b.WriteByte('/')
+		b.WriteString(name)
+	}
+	return b.String()
 }
 
 func parentOf(p string) string {
@@ -1282,11 +1363,4 @@ func openFlags(mode uint8, isDir bool) (dircache.OpenFlag, error) {
 		fl |= dircache.O_TRUNC
 	}
 	return fl, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -129,15 +129,16 @@ func TestServerPartialWalk(t *testing.T) {
 	}
 	// srv/app exist, "missing" does not: Rwalk must carry exactly 2 qids
 	// and not bind newfid.
-	resp, err := c.rpc(&Fcall{Type: MsgTwalk, Fid: root.n, Newfid: 99,
-		Wname: []string{"srv", "app", "missing", "deeper"}})
+	var resp Fcall
+	err = c.rpc(&Fcall{Type: MsgTwalk, Fid: root.n, Newfid: 99,
+		Wname: []string{"srv", "app", "missing", "deeper"}}, &resp)
 	if err != nil {
 		t.Fatalf("partial walk errored: %v", err)
 	}
 	if len(resp.Wqid) != 2 {
 		t.Fatalf("partial walk returned %d qids, want 2", len(resp.Wqid))
 	}
-	if _, err := c.rpc(&Fcall{Type: MsgTclunk, Fid: 99}); err == nil {
+	if err := c.call(&Fcall{Type: MsgTclunk, Fid: 99}); err == nil {
 		t.Fatal("newfid was bound by a partial walk")
 	}
 }

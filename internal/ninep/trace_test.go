@@ -102,9 +102,10 @@ func TestStockPeerFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Client{nc: nc, msize: DefaultMsize} // hand-rolled: offers plain 9P2000
+	c := newClient(nc) // hand-rolled: offers plain 9P2000
 	defer c.Close()
-	resp, err := c.rpc(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: Version})
+	var resp Fcall
+	err = c.rpc(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: Version}, &resp)
 	if err != nil {
 		t.Fatalf("Tversion: %v", err)
 	}
@@ -117,8 +118,9 @@ func TestStockPeerFallback(t *testing.T) {
 		t.Fatalf("Attach: %v", err)
 	}
 	// A rogue trailing trace id on an un-negotiated conn must be ignored.
-	wr, err := c.rpc(&Fcall{Type: MsgTwalk, Fid: root.n, Newfid: c.fid(),
-		Wname: []string{"srv", "app"}, TraceID: 0xabcdef})
+	var wr Fcall
+	err = c.rpc(&Fcall{Type: MsgTwalk, Fid: root.n, Newfid: c.fid(),
+		Wname: []string{"srv", "app"}, TraceID: 0xabcdef}, &wr)
 	if err != nil {
 		t.Fatalf("Twalk with rogue trace id: %v", err)
 	}

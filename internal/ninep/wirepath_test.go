@@ -1,0 +1,499 @@
+package ninep
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"math/rand"
+	"net"
+	"os"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"testing/iotest"
+	"time"
+
+	"dircache"
+)
+
+// --- framing ----------------------------------------------------------
+
+// frameStream is a message sequence that exercises every frameReader
+// path: small frames, frames that straddle the end of the fixed buffer
+// (forcing the slide), frames of exactly the buffer size, and Twrite/Rread
+// payloads larger than the buffer up to a full msize.
+func frameStream() []*Fcall {
+	payload := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i * 7)
+		}
+		return b
+	}
+	msgs := []*Fcall{
+		{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: VersionTrace},
+		{Type: MsgTwalk, Tag: 1, Fid: 0, Newfid: 1, Wname: []string{"srv", "app", "config", "app.conf"}},
+		{Type: MsgRwalk, Tag: 1, Wqid: []Qid{{Type: QTDir, Path: 1}, {Path: 2}}},
+		{Type: MsgTstat, Tag: 2, Fid: 1, TraceID: 42},
+		{Type: MsgRstat, Tag: 2, Stat: Stat{Name: "app.conf", UID: "1000", GID: "1000", MUID: "1000", Length: 13}},
+	}
+	// Mid-size frames whose sizes do not divide the buffer, so some start
+	// near its end.
+	for i := 0; i < 12; i++ {
+		msgs = append(msgs, &Fcall{Type: MsgTwrite, Tag: uint16(10 + i), Fid: 1, Data: payload(700 + 13*i)})
+	}
+	const hdr = 4 + 1 + 2 + 4 // size type tag count: an Rread's overhead
+	for _, n := range []int{frameBufSize - hdr - 1, frameBufSize - hdr, frameBufSize - hdr + 1, 5000, 3 * frameBufSize, DefaultMsize - IOHeaderSize} {
+		msgs = append(msgs,
+			&Fcall{Type: MsgRread, Tag: 30, Data: payload(n)},
+			&Fcall{Type: MsgTclunk, Tag: 31, Fid: 1}, // a small frame right behind a big one
+			&Fcall{Type: MsgTwrite, Tag: 32, Fid: 1, Offset: 9, Data: payload(n)})
+	}
+	return msgs
+}
+
+// chunkReader delivers its stream in reads of seeded-random sizes.
+type chunkReader struct {
+	r   io.Reader
+	rnd *rand.Rand
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if n := 1 + c.rnd.Intn(3000); n < len(p) {
+		p = p[:n]
+	}
+	return c.r.Read(p)
+}
+
+// TestFrameReaderMatchesReference: however the bytes arrive — one at a
+// time, every frame in one segment, or in random pieces — the buffered
+// frame reader yields exactly what the reference ReadMsg+Unmarshal does.
+func TestFrameReaderMatchesReference(t *testing.T) {
+	msgs := frameStream()
+	var wire []byte
+	for _, m := range msgs {
+		b, err := Marshal(m)
+		if err != nil {
+			t.Fatalf("Marshal(%s): %v", MsgName(m.Type), err)
+		}
+		wire = append(wire, b...)
+	}
+	ref := bytes.NewReader(wire)
+	var want []*Fcall
+	for range msgs {
+		body, err := ReadMsg(ref, DefaultMsize)
+		if err != nil {
+			t.Fatalf("reference ReadMsg: %v", err)
+		}
+		f, err := Unmarshal(body)
+		if err != nil {
+			t.Fatalf("reference Unmarshal: %v", err)
+		}
+		want = append(want, f)
+	}
+
+	deliveries := map[string]func() io.Reader{
+		"one byte at a time": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(wire)) },
+		"all in one segment": func() io.Reader { return bytes.NewReader(wire) },
+		"random pieces":      func() io.Reader { return &chunkReader{bytes.NewReader(wire), rand.New(rand.NewSource(3))} },
+	}
+	for name, mk := range deliveries {
+		fr := frameReader{r: mk()}
+		var got Fcall
+		for i := range want {
+			body, err := fr.next(DefaultMsize)
+			if err != nil {
+				t.Fatalf("%s: frame %d (%s): %v", name, i, MsgName(want[i].Type), err)
+			}
+			if err := got.unmarshal(body); err != nil {
+				t.Fatalf("%s: frame %d: unmarshal: %v", name, i, err)
+			}
+			if !reflect.DeepEqual(&got, want[i]) {
+				t.Fatalf("%s: frame %d (%s) decoded differently from the reference", name, i, MsgName(want[i].Type))
+			}
+		}
+		if _, err := fr.next(DefaultMsize); err != io.EOF {
+			t.Fatalf("%s: after the last frame: %v, want io.EOF", name, err)
+		}
+	}
+}
+
+// frameAtATime hands out one whole frame per Read, as a socket does for a
+// closed-loop peer, and counts the reads.
+type frameAtATime struct {
+	frames [][]byte
+	reads  int
+}
+
+func (f *frameAtATime) Read(p []byte) (int, error) {
+	if len(f.frames) == 0 {
+		return 0, io.EOF
+	}
+	f.reads++
+	n := copy(p, f.frames[0])
+	if n < len(f.frames[0]) {
+		f.frames[0] = f.frames[0][n:]
+	} else {
+		f.frames = f.frames[1:]
+	}
+	return n, nil
+}
+
+// TestFrameReaderOneReadPerFrame: a frame that fits the buffer costs one
+// read on the conn (the reference costs two), and a frame cut short is an
+// unexpected EOF, not a clean one.
+func TestFrameReaderOneReadPerFrame(t *testing.T) {
+	src := &frameAtATime{}
+	for i := 0; i < 100; i++ {
+		b, _ := Marshal(&Fcall{Type: MsgTwalk, Tag: uint16(i + 1), Fid: 0, Newfid: 1, Wname: []string{"srv", "app", "config", "app.conf"}})
+		src.frames = append(src.frames, b)
+	}
+	fr := frameReader{r: src}
+	for i := 0; i < 100; i++ {
+		if _, err := fr.next(DefaultMsize); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	if src.reads != 100 {
+		t.Fatalf("100 frames took %d reads, want 100", src.reads)
+	}
+
+	whole, _ := Marshal(&Fcall{Type: MsgTclunk, Tag: 1, Fid: 1})
+	for cut := 1; cut < len(whole); cut++ {
+		fr := frameReader{r: bytes.NewReader(whole[:cut])}
+		if _, err := fr.next(DefaultMsize); err != io.ErrUnexpectedEOF {
+			t.Fatalf("frame cut to %d of %d bytes: %v, want io.ErrUnexpectedEOF", cut, len(whole), err)
+		}
+	}
+}
+
+// --- negotiated msize --------------------------------------------------
+
+// TestServerEnforcesNegotiatedMsize: once Tversion settled on 512, a
+// 600-byte Twrite is a framing violation and the server drops the
+// connection, even though its own cap is far larger.
+func TestServerEnforcesNegotiatedMsize(t *testing.T) {
+	_, srv := startServer(t, Config{})
+	r := rawDial(t, srv)
+	r.send(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: MinMsize, Version: Version})
+	if resp := r.recv(); resp.Type != MsgRversion || resp.Msize != MinMsize {
+		t.Fatalf("negotiation: got %s msize %d", MsgName(resp.Type), resp.Msize)
+	}
+	r.send(&Fcall{Type: MsgTattach, Tag: 1, Fid: 0, Afid: NoFid, Uname: "root"})
+	if resp := r.recv(); resp.Type != MsgRattach {
+		t.Fatalf("attach: got %s (%s)", MsgName(resp.Type), resp.Ename)
+	}
+	// Within msize the connection lives on (the write itself fails: fid 0
+	// is not open).
+	r.send(&Fcall{Type: MsgTwrite, Tag: 2, Fid: 0, Data: make([]byte, MinMsize-IOHeaderSize)})
+	if resp := r.recv(); resp.Type != MsgRerror {
+		t.Fatalf("in-bounds Twrite: got %s", MsgName(resp.Type))
+	}
+	r.send(&Fcall{Type: MsgTwrite, Tag: 3, Fid: 0, Data: make([]byte, 600)})
+	r.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := ReadMsg(r.nc, MaxMsize); err == nil {
+		t.Fatal("server answered a frame larger than the negotiated msize")
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("server kept the connection open after a frame larger than the negotiated msize")
+	}
+}
+
+// TestClientEnforcesNegotiatedMsize: a server that negotiated 512 and then
+// announces a 1 MiB response gets an error from rpc at once — the client
+// neither allocates the megabyte nor waits for it to arrive.
+func TestClientEnforcesNegotiatedMsize(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		nc, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		body, err := ReadMsg(nc, MaxMsize)
+		if err != nil {
+			return
+		}
+		req, _ := Unmarshal(body)
+		out, _ := Marshal(&Fcall{Type: MsgRversion, Tag: req.Tag, Msize: MinMsize, Version: Version})
+		nc.Write(out)
+		if _, err := ReadMsg(nc, MaxMsize); err != nil { // the Tread
+			return
+		}
+		// size[4] = 1 MiB, type, tag — and never the body.
+		nc.Write([]byte{0, 0, 0x10, 0, MsgRread, 1, 0})
+		io.Copy(io.Discard, nc) // hold the conn open until the client gives up
+	}()
+
+	c, err := Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	if c.Msize() != MinMsize {
+		t.Fatalf("negotiated msize %d, want %d", c.Msize(), MinMsize)
+	}
+	c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	f := &Fid{c: c, n: 1}
+	_, err = f.Read(make([]byte, 100), 0)
+	if err == nil {
+		t.Fatal("client accepted a response larger than the negotiated msize")
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("client waited for the oversized body instead of refusing its size: %v", err)
+	}
+	if cap(c.fr.big) != 0 {
+		t.Fatalf("client allocated %d bytes of scratch for a frame it must refuse", cap(c.fr.big))
+	}
+}
+
+// TestClientWriteSplitsAtMsize: a Write larger than one Twrite can carry
+// goes out as several, none above the negotiated msize (the server would
+// drop the connection otherwise), and lands whole.
+func TestClientWriteSplitsAtMsize(t *testing.T) {
+	_, srv := startServer(t, Config{MaxMsize: MinMsize})
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	root, err := c.Attach("root", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := root.WalkPath("srv/app/config/app.conf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Open(ORdWr | OTrunc); err != nil {
+		t.Fatal(err)
+	}
+	data := []byte(strings.Repeat("0123456789", 300))
+	if n, err := f.Write(data, 0); err != nil || n != len(data) {
+		t.Fatalf("Write: n=%d err=%v, want %d", n, err, len(data))
+	}
+	got, err := f.ReadAll()
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back %d bytes (err %v), want the %d written", len(got), err, len(data))
+	}
+}
+
+// --- fid leak ------------------------------------------------------------
+
+// TestWalkErrClunksResolvedFid: a partial walk makes the client re-ask for
+// the failing name alone; if the tree changed in between and that name now
+// resolves, the fid the re-walk bound must be clunked, not leaked.
+func TestWalkErrClunksResolvedFid(t *testing.T) {
+	sys, srv := startServer(t, Config{})
+	var twalks atomic.Int32
+	hook := func(f *Fcall) {
+		// Twalk 1 is the client's full walk (partial: "late" is missing),
+		// 2 parks a fid at the partial point, 3 re-asks for "late" alone.
+		if f.Type == MsgTwalk && twalks.Add(1) == 2 {
+			p := sys.Start(dircache.RootCreds())
+			defer p.Exit()
+			if err := p.WriteFile("/srv/app/late", []byte("x"), 0o644); err != nil {
+				t.Errorf("creating the late file: %v", err)
+			}
+		}
+	}
+	srv.testStall.Store(&hook)
+
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	root, err := c.Attach("root", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Stats().FidsLive
+	if _, err := root.Walk("srv", "app", "late"); err == nil || !strings.Contains(err.Error(), "walk stopped after 2 of 3") {
+		t.Fatalf("walk across the mutation: %v, want the stall report", err)
+	}
+	if n := twalks.Load(); n != 3 {
+		t.Fatalf("%d Twalks, want 3 (the scenario did not play out)", n)
+	}
+	if after := srv.Stats().FidsLive; after != before {
+		t.Fatalf("FidsLive %d → %d: the re-walk's fid leaked", before, after)
+	}
+}
+
+// --- allocation budget ----------------------------------------------------
+
+// TestWireAllocBudget holds the wire path to its allocation budget: a warm
+// 4-name Walk + Stat + Clunk over loopback, both ends in this process,
+// counted as the process-wide malloc delta over 20 k ops.
+func TestWireAllocBudget(t *testing.T) {
+	sys, srv := startServer(t, Config{})
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	root, err := c.Attach("1000", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"srv", "app", "config", "app.conf"}
+	op := func() {
+		f, err := root.Walk(names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Stat(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Clunk(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		op()
+	}
+	const n = 20000
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	for i := 0; i < n; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&b)
+	perOp := float64(b.Mallocs-a.Mallocs) / n
+	t.Logf("%.1f mallocs, %.0f bytes per warm wire walk+stat+clunk", perOp, float64(b.TotalAlloc-a.TotalAlloc)/n)
+	if perOp > 16 {
+		t.Fatalf("%.1f mallocs per warm wire walk+stat+clunk, budget 16", perOp)
+	}
+
+	p := sys.Start(dircache.UserCreds(1000))
+	defer p.Exit()
+	p.Stat("/srv/app/config/app.conf")
+	if avg := testing.AllocsPerRun(1000, func() { p.Stat("/srv/app/config/app.conf") }); avg != 0 {
+		t.Fatalf("warm in-process Stat allocates %.1f, want 0", avg)
+	}
+}
+
+// --- worker lifetime --------------------------------------------------------
+
+// liveWorkers counts resident worker goroutines in the process.
+func liveWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "ninep.(*conn).worker(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// waitFor polls cond until it holds or ten seconds pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestWorkersAreResidentAndBounded: a connection that never has two tags
+// in flight runs on exactly one worker however many requests it sends; a
+// pipelined burst grows the pool to the burst (never past maxInflight);
+// and when 200 such connections close, every worker and reader exits and
+// Server.Close returns.
+func TestWorkersAreResidentAndBounded(t *testing.T) {
+	_, srv := startServer(t, Config{})
+	baseline := runtime.NumGoroutine()
+
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := c.Attach("root", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		f, err := root.WalkPath("srv/app/config/app.conf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Stat(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Clunk(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := liveWorkers(); n != 1 {
+		t.Fatalf("a closed-loop connection has %d workers after 6000 RPCs, want 1", n)
+	}
+	c.Close()
+	waitFor(t, "the closed-loop connection's goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+
+	const conns, burst = 200, maxInflight
+	block := make(chan struct{})
+	var stalled atomic.Int32
+	stall := func(f *Fcall) {
+		if f.Type == MsgTstat && f.Tag >= 100 {
+			stalled.Add(1)
+			<-block
+		}
+	}
+	srv.testStall.Store(&stall)
+	raws := make([]*rawConn, conns)
+	for i := range raws {
+		raws[i] = rawDial(t, srv)
+		raws[i].handshake()
+		for k := 0; k < burst; k++ {
+			raws[i].send(&Fcall{Type: MsgTstat, Tag: uint16(100 + k), Fid: 1})
+		}
+		// One more than the pool runs at once: it waits its turn.
+		raws[i].send(&Fcall{Type: MsgTstat, Tag: 99, Fid: 1})
+	}
+	waitFor(t, "every burst to be running", func() bool { return stalled.Load() == conns*burst })
+	if n := liveWorkers(); n != conns*burst {
+		t.Fatalf("%d connections with %d stalled tags each run %d workers, want %d", conns, burst, n, conns*burst)
+	}
+	close(block)
+	var wg sync.WaitGroup
+	for _, r := range raws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < burst+1; k++ {
+				r.nc.SetReadDeadline(time.Now().Add(30 * time.Second))
+				body, err := ReadMsg(r.nc, MaxMsize)
+				if err != nil {
+					t.Errorf("reading response %d: %v", k, err)
+					return
+				}
+				if f, err := Unmarshal(body); err != nil || f.Type != MsgRstat {
+					t.Errorf("response %d: %v, %+v", k, err, f)
+					return
+				}
+			}
+			r.nc.Close()
+		}()
+	}
+	wg.Wait()
+	waitFor(t, "all goroutines of the closed connections to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Server.Close did not return")
+	}
+	if n := liveWorkers(); n != 0 {
+		t.Fatalf("%d workers outlived Server.Close", n)
+	}
+}

@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all help build check vet race audit ci stress bench bench-parallel bench-test memscale-smoke serve-smoke shard-smoke dcbench
+.PHONY: all help build check vet race audit ci stress bench bench-parallel bench-test memscale-smoke serve-smoke shard-smoke dcbench loc
 
 all: ci
 
@@ -26,6 +26,7 @@ help:
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean) + pipelined dispatch"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
+	@echo "  loc            the two line counts ROADMAP item 4 tracks (non-test Go: core+vfs, and everything outside benchmark/)"
 
 build:
 	$(GO) build ./...
@@ -79,8 +80,9 @@ memscale-smoke:
 # in-repo client through attach/walk/stat/readdir/read round trips under
 # two principals, assert a clean drain on shutdown — and the tracing
 # acceptance: a cold 14-component wire walk stitches into ONE
-# client+server trace and a warm sibling walk records a shortcut resume
-# with depth saved, both readable off /slow and /metrics.json.
+# client+server trace and a warm sibling walk stitches the same way with
+# a dlht_hit on its server span, both readable off /slow and
+# /metrics.json.
 serve-smoke:
 	$(GO) test -run 'TestServeSmoke|TestServeTraceSmoke' -count=1 ./cmd/dcserve
 
@@ -98,3 +100,12 @@ shard-smoke:
 # from benchmark/ (bash benchmark/run.sh), not from this target.
 dcbench:
 	$(GO) run ./cmd/dcbench -scale small
+
+# The two counts ROADMAP item 4 tracks, computed one way: lines of
+# non-test Go under internal/core + internal/vfs, and lines of non-test
+# Go outside benchmark/ (and its build directory).
+loc:
+	@printf 'internal/core + internal/vfs, non-test Go lines: '; \
+		find internal/core internal/vfs -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'outside benchmark/, non-test Go lines:           '; \
+		find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l

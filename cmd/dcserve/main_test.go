@@ -93,8 +93,9 @@ func TestServeSmoke(t *testing.T) {
 // 14-component walk through the 9P client must flight-record exactly ONE
 // stitched client+server trace (client RPC round trip, server Twalk
 // dispatch, kernel walk stages with backend lookups), and a warm walk of
-// a sibling must record a shortcut_resume span event carrying the depth
-// it saved — all observable over the wire and on /slow + /metrics.json.
+// a sibling must stitch the same way with the server span showing the
+// fastpath's DLHT hit in place of the backend stages — all observable
+// over the wire and on /slow + /metrics.json.
 func TestServeTraceSmoke(t *testing.T) {
 	sysC := make(chan *dircache.System, 1)
 	testSysHook = func(s *dircache.System) { sysC <- s }
@@ -191,44 +192,44 @@ func TestServeTraceSmoke(t *testing.T) {
 		t.Error("cold stitched trace's server span shows no backend lookup stage")
 	}
 
-	// Warm pass: publish the deepest ancestor (AdmitAfter=2 wants repeat
-	// touches), then walk a sibling — its slow walk must hash-resume from
-	// the published spine dir instead of re-walking 13 components.
-	for i := 0; i < 3; i++ {
-		if _, err := p.Stat(spine); err != nil {
-			t.Fatalf("warm stat: %v", err)
-		}
-		if _, err := p.Stat(spine + "/app.conf"); err != nil {
-			t.Fatalf("warm stat leaf: %v", err)
-		}
-	}
+	// Warm pass: repeat touches publish the sibling (AdmitAfter=2), then
+	// one more wire walk — its stitched server span must show the whole
+	// path answered by a DLHT probe.
 	leafB := strings.TrimPrefix(spine, "/") + "/app.log"
-	if f, err := root.WalkPath(leafB); err == nil {
+	for i := 0; i < 4; i++ {
+		f, err := root.WalkPath(leafB)
+		if err != nil {
+			t.Fatalf("warm WalkPath: %v", err)
+		}
 		f.Clunk()
-	} else {
-		t.Fatalf("warm WalkPath: %v", err)
 	}
-	// And a miss below the published ancestor (the canonical resume shape).
 	if _, err := root.WalkPath(leafB + "x"); !errors.Is(err, fsapi.ENOENT) {
 		t.Fatalf("want ENOENT for missing sibling, got %v", err)
 	}
 
 	traces, _ = tel.Raw().SlowTraces()
-	depth := -1
-	for _, tr := range traces {
-		for _, ev := range tr.Events {
-			if ev.Kind == telemetry.EvShortcutResume {
-				fmt.Sscanf(ev.Detail, "depth=%d", &depth)
+	groups = telemetry.StitchTraces(traces)
+	sawWarm := false
+	for i := range groups {
+		if !hasSpanOrigin(&groups[i], "client") {
+			continue
+		}
+		for _, sp := range groups[i].Spans {
+			if sp.Origin != "server" || sp.Path != "/"+leafB {
+				continue
+			}
+			for _, ev := range sp.Events {
+				sawWarm = sawWarm || ev.Kind == telemetry.EvDLHTHit
 			}
 		}
 	}
-	if depth < 1 {
-		t.Fatalf("no warm walk recorded a shortcut_resume span event with depth saved (depth=%d)", depth)
+	if !sawWarm {
+		t.Fatal("no stitched warm walk shows a dlht_hit event on its server span")
 	}
 
 	// The same stories must be readable off the ops endpoints.
 	slowBody := httpGet(t, "http://"+maddr+"/slow")
-	for _, want := range []string{`"origin": "client"`, `"origin": "server"`, telemetry.EvShortcutResume, telemetry.EvRPC} {
+	for _, want := range []string{`"origin": "client"`, `"origin": "server"`, telemetry.EvDLHTHit, telemetry.EvRPC} {
 		if !strings.Contains(slowBody, want) {
 			t.Errorf("/slow output missing %q", want)
 		}

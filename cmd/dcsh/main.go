@@ -283,8 +283,7 @@ other:  help  exit
 		fmt.Printf("miss storms   %d coalesced (%d waited), %d bulk populations\n",
 			st.MissCoalesced, st.InLookupWaits, st.BulkPopulations)
 		fmt.Printf("invalidations %d, populations %d\n", st.Invalidations, st.Populations)
-		fmt.Printf("shortcuts     %d resumes, %d components skipped, %d bytes hashed\n",
-			st.ShortcutResumes, st.ShortcutDepthSaved, st.HashedBytes)
+		fmt.Printf("path hash     %d bytes hashed\n", st.HashedBytes)
 		m := sys.MemStats()
 		live := m.Dentries.Live + m.ChainNodes.Live + m.FastDentries.Live + m.DLHTNodes.Live
 		slots := int64(m.Dentries.Slots + m.ChainNodes.Slots + m.FastDentries.Slots + m.DLHTNodes.Slots)

@@ -74,11 +74,6 @@ type Features struct {
 	// LexicalDotDot selects Plan 9 lexical ".." semantics on the
 	// fastpath instead of Linux's extra per-dot-dot check.
 	LexicalDotDot bool
-	// DirShortcuts enables directory shortcut resume: walks resume from
-	// the deepest already-cached ancestor of the target path instead of
-	// the walk start, so lookup cost stops scaling with path depth
-	// (requires DirectLookup).
-	DirShortcuts bool
 }
 
 // AllFeatures returns the full optimized feature set evaluated in the
@@ -90,7 +85,6 @@ func AllFeatures() Features {
 		AggressiveNegatives: true,
 		DeepNegatives:       true,
 		SymlinkAliases:      true,
-		DirShortcuts:        true,
 	}
 }
 
@@ -171,7 +165,6 @@ func New(cfg Config) *System {
 			SymlinkAliases: cfg.Features.SymlinkAliases,
 			LexicalDotDot:  cfg.Features.LexicalDotDot,
 			ForcePCCMiss:   cfg.ForcePCCMiss,
-			DirShortcuts:   cfg.Features.DirShortcuts,
 		})
 	}
 	if cfg.Telemetry.Enabled {

@@ -40,10 +40,6 @@ type Scale struct {
 	// AppReps is the number of measured repetitions per application in
 	// Table 1/2 (minimum is reported, like LMBench).
 	AppReps int
-	// DeepDepths is the spine-depth ladder for the deepwalk experiment.
-	DeepDepths []int
-	// DeepLeaves is the number of leaf files per deepwalk tree.
-	DeepLeaves int
 	// MemEntries is the entry-count ladder for the memscale experiment
 	// (cached dentries held live per measurement point).
 	MemEntries []int
@@ -72,8 +68,6 @@ func SmallScale() Scale {
 		DovecotOps:   900,
 		WebRequests:  200,
 		AppReps:      15,
-		DeepDepths:   []int{16, 32, 64},
-		DeepLeaves:   6,
 		MemEntries:   []int{20_000, 100_000},
 	}
 }
@@ -92,8 +86,6 @@ func PaperScale() Scale {
 		DovecotOps:   4000,
 		WebRequests:  2000,
 		AppReps:      5,
-		DeepDepths:   []int{16, 32, 64},
-		DeepLeaves:   24,
 		MemEntries:   []int{1_000_000, 10_000_000},
 	}
 }
@@ -194,7 +186,6 @@ func Experiments() []Experiment {
 		{"lat", "warm stat latency distribution (mean + p50/p95/p99)", Lat},
 		{"coherence", "coherence event rates, journal health, invariant audit", Coherence},
 		{"coldstorm", "cold-miss storms over remotefs: bulk population and miss coalescing", ColdStorm},
-		{"deepwalk", "deep-tree walks: directory shortcut resume vs path depth", Deepwalk},
 		{"connstorm", "9P connection storm: coalesced cold walks, warm wire RPCs and latency", ConnStorm},
 		{"traceoverhead", "walk tracing tax: warm stat loop at 1/64 sampling vs disabled", TraceOverhead},
 		{"memscale", "memory-scale dentries: slab arenas vs pointer heap (bytes/entry, GC pause, walk p99)", Memscale},

@@ -90,6 +90,7 @@ func Coherence(sc Scale) (*Report, error) {
 	audStop := make(chan struct{})
 	var loop struct {
 		passes, valid, violations int
+		findings                  []dircache.AuditFinding
 	}
 	var audWG sync.WaitGroup
 	audWG.Add(1)
@@ -106,6 +107,7 @@ func Coherence(sc Scale) (*Report, error) {
 			if r.Valid {
 				loop.valid++
 				loop.violations += r.Violations()
+				loop.findings = append(loop.findings, r.Findings...)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
@@ -163,6 +165,16 @@ func Coherence(sc Scale) (*Report, error) {
 	}
 	r.note("auditor at quiescence: %s (valid=%v, %d violations)",
 		verdict, final.Valid, final.Violations())
+	// A bare count cannot tell an auditor false alarm from a stale entry:
+	// name every finding (storm passes first, then the quiescent pass).
+	findings := append(loop.findings, final.Findings...)
+	for i, f := range findings {
+		if i == 16 {
+			r.note("... and %d more findings", len(findings)-i)
+			break
+		}
+		r.note("finding: check=%s ref=%d path=%q: %s", f.Check, f.Ref, f.Path, f.Detail)
+	}
 	return r, nil
 }
 

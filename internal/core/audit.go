@@ -77,16 +77,6 @@ func (ar *auditRun) add(f audit.Finding) {
 //     for a dentry is an admission deferral, the dentry must not be live
 //     in any table (deferred entries never serve a fastpath hit; every
 //     publish emits a dlht_insert, which supersedes the deferral).
-//   - shortcut_state: the memoized per-dentry signature state (what a
-//     shortcut resume trusts and resumes hashing from) must equal a
-//     from-root recompute of the canonical path. Skipped while mount
-//     aliasing is active, like dlht_sig.
-//   - shortcut_resume: for the newest retained shortcut journal event of
-//     each live resume-point dentry (seq still matching the journaled
-//     value), the resuming credential's prefix check to that dentry must
-//     re-pass — a resume whose skipped prefix the credential cannot
-//     search is the legality violation DESIGN §5f forbids. Skipped under
-//     chroot, like pcc_prefix.
 func (c *Core) AuditFindings(limit int) ([]audit.Finding, map[string]int) {
 	if limit <= 0 {
 		limit = 1
@@ -118,7 +108,7 @@ func (c *Core) AuditFindings(limit int) ([]audit.Finding, map[string]int) {
 	if c.k.ChrootCount() == 0 {
 		c.auditPCCs(ar, pccs)
 	}
-	c.auditJournal(ar, dlhts, pccs)
+	c.auditJournal(ar, dlhts)
 	return ar.findings, ar.checked
 }
 
@@ -184,16 +174,6 @@ func (c *Core) auditDLHT(ar *auditRun, dl *DLHT, aliasFree bool) {
 		if ridx, rsg := st.Sum(); ridx != idx || rsg != sg {
 			ar.add(audit.Finding{Check: "dlht_sig", Ref: d.ID(), Path: d.PathTo(),
 				Detail: "stored signature does not match a from-scratch recompute of the canonical path"})
-		}
-		// The resumable state is held to the same standard as the final
-		// signature: a shortcut resume rehashes from it, so a drifted
-		// state would silently poison every path hashed below it.
-		if sp := fd.statePtr.Load(); sp != nil {
-			ar.checked["shortcut_state"]++
-			if *sp != st {
-				ar.add(audit.Finding{Check: "shortcut_state", Ref: d.ID(), Path: d.PathTo(),
-					Detail: "memoized resumable hash state does not match a from-root recompute of the canonical path"})
-			}
 		}
 	})
 }
@@ -316,7 +296,7 @@ func (c *Core) reverifyPrefix(reg pccReg, d *vfs.Dentry) (string, bool) {
 // set is snapshotted before the journal is dumped: an insert landing
 // between the two snapshots yields a newer insert event, never a false
 // positive. Requires the journal (skipped when telemetry is off).
-func (c *Core) auditJournal(ar *auditRun, dlhts []*DLHT, pccs []pccReg) {
+func (c *Core) auditJournal(ar *auditRun, dlhts []*DLHT) {
 	tel := c.tele()
 	if tel == nil {
 		return
@@ -331,7 +311,6 @@ func (c *Core) auditJournal(ar *auditRun, dlhts []*DLHT, pccs []pccReg) {
 	latest := map[uint64]telemetry.JournalKind{}
 	admLatest := map[uint64]telemetry.JournalKind{}
 	batchGen := map[uint64]int64{}
-	shortcuts := map[uint64]telemetry.Event{}
 	for _, ev := range events { // ID-sorted: later wins
 		switch ev.Kind {
 		case telemetry.JDLHTInsert, telemetry.JDLHTRemove:
@@ -341,8 +320,6 @@ func (c *Core) auditJournal(ar *auditRun, dlhts []*DLHT, pccs []pccReg) {
 			admLatest[ev.Ref] = ev.Kind
 		case telemetry.JBatchShoot:
 			batchGen[ev.Ref] = ev.Aux
-		case telemetry.JShortcut:
-			shortcuts[ev.Ref] = ev
 		}
 	}
 	for ref, kind := range latest {
@@ -373,52 +350,6 @@ func (c *Core) auditJournal(ar *auditRun, dlhts []*DLHT, pccs []pccReg) {
 	// so a live subtree root whose shootMark predates the journaled
 	// generation means the shootdown never became visible to probes.
 	c.auditBatchMarks(ar, batchGen)
-	c.auditShortcuts(ar, shortcuts, pccs)
-}
-
-// auditShortcuts cross-checks shortcut journal events against current
-// permissions: a resume was only legal if the resuming credential's
-// prefix check covered the skipped components, so — as long as the
-// resume-point dentry's seq still matches the journaled value, meaning
-// no permission or structural change intervened — the credential must
-// still pass a full prefix re-verification to the resume point. Skipped
-// under chroot for the same reason as pcc_prefix: the auditor cannot
-// reconstruct task-root-relative checks.
-func (c *Core) auditShortcuts(ar *auditRun, shortcuts map[uint64]telemetry.Event, pccs []pccReg) {
-	if len(shortcuts) == 0 || c.k.ChrootCount() != 0 {
-		return
-	}
-	byID := map[uint64]*vfs.Dentry{}
-	c.k.ForEachDentry(func(d *vfs.Dentry) {
-		if _, want := shortcuts[d.ID()]; want {
-			byID[d.ID()] = d
-		}
-	})
-	for ref, ev := range shortcuts {
-		d, ok := byID[ref]
-		if !ok || d.IsDead() {
-			continue // resume point evicted since; the resume is history
-		}
-		if dentrySeq(d) != uint64(ev.Aux) {
-			continue // mutated since the resume; nothing to re-verify
-		}
-		var credID uint64
-		var depth int
-		if _, err := fmt.Sscanf(ev.Note, "cred=%d depth=%d", &credID, &depth); err != nil {
-			continue
-		}
-		for _, reg := range pccs {
-			if reg.cr.ID() != credID {
-				continue
-			}
-			ar.checked["shortcut_resume"]++
-			if name, ok := c.reverifyPrefix(reg, d); !ok {
-				ar.add(audit.Finding{Check: "shortcut_resume", Ref: ref, Path: d.PathTo(),
-					Detail: fmt.Sprintf("walk for cred %d resumed at this dentry skipping %d components, but the credential's prefix check fails at ancestor %q (unauthorized shortcut)", credID, depth, name)})
-			}
-			break
-		}
-	}
 }
 
 // auditBatchMarks cross-checks batch_shoot journal events against live

@@ -27,7 +27,7 @@ func auditFixture(t *testing.T) (*vfs.Kernel, *Core, *vfs.Task) {
 	tel := telemetry.New(telemetry.Options{})
 	tel.Enable()
 	k.SetTelemetry(tel)
-	c := Install(k, Config{Seed: 42, DeepNegatives: true, SymlinkAliases: true, DirShortcuts: true})
+	c := Install(k, Config{Seed: 42, DeepNegatives: true, SymlinkAliases: true})
 	root := k.NewTask(cred.Root())
 	for _, p := range []string{"/a", "/a/b", "/a/b/c", "/mv", "/tmp"} {
 		if err := root.Mkdir(p, 0o755); err != nil {

@@ -42,16 +42,7 @@ type Config struct {
 	// Nth slow-path touch (admission control: single-touch paths — tar
 	// extraction, rm -r — never pay population cost). 0 selects the default
 	// of 2; 1 or less admits on first touch (the original behaviour).
-	// Scan-shaped walks (single-component lookups under a DIR_COMPLETE
-	// parent, i.e. readdir-then-stat streaks) bypass the counter and admit
-	// eagerly regardless.
 	AdmitAfter int
-	// DirShortcuts enables directory shortcut resume (DESIGN §5f): walks
-	// resume from the deepest already-cached ancestor of the target path
-	// — the fastpath seeds its scan from its memoized state, and slow
-	// walks start at its dentry — so per-lookup cost stops scaling with
-	// path depth (cf. Stage Lookup's directory shortcuts).
-	DirShortcuts bool
 }
 
 // Stats are fastpath counters.
@@ -74,16 +65,12 @@ type Stats struct {
 
 	// Admission control + batched shootdown (zero when AdmitAfter <= 1
 	// and no bulk mutations ran).
-	Admitted        int64 // populations allowed (Nth touch or bypass)
+	Admitted        int64 // populations allowed on a dentry's Nth touch
 	Deferred        int64 // populations declined pending more touches
-	Bypassed        int64 // scan-shaped walks admitted eagerly
 	BatchShootdowns int64 // subtree invalidations taken as one range mark
 	LazyShootdowns  int64 // stale entries discarded lazily by probes/sweeps
 
-	// Directory shortcuts (zero when Config.DirShortcuts is off).
-	ShortcutResumes    int64 // walks resumed from a cached ancestor
-	ShortcutDepthSaved int64 // path components skipped by those resumes
-	HashedBytes        int64 // bytes fed to the path hash (all paths)
+	HashedBytes int64 // bytes fed to the path hash (all paths)
 }
 
 // statsCell holds the fastpath counters. The miss counters sit on the
@@ -93,14 +80,13 @@ type Stats struct {
 type statsCell struct {
 	dlhtMiss, pccMiss, dotDotChecks stripe.Int64
 
-	// Shortcut-resume counters ride the warm fastpath (seeded scans) and
-	// every scan feeds hashedBytes, so all three are striped too.
-	shortcutResumes, shortcutDepthSaved, hashedBytes stripe.Int64
+	// Every scan, warm ones included, feeds hashedBytes: striped too.
+	hashedBytes stripe.Int64
 
 	populations, invalidations, staleTokens, aliasCreated,
 	deepNegCreated, seqBumps atomic.Int64
 
-	admitted, deferred, bypassed,
+	admitted, deferred,
 	batchShootdowns, lazyShootdowns atomic.Int64
 }
 
@@ -244,19 +230,6 @@ type Core struct {
 	// range shootdown. Test-only: it exists so the audit tests can prove
 	// the auditor catches a batch mark that never landed.
 	testSkipBatchMark bool
-
-	// testSkipShortcutPCC, when set, makes shortcut-resume authorization
-	// skip the PCC-coverage check — resumes then skip the prefix's search
-	// permissions for credentials that never passed them. Test-only: it
-	// exists so the audit tests can prove the shortcut_resume cross-check
-	// catches an unauthorized resume.
-	testSkipShortcutPCC bool
-
-	// testSkewShortcutTraceDepth, when set, journals a shortcut resume's
-	// depth off by one for traced walks while the span keeps the true
-	// depth. Test-only: it exists so the audit tests can prove the
-	// trace_journal_shortcut cross-check catches a span/journal mismatch.
-	testSkewShortcutTraceDepth bool
 }
 
 // pccReg pairs a registered PCC with the credential it caches for.
@@ -307,13 +280,10 @@ func (c *Core) Stats() Stats {
 
 		Admitted:        c.stats.admitted.Load(),
 		Deferred:        c.stats.deferred.Load(),
-		Bypassed:        c.stats.bypassed.Load(),
 		BatchShootdowns: c.stats.batchShootdowns.Load(),
 		LazyShootdowns:  c.stats.lazyShootdowns.Load(),
 
-		ShortcutResumes:    c.stats.shortcutResumes.Load(),
-		ShortcutDepthSaved: c.stats.shortcutDepthSaved.Load(),
-		HashedBytes:        c.stats.hashedBytes.Load(),
+		HashedBytes: c.stats.hashedBytes.Load(),
 	}
 }
 

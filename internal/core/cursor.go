@@ -23,12 +23,6 @@ const cursorInline = 24
 // to heap-allocate every cursor — one ~2 KB allocation per TryFast. With
 // plain arrays plus a counter the cursor stays on the caller's stack and
 // the warm path stays allocation-free.
-//
-// Alongside each pushed state the cursor records the component's end
-// offset in the original path string. Those marks let a shortcut search
-// recover, for any prefix depth d, both the signature state (stateAt(d))
-// and the lexical prefix text (path[:offAt(d-1)]) without re-scanning —
-// the raw material for resume points (DESIGN §5f).
 type pathCursor struct {
 	st     sig.State
 	base   vfs.PathRef
@@ -36,11 +30,7 @@ type pathCursor struct {
 
 	n        int // components currently pushed above base
 	stackArr [cursorInline]sig.State
-	// offsArr[i] is the end offset, in the original path string, of the
-	// prefix consisting of the first i+1 pushed components.
-	offsArr [cursorInline]int
-	xstack  []sig.State // overflow frames cursorInline.. (heap)
-	xoffs   []int
+	xstack   []sig.State // overflow frames cursorInline.. (heap)
 
 	// Best-effort dentry cursor tracking the lexical path (population
 	// only; enable with trackD before seeding).
@@ -49,8 +39,7 @@ type pathCursor struct {
 	dstackArr [cursorInline]vfs.PathRef
 	xdstack   []vfs.PathRef
 
-	hashed int  // bytes appended to signature states during this scan
-	dotted bool // scan saw "." or "..": shortcut marks are not usable
+	hashed int // bytes appended to signature states during this scan
 }
 
 // init points the cursor at start, resuming the hash from start's
@@ -61,61 +50,29 @@ func (pc *pathCursor) init(c *Core, start vfs.PathRef) bool {
 	if !ok {
 		return false
 	}
-	pc.seed(start, st)
-	return true
-}
-
-// seed points the cursor at base with an already-known state — the
-// shortcut-resume entry point: base is a published ancestor and st its
-// canonical-path state.
-func (pc *pathCursor) seed(base vfs.PathRef, st sig.State) {
 	pc.st = st
-	pc.base = base
+	pc.base = start
 	pc.atBase = true
-	pc.cursor = base
-	pc.n = 0
-	pc.xstack = pc.xstack[:0]
-	pc.xoffs = pc.xoffs[:0]
-	pc.xdstack = pc.xdstack[:0]
+	pc.cursor = start
+	return true
 }
 
 // depth returns the number of components currently pushed above base.
 func (pc *pathCursor) depth() int { return pc.n }
 
-// stateAt returns the signature state after the first i pushed
-// components (i < depth()); stateAt(0) is the base state.
-func (pc *pathCursor) stateAt(i int) sig.State {
-	if i < cursorInline {
-		return pc.stackArr[i]
-	}
-	return pc.xstack[i-cursorInline]
-}
-
-// offAt returns the end offset of the (i+1)-component prefix in the
-// original path string (i < depth()).
-func (pc *pathCursor) offAt(i int) int {
-	if i < cursorInline {
-		return pc.offsArr[i]
-	}
-	return pc.xoffs[i-cursorInline]
-}
-
-// push extends the cursor by one ordinary component whose text ends at
-// endOff in the original path. False means the path would exceed
-// sig.MaxPathLen.
-func (pc *pathCursor) push(comp string, endOff int) bool {
+// push extends the cursor by one ordinary component. False means the path
+// would exceed sig.MaxPathLen.
+func (pc *pathCursor) push(comp string) bool {
 	if !pc.st.Fits(len(comp) + 1) {
 		return false
 	}
 	if pc.n < cursorInline {
 		pc.stackArr[pc.n] = pc.st
-		pc.offsArr[pc.n] = endOff
 		if pc.trackD {
 			pc.dstackArr[pc.n] = pc.cursor
 		}
 	} else {
 		pc.xstack = append(pc.xstack, pc.st)
-		pc.xoffs = append(pc.xoffs, endOff)
 		if pc.trackD {
 			pc.xdstack = append(pc.xdstack, pc.cursor)
 		}
@@ -146,7 +103,6 @@ func (pc *pathCursor) pop(c *Core, t *vfs.Task) bool {
 				pc.xdstack = pc.xdstack[:k]
 			}
 			pc.xstack = pc.xstack[:k]
-			pc.xoffs = pc.xoffs[:k]
 		}
 		pc.atBase = pc.n == 0
 		return true

@@ -1,0 +1,179 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"dircache/internal/audit"
+	"dircache/internal/cred"
+	"dircache/internal/fsapi"
+)
+
+// TestWarmFastpathHashesPathOnce pins what HashedBytes (and so
+// sig.hashed_bytes_per_op) means: a warm TryFast hit hashes every
+// ordinary component of the requested path, with its separator, from the
+// walk start exactly once — "." and ".." hash nothing, and no scan starts
+// anywhere but at the walk start's stored state. The miss below the deep
+// directory comes first on purpose: a per-task prefix memo recorded on a
+// miss would make the next scan hash only a suffix.
+func TestWarmFastpathHashesPathOnce(t *testing.T) {
+	k, c, root := auditFixture(t)
+	for _, p := range []string{"/w", "/w/x", "/w/x/y", "/w/x/y/z"} {
+		if err := root.Mkdir(p, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := root.Create("/w/x/y/z/f1", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		for _, p := range []string{"/w/x/y/z", "/w/x/y/z/f1"} {
+			if _, err := root.Stat(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := root.Stat("/w/x/y/z/nope"); !errors.Is(err, fsapi.ENOENT) {
+		t.Fatalf("want ENOENT, got %v", err)
+	}
+
+	for _, tc := range []struct {
+		name, cwd, path string
+		want            int
+	}{
+		{"absolute", "/", "/w/x/y/z/f1", len("/w/x/y/z/f1")},
+		{"cwd-relative", "/w/x", "y/z/f1", len("/y/z/f1")},
+		{"dot-dot", "/", "/w/x/../x/./y/z/f1", len("/w/x") + len("/x/y/z/f1")},
+	} {
+		if err := root.Chdir(tc.cwd); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ { // admit this spelling of the path
+			if _, err := root.Stat(tc.path); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		hits, hashed := k.Stats().FastHits, c.Stats().HashedBytes
+		if _, err := root.Stat(tc.path); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := k.Stats().FastHits - hits; got != 1 {
+			t.Fatalf("%s: warm stat took %d fastpath hits, want 1", tc.name, got)
+		}
+		if got := c.Stats().HashedBytes - hashed; got != int64(tc.want) {
+			t.Errorf("%s: warm hit hashed %d bytes of %q, want %d", tc.name, got, tc.path, tc.want)
+		}
+	}
+}
+
+// TestCursorSpillBeyondInlineStack walks paths deeper than the cursor's
+// 24-frame inline stack through both consumers of pathCursor — the
+// TryFast scan and the population-side lexical hash — and confirms the
+// spill path publishes and fast-hits exactly like shallow paths.
+func TestCursorSpillBeyondInlineStack(t *testing.T) {
+	k, c, root := auditFixture(t)
+
+	var b strings.Builder
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&b, "/d%02d", i)
+		if err := root.Mkdir(b.String(), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deep := b.String() + "/leaf"
+	if err := root.Create(deep, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 3; i++ {
+		if _, err := root.Stat(deep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Stats().Populations == 0 {
+		t.Fatal("deep path never admitted: lexicalHash spill failed")
+	}
+	before := k.Stats().FastHits
+	if _, err := root.Stat(deep); err != nil {
+		t.Fatal(err)
+	}
+	if k.Stats().FastHits == before {
+		t.Fatal("31-component path never fast-hits: scan spill failed")
+	}
+	if _, checked := c.AuditFindings(8); checked["dlht_sig"] == 0 {
+		t.Fatal("audit never recomputed the deep signature")
+	}
+	if findings, _ := c.AuditFindings(8); len(findings) != 0 {
+		t.Fatalf("audit dirty after deep-path spill: %+v", findings)
+	}
+}
+
+// TestDeepWalkInvariantUnderShootdowns races walks below a 12-directory
+// spine against chmod churn and batched rename shootdowns over that
+// spine. Only success and ENOENT (the mid-rename window) are legal
+// answers, and the auditor must be clean once the storm quiesces.
+func TestDeepWalkInvariantUnderShootdowns(t *testing.T) {
+	k, c, root := auditFixture(t)
+
+	var b strings.Builder
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&b, "/s%02d", i)
+		if err := root.Mkdir(b.String(), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spine := b.String()
+	for i := 0; i < 8; i++ {
+		if err := root.Create(fmt.Sprintf("%s/f%d", spine, i), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	iters := 1500
+	if testing.Short() {
+		iters = 150
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			task := k.NewTask(cred.Root())
+			for i := 0; i < iters; i++ {
+				if _, err := task.Stat(fmt.Sprintf("%s/f%d", spine, (seed+i)%8)); err != nil && !errors.Is(err, fsapi.ENOENT) {
+					panic(fmt.Sprintf("deep stat: %v", err))
+				}
+				if _, err := task.Stat(spine + "/absent"); err != nil && !errors.Is(err, fsapi.ENOENT) {
+					panic(fmt.Sprintf("deep negative stat: %v", err))
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		task := k.NewTask(cred.Root())
+		for i := 0; i < iters; i++ {
+			// Batched shootdown over the whole spine, then restore.
+			if err := task.Rename("/s00", "/moved"); err == nil {
+				task.Rename("/moved", "/s00")
+			}
+			task.Chmod("/s00/s01", fsapi.Mode(0o755))
+			if i%8 == 0 {
+				k.Shrink(8)
+			}
+		}
+	}()
+	wg.Wait()
+
+	// Quiesced: the old location must be walkable again end to end.
+	if _, err := root.Stat(spine + "/f0"); err != nil {
+		t.Fatalf("stable deep path lost after storm: %v", err)
+	}
+	if r := audit.New(k, c).RunUntilValid(5); !r.Valid || r.Violations() != 0 {
+		t.Fatalf("audit dirty after shootdown storm: %s", r.Summary())
+	}
+}

@@ -24,7 +24,6 @@ type Introspection struct {
 	ShootGen    uint64      `json:"shoot_gen"`    // batch-shootdown generation counter
 	Admitted    int64       `json:"admitted"`     // populations allowed on Nth touch
 	Deferred    int64       `json:"deferred"`     // populations declined by admission control
-	Bypassed    int64       `json:"bypassed"`     // scan-shaped walks admitted eagerly
 	BatchShoots int64       `json:"batch_shoots"` // range shootdowns taken instead of subtree walks
 	LazyShoots  int64       `json:"lazy_shoots"`  // stale entries lazily discarded
 	DLHTs       []DLHTStats `json:"dlhts"`        // one per mount namespace
@@ -45,7 +44,6 @@ func (c *Core) Introspect() Introspection {
 		ShootGen:    c.shootGen.Load(),
 		Admitted:    c.stats.admitted.Load(),
 		Deferred:    c.stats.deferred.Load(),
-		Bypassed:    c.stats.bypassed.Load(),
 		BatchShoots: c.stats.batchShootdowns.Load(),
 		LazyShoots:  c.stats.lazyShootdowns.Load(),
 	}

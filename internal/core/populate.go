@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"dircache/internal/fsapi"
 	"dircache/internal/sig"
 	"dircache/internal/telemetry"
@@ -11,17 +9,11 @@ import (
 
 // admitPopulate is the §3.1 population gate with admission control: DLHT
 // insertion and PCC memoization only happen on a dentry's Nth slow-path
-// touch (Config.AdmitAfter, default 2), so single-touch paths — tar
-// extraction streams, rm -r teardown scans — never pay population cost
-// for entries that will not be revisited (cf. Stage Lookup: shortcut
-// caches only pay off for re-visited prefixes).
-//
-// The exception is scan-shaped walks: a single-component lookup whose
-// parent directory is DIR_COMPLETE is a readdir-then-stat streak (find,
-// du, updatedb, Apache directory listings), and those revisit every entry
-// on the next scan — deferring would forfeit the Fig 9 / Table 3 wins, so
-// they bypass the counter and admit eagerly.
-func (c *Core) admitPopulate(start vfs.PathRef, path string, d *vfs.Dentry) bool {
+// touch (Config.AdmitAfter, default 2), or at once if the dentry is
+// already published, so single-touch paths — tar extraction streams,
+// rm -r teardown scans — never pay population cost for entries that will
+// not be revisited.
+func (c *Core) admitPopulate(d *vfs.Dentry) bool {
 	if c.admitAfter <= 1 {
 		return true
 	}
@@ -46,32 +38,11 @@ func (c *Core) admitPopulate(start vfs.PathRef, path string, d *vfs.Dentry) bool
 		}
 		return true
 	}
-	if scanShaped(start, path, d) {
-		c.stats.bypassed.Add(1)
-		if tel := c.tele(); tel != nil {
-			tel.Emit(telemetry.JAdmitted, d.ID(), int64(n), "bypass")
-		}
-		return true
-	}
 	c.stats.deferred.Add(1)
 	if tel := c.tele(); tel != nil {
 		tel.Emit(telemetry.JAdmitDefer, d.ID(), int64(n), "")
 	}
 	return false
-}
-
-// scanShaped reports whether the walk that produced d looks like one step
-// of a readdir-then-stat streak: a single-component lookup, relative to a
-// directory reference whose listing is already complete, resolving to a
-// direct child of that directory.
-func scanShaped(start vfs.PathRef, path string, d *vfs.Dentry) bool {
-	if strings.IndexByte(path, '/') >= 0 {
-		return false
-	}
-	if start.D == nil || start.D.Flags()&vfs.DComplete == 0 {
-		return false
-	}
-	return d.Parent() == start.D
 }
 
 // EndSlowLookup implements vfs.Hooks: after a successful slow walk, hash
@@ -86,7 +57,7 @@ func (c *Core) EndSlowLookup(token uint64, t *vfs.Task, start vfs.PathRef, path 
 	if lexical.D == nil || res.D == nil || lexical.D.IsDead() || res.D.IsDead() {
 		return
 	}
-	if !c.admitPopulate(start, path, lexical.D) {
+	if !c.admitPopulate(lexical.D) {
 		return
 	}
 	ns := t.Namespace()
@@ -100,7 +71,7 @@ func (c *Core) EndSlowLookup(token uint64, t *vfs.Task, start vfs.PathRef, path 
 	// hash equals the dentry's own canonical-path state (the start's
 	// state is canonical, and mount crossings fold identically), so the
 	// signature comes from the cached parent chain in O(1) instead of
-	// re-scanning the path. The shortcut is only sound while no path
+	// re-scanning the path. That is only sound while no path
 	// aliases exist (bind mounts / cloned namespaces give dentries
 	// multiple canonical paths; the §4.3 most-recent-wins re-signing
 	// then requires hashing the request's own view).
@@ -195,7 +166,7 @@ func (c *Core) lexicalHash(t *vfs.Task, ns *vfs.Namespace, dl *DLHT, pcc *PCC, s
 				return sig.State{}, false
 			}
 		default:
-			if !cur.push(comp, len(path)-len(rem)) {
+			if !cur.push(comp) {
 				return sig.State{}, false
 			}
 			cur.cursor = c.advanceCursor(ns, cur.cursor, comp)
@@ -236,7 +207,7 @@ func (c *Core) EndSlowNegative(token uint64, t *vfs.Task, start vfs.PathRef, pat
 	if f.Anchor.D == nil || f.Anchor.D.IsDead() {
 		return
 	}
-	if !c.admitPopulate(start, path, f.Anchor.D) {
+	if !c.admitPopulate(f.Anchor.D) {
 		return
 	}
 	ns := t.Namespace()

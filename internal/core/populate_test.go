@@ -111,83 +111,6 @@ func TestAdmissionAfterThree(t *testing.T) {
 	}
 }
 
-func TestAdmissionScanBypass(t *testing.T) {
-	k, c, root := admission(t, 0)
-	if err := root.Mkdir("/scan", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"a", "b", "c", "d"}
-	for _, n := range names {
-		if err := root.Create("/scan/"+n, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// List the directory (marks it DIR_COMPLETE), then stat each entry
-	// relative to it — the readdir-then-stat shape of find/du/updatedb.
-	f, err := root.Open("/scan", vfs.O_RDONLY|vfs.O_DIRECTORY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.ReadDirAll(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if err := root.Chdir("/scan"); err != nil {
-		t.Fatal(err)
-	}
-
-	// A single-component stat over a DIR_COMPLETE parent is scan-shaped:
-	// scans revisit, so the slow walk's bypass admits each stat eagerly
-	// despite AdmitAfter — the find/du/updatedb shape.
-	s0 := c.Stats()
-	for _, n := range names {
-		if _, err := root.Stat(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := c.Stats()
-	if got := d.Bypassed - s0.Bypassed; got != int64(len(names)) {
-		t.Fatalf("scan-shaped stats should bypass admission: want %d, got %d", len(names), got)
-	}
-	if d.Deferred != s0.Deferred {
-		t.Fatal("scan-shaped stat was deferred")
-	}
-
-	// Cold scan: drop the cache and re-list, installing unhydrated
-	// readdir stubs. Stubs force the slow walk, and the scan-shaped
-	// bypass admits each stat eagerly despite AdmitAfter.
-	k.DropCaches()
-	f, err = root.Open("/scan", vfs.O_RDONLY|vfs.O_DIRECTORY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.ReadDirAll(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	s1 := c.Stats()
-	for _, n := range names {
-		if _, err := root.Stat(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d = c.Stats()
-	if got := d.Bypassed - s1.Bypassed; got != int64(len(names)) {
-		t.Fatalf("stub scan should bypass admission: want %d, got %d", len(names), got)
-	}
-
-	// The second scan is pure fastpath.
-	slow := k.Stats().SlowWalks
-	for _, n := range names {
-		if _, err := root.Stat(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if k.Stats().SlowWalks != slow {
-		t.Fatal("second scan pass took the slow path")
-	}
-}
-
 func TestAdmissionRecycleResetsTouches(t *testing.T) {
 	_, _, root := admission(t, 0)
 	if err := root.Mkdir("/r", 0o755); err != nil {

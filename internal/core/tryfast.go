@@ -55,27 +55,9 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 	dl := c.dlhtFor(ns)
 	pcc := c.pccFor(t.Cred())
 
-	// Shortcut resume (DESIGN §5f): when the task's recorded resume
-	// point covers a prefix of this path and still passes the full
-	// legality check, seed the scan from its memoized state and hash
-	// only the unresolved suffix.
 	var cur pathCursor
 	defer cur.flush(c)
-	rem := path
-	var seeded *resumePoint
-	if c.cfg.DirShortcuts {
-		if rp, _ := t.ShortcutScratch().(*resumePoint); rp != nil &&
-			extendsPrefix(path, rp.prefix) {
-			if rd, ok := c.resumeValid(t, pcc, start, rp); ok {
-				seeded = rp
-				cur.seed(vfs.PathRef{Mnt: rp.mnt, D: rd}, rp.st)
-				rem = path[len(rp.prefix):]
-				c.stats.shortcutResumes.Add(1)
-				c.stats.shortcutDepthSaved.Add(int64(rp.depth))
-			}
-		}
-	}
-	if seeded == nil && !cur.init(c, start) {
+	if !cur.init(c, start) {
 		return vfs.PathRef{}, nil, false
 	}
 	if tracing {
@@ -86,7 +68,7 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 	mustDir := fl&vfs.WalkDirectory != 0
 	sawTrailingSlash := false
 
-	for {
+	for rem := path; ; {
 		var comp string
 		comp, rem = vfs.NextComponent(rem)
 		if comp == "" {
@@ -101,13 +83,11 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 			// Linux evaluates search permission on the directory for a
 			// "." component too; a lexical skip must preserve that (it
 			// is observable when "." is the path's last effective step).
-			cur.dotted = true
 			if !c.checkPrefixDir(t, dl, pcc, cur.base, cur.atBase, cur.st) {
 				return vfs.PathRef{}, nil, false
 			}
 			continue
 		case "..":
-			cur.dotted = true
 			if !c.cfg.LexicalDotDot {
 				// Linux semantics (§4.2): verify search permission on
 				// the directory being exited with an extra fastpath
@@ -121,7 +101,7 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 				return vfs.PathRef{}, nil, false
 			}
 		default:
-			if !cur.push(comp, len(path)-len(rem)) {
+			if !cur.push(comp) {
 				return vfs.PathRef{}, nil, false
 			}
 		}
@@ -147,14 +127,6 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 		return cur.base, nil, true
 	}
 
-	// Any post-scan miss first mines the scan for a resume point: the
-	// slow walk about to run can then skip the cached prefix, and later
-	// fastpath scans can seed from it.
-	miss := func() (vfs.PathRef, error, bool) {
-		c.noteShortcut(t, dl, pcc, start, path, &cur, seeded)
-		return vfs.PathRef{}, nil, false
-	}
-
 	idx, sg := cur.st.Sum()
 	d := dl.Lookup(idx, sg)
 	if tracing {
@@ -167,7 +139,7 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 	if d == nil || !c.fresh(d) {
 		c.stats.dlhtMiss.Add(1)
 		tr.Event(telemetry.EvDLHTMiss, path)
-		return miss()
+		return vfs.PathRef{}, nil, false
 	}
 	looked := d
 	tr.Event(telemetry.EvDLHTHit, path)
@@ -183,12 +155,12 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 		if fd == nil || real == nil || real.IsDead() ||
 			fd.targetSeq.Load() != dentrySeq(real) {
 			tr.Event(telemetry.EvFastAbort, "stale alias")
-			return miss()
+			return vfs.PathRef{}, nil, false
 		}
 		if !pcc.Lookup(d.ID(), dentrySeq(d)) {
 			c.stats.pccMiss.Add(1)
 			tr.Event(telemetry.EvPCCMiss, "alias")
-			return miss()
+			return vfs.PathRef{}, nil, false
 		}
 		tr.Event(telemetry.EvAlias, "")
 		d = real
@@ -201,7 +173,7 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 		if !pcc.Lookup(d.ID(), dentrySeq(d)) {
 			c.stats.pccMiss.Add(1)
 			tr.Event(telemetry.EvPCCMiss, "negative")
-			return miss()
+			return vfs.PathRef{}, nil, false
 		}
 		tr.Event(telemetry.EvPCCHit, "negative")
 		tr.Event(telemetry.EvNegative, path)
@@ -217,7 +189,7 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 	// to the slow path.
 	if d.Flags()&vfs.DUnhydrated != 0 {
 		tr.Event(telemetry.EvFastAbort, "unhydrated")
-		return miss()
+		return vfs.PathRef{}, nil, false
 	}
 
 	// Final symlink: follow through the cached resolution (§4.2), unless
@@ -225,25 +197,25 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 	if d.IsSymlink() && (fl&vfs.WalkNoFollow == 0 || mustDir) {
 		for depth := 0; ; depth++ {
 			if depth > 8 {
-				return miss()
+				return vfs.PathRef{}, nil, false
 			}
 			fd := fast(d)
 			if fd == nil {
-				return miss()
+				return vfs.PathRef{}, nil, false
 			}
 			// The link's own prefix check (covering the requested
 			// path's parents) must be memoized; the target is checked
 			// separately after the loop (§4.2).
 			if !pcc.Lookup(d.ID(), fd.seq.Load()) {
 				c.stats.pccMiss.Add(1)
-				return miss()
+				return vfs.PathRef{}, nil, false
 			}
 			tgt := c.k.DentryFromRef(slab.Unpack(fd.target.Load()))
 			if tgt == nil || tgt.IsDead() || fd.targetSeq.Load() != dentrySeq(tgt) {
-				return miss()
+				return vfs.PathRef{}, nil, false
 			}
 			if !c.fresh(tgt) {
-				return miss()
+				return vfs.PathRef{}, nil, false
 			}
 			d = tgt
 			if !d.IsSymlink() {
@@ -251,18 +223,18 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 			}
 		}
 		if d.IsNegative() || d.Flags()&vfs.DUnhydrated != 0 {
-			return miss()
+			return vfs.PathRef{}, nil, false
 		}
 	}
 
 	fd := fast(d)
 	if fd == nil {
-		return miss()
+		return vfs.PathRef{}, nil, false
 	}
 	// Alias/symlink redirects land on a dentry the lookup gate above never
 	// saw; give it the same freshness check before trusting its PCC entry.
 	if d != looked && !c.fresh(d) {
-		return miss()
+		return vfs.PathRef{}, nil, false
 	}
 	seq := fd.seq.Load()
 	var pccStart time.Time
@@ -280,13 +252,13 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 	if !hit || c.cfg.ForcePCCMiss {
 		c.stats.pccMiss.Add(1)
 		tr.Event(telemetry.EvPCCMiss, "")
-		return miss()
+		return vfs.PathRef{}, nil, false
 	}
 	tr.Event(telemetry.EvPCCHit, "")
 	mnt := fd.mntP.Load()
 	if mnt == nil || d.IsDead() || d.Super().Caps().Revalidate {
 		tr.Event(telemetry.EvFastAbort, "unusable dentry")
-		return miss()
+		return vfs.PathRef{}, nil, false
 	}
 	if mustDir && !d.IsDir() {
 		k.AddFastHit(false)

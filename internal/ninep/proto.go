@@ -2,7 +2,7 @@
 // client that put the directory cache on the wire. The server exports a
 // dircache.System to many concurrent TCP connections; every Tattach binds
 // a connection identity (uname → Creds) to a pooled Process, so each
-// Twalk flows through the real DLHT/PCC/shortcut hot path under that
+// Twalk flows through the real DLHT/PCC hot path under that
 // connection's credential. The client half exists for the in-repo smoke
 // tests and the dcbench connstorm experiment.
 //

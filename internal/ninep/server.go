@@ -762,10 +762,10 @@ func (c *conn) lookupFid(n uint32) (*fidEntry, error) {
 
 // twalk resolves the whole name sequence with ONE multi-component kernel
 // walk — the wire request maps to a single Lstat of the joined path, so a
-// warm walk is a DLHT full-path hit (or a shortcut resume) regardless of
-// depth, and a cold one funnels through miss coalescing exactly like a
-// local walk. Intermediate qids are then read back per prefix; those
-// walks run entirely warm off the entries the full walk just populated.
+// warm walk is a DLHT full-path hit regardless of depth, and a cold one
+// funnels through miss coalescing exactly like a local walk. Intermediate
+// qids are then read back per prefix; those walks run entirely warm off
+// the entries the full walk just populated.
 // Only when the full walk fails does the server fall back to
 // component-at-a-time resolution to honor 9P partial-walk semantics.
 func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {

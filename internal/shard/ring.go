@@ -7,9 +7,8 @@
 // Routing is by consistent-hashed path signature: the routing key of an
 // operation on path P is P's parent directory, so all bindings of one
 // directory — the stats of its children and the listing that enumerates
-// them — colocate on one shard. The owning shard walks the full path and
-// hash-resumes from its deepest cached prefix (the PR-6 shortcut
-// machinery), so warm cross-shard lookups stay depth-flat. Rename-heavy
+// them — colocate on one shard. The owning shard walks the full path, so
+// a warm cross-shard lookup is one DLHT probe there. Rename-heavy
 // roots can be pinned: a pinned subtree never splits across shards, so
 // its renames stay shard-local and publish nothing.
 package shard

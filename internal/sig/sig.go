@@ -25,10 +25,7 @@
 // the property §3.3 uses to split index bits from signature bits safely.
 package sig
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // MaxPathLen bounds the number of bytes that can be hashed into one
 // signature; it matches Linux's PATH_MAX.
@@ -181,30 +178,4 @@ func (st State) Sum() (idx uint16, s Signature) {
 // HashString is a convenience: hash an entire string from scratch.
 func (k *Key) HashString(s string) (uint16, Signature) {
 	return k.NewState().AppendString(s).Sum()
-}
-
-// Marshal serializes the state's position and accumulators (not the key)
-// for diagnostics and fuzzing corpora.
-func (st State) Marshal() []byte {
-	buf := make([]byte, 4+8*lanes)
-	binary.LittleEndian.PutUint32(buf, uint32(st.pos))
-	for j := 0; j < lanes; j++ {
-		binary.LittleEndian.PutUint64(buf[4+8*j:], st.acc[j])
-	}
-	return buf
-}
-
-// Unmarshal restores a state serialized by Marshal under the same key.
-func (k *Key) Unmarshal(buf []byte) (State, error) {
-	if len(buf) != 4+8*lanes {
-		return State{}, fmt.Errorf("sig: bad state length %d", len(buf))
-	}
-	st := State{key: k, pos: int(binary.LittleEndian.Uint32(buf))}
-	if st.pos < 0 || st.pos > MaxPathLen {
-		return State{}, fmt.Errorf("sig: bad state position %d", st.pos)
-	}
-	for j := 0; j < lanes; j++ {
-		st.acc[j] = binary.LittleEndian.Uint64(buf[4+8*j:])
-	}
-	return st, nil
 }

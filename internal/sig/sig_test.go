@@ -154,24 +154,6 @@ func TestIndexDistribution(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	k := NewKey(77)
-	st := k.NewState().AppendString("/opt/data")
-	buf := st.Marshal()
-	got, err := k.Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i1, s1 := st.Sum()
-	i2, s2 := got.Sum()
-	if i1 != i2 || s1 != s2 {
-		t.Fatal("marshal round-trip changed the state")
-	}
-	if _, err := k.Unmarshal(buf[:5]); err == nil {
-		t.Fatal("short buffer accepted")
-	}
-}
-
 func TestFitsAndBounds(t *testing.T) {
 	k := NewKey(8)
 	st := k.NewState()

@@ -76,8 +76,7 @@ const (
 	// touch count observed.
 	JAdmitDefer
 	// JAdmitted: admission control allowed a population. Ref = dentry ID,
-	// Aux = touch count, Note = "nth" (counter reached) or "bypass"
-	// (scan-shaped walk admitted eagerly).
+	// Aux = touch count, Note = "nth" (counter reached).
 	JAdmitted
 	// JBatchShoot: a structural mutation took the O(1) range shootdown
 	// instead of the recursive per-descendant walk. Ref = subtree root
@@ -93,12 +92,6 @@ const (
 	// installed every child and set DIR_COMPLETE. Ref = directory
 	// dentry ID, Aux = children installed.
 	JBulkPopulate
-	// JShortcut: a slow walk resumed from a cached ancestor instead of
-	// its original start (DESIGN §5f). Ref = the resume-point dentry ID,
-	// Aux = that dentry's seq at resume time, Note = "cred=<id>
-	// depth=<skipped>". The auditor re-verifies the resuming
-	// credential's prefix check to Ref (shortcut_resume).
-	JShortcut
 
 	NumJournalKinds
 )
@@ -107,7 +100,6 @@ var journalKindNames = [NumJournalKinds]string{
 	"seq_bump", "epoch_bump", "dlht_insert", "dlht_remove", "dlht_sweep",
 	"pcc_flush", "pcc_resize", "dir_complete", "dir_incomplete", "evict",
 	"admit_defer", "admit", "batch_shoot", "coalesce", "bulk_populate",
-	"shortcut",
 }
 
 // String returns the kind's exporter name.

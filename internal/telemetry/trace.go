@@ -35,17 +35,15 @@ const (
 
 	// Span event kinds added by the end-to-end tracing layer: stage
 	// timings recorded below walkOnce and across the 9P wire.
-	EvShortcutResume = "shortcut_resume" // slow walk resumed from a cached ancestor
-	EvCoalesceWait   = "coalesce_wait"   // miss parked on a concurrent in-flight lookup
-	EvBulkPopulate   = "bulk_populate"   // miss streak answered by one backend ReadDir
-	EvWalkDone       = "walk"            // kernel walk summary inside a server span
-	EvRPC            = "rpc"             // client-side wire round trip
+	EvCoalesceWait = "coalesce_wait" // miss parked on a concurrent in-flight lookup
+	EvBulkPopulate = "bulk_populate" // miss streak answered by one backend ReadDir
+	EvWalkDone     = "walk"          // kernel walk summary inside a server span
+	EvRPC          = "rpc"           // client-side wire round trip
 )
 
 // Anomaly kinds: a completed trace with a non-empty Anomaly is always
 // retained by the flight recorder regardless of its latency.
 const (
-	AnomShortcutTorn = "shortcut_torn" // re-walk after a torn resume prefix
 	AnomRefWalk      = "refwalk"       // optimistic walk fell back to the ref-walk lock
 	AnomCoalesceWait = "coalesce_wait" // coalesced-miss wait exceeded the slow threshold
 )

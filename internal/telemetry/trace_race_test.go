@@ -29,7 +29,7 @@ func TestFlightRecorderQualification(t *testing.T) {
 	}
 
 	anom := tel.StartWalk(nil, "/anomalous")
-	anom.SetAnomaly(AnomShortcutTorn)
+	anom.SetAnomaly(AnomRefWalk)
 	tel.FinishWalk(anom, false, nil, 10*time.Microsecond)
 	if n := tel.SlowCount(); n != 2 {
 		t.Fatalf("fast anomalous walk not flight-recorded: %d retained", n)

@@ -97,21 +97,6 @@ type Hooks interface {
 	// BeginSlow returns an invalidation-epoch token before a slow walk.
 	BeginSlow() uint64
 
-	// ShortcutResume offers the slow walk a deeper start (DESIGN §5f):
-	// when the hooks hold a still-valid resume point covering a strict
-	// prefix of path for this task, they return its location and the
-	// unresolved suffix, and the walk starts there instead of
-	// re-stepping the cached prefix. The returned token is handed to
-	// ShortcutCommit after the walk. ok=false walks from start. tr is
-	// the walk's sampled span (nil almost always) for resume events.
-	ShortcutResume(t *Task, start PathRef, path string, tr *telemetry.WalkTrace) (rs PathRef, rest string, token any, ok bool)
-
-	// ShortcutCommit re-validates the resume point a walk just used.
-	// False means the skipped prefix may have changed under the walk
-	// (rename, shootdown) and the result must be discarded and the
-	// lookup redone from its original start.
-	ShortcutCommit(token any) bool
-
 	// EndSlowLookup is called after a successful slow walk so the hooks
 	// can populate the DLHT and PCC (unless the token went stale).
 	// lexical is the dentry the path's canonical lexical form denotes:
@@ -331,7 +316,7 @@ type Kernel struct {
 
 	// aliasEpoch counts events that create path aliases (bind mounts,
 	// namespace clones). While zero, every dentry has exactly one
-	// canonical path and hooks may take single-view shortcuts.
+	// canonical path and hooks may assume a single view.
 	aliasEpoch atomic.Uint64
 
 	// phases receives per-walk PhaseTimes when Config.PhaseTrace is set.

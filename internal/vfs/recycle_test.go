@@ -10,9 +10,7 @@ import (
 
 // TestRecycleResetsTenantState covers the pooled-reuse contract: Recycle
 // must return a task to its newborn shape — initial namespace, root and
-// cwd at "/", the new credential installed, and the walk-resume shortcut
-// scratch cleared so a recycled task cannot hash-resume from the previous
-// tenant's prefix.
+// cwd at "/", and the new credential installed.
 func TestRecycleResetsTenantState(t *testing.T) {
 	k, root := newKernel(t, Config{})
 	defer root.Exit()
@@ -21,18 +19,10 @@ func TestRecycleResetsTenantState(t *testing.T) {
 	if err := a.Chdir("/home/alice/projects"); err != nil {
 		t.Fatal(err)
 	}
-	type fakeResume struct{ path string }
-	a.SetShortcutScratch(&fakeResume{path: "/home/alice/projects"})
-	if a.ShortcutScratch() == nil {
-		t.Fatal("scratch did not stick")
-	}
 
 	bobCred := cred.New(1001, 1001, nil, "")
 	a.Recycle(bobCred)
 
-	if got := a.ShortcutScratch(); got != nil {
-		t.Fatalf("shortcut scratch survived recycle: %#v", got)
-	}
 	if got := a.Getcwd(); got != "/" {
 		t.Fatalf("cwd after recycle = %q, want /", got)
 	}
@@ -50,9 +40,6 @@ func TestRecycleResetsTenantState(t *testing.T) {
 	a.Recycle(cred.New(1000, 1000, nil, ""))
 	if _, err := a.Stat("/home/bob/secret/key"); !errors.Is(err, fsapi.EACCES) {
 		t.Fatalf("second recycle kept stale privilege: %v", err)
-	}
-	if got := a.ShortcutScratch(); got != nil {
-		t.Fatalf("scratch survived second recycle: %#v", got)
 	}
 	a.Exit() // refcounts must balance after recycles (lru_test audits pins)
 }

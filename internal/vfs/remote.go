@@ -33,8 +33,8 @@ func splitAbs(path string) []string {
 //
 //   - full path cached: the dentry's subtree is torn down under a
 //     beginMutation(InvalRemote) bracket (epoch bump + batch shootdown →
-//     DLHT entries and shortcut resume points under the prefix die), and
-//     the parent loses DIR_COMPLETE (its child set changed remotely).
+//     DLHT entries under the prefix die), and the parent loses
+//     DIR_COMPLETE (its child set changed remotely).
 //   - parent cached but the final component is not: the parent's
 //     completeness and cached listing are dropped — a remotely created
 //     binding may now exist that an authoritative listing would miss.

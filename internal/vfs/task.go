@@ -29,14 +29,6 @@ type Task struct {
 	segScratch []segment
 	segBusy    atomic.Bool
 
-	// shortcutP is the installed Hooks' walk-resume scratch: an opaque
-	// immutable value swapped whole (the walk-resume analogue of
-	// Dentry.fast). Concurrent walks on one task may race to replace it;
-	// readers validate whatever snapshot they load, so a lost store only
-	// costs a future resume opportunity. Boxed so Recycle can clear it
-	// (atomic.Value cannot store nil or change concrete types).
-	shortcutP atomic.Value // scratchBox
-
 	// traceScratch is the per-task span scratch: a reusable WalkTrace so
 	// sampled walks append stage events with zero walk-path allocations
 	// (FinishWalk pushes a private copy). traceBusy guards it the same
@@ -50,21 +42,6 @@ type Task struct {
 	// into one end-to-end trace. Consumed (cleared) by the first walk.
 	armedTrace atomic.Pointer[telemetry.WalkTrace]
 }
-
-// scratchBox wraps the hooks' scratch value so every shortcutP store uses
-// one concrete type, letting Recycle store an empty box to clear it.
-type scratchBox struct{ v any }
-
-// ShortcutScratch returns the hook-owned walk-resume scratch value, or
-// nil if none has been recorded.
-func (t *Task) ShortcutScratch() any {
-	b, _ := t.shortcutP.Load().(scratchBox)
-	return b.v
-}
-
-// SetShortcutScratch records the hook-owned walk-resume scratch. Values
-// must be immutable and of one concrete type per hooks implementation.
-func (t *Task) SetShortcutScratch(v any) { t.shortcutP.Store(scratchBox{v: v}) }
 
 // ArmTrace installs (or with nil clears) a span for the task's next walk.
 // The walk consumes it via takeArmedTrace; its owner finishes it. Used by
@@ -174,11 +151,9 @@ func (t *Task) Fork() *Task {
 }
 
 // Recycle returns the task to its newborn state under new credentials:
-// initial namespace, root and cwd at "/", and — critically for pooled
-// multi-tenant reuse — the walk-resume shortcut scratch cleared, so a
-// recycled task can never hash-resume from a previous tenant's prefix.
-// The segment scratch buffer is kept (its contents are zeroed on every
-// release). Must not race in-flight walks on the same task.
+// initial namespace, root and cwd at "/", and no armed trace. The segment
+// scratch buffer is kept (its contents are zeroed on every release). Must
+// not race in-flight walks on the same task.
 func (t *Task) Recycle(c *cred.Cred) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -192,7 +167,6 @@ func (t *Task) Recycle(c *cred.Cred) {
 	t.rootp.Store(&rootRef)
 	t.cwdp.Store(&rootRef)
 	t.credp.Store(c)
-	t.shortcutP.Store(scratchBox{})
 	t.armedTrace.Store(nil)
 	oldRoot.D.Unref()
 	oldCwd.D.Unref()

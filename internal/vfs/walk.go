@@ -221,34 +221,14 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 	if k.hooks != nil {
 		token = k.hooks.BeginSlow()
 	}
-	// Shortcut resume (DESIGN §5f): let the hooks move the walk start to
-	// the deepest cached ancestor they can prove usable, so the slow walk
-	// only steps the unresolved suffix. The epoch token is taken first:
-	// population legality must cover the resumed walk's whole window.
-	slowStart, slowPath := start, path
-	var scTok any
-	if k.hooks != nil && fl&WalkNoFast == 0 {
-		if rs, rest, tok, ok := k.hooks.ShortcutResume(t, start, path, tr); ok {
-			slowStart, slowPath, scTok = rs, rest, tok
-		}
-	}
-	res, lexical, err := k.walkSlow(t, slowStart, slowPath, fl, tr)
-	if scTok != nil && (err == errSeqRetry || !k.hooks.ShortcutCommit(scTok)) {
-		// The resume point went stale while the walk ran (rename or
-		// shootdown of the skipped prefix): the result may reflect the
-		// ancestor's old location. Redo authoritatively from the start.
-		tr.SetAnomaly(telemetry.AnomShortcutTorn)
-		tr.Event(telemetry.EvSeqRetry, "shortcut torn, authoritative redo")
-		slowStart, slowPath = start, path
-		res, lexical, err = k.walkSlow(t, slowStart, slowPath, fl, tr)
-	}
+	res, lexical, err := k.walkSlow(t, start, path, fl, tr)
 	if k.hooks != nil {
 		if err == nil {
-			k.hooks.EndSlowLookup(token, t, slowStart, slowPath, lexical, res)
+			k.hooks.EndSlowLookup(token, t, start, path, lexical, res)
 		} else {
 			var f *WalkFailure
 			if errors.As(err, &f) {
-				k.hooks.EndSlowNegative(token, t, slowStart, slowPath, f)
+				k.hooks.EndSlowNegative(token, t, start, path, f)
 			}
 		}
 	}
@@ -313,10 +293,8 @@ func (k *Kernel) walkSlow(t *Task, start PathRef, path string, fl WalkFlags, tr 
 // lock keeps renames out but not eviction, which takes neither renameRW
 // nor the big lock: the walk can still step onto a dentry Shrink killed
 // under it and get errSeqRetry. The hash table skips dead entries, so a
-// redo resolves the name afresh; only a start that is itself gone (a
-// shortcut resume point torn down — task roots and cwds are pinned)
-// cannot be retried past, and WalkFrom redoes that walk from the real
-// start.
+// redo resolves the name afresh; only a start that is itself gone
+// cannot be retried past, and the loop stops there rather than spin.
 func (k *Kernel) walkLocked(t *Task, start PathRef, path string, fl WalkFlags, tr *telemetry.WalkTrace) (PathRef, PathRef, error) {
 	for {
 		res, lex, err := k.walkOnce(t, start, path, fl, tr)

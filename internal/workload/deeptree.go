@@ -11,8 +11,7 @@ import (
 // leaf files at the bottom, plus sibling decoys at every level so the
 // spine is not the only child anywhere. This is the workload shape where
 // walk cost scales with depth — maven repositories and node_modules
-// trees routinely nest 15–60 directories — and the one the directory
-// shortcut optimization (DESIGN §5f) targets.
+// trees routinely nest 15–60 directories.
 type DeepSpec struct {
 	// Seed makes generation deterministic.
 	Seed int64

@@ -32,9 +32,7 @@ func (s *System) StartAs(id *Identity) *Process {
 // ProcessPool recycles Processes (and their kernel Tasks) across
 // attach/clunk churn, so a connection storm does not allocate and tear
 // down a fresh Task per connection. Recycling resets the task to the
-// initial namespace, rooted at "/", under the new identity, and clears
-// the per-task directory-shortcut scratch — a recycled Process must never
-// hash-resume a walk from a previous tenant's prefix.
+// initial namespace, rooted at "/", under the new identity.
 type ProcessPool struct {
 	sys *System
 

@@ -41,14 +41,13 @@ func poolFixture(t *testing.T) *dircache.System {
 
 // TestProcessPoolRecycleIsolation is satellite 1's contract: a Process
 // recycled from one tenant to another carries nothing over — not the
-// working directory, not the credential, and not the per-task shortcut
-// scratch (no hash-resume from the previous tenant's prefix).
+// working directory and not the credential.
 func TestProcessPoolRecycleIsolation(t *testing.T) {
 	sys := poolFixture(t)
 	pool := sys.NewProcessPool(4)
 
-	// Tenant 1 works deep inside its private subtree, warming its own
-	// shortcut state, then releases the Process.
+	// Tenant 1 works deep inside its private subtree, then releases the
+	// Process.
 	p1 := pool.GetCreds(dircache.UserCreds(1))
 	if err := p1.Chdir("/tenant1/priv"); err != nil {
 		t.Fatal(err)
@@ -56,7 +55,6 @@ func TestProcessPoolRecycleIsolation(t *testing.T) {
 	if _, err := p1.Stat("secret"); err != nil {
 		t.Fatal(err)
 	}
-	// Deep public walks populate the walk-resume scratch.
 	for i := 0; i < 4; i++ {
 		if _, err := p1.Stat("/pub/a/b/c/d/f.txt"); err != nil {
 			t.Fatal(err)

@@ -75,18 +75,16 @@ type CacheStats struct {
 	// off).
 	Admitted        int64 // populations allowed on a dentry's Nth touch
 	Deferred        int64 // populations declined pending more touches
-	Bypassed        int64 // scan-shaped walks admitted eagerly
 	BatchShootdowns int64 // subtree invalidations taken as one range mark
 	LazyShootdowns  int64 // stale entries discarded lazily by probes/sweeps
 
-	// Directory shortcuts (zero when Features.DirShortcuts is off).
-	ShortcutResumes    int64 // walks resumed from a cached ancestor
-	ShortcutDepthSaved int64 // path components skipped by those resumes
-	HashedBytes        int64 // bytes fed to the path hash, all walks
-	// ChildHops always reads 0: the child hop it counted is gone. The
-	// field stays because benchmark/metrics.go reads CacheStats fields by
-	// name and panics on a missing one.
-	ChildHops int64
+	HashedBytes int64 // bytes fed to the path hash, all walks
+	// ShortcutResumes and ChildHops always read 0: the directory-shortcut
+	// resume and the child hop they counted are gone. The fields stay
+	// because benchmark/metrics.go reads CacheStats fields by name and
+	// panics on a missing one.
+	ShortcutResumes int64
+	ChildHops       int64
 }
 
 // Delta returns the events counted between prev and s: every cumulative
@@ -181,11 +179,8 @@ func (s *System) Stats() CacheStats {
 		out.PCCResizes = c.PCCResizes
 		out.Admitted = c.Admitted
 		out.Deferred = c.Deferred
-		out.Bypassed = c.Bypassed
 		out.BatchShootdowns = c.BatchShootdowns
 		out.LazyShootdowns = c.LazyShootdowns
-		out.ShortcutResumes = c.ShortcutResumes
-		out.ShortcutDepthSaved = c.ShortcutDepthSaved
 		out.HashedBytes = c.HashedBytes
 	}
 	return out

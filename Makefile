@@ -22,7 +22,7 @@ help:
 	@echo "  stress         longer -race soak of the stress tests"
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
-	@echo "  memscale-smoke alloc-regression gate: warm walks at 0 allocs/op (AllocsPerRun test + BenchmarkParallelWalk -benchmem)"
+	@echo "  memscale-smoke slab gate: warm walks at 0 allocs/op (AllocsPerRun test + BenchmarkParallelWalk -benchmem), and a create-only evicting build stays within one arena chunk"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean) + pipelined dispatch"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
@@ -66,13 +66,15 @@ bench:
 bench-parallel:
 	$(GO) test -run '^$$' -bench BenchmarkParallelWalk -count 3 .
 
-# Alloc-regression gate for the slab work: dentries, fast-dentries, and
-# DLHT chain nodes live in slab arenas, so a warm fastpath walk must not
-# allocate — testing.AllocsPerRun asserts exactly 0, and the parallel
-# walk benchmark must report 0 allocs/op (awk gates the -benchmem column
-# so a regression fails the target, not just prints a number).
+# The slab gate: dentries, fast-dentries, and DLHT chain nodes live in
+# slab arenas, so a warm fastpath walk must not allocate —
+# testing.AllocsPerRun asserts exactly 0, and the parallel walk benchmark
+# must report 0 allocs/op (awk gates the -benchmem column so a regression
+# fails the target, not just prints a number) — and evicted slots must
+# come back: 9600 creates into a 4096-dentry cache reclaim as they go and
+# never grow the dentry arena past its first chunk.
 memscale-smoke:
-	$(GO) test -run 'TestWarmWalkZeroAlloc' -count=1 .
+	$(GO) test -run 'TestWarmWalkZeroAlloc|TestEvictingCreatesReclaimSlab' -count=1 .
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelWalk/optimized/goroutines-1$$' -benchtime 2000x -benchmem . | \
 		tee /dev/stderr | awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad=1 } END { exit bad }'
 

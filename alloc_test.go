@@ -86,3 +86,37 @@ func TestEvictingReadsReclaimSlab(t *testing.T) {
 		t.Fatalf("slots in limbo after 2 / 22 passes = %d / %d, want <= %d both times", short, long, bound)
 	}
 }
+
+// TestEvictingCreatesReclaimSlab is the create-only sibling: Mkdir and
+// Open(O_CREAT) hold their own epoch section, so neither the nested
+// parent walk's reclaim nor Shrink's can clear the grace period of the
+// slots their installs evict, and a build step that only creates has no
+// later mutation tail either. The create must reclaim after it leaves its
+// section, or every evicted dentry sits in limbo and the arena grows a
+// second chunk for a cache that fits in half of one.
+func TestEvictingCreatesReclaimSlab(t *testing.T) {
+	const dirs, files, capacity = 480, 20, 4096
+	cfg := dircache.Optimized()
+	cfg.SignatureSeed = 1
+	cfg.CacheCapacity = capacity
+	sys := dircache.New(cfg)
+	p := sys.Start(dircache.RootCreds())
+	if err := p.Mkdir("/t", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < dirs; d++ {
+		if err := p.Mkdir(fmt.Sprintf("/t/d%03d", d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < files; f++ {
+			if err := p.Create(fmt.Sprintf("/t/d%03d/f%02d", d, f), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m := sys.MemStats().Dentries
+	if m.Limbo > 512 || m.Reclaimed == 0 || m.Chunks != 1 {
+		t.Fatalf("after %d creates at capacity %d: dentry arena limbo=%d reclaimed=%d chunks=%d (retired %d), want limbo <= 512, reclaimed > 0, 1 chunk",
+			dirs*files, capacity, m.Limbo, m.Reclaimed, m.Chunks, m.Retired)
+	}
+}

@@ -98,10 +98,6 @@ type RemoteOptions struct {
 	// PerOpNanos overrides RTTNanos for individual protocol operations,
 	// keyed by name ("lookup", "readdir", "getnode", ...).
 	PerOpNanos map[string]int64
-	// CheapReadDir advertises a readdir-plus-style call: one READDIR
-	// answers what would otherwise be one LOOKUP per child, letting the
-	// optimized cache bulk-populate a directory on a miss storm.
-	CheapReadDir bool
 }
 
 // NewRemoteBackend creates an NFSv2/3-style remote file system: a
@@ -112,9 +108,8 @@ type RemoteOptions struct {
 func NewRemoteBackend(opts RemoteOptions) *Backend {
 	run := &vclock.Run{}
 	fs := remotefs.New(memfs.New(memfs.Options{Name: "nfs-export"}), remotefs.Options{
-		RTTNanos:     opts.RTTNanos,
-		PerOpNanos:   opts.PerOpNanos,
-		CheapReadDir: opts.CheapReadDir,
+		RTTNanos:   opts.RTTNanos,
+		PerOpNanos: opts.PerOpNanos,
 	})
 	fs.SetClock(run)
 	return &Backend{fs: fs, clock: run, remote: fs}

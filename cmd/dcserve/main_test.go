@@ -180,7 +180,7 @@ func TestServeTraceSmoke(t *testing.T) {
 			switch {
 			case sp.Origin == "client" && ev.Kind == telemetry.EvRPC:
 				sawRPC = true
-			case sp.Origin == "server" && (ev.Kind == telemetry.EvFSLookup || ev.Kind == telemetry.EvBulkPopulate):
+			case sp.Origin == "server" && ev.Kind == telemetry.EvFSLookup:
 				sawBackend = true
 			}
 		}

@@ -149,9 +149,7 @@ func renderTop(sys *dircache.System, prev, cur topShot, tick, ticks int) {
 		rate(prev.st.Lookups, cur.st.Lookups), fastPct, hitPct,
 		rate(prev.st.SlowWalks, cur.st.SlowWalks),
 		rate(prev.st.FSLookups, cur.st.FSLookups))
-	fmt.Printf("assists %8.0f coalesced/s   bulk %.0f/s\n",
-		rate(prev.st.MissCoalesced, cur.st.MissCoalesced),
-		rate(prev.st.BulkPopulations, cur.st.BulkPopulations))
+	fmt.Printf("assists %8.0f coalesced/s\n", rate(prev.st.MissCoalesced, cur.st.MissCoalesced))
 
 	fmt.Printf("stages ")
 	for _, name := range []string{"walk", "fastpath", "slowpath", "fs_lookup"} {

@@ -280,8 +280,7 @@ other:  help  exit
 		fmt.Printf("fs lookups    %d (hit rate %.1f%%)\n", st.FSLookups, st.HitRate()*100)
 		fmt.Printf("negative hits %d, completeness shortcuts %d\n", st.NegativeHits, st.CompleteShort)
 		fmt.Printf("readdir       %d cached / %d from FS\n", st.ReaddirCached, st.ReaddirFS)
-		fmt.Printf("miss storms   %d coalesced (%d waited), %d bulk populations\n",
-			st.MissCoalesced, st.InLookupWaits, st.BulkPopulations)
+		fmt.Printf("miss storms   %d coalesced (%d waited)\n", st.MissCoalesced, st.InLookupWaits)
 		fmt.Printf("invalidations %d, populations %d\n", st.Invalidations, st.Populations)
 		fmt.Printf("path hash     %d bytes hashed\n", st.HashedBytes)
 		m := sys.MemStats()

@@ -183,11 +183,9 @@ func Experiments() []Experiment {
 		{"table4", "lines of code by module", Table4},
 		{"ablate", "per-feature ablation on a warm metadata mix", AblateFeatures},
 		{"ablate-pcc", "PCC size sensitivity (updatedb)", AblatePCC},
-		{"lat", "warm stat latency distribution (mean + p50/p95/p99)", Lat},
 		{"coherence", "coherence event rates, journal health, invariant audit", Coherence},
-		{"coldstorm", "cold-miss storms over remotefs: bulk population and miss coalescing", ColdStorm},
+		{"coldstorm", "cold-miss storm over remotefs: concurrent walkers, one LOOKUP per name", ColdStorm},
 		{"connstorm", "9P connection storm: coalesced cold walks, warm wire RPCs and latency", ConnStorm},
-		{"traceoverhead", "walk tracing tax: warm stat loop at 1/64 sampling vs disabled", TraceOverhead},
 		{"memscale", "memory-scale dentries: slab arenas vs pointer heap (bytes/entry, GC pause, walk p99)", Memscale},
 		{"shardstorm", "sharded metadata tier: aggregate warm stat/s and journal-driven cross-shard coherence", Shardstorm},
 	}

@@ -355,23 +355,6 @@ func TestTable4Counts(t *testing.T) {
 	}
 }
 
-func TestLatShape(t *testing.T) {
-	r := runExp(t, Lat)
-	for _, mode := range []string{"unmod", "opt"} {
-		for _, pt := range latPaths {
-			ns := r.Get("ns/" + pt.name + "/" + mode)
-			p50 := r.Get("p50/" + pt.name + "/" + mode)
-			p99 := r.Get("p99/" + pt.name + "/" + mode)
-			if ns <= 0 || p50 <= 0 {
-				t.Errorf("%s/%s: non-positive ns=%.0f p50=%.0f", pt.name, mode, ns, p50)
-			}
-			if p99 < p50 {
-				t.Errorf("%s/%s: p99 %.0f < p50 %.0f", pt.name, mode, p99, p50)
-			}
-		}
-	}
-}
-
 func TestCoherenceShape(t *testing.T) {
 	r := runExp(t, Coherence)
 	// The storm must actually exercise coherence machinery: renames and
@@ -403,8 +386,8 @@ func TestCoherenceShape(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 21 {
-		t.Fatalf("expected 21 experiments, got %d", len(exps))
+	if len(exps) != 19 {
+		t.Fatalf("expected 19 experiments, got %d", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -459,27 +442,15 @@ func TestAblatePCCShape(t *testing.T) {
 
 func TestColdStormShape(t *testing.T) {
 	r := runExp(t, ColdStorm)
-	// The acceptance ratio: bulk population must answer the cold scan
-	// with at least 5x fewer round trips. Deterministic (exact RPC
-	// counts over a virtual clock), so asserted strictly.
-	if ratio := r.Get("scan/bulk_ratio"); ratio < 5 {
-		t.Errorf("cold-scan RPC ratio %.2f, want >= 5", ratio)
-	}
-	// The counts behind the ratio are exact too: one LOOKUP per name
-	// without readdir-plus; two LOOKUPs then one READDIR with it.
-	if off, on := r.Get("scan/rpc/bulkoff"), r.Get("scan/rpc/bulkon"); off != coldWidth || on != 3 {
-		t.Errorf("cold-scan RPCs off/on = %.0f/%.0f, want %d/3", off, on, coldWidth)
-	}
-	if n := r.Get("scan/bulk_populations/bulkon"); n != 1 {
-		t.Errorf("bulk populations with bulk on = %.0f, want 1", n)
-	}
-	if n := r.Get("scan/bulk_populations/bulkoff"); n != 0 {
-		t.Errorf("bulk populations with bulk off = %.0f, want 0", n)
-	}
-	// The storm's coalescing + bulk population must beat the worst case
-	// (one LOOKUP per walker per name) by a wide margin; the exact count
-	// is scheduling-dependent, so only the envelope is asserted.
-	if n := r.Get("storm/lookup_rpcs"); n <= 0 || n > coldStormG*coldWidth/4 {
-		t.Errorf("storm issued %.0f LOOKUPs, want in (0, %d]", n, coldStormG*coldWidth/4)
+	// Exact over the virtual clock: 8 walkers x 16 cold names cost one
+	// LOOKUP per name. A walker that loses the race for a name parks on
+	// the winner's in-lookup placeholder or, arriving later, hits the
+	// dentry it resolved; without the placeholder racing walkers would
+	// each pay their own LOOKUP. How the 112 spared walks split between
+	// the two is scheduling (storm/coalesced is reported, and pinned
+	// deterministically by vfs's TestMissCoalescing).
+	if n := r.Get("storm/lookup_rpcs"); n != coldWidth {
+		t.Errorf("storm issued %.0f LOOKUPs over %d walks, want %d (one per name)",
+			n, coldStormG*coldWidth, coldWidth)
 	}
 }

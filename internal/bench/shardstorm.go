@@ -56,8 +56,8 @@ func shardStormConfig() dircache.Config {
 // shardBuildTree populates the group's namespace through the router,
 // one tree level per phase with a Converge between phases: a level's
 // directories are created by their parents' owners, and a peer that
-// bulk-populated the parent level before this one existed holds an
-// authoritative listing only the pumped create events can reopen. It
+// holds the parent level DIR_COMPLETE from before this one existed has
+// an authoritative listing only the pumped create events can reopen. It
 // then warms each file's owning shard with two routed stats (fastpath
 // admission wants a second touch). Returns the file paths and the
 // directory count.

@@ -819,6 +819,6 @@ func (fs *FS) StatFS() fsapi.StatFS {
 		FreeInodes: fs.sb.FreeInodes,
 		BlockSize:  int(fs.sb.BlockSize),
 		MaxNameLen: MaxName,
-		Caps:       fsapi.Capabilities{Name: "diskfs", CheapReadDir: true},
+		Caps:       fsapi.Capabilities{Name: "diskfs"},
 	}
 }

@@ -120,17 +120,6 @@ type Capabilities struct {
 	// consistency). Whole-path direct lookup is disabled for such file
 	// systems (§4.3 of the paper).
 	Revalidate bool
-	// CheapReadDir: a full listing costs about as much as a single
-	// Lookup (one in-memory scan, or one round trip for a network
-	// protocol with a readdir-plus-style call), so when misses pile up
-	// under one directory the VFS may replace the miss storm with one
-	// ReadDir that installs every child and marks the directory
-	// DIR_COMPLETE. File systems that synthesize entries on demand
-	// (proc-style pseudo file systems) must NOT set it: their listings
-	// enumerate a view, not the authoritative child set, and a bulk-
-	// populated DIR_COMPLETE would wrongly answer misses for entries
-	// the FS would have materialized on Lookup.
-	CheapReadDir bool
 	// Name is a short identifier ("diskfs", "memfs", "proc").
 	Name string
 }

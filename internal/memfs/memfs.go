@@ -637,9 +637,8 @@ func (fs *FS) StatFS() fsapi.StatFS {
 		BlockSize:  4096,
 		MaxNameLen: fs.opts.MaxNameLen,
 		Caps: fsapi.Capabilities{
-			NoNegatives:  fs.opts.NoNegatives,
-			CheapReadDir: true,
-			Name:         fs.opts.Name,
+			NoNegatives: fs.opts.NoNegatives,
+			Name:        fs.opts.Name,
 		},
 	}
 }

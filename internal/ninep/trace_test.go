@@ -65,7 +65,7 @@ func TestTraceStitchAcrossWire(t *testing.T) {
 				continue
 			}
 			for _, ev := range sp.Events {
-				if ev.Kind == telemetry.EvFSLookup || ev.Kind == telemetry.EvBulkPopulate {
+				if ev.Kind == telemetry.EvFSLookup {
 					sawWalkStage = true
 				}
 			}

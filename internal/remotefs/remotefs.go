@@ -10,13 +10,12 @@
 // The "server" is any fsapi.FileSystem; this package wraps it with
 // per-operation round-trip accounting charged to a virtual clock. Each
 // protocol operation keeps its own RPC counter, and per-op latency can be
-// injected individually (PerOpNanos), so tests and benches can prove
-// round-trip savings — "the cold scan issued one READDIR instead of N
-// LOOKUPs" — rather than infer them from wall time.
+// injected individually (PerOpNanos), so tests and benches count round
+// trips — "the storm issued one LOOKUP per name" — rather than infer
+// them from wall time.
 package remotefs
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"dircache/internal/fsapi"
@@ -68,15 +67,8 @@ type Options struct {
 	// LAN NFS server).
 	RTTNanos int64
 	// PerOpNanos overrides RTTNanos for individual operations, keyed by
-	// Op.String() name ("lookup", "readdir", ...). Lets a bench model,
-	// say, a READDIR that costs more than a LOOKUP but far less than the
-	// LOOKUP storm it replaces.
+	// Op.String() name ("lookup", "readdir", ...).
 	PerOpNanos map[string]int64
-	// CheapReadDir advertises the readdir-plus-style capability: one
-	// READDIR answers what would otherwise be one LOOKUP per child, so
-	// the VFS may bulk-populate on a miss storm. Off by default — a
-	// plain NFSv2 server has no such call.
-	CheapReadDir bool
 }
 
 // FS wraps a backing file system behind a simulated network.
@@ -87,19 +79,6 @@ type FS struct {
 	clock  atomic.Pointer[vclock.Run]
 	trips  atomic.Int64
 	ops    [NumOps]atomic.Int64
-	cheap  atomic.Bool
-
-	// attrs is the client-side attribute cache a readdir-plus reply
-	// fills: with CheapReadDir on, one READDIR trip carries each entry's
-	// attributes alongside the dirent (NFSv3 READDIRPLUS), so the
-	// per-child GETATTRs that follow a bulk population are answered
-	// locally instead of each costing a round trip. Entries are consumed
-	// on first use — close-to-open consistency bounds how long a
-	// prefetched attribute may be trusted, so a second revalidation of
-	// the same node goes back to the server.
-	attrMu   sync.Mutex
-	attrs    map[fsapi.NodeID]fsapi.NodeInfo
-	attrHits atomic.Int64
 }
 
 var _ fsapi.FileSystem = (*FS)(nil)
@@ -116,24 +95,14 @@ func New(server fsapi.FileSystem, opts Options) *FS {
 			fs.perOp[op] = ns
 		}
 	}
-	fs.cheap.Store(opts.CheapReadDir)
 	return fs
 }
 
 // SetClock directs round-trip charges to run.
 func (fs *FS) SetClock(run *vclock.Run) { fs.clock.Store(run) }
 
-// SetCheapReadDir flips the readdir-plus capability advertisement at
-// runtime (benches compare bulk population on vs off over one server).
-// The VFS reads capabilities at first mount, so flip before mounting.
-func (fs *FS) SetCheapReadDir(on bool) { fs.cheap.Store(on) }
-
 // RoundTrips reports the number of simulated server messages.
 func (fs *FS) RoundTrips() int64 { return fs.trips.Load() }
-
-// AttrCacheHits reports how many GETATTRs were answered from readdir-plus
-// prefetched attributes (round trips avoided).
-func (fs *FS) AttrCacheHits() int64 { return fs.attrHits.Load() }
 
 // OpCount reports the round trips issued for one operation by name
 // ("lookup", "readdir", ...); unknown names report 0.
@@ -168,19 +137,8 @@ func (fs *FS) trip(op Op) {
 // Root implements fsapi.FileSystem (mount-time; no trip charged).
 func (fs *FS) Root() fsapi.NodeInfo { return fs.server.Root() }
 
-// GetNode implements fsapi.FileSystem (GETATTR). Attributes prefetched by
-// a readdir-plus reply are served from the client cache without a trip.
+// GetNode implements fsapi.FileSystem (GETATTR).
 func (fs *FS) GetNode(id fsapi.NodeID) (fsapi.NodeInfo, error) {
-	if fs.cheap.Load() {
-		fs.attrMu.Lock()
-		if info, ok := fs.attrs[id]; ok {
-			delete(fs.attrs, id)
-			fs.attrMu.Unlock()
-			fs.attrHits.Add(1)
-			return info, nil
-		}
-		fs.attrMu.Unlock()
-	}
 	fs.trip(OpGetNode)
 	return fs.server.GetNode(id)
 }
@@ -234,25 +192,10 @@ func (fs *FS) Rename(odir fsapi.NodeID, oname string, ndir fsapi.NodeID, nname s
 	return fs.server.Rename(odir, oname, ndir, nname)
 }
 
-// ReadDir implements fsapi.FileSystem (READDIR, one trip per batch; with
-// CheapReadDir, READDIRPLUS — the same trip prefetches every returned
-// entry's attributes into the client cache).
+// ReadDir implements fsapi.FileSystem (READDIR, one trip per batch).
 func (fs *FS) ReadDir(dir fsapi.NodeID, cookie uint64, count int) ([]fsapi.DirEntry, uint64, bool, error) {
 	fs.trip(OpReadDir)
-	ents, next, eof, err := fs.server.ReadDir(dir, cookie, count)
-	if err == nil && fs.cheap.Load() {
-		fs.attrMu.Lock()
-		if fs.attrs == nil {
-			fs.attrs = make(map[fsapi.NodeID]fsapi.NodeInfo, len(ents))
-		}
-		for _, e := range ents {
-			if info, gerr := fs.server.GetNode(e.ID); gerr == nil {
-				fs.attrs[e.ID] = info
-			}
-		}
-		fs.attrMu.Unlock()
-	}
-	return ents, next, eof, err
+	return fs.server.ReadDir(dir, cookie, count)
 }
 
 // ReadLink implements fsapi.FileSystem.
@@ -286,12 +229,10 @@ func (fs *FS) Sync() error {
 }
 
 // StatFS implements fsapi.FileSystem, advertising the revalidation
-// requirement that disables whole-path direct lookup (§4.3) and, when
-// configured, the readdir-plus capability that allows bulk population.
+// requirement that disables whole-path direct lookup (§4.3).
 func (fs *FS) StatFS() fsapi.StatFS {
 	st := fs.server.StatFS()
 	st.Caps.Name = "remotefs"
 	st.Caps.Revalidate = true
-	st.Caps.CheapReadDir = fs.cheap.Load()
 	return st
 }

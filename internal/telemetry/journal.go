@@ -87,11 +87,6 @@ const (
 	// Lookup. Ref = the in-lookup placeholder dentry ID, Note = "wait"
 	// when the joiner actually blocked on the resolution.
 	JCoalesce
-	// JBulkPopulate: a miss streak under one directory crossed
-	// the bulk threshold on a CheapReadDir backend, so one ReadDir
-	// installed every child and set DIR_COMPLETE. Ref = directory
-	// dentry ID, Aux = children installed.
-	JBulkPopulate
 
 	NumJournalKinds
 )
@@ -99,7 +94,7 @@ const (
 var journalKindNames = [NumJournalKinds]string{
 	"seq_bump", "epoch_bump", "dlht_insert", "dlht_remove", "dlht_sweep",
 	"pcc_flush", "pcc_resize", "dir_complete", "dir_incomplete", "evict",
-	"admit_defer", "admit", "batch_shoot", "coalesce", "bulk_populate",
+	"admit_defer", "admit", "batch_shoot", "coalesce",
 }
 
 // String returns the kind's exporter name.

@@ -36,7 +36,6 @@ const (
 	// Span event kinds added by the end-to-end tracing layer: stage
 	// timings recorded below walkOnce and across the 9P wire.
 	EvCoalesceWait = "coalesce_wait" // miss parked on a concurrent in-flight lookup
-	EvBulkPopulate = "bulk_populate" // miss streak answered by one backend ReadDir
 	EvWalkDone     = "walk"          // kernel walk summary inside a server span
 	EvRPC          = "rpc"           // client-side wire round trip
 )

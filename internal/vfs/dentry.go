@@ -123,12 +123,6 @@ type Dentry struct {
 	// waiters block on done, then read the outcome the winner stored.
 	// Written under the parent's mu; read by waiters after done closes.
 	inLookup *inLookupState
-
-	// missStreak counts consecutive slow-path backend misses under this
-	// directory; crossing bulkAfter on a CheapReadDir file system
-	// triggers readdir-driven bulk population. Reset on bulk population
-	// and on readdir-established completeness.
-	missStreak atomic.Int32
 }
 
 // inLookupState carries one in-flight miss resolution. The winner closes
@@ -242,7 +236,7 @@ func (d *Dentry) child(name string) *Dentry {
 // completeWithout reports whether d can answer authoritatively that it
 // has no child called name (§5.1): DIR_COMPLETE is set and the child map
 // has no entry. Both are read under d.mu, which orders them against the
-// flag's two writers — bulk population installs children before setting
+// flag's writers — readdir installs every listed child before setting
 // it, eviction clears it before detaching the child — so a probe that
 // merely missed the hash table never takes a half-populated or
 // just-evicted directory's word for it.
@@ -255,22 +249,38 @@ func (d *Dentry) completeWithout(name string) bool {
 	return d.children[name] == nil && d.Flags()&DComplete != 0
 }
 
-// attachChild links c under d (c's pn must already point at d).
-func (d *Dentry) attachChild(c *Dentry) {
-	d.mu.Lock()
+// linkChildLocked is the one place a dentry enters a child map. The caller
+// holds d.mu and has dealt with any live incumbent at name. It refuses a
+// dead parent: every kill sets DDead before it enumerates children under
+// d.mu, so an insert either lands in that enumeration or sees the flag
+// here — never a live child under a dead parent, which nothing would
+// reach or tear down.
+func (d *Dentry) linkChildLocked(name string, c *Dentry) bool {
+	if d.IsDead() {
+		return false
+	}
 	if d.children == nil {
 		d.children = make(map[string]*Dentry, 4)
 	}
-	d.children[c.Name()] = c
+	d.children[name] = c // may replace a dead incumbent not yet detached
+	d.nkids.Store(int32(len(d.children)))
 	d.listValid = false
-	d.mu.Unlock()
-	d.nkids.Add(1)
+	return true
 }
 
-// detachChild unlinks the named child from d's children map.
-func (d *Dentry) detachChild(name string) {
+// attachChild links c under d (c's pn must already point at d), reporting
+// false when d is dead.
+func (d *Dentry) attachChild(c *Dentry) bool {
 	d.mu.Lock()
-	if _, ok := d.children[name]; ok {
+	defer d.mu.Unlock()
+	return d.linkChildLocked(c.Name(), c)
+}
+
+// detachChild unlinks c from d's children map. A dead c may already have
+// been replaced at its name by a fresh install, which stays.
+func (d *Dentry) detachChild(name string, c *Dentry) {
+	d.mu.Lock()
+	if d.children[name] == c {
 		delete(d.children, name)
 		d.nkids.Add(-1)
 	}
@@ -314,7 +324,6 @@ func (d *Dentry) reset(id uint64, self slab.Ref, sb *Super) {
 	d.fast = nil
 	d.lastUsed.Store(0)
 	d.inLookup = nil
-	d.missStreak.Store(0)
 }
 
 // PathTo renders the dentry's path from the superblock root ("/" rooted at

@@ -210,7 +210,7 @@ func (f *File) ReadDir(n int) ([]fsapi.DirEntry, error) {
 	// Feed the results into the dcache (§5.1: get the most possible use
 	// from every directory read).
 	for _, e := range ents {
-		k.addReaddirChild(d, e)
+		k.installUnhydrated(d, e)
 	}
 	if eof {
 		f.dirEOF = true
@@ -258,17 +258,6 @@ func snapshotChildren(d *Dentry) []fsapi.DirEntry {
 	copy(out, d.completeList)
 	d.mu.Unlock()
 	return out
-}
-
-// addReaddirChild installs an inode-less ("unhydrated") dentry for a
-// readdir result, so subsequent lookups avoid a directory search (§5.1).
-// The slot is won under the parent's lock before anything is allocated
-// (see installUnhydrated) — the old check-then-install race allocated a
-// dentry, registered it with the LRU, and killed it on a lost race.
-func (k *Kernel) addReaddirChild(parent *Dentry, e fsapi.DirEntry) {
-	k.cacheMutBegin()
-	defer k.cacheMutEnd()
-	k.installUnhydrated(parent, e)
 }
 
 // ReadDirAll reads the full listing from the current cursor.

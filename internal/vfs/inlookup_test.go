@@ -212,14 +212,12 @@ func TestMissCoalescingBackendError(t *testing.T) {
 	}
 }
 
-// TestBulkPopulate proves readdir-driven bulk population: a cold per-name
-// miss streak under one directory flips to a single ReadDir that installs
-// every child and marks the directory complete, so the rest of the scan
-// never consults the FS per name and absent names answer from
-// completeness.
-func TestBulkPopulate(t *testing.T) {
-	const children = 16
-	k := NewKernel(Config{DirCompleteness: true}, memfs.New(memfs.Options{}))
+// newScanKernel builds a completeness-caching kernel over remotefs with
+// children files under /dir, then drops every dentry but /dir itself.
+func newScanKernel(t *testing.T, children int) (*Kernel, *Task, *remotefs.FS, []string) {
+	t.Helper()
+	remote := remotefs.New(memfs.New(memfs.Options{}), remotefs.Options{RTTNanos: 1})
+	k := NewKernel(Config{DirCompleteness: true}, remote)
 	root := k.NewTask(cred.Root())
 	if err := root.Mkdir("/dir", 0o755); err != nil {
 		t.Fatal(err)
@@ -235,75 +233,91 @@ func TestBulkPopulate(t *testing.T) {
 	if _, err := root.Stat("/dir"); err != nil {
 		t.Fatal(err)
 	}
+	return k, root, remote, names
+}
 
+// TestColdScanOneLookupPerName pins the slow-path miss at exactly one
+// backend Lookup: a cold per-name scan of N names costs N Lookups, never
+// lists the directory on the application's behalf, and so never earns
+// DIR_COMPLETE (§5.1 grants it only to a readdir the application issued,
+// or to mkdir).
+func TestColdScanOneLookupPerName(t *testing.T) {
+	const children = 16
+	k, root, remote, names := newScanKernel(t, children)
 	before := k.Stats()
+	preLookup, preReadDir := remote.OpCount("lookup"), remote.OpCount("readdir")
 	for _, n := range names {
 		if _, err := root.Stat("/dir/" + n); err != nil {
 			t.Fatalf("stat %s: %v", n, err)
 		}
 	}
 	d := k.Stats().Delta(before)
-	if d.BulkPopulations != 1 {
-		t.Fatalf("BulkPopulations = %d, want 1", d.BulkPopulations)
+	if d.FSLookups != children {
+		t.Fatalf("FSLookups = %d, want %d (one per name)", d.FSLookups, children)
 	}
-	// bulkAfter is 3: two per-name lookups, then the third miss
-	// triggers the ReadDir; everything after is served from the cache.
-	if d.FSLookups != 2 {
-		t.Fatalf("FSLookups = %d, want 2 (misses before the bulk threshold)", d.FSLookups)
+	if n := remote.OpCount("lookup") - preLookup; n != children {
+		t.Fatalf("scan issued %d LOOKUPs, want %d", n, children)
+	}
+	if n := remote.OpCount("readdir") - preReadDir; n != 0 {
+		t.Fatalf("scan issued %d READDIRs the application never asked for, want 0", n)
+	}
+	ref, err := root.Walk("/dir", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.D.Flags()&DComplete != 0 {
+		t.Fatal("directory marked DIR_COMPLETE by per-name lookups alone")
+	}
+}
+
+// TestScanAfterReadDirAnswersFromCache is the other half of §5.1: once the
+// application has listed the directory, the same scan costs no backend
+// Lookup (each stub hydrates by GetNode) and an absent name is answered
+// by completeness.
+func TestScanAfterReadDirAnswersFromCache(t *testing.T) {
+	const children = 16
+	k, root, remote, names := newScanKernel(t, children)
+	f, err := root.Open("/dir", O_RDONLY|O_DIRECTORY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := f.ReadDirAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != children {
+		t.Fatalf("readdir returned %d entries, want %d", len(ents), children)
 	}
 	ref, err := root.Walk("/dir", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.D.Flags()&DComplete == 0 {
-		t.Fatal("directory not marked DIR_COMPLETE after bulk population")
+		t.Fatal("directory not DIR_COMPLETE after a full readdir")
 	}
-	// An absent name now answers from completeness, not the FS.
-	before = k.Stats()
+
+	before := k.Stats()
+	preLookup := remote.OpCount("lookup")
+	for _, n := range names {
+		if _, err := root.Stat("/dir/" + n); err != nil {
+			t.Fatalf("stat %s: %v", n, err)
+		}
+	}
 	if _, err := root.Stat("/dir/nope"); !errors.Is(err, fsapi.ENOENT) {
 		t.Fatalf("stat absent: %v, want ENOENT", err)
 	}
-	d = k.Stats().Delta(before)
-	if d.FSLookups != 0 || d.CompleteShort != 1 {
-		t.Fatalf("absent name: FSLookups=%d CompleteShort=%d, want 0/1", d.FSLookups, d.CompleteShort)
-	}
-}
-
-// TestBulkPopulateNeedsCheapReadDir proves bulkEligible's capability
-// branch: over a backend that does not advertise CheapReadDir the same
-// cold scan issues one FS lookup per name and never bulk-populates.
-func TestBulkPopulateNeedsCheapReadDir(t *testing.T) {
-	const children = 8
-	remote := remotefs.New(memfs.New(memfs.Options{}), remotefs.Options{RTTNanos: 1})
-	k := NewKernel(Config{DirCompleteness: true}, remote)
-	root := k.NewTask(cred.Root())
-	if err := root.Mkdir("/dir", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < children; i++ {
-		if err := root.Create("/dir/"+string(rune('a'+i)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	k.DropCaches()
-	if _, err := root.Stat("/dir"); err != nil {
-		t.Fatal(err)
-	}
-	before := k.Stats()
-	preReadDir := remote.OpCount("readdir")
-	for i := 0; i < children; i++ {
-		if _, err := root.Stat("/dir/" + string(rune('a'+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
 	d := k.Stats().Delta(before)
-	if d.BulkPopulations != 0 {
-		t.Fatalf("BulkPopulations = %d without CheapReadDir, want 0", d.BulkPopulations)
+	if d.FSLookups != 0 || remote.OpCount("lookup") != preLookup {
+		t.Fatalf("scan after readdir: FSLookups=%d LOOKUP RPCs=%d, want 0/0",
+			d.FSLookups, remote.OpCount("lookup")-preLookup)
 	}
-	if d.FSLookups != children {
-		t.Fatalf("FSLookups = %d, want %d (one per name)", d.FSLookups, children)
+	if d.Hydrations != children {
+		t.Fatalf("Hydrations = %d, want %d (one GetNode per listed stub)", d.Hydrations, children)
 	}
-	if n := remote.OpCount("readdir") - preReadDir; n != 0 {
-		t.Fatalf("scan issued %d READDIRs to a backend without CheapReadDir, want 0", n)
+	if d.CompleteShort != 1 {
+		t.Fatalf("absent name: CompleteShort=%d, want 1", d.CompleteShort)
 	}
 }

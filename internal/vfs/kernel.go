@@ -166,11 +166,9 @@ type Stats struct {
 	RetryWalks    int64 // optimistic walks that had to retry/fallback
 
 	// Cold-miss storm elimination: how often concurrent misses shared one
-	// backend call, how many of those actually blocked, and how many
-	// directories were populated with a single ReadDir.
-	MissCoalesced   int64 // misses that joined an in-flight lookup
-	InLookupWaits   int64 // joins that actually blocked on resolution
-	BulkPopulations int64 // directories bulk-populated via one ReadDir
+	// backend call, and how many of those actually blocked.
+	MissCoalesced int64 // misses that joined an in-flight lookup
+	InLookupWaits int64 // joins that actually blocked on resolution
 }
 
 // Delta returns the field-by-field difference s - prev: the events that
@@ -196,9 +194,8 @@ func (s Stats) Delta(prev Stats) Stats {
 		DotDotSteps:   s.DotDotSteps - prev.DotDotSteps,
 		RetryWalks:    s.RetryWalks - prev.RetryWalks,
 
-		MissCoalesced:   s.MissCoalesced - prev.MissCoalesced,
-		InLookupWaits:   s.InLookupWaits - prev.InLookupWaits,
-		BulkPopulations: s.BulkPopulations - prev.BulkPopulations,
+		MissCoalesced: s.MissCoalesced - prev.MissCoalesced,
+		InLookupWaits: s.InLookupWaits - prev.InLookupWaits,
 	}
 }
 
@@ -207,7 +204,7 @@ type statsCell struct {
 	lookups, fastHits, fastNegHits, slowWalks, components, cacheHits,
 	fsLookups, hydrations, negativeHits, completeShort,
 	readdirCached, readdirFS, evictions, symlinkJumps, dotDotSteps,
-	retryWalks, missCoalesced, inLookupWaits, bulkPopulations atomic.Int64
+	retryWalks, missCoalesced, inLookupWaits atomic.Int64
 }
 
 // stripedStats spreads the counters over cache-line-separated cells so
@@ -262,7 +259,6 @@ func (s *stripedStats) snapshot() Stats {
 		out.RetryWalks += c.retryWalks.Load()
 		out.MissCoalesced += c.missCoalesced.Load()
 		out.InLookupWaits += c.inLookupWaits.Load()
-		out.BulkPopulations += c.bulkPopulations.Load()
 	}
 	return out
 }
@@ -552,6 +548,20 @@ func (k *Kernel) reclaimArenas() {
 	}
 }
 
+// leaveSection exits the epoch section a walk or create-type operation
+// entered at ep and, when the LRU eviction epoch moved since evictions was
+// read at entry, reclaims. An eviction inside the section (maybeShrink on
+// a miss or an install) retired slots whose grace period neither Shrink's
+// reclaim nor a nested walk's can clear while the section is open; a
+// read-only or create-only evicting workload has no mutation tail to do
+// it later, so it happens here, right after the section closes.
+func (k *Kernel) leaveSection(ep, evictions uint64) {
+	k.gate.Exit(ep)
+	if k.lru.Epoch() != evictions {
+		k.reclaimArenas()
+	}
+}
+
 // sweepLimbo processes up to max deferred-teardown records: hash-table
 // chain unlink, hook reclamation (residual DLHT entry, fast-dentry
 // slot), then the dentry slot's retirement into the arena's
@@ -753,7 +763,7 @@ func (k *Kernel) Shrink(n int) int {
 			// authoritative ENOENT for a name that exists.
 			wasComplete := pn.parent.Flags()&DComplete != 0
 			pn.parent.clearFlags(DComplete)
-			pn.parent.detachChild(pn.name)
+			pn.parent.detachChild(pn.name, d)
 			if wasComplete && tel != nil {
 				tel.Emit(telemetry.JDirIncomplete, pn.parent.ID(), 0, "evict-child")
 			}

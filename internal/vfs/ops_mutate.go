@@ -10,7 +10,9 @@ import (
 // lookupChild resolves one component under parent through the cache,
 // consulting the low-level FS on a miss. It returns the positive dentry,
 // or ENOENT (installing/charging negative state as configured). The §5.1
-// completeness shortcut applies.
+// completeness shortcut applies. errSeqRetry means parent was evicted
+// since the caller's walk returned it: the caller, which has changed
+// nothing yet, redoes the operation from its walk (redoEvicted).
 func (k *Kernel) lookupChild(parent PathRef, name string) (*Dentry, error) {
 	if d := k.table.lookup(parent.D.id, name); d != nil && !d.IsDead() {
 		k.stats.cell().cacheHits.Add(1)
@@ -135,7 +137,9 @@ func (k *Kernel) killSubtreeLocked(d *Dentry) int {
 	return n
 }
 
-// killRecurse marks a subtree dead, bottom-up. Only the coherence-
+// killRecurse marks a subtree dead, parent first: DDead is set before the
+// children are enumerated, so an install racing the kill either lands in
+// the enumeration or is refused by linkChildLocked. Only the coherence-
 // critical work happens here: the dead flag (lock-free readers discard),
 // parent detach (child maps are authoritative), LRU removal (capacity
 // accounting), and the OnEvict hook (seq bump for fastpath validity).
@@ -144,15 +148,15 @@ func (k *Kernel) killSubtreeLocked(d *Dentry) int {
 // teardown O(1) per dentry on the operation's critical path.
 func (k *Kernel) killRecurse(d *Dentry) int {
 	n := 1
-	// Deep-negative children first (unlink of a file with cached ENOTDIR
+	d.setFlags(DDead)
+	// Deep-negative children (unlink of a file with cached ENOTDIR
 	// children, alias children of a symlink).
 	d.EachChild(func(c *Dentry) { n += k.killRecurse(c) })
 	pn := d.pn.Load()
-	d.setFlags(DDead)
 	var pid uint64
 	if pn.parent != nil {
 		pid = pn.parent.id
-		pn.parent.detachChild(pn.name)
+		pn.parent.detachChild(pn.name, d)
 	}
 	k.lru.remove(d)
 	if k.hooks != nil {
@@ -163,9 +167,9 @@ func (k *Kernel) killRecurse(d *Dentry) int {
 }
 
 // discardDentry throws away a freshly allocated dentry that lost an
-// install race: it was registered with the LRU but never entered the
-// hash table or a child map, so only the LRU entry and the slab slot
-// need reclaiming.
+// install race or found its parent dead: it never entered the hash table
+// or a child map, so only its LRU entry (if it has one) and the slab
+// slot need reclaiming.
 func (k *Kernel) discardDentry(d *Dentry) {
 	d.setFlags(DDead)
 	k.lru.remove(d)
@@ -174,7 +178,8 @@ func (k *Kernel) discardDentry(d *Dentry) {
 
 // installNewChild creates and wires a positive dentry for a just-created
 // node. If a negative dentry is cached at the name it is positivized
-// instead.
+// instead. Returns nil when the parent dentry died under the create (the
+// node exists in the FS; the next walk finds it).
 func (k *Kernel) installNewChild(parent PathRef, name string, info fsapi.NodeInfo) *Dentry {
 	sb := parent.D.sb
 	ino := sb.inodeFor(info)
@@ -191,13 +196,27 @@ func (k *Kernel) installNewChild(parent PathRef, name string, info fsapi.NodeInf
 	if info.Mode.IsDir() && k.cfg.DirCompleteness {
 		d.setFlags(DComplete)
 	}
-	res := k.installDedup(parent.D, name, d)
+	res := k.installDedup(parent.D, name, d, true)
 	if res == d && info.Mode.IsDir() && k.cfg.DirCompleteness {
 		if tel := k.journal(); tel != nil {
 			tel.Emit(telemetry.JDirComplete, d.ID(), 0, "create")
 		}
 	}
 	return res
+}
+
+// redoEvicted runs op again while it reports errSeqRetry — the parent its
+// walk resolved was evicted before lookupChild could install under it, and
+// a fresh walk re-reads a live one. Every op that calls lookupChild does
+// so before its first side effect. A parent that stays gone (a removed
+// working directory) is ESTALE.
+func redoEvicted(op func() error) error {
+	for try := 0; try < 4; try++ {
+		if err := op(); err != errSeqRetry {
+			return err
+		}
+	}
+	return fsapi.ESTALE
 }
 
 // Create makes a regular file (open(O_CREAT|O_EXCL) without the handle).
@@ -213,8 +232,7 @@ func (t *Task) Create(path string, mode fsapi.Mode) error {
 // completeness caching is on (§5.1).
 func (t *Task) Mkdir(path string, mode fsapi.Mode) error {
 	k := t.k
-	e := k.gate.Enter()
-	defer k.gate.Exit(e)
+	defer k.leaveSection(k.gate.Enter(), k.lru.Epoch())
 	parent, name, err := t.walkParent(path)
 	if err != nil {
 		return err
@@ -243,8 +261,7 @@ func (t *Task) Mkdir(path string, mode fsapi.Mode) error {
 // Symlink creates a symbolic link at path pointing to target.
 func (t *Task) Symlink(target, path string) error {
 	k := t.k
-	e := k.gate.Enter()
-	defer k.gate.Exit(e)
+	defer k.leaveSection(k.gate.Enter(), k.lru.Epoch())
 	parent, name, err := t.walkParent(path)
 	if err != nil {
 		return err
@@ -273,8 +290,7 @@ func (t *Task) Symlink(target, path string) error {
 // Link creates a hard link newpath referring to oldpath's inode.
 func (t *Task) Link(oldpath, newpath string) error {
 	k := t.k
-	e := k.gate.Enter()
-	defer k.gate.Exit(e)
+	defer k.leaveSection(k.gate.Enter(), k.lru.Epoch())
 	oldRef, err := t.Walk(oldpath, WalkNoFollow)
 	if err != nil {
 		return err
@@ -318,6 +334,10 @@ func (t *Task) Link(oldpath, newpath string) error {
 // negative (§5.2: "keep negative dentries after a file is removed, in case
 // the path is reused later").
 func (t *Task) Unlink(path string) error {
+	return redoEvicted(func() error { return t.unlink(path) })
+}
+
+func (t *Task) unlink(path string) error {
 	k := t.k
 	e := k.gate.Enter()
 	defer k.gate.Exit(e)
@@ -361,6 +381,10 @@ func (t *Task) Unlink(path string) error {
 
 // Rmdir removes an empty directory.
 func (t *Task) Rmdir(path string) error {
+	return redoEvicted(func() error { return t.rmdir(path) })
+}
+
+func (t *Task) rmdir(path string) error {
 	k := t.k
 	e := k.gate.Enter()
 	defer k.gate.Exit(e)
@@ -470,6 +494,10 @@ func (k *Kernel) refreshInode(d *Dentry) {
 // the global rename seqlock blocks optimistic walks during it, and the
 // dentry moves atomically with respect to the hash table.
 func (t *Task) Rename(oldpath, newpath string) error {
+	return redoEvicted(func() error { return t.rename(oldpath, newpath) })
+}
+
+func (t *Task) rename(oldpath, newpath string) error {
 	k := t.k
 	e := k.gate.Enter()
 	defer k.gate.Exit(e)
@@ -549,9 +577,9 @@ func (t *Task) Rename(oldpath, newpath string) error {
 	defer k.cacheMutEnd()
 	if target != nil {
 		tIno := target.Inode()
+		target.setFlags(DDead) // before its children are enumerated: see killRecurse
 		target.EachChild(func(c *Dentry) { k.killSubtreeLocked(c) })
-		target.setFlags(DDead)
-		newParent.D.detachChild(newName)
+		newParent.D.detachChild(newName, target)
 		k.lru.remove(target)
 		if tel := k.journal(); tel != nil {
 			tel.Emit(telemetry.JEvict, target.ID(), 0, "rename-target")
@@ -578,15 +606,20 @@ func (t *Task) Rename(oldpath, newpath string) error {
 
 	// Move d: (oldParent, oldName) → (newParent, newName), d_move-style.
 	k.table.remove(oldParent.D.id, oldName, d)
-	oldParent.D.detachChild(oldName)
+	oldParent.D.detachChild(oldName, d)
 	d.pn.Store(&parentName{parent: newParent.D, name: newName})
-	newParent.D.attachChild(d)
-	k.table.insert(newParent.D.id, newName, d)
+	if newParent.D.attachChild(d) {
+		k.table.insert(newParent.D.id, newName, d)
+	} else {
+		// The destination directory's dentry died under the rename: the
+		// moved subtree leaves the cache and the next walk re-reads it.
+		k.killSubtreeLocked(d)
+	}
 
 	// §5.2: the old path is now known absent — keep it as a negative.
 	if k.cfg.AggressiveNegatives && k.negativesAllowed(oldParent.D.sb) {
 		neg := k.allocDentry(oldParent.D.sb, oldParent.D, oldName, nil)
-		k.installDedup(oldParent.D, oldName, neg)
+		k.installDedup(oldParent.D, oldName, neg, true)
 	}
 
 	k.refreshInode(oldParent.D)
@@ -625,9 +658,17 @@ func (t *Task) OpenAt(dirf *File, path string, flags OpenFlag, mode fsapi.Mode) 
 
 // openAt implements Open starting at `at` for relative paths.
 func (t *Task) openAt(at PathRef, path string, flags OpenFlag, mode fsapi.Mode) (*File, error) {
+	var f *File
+	err := redoEvicted(func() (err error) {
+		f, err = t.openAtOnce(at, path, flags, mode)
+		return err
+	})
+	return f, err
+}
+
+func (t *Task) openAtOnce(at PathRef, path string, flags OpenFlag, mode fsapi.Mode) (*File, error) {
 	k := t.k
-	e := k.gate.Enter()
-	defer k.gate.Exit(e)
+	defer k.leaveSection(k.gate.Enter(), k.lru.Epoch())
 	c := t.Cred()
 
 	var ref PathRef
@@ -676,6 +717,11 @@ func (t *Task) openAt(at PathRef, path string, flags OpenFlag, mode fsapi.Mode) 
 			d = k.installNewChild(parent, name, info)
 			k.refreshInode(parent.D)
 			unlock()
+			if d == nil {
+				// The directory's dentry died under the create; reach
+				// the new file through a fresh walk.
+				return t.openAt(at, path, flags&^(O_CREAT|O_EXCL), mode)
+			}
 			ref = PathRef{Mnt: parent.Mnt, D: d}
 		default:
 			unlock()

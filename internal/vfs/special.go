@@ -10,7 +10,7 @@ package vfs
 // negative (§5.2) and stays out of the slow-walk hash table (the slow walk
 // stops at parent before ever probing below it). notDir marks an ENOTDIR
 // failure dentry. Returns the installed dentry (an existing one if the
-// path raced).
+// path raced), or nil when parent is dead.
 func (k *Kernel) AddSpecialNegative(parent *Dentry, name string, notDir bool) *Dentry {
 	if parent.IsDead() {
 		return nil
@@ -38,7 +38,7 @@ func (k *Kernel) AddSpecialNegative(parent *Dentry, name string, notDir bool) *D
 		d.fast = k.hooks.NewDentry(d)
 	}
 	k.lru.add(d)
-	return k.installDedup2(parent, name, d, !deep)
+	return k.installDedup(parent, name, d, !deep)
 }
 
 // AddAlias installs a symlink-alias dentry (§4.2) named name under parent
@@ -70,27 +70,5 @@ func (k *Kernel) AddAlias(parent *Dentry, name string, target *Dentry) *Dentry {
 		d.fast = k.hooks.NewDentry(d)
 	}
 	k.lru.add(d)
-	return k.installDedup2(parent, name, d, false)
-}
-
-// installDedup2 is installDedup with control over hash table membership.
-func (k *Kernel) installDedup2(parent *Dentry, name string, d *Dentry, inTable bool) *Dentry {
-	parent.mu.Lock()
-	if cur, ok := parent.children[name]; ok && !cur.IsDead() {
-		parent.mu.Unlock()
-		k.discardDentry(d)
-		return cur
-	}
-	if parent.children == nil {
-		parent.children = make(map[string]*Dentry, 4)
-	}
-	parent.children[name] = d
-	parent.listValid = false
-	parent.mu.Unlock()
-	parent.nkids.Add(1)
-	if inTable {
-		k.table.insert(parent.id, name, d)
-	}
-	k.maybeShrink()
-	return d
+	return k.installDedup(parent, name, d, false)
 }

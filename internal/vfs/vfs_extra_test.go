@@ -414,3 +414,56 @@ func TestPathToDiagnostics(t *testing.T) {
 		t.Fatalf("root PathTo: %q", got)
 	}
 }
+
+// TestNoInsertUnderDeadParent: a walker that found a negative dentry can
+// reach the insert after a rename has killed that negative (the IsDead
+// pre-checks in AddSpecialNegative and the walk are not under parent.mu).
+// Whatever path the insert takes, a dead parent must end up with no live
+// child: nothing would ever reach it or tear it down.
+func TestNoInsertUnderDeadParent(t *testing.T) {
+	k, root := newKernel(t, Config{AggressiveNegatives: true})
+	if _, err := root.Stat("/etc/ghost"); !errors.Is(err, fsapi.ENOENT) {
+		t.Fatalf("stat absent: %v", err)
+	}
+	etc, err := root.Walk("/etc", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg := etc.D.child("ghost")
+	if neg == nil || !neg.IsNegative() {
+		t.Fatal("no negative dentry cached for /etc/ghost")
+	}
+	dir, err := root.Walk("/usr/include/sys", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.killDentryKeepComplete(neg)
+	k.killDentryKeepComplete(dir.D)
+
+	for _, parent := range []*Dentry{neg, dir.D} {
+		if got := k.installDedup(parent, "b", k.allocDentry(parent.sb, parent, "b", nil), false); got != nil {
+			t.Errorf("installDedup under a dead parent returned live dentry %q", got.Name())
+		}
+		k.installUnhydrated(parent, fsapi.DirEntry{Name: "c", ID: 1, Type: fsapi.TypeRegular})
+		moved := k.allocDentry(parent.sb, parent, "d", nil)
+		if parent.attachChild(moved) {
+			t.Error("attachChild accepted a dead parent")
+		}
+		k.discardDentry(moved)
+		if n, kids := parent.nkids.Load(), len(parent.children); n != 0 || kids != 0 {
+			t.Errorf("dead parent %q holds %d children (nkids %d), want none", parent.Name(), kids, n)
+		}
+	}
+	// The placeholder path: a miss under the dead directory installs
+	// nothing and tells the walk to redo.
+	if _, err := k.missLookup(dir, "types.h", nil); err != errSeqRetry {
+		t.Errorf("missLookup under a dead directory: %v, want errSeqRetry", err)
+	}
+	if n := dir.D.nkids.Load(); n != 0 || k.InLookupCount() != 0 {
+		t.Errorf("dead directory holds %d children, %d placeholders in flight", n, k.InLookupCount())
+	}
+	// And the walk does redo: the name resolves through a fresh dentry.
+	if _, err := root.Stat("/usr/include/sys/types.h"); err != nil {
+		t.Fatalf("stat after the kill: %v", err)
+	}
+}

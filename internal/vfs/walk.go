@@ -2,7 +2,6 @@ package vfs
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"dircache/internal/fsapi"
@@ -145,14 +144,7 @@ func (t *Task) WalkFrom(at PathRef, path string, fl WalkFlags) (PathRef, error) 
 	ep := k.gate.Enter()
 	evictions := k.lru.Epoch()
 	res, err := t.walkInSection(at, path, fl)
-	k.gate.Exit(ep)
-	// An eviction during the walk (maybeShrink on a miss) retired slots
-	// under this walk's own section, where Shrink's reclaim cannot clear
-	// their grace period; a read-only evicting workload has no mutation
-	// tail to do it later, so do it here.
-	if k.lru.Epoch() != evictions {
-		k.reclaimArenas()
-	}
+	k.leaveSection(ep, evictions)
 	return res, err
 }
 
@@ -455,9 +447,9 @@ func (k *Kernel) walkOnce(t *Task, start PathRef, path string, fl WalkFlags, tr 
 			}
 		} else {
 			// Miss: authoritative shortcut if the directory is complete.
-			// A child that is in the map but not yet in the table (bulk
-			// population in flight) falls through to missLookup, which
-			// resolves it from the map without a backend call.
+			// A child that is in the map but not yet in the table (a
+			// readdir install in flight) falls through to missLookup,
+			// which resolves it from the map without a backend call.
 			if k.cfg.DirCompleteness && cur.D.completeWithout(comp) {
 				sc.completeShort.Add(1)
 				tr.Event(telemetry.EvCompleteShort, comp)
@@ -655,8 +647,8 @@ func (k *Kernel) hydrate(d *Dentry) error {
 // same name block on its resolution instead of issuing duplicate Lookup
 // round trips. The placeholder resolves in place to a positive or
 // negative dentry, or is removed on backend error so a later walk can
-// retry. The coalesce wait, bulk population, and backend consultation
-// under this miss become stage events on tr (nil for untraced walks).
+// retry. The coalesce wait and backend consultation under this miss
+// become stage events on tr (nil for untraced walks).
 func (k *Kernel) missLookup(cur PathRef, comp string, tr *telemetry.WalkTrace) (*Dentry, error) {
 	parent := cur.D
 	pIno := parent.Inode()
@@ -696,14 +688,14 @@ func (k *Kernel) missLookup(cur PathRef, comp string, tr *telemetry.WalkTrace) (
 	if k.hooks != nil {
 		d.fast = k.hooks.NewDentry(d)
 	}
-	if parent.children == nil {
-		parent.children = make(map[string]*Dentry, 4)
-	}
-	parent.children[comp] = d
-	parent.listValid = false
+	linked := parent.linkChildLocked(comp, d)
 	parent.mu.Unlock()
-	parent.nkids.Add(1)
 	k.cacheMutEnd()
+	if !linked {
+		// The directory was killed under this walk: redo from a live one.
+		k.discardDentry(d)
+		return nil, errSeqRetry
+	}
 	k.inLookupCount.Add(1)
 
 	return k.resolveMiss(parent, pIno, comp, d, il, tr)
@@ -755,17 +747,9 @@ func (k *Kernel) joinInLookup(d *Dentry, il *inLookupState, comp string, tr *tel
 }
 
 // resolveMiss is the winner's half of the in-lookup protocol: one backend
-// consultation — a Lookup, or, once the miss streak under this directory
-// crosses bulkAfter on a CheapReadDir file system, one ReadDir
-// that populates the whole directory — then an in-place resolution of the
-// placeholder that wakes every coalesced waiter.
+// Lookup, then an in-place resolution of the placeholder that wakes every
+// coalesced waiter.
 func (k *Kernel) resolveMiss(parent *Dentry, pIno *Inode, comp string, d *Dentry, il *inLookupState, tr *telemetry.WalkTrace) (*Dentry, error) {
-	if streak := parent.missStreak.Add(1); k.bulkEligible(parent, streak) {
-		if res, err, handled := k.bulkPopulate(parent, pIno, comp, d, il, tr); handled {
-			return res, err
-		}
-	}
-
 	k.stats.cell().fsLookups.Add(1)
 	tel := k.tel.Load()
 	var fsStart time.Time
@@ -778,7 +762,7 @@ func (k *Kernel) resolveMiss(parent *Dentry, pIno *Inode, comp string, d *Dentry
 	}
 	switch {
 	case err == nil:
-		return k.resolvePositive(parent, comp, d, il, parent.sb.inodeFor(info), fsapi.DirEntry{})
+		return k.resolvePositive(parent, comp, d, il, parent.sb.inodeFor(info))
 	case errors.Is(err, fsapi.ENOENT):
 		k.resolveNegative(parent, comp, d, il)
 		return nil, fsapi.ENOENT
@@ -789,11 +773,10 @@ func (k *Kernel) resolveMiss(parent *Dentry, pIno *Inode, comp string, d *Dentry
 }
 
 // resolvePositive publishes the placeholder as a live positive dentry:
-// inode (or, for bulk population, the listing entry's hints) attached,
-// DInLookup cleared, hash table and LRU entered. The injected
-// testSkipInLookupClear bug leaves the flag set so the auditor's
+// inode attached, DInLookup cleared, hash table and LRU entered. The
+// injected testSkipInLookupClear bug leaves the flag set so the auditor's
 // dlht_in_lookup cross-check has a real leak to catch.
-func (k *Kernel) resolvePositive(parent *Dentry, comp string, d *Dentry, il *inLookupState, ino *Inode, hint fsapi.DirEntry) (*Dentry, error) {
+func (k *Kernel) resolvePositive(parent *Dentry, comp string, d *Dentry, il *inLookupState, ino *Inode) (*Dentry, error) {
 	k.cacheMutBegin()
 	parent.mu.Lock()
 	if d.IsDead() {
@@ -804,13 +787,7 @@ func (k *Kernel) resolvePositive(parent *Dentry, comp string, d *Dentry, il *inL
 		k.finishInLookup(il, errSeqRetry)
 		return nil, errSeqRetry
 	}
-	if ino != nil {
-		d.inode.Store(ino)
-	} else {
-		d.hintID = hint.ID
-		d.hintType = hint.Type
-		d.setFlags(DUnhydrated)
-	}
+	d.inode.Store(ino)
 	if !k.testSkipInLookupClear {
 		d.clearFlags(DInLookup)
 	}
@@ -820,11 +797,6 @@ func (k *Kernel) resolvePositive(parent *Dentry, comp string, d *Dentry, il *inL
 	k.cacheMutEnd()
 	k.finishInLookup(il, nil)
 	k.maybeShrink()
-	if d.Flags()&DUnhydrated != 0 {
-		if err := k.hydrate(d); err != nil {
-			return nil, err
-		}
-	}
 	return d, nil
 }
 
@@ -887,100 +859,19 @@ func (k *Kernel) finishInLookup(il *inLookupState, err error) {
 	close(il.done)
 }
 
-// bulkAfter is the miss-streak threshold for readdir-driven bulk
-// population: once this many consecutive slow-path backend misses land
-// under one directory, the next miss issues a single ReadDir instead of
-// continuing one Lookup per name.
-const bulkAfter = 3
-
-// bulkEligible reports whether the miss streak under parent justifies
-// readdir-driven bulk population: directory completeness must be on (the
-// populated child set is about to become authoritative), the streak must
-// have crossed bulkAfter, the backend must have declared ReadDir cheap,
-// and the directory must not already be complete.
-func (k *Kernel) bulkEligible(parent *Dentry, streak int32) bool {
-	return k.cfg.DirCompleteness &&
-		streak >= bulkAfter &&
-		parent.sb.caps.CheapReadDir &&
-		parent.Flags()&DComplete == 0
-}
-
-// bulkPopulate converts a per-name miss storm into one ReadDir: every
-// child of parent is installed as an unhydrated dentry, the placeholder
-// for comp resolves from its own listing entry (or negative when absent),
-// and the directory is marked DIR_COMPLETE so each further miss under it
-// is answered from the cache — O(children) round trips become one.
-// handled=false (the ReadDir itself failed) falls back to the per-name
-// Lookup.
-func (k *Kernel) bulkPopulate(parent *Dentry, pIno *Inode, comp string, d *Dentry, il *inLookupState, tr *telemetry.WalkTrace) (res *Dentry, err error, handled bool) {
-	startEpoch := k.lru.Epoch()
-	tel := k.tel.Load()
-	var fsStart time.Time
-	if tel.On() {
-		fsStart = time.Now()
-	}
-	ents, _, eof, rerr := parent.sb.fs.ReadDir(pIno.ID(), 0, -1)
-	if !fsStart.IsZero() {
-		dur := time.Since(fsStart)
-		tel.Record(telemetry.HistFSLookup, dur)
-		tr.EventDur(telemetry.EvBulkPopulate, fmt.Sprintf("%s: %d entries", comp, len(ents)), dur)
-	}
-	if rerr != nil {
-		return nil, nil, false
-	}
-	parent.missStreak.Store(0)
-	k.stats.cell().bulkPopulations.Add(1)
-
-	var own *fsapi.DirEntry
-	installed := 0
+// installUnhydrated installs one readdir result as an inode-less
+// ("unhydrated") child of parent, so a later lookup of the name costs a
+// GetNode instead of a directory search (§5.1). The slot is won under
+// parent.mu before anything is allocated (no dentry is born to lose an
+// install race); live incumbents — including other walks' in-lookup placeholders, which
+// their own winners will resolve — are left alone.
+func (k *Kernel) installUnhydrated(parent *Dentry, e fsapi.DirEntry) {
 	k.cacheMutBegin()
-	for i := range ents {
-		if ents[i].Name == comp {
-			own = &ents[i]
-			continue
-		}
-		if k.installUnhydrated(parent, ents[i]) {
-			installed++
-		}
-	}
-	k.cacheMutEnd()
-
-	// Resolve our own placeholder from its listing entry.
-	if own != nil {
-		res, err = k.resolvePositive(parent, comp, d, il, nil, *own)
-		installed++
-	} else {
-		k.resolveNegative(parent, comp, d, il)
-		res, err = nil, fsapi.ENOENT
-	}
-
-	// Completeness: only when the listing was exhaustive and no eviction
-	// raced the population (the same guard File.ReadDir applies).
-	if eof && k.lru.Epoch() == startEpoch {
-		k.cacheMutBegin()
-		parent.setFlags(DComplete)
-		k.cacheMutEnd()
-		if jt := k.journal(); jt != nil {
-			jt.Emit(telemetry.JDirComplete, parent.ID(), 0, "bulk")
-		}
-	}
-	if jt := k.journal(); jt != nil {
-		jt.Emit(telemetry.JBulkPopulate, parent.ID(), int64(installed), "")
-	}
-	return res, err, true
-}
-
-// installUnhydrated installs one listing entry as an unhydrated child of
-// parent, winning the slot under parent.mu before allocating anything (no
-// dead-on-arrival dentries). Live incumbents — including other walks'
-// in-lookup placeholders, which their own winners will resolve — are left
-// alone. Reports whether a dentry was installed. The caller holds a
-// cacheMut bracket.
-func (k *Kernel) installUnhydrated(parent *Dentry, e fsapi.DirEntry) bool {
+	defer k.cacheMutEnd()
 	parent.mu.Lock()
 	if cur, ok := parent.children[e.Name]; ok && !cur.IsDead() {
 		parent.mu.Unlock()
-		return false
+		return
 	}
 	d := k.newDentry(parent.sb, parent, e.Name)
 	d.setFlags(DUnhydrated)
@@ -989,16 +880,14 @@ func (k *Kernel) installUnhydrated(parent *Dentry, e fsapi.DirEntry) bool {
 	if k.hooks != nil {
 		d.fast = k.hooks.NewDentry(d)
 	}
-	if parent.children == nil {
-		parent.children = make(map[string]*Dentry, 4)
-	}
-	parent.children[e.Name] = d
-	parent.listValid = false
+	linked := parent.linkChildLocked(e.Name, d)
 	parent.mu.Unlock()
-	parent.nkids.Add(1)
+	if !linked {
+		k.discardDentry(d)
+		return
+	}
 	k.lru.add(d)
 	k.table.insert(parent.id, e.Name, d)
-	return true
 }
 
 // negativesAllowed applies the §5.2 policy: pseudo file systems get
@@ -1013,24 +902,28 @@ func (k *Kernel) negativesAllowed(sb *Super) bool {
 	return true
 }
 
-// installDedup inserts d under (parent, name) unless a concurrent walk won
-// the race, in which case d is discarded in favor of the incumbent.
-func (k *Kernel) installDedup(parent *Dentry, name string, d *Dentry) *Dentry {
+// installDedup inserts the freshly allocated d under (parent, name) and,
+// when inTable, into the slow walk's hash table. If a concurrent walk won
+// the slot d is discarded and the incumbent returned; if parent was killed
+// meanwhile d is discarded and nil returned — a child attached under a
+// dead parent would be reachable from nothing and torn down by no one.
+func (k *Kernel) installDedup(parent *Dentry, name string, d *Dentry, inTable bool) *Dentry {
 	parent.mu.Lock()
-	if cur, ok := parent.children[name]; ok && !cur.IsDead() {
+	cur, ok := parent.children[name]
+	if ok && !cur.IsDead() {
 		parent.mu.Unlock()
-		// Lost the race: drop our speculative dentry.
 		k.discardDentry(d)
 		return cur
 	}
-	if parent.children == nil {
-		parent.children = make(map[string]*Dentry, 4)
-	}
-	parent.children[name] = d
-	parent.listValid = false
+	linked := parent.linkChildLocked(name, d)
 	parent.mu.Unlock()
-	parent.nkids.Add(1)
-	k.table.insert(parent.id, name, d)
+	if !linked {
+		k.discardDentry(d)
+		return nil
+	}
+	if inTable {
+		k.table.insert(parent.id, name, d)
+	}
 	k.maybeShrink()
 	return d
 }

@@ -45,10 +45,9 @@ type CacheStats struct {
 	ReaddirCached int64
 	ReaddirFS     int64
 
-	// Cold-miss storm handling: in-lookup dentries and bulk population.
-	MissCoalesced   int64 // misses that joined an in-flight lookup instead of calling the FS
-	InLookupWaits   int64 // coalesced misses that actually blocked on the winner
-	BulkPopulations int64 // miss streaks answered by one ReadDir instead of per-name Lookups
+	// Cold-miss storm handling: in-lookup dentries.
+	MissCoalesced int64 // misses that joined an in-flight lookup instead of calling the FS
+	InLookupWaits int64 // coalesced misses that actually blocked on the winner
 
 	// Cache management.
 	Evictions int64
@@ -79,12 +78,14 @@ type CacheStats struct {
 	LazyShootdowns  int64 // stale entries discarded lazily by probes/sweeps
 
 	HashedBytes int64 // bytes fed to the path hash, all walks
-	// ShortcutResumes and ChildHops always read 0: the directory-shortcut
-	// resume and the child hop they counted are gone. The fields stay
-	// because benchmark/metrics.go reads CacheStats fields by name and
-	// panics on a missing one.
+	// ShortcutResumes, ChildHops and BulkPopulations always read 0: the
+	// directory-shortcut resume, the child hop and readdir-driven bulk
+	// population they counted are gone. The fields stay because
+	// benchmark/metrics.go reads CacheStats fields by name and panics on
+	// a missing one.
 	ShortcutResumes int64
 	ChildHops       int64
+	BulkPopulations int64
 }
 
 // Delta returns the events counted between prev and s: every cumulative
@@ -155,9 +156,8 @@ func (s *System) Stats() CacheStats {
 		ReaddirCached: v.ReaddirCached,
 		ReaddirFS:     v.ReaddirFS,
 
-		MissCoalesced:   v.MissCoalesced,
-		InLookupWaits:   v.InLookupWaits,
-		BulkPopulations: v.BulkPopulations,
+		MissCoalesced: v.MissCoalesced,
+		InLookupWaits: v.InLookupWaits,
 
 		Evictions: v.Evictions,
 		Dentries:  int64(s.k.DentryCount()),

@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all help build check vet race audit ci stress bench bench-parallel bench-test memscale-smoke serve-smoke shard-smoke dcbench loc
+.PHONY: all help build check vet race audit ci stress bench bench-parallel bench-hotpath bench-test memscale-smoke serve-smoke shard-smoke dcbench loc
 
 all: ci
 
@@ -22,7 +22,8 @@ help:
 	@echo "  stress         longer -race soak of the stress tests"
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
-	@echo "  memscale-smoke slab gate: warm walks at 0 allocs/op (AllocsPerRun test + BenchmarkParallelWalk -benchmem), and a create-only evicting build stays within one arena chunk"
+	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget)"
+	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), a create-only evicting build stays within one arena chunk, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean) + pipelined dispatch"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
@@ -44,7 +45,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/vfs/... ./internal/core/... ./internal/telemetry/... ./internal/coherence/... ./internal/ninep/...
+	$(GO) test -race ./internal/sig/... ./internal/vfs/... ./internal/core/... ./internal/telemetry/... ./internal/coherence/... ./internal/ninep/...
 
 # The invariant auditor under fire: the concurrent audit stress tests and
 # the injected-bug detection test, all under the race detector.
@@ -66,17 +67,33 @@ bench:
 bench-parallel:
 	$(GO) test -run '^$$' -bench BenchmarkParallelWalk -count 3 .
 
+# The depth sweep: one warm Stat at 1/4/8/16 components through the
+# baseline component walk and the whole-path fastpath, then the fastpath's
+# stages timed apart (DESIGN §5h is read off these two).
+bench-hotpath:
+	$(GO) test -run '^$$' -bench BenchmarkStatDepth -benchmem -count 3 .
+	$(GO) test -run '^$$' -bench BenchmarkFastpathStages -benchmem -count 3 ./internal/core
+
 # The slab gate: dentries, fast-dentries, and DLHT chain nodes live in
 # slab arenas, so a warm fastpath walk must not allocate —
 # testing.AllocsPerRun asserts exactly 0, and the parallel walk benchmark
 # must report 0 allocs/op (awk gates the -benchmem column so a regression
 # fails the target, not just prints a number) — and evicted slots must
 # come back: 9600 creates into a 4096-dentry cache reclaim as they go and
-# never grow the dentry arena past its first chunk.
+# never grow the dentry arena past its first chunk. Population of a path
+# the inline cursor holds allocates nothing either. The last step reads
+# the compiler's own verdict: in the fastpath's files a defer must be
+# open-coded (TryFast once paid for a stack-allocated one) and nothing
+# may move to the heap (a cursor that escapes costs an allocation per
+# walk that no test of a warm path would otherwise name).
 memscale-smoke:
 	$(GO) test -run 'TestWarmWalkZeroAlloc|TestEvictingCreatesReclaimSlab' -count=1 .
+	$(GO) test -run 'TestLexicalHashZeroAlloc' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelWalk/optimized/goroutines-1$$' -benchtime 2000x -benchmem . | \
 		tee /dev/stderr | awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad=1 } END { exit bad }'
+	@if $(GO) build -gcflags='-m -d=defer' ./internal/core 2>&1 | \
+		grep -E '/(tryfast|cursor|populate)\.go:.*(-allocated defer|moved to heap)'; then \
+		echo 'memscale-smoke: the fastpath has an allocated defer or a heap-moved local (above)'; exit 1; fi
 
 # 9P server smoke: boot dcserve on an ephemeral loopback port, run the
 # in-repo client through attach/walk/stat/readdir/read round trips under

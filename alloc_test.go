@@ -9,9 +9,11 @@ import (
 
 // TestWarmWalkZeroAlloc is the alloc-regression gate behind
 // `make memscale-smoke`: with dentries, fast-dentries, and hash-chain
-// nodes carved out of slab arenas, a warm fastpath walk must not touch
-// the GC heap at all — 0 allocs per Stat, serially and with every
-// goroutine hammering the same path. A regression here is how GC
+// nodes carved out of slab arenas, and the path cursor held in TryFast's
+// frame, a warm fastpath walk must not touch the GC heap at all — 0
+// allocs per Stat, whatever route the path takes through the scan:
+// absolute, cwd-relative, ".", "..", a trailing slash, a negative hit, or
+// through a symlink's alias dentries. A regression here is how GC
 // pressure at 10M entries sneaks back in, so it fails fast at unit-test
 // scale.
 func TestWarmWalkZeroAlloc(t *testing.T) {
@@ -26,18 +28,44 @@ func TestWarmWalkZeroAlloc(t *testing.T) {
 	if err := setup.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p := sys.Start(dircache.RootCreds())
-	for i := 0; i < 8; i++ {
-		if _, err := p.Stat(path); err != nil {
-			t.Fatal(err)
-		}
+	if err := setup.Symlink("/a/b/c/d", "/lnk"); err != nil {
+		t.Fatal(err)
 	}
-	if avg := testing.AllocsPerRun(500, func() {
-		if _, err := p.Stat(path); err != nil {
-			t.Fatal(err)
+	p := sys.Start(dircache.RootCreds())
+	if err := p.Chdir("/a/b/c"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path string
+		enoent     bool
+	}{
+		{"absolute", path, false},
+		{"relative", "d/e/f/g/file", false},
+		{"directory", "/a/b/c/d", false}, // published: the mid-path "." below resolves it
+		{"dot", "./d/./e/f/g/file", false},
+		{"dot-dot", "/a/b/c/d/../d/e/../e/f/g/file", false},
+		{"dot-dot-below-cwd", "../../b/c/d/e/f/g/file", false},
+		{"trailing-slash", "/a/b/c/d/e/f/g/", false},
+		{"start-directory", ".", false},
+		{"negative", "/a/b/c/d/e/f/g/ghost", true},
+		{"symlink-alias", "/lnk/e/f/g/file", false},
+	} {
+		stat := func() {
+			if _, err := p.Stat(tc.path); (err != nil) != tc.enoent {
+				t.Fatalf("%s: Stat(%q) = %v", tc.name, tc.path, err)
+			}
 		}
-	}); avg != 0 {
-		t.Fatalf("warm walk allocates: %.2f allocs/op (want 0 — the slab arenas exist so this path never touches the GC heap)", avg)
+		for i := 0; i < 8; i++ {
+			stat()
+		}
+		before := sys.Stats()
+		avg := testing.AllocsPerRun(500, stat)
+		if d := sys.Stats().Delta(before); d.SlowWalks != 0 {
+			t.Fatalf("%s: %d of %d warm walks left the fastpath", tc.name, d.SlowWalks, d.Lookups)
+		}
+		if avg != 0 {
+			t.Fatalf("%s: warm walk allocates: %.2f allocs/op (want 0 — the slab arenas exist so this path never touches the GC heap)", tc.name, avg)
+		}
 	}
 }
 

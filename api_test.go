@@ -279,6 +279,50 @@ func TestPhaseTraceSurface(t *testing.T) {
 	}
 }
 
+// TestPhaseSinkSeesEveryFastHit: the Fig-3 phases must describe every walk
+// the fastpath handles, not just positive hits — a negative hit, ENOTDIR
+// from a trailing slash on a file, and a path that is the start directory
+// itself each reach the sink exactly once.
+func TestPhaseSinkSeesEveryFastHit(t *testing.T) {
+	cfg := dircache.Optimized()
+	cfg.PhaseTrace = true
+	sys := dircache.New(cfg)
+	var calls int64
+	sys.SetPhaseSink(func(p dircache.PhaseTimes) {
+		if p.ScanHash <= 0 || p.Finalize <= 0 {
+			t.Errorf("sink got an unfinished record: %+v", p)
+		}
+		calls++
+	})
+	p := sys.Start(dircache.RootCreds())
+	if err := p.MkdirAll("/a/b", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteFile("/a/b/file", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Chdir("/a/b"); err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{"/a/b/file", "/a/b/ghost", "/a/b/file/", ".", "file", "/a/b/"}
+	for i := 0; i < 4; i++ { // past admission: every path fast-hits from here on
+		for _, path := range paths {
+			p.Stat(path)
+		}
+	}
+	before, callsBefore := sys.Stats(), calls
+	for _, path := range paths {
+		p.Stat(path)
+	}
+	d := sys.Stats().Delta(before)
+	if d.FastHits != int64(len(paths)) || d.SlowWalks != 0 || d.FastNeg != 1 {
+		t.Fatalf("warm pass: %d fast hits (%d negative), %d slow walks; want %d (1), 0", d.FastHits, d.FastNeg, d.SlowWalks, len(paths))
+	}
+	if got := calls - callsBefore; got != d.FastHits {
+		t.Fatalf("phase sink called %d times for %d fastpath hits", got, d.FastHits)
+	}
+}
+
 func TestNamespaceAPI(t *testing.T) {
 	sys := dircache.New(dircache.Optimized())
 	root := sys.Start(dircache.RootCreds())

@@ -133,21 +133,48 @@ func BenchmarkTable4LoC(b *testing.B) {
 
 // Raw hot-path benchmarks, for profiling the implementations directly.
 
-func benchStat(b *testing.B, cfg dircache.Config, path string) {
-	sys := dircache.New(cfg)
-	p := sys.Start(dircache.RootCreds())
-	if err := p.MkdirAll("/a/b/c/d/e/f/g", 0o755); err != nil {
-		b.Fatal(err)
-	}
-	if err := p.WriteFile("/a/b/c/d/e/f/g/file", nil, 0o644); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.Stat(path); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Stat(path)
+// BenchmarkStatDepth is the depth sweep behind `make bench-hotpath`: one
+// warm Stat of a path 1, 4, 8 and 16 components deep, through the
+// baseline component walk and through the whole-path fastpath. The
+// paper's claim is the shape of this table — baseline cost grows with
+// depth by a hash probe and a permission check per component, optimized
+// cost only by the bytes hashed — and DESIGN §5h's per-stage budget is
+// read off it.
+func BenchmarkStatDepth(b *testing.B) {
+	for _, depth := range []int{1, 4, 8, 16} {
+		dir := ""
+		for i := 1; i < depth; i++ {
+			dir += fmt.Sprintf("/d%02d", i)
+		}
+		path := dir + "/file"
+		for _, mode := range []string{"baseline", "optimized"} {
+			b.Run(fmt.Sprintf("depth-%d/%s", depth, mode), func(b *testing.B) {
+				cfg := dircache.Baseline()
+				if mode == "optimized" {
+					cfg = dircache.Optimized()
+					cfg.SignatureSeed = 1
+				}
+				p := dircache.New(cfg).Start(dircache.RootCreds())
+				if dir != "" {
+					if err := p.MkdirAll(dir, 0o755); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := p.WriteFile(path, nil, 0o644); err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < 4; i++ { // past admission, onto the hit path
+					if _, err := p.Stat(path); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.Stat(path)
+				}
+			})
+		}
 	}
 }
 
@@ -201,24 +228,4 @@ func BenchmarkParallelWalk(b *testing.B) {
 			})
 		}
 	}
-}
-
-func BenchmarkStatDeepBaseline(b *testing.B) {
-	benchStat(b, dircache.Baseline(), "/a/b/c/d/e/f/g/file")
-}
-
-func BenchmarkStatDeepOptimized(b *testing.B) {
-	cfg := dircache.Optimized()
-	cfg.SignatureSeed = 1
-	benchStat(b, cfg, "/a/b/c/d/e/f/g/file")
-}
-
-func BenchmarkStatShallowBaseline(b *testing.B) {
-	benchStat(b, dircache.Baseline(), "/a/b")
-}
-
-func BenchmarkStatShallowOptimized(b *testing.B) {
-	cfg := dircache.Optimized()
-	cfg.SignatureSeed = 1
-	benchStat(b, cfg, "/a/b")
 }

@@ -17,7 +17,7 @@ import (
 // auditFixture builds an optimized kernel with telemetry attached from
 // the start (the journal cross-checks assume no emission gap) and a
 // small warm tree.
-func auditFixture(t *testing.T) (*vfs.Kernel, *Core, *vfs.Task) {
+func auditFixture(t testing.TB) (*vfs.Kernel, *Core, *vfs.Task) {
 	t.Helper()
 	k := vfs.NewKernel(vfs.Config{
 		CacheCapacity:       128,

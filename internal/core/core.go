@@ -857,8 +857,10 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st sig.State, token uint64) {
 			fd.mntP.Store(ref.Mnt)
 			fd.state = st
 			fd.hasState = true
-			snap := st
-			fd.statePtr.Store(&snap)
+			if sp := fd.statePtr.Load(); sp == nil || *sp != st {
+				snap := st
+				fd.statePtr.Store(&snap)
+			}
 			fd.validGen.Store(gen)
 			return // already published under this signature
 		}

@@ -5,41 +5,36 @@ import (
 	"dircache/internal/vfs"
 )
 
-// cursorInline is the stack depth served by the cursor's inline arrays;
-// deeper paths spill to heap-backed overflow slices.
+// cursorInline is the path depth served by the cursor's inline component
+// stack; deeper paths spill to a heap-backed overflow slice.
 const cursorInline = 24
 
 // pathCursor is the shared component-iteration state used by the fastpath
-// scan (TryFast) and slow-path population (lexicalHash): a resumable
-// signature state, a stack of per-prefix states for ".." pops, and a base
-// reference for pops that climb above the scan's own components. The
-// first cursorInline stack frames live in fixed inline arrays; deeper
-// paths spill to overflow slices (rare, and by then the walk is paying
+// scan (TryFast) and slow-path population (lexicalHash): one signature
+// state, extended and shrunk in place, the stack of components pushed so
+// far (slices of the caller's path), and a base reference for ".." pops
+// that climb above the scan's own components. There is no stack of saved
+// states: the hash is linear in position-keyed bytes, so a pop subtracts
+// the popped component's terms (sig.UnappendComponent). The first
+// cursorInline components live in a fixed inline array; deeper paths
+// spill to an overflow slice (rare, and by then the walk is paying
 // per-component cost anyway).
 //
-// The frames are indexed by an explicit depth counter rather than held in
-// slices over the inline arrays: a slice like stack = stackArr[:0] stores
-// a pointer to the struct into the struct, which forces escape analysis
-// to heap-allocate every cursor — one ~2 KB allocation per TryFast. With
-// plain arrays plus a counter the cursor stays on the caller's stack and
-// the warm path stays allocation-free.
+// The stack is indexed by an explicit depth counter rather than held in a
+// slice over the inline array: a slice like comps = arr[:0] stores a
+// pointer to the struct into the struct, which forces escape analysis to
+// heap-allocate every cursor. With a plain array plus a counter the
+// cursor stays on its owner's stack and the warm path stays
+// allocation-free.
 type pathCursor struct {
-	st     sig.State
-	base   vfs.PathRef
-	atBase bool // st currently equals base's state
+	st   sig.State
+	base vfs.PathRef
 
-	n        int // components currently pushed above base
-	stackArr [cursorInline]sig.State
-	xstack   []sig.State // overflow frames cursorInline.. (heap)
+	n      int // components currently pushed above base; 0 means st is base's state
+	comps  [cursorInline]string
+	xcomps []string // overflow components cursorInline.. (heap)
 
-	// Best-effort dentry cursor tracking the lexical path (population
-	// only; enable with trackD before seeding).
-	trackD    bool
-	cursor    vfs.PathRef
-	dstackArr [cursorInline]vfs.PathRef
-	xdstack   []vfs.PathRef
-
-	hashed int // bytes appended to signature states during this scan
+	hashed int // bytes appended to the signature state during this scan
 }
 
 // init points the cursor at start, resuming the hash from start's
@@ -47,14 +42,8 @@ type pathCursor struct {
 // caller should fall back).
 func (pc *pathCursor) init(c *Core, start vfs.PathRef) bool {
 	st, ok := c.ensureState(start)
-	if !ok {
-		return false
-	}
-	pc.st = st
-	pc.base = start
-	pc.atBase = true
-	pc.cursor = start
-	return true
+	pc.st, pc.base = st, start
+	return ok
 }
 
 // depth returns the number of components currently pushed above base.
@@ -67,61 +56,37 @@ func (pc *pathCursor) push(comp string) bool {
 		return false
 	}
 	if pc.n < cursorInline {
-		pc.stackArr[pc.n] = pc.st
-		if pc.trackD {
-			pc.dstackArr[pc.n] = pc.cursor
-		}
+		pc.comps[pc.n] = comp
 	} else {
-		pc.xstack = append(pc.xstack, pc.st)
-		if pc.trackD {
-			pc.xdstack = append(pc.xdstack, pc.cursor)
-		}
+		pc.xcomps = append(pc.xcomps, comp)
 	}
 	pc.n++
-	pc.st = pc.st.AppendByte('/').AppendString(comp)
+	pc.st.AppendComponent(comp)
 	pc.hashed += len(comp) + 1
-	pc.atBase = false
 	return true
 }
 
-// pop steps the cursor one component up ("..") — off the stack when the
-// scan has pushed components, else by climbing base toward the task
-// root. False means the base's state is unavailable.
+// pop steps the cursor one component up ("..") — by un-hashing the last
+// pushed component when the scan has pushed any, else by climbing base
+// toward the task root. False means the base's state is unavailable.
 func (pc *pathCursor) pop(c *Core, t *vfs.Task) bool {
-	if pc.n > 0 {
-		pc.n--
-		if pc.n < cursorInline {
-			pc.st = pc.stackArr[pc.n]
-			if pc.trackD {
-				pc.cursor = pc.dstackArr[pc.n]
-			}
-		} else {
-			k := pc.n - cursorInline
-			pc.st = pc.xstack[k]
-			if pc.trackD {
-				pc.cursor = pc.xdstack[k]
-				pc.xdstack = pc.xdstack[:k]
-			}
-			pc.xstack = pc.xstack[:k]
-		}
-		pc.atBase = pc.n == 0
-		return true
+	if pc.n == 0 {
+		return pc.init(c, parentRef(t, pc.base))
 	}
-	pc.base = parentRef(t, pc.base)
-	st, ok := c.ensureState(pc.base)
-	if !ok {
-		return false
+	pc.n--
+	comp := ""
+	if pc.n < cursorInline {
+		comp = pc.comps[pc.n]
+	} else {
+		comp = pc.xcomps[pc.n-cursorInline]
+		pc.xcomps = pc.xcomps[:pc.n-cursorInline]
 	}
-	pc.st = st
-	pc.atBase = true
-	if pc.trackD {
-		pc.cursor = pc.base
-	}
+	pc.st.UnappendComponent(comp)
 	return true
 }
 
 // flush folds the cursor's hashed-byte count into the core's counters;
-// callers defer it so every exit path is accounted.
+// the cursor's owner calls it once, after the scan, on every exit.
 func (pc *pathCursor) flush(c *Core) {
 	if pc.hashed != 0 {
 		c.stats.hashedBytes.Add(int64(pc.hashed))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"dircache/internal/audit"
 	"dircache/internal/cred"
 	"dircache/internal/fsapi"
+	"dircache/internal/sig"
 )
 
 // TestWarmFastpathHashesPathOnce pins what HashedBytes (and so
@@ -103,12 +105,94 @@ func TestCursorSpillBeyondInlineStack(t *testing.T) {
 	if k.Stats().FastHits == before {
 		t.Fatal("31-component path never fast-hits: scan spill failed")
 	}
+
+	// Down 30 directories, back up 8 — through the spill boundary into
+	// the inline stack — and down again: every ".." un-hashes a component
+	// held in the overflow slice or the inline array, and the path must
+	// land on the signature the plain spelling published.
+	var dirs []string
+	for i := 0; i < 30; i++ {
+		dirs = append(dirs, fmt.Sprintf("d%02d", i))
+	}
+	yoyo := "/" + strings.Join(dirs, "/") + strings.Repeat("/..", 8) + "/" + strings.Join(dirs[22:], "/") + "/leaf"
+	for i := 0; i < 3; i++ {
+		if _, err := root.Stat(yoyo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = k.Stats().FastHits
+	if _, err := root.Stat(yoyo); err != nil {
+		t.Fatal(err)
+	}
+	if k.Stats().FastHits == before {
+		t.Fatal("path popping back through the spill boundary never fast-hits")
+	}
+
 	if _, checked := c.AuditFindings(8); checked["dlht_sig"] == 0 {
 		t.Fatal("audit never recomputed the deep signature")
 	}
 	if findings, _ := c.AuditFindings(8); len(findings) != 0 {
 		t.Fatalf("audit dirty after deep-path spill: %+v", findings)
 	}
+}
+
+// FuzzCursorPushPop drives a pathCursor with arbitrary sequences of
+// pushes, "." and ".." from a working directory three levels deep, so
+// pops run off the cursor's own stack and on up the base toward the task
+// root, and long runs of pushes cross the inline stack into the spill
+// slice and back. After every step the cursor's state must sum to the
+// signature of the lexically canonical path hashed from scratch: that is
+// what makes un-hashing a component a sound replacement for restoring a
+// saved state.
+func FuzzCursorPushPop(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0})          // ".." past the base to the root and beyond
+	f.Add([]byte{2, 1, 3, 0, 1, 4, 0, 0}) // push . push .. . push .. ..
+	f.Add(append(bytes.Repeat([]byte{5}, 40), bytes.Repeat([]byte{0}, 45)...))
+	f.Add(append(append(bytes.Repeat([]byte{7}, 26), 0, 0, 0, 0), 9, 10, 11, 12, 0))
+
+	_, c, root := auditFixture(f)
+	if err := root.Chdir("/a/b/c"); err != nil {
+		f.Fatal(err)
+	}
+	names := []string{"x", "yy", "lib", "node_modules", "a.b", "...", strings.Repeat("n", 255)}
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		model := []string{"a", "b", "c"}
+		var cur pathCursor
+		if !cur.init(c, root.Cwd()) {
+			t.Fatal("cwd has no signature state")
+		}
+		for i, op := range ops {
+			switch {
+			case op == 0:
+				if !cur.pop(c, root) {
+					t.Fatalf("step %d: pop failed", i)
+				}
+				if len(model) > 0 {
+					model = model[:len(model)-1]
+				}
+			case op == 1: // ".": the scan loops skip it without touching the cursor
+			default:
+				name := names[int(op)%len(names)]
+				if !cur.push(name) {
+					if n := len(strings.Join(model, "/")) + 1 + len(name) + 1; n <= sig.MaxPathLen {
+						t.Fatalf("step %d: push refused a %d-byte path", i, n)
+					}
+					return
+				}
+				model = append(model, name)
+			}
+			canon := ""
+			for _, m := range model {
+				canon += "/" + m
+			}
+			wantIdx, wantSig := c.key.HashString(canon)
+			if idx, sg := cur.st.Sum(); idx != wantIdx || sg != wantSig {
+				t.Fatalf("step %d (op %d): cursor at %q sums to %#x %v, HashString gives %#x %v", i, op, canon, idx, sg, wantIdx, wantSig)
+			}
+		}
+	})
 }
 
 // TestDeepWalkInvariantUnderShootdowns races walks below a 12-directory
@@ -175,5 +259,44 @@ func TestDeepWalkInvariantUnderShootdowns(t *testing.T) {
 	}
 	if r := audit.New(k, c).RunUntilValid(5); !r.Valid || r.Violations() != 0 {
 		t.Fatalf("audit dirty after shootdown storm: %s", r.Summary())
+	}
+}
+
+// TestLexicalHashZeroAlloc: population's cursor and its dentry stack live
+// in lexicalHash's frame, so hashing a path the inline stacks hold — here
+// exactly cursorInline pushes deep, with "." and ".." on the way —
+// allocates nothing. A cursor that escapes costs one heap object per
+// populating walk; `make memscale-smoke` runs this beside the compiler's
+// own escape report.
+func TestLexicalHashZeroAlloc(t *testing.T) {
+	_, c, root := auditFixture(t)
+	dir := ""
+	for i := 0; i < cursorInline-1; i++ {
+		dir += fmt.Sprintf("/p%02d", i)
+		if err := root.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := root.Create(dir+"/leaf", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := "/p00/./p01/../p01" + strings.TrimPrefix(dir, "/p00/p01") + "/leaf"
+	ns := root.Namespace()
+	dl, pcc := c.dlhtFor(ns), c.pccFor(root.Cred())
+	leaf, err := root.Walk(dir+"/leaf", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := c.ensureState(leaf)
+
+	hash := func() {
+		st, ok := c.lexicalHash(root, ns, dl, pcc, root.Root(), path, c.BeginSlow())
+		if !ok || st != want {
+			t.Fatalf("lexicalHash(%q) = %+v, %v; want the leaf's canonical state %+v", path, st, ok, want)
+		}
+	}
+	hash() // the ".." publishes /p00/p01 once; after that nothing is new
+	if avg := testing.AllocsPerRun(200, hash); avg != 0 {
+		t.Fatalf("lexicalHash of a %d-component path allocates: %.2f allocs/op, want 0", cursorInline, avg)
 	}
 }

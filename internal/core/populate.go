@@ -132,15 +132,19 @@ func hasDotComponents(path string) bool {
 // the directories ".." pops out of (they were just verified by the slow
 // walk, and the Linux-mode fastpath will need them, §4.2).
 func (c *Core) lexicalHash(t *vfs.Task, ns *vfs.Namespace, dl *DLHT, pcc *PCC, start vfs.PathRef, path string, token uint64) (sig.State, bool) {
-	// The shared cursor keeps population allocation-free for ordinary
-	// paths (fixed inline stacks) and spills to the heap for deeper ones,
-	// tracking the best-effort lexical dentry alongside each state.
 	var cur pathCursor
 	defer cur.flush(c)
-	cur.trackD = true
 	if !cur.init(c, start) {
 		return sig.State{}, false
 	}
+	// Beside the hashing cursor runs a best-effort dentry cursor tracking
+	// what the lexical path denotes, with the dentry each push left behind
+	// stacked for ".." to return to. The stack starts in a local array, so
+	// population allocates nothing up to cursorInline components, and
+	// append spills it to the heap past that.
+	at := start
+	var inline [cursorInline]vfs.PathRef
+	below := inline[:0]
 
 	for rem := path; ; {
 		var comp string
@@ -157,19 +161,25 @@ func (c *Core) lexicalHash(t *vfs.Task, ns *vfs.Namespace, dl *DLHT, pcc *PCC, s
 		case "..":
 			// Publish the directory being exited so the fastpath's
 			// per-dot-dot check can hit (cursor permitting).
-			if d := cur.cursor.D; d != nil && !d.IsDead() && d.Inode() != nil &&
+			if d := at.D; d != nil && !d.IsDead() && d.Inode() != nil &&
 				d.IsDir() && cur.depth() > 0 {
-				c.publish(dl, cur.cursor, cur.st, token)
+				c.publish(dl, at, cur.st, token)
 				pcc.Insert(d.ID(), dentrySeq(d))
 			}
 			if !cur.pop(c, t) {
 				return sig.State{}, false
 			}
+			if n := len(below); n > 0 {
+				at, below = below[n-1], below[:n-1]
+			} else {
+				at = cur.base
+			}
 		default:
 			if !cur.push(comp) {
 				return sig.State{}, false
 			}
-			cur.cursor = c.advanceCursor(ns, cur.cursor, comp)
+			below = append(below, at)
+			at = c.advanceCursor(ns, at, comp)
 		}
 	}
 	return cur.st, true

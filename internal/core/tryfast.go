@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"dircache/internal/fsapi"
-	"dircache/internal/sig"
 	"dircache/internal/slab"
 	"dircache/internal/telemetry"
 	"dircache/internal/vfs"
@@ -31,12 +30,60 @@ func parentRef(t *vfs.Task, ref vfs.PathRef) vfs.PathRef {
 	}
 }
 
+// fastScan is the per-call scratch of one TryFast: the path cursor and,
+// when PhaseTrace is on, the clock that splits the call into the Fig-3
+// phases. It lives in TryFast's frame and is passed down by pointer, so
+// the one flush and the one phase record happen in one place whatever
+// exit tryFast takes.
+type fastScan struct {
+	cur     pathCursor
+	tracing bool
+	start   time.Time     // TryFast's entry
+	done    time.Duration // time since start already given to a phase
+	ph      vfs.PhaseTimes
+}
+
+// lap closes the phase that has run since the previous lap into *d.
+func (fs *fastScan) lap(d *time.Duration) {
+	if fs.tracing {
+		fs.lapTraced(d)
+	}
+}
+
+// lapTraced costs one monotonic clock read, so that is what each phase
+// carries of the clock's own time.
+func (fs *fastScan) lapTraced(d *time.Duration) {
+	e := time.Since(fs.start)
+	*d, fs.done = e-fs.done, e
+}
+
 // TryFast implements vfs.Hooks: the §3.1 fastpath. It canonicalizes and
 // hashes the whole path in one pass (resuming from the start dentry's
 // stored state), performs a single DLHT probe, and authorizes the result
 // with one PCC probe — constant hash-table work regardless of path depth.
 // Any uncertainty returns handled=false, falling back to the slow walk.
+//
+// This entry only owns the scratch: tryFast has too many exits for an
+// open-coded defer, so the hashed-byte flush and the phase record sit
+// here, after it returns. Every handled walk reaches the phase sink —
+// negative hits, ENOTDIR and "the start directory itself" included.
 func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkFlags, tr *telemetry.WalkTrace) (vfs.PathRef, error, bool) {
+	fs := fastScan{tracing: c.k.PhaseTraceOn()}
+	if fs.tracing {
+		fs.start = time.Now()
+	}
+	ref, err, handled := c.tryFast(&fs, t, start, path, fl, tr)
+	fs.cur.flush(c)
+	if handled && fs.tracing {
+		fs.lapTraced(&fs.ph.Finalize)
+		c.k.RecordPhases(fs.ph)
+	}
+	return ref, err, handled
+}
+
+// tryFast is TryFast's body; it reports its phases and hashed bytes
+// through fs and leaves delivering them to its caller.
+func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkFlags, tr *telemetry.WalkTrace) (vfs.PathRef, error, bool) {
 	k := c.k
 
 	tel := k.Telemetry()
@@ -44,26 +91,15 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 		tel = nil
 	}
 
-	tracing := k.PhaseTraceOn()
-	var ph vfs.PhaseTimes
-	var t0 time.Time
-	if tracing {
-		t0 = time.Now()
-	}
-
 	ns := t.Namespace()
 	dl := c.dlhtFor(ns)
 	pcc := c.pccFor(t.Cred())
 
-	var cur pathCursor
-	defer cur.flush(c)
+	cur := &fs.cur
 	if !cur.init(c, start) {
 		return vfs.PathRef{}, nil, false
 	}
-	if tracing {
-		ph.Init = time.Since(t0)
-		t0 = time.Now()
-	}
+	fs.lap(&fs.ph.Init)
 
 	mustDir := fl&vfs.WalkDirectory != 0
 	sawTrailingSlash := false
@@ -83,7 +119,7 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 			// Linux evaluates search permission on the directory for a
 			// "." component too; a lexical skip must preserve that (it
 			// is observable when "." is the path's last effective step).
-			if !c.checkPrefixDir(t, dl, pcc, cur.base, cur.atBase, cur.st) {
+			if !c.checkPrefixDir(t, dl, pcc, cur) {
 				return vfs.PathRef{}, nil, false
 			}
 			continue
@@ -93,7 +129,7 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 				// the directory being exited with an extra fastpath
 				// lookup.
 				c.stats.dotDotChecks.Add(1)
-				if !c.checkPrefixDir(t, dl, pcc, cur.base, cur.atBase, cur.st) {
+				if !c.checkPrefixDir(t, dl, pcc, cur) {
 					return vfs.PathRef{}, nil, false
 				}
 			}
@@ -109,12 +145,9 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 	if sawTrailingSlash {
 		mustDir = true
 	}
-	if tracing {
-		ph.ScanHash = time.Since(t0)
-		t0 = time.Now()
-	}
+	fs.lap(&fs.ph.ScanHash)
 
-	if cur.atBase && cur.depth() == 0 {
+	if cur.depth() == 0 {
 		// The path resolved to the start directory itself ("." etc.):
 		// the task already holds a reference to it.
 		if cur.base.D.IsDead() || cur.base.D.Inode() == nil {
@@ -129,10 +162,7 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 
 	idx, sg := cur.st.Sum()
 	d := dl.Lookup(idx, sg)
-	if tracing {
-		ph.HashLookup = time.Since(t0)
-		t0 = time.Now()
-	}
+	fs.lap(&fs.ph.HashLookup)
 	// Batch-shootdown freshness: one generation compare on the hot path;
 	// a stale entry (covered by a range shootdown) is lazily discarded and
 	// the walk falls back.
@@ -175,6 +205,7 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 			tr.Event(telemetry.EvPCCMiss, "negative")
 			return vfs.PathRef{}, nil, false
 		}
+		fs.lap(&fs.ph.PermCheck)
 		tr.Event(telemetry.EvPCCHit, "negative")
 		tr.Event(telemetry.EvNegative, path)
 		errno := fsapi.ENOENT
@@ -245,10 +276,7 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 	if tel != nil {
 		tel.Record(telemetry.HistPCC, time.Since(pccStart))
 	}
-	if tracing {
-		ph.PermCheck = time.Since(t0)
-		t0 = time.Now()
-	}
+	fs.lap(&fs.ph.PermCheck)
 	if !hit || c.cfg.ForcePCCMiss {
 		c.stats.pccMiss.Add(1)
 		tr.Event(telemetry.EvPCCMiss, "")
@@ -265,23 +293,20 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 		return vfs.PathRef{}, fsapi.ENOTDIR, true
 	}
 	k.AddFastHit(false)
-	if tracing {
-		ph.Finalize = time.Since(t0)
-		k.RecordPhases(ph)
-	}
 	return vfs.PathRef{Mnt: mnt, D: d}, nil, true
 }
 
-// checkPrefixDir resolves the current lexical prefix (the base directory
-// when atBase, otherwise via DLHT+PCC) and verifies search permission on
-// it — the extra per-dot fastpath lookup of §4.2. Returns false to force
-// the slow walk (which produces the authoritative result).
-func (c *Core) checkPrefixDir(t *vfs.Task, dl *DLHT, pcc *PCC, base vfs.PathRef, atBase bool, st sig.State) bool {
+// checkPrefixDir resolves the cursor's current lexical prefix (the base
+// directory when nothing is pushed, otherwise via DLHT+PCC) and verifies
+// search permission on it — the extra per-dot fastpath lookup of §4.2.
+// Returns false to force the slow walk (which produces the authoritative
+// result).
+func (c *Core) checkPrefixDir(t *vfs.Task, dl *DLHT, pcc *PCC, cur *pathCursor) bool {
 	var d *vfs.Dentry
-	if atBase {
-		d = base.D // cwd/root chain: referenced directories
+	if cur.depth() == 0 {
+		d = cur.base.D // cwd/root chain: referenced directories
 	} else {
-		idx, sg := st.Sum()
+		idx, sg := cur.st.Sum()
 		d = dl.Lookup(idx, sg)
 		if d == nil {
 			c.stats.dlhtMiss.Add(1)
@@ -307,7 +332,7 @@ func (c *Core) checkPrefixDir(t *vfs.Task, dl *DLHT, pcc *PCC, base vfs.PathRef,
 	if ino == nil {
 		return false
 	}
-	return c.k.CheckExec(t.Cred(), mntOf(d, base.Mnt), ino) == nil
+	return c.k.CheckExec(t.Cred(), mntOf(d, cur.base.Mnt), ino) == nil
 }
 
 // mntOf returns the dentry's recorded mount, falling back to hint.

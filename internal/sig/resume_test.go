@@ -30,14 +30,14 @@ func TestResumeEquivalenceRandomSplits(t *testing.T) {
 		st := k.NewState().AppendString(path[:cut])
 
 		// Plain resume from the live state.
-		if idx, sg := st.AppendString(path[cut:]).Sum(); idx != wantIdx || sg != wantSig {
+		if idx, sg := sumOf(st.AppendString(path[cut:])); idx != wantIdx || sg != wantSig {
 			t.Fatalf("trial %d cut %d: live resume diverged", trial, cut)
 		}
 
 		// A second resume from the same state must see no interference
 		// from the first (value semantics under sharing — concurrent
 		// walks extend one memoized ancestor state).
-		if idx, sg := st.AppendString(path[cut:]).Sum(); idx != wantIdx || sg != wantSig {
+		if idx, sg := sumOf(st.AppendString(path[cut:])); idx != wantIdx || sg != wantSig {
 			t.Fatalf("trial %d cut %d: second resume from shared state diverged", trial, cut)
 		}
 	}
@@ -63,7 +63,7 @@ func TestResumeEquivalenceConcurrent(t *testing.T) {
 		go func(g int) {
 			for i := 0; i < 2000; i++ {
 				j := (g + i) % len(suffixes)
-				if idx, sg := base.AppendString(suffixes[j]).Sum(); idx != wantIdx[j] || sg != want[j] {
+				if idx, sg := sumOf(base.AppendString(suffixes[j])); idx != wantIdx[j] || sg != want[j] {
 					done <- errDiverged
 					return
 				}
@@ -83,3 +83,62 @@ var errDiverged = errString("concurrent resume diverged from from-root hash")
 type errString string
 
 func (e errString) Error() string { return string(e) }
+
+// sumOf finalizes a state that is not addressable where it is produced.
+func sumOf(st State) (uint16, Signature) { return st.Sum() }
+
+// TestAppendUnappendComponent is the property the path cursor's ".."
+// rests on: AppendComponent is AppendString("/"+comp) done in place, and
+// UnappendComponent undoes it exactly — accumulators and position — so
+// unwinding any pushed sequence lands bit-for-bit on the state it grew
+// from, including components of 0 and 255 bytes and a path filled to
+// MaxPathLen.
+func TestAppendUnappendComponent(t *testing.T) {
+	k := NewKey(0xab5e)
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 300; trial++ {
+		base := k.NewState().AppendString(strings.Repeat("/p", rng.Intn(20)))
+		var comps []string
+		states := []State{base}
+		st := base
+		for n := rng.Intn(60); len(comps) < n; {
+			b := make([]byte, []int{0, 1, 3, 8, 40, 255}[rng.Intn(6)])
+			rng.Read(b)
+			comp := string(b)
+			if !st.Fits(len(comp) + 1) {
+				break
+			}
+			want := st.AppendString("/" + comp)
+			st.AppendComponent(comp)
+			if st != want {
+				t.Fatalf("trial %d: AppendComponent(%q) = %+v, AppendString gives %+v", trial, comp, st, want)
+			}
+			comps = append(comps, comp)
+			states = append(states, st)
+		}
+		for i := len(comps) - 1; i >= 0; i-- {
+			st.UnappendComponent(comps[i])
+			if st != states[i] {
+				t.Fatalf("trial %d: unappending component %d (%d bytes) gives %+v, want %+v", trial, i, len(comps[i]), st, states[i])
+			}
+		}
+	}
+
+	full := k.NewState().AppendString(strings.Repeat("x", MaxPathLen-4))
+	st := full
+	st.AppendComponent("end")
+	if st.Fits(1) || st.Len() != MaxPathLen {
+		t.Fatalf("filled state has Len %d, Fits(1) %v", st.Len(), st.Fits(1))
+	}
+	st.UnappendComponent("end")
+	if st != full {
+		t.Fatal("unappend at MaxPathLen did not restore the state")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unappending more than was hashed did not panic")
+		}
+	}()
+	short := k.NewState().AppendString("/a")
+	short.UnappendComponent("ab")
+}

@@ -23,6 +23,26 @@
 // addition and multiplication mod 2^64 never propagate information downward,
 // the low 16 bits of a lane are uninfluenced by high bits, which is exactly
 // the property §3.3 uses to split index bits from signature bits safely.
+//
+// Two things about the implementation follow from that formula and cost
+// nothing in it:
+//
+//   - The key schedule is stored position-major, k[pos][lane]: the four
+//     words a byte consumes are adjacent (half a cache line, one bounds
+//     check), where lane-major storage touched four lines per byte. The
+//     words are still drawn in lane-major order, so a seed produces the
+//     signatures it always did (golden_test.go pins them).
+//   - Every term is a function of one byte and its position alone, so
+//     appending is invertible: UnappendComponent subtracts exactly the
+//     terms AppendComponent added. The path cursor in internal/core keeps
+//     one State, grows it in place per component and shrinks it on "..",
+//     instead of saving a 48-byte State per component to restore.
+//
+// There are therefore two ways to drive a State. The value methods
+// (AppendString, AppendByte) return a new State and leave the receiver
+// alone — what a dentry's stored prefix state needs. The pointer methods
+// (AppendComponent, UnappendComponent) mutate in place — what a scan over
+// one path needs. One loop (mix) serves both.
 package sig
 
 import "fmt"
@@ -57,10 +77,12 @@ func (s Signature) String() string {
 }
 
 // Key is the boot-time random key schedule: one 64-bit word per lane per
-// byte position (plus the additive constant k[0]). It is immutable after
-// construction and safe for concurrent use.
+// byte position (plus the additive constant at position 0), laid out
+// position-major so the four words one byte consumes share half a cache
+// line and one bounds check. It is immutable after construction and safe
+// for concurrent use.
 type Key struct {
-	k [lanes][]uint64 // length MaxPathLen+1 each
+	k [MaxPathLen + 1][lanes]uint64
 }
 
 // NewKey derives a key schedule deterministically from seed using a
@@ -77,10 +99,12 @@ func NewKey(seed uint64) *Key {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		return z ^ (z >> 31)
 	}
+	// Words are drawn lane by lane, as they were when each lane had its
+	// own slice: the layout is not part of the function, so a seed keeps
+	// producing the signatures it always did.
 	for j := 0; j < lanes; j++ {
-		key.k[j] = make([]uint64, MaxPathLen+1)
-		for i := range key.k[j] {
-			key.k[j][i] = next()
+		for i := range key.k {
+			key.k[i][j] = next()
 		}
 	}
 	return key
@@ -98,11 +122,7 @@ type State struct {
 // NewState returns the state of the empty string (accumulators hold the
 // additive key constant).
 func (k *Key) NewState() State {
-	st := State{key: k}
-	for j := 0; j < lanes; j++ {
-		st.acc[j] = k.k[j][0]
-	}
-	return st
+	return State{key: k, acc: k.k[0]}
 }
 
 // Valid reports whether the state was produced by a Key.
@@ -115,58 +135,96 @@ func (st State) Len() int { return st.pos }
 // MaxPathLen bound is exceeded — the VFS rejects such paths with
 // ENAMETOOLONG before hashing.
 func (st State) AppendByte(b byte) State {
-	if st.pos >= MaxPathLen {
-		panic("sig: path exceeds MaxPathLen")
-	}
-	i := st.pos + 1
-	k := st.key
-	st.acc[0] += k.k[0][i] * uint64(b)
-	st.acc[1] += k.k[1][i] * uint64(b)
-	st.acc[2] += k.k[2][i] * uint64(b)
-	st.acc[3] += k.k[3][i] * uint64(b)
-	st.pos = i
+	st.mix(b, "")
 	return st
 }
 
 // AppendString returns the state extended by all bytes of s.
 func (st State) AppendString(s string) State {
-	if st.pos+len(s) > MaxPathLen {
+	if s != "" {
+		st.mix(s[0], s[1:])
+	}
+	return st
+}
+
+// AppendComponent extends the state in place by "/" and comp — one path
+// component as the canonical form spells it — in one pass.
+func (st *State) AppendComponent(comp string) { st.mix('/', comp) }
+
+// UnappendComponent is AppendComponent's exact inverse: the state that
+// had "/"+comp appended last returns to what it was before. Each byte's
+// term depends only on the byte and its position, so acc − Σ k·b is
+// computed as −(−acc + Σ k·b) with the same loop that added the terms.
+func (st *State) UnappendComponent(comp string) {
+	n := len(comp) + 1
+	if st.pos < n {
+		panic("sig: unappend past the start of the path")
+	}
+	st.pos -= n
+	st.negate()
+	st.mix('/', comp)
+	st.negate()
+	st.pos -= n
+}
+
+func (st *State) negate() {
+	for j := range st.acc {
+		st.acc[j] = -st.acc[j]
+	}
+}
+
+// mix is the one hashing loop: it adds the terms of first and then of
+// rest's bytes at the positions following st.pos, in place, with the four
+// accumulators held in registers throughout. Taking the leading byte
+// apart from the rest lets a component's "/" and its name go through in
+// one call without being concatenated.
+func (st *State) mix(first byte, rest string) {
+	n := len(rest) + 1
+	if st.pos+n > MaxPathLen {
 		panic("sig: path exceeds MaxPathLen")
 	}
-	k := st.key
-	pos := st.pos
-	a0, a1, a2, a3 := st.acc[0], st.acc[1], st.acc[2], st.acc[3]
-	for i := 0; i < len(s); i++ {
-		b := uint64(s[i])
-		p := pos + i + 1
-		a0 += k.k[0][p] * b
-		a1 += k.k[1][p] * b
-		a2 += k.k[2][p] * b
-		a3 += k.k[3][p] * b
+	ks := st.key.k[st.pos+1 : st.pos+1+n]
+	w := &ks[0]
+	a0 := st.acc[0] + w[0]*uint64(first)
+	a1 := st.acc[1] + w[1]*uint64(first)
+	a2 := st.acc[2] + w[2]*uint64(first)
+	a3 := st.acc[3] + w[3]*uint64(first)
+	ks = ks[1:]
+	for i := 0; i < len(rest) && i < len(ks); i++ {
+		b := uint64(rest[i])
+		w := &ks[i]
+		a0 += w[0] * b
+		a1 += w[1] * b
+		a2 += w[2] * b
+		a3 += w[3] * b
 	}
 	st.acc[0], st.acc[1], st.acc[2], st.acc[3] = a0, a1, a2, a3
-	st.pos = pos + len(s)
-	return st
+	st.pos += n
 }
 
 // Fits reports whether n more bytes can be appended without exceeding
 // MaxPathLen.
-func (st State) Fits(n int) bool { return st.pos+n <= MaxPathLen }
+func (st *State) Fits(n int) bool { return st.pos+n <= MaxPathLen }
 
 // Sum finalizes the state into a DLHT bucket index and a 240-bit signature.
 // The index is the low 16 bits of lane 0; the signature is everything else.
 // Finalization folds in the length so that prefixes of a path (which share
 // accumulator structure) cannot collide with the path itself by padding.
-func (st State) Sum() (idx uint16, s Signature) {
+//
+// Sum and Fits read the state through a pointer because the path cursor
+// calls them right after an in-place append: a value receiver copies the
+// State with 16-byte loads over the 8-byte stores the append just made,
+// which defeats store forwarding — measured at ~15 ns per call.
+func (st *State) Sum() (idx uint16, s Signature) {
 	k := st.key
 	// Fold the length through one more multilinear step using the
 	// position-0 key words, which ordinary bytes never consume at this
-	// offset pattern (ordinary bytes use k[lane][pos] for pos >= 1).
+	// offset pattern (ordinary bytes use k[pos] for pos >= 1).
 	l := uint64(st.pos) + 1 // +1 so the empty path is also mixed
 	f0 := st.acc[0] + k.k[0][0]*l
-	f1 := st.acc[1] + k.k[1][0]*l
-	f2 := st.acc[2] + k.k[2][0]*l
-	f3 := st.acc[3] + k.k[3][0]*l
+	f1 := st.acc[1] + k.k[0][1]*l
+	f2 := st.acc[2] + k.k[0][2]*l
+	f3 := st.acc[3] + k.k[0][3]*l
 	idx = uint16(f0)
 	s.W[0] = f0 >> IndexBits
 	s.W[1] = f1
@@ -177,5 +235,6 @@ func (st State) Sum() (idx uint16, s Signature) {
 
 // HashString is a convenience: hash an entire string from scratch.
 func (k *Key) HashString(s string) (uint16, Signature) {
-	return k.NewState().AppendString(s).Sum()
+	st := k.NewState().AppendString(s)
+	return st.Sum()
 }

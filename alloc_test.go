@@ -69,6 +69,49 @@ func TestWarmWalkZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestChmodThenStatAllocs pins what a permission change costs the heap.
+// {Chmod a populated directory, Stat one file under it} is a slow walk to
+// the directory (its own entry went with the previous chmod), the
+// shootdown, and a slow walk plus first publication for the file behind
+// the range mark. A dentry's signature state lives in its slab slot, so
+// neither publication allocates: what is left is 2 per pair, both in
+// Chmod — the closure BeginMutation returns and the *Mode SetAttr takes,
+// the one the cache-less kernel pays too. With a heap snapshot of the
+// state per ensureState and per publish, and the eager walk, this read 7.
+func TestChmodThenStatAllocs(t *testing.T) {
+	cfg := dircache.Optimized()
+	cfg.SignatureSeed = 1
+	sys := dircache.New(cfg)
+	p := sys.Start(dircache.RootCreds())
+	if err := p.MkdirAll("/srv/www", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := p.WriteFile(fmt.Sprintf("/srv/www/f%02d", i), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair := func() {
+		if err := p.Chmod("/srv/www", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Stat("/srv/www/f07"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		pair()
+	}
+	before := sys.Stats()
+	avg := testing.AllocsPerRun(500, pair)
+	if d := sys.Stats().Delta(before); d.SlowWalks < 2*500 {
+		t.Fatalf("%d slow walks in 500 pairs: the chmod revoked nothing, the pin measures a warm path", d.SlowWalks)
+	}
+	if avg > 2 {
+		t.Fatalf("chmod + stat behind its range mark allocates %.2f per pair, want <= 2", avg)
+	}
+}
+
 // TestEvictingReadsReclaimSlab: a read-only workload larger than the cache
 // evicts on every miss but has no mutation tail to pace reclamation, so
 // the walk itself must return retired slots once it leaves its epoch

@@ -178,6 +178,47 @@ func BenchmarkStatDepth(b *testing.B) {
 	}
 }
 
+// BenchmarkChmodSubtree is Figure 7's chmod curve as `make bench-hotpath`
+// keeps it: chmod of a directory with 1, 10, 100 and 1 000 published
+// descendants. The paper's optimized curve is linear in the cached subtree
+// (§3.2's recursive seq bump); here the permission change takes the same
+// range shootdown as rename, so the curve is flat and allocates nothing,
+// and the cost moves to the first probe of each descendant actually
+// re-read.
+func BenchmarkChmodSubtree(b *testing.B) {
+	for _, n := range []int{1, 10, 100, 1000} {
+		for _, mode := range []string{"baseline", "optimized"} {
+			b.Run(fmt.Sprintf("descendants-%d/%s", n, mode), func(b *testing.B) {
+				cfg := dircache.Baseline()
+				if mode == "optimized" {
+					cfg = dircache.Optimized()
+					cfg.SignatureSeed = 1
+				}
+				p := dircache.New(cfg).Start(dircache.RootCreds())
+				if err := p.Mkdir("/t", 0o755); err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					path := fmt.Sprintf("/t/f%04d", i)
+					if err := p.WriteFile(path, nil, 0o644); err != nil {
+						b.Fatal(err)
+					}
+					for j := 0; j < 3; j++ { // past admission: published
+						if _, err := p.Stat(path); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.Chmod("/t", 0o755)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkParallelWalk measures warm-path lookup throughput under
 // concurrency: N goroutines all stat the same deep path. "baseline" takes
 // the slow walk (hash-table hits + LRU accounting); "optimized" takes the

@@ -158,16 +158,19 @@ func fig6Check(r *Report) error {
 
 func TestFig7Shape(t *testing.T) {
 	retryShape(t, Fig7, func(r *Report) error {
-		// Optimized chmod/rename cost grows with cached subtree size...
-		small := r.Get("chmod/1/opt")
-		big := r.Get("chmod/100/opt")
-		if big <= small {
-			return fmt.Errorf("optimized chmod did not grow with subtree: %.0f -> %.0f", small, big)
+		// A permission change takes the range shootdown rename takes, so
+		// the curve the paper's Figure 7 charts as linear in the cached
+		// subtree is flat here: the biggest subtree costs what the smallest
+		// does (within noise), and the gap to the baseline is the constant
+		// one of re-walking to a directory whose own entry the previous
+		// chmod invalidated — it does not grow with the subtree.
+		small, big := r.Get("chmod/1/opt"), r.Get("chmod/100/opt")
+		if big > small*1.5 {
+			return fmt.Errorf("optimized chmod grew with the cached subtree: %.0f -> %.0f", small, big)
 		}
-		// ...and is slower than baseline for large subtrees (the trade-off).
-		if r.Get("chmod/100/opt") <= r.Get("chmod/100/unmod") {
-			return fmt.Errorf("optimized chmod on big subtree (%.0f) should exceed baseline (%.0f)",
-				r.Get("chmod/100/opt"), r.Get("chmod/100/unmod"))
+		gapSmall := small - r.Get("chmod/1/unmod")
+		if gap := big - r.Get("chmod/100/unmod"); gap > gapSmall*1.5+200 {
+			return fmt.Errorf("optimized chmod's gap to baseline grew with the subtree: %.0f ns at 1, %.0f ns at 100", gapSmall, gap)
 		}
 		// Rename takes the batched range shootdown instead of an eager
 		// subtree walk, so the big-subtree penalty the paper's Figure 7

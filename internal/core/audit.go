@@ -56,10 +56,12 @@ func (ar *auditRun) add(f audit.Finding) {
 //     Skipped while mount aliasing is active — canonical paths are then
 //     legitimately in flux (§4.3 most-recent-wins re-signing).
 //   - pcc_prefix: every live PCC entry's memoized prefix check re-passes
-//     against current metadata (a permission change on any ancestor would
-//     have bumped the dentry's seq, staling the entry — so live entries
-//     must re-verify). Skipped once any task has chrooted: entries
-//     memoize task-root-relative checks the auditor cannot reconstruct.
+//     against current metadata (a permission change on any ancestor bumped
+//     the dentry's seq or left a range mark that fresh() turns into that
+//     bump before anything consults the entry — so entries still live
+//     after fresh() must re-verify). Skipped once any task has chrooted:
+//     entries memoize task-root-relative checks the auditor cannot
+//     reconstruct.
 //   - slab_liveness (DLHT half; the LRU/hash-chain half runs in the
 //     auditor's kernel-side pass): every chain node whose
 //     generation-tagged dentry ref resolves must name a dentry agreeing
@@ -152,16 +154,10 @@ func (c *Core) auditDLHT(ar *auditRun, dl *DLHT, aliasFree bool) {
 		}
 		ar.checked["dlht_fresh"]++
 		vg := fd.validGen.Load()
-		for cur := d; cur != nil; cur = cur.Parent() {
-			cfd := fast(cur)
-			if cfd == nil {
-				break
-			}
-			if mark := cfd.shootMark.Load(); mark > vg {
-				ar.add(audit.Finding{Check: "dlht_fresh", Ref: d.ID(), Path: d.PathTo(),
-					Detail: fmt.Sprintf("live entry at generation %d under ancestor %q batch-shot at generation %d (survived a sweep)", vg, cur.PathTo(), mark)})
-				return
-			}
+		if at := c.markedAbove(d, vg); at != nil {
+			ar.add(audit.Finding{Check: "dlht_fresh", Ref: d.ID(), Path: d.PathTo(),
+				Detail: fmt.Sprintf("live entry at generation %d under ancestor %q batch-shot at generation %d (survived a sweep)", vg, at.PathTo(), fast(at).shootMark.Load())})
+			return
 		}
 		if !aliasFree || mnt == nil {
 			return
@@ -179,7 +175,7 @@ func (c *Core) auditDLHT(ar *auditRun, dl *DLHT, aliasFree bool) {
 }
 
 // freshState recomputes ref's canonical-path signature state from scratch
-// — the same climb as ensureState, but reading no cached state and
+// — the same climb as pathState, but reading no cached state and
 // writing none, so a poisoned cache cannot satisfy its own audit.
 func (c *Core) freshState(ref vfs.PathRef, depth int) (sig.State, bool) {
 	if depth > 512 || ref.D == nil || ref.Mnt == nil || ref.D.IsDead() {
@@ -237,8 +233,12 @@ func (c *Core) auditPCCs(ar *auditRun, pccs []pccReg) {
 				if !ok || d == nil {
 					continue // evicted since, or ambiguous: entry is inert
 				}
+				// Judge the entry as a consumer would: fresh first. An
+				// entry under a range mark is revoked though its seq still
+				// matches (SweepStale only reaches dentries in a table), and
+				// fresh bumps that seq here as it would before any consult.
 				fd := fast(d)
-				if fd == nil || fd.seq.Load()&pccSeqMask != (v>>32)&pccSeqMask {
+				if fd == nil || !c.fresh(d) || fd.seq.Load()&pccSeqMask != (v>>32)&pccSeqMask {
 					continue // stale entry: can never authorize anything
 				}
 				ar.checked["pcc_prefix"]++

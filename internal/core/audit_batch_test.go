@@ -7,6 +7,7 @@ import (
 	"dircache/internal/audit"
 	"dircache/internal/cred"
 	"dircache/internal/fsapi"
+	"dircache/internal/sig"
 	"dircache/internal/vfs"
 )
 
@@ -80,48 +81,89 @@ func TestBatchShootdownLazyDiscard(t *testing.T) {
 	_ = k
 }
 
-// TestAuditCatchesMissedBatchMark injects the bulk-shootdown bug the
-// journal_batch_shoot cross-check exists for: the mutation journals a
-// batch_shoot event but skips storing the range mark, so the subtree's
-// published entries would keep looking fresh forever.
+// TestAuditCatchesMissedBatchMark injects the bug every shootdown now
+// shares: the mutation journals a batch_shoot event but its range mark
+// never lands, so the subtree's published entries — and, for a permission
+// change, every credential's memoized prefix checks below it — keep
+// looking fresh forever. journal_batch_shoot must fire for both reasons;
+// for the chmod 000 pcc_prefix must too, which it can only do by judging
+// an entry as a consumer would (fresh first, then the seq compare): the
+// control arm, same chmod with its mark, leaves the same entries standing
+// until their first probe and must audit clean.
 func TestAuditCatchesMissedBatchMark(t *testing.T) {
-	k, c, root := auditFixture(t)
-	warmBatchSubtree(t, c, root)
+	chmod := func(mode fsapi.Mode) func(*vfs.Task) error {
+		return func(root *vfs.Task) error { return root.Chmod("/a", mode) }
+	}
+	for _, tc := range []struct {
+		name          string
+		mutate, undo  func(root *vfs.Task) error
+		inject        bool
+		want, wantNot []string
+	}{
+		{name: "rename", inject: true,
+			mutate: func(root *vfs.Task) error { return root.Rename("/a", "/mv/a") },
+			undo:   func(root *vfs.Task) error { return root.Rename("/mv/a", "/a") },
+			want:   []string{"journal_batch_shoot"}},
+		{name: "chmod", inject: true, mutate: chmod(0), undo: chmod(0o755),
+			want: []string{"journal_batch_shoot", "pcc_prefix"}},
+		{name: "chmod/control", mutate: chmod(0), undo: chmod(0o755),
+			wantNot: []string{"journal_batch_shoot", "pcc_prefix"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, c, root := auditFixture(t)
+			warmBatchSubtree(t, c, root)
+			warmBatchSubtree(t, c, k.NewTask(cred.New(1000, 1000, nil, "")))
+			a, err := root.Walk("/a", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	aud := audit.New(k, c)
-	if r := aud.RunUntilValid(5); !r.Valid || r.Violations() != 0 {
-		t.Fatalf("audit not clean before injection: %s", r.Summary())
-	}
+			aud := audit.New(k, c)
+			if r := aud.RunUntilValid(5); !r.Valid || r.Violations() != 0 {
+				t.Fatalf("audit not clean before injection: %s", r.Summary())
+			}
 
-	c.testSkipBatchMark = true
-	if err := root.Rename("/a", "/mv/a"); err != nil {
-		t.Fatal(err)
-	}
-	c.testSkipBatchMark = false
+			mutate := func() {
+				if err := tc.mutate(root); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.inject {
+				withoutShootMark(a.D, mutate)
+			} else {
+				mutate()
+			}
 
-	r := aud.RunUntilValid(5)
-	if !r.Valid {
-		t.Fatalf("no valid audit pass after injection: %s", r.Summary())
-	}
-	missed := 0
-	for _, f := range r.Findings {
-		if f.Check == "journal_batch_shoot" {
-			missed++
-		}
-	}
-	if missed == 0 {
-		t.Fatalf("auditor missed the skipped batch mark: %s", r.Summary())
-	}
+			r := aud.RunUntilValid(5)
+			if !r.Valid {
+				t.Fatalf("no valid audit pass after injection: %s", r.Summary())
+			}
+			fired := map[string]bool{}
+			for _, f := range r.Findings {
+				fired[f.Check] = true
+			}
+			for _, check := range tc.want {
+				if !fired[check] {
+					t.Errorf("auditor missed the skipped range mark: no %s finding: %s", check, r.Summary())
+				}
+			}
+			for _, check := range tc.wantNot {
+				if fired[check] {
+					t.Errorf("%s fired on a shootdown that landed its mark: %s", check, r.Summary())
+				}
+			}
 
-	// Repair: a real batch shootdown over the same root supersedes the
-	// journaled generation and stores its mark; the auditor goes clean.
-	if err := root.Rename("/mv/a", "/a"); err != nil {
-		t.Fatal(err)
+			// Repair: a real shootdown over the same root supersedes the
+			// journaled generation and stores its mark; the auditor goes
+			// clean.
+			if err := tc.undo(root); err != nil {
+				t.Fatal(err)
+			}
+			if r := aud.RunUntilValid(5); !r.Valid || r.Violations() != 0 {
+				t.Fatalf("audit still dirty after repair: %s", r.Summary())
+			}
+		})
 	}
-	if r := aud.RunUntilValid(5); !r.Valid || r.Violations() != 0 {
-		t.Fatalf("audit still dirty after repair: %s", r.Summary())
-	}
-	_ = k
 }
 
 // TestRenameDoesNotResurrectPCC: after a batched rename shootdown, a
@@ -194,13 +236,13 @@ func TestKilledNegativeAnswersNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := c.ensureState(live)
-	if !ok {
+	var st sig.State
+	if !c.pathState(live, &st, true) {
 		t.Fatal("no signature state for /a")
 	}
 	fd := fast(live.D)
 	was := fd.inTable
-	c.publish(c.dlhtFor(walker.Namespace()), live, st, token)
+	c.publish(c.dlhtFor(walker.Namespace()), live, &st, token)
 	if fd.inTable != was {
 		t.Fatal("publish accepted a pre-rename token")
 	}

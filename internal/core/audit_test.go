@@ -148,12 +148,11 @@ func TestAuditInvariantDuringFastpathStress(t *testing.T) {
 }
 
 // TestAuditCatchesInjectedStaleShootdown proves the auditor detects a
-// real coherence bug: with the test-only testSkipShootdown hook set,
-// invalidateSubtree bumps version counters without removing DLHT
-// entries — exactly the missed-shootdown bug the dlht_stale invariant
-// exists to catch. The audit must flag it; after repair (a clean
-// re-walk republishes fresh entries is NOT enough — the stale entries
-// must go), a full invalidation with the hook off must restore a clean
+// real coherence bug: a version counter bumped without the table entry
+// going with it — bumpSeq without unpublish, which shoot and fresh must
+// never do and the dlht_stale invariant exists to catch. The audit must flag it; a clean re-walk republishing is NOT
+// enough — the stale entries must go — and a real shootdown over the same
+// subtree, discharged by the auditor's sweep, must restore a clean
 // verdict.
 func TestAuditCatchesInjectedStaleShootdown(t *testing.T) {
 	k, c, root := auditFixture(t)
@@ -174,14 +173,15 @@ func TestAuditCatchesInjectedStaleShootdown(t *testing.T) {
 		t.Fatalf("audit not clean before injection: %s", r.Summary())
 	}
 
-	// Inject: the chmod bumps every cached descendant's seq but the
-	// shootdown is skipped, leaving live DLHT entries published at the
-	// old version.
-	c.testSkipShootdown = true
-	if err := root.Chmod("/a", fsapi.Mode(0o700)); err != nil {
-		t.Fatal(err)
+	// Inject: bump every published descendant's seq and leave its entry
+	// in the table, published at the old version.
+	for _, p := range []string{"/a/b/c", "/a/b/c/file"} {
+		ref, err := root.Walk(p, vfs.WalkNoFast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.bumpSeq(fast(ref.D))
 	}
-	c.testSkipShootdown = false
 
 	r := aud.RunUntilValid(5)
 	if !r.Valid {

@@ -54,11 +54,11 @@ type Stats struct {
 	PCCMiss        int64 // fell back: prefix check not memoized/stale
 	DotDotChecks   int64 // extra per-".." fastpath permission lookups
 	Populations    int64 // DLHT+PCC population events
-	Invalidation   int64 // subtree invalidation walks
+	Invalidation   int64 // shootdowns (one per BeginMutation)
 	StaleTokens    int64 // populations skipped due to concurrent mutation
 	AliasCreated   int64
 	DeepNegCreated int64
-	SeqBumps       int64 // per-dentry version bumps (roots + descendants)
+	SeqBumps       int64 // per-dentry version bumps (mutation roots + lazily discarded descendants)
 	DLHTSweeps     int64 // dead nodes reclaimed by DLHT inserts
 	PCCFlushes     int64 // whole-PCC invalidations
 	PCCResizes     int64 // PCC generation copies
@@ -118,16 +118,15 @@ type fastDentry struct {
 	// reset when the dentry changes identity (negative <-> positive).
 	touches atomic.Uint32
 
-	mu       sync.Mutex
-	hasState bool
-	state    sig.State
-	idx      uint16
-	sg       sig.Signature
-	inTable  *DLHT // the one DLHT currently holding this dentry
+	mu      sync.Mutex
+	idx     uint16
+	sg      sig.Signature
+	inTable *DLHT // the one DLHT currently holding this dentry
 
-	// statePtr is a lock-free snapshot of state for the TryFast hot path
-	// (nil when no valid state); writers keep it in sync under mu.
-	statePtr atomic.Pointer[sig.State]
+	// state is the signature state of the dentry's canonical path, in
+	// place: stored and cleared under mu, loaded without it by TryFast.
+	// A dentry in a table always has one (the state its sg sums).
+	state sig.Shared
 
 	// mntP records the mount the signature was computed under, so a
 	// fastpath hit can report mount options without a tree walk (§4.3).
@@ -159,12 +158,10 @@ func (fd *fastDentry) reset(self slab.Ref) {
 	fd.validGen.Store(0)
 	fd.shootMark.Store(0)
 	fd.touches.Store(0)
-	fd.hasState = false
-	fd.state = sig.State{}
 	fd.idx = 0
 	fd.sg = sig.Signature{}
 	fd.inTable = nil
-	fd.statePtr.Store(nil)
+	fd.state.Clear()
 	fd.mntP.Store(nil)
 	fd.target.Store(0)
 	fd.targetSeq.Store(0)
@@ -218,18 +215,6 @@ type Core struct {
 	dlhts []*DLHT
 
 	stats statsCell
-
-	// testSkipShootdown, when set, makes invalidateSubtree bump version
-	// counters WITHOUT removing DLHT entries — deliberately breaking the
-	// pubSeq invariant. Test-only: it exists so the audit tests can prove
-	// the auditor catches a real stale-DLHT bug.
-	testSkipShootdown bool
-
-	// testSkipBatchMark, when set, makes the batch-shootdown path bump the
-	// generation WITHOUT stamping the subtree root's shootMark — a missed
-	// range shootdown. Test-only: it exists so the audit tests can prove
-	// the auditor catches a batch mark that never landed.
-	testSkipBatchMark bool
 }
 
 // pccReg pairs a registered PCC with the credential it caches for.
@@ -355,19 +340,7 @@ func (c *Core) OnReclaim(d *vfs.Dentry) {
 	if fd == nil {
 		return
 	}
-	tel := c.tele()
-	fd.mu.Lock()
-	if fd.inTable != nil {
-		removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
-		fd.inTable = nil
-		if tel != nil {
-			tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.idx), "reclaim")
-		}
-	}
-	fd.hasState = false
-	fd.statePtr.Store(nil)
-	fd.target.Store(0)
-	fd.mu.Unlock()
+	unpublish(c.tele(), d, fd, "reclaim")
 	c.fds.Retire(fd.self)
 }
 
@@ -466,7 +439,7 @@ func (c *Core) tokenValid(token uint64) bool {
 // re-bumps the epoch when the mutation completes — and, on a shard, then
 // publishes the mutated path to the coherence log. The shootdown is timed
 // into the reason's mutation-side histogram and journaled: one epoch_bump
-// per edge, one seq_bump at the root carrying the subtree size.
+// per edge, one seq_bump at the root.
 func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) func() {
 	tel := c.tele()
 	epoch := c.epoch.Add(1)
@@ -476,15 +449,7 @@ func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) func() {
 		tel.Emit(telemetry.JEpochBump, d.ID(), int64(epoch), why.String())
 		start = time.Now()
 	}
-	if c.batchable(d, why) {
-		c.batchShoot(d, why, tel)
-	} else {
-		n := c.invalidateSubtree(d, tel)
-		c.stats.seqBumps.Add(int64(n))
-		if tel != nil {
-			tel.Emit(telemetry.JSeqBump, d.ID(), int64(n), why.String())
-		}
-	}
+	c.shoot(d, why, tel)
 	if tel != nil {
 		tel.Record(invalHist(why), time.Since(start))
 	}
@@ -510,20 +475,6 @@ func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) func() {
 	}
 }
 
-// batchable reports whether this invalidation may take the O(1) range
-// shootdown instead of the recursive per-descendant walk. Structural
-// mutations over a populated subtree (rm -r teardown, rename, unmount)
-// qualify; permission changes (InvalPerm) stay eager because PCC entries
-// key on per-dentry seq values — a chmod must bump every descendant's seq
-// or stale memoized prefix checks keep authorizing (§3.2).
-func (c *Core) batchable(d *vfs.Dentry, why vfs.Invalidation) bool {
-	switch why {
-	case vfs.InvalRename, vfs.InvalUnlink, vfs.InvalMount, vfs.InvalRemote:
-		return d.ChildCount() > 0
-	}
-	return false
-}
-
 // EnableCoherence attaches the coherence log (see the coh field) on first
 // call.
 func (c *Core) EnableCoherence() {
@@ -541,57 +492,85 @@ func (c *Core) Coherence() *coherence.Log {
 	return c.coh.Load()
 }
 
-// batchShoot is the epoch-tagged range shootdown: bump the generation
-// counter once, eagerly invalidate only the subtree root (its seq bump
-// stales PCC entries naming the root itself), and stamp the root's
-// shootMark so fastpath probes and sweeps lazily discard every
-// descendant's state on next encounter (Core.fresh). O(1) instead of
-// O(subtree), which is what rm -r and rename teardown pay per call.
-func (c *Core) batchShoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemetry) {
+// shoot is the one shootdown every mutation takes, whatever its reason
+// (DESIGN §5d). d itself is invalidated now: its seq bump stales the PCC
+// entries naming it, and its table entry, signature state and cached
+// symlink target go. If d has cached children it also becomes the root of
+// a range shootdown — one generation bump and d's shootMark — and every
+// descendant's state is discarded by fresh() on its first probe, O(1) here
+// instead of O(subtree). That covers permission changes as well as
+// structural ones because nothing consults a descendant's PCC entry, or
+// advances its validGen, without calling fresh() on it first.
+func (c *Core) shoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemetry) {
+	fd := fast(d)
+	if fd == nil {
+		return
+	}
+	kids := d.ChildCount()
+	c.bumpSeq(fd)
+	unpublish(tel, d, fd, "shootdown")
+	if tel != nil {
+		tel.Emit(telemetry.JSeqBump, d.ID(), int64(kids), why.String())
+	}
+	if kids == 0 {
+		return
+	}
 	gen := c.shootGen.Add(1)
 	c.stats.batchShootdowns.Add(1)
-	c.stats.seqBumps.Add(1)
-	fd := fast(d)
-	if fd != nil {
-		if fd.seq.Add(1)&pccSeqMask == 0 {
-			c.invalidateAllPCCs()
-		}
-		fd.mu.Lock()
-		if fd.inTable != nil {
-			removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
-			fd.inTable = nil
-			if tel != nil {
-				tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.idx), "shootdown")
-			}
-		}
-		fd.hasState = false
-		fd.statePtr.Store(nil)
-		fd.target.Store(0)
-		fd.mu.Unlock()
-		if !c.testSkipBatchMark {
-			fd.shootMark.Store(gen)
-		}
-	}
+	fd.shootMark.Store(gen)
 	if tel != nil {
 		tel.Emit(telemetry.JBatchShoot, d.ID(), int64(gen), why.String())
 	}
 }
 
-// fresh reports whether d's fastpath state postdates every batch
+// bumpSeq advances the dentry's version, which stales every PCC entry
+// naming it without touching any PCC.
+func (c *Core) bumpSeq(fd *fastDentry) {
+	c.stats.seqBumps.Add(1)
+	if fd.seq.Add(1)&pccSeqMask == 0 {
+		// The truncated seq stored in PCC entries wrapped: stale entries
+		// from 2^31 bumps ago would match again. Wipe all PCCs, as the
+		// paper does for its 32-bit counters.
+		c.invalidateAllPCCs()
+	}
+}
+
+// unpublish drops what the fastpath holds for d under its current path:
+// the table entry, the signature state (recomputed by the next
+// population) and a cached symlink target. tel is nil when telemetry is
+// off.
+func unpublish(tel *telemetry.Telemetry, d *vfs.Dentry, fd *fastDentry, why string) {
+	fd.mu.Lock()
+	if fd.inTable != nil {
+		removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
+		fd.inTable = nil
+		if tel != nil {
+			tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.idx), why)
+		}
+	}
+	fd.state.Clear()
+	fd.target.Store(0)
+	fd.mu.Unlock()
+}
+
+// fresh reports whether d's fastpath state postdates every range
 // shootdown covering it. The hot path is one load-and-compare; only a
 // generation mismatch climbs the ancestor chain looking for a shootMark
-// newer than d's validGen. A stale dentry is lazily invalidated here
-// (seq bump + DLHT removal + state drop) and fresh returns false so the
-// caller falls back to the slow walk.
+// newer than d's validGen. A stale dentry gets here the per-dentry work
+// the shootdown deferred — seq bump (staling its PCC entries), table entry
+// and signature state dropped — and fresh returns false so the caller
+// falls back to the slow walk.
 //
-// On a clean climb the result is memoized (validGen advanced to the
-// generation read before the climb) — but only if the invalidation epoch
-// was even and unchanged across the climb. Without that gate, a racing
-// mutation could stamp an ancestor's shootMark after our climb had
-// already passed it, and the memoized validGen would mask that mark
-// forever. With the gate, either we see the mark (epoch already bumped
-// before the generation, seq-cst), or the epoch check fails and we skip
-// memoization; the next probe re-climbs.
+// Either way validGen then advances to the generation read *before* the
+// climb, and only if the invalidation epoch was even and unchanged across
+// it. Without that gate a racing mutation could stamp an ancestor's
+// shootMark after the climb had passed it, and the new validGen would
+// mask that mark forever; with it, either the climb sees the mark (the
+// epoch is bumped before the generation, seq-cst) or the epoch check
+// fails, validGen stays, and the next probe climbs — and perhaps bumps —
+// again. The generation current *after* the bump would not do: a probe
+// descheduled between the two across a whole chmod would declare the
+// dentry fresh against a mark its bump preceded (TestStressWalkVsChmod).
 func (c *Core) fresh(d *vfs.Dentry) bool {
 	fd := fast(d)
 	if fd == nil {
@@ -603,54 +582,43 @@ func (c *Core) fresh(d *vfs.Dentry) bool {
 		return true
 	}
 	e1 := c.epoch.Load()
-	stale := false
-	for cur := d; cur != nil; cur = cur.Parent() {
-		cfd := fast(cur)
-		if cfd == nil {
-			break
-		}
-		if cfd.shootMark.Load() > vg {
-			stale = true
-			break
-		}
-	}
+	stale := c.markedAbove(d, vg) != nil
 	if stale {
-		c.lazyInvalidate(d, fd)
-		return false
+		c.stats.lazyShootdowns.Add(1)
+		c.bumpSeq(fd)
+		unpublish(c.tele(), d, fd, "lazy-shootdown")
 	}
 	if e1&1 == 0 && c.epoch.Load() == e1 {
 		fd.validGen.Store(gen)
 	}
-	return true
+	return !stale
 }
 
-// lazyInvalidate performs the per-dentry work a batch shootdown deferred:
-// bump seq (staling PCC entries), drop the DLHT entry and cached state.
-// validGen advances only when no mutation is in flight, so a dentry under
-// an active mutation keeps re-invalidating (harmlessly) until the epoch
-// settles even.
-func (c *Core) lazyInvalidate(d *vfs.Dentry, fd *fastDentry) {
-	tel := c.tele()
-	c.stats.lazyShootdowns.Add(1)
-	c.stats.seqBumps.Add(1)
-	if fd.seq.Add(1)&pccSeqMask == 0 {
-		c.invalidateAllPCCs()
+// markedAbove returns the nearest of d and its ancestors whose shootMark
+// is newer than generation vg, or nil. Ancestors are those of d's
+// canonical path, as pathState spells it: at the root of the mount d's
+// signature was computed under, the climb continues from the mountpoint
+// (§4.3), so a chmod above a mountpoint covers the mounted tree too.
+func (c *Core) markedAbove(d *vfs.Dentry, vg uint64) *vfs.Dentry {
+	var mnt *vfs.Mount
+	if fd := fast(d); fd != nil {
+		mnt = fd.mntP.Load()
 	}
-	fd.mu.Lock()
-	if fd.inTable != nil {
-		removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
-		fd.inTable = nil
-		if tel != nil {
-			tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.idx), "lazy-shootdown")
+	for cur := d; cur != nil; {
+		cfd := fast(cur)
+		if cfd == nil {
+			return nil
+		}
+		if cfd.shootMark.Load() > vg {
+			return cur
+		}
+		if mnt != nil && cur == mnt.Root() {
+			cur, mnt = mnt.Mountpoint(), mnt.ParentMount()
+		} else {
+			cur = cur.Parent()
 		}
 	}
-	fd.hasState = false
-	fd.statePtr.Store(nil)
-	fd.target.Store(0)
-	fd.mu.Unlock()
-	if e := c.epoch.Load(); e&1 == 0 {
-		fd.validGen.Store(c.shootGen.Load())
-	}
+	return nil
 }
 
 // SweepStale walks every registered DLHT and lazily discards entries
@@ -687,42 +655,6 @@ func invalHist(why vfs.Invalidation) telemetry.HistID {
 	}
 }
 
-// invalidateSubtree recursively bumps every cached descendant's version
-// counter (killing its PCC entries without touching any PCC) and evicts it
-// from whatever DLHT currently holds it — the paper's pre-mutation
-// shootdown. Returns the number of dentries visited (the subtree size the
-// root's seq_bump event reports).
-func (c *Core) invalidateSubtree(d *vfs.Dentry, tel *telemetry.Telemetry) int {
-	n := 1
-	fd := fast(d)
-	if fd != nil {
-		if fd.seq.Add(1)&pccSeqMask == 0 {
-			// The truncated seq stored in PCC entries wrapped: stale
-			// entries from 2^31 bumps ago would match again. Wipe all
-			// PCCs, as the paper does for its 32-bit counters.
-			c.invalidateAllPCCs()
-		}
-		if !c.testSkipShootdown {
-			fd.mu.Lock()
-			if fd.inTable != nil {
-				removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
-				fd.inTable = nil
-				if tel != nil {
-					tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.idx), "shootdown")
-				}
-			}
-			// The path (or its permission context) is changing: recompute
-			// signature state lazily on next population.
-			fd.hasState = false
-			fd.statePtr.Store(nil)
-			fd.target.Store(0)
-			fd.mu.Unlock()
-		}
-	}
-	d.EachChild(func(ch *vfs.Dentry) { n += c.invalidateSubtree(ch, tel) })
-	return n
-}
-
 // removeTimed is DLHT.Remove timed into HistDLHTRemove when telemetry is
 // enabled (tel non-nil).
 func removeTimed(tel *telemetry.Telemetry, dl *DLHT, idx uint16, sg sig.Signature, d *vfs.Dentry) {
@@ -746,72 +678,56 @@ func (c *Core) OnEvict(d *vfs.Dentry) {
 	fd.seq.Add(1)
 }
 
-// ensureState returns ref.D's canonical-path signature state, computing it
-// bottom-up (and caching it in each ancestor's fastDentry) if needed. The
-// mount chain supplies the namespace-level canonical path: a mount root's
-// path is its mountpoint's path (§4.3).
-func (c *Core) ensureState(ref vfs.PathRef) (sig.State, bool) {
+// pathState loads ref.D's canonical-path signature state into *dst: the
+// stored one, else its parent's (computed and stored there the same way)
+// extended by the dentry's name. The mount chain supplies the
+// namespace-level canonical path: a mount root's path is its mountpoint's
+// path (§4.3). keep stores a computed state in the dentry; a caller about
+// to publish passes false, because publish stores it in the critical
+// section that inserts. False means there is no state to be had (a dead or
+// detached dentry, a path past sig.MaxPathLen) and *dst is garbage.
+func (c *Core) pathState(ref vfs.PathRef, dst *sig.State, keep bool) bool {
 	fd := fast(ref.D)
 	if fd == nil || ref.Mnt == nil || ref.D.IsDead() {
-		return sig.State{}, false
+		return false
 	}
-	// A batch shootdown leaves descendants' cached states in place; drop
-	// a stale one here (fresh lazily invalidates) rather than serve a
-	// pre-mutation signature, then fall through and recompute.
+	// A range shootdown leaves descendants' stored states in place; fresh
+	// drops a stale one here rather than serve a pre-mutation signature.
 	_ = c.fresh(ref.D)
-	if sp := fd.statePtr.Load(); sp != nil {
-		return *sp, true
+	if fd.state.Load(c.key, dst) {
+		return true
 	}
-	fd.mu.Lock()
-	if fd.hasState {
-		st := fd.state
-		fd.mu.Unlock()
-		return st, true
-	}
-	fd.mu.Unlock()
-
-	var st sig.State
+	token := c.epoch.Load()
 	if ref.D == ref.Mnt.Root() {
 		if ref.Mnt.ParentMount() == nil {
-			st = c.key.NewState() // namespace root: empty path prefix
-		} else {
-			parent := vfs.PathRef{Mnt: ref.Mnt.ParentMount(), D: ref.Mnt.Mountpoint()}
-			pst, ok := c.ensureState(parent)
-			if !ok {
-				return sig.State{}, false
-			}
-			st = pst
+			*dst = c.key.NewState() // namespace root: empty path prefix
+		} else if !c.pathState(vfs.PathRef{Mnt: ref.Mnt.ParentMount(), D: ref.Mnt.Mountpoint()}, dst, true) {
+			return false
 		}
 	} else {
 		p := ref.D.Parent()
-		if p == nil {
-			// Detached from the tree (racing eviction).
-			return sig.State{}, false
-		}
-		pst, ok := c.ensureState(vfs.PathRef{Mnt: ref.Mnt, D: p})
-		if !ok {
-			return sig.State{}, false
+		if p == nil { // detached from the tree (racing eviction)
+			return false
 		}
 		name := ref.D.Name()
-		if !pst.Fits(len(name) + 1) {
-			return sig.State{}, false
+		if !c.pathState(vfs.PathRef{Mnt: ref.Mnt, D: p}, dst, true) || !dst.Fits(len(name)+1) {
+			return false
 		}
-		st = pst.AppendString("/").AppendString(name)
+		dst.AppendComponent(name)
 		c.stats.hashedBytes.Add(int64(len(name) + 1))
 	}
-
-	fd.mu.Lock()
-	if !fd.hasState {
-		fd.state = st
-		fd.hasState = true
-		fd.idx, fd.sg = st.Sum()
-		fd.mntP.Store(ref.Mnt)
-		snap := st
-		fd.statePtr.Store(&snap)
+	if keep {
+		// Under mu, as in publish: a mutation that moved the name or the
+		// parent this state was read from bumped the epoch before its
+		// shootdown took mu, so it is either seen here or clears the store.
+		fd.mu.Lock()
+		if c.tokenValid(token) {
+			fd.state.Store(dst)
+			fd.mntP.Store(ref.Mnt)
+		}
+		fd.mu.Unlock()
 	}
-	st = fd.state
-	fd.mu.Unlock()
-	return st, true
+	return true
 }
 
 // publish installs d in the namespace's DLHT under state st, handling the
@@ -828,7 +744,7 @@ func (c *Core) ensureState(ref vfs.PathRef) (sig.State, bool) {
 // bumps the epoch before taking fd.mu, so whichever critical section runs
 // second sees the other's work: either the shootdown removes our entry, or
 // we observe the odd/advanced epoch and decline to insert.
-func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st sig.State, token uint64) {
+func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st *sig.State, token uint64) {
 	fd := fast(ref.D)
 	if fd == nil || ref.D.IsDead() {
 		return
@@ -838,6 +754,10 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st sig.State, token uint64) {
 		// component at the server; a whole-path hit would skip that.
 		return
 	}
+	// validGen is stamped below: discharge a pending range shootdown first
+	// (it bumps seq), or the stamp would hide the mark from every later
+	// fresh() and leave other credentials' PCC entries for d standing.
+	_ = c.fresh(ref.D)
 	tel := c.tele()
 	idx, sg := st.Sum()
 	fd.mu.Lock()
@@ -855,12 +775,6 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st sig.State, token uint64) {
 	if fd.inTable != nil {
 		if fd.inTable == dl && fd.sg == sg {
 			fd.mntP.Store(ref.Mnt)
-			fd.state = st
-			fd.hasState = true
-			if sp := fd.statePtr.Load(); sp == nil || *sp != st {
-				snap := st
-				fd.statePtr.Store(&snap)
-			}
 			fd.validGen.Store(gen)
 			return // already published under this signature
 		}
@@ -872,12 +786,9 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st sig.State, token uint64) {
 		fd.inTable = nil
 		fd.seq.Add(1)
 	}
-	fd.state = st
-	fd.hasState = true
+	fd.state.Store(st)
 	fd.idx, fd.sg = idx, sg
 	fd.mntP.Store(ref.Mnt)
-	snap := st
-	fd.statePtr.Store(&snap)
 	fd.pubSeq = fd.seq.Load()
 	fd.validGen.Store(gen)
 	dl.Insert(idx, sg, ref.D)

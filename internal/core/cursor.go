@@ -41,9 +41,8 @@ type pathCursor struct {
 // memoized canonical state. False means the state is unavailable (the
 // caller should fall back).
 func (pc *pathCursor) init(c *Core, start vfs.PathRef) bool {
-	st, ok := c.ensureState(start)
-	pc.st, pc.base = st, start
-	return ok
+	pc.base = start
+	return c.pathState(start, &pc.st, true)
 }
 
 // depth returns the number of components currently pushed above base.

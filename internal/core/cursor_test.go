@@ -287,10 +287,14 @@ func TestLexicalHashZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := c.ensureState(leaf)
+	var want sig.State
+	if !c.pathState(leaf, &want, true) {
+		t.Fatal("no signature state for the leaf")
+	}
 
+	var st sig.State
 	hash := func() {
-		st, ok := c.lexicalHash(root, ns, dl, pcc, root.Root(), path, c.BeginSlow())
+		ok := c.lexicalHash(root, ns, dl, pcc, root.Root(), path, c.BeginSlow(), &st)
 		if !ok || st != want {
 			t.Fatalf("lexicalHash(%q) = %+v, %v; want the leaf's canonical state %+v", path, st, ok, want)
 		}
@@ -298,5 +302,28 @@ func TestLexicalHashZeroAlloc(t *testing.T) {
 	hash() // the ".." publishes /p00/p01 once; after that nothing is new
 	if avg := testing.AllocsPerRun(200, hash); avg != 0 {
 		t.Fatalf("lexicalHash of a %d-component path allocates: %.2f allocs/op, want 0", cursorInline, avg)
+	}
+
+	// The other population route: the dentry's own state, then publish.
+	// The state is stored in the fast-dentry's slot, not behind a pointer,
+	// so a first publication (the unpublish between runs makes every run
+	// one) and a republication of an admitted dentry allocate nothing.
+	populate := func() {
+		if !c.pathState(leaf, &st, false) {
+			t.Fatal("no signature state for the leaf")
+		}
+		c.publish(dl, leaf, &st, c.BeginSlow())
+	}
+	first := func() {
+		unpublish(nil, leaf.D, fast(leaf.D), "test")
+		populate()
+	}
+	for name, fn := range map[string]func(){"first": first, "again": populate} {
+		if avg := testing.AllocsPerRun(200, fn); avg != 0 {
+			t.Fatalf("pathState+publish (%s) allocates: %.2f allocs/op, want 0", name, avg)
+		}
+	}
+	if fast(leaf.D).inTable != dl {
+		t.Fatal("the leaf was never published")
 	}
 }

@@ -63,7 +63,7 @@ func (c *Core) EndSlowLookup(token uint64, t *vfs.Task, start vfs.PathRef, path 
 	ns := t.Namespace()
 	dl := c.dlhtFor(ns)
 	pcc := c.pccFor(t.Cred())
-	if !c.startTrusted(t, start, pcc) {
+	if !c.startTrusted(t, start, pcc, token) {
 		return
 	}
 
@@ -76,18 +76,16 @@ func (c *Core) EndSlowLookup(token uint64, t *vfs.Task, start vfs.PathRef, path 
 	// multiple canonical paths; the §4.3 most-recent-wins re-signing
 	// then requires hashing the request's own view).
 	var st sig.State
-	var ok bool
 	if hasDotComponents(path) || c.k.AliasingEpoch() != 0 {
-		st, ok = c.lexicalHash(t, ns, dl, pcc, start, path, token)
-	} else {
-		st, ok = c.ensureState(lexical)
-	}
-	if !ok {
+		if !c.lexicalHash(t, ns, dl, pcc, start, path, token, &st) {
+			return
+		}
+	} else if !c.pathState(lexical, &st, false) {
 		return
 	}
 
-	c.publish(dl, lexical, st, token)
-	pcc.Insert(lexical.D.ID(), dentrySeq(lexical.D))
+	c.publish(dl, lexical, &st, token)
+	c.memoize(pcc, lexical.D, token)
 
 	if res.D != lexical.D {
 		// A symlink (or alias chain) was followed: cache the redirect,
@@ -95,14 +93,16 @@ func (c *Core) EndSlowLookup(token uint64, t *vfs.Task, start vfs.PathRef, path 
 		// prefix check too (§4.2: "The PCC is separately checked for the
 		// target dentry").
 		if fd := fast(lexical.D); fd != nil && lexical.D.IsSymlink() {
-			fd.targetSeq.Store(dentrySeq(res.D))
-			fd.target.Store(res.D.SelfRef().Pack())
+			if seq := dentrySeq(res.D); c.tokenValid(token) { // as in memoize
+				fd.targetSeq.Store(seq)
+				fd.target.Store(res.D.SelfRef().Pack())
+			}
 		}
 		// Make sure the result's own canonical state exists so its
 		// children can be hashed (e.g. a later lookup under a resolved
 		// directory symlink target).
-		c.ensureState(res)
-		pcc.Insert(res.D.ID(), dentrySeq(res.D))
+		c.pathState(res, &st, true) // st is spent: lexical is published
+		c.memoize(pcc, res.D, token)
 	}
 }
 
@@ -127,15 +127,15 @@ func hasDotComponents(path string) bool {
 	return false
 }
 
-// lexicalHash canonicalizes path lexically from start's state, returning
+// lexicalHash canonicalizes path lexically from start's state into *dst,
 // the final signature state. Along the way it opportunistically publishes
 // the directories ".." pops out of (they were just verified by the slow
 // walk, and the Linux-mode fastpath will need them, §4.2).
-func (c *Core) lexicalHash(t *vfs.Task, ns *vfs.Namespace, dl *DLHT, pcc *PCC, start vfs.PathRef, path string, token uint64) (sig.State, bool) {
+func (c *Core) lexicalHash(t *vfs.Task, ns *vfs.Namespace, dl *DLHT, pcc *PCC, start vfs.PathRef, path string, token uint64, dst *sig.State) bool {
 	var cur pathCursor
 	defer cur.flush(c)
 	if !cur.init(c, start) {
-		return sig.State{}, false
+		return false
 	}
 	// Beside the hashing cursor runs a best-effort dentry cursor tracking
 	// what the lexical path denotes, with the dentry each push left behind
@@ -153,7 +153,7 @@ func (c *Core) lexicalHash(t *vfs.Task, ns *vfs.Namespace, dl *DLHT, pcc *PCC, s
 			break
 		}
 		if len(comp) > 255 {
-			return sig.State{}, false
+			return false
 		}
 		switch comp {
 		case ".":
@@ -163,11 +163,11 @@ func (c *Core) lexicalHash(t *vfs.Task, ns *vfs.Namespace, dl *DLHT, pcc *PCC, s
 			// per-dot-dot check can hit (cursor permitting).
 			if d := at.D; d != nil && !d.IsDead() && d.Inode() != nil &&
 				d.IsDir() && cur.depth() > 0 {
-				c.publish(dl, at, cur.st, token)
-				pcc.Insert(d.ID(), dentrySeq(d))
+				c.publish(dl, at, &cur.st, token)
+				c.memoize(pcc, d, token)
 			}
 			if !cur.pop(c, t) {
-				return sig.State{}, false
+				return false
 			}
 			if n := len(below); n > 0 {
 				at, below = below[n-1], below[:n-1]
@@ -176,13 +176,14 @@ func (c *Core) lexicalHash(t *vfs.Task, ns *vfs.Namespace, dl *DLHT, pcc *PCC, s
 			}
 		default:
 			if !cur.push(comp) {
-				return sig.State{}, false
+				return false
 			}
 			below = append(below, at)
 			at = c.advanceCursor(ns, at, comp)
 		}
 	}
-	return cur.st, true
+	*dst = cur.st
+	return true
 }
 
 // advanceCursor moves the best-effort lexical dentry cursor one component,
@@ -223,24 +224,23 @@ func (c *Core) EndSlowNegative(token uint64, t *vfs.Task, start vfs.PathRef, pat
 	ns := t.Namespace()
 	dl := c.dlhtFor(ns)
 	pcc := c.pccFor(t.Cred())
-	if !c.startTrusted(t, start, pcc) {
+	if !c.startTrusted(t, start, pcc, token) {
 		return
 	}
 
-	anchorSt, ok := c.ensureState(f.Anchor)
-	if !ok {
+	var st sig.State
+	if !c.pathState(f.Anchor, &st, true) {
 		return
 	}
 	if f.Anchor.D.IsNegative() {
-		c.publish(dl, f.Anchor, anchorSt, token)
-		pcc.Insert(f.Anchor.D.ID(), dentrySeq(f.Anchor.D))
+		c.publish(dl, f.Anchor, &st, token)
+		c.memoize(pcc, f.Anchor.D, token)
 	}
 	if !c.cfg.DeepNegatives || len(f.Missing) == 0 {
 		return
 	}
 	notDir := f.Errno == fsapi.ENOTDIR
 	cur := f.Anchor.D
-	st := anchorSt
 	for _, name := range f.Missing {
 		if !st.Fits(len(name)+1) || len(name) > 255 {
 			return
@@ -249,10 +249,10 @@ func (c *Core) EndSlowNegative(token uint64, t *vfs.Task, start vfs.PathRef, pat
 		if child == nil {
 			return
 		}
-		st = st.AppendString("/").AppendString(name)
+		st.AppendComponent(name)
 		c.stats.hashedBytes.Add(int64(len(name) + 1))
-		c.publish(dl, vfs.PathRef{Mnt: f.Anchor.Mnt, D: child}, st, token)
-		pcc.Insert(child.ID(), dentrySeq(child))
+		c.publish(dl, vfs.PathRef{Mnt: f.Anchor.Mnt, D: child}, &st, token)
+		c.memoize(pcc, child, token)
 		c.stats.deepNegCreated.Add(1)
 		cur = child
 	}
@@ -268,11 +268,8 @@ func (c *Core) AliasStep(t *vfs.Task, aliasParent vfs.PathRef, name string, real
 	if aliasParent.D == nil || real.D == nil || real.D.IsDead() {
 		return nil
 	}
-	pst, ok := c.ensureState(aliasParent)
-	if !ok {
-		return nil
-	}
-	if !pst.Fits(len(name)+1) || len(name) > 255 {
+	var st sig.State
+	if !c.pathState(aliasParent, &st, true) || !st.Fits(len(name)+1) || len(name) > 255 {
 		return nil
 	}
 	alias := c.k.AddAlias(aliasParent.D, name, real.D)
@@ -287,11 +284,11 @@ func (c *Core) AliasStep(t *vfs.Task, aliasParent vfs.PathRef, name string, real
 	if fd := fast(alias); fd != nil {
 		fd.targetSeq.Store(dentrySeq(real.D))
 	}
-	st := pst.AppendString("/").AppendString(name)
+	st.AppendComponent(name)
 	c.stats.hashedBytes.Add(int64(len(name) + 1))
 	// AliasStep runs mid-walk without the walk's epoch token; a fresh one
 	// still lets publish refuse inserts that race a mutation.
-	c.publish(c.dlhtFor(t.Namespace()), vfs.PathRef{Mnt: aliasParent.Mnt, D: alias}, st, c.epoch.Load())
+	c.publish(c.dlhtFor(t.Namespace()), vfs.PathRef{Mnt: aliasParent.Mnt, D: alias}, &st, c.epoch.Load())
 	// Deliberately no PCC insert here: the alias's fastpath hit checks
 	// the target's PCC entry, which EndSlowLookup inserts under the
 	// directory-reference guard (§3.2) — inserting mid-walk could launder
@@ -309,7 +306,7 @@ func (c *Core) AliasStep(t *vfs.Task, aliasParent vfs.PathRef, name string, real
 // re-verified live (an O(depth) chain of search-permission checks — a
 // prefix check by definition) and re-memoized, so population never starves
 // under PCC capacity pressure.
-func (c *Core) startTrusted(t *vfs.Task, start vfs.PathRef, pcc *PCC) bool {
+func (c *Core) startTrusted(t *vfs.Task, start vfs.PathRef, pcc *PCC, token uint64) bool {
 	root := t.Root()
 	if start.D == root.D && start.Mnt == root.Mnt {
 		return true
@@ -318,14 +315,31 @@ func (c *Core) startTrusted(t *vfs.Task, start vfs.PathRef, pcc *PCC) bool {
 	// entry) intact until lazily discarded; discard it now rather than
 	// trust a pre-mutation prefix check.
 	_ = c.fresh(start.D)
-	if pcc.Lookup(start.D.ID(), dentrySeq(start.D)) {
+	seq := dentrySeq(start.D) // read before the live check, as in memoize
+	if pcc.Lookup(start.D.ID(), seq) {
 		return true
 	}
 	if !c.verifyPrefix(t, start) {
 		return false
 	}
-	pcc.Insert(start.D.ID(), dentrySeq(start.D))
+	if c.tokenValid(token) {
+		pcc.Insert(start.D.ID(), seq)
+	}
 	return true
+}
+
+// memoize records in pcc that the walk holding token passed the prefix
+// check to d. The order is the point: d's version is read first and the
+// token re-validated after, because the walk's own check at the top of
+// population is long past by now. A shootdown bumps the epoch before any
+// seq, so an entry that gets past the second check carries a version the
+// shootdown has yet to bump, or belongs to a dentry whose validGen
+// predates the mark fresh() will find; a walk that stalled here across a
+// whole permission change inserts nothing.
+func (c *Core) memoize(pcc *PCC, d *vfs.Dentry, token uint64) {
+	if seq := dentrySeq(d); c.tokenValid(token) {
+		pcc.Insert(d.ID(), seq)
+	}
 }
 
 // verifyPrefix checks search permission on every ancestor of ref up to the

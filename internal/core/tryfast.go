@@ -163,15 +163,16 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	idx, sg := cur.st.Sum()
 	d := dl.Lookup(idx, sg)
 	fs.lap(&fs.ph.HashLookup)
-	// Batch-shootdown freshness: one generation compare on the hot path;
+	// Range-shootdown freshness: one generation compare on the hot path;
 	// a stale entry (covered by a range shootdown) is lazily discarded and
-	// the walk falls back.
+	// the walk falls back. The rule every shootdown rests on (DESIGN §5d):
+	// fresh(x) before any PCC consult for x — here for the dentry the
+	// table returned, below for each dentry a redirect lands on.
 	if d == nil || !c.fresh(d) {
 		c.stats.dlhtMiss.Add(1)
 		tr.Event(telemetry.EvDLHTMiss, path)
 		return vfs.PathRef{}, nil, false
 	}
-	looked := d
 	tr.Event(telemetry.EvDLHTHit, path)
 
 	// Alias dentries redirect to the real dentry; the redirect is pinned
@@ -180,10 +181,8 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	// the requested path's parents; the target is checked separately
 	// below (§4.2).
 	if d.Flags()&vfs.DAlias != 0 {
-		fd := fast(d)
-		real := d.Target()
-		if fd == nil || real == nil || real.IsDead() ||
-			fd.targetSeq.Load() != dentrySeq(real) {
+		real := c.aliasTarget(d)
+		if real == nil {
 			tr.Event(telemetry.EvFastAbort, "stale alias")
 			return vfs.PathRef{}, nil, false
 		}
@@ -262,11 +261,6 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	if fd == nil {
 		return vfs.PathRef{}, nil, false
 	}
-	// Alias/symlink redirects land on a dentry the lookup gate above never
-	// saw; give it the same freshness check before trusting its PCC entry.
-	if d != looked && !c.fresh(d) {
-		return vfs.PathRef{}, nil, false
-	}
 	seq := fd.seq.Load()
 	var pccStart time.Time
 	if tel != nil {
@@ -317,22 +311,37 @@ func (c *Core) checkPrefixDir(t *vfs.Task, dl *DLHT, pcc *PCC, cur *pathCursor) 
 			return false
 		}
 		if d.Flags()&vfs.DAlias != 0 {
-			real := d.Target()
-			if real == nil || real.IsDead() {
+			if d = c.aliasTarget(d); d == nil {
 				return false
 			}
-			d = real
 		}
 		if !pcc.Lookup(d.ID(), dentrySeq(d)) {
 			c.stats.pccMiss.Add(1)
 			return false
 		}
 	}
+	// "." and ".." are looked up *in* the prefix: a symlink there is
+	// followed and a file is ENOTDIR, neither of which a lexical skip does.
 	ino := d.Inode()
-	if ino == nil {
+	if ino == nil || !d.IsDir() {
 		return false
 	}
 	return c.k.CheckExec(t.Cred(), mntOf(d, cur.base.Mnt), ino) == nil
+}
+
+// aliasTarget follows an alias dentry (already fresh) to the real dentry
+// it redirects to, or returns nil when the redirect cannot be trusted: the
+// target is gone, has changed since the alias pinned its version, or sits
+// under a range shootdown — in which case fresh discards its state, so the
+// PCC consult the caller makes next cannot be answered by a revoked entry.
+func (c *Core) aliasTarget(alias *vfs.Dentry) *vfs.Dentry {
+	fd := fast(alias)
+	real := alias.Target()
+	if fd == nil || real == nil || real.IsDead() ||
+		fd.targetSeq.Load() != dentrySeq(real) || !c.fresh(real) {
+		return nil
+	}
+	return real
 }
 
 // mntOf returns the dentry's recorded mount, falling back to hint.

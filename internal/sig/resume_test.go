@@ -3,6 +3,8 @@ package sig
 import (
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -141,4 +143,56 @@ func TestAppendUnappendComponent(t *testing.T) {
 	}()
 	short := k.NewState().AppendString("/a")
 	short.UnappendComponent("ab")
+}
+
+// TestSharedTornReadsNeverSurface: one writer cycles a Shared through
+// states of different paths, clears included, while readers load it
+// without the writer's lock. A load that reports a state must report one
+// of the states stored, whole — never a header from one and accumulators
+// from another — which the version check in Load is there to guarantee.
+func TestSharedTornReadsNeverSurface(t *testing.T) {
+	k := NewKey(99)
+	var states []State
+	valid := map[Signature]bool{}
+	for _, p := range []string{"", "/a", "/a/bb", "/a/bb/ccc", "/zzzz/y"} {
+		st := k.NewState().AppendString(p)
+		_, sg := st.Sum()
+		states, valid[sg] = append(states, st), true
+	}
+	var sh Shared
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var got State
+			for !stop.Load() {
+				if !sh.Load(k, &got) {
+					continue
+				}
+				if _, sg := got.Sum(); !valid[sg] {
+					t.Errorf("Load reported a state no Store stored: %+v", got)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200000; i++ {
+		if i%7 == 0 {
+			sh.Clear()
+		}
+		sh.Store(&states[i%len(states)])
+		sh.Store(&states[i%len(states)]) // storing what is held writes nothing
+	}
+	stop.Store(true)
+	wg.Wait()
+	var got State
+	if !sh.Load(k, &got) || got != states[(200000-1)%len(states)] {
+		t.Fatalf("the last state stored is not the one loaded: %+v", got)
+	}
+	sh.Clear()
+	if sh.Load(k, &got) {
+		t.Fatal("Load reports a state after Clear")
+	}
 }

@@ -45,7 +45,10 @@
 // one path needs. One loop (mix) serves both.
 package sig
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // MaxPathLen bounds the number of bytes that can be hashed into one
 // signature; it matches Linux's PATH_MAX.
@@ -237,4 +240,63 @@ func (st *State) Sum() (idx uint16, s Signature) {
 func (k *Key) HashString(s string) (uint16, Signature) {
 	st := k.NewState().AppendString(s)
 	return st.Sum()
+}
+
+// Shared holds one State where a single writer at a time (the owner's
+// lock) stores it and any number of readers load it without a lock — a
+// dentry's stored prefix state, kept in the dentry's own slot instead of a
+// heap snapshot behind a pointer. The words are a seqlock: hdr carries a
+// version above the low 16 bits and pos+1 in them (0 = no state), a writer
+// moves hdr to a stateless version before it touches acc, and a reader
+// whose two hdr loads agree saw no write between them. The key is not
+// stored: every State of one table shares it, so Load takes it.
+type Shared struct {
+	hdr atomic.Uint64
+	acc [lanes]atomic.Uint64
+}
+
+const sharedPos = 1<<16 - 1 // MaxPathLen+1 fits
+
+// Load fills *dst with the stored state and reports whether there was one
+// (false too for a read torn by a concurrent writer: the caller falls back
+// as if nothing were stored, and *dst is then garbage). It writes through
+// the pointer because its hot caller, the path cursor, appends in place
+// right after: a State returned by value is copied with wide loads over
+// these narrow stores, the store-forwarding stall Sum's comment describes.
+func (sh *Shared) Load(k *Key, dst *State) bool {
+	h := sh.hdr.Load()
+	if h&sharedPos == 0 {
+		return false
+	}
+	dst.key, dst.pos = k, int(h&sharedPos)-1
+	for j := range dst.acc {
+		dst.acc[j] = sh.acc[j].Load()
+	}
+	return sh.hdr.Load() == h
+}
+
+// Store publishes *st; storing what is already held writes nothing. The
+// caller holds the owner's lock.
+func (sh *Shared) Store(st *State) {
+	h := sh.hdr.Load()
+	same := int(h&sharedPos)-1 == st.pos
+	for j := 0; same && j < lanes; j++ {
+		same = sh.acc[j].Load() == st.acc[j]
+	}
+	if same {
+		return
+	}
+	h = h&^sharedPos + 1<<16
+	sh.hdr.Store(h)
+	for j := range st.acc {
+		sh.acc[j].Store(st.acc[j])
+	}
+	sh.hdr.Store(h + uint64(st.pos) + 1)
+}
+
+// Clear drops the stored state. The caller holds the owner's lock.
+func (sh *Shared) Clear() {
+	if h := sh.hdr.Load(); h&sharedPos != 0 {
+		sh.hdr.Store(h&^sharedPos + 1<<16)
+	}
 }

@@ -38,10 +38,11 @@ import (
 type JournalKind uint8
 
 const (
-	// JSeqBump: a mutation bumped the seq counter at its root dentry
-	// (and recursively over cached descendants). Ref = root dentry ID,
-	// Aux = cached dentries invalidated under the root (subtree size),
-	// Note = the mutation reason (rename/perm/unlink/mount).
+	// JSeqBump: a mutation bumped the seq counter of its root dentry (the
+	// only one it bumps; descendants are covered by the JBatchShoot that
+	// follows). Ref = root dentry ID, Aux = the root's cached children
+	// (0: no range mark was needed), Note = the mutation reason
+	// (rename/perm/unlink/mount).
 	JSeqBump JournalKind = iota
 	// JEpochBump: the global invalidation epoch advanced (odd while the
 	// mutation is in flight). Ref = mutation root dentry ID, Aux = the
@@ -78,9 +79,9 @@ const (
 	// JAdmitted: admission control allowed a population. Ref = dentry ID,
 	// Aux = touch count, Note = "nth" (counter reached).
 	JAdmitted
-	// JBatchShoot: a structural mutation took the O(1) range shootdown
-	// instead of the recursive per-descendant walk. Ref = subtree root
-	// dentry ID, Aux = the new shootdown generation, Note = reason.
+	// JBatchShoot: a mutation of a dentry with cached children stamped
+	// its range mark. Ref = subtree root dentry ID, Aux = the new
+	// shootdown generation, Note = reason.
 	JBatchShoot
 	// JCoalesce: a concurrent slow-path miss joined an in-flight lookup
 	// on the same (parent, comp) instead of issuing its own backend

@@ -64,7 +64,7 @@ type CacheStats struct {
 	DeepNegDentries int64
 
 	// Coherence internals (zero when DirectLookup is off).
-	SeqBumps    int64 // per-dentry version bumps (invalidation roots + descendants)
+	SeqBumps    int64 // per-dentry version bumps (mutation roots + lazily discarded descendants)
 	StaleTokens int64 // cache publishes declined due to racing mutations
 	DLHTSweeps  int64 // dead hash table nodes lazily reclaimed by inserts
 	PCCFlushes  int64 // whole-PCC invalidations (seq wraparound)

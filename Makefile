@@ -22,8 +22,8 @@ help:
 	@echo "  stress         longer -race soak of the stress tests"
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
-	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16 and chmod over 1/10/100/1000 published descendants, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve)"
-	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 2, a create-only evicting build stays within one arena chunk, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
+	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
+	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 2, a create-only evicting build and a chmod-only loop each stay within one arena chunk, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean) + pipelined dispatch"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
@@ -70,9 +70,13 @@ bench-parallel:
 # The depth sweep: one warm Stat at 1/4/8/16 components through the
 # baseline component walk and the whole-path fastpath, then the fastpath's
 # stages timed apart (DESIGN §5h is read off these two) — and Figure 7's
-# chmod curve, flat since permission changes take the range shootdown.
+# chmod curve, flat since permission changes take the range shootdown —
+# and what one eviction costs as the cache grows, flat since the shrinker
+# is a clock hand over the slab (-short leaves out BenchmarkShrink's
+# 1 M-dentry row, which needs about a gigabyte; run it without to see it).
 bench-hotpath:
 	$(GO) test -run '^$$' -bench 'BenchmarkStatDepth|BenchmarkChmodSubtree' -benchmem -count 3 .
+	$(GO) test -short -run '^$$' -bench BenchmarkShrink -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench BenchmarkFastpathStages -benchmem -count 3 ./internal/core
 
 # The slab gate: dentries, fast-dentries, and DLHT chain nodes live in
@@ -81,7 +85,9 @@ bench-hotpath:
 # must report 0 allocs/op (awk gates the -benchmem column so a regression
 # fails the target, not just prints a number) — and evicted slots must
 # come back: 9600 creates into a 4096-dentry cache reclaim as they go and
-# never grow the dentry arena past its first chunk. Population of a path
+# never grow the dentry arena past its first chunk, and a loop of nothing
+# but chmod/chown/setlabel of one directory reclaims the DLHT node each
+# retires (it used to leave every one in limbo). Population of a path
 # the inline cursor holds allocates nothing either, nor does publishing a
 # dentry's own state, so a chmod and the first stat behind its range mark
 # allocate 2 between them (both Chmod's own). The last step reads
@@ -90,7 +96,7 @@ bench-hotpath:
 # may move to the heap (a cursor that escapes costs an allocation per
 # walk that no test of a warm path would otherwise name).
 memscale-smoke:
-	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestEvictingCreatesReclaimSlab' -count=1 .
+	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestEvictingCreatesReclaimSlab|TestChmodLoopReclaimsDLHTNodes' -count=1 .
 	$(GO) test -run 'TestLexicalHashZeroAlloc' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelWalk/optimized/goroutines-1$$' -benchtime 2000x -benchmem . | \
 		tee /dev/stderr | awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad=1 } END { exit bad }'

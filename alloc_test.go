@@ -191,3 +191,37 @@ func TestEvictingCreatesReclaimSlab(t *testing.T) {
 			dirs*files, capacity, m.Limbo, m.Reclaimed, m.Chunks, m.Retired)
 	}
 }
+
+// TestChmodLoopReclaimsDLHTNodes: each chmod of a published directory
+// retires that directory's DLHT node with the shootdown, and a loop of
+// nothing but chmods has no other mutation behind it to reclaim them.
+// Chmod, Chown and SetLabel end with the reap unlink, rmdir and rename
+// end with, so the nodes in limbo stay within a few reap intervals however
+// long the loop runs, and the arena never leaves its first chunk (50 000
+// chmods used to leave 50 000 in limbo across 7 chunks, none reclaimed).
+func TestChmodLoopReclaimsDLHTNodes(t *testing.T) {
+	cfg := dircache.Optimized()
+	cfg.SignatureSeed = 1
+	sys := dircache.New(cfg)
+	p := sys.Start(dircache.RootCreds())
+	if err := p.MkdirAll("/srv/www", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ops := []func() error{
+		func() error { return p.Chmod("/srv/www", 0o755) },
+		func() error { return p.Chown("/srv/www", 0, 0) },
+		func() error { return p.SetLabel("/srv/www", "web_t") },
+	}
+	const rounds = 20000
+	for i := 0; i < rounds; i++ {
+		if err := ops[i%len(ops)](); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := sys.MemStats().DLHTNodes
+	const bound = 4 * 32 // four of the kernel's 32-mutation reap strides, one node each
+	if m.Retired < rounds/2 || m.Limbo > bound || m.Chunks != 1 {
+		t.Fatalf("after %d permission changes: DLHT nodes retired=%d limbo=%d reclaimed=%d chunks=%d, want retired >= %d, limbo <= %d, 1 chunk",
+			rounds, m.Retired, m.Limbo, m.Reclaimed, m.Chunks, rounds/2, bound)
+	}
+}

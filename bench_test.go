@@ -219,6 +219,68 @@ func BenchmarkChmodSubtree(b *testing.B) {
 	}
 }
 
+// BenchmarkShrink is what one eviction costs as the cache grows:
+// ShrinkCache(256) on caches of 1 k, 4 k, 64 k and 1 M dentries, reported
+// per victim. The shrinker's hand steps over slab slots until it has its
+// victims, so the figure is flat in cache size (scan-every-entry-and-sort
+// was linear times log: 4 k dentries cost 16x what 256 did per call). Each
+// iteration re-creates the 256 files it evicted, off the clock, so the
+// cache keeps its size however long the benchmark runs. -short leaves out
+// the 1 M row, which needs about a gigabyte.
+func BenchmarkShrink(b *testing.B) {
+	const batch = 256
+	for _, size := range []int{1 << 10, 4 << 10, 64 << 10, 1 << 20} {
+		if size > 64<<10 && testing.Short() {
+			continue
+		}
+		for _, mode := range []string{"baseline", "optimized"} {
+			b.Run(fmt.Sprintf("dentries-%d/%s", size, mode), func(b *testing.B) {
+				cfg := dircache.Baseline()
+				if mode == "optimized" {
+					cfg = dircache.Optimized()
+					cfg.SignatureSeed = 1
+				}
+				sys := dircache.New(cfg)
+				p := sys.Start(dircache.RootCreds())
+				next := 0
+				fill := func() {
+					for sys.DentryCount() < size {
+						if next%batch == 0 {
+							if err := p.Mkdir(fmt.Sprintf("/d%05d", next/batch), 0o755); err != nil {
+								b.Fatal(err)
+							}
+						}
+						if err := p.Create(fmt.Sprintf("/d%05d/f%03d", next/batch, next%batch), 0o644); err != nil {
+							b.Fatal(err)
+						}
+						next++
+					}
+				}
+				fill()
+				// Every dentry enters referenced, so the first call's hand goes
+				// round the whole slab taking flags before it takes a victim:
+				// a fixed cost of filling the cache, kept off the clock.
+				sys.ShrinkCache(batch)
+				fill()
+				b.ReportAllocs()
+				b.ResetTimer()
+				evicted := 0
+				for i := 0; i < b.N; i++ {
+					evicted += sys.ShrinkCache(batch)
+					b.StopTimer()
+					fill()
+					b.StartTimer()
+				}
+				b.StopTimer()
+				if evicted != b.N*batch {
+					b.Fatalf("evicted %d dentries in %d calls of ShrinkCache(%d)", evicted, b.N, batch)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evicted), "ns/victim")
+			})
+		}
+	}
+}
+
 // BenchmarkParallelWalk measures warm-path lookup throughput under
 // concurrency: N goroutines all stat the same deep path. "baseline" takes
 // the slow walk (hash-table hits + LRU accounting); "optimized" takes the

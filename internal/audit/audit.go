@@ -142,11 +142,15 @@ func stampsEqual(a, b []uint64) bool {
 // Run executes one audit pass. The checks, in order:
 //
 //   - dead_in_lru: no dead dentry is still charged to the LRU.
+//   - lru_census: the LRU's count equals the number of cached dentries
+//     the scan found (membership is a flag in the dentry's slab slot, the
+//     count a separate word: an add, remove or claim counted twice or not
+//     at all shows here and nowhere else).
 //   - detached: every live cached dentry is reachable from its parent's
 //     child map under its own name.
-//   - slab_liveness: every LRU entry and hash-chain reference resolves
-//     against the slab arenas under the generation discipline — no live
-//     structure reaches a free or recycled slot, and no resolving
+//   - slab_liveness: every child-map entry and hash-chain reference
+//     resolves against the slab arenas under the generation discipline —
+//     no live structure reaches a free or recycled slot, and no resolving
 //     reference disagrees with its dentry about identity (an ABA
 //     breach). The pass drains the lazy teardown queue first
 //     (ReclaimAll) so legitimately-dead leftovers don't mask real bugs.
@@ -246,11 +250,15 @@ func (a *Auditor) add(r *Report, f Finding) {
 	}
 }
 
-// checkLRU walks the cache once for the two structural invariants that
-// need no FS access: no dead dentry lingers in the LRU, and every live
-// non-root dentry is its parent's child of that name.
+// checkLRU walks the cache once for the structural invariants that need
+// no FS access: no dead dentry lingers in the LRU, every live non-root
+// dentry is its parent's child of that name, and the walk met as many
+// dentries as the LRU counts (both read between the pass's two stamps:
+// every add, remove and claim sits inside a cacheMut bracket).
 func (a *Auditor) checkLRU(r *Report) {
+	census := 0
 	a.k.ForEachDentry(func(d *vfs.Dentry) {
+		census++
 		r.Checked["dead_in_lru"]++
 		if d.IsDead() {
 			a.add(r, Finding{Check: "dead_in_lru", Ref: d.ID(),
@@ -267,12 +275,17 @@ func (a *Auditor) checkLRU(r *Report) {
 				Detail: fmt.Sprintf("parent's child %q does not resolve to this dentry", d.Name())})
 		}
 	})
+	r.Checked["lru_census"]++
+	if n := a.k.DentryCount(); n != census {
+		a.add(r, Finding{Check: "lru_census",
+			Detail: fmt.Sprintf("LRU counts %d dentries, the slab holds %d in the LRU", n, census)})
+	}
 }
 
 // checkSlabLiveness delegates to the kernel's arena-reference scan: every
-// LRU entry must resolve to a live slot of matching generation, and every
-// hash-chain reference that resolves must agree with its dentry about
-// identity. Unresolvable chain refs are lazy-teardown leftovers and pass;
+// child-map entry must resolve to a live slot of matching generation, and
+// every hash-chain reference that resolves must agree with its dentry
+// about identity. Unresolvable chain refs are lazy-teardown leftovers and pass;
 // Run's ReclaimAll pre-pass keeps them from hiding anything.
 func (a *Auditor) checkSlabLiveness(r *Report) {
 	limit := a.Limit - len(r.Findings)

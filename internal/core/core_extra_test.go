@@ -321,3 +321,70 @@ func TestCoherencePublication(t *testing.T) {
 		t.Fatal("a peer-applied invalidation was republished")
 	}
 }
+
+// TestFastHitKeepsDentryWarm: a fastpath hit is a use. The dentries hot
+// enough to be answered by the DLHT are never seen by the slow walk again,
+// so if only the slow walk told the shrinker about hits they would be the
+// coldest entries it finds. A file and a negative served only by fastpath
+// hits since the hand last passed outlive every untouched sibling.
+func TestFastHitKeepsDentryWarm(t *testing.T) {
+	k := vfs.NewKernel(vfs.Config{DirCompleteness: true, AggressiveNegatives: true},
+		memfs.New(memfs.Options{}))
+	Install(k, Config{Seed: 7, DeepNegatives: true, AdmitAfter: 1})
+	root := k.NewTask(cred.Root())
+	if err := root.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// Slab order is hand order: hot and ghost sit in the middle of the
+	// siblings, so the hand meets them with siblings still to come.
+	const siblings = 16
+	mkCold := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := root.Create(fmt.Sprintf("/d/cold%02d", i), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	statHot := func() {
+		if _, err := root.Stat("/d/hot"); err != nil {
+			t.Fatalf("stat /d/hot: %v", err)
+		}
+		if _, err := root.Stat("/d/ghost"); !errors.Is(err, fsapi.ENOENT) {
+			t.Fatalf("stat /d/ghost: %v", err)
+		}
+	}
+	mkCold(0, siblings/2)
+	if err := root.Create("/d/hot", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // onto the fastpath, positive and negative
+		statHot()
+	}
+	mkCold(siblings/2, siblings)
+
+	// One victim makes the hand go round once: every dentry's referenced
+	// flag from its insertion is gone, and the first sibling with it.
+	if n := k.Shrink(1); n != 1 {
+		t.Fatalf("Shrink(1) evicted %d", n)
+	}
+	before := k.Stats()
+	for i := 0; i < 4; i++ {
+		statHot()
+	}
+	if d := k.Stats().Delta(before); d.SlowWalks != 0 || d.FastHits != 8 || d.FastNegHits != 4 {
+		t.Fatalf("the uses were not fastpath hits: %d slow walks, %d fast hits, %d negative", d.SlowWalks, d.FastHits, d.FastNegHits)
+	}
+	if n := k.Shrink(siblings - 1); n != siblings-1 {
+		t.Fatalf("Shrink(%d) evicted %d", siblings-1, n)
+	}
+	before = k.Stats()
+	statHot()
+	if d := k.Stats().Delta(before); d.FastHits != 2 {
+		t.Fatalf("after the Shrink %d of 2 stats were fastpath hits: the shrinker took a dentry used since its hand last passed", d.FastHits)
+	}
+	for i := 0; i < siblings; i++ {
+		if st := k.CachedPathClaim(fmt.Sprintf("/d/cold%02d", i)); st != vfs.CachedMiss {
+			t.Fatalf("untouched sibling cold%02d is still cached (claim %d)", i, st)
+		}
+	}
+}

@@ -211,6 +211,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 		if d.Flags()&vfs.DNotDir != 0 {
 			errno = fsapi.ENOTDIR
 		}
+		d.MarkReferenced()
 		k.AddFastHit(true)
 		return vfs.PathRef{}, errno, true
 	}
@@ -282,11 +283,14 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 		tr.Event(telemetry.EvFastAbort, "unusable dentry")
 		return vfs.PathRef{}, nil, false
 	}
+	// A fastpath hit is a use: without this the dentries hot enough to be
+	// answered here, which the slow walk never sees again, would be the
+	// coldest ones the shrinker finds.
+	d.MarkReferenced()
+	k.AddFastHit(false)
 	if mustDir && !d.IsDir() {
-		k.AddFastHit(false)
 		return vfs.PathRef{}, fsapi.ENOTDIR, true
 	}
-	k.AddFastHit(false)
 	return vfs.PathRef{Mnt: mnt, D: d}, nil, true
 }
 

@@ -14,8 +14,8 @@
 // bumped on retire and again on reuse. A stale Ref therefore
 // self-invalidates — Resolve returns nil rather than the slot's new
 // tenant — which is what makes lazy teardown safe: unlink may leave
-// references behind in hash chains, LRU shards, or fastpath resume
-// points, and they all fail closed.
+// references behind in hash chains or fastpath resume points, and they
+// all fail closed.
 //
 // Reclamation is epoch-based (see Gate): Retire unlinks a slot
 // logically and parks it in a limbo queue stamped with the current
@@ -91,7 +91,7 @@ type Arena[T any] struct {
 	free      []Handle
 	limbo     []limboSlot
 	limboHead int
-	next      Handle // bump allocator: next never-used slot index (0-based)
+	next      atomic.Uint32 // bump allocator: slots ever handed out; written under mu
 
 	live      atomic.Int64
 	limboLen  atomic.Int64
@@ -125,9 +125,9 @@ func (a *Arena[T]) Alloc() (Ref, *T) {
 		a.free = a.free[:n-1]
 		a.freeLen.Add(-1)
 	} else {
-		h = a.next + 1 // handles are 1-based; 0 is nil
-		a.next++
+		h = Handle(a.next.Load() + 1) // handles are 1-based; 0 is nil
 		a.grow(h)
+		a.next.Store(uint32(h))
 	}
 	c, slot := a.locate(h)
 	g := c.gens[slot].Load() + 1 // even -> odd: live
@@ -203,6 +203,11 @@ func (a *Arena[T]) GenOf(h Handle) uint32 {
 	}
 	return chunks[ci].gens[idx&(1<<a.log2-1)].Load()
 }
+
+// HighWater returns the largest handle Alloc has ever returned (0 for an
+// untouched arena): handles 1..HighWater are the slots a scan of the arena
+// has to visit, each live, in limbo or free.
+func (a *Arena[T]) HighWater() Handle { return Handle(a.next.Load()) }
 
 // Resolve returns the slot for r only if the slot still holds the
 // generation the ref was minted with (i.e. the same tenant, still

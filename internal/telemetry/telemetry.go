@@ -38,7 +38,8 @@ const (
 	HistPCC
 	// HistPCCResize is the latency of a PCC generation copy (rare).
 	HistPCCResize
-	// HistEvict is the latency of one LRU victim scan+claim pass.
+	// HistEvict is the latency of one victim selection by the shrinker's
+	// clock hand: the slab slots it stepped over plus the claims.
 	HistEvict
 
 	// The mutation-side cost centers: how long coherence work takes, the
@@ -100,7 +101,7 @@ var histHelp = [NumHistograms]string{
 	"latency of low-level FS lookup calls",
 	"latency of the fastpath PCC authorization probe",
 	"latency of PCC table growth (generation copy)",
-	"latency of one LRU victim scan pass",
+	"latency of one victim selection by the shrinker's clock hand",
 	"subtree invalidation latency of rename/mount mutations",
 	"subtree seq-bump latency of chmod/chown/label mutations",
 	"invalidation latency of unlink/rmdir mutations",

@@ -57,6 +57,14 @@ const (
 	// audits. The flag is cleared (under the parent's lock) when the
 	// winner resolves the placeholder positive or negative.
 	DInLookup
+	// DInLRU: the dentry is a cache member — counted in Len(), visible to
+	// ForEachDentry and the auditor, a candidate for the shrinker's hand.
+	// Set by lruList.add, cleared by remove or by the shrinker's claim.
+	DInLRU
+	// DReferenced: used since the shrinker's hand last passed (Linux's
+	// DCACHE_REFERENCED). The hand clears it and moves on; it evicts only a
+	// dentry it finds without it.
+	DReferenced
 )
 
 // parentName is the atomically-swapped (parent, name) pair, so the
@@ -74,8 +82,8 @@ type Dentry struct {
 	id uint64
 
 	// self is the dentry's own slab reference: the generation-tagged
-	// handle under which the LRU, hash-table chains, and fastpath state
-	// refer to it. Set at allocation, immutable until the slot is
+	// handle under which hash-table chains and fastpath state refer to
+	// it. Set at allocation, immutable until the slot is
 	// recycled.
 	self slab.Ref
 
@@ -115,10 +123,6 @@ type Dentry struct {
 	// afterwards.
 	fast any
 
-	// lastUsed is the LRU generation stamp: stored on every cache hit
-	// (lock-free), compared by the shrinker to pick cold victims.
-	lastUsed atomic.Uint64
-
 	// inLookup is the singleflight rendezvous while DInLookup is set:
 	// waiters block on done, then read the outcome the winner stored.
 	// Written under the parent's mu; read by waiters after done closes.
@@ -148,6 +152,16 @@ func (d *Dentry) Flags() DentryFlags { return DentryFlags(d.flags.Load()) }
 
 func (d *Dentry) setFlags(f DentryFlags)   { d.flags.Or(uint32(f)) }
 func (d *Dentry) clearFlags(f DentryFlags) { d.flags.And(^uint32(f)) }
+
+// MarkReferenced records a use of d for the shrinker: every cache hit calls
+// it, the slow walk's and the fastpath's alike. The flag is tested before
+// it is set, so a hit on an already-referenced dentry — every hit but the
+// first after the hand went by — writes nothing to the dentry's line.
+func (d *Dentry) MarkReferenced() {
+	if d.Flags()&DReferenced == 0 {
+		d.setFlags(DReferenced)
+	}
+}
 
 // IsNegative reports whether the dentry is negative (including deep).
 func (d *Dentry) IsNegative() bool { return d.Flags()&DNegative != 0 }
@@ -322,7 +336,6 @@ func (d *Dentry) reset(id uint64, self slab.Ref, sb *Super) {
 	d.listValid = false
 	d.refs.Store(0)
 	d.fast = nil
-	d.lastUsed.Store(0)
 	d.inLookup = nil
 }
 

@@ -1,9 +1,6 @@
 package vfs
 
-import (
-	"dircache/internal/slab"
-	"dircache/internal/telemetry"
-)
+import "dircache/internal/telemetry"
 
 // This file is the VFS half of the coherence-observability layer: the
 // cache-structure stamp audit passes validate against, the journal
@@ -48,30 +45,17 @@ func (k *Kernel) journal() *telemetry.Telemetry {
 	return tel
 }
 
-// ForEachDentry calls fn for every dentry currently in the cache. The
-// shard snapshot is taken under each shard lock but fn runs outside it,
-// so fn may take dentry locks. Concurrent allocations/evictions may be
-// missed or seen dead — callers needing a consistent view validate with
+// ForEachDentry calls fn for every dentry currently in the cache: every
+// slab slot whose tenant carries DInLRU. No lock is held while fn runs, so
+// fn may take dentry locks. Concurrent allocations/evictions may be missed
+// or seen dead — callers needing a consistent view validate with
 // CoherenceStamp.
 func (k *Kernel) ForEachDentry(fn func(*Dentry)) {
-	// Pin an epoch so slab slots named by the snapshot cannot be
-	// recycled while fn runs against them.
+	// Pin an epoch so the slots the scan hands out cannot be recycled
+	// while fn runs against them.
 	ep := k.gate.Enter()
 	defer k.gate.Exit(ep)
-	for i := range k.lru.shards {
-		sh := &k.lru.shards[i]
-		sh.mu.Lock()
-		snap := make([]slab.Ref, 0, len(sh.entries))
-		for h, g := range sh.entries {
-			snap = append(snap, slab.Ref{H: h, G: g})
-		}
-		sh.mu.Unlock()
-		for _, r := range snap {
-			if d := k.dentries.Resolve(r); d != nil {
-				fn(d)
-			}
-		}
-	}
+	k.lru.forEach(fn)
 }
 
 // CacheIntrospection is an occupancy snapshot of the dentry cache: how
@@ -92,7 +76,7 @@ type CacheIntrospection struct {
 	Pinned       int `json:"pinned"`
 	// InLookup counts live in-lookup placeholders. They are gauged from a
 	// dedicated kernel counter: placeholders are deliberately invisible to
-	// the LRU shards this snapshot iterates.
+	// the LRU membership this snapshot iterates.
 	InLookup int `json:"in_lookup"`
 
 	HashEmpty int `json:"hash_empty"`

@@ -645,41 +645,47 @@ func (k *Kernel) MemStats() (dentries, chainNodes slab.Stats, limbo int64, swept
 	return k.dentries.Stats(), k.table.nodes.Stats(), k.limboLen.Load(), k.swept.Load()
 }
 
-// CheckSlabLiveness scans the LRU shards and hash-table chains for
-// references that do not resolve to an in-use slab slot of matching
-// generation — the invariant the auditor's slab_liveness check enforces:
-// lazy teardown may leave *dead* entries behind (they fail Resolve and
-// are skipped), but no structure may hold a reference that resolves to a
-// *different* tenant, and no live entry may sit in a free or retired
-// slot. Returns how many references were examined plus at most limit
-// violation descriptions. Callers should drain the teardown queue first
-// (ReclaimAll) so legitimately-dead leftovers don't mask real bugs; the
-// check itself pins an epoch section.
+// CheckSlabLiveness scans the references the cache holds into the dentry
+// arena — every cached dentry's child map, every hash-table chain — for
+// ones that do not resolve to an in-use slab slot of matching generation,
+// the invariant the auditor's slab_liveness check enforces: lazy teardown
+// may leave *dead* chain nodes behind (they fail Resolve and are skipped),
+// but a child map never outlives its entry's slot (detach precedes
+// retirement on every teardown path), no structure may hold a reference
+// that resolves to a *different* tenant, and no cache member may be dead.
+// Returns how many references were examined plus at most limit violation
+// descriptions. Callers should drain the teardown queue first (ReclaimAll)
+// so legitimately-dead leftovers don't mask real bugs; the check itself
+// pins an epoch section.
 func (k *Kernel) CheckSlabLiveness(limit int) (int, []string) {
 	e := k.gate.Enter()
 	defer k.gate.Exit(e)
 	checked := 0
 	var out []string
-	// LRU: every entry must resolve (eager lru.remove at kill time means
-	// no dead leftovers are legitimate) and resolve to a live dentry.
-	for i := range k.lru.shards {
-		sh := &k.lru.shards[i]
-		sh.mu.Lock()
-		for h, g := range sh.entries {
+	// Cache members: membership lives in the slot, so a member always
+	// resolves; it must not be dead (every kill leaves the LRU in the same
+	// bracket it sets DDead in), and each child its map names must still
+	// own its slot — read under d.mu, which the detach that precedes any
+	// retirement also takes, so a miss here is a freed slot still in use.
+	k.lru.forEach(func(d *Dentry) {
+		if len(out) >= limit {
+			return
+		}
+		checked++
+		if d.IsDead() {
+			out = append(out, fmt.Sprintf("lru: dentry #%d (handle %d) is dead but still charged to the LRU", d.ID(), d.self.H))
+		}
+		d.mu.Lock()
+		for name, c := range d.children {
 			checked++
-			d := k.dentries.Resolve(slab.Ref{H: h, G: g})
-			switch {
-			case d == nil:
-				out = append(out, fmt.Sprintf("lru: handle %d gen %d does not resolve (slot retired or recycled)", h, g))
-			case d.IsDead():
-				out = append(out, fmt.Sprintf("lru: dentry #%d (handle %d) is dead but still charged to the LRU", d.ID(), h))
-			}
-			if len(out) >= limit {
-				sh.mu.Unlock()
-				return checked, out
+			if k.dentries.Resolve(c.self) != c && len(out) < limit {
+				out = append(out, fmt.Sprintf("children: dentry #%d holds child %q (handle %d gen %d) whose slot was retired or recycled", d.ID(), name, c.self.H, c.self.G))
 			}
 		}
-		sh.mu.Unlock()
+		d.mu.Unlock()
+	})
+	if len(out) >= limit {
+		return checked, out
 	}
 	// Hash chains: a node's dref may legitimately fail to resolve (lazy
 	// teardown: dentry slot retired before the chain node is swept), but
@@ -711,8 +717,9 @@ func (k *Kernel) CheckSlabLiveness(limit int) (int, []string) {
 	return checked, out
 }
 
-// InjectPrematureFree retires d's slab slot in place — the LRU, the hash
-// chains, and its parent's child map still reference it — and forces
+// InjectPrematureFree retires d's slab slot in place — the hash chains and
+// its parent's child map still reference it, and Len() still counts it — and
+// forces
 // reclamation so the slot lands on the free-list while live structures
 // can still reach it. Test-only seam: it fabricates the premature-free
 // bug class (a use-after-free, in C terms) that the auditor's
@@ -724,8 +731,8 @@ func (k *Kernel) InjectPrematureFree(d *Dentry) {
 
 // maybeShrink enforces CacheCapacity by evicting cold leaf dentries. It
 // evicts in batches (a sliver beyond the overage) so that a cache
-// hovering at capacity amortizes the shrinker's candidate scan over many
-// inserts instead of paying a full scan per insert.
+// hovering at capacity amortizes Shrink's fixed part — the hand's lock,
+// the cacheMut bracket, the reap — over many inserts.
 func (k *Kernel) maybeShrink() {
 	if k.cfg.CacheCapacity <= 0 {
 		return
@@ -742,31 +749,19 @@ func (k *Kernel) maybeShrink() {
 }
 
 // Shrink evicts up to n cold, unpinned leaf dentries and returns how many
-// were evicted. The visible eviction (dead flag, parent detach, hook
-// notification) is immediate; hash-chain removal and slot recycling are
-// deferred to the sweeper.
+// were evicted. A victim is dead and out of the LRU from the moment the
+// hand claims it; the rest of the visible eviction (parent detach, hook
+// notification) follows here, and hash-chain removal and slot recycling
+// are deferred to the sweeper.
 func (k *Kernel) Shrink(n int) int {
 	e := k.gate.Enter()
-	victims := k.lru.victims(n)
-	if len(victims) == 0 {
-		k.gate.Exit(e)
-		return 0
-	}
 	k.cacheMutBegin()
+	victims := k.lru.victims(n)
 	tel := k.journal()
 	for _, d := range victims {
 		pn := d.pn.Load()
-		d.setFlags(DDead)
 		if pn.parent != nil {
-			// Clear DComplete before the child leaves the map (see
-			// completeWithout): a walker in between would read an
-			// authoritative ENOENT for a name that exists.
-			wasComplete := pn.parent.Flags()&DComplete != 0
-			pn.parent.clearFlags(DComplete)
-			pn.parent.detachChild(pn.name, d)
-			if wasComplete && tel != nil {
-				tel.Emit(telemetry.JDirIncomplete, pn.parent.ID(), 0, "evict-child")
-			}
+			pn.parent.detachChild(pn.name, d) // no longer DIR_COMPLETE: the claim saw to it
 		}
 		k.stats.cell().evictions.Add(1)
 		if tel != nil {
@@ -783,7 +778,9 @@ func (k *Kernel) Shrink(n int) int {
 	}
 	k.cacheMutEnd()
 	k.gate.Exit(e)
-	k.reapSome()
+	if len(victims) > 0 {
+		k.reapSome()
+	}
 	return len(victims)
 }
 

@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,49 +9,20 @@ import (
 	"dircache/internal/telemetry"
 )
 
-// lruShardCount shards the dentry LRU's membership structures so that
-// concurrent allocations and removals do not serialize on one mutex.
-// Power of two (shard selection masks the dentry ID).
-const lruShardCount = 16
-
-// lruShard holds one slice of the cached-dentry set. Membership in the
-// map is the authoritative "is in the LRU" bit; recency lives in each
-// dentry's lastUsed stamp, not in any ordering here. Entries are keyed
-// by slab handle with the generation as the value, so the LRU holds no
-// pointers into the arena: a handle whose generation no longer matches
-// is a stale leftover and is discarded on sight.
-type lruShard struct {
-	mu      sync.Mutex
-	entries map[slab.Handle]uint32
-	_       [cacheLinePad]byte
-}
-
-const cacheLinePad = 64 - 16 // pad past the mutex+map header
-
-// lruList tracks every cached dentry for shrinking under pressure.
-//
-// The hot path never touches it with a lock: a cache hit stamps the
-// dentry's atomic lastUsed generation (lruList.touch — one uncontended
-// store) instead of splicing it to the front of a mutex-protected list,
-// the classic lazy-LRU trade: perfect recency ordering is given up for a
-// lock-free hit path, and victims() recovers an approximate ordering by
-// comparing stamps at eviction time. Eviction only considers leaf
-// dentries (no cached children) with no pins, preserving the invariant
-// that every cached dentry's parents are cached (§2.2) — eviction is
-// therefore bottom-up.
+// lruList is the shrinker's view of the cache: CLOCK / second chance over
+// the dentry slab itself. There is no list and no side table. Membership
+// is the dentry's DInLRU flag, recency its DReferenced flag, and the order
+// victims leave in is the order one hand sweeps slab handles — the dcache's
+// DCACHE_REFERENCED scheme (paper §2.2) with the slab standing in for the
+// LRU list. Exact LRU order is given up; what §5.1 needs from eviction, one
+// epoch tick per evicted dentry, is kept. Only leaf dentries (no cached
+// children) with no pins are evicted, preserving the invariant that every
+// cached dentry's parents are cached (§2.2) — eviction is bottom-up.
 type lruList struct {
-	shards [lruShardCount]lruShard
-
-	// arena resolves the handle-keyed shard entries back to dentries.
+	// arena is the dentry slab the hand walks.
 	arena *slab.Arena[Dentry]
 
 	count atomic.Int64
-
-	// clock is the generation source for lastUsed stamps. It advances on
-	// allocation and eviction (slow-path events), so a hit only loads it —
-	// the line stays shared across cores instead of ping-ponging the way
-	// a per-hit increment would.
-	clock atomic.Uint64
 
 	// epoch increments on every eviction; directory-completeness
 	// bookkeeping uses it to detect "a child may have been evicted while
@@ -60,63 +30,66 @@ type lruList struct {
 	epoch atomic.Uint64
 
 	// tel points at the owning kernel's telemetry pointer (nil for a
-	// zero-value lruList, as used by tests): victim scans are timed into
+	// zero-value lruList, as used by tests): victim selection is timed into
 	// HistEvict when a telemetry subsystem is attached and enabled.
 	tel *atomic.Pointer[telemetry.Telemetry]
-}
 
-func (l *lruList) shardFor(d *Dentry) *lruShard {
-	return &l.shards[d.id&(lruShardCount-1)]
+	// handMu serializes evictors; hits, inserts and removals never take it.
+	// hand is the slab handle the clock hand examined last.
+	handMu sync.Mutex
+	hand   slab.Handle
 }
 
 func (l *lruList) Len() int { return int(l.count.Load()) }
 
 func (l *lruList) Epoch() uint64 { return l.epoch.Load() }
 
-// add registers d with the current generation.
+// add makes d a cache member. It starts referenced, so a dentry installed
+// just ahead of the hand survives the pass that is already under way.
 func (l *lruList) add(d *Dentry) {
-	d.lastUsed.Store(l.clock.Add(1))
-	sh := l.shardFor(d)
-	sh.mu.Lock()
-	if sh.entries == nil {
-		sh.entries = make(map[slab.Handle]uint32, 32)
-	}
-	sh.entries[d.self.H] = d.self.G
-	sh.mu.Unlock()
+	d.setFlags(DInLRU | DReferenced)
 	l.count.Add(1)
 }
 
-// touch marks d recently used. Called on every cache hit: one atomic load
-// of the shared clock plus one store to d's own line, no lock, no RMW.
-func (l *lruList) touch(d *Dentry) {
-	d.lastUsed.Store(l.clock.Load())
-}
-
-// remove detaches d from the LRU (unlink/eviction path).
+// remove takes d out of the cache's accounting (unlink/teardown path). The
+// flag flip decides who removed it, so a duplicate remove — or one racing
+// the shrinker's claim — counts nothing and ticks no epoch.
 func (l *lruList) remove(d *Dentry) {
-	sh := l.shardFor(d)
-	sh.mu.Lock()
-	g, ok := sh.entries[d.self.H]
-	if ok && g == d.self.G {
-		delete(sh.entries, d.self.H)
-	} else {
-		ok = false
-	}
-	sh.mu.Unlock()
-	if ok {
+	if DentryFlags(d.flags.And(^uint32(DInLRU|DReferenced)))&DInLRU != 0 {
 		l.count.Add(-1)
 		l.epoch.Add(1)
 	}
 }
 
-// victims collects up to n evictable dentries, coldest stamps first:
-// unpinned leaves. They are removed from the LRU; the caller completes
-// the eviction (table/parent/hook teardown) and must not re-add them.
-//
-// Selection is two-phase because candidates are gathered per shard: a
-// lock-free reader may pin or repopulate a candidate between the scan and
-// the removal, so eligibility is re-checked under the shard lock before a
-// dentry is actually claimed.
+// claim makes d the shrinker's: dead and out of the LRU in one step, under
+// d.mu. linkChildLocked refuses a dead parent under the same lock, so once
+// nkids reads zero here no child can land under the victim any more.
+func (d *Dentry) claim() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.nkids.Load() != 0 || d.refs.Load() != 0 {
+		return false
+	}
+	for {
+		old := d.flags.Load()
+		if DentryFlags(old)&(DInLRU|DDead) != DInLRU {
+			return false // a teardown got here first
+		}
+		if d.flags.CompareAndSwap(old, (old|uint32(DDead))&^uint32(DInLRU|DReferenced)) {
+			return true
+		}
+	}
+}
+
+// victims advances the hand until it has claimed n dentries or been round
+// the slab twice, and returns the claimed ones: dead, out of the LRU, the
+// epoch ticked once each, their parents no longer DIR_COMPLETE. The caller
+// completes the eviction (parent detach, hooks, teardown queue). The hand passes over free slots, dentries
+// not in the LRU, pinned ones and non-leaves; a referenced dentry loses the
+// flag and is passed over too — its second chance — and an unreferenced one
+// is claimed. Two revolutions bound a call: the first clears every flag it
+// meets, so the second finds every evictable dentry that was not used in
+// between. The cost is what the hand steps over, not the size of the cache.
 func (l *lruList) victims(n int) []*Dentry {
 	if n <= 0 {
 		return nil
@@ -130,61 +103,63 @@ func (l *lruList) victims(n int) []*Dentry {
 			tel = nil
 		}
 	}
-	l.clock.Add(1)
-	type candidate struct {
-		d     *Dentry
-		stamp uint64
-	}
-	cands := make([]candidate, 0, 64)
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for h, g := range sh.entries {
-			d := l.arena.Resolve(slab.Ref{H: h, G: g})
-			if d == nil {
-				// Stale handle: the slot was retired out from under us
-				// (normal kills remove eagerly, so this is an abnormal
-				// path). Discard on sight so it cannot leak the count or
-				// shadow the shrinker forever. Not an eviction — no
-				// dentry disappeared now — so the epoch stays put.
-				delete(sh.entries, h)
-				l.count.Add(-1)
-				continue
+	out := make([]*Dentry, 0, min(n, 512)) // maybeShrink's batch in one allocation
+	l.handMu.Lock()
+	top := l.arena.HighWater()
+	for steps := 2 * int(top); steps > 0 && len(out) < n; steps-- {
+		l.hand++
+		if l.hand > top {
+			l.hand = 1
+		}
+		d := l.member(l.hand)
+		if d == nil || d.refs.Load() != 0 || d.nkids.Load() != 0 {
+			continue
+		}
+		if d.Flags()&DReferenced != 0 {
+			d.clearFlags(DReferenced)
+			continue
+		}
+		// The parent stops being DIR_COMPLETE before the victim is dead, not
+		// after: a listing served from a complete directory skips dead
+		// children and completeWithout trusts the flag, so in the other
+		// order a walker in between reads an authoritative ENOENT, or a
+		// listing without it, for a name that exists.
+		if p := d.Parent(); p != nil && p.Flags()&DComplete != 0 {
+			p.clearFlags(DComplete)
+			if tel != nil {
+				tel.Emit(telemetry.JDirIncomplete, p.ID(), 0, "evict-child")
 			}
-			if d.refs.Load() == 0 && d.nkids.Load() == 0 {
-				cands = append(cands, candidate{d, d.lastUsed.Load()})
-			}
 		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].stamp != cands[j].stamp {
-			return cands[i].stamp < cands[j].stamp
-		}
-		return cands[i].d.id < cands[j].d.id // deterministic tie-break
-	})
-	var out []*Dentry
-	for _, c := range cands {
-		if len(out) >= n {
-			break
-		}
-		sh := l.shardFor(c.d)
-		sh.mu.Lock()
-		g, ok := sh.entries[c.d.self.H]
-		if ok && g == c.d.self.G && c.d.refs.Load() == 0 && c.d.nkids.Load() == 0 {
-			delete(sh.entries, c.d.self.H)
-		} else {
-			ok = false
-		}
-		sh.mu.Unlock()
-		if ok {
+		if d.claim() {
 			l.count.Add(-1)
 			l.epoch.Add(1)
-			out = append(out, c.d)
+			out = append(out, d)
 		}
 	}
+	l.handMu.Unlock()
 	if tel != nil {
 		tel.Record(telemetry.HistEvict, time.Since(scanStart))
 	}
 	return out
+}
+
+// member returns the cache member living in slab slot h, or nil: the slot
+// is free or in limbo, or its tenant is not in the LRU (an in-lookup
+// placeholder, a dentry already killed).
+func (l *lruList) member(h slab.Handle) *Dentry {
+	d := l.arena.Resolve(slab.Ref{H: h, G: l.arena.GenOf(h)})
+	if d == nil || d.Flags()&DInLRU == 0 {
+		return nil
+	}
+	return d
+}
+
+// forEach calls fn for every dentry in the LRU, in slab order. The caller
+// holds an epoch section, so no slot it is handed can be recycled under fn.
+func (l *lruList) forEach(fn func(*Dentry)) {
+	for h, top := slab.Handle(1), l.arena.HighWater(); h <= top; h++ {
+		if d := l.member(h); d != nil {
+			fn(d)
+		}
+	}
 }

@@ -16,7 +16,7 @@ import (
 func (k *Kernel) lookupChild(parent PathRef, name string) (*Dentry, error) {
 	if d := k.table.lookup(parent.D.id, name); d != nil && !d.IsDead() {
 		k.stats.cell().cacheHits.Add(1)
-		k.lru.touch(d)
+		d.MarkReferenced()
 		if d.IsNegative() {
 			k.stats.cell().negativeHits.Add(1)
 			return nil, fsapi.ENOENT

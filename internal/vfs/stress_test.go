@@ -12,7 +12,7 @@ import (
 
 // TestStressWalkVsMutate runs concurrent walkers against concurrent
 // rename/chmod/create/unlink/Shrink traffic. It is primarily a race
-// detector gate (`make race`) for the sharded LRU, the generation-stamp
+// detector gate (`make race`) for the shrinker's hand, the referenced-flag
 // touch, and the striped counters; without -race it still smoke-tests
 // that lock-free walks never return torn results while the tree churns.
 func TestStressWalkVsMutate(t *testing.T) {

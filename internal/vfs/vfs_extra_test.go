@@ -466,4 +466,21 @@ func TestNoInsertUnderDeadParent(t *testing.T) {
 	if _, err := root.Stat("/usr/include/sys/types.h"); err != nil {
 		t.Fatalf("stat after the kill: %v", err)
 	}
+
+	// The shrinker's arm: the hand claims a victim under its d.mu — leaf
+	// re-checked, DDead set — so in the window between the claim and
+	// Shrink's teardown of it nothing can land under it either. (A victim
+	// claimed on nkids == 0 and marked dead only later took the insert.)
+	victims := k.lru.victims(1 << 20)
+	if len(victims) == 0 {
+		t.Fatal("the hand claimed nothing")
+	}
+	for _, v := range victims {
+		if got := k.installDedup(v, "b", k.allocDentry(v.sb, v, "b", nil), false); got != nil {
+			t.Fatalf("installDedup under claimed victim %q returned a live dentry", v.Name())
+		}
+		if n := v.nkids.Load(); n != 0 {
+			t.Fatalf("claimed victim %q holds %d children", v.Name(), n)
+		}
+	}
 }

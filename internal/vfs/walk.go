@@ -425,7 +425,7 @@ func (k *Kernel) walkOnce(t *Task, start PathRef, path string, fl WalkFlags, tr 
 			}
 			sc.cacheHits.Add(1)
 			tr.Event(telemetry.EvHashHit, comp)
-			k.lru.touch(d)
+			d.MarkReferenced()
 			if d.IsNegative() {
 				sc.negativeHits.Add(1)
 				tr.Event(telemetry.EvNegative, comp)

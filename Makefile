@@ -25,7 +25,7 @@ help:
 	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
 	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 2, a create-only evicting build and a chmod-only loop each stay within one arena chunk, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
-	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean) + pipelined dispatch"
+	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch; then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
 	@echo "  loc            the two line counts ROADMAP item 4 tracks (non-test Go: core+vfs, and everything outside benchmark/)"
 
@@ -118,11 +118,17 @@ serve-smoke:
 # suite — ring placement properties, the 4-shard in-process tier
 # (routing, rename storms, converge, injected-bug detection, racing
 # rename-vs-walk), and the 2-shard over-the-wire tier (dcshard journal
-# subscription + Tshoot fallback) — plus the coherence log they all read
-# and the ninep pipelined-dispatch tests the journal stream rides on.
+# subscription + Tshoot fallback), the differential table of what a peer
+# does per record note and the walkers-vs-remote-chmod storm — plus the
+# coherence log they all read and the ninep pipelined-dispatch tests the
+# journal stream rides on. The last two lines run the benchmarks DESIGN §6
+# and §8 quote for one iteration each, so they keep compiling and running;
+# nothing reads their numbers here.
 shard-smoke:
 	$(GO) test -race -count=1 ./internal/coherence/... ./internal/shard/
 	$(GO) test -race -run 'TestPipeline' -count=1 ./internal/ninep/
+	$(GO) test -run '^$$' -bench 'BenchmarkRouterStat|BenchmarkPeerApplyPerm' -benchtime=1x ./internal/shard/
+	$(GO) test -run '^$$' -bench 'BenchmarkJournalEmit' -benchtime=1x ./internal/telemetry/
 
 # Every paper table and figure, printed. Numbers kept over time come
 # from benchmark/ (bash benchmark/run.sh), not from this target.

@@ -19,7 +19,8 @@ const Capacity = 4096
 // Record is one published invalidation: the cached view of Path (and
 // everything under it, and its parent's listing) may be wrong on any
 // peer. Note names the cause (the vfs invalidation reason, "create" or
-// "rename-dst") for whoever reads the stream; appliers ignore it.
+// "rename-dst"); a peer applies a "perm" in place and discards its view
+// of Path for any other (vfs.InvalidateCachedPath).
 type Record struct {
 	ID   uint64 // dense from 1, in publication order
 	Path string
@@ -60,6 +61,24 @@ func (l *Log) Head() uint64 {
 		return 0
 	}
 	return l.head.Load()
+}
+
+// Pending is how many records a reader at cursor has yet to account for:
+// head − cursor while Since would hand them over. Where Since would report
+// fell-behind instead — the cursor is ahead of head (another log issued
+// it, e.g. before a restart) or older than the retention — the reader owes
+// one whole-cache drop whatever the subtraction says, and Pending is the
+// log's capacity, the furthest a reader can trail and still be told what
+// it missed.
+func (l *Log) Pending(cursor uint64) int {
+	if l == nil {
+		return 0
+	}
+	head := l.head.Load()
+	if cursor > head || head-cursor > uint64(len(l.buf)) {
+		return len(l.buf)
+	}
+	return int(head - cursor)
 }
 
 // Since returns the records with ID > cursor in ID order and the cursor

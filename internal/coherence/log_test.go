@@ -96,7 +96,21 @@ func TestFellBehindBoundary(t *testing.T) {
 	if _, next, fell := l.Since(head + 1); !fell || next != head {
 		t.Fatalf("cursor past head: fell=%v next=%d", fell, next)
 	}
+	// Pending follows the same rule: a count while Since would hand the
+	// records over, the capacity wherever it would report fell-behind —
+	// never head − cursor wrapped around.
+	for cursor, want := range map[uint64]int{
+		head: 0, head - 3: 3, oldest - 1: Capacity,
+		oldest - 2: Capacity, 0: Capacity, head + 1: Capacity, ^uint64(0): Capacity,
+	} {
+		if got := l.Pending(cursor); got != want {
+			t.Errorf("Pending(%d) = %d with head %d, want %d", cursor, got, head, want)
+		}
+	}
 	var none *Log
+	if none.Pending(0) != 0 {
+		t.Error("a nil log has records pending")
+	}
 	if _, next, fell := none.Since(0); fell || next != 0 || none.Head() != 0 {
 		t.Fatalf("nil log at cursor 0: fell=%v next=%d", fell, next)
 	}

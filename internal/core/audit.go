@@ -256,7 +256,9 @@ func (c *Core) auditPCCs(ar *auditRun, pccs []pccReg) {
 // the namespace root (climbing mounts). Negative ancestors (deep-negative
 // chains) carry no inode and no permission of their own; the memoized
 // check covered the real directories above them, which this climb still
-// reaches. Returns the failing ancestor's name on violation.
+// reaches. A non-directory ancestor — the file an ENOTDIR negative hangs
+// below — was never searched either: the walk answers ENOTDIR before it
+// asks. Returns the failing ancestor's name on violation.
 func (c *Core) reverifyPrefix(reg pccReg, d *vfs.Dentry) (string, bool) {
 	fd := fast(d)
 	if fd == nil {
@@ -279,7 +281,7 @@ func (c *Core) reverifyPrefix(reg pccReg, d *vfs.Dentry) (string, bool) {
 		if p == nil {
 			return "", true // detached mid-climb; stamp decides
 		}
-		if ino := p.Inode(); ino != nil {
+		if ino := p.Inode(); ino != nil && ino.Mode().IsDir() {
 			if c.k.CheckExec(reg.cr, mnt, ino) != nil {
 				return p.Name(), false
 			}

@@ -51,7 +51,7 @@ func TestAuditCatchesPrematureFree(t *testing.T) {
 	// from its parent and taking it out of the LRU's count by its own flag.
 	// With the dangling child gone the directories above it are leaves
 	// again, and dropping caches empties the rest.
-	if n := k.InvalidateCachedPath("/a/b/c/file"); n != 1 {
+	if n := k.InvalidateCachedPath("/a/b/c/file", "unlink"); n != 1 {
 		t.Fatalf("InvalidateCachedPath tore down %d dentries, want 1", n)
 	}
 	k.DropCaches()

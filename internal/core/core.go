@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dircache/internal/coherence"
 	"dircache/internal/cred"
@@ -340,7 +339,7 @@ func (c *Core) OnReclaim(d *vfs.Dentry) {
 	if fd == nil {
 		return
 	}
-	unpublish(c.tele(), d, fd, "reclaim")
+	unpublish(c.tele(), d, fd, telemetry.NoteReclaim)
 	c.fds.Retire(fd.self)
 }
 
@@ -444,19 +443,20 @@ func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) func() {
 	tel := c.tele()
 	epoch := c.epoch.Add(1)
 	c.stats.invalidations.Add(1)
-	var start time.Time
+	var start int64
 	if tel != nil {
-		tel.Emit(telemetry.JEpochBump, d.ID(), int64(epoch), why.String())
-		start = time.Now()
+		tel.Emit(telemetry.JEpochBump, d.ID(), int64(epoch), why.Note())
+		start = telemetry.Now()
 	}
 	c.shoot(d, why, tel)
 	if tel != nil {
-		tel.Record(invalHist(why), time.Since(start))
+		tel.Record(invalHist(why), telemetry.Since(start))
 	}
 	end := func() {
 		epoch := c.epoch.Add(1)
 		if tel != nil {
-			tel.Emit(telemetry.JEpochBump, d.ID(), int64(epoch), why.String()+"-end")
+			// The even epoch is what marks this as the closing bump.
+			tel.Emit(telemetry.JEpochBump, d.ID(), int64(epoch), why.Note())
 		}
 	}
 	// Peer-applied invalidations never enter the log: republishing them
@@ -508,9 +508,9 @@ func (c *Core) shoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemet
 	}
 	kids := d.ChildCount()
 	c.bumpSeq(fd)
-	unpublish(tel, d, fd, "shootdown")
+	unpublish(tel, d, fd, telemetry.NoteShootdown)
 	if tel != nil {
-		tel.Emit(telemetry.JSeqBump, d.ID(), int64(kids), why.String())
+		tel.Emit(telemetry.JSeqBump, d.ID(), int64(kids), why.Note())
 	}
 	if kids == 0 {
 		return
@@ -519,7 +519,7 @@ func (c *Core) shoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemet
 	c.stats.batchShootdowns.Add(1)
 	fd.shootMark.Store(gen)
 	if tel != nil {
-		tel.Emit(telemetry.JBatchShoot, d.ID(), int64(gen), why.String())
+		tel.Emit(telemetry.JBatchShoot, d.ID(), int64(gen), why.Note())
 	}
 }
 
@@ -539,7 +539,7 @@ func (c *Core) bumpSeq(fd *fastDentry) {
 // the table entry, the signature state (recomputed by the next
 // population) and a cached symlink target. tel is nil when telemetry is
 // off.
-func unpublish(tel *telemetry.Telemetry, d *vfs.Dentry, fd *fastDentry, why string) {
+func unpublish(tel *telemetry.Telemetry, d *vfs.Dentry, fd *fastDentry, why telemetry.Note) {
 	fd.mu.Lock()
 	if fd.inTable != nil {
 		removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
@@ -586,7 +586,7 @@ func (c *Core) fresh(d *vfs.Dentry) bool {
 	if stale {
 		c.stats.lazyShootdowns.Add(1)
 		c.bumpSeq(fd)
-		unpublish(c.tele(), d, fd, "lazy-shootdown")
+		unpublish(c.tele(), d, fd, telemetry.NoteLazyShootdown)
 	}
 	if e1&1 == 0 && c.epoch.Load() == e1 {
 		fd.validGen.Store(gen)
@@ -662,9 +662,9 @@ func removeTimed(tel *telemetry.Telemetry, dl *DLHT, idx uint16, sg sig.Signatur
 		dl.Remove(idx, sg, d)
 		return
 	}
-	start := time.Now()
+	start := telemetry.Now()
 	dl.Remove(idx, sg, d)
-	tel.Record(telemetry.HistDLHTRemove, time.Since(start))
+	tel.Record(telemetry.HistDLHTRemove, telemetry.Since(start))
 }
 
 // OnEvict implements vfs.Hooks. The dentry is dead, and DLHT lookups skip
@@ -781,7 +781,7 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st *sig.State, token uint64) {
 		// Aliased path or namespace switch: most recent wins.
 		removeTimed(tel, fd.inTable, fd.idx, fd.sg, ref.D)
 		if tel != nil {
-			tel.Emit(telemetry.JDLHTRemove, ref.D.ID(), int64(fd.idx), "resign")
+			tel.Emit(telemetry.JDLHTRemove, ref.D.ID(), int64(fd.idx), telemetry.NoteResign)
 		}
 		fd.inTable = nil
 		fd.seq.Add(1)
@@ -795,7 +795,7 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st *sig.State, token uint64) {
 	fd.inTable = dl
 	c.stats.populations.Add(1)
 	if tel != nil {
-		tel.Emit(telemetry.JDLHTInsert, ref.D.ID(), int64(idx), "")
+		tel.Emit(telemetry.JDLHTInsert, ref.D.ID(), int64(idx), telemetry.NoteNone)
 	}
 }
 

@@ -131,7 +131,7 @@ func (h *DLHT) Insert(idx uint16, sg sig.Signature, d *vfs.Dentry) {
 		h.sweeps.Add(int64(swept))
 		if h.tel != nil {
 			if t := h.tel(); t.On() {
-				t.Emit(telemetry.JDLHTSweep, uint64(idx), int64(swept), "")
+				t.Emit(telemetry.JDLHTSweep, uint64(idx), int64(swept), telemetry.NoteNone)
 			}
 		}
 	}

@@ -9,7 +9,6 @@ package core
 
 import (
 	"sync/atomic"
-	"time"
 
 	"dircache/internal/stripe"
 	"dircache/internal/telemetry"
@@ -163,10 +162,10 @@ func (p *PCC) noteMiss(t *pccTable) {
 		return
 	}
 	var tel *telemetry.Telemetry
-	var copyStart time.Time
+	var copyStart int64
 	if p.tel != nil {
 		if tel = p.tel(); tel.On() {
-			copyStart = time.Now()
+			copyStart = telemetry.Now()
 		} else {
 			tel = nil
 		}
@@ -195,8 +194,8 @@ func (p *PCC) noteMiss(t *pccTable) {
 	p.windowMiss.Reset()
 	p.resizes.Add(1)
 	if tel != nil {
-		tel.Record(telemetry.HistPCCResize, time.Since(copyStart))
-		tel.Emit(telemetry.JPCCResize, p.credID, int64(len(bigger.sets)*pccWays), "")
+		tel.Record(telemetry.HistPCCResize, telemetry.Since(copyStart))
+		tel.Emit(telemetry.JPCCResize, p.credID, int64(len(bigger.sets)*pccWays), telemetry.NoteNone)
 	}
 }
 
@@ -300,7 +299,7 @@ func (p *PCC) Invalidate() {
 	p.flushes.Add(1)
 	if p.tel != nil {
 		if tel := p.tel(); tel.On() {
-			tel.Emit(telemetry.JPCCFlush, p.credID, cleared, "")
+			tel.Emit(telemetry.JPCCFlush, p.credID, cleared, telemetry.NoteNone)
 		}
 	}
 }

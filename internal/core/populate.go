@@ -34,13 +34,13 @@ func (c *Core) admitPopulate(d *vfs.Dentry) bool {
 	if int(n) >= c.admitAfter {
 		c.stats.admitted.Add(1)
 		if tel := c.tele(); tel != nil {
-			tel.Emit(telemetry.JAdmitted, d.ID(), int64(n), "nth")
+			tel.Emit(telemetry.JAdmitted, d.ID(), int64(n), telemetry.NoteNth)
 		}
 		return true
 	}
 	c.stats.deferred.Add(1)
 	if tel := c.tele(); tel != nil {
-		tel.Emit(telemetry.JAdmitDefer, d.ID(), int64(n), "")
+		tel.Emit(telemetry.JAdmitDefer, d.ID(), int64(n), telemetry.NoteNone)
 	}
 	return false
 }

@@ -263,13 +263,13 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 		return vfs.PathRef{}, nil, false
 	}
 	seq := fd.seq.Load()
-	var pccStart time.Time
-	if tel != nil {
-		pccStart = time.Now()
+	var pccStart int64
+	if fl&vfs.WalkTimed != 0 {
+		pccStart = telemetry.Now()
 	}
 	hit := pcc.Lookup(d.ID(), seq)
-	if tel != nil {
-		tel.Record(telemetry.HistPCC, time.Since(pccStart))
+	if pccStart != 0 {
+		tel.Record(telemetry.HistPCC, telemetry.Since(pccStart))
 	}
 	fs.lap(&fs.ph.PermCheck)
 	if !hit || c.cfg.ForcePCCMiss {

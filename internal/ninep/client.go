@@ -207,11 +207,12 @@ func (c *Client) Journal(cursor uint64) ([]coherence.Record, uint64, bool, error
 	}
 }
 
-// Shoot applies a remote invalidation for path on the server ("" or "/"
-// drops everything), returning the dentry count discarded (dcshard only).
-func (c *Client) Shoot(path string) (int, error) {
+// Shoot applies a coherence record — path and the note saying what a peer
+// did to it — on the server ("" or "/" drops everything), returning the
+// dentry count discarded (dcshard only).
+func (c *Client) Shoot(path, note string) (int, error) {
 	var resp Fcall
-	if err := c.rpc(&Fcall{Type: MsgTshoot, Name: path}, &resp); err != nil {
+	if err := c.rpc(&Fcall{Type: MsgTshoot, Name: path, Aname: note}, &resp); err != nil {
 		return 0, err
 	}
 	return int(resp.Count), nil

@@ -61,7 +61,8 @@ const (
 	// flags in Mode.
 	MsgTjournal uint8 = 130
 	MsgRjournal uint8 = 131
-	// MsgTshoot applies a remote invalidation for Name ("" or "/" = drop
+	// MsgTshoot applies one coherence record — path[s] note[s], the
+	// Record's Path and Note — on the server ("" or "/" = drop
 	// everything); MsgRshoot answers with the dentry count discarded.
 	MsgTshoot uint8 = 132
 	MsgRshoot uint8 = 133
@@ -254,7 +255,8 @@ type Fcall struct {
 
 	// Journal carries Rjournal's record batch (dcshard extension). The
 	// cursor rides in Offset (both directions), the flag bits in Mode,
-	// the Tshoot path in Name, and the Rshoot drop count in Count.
+	// the Tshoot record's path in Name and its note in Aname, and the
+	// Rshoot drop count in Count.
 	Journal []coherence.Record
 }
 
@@ -536,6 +538,7 @@ func AppendMarshal(dst []byte, f *Fcall) ([]byte, error) {
 		}
 	case MsgTshoot:
 		e.str(f.Name)
+		e.str(f.Aname)
 	case MsgRshoot:
 		e.u32(f.Count)
 	default:
@@ -764,7 +767,10 @@ func (f *Fcall) unmarshal(buf []byte) error {
 			}
 		}
 	case MsgTshoot:
-		f.Name, err = d.str()
+		if f.Name, err = d.str(); err != nil {
+			return err
+		}
+		f.Aname, err = d.str()
 	case MsgRshoot:
 		f.Count, err = d.u32()
 	default:

@@ -112,6 +112,9 @@ func TestCodecRoundTrips(t *testing.T) {
 		{Type: MsgRstat, Tag: 11, Stat: st},
 		{Type: MsgTwstat, Tag: 12, Fid: 1, Stat: EmptyStat()},
 		{Type: MsgRwstat, Tag: 12},
+		{Type: MsgTshoot, Tag: 13, Name: "/srv/app/lib", Aname: "perm"}, // dcshard: a record's path and note
+		{Type: MsgTshoot, Tag: 13},                                      // dcshard: drop everything
+		{Type: MsgRshoot, Tag: 13, Count: 9},
 	}
 	norm := func(x *Fcall) {
 		if len(x.Wname) == 0 {

@@ -1221,9 +1221,9 @@ func (c *conn) tjournal(req *Fcall) (*Fcall, error) {
 	return resp, nil
 }
 
-// tshoot applies a remote invalidation: drop the server cache's view of
-// the named path ("" or "/" = everything, the fail-closed fallback),
-// answering with the number of dentries discarded.
+// tshoot applies a peer's coherence record to the server's cache
+// (System.RemoteInvalidate; "" or "/" = drop everything, the fail-closed
+// fallback), answering with the number of dentries discarded.
 func (c *conn) tshoot(req *Fcall) (*Fcall, error) {
 	if !c.shard {
 		return nil, protoErr("shootdown requires " + VersionShard)
@@ -1232,7 +1232,7 @@ func (c *conn) tshoot(req *Fcall) (*Fcall, error) {
 	if req.Name == "" || req.Name == "/" {
 		n = c.srv.sys.RemoteInvalidateAll()
 	} else {
-		n = c.srv.sys.RemoteInvalidate(cleanAbs(req.Name))
+		n = c.srv.sys.RemoteInvalidate(dircache.CoherenceRecord{Path: cleanAbs(req.Name), Note: req.Aname})
 	}
 	return &Fcall{Type: MsgRshoot, Count: uint32(n)}, nil
 }

@@ -36,7 +36,6 @@ func NewLocalGroup(n int, base dircache.Config, opt Options) *Group {
 	for i := 0; i < n; i++ {
 		cfg := base
 		cfg.Root = backend
-		cfg.Telemetry = base.Telemetry
 		cfg.Telemetry.Enabled = true
 		sys := dircache.New(cfg)
 		l := NewLocal(sys)

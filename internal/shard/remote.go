@@ -236,13 +236,13 @@ func (r *Remote) Pending(cursor uint64) int {
 	return len(recs)
 }
 
-func (r *Remote) Invalidate(path string) int {
-	n, _ := r.c.Shoot(path)
+func (r *Remote) Invalidate(rec coherence.Record) int {
+	n, _ := r.c.Shoot(rec.Path, rec.Note)
 	return n
 }
 
 func (r *Remote) InvalidateAll() int {
-	n, _ := r.c.Shoot("")
+	n, _ := r.c.Shoot("", "")
 	return n
 }
 

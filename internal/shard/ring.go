@@ -66,13 +66,10 @@ func NewRing(n, vnodes int) *Ring {
 	return r
 }
 
-// hash64 collapses the keyed 240-bit path signature to the ring circle.
-// Lane 1 is a full 64-bit lane (lane 0 lost its low bits to the DLHT
-// index split).
-func (r *Ring) hash64(s string) uint64 {
-	_, sg := r.key.HashString(s)
-	return sg.W[1]
-}
+// hash64 places s on the ring circle: lane 1 of its keyed path signature,
+// a full 64-bit lane (lane 0 lost its low bits to the DLHT index split),
+// and the only lane computed.
+func (r *Ring) hash64(s string) uint64 { return r.key.Lane1(s) }
 
 // AddShard inserts a member and its virtual points. Idempotent.
 func (r *Ring) AddShard(id int) {
@@ -154,11 +151,20 @@ func (r *Ring) hashOwner(key string) int {
 		return 0
 	}
 	h := r.hash64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
-	if i == len(r.points) {
-		i = 0
+	// The first point with points[i].h >= h, wrapping to points[0].
+	lo, hi := 0, len(r.points)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.points[mid].h < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return r.points[i].shard
+	if lo == len(r.points) {
+		lo = 0
+	}
+	return r.points[lo].shard
 }
 
 // Owner routes an operation on path: a pinned subtree wins outright;

@@ -28,11 +28,6 @@ type Router struct {
 	published atomic.Uint64 // records read from owners' coherence logs
 	applied   atomic.Uint64 // per-peer invalidation applications
 	fallbacks atomic.Uint64 // fell-behind full invalidations
-
-	// dropInvalidations is the injected-bug switch: the pump consumes
-	// events but applies nothing, so stale reads survive for the
-	// cross-shard audit to catch. Tests only.
-	dropInvalidations atomic.Bool
 }
 
 // recentCap bounds the recent-mutation ring the cross-shard audit probes.
@@ -172,11 +167,9 @@ func (r *Router) Pump() int {
 		if fell {
 			work++
 			r.fallbacks.Add(1)
-			if !r.dropInvalidations.Load() {
-				for j, peer := range r.shards {
-					if j != i {
-						peer.InvalidateAll()
-					}
+			for j, peer := range r.shards {
+				if j != i {
+					peer.InvalidateAll()
 				}
 			}
 			continue
@@ -186,13 +179,10 @@ func (r *Router) Pump() int {
 		}
 		work += len(recs)
 		r.published.Add(uint64(len(recs)))
-		if r.dropInvalidations.Load() {
-			continue
-		}
 		for _, rec := range recs {
 			for j, peer := range r.shards {
 				if j != i {
-					peer.Invalidate(rec.Path)
+					peer.Invalidate(rec)
 					r.applied.Add(1)
 				}
 			}
@@ -215,10 +205,6 @@ func (r *Router) Converge(maxRounds int) bool {
 	}
 	return false
 }
-
-// TestDropInvalidations toggles the injected coherence bug (see
-// dropInvalidations). Tests only.
-func (r *Router) TestDropInvalidations(on bool) { r.dropInvalidations.Store(on) }
 
 // Stats reports the coherence counters.
 func (r *Router) Stats() (published, applied, fallbacks uint64) {

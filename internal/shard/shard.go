@@ -8,9 +8,10 @@ import (
 
 // Shard is one member of the metadata tier: a directory cache that owns a
 // slice of the namespace, publishes its invalidation-relevant mutations
-// through its coherence log, and applies peer invalidations by
-// discarding its cached view of the affected paths. Implemented by Local
-// (an in-process System) and Remote (a dcserve endpoint over 9P).
+// through its coherence log, and applies the records its peers publish —
+// a permission change in place, a structural one by discarding its cached
+// view of the path. Implemented by Local (an in-process System) and Remote
+// (a dcserve endpoint over 9P).
 type Shard interface {
 	// Metadata operations, absolute canonical paths.
 	Stat(path string) (dircache.FileInfo, error)
@@ -30,9 +31,9 @@ type Shard interface {
 	EventsSince(cursor uint64) ([]coherence.Record, uint64, bool)
 	// Pending reports how many records the log holds past cursor.
 	Pending(cursor uint64) int
-	// Invalidate applies a peer's mutation under path to this shard's
-	// cache (cached-only teardown); returns dentries discarded.
-	Invalidate(path string) int
+	// Invalidate applies one record of a peer's coherence log to this
+	// shard's cache (System.RemoteInvalidate); returns dentries discarded.
+	Invalidate(rec coherence.Record) int
 	// InvalidateAll is the fail-closed fallback when this shard's
 	// subscriber fell behind a peer's journal retention.
 	InvalidateAll() int
@@ -130,8 +131,8 @@ func (l *Local) Chmod(path string, perm uint32) error {
 func (l *Local) EventsSince(cursor uint64) ([]coherence.Record, uint64, bool) {
 	return l.Sys.EventsSince(cursor)
 }
-func (l *Local) Pending(cursor uint64) int              { return int(l.Sys.CoherenceHead() - cursor) }
-func (l *Local) Invalidate(path string) int             { return l.Sys.RemoteInvalidate(path) }
+func (l *Local) Pending(cursor uint64) int              { return l.Sys.CoherencePending(cursor) }
+func (l *Local) Invalidate(rec coherence.Record) int    { return l.Sys.RemoteInvalidate(rec) }
 func (l *Local) InvalidateAll() int                     { return l.Sys.RemoteInvalidateAll() }
 func (l *Local) Claim(path string) dircache.CachedClaim { return l.Sys.CachedClaim(path) }
 func (l *Local) Doctor() audit.Report                   { return l.Sys.Doctor() }

@@ -12,6 +12,7 @@ import (
 // wireGroup is the over-the-wire deployment: n Systems sharing one
 // backend, each behind its own 9P server, fronted by Remote shards.
 type wireGroup struct {
+	Backend *dircache.Backend
 	Systems []*dircache.System
 	Servers []*ninep.Server
 	Remotes []*Remote
@@ -21,7 +22,7 @@ type wireGroup struct {
 func newWireGroup(t *testing.T, n int) *wireGroup {
 	t.Helper()
 	backend := dircache.NewMemBackend(dircache.MemOptions{})
-	g := &wireGroup{}
+	g := &wireGroup{Backend: backend}
 	shards := make([]Shard, 0, n)
 	for i := 0; i < n; i++ {
 		cfg := dircache.Optimized()

@@ -242,6 +242,24 @@ func (k *Key) HashString(s string) (uint16, Signature) {
 	return st.Sum()
 }
 
+// Lane1 is W[1] of HashString(s)'s signature, computed alone: one
+// multiply per byte where the full signature takes four. The shard ring
+// places keys by it, and a caller that wants one 64-bit lane has no use
+// for the other 192 bits. Bytes past MaxPathLen are left out — no such
+// path resolves anywhere, so where it routes does not matter — where
+// HashString panics.
+func (k *Key) Lane1(s string) uint64 {
+	if len(s) > MaxPathLen {
+		s = s[:MaxPathLen]
+	}
+	ks := k.k[1 : 1+len(s)]
+	a := k.k[0][1]
+	for i := 0; i < len(s) && i < len(ks); i++ {
+		a += ks[i][1] * uint64(s[i])
+	}
+	return a + k.k[0][1]*(uint64(len(s))+1)
+}
+
 // Shared holds one State where a single writer at a time (the owner's
 // lock) stores it and any number of readers load it without a lock — a
 // dentry's stored prefix state, kept in the dentry's own slot instead of a

@@ -2,6 +2,7 @@ package sig
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +105,26 @@ func TestEmptyPath(t *testing.T) {
 	}
 	if s1.Zero() {
 		t.Fatal("empty path hashed to the zero sentinel")
+	}
+}
+
+// TestLane1IsTheSignaturesLane: the one-lane hash the shard ring routes by
+// is bit for bit W[1] of the full signature, so computing it alone moved no
+// key on the ring. Past MaxPathLen, where HashString panics, it hashes the
+// prefix that fits.
+func TestLane1IsTheSignaturesLane(t *testing.T) {
+	long := strings.Repeat("/component", MaxPathLen/10+1)
+	for _, seed := range []uint64{1, 11, 0x5ead_c0de_0001} {
+		k := NewKey(seed)
+		for _, s := range []string{"", "/", "/srv", "/srv/app3/lib/pkg17", "shard-2/vnode-63", long[:MaxPathLen]} {
+			_, sg := k.HashString(s)
+			if got := k.Lane1(s); got != sg.W[1] {
+				t.Errorf("seed %#x: Lane1(%.20q…) = %#x, signature lane 1 = %#x", seed, s, got, sg.W[1])
+			}
+		}
+		if k.Lane1(long) != k.Lane1(long[:MaxPathLen]) {
+			t.Errorf("seed %#x: an overlong path does not hash as its first MaxPathLen bytes", seed)
+		}
 	}
 }
 

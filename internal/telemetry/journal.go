@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"dircache/internal/stripe"
 )
@@ -20,9 +18,9 @@ import (
 //
 // Like the trace ring it is fixed-size and drops oldest, but it is striped:
 // mutations arrive from every writer in a stress run, and a single mutex
-// ring would serialize them. Events carry a globally monotonic ID (a
-// single atomic counter — uncontended relative to the mutation work around
-// each emission) so a dump can re-merge the stripes into one timeline.
+// ring would serialize them. Nothing is shared between stripes on the
+// emitting side — no global sequence, no global counters; a dump re-merges
+// the stripes into one timeline by each event's timestamp.
 //
 // Stripe selection hashes the event's subject (dentry or credential ID),
 // NOT the emitting goroutine: all events about one subject land in one
@@ -110,55 +108,125 @@ func (k JournalKind) String() string {
 // ring.
 func (k JournalKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
-// Event is one journal entry. Events are immutable once emitted.
+// Note is the kind-specific tag of an event — the mutation's reason, the
+// cause of an eviction — drawn from a fixed vocabulary, so the ring stores
+// one byte where a string header would put a pointer (and a write barrier)
+// in every slot.
+type Note uint8
+
+const (
+	NoteNone Note = iota
+	NoteRename
+	NotePerm
+	NoteUnlink
+	NoteMount
+	NoteRemote
+	NoteUnknown
+	NoteReaddir
+	NoteCreate
+	NoteTeardown
+	NoteGone
+	NoteRenameTarget
+	NoteWait
+	NoteEvictChild
+	NoteShrink
+	NoteNth
+	NoteShootdown
+	NoteLazyShootdown
+	NoteReclaim
+	NoteResign
+
+	numNotes
+)
+
+var noteNames = [numNotes]string{
+	"", "rename", "perm", "unlink", "mount", "remote", "unknown", "readdir",
+	"create", "teardown", "gone", "rename-target", "wait", "evict-child",
+	"shrink", "nth", "shootdown", "lazy-shootdown", "reclaim", "resign",
+}
+
+// String returns the note as dumps render it.
+func (n Note) String() string {
+	if n < numNotes {
+		return noteNames[n]
+	}
+	return "unknown"
+}
+
+// Event is one journal entry as a dump renders it. Events are immutable
+// once emitted.
 type Event struct {
-	ID     uint64      `json:"id"`      // globally monotonic, dense from 1
-	TimeNS int64       `json:"time_ns"` // unix nanoseconds at emission
+	// ID numbers the dump's timeline densely, oldest first, so that the
+	// newest event's ID is the number of events ever emitted: with nothing
+	// dropped an event keeps its ID from dump to dump.
+	ID     uint64      `json:"id"`
+	TimeNS int64       `json:"time_ns"` // unix nanoseconds at emission (Now)
 	Kind   JournalKind `json:"kind"`
 	Ref    uint64      `json:"ref,omitempty"`  // subject: dentry or credential ID
 	Aux    int64       `json:"aux,omitempty"`  // kind-specific magnitude
 	Note   string      `json:"note,omitempty"` // kind-specific tag (e.g. reason)
 }
 
-// journalStripe is one drop-oldest ring. The mutex is per-stripe and the
-// critical section is a few stores, so cross-subject mutations never
-// serialize on each other.
+// slot is an event as the ring stores it: 32 bytes, two to a cache line,
+// and no pointer, so a store is five plain words and the garbage collector
+// never scans the ring. An event's ID is not stored — its position in the
+// stripe orders it against the stripe's other events, its time against
+// other stripes'.
+type slot struct {
+	t    int64
+	ref  uint64
+	aux  int64
+	kind JournalKind
+	note Note
+}
+
+// blockSlots is how many events a stripe gathers before it copies them
+// into its ring. A ring sized to be worth reading after the fact — 128 KB
+// at the default capacity — is written too slowly to stay cached, so a
+// store into its next slot misses, and the unlock behind it waits the miss
+// out: measured, that wait was more than a third of an emit. The block is
+// rewritten every blockSlots events and stays in L1; filling it costs no
+// miss, and the copy-out takes its eight lines' misses together.
+const blockSlots = 16
+
+// journalStripe is one drop-oldest ring and the block of newest events in
+// front of it. The mutex is per-stripe and the critical section is a few
+// stores, so cross-subject mutations never serialize on each other.
 type journalStripe struct {
-	mu    sync.Mutex
-	buf   []Event // fixed capacity; slot = total % len(buf)
-	total uint64  // events ever pushed here; excess over len(buf) dropped
+	mu     sync.Mutex
+	total  uint64           // events ever pushed here
+	block  [blockSlots]slot // events total&^(blockSlots-1) .. total-1
+	ring   []slot           // whole blocks before that; event i sits at i&(len(ring)-1)
+	counts [NumJournalKinds]uint64
 }
 
 // Journal is the striped coherence event ring.
 type Journal struct {
-	nextID  atomic.Uint64
-	counts  [NumJournalKinds]atomic.Uint64 // emitted per kind (incl. dropped)
 	stripes [stripe.Stripes]journalStripe
 }
 
+// newJournal sizes each stripe's ring to the power of two that holds its
+// share of capacity (and at least one block), so the journal retains at
+// least capacity events.
 func newJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	per := (capacity + stripe.Stripes - 1) / stripe.Stripes
+	per := blockSlots
+	for per*stripe.Stripes < capacity {
+		per <<= 1
+	}
 	j := &Journal{}
 	for i := range j.stripes {
-		j.stripes[i].buf = make([]Event, per)
+		j.stripes[i].ring = make([]slot, per)
 	}
 	return j
 }
 
-// emit appends one event and returns its ID.
-func (j *Journal) emit(kind JournalKind, ref uint64, aux int64, note string) uint64 {
-	ev := Event{
-		ID:     j.nextID.Add(1),
-		TimeNS: time.Now().UnixNano(),
-		Kind:   kind,
-		Ref:    ref,
-		Aux:    aux,
-		Note:   note,
-	}
-	j.counts[kind].Add(1)
+// emit appends one event: one clock read, one stripe lock, one 32-byte
+// store into the stripe's block (DESIGN §6 has what each costs).
+func (j *Journal) emit(kind JournalKind, ref uint64, aux int64, note Note) {
+	t := Now()
 	// Stripe by subject ONLY (see the package comment): folding the kind
 	// in would scatter one subject's inserts and removes across stripes,
 	// and drop-oldest could then drop a newer insert while an older
@@ -166,41 +234,90 @@ func (j *Journal) emit(kind JournalKind, ref uint64, aux int64, note string) uin
 	// auditor's cross-checks rely on.
 	s := &j.stripes[ref&(stripe.Stripes-1)]
 	s.mu.Lock()
-	s.buf[s.total%uint64(len(s.buf))] = ev
+	s.block[s.total&(blockSlots-1)] = slot{t: t, ref: ref, aux: aux, kind: kind, note: note}
 	s.total++
+	if s.total&(blockSlots-1) == 0 {
+		copy(s.ring[(s.total-blockSlots)&uint64(len(s.ring)-1):], s.block[:])
+	}
+	s.counts[kind]++
 	s.mu.Unlock()
-	return ev.ID
 }
 
-// dump returns every retained event merged into ID order, plus the count
-// of events dropped to make room.
+// dropped is how many of the stripe's events the ring has overwritten. The
+// caller holds s.mu.
+func (s *journalStripe) dropped() uint64 {
+	if flushed := s.total &^ (blockSlots - 1); flushed > uint64(len(s.ring)) {
+		return flushed - uint64(len(s.ring))
+	}
+	return 0
+}
+
+// retained calls f on the stripe's retained events, oldest first: what is
+// left of the ring, then the block. The caller holds s.mu.
+func (s *journalStripe) retained(f func(slot)) {
+	flushed := s.total &^ (blockSlots - 1)
+	for at := s.dropped(); at < flushed; at++ {
+		f(s.ring[at&uint64(len(s.ring)-1)])
+	}
+	for at := flushed; at < s.total; at++ {
+		f(s.block[at&(blockSlots-1)])
+	}
+}
+
+// event renders a slot. The epoch bump that closes a mutation carries the
+// same note as the one that opened it; the dump tells them apart as the
+// epoch's parity does, the closing one reading "<reason>-end".
+func (sl slot) event() Event {
+	ev := Event{TimeNS: sl.t, Kind: sl.kind, Ref: sl.ref, Aux: sl.aux, Note: sl.note.String()}
+	if sl.kind == JEpochBump && sl.aux&1 == 0 {
+		ev.Note += "-end"
+	}
+	return ev
+}
+
+// dump returns every retained event merged into one timeline, plus the
+// count of events dropped to make room. A stripe's events keep the order
+// they were pushed in whatever their timestamps say — the auditor reads
+// "later wins" per subject, and a subject lives in one stripe — and the
+// stripes interleave by time: each event sorts by the latest timestamp its
+// stripe had reached, which is its own unless a writer that read the clock
+// first took the stripe lock second.
 func (j *Journal) dump() (events []Event, dropped uint64) {
+	type stamped struct {
+		Event
+		reached int64
+	}
+	var all []stamped
 	for i := range j.stripes {
 		s := &j.stripes[i]
+		reached := int64(0)
 		s.mu.Lock()
-		n := uint64(len(s.buf))
-		if s.total <= n {
-			events = append(events, s.buf[:s.total]...)
-		} else {
-			start := s.total % n
-			events = append(events, s.buf[start:]...)
-			events = append(events, s.buf[:start]...)
-			dropped += s.total - n
-		}
+		dropped += s.dropped()
+		s.retained(func(sl slot) {
+			reached = max(reached, sl.t)
+			all = append(all, stamped{sl.event(), reached})
+		})
 		s.mu.Unlock()
 	}
-	// Merge the per-stripe runs into one timeline. Stripe runs are
-	// near-sorted already; a plain sort keeps this simple and the dump
-	// is cold.
-	sort.Slice(events, func(a, b int) bool { return events[a].ID < events[b].ID })
+	sort.SliceStable(all, func(a, b int) bool { return all[a].reached < all[b].reached })
+	events = make([]Event, len(all))
+	for i := range all {
+		events[i] = all[i].Event
+		events[i].ID = dropped + uint64(i) + 1
+	}
 	return events, dropped
 }
 
-// counts is read without a dump for cheap rate accounting.
+// countsSnapshot is read without a dump for cheap rate accounting.
 func (j *Journal) countsSnapshot() (perKind [NumJournalKinds]uint64, total uint64) {
-	for i := range j.counts {
-		perKind[i] = j.counts[i].Load()
-		total += perKind[i]
+	for i := range j.stripes {
+		s := &j.stripes[i]
+		s.mu.Lock()
+		for k, n := range s.counts {
+			perKind[k] += n
+		}
+		total += s.total
+		s.mu.Unlock()
 	}
 	return perKind, total
 }
@@ -209,9 +326,7 @@ func (j *Journal) droppedCount() (dropped uint64) {
 	for i := range j.stripes {
 		s := &j.stripes[i]
 		s.mu.Lock()
-		if n := uint64(len(s.buf)); s.total > n {
-			dropped += s.total - n
-		}
+		dropped += s.dropped()
 		s.mu.Unlock()
 	}
 	return dropped

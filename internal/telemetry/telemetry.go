@@ -25,6 +25,8 @@ type HistID int
 // The cost centers instrumented across the VFS and fastpath.
 const (
 	// HistWalk is end-to-end Walk latency (fast or slow, success or not).
+	// It, HistFastpath, HistSlowpath and HistPCC hold the timed walks:
+	// one in eight and every traced one (vfs.WalkTimed).
 	HistWalk HistID = iota
 	// HistFastpath is the latency of walks answered by TryFast.
 	HistFastpath
@@ -371,7 +373,7 @@ func (t *Telemetry) ResetHistograms() {
 // Emit records one coherence event in the journal. Nil-safe and gated on
 // Enable like Record, so mutation paths can call it unconditionally on a
 // possibly-nil pointer.
-func (t *Telemetry) Emit(kind JournalKind, ref uint64, aux int64, note string) {
+func (t *Telemetry) Emit(kind JournalKind, ref uint64, aux int64, note Note) {
 	if t == nil || !t.enabled.Load() {
 		return
 	}

@@ -62,22 +62,25 @@ const (
 	InvalRemote
 )
 
-// String names the invalidation reason (journal and histogram labels).
-func (i Invalidation) String() string {
-	switch i {
-	case InvalRename:
-		return "rename"
-	case InvalPerm:
-		return "perm"
-	case InvalUnlink:
-		return "unlink"
-	case InvalMount:
-		return "mount"
-	case InvalRemote:
-		return "remote"
-	}
-	return "unknown"
+var invalNotes = [...]telemetry.Note{
+	InvalRename: telemetry.NoteRename,
+	InvalPerm:   telemetry.NotePerm,
+	InvalUnlink: telemetry.NoteUnlink,
+	InvalMount:  telemetry.NoteMount,
+	InvalRemote: telemetry.NoteRemote,
 }
+
+// Note is the invalidation reason as the journal stores it.
+func (i Invalidation) Note() telemetry.Note {
+	if uint(i) < uint(len(invalNotes)) {
+		return invalNotes[i]
+	}
+	return telemetry.NoteUnknown
+}
+
+// String names the invalidation reason (journal, coherence-record and
+// histogram labels).
+func (i Invalidation) String() string { return i.Note().String() }
 
 // Hooks is the seam through which internal/core installs the paper's §3/§4
 // fastpath. All methods must be safe for concurrent use. A nil Hooks means
@@ -765,7 +768,7 @@ func (k *Kernel) Shrink(n int) int {
 		}
 		k.stats.cell().evictions.Add(1)
 		if tel != nil {
-			tel.Emit(telemetry.JEvict, d.ID(), 0, "shrink")
+			tel.Emit(telemetry.JEvict, d.ID(), 0, telemetry.NoteShrink)
 		}
 		if k.hooks != nil {
 			k.hooks.OnEvict(d)

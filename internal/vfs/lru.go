@@ -3,7 +3,6 @@ package vfs
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dircache/internal/slab"
 	"dircache/internal/telemetry"
@@ -95,10 +94,10 @@ func (l *lruList) victims(n int) []*Dentry {
 		return nil
 	}
 	var tel *telemetry.Telemetry
-	var scanStart time.Time
+	var scanStart int64
 	if l.tel != nil {
 		if tel = l.tel.Load(); tel.On() {
-			scanStart = time.Now()
+			scanStart = telemetry.Now()
 		} else {
 			tel = nil
 		}
@@ -127,7 +126,7 @@ func (l *lruList) victims(n int) []*Dentry {
 		if p := d.Parent(); p != nil && p.Flags()&DComplete != 0 {
 			p.clearFlags(DComplete)
 			if tel != nil {
-				tel.Emit(telemetry.JDirIncomplete, p.ID(), 0, "evict-child")
+				tel.Emit(telemetry.JDirIncomplete, p.ID(), 0, telemetry.NoteEvictChild)
 			}
 		}
 		if d.claim() {
@@ -138,7 +137,7 @@ func (l *lruList) victims(n int) []*Dentry {
 	}
 	l.handMu.Unlock()
 	if tel != nil {
-		tel.Record(telemetry.HistEvict, time.Since(scanStart))
+		tel.Record(telemetry.HistEvict, telemetry.Since(scanStart))
 	}
 	return out
 }

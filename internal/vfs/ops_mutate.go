@@ -105,7 +105,7 @@ func (k *Kernel) positivize(d *Dentry, ino *Inode) {
 	if isDir && k.cfg.DirCompleteness {
 		d.setFlags(DComplete)
 		if tel := k.journal(); tel != nil {
-			tel.Emit(telemetry.JDirComplete, d.ID(), 0, "create")
+			tel.Emit(telemetry.JDirComplete, d.ID(), 0, telemetry.NoteCreate)
 		}
 	}
 	if p := d.Parent(); p != nil {
@@ -132,7 +132,7 @@ func (k *Kernel) killSubtreeLocked(d *Dentry) int {
 	n := k.killRecurse(d)
 	k.stats.cell().evictions.Add(int64(n))
 	if tel := k.journal(); tel != nil {
-		tel.Emit(telemetry.JEvict, d.ID(), int64(n), "teardown")
+		tel.Emit(telemetry.JEvict, d.ID(), int64(n), telemetry.NoteTeardown)
 	}
 	return n
 }
@@ -199,7 +199,7 @@ func (k *Kernel) installNewChild(parent PathRef, name string, info fsapi.NodeInf
 	res := k.installDedup(parent.D, name, d, true)
 	if res == d && info.Mode.IsDir() && k.cfg.DirCompleteness {
 		if tel := k.journal(); tel != nil {
-			tel.Emit(telemetry.JDirComplete, d.ID(), 0, "create")
+			tel.Emit(telemetry.JDirComplete, d.ID(), 0, telemetry.NoteCreate)
 		}
 	}
 	return res
@@ -454,7 +454,7 @@ func (k *Kernel) dentryGone(d *Dentry, ino *Inode) {
 		d.mu.Unlock()
 		if wasComplete {
 			if tel := k.journal(); tel != nil {
-				tel.Emit(telemetry.JDirIncomplete, d.ID(), 0, "gone")
+				tel.Emit(telemetry.JDirIncomplete, d.ID(), 0, telemetry.NoteGone)
 			}
 		}
 		// The dentry flips negative in place: the parent's cached
@@ -477,16 +477,21 @@ func (k *Kernel) dentryGone(d *Dentry, ino *Inode) {
 	}
 }
 
-// refreshInode re-reads a directory's metadata after a mutation beneath it
-// (size/mtime changed).
-func (k *Kernel) refreshInode(d *Dentry) {
+// refreshInode re-reads d's metadata from the backend — after a mutation
+// beneath a directory (size/mtime changed), or when a peer shard changed
+// its permissions — and reports whether there was an inode to refresh and
+// the backend still knows it.
+func (k *Kernel) refreshInode(d *Dentry) bool {
 	ino := d.Inode()
 	if ino == nil {
-		return
+		return false
 	}
-	if info, err := d.sb.fs.GetNode(ino.ID()); err == nil {
-		ino.applyInfo(info)
+	info, err := d.sb.fs.GetNode(ino.ID())
+	if err != nil {
+		return false
 	}
+	ino.applyInfo(info)
+	return true
 }
 
 // Rename moves oldpath to newpath (same mount only), carrying the paper's
@@ -582,7 +587,7 @@ func (t *Task) rename(oldpath, newpath string) error {
 		newParent.D.detachChild(newName, target)
 		k.lru.remove(target)
 		if tel := k.journal(); tel != nil {
-			tel.Emit(telemetry.JEvict, target.ID(), 0, "rename-target")
+			tel.Emit(telemetry.JEvict, target.ID(), 0, telemetry.NoteRenameTarget)
 		}
 		if k.hooks != nil {
 			k.hooks.OnEvict(target)

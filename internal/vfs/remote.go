@@ -8,10 +8,13 @@ import (
 
 // Remote invalidation: the entry points a sharded deployment uses to apply
 // a peer cache instance's mutations locally. A shard that learns (via the
-// coherence journal subscription) that another shard renamed, unlinked, or
-// chmodded a path it may have cached does not replay the mutation — it
-// discards its cached view of that path wholesale, fail-closed: the next
-// walk re-reads ground truth from the shared backend.
+// coherence log subscription) that another shard mutated a path it may
+// have cached applies the record it was sent (paper §3.2): a permission
+// change bumps sequence numbers and re-reads the directory's attributes,
+// the dentries below it stay; a structural change — or any record this
+// instance cannot apply in place — discards the cached view of the path
+// wholesale, fail-closed, and the next walk re-reads ground truth from the
+// shared backend.
 
 // RootDentry returns the root dentry of the kernel's initial namespace.
 func (k *Kernel) RootDentry() *Dentry {
@@ -27,14 +30,21 @@ func splitAbs(path string) []string {
 	return strings.Split(path, "/")
 }
 
-// InvalidateCachedPath applies a peer-originated invalidation for path.
-// The descent is cached-only — no backend I/O — because a path this
-// instance never cached cannot be stale here:
+// InvalidateCachedPath applies a peer-originated coherence record: path,
+// and note naming what the peer did to it (an Invalidation's String, or
+// the shard tier's "create" / "rename-dst"). The descent to path reads
+// cached dentries only, because a path this instance never cached cannot
+// be stale here:
 //
-//   - full path cached: the dentry's subtree is torn down under a
-//     beginMutation(InvalRemote) bracket (epoch bump + batch shootdown →
-//     DLHT entries under the prefix die), and the parent loses
-//     DIR_COMPLETE (its child set changed remotely).
+//   - full path cached: one beginMutation(InvalRemote) bracket on its
+//     dentry — epoch bump, seq bump and range mark, so every PCC and DLHT
+//     entry at or below it is revoked. Inside it a "perm" record on a
+//     positive dentry is applied as the local Chmod applies it: the
+//     inode's attributes are re-read from the backend (one GetNode, the
+//     only backend I/O here) and nothing is evicted. Every other note, a
+//     negative dentry, and an inode the backend no longer knows take the
+//     teardown: the subtree is killed under the rename write lock and the
+//     parent loses DIR_COMPLETE (its child set changed remotely).
 //   - parent cached but the final component is not: the parent's
 //     completeness and cached listing are dropped — a remotely created
 //     binding may now exist that an authoritative listing would miss.
@@ -42,13 +52,13 @@ func splitAbs(path string) []string {
 //     path; nothing to do.
 //
 // Returns the number of dentries torn down.
-func (k *Kernel) InvalidateCachedPath(path string) int {
-	comps := splitAbs(path)
-	root := k.RootDentry()
-	if len(comps) == 0 {
+func (k *Kernel) InvalidateCachedPath(path, note string) int {
+	d := k.RootDentry()
+	rest := strings.Trim(path, "/")
+	if rest == "" {
 		// "/": the peer mutated the root itself. Kill every cached child
 		// subtree and drop root completeness.
-		end := k.beginMutation(root, InvalRemote)
+		end := k.beginMutation(d, InvalRemote)
 		defer end()
 		unlock := k.lockBig()
 		defer unlock()
@@ -57,15 +67,16 @@ func (k *Kernel) InvalidateCachedPath(path string) int {
 		k.cacheMutBegin()
 		defer k.cacheMutEnd()
 		n := 0
-		root.EachChild(func(c *Dentry) { n += k.killSubtreeLocked(c) })
-		k.dropCompleteness(root, "remote")
+		d.EachChild(func(c *Dentry) { n += k.killSubtreeLocked(c) })
+		k.dropCompleteness(d)
 		return n
 	}
-	d := root
-	for i, c := range comps {
-		child := d.child(c)
+	for rest != "" {
+		var comp string
+		comp, rest, _ = strings.Cut(rest, "/")
+		child := d.child(comp)
 		if child == nil || child.IsDead() {
-			if i == len(comps)-1 {
+			if rest == "" {
 				// The binding itself is not cached but its parent is:
 				// the parent's listing/completeness may now be wrong.
 				k.invalidateRemoteBinding(d)
@@ -79,6 +90,9 @@ func (k *Kernel) InvalidateCachedPath(path string) int {
 	defer end()
 	unlock := k.lockBig()
 	defer unlock()
+	if note == InvalPerm.String() && !d.IsNegative() && k.refreshInode(d) {
+		return 0
+	}
 	k.renameWriteLock()
 	defer k.renameWriteUnlock()
 	k.cacheMutBegin()
@@ -88,7 +102,7 @@ func (k *Kernel) InvalidateCachedPath(path string) int {
 	}
 	n := k.killSubtreeLocked(d)
 	if parent != nil {
-		k.dropCompleteness(parent, "remote")
+		k.dropCompleteness(parent)
 	}
 	return n
 }
@@ -99,18 +113,18 @@ func (k *Kernel) InvalidateCachedPath(path string) int {
 func (k *Kernel) invalidateRemoteBinding(parent *Dentry) {
 	k.cacheMutBegin()
 	defer k.cacheMutEnd()
-	k.dropCompleteness(parent, "remote")
+	k.dropCompleteness(parent)
 }
 
 // dropCompleteness clears DIR_COMPLETE and the cached listing on d,
 // journaling the transition when the flag was actually set.
-func (k *Kernel) dropCompleteness(d *Dentry, why string) {
+func (k *Kernel) dropCompleteness(d *Dentry) {
 	wasComplete := d.Flags()&DComplete != 0
 	d.clearFlags(DComplete)
 	d.invalidateList()
 	if wasComplete {
 		if tel := k.journal(); tel != nil {
-			tel.Emit(telemetry.JDirIncomplete, d.ID(), 0, why)
+			tel.Emit(telemetry.JDirIncomplete, d.ID(), 0, telemetry.NoteRemote)
 		}
 	}
 }

@@ -26,7 +26,19 @@ const (
 	// WalkNoFast skips the fastpath hook (used internally when the
 	// caller needs authoritative slow-walk side effects).
 	WalkNoFast
+	// WalkTimed marks a walk whose latency telemetry records (set by the
+	// walk itself, see walkTimedEvery): the hooks time their own stages
+	// on these walks and on no others.
+	WalkTimed
 )
+
+// walkTimedEvery is the share of walks that are timed with telemetry on:
+// one in this many per statistics stripe, plus every traced walk. Timing a
+// walk takes two clock reads, 30–40 ns each where the clock is a vDSO
+// call — a fifth of a warm walk between them (DESIGN §6). The latency
+// distribution of one walk in eight is the distribution; the counters,
+// not the histograms, count walks.
+const walkTimedEvery = 8
 
 // WalkFailure is the structured ENOENT/ENOTDIR result of a slow walk. It
 // tells the hooks where the resolution stopped so deep negative dentries
@@ -171,13 +183,12 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 	// and one branch. When attached but disabled, On() folds it to nil so
 	// the rest of the walk takes the same nil-pointer paths.
 	tel := k.tel.Load()
-	var walkStart time.Time
+	var walkStart int64 // nonzero on a timed walk
 	var tr *telemetry.WalkTrace
 	var trHeld bool
 	if !tel.On() {
 		tel = nil
 	} else {
-		walkStart = time.Now()
 		if armed := t.takeArmedTrace(); armed != nil {
 			// A wire span armed by the 9P server: annotate it in place so
 			// the walk's stage events stitch into the end-to-end trace.
@@ -188,20 +199,18 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 			scratch, trHeld = t.acquireTrace()
 			tr = tel.StartWalk(scratch, path)
 		}
+		// The stripe's walk count, bumped above, picks the sample; read
+		// again here so that a walk with telemetry off carries nothing.
+		if tr != nil || k.stats.cell().lookups.Load()%walkTimedEvery == 1 {
+			walkStart = telemetry.Now()
+			fl |= WalkTimed
+		}
 	}
 
 	if k.hooks != nil && fl&WalkNoFast == 0 {
 		if res, err, handled := k.hooks.TryFast(t, start, path, fl, tr); handled {
 			if tel != nil {
-				d := time.Since(walkStart)
-				var trID uint64
-				if tr != nil {
-					trID = tr.ID
-				}
-				tel.RecordEx(telemetry.HistFastpath, d, trID)
-				tel.RecordEx(telemetry.HistWalk, d, trID)
-				tel.FinishWalk(tr, true, err, d)
-				t.releaseTrace(trHeld)
+				t.walkDone(tel, tr, trHeld, walkStart, telemetry.HistFastpath, err)
 			}
 			return res, err
 		}
@@ -225,17 +234,26 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 		}
 	}
 	if tel != nil {
-		d := time.Since(walkStart)
+		t.walkDone(tel, tr, trHeld, walkStart, telemetry.HistSlowpath, err)
+	}
+	return res, err
+}
+
+// walkDone is the telemetry tail of a walk: a timed walk (start nonzero —
+// every traced one is) goes into the histogram of the path it took and
+// the walk histogram, and its trace, if any, is finished and released.
+func (t *Task) walkDone(tel *telemetry.Telemetry, tr *telemetry.WalkTrace, trHeld bool, start int64, took telemetry.HistID, err error) {
+	if start != 0 {
+		d := telemetry.Since(start)
 		var trID uint64
 		if tr != nil {
 			trID = tr.ID
 		}
-		tel.RecordEx(telemetry.HistSlowpath, d, trID)
+		tel.RecordEx(took, d, trID)
 		tel.RecordEx(telemetry.HistWalk, d, trID)
-		tel.FinishWalk(tr, false, err, d)
-		t.releaseTrace(trHeld)
+		tel.FinishWalk(tr, took == telemetry.HistFastpath, err, d)
 	}
-	return res, err
+	t.releaseTrace(trHeld)
 }
 
 // walkSlow dispatches on the synchronization era.
@@ -713,17 +731,17 @@ func (k *Kernel) joinInLookup(d *Dentry, il *inLookupState, comp string, tr *tel
 	case <-il.done:
 		// Resolved between our child-map read and here: adopt for free.
 		if tel != nil {
-			tel.Emit(telemetry.JCoalesce, d.ID(), 0, "")
+			tel.Emit(telemetry.JCoalesce, d.ID(), 0, telemetry.NoteNone)
 		}
 		tr.Event(telemetry.EvCoalesceWait, comp+" (resolved)")
 	default:
 		sc.inLookupWaits.Add(1)
 		if tel != nil {
-			tel.Emit(telemetry.JCoalesce, d.ID(), 0, "wait")
+			tel.Emit(telemetry.JCoalesce, d.ID(), 0, telemetry.NoteWait)
 		}
-		waitStart := time.Now()
+		waitStart := telemetry.Now()
 		<-il.done
-		wait := time.Since(waitStart)
+		wait := telemetry.Since(waitStart)
 		if tel != nil {
 			tel.Record(telemetry.HistMissWait, wait)
 		}
@@ -752,13 +770,13 @@ func (k *Kernel) joinInLookup(d *Dentry, il *inLookupState, comp string, tr *tel
 func (k *Kernel) resolveMiss(parent *Dentry, pIno *Inode, comp string, d *Dentry, il *inLookupState, tr *telemetry.WalkTrace) (*Dentry, error) {
 	k.stats.cell().fsLookups.Add(1)
 	tel := k.tel.Load()
-	var fsStart time.Time
+	var fsStart int64
 	if tel.On() {
-		fsStart = time.Now()
+		fsStart = telemetry.Now()
 	}
 	info, err := parent.sb.fs.Lookup(pIno.ID(), comp)
-	if !fsStart.IsZero() {
-		tel.Record(telemetry.HistFSLookup, time.Since(fsStart))
+	if fsStart != 0 {
+		tel.Record(telemetry.HistFSLookup, telemetry.Since(fsStart))
 	}
 	switch {
 	case err == nil:

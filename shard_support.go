@@ -9,8 +9,9 @@ import (
 // Shard support: the hooks internal/shard uses to run N System instances
 // as one sharded namespace. Each shard publishes the paths whose cached
 // answers its mutations falsify into its coherence log (internal/coherence,
-// read by cursor) and applies peer mutations by discarding its cached view
-// of the affected path — fail-closed, never replayed.
+// read by cursor) and applies the records its peers publish: a permission
+// change in place, anything else by discarding its cached view of the
+// affected path — fail-closed.
 
 // CoherenceRecord is one published invalidation: a path whose cached view
 // may be wrong on every peer, and why.
@@ -42,16 +43,21 @@ func (s *System) EventsSince(cursor uint64) (recs []CoherenceRecord, next uint64
 	return s.core.Coherence().Since(cursor)
 }
 
-// CoherenceHead is the ID of the newest record in the coherence log: a
-// reader at cursor has CoherenceHead() − cursor records to go.
-func (s *System) CoherenceHead() uint64 { return s.core.Coherence().Head() }
+// CoherencePending is how many records of the coherence log a reader at
+// cursor has yet to account for; see coherence.Log.Pending for a cursor
+// the log cannot serve.
+func (s *System) CoherencePending(cursor uint64) int { return s.core.Coherence().Pending(cursor) }
 
-// RemoteInvalidate applies a peer shard's mutation under path to this
-// System's cache: the cached view of the path (if any) is torn down and
-// its parent's listing authority dropped. Cached-only — no backend I/O.
-// Returns the number of dentries discarded.
-func (s *System) RemoteInvalidate(path string) int {
-	return s.k.InvalidateCachedPath(path)
+// RemoteInvalidate applies a peer shard's coherence record to this
+// System's cache. A "perm" record on a cached, positive path revokes every
+// memoized prefix check at or below it and re-reads that one inode's
+// attributes from the backend; nothing is evicted. Any other record tears
+// down the cached view of the path (if any) and drops its parent's listing
+// authority. A path this System never cached costs a descent through
+// cached dentries and touches nothing. Returns the number of dentries
+// discarded.
+func (s *System) RemoteInvalidate(rec CoherenceRecord) int {
+	return s.k.InvalidateCachedPath(rec.Path, rec.Note)
 }
 
 // RemoteInvalidateAll is the fail-closed fallback for a subscriber that
@@ -61,7 +67,7 @@ func (s *System) RemoteInvalidate(path string) int {
 // gap can answer a walk. Returns the number of dentries discarded.
 func (s *System) RemoteInvalidateAll() int {
 	n := s.k.DropCaches()
-	s.k.InvalidateCachedPath("/")
+	s.k.InvalidateCachedPath("/", "")
 	return n
 }
 

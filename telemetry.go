@@ -177,8 +177,8 @@ func (tl *Telemetry) TracesJSON() []byte { return tl.t.TracesJSON() }
 // with per-kind totals and the dropped-event count.
 func (tl *Telemetry) EventsJSON() []byte { return tl.t.EventsJSON() }
 
-// Events returns the retained journal events (ID order) and how many
-// older events the ring has dropped.
+// Events returns the retained journal events (oldest first, IDs dense in
+// that order) and how many older events the ring has dropped.
 func (tl *Telemetry) Events() ([]JournalEvent, uint64) { return tl.t.Events() }
 
 // EventsDropped reports how many journal events were dropped so far.
@@ -199,7 +199,8 @@ func (tl *Telemetry) EventCounts() map[string]uint64 {
 
 // JournalEvent is one coherence journal record: an invalidation-relevant
 // mutation (seq/epoch bump, DLHT insert/remove/sweep, PCC flush/resize,
-// DIR_COMPLETE transition, eviction) with a monotonic ID.
+// DIR_COMPLETE transition, eviction) with its time and its place in the
+// dump's timeline.
 type JournalEvent = telemetry.Event
 
 // TraceCount reports how many sampled walk traces the ring retains.
@@ -248,7 +249,10 @@ func (tl *Telemetry) Raw() *telemetry.Telemetry {
 // cost centers "rename_invalidate", "chmod_seq_bump", "unlink_invalidate",
 // "dlht_remove", and the 9P server's per-op centers "ninep_attach",
 // "ninep_walk", "ninep_open", "ninep_read", "ninep_stat", "ninep_clunk".
-// ok is false for an unknown name or an empty histogram.
+// "walk", "fastpath", "slowpath" and "pcc_probe" hold one walk in eight
+// and every traced walk (two clock reads per walk is what leaving them on
+// would cost); the CacheStats counters count walks. ok is false for an
+// unknown name or an empty histogram.
 func (tl *Telemetry) HistogramQuantiles(name string) (p50, p95, p99 time.Duration, ok bool) {
 	id, ok := telemetry.HistIDByName(name)
 	if !ok {

@@ -19,11 +19,11 @@ help:
 	@echo "  vet            go vet ./..."
 	@echo "  race           race-detector pass over the concurrent packages"
 	@echo "  audit          invariant-auditor tests (concurrent + injected-bug) under -race"
-	@echo "  stress         longer -race soak of the stress tests"
+	@echo "  stress         longer -race soak of the stress tests, the revocation table and the prefix re-check's phase tests"
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
 	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
-	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 2, a create-only evicting build and a chmod-only loop each stay within one arena chunk, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
+	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build stays within one arena chunk and a chmod-only loop retires no DLHT node, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch; then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
@@ -56,9 +56,11 @@ audit:
 # wall-clock number against a committed one.
 ci: vet check bench-test race audit serve-smoke shard-smoke memscale-smoke
 
-# Longer soak of just the stress tests (several runs, full iteration count).
+# Longer soak of just the stress tests (several runs, full iteration
+# count), with the differential revocation table and the prefix re-check's
+# deterministic phase tests beside the storm that races the same paths.
 stress:
-	$(GO) test -race -run 'Stress' -count=3 ./internal/vfs/... ./internal/core/...
+	$(GO) test -race -run 'Stress|TestRevocationThroughRangeMark|TestRecheck' -count=3 ./internal/vfs/... ./internal/core/...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
@@ -86,11 +88,13 @@ bench-hotpath:
 # fails the target, not just prints a number) — and evicted slots must
 # come back: 9600 creates into a 4096-dentry cache reclaim as they go and
 # never grow the dentry arena past its first chunk, and a loop of nothing
-# but chmod/chown/setlabel of one directory reclaims the DLHT node each
-# retires (it used to leave every one in limbo). Population of a path
+# but chmod/chown/setlabel of one directory retires no DLHT node at all
+# (a permission change keeps the table entries). Population of a path
 # the inline cursor holds allocates nothing either, nor does publishing a
 # dentry's own state, so a chmod and the first stat behind its range mark
-# allocate 2 between them (both Chmod's own). The last step reads
+# allocate 1 between them (SetAttr's *Mode, the cache-less kernel's too)
+# and never slow-walk; BenchmarkChmodSubtree runs once per row so that pin
+# holds at every subtree size, baseline and optimized. The last step reads
 # the compiler's own verdict: in the fastpath's files a defer must be
 # open-coded (TryFast once paid for a stack-allocated one) and nothing
 # may move to the heap (a cursor that escapes costs an allocation per
@@ -100,6 +104,8 @@ memscale-smoke:
 	$(GO) test -run 'TestLexicalHashZeroAlloc' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelWalk/optimized/goroutines-1$$' -benchtime 2000x -benchmem . | \
 		tee /dev/stderr | awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad=1 } END { exit bad }'
+	$(GO) test -run '^$$' -bench 'BenchmarkChmodSubtree' -benchtime=1x -benchmem . | \
+		tee /dev/stderr | awk '/allocs\/op/ { n++; if ($$(NF-1)+0 > 1) bad=1 } END { exit bad || n != 8 }'
 	@if $(GO) build -gcflags='-m -d=defer' ./internal/core 2>&1 | \
 		grep -E '/(tryfast|cursor|populate)\.go:.*(-allocated defer|moved to heap)'; then \
 		echo 'memscale-smoke: the fastpath has an allocated defer or a heap-moved local (above)'; exit 1; fi

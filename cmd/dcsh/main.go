@@ -275,7 +275,7 @@ other:  help  exit
 	case "stats":
 		st := sys.Stats()
 		fmt.Printf("lookups       %d\n", st.Lookups)
-		fmt.Printf("fastpath hits %d (%d negative)\n", st.FastHits, st.FastNeg)
+		fmt.Printf("fastpath hits %d (%d negative, %d with the prefix re-checked in place)\n", st.FastHits, st.FastNeg, st.PrefixRechecks)
 		fmt.Printf("slow walks    %d (%d components)\n", st.SlowWalks, st.Components)
 		fmt.Printf("fs lookups    %d (hit rate %.1f%%)\n", st.FSLookups, st.HitRate()*100)
 		fmt.Printf("negative hits %d, completeness shortcuts %d\n", st.NegativeHits, st.CompleteShort)

@@ -154,9 +154,10 @@ func (c *Core) auditDLHT(ar *auditRun, dl *DLHT, aliasFree bool) {
 		}
 		ar.checked["dlht_fresh"]++
 		vg := fd.validGen.Load()
-		if at := c.markedAbove(d, vg); at != nil {
+		if at, _ := c.markedAbove(d, vg); at != nil {
+			gen, sgen := fast(at).shootMark.gens()
 			ar.add(audit.Finding{Check: "dlht_fresh", Ref: d.ID(), Path: d.PathTo(),
-				Detail: fmt.Sprintf("live entry at generation %d under ancestor %q batch-shot at generation %d (survived a sweep)", vg, at.PathTo(), fast(at).shootMark.Load())})
+				Detail: fmt.Sprintf("live entry at generation %d under ancestor %q batch-shot at generation %d, structurally at %d (survived a sweep)", vg, at.PathTo(), gen, sgen)})
 			return
 		}
 		if !aliasFree || mnt == nil {
@@ -376,9 +377,9 @@ func (c *Core) auditBatchMarks(ar *auditRun, batchGen map[uint64]int64) {
 			continue
 		}
 		ar.checked["journal_batch_shoot"]++
-		if fd.shootMark.Load() < uint64(gen) {
+		if marked, _ := fd.shootMark.gens(); marked < uint64(gen) {
 			ar.add(audit.Finding{Check: "journal_batch_shoot", Ref: ref, Path: d.PathTo(),
-				Detail: fmt.Sprintf("journal records a batch shootdown at generation %d but the root's mark is %d (missed batch mark)", gen, fd.shootMark.Load())})
+				Detail: fmt.Sprintf("journal records a batch shootdown at generation %d but the root's mark is %d (missed batch mark)", gen, marked)})
 		}
 	}
 }

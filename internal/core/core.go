@@ -50,7 +50,8 @@ type Stats struct {
 	Hits           int64 // full fastpath hits (DLHT + PCC)
 	NegHits        int64 // hits that answered ENOENT/ENOTDIR
 	DLHTMiss       int64 // fell back: signature not in DLHT
-	PCCMiss        int64 // fell back: prefix check not memoized/stale
+	PCCMiss        int64 // fell back: prefix check not memoized/stale, and not re-checkable in place
+	Rechecks       int64 // PCC misses on a table hit answered by re-checking the prefix in place
 	DotDotChecks   int64 // extra per-".." fastpath permission lookups
 	Populations    int64 // DLHT+PCC population events
 	Invalidation   int64 // shootdowns (one per BeginMutation)
@@ -77,7 +78,7 @@ type Stats struct {
 // striped (stripe.Int64) like the kernel's counters rather than shared
 // atomics.
 type statsCell struct {
-	dlhtMiss, pccMiss, dotDotChecks stripe.Int64
+	dlhtMiss, pccMiss, rechecks, dotDotChecks stripe.Int64
 
 	// Every scan, warm ones included, feeds hashedBytes: striped too.
 	hashedBytes stripe.Int64
@@ -107,11 +108,12 @@ type fastDentry struct {
 	// ancestors looking for a newer shootMark (see Core.fresh).
 	validGen atomic.Uint64
 
-	// shootMark, when > 0, records the batch-shootdown generation at which
-	// this dentry was the root of a range shootdown: every descendant whose
-	// validGen predates the mark holds pre-mutation state and must be
-	// lazily discarded before use.
-	shootMark atomic.Uint64
+	// shootMark, when > 0, makes this dentry the root of a range shootdown
+	// (see rangeMark): every descendant whose validGen predates the mark's
+	// generation must be lazily discharged before use — its PCC entries
+	// staled, and, if the mark's structural generation is newer too, its
+	// pre-mutation table entry and state dropped.
+	shootMark rangeMark
 
 	// touches counts slow-path populations declined by admission control;
 	// reset when the dentry changes identity (negative <-> positive).
@@ -155,7 +157,7 @@ func (fd *fastDentry) reset(self slab.Ref) {
 	fd.self = self
 	fd.seq.Store(0)
 	fd.validGen.Store(0)
-	fd.shootMark.Store(0)
+	fd.shootMark.w.Store(0)
 	fd.touches.Store(0)
 	fd.idx = 0
 	fd.sg = sig.Signature{}
@@ -251,6 +253,7 @@ func (c *Core) Stats() Stats {
 		NegHits:        ks.FastNegHits,
 		DLHTMiss:       c.stats.dlhtMiss.Load(),
 		PCCMiss:        c.stats.pccMiss.Load(),
+		Rechecks:       c.stats.rechecks.Load(),
 		DotDotChecks:   c.stats.dotDotChecks.Load(),
 		Populations:    c.stats.populations.Load(),
 		Invalidation:   c.stats.invalidations.Load(),
@@ -433,13 +436,12 @@ func (c *Core) tokenValid(token uint64) bool {
 	return cur == token && cur&1 == 0
 }
 
-// BeginMutation implements vfs.Hooks (§3.2): bump the invalidation epoch,
-// shoot down the subtree's fastpath state, and return the closure that
-// re-bumps the epoch when the mutation completes — and, on a shard, then
-// publishes the mutated path to the coherence log. The shootdown is timed
-// into the reason's mutation-side histogram and journaled: one epoch_bump
-// per edge, one seq_bump at the root.
-func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) func() {
+// BeginMutation implements vfs.Hooks (§3.2): bump the invalidation epoch
+// and shoot down the subtree's fastpath state; the bracket it returns
+// re-bumps the epoch when the mutation completes (EndMutation). The
+// shootdown is timed into the reason's mutation-side histogram and
+// journaled: one epoch_bump per edge, one seq_bump at the root.
+func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) vfs.Mutation {
 	tel := c.tele()
 	epoch := c.epoch.Add(1)
 	c.stats.invalidations.Add(1)
@@ -452,26 +454,28 @@ func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) func() {
 	if tel != nil {
 		tel.Record(invalHist(why), telemetry.Since(start))
 	}
-	end := func() {
-		epoch := c.epoch.Add(1)
-		if tel != nil {
-			// The even epoch is what marks this as the closing bump.
-			tel.Emit(telemetry.JEpochBump, d.ID(), int64(epoch), why.Note())
-		}
-	}
+	m := vfs.Mutation{Hooks: c, D: d, Why: why}
 	// Peer-applied invalidations never enter the log: republishing them
 	// would bounce every invalidation between shards forever.
-	log := c.coh.Load()
-	if log == nil || why == vfs.InvalRemote {
-		return end
+	if c.coh.Load() != nil && !why.Remote() {
+		// The path is read now, before a rename moves d, and published only
+		// once the mutation is done: a peer that applied the record any
+		// earlier could re-read the backend's old state and cache it for good.
+		m.Path = d.PathTo()
 	}
-	// The path is read now, before a rename moves d, and published only
-	// once the mutation is done: a peer that applied the record any
-	// earlier could re-read the backend's old state and cache it for good.
-	path := d.PathTo()
-	return func() {
-		end()
-		log.Publish(path, why.String())
+	return m
+}
+
+// EndMutation implements vfs.Hooks: the closing epoch bump and, on a
+// shard, the mutated path's publication to the coherence log.
+func (c *Core) EndMutation(m vfs.Mutation) {
+	epoch := c.epoch.Add(1)
+	if tel := c.tele(); tel != nil {
+		// The even epoch is what marks this as the closing bump.
+		tel.Emit(telemetry.JEpochBump, m.D.ID(), int64(epoch), m.Why.Note())
+	}
+	if m.Path != "" {
+		c.coh.Load().Publish(m.Path, m.Why.String())
 	}
 }
 
@@ -492,23 +496,27 @@ func (c *Core) Coherence() *coherence.Log {
 	return c.coh.Load()
 }
 
-// shoot is the one shootdown every mutation takes, whatever its reason
-// (DESIGN §5d). d itself is invalidated now: its seq bump stales the PCC
-// entries naming it, and its table entry, signature state and cached
-// symlink target go. If d has cached children it also becomes the root of
-// a range shootdown — one generation bump and d's shootMark — and every
-// descendant's state is discarded by fresh() on its first probe, O(1) here
-// instead of O(subtree). That covers permission changes as well as
-// structural ones because nothing consults a descendant's PCC entry, or
-// advances its validGen, without calling fresh() on it first.
+// shoot is the one shootdown every mutation takes (DESIGN §5d). d's seq
+// bump stales the PCC entries naming it. A structural change also drops
+// d's table entry, signature state and cached symlink target; a permission
+// change leaves them, because the path still names d (§3.2). If d has
+// cached children it becomes the root of a range shootdown of that class —
+// one generation bump and d's shootMark — and every descendant is
+// discharged by fresh() on its first probe, O(1) here instead of
+// O(subtree). That is sound because nothing consults a descendant's PCC
+// entry, or advances its validGen, without calling fresh() on it first.
 func (c *Core) shoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemetry) {
 	fd := fast(d)
 	if fd == nil {
 		return
 	}
-	kids := d.ChildCount()
-	c.bumpSeq(fd)
-	unpublish(tel, d, fd, telemetry.NoteShootdown)
+	kids, perm := d.ChildCount(), why.PermOnly()
+	if perm {
+		c.bumpPublished(fd)
+	} else {
+		c.bumpSeq(fd)
+		unpublish(tel, d, fd, telemetry.NoteShootdown)
+	}
 	if tel != nil {
 		tel.Emit(telemetry.JSeqBump, d.ID(), int64(kids), why.Note())
 	}
@@ -517,9 +525,49 @@ func (c *Core) shoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemet
 	}
 	gen := c.shootGen.Add(1)
 	c.stats.batchShootdowns.Add(1)
-	fd.shootMark.Store(gen)
+	fd.shootMark.stamp(gen, !perm)
 	if tel != nil {
 		tel.Emit(telemetry.JBatchShoot, d.ID(), int64(gen), why.Note())
+	}
+}
+
+// rangeMark is a dentry's shootMark word. It packs two shootdown
+// generations: the newest range mark of either class in the high bits and,
+// in the low markLagBits, how far behind it the newest *structural* mark
+// trails. A permission change therefore never hides the rename stamped
+// before it, and a rename's claim on the subtree ends with the descendants
+// that predate it instead of turning every later chmod of the directory
+// structural. The lag saturates: a structural mark older than markLagMax
+// generations reads as that old exactly, which can only over-discard.
+type rangeMark struct{ w atomic.Uint64 }
+
+const (
+	markLagBits = 20
+	markLagMax  = 1<<markLagBits - 1
+)
+
+// gens unpacks the mark: the newest generation of any class and the newest
+// structural one, both 0 on a dentry never marked.
+func (m *rangeMark) gens() (gen, structural uint64) {
+	w := m.w.Load()
+	gen = w >> markLagBits
+	return gen, gen - w&markLagMax
+}
+
+// stamp records a range shootdown at generation gen. Mutations of one
+// dentry can overlap (the bracket opens before any lock), hence the CAS.
+func (m *rangeMark) stamp(gen uint64, structural bool) {
+	for {
+		old := m.w.Load()
+		oldGen := old >> markLagBits
+		newGen := max(gen, oldGen)
+		lag := uint64(0)
+		if !structural {
+			lag = min((old&markLagMax)+newGen-oldGen, markLagMax)
+		}
+		if m.w.CompareAndSwap(old, newGen<<markLagBits|lag) {
+			return
+		}
 	}
 }
 
@@ -533,6 +581,17 @@ func (c *Core) bumpSeq(fd *fastDentry) {
 		// paper does for its 32-bit counters.
 		c.invalidateAllPCCs()
 	}
+}
+
+// bumpPublished is bumpSeq for a dentry that keeps its table entry: the
+// entry is re-stamped with the new version under mu, so "a live entry's
+// pubSeq is its dentry's seq" (the auditor's dlht_stale) still means a
+// bump that should have unpublished did not.
+func (c *Core) bumpPublished(fd *fastDentry) {
+	fd.mu.Lock()
+	c.bumpSeq(fd)
+	fd.pubSeq = fd.seq.Load()
+	fd.mu.Unlock()
 }
 
 // unpublish drops what the fastpath holds for d under its current path:
@@ -553,13 +612,16 @@ func unpublish(tel *telemetry.Telemetry, d *vfs.Dentry, fd *fastDentry, why tele
 	fd.mu.Unlock()
 }
 
-// fresh reports whether d's fastpath state postdates every range
-// shootdown covering it. The hot path is one load-and-compare; only a
-// generation mismatch climbs the ancestor chain looking for a shootMark
-// newer than d's validGen. A stale dentry gets here the per-dentry work
-// the shootdown deferred — seq bump (staling its PCC entries), table entry
-// and signature state dropped — and fresh returns false so the caller
-// falls back to the slow walk.
+// fresh reports whether d's table entry and signature state postdate every
+// structural range shootdown covering it. The hot path is one
+// load-and-compare; only a generation mismatch climbs the ancestor chain
+// for a mark newer than d's validGen. A covered dentry gets here the
+// per-dentry work the shootdown deferred. Under a structural mark that is
+// the seq bump (staling its PCC entries) and the table entry and state
+// dropped, and fresh returns false so the caller falls back to the slow
+// walk. Under permission marks only, the bump is all of it: the path still
+// names d, fresh returns true, and the caller's PCC probe — which must
+// read the seq after this call — misses and re-checks the prefix.
 //
 // Either way validGen then advances to the generation read *before* the
 // climb, and only if the invalidation epoch was even and unchanged across
@@ -582,43 +644,59 @@ func (c *Core) fresh(d *vfs.Dentry) bool {
 		return true
 	}
 	e1 := c.epoch.Load()
-	stale := c.markedAbove(d, vg) != nil
-	if stale {
+	at, structural := c.markedAbove(d, vg)
+	if at != nil {
 		c.stats.lazyShootdowns.Add(1)
-		c.bumpSeq(fd)
-		unpublish(c.tele(), d, fd, telemetry.NoteLazyShootdown)
+		if structural {
+			c.bumpSeq(fd)
+			unpublish(c.tele(), d, fd, telemetry.NoteLazyShootdown)
+		} else {
+			c.bumpPublished(fd)
+		}
 	}
 	if e1&1 == 0 && c.epoch.Load() == e1 {
 		fd.validGen.Store(gen)
 	}
-	return !stale
+	return !structural
 }
 
-// markedAbove returns the nearest of d and its ancestors whose shootMark
-// is newer than generation vg, or nil. Ancestors are those of d's
-// canonical path, as pathState spells it: at the root of the mount d's
-// signature was computed under, the climb continues from the mountpoint
-// (§4.3), so a chmod above a mountpoint covers the mounted tree too.
-func (c *Core) markedAbove(d *vfs.Dentry, vg uint64) *vfs.Dentry {
+// markedAbove climbs d's ancestors for range marks newer than generation
+// vg: at is the nearest one carrying such a mark (nil if none), and
+// structural whether any on the way up is of the structural class — so a
+// permission mark does not end the climb, a structural one does. d's own
+// mark is not consulted: it covers d's descendants, and the shootdown that
+// stamped it dealt with d itself. Ancestors are those of d's canonical
+// path, as pathState spells it: at the root of the mount d's signature was
+// computed under, the climb continues from the mountpoint (§4.3), so a
+// chmod above a mountpoint covers the mounted tree too.
+func (c *Core) markedAbove(d *vfs.Dentry, vg uint64) (at *vfs.Dentry, structural bool) {
 	var mnt *vfs.Mount
 	if fd := fast(d); fd != nil {
 		mnt = fd.mntP.Load()
 	}
-	for cur := d; cur != nil; {
-		cfd := fast(cur)
-		if cfd == nil {
-			return nil
-		}
-		if cfd.shootMark.Load() > vg {
-			return cur
-		}
+	for cur := d; ; {
 		if mnt != nil && cur == mnt.Root() {
 			cur, mnt = mnt.Mountpoint(), mnt.ParentMount()
 		} else {
 			cur = cur.Parent()
 		}
+		if cur == nil {
+			break
+		}
+		cfd := fast(cur)
+		if cfd == nil {
+			break
+		}
+		if gen, sgen := cfd.shootMark.gens(); gen > vg {
+			if at == nil {
+				at = cur
+			}
+			if sgen > vg {
+				return at, true
+			}
+		}
 	}
-	return nil
+	return at, false
 }
 
 // SweepStale walks every registered DLHT and lazily discards entries

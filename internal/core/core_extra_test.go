@@ -254,6 +254,14 @@ func TestSeqWraparoundInvalidatesAllPCCs(t *testing.T) {
 	// Warm a PCC entry for a stable path.
 	root.Stat("/etc/passwd")
 	root.Stat("/etc/passwd")
+	warm, err := root.Walk("/etc/passwd", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcc := c.pccFor(root.Cred())
+	if !pcc.Lookup(warm.D.ID(), dentrySeq(warm.D)) {
+		t.Fatal("no warm PCC entry to wipe: the test exercises nothing")
+	}
 	// Push another dentry's seq to the wrap boundary and trigger the
 	// final bump through an invalidation.
 	ref, err := root.Walk("/tmp", 0)
@@ -262,24 +270,22 @@ func TestSeqWraparoundInvalidatesAllPCCs(t *testing.T) {
 	}
 	fd := fast(ref.D)
 	fd.seq.Store(pccSeqMask - 1) // next two Add(1)s cross zero (mod 2^31)
-	end := c.BeginMutation(ref.D, vfs.InvalPerm)
-	end()
-	end = c.BeginMutation(ref.D, vfs.InvalPerm)
-	end()
-	// All PCCs were wiped: the previously warm path must slow-walk once.
-	slow := k.Stats().SlowWalks
-	if _, err := root.Stat("/etc/passwd"); err != nil {
-		t.Fatal(err)
-	}
-	if k.Stats().SlowWalks == slow {
+	flushes := c.Stats().PCCFlushes
+	c.BeginMutation(ref.D, vfs.InvalPerm).End()
+	c.BeginMutation(ref.D, vfs.InvalPerm).End()
+	// All PCCs were wiped, the unrelated warm entry included.
+	if c.Stats().PCCFlushes == flushes || pcc.Lookup(warm.D.ID(), dentrySeq(warm.D)) {
 		t.Fatal("PCCs survived a seq wraparound")
 	}
-	// And repopulate cleanly.
-	slow = k.Stats().SlowWalks
-	if _, err := root.Stat("/etc/passwd"); err != nil {
-		t.Fatal(err)
+	// And the path repopulates: its table entry stood, so the first stat
+	// re-checks the prefix in place and the second hits the PCC.
+	slow := k.Stats().SlowWalks
+	for i := 0; i < 2; i++ {
+		if _, err := root.Stat("/etc/passwd"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if k.Stats().SlowWalks != slow {
+	if k.Stats().SlowWalks != slow || !pcc.Lookup(warm.D.ID(), dentrySeq(warm.D)) {
 		t.Fatal("fastpath did not recover after wraparound wipe")
 	}
 }
@@ -296,7 +302,7 @@ func TestCoherencePublication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.BeginMutation(ref.D, vfs.InvalPerm)()
+	c.BeginMutation(ref.D, vfs.InvalPerm).End()
 	if c.Coherence().Head() != 0 {
 		t.Fatal("a Core that is not a shard published a record")
 	}
@@ -311,14 +317,16 @@ func TestCoherencePublication(t *testing.T) {
 	if log.Head() != 0 {
 		t.Fatal("record visible before the mutation ended")
 	}
-	end()
+	end.End()
 	recs, next, fell := log.Since(0)
 	if fell || next != 1 || len(recs) != 1 || recs[0].Path != "/home/alice" || recs[0].Note != vfs.InvalRename.String() {
 		t.Fatalf("after one rename: recs=%+v next=%d fell=%v", recs, next, fell)
 	}
-	c.BeginMutation(ref.D, vfs.InvalRemote)()
-	if log.Head() != 1 {
-		t.Fatal("a peer-applied invalidation was republished")
+	for _, why := range []vfs.Invalidation{vfs.InvalRemote, vfs.InvalRemotePerm} {
+		c.BeginMutation(ref.D, why).End()
+		if log.Head() != 1 {
+			t.Fatalf("a peer-applied invalidation (%d) was republished", why)
+		}
 	}
 }
 

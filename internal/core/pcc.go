@@ -74,8 +74,8 @@ func (t *pccTable) setFor(dentryID uint64) *pccSet {
 // are lock-free. The table starts at the paper's evaluated 64 KiB and —
 // implementing the production policy the paper leaves as future work
 // ("dynamically resize the PCC up to a maximum working set") — doubles
-// when sustained misses show the working set has outgrown it, up to a
-// configurable ceiling.
+// when sustained capacity evictions show the working set has outgrown it,
+// up to a configurable ceiling.
 type PCC struct {
 	table    atomic.Pointer[pccTable]
 	maxSets  int
@@ -86,11 +86,12 @@ type PCC struct {
 	// many worker goroutines, one uid) don't serialize on a counter line.
 	hits   stripe.Int64
 	misses stripe.Int64
-	// windowMiss drives the resize heuristic; it only needs to be
-	// approximately monotonic between resets, which a striped counter is.
-	windowMiss stripe.Int64
-	resizes    atomic.Int64
-	flushes    atomic.Int64
+	// windowEvict drives the resize heuristic (noteEviction); it only needs
+	// to be approximately monotonic between resets, which a striped counter
+	// is.
+	windowEvict stripe.Int64
+	resizes     atomic.Int64
+	flushes     atomic.Int64
 
 	// credID is the owning credential's ID — the subject under which
 	// flush/resize events are journaled. Zero for unattached unit-test
@@ -138,19 +139,24 @@ func (p *PCC) Lookup(dentryID, seq uint64) bool {
 		}
 	}
 	p.misses.Add(1)
-	p.noteMiss(t)
 	return false
 }
 
-// noteMiss drives the resize policy: when a window of misses larger than
-// the table's capacity accumulates, the working set has cycled the cache
-// at least once — double it.
-func (p *PCC) noteMiss(t *pccTable) {
+// noteEviction drives the resize policy: when a window of capacity
+// evictions larger than the table accumulates, the working set has cycled
+// the cache at least once — double it. What counts is an insert that had to
+// displace another dentry's entry. A lookup miss does not: most are
+// revocations (a seq bump staled the dentry's own entry, which the insert
+// that follows overwrites in place) or first touches that land in an empty
+// way, and neither says the table is too small — since a permission change
+// keeps DLHT entries, every revoked descendant that is re-read is such a
+// miss.
+func (p *PCC) noteEviction(t *pccTable) {
 	if len(t.sets) >= p.maxSets {
 		return
 	}
-	p.windowMiss.Add(1)
-	if p.windowMiss.Load() < int64(len(t.sets)*pccWays*2) {
+	p.windowEvict.Add(1)
+	if p.windowEvict.Load() < int64(len(t.sets)*pccWays*2) {
 		return
 	}
 	if !p.resizing.CompareAndSwap(false, true) {
@@ -191,7 +197,7 @@ func (p *PCC) noteMiss(t *pccTable) {
 		}
 	}
 	p.table.Store(bigger)
-	p.windowMiss.Reset()
+	p.windowEvict.Reset()
 	p.resizes.Add(1)
 	if tel != nil {
 		tel.Record(telemetry.HistPCCResize, telemetry.Since(copyStart))
@@ -208,17 +214,13 @@ func (p *PCC) Insert(dentryID, seq uint64) {
 	idBits := dentryID & 0xffffffff
 	// Prefer a way already holding this dentry (stale seq), then an
 	// invalid way, then the LRU victim.
-	victim := -1
+	victim, evicts := -1, true
 	var oldest uint32
 	ages := s.lru.Load()
 	for w := 0; w < pccWays; w++ {
 		cur := s.ways[w].Load()
-		if cur&pccValid == 0 {
-			victim = w
-			break
-		}
-		if cur&0xffffffff == idBits {
-			victim = w
+		if cur&pccValid == 0 || cur&0xffffffff == idBits {
+			victim, evicts = w, false
 			break
 		}
 		age := (ages >> (8 * w)) & 0xff
@@ -232,6 +234,9 @@ func (p *PCC) Insert(dentryID, seq uint64) {
 	}
 	s.ways[victim].Store(packed)
 	touch(s, victim)
+	if evicts {
+		p.noteEviction(t)
+	}
 }
 
 // touch ages every way and zeroes the touched one (racy by design).

@@ -335,16 +335,21 @@ func (c *Core) startTrusted(t *vfs.Task, start vfs.PathRef, pcc *PCC, token uint
 // seq, so an entry that gets past the second check carries a version the
 // shootdown has yet to bump, or belongs to a dentry whose validGen
 // predates the mark fresh() will find; a walk that stalled here across a
-// whole permission change inserts nothing.
-func (c *Core) memoize(pcc *PCC, d *vfs.Dentry, token uint64) {
-	if seq := dentrySeq(d); c.tokenValid(token) {
-		pcc.Insert(d.ID(), seq)
+// whole permission change inserts nothing, and memoize reports that.
+func (c *Core) memoize(pcc *PCC, d *vfs.Dentry, token uint64) bool {
+	seq := dentrySeq(d)
+	if !c.tokenValid(token) {
+		return false
 	}
+	pcc.Insert(d.ID(), seq)
+	return true
 }
 
 // verifyPrefix checks search permission on every ancestor of ref up to the
 // task root (climbing mounts), i.e. performs an absolute prefix check
-// against current metadata.
+// against current metadata. Every ancestor must be a live directory: a
+// negative or non-directory one (deep negatives, ENOTDIR chains) fails the
+// check and leaves the answer to the slow walk.
 func (c *Core) verifyPrefix(t *vfs.Task, ref vfs.PathRef) bool {
 	cred := t.Cred()
 	root := t.Root()
@@ -357,7 +362,7 @@ func (c *Core) verifyPrefix(t *vfs.Task, ref vfs.PathRef) bool {
 			return true // reached a detached or namespace root
 		}
 		ino := up.D.Inode()
-		if ino == nil || up.D.IsDead() {
+		if ino == nil || up.D.IsDead() || !up.D.IsDir() {
 			return false
 		}
 		if c.k.CheckExec(cred, up.Mnt, ino) != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,14 +94,18 @@ var revokeProbes = []struct {
 	path  string
 	lstat bool
 	want  error
+	// kept: the table holds the real dentry under this path's signature and
+	// no other route re-signs it, so the entry must outlive a permission
+	// change and answer through it (the link routes re-sign b and c).
+	kept bool
 }{
-	{path: "/top/a/b/f1"},
-	{path: "/top/a/b/c/file"},
+	{path: "/top/a/b/f1", kept: true},
+	{path: "/top/a/b/c/file", kept: true},
 	{path: "/top/a/b"},
 	{path: "/top/a/b/c/"},
-	{path: "a/b/f1"},       // cwd-relative, cwd outside the subtree
-	{path: "out/../a/b/c"}, // ".." on the way in
-	{path: "/top/link/f1"}, // through the symlink's alias dentries
+	{path: "a/b/f1", kept: true}, // cwd-relative, cwd outside the subtree
+	{path: "out/../a/b/c"},       // ".." on the way in
+	{path: "/top/link/f1"},       // through the symlink's alias dentries
 	{path: "/top/link/c/file"},
 	{path: "/top/link"},
 	{path: "/top/a/b/c/../f1"}, // ".." inside the subtree
@@ -169,6 +174,45 @@ func TestRevocationThroughRangeMark(t *testing.T) {
 			}
 			granted := fsapi.ToErrno
 			revoked := func(error) fsapi.Errno { return fsapi.EACCES }
+			// checkKept holds the kept routes to what the permission class
+			// promises, user by user: the table entry is still there and
+			// still answers the lookup (no DLHT miss), a revoked credential's
+			// prefix re-check fails and its EACCES comes from the slow walk
+			// it falls to, a granted one re-hits with no slow walk at all.
+			checkKept := func(stage string, isRevoked bool) {
+				t.Helper()
+				for ui, u := range opt.users {
+					for _, p := range revokeProbes {
+						if !p.kept {
+							continue
+						}
+						kb, cb := opt.k.Stats(), opt.c.Stats()
+						got := probeErrno(u, p.path, p.lstat)
+						slow, cs := opt.k.Stats().SlowWalks-kb.SlowWalks, opt.c.Stats()
+						wantErr, wantSlow := fsapi.ToErrno(p.want), int64(0)
+						if isRevoked {
+							wantErr, wantSlow = fsapi.EACCES, 1
+						}
+						if got != wantErr || slow != wantSlow || cs.DLHTMiss != cb.DLHTMiss || cs.PCCMiss-cb.PCCMiss != wantSlow {
+							t.Errorf("%s: user %d %q: %v after %d slow walks, %d DLHT misses, %d PCC misses; want %v after %d, 0, %d",
+								stage, ui, p.path, got, slow, cs.DLHTMiss-cb.DLHTMiss, cs.PCCMiss-cb.PCCMiss, wantErr, wantSlow, wantSlow)
+						}
+					}
+				}
+				for _, p := range []string{"top/a/b/f1", "top/a/b/c/file"} {
+					d := opt.k.RootDentry()
+					for _, name := range strings.Split(p, "/") {
+						d = d.Child(name)
+					}
+					fd := fast(d)
+					fd.mu.Lock()
+					published := fd.inTable != nil && fd.pubSeq == fd.seq.Load()
+					fd.mu.Unlock()
+					if !published {
+						t.Errorf("%s: /%s lost its table entry (or its pubSeq stamp) to a permission change", stage, p)
+					}
+				}
+			}
 			for round := 0; round < 2; round++ {
 				for i := 0; i < 4; i++ { // past admission, onto the hit path
 					check(fmt.Sprintf("round %d warm %d", round, i), granted)
@@ -207,12 +251,14 @@ func TestRevocationThroughRangeMark(t *testing.T) {
 					}
 				}
 				check(fmt.Sprintf("round %d revoked", round), revoked)
+				checkKept(fmt.Sprintf("round %d revoked", round), true)
 				check(fmt.Sprintf("round %d revoked again", round), revoked)
 				for _, r := range []*revokeRig{base, opt} {
 					if err := tc.restore(r.root); err != nil {
 						t.Fatal(err)
 					}
 				}
+				checkKept(fmt.Sprintf("round %d restored", round), false)
 			}
 			check("restored", granted)
 		})

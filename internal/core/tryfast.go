@@ -161,6 +161,9 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	}
 
 	idx, sg := cur.st.Sum()
+	// Read before the probe, for recheckPrefix: a token still valid after
+	// its climb vouches for everything from this lookup on.
+	token := c.epoch.Load()
 	d := dl.Lookup(idx, sg)
 	fs.lap(&fs.ph.HashLookup)
 	// Range-shootdown freshness: one generation compare on the hot path;
@@ -199,7 +202,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	// whose prefix check to them is memoized (nonexistence is information
 	// too).
 	if d.IsNegative() {
-		if !pcc.Lookup(d.ID(), dentrySeq(d)) {
+		if !pcc.Lookup(d.ID(), dentrySeq(d)) && !c.recheckPrefix(t, pcc, d, token, tr) {
 			c.stats.pccMiss.Add(1)
 			tr.Event(telemetry.EvPCCMiss, "negative")
 			return vfs.PathRef{}, nil, false
@@ -271,6 +274,9 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	if pccStart != 0 {
 		tel.Record(telemetry.HistPCC, telemetry.Since(pccStart))
 	}
+	if !hit && !c.cfg.ForcePCCMiss {
+		hit = c.recheckPrefix(t, pcc, d, token, tr)
+	}
 	fs.lap(&fs.ph.PermCheck)
 	if !hit || c.cfg.ForcePCCMiss {
 		c.stats.pccMiss.Add(1)
@@ -305,6 +311,7 @@ func (c *Core) checkPrefixDir(t *vfs.Task, dl *DLHT, pcc *PCC, cur *pathCursor) 
 		d = cur.base.D // cwd/root chain: referenced directories
 	} else {
 		idx, sg := cur.st.Sum()
+		token := c.epoch.Load() // before the probe, as in tryFast
 		d = dl.Lookup(idx, sg)
 		if d == nil {
 			c.stats.dlhtMiss.Add(1)
@@ -319,7 +326,7 @@ func (c *Core) checkPrefixDir(t *vfs.Task, dl *DLHT, pcc *PCC, cur *pathCursor) 
 				return false
 			}
 		}
-		if !pcc.Lookup(d.ID(), dentrySeq(d)) {
+		if !pcc.Lookup(d.ID(), dentrySeq(d)) && !c.recheckPrefix(t, pcc, d, token, nil) {
 			c.stats.pccMiss.Add(1)
 			return false
 		}
@@ -331,6 +338,41 @@ func (c *Core) checkPrefixDir(t *vfs.Task, dl *DLHT, pcc *PCC, cur *pathCursor) 
 		return false
 	}
 	return c.k.CheckExec(t.Cred(), mntOf(d, cur.base.Mnt), ino) == nil
+}
+
+// recheckPrefix answers a PCC miss on a table hit. The table says the path
+// names d and fresh has vouched for that, so all that is missing is this
+// credential's prefix check — after a permission change above d, or on the
+// credential's first visit, there is nothing else to re-learn. The check
+// is verifyPrefix, the one startTrusted already trusts: search permission
+// on every ancestor of d's canonical path, which is what the slow walk's
+// mayLookup tests component by component. token is the invalidation epoch
+// read before the table probe, and memoize re-validates it after the climb:
+// a mutation that began anywhere between the probe and that re-check —
+// a rename that moved d off the probed path as much as a chmod that lands
+// behind the climb — leaves the token stale, nothing is inserted and
+// nothing is answered. False sends the walk to the slow path, which also
+// owns every refusal: EACCES is never answered from here. Alias and
+// symlink dentries always go there (their entries vouch for the link's
+// path and pin a target), as does every dentry while bind mounts or cloned
+// namespaces exist (its parent chain is then one canonical path of
+// several, §4.3).
+//
+// Out of line: it is the miss branch of a frame sized for hits.
+//
+//go:noinline
+func (c *Core) recheckPrefix(t *vfs.Task, pcc *PCC, d *vfs.Dentry, token uint64, tr *telemetry.WalkTrace) bool {
+	fd := fast(d)
+	if fd == nil || d.Flags()&vfs.DAlias != 0 || d.IsSymlink() || c.k.AliasingEpoch() != 0 {
+		return false
+	}
+	mnt := fd.mntP.Load()
+	if mnt == nil || !c.verifyPrefix(t, vfs.PathRef{Mnt: mnt, D: d}) || !c.memoize(pcc, d, token) {
+		return false
+	}
+	c.stats.rechecks.Add(1)
+	tr.Event(telemetry.EvPCCMiss, "re-checked in place")
+	return true
 }
 
 // aliasTarget follows an alias dentry (already fresh) to the real dentry

@@ -7,7 +7,9 @@
 package lsm
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dircache/internal/cred"
 	"dircache/internal/fsapi"
@@ -42,43 +44,47 @@ type Module interface {
 
 // Stack is an ordered set of modules, evaluated in registration order with
 // deny-wins semantics. The zero value is an empty stack. Safe for
-// concurrent Check against concurrent (rare) Register.
+// concurrent Check against concurrent (rare) Register: the module list is
+// copied on Register and published through one pointer, so Empty and Check
+// — on every component of every prefix check — are one load, with no lock
+// word for every core to write.
 type Stack struct {
-	mu      sync.RWMutex
-	modules []Module
+	mu      sync.Mutex // serializes Register
+	modules atomic.Pointer[[]Module]
+}
+
+// list returns the registered modules; callers must not modify it.
+func (s *Stack) list() []Module {
+	if p := s.modules.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Register appends a module.
 func (s *Stack) Register(m Module) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.modules = append(s.modules, m)
+	mods := append(slices.Clip(s.list()), m) // clipped: append copies, readers keep theirs
+	s.modules.Store(&mods)
 }
 
 // Names lists registered module names in order.
 func (s *Stack) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, len(s.modules))
-	for i, m := range s.modules {
+	mods := s.list()
+	out := make([]string, len(mods))
+	for i, m := range mods {
 		out[i] = m.Name()
 	}
 	return out
 }
 
 // Empty reports whether no modules are registered (fast path for Check).
-func (s *Stack) Empty() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.modules) == 0
-}
+func (s *Stack) Empty() bool { return len(s.list()) == 0 }
 
 // Check runs every module; the first denial wins.
 func (s *Stack) Check(c *cred.Cred, inode InodeView, mask Mask) error {
-	s.mu.RLock()
-	mods := s.modules
-	s.mu.RUnlock()
-	for _, m := range mods {
+	for _, m := range s.list() {
 		if err := m.InodePermission(c, inode, mask); err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"dircache/internal/cred"
@@ -133,5 +134,50 @@ func TestPathACL(t *testing.T) {
 	// InodePermission is a pass-through.
 	if err := p.InodePermission(web, InodeView{}, MayWrite); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegisterRacesCheck: Check and Empty read the module list with one
+// load while Register publishes a copy, so a checker sees a whole list —
+// never a torn one — and, once Register has returned, the new module.
+func TestRegisterRacesCheck(t *testing.T) {
+	var s Stack
+	if !s.Empty() {
+		t.Fatal("zero Stack is not empty")
+	}
+	owner := cred.New(7, 7, nil, "confined")
+	view := InodeView{UID: 8}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Allowed until OwnerOnly lands, EACCES after: nothing else.
+				if err := s.Check(owner, view, MayWrite); err != nil && !errors.Is(err, fsapi.EACCES) {
+					t.Errorf("Check: %v", err)
+					return
+				}
+				_ = s.Empty()
+			}
+		}()
+	}
+	for i := 0; i < 64; i++ {
+		s.Register(NewLabelPolicy())
+	}
+	s.Register(OwnerOnly{})
+	if err := s.Check(owner, view, MayWrite); !errors.Is(err, fsapi.EACCES) {
+		t.Fatalf("Check after Register(OwnerOnly) = %v, want EACCES", err)
+	}
+	close(stop)
+	wg.Wait()
+	if got := len(s.Names()); got != 65 {
+		t.Fatalf("%d modules registered, want 65", got)
 	}
 }

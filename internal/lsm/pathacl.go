@@ -21,10 +21,7 @@ type PathModule interface {
 // CheckPath runs every registered module that mediates by pathname; the
 // first denial wins.
 func (s *Stack) CheckPath(c *cred.Cred, path string, mask Mask) error {
-	s.mu.RLock()
-	mods := s.modules
-	s.mu.RUnlock()
-	for _, m := range mods {
+	for _, m := range s.list() {
 		if pm, ok := m.(PathModule); ok {
 			if err := pm.PathPermission(c, path, mask); err != nil {
 				return err

@@ -194,7 +194,8 @@ const (
 // path and slow — equal the cold oracle's; the audit is clean; every
 // record reached every peer. A "perm" record on a cached path must do that
 // without evicting: chmod 000 on /srv/d turns uid 1000's fast hits below
-// it into EACCES on the peer while the children's dentries stay.
+// it into EACCES on the peer while the children's dentries — and their
+// DLHT entries — stay.
 func TestPeerAppliesRecord(t *testing.T) {
 	for _, wire := range []bool{false, true} {
 		for _, c := range applyCases {
@@ -275,6 +276,20 @@ func runApplyCase(t *testing.T, wire bool, c applyCase, held string) {
 			if n := sys.DentryCount(); n < resident[i] {
 				t.Errorf("shard %d holds %d dentries, %d before the perm record: it evicted", i, n, resident[i])
 			}
+			// The record keeps its class on the peer: the DLHT entries below
+			// /srv/d outlive it, so root — still granted — is answered from
+			// the table with its prefix re-checked in place.
+			p := sys.Start(dircache.RootCreds())
+			before := sys.Stats()
+			for _, f := range applyFiles {
+				if _, err := p.Stat(f); err != nil {
+					t.Errorf("shard %d: root's stat of %s after the perm record: %v", i, f, err)
+				}
+			}
+			if d := sys.Stats().Delta(before); d.DLHTMisses != 0 || d.SlowWalks != 0 {
+				t.Errorf("shard %d: the perm record unpublished: %d DLHT misses and %d slow walks re-reading %d files below it, want 0", i, d.DLHTMisses, d.SlowWalks, len(applyFiles))
+			}
+			p.Exit()
 		}
 	}
 	tr.oracle.DropCaches()

@@ -60,14 +60,19 @@ const (
 	// reported a mutation under the dentry; the local view is discarded
 	// wholesale rather than replayed.
 	InvalRemote
+	// InvalRemotePerm: a peer reported a permission change on the dentry
+	// and it is applied in place, as InvalPerm is; like InvalRemote it
+	// never re-enters the coherence log.
+	InvalRemotePerm
 )
 
 var invalNotes = [...]telemetry.Note{
-	InvalRename: telemetry.NoteRename,
-	InvalPerm:   telemetry.NotePerm,
-	InvalUnlink: telemetry.NoteUnlink,
-	InvalMount:  telemetry.NoteMount,
-	InvalRemote: telemetry.NoteRemote,
+	InvalRename:     telemetry.NoteRename,
+	InvalPerm:       telemetry.NotePerm,
+	InvalUnlink:     telemetry.NoteUnlink,
+	InvalMount:      telemetry.NoteMount,
+	InvalRemote:     telemetry.NoteRemote,
+	InvalRemotePerm: telemetry.NoteRemote,
 }
 
 // Note is the invalidation reason as the journal stores it.
@@ -81,6 +86,33 @@ func (i Invalidation) Note() telemetry.Note {
 // String names the invalidation reason (journal, coherence-record and
 // histogram labels).
 func (i Invalidation) String() string { return i.Note().String() }
+
+// PermOnly reports whether the mutation changes what a prefix check
+// through the dentry decides and nothing else: every cached path at or
+// below it still names the same dentry (§3.2).
+func (i Invalidation) PermOnly() bool { return i == InvalPerm || i == InvalRemotePerm }
+
+// Remote reports whether the mutation is a peer's, applied here.
+func (i Invalidation) Remote() bool { return i == InvalRemote || i == InvalRemotePerm }
+
+// Mutation is the open bracket BeginMutation returns — a value, so opening
+// one allocates nothing. The zero Mutation (no hooks installed) ends as a
+// no-op.
+type Mutation struct {
+	Hooks Hooks
+	D     *Dentry
+	Why   Invalidation
+	// Path is D's path as BeginMutation read it, for hooks that publish it
+	// once the mutation is done (a shard's coherence log); "" otherwise.
+	Path string
+}
+
+// End closes the bracket: call it when the change is complete.
+func (m Mutation) End() {
+	if m.Hooks != nil {
+		m.Hooks.EndMutation(m)
+	}
+}
 
 // Hooks is the seam through which internal/core installs the paper's §3/§4
 // fastpath. All methods must be safe for concurrent use. A nil Hooks means
@@ -120,10 +152,11 @@ type Hooks interface {
 	AliasStep(t *Task, aliasParent PathRef, name string, real PathRef) *Dentry
 
 	// BeginMutation is called before a structural or permission change
-	// rooted at d. The returned function is called when the change is
-	// complete. Hooks bump their invalidation epoch on both edges and
-	// shoot down cached state under d.
-	BeginMutation(d *Dentry, why Invalidation) (end func())
+	// rooted at d; the caller Ends the returned bracket when the change is
+	// complete, which calls EndMutation. Hooks bump their invalidation
+	// epoch on both edges and shoot down cached state under d.
+	BeginMutation(d *Dentry, why Invalidation) Mutation
+	EndMutation(m Mutation)
 
 	// OnEvict is called when a dentry leaves the cache (LRU eviction or
 	// final unlink teardown).
@@ -804,9 +837,9 @@ func (k *Kernel) DropCaches() int {
 }
 
 // beginMutation invokes the hooks' BeginMutation if installed.
-func (k *Kernel) beginMutation(d *Dentry, why Invalidation) func() {
+func (k *Kernel) beginMutation(d *Dentry, why Invalidation) Mutation {
 	if k.hooks == nil {
-		return func() {}
+		return Mutation{}
 	}
 	return k.hooks.BeginMutation(d, why)
 }

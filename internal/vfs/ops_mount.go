@@ -22,7 +22,7 @@ func (t *Task) Mount(fs fsapi.FileSystem, path string, flags MountFlags) (*Mount
 		return nil, fsapi.EBUSY // one mount per mountpoint per namespace
 	}
 	end := k.beginMutation(ref.D, InvalMount)
-	defer end()
+	defer end.End()
 
 	sb := k.superFor(fs)
 	m := &Mount{
@@ -57,7 +57,7 @@ func (t *Task) BindMount(srcPath, dstPath string, flags MountFlags) (*Mount, err
 		return nil, fsapi.EBUSY
 	}
 	end := k.beginMutation(dst.D, InvalMount)
-	defer end()
+	defer end.End()
 
 	m := &Mount{
 		id:         k.idGen.Add(1),
@@ -93,9 +93,9 @@ func (t *Task) Unmount(path string) error {
 	// Invalidate both sides: paths under the mountpoint change meaning,
 	// and the mounted tree's cached full-path state becomes unreachable.
 	end := k.beginMutation(m.mountpoint, InvalMount)
-	defer end()
+	defer end.End()
 	endRoot := k.beginMutation(m.root, InvalMount)
-	defer endRoot()
+	defer endRoot.End()
 	if !ns.removeMount(m) {
 		return fsapi.EINVAL
 	}

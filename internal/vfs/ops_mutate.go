@@ -75,7 +75,7 @@ func (k *Kernel) positivize(d *Dentry, ino *Inode) {
 		// not exist; the materialized path has real permissions that now
 		// gate them — invalidate before the dentry goes positive.
 		end := k.beginMutation(d, InvalPerm)
-		defer end()
+		defer end.End()
 	}
 	if d.Flags()&DDeepNegative != 0 {
 		// Deep negatives never entered the slow-walk hash table (the
@@ -339,9 +339,10 @@ func (t *Task) Unlink(path string) error {
 
 func (t *Task) unlink(path string) error {
 	k := t.k
-	e := k.gate.Enter()
-	defer k.gate.Exit(e)
+	// Deferred first, so the reap runs once the section has closed: inside
+	// it, the section pins the epoch short of what this operation retires.
 	defer k.reapSome()
+	defer k.leaveSection(k.gate.Enter(), k.lru.Epoch())
 	parent, name, err := t.walkParent(path)
 	if err != nil {
 		return err
@@ -367,7 +368,7 @@ func (t *Task) unlink(path string) error {
 	// (ENOTDIR deep negatives, symlink aliases) hang below it.
 	if d.nkids.Load() > 0 {
 		end := k.beginMutation(d, InvalUnlink)
-		defer end()
+		defer end.End()
 	}
 	unlock := k.lockBig()
 	defer unlock()
@@ -386,9 +387,8 @@ func (t *Task) Rmdir(path string) error {
 
 func (t *Task) rmdir(path string) error {
 	k := t.k
-	e := k.gate.Enter()
-	defer k.gate.Exit(e)
-	defer k.reapSome()
+	defer k.reapSome() // after the section closes, as in unlink
+	defer k.leaveSection(k.gate.Enter(), k.lru.Epoch())
 	parent, name, err := t.walkParent(path)
 	if err != nil {
 		return err
@@ -416,7 +416,7 @@ func (t *Task) rmdir(path string) error {
 	// a full shootdown is only needed when they exist.
 	if d.nkids.Load() > 0 {
 		end := k.beginMutation(d, InvalUnlink)
-		defer end()
+		defer end.End()
 	}
 	unlock := k.lockBig()
 	defer unlock()
@@ -504,9 +504,8 @@ func (t *Task) Rename(oldpath, newpath string) error {
 
 func (t *Task) rename(oldpath, newpath string) error {
 	k := t.k
-	e := k.gate.Enter()
-	defer k.gate.Exit(e)
-	defer k.reapSome()
+	defer k.reapSome() // after the section closes, as in unlink
+	defer k.leaveSection(k.gate.Enter(), k.lru.Epoch())
 	oldParent, oldName, err := t.walkParent(oldpath)
 	if err != nil {
 		return err
@@ -560,10 +559,10 @@ func (t *Task) rename(oldpath, newpath string) error {
 
 	// §3.2: shoot down cached fastpath state before the change.
 	endOld := k.beginMutation(d, InvalRename)
-	defer endOld()
+	defer endOld.End()
 	if target != nil {
 		endTgt := k.beginMutation(target, InvalUnlink)
-		defer endTgt()
+		defer endTgt.End()
 	}
 
 	unlock := k.lockBig()
@@ -628,7 +627,9 @@ func (t *Task) rename(oldpath, newpath string) error {
 	}
 
 	k.refreshInode(oldParent.D)
-	k.refreshInode(newParent.D)
+	if newParent.D != oldParent.D {
+		k.refreshInode(newParent.D)
+	}
 	k.refreshInode(d)
 	return nil
 }

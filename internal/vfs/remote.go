@@ -36,15 +36,17 @@ func splitAbs(path string) []string {
 // cached dentries only, because a path this instance never cached cannot
 // be stale here:
 //
-//   - full path cached: one beginMutation(InvalRemote) bracket on its
-//     dentry — epoch bump, seq bump and range mark, so every PCC and DLHT
-//     entry at or below it is revoked. Inside it a "perm" record on a
-//     positive dentry is applied as the local Chmod applies it: the
-//     inode's attributes are re-read from the backend (one GetNode, the
-//     only backend I/O here) and nothing is evicted. Every other note, a
+//   - full path cached: one beginMutation bracket on its dentry — epoch
+//     bump, seq bump and range mark, so every PCC entry at or below it is
+//     revoked. A "perm" record on a positive dentry is applied as the local
+//     Chmod applies it (InvalRemotePerm): the mark is of the permission
+//     class, so the DLHT entries at and below the dentry stay, the inode's
+//     attributes are re-read from the backend (one GetNode, the only
+//     backend I/O here) and nothing is evicted. Every other note, a
 //     negative dentry, and an inode the backend no longer knows take the
-//     teardown: the subtree is killed under the rename write lock and the
-//     parent loses DIR_COMPLETE (its child set changed remotely).
+//     teardown under an InvalRemote bracket: the subtree is killed under
+//     the rename write lock and the parent loses DIR_COMPLETE (its child
+//     set changed remotely).
 //   - parent cached but the final component is not: the parent's
 //     completeness and cached listing are dropped — a remotely created
 //     binding may now exist that an authoritative listing would miss.
@@ -59,7 +61,7 @@ func (k *Kernel) InvalidateCachedPath(path, note string) int {
 		// "/": the peer mutated the root itself. Kill every cached child
 		// subtree and drop root completeness.
 		end := k.beginMutation(d, InvalRemote)
-		defer end()
+		defer end.End()
 		unlock := k.lockBig()
 		defer unlock()
 		k.renameWriteLock()
@@ -86,13 +88,13 @@ func (k *Kernel) InvalidateCachedPath(path, note string) int {
 		d = child
 	}
 	parent := d.Parent()
-	end := k.beginMutation(d, InvalRemote)
-	defer end()
-	unlock := k.lockBig()
-	defer unlock()
-	if note == InvalPerm.String() && !d.IsNegative() && k.refreshInode(d) {
+	if note == InvalPerm.String() && !d.IsNegative() && k.applyRemotePerm(d) {
 		return 0
 	}
+	end := k.beginMutation(d, InvalRemote)
+	defer end.End()
+	unlock := k.lockBig()
+	defer unlock()
 	k.renameWriteLock()
 	defer k.renameWriteUnlock()
 	k.cacheMutBegin()
@@ -105,6 +107,17 @@ func (k *Kernel) InvalidateCachedPath(path, note string) int {
 		k.dropCompleteness(parent)
 	}
 	return n
+}
+
+// applyRemotePerm applies a peer's permission change to the positive
+// dentry d in place, in a bracket of its own: false when the backend no
+// longer knows the inode, and the caller's teardown bracket follows.
+func (k *Kernel) applyRemotePerm(d *Dentry) bool {
+	end := k.beginMutation(d, InvalRemotePerm)
+	defer end.End()
+	unlock := k.lockBig()
+	defer unlock()
+	return k.refreshInode(d)
 }
 
 // invalidateRemoteBinding handles the "parent cached, binding not" case:

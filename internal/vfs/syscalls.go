@@ -140,13 +140,11 @@ func (t *Task) Chmod(path string, mode fsapi.Mode) error {
 		return err
 	}
 	if ino.Mode().IsDir() {
-		// The shootdown retires the directory's DLHT node. Like unlink,
-		// rmdir and rename, a permission change ends with a reap — deferred
-		// first, so it runs after end() — or a chmod-only loop would fill
-		// that arena's limbo and reclaim nothing.
-		defer t.k.reapSome()
+		// A permission change retires nothing — the directory's table entry
+		// and its descendants' stay (§3.2) — so unlike unlink, rmdir and
+		// rename it ends without a reap.
 		end := t.k.beginMutation(ref.D, InvalPerm)
-		defer end()
+		defer end.End()
 	}
 	unlock := t.k.lockBig()
 	defer unlock()
@@ -182,9 +180,8 @@ func (t *Task) Chown(path string, uid, gid uint32) error {
 		return err
 	}
 	if ino.Mode().IsDir() {
-		defer t.k.reapSome() // after end(), as in Chmod
 		end := t.k.beginMutation(ref.D, InvalPerm)
-		defer end()
+		defer end.End()
 	}
 	unlock := t.k.lockBig()
 	defer unlock()
@@ -236,9 +233,8 @@ func (t *Task) SetLabel(path, label string) error {
 		return fsapi.ENOENT
 	}
 	if ino.Mode().IsDir() {
-		defer t.k.reapSome() // after end(), as in Chmod
 		end := t.k.beginMutation(ref.D, InvalPerm)
-		defer end()
+		defer end.End()
 	}
 	ino.SetLabel(label)
 	return nil

@@ -56,7 +56,8 @@ type CacheStats struct {
 	// Fastpath internals (zero when DirectLookup is off).
 	TryFast         int64
 	DLHTMisses      int64
-	PCCMisses       int64
+	PCCMisses       int64 // fastpath attempts that fell to the slow walk on the prefix check
+	PrefixRechecks  int64 // PCC misses on a table hit answered by re-checking the prefix in place (hits, not misses)
 	DotDotChecks    int64
 	Populations     int64
 	Invalidations   int64
@@ -167,6 +168,7 @@ func (s *System) Stats() CacheStats {
 		out.TryFast = c.TryFast
 		out.DLHTMisses = c.DLHTMiss
 		out.PCCMisses = c.PCCMiss
+		out.PrefixRechecks = c.Rechecks
 		out.DotDotChecks = c.DotDotChecks
 		out.Populations = c.Populations
 		out.Invalidations = c.Invalidation

@@ -1,6 +1,7 @@
 # Build/test entry points. `make ci` is the tier-1 gate: vet + tests +
 # the race detector (stress tests in internal/vfs and internal/core run
-# concurrent walks against rename/chmod/Shrink under the detector,
+# concurrent walks against rename/chmod/Shrink and hash-table probes
+# against the table's doublings under the detector,
 # internal/telemetry races recording against export,
 # internal/coherence races eight publishers against a reader, and
 # internal/ninep runs its reader, resident workers and clients together).
@@ -23,7 +24,7 @@ help:
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
 	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
-	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build stays within one arena chunk and a chmod-only loop retires no DLHT node, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
+	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop retires no DLHT node, a System with 1000 files holds <= 1.5 MB of table and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch; then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
@@ -87,9 +88,12 @@ bench-hotpath:
 # must report 0 allocs/op (awk gates the -benchmem column so a regression
 # fails the target, not just prints a number) — and evicted slots must
 # come back: 9600 creates into a 4096-dentry cache reclaim as they go and
-# never grow the dentry arena past its first chunk, and a loop of nothing
-# but chmod/chown/setlabel of one directory retires no DLHT node at all
-# (a permission change keeps the table entries). Population of a path
+# never use more dentry slots than the capacity and a quarter, and a loop
+# of nothing but chmod/chown/setlabel of one directory retires no DLHT node
+# at all (a permission change keeps the table entries). What a System holds
+# follows what it caches: an optimized one with 1000 files accounts for at
+# most 1.5 MB of hash table and arena bytes (TestFreshSystemFootprint).
+# Population of a path
 # the inline cursor holds allocates nothing either, nor does publishing a
 # dentry's own state, so a chmod and the first stat behind its range mark
 # allocate 1 between them (SetAttr's *Mode, the cache-less kernel's too)
@@ -100,7 +104,7 @@ bench-hotpath:
 # may move to the heap (a cursor that escapes costs an allocation per
 # walk that no test of a warm path would otherwise name).
 memscale-smoke:
-	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestEvictingCreatesReclaimSlab|TestChmodLoopReclaimsDLHTNodes' -count=1 .
+	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestEvictingCreatesReclaimSlab|TestChmodLoopReclaimsDLHTNodes|TestFreshSystemFootprint' -count=1 .
 	$(GO) test -run 'TestLexicalHashZeroAlloc' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelWalk/optimized/goroutines-1$$' -benchtime 2000x -benchmem . | \
 		tee /dev/stderr | awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad=1 } END { exit bad }'

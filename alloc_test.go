@@ -172,8 +172,10 @@ func TestEvictingReadsReclaimSlab(t *testing.T) {
 // parent walk's reclaim nor Shrink's can clear the grace period of the
 // slots their installs evict, and a build step that only creates has no
 // later mutation tail either. The create must reclaim after it leaves its
-// section, or every evicted dentry sits in limbo and the arena grows a
-// second chunk for a cache that fits in half of one.
+// section, or every evicted dentry sits in limbo and the arena hands out a
+// fresh slot per create: the slots it has ever handed out (each is live,
+// free or in limbo) must stay near the cache's capacity — the eviction
+// batch and a reap's worth of limbo above it — not near the create count.
 func TestEvictingCreatesReclaimSlab(t *testing.T) {
 	const dirs, files, capacity = 480, 20, 4096
 	cfg := dircache.Optimized()
@@ -195,9 +197,39 @@ func TestEvictingCreatesReclaimSlab(t *testing.T) {
 		}
 	}
 	m := sys.MemStats().Dentries
-	if m.Limbo > 512 || m.Reclaimed == 0 || m.Chunks != 1 {
-		t.Fatalf("after %d creates at capacity %d: dentry arena limbo=%d reclaimed=%d chunks=%d (retired %d), want limbo <= 512, reclaimed > 0, 1 chunk",
-			dirs*files, capacity, m.Limbo, m.Reclaimed, m.Chunks, m.Retired)
+	used := m.Live + m.Free + m.Limbo
+	if m.Limbo > 512 || m.Reclaimed == 0 || used > capacity+capacity/4 {
+		t.Fatalf("after %d creates at capacity %d: dentry arena limbo=%d reclaimed=%d slots used=%d (retired %d), want limbo <= 512, reclaimed > 0, used <= %d",
+			dirs*files, capacity, m.Limbo, m.Reclaimed, used, m.Retired, capacity+capacity/4)
+	}
+}
+
+// TestFreshSystemFootprint: what a System holds follows what it caches. The
+// hash table starts at a thousand buckets and an arena's first chunk at a
+// thousand slots, so an optimized System with a thousand files accounts for
+// 0.45 MB of table and arena bytes; with the table and chunks sized for
+// millions of names it was 6.3 MB, 5.6 of them before the first create. The
+// bound is there so that fixed cost cannot come back unnoticed.
+func TestFreshSystemFootprint(t *testing.T) {
+	cfg := dircache.Optimized()
+	cfg.SignatureSeed = 1
+	sys := dircache.New(cfg)
+	p := sys.Start(dircache.RootCreds())
+	if err := p.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if err := p.Create(fmt.Sprintf("/d/f%03d", i), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := sys.MemStats()
+	if m.Table.Entries < 1000 || m.Dentries.Live < 1000 || m.FastDentries.Live < 1000 {
+		t.Fatalf("the files are not all cached: %+v", m)
+	}
+	const bound = 3 << 19 // 1.5 MB
+	if got := m.Bytes(); got > bound {
+		t.Fatalf("table + arenas hold %d bytes for 1000 files, want <= %d: %+v", got, bound, m)
 	}
 }
 

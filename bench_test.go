@@ -281,6 +281,53 @@ func BenchmarkShrink(b *testing.B) {
 	}
 }
 
+// BenchmarkSlowWalkAtScale is the other end of sizing the dentry hash table
+// by what it holds: a cache-less-fastpath (Baseline) system's Stat of
+// resident 4-component paths — four table probes each — with 1<<16 and
+// 1<<20 dentries resident. The table doubles as it fills, so the mean
+// chain is at most one node at either size; at the fixed 1<<18 buckets it
+// replaced, 1<<20 names meant a mean chain of four on every component.
+// Reported, not gated. -short leaves out the 1<<20 row, which needs about
+// a gigabyte.
+func BenchmarkSlowWalkAtScale(b *testing.B) {
+	for _, size := range []int{1 << 16, 1 << 20} {
+		if size > 1<<16 && testing.Short() {
+			continue
+		}
+		b.Run(fmt.Sprintf("dentries-%d", size), func(b *testing.B) {
+			sys := dircache.New(dircache.Baseline())
+			p := sys.Start(dircache.RootCreds())
+			if err := p.Mkdir("/s", 0o755); err != nil {
+				b.Fatal(err)
+			}
+			var paths []string
+			for d := 0; sys.DentryCount() < size; d++ {
+				for e := 0; e < 16; e++ {
+					dir := fmt.Sprintf("/s/d%04d/e%02d", d, e)
+					if err := p.MkdirAll(dir, 0o755); err != nil {
+						b.Fatal(err)
+					}
+					for f := 0; f < 16; f++ {
+						if err := p.Create(fmt.Sprintf("%s/f%02d", dir, f), 0o644); err != nil {
+							b.Fatal(err)
+						}
+					}
+					paths = append(paths, dir+"/f07")
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Stat(paths[(i*7919)%len(paths)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			empty, one, two, more := sys.BucketStats()
+			b.ReportMetric(float64(sys.DentryCount())/float64(empty+one+two+more), "names/bucket")
+		})
+	}
+}
+
 // BenchmarkParallelWalk measures warm-path lookup throughput under
 // concurrency: N goroutines all stat the same deep path. "baseline" takes
 // the slow walk (hash-table hits + LRU accounting); "optimized" takes the

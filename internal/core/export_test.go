@@ -1,6 +1,10 @@
 package core
 
 import (
+	"reflect"
+	"sync/atomic"
+	"unsafe"
+
 	"dircache/internal/cred"
 	"dircache/internal/fsapi"
 	"dircache/internal/lsm"
@@ -44,4 +48,15 @@ func (g *permGate) InodePermission(c *cred.Cred, ino lsm.InodeView, mask lsm.Mas
 		g.fire()
 	}
 	return nil
+}
+
+// leakInLookup is the in-lookup protocol's injected fault: it sets
+// DInLookup on a dentry that resolved and was published long ago, which is
+// what a resolved miss that never cleared the flag leaves in the DLHT. The
+// flag word is the kernel's own and nothing exported writes it, so the
+// fault reaches it by address; like withoutShootMark it is made after the
+// fact, and the kernel carries no hook for it.
+func leakInLookup(d *vfs.Dentry) {
+	f := reflect.ValueOf(d).Elem().FieldByName("flags")
+	(*atomic.Uint32)(unsafe.Pointer(f.UnsafeAddr())).Or(uint32(vfs.DInLookup))
 }

@@ -29,24 +29,29 @@ func inLookupFixture(t *testing.T) (*vfs.Kernel, *Core, *vfs.Task) {
 }
 
 // TestAuditCatchesLeakedInLookup injects the one bug the dlht_in_lookup
-// check exists for: a resolved miss that never clears its DInLookup flag.
-// The leaked placeholder gets published to the DLHT by the slow-walk
-// hooks (population only screens for dead dentries), and the auditor must
-// flag it. The control half proves the same workload without the injected
-// bug audits clean while still exercising the check.
+// check exists for: a resolved miss that never cleared its DInLookup flag
+// and was published to the DLHT all the same (population only screens for
+// dead dentries). The auditor must flag it. The control half proves the
+// same workload without the injected bug audits clean while still
+// exercising the check.
 func TestAuditCatchesLeakedInLookup(t *testing.T) {
 	run := func(t *testing.T, inject bool) audit.Report {
 		t.Helper()
 		k, c, root := inLookupFixture(t)
-		k.TestSkipInLookupClear(inject)
 		k.DropCaches()
-		// Cold walks resolve every component through missLookup; with the
-		// bug injected each resolved dentry keeps DInLookup set. Walk twice
+		// Cold walks resolve every component through missLookup. Walk twice
 		// so admission and publication definitely happen.
 		for i := 0; i < 2; i++ {
 			if _, err := root.Stat("/a/b/file"); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if inject {
+			ref, err := root.Walk("/a/b/file", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leakInLookup(ref.D)
 		}
 		rep := audit.New(k, c).RunUntilValid(5)
 		if !rep.Valid {

@@ -29,6 +29,7 @@ package slab
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Handle addresses a slot in one arena. 0 is the nil handle.
@@ -53,9 +54,15 @@ func (r Ref) Pack() uint64 { return uint64(r.H)<<32 | uint64(r.G) }
 // Unpack decodes a ref packed by Pack.
 func Unpack(v uint64) Ref { return Ref{H: Handle(v >> 32), G: uint32(v)} }
 
-// DefaultChunkLog2 is the default chunk size: 2^13 = 8192 slots per
-// chunk, large enough that a 10M-entry cache is ~1200 chunk headers.
-const DefaultChunkLog2 = 13
+// DefaultChunkLog2 is the default chunk size: 2^10 = 1024 slots per
+// chunk. A chunk is what an arena costs before its first slot is used and
+// what it wastes at the end, so it is sized for the small cache — a
+// dentry-sized arena starts at 164 KB, not 1.3 MB — while a 10M-entry
+// cache is still only ~9800 chunk headers behind a 78 KB directory.
+// BenchmarkArenaChunkSize is the measurement: against 2^13, Alloc on a
+// growing arena reads +4% and Resolve within its noise; at 2^8 Alloc
+// reads +20%.
+const DefaultChunkLog2 = 10
 
 // Options configures an arena.
 type Options struct {
@@ -292,8 +299,9 @@ func (a *Arena[T]) Reclaim(max int) int {
 // Stats is a point-in-time snapshot of arena occupancy.
 type Stats struct {
 	// Chunks is the number of allocated slabs; Slots their total
-	// capacity.
+	// capacity; Bytes what the slots and their generation words occupy.
 	Chunks, Slots int
+	Bytes         int64
 	// Live is the number of in-use slots; Free the free-list depth;
 	// Limbo the retired-awaiting-grace count.
 	Live, Free, Limbo int64
@@ -304,9 +312,12 @@ type Stats struct {
 // Stats snapshots the arena.
 func (a *Arena[T]) Stats() Stats {
 	chunks := *a.chunks.Load()
+	slots := len(chunks) << a.log2
+	var zero T
 	return Stats{
 		Chunks:    len(chunks),
-		Slots:     len(chunks) << a.log2,
+		Slots:     slots,
+		Bytes:     int64(slots) * int64(unsafe.Sizeof(zero)+unsafe.Sizeof(atomic.Uint32{})),
 		Live:      a.live.Load(),
 		Free:      a.freeLen.Load(),
 		Limbo:     a.limboLen.Load(),

@@ -1,6 +1,7 @@
 package slab
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -243,5 +244,40 @@ func TestArenaConcurrentChurn(t *testing.T) {
 	}
 	if s.Retired != s.Reclaimed {
 		t.Fatalf("retired %d != reclaimed %d", s.Retired, s.Reclaimed)
+	}
+}
+
+// BenchmarkArenaChunkSize prices the chunk-size choice behind
+// DefaultChunkLog2 on the two things it could move: Alloc while the arena
+// grows (a chunk is three allocations plus its zeroing, spread over its
+// slots) and Resolve over everything allocated (one more directory entry
+// per chunk to keep cached). The slot is dentry-sized and an arena holds
+// 1<<16 of them (10 MB) however long the benchmark runs.
+func BenchmarkArenaChunkSize(b *testing.B) {
+	type slot [160]byte
+	const held = 1 << 16
+	for _, log2 := range []int{8, 10, 13} {
+		b.Run(fmt.Sprintf("alloc/log2-%d", log2), func(b *testing.B) {
+			var a *Arena[slot]
+			for i := 0; i < b.N; i++ {
+				if i%held == 0 {
+					a = New[slot](NewGate(), Options{ChunkLog2: log2})
+				}
+				a.Alloc()
+			}
+		})
+		b.Run(fmt.Sprintf("resolve/log2-%d", log2), func(b *testing.B) {
+			a := New[slot](NewGate(), Options{ChunkLog2: log2})
+			refs := make([]Ref, held)
+			for i := range refs {
+				refs[i], _ = a.Alloc()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if a.Resolve(refs[(i*7919)&(held-1)]) == nil {
+					b.Fatal("live ref did not resolve")
+				}
+			}
+		})
 	}
 }

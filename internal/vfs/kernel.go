@@ -379,17 +379,7 @@ type Kernel struct {
 	// exist. Introspection needs a dedicated counter because placeholders
 	// are deliberately invisible to the LRU-based dentry iteration.
 	inLookupCount atomic.Int64
-
-	// testSkipInLookupClear is an injected bug for the invariant auditor's
-	// tests: when set, missLookup resolves placeholders without clearing
-	// DInLookup, so subsequently-published dentries leak the flag into the
-	// DLHT — which the dlht_in_lookup audit must catch.
-	testSkipInLookupClear bool
 }
-
-// TestSkipInLookupClear injects the leave-DInLookup-set bug (auditor
-// tests only; see the field comment).
-func (k *Kernel) TestSkipInLookupClear(on bool) { k.testSkipInLookupClear = on }
 
 // InLookupCount reports how many in-lookup placeholders currently exist.
 func (k *Kernel) InLookupCount() int64 { return k.inLookupCount.Load() }
@@ -680,6 +670,9 @@ func (k *Kernel) DentryFromRef(r slab.Ref) *Dentry {
 func (k *Kernel) MemStats() (dentries, chainNodes slab.Stats, limbo int64, swept uint64) {
 	return k.dentries.Stats(), k.table.nodes.Stats(), k.limboLen.Load(), k.swept.Load()
 }
+
+// TableStats reports the (parent, name) hash table's size and growth.
+func (k *Kernel) TableStats() TableStats { return k.table.stats() }
 
 // CheckSlabLiveness scans the references the cache holds into the dentry
 // arena — every cached dentry's child map, every hash-table chain — for

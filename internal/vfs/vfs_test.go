@@ -656,7 +656,7 @@ func TestHashChainStats(t *testing.T) {
 		root.Create(fmt.Sprintf("/tmp/c%d", i), 0o644)
 	}
 	empty, one, two, more := k.ChainStats()
-	if empty+one+two+more != hashBuckets {
+	if empty+one+two+more != int(k.table.stats().Buckets) {
 		t.Fatalf("bucket accounting: %d %d %d %d", empty, one, two, more)
 	}
 	if one+two+more == 0 {

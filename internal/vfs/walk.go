@@ -791,9 +791,7 @@ func (k *Kernel) resolveMiss(parent *Dentry, pIno *Inode, comp string, d *Dentry
 }
 
 // resolvePositive publishes the placeholder as a live positive dentry:
-// inode attached, DInLookup cleared, hash table and LRU entered. The
-// injected testSkipInLookupClear bug leaves the flag set so the auditor's
-// dlht_in_lookup cross-check has a real leak to catch.
+// inode attached, DInLookup cleared, hash table and LRU entered.
 func (k *Kernel) resolvePositive(parent *Dentry, comp string, d *Dentry, il *inLookupState, ino *Inode) (*Dentry, error) {
 	k.cacheMutBegin()
 	parent.mu.Lock()
@@ -806,9 +804,7 @@ func (k *Kernel) resolvePositive(parent *Dentry, comp string, d *Dentry, il *inL
 		return nil, errSeqRetry
 	}
 	d.inode.Store(ino)
-	if !k.testSkipInLookupClear {
-		d.clearFlags(DInLookup)
-	}
+	d.clearFlags(DInLookup)
 	parent.mu.Unlock()
 	k.table.insert(parent.id, comp, d)
 	k.lru.add(d)
@@ -835,9 +831,7 @@ func (k *Kernel) resolveNegative(parent *Dentry, comp string, d *Dentry, il *inL
 		return
 	}
 	d.setFlags(DNegative)
-	if !k.testSkipInLookupClear {
-		d.clearFlags(DInLookup)
-	}
+	d.clearFlags(DInLookup)
 	parent.mu.Unlock()
 	k.table.insert(parent.id, comp, d)
 	k.lru.add(d)

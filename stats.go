@@ -5,6 +5,7 @@ import (
 
 	"dircache/internal/lsm"
 	"dircache/internal/slab"
+	"dircache/internal/vfs"
 )
 
 // CacheStats aggregates directory cache counters: the VFS-level counters
@@ -189,11 +190,13 @@ func (s *System) Stats() CacheStats {
 }
 
 // ArenaStats describes one slab arena's occupancy: how many chunks and
-// slots it holds, how the slots split across in-use / free-list /
-// awaiting-grace states, and the cumulative retire/reclaim traffic.
+// slots it holds and the bytes they occupy, how the slots split across
+// in-use / free-list / awaiting-grace states, and the cumulative
+// retire/reclaim traffic.
 type ArenaStats struct {
 	Chunks int   `json:"chunks"`
 	Slots  int   `json:"slots"`
+	Bytes  int64 `json:"bytes"`
 	Live   int64 `json:"live"`
 	Free   int64 `json:"free"`
 	Limbo  int64 `json:"limbo"` // retired, awaiting epoch grace
@@ -202,12 +205,19 @@ type ArenaStats struct {
 	Reclaimed uint64 `json:"reclaimed"`
 }
 
-// MemStats reports the slab-arena memory picture behind the dentry
-// cache: per-arena occupancy for the four arenas (dentries and baseline
-// hash-chain nodes in the kernel; fast-dentry side tables and DLHT chain
-// nodes in the fastpath), plus the deferred-teardown queue depth and the
-// cumulative count of teardown records the sweeper has processed.
+// TableStats describes the (parent, name) hash table the slow walk
+// probes: buckets, linked chain nodes, doublings and bucket-array bytes.
+type TableStats = vfs.TableStats
+
+// MemStats reports the memory picture behind the dentry cache — what a
+// System holds that grows with what it caches: per-arena occupancy for
+// the four arenas (dentries and baseline hash-chain nodes in the kernel;
+// fast-dentry side tables and DLHT chain nodes in the fastpath) and the
+// hash table's bucket array, plus the deferred-teardown queue depth and
+// the cumulative count of teardown records the sweeper has processed.
 type MemStats struct {
+	Table TableStats `json:"table"`
+
 	Dentries   ArenaStats `json:"dentries"`
 	ChainNodes ArenaStats `json:"chain_nodes"`
 	// FastDentries and DLHTNodes are zero when DirectLookup is off.
@@ -222,6 +232,7 @@ type MemStats struct {
 func (s *System) MemStats() MemStats {
 	d, cn, limbo, swept := s.k.MemStats()
 	out := MemStats{
+		Table:      s.k.TableStats(),
 		Dentries:   arenaStats(d),
 		ChainNodes: arenaStats(cn),
 		LimboQueue: limbo,
@@ -235,16 +246,27 @@ func (s *System) MemStats() MemStats {
 	return out
 }
 
+// Bytes is what the snapshot accounts for: the hash table's bucket array
+// and the four arenas' slots. It is the part of a System's footprint that
+// follows the number of cached names; the fixed-size structures beside it
+// (each DLHT, the signature key, telemetry's rings) are listed in DESIGN
+// §5g.
+func (s MemStats) Bytes() int64 {
+	return s.Table.Bytes + s.Dentries.Bytes + s.ChainNodes.Bytes + s.FastDentries.Bytes + s.DLHTNodes.Bytes
+}
+
 // counters flattens the snapshot into the telemetry exporter's flat
 // counter namespace (source "mem"): per-arena occupancy gauges
-// (<arena>_live/_free/_limbo/_slots/_chunks) and cumulative reclamation
-// traffic (<arena>_retired/_reclaimed), plus the teardown queue depth
+// (<arena>_live/_free/_limbo/_slots/_chunks/_bytes) and cumulative
+// reclamation traffic (<arena>_retired/_reclaimed), the hash table's
+// table_buckets/_entries/_resizes/_bytes, plus the teardown queue depth
 // and sweep total.
 func (s MemStats) counters() map[string]int64 {
-	out := make(map[string]int64, 32)
+	out := make(map[string]int64, 40)
 	arena := func(prefix string, a ArenaStats) {
 		out[prefix+"_chunks"] = int64(a.Chunks)
 		out[prefix+"_slots"] = int64(a.Slots)
+		out[prefix+"_bytes"] = a.Bytes
 		out[prefix+"_live"] = a.Live
 		out[prefix+"_free"] = a.Free
 		out[prefix+"_limbo"] = a.Limbo
@@ -255,6 +277,10 @@ func (s MemStats) counters() map[string]int64 {
 	arena("chain_nodes", s.ChainNodes)
 	arena("fast_dentries", s.FastDentries)
 	arena("dlht_nodes", s.DLHTNodes)
+	out["table_buckets"] = s.Table.Buckets
+	out["table_entries"] = s.Table.Entries
+	out["table_resizes"] = int64(s.Table.Resizes)
+	out["table_bytes"] = s.Table.Bytes
 	out["limbo_queue"] = s.LimboQueue
 	out["swept"] = int64(s.Swept)
 	return out
@@ -262,7 +288,7 @@ func (s MemStats) counters() map[string]int64 {
 
 func arenaStats(v slab.Stats) ArenaStats {
 	return ArenaStats{
-		Chunks: v.Chunks, Slots: v.Slots,
+		Chunks: v.Chunks, Slots: v.Slots, Bytes: v.Bytes,
 		Live: v.Live, Free: v.Free, Limbo: v.Limbo,
 		Retired: v.Retired, Reclaimed: v.Reclaimed,
 	}

@@ -81,6 +81,12 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"dircache_walk_latency_seconds_bucket",
 		"dircache_walk_latency_seconds_count",
 		`dircache_stat{source="system",name="Lookups"}`,
+		// What the cache holds, from the running process (DESIGN §6).
+		`dircache_stat{source="mem",name="dentries_bytes"}`,
+		`dircache_stat{source="mem",name="table_buckets"}`,
+		`dircache_stat{source="mem",name="table_entries"}`,
+		`dircache_stat{source="mem",name="table_resizes"}`,
+		`dircache_stat{source="mem",name="table_bytes"}`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics output missing %q", want)

@@ -207,9 +207,10 @@ func TestEvictingCreatesReclaimSlab(t *testing.T) {
 // TestFreshSystemFootprint: what a System holds follows what it caches. The
 // hash table starts at a thousand buckets and an arena's first chunk at a
 // thousand slots, so an optimized System with a thousand files accounts for
-// 0.45 MB of table and arena bytes; with the table and chunks sized for
-// millions of names it was 6.3 MB, 5.6 of them before the first create. The
-// bound is there so that fixed cost cannot come back unnoticed.
+// 0.46 MB of table and arena bytes, the namespace's DLHT buckets (12 KB)
+// among them; with the table and chunks sized for millions of names it was
+// 6.3 MB, 5.6 of them before the first create. The bound is there so that
+// fixed cost cannot come back unnoticed.
 func TestFreshSystemFootprint(t *testing.T) {
 	cfg := dircache.Optimized()
 	cfg.SignatureSeed = 1
@@ -226,6 +227,9 @@ func TestFreshSystemFootprint(t *testing.T) {
 	m := sys.MemStats()
 	if m.Table.Entries < 1000 || m.Dentries.Live < 1000 || m.FastDentries.Live < 1000 {
 		t.Fatalf("the files are not all cached: %+v", m)
+	}
+	if m.DLHT.Buckets == 0 || m.DLHT.Bytes > 16<<10 {
+		t.Fatalf("the DLHT's bucket array holds %d bytes for %d entries, want <= 16 KB (it was 2^16 heads, 258 KB, at any size): %+v", m.DLHT.Bytes, m.DLHT.Entries, m.DLHT)
 	}
 	const bound = 3 << 19 // 1.5 MB
 	if got := m.Bytes(); got > bound {

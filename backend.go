@@ -131,16 +131,6 @@ func (b *Backend) SimulatedIONanos() int64 { return b.clock.Nanos() }
 // ResetSimulatedIO zeroes the simulated-latency accumulator.
 func (b *Backend) ResetSimulatedIO() { b.clock.Reset() }
 
-// RemoteRoundTrips reports the total simulated server messages for remote
-// backends (0 otherwise) — the RPC-counted ground truth cold-path benches
-// assert on.
-func (b *Backend) RemoteRoundTrips() int64 {
-	if b.remote == nil {
-		return 0
-	}
-	return b.remote.RoundTrips()
-}
-
 // RemoteOpCounts snapshots per-operation RPC counters ("lookup",
 // "readdir", ...) for remote backends; nil otherwise.
 func (b *Backend) RemoteOpCounts() map[string]int64 {

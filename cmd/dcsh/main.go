@@ -295,8 +295,8 @@ other:  help  exit
 		}
 		fmt.Printf("mem           %d/%d slab slots live (%.1f%%), free %d, limbo %d (+%d queued), %d reclaimed, %d swept\n",
 			live, slots, occ, free, limbo, m.LimboQueue, reclaimed, m.Swept)
-		fmt.Printf("table         %d entries in %d buckets (%d doublings); table + arenas hold %d KB\n",
-			m.Table.Entries, m.Table.Buckets, m.Table.Resizes, m.Bytes()>>10)
+		fmt.Printf("table         %d entries in %d buckets (%d doublings), dlht %d in %d (%d); tables + arenas hold %d KB\n",
+			m.Table.Entries, m.Table.Buckets, m.Table.Resizes, m.DLHT.Entries, m.DLHT.Buckets, m.DLHT.Resizes, m.Bytes()>>10)
 	case "buckets":
 		empty, one, two, more := sys.BucketStats()
 		total := empty + one + two + more

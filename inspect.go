@@ -71,6 +71,7 @@ func (in Inspection) counters() map[string]int64 {
 		out["epoch"] = int64(fp.Epoch)
 		for i, dl := range fp.DLHTs {
 			pfx := fmt.Sprintf("dlht%d_", i)
+			out[pfx+"buckets"] = int64(dl.Buckets)
 			out[pfx+"entries"] = int64(dl.Entries)
 			out[pfx+"dead"] = int64(dl.Dead)
 			out[pfx+"used_buckets"] = int64(dl.UsedBuckets)

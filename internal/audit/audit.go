@@ -204,43 +204,13 @@ func (a *Auditor) RunUntilValid(attempts int) Report {
 	return r
 }
 
-// LoopResult summarizes a continuous audit (Loop).
+// LoopResult summarizes a continuous audit: passes driven beside a
+// mutation storm, of which the valid ones must hold zero violations.
 type LoopResult struct {
 	Passes     int
 	Valid      int
 	Violations int
 	Findings   []Finding // first few, deduplicated by check+ref
-}
-
-// Loop audits continuously every interval until stop closes — the
-// stress-test harness: run it beside a mutation storm and require zero
-// violations among the valid passes.
-func (a *Auditor) Loop(stop <-chan struct{}, every time.Duration) LoopResult {
-	var res LoopResult
-	seen := map[string]bool{}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return res
-		case <-t.C:
-			r := a.Run()
-			res.Passes++
-			if !r.Valid {
-				continue
-			}
-			res.Valid++
-			res.Violations += len(r.Findings)
-			for _, f := range r.Findings {
-				key := fmt.Sprintf("%s#%d", f.Check, f.Ref)
-				if !seen[key] && len(res.Findings) < 16 {
-					seen[key] = true
-					res.Findings = append(res.Findings, f)
-				}
-			}
-		}
-	}
 }
 
 // add records a finding, respecting the pass limit.

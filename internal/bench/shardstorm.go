@@ -231,8 +231,8 @@ func runShardStorm(sc Scale) (map[string]float64, error) {
 			maxOwned = c
 		}
 	}
-	r4 := shard.NewRing(shardStormShards, 0)
-	r5 := shard.NewRing(shardStormShards+1, 0)
+	r4 := shard.NewRing(shardStormShards)
+	r5 := shard.NewRing(shardStormShards + 1)
 	moved := 0
 	for _, f := range files {
 		if r4.Owner(f) != r5.Owner(f) {

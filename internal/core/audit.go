@@ -92,10 +92,7 @@ func (c *Core) AuditFindings(limit int) ([]audit.Finding, map[string]int) {
 	// bracketing stamp stays valid.
 	c.SweepStale()
 
-	c.regMu.Lock()
-	dlhts := append([]*DLHT(nil), c.dlhts...)
-	pccs := append([]pccReg(nil), c.pccs...)
-	c.regMu.Unlock()
+	dlhts, pccs := c.registered()
 
 	aliasFree := c.k.AliasingEpoch() == 0
 	for _, dl := range dlhts {

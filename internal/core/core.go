@@ -275,28 +275,33 @@ func (c *Core) Stats() Stats {
 }
 
 // MemStats snapshots the core's slab arenas — fast-dentry side-table
-// slots and DLHT chain nodes — for telemetry's "mem" gauges and the
-// memscale experiment.
-func (c *Core) MemStats() (fds, nodes slab.Stats) {
-	return c.fds.Stats(), c.nodes.Stats()
+// slots and DLHT chain nodes — and every namespace's DLHT bucket array,
+// summed, for telemetry's "mem" gauges and the memscale experiment.
+func (c *Core) MemStats() (fds, nodes slab.Stats, dlht vfs.TableStats) {
+	dlhts, _ := c.registered()
+	for _, dl := range dlhts {
+		dlht.Add(dl.Stats())
+	}
+	return c.fds.Stats(), c.nodes.Stats(), dlht
 }
 
-func (c *Core) sumDLHTSweeps() int64 {
+// registered snapshots the two registries.
+func (c *Core) registered() ([]*DLHT, []pccReg) {
 	c.regMu.Lock()
-	dlhts := append([]*DLHT(nil), c.dlhts...)
-	c.regMu.Unlock()
-	var n int64
+	defer c.regMu.Unlock()
+	return append([]*DLHT(nil), c.dlhts...), append([]pccReg(nil), c.pccs...)
+}
+
+func (c *Core) sumDLHTSweeps() (n int64) {
+	dlhts, _ := c.registered()
 	for _, dl := range dlhts {
 		n += dl.sweeps.Load()
 	}
 	return n
 }
 
-func (c *Core) sumPCC(f func(*PCC) int64) int64 {
-	c.regMu.Lock()
-	regs := append([]pccReg(nil), c.pccs...)
-	c.regMu.Unlock()
-	var n int64
+func (c *Core) sumPCC(f func(*PCC) int64) (n int64) {
+	_, regs := c.registered()
 	for _, r := range regs {
 		n += f(r.p)
 	}
@@ -342,7 +347,7 @@ func (c *Core) OnReclaim(d *vfs.Dentry) {
 	if fd == nil {
 		return
 	}
-	unpublish(c.tele(), d, fd, telemetry.NoteReclaim)
+	unpublish(d, fd, telemetry.NoteReclaim)
 	c.fds.Retire(fd.self)
 }
 
@@ -373,20 +378,12 @@ func (c *Core) dlhtFor(ns *vfs.Namespace) *DLHT {
 		return v.(*DLHT)
 	}
 	fresh := newDLHT(c.nodes, c.k)
-	fresh.tel = c.k.Telemetry
 	dl := ns.FastStoreIfAbsent(fresh).(*DLHT)
-	c.regMu.Lock()
-	registered := false
-	for _, have := range c.dlhts {
-		if have == dl {
-			registered = true
-			break
-		}
-	}
-	if !registered {
+	if dl == fresh { // this call's table won the namespace: register it
+		c.regMu.Lock()
 		c.dlhts = append(c.dlhts, dl)
+		c.regMu.Unlock()
 	}
-	c.regMu.Unlock()
 	return dl
 }
 
@@ -400,27 +397,18 @@ func (c *Core) pccFor(cr *cred.Cred) *PCC {
 	np.tel = c.k.Telemetry
 	np.credID = cr.ID()
 	p := cr.CacheStoreIfAbsent(np).(*PCC)
-	c.regMu.Lock()
-	registered := false
-	for _, have := range c.pccs {
-		if have.p == p {
-			registered = true
-			break
-		}
-	}
-	if !registered {
+	if p == np {
+		c.regMu.Lock()
 		c.pccs = append(c.pccs, pccReg{cr: cr, p: p})
+		c.regMu.Unlock()
 	}
-	c.regMu.Unlock()
 	return p
 }
 
 // invalidateAllPCCs wipes every registered prefix check cache (version
 // counter wraparound, §3.1).
 func (c *Core) invalidateAllPCCs() {
-	c.regMu.Lock()
-	regs := append([]pccReg(nil), c.pccs...)
-	c.regMu.Unlock()
+	_, regs := c.registered()
 	for _, r := range regs {
 		r.p.Invalidate()
 	}
@@ -515,7 +503,7 @@ func (c *Core) shoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemet
 		c.bumpPublished(fd)
 	} else {
 		c.bumpSeq(fd)
-		unpublish(tel, d, fd, telemetry.NoteShootdown)
+		unpublish(d, fd, telemetry.NoteShootdown)
 	}
 	if tel != nil {
 		tel.Emit(telemetry.JSeqBump, d.ID(), int64(kids), why.Note())
@@ -596,16 +584,12 @@ func (c *Core) bumpPublished(fd *fastDentry) {
 
 // unpublish drops what the fastpath holds for d under its current path:
 // the table entry, the signature state (recomputed by the next
-// population) and a cached symlink target. tel is nil when telemetry is
-// off.
-func unpublish(tel *telemetry.Telemetry, d *vfs.Dentry, fd *fastDentry, why telemetry.Note) {
+// population) and a cached symlink target.
+func unpublish(d *vfs.Dentry, fd *fastDentry, why telemetry.Note) {
 	fd.mu.Lock()
 	if fd.inTable != nil {
-		removeTimed(tel, fd.inTable, fd.idx, fd.sg, d)
+		fd.inTable.Remove(fd.idx, fd.sg, d, why)
 		fd.inTable = nil
-		if tel != nil {
-			tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.idx), why)
-		}
 	}
 	fd.state.Clear()
 	fd.target.Store(0)
@@ -649,7 +633,7 @@ func (c *Core) fresh(d *vfs.Dentry) bool {
 		c.stats.lazyShootdowns.Add(1)
 		if structural {
 			c.bumpSeq(fd)
-			unpublish(c.tele(), d, fd, telemetry.NoteLazyShootdown)
+			unpublish(d, fd, telemetry.NoteLazyShootdown)
 		} else {
 			c.bumpPublished(fd)
 		}
@@ -704,9 +688,7 @@ func (c *Core) markedAbove(d *vfs.Dentry, vg uint64) (at *vfs.Dentry, structural
 // subtree must hold no live entries (the auditor runs this before its
 // scans). Returns the number of entries discarded.
 func (c *Core) SweepStale() int {
-	c.regMu.Lock()
-	dlhts := append([]*DLHT(nil), c.dlhts...)
-	c.regMu.Unlock()
+	dlhts, _ := c.registered()
 	n := 0
 	for _, dl := range dlhts {
 		dl.forEachEntry(func(_ uint16, _ sig.Signature, d *vfs.Dentry) {
@@ -731,18 +713,6 @@ func invalHist(why vfs.Invalidation) telemetry.HistID {
 	default: // rename and mount-topology changes share an envelope
 		return telemetry.HistRenameInval
 	}
-}
-
-// removeTimed is DLHT.Remove timed into HistDLHTRemove when telemetry is
-// enabled (tel non-nil).
-func removeTimed(tel *telemetry.Telemetry, dl *DLHT, idx uint16, sg sig.Signature, d *vfs.Dentry) {
-	if tel == nil {
-		dl.Remove(idx, sg, d)
-		return
-	}
-	start := telemetry.Now()
-	dl.Remove(idx, sg, d)
-	tel.Record(telemetry.HistDLHTRemove, telemetry.Since(start))
 }
 
 // OnEvict implements vfs.Hooks. The dentry is dead, and DLHT lookups skip
@@ -836,7 +806,6 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st *sig.State, token uint64) {
 	// (it bumps seq), or the stamp would hide the mark from every later
 	// fresh() and leave other credentials' PCC entries for d standing.
 	_ = c.fresh(ref.D)
-	tel := c.tele()
 	idx, sg := st.Sum()
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
@@ -857,10 +826,7 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st *sig.State, token uint64) {
 			return // already published under this signature
 		}
 		// Aliased path or namespace switch: most recent wins.
-		removeTimed(tel, fd.inTable, fd.idx, fd.sg, ref.D)
-		if tel != nil {
-			tel.Emit(telemetry.JDLHTRemove, ref.D.ID(), int64(fd.idx), telemetry.NoteResign)
-		}
+		fd.inTable.Remove(fd.idx, fd.sg, ref.D, telemetry.NoteResign)
 		fd.inTable = nil
 		fd.seq.Add(1)
 	}
@@ -872,9 +838,6 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st *sig.State, token uint64) {
 	dl.Insert(idx, sg, ref.D)
 	fd.inTable = dl
 	c.stats.populations.Add(1)
-	if tel != nil {
-		tel.Emit(telemetry.JDLHTInsert, ref.D.ID(), int64(idx), telemetry.NoteNone)
-	}
 }
 
 // Seq returns d's current fastpath version (for PCC entries).

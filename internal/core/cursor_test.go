@@ -315,7 +315,7 @@ func TestLexicalHashZeroAlloc(t *testing.T) {
 		c.publish(dl, leaf, &st, c.BeginSlow())
 	}
 	first := func() {
-		unpublish(nil, leaf.D, fast(leaf.D), 0)
+		unpublish(leaf.D, fast(leaf.D), 0)
 		populate()
 	}
 	for name, fn := range map[string]func(){"first": first, "again": populate} {

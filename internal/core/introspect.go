@@ -32,10 +32,7 @@ type Introspection struct {
 
 // Introspect snapshots every registered DLHT and PCC.
 func (c *Core) Introspect() Introspection {
-	c.regMu.Lock()
-	dlhts := append([]*DLHT(nil), c.dlhts...)
-	pccs := append([]pccReg(nil), c.pccs...)
-	c.regMu.Unlock()
+	dlhts, pccs := c.registered()
 
 	in := Introspection{
 		Epoch:       c.epoch.Load(),

@@ -11,6 +11,7 @@ import (
 	"dircache/internal/fsapi"
 	"dircache/internal/memfs"
 	"dircache/internal/sig"
+	"dircache/internal/telemetry"
 	"dircache/internal/vfs"
 )
 
@@ -122,8 +123,8 @@ func TestDLHTBasics(t *testing.T) {
 	if h.Lookup(idx, sg) != ref.D {
 		t.Fatal("inserted dentry missing")
 	}
-	if h.Len() != 1 {
-		t.Fatalf("len %d", h.Len())
+	if n := h.Stats().Entries; n != 1 {
+		t.Fatalf("len %d", n)
 	}
 	// Different signature in the same bucket must not match.
 	other := sg
@@ -131,8 +132,8 @@ func TestDLHTBasics(t *testing.T) {
 	if h.Lookup(idx, other) != nil {
 		t.Fatal("wrong-signature hit")
 	}
-	h.Remove(idx, sg, ref.D)
-	if h.Lookup(idx, sg) != nil || h.Len() != 0 {
+	h.Remove(idx, sg, ref.D, telemetry.NoteNone)
+	if h.Lookup(idx, sg) != nil || h.Stats().Entries != 0 {
 		t.Fatal("remove failed")
 	}
 }
@@ -156,7 +157,7 @@ func TestDLHTChainRemoveMiddle(t *testing.T) {
 		sigs = append(sigs, sg)
 		h.Insert(77, sg, ref.D) // same bucket: exercise chaining
 	}
-	h.Remove(77, sigs[2], refs[2].D)
+	h.Remove(77, sigs[2], refs[2].D, telemetry.NoteNone)
 	for i := 0; i < 5; i++ {
 		got := h.Lookup(77, sigs[i])
 		if i == 2 && got != nil {
@@ -164,6 +165,43 @@ func TestDLHTChainRemoveMiddle(t *testing.T) {
 		}
 		if i != 2 && got != refs[i].D {
 			t.Fatalf("entry %d lost after middle removal", i)
+		}
+	}
+}
+
+// TestDLHTStopsAtIndexWidth: a DLHT starts at a thousand buckets, not the
+// 2^16 the index could address, doubles as entries arrive, and stops at
+// 2^16 — a seventh doubling would file entries under a hash bit the 16-bit
+// index does not have. Past the ceiling chains lengthen and every entry is
+// still found.
+func TestDLHTStopsAtIndexWidth(t *testing.T) {
+	k := vfs.NewKernel(vfs.Config{}, newTestFS())
+	c := Install(k, Config{Seed: 11})
+	h := newDLHT(c.nodes, k)
+	if st := h.Stats(); st.Buckets != 1<<10 || st.Bytes > 16<<10 {
+		t.Fatalf("a new DLHT holds %+v, want 1024 buckets in <= 16 KB", st)
+	}
+	root := k.NewTask(cred.Root())
+	ref, err := root.Walk("/", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1<<sig.IndexBits + 1<<12
+	key := func(i int) (uint16, sig.Signature) {
+		return uint16(i * 40503), sig.Signature{W: [4]uint64{uint64(i), 1, 2, 3}}
+	}
+	for i := 0; i < n; i++ {
+		idx, sg := key(i)
+		h.Insert(idx, sg, ref.D)
+	}
+	if st := h.Stats(); st.Buckets != 1<<sig.IndexBits || st.Resizes != 6 || st.Entries != n {
+		t.Fatalf("after %d inserts: %+v, want 65536 buckets after 6 doublings", n, st)
+	}
+	ep := k.Gate().Enter()
+	defer k.Gate().Exit(ep)
+	for i := 0; i < n; i += 61 {
+		if idx, sg := key(i); h.Lookup(idx, sg) != ref.D {
+			t.Fatalf("entry %d lost across the doublings", i)
 		}
 	}
 }

@@ -642,10 +642,3 @@ func (fs *FS) StatFS() fsapi.StatFS {
 		},
 	}
 }
-
-// NodeCount returns the number of live inodes (for tests and tools).
-func (fs *FS) NodeCount() int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return len(fs.nodes)
-}

@@ -181,9 +181,6 @@ func (c *Client) call(req *Fcall) error {
 	return c.rpc(req, &resp)
 }
 
-// Sharded reports whether the server negotiated the dcshard extension.
-func (c *Client) Sharded() bool { return c.shard }
-
 // Journal reads the server's coherence log from cursor, returning the
 // records, the next cursor, and whether the cursor fell behind the log's
 // retention (dcshard only). The RjournalMore flag is absorbed internally:

@@ -27,9 +27,9 @@ import (
 // unpredictable.
 const RouteSeed = 0x5ead_c0de_0001
 
-// DefaultVnodes is the virtual nodes per shard: enough that adding or
-// removing a shard remaps close to the ideal K/N fraction of keys.
-const DefaultVnodes = 64
+// vnodes is the virtual nodes per shard: enough that adding or removing a
+// shard remaps close to the ideal K/N fraction of keys.
+const vnodes = 64
 
 type ringPoint struct {
 	h     uint64
@@ -47,19 +47,14 @@ type ringPin struct {
 // mutation; the Router mutates it only at configuration time.
 type Ring struct {
 	key    *sig.Key
-	vnodes int
 	shards []int
 	points []ringPoint
 	pins   []ringPin
 }
 
-// NewRing builds a ring over shards 0..n-1 with the given virtual node
-// count (0 = DefaultVnodes).
-func NewRing(n, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
-	r := &Ring{key: sig.NewKey(RouteSeed), vnodes: vnodes}
+// NewRing builds a ring over shards 0..n-1.
+func NewRing(n int) *Ring {
+	r := &Ring{key: sig.NewKey(RouteSeed)}
 	for id := 0; id < n; id++ {
 		r.AddShard(id)
 	}
@@ -80,7 +75,7 @@ func (r *Ring) AddShard(id int) {
 	}
 	r.shards = append(r.shards, id)
 	sort.Ints(r.shards)
-	for v := 0; v < r.vnodes; v++ {
+	for v := 0; v < vnodes; v++ {
 		r.points = append(r.points, ringPoint{h: r.hash64(fmt.Sprintf("shard-%d/vnode-%d", id, v)), shard: id})
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].h < r.points[b].h })

@@ -19,8 +19,8 @@ func ringKeys(n int) []string {
 func TestRingRemapOnAdd(t *testing.T) {
 	keys := ringKeys(20000)
 	for _, n := range []int{2, 4, 8} {
-		before := NewRing(n, 0)
-		after := NewRing(n+1, 0)
+		before := NewRing(n)
+		after := NewRing(n + 1)
 		moved := 0
 		for _, k := range keys {
 			if before.Owner(k) != after.Owner(k) {
@@ -44,8 +44,8 @@ func TestRingRemapOnAdd(t *testing.T) {
 func TestRingRemapOnRemove(t *testing.T) {
 	keys := ringKeys(20000)
 	n := 4
-	before := NewRing(n, 0)
-	after := NewRing(n, 0)
+	before := NewRing(n)
+	after := NewRing(n)
 	after.RemoveShard(n - 1)
 	for _, k := range keys {
 		ob, oa := before.Owner(k), after.Owner(k)
@@ -63,7 +63,7 @@ func TestRingRemapOnRemove(t *testing.T) {
 func TestRingBalance(t *testing.T) {
 	keys := ringKeys(20000)
 	n := 4
-	r := NewRing(n, 0)
+	r := NewRing(n)
 	counts := make([]int, n)
 	for _, k := range keys {
 		counts[r.Owner(k)]++
@@ -79,7 +79,7 @@ func TestRingBalance(t *testing.T) {
 // the pin's shard — pinning a rename-heavy subtree keeps its renames
 // shard-local.
 func TestRingPinNeverSplits(t *testing.T) {
-	r := NewRing(4, 0)
+	r := NewRing(4)
 	r.Pin("/srv/app3", 2)
 	for i := 0; i < 5000; i++ {
 		p := fmt.Sprintf("/srv/app3/lib/pkg%d/file%d.go", i%53, i)
@@ -107,7 +107,7 @@ func TestRingPinNeverSplits(t *testing.T) {
 // land on one shard (OwnerDir(p) == Owner(p/child)) — the invariant the
 // staleness analysis relies on.
 func TestRingColocation(t *testing.T) {
-	r := NewRing(4, 0)
+	r := NewRing(4)
 	for i := 0; i < 2000; i++ {
 		dir := fmt.Sprintf("/srv/app%d/lib/pkg%d", i%7, i)
 		if r.OwnerDir(dir) != r.Owner(dir+"/child.go") {
@@ -119,7 +119,7 @@ func TestRingColocation(t *testing.T) {
 // TestRingDeterminism: two independently built rings agree — routing is a
 // pure function of membership, pins, and the fixed RouteSeed.
 func TestRingDeterminism(t *testing.T) {
-	a, b := NewRing(5, 0), NewRing(5, 0)
+	a, b := NewRing(5), NewRing(5)
 	a.Pin("/srv/app1", 3)
 	b.Pin("/srv/app1", 3)
 	for _, k := range ringKeys(1000) {

@@ -35,8 +35,6 @@ const recentCap = 512
 
 // Options configures a Router.
 type Options struct {
-	// Vnodes per shard on the ring (0 = DefaultVnodes).
-	Vnodes int
 	// Pins routes whole subtrees to fixed shards (root path → shard id);
 	// see Ring.Pin.
 	Pins map[string]int
@@ -45,7 +43,7 @@ type Options struct {
 // NewRouter assembles a router over shards with consistent-hash routing.
 func NewRouter(shards []Shard, opt Options) *Router {
 	r := &Router{
-		ring:    NewRing(len(shards), opt.Vnodes),
+		ring:    NewRing(len(shards)),
 		shards:  shards,
 		cursors: make([]uint64, len(shards)),
 		recent:  make([]string, 0, recentCap),

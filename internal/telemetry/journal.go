@@ -209,9 +209,6 @@ type Journal struct {
 // share of capacity (and at least one block), so the journal retains at
 // least capacity events.
 func newJournal(capacity int) *Journal {
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	per := blockSlots
 	for per*stripe.Stripes < capacity {
 		per <<= 1

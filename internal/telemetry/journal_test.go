@@ -81,7 +81,7 @@ func TestJournalPerSubjectSuffix(t *testing.T) {
 // tells a mutation's closing epoch bump from its opening one by the
 // epoch's parity, and orders stripes by time.
 func TestJournalDumpRendering(t *testing.T) {
-	j := newJournal(0)
+	j := newJournal(journalSlots)
 	j.emit(JEpochBump, 7, 41, NotePerm)
 	j.emit(JSeqBump, 7, 3, NotePerm)
 	j.emit(JDLHTRemove, 12, 9, NoteLazyShootdown) // another stripe
@@ -147,7 +147,7 @@ func TestJournalEmitZeroAlloc(t *testing.T) {
 // BenchmarkJournalEmit prices one event into a warm journal (DESIGN §6);
 // BenchmarkClockNow is the part of it that is the clock.
 func BenchmarkJournalEmit(b *testing.B) {
-	j := newJournal(0)
+	j := newJournal(journalSlots)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -135,23 +135,22 @@ type Options struct {
 	// TraceSample records the full event sequence of 1-in-N walks.
 	// 0 disables tracing; 1 traces every walk.
 	TraceSample int
-	// TraceBuffer is the trace ring capacity (0 = 256). The ring drops
-	// oldest.
-	TraceBuffer int
-	// JournalBuffer is the coherence event journal capacity (0 = 4096),
-	// split across its stripes. The journal drops oldest per stripe.
-	JournalBuffer int
-	// FlightBuffer is the slow-walk flight recorder capacity (0 = 256).
-	FlightBuffer int
 	// SlowNS is the default flight-recorder slow threshold in
 	// nanoseconds (0 = 1ms); per-op overrides via SetSlowThreshold.
 	SlowNS int64
 }
 
+// Ring capacities: the trace ring and the slow-walk flight recorder each
+// keep traceSlots traces, the coherence event journal journalSlots events
+// split across its stripes. All three drop oldest.
+const (
+	traceSlots   = 256
+	journalSlots = 4096
+)
+
 // Telemetry owns the histograms, the trace ring, and the registered
-// counter sources. All methods are safe for concurrent use; Record and
-// SampleWalk are additionally nil-safe wherever noted so callers can keep
-// a possibly-nil pointer.
+// counter sources. All methods are safe for concurrent use; Record and On
+// are additionally nil-safe so callers can keep a possibly-nil pointer.
 type Telemetry struct {
 	enabled atomic.Bool
 	sampleN atomic.Int64
@@ -170,9 +169,9 @@ type Telemetry struct {
 // New builds a Telemetry (initially disabled — call Enable).
 func New(o Options) *Telemetry {
 	t := &Telemetry{
-		ring:    newTraceRing(o.TraceBuffer),
-		flight:  newFlightRecorder(o.FlightBuffer, o.SlowNS),
-		journal: newJournal(o.JournalBuffer),
+		ring:    newTraceRing(traceSlots),
+		flight:  newFlightRecorder(traceSlots, o.SlowNS),
+		journal: newJournal(journalSlots),
 		stats:   make(map[string]func() map[string]int64),
 	}
 	t.sampleN.Store(int64(o.TraceSample))
@@ -209,19 +208,6 @@ func (t *Telemetry) RecordEx(id HistID, d time.Duration, traceID uint64) {
 	t.hists[id].RecordEx(d, traceID)
 }
 
-// SampleWalk starts a trace for this walk if it falls in the sample, or
-// returns nil (the common case — every downstream trace call is nil-safe).
-func (t *Telemetry) SampleWalk(path string) *WalkTrace {
-	n := t.sampleN.Load()
-	if n <= 0 {
-		return nil
-	}
-	if n > 1 && t.walkSeq.Add(1)%uint64(n) != 0 {
-		return nil
-	}
-	return &WalkTrace{ID: t.traceID.Add(1), Path: path, Start: time.Now()}
-}
-
 // Sampled reports whether the next walk falls in the 1-in-N sample,
 // advancing the sampling counter. Callers that pass only decide where
 // the trace lives (per-Task scratch or a fresh allocation) and call
@@ -244,15 +230,6 @@ func (t *Telemetry) StartWalk(scratch *WalkTrace, path string) *WalkTrace {
 	}
 	scratch.reset(t.traceID.Add(1), path)
 	return scratch
-}
-
-// SampleWalkInto is Sampled + StartWalk in one call: nil unless the walk
-// falls in the sample.
-func (t *Telemetry) SampleWalkInto(scratch *WalkTrace, path string) *WalkTrace {
-	if !t.Sampled() {
-		return nil
-	}
-	return t.StartWalk(scratch, path)
 }
 
 // StartSpan opens an externally owned span of an end-to-end trace: a 9P

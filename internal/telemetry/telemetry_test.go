@@ -129,17 +129,17 @@ func TestSampleWalk(t *testing.T) {
 	tel.Enable()
 	n := 0
 	for i := 0; i < 100; i++ {
-		if tr := tel.SampleWalk("/x"); tr != nil {
+		if tel.Sampled() {
 			n++
-			tel.FinishWalk(tr, false, nil, time.Microsecond)
+			tel.FinishWalk(tel.StartWalk(nil, "/x"), false, nil, time.Microsecond)
 		}
 	}
 	if n != 25 {
 		t.Fatalf("sampled %d of 100 walks at 1-in-4", n)
 	}
 	tel.SetTraceSample(0)
-	if tr := tel.SampleWalk("/x"); tr != nil {
-		t.Fatal("sampling disabled but trace returned")
+	if tel.Sampled() {
+		t.Fatal("sampling disabled but a walk was sampled")
 	}
 	// Disabled telemetry still ignores Record without panicking, and a
 	// nil receiver is safe for the hot-path helpers.
@@ -158,11 +158,12 @@ func TestSampleWalk(t *testing.T) {
 	nilTr.EventDur(EvFSLookup, "x", time.Second)
 }
 
-// TestConcurrentRecordExport hammers Record/SampleWalk from many
+// TestConcurrentRecordExport hammers Record/Sampled/StartWalk from many
 // goroutines while exporters snapshot, render, and reset — the -race
 // gate for the subsystem.
 func TestConcurrentRecordExport(t *testing.T) {
-	tel := New(Options{TraceSample: 2, TraceBuffer: 8})
+	tel := New(Options{TraceSample: 2})
+	tel.ring = newTraceRing(8)
 	tel.Enable()
 	tel.RegisterStats("test", func() map[string]int64 { return map[string]int64{"x": 1} })
 	var writers sync.WaitGroup
@@ -172,7 +173,8 @@ func TestConcurrentRecordExport(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
 				tel.Record(HistID(i%int(NumHistograms)), time.Duration(i)*time.Nanosecond)
-				if tr := tel.SampleWalk("/a/b"); tr != nil {
+				if tel.Sampled() {
+					tr := tel.StartWalk(nil, "/a/b")
 					tr.Event(EvComponent, "a")
 					tel.FinishWalk(tr, i%2 == 0, nil, time.Duration(i))
 				}
@@ -272,7 +274,7 @@ func TestPrometheusOutput(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	tel := New(Options{TraceSample: 1})
 	tel.Enable()
-	tr := tel.SampleWalk("/a/b/c")
+	tr := tel.StartWalk(nil, "/a/b/c")
 	tr.Event(EvComponent, "a")
 	tr.Event(EvComponent, "b")
 	tr.EventDur(EvFSLookup, "c", 123*time.Nanosecond)

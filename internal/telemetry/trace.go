@@ -126,9 +126,6 @@ type traceRing struct {
 }
 
 func newTraceRing(capacity int) *traceRing {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	return &traceRing{buf: make([]*WalkTrace, capacity)}
 }
 

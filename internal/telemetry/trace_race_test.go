@@ -49,7 +49,8 @@ func TestFlightRecorderQualification(t *testing.T) {
 // requires drop-oldest behaviour plus an accurate drop counter — storm
 // load must not lose traces silently.
 func TestFlightRecorderWraparoundReportsDrops(t *testing.T) {
-	tel := New(Options{TraceSample: 1, FlightBuffer: 8, SlowNS: 1})
+	tel := New(Options{TraceSample: 1, SlowNS: 1})
+	tel.flight.ring = newTraceRing(8)
 	tel.Enable()
 	for i := 0; i < 24; i++ {
 		tr := tel.StartWalk(nil, fmt.Sprintf("/w%d", i))
@@ -83,7 +84,8 @@ func TestFlightRecorderWraparoundReportsDrops(t *testing.T) {
 
 // TestTraceRingDropCounter does the same for the sampled trace ring.
 func TestTraceRingDropCounter(t *testing.T) {
-	tel := New(Options{TraceSample: 1, TraceBuffer: 4})
+	tel := New(Options{TraceSample: 1})
+	tel.ring = newTraceRing(4)
 	tel.Enable()
 	for i := 0; i < 10; i++ {
 		tr := tel.StartWalk(nil, "/p")
@@ -99,7 +101,8 @@ func TestTraceRingDropCounter(t *testing.T) {
 // Run under -race; correctness here is "no race, no panic, rings stay
 // bounded".
 func TestConcurrentScrapesRaceSpanCompletion(t *testing.T) {
-	tel := New(Options{TraceSample: 1, TraceBuffer: 16, FlightBuffer: 8, SlowNS: 1})
+	tel := New(Options{TraceSample: 1, SlowNS: 1})
+	tel.ring, tel.flight.ring = newTraceRing(16), newTraceRing(8)
 	tel.Enable()
 
 	const writers, scrapes = 4, 50

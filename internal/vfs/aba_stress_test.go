@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dircache/internal/cred"
+	"dircache/internal/memfs"
 	"dircache/internal/slab"
 )
 
@@ -17,9 +18,13 @@ import (
 // (generation bumped) or resolve to the exact dentry it was taken from —
 // never to the slot's new tenant. Runs under `make race`.
 func TestStressSlotRecycleABA(t *testing.T) {
-	// DisableNegatives so Unlink kills the dentry (the default flips it
-	// negative in place, which never retires the slot — no ABA pressure).
-	k, root := newKernel(t, Config{CacheCapacity: 48, DisableNegatives: true})
+	// /tmp is a backend that takes no negatives, so Unlink kills the dentry (the
+	// default flips it negative in place, which never retires the slot —
+	// no ABA pressure).
+	k, root := newKernel(t, Config{CacheCapacity: 48})
+	if _, err := root.Mount(memfs.New(memfs.Options{NoNegatives: true}), "/tmp", 0); err != nil {
+		t.Fatal(err)
+	}
 	const nNames = 8
 	for i := 0; i < nNames; i++ {
 		if err := root.Create(fmt.Sprintf("/tmp/aba%d", i), 0o644); err != nil {

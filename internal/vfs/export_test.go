@@ -16,7 +16,7 @@ func (k *Kernel) TableProbe(parent *Dentry, name string) *Dentry {
 
 // PlantDeadShadow links a chain node for (parent, name) that names a dead
 // dentry no other structure knows — what lazy teardown leaves in a chain
-// until the sweeper comes. A name created after it is prepended in front.
+// until the next insert into its bucket, or the sweeper, takes it out.
 func (k *Kernel) PlantDeadShadow(parent *Dentry, name string) {
 	d := k.newDentry(parent.sb, parent, name)
 	d.setFlags(DDead)

@@ -139,10 +139,3 @@ func (sb *Super) forgetInode(id fsapi.NodeID) {
 	delete(sb.icache, id)
 	sb.mu.Unlock()
 }
-
-// InodeCount reports the number of cached inodes (tests, tools).
-func (sb *Super) InodeCount() int {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return len(sb.icache)
-}

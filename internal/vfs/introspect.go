@@ -28,9 +28,6 @@ func (k *Kernel) CoherenceStamp() (seq uint64, quiet bool) {
 	return k.cacheMutSeq.Load(), k.cacheMutActive.Load() == 0
 }
 
-// CacheMutSeq returns the completed structural-change count (diagnostics).
-func (k *Kernel) CacheMutSeq() uint64 { return k.cacheMutSeq.Load() }
-
 // ChrootCount reports how many Chroot calls have happened kernel-wide.
 func (k *Kernel) ChrootCount() uint64 { return k.chrootCount.Load() }
 
@@ -123,7 +120,7 @@ func (k *Kernel) Introspect() CacheIntrospection {
 		}
 	})
 	s.InLookup = int(k.inLookupCount.Load())
-	s.HashEmpty, s.Hash1, s.Hash2, s.HashMore = k.table.chainStats()
+	s.HashEmpty, s.Hash1, s.Hash2, s.HashMore = k.ChainStats()
 	s.MutationSeq = k.cacheMutSeq.Load()
 	s.EvictionEpoch = k.lru.Epoch()
 	return s

@@ -24,10 +24,6 @@ type Config struct {
 	// When the cache exceeds it, cold leaf dentries are evicted.
 	CacheCapacity int
 
-	// DisableNegatives turns off negative dentry caching entirely (not a
-	// Linux behaviour; used by ablations).
-	DisableNegatives bool
-
 	// DirCompleteness enables §5.1: DIR_COMPLETE tracking, readdir served
 	// from the cache, authoritative misses, and creation without an
 	// existence lookup.
@@ -401,7 +397,7 @@ func NewKernel(cfg Config, rootFS fsapi.FileSystem) *Kernel {
 	k := &Kernel{cfg: cfg, supers: make(map[fsapi.FileSystem]*Super)}
 	k.gate = slab.NewGate()
 	k.dentries = slab.New[Dentry](k.gate, slab.Options{})
-	k.table = newHashTable(cfg.SyncMode, slab.New[tnode](k.gate, slab.Options{}), k.dentries)
+	k.table = newHashTable(cfg.SyncMode, k)
 	k.lru.arena = k.dentries
 	k.lru.tel = &k.tel
 
@@ -434,9 +430,6 @@ func (k *Kernel) Hooks() Hooks { return k.hooks }
 // LSM returns the kernel's security module stack for registration.
 func (k *Kernel) LSM() *lsm.Stack { return &k.lsm }
 
-// InitialNamespace returns the boot mount namespace.
-func (k *Kernel) InitialNamespace() *Namespace { return k.initNS }
-
 // Stats returns a snapshot of the cumulative counters.
 func (k *Kernel) Stats() Stats { return k.stats.snapshot() }
 
@@ -457,7 +450,10 @@ func (k *Kernel) EvictionEpoch() uint64 { return k.lru.Epoch() }
 
 // ChainStats reports hash bucket utilization (empty/1/2/3+ chains).
 func (k *Kernel) ChainStats() (empty, one, two, more int) {
-	return k.table.chainStats()
+	e := k.gate.Enter()
+	defer k.gate.Exit(e)
+	s := k.table.Shape()
+	return s.Buckets - s.UsedBuckets, s.Chain1, s.Chain2, s.ChainLonger
 }
 
 // superFor returns the superblock for fs, creating one on first mount.
@@ -672,7 +668,7 @@ func (k *Kernel) MemStats() (dentries, chainNodes slab.Stats, limbo int64, swept
 }
 
 // TableStats reports the (parent, name) hash table's size and growth.
-func (k *Kernel) TableStats() TableStats { return k.table.stats() }
+func (k *Kernel) TableStats() TableStats { return k.table.Stats() }
 
 // CheckSlabLiveness scans the references the cache holds into the dentry
 // arena — every cached dentry's child map, every hash-table chain — for
@@ -723,22 +719,21 @@ func (k *Kernel) CheckSlabLiveness(limit int) (int, []string) {
 	// that it is this (parentID, name): a mismatch means the slot was
 	// recycled while the stale node still matched by generation, i.e. an
 	// ABA breach.
-	k.table.forEachRef(func(parentID uint64, name string, dref slab.Ref) bool {
+	k.table.Scan(func(_ uint32, key nameKey, dref slab.Ref, d *Dentry) bool {
 		checked++
-		d := k.dentries.Resolve(dref)
 		if d == nil {
 			return true // dead leftover awaiting sweep: legitimate
 		}
 		if d.self != dref {
-			out = append(out, fmt.Sprintf("table: chain node (%d,%q) resolves to dentry #%d with mismatched self ref", parentID, name, d.ID()))
+			out = append(out, fmt.Sprintf("table: chain node (%d,%q) resolves to dentry #%d with mismatched self ref", key.parentID, key.name, d.ID()))
 		} else if !d.IsDead() {
 			pn := d.pn.Load()
 			pid := uint64(0)
 			if pn != nil && pn.parent != nil {
 				pid = pn.parent.ID()
 			}
-			if pn == nil || pn.parent == nil || pid != parentID || pn.name != name {
-				out = append(out, fmt.Sprintf("table: chain node (%d,%q) resolves to live dentry #%d which is (%d,%q)", parentID, name, d.ID(), pid, pn.name))
+			if pn == nil || pn.parent == nil || pid != key.parentID || pn.name != key.name {
+				out = append(out, fmt.Sprintf("table: chain node (%d,%q) resolves to live dentry #%d which is (%d,%q)", key.parentID, key.name, d.ID(), pid, pn.name))
 			}
 		}
 		return len(out) < limit

@@ -437,7 +437,7 @@ func (k *Kernel) dentryGone(d *Dentry, ino *Inode) {
 	k.cacheMutBegin()
 	defer k.cacheMutEnd()
 	keepNegative := k.cfg.AggressiveNegatives ||
-		(!k.cfg.DisableNegatives && d.refs.Load() == 0 && d.nkids.Load() == 0)
+		(d.refs.Load() == 0 && d.nkids.Load() == 0)
 	if keepNegative && !k.negativesAllowed(d.sb) {
 		keepNegative = false
 	}

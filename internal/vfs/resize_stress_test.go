@@ -17,9 +17,9 @@ import (
 // enough files to take the table from its first size through six
 // doublings, renaming one and removing a directory as it goes so chains
 // lose nodes between doublings too; all the while readers probe a resident
-// set that nobody touches. Each resident name shares its chain with a dead
-// node for the same key, as lazy teardown leaves them, so every copy moves
-// both. A probe must come back with exactly the resident dentry every
+// set that nobody touches. Each resident name is created over a dead node
+// for the same key, as lazy teardown leaves them, which the create's insert
+// sweeps. A probe must come back with exactly the resident dentry every
 // time: nil is a miss for a key that was there for the whole probe (a
 // reader caught on an array whose chains were not yet, or no longer,
 // complete), a dead dentry is one lookup must never return, and anything

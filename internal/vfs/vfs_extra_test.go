@@ -9,7 +9,6 @@ import (
 	"dircache/internal/fsapi"
 	"dircache/internal/lsm"
 	"dircache/internal/memfs"
-	"dircache/internal/slab"
 )
 
 func TestAccessMasks(t *testing.T) {
@@ -343,7 +342,7 @@ func TestPathTooLong(t *testing.T) {
 func TestHashTableEraSemantics(t *testing.T) {
 	for _, mode := range []SyncMode{SyncRCU, SyncBucketLock, SyncBigLock} {
 		k, root := newKernel(t, Config{SyncMode: mode})
-		ht := newHashTable(mode, slab.New[tnode](k.gate, slab.Options{}), k.dentries)
+		ht := newHashTable(mode, k)
 		root.Create("/etc/probe", 0o644)
 		ref, err := root.Walk("/etc/probe", 0)
 		if err != nil {

@@ -153,16 +153,6 @@ func TestNegativeDentries(t *testing.T) {
 	}
 }
 
-func TestDisableNegatives(t *testing.T) {
-	k, root := newKernel(t, Config{DisableNegatives: true})
-	root.Stat("/etc/shadow")
-	before := k.Stats().FSLookups
-	root.Stat("/etc/shadow")
-	if k.Stats().FSLookups != before+1 {
-		t.Fatal("negative caching still active")
-	}
-}
-
 func TestDACPermissions(t *testing.T) {
 	k, root := newKernel(t, Config{})
 	a := alice(k)
@@ -656,7 +646,7 @@ func TestHashChainStats(t *testing.T) {
 		root.Create(fmt.Sprintf("/tmp/c%d", i), 0o644)
 	}
 	empty, one, two, more := k.ChainStats()
-	if empty+one+two+more != int(k.table.stats().Buckets) {
+	if empty+one+two+more != int(k.table.Stats().Buckets) {
 		t.Fatalf("bucket accounting: %d %d %d %d", empty, one, two, more)
 	}
 	if one+two+more == 0 {

@@ -128,14 +128,6 @@ func hasMoreComponents(s string) bool {
 	return false
 }
 
-// startFor picks the walk's starting location for path.
-func (t *Task) startFor(path string) PathRef {
-	if len(path) > 0 && path[0] == '/' {
-		return t.Root()
-	}
-	return t.Cwd()
-}
-
 // Walk resolves path to a PathRef using the fastpath when installed,
 // falling back to the component-at-a-time slow walk. Relative paths start
 // at the task's working directory.
@@ -905,13 +897,7 @@ func (k *Kernel) installUnhydrated(parent *Dentry, e fsapi.DirEntry) {
 // negativesAllowed applies the §5.2 policy: pseudo file systems get
 // negative dentries only under AggressiveNegatives.
 func (k *Kernel) negativesAllowed(sb *Super) bool {
-	if k.cfg.DisableNegatives {
-		return false
-	}
-	if sb.caps.NoNegatives && !k.cfg.AggressiveNegatives {
-		return false
-	}
-	return true
+	return !sb.caps.NoNegatives || k.cfg.AggressiveNegatives
 }
 
 // installDedup inserts the freshly allocated d under (parent, name) and,

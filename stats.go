@@ -205,18 +205,20 @@ type ArenaStats struct {
 	Reclaimed uint64 `json:"reclaimed"`
 }
 
-// TableStats describes the (parent, name) hash table the slow walk
-// probes: buckets, linked chain nodes, doublings and bucket-array bytes.
+// TableStats describes a hash table's bucket array — the (parent, name)
+// table the slow walk probes, or every namespace's DLHT summed: buckets,
+// linked chain nodes, doublings and bucket-array bytes.
 type TableStats = vfs.TableStats
 
 // MemStats reports the memory picture behind the dentry cache — what a
 // System holds that grows with what it caches: per-arena occupancy for
 // the four arenas (dentries and baseline hash-chain nodes in the kernel;
 // fast-dentry side tables and DLHT chain nodes in the fastpath) and the
-// hash table's bucket array, plus the deferred-teardown queue depth and
-// the cumulative count of teardown records the sweeper has processed.
+// two hash tables' bucket arrays, plus the deferred-teardown queue depth
+// and the cumulative count of teardown records the sweeper has processed.
 type MemStats struct {
 	Table TableStats `json:"table"`
+	DLHT  TableStats `json:"dlht"` // zero when DirectLookup is off
 
 	Dentries   ArenaStats `json:"dentries"`
 	ChainNodes ArenaStats `json:"chain_nodes"`
@@ -239,27 +241,28 @@ func (s *System) MemStats() MemStats {
 		Swept:      swept,
 	}
 	if s.core != nil {
-		fds, nodes := s.core.MemStats()
+		fds, nodes, dlht := s.core.MemStats()
 		out.FastDentries = arenaStats(fds)
 		out.DLHTNodes = arenaStats(nodes)
+		out.DLHT = dlht
 	}
 	return out
 }
 
-// Bytes is what the snapshot accounts for: the hash table's bucket array
-// and the four arenas' slots. It is the part of a System's footprint that
-// follows the number of cached names; the fixed-size structures beside it
-// (each DLHT, the signature key, telemetry's rings) are listed in DESIGN
-// §5g.
+// Bytes is what the snapshot accounts for: the two hash tables' bucket
+// arrays and the four arenas' slots. It is the part of a System's
+// footprint that follows the number of cached names; the fixed-size
+// structures beside it (the signature key, each PCC, telemetry's rings)
+// are listed in DESIGN §5g.
 func (s MemStats) Bytes() int64 {
-	return s.Table.Bytes + s.Dentries.Bytes + s.ChainNodes.Bytes + s.FastDentries.Bytes + s.DLHTNodes.Bytes
+	return s.Table.Bytes + s.DLHT.Bytes + s.Dentries.Bytes + s.ChainNodes.Bytes + s.FastDentries.Bytes + s.DLHTNodes.Bytes
 }
 
 // counters flattens the snapshot into the telemetry exporter's flat
 // counter namespace (source "mem"): per-arena occupancy gauges
 // (<arena>_live/_free/_limbo/_slots/_chunks/_bytes) and cumulative
-// reclamation traffic (<arena>_retired/_reclaimed), the hash table's
-// table_buckets/_entries/_resizes/_bytes, plus the teardown queue depth
+// reclamation traffic (<arena>_retired/_reclaimed), each hash table's
+// <table>_buckets/_entries/_resizes/_bytes, plus the teardown queue depth
 // and sweep total.
 func (s MemStats) counters() map[string]int64 {
 	out := make(map[string]int64, 40)
@@ -277,10 +280,14 @@ func (s MemStats) counters() map[string]int64 {
 	arena("chain_nodes", s.ChainNodes)
 	arena("fast_dentries", s.FastDentries)
 	arena("dlht_nodes", s.DLHTNodes)
-	out["table_buckets"] = s.Table.Buckets
-	out["table_entries"] = s.Table.Entries
-	out["table_resizes"] = int64(s.Table.Resizes)
-	out["table_bytes"] = s.Table.Bytes
+	table := func(prefix string, t TableStats) {
+		out[prefix+"_buckets"] = t.Buckets
+		out[prefix+"_entries"] = t.Entries
+		out[prefix+"_resizes"] = int64(t.Resizes)
+		out[prefix+"_bytes"] = t.Bytes
+	}
+	table("table", s.Table)
+	table("dlht", s.DLHT)
 	out["limbo_queue"] = s.LimboQueue
 	out["swept"] = int64(s.Swept)
 	return out

@@ -22,17 +22,6 @@ type TelemetryOptions struct {
 	// the trace ring (0 disables tracing, 1 traces every walk). Only
 	// meaningful with Enabled.
 	TraceSample int
-	// TraceBuffer is the trace ring capacity (0 = 256); the ring drops
-	// its oldest trace when full.
-	TraceBuffer int
-	// JournalBuffer is the coherence event journal capacity in events
-	// (0 = 4096). The journal is striped by subject and drops each
-	// subject's oldest events when full.
-	JournalBuffer int
-	// FlightBuffer is the slow-walk flight recorder capacity in traces
-	// (0 = 64): completed traces that exceeded their op's slow threshold
-	// or took an anomalous path are retained here, drop-oldest.
-	FlightBuffer int
 	// SlowNS is the flight recorder's default slow threshold in
 	// nanoseconds (0 = 1ms). Per-op overrides via SetSlowThreshold.
 	SlowNS int64
@@ -59,11 +48,7 @@ func NewTelemetry(o TelemetryOptions) *Telemetry {
 }
 
 func (o TelemetryOptions) rawOptions() telemetry.Options {
-	return telemetry.Options{
-		TraceSample: o.TraceSample, TraceBuffer: o.TraceBuffer,
-		JournalBuffer: o.JournalBuffer,
-		FlightBuffer:  o.FlightBuffer, SlowNS: o.SlowNS,
-	}
+	return telemetry.Options{TraceSample: o.TraceSample, SlowNS: o.SlowNS}
 }
 
 // SetDefaultTelemetry installs tl (nil clears) as the process-wide

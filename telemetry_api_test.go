@@ -34,7 +34,7 @@ func walkSome(t *testing.T, sys *dircache.System) {
 
 func TestTelemetryEndToEnd(t *testing.T) {
 	cfg := dircache.Optimized()
-	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true, TraceSample: 1, TraceBuffer: 64}
+	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true, TraceSample: 1}
 	sys := dircache.New(cfg)
 	tl := sys.Telemetry()
 	if tl == nil {

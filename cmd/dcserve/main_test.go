@@ -203,8 +203,12 @@ func TestServeTraceSmoke(t *testing.T) {
 		}
 		f.Clunk()
 	}
+	rpcs := c.RPCs()
 	if _, err := root.WalkPath(leafB + "x"); !errors.Is(err, fsapi.ENOENT) {
 		t.Fatalf("want ENOENT for missing sibling, got %v", err)
+	}
+	if n := c.RPCs() - rpcs; n != 1 {
+		t.Fatalf("missing sibling took %d RPCs, want 1 (the partial Rwalk carries the errno)", n)
 	}
 
 	traces, _ = tel.Raw().SlowTraces()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dircache/internal/coherence"
+	"dircache/internal/fsapi"
 	"dircache/internal/telemetry"
 )
 
@@ -243,8 +244,10 @@ func (c *Client) Attach(uname, aname string) (*Fid, error) {
 }
 
 // Walk derives a new fid by walking names from f. Empty names clones f.
-// A partial walk (fewer qids than names) is reported as an error carrying
-// how far it got.
+// A partial walk (fewer qids than names) binds no fid and fails, in the
+// same RPC, with the errno the dc dialects' Rwalk carries in its trailing
+// errno[4]; a stock 9P2000 peer's bare partial Rwalk reads as ENOENT, as
+// Linux v9fs reads one.
 func (f *Fid) Walk(names ...string) (*Fid, error) {
 	span, t0 := f.c.startSpan("Twalk")
 	if span != nil {
@@ -276,11 +279,10 @@ func (f *Fid) walk(span *telemetry.WalkTrace, names []string) (*Fid, error) {
 			span.EventDur(telemetry.EvRPC, fmt.Sprintf("Twalk %d names", len(batch)), time.Since(r0))
 		}
 		if err == nil && len(resp.Wqid) < len(batch) {
-			// Partial walk: Rwalk reports how far it got but swallows why.
-			// Re-ask for the failing name alone from a fid parked at the
-			// partial point — a first-name failure comes back as Rerror
-			// with the errno intact.
-			err = c.walkErr(cur.n, batch, len(resp.Wqid))
+			err = fsapi.ENOENT
+			if c.trace && resp.Errno != 0 {
+				err = fsapi.Errno(resp.Errno)
+			}
 		}
 		if owned {
 			cur.Clunk()
@@ -299,26 +301,6 @@ func (f *Fid) walk(span *telemetry.WalkTrace, names []string) (*Fid, error) {
 			return cur, nil
 		}
 	}
-}
-
-// walkErr recovers the errno behind a partial walk that resolved ok of
-// the batch names from fid.
-func (c *Client) walkErr(fid uint32, batch []string, ok int) error {
-	stall := fmt.Errorf("walk stopped after %d of %d names", ok, len(batch))
-	pn := c.fid()
-	if c.call(&Fcall{Type: MsgTwalk, Fid: fid, Newfid: pn, Wname: batch[:ok]}) != nil {
-		return stall
-	}
-	nn := c.fid()
-	err := c.call(&Fcall{Type: MsgTwalk, Fid: pn, Newfid: nn, Wname: batch[ok : ok+1]})
-	c.call(&Fcall{Type: MsgTclunk, Fid: pn})
-	if err == nil {
-		// The tree changed between the two walks and the name resolved:
-		// release the fid that walk created, and report the stall.
-		c.call(&Fcall{Type: MsgTclunk, Fid: nn})
-		return stall
-	}
-	return err
 }
 
 // WalkPath walks a "/"-separated relative path from f.
@@ -375,19 +357,25 @@ func (f *Fid) Read(b []byte, offset uint64) (int, error) {
 	return copy(b, resp.Data), nil
 }
 
-// ReadAll drains the fid from offset 0 (file or directory payload).
+// ReadAll drains the fid from offset 0 (file or directory payload). Each
+// Rread's Data is already a copy out of the frame, so the first becomes
+// the result and later ones are appended to it.
 func (f *Fid) ReadAll() ([]byte, error) {
 	var out []byte
-	buf := make([]byte, f.c.msize-IOHeaderSize)
+	var resp Fcall
 	for {
-		n, err := f.Read(buf, uint64(len(out)))
-		if err != nil {
+		req := &Fcall{Type: MsgTread, Fid: f.n, Offset: uint64(len(out)), Count: f.c.msize - IOHeaderSize}
+		if err := f.c.rpc(req, &resp); err != nil {
 			return out, err
 		}
-		if n == 0 {
+		if len(resp.Data) == 0 {
 			return out, nil
 		}
-		out = append(out, buf[:n]...)
+		if out == nil {
+			out = resp.Data
+		} else {
+			out = append(out, resp.Data...)
+		}
 	}
 }
 

@@ -110,14 +110,14 @@ func MsgName(t uint8) string {
 const (
 	// Version is the protocol identifier negotiated by Tversion.
 	Version = "9P2000"
-	// VersionTrace is the dctrace vendor extension: same wire format as
-	// 9P2000 plus an optional trailing trace-id[8] on Twalk, Topen, and
-	// Tstat, letting a client stitch its RPC span to the server's walk
-	// span. Negotiated by exact match at Tversion; a stock 9P2000 peer
-	// on either side silently falls back to the base protocol (servers
-	// because the extra field is only sent once negotiated, clients
-	// because a trailing field on a known message is ignored by any
-	// length-framed decoder, including ours).
+	// VersionTrace is the dctrace vendor extension: 9P2000 plus two optional
+	// trailers — a trace-id[8] on Twalk, Topen and Tstat, stitching a
+	// client's RPC span to the server's walk span, and an errno[4] on a
+	// partial Rwalk saying why the walk stopped (9P2000.u's Rerror field),
+	// so a missing name costs one RPC. Negotiated by exact match at
+	// Tversion; a stock 9P2000 peer on either side falls back to the base
+	// protocol (servers send the extra fields only once negotiated, and any
+	// length-framed decoder, ours included, ignores a trailing field).
 	VersionTrace = "9P2000.dctrace"
 	// VersionShard is the dcshard vendor extension: everything in dctrace
 	// plus the Tjournal/Rjournal coherence-log subscription and the
@@ -238,6 +238,7 @@ type Fcall struct {
 	Newfid  uint32 // Twalk
 	Wname   []string
 	Wqid    []Qid
+	Errno   uint32 // partial Rwalk on the dc dialects: why it stopped (errno[4] trailer, when nonzero)
 	Qid     Qid    // Rattach, Ropen, Rcreate, Rauth
 	Mode    uint8  // Topen, Tcreate
 	Perm    uint32 // Tcreate
@@ -483,6 +484,9 @@ func AppendMarshal(dst []byte, f *Fcall) ([]byte, error) {
 		for _, q := range f.Wqid {
 			e.qid(q)
 		}
+		if f.Errno != 0 {
+			e.u32(f.Errno) // dc dialects' trailing errno[4]
+		}
 	case MsgTopen:
 		e.u32(f.Fid)
 		e.u8(f.Mode)
@@ -654,6 +658,9 @@ func (f *Fcall) unmarshal(buf []byte) error {
 			if f.Wqid[i], err = d.qid(); err != nil {
 				return err
 			}
+		}
+		if len(d.buf) > 0 {
+			f.Errno, err = d.u32() // dc dialects' trailing errno[4]
 		}
 	case MsgTopen:
 		if f.Fid, err = d.u32(); err != nil {

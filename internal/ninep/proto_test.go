@@ -92,7 +92,8 @@ func TestCodecRoundTrips(t *testing.T) {
 		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2},                                                    // clone: zero names
 		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2, Wname: []string{"a"}, TraceID: 0x1122334455667788}, // dctrace
 		{Type: MsgRwalk, Tag: 4, Wqid: []Qid{qid, {Type: QTFile, Version: 1, Path: 42}}},
-		{Type: MsgRwalk, Tag: 4}, // clone response: zero qids
+		{Type: MsgRwalk, Tag: 4},                                                 // clone response: zero qids
+		{Type: MsgRwalk, Tag: 4, Wqid: []Qid{qid}, Errno: uint32(fsapi.ENOTDIR)}, // dc dialects: a partial walk's errno
 		{Type: MsgTopen, Tag: 5, Fid: 2, Mode: ORdWr | OTrunc},
 		{Type: MsgTopen, Tag: 5, Fid: 2, Mode: ORead, TraceID: 99}, // dctrace
 		{Type: MsgRopen, Tag: 5, Qid: qid, Iounit: 8168},
@@ -150,6 +151,46 @@ func TestCodecRejectsTruncated(t *testing.T) {
 			t.Fatalf("Unmarshal accepted a frame truncated to %d bytes", n)
 		}
 	}
+}
+
+// FuzzUnmarshal holds the decoder to three properties on any frame body:
+// it never panics; an Rwalk whose errno[4] trailer is cut to 1–3 bytes is
+// an error, not errno 0; and whatever decodes re-marshals to a frame that
+// decodes to the same Fcall. Seeds: every frame of frameStream, plus the
+// truncated-trailer Rwalks committed under testdata/fuzz/FuzzUnmarshal.
+func FuzzUnmarshal(f *testing.F) {
+	for _, m := range frameStream() {
+		b, err := Marshal(m)
+		if err != nil {
+			f.Fatalf("Marshal(%s): %v", MsgName(m.Type), err)
+		}
+		f.Add(b[4:])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var got Fcall
+		err := got.unmarshal(body)
+		if len(body) >= 5 && body[0] == MsgRwalk {
+			// type[1] tag[2] nwqid[2] qid[13]*nwqid, then the trailer
+			n := int(binary.LittleEndian.Uint16(body[3:]))
+			if cut := len(body) - 5 - 13*n; cut > 0 && cut < 4 && err == nil {
+				t.Fatalf("Rwalk with a %d-byte errno trailer decoded as errno %d", cut, got.Errno)
+			}
+		}
+		if err != nil {
+			return
+		}
+		out, err := Marshal(&got)
+		if err != nil {
+			t.Fatalf("decoded %s does not re-marshal: %v", MsgName(got.Type), err)
+		}
+		var again Fcall
+		if err := again.unmarshal(out[4:]); err != nil {
+			t.Fatalf("re-marshalled %s does not decode: %v", MsgName(got.Type), err)
+		}
+		if !reflect.DeepEqual(&got, &again) {
+			t.Fatalf("%s changed across a re-marshal\n  first  %+v\n  second %+v", MsgName(got.Type), got, again)
+		}
+	})
 }
 
 func TestReadMsgEnforcesLimits(t *testing.T) {

@@ -1,6 +1,7 @@
 package ninep
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -832,7 +833,7 @@ func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 			if perr != nil {
 				// The tree mutated between the full walk and the qid
 				// read-back; fall back to the component loop.
-				return c.twalkSlow(req, src, paths)
+				return c.twalkSlow(req, src, paths, nil)
 			}
 			qids = append(qids, qidOf(pfi))
 		}
@@ -845,27 +846,30 @@ func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 		}
 		return &Fcall{Type: MsgRwalk, Wqid: qids}, nil
 	}
-	return c.twalkSlow(req, src, paths)
+	return c.twalkSlow(req, src, paths, err)
 }
 
 // twalkSlow implements 9P partial-walk semantics: resolve one name at a
 // time, stop at the first failure, and succeed with the prefix's qids
-// (error only when the very first name fails).
-func (c *conn) twalkSlow(req *Fcall, src *fidEntry, paths []string) (*Fcall, error) {
+// (error only when the very first name fails). On the dc dialects the
+// partial Rwalk also carries fullErr, the full-path Lstat's errno (it
+// follows the symlinks this loop stops at), or else the failing name's.
+func (c *conn) twalkSlow(req *Fcall, src *fidEntry, paths []string, fullErr error) (*Fcall, error) {
 	var qids []Qid
 	for _, p := range paths {
 		fi, err := src.proc.Lstat(p)
+		if err == nil && len(qids) < len(paths)-1 && !fi.IsDir() {
+			err = fsapi.ENOTDIR
+		}
 		if err != nil {
 			if len(qids) == 0 {
 				return nil, err
 			}
-			return &Fcall{Type: MsgRwalk, Wqid: qids}, nil // partial: newfid not created
-		}
-		if len(qids) < len(paths)-1 && !fi.IsDir() {
-			if len(qids) == 0 {
-				return nil, fsapi.ENOTDIR
+			resp := &Fcall{Type: MsgRwalk, Wqid: qids} // partial: newfid not created
+			if c.trace {
+				resp.Errno = uint32(fsapi.ToErrno(cmp.Or(fullErr, err)))
 			}
-			return &Fcall{Type: MsgRwalk, Wqid: qids}, nil
+			return resp, nil
 		}
 		qids = append(qids, qidOf(fi))
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dircache"
+	"dircache/internal/fsapi"
 )
 
 // startServer spins up a dcserve-equivalent over a fresh optimized System
@@ -128,15 +129,16 @@ func TestServerPartialWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	// srv/app exist, "missing" does not: Rwalk must carry exactly 2 qids
-	// and not bind newfid.
+	// and the errno of "missing" (dctrace is negotiated), and not bind
+	// newfid.
 	var resp Fcall
 	err = c.rpc(&Fcall{Type: MsgTwalk, Fid: root.n, Newfid: 99,
 		Wname: []string{"srv", "app", "missing", "deeper"}}, &resp)
 	if err != nil {
 		t.Fatalf("partial walk errored: %v", err)
 	}
-	if len(resp.Wqid) != 2 {
-		t.Fatalf("partial walk returned %d qids, want 2", len(resp.Wqid))
+	if len(resp.Wqid) != 2 || resp.Errno != uint32(fsapi.ENOENT) {
+		t.Fatalf("partial walk returned %d qids and errno %d, want 2 and ENOENT", len(resp.Wqid), resp.Errno)
 	}
 	if err := c.call(&Fcall{Type: MsgTclunk, Fid: 99}); err == nil {
 		t.Fatal("newfid was bound by a partial walk")

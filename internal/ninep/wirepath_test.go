@@ -3,6 +3,7 @@ package ninep
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"dircache"
+	"dircache/internal/fsapi"
 )
 
 // --- framing ----------------------------------------------------------
@@ -37,6 +39,7 @@ func frameStream() []*Fcall {
 		{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: VersionTrace},
 		{Type: MsgTwalk, Tag: 1, Fid: 0, Newfid: 1, Wname: []string{"srv", "app", "config", "app.conf"}},
 		{Type: MsgRwalk, Tag: 1, Wqid: []Qid{{Type: QTDir, Path: 1}, {Path: 2}}},
+		{Type: MsgRwalk, Tag: 1, Wqid: []Qid{{Type: QTDir, Path: 1}}, Errno: uint32(fsapi.ENOENT)}, // dc dialects' trailer
 		{Type: MsgTstat, Tag: 2, Fid: 1, TraceID: 42},
 		{Type: MsgRstat, Tag: 2, Stat: Stat{Name: "app.conf", UID: "1000", GID: "1000", MUID: "1000", Length: 13}},
 	}
@@ -284,53 +287,149 @@ func TestClientWriteSplitsAtMsize(t *testing.T) {
 	}
 }
 
-// --- fid leak ------------------------------------------------------------
+// --- partial walks ---------------------------------------------------------
 
-// TestWalkErrClunksResolvedFid: a partial walk makes the client re-ask for
-// the failing name alone; if the tree changed in between and that name now
-// resolves, the fid the re-walk bound must be clunked, not leaked.
-func TestWalkErrClunksResolvedFid(t *testing.T) {
+// countConn counts the bytes a client reads off its connection.
+type countConn struct {
+	net.Conn
+	n atomic.Int64
+}
+
+func (c *countConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// dialVersion connects a client that offers exactly version at Tversion
+// and counts the bytes it reads.
+func dialVersion(t *testing.T, srv *Server, version string) (*Client, *countConn) {
+	t.Helper()
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countConn{Conn: nc}
+	c := newClient(cc)
+	t.Cleanup(func() { c.Close() })
+	var resp Fcall
+	if err := c.rpc(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: version}, &resp); err != nil || resp.Version != version {
+		t.Fatalf("Tversion %q: got %q, %v", version, resp.Version, err)
+	}
+	c.trace = version != Version
+	return c, cc
+}
+
+// TestWalkErrnoParity: a walk that fails past its first name is answered
+// in one RPC by a partial Rwalk that binds no fid and sends no Rerror. On
+// the dc dialects the Rwalk's errno[4] trailer carries the errno an
+// in-process Lstat of the same path gets; on plain 9P2000 no trailer is on
+// the wire and the walk reads ENOENT. A first-name failure is an Rerror
+// with the exact errno on every dialect. A 20-name walk failing in its
+// second Twalk returns the exact errno and clunks the first Twalk's fid.
+func TestWalkErrnoParity(t *testing.T) {
 	sys, srv := startServer(t, Config{})
-	var twalks atomic.Int32
-	hook := func(f *Fcall) {
-		// Twalk 1 is the client's full walk (partial: "late" is missing),
-		// 2 parks a fid at the partial point, 3 re-asks for "late" alone.
-		if f.Type == MsgTwalk && twalks.Add(1) == 2 {
-			p := sys.Start(dircache.RootCreds())
-			defer p.Exit()
-			if err := p.WriteFile("/srv/app/late", []byte("x"), 0o644); err != nil {
-				t.Errorf("creating the late file: %v", err)
+	root := sys.Start(dircache.RootCreds())
+	mustMkdirAll(t, root, "/srv/private", 0o700)
+	mustWrite(t, root, "/srv/private/key", "k")
+	if err := root.Symlink("/srv/app", "/srv/lnk"); err != nil {
+		t.Fatal(err)
+	}
+	deep := []string{"srv", "deep"}
+	for i := 1; i <= 15; i++ {
+		deep = append(deep, fmt.Sprintf("d%02d", i))
+	}
+	mustMkdirAll(t, root, "/"+strings.Join(deep, "/"), 0o755)
+	deep = append(deep, "leaf")
+	mustWrite(t, root, "/"+strings.Join(deep, "/"), "x")
+	deep = append(deep, "a", "b")
+	root.Exit()
+	user := sys.Start(dircache.UserCreds(1000))
+	defer user.Exit()
+
+	rows := []struct {
+		name, path string
+		qids       int // names resolved before the failing one; -1: the first name fails
+	}{
+		{"missing last name", "srv/app/nope", 2},
+		{"missing middle name", "srv/nope/config/app.conf", 1},
+		{"regular file as a directory", "srv/app/config/app.conf/x", 3},
+		{"0700 directory", "srv/private/key", 2},
+		{"missing name past a symlinked directory", "srv/lnk/nope", 1},
+		{"first name", "nope/srv", -1},
+	}
+	for _, version := range []string{VersionTrace, VersionShard, Version} {
+		c, cc := dialVersion(t, srv, version)
+		fid, err := c.Attach("1000", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			_, lerr := user.Lstat("/" + r.path)
+			if lerr == nil {
+				t.Fatalf("%s: in-process Lstat(/%s) succeeded", r.name, r.path)
+			}
+			want := fsapi.ToErrno(lerr)
+			if r.qids >= 0 && version == Version {
+				want = fsapi.ENOENT
+			}
+			st, rpcs, read := srv.Stats(), c.RPCs(), cc.n.Load()
+			if _, err := fid.WalkPath(r.path); !errors.Is(err, want) {
+				t.Fatalf("%s, %s: walk got %v, want %v", version, r.name, err, want)
+			}
+			if n := c.RPCs() - rpcs; n != 1 {
+				t.Fatalf("%s, %s: %d RPCs, want 1", version, r.name, n)
+			}
+			after := srv.Stats()
+			rerrors := int64(0)
+			if r.qids < 0 {
+				rerrors = 1
+			}
+			if after.FidsLive != st.FidsLive || after.ErrorsSent-st.ErrorsSent != rerrors {
+				t.Fatalf("%s, %s: FidsLive %d → %d, ErrorsSent +%d (want unchanged, +%d)",
+					version, r.name, st.FidsLive, after.FidsLive, after.ErrorsSent-st.ErrorsSent, rerrors)
+			}
+			if r.qids < 0 {
+				continue
+			}
+			frame := int64(4 + 1 + 2 + 2 + 13*r.qids) // size type tag nwqid qid*
+			if version != Version {
+				frame += 4 // errno[4]
+			}
+			if got := cc.n.Load() - read; got != frame {
+				t.Fatalf("%s, %s: the Rwalk is %d bytes, want %d", version, r.name, got, frame)
 			}
 		}
 	}
-	srv.testStall.Store(&hook)
 
-	c, err := Dial(srv.Addr().String())
+	c, _ := dialVersion(t, srv, VersionTrace)
+	fid, err := c.Attach("1000", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	root, err := c.Attach("root", "")
-	if err != nil {
-		t.Fatal(err)
+	_, lerr := user.Lstat("/" + strings.Join(deep, "/"))
+	want := fsapi.ToErrno(lerr)
+	st, rpcs := srv.Stats(), c.RPCs()
+	if _, err := fid.Walk(deep...); want != fsapi.ENOTDIR || !errors.Is(err, want) {
+		t.Fatalf("20-name walk: got %v, want %v", err, want)
 	}
-	before := srv.Stats().FidsLive
-	if _, err := root.Walk("srv", "app", "late"); err == nil || !strings.Contains(err.Error(), "walk stopped after 2 of 3") {
-		t.Fatalf("walk across the mutation: %v, want the stall report", err)
+	if n := c.RPCs() - rpcs; n != 3 {
+		t.Fatalf("20-name walk took %d RPCs, want 3 (Twalk, Twalk, Tclunk)", n)
 	}
-	if n := twalks.Load(); n != 3 {
-		t.Fatalf("%d Twalks, want 3 (the scenario did not play out)", n)
-	}
-	if after := srv.Stats().FidsLive; after != before {
-		t.Fatalf("FidsLive %d → %d: the re-walk's fid leaked", before, after)
+	if after := srv.Stats().FidsLive; after != st.FidsLive {
+		t.Fatalf("20-name walk: FidsLive %d → %d", st.FidsLive, after)
 	}
 }
 
 // --- allocation budget ----------------------------------------------------
 
-// TestWireAllocBudget holds the wire path to its allocation budget: a warm
-// 4-name Walk + Stat + Clunk over loopback, both ends in this process,
-// counted as the process-wide malloc delta over 20 k ops.
+// TestWireAllocBudget holds the wire path to its allocation budget, over
+// loopback with both ends in this process, counted as the process-wide
+// malloc delta over 20 k ops: a warm 4-name Walk + Stat + Clunk, a
+// directory listing (Walk + Open + ReadDir + Clunk), and a walk to a
+// missing name. The last two measure 35 and 9 mallocs per op on the dot
+// plus a few stray process-wide mallocs per run, so each budget is that
+// count plus one.
 func TestWireAllocBudget(t *testing.T) {
 	sys, srv := startServer(t, Config{})
 	c, err := Dial(srv.Addr().String())
@@ -342,33 +441,61 @@ func TestWireAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"srv", "app", "config", "app.conf"}
-	op := func() {
+	walk := func(names ...string) *Fid {
 		f, err := root.Walk(names...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Stat(); err != nil {
-			t.Fatal(err)
+		return f
+	}
+	rows := []struct {
+		name   string
+		budget float64
+		op     func()
+	}{
+		{"warm wire walk+stat+clunk", 16, func() {
+			f := walk("srv", "app", "config", "app.conf")
+			if _, err := f.Stat(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Clunk(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"wire readdir", 36, func() {
+			f := walk("srv", "app")
+			if err := f.Open(ORead); err != nil {
+				t.Fatal(err)
+			}
+			if ents, err := f.ReadDir(); err != nil || len(ents) != 2 {
+				t.Fatalf("ReadDir: %d entries, %v", len(ents), err)
+			}
+			if err := f.Clunk(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"wire walk to a missing name", 10, func() {
+			if _, err := root.Walk("srv", "app", "nope"); !errors.Is(err, fsapi.ENOENT) {
+				t.Fatalf("missing name: %v", err)
+			}
+		}},
+	}
+	for _, r := range rows {
+		for i := 0; i < 1000; i++ {
+			r.op()
 		}
-		if err := f.Clunk(); err != nil {
-			t.Fatal(err)
+		const n = 20000
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		for i := 0; i < n; i++ {
+			r.op()
 		}
-	}
-	for i := 0; i < 1000; i++ {
-		op()
-	}
-	const n = 20000
-	var a, b runtime.MemStats
-	runtime.ReadMemStats(&a)
-	for i := 0; i < n; i++ {
-		op()
-	}
-	runtime.ReadMemStats(&b)
-	perOp := float64(b.Mallocs-a.Mallocs) / n
-	t.Logf("%.1f mallocs, %.0f bytes per warm wire walk+stat+clunk", perOp, float64(b.TotalAlloc-a.TotalAlloc)/n)
-	if perOp > 16 {
-		t.Fatalf("%.1f mallocs per warm wire walk+stat+clunk, budget 16", perOp)
+		runtime.ReadMemStats(&b)
+		perOp := float64(b.Mallocs-a.Mallocs) / n
+		t.Logf("%.2f mallocs, %.0f bytes per %s", perOp, float64(b.TotalAlloc-a.TotalAlloc)/n, r.name)
+		if perOp > r.budget {
+			t.Fatalf("%.2f mallocs per %s, budget %.0f", perOp, r.name, r.budget)
+		}
 	}
 
 	p := sys.Start(dircache.UserCreds(1000))

@@ -124,13 +124,18 @@ func TestWireShardTier(t *testing.T) {
 	}
 
 	// Zero stale reads: EVERY endpoint — owner or not — answers ENOENT for
-	// the old names and resolves the new ones.
+	// the old names, in one RPC (the partial Rwalk carries the errno), and
+	// resolves the new ones.
 	for ri, rem := range g.Remotes {
 		for a := 0; a < 2; a++ {
 			old := fmt.Sprintf("/srv/app%d/lib/pkg0/file.go", a)
 			niu := fmt.Sprintf("/srv/app%d-moved/lib/pkg0/file.go", a)
+			rpcs := rem.c.RPCs()
 			if _, err := rem.Lstat(old); fsapi.ToErrno(err) != fsapi.ENOENT {
 				t.Fatalf("stale read on endpoint %d: Lstat(%s) = %v, want ENOENT", ri, old, err)
+			}
+			if n := rem.c.RPCs() - rpcs; n != 1 {
+				t.Fatalf("endpoint %d: Lstat of missing %s took %d RPCs, want 1", ri, old, n)
 			}
 			if _, err := rem.Lstat(niu); err != nil {
 				t.Fatalf("endpoint %d cannot resolve moved path %s: %v", ri, niu, err)

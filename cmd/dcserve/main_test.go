@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,8 +19,13 @@ import (
 // TestServeSmoke is the `make serve-smoke` gate: boot dcserve on an
 // ephemeral loopback port with the default deep-tree seed, run the
 // in-repo 9P client through attach/walk/stat/readdir/read round trips,
-// and assert a clean shutdown.
+// hold a warm walk+stat+clunk to two RPCs with the server's fid table
+// back at its baseline after the next walk, and assert a clean shutdown.
 func TestServeSmoke(t *testing.T) {
+	sysC := make(chan *dircache.System, 1)
+	testSysHook = func(s *dircache.System) { sysC <- s }
+	defer func() { testSysHook = nil }()
+
 	stop := make(chan struct{})
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
@@ -65,8 +71,51 @@ func TestServeSmoke(t *testing.T) {
 
 	// Descend to a leaf file (depth-first with backtracking past the
 	// generator's empty decoy directories), stat it, and read it back.
-	if !findLeaf(t, root, "", 0) {
+	leaf := findLeaf(t, root, "", 0)
+	if leaf == "" {
 		t.Fatal("no leaf file reachable from the attach root")
+	}
+
+	// A warm stat is Twalk + Tstat: the clunk of the never-opened fid
+	// rides the next Twalk, which leaves the server's fid table where it
+	// was.
+	tel := (<-sysC).Telemetry().Raw()
+	fidsLive := func() int64 {
+		var doc struct {
+			Stats map[string]map[string]int64 `json:"stats"`
+		}
+		if err := json.Unmarshal(tel.MetricsJSON(), &doc); err != nil {
+			t.Fatalf("metrics JSON: %v", err)
+		}
+		return doc.Stats["ninep"]["fids_live"]
+	}
+	stat := func() {
+		f, err := root.WalkPath(leaf)
+		if err != nil {
+			t.Fatalf("walk %s: %v", leaf, err)
+		}
+		if _, err := f.Stat(); err != nil {
+			t.Fatalf("stat %s: %v", leaf, err)
+		}
+		if err := f.Clunk(); err != nil {
+			t.Fatalf("clunk %s: %v", leaf, err)
+		}
+	}
+	missing := func() {
+		if _, err := root.WalkPath("srv/nope"); !errors.Is(err, fsapi.ENOENT) {
+			t.Fatalf("walk to a missing name: %v", err)
+		}
+	}
+	stat()
+	missing()
+	base, rpcs := fidsLive(), c.RPCs()
+	stat()
+	if n := c.RPCs() - rpcs; n != 2 {
+		t.Fatalf("warm walk+stat+clunk took %d RPCs, want 2", n)
+	}
+	missing()
+	if n := fidsLive(); n != base {
+		t.Fatalf("fids_live %d after the next walk, want %d", n, base)
 	}
 
 	// A configured -users uname attaches; an unknown one is refused.
@@ -280,11 +329,12 @@ func httpGet(t *testing.T, url string) string {
 }
 
 // findLeaf depth-first-searches the exported tree over the wire for a
-// regular file, exercising walk/open/readdir/stat/read as it goes.
-func findLeaf(t *testing.T, dir *ninep.Fid, path string, depth int) bool {
+// regular file, exercising walk/open/readdir/stat/read as it goes, and
+// returns its path relative to the attach root ("" if there is none).
+func findLeaf(t *testing.T, dir *ninep.Fid, path string, depth int) string {
 	t.Helper()
 	if depth > 40 {
-		return false
+		return ""
 	}
 	dh, err := dir.Walk() // clone: an open fid cannot walk
 	if err != nil {
@@ -321,7 +371,7 @@ func findLeaf(t *testing.T, dir *ninep.Fid, path string, depth int) bool {
 			t.Fatalf("read %d bytes of %s/%s, stat says %d", len(data), path, e.Name, st.Length)
 		}
 		ff.Clunk()
-		return true
+		return strings.TrimPrefix(path+"/"+e.Name, "/")
 	}
 	for _, e := range ents {
 		if e.Mode&ninep.DMDir == 0 {
@@ -333,11 +383,11 @@ func findLeaf(t *testing.T, dir *ninep.Fid, path string, depth int) bool {
 		}
 		found := findLeaf(t, child, path+"/"+e.Name, depth+1)
 		child.Clunk()
-		if found {
-			return true
+		if found != "" {
+			return found
 		}
 	}
-	return false
+	return ""
 }
 
 func TestParseUsers(t *testing.T) {

@@ -116,9 +116,9 @@ func runConnStorm() (*connStormResult, error) {
 	}
 	coldDelta := sys.Stats().Delta(before)
 
-	// Warm phase: repeated deep walks per connection. Every walk is two
-	// RPCs on the wire (Twalk+Tclunk) and, server-side, one DLHT
-	// full-path probe.
+	// Warm phase: repeated deep walks per connection. Every walk is one
+	// RPC on the wire (its Twalk carries the previous walk's clunk) and,
+	// server-side, one DLHT full-path probe.
 	warmBefore := sys.Stats()
 	rpcBefore := int64(0)
 	for _, c := range clients {

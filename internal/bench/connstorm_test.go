@@ -5,7 +5,8 @@ import "testing"
 // TestConnStormTrajectory asserts the deterministic wire-level claims:
 // a 64-connection cold storm over one deep path
 // costs exactly one backend Lookup per component, warm walks never touch
-// the backend, and a warm walk is exactly two RPCs (Twalk+Tclunk).
+// the backend, and a warm walk+clunk is exactly one RPC (the Twalk, which
+// carries the previous walk's clunk).
 func TestConnStormTrajectory(t *testing.T) {
 	res, err := runConnStorm()
 	if err != nil {
@@ -25,7 +26,7 @@ func TestConnStormTrajectory(t *testing.T) {
 	if m["storm/warm_fs_lookups"] != 0 {
 		t.Fatalf("warm walks reached the backend %v times", m["storm/warm_fs_lookups"])
 	}
-	if m["storm/rpcs_per_walk"] != 2 {
-		t.Fatalf("warm walk costs %v RPCs, want exactly 2 (Twalk+Tclunk)", m["storm/rpcs_per_walk"])
+	if m["storm/rpcs_per_walk"] != 1 {
+		t.Fatalf("warm walk+clunk costs %v RPCs, want exactly 1 (a Twalk carrying the previous clunk)", m["storm/rpcs_per_walk"])
 	}
 }

@@ -30,6 +30,9 @@ type Client struct {
 	rpcs    atomic.Int64
 
 	mu sync.Mutex // serializes rpc (tag allocation + write + read)
+	// pending[:npending] (under mu) are clunked fids the next Twalk carries.
+	pending  [MaxWalkNames]uint32
+	npending uint8
 
 	trace bool                 // server negotiated the dctrace extension
 	shard bool                 // server negotiated the dcshard extension
@@ -138,6 +141,9 @@ func (c *Client) Msize() uint32 { return c.msize }
 // makes the Client shareable across goroutines; requests are not pipelined
 // from this client (the server's dispatcher pipelines across clients).
 func (c *Client) rpc(req, resp *Fcall) error {
+	if req.Fid == NoFid { // a clunked Fid: answer what the server would
+		return fsapi.EBADF
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rpcs.Add(1)
@@ -147,6 +153,10 @@ func (c *Client) rpc(req, resp *Fcall) error {
 			c.tag = 1
 		}
 		req.Tag = c.tag
+	}
+	if req.Type == MsgTwalk && c.npending > 0 {
+		req.Clunks, req.Nclunk = c.pending, c.npending
+		c.npending = 0
 	}
 	out, err := AppendMarshal(c.wbuf[:0], req)
 	if err != nil {
@@ -219,9 +229,10 @@ func (c *Client) Shoot(path, note string) (int, error) {
 // Fid is a client-side fid handle.
 type Fid struct {
 	c      *Client
-	n      uint32
+	n      uint32 // NoFid once clunked
 	Qid    Qid
 	iounit uint32
+	opened bool // by Topen or Tcreate, so clunking it has effects
 }
 
 func (c *Client) fid() uint32 {
@@ -261,7 +272,7 @@ func (f *Fid) Walk(names ...string) (*Fid, error) {
 func (f *Fid) walk(span *telemetry.WalkTrace, names []string) (*Fid, error) {
 	c := f.c
 	cur := f
-	owned := false // does cur need clunking on error?
+	owned := false // cur is this walk's intermediate fid, clunked once the next batch left it
 	for {
 		batch := names
 		if len(batch) > MaxWalkNames {
@@ -285,7 +296,7 @@ func (f *Fid) walk(span *telemetry.WalkTrace, names []string) (*Fid, error) {
 			}
 		}
 		if owned {
-			cur.Clunk()
+			cur.Clunk() // on the dc dialects it rides the next Twalk
 		}
 		if err != nil {
 			return nil, err
@@ -328,6 +339,7 @@ func (f *Fid) Open(mode uint8) error {
 	if err != nil {
 		return err
 	}
+	f.opened = true
 	f.Qid = resp.Qid
 	f.iounit = resp.Iounit
 	return nil
@@ -339,6 +351,7 @@ func (f *Fid) Create(name string, perm uint32, mode uint8) error {
 	if err := f.c.rpc(&Fcall{Type: MsgTcreate, Fid: f.n, Name: name, Perm: perm, Mode: mode}, &resp); err != nil {
 		return err
 	}
+	f.opened = true
 	f.Qid = resp.Qid
 	f.iounit = resp.Iounit
 	return nil
@@ -431,12 +444,28 @@ func (f *Fid) ReadDir() ([]Stat, error) {
 	return UnmarshalStats(buf)
 }
 
-// Clunk releases the fid.
+// Clunk releases the fid; using f afterwards fails with EBADF, unsent. On
+// the dc dialects a never-opened fid is only a path to the server, so its
+// clunk rides the next Twalk; an opened fid, every fid on plain 9P2000 and
+// a clunk finding MaxWalkNames pending send a Tclunk.
 func (f *Fid) Clunk() error {
-	return f.c.call(&Fcall{Type: MsgTclunk, Fid: f.n})
+	c, n := f.c, f.n
+	f.n = NoFid
+	c.mu.Lock()
+	deferred := n != NoFid && c.trace && !f.opened && int(c.npending) < len(c.pending)
+	if deferred {
+		c.pending[c.npending] = n
+		c.npending++
+	}
+	c.mu.Unlock()
+	if deferred {
+		return nil
+	}
+	return c.call(&Fcall{Type: MsgTclunk, Fid: n})
 }
 
 // Remove deletes the object and clunks the fid.
 func (f *Fid) Remove() error {
+	defer func() { f.n = NoFid }()
 	return f.c.call(&Fcall{Type: MsgTremove, Fid: f.n})
 }

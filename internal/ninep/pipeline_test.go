@@ -49,10 +49,11 @@ func (r *rawConn) recv() *Fcall {
 	return f
 }
 
-// handshake negotiates, attaches fid 0 at "/", and walks fid 1 to a file.
-func (r *rawConn) handshake() {
+// handshake negotiates version, attaches fid 0 at "/", and walks fid 1 to
+// a file.
+func (r *rawConn) handshake(version string) {
 	r.t.Helper()
-	r.send(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: Version})
+	r.send(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: version})
 	if resp := r.recv(); resp.Type != MsgRversion {
 		r.t.Fatalf("handshake: got %s", MsgName(resp.Type))
 	}
@@ -84,7 +85,7 @@ func TestPipelineOutOfOrderCompletion(t *testing.T) {
 	}
 	srv.testStall.Store(&stall)
 	r := rawDial(t, srv)
-	r.handshake()
+	r.handshake(Version)
 
 	r.send(&Fcall{Type: MsgTstat, Tag: 77, Fid: 1}) // stalls in the handler
 	r.send(&Fcall{Type: MsgTstat, Tag: 78, Fid: 0}) // must overtake it
@@ -117,7 +118,7 @@ func TestPipelineFlushWaitsForOldtag(t *testing.T) {
 	}
 	srv.testStall.Store(&stall)
 	r := rawDial(t, srv)
-	r.handshake()
+	r.handshake(Version)
 
 	r.send(&Fcall{Type: MsgTstat, Tag: 80, Fid: 1})
 	r.send(&Fcall{Type: MsgTflush, Tag: 81, Oldtag: 80})
@@ -158,7 +159,7 @@ func TestPipelineDuplicateTagRejected(t *testing.T) {
 	}
 	srv.testStall.Store(&stall)
 	r := rawDial(t, srv)
-	r.handshake()
+	r.handshake(Version)
 
 	r.send(&Fcall{Type: MsgTstat, Tag: 90, Fid: 1})
 	r.send(&Fcall{Type: MsgTstat, Tag: 90, Fid: 0}) // duplicate while in flight

@@ -110,14 +110,14 @@ func MsgName(t uint8) string {
 const (
 	// Version is the protocol identifier negotiated by Tversion.
 	Version = "9P2000"
-	// VersionTrace is the dctrace vendor extension: 9P2000 plus two optional
-	// trailers — a trace-id[8] on Twalk, Topen and Tstat, stitching a
-	// client's RPC span to the server's walk span, and an errno[4] on a
-	// partial Rwalk saying why the walk stopped (9P2000.u's Rerror field),
-	// so a missing name costs one RPC. Negotiated by exact match at
-	// Tversion; a stock 9P2000 peer on either side falls back to the base
-	// protocol (servers send the extra fields only once negotiated, and any
-	// length-framed decoder, ours included, ignores a trailing field).
+	// VersionTrace is the dctrace vendor extension: 9P2000 plus optional
+	// trailers — a trace-id[8] on Twalk, Topen and Tstat (span stitching);
+	// an errno[4] on a partial Rwalk (9P2000.u's Rerror field), so a missing
+	// name is one RPC; and after Twalk's trace id (0 if untraced) nclunk[2]
+	// fid[4]*nclunk, never-opened fids clunked before the walk, so a stat is
+	// two RPCs. Negotiated by exact match at Tversion; a stock 9P2000 peer on
+	// either side falls back to the base protocol (the extra fields are sent
+	// only once negotiated; a length-framed decoder skips a trailing field).
 	VersionTrace = "9P2000.dctrace"
 	// VersionShard is the dcshard vendor extension: everything in dctrace
 	// plus the Tjournal/Rjournal coherence-log subscription and the
@@ -241,6 +241,7 @@ type Fcall struct {
 	Errno   uint32 // partial Rwalk on the dc dialects: why it stopped (errno[4] trailer, when nonzero)
 	Qid     Qid    // Rattach, Ropen, Rcreate, Rauth
 	Mode    uint8  // Topen, Tcreate
+	Nclunk  uint8  // Twalk (see Clunks), in Mode's padding: Fcall stays a 448-byte malloc
 	Perm    uint32 // Tcreate
 	Name    string // Tcreate
 	Iounit  uint32 // Ropen, Rcreate
@@ -253,6 +254,9 @@ type Fcall struct {
 	// a trailing u64 on Twalk/Topen/Tstat when nonzero (and only after
 	// VersionTrace was negotiated). Zero means untraced.
 	TraceID uint64
+
+	// Clunks[:Nclunk] is a dc Twalk's clunk list; an array, so no codec allocates.
+	Clunks [MaxWalkNames]uint32
 
 	// Journal carries Rjournal's record batch (dcshard extension). The
 	// cursor rides in Offset (both directions), the flag bits in Mode,
@@ -469,15 +473,21 @@ func AppendMarshal(dst []byte, f *Fcall) ([]byte, error) {
 	case MsgTwalk:
 		e.u32(f.Fid)
 		e.u32(f.Newfid)
-		if len(f.Wname) > MaxWalkNames {
-			return dst, fmt.Errorf("ninep: Twalk with %d names (max %d)", len(f.Wname), MaxWalkNames)
+		if len(f.Wname) > MaxWalkNames || f.Nclunk > MaxWalkNames {
+			return dst, fmt.Errorf("ninep: Twalk with %d names, %d clunks (max %d)", len(f.Wname), f.Nclunk, MaxWalkNames)
 		}
 		e.u16(uint16(len(f.Wname)))
 		for _, n := range f.Wname {
 			e.str(n)
 		}
-		if f.TraceID != 0 {
+		if f.TraceID != 0 || f.Nclunk > 0 {
 			e.u64(f.TraceID) // dctrace trailing trace-id[8]
+		}
+		if f.Nclunk > 0 {
+			e.u16(uint16(f.Nclunk)) // dc dialects' clunk list
+			for _, fid := range f.Clunks[:f.Nclunk] {
+				e.u32(fid)
+			}
 		}
 	case MsgRwalk:
 		e.u16(uint16(len(f.Wqid)))
@@ -642,8 +652,17 @@ func (f *Fcall) unmarshal(buf []byte) error {
 			f.Wname[i] = all[off+2 : end]
 			off = end
 		}
-		if len(d.buf) >= 8 {
-			f.TraceID, _ = d.u64() // dctrace trailing trace-id[8]
+		if len(d.buf) < 8 {
+			break
+		}
+		f.TraceID, _ = d.u64() // dctrace trace-id[8]; then the clunk list, whole or an error
+		if len(d.buf) > 0 {
+			if n, err = d.u16(); err == nil && n > MaxWalkNames {
+				err = fmt.Errorf("ninep: Twalk with %d clunks (max %d)", n, MaxWalkNames)
+			}
+			for ; err == nil && int(f.Nclunk) < int(n); f.Nclunk++ {
+				f.Clunks[f.Nclunk], err = d.u32()
+			}
 		}
 	case MsgRwalk:
 		var n uint16

@@ -25,6 +25,9 @@ func ReadMsg(r io.Reader, maxSize uint32) ([]byte, error) {
 	}
 	body := make([]byte, size-4)
 	if _, err := io.ReadFull(r, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the stream ended inside a frame
+		}
 		return nil, err
 	}
 	return body, nil
@@ -94,6 +97,9 @@ func TestCodecRoundTrips(t *testing.T) {
 		{Type: MsgRwalk, Tag: 4, Wqid: []Qid{qid, {Type: QTFile, Version: 1, Path: 42}}},
 		{Type: MsgRwalk, Tag: 4},                                                 // clone response: zero qids
 		{Type: MsgRwalk, Tag: 4, Wqid: []Qid{qid}, Errno: uint32(fsapi.ENOTDIR)}, // dc dialects: a partial walk's errno
+		// dc dialects' clunk lists, behind trace id 0 and a real one
+		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2, Wname: []string{"a"}, Clunks: [MaxWalkNames]uint32{5}, Nclunk: 1},
+		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2, TraceID: 3, Clunks: [MaxWalkNames]uint32{9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24}, Nclunk: MaxWalkNames},
 		{Type: MsgTopen, Tag: 5, Fid: 2, Mode: ORdWr | OTrunc},
 		{Type: MsgTopen, Tag: 5, Fid: 2, Mode: ORead, TraceID: 99}, // dctrace
 		{Type: MsgRopen, Tag: 5, Qid: qid, Iounit: 8168},
@@ -153,10 +159,33 @@ func TestCodecRejectsTruncated(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshal holds the decoder to three properties on any frame body:
+// clunkListShort reports whether body is a Twalk whose bytes after its
+// names and a whole trace-id[8] hold less than the clunk list's nclunk[2]
+// declares (or less than nclunk[2] itself).
+func clunkListShort(body []byte) bool {
+	if len(body) < 13 || body[0] != MsgTwalk {
+		return false
+	}
+	rest := body[13:] // type[1] tag[2] fid[4] newfid[4] nwname[2]
+	for range int(binary.LittleEndian.Uint16(body[11:])) {
+		if len(rest) < 2 || len(rest) < 2+int(binary.LittleEndian.Uint16(rest)) {
+			return false
+		}
+		rest = rest[2+int(binary.LittleEndian.Uint16(rest)):]
+	}
+	if len(rest) <= 8 {
+		return false
+	}
+	rest = rest[8:]
+	return len(rest) < 2 || len(rest) < 2+4*int(binary.LittleEndian.Uint16(rest))
+}
+
+// FuzzUnmarshal holds the decoder to four properties on any frame body:
 // it never panics; an Rwalk whose errno[4] trailer is cut to 1–3 bytes is
-// an error, not errno 0; and whatever decodes re-marshals to a frame that
-// decodes to the same Fcall. Seeds: every frame of frameStream, plus the
+// an error, not errno 0; a Twalk whose clunk list is shorter than its
+// nclunk declares is an error, not a shorter list; and whatever decodes
+// re-marshals to a frame that decodes to the same Fcall. Seeds: every
+// frame of frameStream, its clunk lists cut short by 1–3 bytes, and the
 // truncated-trailer Rwalks committed under testdata/fuzz/FuzzUnmarshal.
 func FuzzUnmarshal(f *testing.F) {
 	for _, m := range frameStream() {
@@ -165,6 +194,9 @@ func FuzzUnmarshal(f *testing.F) {
 			f.Fatalf("Marshal(%s): %v", MsgName(m.Type), err)
 		}
 		f.Add(b[4:])
+		for cut := 1; m.Nclunk > 0 && cut <= 3; cut++ {
+			f.Add(b[4 : len(b)-cut])
+		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var got Fcall
@@ -175,6 +207,9 @@ func FuzzUnmarshal(f *testing.F) {
 			if cut := len(body) - 5 - 13*n; cut > 0 && cut < 4 && err == nil {
 				t.Fatalf("Rwalk with a %d-byte errno trailer decoded as errno %d", cut, got.Errno)
 			}
+		}
+		if err == nil && clunkListShort(body) {
+			t.Fatalf("Twalk with a clunk list shorter than declared decoded as %d clunks", got.Nclunk)
 		}
 		if err != nil {
 			return

@@ -310,7 +310,7 @@ type conn struct {
 	srv   *Server
 	nc    net.Conn
 	msize uint32 // negotiated; the reader refuses larger frames
-	trace bool   // dctrace negotiated: honor trailing trace ids
+	trace bool   // a dc dialect negotiated: honor trace ids and Twalk clunk lists
 	shard bool   // dcshard negotiated: journal stream + remote shootdown
 
 	mu    sync.Mutex // fids, procs, inflight
@@ -769,7 +769,12 @@ func (c *conn) lookupFid(n uint32) (*fidEntry, error) {
 // the entries the full walk just populated.
 // Only when the full walk fails does the server fall back to
 // component-at-a-time resolution to honor 9P partial-walk semantics.
+// On the dc dialects the clunk list is applied first (a list naming the
+// source fid fails the walk with EBADF).
 func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
+	for i := 0; c.trace && i < int(req.Nclunk); i++ {
+		_ = c.clunkFid(req.Clunks[i]) // EBADF: an unknown fid is skipped
+	}
 	src, err := c.lookupFid(req.Fid)
 	if err != nil {
 		return nil, err
@@ -1073,9 +1078,14 @@ func (c *conn) twrite(req *Fcall) (*Fcall, error) {
 }
 
 func (c *conn) tclunk(req *Fcall) (*Fcall, error) {
-	f, err := c.takeFid(req.Fid)
+	return &Fcall{Type: MsgRclunk}, c.clunkFid(req.Fid)
+}
+
+// clunkFid is Tclunk's effect, shared with Twalk's clunk list.
+func (c *conn) clunkFid(n uint32) error {
+	f, err := c.takeFid(n)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1087,7 +1097,7 @@ func (c *conn) tclunk(req *Fcall) (*Fcall, error) {
 		f.proc.Unlink(f.path) // best-effort, like Plan 9
 		c.unlockProc(f.cp, nil)
 	}
-	return &Fcall{Type: MsgRclunk}, nil
+	return nil
 }
 
 func (c *conn) tremove(req *Fcall) (*Fcall, error) {

@@ -2,6 +2,7 @@ package ninep
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -38,6 +39,8 @@ func frameStream() []*Fcall {
 	msgs := []*Fcall{
 		{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: VersionTrace},
 		{Type: MsgTwalk, Tag: 1, Fid: 0, Newfid: 1, Wname: []string{"srv", "app", "config", "app.conf"}},
+		{Type: MsgTwalk, Tag: 1, Fid: 0, Newfid: 2, Wname: []string{"srv"}, Clunks: [MaxWalkNames]uint32{1, 7}, Nclunk: 2}, // dc clunk list behind trace id 0
+		{Type: MsgTwalk, Tag: 1, Fid: 0, Newfid: 3, Wname: []string{"srv", "app"}, TraceID: 42, Clunks: [MaxWalkNames]uint32{2}, Nclunk: 1},
 		{Type: MsgRwalk, Tag: 1, Wqid: []Qid{{Type: QTDir, Path: 1}, {Path: 2}}},
 		{Type: MsgRwalk, Tag: 1, Wqid: []Qid{{Type: QTDir, Path: 1}}, Errno: uint32(fsapi.ENOENT)}, // dc dialects' trailer
 		{Type: MsgTstat, Tag: 2, Fid: 1, TraceID: 42},
@@ -171,6 +174,63 @@ func TestFrameReaderOneReadPerFrame(t *testing.T) {
 			t.Fatalf("frame cut to %d of %d bytes: %v, want io.ErrUnexpectedEOF", cut, len(whole), err)
 		}
 	}
+}
+
+// frameErrKind classes a frame reader error for comparison with the
+// reference's: the two build their size errors separately.
+func frameErrKind(err error) string {
+	switch err {
+	case nil, io.EOF, io.ErrUnexpectedEOF:
+		return fmt.Sprint(err)
+	}
+	return "size"
+}
+
+// FuzzFrameReader feeds arbitrary bytes to frameReader.next in random
+// short reads and holds it to the reference splitter ReadMsg: the same
+// frames in the same order, the same kind of error where the stream ends
+// or breaks, a size error for a runt or over-msize size[4], and no panic.
+func FuzzFrameReader(f *testing.F) {
+	// Seeds stay a few KB: the fuzzer minimizes what it finds by re-running
+	// the target once per byte, so a 40 KB stream stalls it.
+	const msize = 2 * frameBufSize
+	var small []byte
+	for _, m := range frameStream() {
+		if b, _ := Marshal(m); len(b) <= 512 {
+			small = append(small, b...)
+		}
+	}
+	big, _ := Marshal(&Fcall{Type: MsgRread, Tag: 30, Data: make([]byte, frameBufSize)})
+	f.Add(small, int64(1))
+	f.Add(append(big, small...), int64(2)) // a frame larger than the buffer, then small ones
+	f.Add(small[:len(small)-3], int64(3))  // the stream ends inside a frame
+	f.Add([]byte{6, 0, 0, 0, MsgTclunk, 1, 0}, int64(4))
+	f.Add(binary.LittleEndian.AppendUint32(nil, msize+1), int64(5))
+	f.Fuzz(func(t *testing.T, stream []byte, seed int64) {
+		ref := bytes.NewReader(stream)
+		fr := frameReader{r: &chunkReader{bytes.NewReader(stream), rand.New(rand.NewSource(seed))}}
+		for {
+			sized := ref.Len() >= 4
+			var size uint32
+			if sized {
+				size = binary.LittleEndian.Uint32(stream[len(stream)-ref.Len():])
+			}
+			want, werr := ReadMsg(ref, msize)
+			got, err := fr.next(msize)
+			if sized && (size < 7 || size > msize) && frameErrKind(err) != "size" {
+				t.Fatalf("size[4] %d against msize %d: %v, want a size error", size, msize, err)
+			}
+			if frameErrKind(err) != frameErrKind(werr) {
+				t.Fatalf("frame reader: %v; reference: %v", err, werr)
+			}
+			if err != nil {
+				return
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("frame reader split a %d-byte body where the reference split %d bytes", len(got), len(want))
+			}
+		}
+	})
 }
 
 // --- negotiated msize --------------------------------------------------
@@ -326,7 +386,8 @@ func dialVersion(t *testing.T, srv *Server, version string) (*Client, *countConn
 // in-process Lstat of the same path gets; on plain 9P2000 no trailer is on
 // the wire and the walk reads ENOENT. A first-name failure is an Rerror
 // with the exact errno on every dialect. A 20-name walk failing in its
-// second Twalk returns the exact errno and clunks the first Twalk's fid.
+// second Twalk returns the exact errno in two RPCs, and the first Twalk's
+// fid, clunked without a Tclunk, is gone once the next walk has carried it.
 func TestWalkErrnoParity(t *testing.T) {
 	sys, srv := startServer(t, Config{})
 	root := sys.Start(dircache.RootCreds())
@@ -413,12 +474,246 @@ func TestWalkErrnoParity(t *testing.T) {
 	if _, err := fid.Walk(deep...); want != fsapi.ENOTDIR || !errors.Is(err, want) {
 		t.Fatalf("20-name walk: got %v, want %v", err, want)
 	}
-	if n := c.RPCs() - rpcs; n != 3 {
-		t.Fatalf("20-name walk took %d RPCs, want 3 (Twalk, Twalk, Tclunk)", n)
+	if n := c.RPCs() - rpcs; n != 2 {
+		t.Fatalf("20-name walk took %d RPCs, want 2 (Twalk, Twalk)", n)
+	}
+	if after := srv.Stats().FidsLive; after != st.FidsLive+1 {
+		t.Fatalf("20-name walk: FidsLive %d → %d, want the intermediate fid pending", st.FidsLive, after)
+	}
+	if _, err := fid.Walk("nope"); !errors.Is(err, fsapi.ENOENT) {
+		t.Fatalf("walk carrying the pending clunk: %v", err)
 	}
 	if after := srv.Stats().FidsLive; after != st.FidsLive {
-		t.Fatalf("20-name walk: FidsLive %d → %d", st.FidsLive, after)
+		t.Fatalf("after one more walk: FidsLive %d, want %d", after, st.FidsLive)
 	}
+}
+
+// --- deferred clunks --------------------------------------------------------
+
+// TestDeferredClunk: on a dc dialect a never-opened fid's Clunk sends
+// nothing and the next Twalk carries it to the server; on plain 9P2000,
+// for every fid that was opened or created on, and for a clunk finding
+// the pending list full, Clunk is a Tclunk that has taken effect when it
+// returns. On both, a clunked Fid answers EBADF without asking.
+func TestDeferredClunk(t *testing.T) {
+	sys, srv := startServer(t, Config{})
+	p := sys.Start(dircache.RootCreds())
+	defer p.Exit()
+	fids := func() int64 { return srv.Stats().FidsLive }
+	for _, version := range []string{VersionTrace, Version} {
+		c, _ := dialVersion(t, srv, version)
+		root, err := c.Attach("root", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// pick is dcv on the dc dialect and plain on 9P2000.
+		pick := func(dcv, plain int64) int64 {
+			if version != Version {
+				return dcv
+			}
+			return plain
+		}
+		walk := func(t *testing.T, path string) *Fid {
+			t.Helper()
+			f, err := root.WalkPath(path)
+			if err != nil {
+				t.Fatalf("walk %s: %v", path, err)
+			}
+			return f
+		}
+		// carry sends a walk that binds no fid, with whatever clunks are
+		// pending.
+		carry := func(t *testing.T) {
+			t.Helper()
+			if _, err := root.Walk("nope"); !errors.Is(err, fsapi.ENOENT) {
+				t.Fatalf("walk to a missing name: %v", err)
+			}
+		}
+		clunk := func(t *testing.T, f *Fid) {
+			t.Helper()
+			if err := f.Clunk(); err != nil {
+				t.Fatalf("Clunk: %v", err)
+			}
+		}
+		rows := []struct {
+			name string
+			run  func(t *testing.T)
+		}{
+			{"warm walk+stat+clunk", func(t *testing.T) {
+				clunk(t, walk(t, "srv/app/config/app.conf"))
+				carry(t)
+				base, rpcs := fids(), c.RPCs()
+				f := walk(t, "srv/app/config/app.conf")
+				if _, err := f.Stat(); err != nil {
+					t.Fatalf("Stat: %v", err)
+				}
+				clunk(t, f)
+				if n, want := c.RPCs()-rpcs, pick(2, 3); n != want {
+					t.Fatalf("%d RPCs, want %d", n, want)
+				}
+				if n, want := fids()-base, pick(1, 0); n != want {
+					t.Fatalf("FidsLive +%d after Clunk, want +%d", n, want)
+				}
+				carry(t)
+				if n := fids(); n != base {
+					t.Fatalf("FidsLive %d after the next walk, want %d", n, base)
+				}
+			}},
+			{"open+readdir+clunk", func(t *testing.T) {
+				carry(t)
+				base := fids()
+				f := walk(t, "srv/app")
+				if err := f.Open(ORead); err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				if ents, err := f.ReadDir(); err != nil || len(ents) != 2 {
+					t.Fatalf("ReadDir: %d entries, %v", len(ents), err)
+				}
+				rpcs := c.RPCs()
+				clunk(t, f)
+				if n := c.RPCs() - rpcs; n != 1 {
+					t.Fatalf("Clunk of an open fid sent %d RPCs, want 1", n)
+				}
+				if n := fids(); n != base {
+					t.Fatalf("FidsLive %d once Clunk returned, want %d", n, base)
+				}
+			}},
+			{"create ORCLOSE", func(t *testing.T) {
+				name := "rc-" + version
+				f := walk(t, "srv/app")
+				if err := f.Create(name, 0o644, OWrite|ORClose); err != nil {
+					t.Fatalf("Create: %v", err)
+				}
+				if _, err := p.Lstat("/srv/app/" + name); err != nil {
+					t.Fatalf("created file: %v", err)
+				}
+				clunk(t, f)
+				if _, err := p.Lstat("/srv/app/" + name); !errors.Is(err, fsapi.ENOENT) {
+					t.Fatalf("ORCLOSE file once Clunk returned: %v, want ENOENT", err)
+				}
+			}},
+			{"17th pending clunk", func(t *testing.T) {
+				carry(t)
+				base := fids()
+				var fs []*Fid
+				for range MaxWalkNames + 1 {
+					fs = append(fs, walk(t, "srv/app"))
+				}
+				rpcs := c.RPCs()
+				for _, f := range fs {
+					clunk(t, f)
+				}
+				if n, want := c.RPCs()-rpcs, pick(1, MaxWalkNames+1); n != want {
+					t.Fatalf("%d clunks sent %d RPCs, want %d", len(fs), n, want)
+				}
+				if n, want := fids()-base, pick(MaxWalkNames, 0); n != want {
+					t.Fatalf("FidsLive +%d after the clunks, want +%d", n, want)
+				}
+				carry(t)
+				if n := fids(); n != base {
+					t.Fatalf("FidsLive %d after the next walk, want %d", n, base)
+				}
+			}},
+			{"use after clunk", func(t *testing.T) {
+				f := walk(t, "srv/app/config/app.conf")
+				clunk(t, f)
+				rpcs := c.RPCs()
+				if _, err := f.Stat(); !errors.Is(err, fsapi.EBADF) {
+					t.Fatalf("Stat of a clunked fid: %v, want EBADF", err)
+				}
+				if _, err := f.Walk(); !errors.Is(err, fsapi.EBADF) {
+					t.Fatalf("Walk from a clunked fid: %v, want EBADF", err)
+				}
+				if err := f.Clunk(); !errors.Is(err, fsapi.EBADF) {
+					t.Fatalf("second Clunk: %v, want EBADF", err)
+				}
+				if n := c.RPCs() - rpcs; n != 0 {
+					t.Fatalf("a clunked fid sent %d RPCs", n)
+				}
+			}},
+		}
+		for _, r := range rows {
+			t.Run(version+"/"+r.name, r.run)
+		}
+	}
+}
+
+// TestHostileClunkList sends Twalk clunk lists by hand: an unknown fid is
+// skipped without an Rerror; the walk's own source fid is clunked before
+// the walk, which then fails with EBADF; an open ORCLOSE fid's file is
+// unlinked, as Tclunk would; a list shorter than its nclunk declares does
+// not decode, so the server drops the connection; and a plain-9P2000
+// connection ignores the list.
+func TestHostileClunkList(t *testing.T) {
+	sys, srv := startServer(t, Config{})
+	p := sys.Start(dircache.RootCreds())
+	defer p.Exit()
+	walk := func(fid, newfid uint32, clunks ...uint32) *Fcall {
+		req := &Fcall{Type: MsgTwalk, Tag: 5, Fid: fid, Newfid: newfid, Wname: []string{"srv"}}
+		req.Nclunk = uint8(copy(req.Clunks[:], clunks))
+		return req
+	}
+	expect := func(r *rawConn, what string, typ uint8) *Fcall {
+		t.Helper()
+		resp := r.recv()
+		if resp.Type != typ {
+			t.Fatalf("%s: got %s (%s), want %s", what, MsgName(resp.Type), resp.Ename, MsgName(typ))
+		}
+		return resp
+	}
+
+	r := rawDial(t, srv)
+	r.handshake(VersionTrace) // fid 0 at "/", fid 1 at app.conf
+	errs := srv.Stats().ErrorsSent
+	r.send(walk(0, 2, 999))
+	expect(r, "walk with an unknown fid in its list", MsgRwalk)
+	if n := srv.Stats().ErrorsSent - errs; n != 0 {
+		t.Fatalf("an unknown fid in the list sent %d Rerrors", n)
+	}
+
+	r.send(walk(2, 3, 2))
+	if resp := expect(r, "walk whose list names its source fid", MsgRerror); !errors.Is(EnameErrno(resp.Ename), fsapi.EBADF) {
+		t.Fatalf("walk whose list names its source fid: %q, want EBADF", resp.Ename)
+	}
+	r.send(&Fcall{Type: MsgTstat, Tag: 6, Fid: 2})
+	expect(r, "stat of the fid the list named", MsgRerror)
+
+	r.send(&Fcall{Type: MsgTwalk, Tag: 7, Fid: 0, Newfid: 4, Wname: []string{"srv", "app"}})
+	expect(r, "walk to srv/app", MsgRwalk)
+	r.send(&Fcall{Type: MsgTcreate, Tag: 8, Fid: 4, Name: "rc", Perm: 0o644, Mode: OWrite | ORClose})
+	expect(r, "ORCLOSE create", MsgRcreate)
+	if _, err := p.Lstat("/srv/app/rc"); err != nil {
+		t.Fatalf("created file: %v", err)
+	}
+	r.send(walk(0, 5, 4))
+	expect(r, "walk whose list names an open ORCLOSE fid", MsgRwalk)
+	if _, err := p.Lstat("/srv/app/rc"); !errors.Is(err, fsapi.ENOENT) {
+		t.Fatalf("ORCLOSE file after the walk clunked its fid: %v, want ENOENT", err)
+	}
+
+	full, err := Marshal(walk(0, 6, 7, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := full[:len(full)-4] // nclunk says 2, one fid follows
+	if _, err := Unmarshal(short[4:]); err == nil {
+		t.Fatal("a clunk list shorter than its nclunk decoded")
+	}
+	binary.LittleEndian.PutUint32(short, uint32(len(short)))
+	if _, err := r.nc.Write(short); err != nil {
+		t.Fatal(err)
+	}
+	r.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := ReadMsg(r.nc, MaxMsize); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("server kept the connection after a short clunk list: %v", err)
+	}
+
+	plain := rawDial(t, srv)
+	plain.handshake(Version)
+	plain.send(walk(0, 2, 1))
+	expect(plain, "plain 9P2000 walk with a clunk list", MsgRwalk)
+	plain.send(&Fcall{Type: MsgTstat, Tag: 6, Fid: 1})
+	expect(plain, "stat of the fid a plain 9P2000 list named", MsgRstat)
 }
 
 // --- allocation budget ----------------------------------------------------
@@ -427,9 +722,10 @@ func TestWalkErrnoParity(t *testing.T) {
 // loopback with both ends in this process, counted as the process-wide
 // malloc delta over 20 k ops: a warm 4-name Walk + Stat + Clunk, a
 // directory listing (Walk + Open + ReadDir + Clunk), and a walk to a
-// missing name. The last two measure 35 and 9 mallocs per op on the dot
-// plus a few stray process-wide mallocs per run, so each budget is that
-// count plus one.
+// missing name. They measure 10, 35 and 9 mallocs per op on the dot plus a
+// few stray process-wide mallocs per run, so each budget is that count
+// plus one. The clunk list costs none: the stat row was 11 while its
+// Tclunk was a round trip of its own.
 func TestWireAllocBudget(t *testing.T) {
 	sys, srv := startServer(t, Config{})
 	c, err := Dial(srv.Addr().String())
@@ -453,7 +749,7 @@ func TestWireAllocBudget(t *testing.T) {
 		budget float64
 		op     func()
 	}{
-		{"warm wire walk+stat+clunk", 16, func() {
+		{"warm wire walk+stat+clunk", 11, func() {
 			f := walk("srv", "app", "config", "app.conf")
 			if _, err := f.Stat(); err != nil {
 				t.Fatal(err)
@@ -578,7 +874,7 @@ func TestWorkersAreResidentAndBounded(t *testing.T) {
 	raws := make([]*rawConn, conns)
 	for i := range raws {
 		raws[i] = rawDial(t, srv)
-		raws[i].handshake()
+		raws[i].handshake(Version)
 		for k := 0; k < burst; k++ {
 			raws[i].send(&Fcall{Type: MsgTstat, Tag: uint16(100 + k), Fid: 1})
 		}

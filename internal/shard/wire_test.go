@@ -125,7 +125,8 @@ func TestWireShardTier(t *testing.T) {
 
 	// Zero stale reads: EVERY endpoint — owner or not — answers ENOENT for
 	// the old names, in one RPC (the partial Rwalk carries the errno), and
-	// resolves the new ones.
+	// resolves the new ones in two (Twalk, Tstat: the fid's clunk rides the
+	// next Twalk).
 	for ri, rem := range g.Remotes {
 		for a := 0; a < 2; a++ {
 			old := fmt.Sprintf("/srv/app%d/lib/pkg0/file.go", a)
@@ -137,8 +138,12 @@ func TestWireShardTier(t *testing.T) {
 			if n := rem.c.RPCs() - rpcs; n != 1 {
 				t.Fatalf("endpoint %d: Lstat of missing %s took %d RPCs, want 1", ri, old, n)
 			}
-			if _, err := rem.Lstat(niu); err != nil {
+			rpcs = rem.c.RPCs()
+			if _, err := rem.Stat(niu); err != nil {
 				t.Fatalf("endpoint %d cannot resolve moved path %s: %v", ri, niu, err)
+			}
+			if n := rem.c.RPCs() - rpcs; n != 2 {
+				t.Fatalf("endpoint %d: Stat of %s took %d RPCs, want 2", ri, niu, n)
 			}
 		}
 	}

@@ -29,7 +29,7 @@ help:
 	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
 	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop retires no DLHT node, a System with 1000 files holds <= 1.5 MB of table and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
-	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, decode/re-marshal/decode is stable) and FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors)"
+	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable) and FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors)"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch; then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
 	@echo "  loc            the two line counts ROADMAP item 7 tracks (non-test Go: core+vfs, and everything outside benchmark/)"
@@ -147,10 +147,11 @@ shard-smoke:
 
 # Ten seconds each of coverage-guided fuzzing beyond the seed corpus `go
 # test` replays (frameStream's frames, its Twalk clunk lists cut short, and
-# the truncated Rwalk trailers under internal/ninep/testdata/fuzz). The
-# decoder: no input panics, an errno[4] trailer or a clunk list cut short
-# is an error, and whatever decodes re-marshals to a frame that decodes
-# the same. The frame reader, fed arbitrary bytes in random short reads:
+# the truncated Rwalk trailers and the over-long Rread trailer under
+# internal/ninep/testdata/fuzz). The decoder: no input panics, an errno[4]
+# trailer or a clunk list cut short is an error, so is an Rread with more
+# than its eof[1] after its data, and whatever decodes re-marshals to a
+# frame that decodes the same. The frame reader, fed arbitrary bytes in random short reads:
 # no panic, the frames the reference splitter finds, and an error for a
 # runt or over-msize size[4]. A failing input lands in that testdata
 # directory, where every later `go test` replays it.

@@ -19,8 +19,9 @@ import (
 // TestServeSmoke is the `make serve-smoke` gate: boot dcserve on an
 // ephemeral loopback port with the default deep-tree seed, run the
 // in-repo 9P client through attach/walk/stat/readdir/read round trips,
-// hold a warm walk+stat+clunk to two RPCs with the server's fid table
-// back at its baseline after the next walk, and assert a clean shutdown.
+// hold a listing to three RPCs and a warm walk+stat+clunk to two with the
+// server's fid table back at its baseline after the next walk, and assert
+// a clean shutdown.
 func TestServeSmoke(t *testing.T) {
 	sysC := make(chan *dircache.System, 1)
 	testSysHook = func(s *dircache.System) { sysC <- s }
@@ -52,7 +53,10 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("Attach: %v", err)
 	}
 
-	// The seeded tree lives under /srv; list it and walk the spine.
+	// The seeded tree lives under /srv; list it and walk the spine. A
+	// listing is Twalk, Topen and one Tread marked eof: the directory fid's
+	// clunk rides the next Twalk.
+	rpcs := c.RPCs()
 	d, err := root.WalkPath("srv")
 	if err != nil {
 		t.Fatalf("walk /srv: %v", err)
@@ -67,7 +71,12 @@ func TestServeSmoke(t *testing.T) {
 	if len(ents) == 0 {
 		t.Fatal("seeded tree is empty")
 	}
-	d.Clunk()
+	if err := d.Clunk(); err != nil {
+		t.Fatalf("clunk /srv: %v", err)
+	}
+	if n := c.RPCs() - rpcs; n != 3 {
+		t.Fatalf("walk+open+readdir+clunk took %d RPCs, want 3", n)
+	}
 
 	// Descend to a leaf file (depth-first with backtracking past the
 	// generator's empty decoy directories), stat it, and read it back.

@@ -228,15 +228,20 @@ func (c *Client) Shoot(path, note string) (int, error) {
 
 // Fid is a client-side fid handle.
 type Fid struct {
-	c      *Client
-	n      uint32 // NoFid once clunked
-	Qid    Qid
-	iounit uint32
-	opened bool // by Topen or Tcreate, so clunking it has effects
+	c       *Client
+	n       uint32 // NoFid once clunked
+	Qid     Qid
+	iounit  uint32
+	effects bool // opened on a file or with ORCLOSE, so clunking it has effects
 }
 
+// fid allocates a fid number. NoFid is skipped when the counter wraps: to
+// rpc it is a clunked Fid, to Tattach "no auth fid".
 func (c *Client) fid() uint32 {
 	c.mu.Lock()
+	if c.nextFid == NoFid {
+		c.nextFid = 0
+	}
 	n := c.nextFid
 	c.nextFid++
 	c.mu.Unlock()
@@ -339,9 +344,7 @@ func (f *Fid) Open(mode uint8) error {
 	if err != nil {
 		return err
 	}
-	f.opened = true
-	f.Qid = resp.Qid
-	f.iounit = resp.Iounit
+	f.setOpen(mode, &resp)
 	return nil
 }
 
@@ -351,10 +354,17 @@ func (f *Fid) Create(name string, perm uint32, mode uint8) error {
 	if err := f.c.rpc(&Fcall{Type: MsgTcreate, Fid: f.n, Name: name, Perm: perm, Mode: mode}, &resp); err != nil {
 		return err
 	}
-	f.opened = true
+	f.setOpen(mode, &resp)
+	return nil
+}
+
+// setOpen takes in an Ropen or Rcreate. The server keeps an open file for
+// a file fid and only the path for a directory fid, so clunking it has
+// effects unless it is a directory opened without ORCLOSE.
+func (f *Fid) setOpen(mode uint8, resp *Fcall) {
 	f.Qid = resp.Qid
 	f.iounit = resp.Iounit
-	return nil
+	f.effects = !resp.Qid.IsDir() || mode&ORClose != 0
 }
 
 // Read reads up to len(b) bytes at offset.
@@ -370,9 +380,10 @@ func (f *Fid) Read(b []byte, offset uint64) (int, error) {
 	return copy(b, resp.Data), nil
 }
 
-// ReadAll drains the fid from offset 0 (file or directory payload). Each
-// Rread's Data is already a copy out of the frame, so the first becomes
-// the result and later ones are appended to it.
+// ReadAll drains the fid from offset 0 (file or directory payload) until
+// an empty Rread or, on the dc dialects, one marked eof. Each Rread's Data
+// is already a copy out of the frame, so the first becomes the result and
+// later ones are appended to it.
 func (f *Fid) ReadAll() ([]byte, error) {
 	var out []byte
 	var resp Fcall
@@ -381,13 +392,13 @@ func (f *Fid) ReadAll() ([]byte, error) {
 		if err := f.c.rpc(req, &resp); err != nil {
 			return out, err
 		}
-		if len(resp.Data) == 0 {
-			return out, nil
-		}
 		if out == nil {
 			out = resp.Data
 		} else {
 			out = append(out, resp.Data...)
+		}
+		if len(resp.Data) == 0 || f.c.trace && resp.EOF {
+			return out, nil
 		}
 	}
 }
@@ -445,14 +456,15 @@ func (f *Fid) ReadDir() ([]Stat, error) {
 }
 
 // Clunk releases the fid; using f afterwards fails with EBADF, unsent. On
-// the dc dialects a never-opened fid is only a path to the server, so its
-// clunk rides the next Twalk; an opened fid, every fid on plain 9P2000 and
-// a clunk finding MaxWalkNames pending send a Tclunk.
+// the dc dialects a never-opened fid, or a directory opened without
+// ORCLOSE, is only a path to the server, so its clunk rides the next Twalk;
+// an opened file, an ORCLOSE fid, every fid on plain 9P2000 and a clunk
+// finding MaxWalkNames pending send a Tclunk.
 func (f *Fid) Clunk() error {
 	c, n := f.c, f.n
 	f.n = NoFid
 	c.mu.Lock()
-	deferred := n != NoFid && c.trace && !f.opened && int(c.npending) < len(c.pending)
+	deferred := n != NoFid && c.trace && !f.effects && int(c.npending) < len(c.pending)
 	if deferred {
 		c.pending[c.npending] = n
 		c.npending++

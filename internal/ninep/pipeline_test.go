@@ -37,6 +37,13 @@ func (r *rawConn) send(f *Fcall) {
 
 func (r *rawConn) recv() *Fcall {
 	r.t.Helper()
+	f, _ := r.recvFrame()
+	return f
+}
+
+// recvFrame is recv that also returns the frame's body as read.
+func (r *rawConn) recvFrame() (*Fcall, []byte) {
+	r.t.Helper()
 	r.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	body, err := ReadMsg(r.nc, MaxMsize)
 	if err != nil {
@@ -46,7 +53,7 @@ func (r *rawConn) recv() *Fcall {
 	if err != nil {
 		r.t.Fatalf("unmarshal: %v", err)
 	}
-	return f
+	return f, body
 }
 
 // handshake negotiates version, attaches fid 0 at "/", and walks fid 1 to

@@ -113,9 +113,11 @@ const (
 	// VersionTrace is the dctrace vendor extension: 9P2000 plus optional
 	// trailers — a trace-id[8] on Twalk, Topen and Tstat (span stitching);
 	// an errno[4] on a partial Rwalk (9P2000.u's Rerror field), so a missing
-	// name is one RPC; and after Twalk's trace id (0 if untraced) nclunk[2]
-	// fid[4]*nclunk, never-opened fids clunked before the walk, so a stat is
-	// two RPCs. Negotiated by exact match at Tversion; a stock 9P2000 peer on
+	// name is one RPC; after Twalk's trace id (0 if untraced) nclunk[2]
+	// fid[4]*nclunk, fids whose clunk has no effect clunked before the walk,
+	// so a stat is two RPCs; and an eof[1] on an Rread that reached the end
+	// of the fid's data, so a listing needs no empty read to end it.
+	// Negotiated by exact match at Tversion; a stock 9P2000 peer on
 	// either side falls back to the base protocol (the extra fields are sent
 	// only once negotiated; a length-framed decoder skips a trailing field).
 	VersionTrace = "9P2000.dctrace"
@@ -242,6 +244,7 @@ type Fcall struct {
 	Qid     Qid    // Rattach, Ropen, Rcreate, Rauth
 	Mode    uint8  // Topen, Tcreate
 	Nclunk  uint8  // Twalk (see Clunks), in Mode's padding: Fcall stays a 448-byte malloc
+	EOF     bool   // Rread on the dc dialects: the read reached the end (eof[1] trailer, when set); padding too
 	Perm    uint32 // Tcreate
 	Name    string // Tcreate
 	Iounit  uint32 // Ropen, Rcreate
@@ -518,6 +521,9 @@ func AppendMarshal(dst []byte, f *Fcall) ([]byte, error) {
 	case MsgRread:
 		e.u32(uint32(len(f.Data)))
 		e.buf = append(e.buf, f.Data...)
+		if f.EOF {
+			e.u8(1) // dc dialects' trailing eof[1]
+		}
 	case MsgTwrite:
 		e.u32(f.Fid)
 		e.u64(f.Offset)
@@ -724,6 +730,13 @@ func (f *Fcall) unmarshal(buf []byte) error {
 			return errTruncated
 		}
 		f.Data = append([]byte(nil), d.buf[:n]...)
+		switch trailer := d.buf[n:]; len(trailer) {
+		case 0:
+		case 1:
+			f.EOF = trailer[0] != 0 // dc dialects' trailing eof[1]
+		default:
+			err = fmt.Errorf("ninep: Rread with %d bytes after its data", len(trailer))
+		}
 	case MsgTwrite:
 		if f.Fid, err = d.u32(); err != nil {
 			return err

@@ -107,7 +107,9 @@ func TestCodecRoundTrips(t *testing.T) {
 		{Type: MsgRcreate, Tag: 6, Qid: qid, Iounit: 8168},
 		{Type: MsgTread, Tag: 7, Fid: 2, Offset: 1 << 40, Count: 8192},
 		{Type: MsgRread, Tag: 7, Data: []byte("hello, 9P")},
-		{Type: MsgRread, Tag: 7, Data: []byte{}}, // EOF
+		{Type: MsgRread, Tag: 7, Data: []byte{}},                     // EOF
+		{Type: MsgRread, Tag: 7, Data: []byte("the end"), EOF: true}, // dc dialects: the read reached the end
+		{Type: MsgRread, Tag: 7, EOF: true},                          // dc dialects: nothing was left
 		{Type: MsgTwrite, Tag: 8, Fid: 2, Offset: 0, Data: []byte{0, 1, 2, 255}},
 		{Type: MsgRwrite, Tag: 8, Count: 4},
 		{Type: MsgTclunk, Tag: 9, Fid: 2},
@@ -180,13 +182,15 @@ func clunkListShort(body []byte) bool {
 	return len(rest) < 2 || len(rest) < 2+4*int(binary.LittleEndian.Uint16(rest))
 }
 
-// FuzzUnmarshal holds the decoder to four properties on any frame body:
+// FuzzUnmarshal holds the decoder to five properties on any frame body:
 // it never panics; an Rwalk whose errno[4] trailer is cut to 1–3 bytes is
 // an error, not errno 0; a Twalk whose clunk list is shorter than its
-// nclunk declares is an error, not a shorter list; and whatever decodes
-// re-marshals to a frame that decodes to the same Fcall. Seeds: every
-// frame of frameStream, its clunk lists cut short by 1–3 bytes, and the
-// truncated-trailer Rwalks committed under testdata/fuzz/FuzzUnmarshal.
+// nclunk declares is an error, not a shorter list; an Rread with more than
+// its eof[1] after its data is an error; and whatever decodes re-marshals
+// to a frame that decodes to the same Fcall. Seeds: every frame of
+// frameStream, its clunk lists cut short by 1–3 bytes, and the
+// truncated-trailer Rwalks and the Rread with a two-byte trailer committed
+// under testdata/fuzz/FuzzUnmarshal.
 func FuzzUnmarshal(f *testing.F) {
 	for _, m := range frameStream() {
 		b, err := Marshal(m)
@@ -210,6 +214,13 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if err == nil && clunkListShort(body) {
 			t.Fatalf("Twalk with a clunk list shorter than declared decoded as %d clunks", got.Nclunk)
+		}
+		if len(body) >= 7 && body[0] == MsgRread {
+			// type[1] tag[2] count[4] data[count], then the trailer
+			n := int64(binary.LittleEndian.Uint32(body[3:]))
+			if trailer := int64(len(body)) - 7 - n; trailer > 1 && err == nil {
+				t.Fatalf("Rread with %d bytes after its data decoded (eof=%v)", trailer, got.EOF)
+			}
 		}
 		if err != nil {
 			return

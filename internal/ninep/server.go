@@ -262,30 +262,81 @@ func (s *Server) identity(uname string) (*dircache.Identity, error) {
 }
 
 // fidEntry is one live fid: a path handle bound to the attach identity's
-// Process, plus open-file state once Topen/Tcreate fires. The mutex
-// serializes concurrent requests on the SAME fid (pipelined dispatch runs
-// distinct tags in parallel); handlers hold it for their whole body, so
-// per-fid state like the directory read cursor stays sequential.
+// Process, plus open state once Topen/Tcreate fires. Only a file fid holds
+// an open File; a directory fid holds its path and a listing, so it pins
+// nothing. The mutex serializes concurrent requests on the SAME fid
+// (pipelined dispatch runs distinct tags in parallel); handlers hold it for
+// their whole body, so per-fid state like the directory read cursor stays
+// sequential.
 type fidEntry struct {
-	mu     sync.Mutex
-	path   string // absolute, lexically maintained
-	uname  string // attach principal, for per-user op accounting
-	proc   *dircache.Process
-	cp     *connProc
-	qid    Qid
-	open   *dircache.File
-	omode  uint8 // open mode byte, valid when open != nil
-	rclose bool
-	dirBuf []byte // marshalled stat records for directory reads
-	dirOff uint64 // next expected directory read offset
+	mu      sync.Mutex
+	path    string // absolute, lexically maintained
+	uname   string // attach principal, for per-user op accounting
+	proc    *dircache.Process
+	cp      *connProc
+	qid     Qid
+	opened  bool           // by Topen or Tcreate
+	open    *dircache.File // an opened file's handle; nil for a directory
+	rclose  bool
+	dirBuf  []byte // marshalled stat records for directory reads
+	dirOff  uint64 // next expected directory read offset
+	dirRead bool   // dirBuf was served: a read at offset 0 lists the path afresh
 }
 
 // assign copies nf's state into f (the walk-in-place case), leaving f's
 // mutex alone.
 func (f *fidEntry) assign(nf *fidEntry) {
 	f.path, f.uname, f.proc, f.cp = nf.path, nf.uname, nf.proc, nf.cp
-	f.qid, f.open, f.omode, f.rclose = nf.qid, nf.open, nf.omode, nf.rclose
-	f.dirBuf, f.dirOff = nf.dirBuf, nf.dirOff
+	f.qid, f.opened, f.open, f.rclose = nf.qid, nf.opened, nf.open, nf.rclose
+	f.dirBuf, f.dirOff, f.dirRead = nf.dirBuf, nf.dirOff, nf.dirRead
+}
+
+// setOpen records f as opened on of at path, in mode. A file fid keeps of
+// for its reads and writes. A directory fid keeps its path and a listing:
+// of is read to the end into the listing the first Tread serves and
+// closed, so an open directory fid pins no dentry and its clunk has
+// nothing to release.
+func (f *fidEntry) setOpen(path string, mode uint8, of *dircache.File) error {
+	fi, err := of.Stat()
+	var ents []dircache.DirEntry
+	if err == nil && fi.IsDir() {
+		ents, err = of.ReadDirAll()
+	}
+	if err != nil || fi.IsDir() {
+		of.Close()
+		of = nil
+	}
+	if err != nil {
+		return err
+	}
+	f.path, f.opened, f.open, f.rclose = path, true, of, mode&ORClose != 0
+	f.qid = qidOf(fi)
+	if fi.IsDir() {
+		f.list(ents)
+	}
+	return nil
+}
+
+// list rebuilds f's directory listing from ents: a stat record per entry
+// from an Lstat of its full path (fids are path records: this is the
+// permission check a walk to the entry makes), appended into a new dirBuf
+// — an Rread of the old one may still be encoding after f.mu is released.
+func (f *fidEntry) list(ents []dircache.DirEntry) {
+	var pathBuf [256]byte
+	path := append(pathBuf[:0], f.path...)
+	if f.path != "/" {
+		path = append(path, '/')
+	}
+	dir := len(path)
+	f.dirBuf, f.dirOff = nil, 0
+	for _, e := range ents {
+		path = append(path[:dir], e.Name...)
+		fi, err := f.proc.Lstat(string(path))
+		if err != nil {
+			continue // raced a concurrent remove; skip the entry
+		}
+		f.dirBuf = appendStat(f.dirBuf, e.Name, fi)
+	}
 }
 
 // connProc is a per-(connection, uname) Process plus the reader/writer
@@ -310,7 +361,7 @@ type conn struct {
 	srv   *Server
 	nc    net.Conn
 	msize uint32 // negotiated; the reader refuses larger frames
-	trace bool   // a dc dialect negotiated: honor trace ids and Twalk clunk lists
+	trace bool   // a dc dialect negotiated: honor trace ids and Twalk clunk lists, mark Rread eof
 	shard bool   // dcshard negotiated: journal stream + remote shootdown
 
 	mu    sync.Mutex // fids, procs, inflight
@@ -781,7 +832,7 @@ func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	if src.open != nil {
+	if src.opened {
 		return nil, protoErr("cannot walk an open fid")
 	}
 	c.srv.stats.walks.Add(1)
@@ -895,7 +946,7 @@ func (c *conn) topen(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.open != nil {
+	if f.opened {
 		return nil, protoErr("fid already open")
 	}
 	flags, err := openFlags(req.Mode, f.qid.IsDir())
@@ -911,17 +962,9 @@ func (c *conn) topen(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 	if err != nil {
 		return nil, err
 	}
-	fi, err := of.Stat()
-	if err != nil {
-		of.Close()
+	if err := f.setOpen(f.path, req.Mode, of); err != nil {
 		return nil, err
 	}
-	f.open = of
-	f.omode = req.Mode
-	f.rclose = req.Mode&ORClose != 0
-	f.qid = qidOf(fi)
-	f.dirBuf = nil
-	f.dirOff = 0
 	return &Fcall{Type: MsgRopen, Qid: f.qid, Iounit: c.iounit()}, nil
 }
 
@@ -934,7 +977,7 @@ func (c *conn) tcreate(req *Fcall) (*Fcall, error) {
 	defer f.mu.Unlock()
 	c.lockProc(f.cp, nil)
 	defer c.unlockProc(f.cp, nil)
-	if f.open != nil {
+	if f.opened {
 		return nil, protoErr("fid already open")
 	}
 	if !f.qid.IsDir() {
@@ -969,18 +1012,9 @@ func (c *conn) tcreate(req *Fcall) (*Fcall, error) {
 }
 
 func (c *conn) finishCreate(f *fidEntry, req *Fcall, path string, of *dircache.File) (*Fcall, error) {
-	fi, err := of.Stat()
-	if err != nil {
-		of.Close()
+	if err := f.setOpen(path, req.Mode, of); err != nil {
 		return nil, err
 	}
-	f.path = path
-	f.open = of
-	f.omode = req.Mode
-	f.rclose = req.Mode&ORClose != 0
-	f.qid = qidOf(fi)
-	f.dirBuf = nil
-	f.dirOff = 0
 	c.srv.sys.PublishCoherence(path, "create")
 	return &Fcall{Type: MsgRcreate, Qid: f.qid, Iounit: c.iounit()}, nil
 }
@@ -994,7 +1028,7 @@ func (c *conn) tread(req *Fcall) (*Fcall, error) {
 	defer f.mu.Unlock()
 	c.lockProc(f.cp, nil)
 	defer c.unlockProc(f.cp, nil)
-	if f.open == nil {
+	if !f.opened {
 		return nil, protoErr("fid not open")
 	}
 	count := req.Count
@@ -1009,33 +1043,27 @@ func (c *conn) tread(req *Fcall) (*Fcall, error) {
 	if err != nil && n == 0 && !errors.Is(err, io.EOF) {
 		return nil, err
 	}
-	return &Fcall{Type: MsgRread, Data: buf[:n]}, nil
+	// The backends answer a read past the end short and without io.EOF,
+	// which io.ReaderAt's contract makes the same answer.
+	eof := errors.Is(err, io.EOF) || err == nil && n < len(buf)
+	return &Fcall{Type: MsgRread, Data: buf[:n], EOF: c.trace && eof}, nil
 }
 
-// readDir serves directory reads from a per-open snapshot of marshalled
-// stat records, rebuilt whenever the client rewinds to offset 0. Each
-// entry's metadata comes from a relative Lstat under the directory — a
+// readDir serves directory reads from the listing setOpen took — a
 // readdir-then-stat scan, exactly the shape DIR_COMPLETE and bulk
-// population are built to absorb.
+// population are built to absorb. A rewind to offset 0 lists the path
+// afresh (open, read and close in one pass), re-resolving it as tstat
+// does. A count too small for the next record is EINVAL: an empty Rread
+// would read as the end of the directory.
 func (c *conn) readDir(f *fidEntry, offset uint64, count uint32) (*Fcall, error) {
-	if offset == 0 {
-		if _, err := f.open.Seek(0, 0); err != nil { // rewinddir
-			return nil, err
-		}
-		ents, err := f.open.ReadDirAll()
+	switch {
+	case offset == 0 && f.dirRead:
+		ents, err := f.proc.ReadDir(f.path)
 		if err != nil {
 			return nil, err
 		}
-		f.dirBuf = f.dirBuf[:0]
-		for _, e := range ents {
-			fi, err := f.proc.Lstat(joinStep(f.path, e.Name))
-			if err != nil {
-				continue // raced a concurrent remove; skip the entry
-			}
-			f.dirBuf = append(f.dirBuf, MarshalStat(statOf(e.Name, fi))...)
-		}
-		f.dirOff = 0
-	} else if offset != f.dirOff {
+		f.list(ents)
+	case offset != f.dirOff:
 		return nil, protoErr("non-sequential directory read")
 	}
 	rest := f.dirBuf[min(int(offset), len(f.dirBuf)):]
@@ -1048,8 +1076,11 @@ func (c *conn) readDir(f *fidEntry, offset uint64, count uint32) (*Fcall, error)
 		}
 		n += rl
 	}
-	f.dirOff = offset + uint64(n)
-	return &Fcall{Type: MsgRread, Data: rest[:n]}, nil
+	if n == 0 && len(rest) > 0 {
+		return nil, fsapi.EINVAL
+	}
+	f.dirOff, f.dirRead = offset+uint64(n), true
+	return &Fcall{Type: MsgRread, Data: rest[:n], EOF: c.trace && n == len(rest)}, nil
 }
 
 func (c *conn) twrite(req *Fcall) (*Fcall, error) {
@@ -1061,7 +1092,7 @@ func (c *conn) twrite(req *Fcall) (*Fcall, error) {
 	defer f.mu.Unlock()
 	c.lockProc(f.cp, nil)
 	defer c.unlockProc(f.cp, nil)
-	if f.open == nil {
+	if !f.opened {
 		return nil, protoErr("fid not open")
 	}
 	if f.qid.IsDir() {
@@ -1094,10 +1125,19 @@ func (c *conn) clunkFid(n uint32) error {
 	}
 	if f.rclose {
 		c.lockProc(f.cp, nil)
-		f.proc.Unlink(f.path) // best-effort, like Plan 9
+		f.remove() // best-effort, like Plan 9
 		c.unlockProc(f.cp, nil)
 	}
 	return nil
+}
+
+// remove deletes the fid's object, a directory with Rmdir: Tremove's
+// effect, and an ORCLOSE fid's clunk.
+func (f *fidEntry) remove() error {
+	if f.qid.IsDir() {
+		return f.proc.Rmdir(f.path)
+	}
+	return f.proc.Unlink(f.path)
 }
 
 func (c *conn) tremove(req *Fcall) (*Fcall, error) {
@@ -1113,12 +1153,7 @@ func (c *conn) tremove(req *Fcall) (*Fcall, error) {
 	}
 	c.lockProc(f.cp, nil)
 	defer c.unlockProc(f.cp, nil)
-	if f.qid.IsDir() {
-		err = f.proc.Rmdir(f.path)
-	} else {
-		err = f.proc.Unlink(f.path)
-	}
-	if err != nil {
+	if err := f.remove(); err != nil {
 		return nil, err
 	}
 	return &Fcall{Type: MsgRremove}, nil
@@ -1330,8 +1365,8 @@ func qidOf(fi dircache.FileInfo) Qid {
 	return q
 }
 
-// statOf builds the 9P stat record for one object.
-func statOf(name string, fi dircache.FileInfo) Stat {
+// modeOf derives the 9P mode: the permission bits and the type bits.
+func modeOf(fi dircache.FileInfo) uint32 {
 	mode := fi.Perm & 0o777
 	switch fi.Type {
 	case dircache.TypeDirectory:
@@ -1339,9 +1374,14 @@ func statOf(name string, fi dircache.FileInfo) Stat {
 	case dircache.TypeSymlink:
 		mode |= DMSymlink
 	}
+	return mode
+}
+
+// statOf builds the 9P stat record for one object.
+func statOf(name string, fi dircache.FileInfo) Stat {
 	return Stat{
 		Qid:    qidOf(fi),
-		Mode:   mode,
+		Mode:   modeOf(fi),
 		Mtime:  uint32(fi.Mtime),
 		Atime:  uint32(fi.Mtime),
 		Length: uint64(fi.Size),
@@ -1350,6 +1390,28 @@ func statOf(name string, fi dircache.FileInfo) Stat {
 		GID:    strconv.FormatUint(uint64(fi.GID), 10),
 		MUID:   strconv.FormatUint(uint64(fi.UID), 10),
 	}
+}
+
+// appendStat appends the record MarshalStat(statOf(name, fi)) renders
+// without building either: uid, gid and muid are formatted in place.
+func appendStat(buf []byte, name string, fi dircache.FileInfo) []byte {
+	e := encoder{buf: buf}
+	m := e.mark()
+	e.u16(0) // type
+	e.u32(0) // dev
+	e.qid(qidOf(fi))
+	e.u32(modeOf(fi))
+	e.u32(uint32(fi.Mtime)) // atime
+	e.u32(uint32(fi.Mtime))
+	e.u64(uint64(fi.Size))
+	e.str(name)
+	for _, id := range [...]uint32{fi.UID, fi.GID, fi.UID} { // uid gid muid
+		s := e.mark()
+		e.buf = strconv.AppendUint(e.buf, uint64(id), 10)
+		e.patch16(s)
+	}
+	e.patch16(m)
+	return e.buf
 }
 
 // openFlags maps a 9P open mode byte onto the VFS open flags.

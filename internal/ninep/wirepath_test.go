@@ -45,6 +45,7 @@ func frameStream() []*Fcall {
 		{Type: MsgRwalk, Tag: 1, Wqid: []Qid{{Type: QTDir, Path: 1}}, Errno: uint32(fsapi.ENOENT)}, // dc dialects' trailer
 		{Type: MsgTstat, Tag: 2, Fid: 1, TraceID: 42},
 		{Type: MsgRstat, Tag: 2, Stat: Stat{Name: "app.conf", UID: "1000", GID: "1000", MUID: "1000", Length: 13}},
+		{Type: MsgRread, Tag: 3, Data: []byte("listen=:9099\n"), EOF: true}, // dc dialects' trailer
 	}
 	// Mid-size frames whose sizes do not divide the buffer, so some start
 	// near its end.
@@ -490,11 +491,12 @@ func TestWalkErrnoParity(t *testing.T) {
 
 // --- deferred clunks --------------------------------------------------------
 
-// TestDeferredClunk: on a dc dialect a never-opened fid's Clunk sends
-// nothing and the next Twalk carries it to the server; on plain 9P2000,
-// for every fid that was opened or created on, and for a clunk finding
-// the pending list full, Clunk is a Tclunk that has taken effect when it
-// returns. On both, a clunked Fid answers EBADF without asking.
+// TestDeferredClunk: on a dc dialect the Clunk of a never-opened fid, or of
+// a directory opened without ORCLOSE, sends nothing and the next Twalk
+// carries it to the server; on plain 9P2000, for an opened file, for every
+// ORCLOSE fid, and for a clunk finding the pending list full, Clunk is a
+// Tclunk that has taken effect when it returns. On both, a clunked Fid
+// answers EBADF without asking.
 func TestDeferredClunk(t *testing.T) {
 	sys, srv := startServer(t, Config{})
 	p := sys.Start(dircache.RootCreds())
@@ -571,11 +573,49 @@ func TestDeferredClunk(t *testing.T) {
 				}
 				rpcs := c.RPCs()
 				clunk(t, f)
+				if n, want := c.RPCs()-rpcs, pick(0, 1); n != want {
+					t.Fatalf("Clunk of an open directory sent %d RPCs, want %d", n, want)
+				}
+				if n, want := fids()-base, pick(1, 0); n != want {
+					t.Fatalf("FidsLive +%d once Clunk returned, want +%d", n, want)
+				}
+				carry(t)
+				if n := fids(); n != base {
+					t.Fatalf("FidsLive %d after the next walk, want %d", n, base)
+				}
+			}},
+			{"open file ORead", func(t *testing.T) {
+				carry(t)
+				base := fids()
+				f := walk(t, "srv/app/config/app.conf")
+				if err := f.Open(ORead); err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				rpcs := c.RPCs()
+				clunk(t, f)
 				if n := c.RPCs() - rpcs; n != 1 {
-					t.Fatalf("Clunk of an open fid sent %d RPCs, want 1", n)
+					t.Fatalf("Clunk of an open file sent %d RPCs, want 1", n)
 				}
 				if n := fids(); n != base {
 					t.Fatalf("FidsLive %d once Clunk returned, want %d", n, base)
+				}
+			}},
+			{"open directory ORCLOSE", func(t *testing.T) {
+				dir := "/srv/app/rcdir-" + version
+				if err := p.Mkdir(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				f := walk(t, dir[1:])
+				if err := f.Open(ORead | ORClose); err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				rpcs := c.RPCs()
+				clunk(t, f)
+				if n := c.RPCs() - rpcs; n != 1 {
+					t.Fatalf("Clunk of an ORCLOSE directory sent %d RPCs, want 1", n)
+				}
+				if _, err := p.Lstat(dir); !errors.Is(err, fsapi.ENOENT) {
+					t.Fatalf("ORCLOSE directory once Clunk returned: %v, want ENOENT", err)
 				}
 			}},
 			{"create ORCLOSE", func(t *testing.T) {
@@ -716,16 +756,276 @@ func TestHostileClunkList(t *testing.T) {
 	expect(plain, "stat of the fid a plain 9P2000 list named", MsgRstat)
 }
 
+// TestFidCounterSkipsNoFid: the client's fid counter wraps past NoFid,
+// which rpc answers EBADF unsent and a clunk could never free, so the two
+// walks either side of the wrap both get fids that stat and clunk.
+func TestFidCounterSkipsNoFid(t *testing.T) {
+	_, srv := startServer(t, Config{})
+	for _, version := range []string{VersionTrace, Version} {
+		c, _ := dialVersion(t, srv, version)
+		c.nextFid = NoFid - 2
+		root, err := c.Attach("root", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := srv.Stats().FidsLive
+		var got []uint32
+		for range 2 {
+			f, err := root.WalkPath("srv/app")
+			if err != nil {
+				t.Fatalf("%s: walk %d: %v", version, len(got), err)
+			}
+			got = append(got, f.n)
+			if _, err := f.Stat(); err != nil {
+				t.Fatalf("%s: Stat of fid %d: %v", version, f.n, err)
+			}
+			if err := f.Clunk(); err != nil {
+				t.Fatalf("%s: Clunk of fid %d: %v", version, got[len(got)-1], err)
+			}
+		}
+		if got[0] != NoFid-1 || got[1] != 0 {
+			t.Fatalf("%s: walks got fids %v, want [%d 0]", version, got, NoFid-1)
+		}
+		if _, err := root.Walk("nope"); !errors.Is(err, fsapi.ENOENT) {
+			t.Fatalf("%s: walk carrying the pending clunks: %v", version, err)
+		}
+		if n := srv.Stats().FidsLive; n != base {
+			t.Fatalf("%s: FidsLive %d after the clunks, want %d", version, n, base)
+		}
+	}
+}
+
+// --- directory listings ------------------------------------------------------
+
+// TestReadDirRoundTrips: Walk + Open + ReadDir + Clunk lists exactly what an
+// in-process ReadDir + Lstat sees, in 3 RPCs on the dc dialects (the last
+// Rread is marked eof and the clunk rides the next Twalk) and 5 on plain
+// 9P2000, whose Rread frames carry no trailer. A listing larger than one
+// read at MinMsize is marked eof on its last Rread only; a read too small
+// for the next record is EINVAL, not an empty (end-of-directory) Rread. An
+// open directory fid pins nothing: another connection removes the
+// directory under it, and the fid's next listing reads ENOENT.
+func TestReadDirRoundTrips(t *testing.T) {
+	sys, srv := startServer(t, Config{})
+	p := sys.Start(dircache.RootCreds())
+	defer p.Exit()
+	mustMkdirAll(t, p, "/srv/list/sub", 0o750)
+	mustWrite(t, p, "/srv/list/a.txt", "alpha")
+	mustWrite(t, p, "/srv/list/owned", "b")
+	if err := p.Chown("/srv/list/owned", 1000, 2000); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Symlink("/srv/app", "/srv/list/lnk"); err != nil {
+		t.Fatal(err)
+	}
+	mustMkdirAll(t, p, "/srv/big", 0o755)
+	for i := range 40 {
+		mustWrite(t, p, fmt.Sprintf("/srv/big/file-%02d", i), "x")
+	}
+	inProcess := func(dir string) []Stat {
+		ents, err := p.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Stat
+		for _, e := range ents {
+			fi, err := p.Lstat(dir + "/" + e.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, statOf(e.Name, fi))
+		}
+		return want
+	}
+
+	for _, version := range []string{VersionTrace, VersionShard, Version} {
+		c, _ := dialVersion(t, srv, version)
+		root, err := c.Attach("root", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []string{"srv/list", "srv/big"} {
+			rpcs := c.RPCs()
+			f, err := root.WalkPath(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Open(ORead); err != nil {
+				t.Fatalf("%s: Open %s: %v", version, dir, err)
+			}
+			got, err := f.ReadDir()
+			if err != nil {
+				t.Fatalf("%s: ReadDir %s: %v", version, dir, err)
+			}
+			if err := f.Clunk(); err != nil {
+				t.Fatal(err)
+			}
+			if want := inProcess("/" + dir); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s lists\n  %+v\nin process\n  %+v", version, dir, got, want)
+			}
+			want := int64(3)
+			if version == Version {
+				want = 5
+			}
+			if n := c.RPCs() - rpcs; n != want {
+				t.Fatalf("%s: listing %s took %d RPCs, want %d", version, dir, n, want)
+			}
+		}
+	}
+
+	// open walks fid 1 of a raw connection at MinMsize to names and opens it.
+	open := func(version string, names ...string) *rawConn {
+		r := rawDial(t, srv)
+		for _, req := range []*Fcall{
+			{Type: MsgTversion, Tag: NoTag, Msize: MinMsize, Version: version},
+			{Type: MsgTattach, Tag: 1, Fid: 0, Afid: NoFid, Uname: "root"},
+			{Type: MsgTwalk, Tag: 2, Fid: 0, Newfid: 1, Wname: names},
+			{Type: MsgTopen, Tag: 3, Fid: 1, Mode: ORead},
+		} {
+			r.send(req)
+			if resp := r.recv(); resp.Type != req.Type+1 {
+				t.Fatalf("%s: %s got %s (%s)", version, MsgName(req.Type), MsgName(resp.Type), resp.Ename)
+			}
+		}
+		return r
+	}
+	for _, version := range []string{VersionTrace, Version} {
+		for _, names := range [][]string{{"srv", "big"}, {"srv", "app", "config", "app.conf"}} {
+			r := open(version, names...)
+			var data []byte
+			reads := 0
+			for {
+				// A fresh tag each: the server frees one only after answering.
+				r.send(&Fcall{Type: MsgTread, Tag: uint16(4 + reads), Fid: 1, Offset: uint64(len(data)), Count: MinMsize - IOHeaderSize})
+				resp, body := r.recvFrame()
+				if resp.Type != MsgRread {
+					t.Fatalf("%s: Tread: got %s (%s)", version, MsgName(resp.Type), resp.Ename)
+				}
+				reads++
+				trailer := 0
+				if resp.EOF {
+					trailer = 1
+				}
+				if frame := 4 + len(body); frame != 11+len(resp.Data)+trailer {
+					t.Fatalf("%s: a %d-byte Rread with eof=%v is a %d-byte frame", version, len(resp.Data), resp.EOF, frame)
+				}
+				data = append(data, resp.Data...)
+				if version == Version && resp.EOF {
+					t.Fatalf("plain 9P2000: Rread %d marked eof", reads)
+				}
+				if len(resp.Data) == 0 || resp.EOF {
+					break
+				}
+			}
+			wantReads := 1
+			if version == Version {
+				wantReads = 2 // the last one empty
+			}
+			if names[1] == "big" {
+				sts, err := UnmarshalStats(data)
+				if err != nil || !reflect.DeepEqual(sts, inProcess("/srv/big")) {
+					t.Fatalf("%s: the listing read at MinMsize differs from in process (%v)", version, err)
+				}
+				if reads < 3 {
+					t.Fatalf("%s: a %d-byte listing took %d reads at msize %d", version, len(data), reads, MinMsize)
+				}
+			} else if reads != wantReads || string(data) != "listen=:9099\n" {
+				t.Fatalf("%s: file read %q in %d Treads, want %d", version, data, reads, wantReads)
+			}
+		}
+
+		r := open(version, "srv", "big")
+		r.send(&Fcall{Type: MsgTread, Tag: 4, Fid: 1, Count: 16})
+		if resp := r.recv(); resp.Type != MsgRerror || !errors.Is(EnameErrno(resp.Ename), fsapi.EINVAL) {
+			t.Fatalf("%s: a 16-byte read of a directory: %s %q, want EINVAL", version, MsgName(resp.Type), resp.Ename)
+		}
+	}
+
+	mustMkdirAll(t, p, "/srv/gone", 0o755)
+	mustWrite(t, p, "/srv/gone/x", "x")
+	c, _ := dialVersion(t, srv, VersionTrace)
+	root, err := c.Attach("root", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := root.WalkPath("srv/gone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Open(ORead); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := d.ReadDir(); err != nil || len(ents) != 1 {
+		t.Fatalf("ReadDir: %d entries, %v", len(ents), err)
+	}
+	other, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	oroot, err := other.Attach("root", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"srv/gone/x", "srv/gone"} {
+		f, err := oroot.WalkPath(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Remove(); err != nil {
+			t.Fatalf("another connection's remove of %s while a fid has the directory open: %v", path, err)
+		}
+	}
+	if _, err := d.ReadDir(); !errors.Is(err, fsapi.ENOENT) {
+		t.Fatalf("listing a removed directory again: %v, want ENOENT", err)
+	}
+	if err := d.Clunk(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPipelinedRewinds sends reads of one open directory fid at offset 0
+// without waiting: each is a rewind that lists the path again while the
+// Rread before it may still be encoding (its Data is the listing), so a
+// listing must not reuse the buffer an earlier Rread points into (run
+// with -race).
+func TestPipelinedRewinds(t *testing.T) {
+	_, srv := startServer(t, Config{})
+	r := rawDial(t, srv)
+	r.handshake(VersionTrace)
+	r.send(&Fcall{Type: MsgTwalk, Tag: 3, Fid: 0, Newfid: 2, Wname: []string{"srv", "app"}})
+	if resp := r.recv(); resp.Type != MsgRwalk {
+		t.Fatalf("walk: got %s (%s)", MsgName(resp.Type), resp.Ename)
+	}
+	r.send(&Fcall{Type: MsgTopen, Tag: 4, Fid: 2, Mode: ORead})
+	if resp := r.recv(); resp.Type != MsgRopen {
+		t.Fatalf("open: got %s (%s)", MsgName(resp.Type), resp.Ename)
+	}
+	const reads = 64
+	for i := range reads {
+		r.send(&Fcall{Type: MsgTread, Tag: uint16(10 + i), Fid: 2, Count: DefaultMsize - IOHeaderSize})
+	}
+	for range reads {
+		resp := r.recv()
+		sts, err := UnmarshalStats(resp.Data)
+		if resp.Type != MsgRread || err != nil || len(sts) != 2 || !resp.EOF {
+			t.Fatalf("pipelined rewind: %s with %d entries (%v), eof=%v", MsgName(resp.Type), len(sts), err, resp.EOF)
+		}
+	}
+}
+
 // --- allocation budget ----------------------------------------------------
 
 // TestWireAllocBudget holds the wire path to its allocation budget, over
 // loopback with both ends in this process, counted as the process-wide
 // malloc delta over 20 k ops: a warm 4-name Walk + Stat + Clunk, a
 // directory listing (Walk + Open + ReadDir + Clunk), and a walk to a
-// missing name. They measure 10, 35 and 9 mallocs per op on the dot plus a
+// missing name. They measure 10, 28 and 9 mallocs per op on the dot plus a
 // few stray process-wide mallocs per run, so each budget is that count
 // plus one. The clunk list costs none: the stat row was 11 while its
-// Tclunk was a round trip of its own.
+// Tclunk was a round trip of its own. The readdir row was 35 (3.9 KB)
+// while a listing ended in an empty Tread and built a Stat and a
+// MarshalStat slice per entry; it is 28 (2.8 KB).
 func TestWireAllocBudget(t *testing.T) {
 	sys, srv := startServer(t, Config{})
 	c, err := Dial(srv.Addr().String())
@@ -758,7 +1058,7 @@ func TestWireAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"wire readdir", 36, func() {
+		{"wire readdir", 29, func() {
 			f := walk("srv", "app")
 			if err := f.Open(ORead); err != nil {
 				t.Fatal(err)

@@ -93,15 +93,31 @@ func TestWireShardTier(t *testing.T) {
 		}
 	}
 
-	// Routed reads answer correctly.
+	// Routed reads answer correctly. A listing is 3 RPCs (Twalk, Topen, one
+	// Tread marked eof; the directory fid's clunk rides the next Twalk) and
+	// a file read 4 (the open file's Tclunk is sent).
+	rpcs := func() (n int64) {
+		for _, rem := range g.Remotes {
+			n += rem.c.RPCs()
+		}
+		return n
+	}
 	if fi, err := g.Router.Stat(files[0]); err != nil || fi.IsDir() {
 		t.Fatalf("Stat %s: %v %v", files[0], fi, err)
 	}
+	before := rpcs()
 	if ents, err := g.Router.ReadDir("/srv/app0/lib/pkg0"); err != nil || len(ents) != 1 {
 		t.Fatalf("ReadDir: %v %v", ents, err)
 	}
+	if n := rpcs() - before; n != 3 {
+		t.Fatalf("ReadDir took %d RPCs, want 3", n)
+	}
+	before = rpcs()
 	if data, err := g.Router.ReadFile(files[1]); err != nil || string(data) != "package x\n" {
 		t.Fatalf("ReadFile: %q %v", data, err)
+	}
+	if n := rpcs() - before; n != 4 {
+		t.Fatalf("ReadFile took %d RPCs, want 4", n)
 	}
 
 	// Rename storm: same-directory renames (the only shape 9P expresses),

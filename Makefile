@@ -87,8 +87,9 @@ bench-hotpath:
 	$(GO) test -short -run '^$$' -bench BenchmarkShrink -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench BenchmarkFastpathStages -benchmem -count 3 ./internal/core
 
-# The slab gate: dentries, fast-dentries, and DLHT chain nodes live in
-# slab arenas, so a warm fastpath walk must not allocate —
+# The slab gate: dentries (with the fastpath's per-dentry state embedded)
+# and DLHT chain nodes live in slab arenas, so a warm fastpath walk must
+# not allocate —
 # testing.AllocsPerRun asserts exactly 0, and the parallel walk benchmark
 # must report 0 allocs/op (awk gates the -benchmem column so a regression
 # fails the target, not just prints a number) — and evicted slots must

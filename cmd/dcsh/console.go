@@ -184,7 +184,7 @@ func renderTop(sys *dircache.System, prev, cur topShot, tick, ticks int) {
 		}
 	}
 	memSum := func(m dircache.MemStats) (live, slots, free, limbo, reclaimed int64) {
-		for _, a := range []dircache.ArenaStats{m.Dentries, m.ChainNodes, m.FastDentries, m.DLHTNodes} {
+		for _, a := range []dircache.ArenaStats{m.Dentries, m.ChainNodes, m.DLHTNodes} {
 			live += a.Live
 			slots += int64(a.Slots)
 			free += a.Free

@@ -284,11 +284,11 @@ other:  help  exit
 		fmt.Printf("invalidations %d, populations %d\n", st.Invalidations, st.Populations)
 		fmt.Printf("path hash     %d bytes hashed\n", st.HashedBytes)
 		m := sys.MemStats()
-		live := m.Dentries.Live + m.ChainNodes.Live + m.FastDentries.Live + m.DLHTNodes.Live
-		slots := int64(m.Dentries.Slots + m.ChainNodes.Slots + m.FastDentries.Slots + m.DLHTNodes.Slots)
-		free := m.Dentries.Free + m.ChainNodes.Free + m.FastDentries.Free + m.DLHTNodes.Free
-		limbo := m.Dentries.Limbo + m.ChainNodes.Limbo + m.FastDentries.Limbo + m.DLHTNodes.Limbo
-		reclaimed := m.Dentries.Reclaimed + m.ChainNodes.Reclaimed + m.FastDentries.Reclaimed + m.DLHTNodes.Reclaimed
+		live := m.Dentries.Live + m.ChainNodes.Live + m.DLHTNodes.Live
+		slots := int64(m.Dentries.Slots + m.ChainNodes.Slots + m.DLHTNodes.Slots)
+		free := m.Dentries.Free + m.ChainNodes.Free + m.DLHTNodes.Free
+		limbo := m.Dentries.Limbo + m.ChainNodes.Limbo + m.DLHTNodes.Limbo
+		reclaimed := m.Dentries.Reclaimed + m.ChainNodes.Reclaimed + m.DLHTNodes.Reclaimed
 		occ := 0.0
 		if slots > 0 {
 			occ = 100 * float64(live) / float64(slots)

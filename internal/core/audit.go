@@ -16,12 +16,12 @@ import (
 // AuditStamp implements audit.Source. The vector is [invalidation epoch,
 // DLHT population count]: every fastpath state change moves one of the
 // two (mutations bump the epoch; publishes and alias re-signs bump
-// populations even when the epoch stays even), so an audit pass bracketed
+// populations while no mutation is in flight), so an audit pass bracketed
 // by equal stamps raced no fastpath transition. Quiescent means no
-// mutation is mid-flight (even epoch).
+// mutation is mid-flight.
 func (c *Core) AuditStamp() ([]uint64, bool) {
 	e := c.epoch.Load()
-	return []uint64{e, uint64(c.stats.populations.Load())}, e&1 == 0
+	return []uint64{e, uint64(c.stats.populations.Load())}, quiescent(e)
 }
 
 // auditRun accumulates findings up to a cap.
@@ -123,18 +123,13 @@ func (c *Core) auditDLHT(ar *auditRun, dl *DLHT, aliasFree bool) {
 		}
 		ar.checked["dlht_placement"]++
 		fd := fast(d)
-		if fd == nil {
-			ar.add(audit.Finding{Check: "dlht_placement", Ref: d.ID(), Path: d.PathTo(),
-				Detail: "table entry for a dentry with no fastpath state"})
-			return
-		}
-		fd.mu.Lock()
-		inTable, fidx, fsg, pubSeq := fd.inTable, fd.idx, fd.sg, fd.pubSeq
-		mnt := fd.mntP.Load()
-		seq := fd.seq.Load()
-		fd.mu.Unlock()
+		fd.Mu.Lock()
+		inTable, fidx, fsg, pubSeq := fd.InTable, fd.Idx, fd.Sg, fd.PubSeq
+		mnt := fd.MntP.Load()
+		seq := fd.Seq.Load()
+		fd.Mu.Unlock()
 		switch {
-		case inTable != dl:
+		case inTable != dl.Table:
 			ar.add(audit.Finding{Check: "dlht_placement", Ref: d.ID(), Path: d.PathTo(),
 				Detail: "dentry does not believe it is in this table"})
 			return
@@ -150,9 +145,9 @@ func (c *Core) auditDLHT(ar *auditRun, dl *DLHT, aliasFree bool) {
 			return
 		}
 		ar.checked["dlht_fresh"]++
-		vg := fd.validGen.Load()
+		vg := fd.ValidGen.Load()
 		if at, _ := c.markedAbove(d, vg); at != nil {
-			gen, sgen := fast(at).shootMark.gens()
+			gen, sgen := fast(at).markGens()
 			ar.add(audit.Finding{Check: "dlht_fresh", Ref: d.ID(), Path: d.PathTo(),
 				Detail: fmt.Sprintf("live entry at generation %d under ancestor %q batch-shot at generation %d, structurally at %d (survived a sweep)", vg, at.PathTo(), gen, sgen)})
 			return
@@ -235,8 +230,7 @@ func (c *Core) auditPCCs(ar *auditRun, pccs []pccReg) {
 				// entry under a range mark is revoked though its seq still
 				// matches (SweepStale only reaches dentries in a table), and
 				// fresh bumps that seq here as it would before any consult.
-				fd := fast(d)
-				if fd == nil || !c.fresh(d) || fd.seq.Load()&pccSeqMask != (v>>32)&pccSeqMask {
+				if !c.fresh(d) || dentrySeq(d)&pccSeqMask != (v>>32)&pccSeqMask {
 					continue // stale entry: can never authorize anything
 				}
 				ar.checked["pcc_prefix"]++
@@ -258,11 +252,7 @@ func (c *Core) auditPCCs(ar *auditRun, pccs []pccReg) {
 // below — was never searched either: the walk answers ENOTDIR before it
 // asks. Returns the failing ancestor's name on violation.
 func (c *Core) reverifyPrefix(reg pccReg, d *vfs.Dentry) (string, bool) {
-	fd := fast(d)
-	if fd == nil {
-		return "", true
-	}
-	mnt := fd.mntP.Load()
+	mnt := fast(d).MntP.Load()
 	if mnt == nil {
 		return "", true // never published; nothing to reconstruct
 	}
@@ -369,12 +359,8 @@ func (c *Core) auditBatchMarks(ar *auditRun, batchGen map[uint64]int64) {
 		if !ok || d.IsDead() {
 			continue // root evicted since; its mark is moot
 		}
-		fd := fast(d)
-		if fd == nil {
-			continue
-		}
 		ar.checked["journal_batch_shoot"]++
-		if marked, _ := fd.shootMark.gens(); marked < uint64(gen) {
+		if marked, _ := fast(d).markGens(); marked < uint64(gen) {
 			ar.add(audit.Finding{Check: "journal_batch_shoot", Ref: ref, Path: d.PathTo(),
 				Detail: fmt.Sprintf("journal records a batch shootdown at generation %d but the root's mark is %d (missed batch mark)", gen, marked)})
 		}

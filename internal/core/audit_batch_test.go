@@ -241,9 +241,9 @@ func TestKilledNegativeAnswersNothing(t *testing.T) {
 		t.Fatal("no signature state for /a")
 	}
 	fd := fast(live.D)
-	was := fd.inTable
+	was := fd.InTable
 	c.publish(c.dlhtFor(walker.Namespace()), live, &st, token)
-	if fd.inTable != was {
+	if fd.InTable != was {
 		t.Fatal("publish accepted a pre-rename token")
 	}
 	if got := c.Stats().StaleTokens - stale; got != 2 {

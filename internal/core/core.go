@@ -91,82 +91,59 @@ type statsCell struct {
 }
 
 // fastDentry is the per-dentry fastpath state — the paper's struct
-// fast_dentry (Figure 5): the resumable signature state of the dentry's
-// canonical path, the signature and DLHT index, a version counter (seq)
-// that invalidates PCC entries, the mount pointer, and — for symlinks —
-// the cached resolution target.
-type fastDentry struct {
-	// self is the dentry's slot in the core's fast-dentry arena, kept so
-	// OnReclaim can retire it alongside the dentry's own slot.
-	self slab.Ref
+// fast_dentry (Figure 5), which vfs embeds in every dentry: the resumable
+// signature state of the dentry's canonical path, the signature and DLHT
+// index, a version counter (Seq) that invalidates PCC entries, the mount
+// pointer, and — for symlinks — the cached resolution target. vfs declares
+// the layout; every method and invariant on it is here.
+//
+//   - ValidGen is the range-shootdown generation the state is known valid
+//     against. The hot-path freshness check is one load and compare against
+//     Core.shootGen; only a mismatch walks ancestors looking for a newer
+//     ShootMark (see Core.fresh).
+//   - ShootMark, when > 0, makes this dentry the root of a range shootdown
+//     (see markGens): every descendant whose ValidGen predates the mark's
+//     generation must be lazily discharged before use — its PCC entries
+//     staled, and, if the mark's structural generation is newer too, its
+//     pre-mutation table entry and state dropped.
+//   - Touches counts slow-path populations declined by admission control;
+//     reset when the dentry changes identity (negative <-> positive).
+//   - State is stored and cleared under Mu, loaded without it by TryFast. A
+//     dentry in a table always has one (the state its Sg sums).
+//   - MntP records the mount the signature was computed under, so a
+//     fastpath hit can report mount options without a tree walk (§4.3).
+//   - Target caches a followed symlink's (or alias's) resolution (§4.2
+//     stores the target-path signature; a generation-tagged dentry ref
+//     pinned to the target's version counter is equivalent: any structural
+//     or permission change to the target bumps its Seq and stales this,
+//     and slot recycling makes the packed ref stop resolving). 0 = none.
+//   - PubSeq records Seq as of the moment the current table entry was
+//     published. The coherence invariant the auditor checks: a live dentry
+//     in a DLHT has PubSeq == Seq — every seq bump either removes the entry
+//     (shootdown, under Mu) or marks the dentry dead (evict).
+type fastDentry vfs.FastDentry
 
-	seq atomic.Uint64
+// fast returns d's fastpath state: a conversion, never nil.
+func fast(d *vfs.Dentry) *fastDentry { return (*fastDentry)(d.Fast()) }
 
-	// validGen is the batch-shootdown generation this dentry's fastpath
-	// state is known valid against. The hot-path freshness check is one
-	// load and compare against Core.shootGen; only a mismatch walks
-	// ancestors looking for a newer shootMark (see Core.fresh).
-	validGen atomic.Uint64
-
-	// shootMark, when > 0, makes this dentry the root of a range shootdown
-	// (see rangeMark): every descendant whose validGen predates the mark's
-	// generation must be lazily discharged before use — its PCC entries
-	// staled, and, if the mark's structural generation is newer too, its
-	// pre-mutation table entry and state dropped.
-	shootMark rangeMark
-
-	// touches counts slow-path populations declined by admission control;
-	// reset when the dentry changes identity (negative <-> positive).
-	touches atomic.Uint32
-
-	mu      sync.Mutex
-	idx     uint16
-	sg      sig.Signature
-	inTable *DLHT // the one DLHT currently holding this dentry
-
-	// state is the signature state of the dentry's canonical path, in
-	// place: stored and cleared under mu, loaded without it by TryFast.
-	// A dentry in a table always has one (the state its sg sums).
-	state sig.Shared
-
-	// mntP records the mount the signature was computed under, so a
-	// fastpath hit can report mount options without a tree walk (§4.3).
-	mntP atomic.Pointer[vfs.Mount]
-
-	// target caches a followed symlink's (or alias's) resolution (§4.2
-	// stores the target-path signature; a generation-tagged dentry ref
-	// pinned to the target's version counter is equivalent: any structural
-	// or permission change to the target bumps its seq and stales this,
-	// and slot recycling makes the packed ref stop resolving). 0 = none.
-	target    atomic.Uint64
-	targetSeq atomic.Uint64
-
-	// pubSeq records seq as of the moment the current table entry was
-	// published. The coherence invariant the auditor checks: a live
-	// dentry in a DLHT has pubSeq == seq — every seq bump either removes
-	// the entry (shootdown, under mu) or marks the dentry dead (evict).
-	// Audit-only, so it sits at the tail, off TryFast's cache lines.
-	pubSeq uint64 // guarded by mu
-}
-
-// reset re-initializes a fast-dentry slot for a new tenant. Explicit
-// per-field stores rather than a struct assignment: the struct embeds a
-// mutex (vet copylocks), and the previous tenant is guaranteed to have
-// unlocked it before the slot cleared its grace period.
-func (fd *fastDentry) reset(self slab.Ref) {
-	fd.self = self
-	fd.seq.Store(0)
-	fd.validGen.Store(0)
-	fd.shootMark.w.Store(0)
-	fd.touches.Store(0)
-	fd.idx = 0
-	fd.sg = sig.Signature{}
-	fd.inTable = nil
-	fd.state.Clear()
-	fd.mntP.Store(nil)
-	fd.target.Store(0)
-	fd.targetSeq.Store(0)
-	fd.pubSeq = 0
+// reset initializes the state for a new tenant of the dentry's slot, valid
+// as of shootdown generation gen. Explicit per-field stores rather than a
+// struct assignment: the struct embeds a mutex (vet copylocks), and the
+// previous tenant is guaranteed to have unlocked it before the slot cleared
+// its grace period.
+func (fd *fastDentry) reset(gen uint64) {
+	fd.Seq.Store(0)
+	fd.ValidGen.Store(gen)
+	fd.ShootMark.Store(0)
+	fd.Touches.Store(0)
+	fd.Idx = 0
+	fd.Sg = sig.Signature{}
+	fd.InTable = nil
+	fd.State.Clear()
+	fd.MntP.Store(nil)
+	fd.Target.Store(0)
+	fd.TargetSeq.Store(0)
+	fd.PubSeq = 0
 }
 
 // Core implements vfs.Hooks.
@@ -175,21 +152,21 @@ type Core struct {
 	k   *vfs.Kernel
 	key *sig.Key
 
-	// fds and nodes are the core's slab arenas — per-dentry fastpath
-	// state and DLHT chain nodes — driven by the kernel's epoch gate so
-	// one grace period covers dentries and everything hanging off them.
-	fds   *slab.Arena[fastDentry]
+	// nodes is the core's slab arena of DLHT chain nodes, driven by the
+	// kernel's epoch gate so one grace period covers dentries and
+	// everything hanging off them.
 	nodes *slab.Arena[dnode]
 
-	// epoch is the global invalidation counter (§3.2): odd while a
-	// structural/permission mutation is in flight; slowpath results are
-	// only cached if it is even and unchanged across the walk.
+	// epoch is the global invalidation counter (§3.2). Every mutation
+	// edge adds epochEdge, and the low bits count the mutations in flight;
+	// slowpath results are only cached if it is quiescent and unchanged
+	// across the walk.
 	epoch atomic.Uint64
 
 	// shootGen is the batch-shootdown generation counter: each range
 	// shootdown bumps it once (instead of bumping every descendant's seq)
-	// and stamps the subtree root's shootMark with the new value. Fastpath
-	// probes compare a dentry's validGen against shootGen and, on
+	// and stamps the subtree root's ShootMark with the new value. Fastpath
+	// probes compare a dentry's ValidGen against shootGen and, on
 	// mismatch, climb its ancestors for a newer mark (Core.fresh).
 	shootGen atomic.Uint64
 
@@ -232,7 +209,6 @@ func Install(k *vfs.Kernel, cfg Config) *Core {
 		cfg.Seed = 0x5ca1ab1e0ddba11 ^ (seedCounter.Add(1) * 0x9e3779b97f4a7c15)
 	}
 	c := &Core{cfg: cfg, k: k, key: sig.NewKey(cfg.Seed)}
-	c.fds = slab.New[fastDentry](k.Gate(), slab.Options{})
 	c.nodes = slab.New[dnode](k.Gate(), slab.Options{})
 	c.admitAfter = cfg.AdmitAfter
 	if c.admitAfter == 0 {
@@ -274,15 +250,15 @@ func (c *Core) Stats() Stats {
 	}
 }
 
-// MemStats snapshots the core's slab arenas — fast-dentry side-table
-// slots and DLHT chain nodes — and every namespace's DLHT bucket array,
-// summed, for telemetry's "mem" gauges and the memscale experiment.
-func (c *Core) MemStats() (fds, nodes slab.Stats, dlht vfs.TableStats) {
+// MemStats snapshots the core's slab arena of DLHT chain nodes and every
+// namespace's DLHT bucket array, summed, for telemetry's "mem" gauges and
+// the memscale experiment.
+func (c *Core) MemStats() (nodes slab.Stats, dlht vfs.TableStats) {
 	dlhts, _ := c.registered()
 	for _, dl := range dlhts {
 		dlht.Add(dl.Stats())
 	}
-	return c.fds.Stats(), c.nodes.Stats(), dlht
+	return c.nodes.Stats(), dlht
 }
 
 // registered snapshots the two registries.
@@ -318,58 +294,29 @@ func (c *Core) tele() *telemetry.Telemetry {
 	return tel
 }
 
-// fast extracts the fastDentry attached at allocation.
-func fast(d *vfs.Dentry) *fastDentry {
-	fd, _ := d.Fast().(*fastDentry)
-	return fd
-}
-
-// NewDentry implements vfs.Hooks. The fastDentry comes from the core's
-// slab arena (one slot per dentry, same lifecycle), not the GC heap. The
-// fresh dentry's validGen starts at the current shootdown generation: it
-// holds no state a past range shootdown could have staled, so there is
-// nothing to climb for.
-func (c *Core) NewDentry(d *vfs.Dentry) any {
-	r, fd := c.fds.Alloc()
-	fd.reset(r)
-	fd.validGen.Store(c.shootGen.Load())
-	return fd
-}
+// NewDentry implements vfs.Hooks. The fresh dentry's ValidGen starts at
+// the current shootdown generation: it holds no state a past range
+// shootdown could have staled, so there is nothing to climb for.
+func (c *Core) NewDentry(d *vfs.Dentry) { fast(d).reset(c.shootGen.Load()) }
 
 // OnReclaim implements vfs.Hooks: the lazy-teardown sweeper is about to
 // retire a dead dentry's slab slot. Finish the fastpath half of the
 // teardown that kill time deferred — drop the residual DLHT entry and
-// cached state, then retire the fast-dentry slot into the same
-// grace-period limbo. In-section readers still holding the dentry can
-// keep dereferencing fd until the grace period ends.
-func (c *Core) OnReclaim(d *vfs.Dentry) {
-	fd := fast(d)
-	if fd == nil {
-		return
-	}
-	unpublish(d, fd, telemetry.NoteReclaim)
-	c.fds.Retire(fd.self)
-}
+// cached state. In-section readers still holding the dentry can keep
+// reading its fast state until the slot's grace period ends.
+func (c *Core) OnReclaim(d *vfs.Dentry) { c.unpublish(d, telemetry.NoteReclaim) }
 
 // OnReap implements vfs.Hooks: the kernel's reclamation cadence. Return
-// grace-elapsed fast-dentry and DLHT-node slots to their free-lists so
-// churn recycles slots instead of growing the arenas. Reclaim bounds
-// match the kernel's own per-call batches; the DLHT-node budget is
-// larger because insert-time sweeps retire nodes in bursts.
-func (c *Core) OnReap() {
-	c.fds.Reclaim(8192)
-	c.nodes.Reclaim(16384)
-}
+// grace-elapsed DLHT-node slots to the free-list so churn recycles slots
+// instead of growing the arena. The budget is larger than the kernel's own
+// per-call batches because insert-time sweeps retire nodes in bursts.
+func (c *Core) OnReap() { c.nodes.Reclaim(16384) }
 
 // OnRecycle implements vfs.Hooks: the dentry changed identity (a positive
 // dentry went negative on unlink, or a negative one was re-created).
 // Admission touch counts from the previous identity must not carry over —
 // a freshly re-created file is a first-touch dentry again.
-func (c *Core) OnRecycle(d *vfs.Dentry) {
-	if fd := fast(d); fd != nil {
-		fd.touches.Store(0)
-	}
-}
+func (c *Core) OnRecycle(d *vfs.Dentry) { fast(d).Touches.Store(0) }
 
 // dlhtFor returns the namespace's private DLHT, creating it on first use
 // (§4.3: per-namespace direct lookup hash tables).
@@ -414,14 +361,29 @@ func (c *Core) invalidateAllPCCs() {
 	}
 }
 
+// The epoch word counts mutation edges above epochEdge and mutations in
+// flight below it. One parity bit cannot say the latter: two overlapping
+// brackets leave it even while both are open. Each edge is still one
+// atomic add — begin adds an edge and a mutation, end an edge less one —
+// and any edge changes the word, so "unchanged" keeps meaning "no mutation
+// began or ended". 2^16 mutations in flight at once would carry into the
+// edge count; there are never nearly that many goroutines mutating.
+const (
+	epochEdge     = 1 << 16
+	epochInFlight = epochEdge - 1
+)
+
+// quiescent reports whether epoch word e has no mutation in flight.
+func quiescent(e uint64) bool { return e&epochInFlight == 0 }
+
 // BeginSlow implements vfs.Hooks: capture the invalidation epoch.
 func (c *Core) BeginSlow() uint64 { return c.epoch.Load() }
 
 // tokenValid reports whether a slowpath result captured at token may be
-// cached: the epoch must be even (no mutation in flight) and unchanged.
+// cached: the epoch must be quiescent and unchanged.
 func (c *Core) tokenValid(token uint64) bool {
 	cur := c.epoch.Load()
-	return cur == token && cur&1 == 0
+	return cur == token && quiescent(cur)
 }
 
 // BeginMutation implements vfs.Hooks (§3.2): bump the invalidation epoch
@@ -431,7 +393,7 @@ func (c *Core) tokenValid(token uint64) bool {
 // journaled: one epoch_bump per edge, one seq_bump at the root.
 func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) vfs.Mutation {
 	tel := c.tele()
-	epoch := c.epoch.Add(1)
+	epoch := c.epoch.Add(epochEdge + 1)
 	c.stats.invalidations.Add(1)
 	var start int64
 	if tel != nil {
@@ -457,10 +419,9 @@ func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) vfs.Mutation {
 // EndMutation implements vfs.Hooks: the closing epoch bump and, on a
 // shard, the mutated path's publication to the coherence log.
 func (c *Core) EndMutation(m vfs.Mutation) {
-	epoch := c.epoch.Add(1)
+	epoch := c.epoch.Add(epochEdge - 1)
 	if tel := c.tele(); tel != nil {
-		// The even epoch is what marks this as the closing bump.
-		tel.Emit(telemetry.JEpochBump, m.D.ID(), int64(epoch), m.Why.Note())
+		tel.Emit(telemetry.JEpochBump, m.D.ID(), int64(epoch), m.Why.Note()|telemetry.NoteEnd)
 	}
 	if m.Path != "" {
 		c.coh.Load().Publish(m.Path, m.Why.String())
@@ -489,21 +450,18 @@ func (c *Core) Coherence() *coherence.Log {
 // d's table entry, signature state and cached symlink target; a permission
 // change leaves them, because the path still names d (§3.2). If d has
 // cached children it becomes the root of a range shootdown of that class —
-// one generation bump and d's shootMark — and every descendant is
+// one generation bump and d's ShootMark — and every descendant is
 // discharged by fresh() on its first probe, O(1) here instead of
 // O(subtree). That is sound because nothing consults a descendant's PCC
-// entry, or advances its validGen, without calling fresh() on it first.
+// entry, or advances its ValidGen, without calling fresh() on it first.
 func (c *Core) shoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemetry) {
 	fd := fast(d)
-	if fd == nil {
-		return
-	}
 	kids, perm := d.ChildCount(), why.PermOnly()
 	if perm {
 		c.bumpPublished(fd)
 	} else {
 		c.bumpSeq(fd)
-		unpublish(d, fd, telemetry.NoteShootdown)
+		c.unpublish(d, telemetry.NoteShootdown)
 	}
 	if tel != nil {
 		tel.Emit(telemetry.JSeqBump, d.ID(), int64(kids), why.Note())
@@ -513,47 +471,45 @@ func (c *Core) shoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemet
 	}
 	gen := c.shootGen.Add(1)
 	c.stats.batchShootdowns.Add(1)
-	fd.shootMark.stamp(gen, !perm)
+	fd.stampMark(gen, !perm)
 	if tel != nil {
 		tel.Emit(telemetry.JBatchShoot, d.ID(), int64(gen), why.Note())
 	}
 }
 
-// rangeMark is a dentry's shootMark word. It packs two shootdown
-// generations: the newest range mark of either class in the high bits and,
-// in the low markLagBits, how far behind it the newest *structural* mark
-// trails. A permission change therefore never hides the rename stamped
-// before it, and a rename's claim on the subtree ends with the descendants
-// that predate it instead of turning every later chmod of the directory
-// structural. The lag saturates: a structural mark older than markLagMax
-// generations reads as that old exactly, which can only over-discard.
-type rangeMark struct{ w atomic.Uint64 }
-
+// The ShootMark word packs two shootdown generations: the newest range
+// mark of either class in the high bits and, in the low markLagBits, how
+// far behind it the newest *structural* mark trails. A permission change
+// therefore never hides the rename stamped before it, and a rename's claim
+// on the subtree ends with the descendants that predate it instead of
+// turning every later chmod of the directory structural. The lag
+// saturates: a structural mark older than markLagMax generations reads as
+// that old exactly, which can only over-discard.
 const (
 	markLagBits = 20
 	markLagMax  = 1<<markLagBits - 1
 )
 
-// gens unpacks the mark: the newest generation of any class and the newest
-// structural one, both 0 on a dentry never marked.
-func (m *rangeMark) gens() (gen, structural uint64) {
-	w := m.w.Load()
+// markGens unpacks the mark: the newest generation of any class and the
+// newest structural one, both 0 on a dentry never marked.
+func (fd *fastDentry) markGens() (gen, structural uint64) {
+	w := fd.ShootMark.Load()
 	gen = w >> markLagBits
 	return gen, gen - w&markLagMax
 }
 
-// stamp records a range shootdown at generation gen. Mutations of one
+// stampMark records a range shootdown at generation gen. Mutations of one
 // dentry can overlap (the bracket opens before any lock), hence the CAS.
-func (m *rangeMark) stamp(gen uint64, structural bool) {
+func (fd *fastDentry) stampMark(gen uint64, structural bool) {
 	for {
-		old := m.w.Load()
+		old := fd.ShootMark.Load()
 		oldGen := old >> markLagBits
 		newGen := max(gen, oldGen)
 		lag := uint64(0)
 		if !structural {
 			lag = min((old&markLagMax)+newGen-oldGen, markLagMax)
 		}
-		if m.w.CompareAndSwap(old, newGen<<markLagBits|lag) {
+		if fd.ShootMark.CompareAndSwap(old, newGen<<markLagBits|lag) {
 			return
 		}
 	}
@@ -563,7 +519,7 @@ func (m *rangeMark) stamp(gen uint64, structural bool) {
 // naming it without touching any PCC.
 func (c *Core) bumpSeq(fd *fastDentry) {
 	c.stats.seqBumps.Add(1)
-	if fd.seq.Add(1)&pccSeqMask == 0 {
+	if fd.Seq.Add(1)&pccSeqMask == 0 {
 		// The truncated seq stored in PCC entries wrapped: stale entries
 		// from 2^31 bumps ago would match again. Wipe all PCCs, as the
 		// paper does for its 32-bit counters.
@@ -572,34 +528,52 @@ func (c *Core) bumpSeq(fd *fastDentry) {
 }
 
 // bumpPublished is bumpSeq for a dentry that keeps its table entry: the
-// entry is re-stamped with the new version under mu, so "a live entry's
-// pubSeq is its dentry's seq" (the auditor's dlht_stale) still means a
+// entry is re-stamped with the new version under Mu, so "a live entry's
+// PubSeq is its dentry's Seq" (the auditor's dlht_stale) still means a
 // bump that should have unpublished did not.
 func (c *Core) bumpPublished(fd *fastDentry) {
-	fd.mu.Lock()
+	fd.Mu.Lock()
 	c.bumpSeq(fd)
-	fd.pubSeq = fd.seq.Load()
-	fd.mu.Unlock()
+	fd.PubSeq = fd.Seq.Load()
+	fd.Mu.Unlock()
 }
 
 // unpublish drops what the fastpath holds for d under its current path:
 // the table entry, the signature state (recomputed by the next
 // population) and a cached symlink target.
-func unpublish(d *vfs.Dentry, fd *fastDentry, why telemetry.Note) {
-	fd.mu.Lock()
-	if fd.inTable != nil {
-		fd.inTable.Remove(fd.idx, fd.sg, d, why)
-		fd.inTable = nil
+func (c *Core) unpublish(d *vfs.Dentry, why telemetry.Note) {
+	fd := fast(d)
+	fd.Mu.Lock()
+	c.dropEntry(d, fd, why)
+	fd.State.Clear()
+	fd.Target.Store(0)
+	fd.Mu.Unlock()
+}
+
+// dropEntry removes d's table entry, if it has one, for the reason why
+// names; with telemetry on the removal is timed and journaled. The caller
+// holds fd.Mu.
+func (c *Core) dropEntry(d *vfs.Dentry, fd *fastDentry, why telemetry.Note) {
+	t := fd.InTable
+	if t == nil {
+		return
 	}
-	fd.state.Clear()
-	fd.target.Store(0)
-	fd.mu.Unlock()
+	fd.InTable = nil
+	tel := c.tele()
+	if tel == nil {
+		t.Remove(uint64(fd.Idx), fd.Sg, d)
+		return
+	}
+	start := telemetry.Now()
+	t.Remove(uint64(fd.Idx), fd.Sg, d)
+	tel.Record(telemetry.HistDLHTRemove, telemetry.Since(start))
+	tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.Idx), why)
 }
 
 // fresh reports whether d's table entry and signature state postdate every
 // structural range shootdown covering it. The hot path is one
 // load-and-compare; only a generation mismatch climbs the ancestor chain
-// for a mark newer than d's validGen. A covered dentry gets here the
+// for a mark newer than d's ValidGen. A covered dentry gets here the
 // per-dentry work the shootdown deferred. Under a structural mark that is
 // the seq bump (staling its PCC entries) and the table entry and state
 // dropped, and fresh returns false so the caller falls back to the slow
@@ -607,23 +581,20 @@ func unpublish(d *vfs.Dentry, fd *fastDentry, why telemetry.Note) {
 // names d, fresh returns true, and the caller's PCC probe — which must
 // read the seq after this call — misses and re-checks the prefix.
 //
-// Either way validGen then advances to the generation read *before* the
-// climb, and only if the invalidation epoch was even and unchanged across
-// it. Without that gate a racing mutation could stamp an ancestor's
-// shootMark after the climb had passed it, and the new validGen would
+// Either way ValidGen then advances to the generation read *before* the
+// climb, and only if the invalidation epoch was quiescent and unchanged
+// across it. Without that gate a racing mutation could stamp an ancestor's
+// ShootMark after the climb had passed it, and the new ValidGen would
 // mask that mark forever; with it, either the climb sees the mark (the
 // epoch is bumped before the generation, seq-cst) or the epoch check
-// fails, validGen stays, and the next probe climbs — and perhaps bumps —
+// fails, ValidGen stays, and the next probe climbs — and perhaps bumps —
 // again. The generation current *after* the bump would not do: a probe
 // descheduled between the two across a whole chmod would declare the
 // dentry fresh against a mark its bump preceded (TestStressWalkVsChmod).
 func (c *Core) fresh(d *vfs.Dentry) bool {
 	fd := fast(d)
-	if fd == nil {
-		return true
-	}
 	gen := c.shootGen.Load()
-	vg := fd.validGen.Load()
+	vg := fd.ValidGen.Load()
 	if vg == gen {
 		return true
 	}
@@ -633,13 +604,13 @@ func (c *Core) fresh(d *vfs.Dentry) bool {
 		c.stats.lazyShootdowns.Add(1)
 		if structural {
 			c.bumpSeq(fd)
-			unpublish(d, fd, telemetry.NoteLazyShootdown)
+			c.unpublish(d, telemetry.NoteLazyShootdown)
 		} else {
 			c.bumpPublished(fd)
 		}
 	}
-	if e1&1 == 0 && c.epoch.Load() == e1 {
-		fd.validGen.Store(gen)
+	if quiescent(e1) && c.epoch.Load() == e1 {
+		fd.ValidGen.Store(gen)
 	}
 	return !structural
 }
@@ -654,10 +625,7 @@ func (c *Core) fresh(d *vfs.Dentry) bool {
 // computed under, the climb continues from the mountpoint (§4.3), so a
 // chmod above a mountpoint covers the mounted tree too.
 func (c *Core) markedAbove(d *vfs.Dentry, vg uint64) (at *vfs.Dentry, structural bool) {
-	var mnt *vfs.Mount
-	if fd := fast(d); fd != nil {
-		mnt = fd.mntP.Load()
-	}
+	mnt := fast(d).MntP.Load()
 	for cur := d; ; {
 		if mnt != nil && cur == mnt.Root() {
 			cur, mnt = mnt.Mountpoint(), mnt.ParentMount()
@@ -667,11 +635,7 @@ func (c *Core) markedAbove(d *vfs.Dentry, vg uint64) (at *vfs.Dentry, structural
 		if cur == nil {
 			break
 		}
-		cfd := fast(cur)
-		if cfd == nil {
-			break
-		}
-		if gen, sgen := cfd.shootMark.gens(); gen > vg {
+		if gen, sgen := fast(cur).markGens(); gen > vg {
 			if at == nil {
 				at = cur
 			}
@@ -718,13 +682,7 @@ func invalHist(why vfs.Invalidation) telemetry.HistID {
 // OnEvict implements vfs.Hooks. The dentry is dead, and DLHT lookups skip
 // dead dentries, so its table node is reclaimed lazily by the next insert
 // into the bucket — eviction itself stays O(1).
-func (c *Core) OnEvict(d *vfs.Dentry) {
-	fd := fast(d)
-	if fd == nil {
-		return
-	}
-	fd.seq.Add(1)
-}
+func (c *Core) OnEvict(d *vfs.Dentry) { fast(d).Seq.Add(1) }
 
 // pathState loads ref.D's canonical-path signature state into *dst: the
 // stored one, else its parent's (computed and stored there the same way)
@@ -736,13 +694,13 @@ func (c *Core) OnEvict(d *vfs.Dentry) {
 // detached dentry, a path past sig.MaxPathLen) and *dst is garbage.
 func (c *Core) pathState(ref vfs.PathRef, dst *sig.State, keep bool) bool {
 	fd := fast(ref.D)
-	if fd == nil || ref.Mnt == nil || ref.D.IsDead() {
+	if ref.Mnt == nil || ref.D.IsDead() {
 		return false
 	}
 	// A range shootdown leaves descendants' stored states in place; fresh
 	// drops a stale one here rather than serve a pre-mutation signature.
 	_ = c.fresh(ref.D)
-	if fd.state.Load(c.key, dst) {
+	if fd.State.Load(c.key, dst) {
 		return true
 	}
 	token := c.epoch.Load()
@@ -768,12 +726,12 @@ func (c *Core) pathState(ref vfs.PathRef, dst *sig.State, keep bool) bool {
 		// Under mu, as in publish: a mutation that moved the name or the
 		// parent this state was read from bumped the epoch before its
 		// shootdown took mu, so it is either seen here or clears the store.
-		fd.mu.Lock()
+		fd.Mu.Lock()
 		if c.tokenValid(token) {
-			fd.state.Store(dst)
-			fd.mntP.Store(ref.Mnt)
+			fd.State.Store(dst)
+			fd.MntP.Store(ref.Mnt)
 		}
-		fd.mu.Unlock()
+		fd.Mu.Unlock()
 	}
 	return true
 }
@@ -785,16 +743,16 @@ func (c *Core) pathState(ref vfs.PathRef, dst *sig.State, keep bool) bool {
 // and the new signature takes over.
 //
 // token is the walk's invalidation-epoch token: it is re-validated under
-// fd.mu, closing the window between a caller's tokenValid check and the
+// fd.Mu, closing the window between a caller's tokenValid check and the
 // insert. Without it, a mutation landing in that window could shoot down
 // the (not yet present) entry and then have publish install a signature
 // computed from the pre-mutation path — a stale DLHT entry. The shootdown
-// bumps the epoch before taking fd.mu, so whichever critical section runs
+// bumps the epoch before taking fd.Mu, so whichever critical section runs
 // second sees the other's work: either the shootdown removes our entry, or
-// we observe the odd/advanced epoch and decline to insert.
+// we observe the in-flight/advanced epoch and decline to insert.
 func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st *sig.State, token uint64) {
 	fd := fast(ref.D)
-	if fd == nil || ref.D.IsDead() {
+	if ref.D.IsDead() {
 		return
 	}
 	if ref.D.Super().Caps().Revalidate {
@@ -802,48 +760,42 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st *sig.State, token uint64) {
 		// component at the server; a whole-path hit would skip that.
 		return
 	}
-	// validGen is stamped below: discharge a pending range shootdown first
+	// ValidGen is stamped below: discharge a pending range shootdown first
 	// (it bumps seq), or the stamp would hide the mark from every later
 	// fresh() and leave other credentials' PCC entries for d standing.
 	_ = c.fresh(ref.D)
 	idx, sg := st.Sum()
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
+	fd.Mu.Lock()
+	defer fd.Mu.Unlock()
 	// Load the shootdown generation BEFORE validating the token: a batch
 	// shootdown bumps the epoch before the generation, so if tokenValid
 	// passes, gen is at least as new as any shootdown that could have
-	// covered the state we are publishing — stamping validGen = gen below
+	// covered the state we are publishing — stamping ValidGen = gen below
 	// can never mask a mark this entry should honour.
 	gen := c.shootGen.Load()
 	if !c.tokenValid(token) {
 		c.stats.staleTokens.Add(1)
 		return
 	}
-	if fd.inTable != nil {
-		if fd.inTable == dl && fd.sg == sg {
-			fd.mntP.Store(ref.Mnt)
-			fd.validGen.Store(gen)
+	if fd.InTable != nil {
+		if fd.InTable == dl.Table && fd.Sg == sg {
+			fd.MntP.Store(ref.Mnt)
+			fd.ValidGen.Store(gen)
 			return // already published under this signature
 		}
 		// Aliased path or namespace switch: most recent wins.
-		fd.inTable.Remove(fd.idx, fd.sg, ref.D, telemetry.NoteResign)
-		fd.inTable = nil
-		fd.seq.Add(1)
+		c.dropEntry(ref.D, fd, telemetry.NoteResign)
+		fd.Seq.Add(1)
 	}
-	fd.state.Store(st)
-	fd.idx, fd.sg = idx, sg
-	fd.mntP.Store(ref.Mnt)
-	fd.pubSeq = fd.seq.Load()
-	fd.validGen.Store(gen)
+	fd.State.Store(st)
+	fd.Idx, fd.Sg = idx, sg
+	fd.MntP.Store(ref.Mnt)
+	fd.PubSeq = fd.Seq.Load()
+	fd.ValidGen.Store(gen)
 	dl.Insert(idx, sg, ref.D)
-	fd.inTable = dl
+	fd.InTable = dl.Table
 	c.stats.populations.Add(1)
 }
 
-// Seq returns d's current fastpath version (for PCC entries).
-func dentrySeq(d *vfs.Dentry) uint64 {
-	if fd := fast(d); fd != nil {
-		return fd.seq.Load()
-	}
-	return 0
-}
+// dentrySeq returns d's current fastpath version (for PCC entries).
+func dentrySeq(d *vfs.Dentry) uint64 { return fast(d).Seq.Load() }

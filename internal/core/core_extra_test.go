@@ -8,6 +8,8 @@ import (
 	"dircache/internal/cred"
 	"dircache/internal/fsapi"
 	"dircache/internal/memfs"
+	"dircache/internal/sig"
+	"dircache/internal/slab"
 	"dircache/internal/vfs"
 )
 
@@ -269,7 +271,7 @@ func TestSeqWraparoundInvalidatesAllPCCs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd := fast(ref.D)
-	fd.seq.Store(pccSeqMask - 1) // next two Add(1)s cross zero (mod 2^31)
+	fd.Seq.Store(pccSeqMask - 1) // next two Add(1)s cross zero (mod 2^31)
 	flushes := c.Stats().PCCFlushes
 	c.BeginMutation(ref.D, vfs.InvalPerm).End()
 	c.BeginMutation(ref.D, vfs.InvalPerm).End()
@@ -394,5 +396,98 @@ func TestFastHitKeepsDentryWarm(t *testing.T) {
 		if st := k.CachedPathClaim(fmt.Sprintf("/d/cold%02d", i)); st != vfs.CachedMiss {
 			t.Fatalf("untouched sibling cold%02d is still cached (claim %d)", i, st)
 		}
+	}
+}
+
+// TestSlotReuseResetsFastState: the fast state lives in the dentry's slot,
+// so the slot's next tenant must start from nothing the last one left — no
+// cached symlink target, version, signature state or table entry — except
+// ValidGen, which starts at the current shootdown generation. And a PCC
+// entry minted for the old tenant must not authorize the new one.
+func TestSlotReuseResetsFastState(t *testing.T) {
+	k := vfs.NewKernel(vfs.Config{}, memfs.New(memfs.Options{}))
+	c := Install(k, Config{Seed: 31, AdmitAfter: 1})
+	root := k.NewTask(cred.Root())
+	if err := root.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Create("/d/t", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Symlink("t", "/d/l"); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := root.Walk("/d", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir.D.Ref()
+	defer dir.D.Unref()
+	root.Stat("/d/l") // publishes the link with its target
+	if err := root.Chmod("/d", 0o755); err != nil {
+		t.Fatal(err) // a range mark over the link: its next probe bumps Seq
+	}
+	root.Stat("/d/l")
+	root.Stat("/d/l")
+	l, err := root.Walk("/d/l", vfs.WalkNoFollow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := fast(l.D)
+	var st sig.State
+	if fd.Seq.Load() == 0 || fd.Target.Load() == 0 || fd.InTable == nil || !fd.State.Load(c.key, &st) {
+		t.Fatalf("the link's fast state is not all set up: seq %d, target %#x, in a table %v", fd.Seq.Load(), fd.Target.Load(), fd.InTable != nil)
+	}
+	pcc := c.pccFor(root.Cred())
+	oldID, oldSeq, old := l.D.ID(), dentrySeq(l.D), l.D.SelfRef()
+	if !pcc.Lookup(oldID, oldSeq) {
+		t.Fatal("no PCC entry for the old tenant: the test exercises nothing")
+	}
+
+	l.D.Ref() // a pinned dentry leaves the cache on unlink instead of going negative
+	if err := root.Unlink("/d/l"); err != nil {
+		t.Fatal(err)
+	}
+	l.D.Unref()
+	k.ReclaimAll()
+	if k.DentryFromRef(old) != nil {
+		t.Fatal("the unlinked link's slot was not retired")
+	}
+	next := slab.Ref{H: old.H, G: old.G + 2}
+	var d *vfs.Dentry
+	for i := 0; d == nil && i < 1<<12; i++ {
+		k.AddSpecialNegative(dir.D, fmt.Sprintf("n%d", i), false)
+		d = k.DentryFromRef(next)
+	}
+	if d == nil {
+		t.Fatal("the slot was never reused")
+	}
+	nfd := fast(d)
+	var zero sig.Signature
+	for _, f := range []struct {
+		name string
+		bad  bool
+	}{
+		{"Seq", nfd.Seq.Load() != 0},
+		{"ShootMark", nfd.ShootMark.Load() != 0},
+		{"Touches", nfd.Touches.Load() != 0},
+		{"MntP", nfd.MntP.Load() != nil},
+		{"State", nfd.State.Load(c.key, &st)},
+		{"Idx", nfd.Idx != 0},
+		{"Sg", nfd.Sg != zero},
+		{"InTable", nfd.InTable != nil},
+		{"Target", nfd.Target.Load() != 0},
+		{"TargetSeq", nfd.TargetSeq.Load() != 0},
+		{"PubSeq", nfd.PubSeq != 0},
+	} {
+		if f.bad {
+			t.Errorf("the new tenant inherited the old one's %s", f.name)
+		}
+	}
+	if vg, gen := nfd.ValidGen.Load(), c.ShootGen(); vg != gen || gen == 0 {
+		t.Errorf("the new tenant starts at ValidGen %d, want the shootdown generation %d (nonzero: the chmod stamped one)", vg, gen)
+	}
+	if pcc.Lookup(d.ID(), dentrySeq(d)) {
+		t.Error("a PCC entry minted for the slot's old tenant authorizes the new one")
 	}
 }

@@ -305,7 +305,7 @@ func TestLexicalHashZeroAlloc(t *testing.T) {
 	}
 
 	// The other population route: the dentry's own state, then publish.
-	// The state is stored in the fast-dentry's slot, not behind a pointer,
+	// The state is stored in the dentry's own slot, not behind a pointer,
 	// so a first publication (the unpublish between runs makes every run
 	// one) and a republication of an admitted dentry allocate nothing.
 	populate := func() {
@@ -315,7 +315,7 @@ func TestLexicalHashZeroAlloc(t *testing.T) {
 		c.publish(dl, leaf, &st, c.BeginSlow())
 	}
 	first := func() {
-		unpublish(leaf.D, fast(leaf.D), 0)
+		c.unpublish(leaf.D, 0)
 		populate()
 	}
 	for name, fn := range map[string]func(){"first": first, "again": populate} {
@@ -323,7 +323,7 @@ func TestLexicalHashZeroAlloc(t *testing.T) {
 			t.Fatalf("pathState+publish (%s) allocates: %.2f allocs/op, want 0", name, avg)
 		}
 	}
-	if fast(leaf.D).inTable != dl {
+	if fast(leaf.D).InTable != dl.Table {
 		t.Fatal("the leaf was never published")
 	}
 }

@@ -39,8 +39,9 @@ func (h *DLHT) Lookup(idx uint16, sg sig.Signature) *vfs.Dentry {
 }
 
 // Insert adds (idx, sg) → d. The caller serializes per-dentry insertion
-// (each dentry is in at most one DLHT at a time, guarded by its fastDentry
-// lock), but distinct dentries may insert concurrently.
+// (each dentry is in at most one DLHT at a time, recorded in its fast
+// state's InTable under the state's Mu), but distinct dentries may insert
+// concurrently. Removal goes through Core.dropEntry, which journals it.
 func (h *DLHT) Insert(idx uint16, sg sig.Signature, d *vfs.Dentry) {
 	swept := h.Table.Insert(uint64(idx), sg, d)
 	if swept > 0 {
@@ -52,20 +53,6 @@ func (h *DLHT) Insert(idx uint16, sg sig.Signature, d *vfs.Dentry) {
 		}
 		tel.Emit(telemetry.JDLHTInsert, d.ID(), int64(idx), telemetry.NoteNone)
 	}
-}
-
-// Remove deletes the entry for (idx, sg, d), if the table holds it, for
-// the reason why names; with telemetry on it is timed and journaled.
-func (h *DLHT) Remove(idx uint16, sg sig.Signature, d *vfs.Dentry, why telemetry.Note) {
-	tel := h.k.Telemetry()
-	if !tel.On() {
-		h.Table.Remove(uint64(idx), sg, d)
-		return
-	}
-	start := telemetry.Now()
-	h.Table.Remove(uint64(idx), sg, d)
-	tel.Record(telemetry.HistDLHTRemove, telemetry.Since(start))
-	tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(idx), why)
 }
 
 // DLHTStats snapshots one table's occupancy and chain shape. A collision

@@ -21,9 +21,9 @@ import (
 // single-goroutine test may use it.
 func withoutShootMark(d *vfs.Dentry, mutate func()) {
 	fd := fast(d)
-	was := fd.shootMark.w.Load()
+	was := fd.ShootMark.Load()
 	mutate()
-	fd.shootMark.w.Store(was)
+	fd.ShootMark.Store(was)
 }
 
 // permGate is the re-check path's injected fault, and like withoutShootMark

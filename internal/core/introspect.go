@@ -18,7 +18,7 @@ type PCCStats struct {
 // Introspection is a point-in-time snapshot of the fastpath structures.
 // Gathered lock-free; counts are approximate under concurrent churn.
 type Introspection struct {
-	Epoch       uint64      `json:"epoch"`        // invalidation epoch (odd = mutation in flight)
+	Epoch       uint64      `json:"epoch"`        // invalidation epoch word (low 16 bits: mutations in flight)
 	Populations int64       `json:"populations"`  // lifetime DLHT+PCC population events
 	StaleTokens int64       `json:"stale_tokens"` // publishes declined due to racing mutations
 	ShootGen    uint64      `json:"shoot_gen"`    // batch-shootdown generation counter

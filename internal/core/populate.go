@@ -18,13 +18,10 @@ func (c *Core) admitPopulate(d *vfs.Dentry) bool {
 		return true
 	}
 	fd := fast(d)
-	if fd == nil {
-		return true
-	}
-	n := fd.touches.Add(1)
-	fd.mu.Lock()
-	published := fd.inTable != nil
-	fd.mu.Unlock()
+	n := fd.Touches.Add(1)
+	fd.Mu.Lock()
+	published := fd.InTable != nil
+	fd.Mu.Unlock()
 	if published {
 		// Already paid for (e.g. an unlinked file's dentry recycled to a
 		// negative in place, still published): deferring would only block
@@ -92,10 +89,11 @@ func (c *Core) EndSlowLookup(token uint64, t *vfs.Task, start vfs.PathRef, path 
 		// pinned to the target's version, and memoize the target's
 		// prefix check too (§4.2: "The PCC is separately checked for the
 		// target dentry").
-		if fd := fast(lexical.D); fd != nil && lexical.D.IsSymlink() {
+		if lexical.D.IsSymlink() {
 			if seq := dentrySeq(res.D); c.tokenValid(token) { // as in memoize
-				fd.targetSeq.Store(seq)
-				fd.target.Store(res.D.SelfRef().Pack())
+				fd := fast(lexical.D)
+				fd.TargetSeq.Store(seq)
+				fd.Target.Store(res.D.SelfRef().Pack())
 			}
 		}
 		// Make sure the result's own canonical state exists so its
@@ -281,9 +279,7 @@ func (c *Core) AliasStep(t *vfs.Task, aliasParent vfs.PathRef, name string, real
 		// (possible for odd shapes); don't alias.
 		return nil
 	}
-	if fd := fast(alias); fd != nil {
-		fd.targetSeq.Store(dentrySeq(real.D))
-	}
+	fast(alias).TargetSeq.Store(dentrySeq(real.D))
 	st.AppendComponent(name)
 	c.stats.hashedBytes.Add(int64(len(name) + 1))
 	// AliasStep runs mid-walk without the walk's epoch token; a fresh one

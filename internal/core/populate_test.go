@@ -131,7 +131,7 @@ func TestAdmissionRecycleResetsTouches(t *testing.T) {
 	if d == nil {
 		t.Fatal("no cached dentry for /r/f")
 	}
-	if got := fast(d).touches.Load(); got == 0 {
+	if got := fast(d).Touches.Load(); got == 0 {
 		t.Fatal("stat did not touch the dentry")
 	}
 	// Unlink recycles the dentry into a negative in place
@@ -143,18 +143,18 @@ func TestAdmissionRecycleResetsTouches(t *testing.T) {
 	if !d.IsNegative() {
 		t.Fatal("unlink did not recycle the dentry to a negative")
 	}
-	if got := fast(d).touches.Load(); got != 0 {
+	if got := fast(d).Touches.Load(); got != 0 {
 		t.Fatalf("negative recycle kept %d touches", got)
 	}
 	// Positivize (re-create at the same path) is the other identity flip.
-	fast(d).touches.Store(5)
+	fast(d).Touches.Store(5)
 	if err := root.Create(p, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if d.IsNegative() {
 		t.Fatal("create did not positivize the cached negative")
 	}
-	if got := fast(d).touches.Load(); got != 0 {
+	if got := fast(d).Touches.Load(); got != 0 {
 		t.Fatalf("positivize kept %d touches", got)
 	}
 }

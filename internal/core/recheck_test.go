@@ -175,3 +175,97 @@ func TestRecheckRefusesChmodBehindClimb(t *testing.T) {
 		}
 	}
 }
+
+// statDuringMutation is a delegating Hooks: armed, it runs fire once, right
+// after the real BeginMutation has shot down and bumped the epoch and before
+// the kernel applies the change — a walk landing inside the bracket.
+type statDuringMutation struct {
+	*Core
+	fire func()
+}
+
+func (h *statDuringMutation) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) vfs.Mutation {
+	m := h.Core.BeginMutation(d, why)
+	if fire := h.fire; fire != nil {
+		h.fire = nil
+		fire()
+	}
+	return m
+}
+
+// TestOverlappingMutationKeepsPermissionFresh: a chmod 000 of /top/a/b runs
+// while an unrelated mutation of /top/a/mnt is still open, and the user
+// stats /top/a/b/f inside the chmod's bracket, before the mode changes. Two
+// open brackets once left the epoch even, so that stat re-checked the
+// prefix against the old mode and memoized it, and every later stat
+// answered success from the PCC with no slow walk. Two mutations in flight
+// must read as in flight: the stat inside may succeed — it is ordered
+// before the chmod — but caches nothing, and the stats after it get EACCES.
+func TestOverlappingMutationKeepsPermissionFresh(t *testing.T) {
+	r := newRecheckRig(t)
+	for i := 0; i < 4; i++ {
+		if got, _, _, _ := r.probe("/top/a/b/f"); got != 0 {
+			t.Fatalf("warm: %v", got)
+		}
+	}
+	if got, slow, _, _ := r.probe("/top/a/b/f"); got != 0 || slow != 0 {
+		t.Fatalf("warm: %v after %d slow walks: the test exercises nothing", got, slow)
+	}
+	mnt, err := r.root.Walk("/top/a/mnt", vfs.WalkNoFollow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := false
+	r.k.SetHooks(&statDuringMutation{Core: r.c, fire: func() {
+		fired = true
+		if got, _, _, _ := r.probe("/top/a/b/f"); got != 0 {
+			t.Errorf("stat inside the chmod's bracket: %v, want success (the mode has not changed yet)", got)
+		}
+	}})
+	unrelated := r.c.BeginMutation(mnt.D, vfs.InvalPerm)
+	r.chmod(t, "/top/a/b", 0)
+	unrelated.End()
+	if !fired {
+		t.Fatal("the delegating hooks never ran the stat")
+	}
+	for i := 0; i < 2; i++ {
+		if got, slow, _, _ := r.probe("/top/a/b/f"); got != fsapi.EACCES || slow != 1 {
+			t.Errorf("stat %d after chmod 000: %v after %d slow walks, want EACCES after 1", i, got, slow)
+		}
+	}
+}
+
+// TestTokenValidAcrossBrackets: a slow walk's token is good only while no
+// mutation is in flight, however many brackets overlap.
+func TestTokenValidAcrossBrackets(t *testing.T) {
+	_, c, root := optimized(t)
+	ref, err := root.Walk("/home", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name         string
+		begins, ends int
+		valid        bool
+	}{
+		{"none open", 0, 0, true},
+		{"one open", 1, 0, false},
+		{"two open", 2, 0, false},
+		{"two opened, one closed", 2, 1, false},
+		{"two opened and closed", 2, 2, true},
+	} {
+		var open []vfs.Mutation
+		for i := 0; i < row.begins; i++ {
+			open = append(open, c.BeginMutation(ref.D, vfs.InvalPerm))
+		}
+		for i := 0; i < row.ends; i++ {
+			open[i].End()
+		}
+		if got := c.tokenValid(c.BeginSlow()); got != row.valid {
+			t.Errorf("%s: tokenValid(BeginSlow()) = %v, want %v", row.name, got, row.valid)
+		}
+		for _, m := range open[row.ends:] {
+			m.End()
+		}
+	}
+}

@@ -205,9 +205,9 @@ func TestRevocationThroughRangeMark(t *testing.T) {
 						d = d.Child(name)
 					}
 					fd := fast(d)
-					fd.mu.Lock()
-					published := fd.inTable != nil && fd.pubSeq == fd.seq.Load()
-					fd.mu.Unlock()
+					fd.Mu.Lock()
+					published := fd.InTable != nil && fd.PubSeq == fd.Seq.Load()
+					fd.Mu.Unlock()
 					if !published {
 						t.Errorf("%s: /%s lost its table entry (or its pubSeq stamp) to a permission change", stage, p)
 					}

@@ -234,18 +234,15 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 				return vfs.PathRef{}, nil, false
 			}
 			fd := fast(d)
-			if fd == nil {
-				return vfs.PathRef{}, nil, false
-			}
 			// The link's own prefix check (covering the requested
 			// path's parents) must be memoized; the target is checked
 			// separately after the loop (§4.2).
-			if !pcc.Lookup(d.ID(), fd.seq.Load()) {
+			if !pcc.Lookup(d.ID(), fd.Seq.Load()) {
 				c.stats.pccMiss.Add(1)
 				return vfs.PathRef{}, nil, false
 			}
-			tgt := c.k.DentryFromRef(slab.Unpack(fd.target.Load()))
-			if tgt == nil || tgt.IsDead() || fd.targetSeq.Load() != dentrySeq(tgt) {
+			tgt := c.k.DentryFromRef(slab.Unpack(fd.Target.Load()))
+			if tgt == nil || tgt.IsDead() || fd.TargetSeq.Load() != dentrySeq(tgt) {
 				return vfs.PathRef{}, nil, false
 			}
 			if !c.fresh(tgt) {
@@ -262,10 +259,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	}
 
 	fd := fast(d)
-	if fd == nil {
-		return vfs.PathRef{}, nil, false
-	}
-	seq := fd.seq.Load()
+	seq := fd.Seq.Load()
 	var pccStart int64
 	if fl&vfs.WalkTimed != 0 {
 		pccStart = telemetry.Now()
@@ -284,7 +278,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 		return vfs.PathRef{}, nil, false
 	}
 	tr.Event(telemetry.EvPCCHit, "")
-	mnt := fd.mntP.Load()
+	mnt := fd.MntP.Load()
 	if mnt == nil || d.IsDead() || d.Super().Caps().Revalidate {
 		tr.Event(telemetry.EvFastAbort, "unusable dentry")
 		return vfs.PathRef{}, nil, false
@@ -362,11 +356,10 @@ func (c *Core) checkPrefixDir(t *vfs.Task, dl *DLHT, pcc *PCC, cur *pathCursor) 
 //
 //go:noinline
 func (c *Core) recheckPrefix(t *vfs.Task, pcc *PCC, d *vfs.Dentry, token uint64, tr *telemetry.WalkTrace) bool {
-	fd := fast(d)
-	if fd == nil || d.Flags()&vfs.DAlias != 0 || d.IsSymlink() || c.k.AliasingEpoch() != 0 {
+	if d.Flags()&vfs.DAlias != 0 || d.IsSymlink() || c.k.AliasingEpoch() != 0 {
 		return false
 	}
-	mnt := fd.mntP.Load()
+	mnt := fast(d).MntP.Load()
 	if mnt == nil || !c.verifyPrefix(t, vfs.PathRef{Mnt: mnt, D: d}) || !c.memoize(pcc, d, token) {
 		return false
 	}
@@ -381,10 +374,9 @@ func (c *Core) recheckPrefix(t *vfs.Task, pcc *PCC, d *vfs.Dentry, token uint64,
 // under a range shootdown — in which case fresh discards its state, so the
 // PCC consult the caller makes next cannot be answered by a revoked entry.
 func (c *Core) aliasTarget(alias *vfs.Dentry) *vfs.Dentry {
-	fd := fast(alias)
 	real := alias.Target()
-	if fd == nil || real == nil || real.IsDead() ||
-		fd.targetSeq.Load() != dentrySeq(real) || !c.fresh(real) {
+	if real == nil || real.IsDead() ||
+		fast(alias).TargetSeq.Load() != dentrySeq(real) || !c.fresh(real) {
 		return nil
 	}
 	return real
@@ -392,10 +384,8 @@ func (c *Core) aliasTarget(alias *vfs.Dentry) *vfs.Dentry {
 
 // mntOf returns the dentry's recorded mount, falling back to hint.
 func mntOf(d *vfs.Dentry, hint *vfs.Mount) *vfs.Mount {
-	if fd := fast(d); fd != nil {
-		if m := fd.mntP.Load(); m != nil {
-			return m
-		}
+	if m := fast(d).MntP.Load(); m != nil {
+		return m
 	}
 	return hint
 }

@@ -11,7 +11,6 @@ import (
 	"dircache/internal/fsapi"
 	"dircache/internal/memfs"
 	"dircache/internal/sig"
-	"dircache/internal/telemetry"
 	"dircache/internal/vfs"
 )
 
@@ -132,7 +131,7 @@ func TestDLHTBasics(t *testing.T) {
 	if h.Lookup(idx, other) != nil {
 		t.Fatal("wrong-signature hit")
 	}
-	h.Remove(idx, sg, ref.D, telemetry.NoteNone)
+	h.Remove(uint64(idx), sg, ref.D)
 	if h.Lookup(idx, sg) != nil || h.Stats().Entries != 0 {
 		t.Fatal("remove failed")
 	}
@@ -157,7 +156,7 @@ func TestDLHTChainRemoveMiddle(t *testing.T) {
 		sigs = append(sigs, sg)
 		h.Insert(77, sg, ref.D) // same bucket: exercise chaining
 	}
-	h.Remove(77, sigs[2], refs[2].D, telemetry.NoteNone)
+	h.Remove(77, sigs[2], refs[2].D)
 	for i := 0; i < 5; i++ {
 		got := h.Lookup(77, sigs[i])
 		if i == 2 && got != nil {

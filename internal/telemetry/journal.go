@@ -42,9 +42,10 @@ const (
 	// (0: no range mark was needed), Note = the mutation reason
 	// (rename/perm/unlink/mount).
 	JSeqBump JournalKind = iota
-	// JEpochBump: the global invalidation epoch advanced (odd while the
-	// mutation is in flight). Ref = mutation root dentry ID, Aux = the
-	// new epoch value, Note = reason.
+	// JEpochBump: a mutation opened or closed, and the global invalidation
+	// epoch advanced. Ref = mutation root dentry ID, Aux = the new epoch
+	// word (edges above bit 16, mutations in flight below it), Note =
+	// reason, with NoteEnd on the closing bump.
 	JEpochBump
 	// JDLHTInsert: a signature entry was published into the direct
 	// lookup hash table. Ref = dentry ID, Aux = bucket index.
@@ -137,6 +138,10 @@ const (
 	NoteResign
 
 	numNotes
+
+	// NoteEnd is or-ed onto a reason to mark the epoch bump that closes a
+	// mutation; a dump renders it as "<reason>-end".
+	NoteEnd Note = 0x80
 )
 
 var noteNames = [numNotes]string{
@@ -147,6 +152,9 @@ var noteNames = [numNotes]string{
 
 // String returns the note as dumps render it.
 func (n Note) String() string {
+	if n&NoteEnd != 0 {
+		return (n &^ NoteEnd).String() + "-end"
+	}
 	if n < numNotes {
 		return noteNames[n]
 	}
@@ -261,15 +269,9 @@ func (s *journalStripe) retained(f func(slot)) {
 	}
 }
 
-// event renders a slot. The epoch bump that closes a mutation carries the
-// same note as the one that opened it; the dump tells them apart as the
-// epoch's parity does, the closing one reading "<reason>-end".
+// event renders a slot.
 func (sl slot) event() Event {
-	ev := Event{TimeNS: sl.t, Kind: sl.kind, Ref: sl.ref, Aux: sl.aux, Note: sl.note.String()}
-	if sl.kind == JEpochBump && sl.aux&1 == 0 {
-		ev.Note += "-end"
-	}
-	return ev
+	return Event{TimeNS: sl.t, Kind: sl.kind, Ref: sl.ref, Aux: sl.aux, Note: sl.note.String()}
 }
 
 // dump returns every retained event merged into one timeline, plus the

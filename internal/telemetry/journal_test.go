@@ -78,14 +78,15 @@ func TestJournalPerSubjectSuffix(t *testing.T) {
 }
 
 // TestJournalDumpRendering: the dump names what the ring stores as a byte,
-// tells a mutation's closing epoch bump from its opening one by the
-// epoch's parity, and orders stripes by time.
+// tells a mutation's closing epoch bump from its opening one by NoteEnd —
+// not by the epoch's parity, which overlapping mutations share — and
+// orders stripes by time.
 func TestJournalDumpRendering(t *testing.T) {
 	j := newJournal(journalSlots)
-	j.emit(JEpochBump, 7, 41, NotePerm)
+	j.emit(JEpochBump, 7, 2<<16|2, NotePerm) // a second mutation opens
 	j.emit(JSeqBump, 7, 3, NotePerm)
-	j.emit(JDLHTRemove, 12, 9, NoteLazyShootdown) // another stripe
-	j.emit(JEpochBump, 7, 42, NotePerm)
+	j.emit(JDLHTRemove, 12, 9, NoteLazyShootdown)    // another stripe
+	j.emit(JEpochBump, 7, 3<<16|1, NotePerm|NoteEnd) // it closes; the first is still open
 	events, dropped := j.dump()
 	if dropped != 0 || len(events) != 4 {
 		t.Fatalf("dump: %d events, %d dropped", len(events), dropped)

@@ -10,7 +10,10 @@
 //     dentries.
 //   - The Hooks interface lets internal/core install the §3 fastpath
 //     (DLHT + PCC + signatures), coherence callbacks, symlink aliasing and
-//     deep negative dentries without the VFS knowing any of its types.
+//     deep negative dentries. The VFS declares the fastpath's per-dentry
+//     state (FastDentry, embedded in every Dentry as the paper embeds
+//     struct fast_dentry) but never reads or writes it; the algorithms
+//     and their invariants live in internal/core.
 package vfs
 
 import (
@@ -118,15 +121,16 @@ type Dentry struct {
 
 	refs atomic.Int32 // open files, cwd/root references
 
-	// fast is the per-dentry state owned by the installed Hooks (the
-	// paper's struct fast_dentry). Set once at allocation, read-only
-	// afterwards.
-	fast any
-
 	// inLookup is the singleflight rendezvous while DInLookup is set:
 	// waiters block on done, then read the outcome the winner stored.
 	// Written under the parent's mu; read by waiters after done closes.
 	inLookup *inLookupState
+
+	// fast is the fastpath's per-dentry state (the paper's struct
+	// fast_dentry). It sits last, after the dentry's own words, not beside
+	// flags and inode: measured on warm_stat, that placement read 1-2%
+	// slower at the median (DESIGN §5g).
+	fast FastDentry
 }
 
 // inLookupState carries one in-flight miss resolution. The winner closes
@@ -192,8 +196,8 @@ func (d *Dentry) Target() *Dentry {
 // setTarget points the alias redirect at t.
 func (d *Dentry) setTarget(t *Dentry) { d.target.Store(t.self.Pack()) }
 
-// Fast returns the hook-owned per-dentry state installed at allocation.
-func (d *Dentry) Fast() any { return d.fast }
+// Fast returns the dentry's fastpath state, which the installed Hooks own.
+func (d *Dentry) Fast() *FastDentry { return &d.fast }
 
 // Ref pins the dentry against eviction.
 func (d *Dentry) Ref() { d.refs.Add(1) }
@@ -311,10 +315,11 @@ func (d *Dentry) invalidateList() {
 }
 
 // reset reinitializes a freshly allocated (possibly recycled) arena slot
-// for a new tenant. Every field is restored to its zero state explicitly
-// rather than by struct assignment: the embedded mutex must not be
-// copied over, and stale contents from the previous tenant (flags, link
-// body, child map) must not leak into the new identity. Callers publish
+// for a new tenant; the fast state is the Hooks' to reset (NewDentry).
+// Every other field is restored to its zero state explicitly rather than
+// by struct assignment: the embedded mutex must not be copied over, and
+// stale contents from the previous tenant (flags, link body, child map)
+// must not leak into the new identity. Callers publish
 // no reference to the dentry before reset returns, so plain stores are
 // safe; the atomics are reset with atomic stores anyway because stale
 // in-flight readers from the previous tenant's grace period may still
@@ -335,7 +340,6 @@ func (d *Dentry) reset(id uint64, self slab.Ref, sb *Super) {
 	d.completeList = nil
 	d.listValid = false
 	d.refs.Store(0)
-	d.fast = nil
 	d.inLookup = nil
 }
 

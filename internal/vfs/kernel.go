@@ -114,9 +114,9 @@ func (m Mutation) End() {
 // fastpath. All methods must be safe for concurrent use. A nil Hooks means
 // the unmodified baseline.
 type Hooks interface {
-	// NewDentry is called once per allocated dentry; its return value is
-	// stored as the dentry's Fast() state (the struct fast_dentry).
-	NewDentry(d *Dentry) any
+	// NewDentry is called once per new tenant of a dentry slot, before the
+	// dentry is reachable, to initialize its Fast() state.
+	NewDentry(d *Dentry)
 
 	// TryFast attempts a whole-path lookup from start. handled=false
 	// falls back to the slow walk. When handled, res/err are the final
@@ -166,15 +166,14 @@ type Hooks interface {
 
 	// OnReclaim is called by the lazy-teardown sweeper just before a dead
 	// dentry's slab slot is retired: the hooks' last chance to drop state
-	// still keyed to it (residual DLHT entries, the fast_dentry slot
-	// itself). OnEvict has already run, at kill time.
+	// still keyed to it (a residual DLHT entry). OnEvict has already run,
+	// at kill time.
 	OnReclaim(d *Dentry)
 
 	// OnReap is called on the kernel's reclamation cadence (mutation
-	// tails, ReclaimAll) so hook layers can return their own arenas'
-	// grace-elapsed slots to the free-lists. Without it the fast-dentry
-	// and DLHT-node arenas would only ever retire into limbo and grow
-	// without bound under churn.
+	// tails, ReclaimAll) so hook layers can return their own arena's
+	// grace-elapsed slots to the free-list. Without it the DLHT-node arena
+	// would only ever retire into limbo and grow without bound under churn.
 	OnReap()
 }
 
@@ -304,9 +303,9 @@ type Kernel struct {
 	lsm   lsm.Stack
 
 	// gate is the epoch clock shared by every slab arena of this kernel
-	// (dentries and hash-chain nodes here; fast-dentry and DLHT-node
-	// arenas in internal/core). Every exported operation that may touch
-	// arena-backed objects runs inside one Enter/Exit section.
+	// (dentries and hash-chain nodes here; the DLHT-node arena in
+	// internal/core). Every exported operation that may touch arena-backed
+	// objects runs inside one Enter/Exit section.
 	gate *slab.Gate
 
 	// dentries is the dentry slab arena: the cache's bulk storage.
@@ -412,16 +411,14 @@ func NewKernel(cfg Config, rootFS fsapi.FileSystem) *Kernel {
 func (k *Kernel) Config() Config { return k.cfg }
 
 // SetHooks installs the fastpath hooks. Must be called before any tasks
-// run (the root dentry is retrofitted with hook state).
+// run: the first installation initializes the fast state of the one dentry
+// allocated without hooks, the root. A later call (a test putting a
+// delegating Hooks in front of the installed one) leaves it alone.
 func (k *Kernel) SetHooks(h Hooks) {
-	k.hooks = h
-	if h != nil {
-		// Retrofit dentries allocated before installation (the roots).
-		root := k.initNS.root.sb.root
-		if root.fast == nil {
-			root.fast = h.NewDentry(root)
-		}
+	if k.hooks == nil && h != nil {
+		h.NewDentry(k.initNS.root.sb.root)
 	}
+	k.hooks = h
 }
 
 // Hooks returns the installed hooks (nil for baseline).
@@ -485,7 +482,8 @@ func (k *Kernel) newSuper(fs fsapi.FileSystem) *Super {
 }
 
 // newDentry carves a dentry out of the slab arena and resets it for its
-// new identity. The ID is fresh (never reused) even when the slot is
+// new identity — the one place a dentry is initialized, its fast state
+// included. The ID is fresh (never reused) even when the slot is
 // recycled — identity-keyed state (PCC entries, journal refs) therefore
 // never aliases across tenants; only the slab generation distinguishes
 // slot tenants. Does not register anywhere: callers publish.
@@ -493,21 +491,21 @@ func (k *Kernel) newDentry(sb *Super, parent *Dentry, name string) *Dentry {
 	ref, d := k.dentries.Alloc()
 	d.reset(k.idGen.Add(1), ref, sb)
 	d.pn.Store(&parentName{parent: parent, name: name})
+	if k.hooks != nil {
+		k.hooks.NewDentry(d)
+	}
 	return d
 }
 
 // allocDentry creates a dentry (positive if ino != nil) and registers it
-// with the LRU and hook state. It does NOT insert into the hash table or
-// the parent's child map — callers do, under the proper locks.
+// with the LRU. It does NOT insert into the hash table or the parent's
+// child map — callers do, under the proper locks.
 func (k *Kernel) allocDentry(sb *Super, parent *Dentry, name string, ino *Inode) *Dentry {
 	d := k.newDentry(sb, parent, name)
 	if ino != nil {
 		d.inode.Store(ino)
 	} else {
 		d.setFlags(DNegative)
-	}
-	if k.hooks != nil {
-		d.fast = k.hooks.NewDentry(d)
 	}
 	k.lru.add(d)
 	return d
@@ -542,7 +540,7 @@ const reapBatch = 256
 
 // reapStride is how many mutation tails pass between reclaim passes.
 // Sweeping stays threshold-driven (limbo depth), but the free-list
-// replenishment pass — four arenas' worth of epoch nudges and lock
+// replenishment pass — three arenas' worth of epoch nudges and lock
 // acquisitions — is paced so a burst of unlinks pays it 1/32nd of the
 // time with proportionally larger batches, not on every operation.
 const reapStride = 32
@@ -585,8 +583,8 @@ func (k *Kernel) leaveSection(ep, evictions uint64) {
 }
 
 // sweepLimbo processes up to max deferred-teardown records: hash-table
-// chain unlink, hook reclamation (residual DLHT entry, fast-dentry
-// slot), then the dentry slot's retirement into the arena's
+// chain unlink, hook reclamation (a residual DLHT entry), then the dentry
+// slot's retirement — fast state included — into the arena's
 // grace-period limbo. Records whose dentry has been re-pinned
 // (impossible for dead dentries today, but cheap to tolerate) or whose
 // slot already retired are skipped.
@@ -647,9 +645,9 @@ func (k *Kernel) ReclaimAll() {
 	}
 }
 
-// Gate exposes the kernel's epoch gate so internal/core can drive its
-// own arenas (fast-dentry, DLHT nodes) off the same clock, and so
-// out-of-band readers (the auditor) can pin sections.
+// Gate exposes the kernel's epoch gate so internal/core can drive its own
+// arena (DLHT nodes) off the same clock, and so out-of-band readers (the
+// auditor) can pin sections.
 func (k *Kernel) Gate() *slab.Gate { return k.gate }
 
 // DentryFromRef resolves a generation-tagged dentry reference, returning

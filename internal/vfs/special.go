@@ -34,9 +34,6 @@ func (k *Kernel) AddSpecialNegative(parent *Dentry, name string, notDir bool) *D
 	if notDir {
 		d.setFlags(DNotDir)
 	}
-	if k.hooks != nil {
-		d.fast = k.hooks.NewDentry(d)
-	}
 	k.lru.add(d)
 	return k.installDedup(parent, name, d, !deep)
 }
@@ -66,9 +63,6 @@ func (k *Kernel) AddAlias(parent *Dentry, name string, target *Dentry) *Dentry {
 	d := k.newDentry(parent.sb, parent, name)
 	d.setFlags(DAlias)
 	d.setTarget(target)
-	if k.hooks != nil {
-		d.fast = k.hooks.NewDentry(d)
-	}
 	k.lru.add(d)
 	return k.installDedup(parent, name, d, false)
 }

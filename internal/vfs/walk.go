@@ -695,9 +695,6 @@ func (k *Kernel) missLookup(cur PathRef, comp string, tr *telemetry.WalkTrace) (
 	d.setFlags(DInLookup)
 	il := &inLookupState{done: make(chan struct{})}
 	d.inLookup = il
-	if k.hooks != nil {
-		d.fast = k.hooks.NewDentry(d)
-	}
 	linked := parent.linkChildLocked(comp, d)
 	parent.mu.Unlock()
 	k.cacheMutEnd()
@@ -881,9 +878,6 @@ func (k *Kernel) installUnhydrated(parent *Dentry, e fsapi.DirEntry) {
 	d.setFlags(DUnhydrated)
 	d.hintID = e.ID
 	d.hintType = e.Type
-	if k.hooks != nil {
-		d.fast = k.hooks.NewDentry(d)
-	}
 	linked := parent.linkChildLocked(e.Name, d)
 	parent.mu.Unlock()
 	if !linked {

@@ -212,8 +212,8 @@ type TableStats = vfs.TableStats
 
 // MemStats reports the memory picture behind the dentry cache — what a
 // System holds that grows with what it caches: per-arena occupancy for
-// the four arenas (dentries and baseline hash-chain nodes in the kernel;
-// fast-dentry side tables and DLHT chain nodes in the fastpath) and the
+// the three arenas (dentries and baseline hash-chain nodes in the kernel;
+// DLHT chain nodes in the fastpath) and the
 // two hash tables' bucket arrays, plus the deferred-teardown queue depth
 // and the cumulative count of teardown records the sweeper has processed.
 type MemStats struct {
@@ -222,9 +222,12 @@ type MemStats struct {
 
 	Dentries   ArenaStats `json:"dentries"`
 	ChainNodes ArenaStats `json:"chain_nodes"`
-	// FastDentries and DLHTNodes are zero when DirectLookup is off.
+	// FastDentries is retired and always zero: the fastpath's per-dentry
+	// state lives in the dentry's own slot (Dentries). Kept while a reader
+	// outside this module still names it.
 	FastDentries ArenaStats `json:"fast_dentries"`
-	DLHTNodes    ArenaStats `json:"dlht_nodes"`
+	// DLHTNodes is zero when DirectLookup is off.
+	DLHTNodes ArenaStats `json:"dlht_nodes"`
 
 	LimboQueue int64  `json:"limbo_queue"` // dentries killed but not yet swept
 	Swept      uint64 `json:"swept"`       // cumulative teardown records processed
@@ -241,8 +244,7 @@ func (s *System) MemStats() MemStats {
 		Swept:      swept,
 	}
 	if s.core != nil {
-		fds, nodes, dlht := s.core.MemStats()
-		out.FastDentries = arenaStats(fds)
+		nodes, dlht := s.core.MemStats()
 		out.DLHTNodes = arenaStats(nodes)
 		out.DLHT = dlht
 	}
@@ -250,12 +252,12 @@ func (s *System) MemStats() MemStats {
 }
 
 // Bytes is what the snapshot accounts for: the two hash tables' bucket
-// arrays and the four arenas' slots. It is the part of a System's
+// arrays and the three arenas' slots. It is the part of a System's
 // footprint that follows the number of cached names; the fixed-size
 // structures beside it (the signature key, each PCC, telemetry's rings)
 // are listed in DESIGN §5g.
 func (s MemStats) Bytes() int64 {
-	return s.Table.Bytes + s.DLHT.Bytes + s.Dentries.Bytes + s.ChainNodes.Bytes + s.FastDentries.Bytes + s.DLHTNodes.Bytes
+	return s.Table.Bytes + s.DLHT.Bytes + s.Dentries.Bytes + s.ChainNodes.Bytes + s.DLHTNodes.Bytes
 }
 
 // counters flattens the snapshot into the telemetry exporter's flat
@@ -278,7 +280,6 @@ func (s MemStats) counters() map[string]int64 {
 	}
 	arena("dentries", s.Dentries)
 	arena("chain_nodes", s.ChainNodes)
-	arena("fast_dentries", s.FastDentries)
 	arena("dlht_nodes", s.DLHTNodes)
 	table := func(prefix string, t TableStats) {
 		out[prefix+"_buckets"] = t.Buckets

@@ -23,7 +23,7 @@ help:
 	@echo "  vet            go vet ./..."
 	@echo "  race           race-detector pass over every package except internal/bench (wall-clock shape tests)"
 	@echo "  audit          invariant-auditor tests (concurrent + injected-bug) under -race"
-	@echo "  stress         longer -race soak of the stress tests, the revocation table and the prefix re-check's phase tests"
+	@echo "  stress         longer -race soak of the stress tests, the revocation table and the prefix re-check's phase tests, then the audit storms x20, all beside one busy spinner per CPU"
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
 	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
@@ -64,9 +64,16 @@ ci: vet check bench-test race audit serve-smoke shard-smoke memscale-smoke fuzz-
 
 # Longer soak of just the stress tests (several runs, full iteration
 # count), with the differential revocation table and the prefix re-check's
-# deterministic phase tests beside the storm that races the same paths.
+# deterministic phase tests beside the storm that races the same paths,
+# then the auditor's storms twenty times over. All of it runs while one
+# busy `yes` per CPU competes for the processors: the storms' races need a
+# goroutine descheduled in the middle of an operation, which spinners make
+# happen in seconds and an idle host hardly ever. Not part of ci.
 stress:
-	$(GO) test -race -run 'Stress|TestRevocationThroughRangeMark|TestRecheck' -count=3 ./internal/vfs/... ./internal/core/...
+	@spin=; for i in $$(seq $$(nproc)); do yes > /dev/null & spin="$$spin $$!"; done; \
+	trap 'kill $$spin' EXIT; \
+	$(GO) test -race -run 'Stress|TestRevocationThroughRangeMark|TestRecheck' -count=3 ./internal/vfs/... ./internal/core/... && \
+	$(GO) test -run 'TestAuditInvariant' -count=20 ./internal/vfs/... ./internal/core/...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

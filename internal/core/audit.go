@@ -92,29 +92,26 @@ func (c *Core) AuditFindings(limit int) ([]audit.Finding, map[string]int) {
 	// bracketing stamp stays valid.
 	c.SweepStale()
 
-	dlhts, pccs := c.registered()
-
-	aliasFree := c.k.AliasingEpoch() == 0
-	for _, dl := range dlhts {
-		c.auditDLHT(ar, dl, aliasFree)
+	c.auditDLHTs(ar, c.k.AliasingEpoch() == 0)
+	for _, dl := range c.k.DLHTs() {
 		// slab_liveness, DLHT half: chain nodes whose packed dentry ref
 		// resolves must agree with the dentry about its slot. (The LRU and
 		// vfs hash-chain half runs in the auditor's kernel-side pass.)
-		ar.checked["slab_liveness"] += dl.auditSlabRefs(func(d *vfs.Dentry, detail string) {
+		ar.checked["slab_liveness"] += c.auditSlabRefs(dl, func(d *vfs.Dentry, detail string) {
 			ar.add(audit.Finding{Check: "slab_liveness", Ref: d.ID(), Path: d.PathTo(), Detail: detail})
 		})
 	}
 	if c.k.ChrootCount() == 0 {
-		c.auditPCCs(ar, pccs)
+		c.auditPCCs(ar, c.registered())
 	}
-	c.auditJournal(ar, dlhts)
+	c.auditJournal(ar)
 	return ar.findings, ar.checked
 }
 
-// auditDLHT checks placement, version, and (optionally) signature for
-// every live entry of one table.
-func (c *Core) auditDLHT(ar *auditRun, dl *DLHT, aliasFree bool) {
-	dl.forEachEntry(func(idx uint16, sg sig.Signature, d *vfs.Dentry) {
+// auditDLHTs checks placement, version, and (optionally) signature for
+// every live entry of every table.
+func (c *Core) auditDLHTs(ar *auditRun, aliasFree bool) {
+	c.forEachEntry(func(dl *dlht, idx uint16, sg sig.Signature, d *vfs.Dentry) {
 		ar.checked["dlht_in_lookup"]++
 		if d.Flags()&vfs.DInLookup != 0 {
 			ar.add(audit.Finding{Check: "dlht_in_lookup", Ref: d.ID(), Path: d.PathTo(),
@@ -129,7 +126,7 @@ func (c *Core) auditDLHT(ar *auditRun, dl *DLHT, aliasFree bool) {
 		seq := fd.Seq.Load()
 		fd.Mu.Unlock()
 		switch {
-		case inTable != dl.Table:
+		case inTable != dl:
 			ar.add(audit.Finding{Check: "dlht_placement", Ref: d.ID(), Path: d.PathTo(),
 				Detail: "dentry does not believe it is in this table"})
 			return
@@ -286,17 +283,15 @@ func (c *Core) reverifyPrefix(reg pccReg, d *vfs.Dentry) (string, bool) {
 // set is snapshotted before the journal is dumped: an insert landing
 // between the two snapshots yields a newer insert event, never a false
 // positive. Requires the journal (skipped when telemetry is off).
-func (c *Core) auditJournal(ar *auditRun, dlhts []*DLHT) {
+func (c *Core) auditJournal(ar *auditRun) {
 	tel := c.tele()
 	if tel == nil {
 		return
 	}
 	live := map[uint64]struct{}{}
-	for _, dl := range dlhts {
-		dl.forEachEntry(func(_ uint16, _ sig.Signature, d *vfs.Dentry) {
-			live[d.ID()] = struct{}{}
-		})
-	}
+	c.forEachEntry(func(_ *dlht, _ uint16, _ sig.Signature, d *vfs.Dentry) {
+		live[d.ID()] = struct{}{}
+	})
 	events, _ := tel.Events()
 	latest := map[uint64]telemetry.JournalKind{}
 	admLatest := map[uint64]telemetry.JournalKind{}

@@ -242,7 +242,7 @@ func TestKilledNegativeAnswersNothing(t *testing.T) {
 	}
 	fd := fast(live.D)
 	was := fd.InTable
-	c.publish(c.dlhtFor(walker.Namespace()), live, &st, token)
+	c.publish(walker.Namespace().DLHT(), live, &st, token)
 	if fd.InTable != was {
 		t.Fatal("publish accepted a pre-rename token")
 	}

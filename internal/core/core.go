@@ -7,7 +7,6 @@ import (
 	"dircache/internal/coherence"
 	"dircache/internal/cred"
 	"dircache/internal/sig"
-	"dircache/internal/slab"
 	"dircache/internal/stripe"
 	"dircache/internal/telemetry"
 	"dircache/internal/vfs"
@@ -59,7 +58,7 @@ type Stats struct {
 	AliasCreated   int64
 	DeepNegCreated int64
 	SeqBumps       int64 // per-dentry version bumps (mutation roots + lazily discarded descendants)
-	DLHTSweeps     int64 // dead nodes reclaimed by DLHT inserts
+	DLHTSweeps     int64 // dead DLHT nodes swept by inserts or dropped by doublings
 	PCCFlushes     int64 // whole-PCC invalidations
 	PCCResizes     int64 // PCC generation copies
 
@@ -152,11 +151,6 @@ type Core struct {
 	k   *vfs.Kernel
 	key *sig.Key
 
-	// nodes is the core's slab arena of DLHT chain nodes, driven by the
-	// kernel's epoch gate so one grace period covers dentries and
-	// everything hanging off them.
-	nodes *slab.Arena[dnode]
-
 	// epoch is the global invalidation counter (§3.2). Every mutation
 	// edge adds epochEdge, and the low bits count the mutations in flight;
 	// slowpath results are only cached if it is quiescent and unchanged
@@ -181,16 +175,15 @@ type Core struct {
 	// sharded deployments should pay.
 	coh atomic.Pointer[coherence.Log]
 
-	// regMu guards the registries below. pccs registers every live PCC
-	// (with its owning credential) so that a per-dentry version counter
-	// wrapping its truncated width can invalidate all of them — the
-	// paper's §3.1 wraparound rule ("our design currently handles
-	// wrap-around by invalidating all active PCCs") — and so the auditor
-	// can re-verify memoized prefix checks per credential. dlhts registers
-	// every per-namespace DLHT for introspection and auditing.
+	// regMu guards pccs, which registers every live PCC (with its owning
+	// credential) so that a per-dentry version counter wrapping its
+	// truncated width can invalidate all of them — the paper's §3.1
+	// wraparound rule ("our design currently handles wrap-around by
+	// invalidating all active PCCs") — and so the auditor can re-verify
+	// memoized prefix checks per credential. The DLHTs need no registry:
+	// the kernel keeps them (Kernel.DLHTs).
 	regMu sync.Mutex
 	pccs  []pccReg
-	dlhts []*DLHT
 
 	stats statsCell
 }
@@ -209,7 +202,6 @@ func Install(k *vfs.Kernel, cfg Config) *Core {
 		cfg.Seed = 0x5ca1ab1e0ddba11 ^ (seedCounter.Add(1) * 0x9e3779b97f4a7c15)
 	}
 	c := &Core{cfg: cfg, k: k, key: sig.NewKey(cfg.Seed)}
-	c.nodes = slab.New[dnode](k.Gate(), slab.Options{})
 	c.admitAfter = cfg.AdmitAfter
 	if c.admitAfter == 0 {
 		c.admitAfter = 2
@@ -223,6 +215,7 @@ func Install(k *vfs.Kernel, cfg Config) *Core {
 // attempts as hits + recorded miss reasons.
 func (c *Core) Stats() Stats {
 	ks := c.k.Stats()
+	_, dlhts := c.k.DLHTMemStats()
 	return Stats{
 		TryFast:        ks.FastHits + c.stats.dlhtMiss.Load() + c.stats.pccMiss.Load(),
 		Hits:           ks.FastHits,
@@ -237,7 +230,7 @@ func (c *Core) Stats() Stats {
 		AliasCreated:   c.stats.aliasCreated.Load(),
 		DeepNegCreated: c.stats.deepNegCreated.Load(),
 		SeqBumps:       c.stats.seqBumps.Load(),
-		DLHTSweeps:     c.sumDLHTSweeps(),
+		DLHTSweeps:     int64(dlhts.Sweeps),
 		PCCFlushes:     c.sumPCC(func(p *PCC) int64 { return p.flushes.Load() }),
 		PCCResizes:     c.sumPCC(func(p *PCC) int64 { return p.resizes.Load() }),
 
@@ -250,35 +243,15 @@ func (c *Core) Stats() Stats {
 	}
 }
 
-// MemStats snapshots the core's slab arena of DLHT chain nodes and every
-// namespace's DLHT bucket array, summed, for telemetry's "mem" gauges and
-// the memscale experiment.
-func (c *Core) MemStats() (nodes slab.Stats, dlht vfs.TableStats) {
-	dlhts, _ := c.registered()
-	for _, dl := range dlhts {
-		dlht.Add(dl.Stats())
-	}
-	return c.nodes.Stats(), dlht
-}
-
-// registered snapshots the two registries.
-func (c *Core) registered() ([]*DLHT, []pccReg) {
+// registered snapshots the PCC registry.
+func (c *Core) registered() []pccReg {
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
-	return append([]*DLHT(nil), c.dlhts...), append([]pccReg(nil), c.pccs...)
-}
-
-func (c *Core) sumDLHTSweeps() (n int64) {
-	dlhts, _ := c.registered()
-	for _, dl := range dlhts {
-		n += dl.sweeps.Load()
-	}
-	return n
+	return append([]pccReg(nil), c.pccs...)
 }
 
 func (c *Core) sumPCC(f func(*PCC) int64) (n int64) {
-	_, regs := c.registered()
-	for _, r := range regs {
+	for _, r := range c.registered() {
 		n += f(r.p)
 	}
 	return n
@@ -299,40 +272,11 @@ func (c *Core) tele() *telemetry.Telemetry {
 // shootdown could have staled, so there is nothing to climb for.
 func (c *Core) NewDentry(d *vfs.Dentry) { fast(d).reset(c.shootGen.Load()) }
 
-// OnReclaim implements vfs.Hooks: the lazy-teardown sweeper is about to
-// retire a dead dentry's slab slot. Finish the fastpath half of the
-// teardown that kill time deferred — drop the residual DLHT entry and
-// cached state. In-section readers still holding the dentry can keep
-// reading its fast state until the slot's grace period ends.
-func (c *Core) OnReclaim(d *vfs.Dentry) { c.unpublish(d, telemetry.NoteReclaim) }
-
-// OnReap implements vfs.Hooks: the kernel's reclamation cadence. Return
-// grace-elapsed DLHT-node slots to the free-list so churn recycles slots
-// instead of growing the arena. The budget is larger than the kernel's own
-// per-call batches because insert-time sweeps retire nodes in bursts.
-func (c *Core) OnReap() { c.nodes.Reclaim(16384) }
-
 // OnRecycle implements vfs.Hooks: the dentry changed identity (a positive
 // dentry went negative on unlink, or a negative one was re-created).
 // Admission touch counts from the previous identity must not carry over —
 // a freshly re-created file is a first-touch dentry again.
 func (c *Core) OnRecycle(d *vfs.Dentry) { fast(d).Touches.Store(0) }
-
-// dlhtFor returns the namespace's private DLHT, creating it on first use
-// (§4.3: per-namespace direct lookup hash tables).
-func (c *Core) dlhtFor(ns *vfs.Namespace) *DLHT {
-	if v := ns.FastLoad(); v != nil {
-		return v.(*DLHT)
-	}
-	fresh := newDLHT(c.nodes, c.k)
-	dl := ns.FastStoreIfAbsent(fresh).(*DLHT)
-	if dl == fresh { // this call's table won the namespace: register it
-		c.regMu.Lock()
-		c.dlhts = append(c.dlhts, dl)
-		c.regMu.Unlock()
-	}
-	return dl
-}
 
 // pccFor returns the credential's PCC, creating it on first use (§4.1:
 // PCCs attach to immutable, shared cred structures).
@@ -355,8 +299,7 @@ func (c *Core) pccFor(cr *cred.Cred) *PCC {
 // invalidateAllPCCs wipes every registered prefix check cache (version
 // counter wraparound, §3.1).
 func (c *Core) invalidateAllPCCs() {
-	_, regs := c.registered()
-	for _, r := range regs {
+	for _, r := range c.registered() {
 		r.p.Invalidate()
 	}
 }
@@ -647,20 +590,17 @@ func (c *Core) markedAbove(d *vfs.Dentry, vg uint64) (at *vfs.Dentry, structural
 	return at, false
 }
 
-// SweepStale walks every registered DLHT and lazily discards entries
-// staled by batch shootdowns — the "one sweep" after which a batch-shot
-// subtree must hold no live entries (the auditor runs this before its
-// scans). Returns the number of entries discarded.
+// SweepStale walks every DLHT and lazily discards entries staled by batch
+// shootdowns — the "one sweep" after which a batch-shot subtree must hold
+// no live entries (the auditor runs this before its scans). Returns the
+// number of entries discarded.
 func (c *Core) SweepStale() int {
-	dlhts, _ := c.registered()
 	n := 0
-	for _, dl := range dlhts {
-		dl.forEachEntry(func(_ uint16, _ sig.Signature, d *vfs.Dentry) {
-			if !c.fresh(d) {
-				n++
-			}
-		})
-	}
+	c.forEachEntry(func(_ *dlht, _ uint16, _ sig.Signature, d *vfs.Dentry) {
+		if !c.fresh(d) {
+			n++
+		}
+	})
 	return n
 }
 
@@ -679,10 +619,16 @@ func invalHist(why vfs.Invalidation) telemetry.HistID {
 	}
 }
 
-// OnEvict implements vfs.Hooks. The dentry is dead, and DLHT lookups skip
-// dead dentries, so its table node is reclaimed lazily by the next insert
-// into the bucket — eviction itself stays O(1).
-func (c *Core) OnEvict(d *vfs.Dentry) { fast(d).Seq.Add(1) }
+// OnEvict implements vfs.Hooks: the dentry is dead. The seq bump stales
+// the PCC entries naming it, and its table entry goes now rather than when
+// the sweeper retires the slot. Left in place the node would fail closed —
+// lookups skip dead dentries — but keep its arena slot, and count toward
+// the table's next doubling, until an insert into its bucket swept it, and
+// every probe of that bucket would walk past it (DESIGN §5g measures it).
+func (c *Core) OnEvict(d *vfs.Dentry) {
+	fast(d).Seq.Add(1)
+	c.unpublish(d, telemetry.NoteReclaim)
+}
 
 // pathState loads ref.D's canonical-path signature state into *dst: the
 // stored one, else its parent's (computed and stored there the same way)
@@ -750,7 +696,7 @@ func (c *Core) pathState(ref vfs.PathRef, dst *sig.State, keep bool) bool {
 // bumps the epoch before taking fd.Mu, so whichever critical section runs
 // second sees the other's work: either the shootdown removes our entry, or
 // we observe the in-flight/advanced epoch and decline to insert.
-func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st *sig.State, token uint64) {
+func (c *Core) publish(dl *dlht, ref vfs.PathRef, st *sig.State, token uint64) {
 	fd := fast(ref.D)
 	if ref.D.IsDead() {
 		return
@@ -778,7 +724,7 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st *sig.State, token uint64) {
 		return
 	}
 	if fd.InTable != nil {
-		if fd.InTable == dl.Table && fd.Sg == sg {
+		if fd.InTable == dl && fd.Sg == sg {
 			fd.MntP.Store(ref.Mnt)
 			fd.ValidGen.Store(gen)
 			return // already published under this signature
@@ -792,8 +738,8 @@ func (c *Core) publish(dl *DLHT, ref vfs.PathRef, st *sig.State, token uint64) {
 	fd.MntP.Store(ref.Mnt)
 	fd.PubSeq = fd.Seq.Load()
 	fd.ValidGen.Store(gen)
-	dl.Insert(idx, sg, ref.D)
-	fd.InTable = dl.Table
+	c.insert(dl, idx, sg, ref.D)
+	fd.InTable = dl
 	c.stats.populations.Add(1)
 }
 

@@ -282,7 +282,7 @@ func TestLexicalHashZeroAlloc(t *testing.T) {
 	}
 	path := "/p00/./p01/../p01" + strings.TrimPrefix(dir, "/p00/p01") + "/leaf"
 	ns := root.Namespace()
-	dl, pcc := c.dlhtFor(ns), c.pccFor(root.Cred())
+	dl, pcc := ns.DLHT(), c.pccFor(root.Cred())
 	leaf, err := root.Walk(dir+"/leaf", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestLexicalHashZeroAlloc(t *testing.T) {
 			t.Fatalf("pathState+publish (%s) allocates: %.2f allocs/op, want 0", name, avg)
 		}
 	}
-	if fast(leaf.D).InTable != dl.Table {
+	if fast(leaf.D).InTable != dl {
 		t.Fatal("the leaf was never published")
 	}
 }

@@ -30,10 +30,8 @@ type Introspection struct {
 	PCCs        []PCCStats  `json:"pccs"`         // one per credential
 }
 
-// Introspect snapshots every registered DLHT and PCC.
+// Introspect snapshots every DLHT and every registered PCC.
 func (c *Core) Introspect() Introspection {
-	dlhts, pccs := c.registered()
-
 	in := Introspection{
 		Epoch:       c.epoch.Load(),
 		Populations: c.stats.populations.Load(),
@@ -44,10 +42,10 @@ func (c *Core) Introspect() Introspection {
 		BatchShoots: c.stats.batchShootdowns.Load(),
 		LazyShoots:  c.stats.lazyShootdowns.Load(),
 	}
-	for _, dl := range dlhts {
-		in.DLHTs = append(in.DLHTs, dl.Introspect())
+	for _, dl := range c.k.DLHTs() {
+		in.DLHTs = append(in.DLHTs, c.introspectDLHT(dl))
 	}
-	for _, reg := range pccs {
+	for _, reg := range c.registered() {
 		hits, misses := reg.p.Stats()
 		in.PCCs = append(in.PCCs, PCCStats{
 			CredID:   reg.cr.ID(),

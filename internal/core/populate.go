@@ -58,7 +58,7 @@ func (c *Core) EndSlowLookup(token uint64, t *vfs.Task, start vfs.PathRef, path 
 		return
 	}
 	ns := t.Namespace()
-	dl := c.dlhtFor(ns)
+	dl := ns.DLHT()
 	pcc := c.pccFor(t.Cred())
 	if !c.startTrusted(t, start, pcc, token) {
 		return
@@ -129,7 +129,7 @@ func hasDotComponents(path string) bool {
 // the final signature state. Along the way it opportunistically publishes
 // the directories ".." pops out of (they were just verified by the slow
 // walk, and the Linux-mode fastpath will need them, §4.2).
-func (c *Core) lexicalHash(t *vfs.Task, ns *vfs.Namespace, dl *DLHT, pcc *PCC, start vfs.PathRef, path string, token uint64, dst *sig.State) bool {
+func (c *Core) lexicalHash(t *vfs.Task, ns *vfs.Namespace, dl *dlht, pcc *PCC, start vfs.PathRef, path string, token uint64, dst *sig.State) bool {
 	var cur pathCursor
 	defer cur.flush(c)
 	if !cur.init(c, start) {
@@ -219,8 +219,7 @@ func (c *Core) EndSlowNegative(token uint64, t *vfs.Task, start vfs.PathRef, pat
 	if !c.admitPopulate(f.Anchor.D) {
 		return
 	}
-	ns := t.Namespace()
-	dl := c.dlhtFor(ns)
+	dl := t.Namespace().DLHT()
 	pcc := c.pccFor(t.Cred())
 	if !c.startTrusted(t, start, pcc, token) {
 		return
@@ -284,7 +283,7 @@ func (c *Core) AliasStep(t *vfs.Task, aliasParent vfs.PathRef, name string, real
 	c.stats.hashedBytes.Add(int64(len(name) + 1))
 	// AliasStep runs mid-walk without the walk's epoch token; a fresh one
 	// still lets publish refuse inserts that race a mutation.
-	c.publish(c.dlhtFor(t.Namespace()), vfs.PathRef{Mnt: aliasParent.Mnt, D: alias}, &st, c.epoch.Load())
+	c.publish(t.Namespace().DLHT(), vfs.PathRef{Mnt: aliasParent.Mnt, D: alias}, &st, c.epoch.Load())
 	// Deliberately no PCC insert here: the alias's fastpath hit checks
 	// the target's PCC entry, which EndSlowLookup inserts under the
 	// directory-reference guard (§3.2) — inserting mid-walk could launder

@@ -319,7 +319,7 @@ func TestAliasDotCheckHonoursRangeMark(t *testing.T) {
 					}
 				}
 			}
-			dl, pcc := r.c.dlhtFor(u.Namespace()), r.c.pccFor(u.Cred())
+			dl, pcc := u.Namespace().DLHT(), r.c.pccFor(u.Cred())
 			var cur pathCursor
 			if !cur.init(r.c, u.Root()) {
 				t.Fatal("no state for the root")
@@ -328,7 +328,7 @@ func TestAliasDotCheckHonoursRangeMark(t *testing.T) {
 				cur.push(comp)
 			}
 			idx, sg := cur.st.Sum()
-			if d := dl.Lookup(idx, sg); d == nil || d.Flags()&vfs.DAlias == 0 {
+			if d := dl.Lookup(uint64(idx), sg); d == nil || d.Flags()&vfs.DAlias == 0 {
 				t.Fatalf("the table holds %v for /top/link/c, want its alias dentry", d)
 			}
 			if !r.c.checkPrefixDir(u, dl, pcc, &cur) {

@@ -17,7 +17,7 @@ import (
 func BenchmarkFastpathStages(b *testing.B) {
 	_, c, root := auditFixture(b)
 	ns := root.Namespace()
-	dl, pcc := c.dlhtFor(ns), c.pccFor(root.Cred())
+	dl, pcc := ns.DLHT(), c.pccFor(root.Cred())
 
 	for _, depth := range []int{1, 4, 8, 16} {
 		path := "" // the sweep's path; the cursor only hashes it, nothing need exist
@@ -54,13 +54,13 @@ func BenchmarkFastpathStages(b *testing.B) {
 		}
 	}
 	idx, sg := c.key.HashString(path)
-	d := dl.Lookup(idx, sg)
+	d := dl.Lookup(uint64(idx), sg)
 	if d == nil {
 		b.Fatal(path + " not published")
 	}
 	b.Run("dlht-probe", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if dl.Lookup(idx, sg) != d {
+			if dl.Lookup(uint64(idx), sg) != d {
 				b.Fatal("probe missed")
 			}
 		}

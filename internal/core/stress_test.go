@@ -140,7 +140,7 @@ func TestDLHTResizeVsTryFast(t *testing.T) {
 	if err := root.Mkdir("/res", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	dl := c.dlhtFor(root.Namespace())
+	dl := root.Namespace().DLHT()
 	if st := dl.Stats(); st.Buckets != 1<<10 {
 		t.Fatalf("a new DLHT holds %+v, want 1024 buckets", st)
 	}
@@ -151,7 +151,7 @@ func TestDLHTResizeVsTryFast(t *testing.T) {
 	probe := func(n int) *vfs.Dentry {
 		ep := k.Gate().Enter()
 		defer k.Gate().Exit(ep)
-		return dl.Lookup(idxs[n], sgs[n])
+		return dl.Lookup(uint64(idxs[n]), sgs[n])
 	}
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/res/r%03d", i)

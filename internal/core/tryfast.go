@@ -91,8 +91,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 		tel = nil
 	}
 
-	ns := t.Namespace()
-	dl := c.dlhtFor(ns)
+	dl := t.Namespace().DLHT()
 	pcc := c.pccFor(t.Cred())
 
 	cur := &fs.cur
@@ -164,7 +163,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	// Read before the probe, for recheckPrefix: a token still valid after
 	// its climb vouches for everything from this lookup on.
 	token := c.epoch.Load()
-	d := dl.Lookup(idx, sg)
+	d := dl.Lookup(uint64(idx), sg)
 	fs.lap(&fs.ph.HashLookup)
 	// Range-shootdown freshness: one generation compare on the hot path;
 	// a stale entry (covered by a range shootdown) is lazily discarded and
@@ -299,14 +298,14 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 // search permission on it — the extra per-dot fastpath lookup of §4.2.
 // Returns false to force the slow walk (which produces the authoritative
 // result).
-func (c *Core) checkPrefixDir(t *vfs.Task, dl *DLHT, pcc *PCC, cur *pathCursor) bool {
+func (c *Core) checkPrefixDir(t *vfs.Task, dl *dlht, pcc *PCC, cur *pathCursor) bool {
 	var d *vfs.Dentry
 	if cur.depth() == 0 {
 		d = cur.base.D // cwd/root chain: referenced directories
 	} else {
 		idx, sg := cur.st.Sum()
 		token := c.epoch.Load() // before the probe, as in tryFast
-		d = dl.Lookup(idx, sg)
+		d = dl.Lookup(uint64(idx), sg)
 		if d == nil {
 			c.stats.dlhtMiss.Add(1)
 			return false

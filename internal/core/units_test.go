@@ -11,6 +11,7 @@ import (
 	"dircache/internal/fsapi"
 	"dircache/internal/memfs"
 	"dircache/internal/sig"
+	"dircache/internal/slab"
 	"dircache/internal/vfs"
 )
 
@@ -104,8 +105,8 @@ func TestPCCConcurrent(t *testing.T) {
 func TestDLHTBasics(t *testing.T) {
 	key := sig.NewKey(9)
 	k := vfs.NewKernel(vfs.Config{}, newTestFS())
-	c := Install(k, Config{Seed: 9})
-	h := newDLHT(c.nodes, k)
+	Install(k, Config{Seed: 9})
+	h := testDLHT(k)
 	root := k.NewTask(cred.Root())
 	if err := root.Mkdir("/d", 0o755); err != nil {
 		t.Fatal(err)
@@ -115,11 +116,11 @@ func TestDLHTBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx, sg := key.HashString("/d")
-	if h.Lookup(idx, sg) != nil {
+	if h.Lookup(uint64(idx), sg) != nil {
 		t.Fatal("empty DLHT hit")
 	}
-	h.Insert(idx, sg, ref.D)
-	if h.Lookup(idx, sg) != ref.D {
+	h.Insert(uint64(idx), sg, ref.D)
+	if h.Lookup(uint64(idx), sg) != ref.D {
 		t.Fatal("inserted dentry missing")
 	}
 	if n := h.Stats().Entries; n != 1 {
@@ -128,19 +129,19 @@ func TestDLHTBasics(t *testing.T) {
 	// Different signature in the same bucket must not match.
 	other := sg
 	other.W[1] ^= 1
-	if h.Lookup(idx, other) != nil {
+	if h.Lookup(uint64(idx), other) != nil {
 		t.Fatal("wrong-signature hit")
 	}
 	h.Remove(uint64(idx), sg, ref.D)
-	if h.Lookup(idx, sg) != nil || h.Stats().Entries != 0 {
+	if h.Lookup(uint64(idx), sg) != nil || h.Stats().Entries != 0 {
 		t.Fatal("remove failed")
 	}
 }
 
 func TestDLHTChainRemoveMiddle(t *testing.T) {
 	k := vfs.NewKernel(vfs.Config{}, newTestFS())
-	c := Install(k, Config{Seed: 10})
-	h := newDLHT(c.nodes, k)
+	Install(k, Config{Seed: 10})
+	h := testDLHT(k)
 	root := k.NewTask(cred.Root())
 	var refs []vfs.PathRef
 	var sigs []sig.Signature
@@ -175,12 +176,12 @@ func TestDLHTChainRemoveMiddle(t *testing.T) {
 // still found.
 func TestDLHTStopsAtIndexWidth(t *testing.T) {
 	k := vfs.NewKernel(vfs.Config{}, newTestFS())
-	c := Install(k, Config{Seed: 11})
-	h := newDLHT(c.nodes, k)
+	Install(k, Config{Seed: 11})
+	root := k.NewTask(cred.Root())
+	h := root.Namespace().DLHT()
 	if st := h.Stats(); st.Buckets != 1<<10 || st.Bytes > 16<<10 {
 		t.Fatalf("a new DLHT holds %+v, want 1024 buckets in <= 16 KB", st)
 	}
-	root := k.NewTask(cred.Root())
 	ref, err := root.Walk("/", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +192,7 @@ func TestDLHTStopsAtIndexWidth(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		idx, sg := key(i)
-		h.Insert(idx, sg, ref.D)
+		h.Insert(uint64(idx), sg, ref.D)
 	}
 	if st := h.Stats(); st.Buckets != 1<<sig.IndexBits || st.Resizes != 6 || st.Entries != n {
 		t.Fatalf("after %d inserts: %+v, want 65536 buckets after 6 doublings", n, st)
@@ -199,10 +200,16 @@ func TestDLHTStopsAtIndexWidth(t *testing.T) {
 	ep := k.Gate().Enter()
 	defer k.Gate().Exit(ep)
 	for i := 0; i < n; i += 61 {
-		if idx, sg := key(i); h.Lookup(idx, sg) != ref.D {
+		if idx, sg := key(i); h.Lookup(uint64(idx), sg) != ref.D {
 			t.Fatalf("entry %d lost across the doublings", i)
 		}
 	}
+}
+
+// testDLHT returns a DLHT of k's dentries that no namespace uses, with an
+// arena of its own.
+func testDLHT(k *vfs.Kernel) *dlht {
+	return vfs.NewTable(k, slab.New[vfs.TableNode[sig.Signature]](k.Gate(), slab.Options{}), 1<<sig.IndexBits)
 }
 
 func newTestFS() fsapi.FileSystem {

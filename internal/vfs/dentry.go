@@ -8,12 +8,14 @@
 //   - Config feature flags enable the VFS-level hit-rate optimizations
 //     (§5): directory completeness caching and aggressive negative
 //     dentries.
-//   - The Hooks interface lets internal/core install the §3 fastpath
-//     (DLHT + PCC + signatures), coherence callbacks, symlink aliasing and
-//     deep negative dentries. The VFS declares the fastpath's per-dentry
-//     state (FastDentry, embedded in every Dentry as the paper embeds
-//     struct fast_dentry) but never reads or writes it; the algorithms
-//     and their invariants live in internal/core.
+//   - The Hooks interface (ten methods) lets internal/core install the §3
+//     fastpath (DLHT + PCC + signatures), coherence callbacks, symlink
+//     aliasing and deep negative dentries. The VFS declares the fastpath's
+//     per-dentry state (FastDentry, embedded in every Dentry as the paper
+//     embeds struct fast_dentry) but never reads or writes it, and owns its
+//     per-namespace state: each Namespace's DLHT is a Table the kernel
+//     creates with the namespace and whose node arena it reaps with its
+//     own. The algorithms and their invariants live in internal/core.
 package vfs
 
 import (
@@ -287,11 +289,19 @@ func (d *Dentry) linkChildLocked(name string, c *Dentry) bool {
 }
 
 // attachChild links c under d (c's pn must already point at d), reporting
-// false when d is dead.
-func (d *Dentry) attachChild(c *Dentry) bool {
+// false when d is dead, and returns the live dentry it displaced for the
+// caller to kill. Looking under the same hold of d.mu as linking is the
+// point: a walk's placeholder installed in between would be overwritten.
+func (d *Dentry) attachChild(c *Dentry) (displaced *Dentry, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.linkChildLocked(c.Name(), c)
+	if prev := d.children[c.Name()]; prev != c && prev != nil && !prev.IsDead() {
+		displaced = prev
+	}
+	if !d.linkChildLocked(c.Name(), c) {
+		return nil, false
+	}
+	return displaced, true
 }
 
 // detachChild unlinks c from d's children map. A dead c may already have

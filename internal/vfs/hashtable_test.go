@@ -55,6 +55,44 @@ func TestTableChainsStayShort(t *testing.T) {
 	}
 }
 
+// TestTableGrowDropsDead: a doubling copies live nodes only. A table full
+// to its thousand buckets, one node each, has every other entry die in
+// place, as lazy teardown leaves them; one more insert, into a bucket
+// holding a live node so that it sweeps nothing, doubles the table. After
+// it the scan finds no dead node, the entry count is the live count, and
+// the dropped nodes count as swept.
+func TestTableGrowDropsDead(t *testing.T) {
+	k, _ := newKernel(t, Config{})
+	root := k.initNS.root.sb.root
+	e := k.gate.Enter()
+	defer k.gate.Exit(e)
+	tab := newHashTable(SyncRCU, k).Table
+	var live []nameKey
+	for i := 0; i < tableMinBuckets; i++ {
+		key := nameKey{1, fmt.Sprintf("f%d", i)}
+		d := k.newDentry(root.sb, root, key.name)
+		tab.Insert(uint64(i), key, d)
+		if i%2 == 0 {
+			d.setFlags(DDead)
+		} else {
+			live = append(live, key)
+		}
+	}
+	last := nameKey{2, "g"}
+	tab.Insert(1, last, k.newDentry(root.sb, root, last.name))
+	live = append(live, last)
+	st, sh := tab.Stats(), tab.Shape()
+	if st.Resizes != 1 || sh.Dead != 0 || st.Entries != int64(len(live)) || sh.Entries != len(live) || st.Sweeps != tableMinBuckets/2 {
+		t.Fatalf("after the doubling: %+v, scan sees %d live and %d dead; want 1 doubling, %d entries, none dead, %d swept",
+			st, sh.Entries, sh.Dead, len(live), tableMinBuckets/2)
+	}
+	for i, key := range live[:len(live)-1] {
+		if tab.Lookup(uint64(2*i+1), key) == nil {
+			t.Fatalf("live entry %v lost across the doubling", key)
+		}
+	}
+}
+
 // BenchmarkTableLookup is one probe of a table small enough to stay in
 // cache (512 names), so what it prices is the probe's instructions: the
 // bucket array sits behind one more pointer than when it was a field.

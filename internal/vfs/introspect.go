@@ -8,24 +8,28 @@ import "dircache/internal/telemetry"
 
 // cacheMutBegin / cacheMutEnd bracket every multi-step structural change
 // to the dentry cache (insert, teardown, rename move, eviction,
-// completeness transition). The pair implements a multi-writer seqlock:
-// active counts in-flight brackets, seq counts completed ones (bumped
-// before the active decrement, so a reader seeing active == 0 has the
-// completed work in seq). A reader observing equal seq and active == 0 at
-// both edges of a scan is guaranteed no bracket overlapped the scan.
-func (k *Kernel) cacheMutBegin() { k.cacheMutActive.Add(1) }
+// completeness transition), and the backend call behind a create, link,
+// unlink or rename, after which the file system is ahead of the cache. The
+// word is an edge count above cacheMutEdge and the brackets in flight
+// below it, like the fastpath's epoch, so every edge changes it and a
+// reader loading the same quiescent word at both edges of a scan knows no
+// bracket opened or closed in between. 2^16 open at once would carry.
+func (k *Kernel) cacheMutBegin() { k.cacheMut.Add(cacheMutEdge + 1) }
 
-func (k *Kernel) cacheMutEnd() {
-	k.cacheMutSeq.Add(1)
-	k.cacheMutActive.Add(-1)
-}
+func (k *Kernel) cacheMutEnd() { k.cacheMut.Add(cacheMutEdge - 1) }
 
-// CoherenceStamp returns the cache-structure stamp: the completed-change
-// sequence and whether the cache is structurally quiescent right now.
+const (
+	cacheMutEdge     = 1 << 16
+	cacheMutInFlight = cacheMutEdge - 1
+)
+
+// CoherenceStamp returns the cache-structure stamp, read in one load: the
+// bracket word, and whether the cache is structurally quiescent in it.
 // The invariant auditor reads it before and after a pass; a pass is only
-// trusted if both reads are quiet and the sequences match.
+// trusted if both reads are quiet and the words match.
 func (k *Kernel) CoherenceStamp() (seq uint64, quiet bool) {
-	return k.cacheMutSeq.Load(), k.cacheMutActive.Load() == 0
+	w := k.cacheMut.Load()
+	return w, w&cacheMutInFlight == 0
 }
 
 // ChrootCount reports how many Chroot calls have happened kernel-wide.
@@ -81,7 +85,7 @@ type CacheIntrospection struct {
 	Hash2     int `json:"hash_2"`
 	HashMore  int `json:"hash_more"`
 
-	MutationSeq   uint64 `json:"mutation_seq"`
+	MutationSeq   uint64 `json:"mutation_seq"` // structural-change bracket edges so far
 	EvictionEpoch uint64 `json:"eviction_epoch"`
 }
 
@@ -121,7 +125,7 @@ func (k *Kernel) Introspect() CacheIntrospection {
 	})
 	s.InLookup = int(k.inLookupCount.Load())
 	s.HashEmpty, s.Hash1, s.Hash2, s.HashMore = k.ChainStats()
-	s.MutationSeq = k.cacheMutSeq.Load()
+	s.MutationSeq = k.cacheMut.Load() / cacheMutEdge
 	s.EvictionEpoch = k.lru.Epoch()
 	return s
 }

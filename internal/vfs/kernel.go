@@ -7,6 +7,7 @@ import (
 
 	"dircache/internal/fsapi"
 	"dircache/internal/lsm"
+	"dircache/internal/sig"
 	"dircache/internal/slab"
 	"dircache/internal/stripe"
 	"dircache/internal/telemetry"
@@ -111,8 +112,9 @@ func (m Mutation) End() {
 }
 
 // Hooks is the seam through which internal/core installs the paper's §3/§4
-// fastpath. All methods must be safe for concurrent use. A nil Hooks means
-// the unmodified baseline.
+// fastpath, in ten methods. The DLHTs it fills belong to the kernel
+// (Namespace.DLHT), which reaps their node arena with its own. All methods
+// must be safe for concurrent use. A nil Hooks means the unmodified baseline.
 type Hooks interface {
 	// NewDentry is called once per new tenant of a dentry slot, before the
 	// dentry is reachable, to initialize its Fast() state.
@@ -155,7 +157,8 @@ type Hooks interface {
 	EndMutation(m Mutation)
 
 	// OnEvict is called when a dentry leaves the cache (LRU eviction or
-	// final unlink teardown).
+	// final unlink teardown), for the hooks to drop what they keep for it
+	// (its DLHT entry): the sweeper that later retires its slot calls none.
 	OnEvict(d *Dentry)
 
 	// OnRecycle is called when a dentry changes identity in place: a
@@ -163,18 +166,6 @@ type Hooks interface {
 	// being re-created. Hooks reset per-identity bookkeeping (admission
 	// touch counts) that must not carry over.
 	OnRecycle(d *Dentry)
-
-	// OnReclaim is called by the lazy-teardown sweeper just before a dead
-	// dentry's slab slot is retired: the hooks' last chance to drop state
-	// still keyed to it (a residual DLHT entry). OnEvict has already run,
-	// at kill time.
-	OnReclaim(d *Dentry)
-
-	// OnReap is called on the kernel's reclamation cadence (mutation
-	// tails, ReclaimAll) so hook layers can return their own arena's
-	// grace-elapsed slots to the free-list. Without it the DLHT-node arena
-	// would only ever retire into limbo and grow without bound under churn.
-	OnReap()
 }
 
 // Stats are cumulative directory cache counters.
@@ -302,14 +293,21 @@ type Kernel struct {
 	lru   lruList
 	lsm   lsm.Stack
 
-	// gate is the epoch clock shared by every slab arena of this kernel
-	// (dentries and hash-chain nodes here; the DLHT-node arena in
-	// internal/core). Every exported operation that may touch arena-backed
-	// objects runs inside one Enter/Exit section.
+	// gate is the epoch clock shared by every slab arena of this kernel:
+	// dentries, the dentry table's chain nodes and the DLHTs'. Every
+	// exported operation that may touch arena-backed objects runs inside
+	// one Enter/Exit section.
 	gate *slab.Gate
 
 	// dentries is the dentry slab arena: the cache's bulk storage.
 	dentries *slab.Arena[Dentry]
+
+	// dlhtNodes holds the chain nodes of every namespace's DLHT, and dlhts
+	// lists those tables, oldest first, for the hooks' statistics, audits
+	// and sweeps. A kernel without hooks creates no table.
+	dlhtNodes *slab.Arena[TableNode[sig.Signature]]
+	dlhtMu    sync.Mutex
+	dlhts     []*Table[sig.Signature]
 
 	// limbo is the lazy-teardown work queue: dentries killed by
 	// unlink/rmdir/rename/eviction whose hash-table removal and slot
@@ -354,16 +352,14 @@ type Kernel struct {
 	// it; enabling/disabling at runtime attaches/detaches the pointer.
 	tel atomic.Pointer[telemetry.Telemetry]
 
-	// cacheMutSeq / cacheMutActive are the cache-structure stamp the
-	// invariant auditor validates its passes against: every multi-step
-	// structural change to the dentry cache (insert, teardown, rename
-	// move, eviction, completeness transition) runs inside a
-	// cacheMutBegin/cacheMutEnd bracket. A pass that reads an equal seq
-	// with zero active mutators on both edges observed no concurrent
+	// cacheMut is the cache-structure stamp the invariant auditor
+	// validates its passes against: every multi-step structural change to
+	// the dentry cache runs inside a cacheMutBegin/cacheMutEnd bracket, and
+	// the word counts the brackets' edges and those in flight. A pass that
+	// reads the same quiescent word on both edges observed no concurrent
 	// structural change. See introspect.go. (Audit-only fields sit at the
 	// struct tail, off the walk path's cache lines.)
-	cacheMutSeq    atomic.Uint64
-	cacheMutActive atomic.Int64
+	cacheMut atomic.Uint64
 
 	// chrootCount counts Chroot calls; while zero every task's root is the
 	// initial namespace root, which lets the auditor re-verify PCC prefix
@@ -396,6 +392,7 @@ func NewKernel(cfg Config, rootFS fsapi.FileSystem) *Kernel {
 	k := &Kernel{cfg: cfg, supers: make(map[fsapi.FileSystem]*Super)}
 	k.gate = slab.NewGate()
 	k.dentries = slab.New[Dentry](k.gate, slab.Options{})
+	k.dlhtNodes = slab.New[TableNode[sig.Signature]](k.gate, slab.Options{})
 	k.table = newHashTable(cfg.SyncMode, k)
 	k.lru.arena = k.dentries
 	k.lru.tel = &k.tel
@@ -412,13 +409,32 @@ func (k *Kernel) Config() Config { return k.cfg }
 
 // SetHooks installs the fastpath hooks. Must be called before any tasks
 // run: the first installation initializes the fast state of the one dentry
-// allocated without hooks, the root. A later call (a test putting a
-// delegating Hooks in front of the installed one) leaves it alone.
+// allocated without hooks, the root, and gives the initial namespace its
+// DLHT. A later call (a test putting a delegating Hooks in front of the
+// installed one) leaves both alone.
 func (k *Kernel) SetHooks(h Hooks) {
 	if k.hooks == nil && h != nil {
 		h.NewDentry(k.initNS.root.sb.root)
+		k.initNS.dlht = k.newDLHT()
 	}
 	k.hooks = h
+}
+
+// newDLHT creates a namespace's direct lookup hash table, which stops
+// growing at the 2^16 buckets its signatures' index can address.
+func (k *Kernel) newDLHT() *Table[sig.Signature] {
+	t := NewTable(k, k.dlhtNodes, 1<<sig.IndexBits)
+	k.dlhtMu.Lock()
+	k.dlhts = append(k.dlhts, t)
+	k.dlhtMu.Unlock()
+	return t
+}
+
+// DLHTs returns every namespace's DLHT, oldest first.
+func (k *Kernel) DLHTs() []*Table[sig.Signature] {
+	k.dlhtMu.Lock()
+	defer k.dlhtMu.Unlock()
+	return append([]*Table[sig.Signature](nil), k.dlhts...)
 }
 
 // Hooks returns the installed hooks (nil for baseline).
@@ -560,12 +576,12 @@ func (k *Kernel) reapSome() {
 // reclaimArenas returns grace-elapsed slots to the arenas' free-lists.
 // It only makes progress outside epoch sections: a caller's own section
 // pins the epoch clock one step short of the slots it just retired.
+// The DLHT nodes' budget is twice the others': inserts sweep dead nodes,
+// and doublings retire a whole table's, in bursts.
 func (k *Kernel) reclaimArenas() {
 	k.dentries.Reclaim(reapStride * reapBatch)
 	k.table.nodes.Reclaim(reapStride * reapBatch)
-	if k.hooks != nil {
-		k.hooks.OnReap()
-	}
+	k.dlhtNodes.Reclaim(2 * reapStride * reapBatch)
 }
 
 // leaveSection exits the epoch section a walk or create-type operation
@@ -583,11 +599,10 @@ func (k *Kernel) leaveSection(ep, evictions uint64) {
 }
 
 // sweepLimbo processes up to max deferred-teardown records: hash-table
-// chain unlink, hook reclamation (a residual DLHT entry), then the dentry
-// slot's retirement — fast state included — into the arena's
-// grace-period limbo. Records whose dentry has been re-pinned
-// (impossible for dead dentries today, but cheap to tolerate) or whose
-// slot already retired are skipped.
+// chain unlink, then the dentry slot's retirement — fast state included —
+// into the arena's grace-period limbo. Records whose dentry has been
+// re-pinned (impossible for dead dentries today, but cheap to tolerate)
+// or whose slot already retired are skipped.
 func (k *Kernel) sweepLimbo(max int) int {
 	n := 0
 	for n < max {
@@ -613,9 +628,6 @@ func (k *Kernel) sweepLimbo(max int) int {
 		if rec.inTable {
 			k.table.remove(rec.parentID, rec.name, d)
 		}
-		if k.hooks != nil {
-			k.hooks.OnReclaim(d)
-		}
 		k.dentries.Retire(rec.ref)
 	}
 	if n > 0 {
@@ -639,15 +651,12 @@ func (k *Kernel) ReclaimAll() {
 		k.gate.TryAdvance()
 		k.dentries.Reclaim(1 << 20)
 		k.table.nodes.Reclaim(1 << 20)
-		if k.hooks != nil {
-			k.hooks.OnReap()
-		}
+		k.dlhtNodes.Reclaim(1 << 20)
 	}
 }
 
-// Gate exposes the kernel's epoch gate so internal/core can drive its own
-// arena (DLHT nodes) off the same clock, and so out-of-band readers (the
-// auditor) can pin sections.
+// Gate exposes the kernel's epoch gate so out-of-band readers (the
+// auditor, introspection) can pin sections.
 func (k *Kernel) Gate() *slab.Gate { return k.gate }
 
 // DentryFromRef resolves a generation-tagged dentry reference, returning
@@ -667,6 +676,15 @@ func (k *Kernel) MemStats() (dentries, chainNodes slab.Stats, limbo int64, swept
 
 // TableStats reports the (parent, name) hash table's size and growth.
 func (k *Kernel) TableStats() TableStats { return k.table.Stats() }
+
+// DLHTMemStats reports the DLHT node arena and every DLHT's size and
+// growth, summed; both are zero on a kernel without hooks.
+func (k *Kernel) DLHTMemStats() (nodes slab.Stats, tables TableStats) {
+	for _, t := range k.DLHTs() {
+		tables.Add(t.Stats())
+	}
+	return k.dlhtNodes.Stats(), tables
+}
 
 // CheckSlabLiveness scans the references the cache holds into the dentry
 // arena — every cached dentry's child map, every hash-table chain — for

@@ -2,7 +2,8 @@ package vfs
 
 import (
 	"sync"
-	"sync/atomic"
+
+	"dircache/internal/sig"
 )
 
 // MountFlags carry the permission-relevant mount options the fastpath must
@@ -63,18 +64,18 @@ type mkey struct {
 	dentry      uint64
 }
 
-// Namespace is a mount namespace (§4.3): a private mount table, and —
-// through fastData — a private direct lookup hash table owned by the
-// installed Hooks.
+// Namespace is a mount namespace (§4.3): a private mount table and, once
+// hooks are installed, a private direct lookup hash table.
 type Namespace struct {
 	id uint64
+
+	// dlht is set once, before the namespace is reachable: by SetHooks for
+	// the initial namespace, by clone for the others.
+	dlht *Table[sig.Signature]
 
 	mu     sync.RWMutex
 	mounts map[mkey]*Mount
 	root   *Mount
-
-	// fastData holds the namespace-private DLHT installed by the hooks.
-	fastData atomic.Value // any
 }
 
 // ID returns the namespace identity.
@@ -87,20 +88,10 @@ func (ns *Namespace) RootMount() *Mount {
 	return ns.root
 }
 
-// FastLoad returns the hook-owned namespace-private state.
-func (ns *Namespace) FastLoad() any { return ns.fastData.Load() }
-
-// FastStoreIfAbsent installs v if no state is attached yet, returning the
-// attached state.
-func (ns *Namespace) FastStoreIfAbsent(v any) any {
-	if cur := ns.fastData.Load(); cur != nil {
-		return cur
-	}
-	if ns.fastData.CompareAndSwap(nil, v) {
-		return v
-	}
-	return ns.fastData.Load()
-}
+// DLHT returns the namespace's direct lookup hash table: full-path
+// signatures to dentries (§3.1, one per namespace §4.3), filled and
+// emptied by the installed hooks. Nil while no hooks are installed.
+func (ns *Namespace) DLHT() *Table[sig.Signature] { return ns.dlht }
 
 // MountAt returns the mount covering dentry d in mount m within this
 // namespace, or nil (exported for the fastpath hooks).
@@ -148,17 +139,22 @@ func (ns *Namespace) hasMountsUnder(m *Mount) bool {
 	return false
 }
 
-// clone duplicates the namespace's mount tree into a new namespace with
-// fresh Mount identities (what CLONE_NEWNS does). The dentry trees are
-// shared — exactly the aliasing situation §4.3's per-namespace DLHTs and
-// single-DLHT-membership rule address.
-func (ns *Namespace) clone(idGen func() uint64) *Namespace {
+// clone duplicates the namespace's mount tree into a new namespace of k
+// with fresh Mount identities (what CLONE_NEWNS does), and its own DLHT if
+// k has hooks. The dentry trees are shared — exactly the aliasing
+// situation §4.3's per-namespace DLHTs and single-DLHT-membership rule
+// address.
+func (ns *Namespace) clone(k *Kernel) *Namespace {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 
+	idGen := func() uint64 { return k.idGen.Add(1) }
 	out := &Namespace{
 		id:     idGen(),
 		mounts: make(map[mkey]*Mount, len(ns.mounts)),
+	}
+	if k.hooks != nil {
+		out.dlht = k.newDLHT()
 	}
 	// Map old mounts to their copies, walking parents first.
 	copies := make(map[*Mount]*Mount, len(ns.mounts)+1)

@@ -13,7 +13,8 @@ func (t *Task) Mount(fs fsapi.FileSystem, path string, flags MountFlags) (*Mount
 		return nil, fsapi.EPERM
 	}
 	k := t.k
-	ref, err := t.Walk(path, WalkDirectory)
+	defer k.leaveSection(k.gate.Enter(), k.lru.Epoch())
+	ref, err := t.walkInSection(PathRef{}, path, WalkDirectory)
 	if err != nil {
 		return nil, err
 	}
@@ -44,11 +45,12 @@ func (t *Task) BindMount(srcPath, dstPath string, flags MountFlags) (*Mount, err
 		return nil, fsapi.EPERM
 	}
 	k := t.k
-	src, err := t.Walk(srcPath, WalkDirectory)
+	defer k.leaveSection(k.gate.Enter(), k.lru.Epoch())
+	src, err := t.walkInSection(PathRef{}, srcPath, WalkDirectory)
 	if err != nil {
 		return nil, err
 	}
-	dst, err := t.Walk(dstPath, WalkDirectory)
+	dst, err := t.walkInSection(PathRef{}, dstPath, WalkDirectory)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +80,8 @@ func (t *Task) Unmount(path string) error {
 		return fsapi.EPERM
 	}
 	k := t.k
-	ref, err := t.Walk(path, WalkDirectory)
+	defer k.leaveSection(k.gate.Enter(), k.lru.Epoch())
+	ref, err := t.walkInSection(PathRef{}, path, WalkDirectory)
 	if err != nil {
 		return err
 	}

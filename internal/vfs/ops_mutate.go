@@ -142,8 +142,8 @@ func (k *Kernel) killSubtreeLocked(d *Dentry) int {
 // the enumeration or is refused by linkChildLocked. Only the coherence-
 // critical work happens here: the dead flag (lock-free readers discard),
 // parent detach (child maps are authoritative), LRU removal (capacity
-// accounting), and the OnEvict hook (seq bump for fastpath validity).
-// The expensive remainder — hash-chain unlink, DLHT residue, slab-slot
+// accounting), and the OnEvict hook (seq bump and DLHT removal).
+// The expensive remainder — hash-chain unlink and slab-slot
 // retirement — is deferred to the sweeper, which is what makes rm -r's
 // teardown O(1) per dentry on the operation's critical path.
 func (k *Kernel) killRecurse(d *Dentry) int {
@@ -249,6 +249,10 @@ func (t *Task) Mkdir(path string, mode fsapi.Mode) error {
 	if d := k.childDentryForCreate(parent.D, name); d != nil && !d.IsNegative() {
 		return fsapi.EEXIST
 	}
+	// The bracket opens before the backend call: from that call until the
+	// cache catches up, the file system is ahead of the cache.
+	k.cacheMutBegin()
+	defer k.cacheMutEnd()
 	info, err := parent.D.sb.fs.Mkdir(parent.D.Inode().ID(), name, mode, c.UID, c.GID)
 	if err != nil {
 		return err
@@ -278,6 +282,8 @@ func (t *Task) Symlink(target, path string) error {
 	if d := k.childDentryForCreate(parent.D, name); d != nil && !d.IsNegative() {
 		return fsapi.EEXIST
 	}
+	k.cacheMutBegin() // before the backend call, as in Mkdir
+	defer k.cacheMutEnd()
 	info, err := parent.D.sb.fs.Symlink(parent.D.Inode().ID(), name, target, c.UID, c.GID)
 	if err != nil {
 		return err
@@ -321,6 +327,8 @@ func (t *Task) Link(oldpath, newpath string) error {
 	if d := k.childDentryForCreate(parent.D, name); d != nil && !d.IsNegative() {
 		return fsapi.EEXIST
 	}
+	k.cacheMutBegin() // before the backend call, as in Mkdir
+	defer k.cacheMutEnd()
 	info, err := parent.D.sb.fs.Link(parent.D.Inode().ID(), name, oldIno.ID())
 	if err != nil {
 		return err
@@ -372,6 +380,8 @@ func (t *Task) unlink(path string) error {
 	}
 	unlock := k.lockBig()
 	defer unlock()
+	k.cacheMutBegin() // before the backend call, as in Mkdir
+	defer k.cacheMutEnd()
 	if err := parent.D.sb.fs.Unlink(parent.D.Inode().ID(), name); err != nil {
 		return err
 	}
@@ -420,6 +430,8 @@ func (t *Task) rmdir(path string) error {
 	}
 	unlock := k.lockBig()
 	defer unlock()
+	k.cacheMutBegin() // before the backend call, as in Mkdir
+	defer k.cacheMutEnd()
 	if err := parent.D.sb.fs.Rmdir(parent.D.Inode().ID(), name); err != nil {
 		return err
 	}
@@ -571,14 +583,14 @@ func (t *Task) rename(oldpath, newpath string) error {
 	k.renameWriteLock()
 	defer k.renameWriteUnlock()
 
+	k.cacheMutBegin() // before the backend call, as in Mkdir
+	defer k.cacheMutEnd()
 	if err := oldParent.D.sb.fs.Rename(oldParent.D.Inode().ID(), oldName,
 		newParent.D.Inode().ID(), newName); err != nil {
 		return err
 	}
 
 	// Cache side. Tear down the replaced target first.
-	k.cacheMutBegin()
-	defer k.cacheMutEnd()
 	if target != nil {
 		tIno := target.Inode()
 		target.setFlags(DDead) // before its children are enumerated: see killRecurse
@@ -601,18 +613,19 @@ func (t *Task) rename(oldpath, newpath string) error {
 		}
 	}
 
-	// A residual negative/unhydrated dentry at the destination name (not
-	// a live target — those were handled above) must die before the move,
-	// or it would shadow the moved dentry in the caches.
-	if resid := newParent.D.child(newName); resid != nil && resid != d {
-		k.killSubtreeLocked(resid)
-	}
-
 	// Move d: (oldParent, oldName) → (newParent, newName), d_move-style.
+	// Whatever else holds the destination name (not a live target — those
+	// were handled above — but a residual negative, a readdir stub, or a
+	// walk's in-lookup placeholder installed while this rename ran) is
+	// displaced by the attach and dies before the insert, or it would
+	// shadow the moved dentry in the caches.
 	k.table.remove(oldParent.D.id, oldName, d)
 	oldParent.D.detachChild(oldName, d)
 	d.pn.Store(&parentName{parent: newParent.D, name: newName})
-	if newParent.D.attachChild(d) {
+	if resid, ok := newParent.D.attachChild(d); ok {
+		if resid != nil {
+			k.killSubtreeLocked(resid)
+		}
 		k.table.insert(newParent.D.id, newName, d)
 	} else {
 		// The destination directory's dentry died under the rename: the
@@ -711,8 +724,10 @@ func (t *Task) openAtOnce(at PathRef, path string, flags OpenFlag, mode fsapi.Mo
 				unlock()
 				return nil, err
 			}
+			k.cacheMutBegin() // before the backend call, as in Mkdir
 			info, err := parent.D.sb.fs.Create(parent.D.Inode().ID(), name, mode, c.UID, c.GID)
 			if err != nil {
+				k.cacheMutEnd()
 				unlock()
 				if errors.Is(err, fsapi.EEXIST) && flags&O_EXCL == 0 {
 					// Lost a create race benignly; reopen.
@@ -722,6 +737,7 @@ func (t *Task) openAtOnce(at PathRef, path string, flags OpenFlag, mode fsapi.Mo
 			}
 			d = k.installNewChild(parent, name, info)
 			k.refreshInode(parent.D)
+			k.cacheMutEnd()
 			unlock()
 			if d == nil {
 				// The directory's dentry died under the create; reach

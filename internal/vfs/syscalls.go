@@ -36,64 +36,61 @@ func (k *Kernel) lockBig() func() {
 
 // Stat resolves path (following symlinks) and returns its metadata.
 func (t *Task) Stat(path string) (fsapi.NodeInfo, error) {
-	ref, err := t.Walk(path, 0)
-	if err != nil {
-		return fsapi.NodeInfo{}, err
-	}
-	ino := ref.D.Inode()
-	if ino == nil {
-		return fsapi.NodeInfo{}, fsapi.ENOENT
-	}
-	return ino.Info(), nil
+	return t.statFrom(PathRef{}, path, 0)
 }
 
 // Lstat is Stat without following a final symlink.
 func (t *Task) Lstat(path string) (fsapi.NodeInfo, error) {
-	ref, err := t.Walk(path, WalkNoFollow)
-	if err != nil {
-		return fsapi.NodeInfo{}, err
-	}
-	ino := ref.D.Inode()
-	if ino == nil {
-		return fsapi.NodeInfo{}, fsapi.ENOENT
-	}
-	return ino.Info(), nil
+	return t.statFrom(PathRef{}, path, WalkNoFollow)
 }
 
 // StatAt resolves path relative to the directory handle dirf (fstatat).
-// A nil dirf or an absolute path behaves like Stat.
+// A nil dirf or an absolute path behaves like Stat. The handle's dentry
+// stays pinned by the open file for the duration.
 func (t *Task) StatAt(dirf *File, path string, followLinks bool) (fsapi.NodeInfo, error) {
 	var fl WalkFlags
 	if !followLinks {
 		fl = WalkNoFollow
 	}
-	ref, err := t.walkAt(dirf, path, fl)
-	if err != nil {
-		return fsapi.NodeInfo{}, err
-	}
-	ino := ref.D.Inode()
-	if ino == nil {
-		return fsapi.NodeInfo{}, fsapi.ENOENT
-	}
-	return ino.Info(), nil
-}
-
-// walkAt resolves path relative to an open directory handle, mirroring
-// the *at() syscall family. The handle's dentry stays pinned by the open
-// file for the duration.
-func (t *Task) walkAt(dirf *File, path string, fl WalkFlags) (PathRef, error) {
 	if dirf == nil || (len(path) > 0 && path[0] == '/') {
-		return t.Walk(path, fl)
+		return t.statFrom(PathRef{}, path, fl)
 	}
 	if !dirf.ref.D.IsDir() {
-		return PathRef{}, fsapi.ENOTDIR
+		return fsapi.NodeInfo{}, fsapi.ENOTDIR
 	}
-	return t.WalkFrom(dirf.ref, path, fl)
+	return t.statFrom(dirf.ref, path, fl)
 }
+
+// statFrom walks path from at, as WalkFrom does, and reads the result's
+// metadata inside the walk's own epoch section. Once the section closes,
+// an eviction can retire the walked dentry's slot and a later tenant
+// reuse it, so a stat that read the inode afterwards could read a dead
+// dentry's nil inode and answer ENOENT for a file that exists.
+func (t *Task) statFrom(at PathRef, path string, fl WalkFlags) (fsapi.NodeInfo, error) {
+	k := t.k
+	ep := k.gate.Enter()
+	evictions := k.lru.Epoch()
+	var info fsapi.NodeInfo
+	ref, err := t.walkInSection(at, path, fl)
+	if err == nil {
+		if ino := ref.D.Inode(); ino != nil {
+			info = ino.Info()
+		} else {
+			err = fsapi.ENOENT
+		}
+	}
+	k.leaveSection(ep, evictions)
+	return info, err
+}
+
+// The operations below use what their walk returned after it returns, so
+// each runs inside one epoch section of its own (as the mutations do):
+// the walked dentry's slot cannot get a new tenant before they finish.
 
 // Access checks whether the task may access path with the given mask.
 func (t *Task) Access(path string, mask lsm.Mask) error {
-	ref, err := t.Walk(path, 0)
+	defer t.k.leaveSection(t.k.gate.Enter(), t.k.lru.Epoch())
+	ref, err := t.walkInSection(PathRef{}, path, 0)
 	if err != nil {
 		return err
 	}
@@ -106,7 +103,8 @@ func (t *Task) Access(path string, mask lsm.Mask) error {
 
 // Readlink returns the target of a symlink.
 func (t *Task) Readlink(path string) (string, error) {
-	ref, err := t.Walk(path, WalkNoFollow)
+	defer t.k.leaveSection(t.k.gate.Enter(), t.k.lru.Epoch())
+	ref, err := t.walkInSection(PathRef{}, path, WalkNoFollow)
 	if err != nil {
 		return "", err
 	}
@@ -124,7 +122,8 @@ func (t *Task) Readlink(path string) (string, error) {
 // cached prefix checks below the directory (§3.2) — the deliberately
 // expensive case Figure 7 measures.
 func (t *Task) Chmod(path string, mode fsapi.Mode) error {
-	ref, err := t.Walk(path, 0)
+	defer t.k.leaveSection(t.k.gate.Enter(), t.k.lru.Epoch())
+	ref, err := t.walkInSection(PathRef{}, path, 0)
 	if err != nil {
 		return err
 	}
@@ -160,7 +159,8 @@ func (t *Task) Chmod(path string, mode fsapi.Mode) error {
 // Chown updates ownership; like chmod on directories it invalidates
 // descendant prefix checks.
 func (t *Task) Chown(path string, uid, gid uint32) error {
-	ref, err := t.Walk(path, 0)
+	defer t.k.leaveSection(t.k.gate.Enter(), t.k.lru.Epoch())
+	ref, err := t.walkInSection(PathRef{}, path, 0)
 	if err != nil {
 		return err
 	}
@@ -195,7 +195,8 @@ func (t *Task) Chown(path string, uid, gid uint32) error {
 
 // Truncate sets a regular file's size.
 func (t *Task) Truncate(path string, size int64) error {
-	ref, err := t.Walk(path, 0)
+	defer t.k.leaveSection(t.k.gate.Enter(), t.k.lru.Epoch())
+	ref, err := t.walkInSection(PathRef{}, path, 0)
 	if err != nil {
 		return err
 	}
@@ -224,7 +225,8 @@ func (t *Task) SetLabel(path, label string) error {
 	if !t.Cred().IsRoot() {
 		return fsapi.EPERM
 	}
-	ref, err := t.Walk(path, 0)
+	defer t.k.leaveSection(t.k.gate.Enter(), t.k.lru.Epoch())
+	ref, err := t.walkInSection(PathRef{}, path, 0)
 	if err != nil {
 		return err
 	}
@@ -242,7 +244,8 @@ func (t *Task) SetLabel(path, label string) error {
 
 // Chdir moves the task's working directory.
 func (t *Task) Chdir(path string) error {
-	ref, err := t.Walk(path, WalkDirectory)
+	defer t.k.leaveSection(t.k.gate.Enter(), t.k.lru.Epoch())
+	ref, err := t.walkInSection(PathRef{}, path, WalkDirectory)
 	if err != nil {
 		return err
 	}
@@ -258,7 +261,8 @@ func (t *Task) Chroot(path string) error {
 	if !t.Cred().IsRoot() {
 		return fsapi.EPERM
 	}
-	ref, err := t.Walk(path, WalkDirectory)
+	defer t.k.leaveSection(t.k.gate.Enter(), t.k.lru.Epoch())
+	ref, err := t.walkInSection(PathRef{}, path, WalkDirectory)
 	if err != nil {
 		return err
 	}

@@ -36,17 +36,17 @@ type tbucket struct {
 // Chains are prepend-on-insert, readers are lock-free inside an epoch
 // section, and dead or unresolvable entries are skipped, not terminal:
 // teardown is lazy, so a dead node stays chained until the next insert
-// into its bucket, or the limbo sweeper's Remove, takes it out.
+// into its bucket or the next doubling drops it, or a Remove takes it out.
 //
 // A table is sized by what it holds (DESIGN §5c has the reasoning and the
 // measurements): it starts at tableMinBuckets and doubles whenever the
 // nodes linked into it outnumber its buckets, up to its ceiling if it has
 // one, so below the ceiling the mean chain is at most one node; it never
 // shrinks. One resizer at a time (growMu) locks every bucket of the
-// current array, copies each chain into an array of twice the size using
-// fresh nodes — old bucket i splits into new buckets i and i+len, in chain
-// order — publishes it with one store, unlocks, and retires the old nodes
-// through the arena's epoch gate. Writers re-check the array pointer after
+// current array, copies each chain's live nodes into an array of twice the
+// size using fresh nodes — old bucket i splits into new buckets i and
+// i+len, in chain order — publishes it with one store, unlocks, and retires
+// the old nodes through the arena's epoch gate. Writers re-check the array pointer after
 // locking a bucket and start over if it moved, so nothing is ever linked
 // into or unlinked from a superseded array: a lock-free reader that loaded
 // the old pointer probes chains frozen exactly as they were copied, intact
@@ -64,6 +64,7 @@ type Table[K comparable] struct {
 	growMu  sync.Mutex
 	entries atomic.Int64 // chain nodes linked, dead leftovers included
 	resizes atomic.Uint64
+	sweeps  atomic.Uint64 // dead nodes inserts swept and doublings dropped
 }
 
 // tableMinBuckets is the size of a new table: 12 KB, a thousand entries
@@ -136,6 +137,9 @@ func (t *Table[K]) Insert(hash uint64, key K, d *Dentry) (swept int) {
 	n.next.Store(b.head.Load())
 	b.head.Store(uint32(r.H))
 	b.mu.Unlock()
+	if swept > 0 {
+		t.sweeps.Add(uint64(swept))
+	}
 	if t.overfull(t.entries.Add(int64(1-swept)), len(*t.buckets.Load())) {
 		t.grow()
 	}
@@ -207,7 +211,9 @@ func (t *Table[K]) overfull(entries int64, buckets int) bool {
 
 // grow doubles the table if it is still over its load factor and under
 // its ceiling (the protocol is on Table). The copy is O(entries) once per
-// doubling, so Insert stays amortized O(1).
+// doubling, so Insert stays amortized O(1). A node whose dentry is dead or
+// whose slot was retired is not copied: every bucket is locked, so this is
+// the one moment the whole table can be swept at once.
 func (t *Table[K]) grow() {
 	t.growMu.Lock()
 	defer t.growMu.Unlock()
@@ -222,10 +228,14 @@ func (t *Table[K]) grow() {
 	// Old bucket i feeds new buckets i and i+len(old), selected by the hash
 	// bit the wider mask adds; each is appended to in chain order.
 	var tails [2]*atomic.Uint32
-	cur := -1
+	cur, dropped := -1, 0
 	t.scan(old, func(i int, _ slab.Handle, o *TableNode[K]) bool {
 		if i != cur {
 			cur, tails = i, [2]*atomic.Uint32{&next[i].head, &next[i+len(old)].head}
+		}
+		if t.live(o.dref) == nil {
+			dropped++
+			return true
 		}
 		r, n := t.nodes.Alloc()
 		n.key, n.dref, n.hash = o.key, o.dref, o.hash
@@ -240,6 +250,8 @@ func (t *Table[K]) grow() {
 	})
 	t.buckets.Store(&next)
 	t.resizes.Add(1)
+	t.entries.Add(int64(-dropped))
+	t.sweeps.Add(uint64(dropped))
 	for i := range old {
 		old[i].mu.Unlock()
 	}
@@ -258,6 +270,7 @@ type TableStats struct {
 	Buckets int64  `json:"buckets"`
 	Entries int64  `json:"entries"`
 	Resizes uint64 `json:"resizes"` // doublings so far; a table never shrinks
+	Sweeps  uint64 `json:"sweeps"`  // dead nodes swept by inserts or dropped by doublings
 	Bytes   int64  `json:"bytes"`   // the bucket array alone
 }
 
@@ -268,6 +281,7 @@ func (t *Table[K]) Stats() TableStats {
 		Buckets: n,
 		Entries: t.entries.Load(),
 		Resizes: t.resizes.Load(),
+		Sweeps:  t.sweeps.Load(),
 		Bytes:   n * int64(unsafe.Sizeof(tbucket{})),
 	}
 }
@@ -277,6 +291,7 @@ func (s *TableStats) Add(o TableStats) {
 	s.Buckets += o.Buckets
 	s.Entries += o.Entries
 	s.Resizes += o.Resizes
+	s.Sweeps += o.Sweeps
 	s.Bytes += o.Bytes
 }
 

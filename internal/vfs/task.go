@@ -205,7 +205,7 @@ func (t *Task) setRoot(p PathRef) {
 func (t *Task) UnshareNamespace() *Namespace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ns := t.nsp.Load().clone(func() uint64 { return t.k.idGen.Add(1) })
+	ns := t.nsp.Load().clone(t.k)
 	t.nsp.Store(ns)
 	t.k.aliasEpoch.Add(1)
 	// root/cwd keep pointing at the same dentries; remap their mounts to

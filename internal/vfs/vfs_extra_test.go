@@ -3,6 +3,7 @@ package vfs
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"dircache/internal/cred"
@@ -10,6 +11,17 @@ import (
 	"dircache/internal/lsm"
 	"dircache/internal/memfs"
 )
+
+// TestHooksHasTenMethods pins the fastpath seam: initialize a dentry's
+// fast state, find, populate (three calls), alias, the mutation bracket's
+// two edges, evict and recycle. What the fastpath keeps beside the
+// dentries — each namespace's DLHT and its node arena — is the kernel's,
+// and needs no hook to be reaped.
+func TestHooksHasTenMethods(t *testing.T) {
+	if n := reflect.TypeOf((*Hooks)(nil)).Elem().NumMethod(); n != 10 {
+		t.Fatalf("vfs.Hooks has %d methods, want 10", n)
+	}
+}
 
 func TestAccessMasks(t *testing.T) {
 	k, root := newKernel(t, Config{})
@@ -414,6 +426,35 @@ func TestPathToDiagnostics(t *testing.T) {
 	}
 }
 
+// TestAttachDisplacesIncumbent: attachChild looks at the name and links
+// under one hold of the parent's lock and hands back the live dentry it
+// displaced, so rename can kill a walk's in-lookup placeholder installed
+// after its other checks. A placeholder overwritten unseen went on to
+// resolve into the LRU and the hash table as a second dentry for the name.
+func TestAttachDisplacesIncumbent(t *testing.T) {
+	k, root := newKernel(t, Config{})
+	etc, err := root.Walk("/etc", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := etc.D
+	placeholder := k.newDentry(parent.sb, parent, "x")
+	placeholder.setFlags(DInLookup)
+	parent.mu.Lock()
+	parent.linkChildLocked("x", placeholder)
+	parent.mu.Unlock()
+	moved := k.allocDentry(parent.sb, parent, "x", nil)
+	if prev, ok := parent.attachChild(moved); !ok || prev != placeholder {
+		t.Fatalf("attachChild returned (%v, %v), want the placeholder it displaced", prev, ok)
+	}
+	if parent.child("x") != moved {
+		t.Fatal("the moved dentry does not hold the name")
+	}
+	if prev, ok := parent.attachChild(moved); !ok || prev != nil {
+		t.Fatalf("re-attaching the holder returned (%v, %v), want nothing displaced", prev, ok)
+	}
+}
+
 // TestNoInsertUnderDeadParent: a walker that found a negative dentry can
 // reach the insert after a rename has killed that negative (the IsDead
 // pre-checks in AddSpecialNegative and the walk are not under parent.mu).
@@ -445,7 +486,7 @@ func TestNoInsertUnderDeadParent(t *testing.T) {
 		}
 		k.installUnhydrated(parent, fsapi.DirEntry{Name: "c", ID: 1, Type: fsapi.TypeRegular})
 		moved := k.allocDentry(parent.sb, parent, "d", nil)
-		if parent.attachChild(moved) {
+		if _, ok := parent.attachChild(moved); ok {
 			t.Error("attachChild accepted a dead parent")
 		}
 		k.discardDentry(moved)

@@ -68,7 +68,7 @@ type CacheStats struct {
 	// Coherence internals (zero when DirectLookup is off).
 	SeqBumps    int64 // per-dentry version bumps (mutation roots + lazily discarded descendants)
 	StaleTokens int64 // cache publishes declined due to racing mutations
-	DLHTSweeps  int64 // dead hash table nodes lazily reclaimed by inserts
+	DLHTSweeps  int64 // dead DLHT nodes dropped by inserts and doublings
 	PCCFlushes  int64 // whole-PCC invalidations (seq wraparound)
 	PCCResizes  int64 // PCC generation growths
 
@@ -243,11 +243,9 @@ func (s *System) MemStats() MemStats {
 		LimboQueue: limbo,
 		Swept:      swept,
 	}
-	if s.core != nil {
-		nodes, dlht := s.core.MemStats()
-		out.DLHTNodes = arenaStats(nodes)
-		out.DLHT = dlht
-	}
+	nodes, dlht := s.k.DLHTMemStats()
+	out.DLHTNodes = arenaStats(nodes)
+	out.DLHT = dlht
 	return out
 }
 

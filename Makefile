@@ -27,7 +27,7 @@ help:
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
 	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
-	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop retires no DLHT node, a System with 1000 files holds <= 1.5 MB of table and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
+	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, a rename round trip + stat below it at the round trip's allocations with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop retires no DLHT node, a System with 1000 files holds <= 1.5 MB of table and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
 	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable) and FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors)"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch; then the tier's three benchmarks once each"
@@ -110,14 +110,17 @@ bench-hotpath:
 # the inline cursor holds allocates nothing either, nor does publishing a
 # dentry's own state, so a chmod and the first stat behind its range mark
 # allocate 1 between them (SetAttr's *Mode, the cache-less kernel's too)
-# and never slow-walk; BenchmarkChmodSubtree runs once per row so that pin
+# and never slow-walk, and a rename of a directory away and back then a
+# stat below it allocates no more than the two renames alone and never
+# slow-walks either (the entry re-derives its key and stays);
+# BenchmarkChmodSubtree runs once per row so that pin
 # holds at every subtree size, baseline and optimized. The last step reads
 # the compiler's own verdict: in the fastpath's files a defer must be
 # open-coded (TryFast once paid for a stack-allocated one) and nothing
 # may move to the heap (a cursor that escapes costs an allocation per
 # walk that no test of a warm path would otherwise name).
 memscale-smoke:
-	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestEvictingCreatesReclaimSlab|TestChmodLoopReclaimsDLHTNodes|TestFreshSystemFootprint' -count=1 .
+	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestRenameRoundTripThenStat|TestEvictingCreatesReclaimSlab|TestChmodLoopReclaimsDLHTNodes|TestFreshSystemFootprint' -count=1 .
 	$(GO) test -run 'TestLexicalHashZeroAlloc' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelWalk/optimized/goroutines-1$$' -benchtime 2000x -benchmem . | \
 		tee /dev/stderr | awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad=1 } END { exit bad }'

@@ -121,6 +121,61 @@ func TestChmodThenStatAllocs(t *testing.T) {
 	}
 }
 
+// TestRenameRoundTripThenStat pins what a rename that puts a directory
+// back costs a read below it. {Rename /srv/www away and back, Stat one file
+// under it} never leaves the fastpath: the file's entry is under the
+// rename's range mark, and the first probe re-derives its key from where
+// it is now — the same path, so the entry stays, the seq bump makes the
+// PCC miss, and the prefix is re-checked in place. Discarding the entry
+// instead cost a slow walk, a DLHT miss and a population per pair. The
+// stat allocates nothing of its own: the pair allocates what the round
+// trip alone does.
+func TestRenameRoundTripThenStat(t *testing.T) {
+	cfg := dircache.Optimized()
+	cfg.SignatureSeed = 1
+	sys := dircache.New(cfg)
+	p := sys.Start(dircache.RootCreds())
+	if err := p.MkdirAll("/srv/www", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := p.WriteFile(fmt.Sprintf("/srv/www/f%02d", i), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip := func() {
+		if err := p.Rename("/srv/www", "/srv/www.mv"); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Rename("/srv/www.mv", "/srv/www"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair := func() {
+		roundTrip()
+		if _, err := p.Stat("/srv/www/f07"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		pair()
+	}
+	alone := testing.AllocsPerRun(500, roundTrip)
+	before := sys.Stats()
+	avg := testing.AllocsPerRun(500, pair)
+	d := sys.Stats().Delta(before)
+	if d.KeptUnmoved < 500 || d.PrefixRechecks < 500 {
+		t.Fatalf("%d entries kept and %d prefix re-checks in 500 pairs: the round trip revoked nothing, the pin measures a warm path", d.KeptUnmoved, d.PrefixRechecks)
+	}
+	if d.SlowWalks != 0 || d.DLHTMisses != 0 || d.Populations != 0 {
+		t.Fatalf("%d slow walks, %d DLHT misses and %d populations in 500 pairs, want 0: a rename that restores the path keeps the entries below it",
+			d.SlowWalks, d.DLHTMisses, d.Populations)
+	}
+	if avg > alone {
+		t.Fatalf("round trip + stat allocates %.2f per pair, the round trip alone %.2f: the stat behind the mark allocates", avg, alone)
+	}
+}
+
 // TestEvictingReadsReclaimSlab: a read-only workload larger than the cache
 // evicts on every miss but has no mutation tail to pace reclamation, so
 // the walk itself must return retired slots once it leaves its epoch

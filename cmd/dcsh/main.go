@@ -282,6 +282,7 @@ other:  help  exit
 		fmt.Printf("readdir       %d cached / %d from FS\n", st.ReaddirCached, st.ReaddirFS)
 		fmt.Printf("miss storms   %d coalesced (%d waited)\n", st.MissCoalesced, st.InLookupWaits)
 		fmt.Printf("invalidations %d, populations %d\n", st.Invalidations, st.Populations)
+		fmt.Printf("range marks   %d, discharged lazily %d (%d structural kept: path unmoved)\n", st.BatchShootdowns, st.LazyShootdowns, st.KeptUnmoved)
 		fmt.Printf("path hash     %d bytes hashed\n", st.HashedBytes)
 		m := sys.MemStats()
 		live := m.Dentries.Live + m.ChainNodes.Live + m.DLHTNodes.Live

@@ -38,6 +38,20 @@ func Coherence(sc Scale) (*Report, error) {
 		}
 	}
 
+	// /src/churn starts out published, and walker 0 keeps statting it, so
+	// the mutator's first Unlink removes a table entry whatever the
+	// schedule. The round trips of /src/a need not remove any: they put
+	// every path below it back, and a structural mark keeps the entries
+	// whose path still names them.
+	if err := p.WriteFile("/src/churn", []byte("x"), 0o644); err != nil {
+		return nil, err
+	}
+	for i := 0; i < 2; i++ { // past admission control
+		if _, err := p.Stat("/src/churn"); err != nil {
+			return nil, err
+		}
+	}
+
 	// The storm: walkers hammer stable and churning paths while a mutator
 	// renames a subtree back and forth, flips permissions, and
 	// creates/unlinks — every mutation kind the journal records. The run
@@ -56,6 +70,9 @@ func Coherence(sc Scale) (*Report, error) {
 				"/src/a/b/c",
 				fmt.Sprintf("/src/d%d/f%d", w%width, w%width),
 				"/src/enoent",
+			}
+			if w == 0 {
+				paths = append(paths, "/src/churn")
 			}
 			for i := 0; ; i++ {
 				select {

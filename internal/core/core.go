@@ -67,7 +67,8 @@ type Stats struct {
 	Admitted        int64 // populations allowed on a dentry's Nth touch
 	Deferred        int64 // populations declined pending more touches
 	BatchShootdowns int64 // subtree invalidations taken as one range mark
-	LazyShootdowns  int64 // stale entries discarded lazily by probes/sweeps
+	LazyShootdowns  int64 // range marks discharged lazily on a descendant by probes/sweeps
+	KeptUnmoved     int64 // structural discharges that kept the entry: its path still names it
 
 	HashedBytes int64 // bytes fed to the path hash (all paths)
 }
@@ -86,7 +87,7 @@ type statsCell struct {
 	deepNegCreated, seqBumps atomic.Int64
 
 	admitted, deferred,
-	batchShootdowns, lazyShootdowns atomic.Int64
+	batchShootdowns, lazyShootdowns, keptUnmoved atomic.Int64
 }
 
 // fastDentry is the per-dentry fastpath state — the paper's struct
@@ -164,6 +165,13 @@ type Core struct {
 	// mismatch, climb its ancestors for a newer mark (Core.fresh).
 	shootGen atomic.Uint64
 
+	// topoGen is the generation of the newest range mark a mount or
+	// unmount stamped. A dentry validated before it may sit below a
+	// mountpoint that now covers it, or in a tree that was unmounted, and
+	// its parent chain cannot tell: fresh discards it rather than
+	// re-derive its key (keepUnmoved).
+	topoGen atomic.Uint64
+
 	// admitAfter caches Config.AdmitAfter with the default applied.
 	admitAfter int
 
@@ -238,6 +246,7 @@ func (c *Core) Stats() Stats {
 		Deferred:        c.stats.deferred.Load(),
 		BatchShootdowns: c.stats.batchShootdowns.Load(),
 		LazyShootdowns:  c.stats.lazyShootdowns.Load(),
+		KeptUnmoved:     c.stats.keptUnmoved.Load(),
 
 		HashedBytes: c.stats.hashedBytes.Load(),
 	}
@@ -395,8 +404,10 @@ func (c *Core) Coherence() *coherence.Log {
 // cached children it becomes the root of a range shootdown of that class —
 // one generation bump and d's ShootMark — and every descendant is
 // discharged by fresh() on its first probe, O(1) here instead of
-// O(subtree). That is sound because nothing consults a descendant's PCC
-// entry, or advances its ValidGen, without calling fresh() on it first.
+// O(subtree); a structural discharge keeps the entries whose path still
+// names them when the probe comes. That is sound because nothing consults
+// a descendant's PCC entry, or advances its ValidGen, without calling
+// fresh() on it first.
 func (c *Core) shoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemetry) {
 	fd := fast(d)
 	kids, perm := d.ChildCount(), why.PermOnly()
@@ -413,6 +424,10 @@ func (c *Core) shoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemet
 		return
 	}
 	gen := c.shootGen.Add(1)
+	if why == vfs.InvalMount {
+		for old := c.topoGen.Load(); old < gen && !c.topoGen.CompareAndSwap(old, gen); old = c.topoGen.Load() {
+		}
+	}
 	c.stats.batchShootdowns.Add(1)
 	fd.stampMark(gen, !perm)
 	if tel != nil {
@@ -517,12 +532,16 @@ func (c *Core) dropEntry(d *vfs.Dentry, fd *fastDentry, why telemetry.Note) {
 // structural range shootdown covering it. The hot path is one
 // load-and-compare; only a generation mismatch climbs the ancestor chain
 // for a mark newer than d's ValidGen. A covered dentry gets here the
-// per-dentry work the shootdown deferred. Under a structural mark that is
-// the seq bump (staling its PCC entries) and the table entry and state
-// dropped, and fresh returns false so the caller falls back to the slow
-// walk. Under permission marks only, the bump is all of it: the path still
-// names d, fresh returns true, and the caller's PCC probe — which must
-// read the seq after this call — misses and re-checks the prefix.
+// per-dentry work the shootdown deferred, and the seq bump (staling its
+// PCC entries) is always part of it. Under permission marks only, the bump
+// is all of it: the path still names d, fresh returns true, and the
+// caller's PCC probe — which must read the seq after this call — misses
+// and re-checks the prefix. Under a structural mark the path may no longer
+// name d, so fresh re-derives d's key from where d is now (keepUnmoved):
+// a rename that put the directory back, or moved a sibling, leaves the key
+// as it was, and the entry is kept exactly as a permission mark keeps it.
+// Otherwise the table entry and state are dropped, and fresh returns false
+// so the caller falls back to the slow walk.
 //
 // Either way ValidGen then advances to the generation read *before* the
 // climb, and only if the invalidation epoch was quiescent and unchanged
@@ -545,17 +564,63 @@ func (c *Core) fresh(d *vfs.Dentry) bool {
 	at, structural := c.markedAbove(d, vg)
 	if at != nil {
 		c.stats.lazyShootdowns.Add(1)
-		if structural {
+		switch {
+		case !structural:
+			c.bumpPublished(fd)
+		case c.keepUnmoved(d, vg, e1):
+			c.stats.keptUnmoved.Add(1)
+			structural = false
+		default:
 			c.bumpSeq(fd)
 			c.unpublish(d, telemetry.NoteLazyShootdown)
-		} else {
-			c.bumpPublished(fd)
 		}
 	}
 	if quiescent(e1) && c.epoch.Load() == e1 {
 		fd.ValidGen.Store(gen)
 	}
 	return !structural
+}
+
+// keepUnmoved discharges a structural mark over d without dropping d's
+// table entry when d's canonical path, as the tree spells it now, still
+// hashes to the entry's key: its parent's path state (pathState, which
+// discharges the parent first) extended by d's name. The key is compared
+// under Mu with the epoch read before fresh's climb re-checked, as publish
+// re-checks its token, so no rename began or ended while the path was
+// read; a match bumps the seq as bumpPublished does. Anything the parent
+// chain cannot vouch for discards: a dentry validated before the newest
+// mount or unmount mark (topoGen), a dead, alias or symlink dentry, a mount
+// root, and every dentry while bind mounts or cloned namespaces exist —
+// recheckPrefix's exclusions — and so does an epoch with a mutation in
+// flight. A dentry with no entry discards too: its state is all there is
+// to keep, and pathState recomputes it from the parent state computed
+// here.
+func (c *Core) keepUnmoved(d *vfs.Dentry, vg, e1 uint64) bool {
+	fd := fast(d)
+	mnt := fd.MntP.Load()
+	if !quiescent(e1) || c.topoGen.Load() > vg || mnt == nil || d == mnt.Root() ||
+		d.IsDead() || d.Flags()&vfs.DAlias != 0 || d.IsSymlink() || c.k.AliasingEpoch() != 0 {
+		return false
+	}
+	p, name := d.Parent(), d.Name()
+	if p == nil {
+		return false
+	}
+	var st sig.State
+	if !c.pathState(vfs.PathRef{Mnt: mnt, D: p}, &st, true) || !st.Fits(len(name)+1) {
+		return false
+	}
+	st.AppendComponent(name)
+	c.stats.hashedBytes.Add(int64(len(name) + 1))
+	idx, sg := st.Sum()
+	fd.Mu.Lock()
+	defer fd.Mu.Unlock()
+	if fd.InTable == nil || fd.Idx != idx || fd.Sg != sg || c.epoch.Load() != e1 {
+		return false
+	}
+	c.bumpSeq(fd)
+	fd.PubSeq = fd.Seq.Load()
+	return true
 }
 
 // markedAbove climbs d's ancestors for range marks newer than generation

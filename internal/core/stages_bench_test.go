@@ -12,7 +12,8 @@ import (
 // (DESIGN §5h's budget; `make bench-hotpath` runs it beside the
 // end-to-end BenchmarkStatDepth): the scan-and-hash loop at the four
 // depths of the sweep, then the stages whose cost does not depend on
-// depth — the DLHT probe, the freshness check, the PCC probe, the walk's
+// depth — the DLHT probe, the freshness check, the check that the entry
+// still carries the probed key, the PCC probe, the walk's
 // epoch section, and one striped-counter update (a hit performs six).
 func BenchmarkFastpathStages(b *testing.B) {
 	_, c, root := auditFixture(b)
@@ -69,6 +70,14 @@ func BenchmarkFastpathStages(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if !c.fresh(d) {
 				b.Fatal("stale")
+			}
+		}
+	})
+	b.Run("keyed", func(b *testing.B) {
+		st := c.key.NewState().AppendString(path)
+		for i := 0; i < b.N; i++ {
+			if !c.keyed(d, &st) {
+				b.Fatal("entry re-keyed")
 			}
 		}
 	})

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -234,5 +236,168 @@ func TestDLHTResizeVsTryFast(t *testing.T) {
 	r := audit.New(k, c).RunUntilValid(10)
 	if !r.Valid || r.Violations() != 0 || r.Checked["dlht_placement"] < dirs*perDir {
 		t.Fatalf("audit after the storm: %s", r.Summary())
+	}
+}
+
+// renameStormState is the tree TestStressWalkVsRenameRoundTrip's walkers
+// judge a stable phase against: the directory holding x, sub/y and
+// nothing else, where it is, whether it is 0700, and whether /a is
+// covered by a mount holding only the directory x.
+type renameStormState struct {
+	at      string // "/a", "/a.mv" or "/b"
+	locked  bool
+	mounted bool
+}
+
+// want is what a stat of path answers in state s: the errno, and whether
+// the node is a directory.
+func (s *renameStormState) want(path string, user bool) (fsapi.Errno, bool) {
+	dir, rest, _ := strings.Cut(path[1:], "/")
+	if "/"+dir != s.at {
+		return fsapi.ENOENT, false
+	}
+	if s.mounted {
+		if rest == "x" {
+			return 0, true
+		}
+		return fsapi.ENOENT, false
+	}
+	if s.locked && user {
+		return fsapi.EACCES, false
+	}
+	switch rest {
+	case "x", "sub/y":
+		return 0, false
+	case "sub":
+		return 0, true
+	}
+	return fsapi.ENOENT, false
+}
+
+// TestStressWalkVsRenameRoundTrip races walkers below /a against a mutator
+// that renames /a away and back (round trips, with walks in the window or
+// not), moves it to /b for a while, chmods it 0700 and back, and once
+// mounts a file system over it. A structural mark there re-derives its
+// descendants' keys and keeps what a round trip did not move; a phase
+// counter moves before and after every mutation, and a walk that read the
+// same stable phase on both sides is judged against the tree of that
+// phase, for root and for an unprivileged user. At quiescence the auditor
+// must be clean.
+func TestStressWalkVsRenameRoundTrip(t *testing.T) {
+	k := vfs.NewKernel(vfs.Config{DirCompleteness: true, AggressiveNegatives: true}, memfs.New(memfs.Options{}))
+	c := Install(k, Config{Seed: 37, DeepNegatives: true})
+	root := k.NewTask(cred.Root())
+	for _, d := range []string{"/a", "/a/sub"} {
+		if err := root.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []string{"/a/x", "/a/sub/y"} {
+		if err := root.Create(f, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	over := memfs.New(memfs.Options{})
+	if _, err := over.Mkdir(over.Root().ID, "x", 0o755, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{"/a/x", "/a/sub/y", "/a/sub", "/a/ghost", "/a/sub/ghost", "/a.mv/x", "/a.mv/sub/y", "/b/sub/y", "/b/ghost"}
+
+	rounds := 2000
+	if testing.Short() {
+		rounds = 300
+	}
+	var phase atomic.Uint64 // odd while a mutation is in flight
+	var state atomic.Pointer[renameStormState]
+	state.Store(&renameStormState{at: "/a"})
+	var stop atomic.Bool
+	var checked atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		w := w
+		user := w%2 == 1
+		task := k.NewTask(cred.Root())
+		if user {
+			task = k.NewTask(cred.New(1000, 1000, nil, ""))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; !stop.Load(); i++ {
+				before := phase.Load()
+				s := state.Load()
+				p := paths[i%len(paths)]
+				info, err := task.Stat(p)
+				// Yield every walk: the mutator waits for judged walks in
+				// a Gosched loop, and walkers that never yield starve it.
+				runtime.Gosched()
+				if before&1 != 0 || phase.Load() != before {
+					continue
+				}
+				checked.Add(1)
+				wantErr, wantDir := s.want(p, user)
+				if got := fsapi.ToErrno(err); got != wantErr || err == nil && info.Mode.IsDir() != wantDir {
+					t.Errorf("walker %d (user %v): %q answered %v (dir %v) with the directory at %s, locked %v, mounted %v; want %v (dir %v)",
+						w, user, p, got, info.Mode.IsDir(), s.at, s.locked, s.mounted, wantErr, wantDir)
+					stop.Store(true)
+				}
+			}
+		}()
+	}
+	// step runs one mutation as an odd phase and publishes the tree it
+	// leaves before the phase turns stable, then lets the walkers judge a
+	// few walks inside it.
+	step := func(next renameStormState, mutate func() error) {
+		phase.Add(1)
+		if err := mutate(); err != nil {
+			t.Error(err)
+			stop.Store(true)
+		}
+		state.Store(&next)
+		phase.Add(1)
+		for n := checked.Load(); !stop.Load() && checked.Load() < n+8; {
+			runtime.Gosched()
+		}
+	}
+	rename := func(from, to string) func() error { return func() error { return root.Rename(from, to) } }
+	chmod := func(p string, m fsapi.Mode) func() error { return func() error { return root.Chmod(p, m) } }
+	home := renameStormState{at: "/a"}
+	for i := 0; i < rounds && !stop.Load(); i++ {
+		switch i % 5 {
+		case 0: // a round trip no walk sees the middle of
+			step(home, func() error {
+				if err := root.Rename("/a", "/a.mv"); err != nil {
+					return err
+				}
+				return root.Rename("/a.mv", "/a")
+			})
+		case 1: // a round trip with a stable window, chmods inside it
+			step(renameStormState{at: "/a.mv"}, rename("/a", "/a.mv"))
+			step(renameStormState{at: "/a.mv", locked: true}, chmod("/a.mv", 0o700))
+			step(renameStormState{at: "/a", locked: true}, rename("/a.mv", "/a"))
+			step(home, chmod("/a", 0o755))
+		case 2: // a permanent move, for a while
+			step(renameStormState{at: "/b"}, rename("/a", "/b"))
+			step(home, rename("/b", "/a"))
+		case 3:
+			step(renameStormState{at: "/a", locked: true}, chmod("/a", 0o700))
+			step(home, chmod("/a", 0o755))
+		case 4:
+			if i == 4 {
+				step(renameStormState{at: "/a", mounted: true}, func() error { _, err := root.Mount(over, "/a", 0); return err })
+				step(home, func() error { return root.Unmount("/a") })
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if checked.Load() == 0 {
+		t.Fatal("no walk ever ran inside a stable phase")
+	}
+	if s := c.Stats(); s.KeptUnmoved == 0 {
+		t.Fatal("no round trip kept an entry: the storm never exercised re-derivation")
+	}
+	if r := audit.New(k, c).RunUntilValid(10); !r.Valid || r.Violations() != 0 {
+		t.Fatalf("audit at quiescence: %s", r.Summary())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dircache/internal/fsapi"
+	"dircache/internal/sig"
 	"dircache/internal/slab"
 	"dircache/internal/telemetry"
 	"dircache/internal/vfs"
@@ -170,7 +171,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	// the walk falls back. The rule every shootdown rests on (DESIGN §5d):
 	// fresh(x) before any PCC consult for x — here for the dentry the
 	// table returned, below for each dentry a redirect lands on.
-	if d == nil || !c.fresh(d) {
+	if d == nil || !c.fresh(d) || !c.keyed(d, &cur.st) {
 		c.stats.dlhtMiss.Add(1)
 		tr.Event(telemetry.EvDLHTMiss, path)
 		return vfs.PathRef{}, nil, false
@@ -293,6 +294,18 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	return vfs.PathRef{Mnt: mnt, D: d}, nil, true
 }
 
+// keyed reports whether d is still published under the key a probe just
+// found it by, the key st sums to. fresh vouches for d's current entry,
+// not for the node the probe read: a walker descheduled between the two
+// can find d under a key that another walk has since discarded — a rename
+// moved d — and re-published under d's new path, stamping ValidGen as it
+// did. Every publish stores the state its key sums beside the key, and
+// every unpublish clears it with the key, so d still holds st exactly when
+// its entry is the one the probe found.
+func (c *Core) keyed(d *vfs.Dentry, st *sig.State) bool {
+	return fast(d).State.Holds(st)
+}
+
 // checkPrefixDir resolves the cursor's current lexical prefix (the base
 // directory when nothing is pushed, otherwise via DLHT+PCC) and verifies
 // search permission on it — the extra per-dot fastpath lookup of §4.2.
@@ -310,7 +323,7 @@ func (c *Core) checkPrefixDir(t *vfs.Task, dl *dlht, pcc *PCC, cur *pathCursor) 
 			c.stats.dlhtMiss.Add(1)
 			return false
 		}
-		if !c.fresh(d) {
+		if !c.fresh(d) || !c.keyed(d, &cur.st) {
 			c.stats.dlhtMiss.Add(1)
 			return false
 		}

@@ -196,3 +196,29 @@ func TestSharedTornReadsNeverSurface(t *testing.T) {
 		t.Fatal("Load reports a state after Clear")
 	}
 }
+
+// TestSharedHolds: Holds compares the stored state with one in hand —
+// true for the state stored, false for any other (a prefix of it, a path
+// of the same length, the empty path) and for an empty Shared.
+func TestSharedHolds(t *testing.T) {
+	k := NewKey(7)
+	st := k.NewState().AppendString("/a/bb")
+	others := []State{k.NewState(), k.NewState().AppendString("/a"), k.NewState().AppendString("/a/bc"), k.NewState().AppendString("/a/bb/c")}
+	var sh Shared
+	if sh.Holds(&st) {
+		t.Fatal("an empty Shared holds a state")
+	}
+	sh.Store(&st)
+	if !sh.Holds(&st) {
+		t.Fatal("a Shared does not hold the state stored")
+	}
+	for _, o := range others {
+		if sh.Holds(&o) {
+			t.Fatalf("a Shared storing /a/bb holds the state of a %d-byte path", o.Len())
+		}
+	}
+	sh.Clear()
+	if sh.Holds(&st) {
+		t.Fatal("a Shared holds a state after Clear")
+	}
+}

@@ -293,6 +293,18 @@ func (sh *Shared) Load(k *Key, dst *State) bool {
 	return sh.hdr.Load() == h
 }
 
+// Holds reports whether the stored state is *st, without copying it out:
+// a reader that only compares pays none of Load's stores (false for a read
+// torn by a concurrent writer, as Load's). The lanes are unrolled: a fifth
+// would need a fifth compare.
+func (sh *Shared) Holds(st *State) bool {
+	h := sh.hdr.Load()
+	return int(h&sharedPos)-1 == st.pos &&
+		sh.acc[0].Load() == st.acc[0] && sh.acc[1].Load() == st.acc[1] &&
+		sh.acc[2].Load() == st.acc[2] && sh.acc[3].Load() == st.acc[3] &&
+		sh.hdr.Load() == h
+}
+
 // Store publishes *st; storing what is already held writes nothing. The
 // caller holds the owner's lock.
 func (sh *Shared) Store(st *State) {

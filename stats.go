@@ -77,7 +77,8 @@ type CacheStats struct {
 	Admitted        int64 // populations allowed on a dentry's Nth touch
 	Deferred        int64 // populations declined pending more touches
 	BatchShootdowns int64 // subtree invalidations taken as one range mark
-	LazyShootdowns  int64 // stale entries discarded lazily by probes/sweeps
+	LazyShootdowns  int64 // range marks discharged lazily on a descendant by probes/sweeps
+	KeptUnmoved     int64 // structural discharges that kept the entry: its path still names it
 
 	HashedBytes int64 // bytes fed to the path hash, all walks
 	// ShortcutResumes, ChildHops and BulkPopulations always read 0: the
@@ -184,6 +185,7 @@ func (s *System) Stats() CacheStats {
 		out.Deferred = c.Deferred
 		out.BatchShootdowns = c.BatchShootdowns
 		out.LazyShootdowns = c.LazyShootdowns
+		out.KeptUnmoved = c.KeptUnmoved
 		out.HashedBytes = c.HashedBytes
 	}
 	return out

@@ -1,13 +1,11 @@
 # Build/test entry points. `make ci` is the tier-1 gate: vet + tests +
-# the race detector over every package but one (stress tests in
-# internal/vfs and internal/core run concurrent walks against
-# rename/chmod/Shrink, and probes of both instantiations of the shared hash
-# table against its doublings, under the detector; internal/telemetry races
-# recording against export, internal/coherence races eight publishers
-# against a reader, internal/ninep runs its reader, resident workers and
-# clients together). internal/bench stays out of `make race`: its *Shape
-# tests compare wall-clock rates, which the detector's slowdown inverts
-# (TestTable3Shape: "optimized 652 req/s <= unmod 655").
+# the race detector over every package (stress tests in internal/vfs and
+# internal/core run concurrent walks against rename/chmod/Shrink, and
+# probes of both instantiations of the shared hash table against its
+# doublings, under the detector; internal/telemetry races recording
+# against export, internal/coherence races eight publishers against a
+# reader, internal/ninep runs its reader, resident workers and clients
+# together).
 
 GO ?= go
 
@@ -21,9 +19,9 @@ help:
 	@echo "  check          go build + go test ./..."
 	@echo "  bench-test     tests of the nested benchmark/ module, which go test ./... does not reach"
 	@echo "  vet            go vet ./..."
-	@echo "  race           race-detector pass over every package except internal/bench (wall-clock shape tests)"
+	@echo "  race           race-detector pass over every package"
 	@echo "  audit          invariant-auditor tests (concurrent + injected-bug) under -race"
-	@echo "  stress         longer -race soak of the stress tests, the revocation table and the prefix re-check's phase tests, then the audit storms x20, all beside one busy spinner per CPU"
+	@echo "  stress         longer -race soak of the stress tests, the revocation table and the prefix re-check's phase tests, then the audit storms x20 and internal/bench x5, all beside one busy spinner per CPU"
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
 	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
@@ -50,7 +48,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race $$($(GO) list ./... | grep -v internal/bench)
+	$(GO) test -race ./...
 
 # The invariant auditor under fire: the concurrent audit stress tests and
 # the injected-bug detection test, all under the race detector.
@@ -65,15 +63,18 @@ ci: vet check bench-test race audit serve-smoke shard-smoke memscale-smoke fuzz-
 # Longer soak of just the stress tests (several runs, full iteration
 # count), with the differential revocation table and the prefix re-check's
 # deterministic phase tests beside the storm that races the same paths,
-# then the auditor's storms twenty times over. All of it runs while one
-# busy `yes` per CPU competes for the processors: the storms' races need a
-# goroutine descheduled in the middle of an operation, which spinners make
-# happen in seconds and an idle host hardly ever. Not part of ci.
+# then the auditor's storms twenty times over, then internal/bench's
+# counted-work tests (its coherence storm among them) five times. All of
+# it runs while one busy `yes` per CPU competes for the processors: the
+# storms' races need a goroutine descheduled in the middle of an
+# operation, which spinners make happen in seconds and an idle host
+# hardly ever. Not part of ci.
 stress:
 	@spin=; for i in $$(seq $$(nproc)); do yes > /dev/null & spin="$$spin $$!"; done; \
 	trap 'kill $$spin' EXIT; \
 	$(GO) test -race -run 'Stress|TestRevocationThroughRangeMark|TestRecheck' -count=3 ./internal/vfs/... ./internal/core/... && \
-	$(GO) test -run 'TestAuditInvariant' -count=20 ./internal/vfs/... ./internal/core/...
+	$(GO) test -run 'TestAuditInvariant' -count=20 ./internal/vfs/... ./internal/core/... && \
+	$(GO) test -count=5 ./internal/bench
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

@@ -14,7 +14,7 @@ import (
 // mechanisms qualitatively).
 func AblateFeatures(sc Scale) (*Report, error) {
 	r := newReport("ablate", "per-feature contribution on a warm metadata mix",
-		"config", "mix ms", "vs baseline")
+		"config", "mix ms", "vs baseline", "components")
 	configs := []struct {
 		name string
 		feat dircache.Features
@@ -29,14 +29,8 @@ func AblateFeatures(sc Scale) (*Report, error) {
 		{"+aliases (all)", dircache.AllFeatures()},
 	}
 
-	// Build every system up front, then interleave measurement windows.
-	type rig struct {
-		name string
-		w    *workload.Proc
-		tree *workload.Tree
-	}
-	var rigs []rig
-	for _, cfg := range configs {
+	var base float64
+	for i, cfg := range configs {
 		c := dircache.Config{Features: cfg.feat, SignatureSeed: 0xab1a7e}
 		sys := dircache.New(c)
 		p := sys.Start(dircache.RootCreds())
@@ -48,31 +42,21 @@ func AblateFeatures(sc Scale) (*Report, error) {
 			return nil, err
 		}
 		w := workload.NewProc(p)
-		if _, err := runMix(w, tree); err != nil {
+		if _, err := runMix(w, tree); err != nil { // warm
 			return nil, err
 		}
-		rigs = append(rigs, rig{cfg.name, w, tree})
-	}
-
-	best := make([]float64, len(rigs))
-	for i := range best {
-		best[i] = 1e18
-	}
-	for win := 0; win < 5; win++ {
-		for i, rg := range rigs {
-			el, err := runMix(rg.w, rg.tree)
-			if err != nil {
-				return nil, err
-			}
-			if el < best[i] {
-				best[i] = el
-			}
+		before := sys.Stats()
+		ns, err := runMix(w, tree)
+		if err != nil {
+			return nil, err
 		}
-	}
-	base := best[0]
-	for i, rg := range rigs {
-		r.add(rg.name, fmt.Sprintf("%.3f", best[i]/1e6), fmtGain(base, best[i]))
-		r.put("mix/"+rg.name, best[i])
+		d := sys.Stats().Delta(before)
+		if i == 0 {
+			base = ns
+		}
+		r.add(cfg.name, fmt.Sprintf("%.3f", ns/1e6), fmtGain(base, ns), fmt.Sprintf("%d", d.Components))
+		r.put("mix/"+cfg.name, ns)
+		r.put("mix/"+cfg.name+"/components", float64(d.Components))
 	}
 	r.note("mix: deep stats + missing-header probes + listings + symlinked stats, all warm")
 	return r, nil
@@ -141,25 +125,9 @@ func AblatePCC(sc Scale) (*Report, error) {
 	r := newReport("ablate-pcc", "updatedb gain vs prefix check cache size",
 		"PCC size", "updatedb ms", "slow walks", "prefix re-checks", "gain vs baseline")
 
-	// Baseline reference.
-	baseSys := dircache.New(dircache.Baseline())
-	baseP := baseSys.Start(dircache.RootCreds())
-	if _, err := workload.GenerateUsr(baseP, "/usr", sc.UsrScale*4); err != nil {
+	baseNS, _, err := updatedbPass(dircache.Baseline(), sc)
+	if err != nil {
 		return nil, err
-	}
-	baseP.MkdirAll("/var/lib", 0o755)
-	baseNS := 1e18
-	if _, err := workload.UpdateDB(workload.NewProc(baseP), "/usr", "/var/lib/db"); err != nil {
-		return nil, err
-	}
-	for win := 0; win < 5; win++ {
-		rep, err := workload.UpdateDB(workload.NewProc(baseP), "/usr", "/var/lib/db")
-		if err != nil {
-			return nil, err
-		}
-		if v := float64(rep.Elapsed); v < baseNS {
-			baseNS = v
-		}
 	}
 	r.add("(baseline)", fmt.Sprintf("%.3f", baseNS/1e6), "-", "-", "")
 	r.put("ns/baseline", baseNS)
@@ -169,37 +137,38 @@ func AblatePCC(sc Scale) (*Report, error) {
 		cfg.SignatureSeed = 0xcc
 		cfg.PCCBytes = pccBytes
 		cfg.PCCMaxBytes = pccBytes // pinned: reproduce the fixed-size sensitivity
-		sys := dircache.New(cfg)
-		p := sys.Start(dircache.RootCreds())
-		if _, err := workload.GenerateUsr(p, "/usr", sc.UsrScale*4); err != nil {
+		ns, d, err := updatedbPass(cfg, sc)
+		if err != nil {
 			return nil, err
 		}
-		p.MkdirAll("/var/lib", 0o755)
-		if _, err := workload.UpdateDB(workload.NewProc(p), "/usr", "/var/lib/db"); err != nil {
-			return nil, err
-		}
-		bestNS := 1e18
-		for win := 0; win < 5; win++ {
-			rep, err := workload.UpdateDB(workload.NewProc(p), "/usr", "/var/lib/db")
-			if err != nil {
-				return nil, err
-			}
-			if v := float64(rep.Elapsed); v < bestNS {
-				bestNS = v
-			}
-		}
-		st := sys.Stats()
-		slow := st.SlowWalks
 		label := fmt.Sprintf("%d KiB", pccBytes/1024)
 		if pccBytes < 1024 {
 			label = fmt.Sprintf("%d B", pccBytes)
 		}
-		r.add(label, fmt.Sprintf("%.3f", bestNS/1e6),
-			fmt.Sprintf("%d", slow), fmt.Sprintf("%d", st.PrefixRechecks), fmtGain(baseNS, bestNS))
-		r.put(fmt.Sprintf("ns/%d", pccBytes), bestNS)
-		r.put(fmt.Sprintf("slow/%d", pccBytes), float64(slow))
-		r.put(fmt.Sprintf("rechecks/%d", pccBytes), float64(st.PrefixRechecks))
+		r.add(label, fmt.Sprintf("%.3f", ns/1e6),
+			fmt.Sprintf("%d", d.SlowWalks), fmt.Sprintf("%d", d.PrefixRechecks), fmtGain(baseNS, ns))
+		r.put(fmt.Sprintf("ns/%d", pccBytes), ns)
+		r.put(fmt.Sprintf("slow/%d", pccBytes), float64(d.SlowWalks))
+		r.put(fmt.Sprintf("rechecks/%d", pccBytes), float64(d.PrefixRechecks))
 	}
 	r.note("paper: a PCC smaller than the directory working set halves updatedb's gain (its PCC misses slow-walk; ours re-check the prefix in place)")
 	return r, nil
+}
+
+// updatedbPass builds AblatePCC's /usr tree on a new system, runs updatedb
+// over it once to warm the cache and once more measured, and returns the
+// measured pass's time with the work counted over it.
+func updatedbPass(cfg dircache.Config, sc Scale) (float64, dircache.CacheStats, error) {
+	sys := dircache.New(cfg)
+	p := sys.Start(dircache.RootCreds())
+	if _, err := workload.GenerateUsr(p, "/usr", sc.UsrScale*4); err != nil {
+		return 0, dircache.CacheStats{}, err
+	}
+	p.MkdirAll("/var/lib", 0o755)
+	if _, err := workload.UpdateDB(workload.NewProc(p), "/usr", "/var/lib/db"); err != nil {
+		return 0, dircache.CacheStats{}, err
+	}
+	before := sys.Stats()
+	rep, err := workload.UpdateDB(workload.NewProc(p), "/usr", "/var/lib/db")
+	return float64(rep.Elapsed), sys.Stats().Delta(before), err
 }

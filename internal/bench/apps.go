@@ -10,8 +10,7 @@ import (
 
 // appCase is one application emulator wired for the Figure 1 / Table 1 /
 // Table 2 suites. pre (optional) restores preconditions outside the
-// measurement window; run executes one measured pass and must be
-// repeatable.
+// measured pass; run executes one measured pass and must be repeatable.
 type appCase struct {
 	name string
 	pre  func(env *appEnv) error
@@ -146,15 +145,22 @@ func appCases() []appCase {
 	}
 }
 
-// appPre runs an app's precondition hook, if any.
-func appPre(env *appEnv, app appCase) error {
-	if app.pre == nil {
-		return nil
+// appRun restores app's precondition, then runs one pass of app on a fresh
+// Proc. It returns the pass's report with the work the system counted over
+// the pass.
+func appRun(env *appEnv, app appCase) (workload.Report, dircache.CacheStats, error) {
+	var none dircache.CacheStats
+	if app.pre != nil {
+		if err := app.pre(env); err != nil {
+			return workload.Report{}, none, fmt.Errorf("%s pre: %w", app.name, err)
+		}
 	}
-	if err := app.pre(env); err != nil {
-		return fmt.Errorf("%s pre: %w", app.name, err)
+	before := env.sys.Stats()
+	rep, err := app.run(env, workload.NewProc(env.root))
+	if err != nil {
+		return rep, none, fmt.Errorf("%s: %w", app.name, err)
 	}
-	return nil
+	return rep, env.sys.Stats().Delta(before), nil
 }
 
 func cleanObjects(p *dircache.Process, tree *workload.Tree) {
@@ -177,19 +183,12 @@ func Fig1(sc Scale) (*Report, error) {
 	}
 	for _, app := range appCases() {
 		// Warm pass (dropped, as the paper does).
-		if err := appPre(env, app); err != nil {
+		if _, _, err := appRun(env, app); err != nil {
 			return nil, err
 		}
-		if _, err := app.run(env, workload.NewProc(env.root)); err != nil {
-			return nil, fmt.Errorf("%s warm: %w", app.name, err)
-		}
-		if err := appPre(env, app); err != nil {
-			return nil, err
-		}
-		w := workload.NewProc(env.root)
-		rep, err := app.run(env, w)
+		rep, d, err := appRun(env, app)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", app.name, err)
+			return nil, err
 		}
 		el := float64(rep.Elapsed)
 		pct := func(c workload.OpClass) string {
@@ -201,6 +200,8 @@ func Fig1(sc Scale) (*Report, error) {
 			pct(workload.ClassReaddir),
 			fmt.Sprintf("%.1f%%", rep.PathFraction()*100))
 		r.put("pathfrac/"+app.name, rep.PathFraction())
+		r.put("paths/"+app.name, float64(rep.Probe.Paths))
+		r.put("lookups/"+app.name, float64(d.Lookups))
 	}
 	r.note("paper: 6-54%% of execution time is path-based calls; stat and open dominate")
 	return r, nil
@@ -221,60 +222,22 @@ func Table1(sc Scale) (*Report, error) {
 		return nil, err
 	}
 	for _, app := range appCases() {
-		// Warm both systems (first run dropped).
-		if err := appPre(envU, app); err != nil {
-			return nil, err
-		}
-		if _, err := app.run(envU, workload.NewProc(envU.root)); err != nil {
-			return nil, fmt.Errorf("%s warm unmod: %w", app.name, err)
-		}
-		if err := appPre(envO, app); err != nil {
-			return nil, err
-		}
-		if _, err := app.run(envO, workload.NewProc(envO.root)); err != nil {
-			return nil, fmt.Errorf("%s warm opt: %w", app.name, err)
-		}
-
-		reps := sc.AppReps
-		if reps < 1 {
-			reps = 1
-		}
-		// Interleave the two systems' repetitions so machine drift hits
-		// both equally; report each one's best run (LMBench-style).
-		var repU, repO workload.Report
-		before := opt.Stats()
-		for i := 0; i < reps; i++ {
-			if err := appPre(envU, app); err != nil {
+		var reps [2]workload.Report
+		var ds [2]dircache.CacheStats
+		for i, env := range []*appEnv{envU, envO} {
+			// One warm pass, dropped, then the measured one.
+			if _, _, err := appRun(env, app); err != nil {
 				return nil, err
 			}
-			ru, err := app.run(envU, workload.NewProc(envU.root))
-			if err != nil {
+			if reps[i], ds[i], err = appRun(env, app); err != nil {
 				return nil, err
-			}
-			if err := appPre(envO, app); err != nil {
-				return nil, err
-			}
-			ro, err := app.run(envO, workload.NewProc(envO.root))
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 || ru.Elapsed < repU.Elapsed {
-				repU = ru
-			}
-			if i == 0 || ro.Elapsed < repO.Elapsed {
-				repO = ro
 			}
 		}
-		after := opt.Stats()
-
-		dLookups := after.Lookups - before.Lookups
-		dMiss := after.FSLookups - before.FSLookups
-		dNeg := (after.NegativeHits + after.FastNeg + after.CompleteShort) -
-			(before.NegativeHits + before.FastNeg + before.CompleteShort)
+		repU, repO, d := reps[0], reps[1], ds[1]
 		hit, neg := 0.0, 0.0
-		if dLookups > 0 {
-			hit = (1 - float64(dMiss)/float64(dLookups)) * 100
-			neg = float64(dNeg) / float64(dLookups) * 100
+		if d.Lookups > 0 {
+			hit = (1 - float64(d.FSLookups)/float64(d.Lookups)) * 100
+			neg = float64(d.NegativeHits+d.FastNeg+d.CompleteShort) / float64(d.Lookups) * 100
 		}
 		r.add(app.name,
 			fmt.Sprintf("%.0f", repO.Probe.AvgPathLen()),
@@ -288,6 +251,9 @@ func Table1(sc Scale) (*Report, error) {
 		r.put("opt/"+app.name, float64(repO.Elapsed))
 		r.put("hit/"+app.name, hit)
 		r.put("neg/"+app.name, neg)
+		for i, mode := range modes {
+			r.put(mode+"/"+app.name+"/components", float64(ds[i].Components))
+		}
 	}
 	r.note("paper gains: find +19%%, updatedb +29%%, du +13%%, git status/diff +4-10%%; " +
 		"tar/rm/make within noise")
@@ -300,67 +266,59 @@ func Table1(sc Scale) (*Report, error) {
 func Table2(sc Scale) (*Report, error) {
 	r := newReport("table2", "cold-cache application performance",
 		"app", "unmod ms", "opt ms", "gain")
-	mkSys := func(optimized bool) (*dircache.System, *dircache.Backend, *appEnv, error) {
+	type rig struct {
+		be  *dircache.Backend
+		env *appEnv
+	}
+	var rigs [2]rig
+	for i := range rigs {
 		be, err := dircache.NewDiskBackend(dircache.DiskOptions{
 			Blocks: 1 << 16, CacheBlocks: 1 << 13, Slow: true,
 		})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		cfg := dircache.Baseline()
-		if optimized {
+		if i == 1 {
 			cfg = dircache.Optimized()
 			cfg.SignatureSeed = 0x22
 		}
 		cfg.Root = be
-		sys := dircache.New(cfg)
-		env, err := newAppEnv(sys, sc)
+		env, err := newAppEnv(dircache.New(cfg), sc)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		return sys, be, env, nil
-	}
-	sysU, beU, envU, err := mkSys(false)
-	if err != nil {
-		return nil, err
-	}
-	sysO, beO, envO, err := mkSys(true)
-	if err != nil {
-		return nil, err
-	}
-
-	coldRun := func(sys *dircache.System, be *dircache.Backend, env *appEnv, app appCase) (float64, error) {
-		if err := appPre(env, app); err != nil {
-			return 0, err
-		}
-		sys.DropCaches()
-		if err := be.InvalidateBufferCache(); err != nil {
-			return 0, err
-		}
-		be.ResetSimulatedIO()
-		w := workload.NewProc(env.root)
-		rep, err := app.run(env, w)
-		if err != nil {
-			return 0, err
-		}
-		return float64(rep.Elapsed) + float64(be.SimulatedIONanos()), nil
+		rigs[i] = rig{be, env}
 	}
 
 	for _, app := range appCases() {
-		tu, err := coldRun(sysU, beU, envU, app)
-		if err != nil {
-			return nil, fmt.Errorf("%s cold unmod: %w", app.name, err)
-		}
-		to, err := coldRun(sysO, beO, envO, app)
-		if err != nil {
-			return nil, fmt.Errorf("%s cold opt: %w", app.name, err)
+		var ns [2]float64
+		for i, rg := range rigs {
+			cold := app
+			cold.pre = func(env *appEnv) error {
+				if app.pre != nil {
+					if err := app.pre(env); err != nil {
+						return err
+					}
+				}
+				env.sys.DropCaches()
+				err := rg.be.InvalidateBufferCache()
+				rg.be.ResetSimulatedIO()
+				return err
+			}
+			rep, d, err := appRun(rg.env, cold)
+			if err != nil {
+				return nil, fmt.Errorf("%s cold: %w", modes[i], err)
+			}
+			ns[i] = float64(rep.Elapsed) + float64(rg.be.SimulatedIONanos())
+			r.put(modes[i]+"/"+app.name+"/fs_lookups", float64(d.FSLookups))
 		}
 		r.add(app.name,
-			fmt.Sprintf("%.2f", tu/1e6),
-			fmt.Sprintf("%.2f", to/1e6),
-			fmtGain(tu, to))
-		r.put("unmod/"+app.name, tu)
-		r.put("opt/"+app.name, to)
+			fmt.Sprintf("%.2f", ns[0]/1e6),
+			fmt.Sprintf("%.2f", ns[1]/1e6),
+			fmtGain(ns[0], ns[1]))
+		r.put("unmod/"+app.name, ns[0])
+		r.put("opt/"+app.name, ns[1])
 	}
 	r.note("paper: cold-cache results are within noise — neither kernel helps a cold cache")
 	return r, nil

@@ -1,8 +1,14 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§6) against this repository's systems. Each experiment is a
-// function from a Scale to a Report; cmd/dcbench prints them, the root
-// bench_test.go wires them into testing.B, and the package tests assert
-// the paper's qualitative shapes (who wins, where, by roughly how much).
+// function from a Scale to a Report; cmd/dcbench prints them and the root
+// bench_test.go wires them into testing.B. Every measured point is one
+// pass of a fixed number of operations, timed once and counted through
+// CacheStats.Delta. The package tests assert the paper's claims on those
+// counts, never on the clock: a warm walk is one DLHT probe and no
+// component lookups, a miss is answered without the file system, a
+// mutation costs one seq bump and one range mark. What only a rate can
+// say (Fig 8's scaling, Fig 2's era ordering, Fig 1's time fraction, the
+// req/s of Fig 10 and Table 3) is printed, not asserted.
 package bench
 
 import (
@@ -17,8 +23,9 @@ import (
 // Scale sizes an experiment run. SmallScale keeps tests fast; PaperScale
 // approximates the paper's parameters at laptop scale.
 type Scale struct {
-	// MinMeasure is the minimum sampling window per measured point.
-	MinMeasure time.Duration
+	// Ops is the operation count of a timed pass, which runs once per
+	// measured point (a Fig 9 listing counts as its size in operations).
+	Ops int
 	// Tree sizes generated source trees.
 	Tree workload.TreeSpec
 	// UsrScale sizes the updatedb tree.
@@ -36,9 +43,6 @@ type Scale struct {
 	DovecotOps int
 	// WebRequests is the request count per Table 3 point.
 	WebRequests int
-	// AppReps is the number of measured repetitions per application in
-	// Table 1/2 (minimum is reported, like LMBench).
-	AppReps int
 	// MemEntries is the entry-count ladder for the memscale experiment
 	// (cached dentries held live per measurement point).
 	MemEntries []int
@@ -53,7 +57,7 @@ type Subtree struct {
 // SmallScale returns a fast configuration for tests.
 func SmallScale() Scale {
 	return Scale{
-		MinMeasure: 5 * time.Millisecond,
+		Ops: 5_000,
 		Tree: workload.TreeSpec{ // ~800 files: small but above the noise floor
 			Seed: 1, TopDirs: 6, Depth: 2, DirsPerLevel: 3,
 			FilesPerDir: 10, HeaderEvery: 3, FileBytes: 256,
@@ -66,7 +70,6 @@ func SmallScale() Scale {
 		Mailboxes:    3,
 		DovecotOps:   900,
 		WebRequests:  200,
-		AppReps:      15,
 		MemEntries:   []int{20_000, 100_000},
 	}
 }
@@ -74,7 +77,7 @@ func SmallScale() Scale {
 // PaperScale approximates §6's parameters.
 func PaperScale() Scale {
 	return Scale{
-		MinMeasure:   50 * time.Millisecond,
+		Ops:          50_000,
 		Tree:         workload.LinuxSource(),
 		UsrScale:     4,
 		DirSizes:     []int{10, 100, 1000, 10000},
@@ -84,7 +87,6 @@ func PaperScale() Scale {
 		Mailboxes:    10,
 		DovecotOps:   4000,
 		WebRequests:  2000,
-		AppReps:      5,
 		MemEntries:   []int{1_000_000, 10_000_000},
 	}
 }
@@ -151,13 +153,6 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Experiment is a registered runner.
 type Experiment struct {
 	ID   string
@@ -200,43 +195,20 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// nsPerOp measures f's per-iteration latency: the batch size grows until
-// the sampling window is long enough, then the best of three windows is
-// reported (the standard scheduler-noise defense for microbenchmarks).
-func nsPerOp(minDur time.Duration, f func(n int)) float64 {
-	n := 32
-	var el time.Duration
-	for {
-		t0 := time.Now()
-		f(n)
-		el = time.Since(t0)
-		if el >= minDur || n >= 1<<22 {
-			break
-		}
-		if el <= 0 {
-			n *= 8
-			continue
-		}
-		// Aim past the window with margin.
-		scale := int(float64(minDur)/float64(el)*1.5) + 1
-		if scale < 2 {
-			scale = 2
-		}
-		if scale > 64 {
-			scale = 64
-		}
-		n *= scale
+// measure runs op n times on sys in one timed pass and returns the mean
+// ns/op with the work CacheStats counted over exactly those n calls.
+func measure(sys *dircache.System, n int, op func()) (float64, dircache.CacheStats) {
+	before := sys.Stats()
+	t0 := time.Now()
+	for i := 0; i < n; i++ {
+		op()
 	}
-	best := float64(el.Nanoseconds()) / float64(n)
-	for rep := 0; rep < 4; rep++ {
-		t0 := time.Now()
-		f(n)
-		if v := float64(time.Since(t0).Nanoseconds()) / float64(n); v < best {
-			best = v
-		}
-	}
-	return best
+	ns := float64(time.Since(t0).Nanoseconds()) / float64(n)
+	return ns, sys.Stats().Delta(before)
 }
+
+// modes names the two systems of an A/B point, baseline first.
+var modes = [2]string{"unmod", "opt"}
 
 // sysPair builds matching baseline and optimized systems with fixed
 // signature seeds for reproducibility.

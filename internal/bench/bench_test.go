@@ -1,38 +1,21 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
+
+	"dircache"
 )
 
-// The bench tests run every experiment at SmallScale and assert the
-// paper's qualitative shapes. Absolute numbers vary by machine; the
-// relations below are the reproduction targets (who wins, and roughly
-// where).
-
-// retryShape runs a noise-sensitive throughput experiment up to three
-// times, passing if any attempt satisfies check (standard practice for
-// perf assertions on shared machines; the latency microbenches stay
-// strict).
-func retryShape(t *testing.T, f func(Scale) (*Report, error), check func(*Report) error) {
-	t.Helper()
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		r, err := f(SmallScale())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r.Rows) == 0 {
-			t.Fatalf("%s produced no rows", r.ID)
-		}
-		if lastErr = check(r); lastErr == nil {
-			t.Logf("\n%s", r)
-			return
-		}
-		t.Logf("attempt %d: %v\n%s", attempt+1, lastErr, r)
-	}
-	t.Fatalf("shape not reproduced after retries: %v", lastErr)
-}
+// The bench tests run each experiment once at SmallScale and assert the
+// paper's claims on the work its passes counted (CacheStats.Delta over a
+// fixed number of operations): exactly where the count is a formula in
+// the op count, as an ordering where it is a property of the workload. No
+// test reads a clock. The rates the experiments print vary with the host
+// and its load, and the relations only a rate can state are printed, not
+// asserted.
 
 func runExp(t *testing.T, f func(Scale) (*Report, error)) *Report {
 	t.Helper()
@@ -47,305 +30,204 @@ func runExp(t *testing.T, f func(Scale) (*Report, error)) *Report {
 	return r
 }
 
+// want fails t unless r holds v under key.
+func want(t *testing.T, r *Report, key string, v float64) {
+	t.Helper()
+	got, ok := r.Data[key]
+	if !ok {
+		t.Errorf("%s missing, want %.0f", key, v)
+	} else if got != v {
+		t.Errorf("%s = %.0f, want %.0f", key, got, v)
+	}
+}
+
+// ops is SmallScale's operation count per measured pass.
+var ops = float64(SmallScale().Ops)
+
 func TestFig1Shape(t *testing.T) {
-	retryShape(t, Fig1, func(r *Report) error {
-		// Path-based calls are a significant fraction for the
-		// metadata-bound utilities (paper: 6-54%).
-		for _, app := range []string{"find -name", "du -s", "updatedb -U usr", "git status"} {
-			frac := r.Get("pathfrac/" + app)
-			if frac < 0.05 || frac > 1.001 {
-				return fmt.Errorf("%s path fraction %.3f outside plausible range", app, frac)
-			}
+	// Fig 1's time fraction is a rate, printed only. Counted: every
+	// utility's pass makes path-based calls, and each one walks the cache.
+	r := runExp(t, Fig1)
+	for _, app := range appCases() {
+		paths, lookups := r.Get("paths/"+app.name), r.Get("lookups/"+app.name)
+		if paths == 0 || lookups < paths {
+			t.Errorf("%s: %.0f path arguments, %.0f walks", app.name, paths, lookups)
 		}
-		// make is compute-dominated: smaller fraction than find.
-		if r.Get("pathfrac/make") >= r.Get("pathfrac/find -name") {
-			return fmt.Errorf("make path fraction %.3f >= find %.3f; expected compute to dominate make",
-				r.Get("pathfrac/make"), r.Get("pathfrac/find -name"))
-		}
-		return nil
-	})
+	}
 }
 
 func TestFig2Shape(t *testing.T) {
-	retryShape(t, Fig2, func(r *Report) error {
-		big := r.Get("stat/v2.6.36")
-		rcu := r.Get("stat/v3.14")
-		opt := r.Get("stat/v3.14-opt")
-		if big == 0 || rcu == 0 || opt == 0 {
-			return fmt.Errorf("missing data: %v", r.Data)
-		}
-		// The headline: optimized beats the RCU baseline (paper: -26%).
-		if opt >= rcu {
-			return fmt.Errorf("optimized (%.0fns) not faster than rcu baseline (%.0fns)", opt, rcu)
-		}
-		// Single-threaded lock cost is modest, but the ordering should not
-		// be wildly inverted: the big-lock era must not beat optimized.
-		if big < opt {
-			return fmt.Errorf("biglock era (%.0fns) beat optimized (%.0fns)", big, opt)
-		}
-		return nil
-	})
+	// The era ordering is a rate, printed only. Counted: every baseline
+	// era resolves the 8-component path a component at a time; the
+	// optimized design answers each stat with one fastpath hit.
+	r := runExp(t, Fig2)
+	for _, era := range []string{"v2.6.36", "v3.0", "v3.14"} {
+		want(t, r, "stat/"+era+"/components", 8*ops)
+		want(t, r, "stat/"+era+"/fast_hits", 0)
+	}
+	want(t, r, "stat/v3.14-opt/fast_hits", ops)
+	want(t, r, "stat/v3.14-opt/components", 0)
 }
 
 func TestFig3Shape(t *testing.T) {
-	retryShape(t, Fig3, func(r *Report) error {
-		// Baseline totals grow with component count.
-		if r.Get("8-comp/unmod/total") <= r.Get("1-comp/unmod/total") {
-			return fmt.Errorf("baseline lookup cost did not grow with depth: 1-comp %.0f vs 8-comp %.0f",
-				r.Get("1-comp/unmod/total"), r.Get("8-comp/unmod/total"))
+	// The baseline pays a hash lookup and a permission check per
+	// component; the optimized walk's only per-component work is hashing
+	// the path's bytes.
+	r := runExp(t, Fig3)
+	for _, pt := range microPaths {
+		if !strings.HasSuffix(pt.name, "-comp") {
+			continue
 		}
-		// Baseline permission-check time grows with depth (prefix check is
-		// linear); optimized does not walk, so its growth is bounded by
-		// hashing only.
-		if r.Get("8-comp/unmod/permcheck") <= r.Get("1-comp/unmod/permcheck") {
-			return fmt.Errorf("baseline perm-check time did not grow with depth")
-		}
-		// Optimized total at 8 components beats baseline at 8 components.
-		if r.Get("8-comp/opt/total") >= r.Get("8-comp/unmod/total") {
-			return fmt.Errorf("optimized 8-comp (%.0f) not faster than baseline (%.0f)",
-				r.Get("8-comp/opt/total"), r.Get("8-comp/unmod/total"))
-		}
-		return nil
-	})
+		depth := float64(strings.Count(pt.path, "/"))
+		want(t, r, pt.name+"/unmod/components", depth*ops)
+		want(t, r, pt.name+"/opt/components", 0)
+		want(t, r, pt.name+"/opt/fast_hits", ops)
+		want(t, r, pt.name+"/opt/hashed_bytes", float64(len(pt.path))*ops)
+	}
+}
+
+// fig6Components is what the baseline's component walk resolves per stat
+// of each Fig 6 path: every name but "..", a symlink's target too, and
+// nothing past a missing name.
+var fig6Components = map[string]float64{
+	"default": 5, "1-comp": 1, "2-comp": 2, "4-comp": 4, "8-comp": 8,
+	"link-f": 5, "link-d": 5, "neg-f": 4, "neg-d": 1, "1-dotdot": 2, "4-dotdot": 5,
 }
 
 func TestFig6Shape(t *testing.T) {
-	retryShape(t, Fig6, fig6Check)
-}
-
-func fig6Check(r *Report) error {
-	// The gain grows with path depth; at 8 components optimized must win
-	// clearly for stat (paper: 26%). open carries fixed handle-machinery
-	// cost in both configs, so it gets a noise band.
-	u8 := r.Get("stat/8-comp/unmod")
-	o8 := r.Get("stat/8-comp/opt")
-	if o8 >= u8 {
-		return fmt.Errorf("stat 8-comp: optimized %.0f >= unmod %.0f", o8, u8)
-	}
-	u1, o1 := r.Get("stat/1-comp/unmod"), r.Get("stat/1-comp/opt")
-	gain1 := (u1 - o1) / u1
-	gain8 := (u8 - o8) / u8
-	if gain8 <= gain1-0.05 {
-		return fmt.Errorf("stat gain did not grow with depth: 1-comp %.2f vs 8-comp %.2f", gain1, gain8)
-	}
-	if oo, uo := r.Get("open/8-comp/opt"), r.Get("open/8-comp/unmod"); oo > uo*1.10 {
-		return fmt.Errorf("open 8-comp: optimized %.0f well above unmod %.0f", oo, uo)
-	}
-	// Fastpath miss + slowpath costs more than unmodified (paper: 12-93%).
-	if r.Get("stat/8-comp/opt-miss+slow") <= r.Get("stat/8-comp/unmod") {
-		return fmt.Errorf("forced miss (%.0f) should cost more than unmod (%.0f)",
-			r.Get("stat/8-comp/opt-miss+slow"), r.Get("stat/8-comp/unmod"))
-	}
-	// Negative lookups (neg-f) hit the fastpath and beat baseline.
-	if r.Get("stat/neg-f/opt") >= r.Get("stat/neg-f/unmod") {
-		return fmt.Errorf("neg-f: optimized %.0f >= unmod %.0f",
-			r.Get("stat/neg-f/opt"), r.Get("stat/neg-f/unmod"))
-	}
-	// Symlink caching wins on both link shapes (paper: 44-48%).
-	for _, pt := range []string{"link-f", "link-d"} {
-		if r.Get("stat/"+pt+"/opt") >= r.Get("stat/"+pt+"/unmod") {
-			return fmt.Errorf("%s: optimized %.0f >= unmod %.0f", pt,
-				r.Get("stat/"+pt+"/opt"), r.Get("stat/"+pt+"/unmod"))
+	r := runExp(t, Fig6)
+	for _, pt := range microPaths {
+		key := func(cfg, field string) string { return "stat/" + pt.name + "/" + cfg + "/" + field }
+		comps := fig6Components[pt.name] * ops
+		want(t, r, key("unmod", "components"), comps)
+		// Warm, every pattern is one fastpath hit and no component,
+		// symlinks and missing names included.
+		want(t, r, key("opt", "fast_hits"), ops)
+		want(t, r, key("opt", "components"), 0)
+		dots := float64(strings.Count(pt.path, ".."))
+		switch {
+		case pt.negative:
+			want(t, r, key("opt", "fast_neg"), ops)
+		case dots > 0:
+			// Linux semantics check each ".." against the tree; lexical
+			// semantics fold it into the path before hashing.
+			want(t, r, key("opt", "dotdot_checks"), dots*ops)
+			want(t, r, key("opt-lexical", "fast_hits"), ops)
+			want(t, r, key("opt-lexical", "dotdot_checks"), 0)
+		default:
+			want(t, r, key("opt", "hashed_bytes"), float64(len(pt.path))*ops)
+		}
+		if !pt.negative {
+			// A prefix check cache miss falls back to the baseline's walk.
+			want(t, r, key("opt-miss+slow", "slow_walks"), ops)
+			want(t, r, key("opt-miss+slow", "components"), comps)
 		}
 	}
-	// Lexical dot-dot beats Linux-semantics dot-dot on the fastpath.
-	if r.Get("stat/4-dotdot/opt-lexical") >= r.Get("stat/4-dotdot/opt") {
-		return fmt.Errorf("lexical dotdot (%.0f) not faster than Linux-semantics dotdot (%.0f)",
-			r.Get("stat/4-dotdot/opt-lexical"), r.Get("stat/4-dotdot/opt"))
-	}
-	return nil
 }
 
 func TestFig7Shape(t *testing.T) {
-	retryShape(t, Fig7, func(r *Report) error {
-		// A permission change takes the range shootdown rename takes, so
-		// the curve the paper's Figure 7 charts as linear in the cached
-		// subtree is flat here: the biggest subtree costs what the smallest
-		// does (within noise), and the gap to the baseline is the constant
-		// one of re-walking to a directory whose own entry the previous
-		// chmod invalidated — it does not grow with the subtree.
-		small, big := r.Get("chmod/1/opt"), r.Get("chmod/100/opt")
-		if big > small*1.5 {
-			return fmt.Errorf("optimized chmod grew with the cached subtree: %.0f -> %.0f", small, big)
-		}
-		gapSmall := small - r.Get("chmod/1/unmod")
-		if gap := big - r.Get("chmod/100/unmod"); gap > gapSmall*1.5+200 {
-			return fmt.Errorf("optimized chmod's gap to baseline grew with the subtree: %.0f ns at 1, %.0f ns at 100", gapSmall, gap)
-		}
-		// Rename takes the batched range shootdown instead of an eager
-		// subtree walk, so the big-subtree penalty the paper's Figure 7
-		// charts is gone: cost stays near baseline regardless of how many
-		// descendants are cached.
-		if r.Get("rename/100/opt") > r.Get("rename/100/unmod")*1.5 {
-			return fmt.Errorf("batched rename on big subtree (%.0f) should stay near baseline (%.0f)",
-				r.Get("rename/100/opt"), r.Get("rename/100/unmod"))
-		}
-		return nil
-	})
+	// The paper's chmod cost is linear in the cached subtree. Here a chmod
+	// is one seq bump and one range mark whatever the subtree holds, and
+	// so is each of the two renames of a rename round trip. The name a
+	// rename leaves stays cached as a negative (§5.2), so only the first
+	// rename of the pass asks the file system about its target; the
+	// baseline asks on every rename.
+	r := runExp(t, Fig7)
+	for _, st := range SmallScale().SubtreeSizes {
+		key := func(op, mode string) string { return fmt.Sprintf("%s/%d/%s", op, st.Files, mode) }
+		want(t, r, key("chmod", "opt")+"/seq_bumps", ops)
+		want(t, r, key("chmod", "opt")+"/batch_shootdowns", ops)
+		want(t, r, key("rename", "opt")+"/seq_bumps", 2*ops)
+		want(t, r, key("rename", "opt")+"/batch_shootdowns", 2*ops)
+		want(t, r, key("rename", "opt")+"/fs_lookups", 1)
+		want(t, r, key("rename", "unmod")+"/fs_lookups", 2*ops)
+	}
 }
 
 func TestFig8Shape(t *testing.T) {
-	retryShape(t, Fig8, func(r *Report) error {
-		// Optimized wins at every thread count (within noise); per-op
-		// latency stays bounded as threads grow (read-side scalability).
-		for _, th := range SmallScale().Threads {
-			u := r.Get(statKey(th, "unmod"))
-			o := r.Get(statKey(th, "opt"))
-			if o >= u*1.05 {
-				return fmt.Errorf("threads=%d: optimized %.0f >= unmod %.0f", th, o, u)
-			}
-		}
-		t1 := r.Get(statKey(1, "opt"))
-		tn := r.Get(statKey(SmallScale().Threads[len(SmallScale().Threads)-1], "opt"))
-		if tn > t1*8 {
-			return fmt.Errorf("optimized latency collapsed under threads: %.0f -> %.0f", t1, tn)
-		}
-		return nil
-	})
-}
-
-func statKey(threads int, mode string) string {
-	return "stat/" + itoa(threads) + "/" + mode
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
+	// Per-thread scaling is a rate, printed only. Counted: no walk at any
+	// thread count leaves the fastpath.
+	r := runExp(t, Fig8)
+	for _, th := range SmallScale().Threads {
+		key := fmt.Sprintf("stat/%d/opt", th)
+		want(t, r, key+"/lookups", float64(th)*ops)
+		want(t, r, key+"/slow_walks", 0)
 	}
-	var b [8]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }
 
 func TestFig9Shape(t *testing.T) {
-	retryShape(t, Fig9, func(r *Report) error {
-		sizes := SmallScale().DirSizes
-		for i, size := range sizes {
-			u := r.Get("readdir/" + itoa(size) + "/unmod")
-			o := r.Get("readdir/" + itoa(size) + "/opt")
-			band := 1.0
-			if i == 0 {
-				band = 1.05 // tiny directories sit near the noise floor
-			}
-			if o >= u*band {
-				return fmt.Errorf("readdir size=%d: optimized %.0f >= unmod %.0f", size, o, u)
-			}
-		}
-		// Larger directories gain at least as much (paper: 46% -> 74%).
-		gain := func(size int) float64 {
-			u := r.Get("readdir/" + itoa(size) + "/unmod")
-			o := r.Get("readdir/" + itoa(size) + "/opt")
-			return (u - o) / u
-		}
-		if gain(sizes[len(sizes)-1]) < gain(sizes[0])-0.15 {
-			return fmt.Errorf("readdir gain shrank with size: %.2f -> %.2f", gain(sizes[0]), gain(sizes[len(sizes)-1]))
-		}
-		return nil
-	})
+	// A complete directory lists from the cache, and a name it does not
+	// hold is known missing without asking the file system: the baseline
+	// pays one FS readdir per listing and one FS lookup per mkstemp.
+	r := runExp(t, Fig9)
+	for _, size := range SmallScale().DirSizes {
+		key := func(op, mode string) string { return fmt.Sprintf("%s/%d/%s", op, size, mode) }
+		want(t, r, key("readdir", "unmod")+"/readdir_fs", r.Get(key("readdir", "unmod")+"/listings"))
+		want(t, r, key("readdir", "opt")+"/readdir_fs", 0)
+		want(t, r, key("mkstemp", "unmod")+"/fs_lookups", ops)
+		want(t, r, key("mkstemp", "opt")+"/fs_lookups", 0)
+	}
 }
 
 func TestFig10Shape(t *testing.T) {
-	retryShape(t, Fig10, func(r *Report) error {
-		sizes := SmallScale().MailboxSizes
-		// Small boxes may sit near the rename-overhead crossover; the
-		// largest box must win outright (the paper's regime), smaller
-		// ones must stay within a noise band.
-		for _, size := range sizes[:len(sizes)-1] {
-			u := r.Get("unmod/" + itoa(size))
-			o := r.Get("opt/" + itoa(size))
-			if o < u*0.85 {
-				return fmt.Errorf("mailbox=%d: optimized %.0f ops/s far below unmod %.0f", size, o, u)
-			}
+	// Throughput is a rate, printed only. Counted: the optimized server
+	// re-reads its mailboxes and finds its messages without the file
+	// system; the baseline re-reads a directory from it every operation.
+	r := runExp(t, Fig10)
+	for _, size := range SmallScale().MailboxSizes {
+		want(t, r, fmt.Sprintf("opt/%d/readdir_fs", size), 0)
+		want(t, r, fmt.Sprintf("opt/%d/fs_lookups", size), 0)
+		if u := r.Get(fmt.Sprintf("unmod/%d/readdir_fs", size)); u < float64(SmallScale().DovecotOps) {
+			t.Errorf("mailbox=%d: baseline read %.0f directories from the FS in %d operations",
+				size, u, SmallScale().DovecotOps)
 		}
-		last := sizes[len(sizes)-1]
-		if u, o := r.Get("unmod/"+itoa(last)), r.Get("opt/"+itoa(last)); o <= u {
-			return fmt.Errorf("mailbox=%d: optimized %.0f ops/s <= unmod %.0f", last, o, u)
-		}
-		return nil
-	})
+	}
 }
 
 func TestTable1Shape(t *testing.T) {
-	retryShape(t, Table1, func(r *Report) error {
-		// The metadata-bound winners of the paper must win here: none may
-		// regress past a noise band, and most must win outright.
-		wins := 0
-		apps := []string{"find -name", "du -s", "updatedb -U usr", "git status", "git diff"}
-		for _, app := range apps {
-			u := r.Get("unmod/" + app)
-			o := r.Get("opt/" + app)
-			// The band absorbs GC noise from the optimized system's larger
-			// heap (the paper's acknowledged ~50% dcache memory overhead).
-			if o > u*1.15 {
-				return fmt.Errorf("%s: optimized %.3fms regressed past unmod %.3fms", app, o/1e6, u/1e6)
-			}
-			if o < u {
-				wins++
-			}
+	r := runExp(t, Table1)
+	// The metadata-bound winners of the paper walk fewer components
+	// optimized: the fastpath answers their warm stats whole.
+	for _, app := range []string{"find -name", "du -s", "updatedb -U usr", "git status", "git diff"} {
+		if u, o := r.Get("unmod/"+app+"/components"), r.Get("opt/"+app+"/components"); o >= u {
+			t.Errorf("%s: optimized walked %.0f components, baseline %.0f", app, o, u)
 		}
-		if wins < 3 {
-			return fmt.Errorf("only %d/%d metadata-bound apps faster optimized", wins, len(apps))
+	}
+	// Warm-cache hit rates are high (paper: 84-100%).
+	for _, app := range []string{"find -name", "du -s", "git status"} {
+		if hit := r.Get("hit/" + app); hit < 80 {
+			t.Errorf("%s hit rate %.1f%% below warm-cache expectation", app, hit)
 		}
-		// Warm-cache hit rates are high (paper: 84-100%).
-		for _, app := range []string{"find -name", "du -s", "git status"} {
-			if hit := r.Get("hit/" + app); hit < 80 {
-				return fmt.Errorf("%s hit rate %.1f%% below warm-cache expectation", app, hit)
-			}
-		}
-		// make shows a significant negative dentry rate (paper: ~20%).
-		if neg := r.Get("neg/make"); neg < 5 {
-			return fmt.Errorf("make negative rate %.1f%% too low; header probes should miss", neg)
-		}
-		// Compute-bound make must not regress badly (paper: within noise).
-		if u, o := r.Get("unmod/make"), r.Get("opt/make"); o > u*1.25 {
-			return fmt.Errorf("make regressed: %.2fms -> %.2fms", u/1e6, o/1e6)
-		}
-		return nil
-	})
+	}
+	// make shows a significant negative dentry rate (paper: ~20%).
+	if neg := r.Get("neg/make"); neg < 5 {
+		t.Errorf("make negative rate %.1f%% too low; header probes should miss", neg)
+	}
 }
 
 func TestTable2Shape(t *testing.T) {
-	retryShape(t, Table2, func(r *Report) error {
-		// Cold-cache runs are a wash: neither side wins by a large factor
-		// (paper: all within noise).
-		for _, app := range []string{"find -name", "du -s", "git status"} {
-			u := r.Get("unmod/" + app)
-			o := r.Get("opt/" + app)
-			if u == 0 || o == 0 {
-				return fmt.Errorf("%s missing cold data", app)
-			}
-			ratio := o / u
-			if ratio < 0.5 || ratio > 2.0 {
-				return fmt.Errorf("%s cold ratio %.2f outside wash band", app, ratio)
-			}
+	// A cold cache is a wash (paper: all within noise): the read-only
+	// utilities ask the file system the same questions on both systems,
+	// and no utility asks the optimized one more.
+	r := runExp(t, Table2)
+	readOnly := map[string]bool{"find -name": true, "du -s": true, "updatedb -U usr": true,
+		"git status": true, "git diff": true}
+	for _, app := range appCases() {
+		u, o := r.Get("unmod/"+app.name+"/fs_lookups"), r.Get("opt/"+app.name+"/fs_lookups")
+		if o > u || readOnly[app.name] && o != u {
+			t.Errorf("%s: cold FS lookups optimized %.0f, baseline %.0f", app.name, o, u)
 		}
-		return nil
-	})
+	}
 }
 
 func TestTable3Shape(t *testing.T) {
-	retryShape(t, Table3, func(r *Report) error {
-		sizes := SmallScale().DirSizes
-		// Every size stays within a noise band; the largest must win
-		// outright (readdir caching dominates there).
-		for _, size := range sizes {
-			u := r.Get("unmod/" + itoa(size))
-			o := r.Get("opt/" + itoa(size))
-			if o < u*0.92 {
-				return fmt.Errorf("listing size=%d: optimized %.0f req/s far below unmod %.0f", size, o, u)
-			}
-		}
-		last := sizes[len(sizes)-1]
-		if u, o := r.Get("unmod/"+itoa(last)), r.Get("opt/"+itoa(last)); o <= u {
-			return fmt.Errorf("listing size=%d: optimized %.0f req/s <= unmod %.0f", last, o, u)
-		}
-		return nil
-	})
+	// The req/s are a rate, printed only. Counted: every optimized listing
+	// comes from the cache, every baseline listing from the file system.
+	r := runExp(t, Table3)
+	for _, size := range SmallScale().DirSizes {
+		want(t, r, fmt.Sprintf("opt/%d/readdir_fs", size), 0)
+		want(t, r, fmt.Sprintf("unmod/%d/readdir_fs", size), r.Get(fmt.Sprintf("requests/%d", size)))
+	}
 }
 
 func TestTable4Counts(t *testing.T) {
@@ -361,8 +243,8 @@ func TestTable4Counts(t *testing.T) {
 func TestCoherenceShape(t *testing.T) {
 	r := runExp(t, Coherence)
 	// The storm must actually exercise coherence machinery: renames and
-	// chmods bump seqs and the epoch, churn inserts and removes DLHT
-	// entries.
+	// chmods bump seqs and the epoch, the replaced file removes a DLHT
+	// entry (TestCoherenceRemovesEntry) and its successors are inserted.
 	for _, k := range []string{"events/seq_bump", "events/epoch_bump",
 		"events/dlht_insert", "events/dlht_remove"} {
 		if r.Get(k) <= 0 {
@@ -384,6 +266,48 @@ func TestCoherenceShape(t *testing.T) {
 	}
 	if v := r.Get("audit/final_violations"); v != 0 {
 		t.Errorf("quiescent audit reported %.0f violations", v)
+	}
+}
+
+// TestCoherenceRemovesEntry pins, without the storm, what the storm's
+// dlht_remove count rests on. An unlink keeps the file's DLHT entry: the
+// dentry turns negative in place (§5.2) and the entry answers ENOENT on
+// the fastpath. The mutator's first round removes /src/churn's published
+// entry by renaming a new file over it.
+func TestCoherenceRemovesEntry(t *testing.T) {
+	cfg := dircache.Optimized()
+	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true}
+	sys := dircache.New(cfg)
+	p := sys.Start(dircache.RootCreds())
+	if err := coherenceTree(p); err != nil {
+		t.Fatal(err)
+	}
+	removes := func() uint64 { return sys.Telemetry().EventCounts()["dlht_remove"] }
+
+	const gone = "/src/d0/f0"
+	for i := 0; i < 2; i++ { // past admission control
+		if _, err := p.Stat(gone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Unlink(gone); err != nil {
+		t.Fatal(err)
+	}
+	before := sys.Stats()
+	_, err := p.Stat(gone)
+	if d := sys.Stats().Delta(before); !errors.Is(err, dircache.ErrNotExist) || d.FastNeg != 1 {
+		t.Errorf("stat of an unlinked file: %v, %d fastpath negatives, want ENOENT from the fastpath", err, d.FastNeg)
+	}
+	if n := removes(); n != 0 {
+		t.Errorf("unlink removed %d DLHT entries, want 0 (the negative keeps its entry)", n)
+	}
+
+	coherenceMutate(p, 0)
+	if n := removes(); n != 1 {
+		t.Errorf("the mutator's first round removed %d DLHT entries, want 1 (/src/churn's)", n)
+	}
+	if rep := sys.Doctor(); !rep.Valid || rep.Violations() != 0 {
+		t.Errorf("audit after the round: valid=%v, %d violations", rep.Valid, rep.Violations())
 	}
 }
 
@@ -411,42 +335,29 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestAblateShape(t *testing.T) {
-	retryShape(t, AblateFeatures, func(r *Report) error {
-		base := r.Get("mix/baseline")
-		full := r.Get("mix/+aliases (all)")
-		direct := r.Get("mix/+direct-lookup")
-		// The full feature set must not materially regress the mix.
-		if full > base*1.08 {
-			return fmt.Errorf("full feature set (%.2fms) regressed past baseline (%.2fms)",
-				full/1e6, base/1e6)
-		}
-		// The paper's point about partial deployment: direct lookup alone
-		// pays population overhead on every miss; the negative-dentry
-		// features must claw that back (full < direct-lookup-only).
-		if full >= direct {
-			return fmt.Errorf("full set (%.2fms) not faster than direct-lookup-only (%.2fms)",
-				full/1e6, direct/1e6)
-		}
-		return nil
-	})
+	// The paper's point about partial deployment, in components walked
+	// over SmallScale's tree: direct lookup alone answers the warm stats
+	// but not the missing-header probes, and the negative-dentry features
+	// claw those back.
+	r := runExp(t, AblateFeatures)
+	want(t, r, "mix/baseline/components", 1705)
+	want(t, r, "mix/+direct-lookup/components", 1488)
+	want(t, r, "mix/+aliases (all)/components", 900)
 }
 
 func TestAblatePCCShape(t *testing.T) {
-	retryShape(t, AblatePCC, func(r *Report) error {
-		// A tiny PCC misses more than the paper's 64 KiB one. The entries it
-		// evicted still have their DLHT entries, so the misses are answered
-		// by re-checking the prefix in place: more re-checks, and no more
-		// slow walks than the large PCC takes.
-		tiny := r.Get("rechecks/512")
-		full := r.Get(fmt.Sprintf("rechecks/%d", 64<<10))
-		if tiny <= full {
-			return fmt.Errorf("tiny PCC did not force extra prefix re-checks: %v vs %v", tiny, full)
-		}
-		if ts, fs := r.Get("slow/512"), r.Get(fmt.Sprintf("slow/%d", 64<<10)); ts > fs {
-			return fmt.Errorf("tiny PCC's capacity misses fell to the slow walk: %v slow walks vs %v", ts, fs)
-		}
-		return nil
-	})
+	// A tiny PCC misses more than the paper's 64 KiB one. The entries it
+	// evicted still have their DLHT entries, so the misses are answered by
+	// re-checking the prefix in place: more re-checks, and no more slow
+	// walks than the large PCC takes.
+	r := runExp(t, AblatePCC)
+	full := 64 << 10
+	if tiny, big := r.Get("rechecks/512"), r.Get(fmt.Sprintf("rechecks/%d", full)); tiny <= big {
+		t.Errorf("tiny PCC did not force extra prefix re-checks: %.0f vs %.0f", tiny, big)
+	}
+	if ts, fs := r.Get("slow/512"), r.Get(fmt.Sprintf("slow/%d", full)); ts > fs {
+		t.Errorf("tiny PCC's capacity misses fell to the slow walk: %.0f slow walks vs %.0f", ts, fs)
+	}
 }
 
 func TestColdStormShape(t *testing.T) {

@@ -11,54 +11,28 @@ import (
 )
 
 // Coherence measures the observability subsystem itself: it drives a
-// mutation-heavy workload (walks racing renames, chmods, and create/unlink
-// churn) against the optimized cache with the event journal on, and
-// reports coherence event rates by kind, journal drop rate, and the
-// verdict of the online invariant auditor — run continuously during the
-// storm and once more at quiescence.
+// mutation-heavy workload (walks racing renames, chmods, and a file
+// replaced and unlinked over and over) against the optimized cache with the event
+// journal on, and reports coherence event rates by kind, journal drop
+// rate, and the verdict of the online invariant auditor — run
+// continuously during the storm and once more at quiescence.
 func Coherence(sc Scale) (*Report, error) {
 	cfg := dircache.Optimized()
 	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true}
 	sys := dircache.New(cfg)
 	p := sys.Start(dircache.RootCreds())
 
-	const width = 8
-	if err := p.MkdirAll("/src/a/b/c", 0o755); err != nil {
+	if err := coherenceTree(p); err != nil {
 		return nil, err
-	}
-	for i := 0; i < width; i++ {
-		dir := fmt.Sprintf("/src/d%d", i)
-		if err := p.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		for j := 0; j < width; j++ {
-			if err := p.WriteFile(fmt.Sprintf("%s/f%d", dir, j), []byte("x"), 0o644); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// /src/churn starts out published, and walker 0 keeps statting it, so
-	// the mutator's first Unlink removes a table entry whatever the
-	// schedule. The round trips of /src/a need not remove any: they put
-	// every path below it back, and a structural mark keeps the entries
-	// whose path still names them.
-	if err := p.WriteFile("/src/churn", []byte("x"), 0o644); err != nil {
-		return nil, err
-	}
-	for i := 0; i < 2; i++ { // past admission control
-		if _, err := p.Stat("/src/churn"); err != nil {
-			return nil, err
-		}
 	}
 
 	// The storm: walkers hammer stable and churning paths while a mutator
-	// renames a subtree back and forth, flips permissions, and
-	// creates/unlinks — every mutation kind the journal records. The run
-	// is op-bounded (not wall-clock-bounded) so every participant makes
+	// renames a subtree back and forth, flips permissions, and replaces and
+	// unlinks a file — every mutation kind the journal records. The run is
+	// op-bounded (not wall-clock-bounded) so every participant makes
 	// progress even on a single-CPU box; Gosched keeps the hot loops from
 	// starving each other there.
-	iters := 100 * int(sc.MinMeasure/time.Millisecond) // small: 500, paper: 5000
+	iters := sc.Ops / 10 // small: 500, paper: 5000
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -68,7 +42,7 @@ func Coherence(sc Scale) (*Report, error) {
 			q := sys.Start(dircache.RootCreds())
 			paths := []string{
 				"/src/a/b/c",
-				fmt.Sprintf("/src/d%d/f%d", w%width, w%width),
+				fmt.Sprintf("/src/d%d/f%d", w%coherenceWidth, w%coherenceWidth),
 				"/src/enoent",
 			}
 			if w == 0 {
@@ -87,16 +61,12 @@ func Coherence(sc Scale) (*Report, error) {
 	}
 	mutDone := make(chan struct{})
 	wg.Add(1)
-	go func() { // mutation storm: subtree shootdowns
+	go func() {
 		defer wg.Done()
 		defer close(mutDone)
 		q := sys.Start(dircache.RootCreds())
 		for i := 0; i < iters; i++ {
-			q.Rename("/src/a", "/src/a2")
-			q.Rename("/src/a2", "/src/a")
-			q.Chmod("/src/d0", 0o700+uint32(i%2)*0o055)
-			q.WriteFile("/src/churn", []byte("x"), 0o644)
-			q.Unlink("/src/churn")
+			coherenceMutate(q, i)
 			runtime.Gosched()
 		}
 	}()
@@ -193,6 +163,54 @@ func Coherence(sc Scale) (*Report, error) {
 		r.note("finding: check=%s ref=%d path=%q: %s", f.Check, f.Ref, f.Path, f.Detail)
 	}
 	return r, nil
+}
+
+// coherenceWidth is the storm tree's fanout: /src/d0../src/d7, eight files
+// each.
+const coherenceWidth = 8
+
+// coherenceTree builds the storm's tree and publishes /src/churn.
+func coherenceTree(p *dircache.Process) error {
+	if err := p.MkdirAll("/src/a/b/c", 0o755); err != nil {
+		return err
+	}
+	for i := 0; i < coherenceWidth; i++ {
+		dir := fmt.Sprintf("/src/d%d", i)
+		if err := p.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		for j := 0; j < coherenceWidth; j++ {
+			if err := p.WriteFile(fmt.Sprintf("%s/f%d", dir, j), []byte("x"), 0o644); err != nil {
+				return err
+			}
+		}
+	}
+	if err := p.WriteFile("/src/churn", []byte("x"), 0o644); err != nil {
+		return err
+	}
+	for i := 0; i < 2; i++ { // past admission control
+		if _, err := p.Stat("/src/churn"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// coherenceMutate is one round of the storm's mutator. /src/churn starts
+// out published, so the first round's rename over it removes a table entry
+// whatever the schedule: a rename shoots down the dentry it replaces. The
+// unlink that follows need not: it turns the dentry negative in place and
+// keeps its entry (§5.2), which then answers ENOENT on the fastpath while
+// walker 0 races it. The round trip of /src/a need not remove any entry
+// either: it puts every path below it back, and a structural mark keeps
+// the entries whose path still names them.
+func coherenceMutate(q *dircache.Process, i int) {
+	q.Rename("/src/a", "/src/a2")
+	q.Rename("/src/a2", "/src/a")
+	q.Chmod("/src/d0", 0o700+uint32(i%2)*0o055)
+	q.WriteFile("/src/churn.new", []byte("x"), 0o644)
+	q.Rename("/src/churn.new", "/src/churn")
+	q.Unlink("/src/churn")
 }
 
 func b2f(b bool) float64 {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -66,34 +67,42 @@ var microPaths = []struct {
 	{"4-dotdot", "/XXX/YYY/../../XXX/YYY/../../FFF", false},
 }
 
-// statLoop warms and measures stat latency for a path.
-func statLoop(sc Scale, p *dircache.Process, path string) float64 {
+// statPoint warms path with a few stats (past admission, onto the hit
+// path), then measures n more.
+func statPoint(sys *dircache.System, p *dircache.Process, path string, n int) (float64, dircache.CacheStats) {
+	stat := func() { p.Stat(path) }
 	for i := 0; i < 32; i++ {
-		p.Stat(path)
+		stat()
 	}
-	return nsPerOp(sc.MinMeasure, func(n int) {
-		for i := 0; i < n; i++ {
-			p.Stat(path)
-		}
-	})
+	return measure(sys, n, stat)
 }
 
-// openLoop warms and measures open+close latency for a path.
-func openLoop(sc Scale, p *dircache.Process, path string) float64 {
-	work := func() {
+// openPoint is statPoint for open+close.
+func openPoint(sys *dircache.System, p *dircache.Process, path string, n int) float64 {
+	open := func() {
 		if f, err := p.Open(path, dircache.O_RDONLY, 0); err == nil {
 			f.Close()
 		}
 	}
 	for i := 0; i < 32; i++ {
-		work()
+		open()
 	}
-	return nsPerOp(sc.MinMeasure, func(n int) {
-		for i := 0; i < n; i++ {
-			work()
-		}
-	})
+	ns, _ := measure(sys, n, open)
+	return ns
 }
+
+// putWalk records the walk work a stat point counted, under prefix.
+func (r *Report) putWalk(prefix string, d dircache.CacheStats) {
+	r.put(prefix+"/components", float64(d.Components))
+	r.put(prefix+"/fast_hits", float64(d.FastHits))
+	r.put(prefix+"/fast_neg", float64(d.FastNeg))
+	r.put(prefix+"/slow_walks", float64(d.SlowWalks))
+	r.put(prefix+"/hashed_bytes", float64(d.HashedBytes))
+	r.put(prefix+"/dotdot_checks", float64(d.DotDotChecks))
+}
+
+// perOp renders a count per operation.
+func perOp(v int64, n int) string { return fmt.Sprintf("%.2f", float64(v)/float64(n)) }
 
 // Fig2 reproduces Figure 2: stat latency of the 8-component path across
 // the baseline synchronization eras, plus the optimized design. The
@@ -101,7 +110,7 @@ func openLoop(sc Scale, p *dircache.Process, path string) float64 {
 // plateaued; the optimized 3.14 cuts ~26% more.
 func Fig2(sc Scale) (*Report, error) {
 	r := newReport("fig2", "stat latency of XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF by era",
-		"kernel", "era", "stat ns/op")
+		"kernel", "era", "stat ns/op", "components/op", "fast hits/op")
 	configs := []struct {
 		label string
 		cfg   dircache.Config
@@ -121,7 +130,7 @@ func Fig2(sc Scale) (*Report, error) {
 		if err := buildMicroTree(p); err != nil {
 			return nil, err
 		}
-		ns := statLoop(sc, p, "/XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF")
+		ns, d := statPoint(sys, p, "/XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF", sc.Ops)
 		era := "optimized"
 		switch cfg.cfg.Era {
 		case dircache.EraBigLock:
@@ -133,8 +142,9 @@ func Fig2(sc Scale) (*Report, error) {
 				era = "rcu"
 			}
 		}
-		r.add(cfg.label, era, fmtNS(ns))
+		r.add(cfg.label, era, fmtNS(ns), perOp(d.Components, sc.Ops), perOp(d.FastHits, sc.Ops))
 		r.put("stat/"+cfg.label, ns)
+		r.putWalk("stat/"+cfg.label, d)
 	}
 	r.note("paper: 1.07us (2.6.36-era) -> 0.60us (3.14) -> 0.44us optimized (-26%%)")
 	return r, nil
@@ -145,14 +155,8 @@ func Fig2(sc Scale) (*Report, error) {
 // phase grows with depth; optimized only Scan&Hash does.
 func Fig3(sc Scale) (*Report, error) {
 	r := newReport("fig3", "lookup phase breakdown (ns)",
-		"path", "config", "init", "scan+hash", "hash lookup", "perm check", "finalize", "total")
-	paths := []struct{ name, path string }{
-		{"1-comp", "/FFF"},
-		{"2-comp", "/XXX/FFF"},
-		{"4-comp", "/XXX/YYY/ZZZ/FFF"},
-		{"8-comp", "/XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF"},
-	}
-	for _, mode := range []string{"unmod", "opt"} {
+		"path", "config", "init", "scan+hash", "hash lookup", "perm check", "finalize", "total", "components/op")
+	for _, mode := range modes {
 		cfg := dircache.Baseline()
 		if mode == "opt" {
 			cfg = dircache.Optimized()
@@ -177,42 +181,34 @@ func Fig3(sc Scale) (*Report, error) {
 		if err := buildMicroTree(p); err != nil {
 			return nil, err
 		}
-		for _, pt := range paths {
-			for i := 0; i < 128; i++ {
-				p.Stat(pt.path) // warm
+		for _, pt := range microPaths {
+			if !strings.HasSuffix(pt.name, "-comp") {
+				continue // the depth ladder: 1, 2, 4 and 8 components
 			}
-			var row []float64
-			total := 0.0
-			// Best of several windows: keep the lowest-total breakdown.
-			for win := 0; win < 5; win++ {
-				mu.Lock()
-				acc, count = dircache.PhaseTimes{}, 0
-				mu.Unlock()
-				const iters = 3000
-				for i := 0; i < iters; i++ {
-					p.Stat(pt.path)
-				}
-				mu.Lock()
-				n := float64(count)
-				if n == 0 {
-					n = 1
-				}
-				cand := []float64{
-					float64(acc.Init) / n, float64(acc.ScanHash) / n,
-					float64(acc.HashLookup) / n, float64(acc.PermCheck) / n,
-					float64(acc.Finalize) / n,
-				}
-				mu.Unlock()
-				ct := cand[0] + cand[1] + cand[2] + cand[3] + cand[4]
-				if row == nil || ct < total {
-					row, total = cand, ct
-				}
+			stat := func() { p.Stat(pt.path) }
+			for i := 0; i < 32; i++ {
+				stat() // warm, off the phase sums
 			}
+			mu.Lock()
+			acc, count = dircache.PhaseTimes{}, 0
+			mu.Unlock()
+			_, d := measure(sys, sc.Ops, stat)
+			mu.Lock()
+			n := float64(max(count, 1))
+			row := []float64{
+				float64(acc.Init) / n, float64(acc.ScanHash) / n,
+				float64(acc.HashLookup) / n, float64(acc.PermCheck) / n,
+				float64(acc.Finalize) / n,
+			}
+			mu.Unlock()
+			total := row[0] + row[1] + row[2] + row[3] + row[4]
 			r.add(pt.name, mode, fmtNS(row[0]), fmtNS(row[1]), fmtNS(row[2]),
-				fmtNS(row[3]), fmtNS(row[4]), fmtNS(total))
-			r.put(fmt.Sprintf("%s/%s/total", pt.name, mode), total)
-			r.put(fmt.Sprintf("%s/%s/permcheck", pt.name, mode), row[3])
-			r.put(fmt.Sprintf("%s/%s/hashlookup", pt.name, mode), row[2])
+				fmtNS(row[3]), fmtNS(row[4]), fmtNS(total), perOp(d.Components, sc.Ops))
+			key := pt.name + "/" + mode
+			r.put(key+"/total", total)
+			r.put(key+"/permcheck", row[3])
+			r.put(key+"/hashlookup", row[2])
+			r.putWalk(key, d)
 		}
 	}
 	r.note("baseline phases grow with path depth; optimized hash-lookup and perm-check are constant")
@@ -224,7 +220,7 @@ func Fig3(sc Scale) (*Report, error) {
 // forced PCC miss + slowpath, and Plan 9 lexical dot-dot semantics.
 func Fig6(sc Scale) (*Report, error) {
 	r := newReport("fig6", "stat/open latency by path pattern (ns)",
-		"path", "config", "stat", "open")
+		"path", "config", "stat", "open", "components/stat", "fast hits/stat")
 	configs := []struct {
 		label string
 		cfg   dircache.Config
@@ -258,10 +254,13 @@ func Fig6(sc Scale) (*Report, error) {
 			if cfg.label == "opt-lexical" && pt.name != "1-dotdot" && pt.name != "4-dotdot" {
 				continue // lexical mode only differs on dot-dot rows
 			}
-			statNS := statLoop(sc, p, pt.path)
-			openNS := openLoop(sc, p, pt.path)
-			r.add(pt.name, cfg.label, fmtNS(statNS), fmtNS(openNS))
-			r.put("stat/"+pt.name+"/"+cfg.label, statNS)
+			statNS, d := statPoint(sys, p, pt.path, sc.Ops)
+			openNS := openPoint(sys, p, pt.path, sc.Ops)
+			r.add(pt.name, cfg.label, fmtNS(statNS), fmtNS(openNS),
+				perOp(d.Components, sc.Ops), perOp(d.FastHits, sc.Ops))
+			key := "stat/" + pt.name + "/" + cfg.label
+			r.put(key, statNS)
+			r.putWalk(key, d)
 			r.put("open/"+pt.name+"/"+cfg.label, openNS)
 		}
 	}
@@ -275,8 +274,8 @@ func Fig6(sc Scale) (*Report, error) {
 // deliberate cost of the coherence protocol (§3.2), here flat (DESIGN §5d).
 func Fig7(sc Scale) (*Report, error) {
 	r := newReport("fig7", "chmod/rename latency vs cached subtree size (us)",
-		"subtree", "config", "chmod us", "rename us")
-	for _, mode := range []string{"unmod", "opt"} {
+		"subtree", "config", "chmod us", "rename us", "seq bumps/chmod", "range marks/chmod")
+	for _, mode := range modes {
 		cfg := dircache.Baseline()
 		if mode == "opt" {
 			cfg = dircache.Optimized()
@@ -299,19 +298,21 @@ func Fig7(sc Scale) (*Report, error) {
 					return nil, err
 				}
 			}
-			chmodNS := nsPerOp(sc.MinMeasure, func(n int) {
-				for i := 0; i < n; i++ {
-					p.Chmod(base, 0o755)
-				}
+			chmodNS, dc := measure(sys, sc.Ops, func() { p.Chmod(base, 0o755) })
+			renameNS, dr := measure(sys, sc.Ops, func() {
+				p.Rename(base, base+"x")
+				p.Rename(base+"x", base)
 			})
-			renameNS := nsPerOp(sc.MinMeasure, func(n int) {
-				for i := 0; i < n; i++ {
-					p.Rename(base, base+"x")
-					p.Rename(base+"x", base)
-				}
-			}) / 2 // two renames per iteration
+			renameNS /= 2 // two renames per operation
 			label := fmt.Sprintf("depth=%d files=%d", st.Depth, st.Files)
-			r.add(label, mode, fmtUS(chmodNS), fmtUS(renameNS))
+			r.add(label, mode, fmtUS(chmodNS), fmtUS(renameNS),
+				perOp(dc.SeqBumps, sc.Ops), perOp(dc.BatchShootdowns, sc.Ops))
+			for op, d := range map[string]dircache.CacheStats{"chmod": dc, "rename": dr} {
+				key := fmt.Sprintf("%s/%d/%s", op, st.Files, mode)
+				r.put(key+"/seq_bumps", float64(d.SeqBumps))
+				r.put(key+"/batch_shootdowns", float64(d.BatchShootdowns))
+				r.put(key+"/fs_lookups", float64(d.FSLookups))
+			}
 			r.put(fmt.Sprintf("chmod/%d/%s", st.Files, mode), chmodNS)
 			r.put(fmt.Sprintf("rename/%d/%s", st.Files, mode), renameNS)
 		}
@@ -380,10 +381,10 @@ func touchSubtree(p *dircache.Process, base string) error {
 // (any dip is hot-path contention — shared locks or counter lines).
 func Fig8(sc Scale) (*Report, error) {
 	r := newReport("fig8", "stat/open latency vs threads (ns/op)",
-		"threads", "config", "stat", "open", "stat/s/core")
+		"threads", "config", "stat", "open", "stat/s/core", "slow walks")
 	const path = "/XXX/YYY/ZZZ/AAA/BBB/CCC/DDD/FFF"
 	systems := map[string]*dircache.System{}
-	for _, mode := range []string{"unmod", "opt"} {
+	for _, mode := range modes {
 		cfg := dircache.Baseline()
 		if mode == "opt" {
 			cfg = dircache.Optimized()
@@ -397,32 +398,27 @@ func Fig8(sc Scale) (*Report, error) {
 		root.Stat(path)
 		systems[mode] = sys
 	}
-	// Interleave the two systems per thread count so drift hits both.
 	for _, threads := range sc.Threads {
-		vals := map[string][2]float64{}
-		for _, mode := range []string{"unmod", "opt"} {
+		for _, mode := range modes {
 			sys := systems[mode]
-			statNS := parallelNS(sc, sys, threads, func(p *dircache.Process) {
+			statNS, d := parallel(sys, threads, sc.Ops, func(p *dircache.Process) {
 				p.Stat(path)
 			})
-			openNS := parallelNS(sc, sys, threads, func(p *dircache.Process) {
+			openNS, _ := parallel(sys, threads, sc.Ops, func(p *dircache.Process) {
 				if f, err := p.Open(path, dircache.O_RDONLY, 0); err == nil {
 					f.Close()
 				}
 			})
-			vals[mode] = [2]float64{statNS, openNS}
-		}
-		for _, mode := range []string{"unmod", "opt"} {
-			// parallelNS reports average per-op latency per thread, so
+			// parallel reports average per-op latency per thread, so
 			// 1e9/latency is each core's lookup rate.
-			perCore := 0.0
-			if vals[mode][0] > 0 {
-				perCore = 1e9 / vals[mode][0]
-			}
-			r.add(fmt.Sprintf("%d", threads), mode, fmtNS(vals[mode][0]), fmtNS(vals[mode][1]),
-				fmt.Sprintf("%.0f", perCore))
-			r.put(fmt.Sprintf("stat/%d/%s", threads, mode), vals[mode][0])
-			r.put(fmt.Sprintf("open/%d/%s", threads, mode), vals[mode][1])
+			perCore := 1e9 / statNS
+			r.add(fmt.Sprintf("%d", threads), mode, fmtNS(statNS), fmtNS(openNS),
+				fmt.Sprintf("%.0f", perCore), fmt.Sprintf("%d", d.SlowWalks))
+			key := fmt.Sprintf("stat/%d/%s", threads, mode)
+			r.put(key, statNS)
+			r.put(key+"/lookups", float64(d.Lookups))
+			r.put(key+"/slow_walks", float64(d.SlowWalks))
+			r.put(fmt.Sprintf("open/%d/%s", threads, mode), openNS)
 			r.put(fmt.Sprintf("statrate/%d/%s", threads, mode), perCore)
 		}
 	}
@@ -430,57 +426,38 @@ func Fig8(sc Scale) (*Report, error) {
 	return r, nil
 }
 
-// parallelNS measures average per-op latency with the given concurrency.
-func parallelNS(sc Scale, sys *dircache.System, threads int, op func(*dircache.Process)) float64 {
+// parallel runs op n times on each of threads fresh processes at once, in
+// one timed pass after one warm call each, and returns the wall time per
+// thread's op (the average latency of one op on one thread) with the work
+// counted over the pass.
+func parallel(sys *dircache.System, threads, n int, op func(*dircache.Process)) (float64, dircache.CacheStats) {
 	procs := make([]*dircache.Process, threads)
 	for i := range procs {
 		procs[i] = sys.Start(dircache.RootCreds())
+		op(procs[i])
 	}
-	// Warm each process (shared root cred shares the PCC; first call may
-	// still slow-walk).
+	before := sys.Stats()
+	var wg sync.WaitGroup
+	t0 := time.Now()
 	for _, p := range procs {
-		op(p)
+		wg.Add(1)
+		go func(p *dircache.Process) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				op(p)
+			}
+		}(p)
 	}
-	run := func(perThread int) time.Duration {
-		var wg sync.WaitGroup
-		t0 := time.Now()
-		for _, p := range procs {
-			wg.Add(1)
-			go func(p *dircache.Process) {
-				defer wg.Done()
-				for i := 0; i < perThread; i++ {
-					op(p)
-				}
-			}(p)
-		}
-		wg.Wait()
-		return time.Since(t0)
-	}
-	perThread := 2048
-	var el time.Duration
-	for {
-		el = run(perThread)
-		if el >= sc.MinMeasure || perThread >= 1<<20 {
-			break
-		}
-		perThread *= 4
-	}
-	for rep := 0; rep < 3; rep++ {
-		if e2 := run(perThread); e2 < el {
-			el = e2 // best of several windows
-		}
-	}
-	total := float64(threads * perThread)
-	return float64(el.Nanoseconds()) / total * float64(threads)
-	// note: wall * threads / totalOps = average latency per op per thread
+	wg.Wait()
+	return float64(time.Since(t0).Nanoseconds()) / float64(n), sys.Stats().Delta(before)
 }
 
 // Fig9 reproduces Figure 9: readdir latency (left) and mkstemp-style
 // secure file creation latency (right) over directory size.
 func Fig9(sc Scale) (*Report, error) {
 	r := newReport("fig9", "readdir and mkstemp latency vs directory size",
-		"dir size", "config", "readdir us", "mkstemp us")
-	for _, mode := range []string{"unmod", "opt"} {
+		"dir size", "config", "readdir us", "mkstemp us", "fs readdirs/listing", "fs lookups/mkstemp")
+	for _, mode := range modes {
 		cfg := dircache.Baseline()
 		if mode == "opt" {
 			cfg = dircache.Optimized()
@@ -503,30 +480,29 @@ func Fig9(sc Scale) (*Report, error) {
 			if err != nil || len(ents) != size {
 				return nil, fmt.Errorf("fig9 warm listing: %d/%d %v", len(ents), size, err)
 			}
-			readdirNS := nsPerOp(sc.MinMeasure, func(n int) {
-				for i := 0; i < n; i++ {
-					f, err := p.Open(dir, dircache.O_RDONLY|dircache.O_DIRECTORY, 0)
-					if err != nil {
-						return
-					}
+			// A listing reads size entries: Ops entries per point.
+			listings := max(sc.Ops/size, 1)
+			readdirNS, dl := measure(sys, listings, func() {
+				if f, err := p.Open(dir, dircache.O_RDONLY|dircache.O_DIRECTORY, 0); err == nil {
 					f.ReadDirAll()
 					f.Close()
 				}
 			})
 			// mkstemp: create + unlink to hold directory size steady.
-			mkstempNS := nsPerOp(sc.MinMeasure, func(n int) {
-				for i := 0; i < n; i++ {
-					f, name, err := p.Mkstemp(dir, "tmp-")
-					if err != nil {
-						return
-					}
+			mkstempNS, dm := measure(sys, sc.Ops, func() {
+				if f, name, err := p.Mkstemp(dir, "tmp-"); err == nil {
 					f.Close()
 					p.Unlink(name)
 				}
 			})
-			r.add(fmt.Sprintf("%d", size), mode, fmtUS(readdirNS), fmtUS(mkstempNS))
-			r.put(fmt.Sprintf("readdir/%d/%s", size, mode), readdirNS)
-			r.put(fmt.Sprintf("mkstemp/%d/%s", size, mode), mkstempNS)
+			r.add(fmt.Sprintf("%d", size), mode, fmtUS(readdirNS), fmtUS(mkstempNS),
+				perOp(dl.ReaddirFS, listings), perOp(dm.FSLookups, sc.Ops))
+			key := fmt.Sprintf("%d/%s", size, mode)
+			r.put("readdir/"+key, readdirNS)
+			r.put("readdir/"+key+"/listings", float64(listings))
+			r.put("readdir/"+key+"/readdir_fs", float64(dl.ReaddirFS))
+			r.put("mkstemp/"+key, mkstempNS)
+			r.put("mkstemp/"+key+"/fs_lookups", float64(dm.FSLookups))
 		}
 	}
 	r.note("paper: readdir gains 46-74%%, growing with size; mkstemp gains 1-8%%")

@@ -7,25 +7,47 @@ import (
 	"dircache/internal/workload"
 )
 
-// serverPair holds both systems' state for one interleaved A/B comparison
-// point; alternating measurement windows between the two systems cancels
-// machine drift.
-type serverPair struct {
-	procs map[string]*workload.Proc
+// serverPair holds both systems of one A/B comparison point, baseline
+// first (modes).
+type serverPair [2]struct {
+	sys *dircache.System
+	w   *workload.Proc
 }
 
-func newServerPair(seedBase uint64) (*serverPair, error) {
-	sp := &serverPair{procs: map[string]*workload.Proc{}}
-	for _, mode := range []string{"unmod", "opt"} {
+func newServerPair(seedBase uint64) *serverPair {
+	var sp serverPair
+	for i := range sp {
 		cfg := dircache.Baseline()
-		if mode == "opt" {
+		if i == 1 {
 			cfg = dircache.Optimized()
 			cfg.SignatureSeed = seedBase
 		}
-		sys := dircache.New(cfg)
-		sp.procs[mode] = workload.NewProc(sys.Start(dircache.RootCreds()))
+		sp[i].sys = dircache.New(cfg)
+		sp[i].w = workload.NewProc(sp[i].sys.Start(dircache.RootCreds()))
 	}
-	return sp, nil
+	return &sp
+}
+
+// run times one pass of each system's workload (which returns its rate)
+// and records the rate under "<mode>/<size>", with the FS readdirs and FS
+// lookups the pass counted under that key's "/readdir_fs" and
+// "/fs_lookups"; it returns the two rates.
+func (sp *serverPair) run(r *Report, size int, pass func(i int, w *workload.Proc) (float64, error)) ([2]float64, error) {
+	var rates [2]float64
+	for i, s := range sp {
+		before := s.sys.Stats()
+		v, err := pass(i, s.w)
+		if err != nil {
+			return rates, err
+		}
+		d := s.sys.Stats().Delta(before)
+		rates[i] = v
+		key := fmt.Sprintf("%s/%d", modes[i], size)
+		r.put(key, v)
+		r.put(key+"/readdir_fs", float64(d.ReaddirFS))
+		r.put(key+"/fs_lookups", float64(d.FSLookups))
+	}
+	return rates, nil
 }
 
 // Fig10 reproduces Figure 10: Dovecot-style maildir server throughput as
@@ -34,43 +56,27 @@ func Fig10(sc Scale) (*Report, error) {
 	r := newReport("fig10", "Dovecot maildir throughput (ops/sec)",
 		"mailbox size", "unmod ops/s", "opt ops/s", "gain")
 	for _, size := range sc.MailboxSizes {
-		sp, err := newServerPair(0x1010)
-		if err != nil {
-			return nil, err
-		}
-		boxes := map[string][]string{}
-		for mode, w := range sp.procs {
-			b, err := workload.GenerateMaildir(w.P, "/mail", sc.Mailboxes, size)
+		sp := newServerPair(0x1010)
+		var boxes [2][]string
+		for i, s := range sp {
+			b, err := workload.GenerateMaildir(s.w.P, "/mail", sc.Mailboxes, size)
 			if err != nil {
 				return nil, err
 			}
-			boxes[mode] = b
+			boxes[i] = b
 			// Warm pass.
-			if _, err := workload.RunDovecot(w, b, sc.DovecotOps/4+1, 3); err != nil {
+			if _, err := workload.RunDovecot(s.w, b, sc.DovecotOps/4+1, 3); err != nil {
 				return nil, err
 			}
 		}
-		samples := map[string][]float64{}
-		for win := 0; win < 5; win++ {
-			for _, mode := range []string{"unmod", "opt"} {
-				v, err := workload.RunDovecot(sp.procs[mode], boxes[mode], sc.DovecotOps, int64(4+win))
-				if err != nil {
-					return nil, err
-				}
-				samples[mode] = append(samples[mode], v)
-			}
+		v, err := sp.run(r, size, func(i int, w *workload.Proc) (float64, error) {
+			return workload.RunDovecot(w, boxes[i], sc.DovecotOps, 4)
+		})
+		if err != nil {
+			return nil, err
 		}
-		best := map[string]float64{
-			"unmod": median(samples["unmod"]),
-			"opt":   median(samples["opt"]),
-		}
-		for mode, v := range best {
-			r.put(fmt.Sprintf("%s/%d", mode, size), v)
-		}
-		r.add(fmt.Sprintf("%d", size),
-			fmt.Sprintf("%.0f", best["unmod"]),
-			fmt.Sprintf("%.0f", best["opt"]),
-			fmtGain(1/best["unmod"], 1/best["opt"])) // gain in time-per-op
+		r.add(fmt.Sprintf("%d", size), fmt.Sprintf("%.0f", v[0]), fmt.Sprintf("%.0f", v[1]),
+			fmtGain(1/v[0], 1/v[1])) // gain in time-per-op
 	}
 	r.note("paper: +7.8%% to +12.2%%, larger boxes gain more (readdir caching)")
 	return r, nil
@@ -82,21 +88,18 @@ func Table3(sc Scale) (*Report, error) {
 	r := newReport("table3", "Apache directory listing throughput (req/s)",
 		"# of files", "unmod req/s", "opt req/s", "gain")
 	for _, size := range sc.DirSizes {
-		sp, err := newServerPair(0x3333)
-		if err != nil {
-			return nil, err
-		}
-		for _, w := range sp.procs {
-			if err := w.P.Mkdir("/www", 0o755); err != nil {
+		sp := newServerPair(0x3333)
+		for _, s := range sp {
+			if err := s.w.P.Mkdir("/www", 0o755); err != nil {
 				return nil, err
 			}
 			for i := 0; i < size; i++ {
-				if err := w.P.WriteFile(fmt.Sprintf("/www/page%06d.html", i), []byte("<html>"), 0o644); err != nil {
+				if err := s.w.P.WriteFile(fmt.Sprintf("/www/page%06d.html", i), []byte("<html>"), 0o644); err != nil {
 					return nil, err
 				}
 			}
 			// Warm pass.
-			if _, err := workload.RunApacheBench(w, "/www", 8); err != nil {
+			if _, err := workload.RunApacheBench(s.w, "/www", 8); err != nil {
 				return nil, err
 			}
 		}
@@ -104,45 +107,16 @@ func Table3(sc Scale) (*Report, error) {
 		if size >= 1000 && n > 200 {
 			n = 200 // large listings are slow; fewer requests suffice
 		}
-		samples := map[string][]float64{}
-		for win := 0; win < 5; win++ {
-			for _, mode := range []string{"unmod", "opt"} {
-				v, err := workload.RunApacheBench(sp.procs[mode], "/www", n)
-				if err != nil {
-					return nil, err
-				}
-				samples[mode] = append(samples[mode], v)
-			}
+		v, err := sp.run(r, size, func(_ int, w *workload.Proc) (float64, error) {
+			return workload.RunApacheBench(w, "/www", n)
+		})
+		if err != nil {
+			return nil, err
 		}
-		best := map[string]float64{
-			"unmod": median(samples["unmod"]),
-			"opt":   median(samples["opt"]),
-		}
-		for mode, v := range best {
-			r.put(fmt.Sprintf("%s/%d", mode, size), v)
-		}
-		r.add(fmt.Sprintf("%d", size),
-			fmt.Sprintf("%.0f", best["unmod"]),
-			fmt.Sprintf("%.0f", best["opt"]),
-			fmtGain(1/best["unmod"], 1/best["opt"]))
+		r.put(fmt.Sprintf("requests/%d", size), float64(n))
+		r.add(fmt.Sprintf("%d", size), fmt.Sprintf("%.0f", v[0]), fmt.Sprintf("%.0f", v[1]),
+			fmtGain(1/v[0], 1/v[1]))
 	}
 	r.note("paper: +5.9%% to +12.2%% across 10..10k files")
 	return r, nil
-}
-
-// median returns the middle sample (average of the middle two for even n).
-func median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
 	"dircache"
 	"dircache/internal/fsapi"
@@ -136,14 +137,11 @@ func shardAggRate(sc Scale, g *shard.Group, files []string) (float64, []int) {
 		if len(fs) == 0 {
 			continue
 		}
-		ns := nsPerOp(sc.MinMeasure, func(n int) {
-			for i := 0; i < n; i++ {
-				g.Router.Stat(fs[i%len(fs)])
-			}
-		})
-		if ns > 0 {
-			total += 1e9 / ns
+		t0 := time.Now()
+		for i := 0; i < sc.Ops; i++ {
+			g.Router.Stat(fs[i%len(fs)])
 		}
+		total += float64(sc.Ops) / time.Since(t0).Seconds()
 	}
 	return total, counts
 }

@@ -18,7 +18,7 @@ help:
 	@echo "  ci             tier-1 gate: vet + check + bench-test + race + audit + the smokes, then loc (run before every push)"
 	@echo "  check          go build + go test ./..."
 	@echo "  bench-test     tests of the nested benchmark/ module, which go test ./... does not reach"
-	@echo "  vet            go vet ./..."
+	@echo "  vet            go vet ./... and gofmt -l . (fails on any unformatted file)"
 	@echo "  race           race-detector pass over every package"
 	@echo "  audit          invariant-auditor tests (concurrent + injected-bug) under -race"
 	@echo "  stress         longer -race soak of the stress tests, the revocation table and the prefix re-check's phase tests, then the audit storms x20 and internal/bench x5, all beside one busy spinner per CPU"
@@ -30,7 +30,7 @@ help:
 	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable) and FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors)"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch; then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
-	@echo "  loc            the two line counts ROADMAP item 7 tracks (non-test Go: core+vfs, and everything outside benchmark/)"
+	@echo "  loc            the two line counts ROADMAP item 10 tracks (non-test Go: core+vfs, and everything outside benchmark/)"
 
 build:
 	$(GO) build ./...
@@ -44,8 +44,10 @@ check: build
 bench-test:
 	cd benchmark && $(GO) test ./...
 
+# vet fails on unformatted Go as well as on vet's findings.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -176,7 +178,7 @@ fuzz-smoke:
 dcbench:
 	$(GO) run ./cmd/dcbench -scale small
 
-# The two counts ROADMAP item 7 tracks, computed one way: lines of
+# The two counts ROADMAP item 10 tracks, computed one way: lines of
 # non-test Go under internal/core + internal/vfs, and lines of non-test
 # Go outside benchmark/ (and its build directory).
 loc:

@@ -181,7 +181,7 @@ func TestServeTraceSmoke(t *testing.T) {
 	maddr := recv("metrics address")
 	sys := <-sysC
 	tel := sys.Telemetry()
-	tel.SetSlowThreshold("", 0) // flight-record every completed trace
+	tel.SetSlowThreshold(0) // flight-record every completed trace
 
 	// Seed a 14-component spine in-process: /srv + 12 dirs + leaf.
 	spine := "/srv"

@@ -18,7 +18,7 @@ func TestConsoleCommands(t *testing.T) {
 	sys := dircache.New(cfg)
 	p := sys.Start(dircache.RootCreds())
 	defer p.Exit()
-	sys.Telemetry().SetSlowThreshold("", 0) // flight-record everything
+	sys.Telemetry().SetSlowThreshold(0) // flight-record everything
 
 	if err := p.MkdirAll("/a/b/c", 0o755); err != nil {
 		t.Fatal(err)

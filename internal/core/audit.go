@@ -18,10 +18,13 @@ import (
 // two (mutations bump the epoch; publishes and alias re-signs bump
 // populations while no mutation is in flight), so an audit pass bracketed
 // by equal stamps raced no fastpath transition. Quiescent means no
-// mutation is mid-flight.
+// mutation is mid-flight. The population count is the kernel's Populations
+// counter, a sum over stripes read one at a time; that is still a valid
+// stamp because each stripe only grows, so two equal sums mean no stripe
+// moved between the two reads.
 func (c *Core) AuditStamp() ([]uint64, bool) {
 	e := c.epoch.Load()
-	return []uint64{e, uint64(c.stats.populations.Load())}, quiescent(e)
+	return []uint64{e, uint64(c.k.Sum(vfs.NPopulations))}, quiescent(e)
 }
 
 // auditRun accumulates findings up to a cap.

@@ -25,7 +25,7 @@ func warmBatchSubtree(t *testing.T, c *Core, root interface {
 			t.Fatal(err)
 		}
 	}
-	if c.Stats().Populations == 0 {
+	if c.k.Stats().Populations == 0 {
 		t.Fatal("fastpath never populated; nothing to shoot down")
 	}
 }
@@ -39,11 +39,11 @@ func TestBatchShootdownLazyDiscard(t *testing.T) {
 	k, c, root := auditFixture(t)
 	warmBatchSubtree(t, c, root)
 
-	s0 := c.Stats()
+	s0 := c.k.Stats()
 	if err := root.Rename("/a", "/mv/a"); err != nil {
 		t.Fatal(err)
 	}
-	d := c.Stats()
+	d := c.k.Stats()
 	if d.BatchShootdowns-s0.BatchShootdowns != 1 {
 		t.Fatalf("want 1 batch shootdown, got %d", d.BatchShootdowns-s0.BatchShootdowns)
 	}
@@ -61,7 +61,7 @@ func TestBatchShootdownLazyDiscard(t *testing.T) {
 	if n := c.SweepStale(); n != 0 {
 		t.Fatalf("second sweep still discarded %d entries", n)
 	}
-	if c.Stats().LazyShootdowns == s0.LazyShootdowns {
+	if c.k.Stats().LazyShootdowns == s0.LazyShootdowns {
 		t.Fatal("no lazy shootdowns recorded")
 	}
 
@@ -222,7 +222,7 @@ func TestKilledNegativeAnswersNothing(t *testing.T) {
 	if !neg.IsDead() {
 		t.Fatal("rename back did not kill the residual negative")
 	}
-	stale := c.Stats().StaleTokens
+	stale := c.k.Stats().StaleTokens
 	c.EndSlowNegative(token, walker, rootRef, "/a/b", &vfs.WalkFailure{
 		Errno:   fsapi.ENOENT,
 		Anchor:  vfs.PathRef{Mnt: rootRef.Mnt, D: neg},
@@ -246,7 +246,7 @@ func TestKilledNegativeAnswersNothing(t *testing.T) {
 	if fd.InTable != was {
 		t.Fatal("publish accepted a pre-rename token")
 	}
-	if got := c.Stats().StaleTokens - stale; got != 2 {
+	if got := c.k.Stats().StaleTokens - stale; got != 2 {
 		t.Fatalf("StaleTokens moved by %d, want 2 (the population and the publish)", got)
 	}
 	// No stale ENOENT: /a/b exists again and resolves, cold and warm.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -43,6 +44,55 @@ func auditFixture(t testing.TB) (*vfs.Kernel, *Core, *vfs.Task) {
 		}
 	}
 	return k, c, root
+}
+
+// TestAuditStampMovesOnStateChanges pins what AuditStamp tracks: a
+// publish moves its population count (a sum over stripes), a chmod moves
+// its epoch, and warm fastpath hits leave it equal.
+func TestAuditStampMovesOnStateChanges(t *testing.T) {
+	k, c, root := auditFixture(t)
+	stat := func(p string) {
+		t.Helper()
+		if _, err := root.Stat(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stamp := func() []uint64 {
+		t.Helper()
+		s, quiet := c.AuditStamp()
+		if !quiet {
+			t.Fatal("stamp not quiescent with no mutation in flight")
+		}
+		return s
+	}
+
+	// The first touch is deferred by admission; the second publishes.
+	const p = "/a/b/c/file"
+	stat(p)
+	s0 := stamp()
+	stat(p)
+	s1 := stamp()
+	if s1[0] != s0[0] || s1[1] == s0[1] {
+		t.Fatalf("publishing %s: stamp %v -> %v, want the population count to move alone", p, s0, s1)
+	}
+
+	before := k.Stats()
+	for i := 0; i < 10; i++ {
+		stat(p)
+	}
+	if hits := k.Stats().Delta(before).FastHits; hits != 10 {
+		t.Fatalf("%d of 10 warm stats hit the fastpath", hits)
+	}
+	if s2 := stamp(); !slices.Equal(s2, s1) {
+		t.Fatalf("warm stats moved the stamp: %v -> %v", s1, s2)
+	}
+
+	if err := root.Chmod("/a", 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if s3 := stamp(); s3[0] == s1[0] {
+		t.Fatalf("chmod left the epoch at %d", s3[0])
+	}
 }
 
 // TestAuditInvariantDuringFastpathStress runs the full auditor (VFS
@@ -164,7 +214,7 @@ func TestAuditCatchesInjectedStaleShootdown(t *testing.T) {
 		}
 		root.Stat("/a/b/c")
 	}
-	if c.Stats().Populations == 0 {
+	if c.k.Stats().Populations == 0 {
 		t.Fatal("fastpath never populated; nothing to corrupt")
 	}
 

@@ -7,7 +7,6 @@ import (
 	"dircache/internal/coherence"
 	"dircache/internal/cred"
 	"dircache/internal/sig"
-	"dircache/internal/stripe"
 	"dircache/internal/telemetry"
 	"dircache/internal/vfs"
 )
@@ -41,53 +40,6 @@ type Config struct {
 	// extraction, rm -r — never pay population cost). 0 selects the default
 	// of 2; 1 or less admits on first touch (the original behaviour).
 	AdmitAfter int
-}
-
-// Stats are fastpath counters.
-type Stats struct {
-	TryFast        int64 // fastpath attempts
-	Hits           int64 // full fastpath hits (DLHT + PCC)
-	NegHits        int64 // hits that answered ENOENT/ENOTDIR
-	DLHTMiss       int64 // fell back: signature not in DLHT
-	PCCMiss        int64 // fell back: prefix check not memoized/stale, and not re-checkable in place
-	Rechecks       int64 // PCC misses on a table hit answered by re-checking the prefix in place
-	DotDotChecks   int64 // extra per-".." fastpath permission lookups
-	Populations    int64 // DLHT+PCC population events
-	Invalidation   int64 // shootdowns (one per BeginMutation)
-	StaleTokens    int64 // populations skipped due to concurrent mutation
-	AliasCreated   int64
-	DeepNegCreated int64
-	SeqBumps       int64 // per-dentry version bumps (mutation roots + lazily discarded descendants)
-	DLHTSweeps     int64 // dead DLHT nodes swept by inserts or dropped by doublings
-	PCCFlushes     int64 // whole-PCC invalidations
-	PCCResizes     int64 // PCC generation copies
-
-	// Admission control + batched shootdown (zero when AdmitAfter <= 1
-	// and no bulk mutations ran).
-	Admitted        int64 // populations allowed on a dentry's Nth touch
-	Deferred        int64 // populations declined pending more touches
-	BatchShootdowns int64 // subtree invalidations taken as one range mark
-	LazyShootdowns  int64 // range marks discharged lazily on a descendant by probes/sweeps
-	KeptUnmoved     int64 // structural discharges that kept the entry: its path still names it
-
-	HashedBytes int64 // bytes fed to the path hash (all paths)
-}
-
-// statsCell holds the fastpath counters. The miss counters sit on the
-// TryFast fallback path, which concurrent walks hit together, so they are
-// striped (stripe.Int64) like the kernel's counters rather than shared
-// atomics.
-type statsCell struct {
-	dlhtMiss, pccMiss, rechecks, dotDotChecks stripe.Int64
-
-	// Every scan, warm ones included, feeds hashedBytes: striped too.
-	hashedBytes stripe.Int64
-
-	populations, invalidations, staleTokens, aliasCreated,
-	deepNegCreated, seqBumps atomic.Int64
-
-	admitted, deferred,
-	batchShootdowns, lazyShootdowns, keptUnmoved atomic.Int64
 }
 
 // fastDentry is the per-dentry fastpath state — the paper's struct
@@ -192,8 +144,6 @@ type Core struct {
 	// the kernel keeps them (Kernel.DLHTs).
 	regMu sync.Mutex
 	pccs  []pccReg
-
-	stats statsCell
 }
 
 // pccReg pairs a registered PCC with the credential it caches for.
@@ -218,52 +168,11 @@ func Install(k *vfs.Kernel, cfg Config) *Core {
 	return c
 }
 
-// Stats snapshots the fastpath counters. Hit counts live in the kernel's
-// counters (the hot path records them once there); TryFast approximates
-// attempts as hits + recorded miss reasons.
-func (c *Core) Stats() Stats {
-	ks := c.k.Stats()
-	_, dlhts := c.k.DLHTMemStats()
-	return Stats{
-		TryFast:        ks.FastHits + c.stats.dlhtMiss.Load() + c.stats.pccMiss.Load(),
-		Hits:           ks.FastHits,
-		NegHits:        ks.FastNegHits,
-		DLHTMiss:       c.stats.dlhtMiss.Load(),
-		PCCMiss:        c.stats.pccMiss.Load(),
-		Rechecks:       c.stats.rechecks.Load(),
-		DotDotChecks:   c.stats.dotDotChecks.Load(),
-		Populations:    c.stats.populations.Load(),
-		Invalidation:   c.stats.invalidations.Load(),
-		StaleTokens:    c.stats.staleTokens.Load(),
-		AliasCreated:   c.stats.aliasCreated.Load(),
-		DeepNegCreated: c.stats.deepNegCreated.Load(),
-		SeqBumps:       c.stats.seqBumps.Load(),
-		DLHTSweeps:     int64(dlhts.Sweeps),
-		PCCFlushes:     c.sumPCC(func(p *PCC) int64 { return p.flushes.Load() }),
-		PCCResizes:     c.sumPCC(func(p *PCC) int64 { return p.resizes.Load() }),
-
-		Admitted:        c.stats.admitted.Load(),
-		Deferred:        c.stats.deferred.Load(),
-		BatchShootdowns: c.stats.batchShootdowns.Load(),
-		LazyShootdowns:  c.stats.lazyShootdowns.Load(),
-		KeptUnmoved:     c.stats.keptUnmoved.Load(),
-
-		HashedBytes: c.stats.hashedBytes.Load(),
-	}
-}
-
 // registered snapshots the PCC registry.
 func (c *Core) registered() []pccReg {
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
 	return append([]pccReg(nil), c.pccs...)
-}
-
-func (c *Core) sumPCC(f func(*PCC) int64) (n int64) {
-	for _, r := range c.registered() {
-		n += f(r.p)
-	}
-	return n
 }
 
 // tele returns the kernel's telemetry sink iff it is enabled, nil
@@ -294,7 +203,7 @@ func (c *Core) pccFor(cr *cred.Cred) *PCC {
 		return v.(*PCC)
 	}
 	np := newPCC(c.cfg.PCCBytes, c.cfg.PCCMaxBytes)
-	np.tel = c.k.Telemetry
+	np.k = c.k
 	np.credID = cr.ID()
 	p := cr.CacheStoreIfAbsent(np).(*PCC)
 	if p == np {
@@ -346,7 +255,7 @@ func (c *Core) tokenValid(token uint64) bool {
 func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) vfs.Mutation {
 	tel := c.tele()
 	epoch := c.epoch.Add(epochEdge + 1)
-	c.stats.invalidations.Add(1)
+	c.k.Count(vfs.NInvalidations, 1)
 	var start int64
 	if tel != nil {
 		tel.Emit(telemetry.JEpochBump, d.ID(), int64(epoch), why.Note())
@@ -428,7 +337,7 @@ func (c *Core) shoot(d *vfs.Dentry, why vfs.Invalidation, tel *telemetry.Telemet
 		for old := c.topoGen.Load(); old < gen && !c.topoGen.CompareAndSwap(old, gen); old = c.topoGen.Load() {
 		}
 	}
-	c.stats.batchShootdowns.Add(1)
+	c.k.Count(vfs.NBatchShootdowns, 1)
 	fd.stampMark(gen, !perm)
 	if tel != nil {
 		tel.Emit(telemetry.JBatchShoot, d.ID(), int64(gen), why.Note())
@@ -476,7 +385,7 @@ func (fd *fastDentry) stampMark(gen uint64, structural bool) {
 // bumpSeq advances the dentry's version, which stales every PCC entry
 // naming it without touching any PCC.
 func (c *Core) bumpSeq(fd *fastDentry) {
-	c.stats.seqBumps.Add(1)
+	c.k.Count(vfs.NSeqBumps, 1)
 	if fd.Seq.Add(1)&pccSeqMask == 0 {
 		// The truncated seq stored in PCC entries wrapped: stale entries
 		// from 2^31 bumps ago would match again. Wipe all PCCs, as the
@@ -563,12 +472,12 @@ func (c *Core) fresh(d *vfs.Dentry) bool {
 	e1 := c.epoch.Load()
 	at, structural := c.markedAbove(d, vg)
 	if at != nil {
-		c.stats.lazyShootdowns.Add(1)
+		c.k.Count(vfs.NLazyShootdowns, 1)
 		switch {
 		case !structural:
 			c.bumpPublished(fd)
 		case c.keepUnmoved(d, vg, e1):
-			c.stats.keptUnmoved.Add(1)
+			c.k.Count(vfs.NKeptUnmoved, 1)
 			structural = false
 		default:
 			c.bumpSeq(fd)
@@ -611,7 +520,7 @@ func (c *Core) keepUnmoved(d *vfs.Dentry, vg, e1 uint64) bool {
 		return false
 	}
 	st.AppendComponent(name)
-	c.stats.hashedBytes.Add(int64(len(name) + 1))
+	c.k.Count(vfs.NHashedBytes, int64(len(name)+1))
 	idx, sg := st.Sum()
 	fd.Mu.Lock()
 	defer fd.Mu.Unlock()
@@ -731,7 +640,7 @@ func (c *Core) pathState(ref vfs.PathRef, dst *sig.State, keep bool) bool {
 			return false
 		}
 		dst.AppendComponent(name)
-		c.stats.hashedBytes.Add(int64(len(name) + 1))
+		c.k.Count(vfs.NHashedBytes, int64(len(name)+1))
 	}
 	if keep {
 		// Under mu, as in publish: a mutation that moved the name or the
@@ -785,7 +694,7 @@ func (c *Core) publish(dl *dlht, ref vfs.PathRef, st *sig.State, token uint64) {
 	// can never mask a mark this entry should honour.
 	gen := c.shootGen.Load()
 	if !c.tokenValid(token) {
-		c.stats.staleTokens.Add(1)
+		c.k.Count(vfs.NStaleTokens, 1)
 		return
 	}
 	if fd.InTable != nil {
@@ -805,7 +714,7 @@ func (c *Core) publish(dl *dlht, ref vfs.PathRef, st *sig.State, token uint64) {
 	fd.ValidGen.Store(gen)
 	c.insert(dl, idx, sg, ref.D)
 	fd.InTable = dl
-	c.stats.populations.Add(1)
+	c.k.Count(vfs.NPopulations, 1)
 }
 
 // dentrySeq returns d's current fastpath version (for PCC entries).

@@ -135,7 +135,7 @@ func TestPCCResizeUnderRealWorkload(t *testing.T) {
 	// trigger resizes and converge to fastpath hits.
 	kcfg := vfs.Config{DirCompleteness: true, AggressiveNegatives: true}
 	k := vfs.NewKernel(kcfg, memfs.New(memfs.Options{}))
-	c := Install(k, Config{Seed: 5, PCCBytes: 1 << 10, DeepNegatives: true, SymlinkAliases: true})
+	Install(k, Config{Seed: 5, PCCBytes: 1 << 10, DeepNegatives: true, SymlinkAliases: true})
 	root := k.NewTask(cred.Root())
 	if err := root.Mkdir("/d", 0o755); err != nil {
 		t.Fatal(err)
@@ -153,8 +153,7 @@ func TestPCCResizeUnderRealWorkload(t *testing.T) {
 			}
 		}
 	}
-	pcc := c.pccFor(root.Cred())
-	if pcc.Resizes() == 0 {
+	if k.Stats().PCCResizes == 0 {
 		t.Fatal("PCC never resized under a large working set")
 	}
 	// Steady state: a full pass should be nearly all fastpath hits.
@@ -238,12 +237,12 @@ func TestCoreStatsSurface(t *testing.T) {
 	root.Stat("/etc/passwd")
 	root.Stat("/etc/nothing")
 	root.Stat("/etc/nothing")
-	st := c.Stats()
-	if st.Hits == 0 || st.NegHits == 0 {
+	st := c.k.Stats()
+	if st.FastHits == 0 || st.FastNeg == 0 {
 		t.Fatalf("core stats: %+v", st)
 	}
-	if st.TryFast < st.Hits {
-		t.Fatalf("TryFast %d < Hits %d", st.TryFast, st.Hits)
+	if st.TryFast < st.FastHits {
+		t.Fatalf("TryFast %d < Hits %d", st.TryFast, st.FastHits)
 	}
 	if st.Populations == 0 {
 		t.Fatal("no populations recorded")
@@ -272,11 +271,11 @@ func TestSeqWraparoundInvalidatesAllPCCs(t *testing.T) {
 	}
 	fd := fast(ref.D)
 	fd.Seq.Store(pccSeqMask - 1) // next two Add(1)s cross zero (mod 2^31)
-	flushes := c.Stats().PCCFlushes
+	flushes := c.k.Stats().PCCFlushes
 	c.BeginMutation(ref.D, vfs.InvalPerm).End()
 	c.BeginMutation(ref.D, vfs.InvalPerm).End()
 	// All PCCs were wiped, the unrelated warm entry included.
-	if c.Stats().PCCFlushes == flushes || pcc.Lookup(warm.D.ID(), dentrySeq(warm.D)) {
+	if c.k.Stats().PCCFlushes == flushes || pcc.Lookup(warm.D.ID(), dentrySeq(warm.D)) {
 		t.Fatal("PCCs survived a seq wraparound")
 	}
 	// And the path repopulates: its table entry stood, so the first stat
@@ -381,8 +380,8 @@ func TestFastHitKeepsDentryWarm(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		statHot()
 	}
-	if d := k.Stats().Delta(before); d.SlowWalks != 0 || d.FastHits != 8 || d.FastNegHits != 4 {
-		t.Fatalf("the uses were not fastpath hits: %d slow walks, %d fast hits, %d negative", d.SlowWalks, d.FastHits, d.FastNegHits)
+	if d := k.Stats().Delta(before); d.SlowWalks != 0 || d.FastHits != 8 || d.FastNeg != 4 {
+		t.Fatalf("the uses were not fastpath hits: %d slow walks, %d fast hits, %d negative", d.SlowWalks, d.FastHits, d.FastNeg)
 	}
 	if n := k.Shrink(siblings - 1); n != siblings-1 {
 		t.Fatalf("Shrink(%d) evicted %d", siblings-1, n)

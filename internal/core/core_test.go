@@ -83,7 +83,7 @@ func TestFastpathHit(t *testing.T) {
 	if k.Stats().SlowWalks != slowBefore {
 		t.Fatal("second stat took the slow path")
 	}
-	if c.Stats().Hits == 0 {
+	if c.k.Stats().FastHits == 0 {
 		t.Fatal("no fastpath hit recorded")
 	}
 	// Many more hits, all fast.
@@ -271,7 +271,7 @@ func TestNegativeFastpath(t *testing.T) {
 	if k.Stats().SlowWalks != slow {
 		t.Fatal("repeated ENOENT took the slow path (neg-f case)")
 	}
-	if c.Stats().NegHits == 0 {
+	if c.k.Stats().FastNeg == 0 {
 		t.Fatal("negative fastpath hits not recorded")
 	}
 	// Creating the file flips the same path to a positive fastpath hit.
@@ -291,7 +291,7 @@ func TestDeepNegativeFastpath(t *testing.T) {
 	if _, err := root.Stat(p); !errors.Is(err, fsapi.ENOENT) {
 		t.Fatal(err)
 	}
-	if c.Stats().DeepNegCreated == 0 {
+	if c.k.Stats().DeepNegDentries == 0 {
 		t.Fatal("no deep negatives created")
 	}
 	slow := k.Stats().SlowWalks
@@ -380,7 +380,7 @@ func TestSymlinkDirAliasFastpath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().AliasCreated == 0 {
+	if c.k.Stats().AliasDentries == 0 {
 		t.Fatal("no alias dentries created")
 	}
 	slow := k.Stats().SlowWalks
@@ -440,7 +440,7 @@ func TestDotDotLinuxSemantics(t *testing.T) {
 	if k.Stats().SlowWalks != slow {
 		t.Fatal("dot-dot warm stat took the slow path")
 	}
-	if c.Stats().DotDotChecks == 0 {
+	if c.k.Stats().DotDotChecks == 0 {
 		t.Fatal("Linux dot-dot semantics did not issue extra checks")
 	}
 	// The Linux semantics: /a/X/../b requires search permission on X.
@@ -473,7 +473,7 @@ func TestDotDotPlan9Lexical(t *testing.T) {
 	if k.Stats().SlowWalks != slow {
 		t.Fatal("lexical dot-dot warm stat took the slow path")
 	}
-	if c.Stats().DotDotChecks != 0 {
+	if c.k.Stats().DotDotChecks != 0 {
 		t.Fatal("lexical mode issued per-dot-dot checks")
 	}
 }

@@ -88,6 +88,6 @@ func (pc *pathCursor) pop(c *Core, t *vfs.Task) bool {
 // the cursor's owner calls it once, after the scan, on every exit.
 func (pc *pathCursor) flush(c *Core) {
 	if pc.hashed != 0 {
-		c.stats.hashedBytes.Add(int64(pc.hashed))
+		c.k.Count(vfs.NHashedBytes, int64(pc.hashed))
 	}
 }

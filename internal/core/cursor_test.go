@@ -22,7 +22,7 @@ import (
 // directory comes first on purpose: a per-task prefix memo recorded on a
 // miss would make the next scan hash only a suffix.
 func TestWarmFastpathHashesPathOnce(t *testing.T) {
-	k, c, root := auditFixture(t)
+	k, _, root := auditFixture(t)
 	for _, p := range []string{"/w", "/w/x", "/w/x/y", "/w/x/y/z"} {
 		if err := root.Mkdir(p, 0o755); err != nil {
 			t.Fatal(err)
@@ -58,14 +58,15 @@ func TestWarmFastpathHashesPathOnce(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 		}
-		hits, hashed := k.Stats().FastHits, c.Stats().HashedBytes
+		before := k.Stats()
 		if _, err := root.Stat(tc.path); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := k.Stats().FastHits - hits; got != 1 {
+		d := k.Stats().Delta(before)
+		if got := d.FastHits; got != 1 {
 			t.Fatalf("%s: warm stat took %d fastpath hits, want 1", tc.name, got)
 		}
-		if got := c.Stats().HashedBytes - hashed; got != int64(tc.want) {
+		if got := d.HashedBytes; got != int64(tc.want) {
 			t.Errorf("%s: warm hit hashed %d bytes of %q, want %d", tc.name, got, tc.path, tc.want)
 		}
 	}
@@ -95,7 +96,7 @@ func TestCursorSpillBeyondInlineStack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Stats().Populations == 0 {
+	if c.k.Stats().Populations == 0 {
 		t.Fatal("deep path never admitted: lexicalHash spill failed")
 	}
 	before := k.Stats().FastHits

@@ -12,6 +12,7 @@ import (
 
 	"dircache/internal/stripe"
 	"dircache/internal/telemetry"
+	"dircache/internal/vfs"
 )
 
 // PCC entry packing (one uint64, read/written atomically — the analogue of
@@ -90,19 +91,18 @@ type PCC struct {
 	// to be approximately monotonic between resets, which a striped counter
 	// is.
 	windowEvict stripe.Int64
-	resizes     atomic.Int64
-	flushes     atomic.Int64
 
 	// credID is the owning credential's ID — the subject under which
 	// flush/resize events are journaled. Zero for unattached unit-test
 	// PCCs.
 	credID uint64
 
-	// tel, when set, resolves the owning kernel's telemetry subsystem so
-	// the (rare) generation copy can be timed into HistPCCResize. Written
-	// once before the PCC is published to its credential; nil in unit
-	// tests that build a PCC directly.
-	tel func() *telemetry.Telemetry
+	// k, when set, is the owning kernel: flushes and resizes are counted
+	// in its counters (PCCFlushes, PCCResizes), and the (rare) generation
+	// copy is timed into its telemetry's HistPCCResize. Written once
+	// before the PCC is published to its credential; nil in unit tests
+	// that build a PCC directly.
+	k *vfs.Kernel
 }
 
 // newPCC builds a PCC holding roughly bytes of entries (default 64 KiB,
@@ -169,8 +169,8 @@ func (p *PCC) noteEviction(t *pccTable) {
 	}
 	var tel *telemetry.Telemetry
 	var copyStart int64
-	if p.tel != nil {
-		if tel = p.tel(); tel.On() {
+	if p.k != nil {
+		if tel = p.k.Telemetry(); tel.On() {
 			copyStart = telemetry.Now()
 		} else {
 			tel = nil
@@ -198,7 +198,9 @@ func (p *PCC) noteEviction(t *pccTable) {
 	}
 	p.table.Store(bigger)
 	p.windowEvict.Reset()
-	p.resizes.Add(1)
+	if p.k != nil {
+		p.k.Count(vfs.NPCCResizes, 1)
+	}
 	if tel != nil {
 		tel.Record(telemetry.HistPCCResize, telemetry.Since(copyStart))
 		tel.Emit(telemetry.JPCCResize, p.credID, int64(len(bigger.sets)*pccWays), telemetry.NoteNone)
@@ -269,12 +271,6 @@ func (p *PCC) Stats() (hits, misses int64) {
 // Entries returns the current capacity in entries.
 func (p *PCC) Entries() int { return len(p.table.Load().sets) * pccWays }
 
-// Resizes reports how many times the table grew.
-func (p *PCC) Resizes() int64 { return p.resizes.Load() }
-
-// Flushes reports how many times the whole cache was invalidated.
-func (p *PCC) Flushes() int64 { return p.flushes.Load() }
-
 // Occupancy counts the currently valid entries (approximate under
 // concurrent inserts).
 func (p *PCC) Occupancy() int {
@@ -301,9 +297,9 @@ func (p *PCC) Invalidate() {
 			}
 		}
 	}
-	p.flushes.Add(1)
-	if p.tel != nil {
-		if tel := p.tel(); tel.On() {
+	if p.k != nil {
+		p.k.Count(vfs.NPCCFlushes, 1)
+		if tel := p.k.Telemetry(); tel.On() {
 			tel.Emit(telemetry.JPCCFlush, p.credID, cleared, telemetry.NoteNone)
 		}
 	}

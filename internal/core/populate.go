@@ -29,13 +29,13 @@ func (c *Core) admitPopulate(d *vfs.Dentry) bool {
 		return true
 	}
 	if int(n) >= c.admitAfter {
-		c.stats.admitted.Add(1)
+		c.k.Count(vfs.NAdmitted, 1)
 		if tel := c.tele(); tel != nil {
 			tel.Emit(telemetry.JAdmitted, d.ID(), int64(n), telemetry.NoteNth)
 		}
 		return true
 	}
-	c.stats.deferred.Add(1)
+	c.k.Count(vfs.NDeferred, 1)
 	if tel := c.tele(); tel != nil {
 		tel.Emit(telemetry.JAdmitDefer, d.ID(), int64(n), telemetry.NoteNone)
 	}
@@ -48,7 +48,7 @@ func (c *Core) admitPopulate(d *vfs.Dentry) bool {
 // (§3.1: the DLHT and PCC are lazily populated by slowpath lookups).
 func (c *Core) EndSlowLookup(token uint64, t *vfs.Task, start vfs.PathRef, path string, lexical, res vfs.PathRef) {
 	if !c.tokenValid(token) {
-		c.stats.staleTokens.Add(1)
+		c.k.Count(vfs.NStaleTokens, 1)
 		return
 	}
 	if lexical.D == nil || res.D == nil || lexical.D.IsDead() || res.D.IsDead() {
@@ -210,7 +210,7 @@ func (c *Core) advanceCursor(ns *vfs.Namespace, cur vfs.PathRef, comp string) vf
 // negative dentries for the missing components (§5.2).
 func (c *Core) EndSlowNegative(token uint64, t *vfs.Task, start vfs.PathRef, path string, f *vfs.WalkFailure) {
 	if !c.tokenValid(token) {
-		c.stats.staleTokens.Add(1)
+		c.k.Count(vfs.NStaleTokens, 1)
 		return
 	}
 	if f.Anchor.D == nil || f.Anchor.D.IsDead() {
@@ -247,10 +247,10 @@ func (c *Core) EndSlowNegative(token uint64, t *vfs.Task, start vfs.PathRef, pat
 			return
 		}
 		st.AppendComponent(name)
-		c.stats.hashedBytes.Add(int64(len(name) + 1))
+		c.k.Count(vfs.NHashedBytes, int64(len(name)+1))
 		c.publish(dl, vfs.PathRef{Mnt: f.Anchor.Mnt, D: child}, &st, token)
 		c.memoize(pcc, child, token)
-		c.stats.deepNegCreated.Add(1)
+		c.k.Count(vfs.NDeepNegDentries, 1)
 		cur = child
 	}
 }
@@ -280,7 +280,7 @@ func (c *Core) AliasStep(t *vfs.Task, aliasParent vfs.PathRef, name string, real
 	}
 	fast(alias).TargetSeq.Store(dentrySeq(real.D))
 	st.AppendComponent(name)
-	c.stats.hashedBytes.Add(int64(len(name) + 1))
+	c.k.Count(vfs.NHashedBytes, int64(len(name)+1))
 	// AliasStep runs mid-walk without the walk's epoch token; a fresh one
 	// still lets publish refuse inserts that race a mutation.
 	c.publish(t.Namespace().DLHT(), vfs.PathRef{Mnt: aliasParent.Mnt, D: alias}, &st, c.epoch.Load())
@@ -288,7 +288,7 @@ func (c *Core) AliasStep(t *vfs.Task, aliasParent vfs.PathRef, name string, real
 	// the target's PCC entry, which EndSlowLookup inserts under the
 	// directory-reference guard (§3.2) — inserting mid-walk could launder
 	// a cwd-relative authorization into an absolute one.
-	c.stats.aliasCreated.Add(1)
+	c.k.Count(vfs.NAliasDentries, 1)
 	return alias
 }
 

@@ -30,14 +30,14 @@ func admission(t *testing.T, admitAfter int) (*vfs.Kernel, *Core, *vfs.Task) {
 }
 
 func TestAdmissionDefersFirstTouch(t *testing.T) {
-	k, c, root := admission(t, 0) // default AdmitAfter == 2
+	k, _, root := admission(t, 0) // default AdmitAfter == 2
 	const p = "/usr/include/sys/types.h"
 
-	s0, k0 := c.Stats(), k.Stats()
+	s0 := k.Stats()
 	if _, err := root.Stat(p); err != nil {
 		t.Fatal(err)
 	}
-	d1 := c.Stats()
+	d1 := k.Stats()
 	if d1.Deferred-s0.Deferred != 1 {
 		t.Fatalf("first touch should defer exactly once, got %d", d1.Deferred-s0.Deferred)
 	}
@@ -50,11 +50,11 @@ func TestAdmissionDefersFirstTouch(t *testing.T) {
 	if _, err := root.Stat(p); err != nil {
 		t.Fatal(err)
 	}
-	d2, k2 := c.Stats(), k.Stats()
-	if k2.SlowWalks-k0.SlowWalks != 2 {
-		t.Fatalf("expected two slow walks, got %d", k2.SlowWalks-k0.SlowWalks)
+	d2 := k.Stats()
+	if d2.SlowWalks-s0.SlowWalks != 2 {
+		t.Fatalf("expected two slow walks, got %d", d2.SlowWalks-s0.SlowWalks)
 	}
-	if d2.Hits != s0.Hits {
+	if d2.FastHits != s0.FastHits {
 		t.Fatal("fastpath hit served before admission")
 	}
 	if d2.Admitted-s0.Admitted != 1 {
@@ -68,16 +68,16 @@ func TestAdmissionDefersFirstTouch(t *testing.T) {
 	if _, err := root.Stat(p); err != nil {
 		t.Fatal(err)
 	}
-	if k.Stats().SlowWalks != k2.SlowWalks {
+	if k.Stats().SlowWalks != d2.SlowWalks {
 		t.Fatal("post-admission stat took the slow path")
 	}
-	if c.Stats().Hits == d2.Hits {
+	if k.Stats().FastHits == d2.FastHits {
 		t.Fatal("post-admission stat did not fast-hit")
 	}
 }
 
 func TestAdmissionAfterThree(t *testing.T) {
-	k, c, root := admission(t, 3)
+	k, _, root := admission(t, 3)
 	// A fresh file: buildTree's own walks must not pre-touch it.
 	if err := root.Mkdir("/t3", 0o755); err != nil {
 		t.Fatal(err)
@@ -87,26 +87,26 @@ func TestAdmissionAfterThree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s0, k0 := c.Stats(), k.Stats()
+	s0 := k.Stats()
 	for i := 0; i < 3; i++ {
 		if _, err := root.Stat(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d := c.Stats()
+	d := k.Stats()
 	if got := d.Deferred - s0.Deferred; got != 2 {
 		t.Fatalf("AdmitAfter=3: want 2 deferrals, got %d", got)
 	}
 	if got := d.Admitted - s0.Admitted; got != 1 {
 		t.Fatalf("AdmitAfter=3: want 1 admission, got %d", got)
 	}
-	if got := k.Stats().SlowWalks - k0.SlowWalks; got != 3 {
+	if got := k.Stats().SlowWalks - s0.SlowWalks; got != 3 {
 		t.Fatalf("want 3 slow walks before admission, got %d", got)
 	}
 	if _, err := root.Stat(p); err != nil {
 		t.Fatal(err)
 	}
-	if k.Stats().SlowWalks-k0.SlowWalks != 3 {
+	if k.Stats().SlowWalks-s0.SlowWalks != 3 {
 		t.Fatal("fourth stat took the slow path")
 	}
 }
@@ -160,25 +160,25 @@ func TestAdmissionRecycleResetsTouches(t *testing.T) {
 }
 
 func TestAdmissionDeepNegativeChain(t *testing.T) {
-	k, c, root := admission(t, 0)
+	k, _, root := admission(t, 0)
 	if err := root.Mkdir("/dn", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	const p = "/dn/a/b/c"
 	// The anchor (/dn) is the admission subject for negative population:
 	// first ENOENT defers, second grows the deep-negative chain.
-	s0 := c.Stats()
+	s0 := k.Stats()
 	if _, err := root.Stat(p); !errors.Is(err, fsapi.ENOENT) {
 		t.Fatalf("want ENOENT, got %v", err)
 	}
-	if d := c.Stats(); d.DeepNegCreated != s0.DeepNegCreated {
+	if d := k.Stats(); d.DeepNegDentries != s0.DeepNegDentries {
 		t.Fatal("deferred ENOENT still created deep negatives")
 	}
 	if _, err := root.Stat(p); !errors.Is(err, fsapi.ENOENT) {
 		t.Fatalf("want ENOENT, got %v", err)
 	}
-	if d := c.Stats(); d.DeepNegCreated-s0.DeepNegCreated != 3 {
-		t.Fatalf("want a 3-deep negative chain, got %d", d.DeepNegCreated-s0.DeepNegCreated)
+	if d := k.Stats(); d.DeepNegDentries-s0.DeepNegDentries != 3 {
+		t.Fatalf("want a 3-deep negative chain, got %d", d.DeepNegDentries-s0.DeepNegDentries)
 	}
 	slow := k.Stats().SlowWalks
 	if _, err := root.Stat(p); !errors.Is(err, fsapi.ENOENT) {

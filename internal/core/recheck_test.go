@@ -51,10 +51,10 @@ func newRecheckRig(t *testing.T) *recheckRig {
 // probe stats path as the user and reports the errno with what the walk
 // cost: slow walks, DLHT misses, PCC misses that fell through.
 func (r *recheckRig) probe(path string) (errno fsapi.Errno, slow, dlhtMiss, pccMiss int64) {
-	kb, cb := r.k.Stats(), r.c.Stats()
+	before := r.k.Stats()
 	_, err := r.user.Stat(path)
-	ka, ca := r.k.Stats(), r.c.Stats()
-	return fsapi.ToErrno(err), ka.SlowWalks - kb.SlowWalks, ca.DLHTMiss - cb.DLHTMiss, ca.PCCMiss - cb.PCCMiss
+	d := r.k.Stats().Delta(before)
+	return fsapi.ToErrno(err), d.SlowWalks, d.DLHTMisses, d.PCCMisses
 }
 
 func (r *recheckRig) chmod(t *testing.T, path string, mode fsapi.Mode) {

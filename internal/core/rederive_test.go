@@ -69,8 +69,8 @@ func (tw *twin) roundTrip(t *testing.T, from, to string) {
 type cost struct{ slow, dlhtMiss, populations, kept int64 }
 
 func (tw *twin) cost() cost {
-	s := tw.c.Stats()
-	return cost{tw.k.Stats().SlowWalks, s.DLHTMiss, s.Populations, s.KeptUnmoved}
+	s := tw.k.Stats()
+	return cost{s.SlowWalks, s.DLHTMisses, s.Populations, s.KeptUnmoved}
 }
 
 func (a cost) minus(b cost) cost {
@@ -123,7 +123,7 @@ func TestRenameRoundTripKeepsEntries(t *testing.T) {
 	tw.warm(t, roundTripProbes...)
 	for round := 0; round < 3; round++ {
 		tw.roundTrip(t, "/a", "/a.mv")
-		before, rechecks := tw.cost(), tw.c.Stats().Rechecks
+		before, rechecks := tw.cost(), tw.k.Stats().PrefixRechecks
 		for _, p := range roundTripProbes {
 			tw.stat(t, p, false)
 			tw.stat(t, p, true)
@@ -135,7 +135,7 @@ func TestRenameRoundTripKeepsEntries(t *testing.T) {
 		if want := int64(len(roundTripProbes)); d.kept != want {
 			t.Fatalf("round %d: %d entries kept, want %d", round, d.kept, want)
 		}
-		if got := tw.c.Stats().Rechecks - rechecks; got != 2*int64(len(roundTripProbes)) {
+		if got := tw.k.Stats().PrefixRechecks - rechecks; got != 2*int64(len(roundTripProbes)) {
 			t.Fatalf("round %d: %d prefix re-checks, want one per credential and path (%d): a kept entry skipped its seq bump", round, got, 2*len(roundTripProbes))
 		}
 	}

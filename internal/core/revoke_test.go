@@ -186,16 +186,16 @@ func TestRevocationThroughRangeMark(t *testing.T) {
 						if !p.kept {
 							continue
 						}
-						kb, cb := opt.k.Stats(), opt.c.Stats()
+						before := opt.k.Stats()
 						got := probeErrno(u, p.path, p.lstat)
-						slow, cs := opt.k.Stats().SlowWalks-kb.SlowWalks, opt.c.Stats()
+						d := opt.k.Stats().Delta(before)
 						wantErr, wantSlow := fsapi.ToErrno(p.want), int64(0)
 						if isRevoked {
 							wantErr, wantSlow = fsapi.EACCES, 1
 						}
-						if got != wantErr || slow != wantSlow || cs.DLHTMiss != cb.DLHTMiss || cs.PCCMiss-cb.PCCMiss != wantSlow {
+						if got != wantErr || d.SlowWalks != wantSlow || d.DLHTMisses != 0 || d.PCCMisses != wantSlow {
 							t.Errorf("%s: user %d %q: %v after %d slow walks, %d DLHT misses, %d PCC misses; want %v after %d, 0, %d",
-								stage, ui, p.path, got, slow, cs.DLHTMiss-cb.DLHTMiss, cs.PCCMiss-cb.PCCMiss, wantErr, wantSlow, wantSlow)
+								stage, ui, p.path, got, d.SlowWalks, d.DLHTMisses, d.PCCMisses, wantErr, wantSlow, wantSlow)
 						}
 					}
 				}
@@ -217,13 +217,13 @@ func TestRevocationThroughRangeMark(t *testing.T) {
 				for i := 0; i < 4; i++ { // past admission, onto the hit path
 					check(fmt.Sprintf("round %d warm %d", round, i), granted)
 				}
-				before := opt.c.Stats()
+				before := opt.k.Stats()
 				for _, r := range []*revokeRig{base, opt} {
 					if err := tc.revoke(r.root); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if d := opt.c.Stats(); d.BatchShootdowns-before.BatchShootdowns != 1 || d.SeqBumps-before.SeqBumps != 1 {
+				if d := opt.k.Stats(); d.BatchShootdowns-before.BatchShootdowns != 1 || d.SeqBumps-before.SeqBumps != 1 {
 					t.Fatalf("revocation took %d range marks and %d seq bumps, want 1 and 1",
 						d.BatchShootdowns-before.BatchShootdowns, d.SeqBumps-before.SeqBumps)
 				}
@@ -417,7 +417,7 @@ func TestStressWalkVsChmod(t *testing.T) {
 	if checked[0].Load() == 0 || checked[1].Load() == 0 {
 		t.Fatalf("judged %d granted and %d revoked walks: the storm never overlapped a stable phase", checked[0].Load(), checked[1].Load())
 	}
-	if s := r.c.Stats(); s.LazyShootdowns == 0 {
+	if s := r.c.k.Stats(); s.LazyShootdowns == 0 {
 		t.Fatal("no walker ever discharged a range mark")
 	}
 }

@@ -101,7 +101,7 @@ func BenchmarkFastpathStages(b *testing.B) {
 		// are inside epoch-section above (enter, exit, lookups) and one
 		// inside pcc-probe (hits); hashedBytes and fastHits stand alone.
 		for i := 0; i < b.N; i++ {
-			c.stats.hashedBytes.Add(1)
+			c.k.Count(vfs.NHashedBytes, 1)
 		}
 	})
 }

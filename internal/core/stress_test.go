@@ -106,7 +106,7 @@ func TestStressFastpathVsMutate(t *testing.T) {
 
 	wg.Wait()
 
-	st := c.Stats()
+	st := c.k.Stats()
 	ks := k.Stats()
 	if ks.Lookups <= 0 || st.TryFast <= 0 {
 		t.Fatalf("stress lost traffic: kernel %+v core %+v", ks, st)
@@ -394,7 +394,7 @@ func TestStressWalkVsRenameRoundTrip(t *testing.T) {
 	if checked.Load() == 0 {
 		t.Fatal("no walk ever ran inside a stable phase")
 	}
-	if s := c.Stats(); s.KeptUnmoved == 0 {
+	if s := c.k.Stats(); s.KeptUnmoved == 0 {
 		t.Fatal("no round trip kept an entry: the storm never exercised re-derivation")
 	}
 	if r := audit.New(k, c).RunUntilValid(10); !r.Valid || r.Violations() != 0 {

@@ -128,7 +128,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 				// Linux semantics (§4.2): verify search permission on
 				// the directory being exited with an extra fastpath
 				// lookup.
-				c.stats.dotDotChecks.Add(1)
+				c.k.Count(vfs.NDotDotChecks, 1)
 				if !c.checkPrefixDir(t, dl, pcc, cur) {
 					return vfs.PathRef{}, nil, false
 				}
@@ -156,7 +156,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 		if mustDir && !cur.base.D.IsDir() {
 			return vfs.PathRef{}, fsapi.ENOTDIR, true
 		}
-		k.AddFastHit(false)
+		k.Count(vfs.NFastHits, 1)
 		return cur.base, nil, true
 	}
 
@@ -172,7 +172,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	// fresh(x) before any PCC consult for x — here for the dentry the
 	// table returned, below for each dentry a redirect lands on.
 	if d == nil || !c.fresh(d) || !c.keyed(d, &cur.st) {
-		c.stats.dlhtMiss.Add(1)
+		c.k.Count(vfs.NDLHTMisses, 1)
 		tr.Event(telemetry.EvDLHTMiss, path)
 		return vfs.PathRef{}, nil, false
 	}
@@ -190,7 +190,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 			return vfs.PathRef{}, nil, false
 		}
 		if !pcc.Lookup(d.ID(), dentrySeq(d)) {
-			c.stats.pccMiss.Add(1)
+			c.k.Count(vfs.NPCCMisses, 1)
 			tr.Event(telemetry.EvPCCMiss, "alias")
 			return vfs.PathRef{}, nil, false
 		}
@@ -203,7 +203,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	// too).
 	if d.IsNegative() {
 		if !pcc.Lookup(d.ID(), dentrySeq(d)) && !c.recheckPrefix(t, pcc, d, token, tr) {
-			c.stats.pccMiss.Add(1)
+			c.k.Count(vfs.NPCCMisses, 1)
 			tr.Event(telemetry.EvPCCMiss, "negative")
 			return vfs.PathRef{}, nil, false
 		}
@@ -215,7 +215,8 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 			errno = fsapi.ENOTDIR
 		}
 		d.MarkReferenced()
-		k.AddFastHit(true)
+		k.Count(vfs.NFastHits, 1)
+		k.Count(vfs.NFastNeg, 1)
 		return vfs.PathRef{}, errno, true
 	}
 
@@ -238,7 +239,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 			// path's parents) must be memoized; the target is checked
 			// separately after the loop (§4.2).
 			if !pcc.Lookup(d.ID(), fd.Seq.Load()) {
-				c.stats.pccMiss.Add(1)
+				c.k.Count(vfs.NPCCMisses, 1)
 				return vfs.PathRef{}, nil, false
 			}
 			tgt := c.k.DentryFromRef(slab.Unpack(fd.Target.Load()))
@@ -273,7 +274,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	}
 	fs.lap(&fs.ph.PermCheck)
 	if !hit || c.cfg.ForcePCCMiss {
-		c.stats.pccMiss.Add(1)
+		c.k.Count(vfs.NPCCMisses, 1)
 		tr.Event(telemetry.EvPCCMiss, "")
 		return vfs.PathRef{}, nil, false
 	}
@@ -287,7 +288,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	// answered here, which the slow walk never sees again, would be the
 	// coldest ones the shrinker finds.
 	d.MarkReferenced()
-	k.AddFastHit(false)
+	k.Count(vfs.NFastHits, 1)
 	if mustDir && !d.IsDir() {
 		return vfs.PathRef{}, fsapi.ENOTDIR, true
 	}
@@ -320,11 +321,11 @@ func (c *Core) checkPrefixDir(t *vfs.Task, dl *dlht, pcc *PCC, cur *pathCursor) 
 		token := c.epoch.Load() // before the probe, as in tryFast
 		d = dl.Lookup(uint64(idx), sg)
 		if d == nil {
-			c.stats.dlhtMiss.Add(1)
+			c.k.Count(vfs.NDLHTMisses, 1)
 			return false
 		}
 		if !c.fresh(d) || !c.keyed(d, &cur.st) {
-			c.stats.dlhtMiss.Add(1)
+			c.k.Count(vfs.NDLHTMisses, 1)
 			return false
 		}
 		if d.Flags()&vfs.DAlias != 0 {
@@ -333,7 +334,7 @@ func (c *Core) checkPrefixDir(t *vfs.Task, dl *dlht, pcc *PCC, cur *pathCursor) 
 			}
 		}
 		if !pcc.Lookup(d.ID(), dentrySeq(d)) && !c.recheckPrefix(t, pcc, d, token, nil) {
-			c.stats.pccMiss.Add(1)
+			c.k.Count(vfs.NPCCMisses, 1)
 			return false
 		}
 	}
@@ -375,7 +376,7 @@ func (c *Core) recheckPrefix(t *vfs.Task, pcc *PCC, d *vfs.Dentry, token uint64,
 	if mnt == nil || !c.verifyPrefix(t, vfs.PathRef{Mnt: mnt, D: d}) || !c.memoize(pcc, d, token) {
 		return false
 	}
-	c.stats.rechecks.Add(1)
+	c.k.Count(vfs.NPrefixRechecks, 1)
 	tr.Event(telemetry.EvPCCMiss, "re-checked in place")
 	return true
 }

@@ -15,7 +15,7 @@ func TestTraceStitchAcrossWire(t *testing.T) {
 	sys, srv := startServer(t, Config{})
 	tel := sys.Telemetry().Raw()
 	tel.SetTraceSample(1)
-	tel.SetSlowThreshold("", 0) // flight-record every completed span
+	tel.SetSlowThreshold(0) // flight-record every completed span
 
 	c, err := Dial(srv.Addr().String())
 	if err != nil {
@@ -96,7 +96,7 @@ func TestStockPeerFallback(t *testing.T) {
 	sys, srv := startServer(t, Config{})
 	tel := sys.Telemetry().Raw()
 	tel.SetTraceSample(1)
-	tel.SetSlowThreshold("", 0)
+	tel.SetSlowThreshold(0)
 
 	nc, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {

@@ -135,8 +135,8 @@ type Options struct {
 	// TraceSample records the full event sequence of 1-in-N walks.
 	// 0 disables tracing; 1 traces every walk.
 	TraceSample int
-	// SlowNS is the default flight-recorder slow threshold in
-	// nanoseconds (0 = 1ms); per-op overrides via SetSlowThreshold.
+	// SlowNS is the flight-recorder slow threshold in nanoseconds
+	// (0 = 1ms); SetSlowThreshold changes it.
 	SlowNS int64
 }
 
@@ -303,17 +303,12 @@ func outcomeText(err error) string {
 	return err.Error()
 }
 
-// SetSlowThreshold changes the flight recorder's slow threshold for one
-// op ("" = the default used by ops without an override and by in-process
-// kernel walks).
-func (t *Telemetry) SetSlowThreshold(op string, d time.Duration) {
-	t.flight.setThreshold(op, d.Nanoseconds())
-}
+// SetSlowThreshold changes the flight recorder's slow threshold: completed
+// walks and wire spans at least this slow are retained.
+func (t *Telemetry) SetSlowThreshold(d time.Duration) { t.flight.slowNS.Store(d.Nanoseconds()) }
 
-// SlowThreshold returns the flight recorder's slow threshold for op.
-func (t *Telemetry) SlowThreshold(op string) time.Duration {
-	return time.Duration(t.flight.threshold(op))
-}
+// SlowThreshold returns the flight recorder's slow threshold.
+func (t *Telemetry) SlowThreshold() time.Duration { return time.Duration(t.flight.slowNS.Load()) }
 
 // SlowTraces returns the flight recorder's retained traces (oldest
 // first) and how many qualifying traces were dropped to make room.

@@ -10,7 +10,7 @@ import (
 )
 
 // TestFlightRecorderQualification pins the admission rule: a completed
-// trace is flight-recorded iff it crossed its op's slow threshold or
+// trace is flight-recorded iff it crossed the slow threshold or
 // took an anomalous path.
 func TestFlightRecorderQualification(t *testing.T) {
 	tel := New(Options{TraceSample: 1, SlowNS: int64(time.Millisecond)})
@@ -35,13 +35,12 @@ func TestFlightRecorderQualification(t *testing.T) {
 		t.Fatalf("fast anomalous walk not flight-recorded: %d retained", n)
 	}
 
-	// Per-op override: a 2ms Twalk span is slow for the kernel ("") but
-	// fine for Twalk once its threshold is raised.
-	tel.SetSlowThreshold("Twalk", 10*time.Millisecond)
+	// A 2ms wire span is slow at 1ms, fine once the threshold is raised.
+	tel.SetSlowThreshold(10 * time.Millisecond)
 	sp := tel.StartSpan("server", "Twalk", "/x", 1)
 	tel.FinishSpan(sp, nil, 2*time.Millisecond)
 	if n := tel.SlowCount(); n != 2 {
-		t.Fatalf("span under its per-op threshold flight-recorded: %d retained", n)
+		t.Fatalf("span under the raised threshold flight-recorded: %d retained", n)
 	}
 }
 
@@ -97,7 +96,8 @@ func TestTraceRingDropCounter(t *testing.T) {
 }
 
 // TestConcurrentScrapesRaceSpanCompletion hammers every exporter while
-// walks, wire spans, and flight-recorder eviction are all in flight.
+// walks, wire spans, and flight-recorder eviction are all in flight, and
+// moves the slow threshold under the writers' offers.
 // Run under -race; correctness here is "no race, no panic, rings stay
 // bounded".
 func TestConcurrentScrapesRaceSpanCompletion(t *testing.T) {
@@ -141,6 +141,7 @@ func TestConcurrentScrapesRaceSpanCompletion(t *testing.T) {
 	}
 
 	for i := 0; i < scrapes; i++ {
+		tel.SetSlowThreshold(time.Duration(i%2) * time.Millisecond)
 		tel.WritePrometheus(io.Discard)
 		_ = tel.MetricsJSON()
 		_ = tel.TracesJSON()

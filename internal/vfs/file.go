@@ -189,7 +189,7 @@ func (f *File) ReadDir(n int) ([]fsapi.DirEntry, error) {
 	}
 
 	if f.servingFromCache {
-		k.stats.cell().readdirCached.Add(1)
+		k.Count(NReaddirCached, 1)
 		if n <= 0 || n > len(f.cachedList)-f.cachedIdx {
 			n = len(f.cachedList) - f.cachedIdx
 		}
@@ -201,7 +201,7 @@ func (f *File) ReadDir(n int) ([]fsapi.DirEntry, error) {
 	if f.dirEOF {
 		return nil, nil
 	}
-	k.stats.cell().readdirFS.Add(1)
+	k.Count(NReaddirFS, 1)
 	ents, next, eof, err := d.sb.fs.ReadDir(f.ino.ID(), f.dirCookie, n)
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"dircache/internal/lsm"
 	"dircache/internal/sig"
 	"dircache/internal/slab"
-	"dircache/internal/stripe"
 	"dircache/internal/telemetry"
 )
 
@@ -166,123 +165,6 @@ type Hooks interface {
 	// being re-created. Hooks reset per-identity bookkeeping (admission
 	// touch counts) that must not carry over.
 	OnRecycle(d *Dentry)
-}
-
-// Stats are cumulative directory cache counters.
-type Stats struct {
-	Lookups       int64 // path walks requested
-	FastHits      int64 // whole-path fastpath hits (set via AddFastHit)
-	FastNegHits   int64 // fastpath hits on negative dentries
-	SlowWalks     int64 // walks that took the component-at-a-time path
-	Components    int64 // components resolved on the slow path
-	CacheHits     int64 // slow-path hash table hits
-	FSLookups     int64 // misses that called the low-level FS
-	Hydrations    int64 // unhydrated dentries filled via GetNode
-	NegativeHits  int64 // ENOENT answered by a negative dentry
-	CompleteShort int64 // misses answered by DIR_COMPLETE (§5.1)
-	ReaddirCached int64 // readdir served from the dcache (§5.1)
-	ReaddirFS     int64 // readdir served by the low-level FS
-	Evictions     int64
-	SymlinkJumps  int64
-	DotDotSteps   int64
-	RetryWalks    int64 // optimistic walks that had to retry/fallback
-
-	// Cold-miss storm elimination: how often concurrent misses shared one
-	// backend call, and how many of those actually blocked.
-	MissCoalesced int64 // misses that joined an in-flight lookup
-	InLookupWaits int64 // joins that actually blocked on resolution
-}
-
-// Delta returns the field-by-field difference s - prev: the events that
-// happened between two snapshots. Because every field is monotonic, a
-// delta of snapshots taken around a workload is exact up to the walks in
-// flight at the two snapshot instants (see stripedStats on skew).
-func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		Lookups:       s.Lookups - prev.Lookups,
-		FastHits:      s.FastHits - prev.FastHits,
-		FastNegHits:   s.FastNegHits - prev.FastNegHits,
-		SlowWalks:     s.SlowWalks - prev.SlowWalks,
-		Components:    s.Components - prev.Components,
-		CacheHits:     s.CacheHits - prev.CacheHits,
-		FSLookups:     s.FSLookups - prev.FSLookups,
-		Hydrations:    s.Hydrations - prev.Hydrations,
-		NegativeHits:  s.NegativeHits - prev.NegativeHits,
-		CompleteShort: s.CompleteShort - prev.CompleteShort,
-		ReaddirCached: s.ReaddirCached - prev.ReaddirCached,
-		ReaddirFS:     s.ReaddirFS - prev.ReaddirFS,
-		Evictions:     s.Evictions - prev.Evictions,
-		SymlinkJumps:  s.SymlinkJumps - prev.SymlinkJumps,
-		DotDotSteps:   s.DotDotSteps - prev.DotDotSteps,
-		RetryWalks:    s.RetryWalks - prev.RetryWalks,
-
-		MissCoalesced: s.MissCoalesced - prev.MissCoalesced,
-		InLookupWaits: s.InLookupWaits - prev.InLookupWaits,
-	}
-}
-
-// statsCell is one stripe's worth of counters; see stripedStats.
-type statsCell struct {
-	lookups, fastHits, fastNegHits, slowWalks, components, cacheHits,
-	fsLookups, hydrations, negativeHits, completeShort,
-	readdirCached, readdirFS, evictions, symlinkJumps, dotDotSteps,
-	retryWalks, missCoalesced, inLookupWaits atomic.Int64
-}
-
-// stripedStats spreads the counters over cache-line-separated cells so
-// concurrent walks on different cores don't serialize on shared counter
-// lines (the same false/true-sharing effect §6.5 measures for locks).
-// Writers bump one cell picked by a per-goroutine hash; snapshot() sums
-// them. The sums are racy but each counter is monotonic, so a snapshot is
-// a valid (if instantaneously slightly stale) cumulative total.
-//
-// Snapshot skew, precisely: snapshot() reads field-by-field and
-// cell-by-cell with no cross-field atomicity, so a snapshot taken while
-// walks are in flight can be internally inconsistent — e.g. Components
-// already bumped for a walk whose Lookups increment lands in a cell read
-// earlier, making ratios like Components/Lookups transiently off by a few
-// counts. Each individual field is still a valid monotonic cumulative
-// total, so deltas of the same field across two snapshots are meaningful
-// (that is the contract Stats.Delta and dircache.CacheStats.Delta build
-// on); only instantaneous cross-field identities ("SlowWalks + FastHits
-// == Lookups") may be violated by the counts of in-flight walks.
-type stripedStats struct {
-	cells [stripe.Stripes]struct {
-		statsCell
-		_ [64]byte // keep neighbouring cells off one another's lines
-	}
-}
-
-// cell returns the calling goroutine's stripe. Hot paths that bump several
-// counters per walk call it once and reuse the pointer.
-func (s *stripedStats) cell() *statsCell {
-	return &s.cells[stripe.Index()].statsCell
-}
-
-func (s *stripedStats) snapshot() Stats {
-	var out Stats
-	for i := range s.cells {
-		c := &s.cells[i].statsCell
-		out.Lookups += c.lookups.Load()
-		out.FastHits += c.fastHits.Load()
-		out.FastNegHits += c.fastNegHits.Load()
-		out.SlowWalks += c.slowWalks.Load()
-		out.Components += c.components.Load()
-		out.CacheHits += c.cacheHits.Load()
-		out.FSLookups += c.fsLookups.Load()
-		out.Hydrations += c.hydrations.Load()
-		out.NegativeHits += c.negativeHits.Load()
-		out.CompleteShort += c.completeShort.Load()
-		out.ReaddirCached += c.readdirCached.Load()
-		out.ReaddirFS += c.readdirFS.Load()
-		out.Evictions += c.evictions.Load()
-		out.SymlinkJumps += c.symlinkJumps.Load()
-		out.DotDotSteps += c.dotDotSteps.Load()
-		out.RetryWalks += c.retryWalks.Load()
-		out.MissCoalesced += c.missCoalesced.Load()
-		out.InLookupWaits += c.inLookupWaits.Load()
-	}
-	return out
 }
 
 // Kernel owns the entire VFS state: the dentry cache, mount namespaces,
@@ -442,18 +324,6 @@ func (k *Kernel) Hooks() Hooks { return k.hooks }
 
 // LSM returns the kernel's security module stack for registration.
 func (k *Kernel) LSM() *lsm.Stack { return &k.lsm }
-
-// Stats returns a snapshot of the cumulative counters.
-func (k *Kernel) Stats() Stats { return k.stats.snapshot() }
-
-// AddFastHit lets hooks account a fastpath hit (negative = ENOENT served).
-func (k *Kernel) AddFastHit(negative bool) {
-	sc := k.stats.cell()
-	sc.fastHits.Add(1)
-	if negative {
-		sc.fastNegHits.Add(1)
-	}
-}
 
 // DentryCount returns the number of cached dentries.
 func (k *Kernel) DentryCount() int { return k.lru.Len() }
@@ -803,7 +673,7 @@ func (k *Kernel) Shrink(n int) int {
 		if pn.parent != nil {
 			pn.parent.detachChild(pn.name, d) // no longer DIR_COMPLETE: the claim saw to it
 		}
-		k.stats.cell().evictions.Add(1)
+		k.Count(NEvictions, 1)
 		if tel != nil {
 			tel.Emit(telemetry.JEvict, d.ID(), 0, telemetry.NoteShrink)
 		}

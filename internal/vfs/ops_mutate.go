@@ -15,10 +15,10 @@ import (
 // nothing yet, redoes the operation from its walk (redoEvicted).
 func (k *Kernel) lookupChild(parent PathRef, name string) (*Dentry, error) {
 	if d := k.table.lookup(parent.D.id, name); d != nil && !d.IsDead() {
-		k.stats.cell().cacheHits.Add(1)
+		k.Count(NCacheHits, 1)
 		d.MarkReferenced()
 		if d.IsNegative() {
-			k.stats.cell().negativeHits.Add(1)
+			k.Count(NNegativeHits, 1)
 			return nil, fsapi.ENOENT
 		}
 		if d.Flags()&DUnhydrated != 0 {
@@ -29,7 +29,7 @@ func (k *Kernel) lookupChild(parent PathRef, name string) (*Dentry, error) {
 		return d, nil
 	}
 	if k.cfg.DirCompleteness && parent.D.completeWithout(name) {
-		k.stats.cell().completeShort.Add(1)
+		k.Count(NCompleteShort, 1)
 		return nil, fsapi.ENOENT
 	}
 	return k.missLookup(parent, name, nil)
@@ -130,7 +130,7 @@ func (k *Kernel) killDentryKeepComplete(d *Dentry) {
 // number of dentries killed.
 func (k *Kernel) killSubtreeLocked(d *Dentry) int {
 	n := k.killRecurse(d)
-	k.stats.cell().evictions.Add(int64(n))
+	k.Count(NEvictions, int64(n))
 	if tel := k.journal(); tel != nil {
 		tel.Emit(telemetry.JEvict, d.ID(), int64(n), telemetry.NoteTeardown)
 	}

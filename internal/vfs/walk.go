@@ -155,7 +155,7 @@ func (t *Task) WalkFrom(at PathRef, path string, fl WalkFlags) (PathRef, error) 
 // walkInSection is WalkFrom's body, run inside its epoch section.
 func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, error) {
 	k := t.k
-	k.stats.cell().lookups.Add(1)
+	k.Count(NLookups, 1)
 	if path == "" {
 		return PathRef{}, fsapi.ENOENT
 	}
@@ -193,7 +193,7 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 		}
 		// The stripe's walk count, bumped above, picks the sample; read
 		// again here so that a walk with telemetry off carries nothing.
-		if tr != nil || k.stats.cell().lookups.Load()%walkTimedEvery == 1 {
+		if tr != nil || k.stats.cell()[NLookups].Load()%walkTimedEvery == 1 {
 			walkStart = telemetry.Now()
 			fl |= WalkTimed
 		}
@@ -209,7 +209,7 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 	}
 
 	tr.Event(telemetry.EvSlowWalk, "")
-	k.stats.cell().slowWalks.Add(1)
+	k.Count(NSlowWalks, 1)
 	var token uint64
 	if k.hooks != nil {
 		token = k.hooks.BeginSlow()
@@ -264,25 +264,25 @@ func (k *Kernel) walkSlow(t *Task, start PathRef, path string, fl WalkFlags, tr 
 		for try := 0; try < 4; try++ {
 			seq, even := k.readSeqBegin()
 			if !even {
-				sc.retryWalks.Add(1)
+				sc[NRetryWalks].Add(1)
 				tr.Event(telemetry.EvSeqRetry, "writer active")
 				continue
 			}
 			res, lex, err := k.walkOnce(t, start, path, fl, tr)
 			if err == errSeqRetry {
-				sc.retryWalks.Add(1)
+				sc[NRetryWalks].Add(1)
 				tr.Event(telemetry.EvSeqRetry, "torn read")
 				continue
 			}
 			if !k.readSeqValid(seq) {
-				sc.retryWalks.Add(1)
+				sc[NRetryWalks].Add(1)
 				tr.Event(telemetry.EvSeqRetry, "seq changed")
 				continue
 			}
 			return res, lex, err
 		}
 		// ref-walk fallback: block out structural changes and redo.
-		sc.retryWalks.Add(1)
+		sc[NRetryWalks].Add(1)
 		tr.Event(telemetry.EvRefWalk, "")
 		tr.SetAnomaly(telemetry.AnomRefWalk)
 		k.renameRW.RLock()
@@ -303,7 +303,7 @@ func (k *Kernel) walkLocked(t *Task, start PathRef, path string, fl WalkFlags, t
 		if err != errSeqRetry || start.D.IsDead() || start.D.Inode() == nil {
 			return res, lex, err
 		}
-		k.stats.cell().retryWalks.Add(1)
+		k.Count(NRetryWalks, 1)
 		tr.Event(telemetry.EvSeqRetry, "evicted underfoot")
 	}
 }
@@ -401,14 +401,13 @@ func (k *Kernel) walkOnce(t *Task, start PathRef, path string, fl WalkFlags, tr 
 			continue
 		}
 		if comp == ".." {
-			sc.dotDotSteps.Add(1)
 			tr.Event(telemetry.EvDotDot, "")
 			aliasCur = PathRef{} // stop aliasing across parent references
 			cur = k.followDotDot(t, ns, root, cur)
 			continue
 		}
 
-		sc.components.Add(1)
+		sc[NComponents].Add(1)
 		tr.Event(telemetry.EvComponent, comp)
 
 		// Hash table probe.
@@ -433,11 +432,11 @@ func (k *Kernel) walkOnce(t *Task, start PathRef, path string, fl WalkFlags, tr 
 			if d.IsDead() {
 				return PathRef{}, PathRef{}, errSeqRetry
 			}
-			sc.cacheHits.Add(1)
+			sc[NCacheHits].Add(1)
 			tr.Event(telemetry.EvHashHit, comp)
 			d.MarkReferenced()
 			if d.IsNegative() {
-				sc.negativeHits.Add(1)
+				sc[NNegativeHits].Add(1)
 				tr.Event(telemetry.EvNegative, comp)
 				errno := fsapi.ENOENT
 				if d.Flags()&DNotDir != 0 {
@@ -461,7 +460,7 @@ func (k *Kernel) walkOnce(t *Task, start PathRef, path string, fl WalkFlags, tr 
 			// readdir install in flight) falls through to missLookup,
 			// which resolves it from the map without a backend call.
 			if k.cfg.DirCompleteness && cur.D.completeWithout(comp) {
-				sc.completeShort.Add(1)
+				sc[NCompleteShort].Add(1)
 				tr.Event(telemetry.EvCompleteShort, comp)
 				return PathRef{}, PathRef{}, &WalkFailure{
 					Errno:   fsapi.ENOENT,
@@ -516,7 +515,6 @@ func (k *Kernel) walkOnce(t *Task, start PathRef, path string, fl WalkFlags, tr 
 				if symDepth > maxSymlinks {
 					return PathRef{}, PathRef{}, fsapi.ELOOP
 				}
-				sc.symlinkJumps.Add(1)
 				tr.Event(telemetry.EvSymlink, comp)
 				target, err := k.readLinkBody(next.D)
 				if err != nil {
@@ -644,7 +642,7 @@ func (k *Kernel) hydrate(d *Dentry) error {
 		// the dentry as stale.
 		return fsapi.ESTALE
 	}
-	k.stats.cell().hydrations.Add(1)
+	k.Count(NHydrations, 1)
 	d.inode.Store(d.sb.inodeFor(info))
 	d.clearFlags(DUnhydrated)
 	return nil
@@ -714,7 +712,7 @@ func (k *Kernel) missLookup(cur PathRef, comp string, tr *telemetry.WalkTrace) (
 // cost exactly one backend round trip.
 func (k *Kernel) joinInLookup(d *Dentry, il *inLookupState, comp string, tr *telemetry.WalkTrace) (*Dentry, error) {
 	sc := k.stats.cell()
-	sc.missCoalesced.Add(1)
+	sc[NMissCoalesced].Add(1)
 	tel := k.journal()
 	select {
 	case <-il.done:
@@ -724,7 +722,7 @@ func (k *Kernel) joinInLookup(d *Dentry, il *inLookupState, comp string, tr *tel
 		}
 		tr.Event(telemetry.EvCoalesceWait, comp+" (resolved)")
 	default:
-		sc.inLookupWaits.Add(1)
+		sc[NInLookupWaits].Add(1)
 		if tel != nil {
 			tel.Emit(telemetry.JCoalesce, d.ID(), 0, telemetry.NoteWait)
 		}
@@ -735,7 +733,7 @@ func (k *Kernel) joinInLookup(d *Dentry, il *inLookupState, comp string, tr *tel
 			tel.Record(telemetry.HistMissWait, wait)
 		}
 		tr.EventDur(telemetry.EvCoalesceWait, comp, wait)
-		if tr != nil && tel != nil && wait > tel.SlowThreshold("") {
+		if tr != nil && tel != nil && wait > tel.SlowThreshold() {
 			tr.SetAnomaly(telemetry.AnomCoalesceWait)
 		}
 	}
@@ -757,7 +755,7 @@ func (k *Kernel) joinInLookup(d *Dentry, il *inLookupState, comp string, tr *tel
 // Lookup, then an in-place resolution of the placeholder that wakes every
 // coalesced waiter.
 func (k *Kernel) resolveMiss(parent *Dentry, pIno *Inode, comp string, d *Dentry, il *inLookupState, tr *telemetry.WalkTrace) (*Dentry, error) {
-	k.stats.cell().fsLookups.Add(1)
+	k.Count(NFSLookups, 1)
 	tel := k.tel.Load()
 	var fsStart int64
 	if tel.On() {

@@ -111,10 +111,6 @@ func (s *System) CachedClaim(path string) CachedClaim {
 func (tl *Telemetry) RegisterSystems(prefix string, systems ...*System) {
 	for i, sys := range systems {
 		sys := sys
-		tl.t.RegisterStats(fmt.Sprintf("%s%d", prefix, i), func() map[string]int64 {
-			out := sys.Stats().counters()
-			out["dentries"] = int64(sys.DentryCount())
-			return out
-		})
+		tl.t.RegisterStats(fmt.Sprintf("%s%d", prefix, i), func() map[string]int64 { return sys.Stats().Map() })
 	}
 }

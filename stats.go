@@ -1,195 +1,24 @@
 package dircache
 
 import (
-	"reflect"
-
 	"dircache/internal/lsm"
 	"dircache/internal/slab"
 	"dircache/internal/vfs"
 )
 
-// CacheStats aggregates directory cache counters: the VFS-level counters
-// every configuration reports, plus fastpath counters when DirectLookup is
-// enabled.
-//
-// Snapshot consistency: counters are maintained in striped per-goroutine
-// cells and read without stopping the world, so a snapshot taken while
-// walks are in flight is racy in a precise, bounded way. Each individual
-// field is a valid point-in-time read of a monotonically non-decreasing
-// total (Dentries excepted — it is a gauge and can move both ways), so
-// subtracting two snapshots of the same field always yields the true
-// number of events between the two reads, give or take walks in flight at
-// the instants of the reads. What a snapshot does NOT promise is
-// cross-field consistency: fields are read one after another, so
-// identities that relate two fields ("SlowWalks + FastHits == Lookups",
-// "CacheHits + FSLookups ≈ Components") can be transiently violated by
-// walks that completed between reading one field and the next. Use Delta
-// for before/after measurements and treat cross-field arithmetic on a
-// single live snapshot as approximate.
-type CacheStats struct {
-	// Path resolution.
-	Lookups   int64 // path walks requested
-	SlowWalks int64 // component-at-a-time walks
-	FastHits  int64 // whole-path fastpath hits
-	FastNeg   int64 // fastpath hits answering ENOENT/ENOTDIR
-
-	// Slow-path behaviour.
-	Components    int64 // components resolved on the slow path
-	CacheHits     int64 // hash table hits
-	FSLookups     int64 // misses serviced by the low-level FS
-	Hydrations    int64 // readdir stubs filled via GetNode
-	NegativeHits  int64 // ENOENT answered by negative dentries
-	CompleteShort int64 // misses answered by DIR_COMPLETE
-	RetryWalks    int64 // optimistic walk retries/fallbacks
-
-	// readdir (§5.1).
-	ReaddirCached int64
-	ReaddirFS     int64
-
-	// Cold-miss storm handling: in-lookup dentries.
-	MissCoalesced int64 // misses that joined an in-flight lookup instead of calling the FS
-	InLookupWaits int64 // coalesced misses that actually blocked on the winner
-
-	// Cache management.
-	Evictions int64
-	Dentries  int64
-
-	// Fastpath internals (zero when DirectLookup is off).
-	TryFast         int64
-	DLHTMisses      int64
-	PCCMisses       int64 // fastpath attempts that fell to the slow walk on the prefix check
-	PrefixRechecks  int64 // PCC misses on a table hit answered by re-checking the prefix in place (hits, not misses)
-	DotDotChecks    int64
-	Populations     int64
-	Invalidations   int64
-	AliasDentries   int64
-	DeepNegDentries int64
-
-	// Coherence internals (zero when DirectLookup is off).
-	SeqBumps    int64 // per-dentry version bumps (mutation roots + lazily discarded descendants)
-	StaleTokens int64 // cache publishes declined due to racing mutations
-	DLHTSweeps  int64 // dead DLHT nodes dropped by inserts and doublings
-	PCCFlushes  int64 // whole-PCC invalidations (seq wraparound)
-	PCCResizes  int64 // PCC generation growths
-
-	// Admission control and batched shootdown (zero when DirectLookup is
-	// off).
-	Admitted        int64 // populations allowed on a dentry's Nth touch
-	Deferred        int64 // populations declined pending more touches
-	BatchShootdowns int64 // subtree invalidations taken as one range mark
-	LazyShootdowns  int64 // range marks discharged lazily on a descendant by probes/sweeps
-	KeptUnmoved     int64 // structural discharges that kept the entry: its path still names it
-
-	HashedBytes int64 // bytes fed to the path hash, all walks
-	// ShortcutResumes, ChildHops and BulkPopulations always read 0: the
-	// directory-shortcut resume, the child hop and readdir-driven bulk
-	// population they counted are gone. The fields stay because
-	// benchmark/metrics.go reads CacheStats fields by name and panics on
-	// a missing one.
-	ShortcutResumes int64
-	ChildHops       int64
-	BulkPopulations int64
-}
-
-// Delta returns the events counted between prev and s: every cumulative
-// field becomes s.field - prev.field. Because each field is individually
-// monotonic (see the type comment), the result is exact per field even
-// when both snapshots were taken on a live system. Dentries is a gauge,
-// not a counter, so Delta carries s's current value through unchanged.
-//
-// Typical use replaces hand-rolled subtraction around a workload:
-//
-//	before := sys.Stats()
-//	runWorkload()
-//	d := sys.Stats().Delta(before)
-//	fmt.Println("FS lookups during workload:", d.FSLookups)
-func (s CacheStats) Delta(prev CacheStats) CacheStats {
-	out := s
-	sv := reflect.ValueOf(&out).Elem()
-	pv := reflect.ValueOf(prev)
-	for i := 0; i < sv.NumField(); i++ {
-		if sv.Type().Field(i).Name == "Dentries" {
-			continue // gauge: keep the current value
-		}
-		sv.Field(i).SetInt(sv.Field(i).Int() - pv.Field(i).Int())
-	}
-	return out
-}
-
-// counters flattens the snapshot into a name → value map for telemetry
-// export. Field names become metric label values verbatim.
-func (s CacheStats) counters() map[string]int64 {
-	out := make(map[string]int64)
-	v := reflect.ValueOf(s)
-	for i := 0; i < v.NumField(); i++ {
-		out[v.Type().Field(i).Name] = v.Field(i).Int()
-	}
-	return out
-}
-
-// HitRate returns the fraction of lookups that never reached the
-// low-level file system (the paper's hit%).
-func (s CacheStats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	misses := float64(s.FSLookups)
-	total := float64(s.Lookups)
-	if misses > total {
-		return 0
-	}
-	return 1 - misses/total
-}
+// CacheStats is a snapshot of the directory cache counters: the VFS-level
+// counters every configuration reports, plus fastpath counters, which read
+// zero when DirectLookup is off. Every field is counted where its event
+// happens except Dentries (a gauge: the cached dentries right now),
+// TryFast (FastHits + DLHTMisses + PCCMisses) and DLHTSweeps (the DLHTs'
+// own sweep totals), which the snapshot fills in, and ShortcutResumes,
+// ChildHops and BulkPopulations, which always read 0. Delta subtracts two
+// snapshots field by field (Dentries passes through); see vfs.Stats on
+// what a snapshot taken while walks are in flight promises.
+type CacheStats = vfs.Stats
 
 // Stats snapshots the system's cache counters.
-func (s *System) Stats() CacheStats {
-	v := s.k.Stats()
-	out := CacheStats{
-		Lookups:       v.Lookups,
-		SlowWalks:     v.SlowWalks,
-		FastHits:      v.FastHits,
-		FastNeg:       v.FastNegHits,
-		Components:    v.Components,
-		CacheHits:     v.CacheHits,
-		FSLookups:     v.FSLookups,
-		Hydrations:    v.Hydrations,
-		NegativeHits:  v.NegativeHits,
-		CompleteShort: v.CompleteShort,
-		RetryWalks:    v.RetryWalks,
-		ReaddirCached: v.ReaddirCached,
-		ReaddirFS:     v.ReaddirFS,
-
-		MissCoalesced: v.MissCoalesced,
-		InLookupWaits: v.InLookupWaits,
-
-		Evictions: v.Evictions,
-		Dentries:  int64(s.k.DentryCount()),
-	}
-	if s.core != nil {
-		c := s.core.Stats()
-		out.TryFast = c.TryFast
-		out.DLHTMisses = c.DLHTMiss
-		out.PCCMisses = c.PCCMiss
-		out.PrefixRechecks = c.Rechecks
-		out.DotDotChecks = c.DotDotChecks
-		out.Populations = c.Populations
-		out.Invalidations = c.Invalidation
-		out.AliasDentries = c.AliasCreated
-		out.DeepNegDentries = c.DeepNegCreated
-		out.SeqBumps = c.SeqBumps
-		out.StaleTokens = c.StaleTokens
-		out.DLHTSweeps = c.DLHTSweeps
-		out.PCCFlushes = c.PCCFlushes
-		out.PCCResizes = c.PCCResizes
-		out.Admitted = c.Admitted
-		out.Deferred = c.Deferred
-		out.BatchShootdowns = c.BatchShootdowns
-		out.LazyShootdowns = c.LazyShootdowns
-		out.KeptUnmoved = c.KeptUnmoved
-		out.HashedBytes = c.HashedBytes
-	}
-	return out
-}
+func (s *System) Stats() CacheStats { return s.k.Stats() }
 
 // ArenaStats describes one slab arena's occupancy: how many chunks and
 // slots it holds and the bytes they occupy, how the slots split across

@@ -22,8 +22,8 @@ type TelemetryOptions struct {
 	// the trace ring (0 disables tracing, 1 traces every walk). Only
 	// meaningful with Enabled.
 	TraceSample int
-	// SlowNS is the flight recorder's default slow threshold in
-	// nanoseconds (0 = 1ms). Per-op overrides via SetSlowThreshold.
+	// SlowNS is the flight recorder's slow threshold in nanoseconds
+	// (0 = 1ms); SetSlowThreshold changes it.
 	SlowNS int64
 }
 
@@ -81,7 +81,7 @@ func (s *System) Telemetry() *Telemetry {
 // GC stop-the-world pause).
 func (s *System) EnableTelemetry(o TelemetryOptions) *Telemetry {
 	t := telemetry.New(o.rawOptions())
-	t.RegisterStats("system", func() map[string]int64 { return s.Stats().counters() })
+	t.RegisterStats("system", func() map[string]int64 { return s.Stats().Map() })
 	t.RegisterStats("inspect", func() map[string]int64 { return s.Inspect().counters() })
 	t.RegisterStats("mem", func() map[string]int64 {
 		out := s.MemStats().counters()
@@ -203,11 +203,10 @@ func (tl *Telemetry) SlowJSON() []byte { return tl.t.SlowJSON() }
 // first) and how many qualifying traces it has dropped to make room.
 func (tl *Telemetry) SlowTraces() ([]*telemetry.WalkTrace, uint64) { return tl.t.SlowTraces() }
 
-// SetSlowThreshold sets the flight recorder's slow threshold for op
-// ("" = the default applied to ops without an override): completed
+// SetSlowThreshold sets the flight recorder's slow threshold: completed
 // traces at least this slow are retained for dcsh slow / the /slow
 // endpoint.
-func (tl *Telemetry) SetSlowThreshold(op string, d time.Duration) { tl.t.SetSlowThreshold(op, d) }
+func (tl *Telemetry) SetSlowThreshold(d time.Duration) { tl.t.SetSlowThreshold(d) }
 
 // SetTraceSample changes the 1-in-N walk trace sampling rate (0 disables).
 func (tl *Telemetry) SetTraceSample(n int) { tl.t.SetTraceSample(n) }

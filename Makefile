@@ -25,9 +25,9 @@ help:
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
 	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
-	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, a rename round trip + stat below it at the round trip's allocations with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop retires no DLHT node, a System with 1000 files holds <= 1.5 MB of table and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
+	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, a rename round trip + stat below it at the round trip's allocations with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop retires no DLHT node, a System with 1000 files holds <= 1.5 MB of tables, prefix memo and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
-	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable) and FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors)"
+	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable), FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors) and FuzzPrefixMemo over the fastpath's scan (cold and warm prefix memo both hash the canonical path)"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch; then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
 	@echo "  loc            the two line counts ROADMAP item 10 tracks (non-test Go: core+vfs, and everything outside benchmark/)"
@@ -108,7 +108,10 @@ bench-hotpath:
 # of nothing but chmod/chown/setlabel of one directory retires no DLHT node
 # at all (a permission change keeps the table entries). What a System holds
 # follows what it caches: an optimized one with 1000 files accounts for at
-# most 1.5 MB of hash table and arena bytes (TestFreshSystemFootprint).
+# most 1.5 MB of hash table, prefix memo and arena bytes
+# (TestFreshSystemFootprint). A warm walk whose prefix comes from the
+# prefix memo allocates nothing either, one deeper than the cursor's
+# inline stack included.
 # Population of a path
 # the inline cursor holds allocates nothing either, nor does publishing a
 # dentry's own state, so a chmod and the first stat behind its range mark
@@ -118,10 +121,11 @@ bench-hotpath:
 # slow-walks either (the entry re-derives its key and stays);
 # BenchmarkChmodSubtree runs once per row so that pin
 # holds at every subtree size, baseline and optimized. The last step reads
-# the compiler's own verdict: in the fastpath's files a defer must be
-# open-coded (TryFast once paid for a stack-allocated one) and nothing
-# may move to the heap (a cursor that escapes costs an allocation per
-# walk that no test of a warm path would otherwise name).
+# the compiler's own verdict: in the fastpath's files (the scan, the
+# cursor, the prefix memo, population) a defer must be open-coded (TryFast
+# once paid for a stack-allocated one) and nothing may move to the heap (a
+# cursor that escapes costs an allocation per walk that no test of a warm
+# path would otherwise name).
 memscale-smoke:
 	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestRenameRoundTripThenStat|TestEvictingCreatesReclaimSlab|TestChmodLoopReclaimsDLHTNodes|TestFreshSystemFootprint' -count=1 .
 	$(GO) test -run 'TestLexicalHashZeroAlloc' -count=1 ./internal/core
@@ -130,7 +134,7 @@ memscale-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkChmodSubtree' -benchtime=1x -benchmem . | \
 		tee /dev/stderr | awk '/allocs\/op/ { n++; if ($$(NF-1)+0 > 1) bad=1 } END { exit bad || n != 8 }'
 	@if $(GO) build -gcflags='-m -d=defer' ./internal/core 2>&1 | \
-		grep -E '/(tryfast|cursor|populate)\.go:.*(-allocated defer|moved to heap)'; then \
+		grep -E '/(tryfast|cursor|prefixmemo|populate)\.go:.*(-allocated defer|moved to heap)'; then \
 		echo 'memscale-smoke: the fastpath has an allocated defer or a heap-moved local (above)'; exit 1; fi
 
 # 9P server smoke: boot dcserve on an ephemeral loopback port, run the
@@ -167,11 +171,16 @@ shard-smoke:
 # than its eof[1] after its data, and whatever decodes re-marshals to a
 # frame that decodes the same. The frame reader, fed arbitrary bytes in random short reads:
 # no panic, the frames the reference splitter finds, and an error for a
-# runt or over-msize size[4]. A failing input lands in that testdata
-# directory, where every later `go test` replays it.
+# runt or over-msize size[4]. The fastpath's scan, fed arbitrary paths
+# from working directories of four depths: cold and warm prefix memo
+# alike, it hashes the lexically canonical path, and a prefix learned from
+# one start serves another of the same length. A failing input lands in
+# the package's testdata directory, where every later `go test` replays
+# it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/ninep
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/ninep
+	$(GO) test -run '^$$' -fuzz '^FuzzPrefixMemo$$' -fuzztime 10s ./internal/core
 
 # Every paper table and figure, printed. Numbers kept over time come
 # from benchmark/ (bash benchmark/run.sh), not from this target.

@@ -15,7 +15,10 @@ import (
 // absolute, cwd-relative, ".", "..", a trailing slash, a negative hit, or
 // through a symlink's alias dentries. A regression here is how GC
 // pressure at 10M entries sneaks back in, so it fails fast at unit-test
-// scale.
+// scale. The shapes marked memo take their directory prefix from the
+// prefix memo on every warm stat — one under an alias directory, one
+// deeper than the cursor's inline stack, which must not spill — and the
+// others never do.
 func TestWarmWalkZeroAlloc(t *testing.T) {
 	const path = "/a/b/c/d/e/f/g/file"
 	cfg := dircache.Optimized()
@@ -31,24 +34,39 @@ func TestWarmWalkZeroAlloc(t *testing.T) {
 	if err := setup.Symlink("/a/b/c/d", "/lnk"); err != nil {
 		t.Fatal(err)
 	}
+	if err := setup.Symlink("/a/b/c/d", "/a/b/link"); err != nil {
+		t.Fatal(err)
+	}
+	deep := ""
+	for i := 0; i < 30; i++ { // past the cursor's 24 inline frames
+		deep += fmt.Sprintf("/p%02d", i)
+	}
+	if err := setup.MkdirAll(deep, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.WriteFile(deep+"/file", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	p := sys.Start(dircache.RootCreds())
 	if err := p.Chdir("/a/b/c"); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name, path string
-		enoent     bool
+		name, path   string
+		enoent, memo bool
 	}{
-		{"absolute", path, false},
-		{"relative", "d/e/f/g/file", false},
-		{"directory", "/a/b/c/d", false}, // published: the mid-path "." below resolves it
-		{"dot", "./d/./e/f/g/file", false},
-		{"dot-dot", "/a/b/c/d/../d/e/../e/f/g/file", false},
-		{"dot-dot-below-cwd", "../../b/c/d/e/f/g/file", false},
-		{"trailing-slash", "/a/b/c/d/e/f/g/", false},
-		{"start-directory", ".", false},
-		{"negative", "/a/b/c/d/e/f/g/ghost", true},
-		{"symlink-alias", "/lnk/e/f/g/file", false},
+		{"absolute", path, false, true},
+		{"relative", "d/e/f/g/file", false, true},
+		{"directory", "/a/b/c/d", false, true}, // published: the mid-path "." below resolves it
+		{"dot", "./d/./e/f/g/file", false, false},
+		{"dot-dot", "/a/b/c/d/../d/e/../e/f/g/file", false, false},
+		{"dot-dot-below-cwd", "../../b/c/d/e/f/g/file", false, false},
+		{"trailing-slash", "/a/b/c/d/e/f/g/", false, false},
+		{"start-directory", ".", false, false},
+		{"negative", "/a/b/c/d/e/f/g/ghost", true, true},
+		{"symlink-alias", "/lnk/e/f/g/file", false, true},
+		{"alias-prefix", "/a/b/link/e/f/g/file", false, true},
+		{"deep-prefix", deep + "/file", false, true},
 	} {
 		stat := func() {
 			if _, err := p.Stat(tc.path); (err != nil) != tc.enoent {
@@ -60,8 +78,12 @@ func TestWarmWalkZeroAlloc(t *testing.T) {
 		}
 		before := sys.Stats()
 		avg := testing.AllocsPerRun(500, stat)
-		if d := sys.Stats().Delta(before); d.SlowWalks != 0 {
+		d := sys.Stats().Delta(before)
+		if d.SlowWalks != 0 {
 			t.Fatalf("%s: %d of %d warm walks left the fastpath", tc.name, d.SlowWalks, d.Lookups)
+		}
+		if want := map[bool]int64{true: d.Lookups}[tc.memo]; d.PrefixMemoHits != want {
+			t.Fatalf("%s: %d of %d warm walks took their prefix from the memo, want %d", tc.name, d.PrefixMemoHits, d.Lookups, want)
 		}
 		if avg != 0 {
 			t.Fatalf("%s: warm walk allocates: %.2f allocs/op (want 0 — the slab arenas exist so this path never touches the GC heap)", tc.name, avg)
@@ -262,8 +284,9 @@ func TestEvictingCreatesReclaimSlab(t *testing.T) {
 // TestFreshSystemFootprint: what a System holds follows what it caches. The
 // hash table starts at a thousand buckets and an arena's first chunk at a
 // thousand slots, so an optimized System with a thousand files accounts for
-// 0.43 MB of table and arena bytes, the namespace's DLHT buckets (12 KB)
-// among them; with the table and chunks sized for millions of names it was
+// 0.46 MB of table, memo and arena bytes, the namespace's DLHT buckets
+// (12 KB) and the prefix memo's fixed 32 KB of slots among them; with the
+// table and chunks sized for millions of names it was
 // 6.3 MB, 5.6 of them before the first create. The bound is there so that
 // fixed cost cannot come back unnoticed.
 func TestFreshSystemFootprint(t *testing.T) {
@@ -278,6 +301,9 @@ func TestFreshSystemFootprint(t *testing.T) {
 		if err := p.Create(fmt.Sprintf("/d/f%03d", i), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := p.Stat(fmt.Sprintf("/d/f%03d", i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m := sys.MemStats()
 	if m.Table.Entries < 1000 || m.Dentries.Live < 1000 {
@@ -289,9 +315,12 @@ func TestFreshSystemFootprint(t *testing.T) {
 	if m.DLHT.Buckets == 0 || m.DLHT.Bytes > 16<<10 {
 		t.Fatalf("the DLHT's bucket array holds %d bytes for %d entries, want <= 16 KB (it was 2^16 heads, 258 KB, at any size): %+v", m.DLHT.Bytes, m.DLHT.Entries, m.DLHT)
 	}
+	if pm := m.PrefixMemo; pm.Slots == 0 || pm.Entries == 0 || pm.Bytes < int64(pm.Slots)*8 {
+		t.Fatalf("the prefix memo is not accounted for: %+v", pm)
+	}
 	const bound = 3 << 19 // 1.5 MB
 	if got := m.Bytes(); got > bound {
-		t.Fatalf("table + arenas hold %d bytes for 1000 files, want <= %d: %+v", got, bound, m)
+		t.Fatalf("tables, memo and arenas hold %d bytes for 1000 files, want <= %d: %+v", got, bound, m)
 	}
 }
 

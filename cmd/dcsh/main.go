@@ -283,7 +283,7 @@ other:  help  exit
 		fmt.Printf("miss storms   %d coalesced (%d waited)\n", st.MissCoalesced, st.InLookupWaits)
 		fmt.Printf("invalidations %d, populations %d\n", st.Invalidations, st.Populations)
 		fmt.Printf("range marks   %d, discharged lazily %d (%d structural kept: path unmoved)\n", st.BatchShootdowns, st.LazyShootdowns, st.KeptUnmoved)
-		fmt.Printf("path hash     %d bytes hashed\n", st.HashedBytes)
+		fmt.Printf("path hash     %d bytes hashed, %d prefixes from the memo\n", st.HashedBytes, st.PrefixMemoHits)
 		m := sys.MemStats()
 		live := m.Dentries.Live + m.ChainNodes.Live + m.DLHTNodes.Live
 		slots := int64(m.Dentries.Slots + m.ChainNodes.Slots + m.DLHTNodes.Slots)
@@ -296,8 +296,8 @@ other:  help  exit
 		}
 		fmt.Printf("mem           %d/%d slab slots live (%.1f%%), free %d, limbo %d (+%d queued), %d reclaimed, %d swept\n",
 			live, slots, occ, free, limbo, m.LimboQueue, reclaimed, m.Swept)
-		fmt.Printf("table         %d entries in %d buckets (%d doublings), dlht %d in %d (%d); tables + arenas hold %d KB\n",
-			m.Table.Entries, m.Table.Buckets, m.Table.Resizes, m.DLHT.Entries, m.DLHT.Buckets, m.DLHT.Resizes, m.Bytes()>>10)
+		fmt.Printf("table         %d entries in %d buckets (%d doublings), dlht %d in %d (%d), prefix memo %d in %d; tables + memo + arenas hold %d KB\n",
+			m.Table.Entries, m.Table.Buckets, m.Table.Resizes, m.DLHT.Entries, m.DLHT.Buckets, m.DLHT.Resizes, m.PrefixMemo.Entries, m.PrefixMemo.Slots, m.Bytes()>>10)
 	case "buckets":
 		empty, one, two, more := sys.BucketStats()
 		total := empty + one + two + more

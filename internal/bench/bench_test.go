@@ -69,10 +69,23 @@ func TestFig2Shape(t *testing.T) {
 	want(t, r, "stat/v3.14-opt/components", 0)
 }
 
+// warmHash is what a warm stat of path hashes and whether its directory
+// prefix comes from the prefix memo: a prefix of one or more components
+// without "." or ".." does, and then only the last component and its '/'
+// are hashed; otherwise the whole path is.
+func warmHash(path string) (hashed, memoHits float64) {
+	slash := strings.LastIndexByte(path, '/')
+	if slash > 0 && !strings.Contains(path, "/.") {
+		return float64(len(path)-slash) * ops, ops
+	}
+	return float64(len(path)) * ops, 0
+}
+
 func TestFig3Shape(t *testing.T) {
 	// The baseline pays a hash lookup and a permission check per
-	// component; the optimized walk's only per-component work is hashing
-	// the path's bytes.
+	// component; the optimized walk's per-component work was hashing the
+	// path's bytes, and warm, the prefix memo leaves only the last
+	// component's.
 	r := runExp(t, Fig3)
 	for _, pt := range microPaths {
 		if !strings.HasSuffix(pt.name, "-comp") {
@@ -82,7 +95,9 @@ func TestFig3Shape(t *testing.T) {
 		want(t, r, pt.name+"/unmod/components", depth*ops)
 		want(t, r, pt.name+"/opt/components", 0)
 		want(t, r, pt.name+"/opt/fast_hits", ops)
-		want(t, r, pt.name+"/opt/hashed_bytes", float64(len(pt.path))*ops)
+		hashed, memoHits := warmHash(pt.path)
+		want(t, r, pt.name+"/opt/hashed_bytes", hashed)
+		want(t, r, pt.name+"/opt/prefix_memo_hits", memoHits)
 	}
 }
 
@@ -115,8 +130,11 @@ func TestFig6Shape(t *testing.T) {
 			want(t, r, key("opt-lexical", "fast_hits"), ops)
 			want(t, r, key("opt-lexical", "dotdot_checks"), 0)
 		default:
-			want(t, r, key("opt", "hashed_bytes"), float64(len(pt.path))*ops)
+			hashed, _ := warmHash(pt.path)
+			want(t, r, key("opt", "hashed_bytes"), hashed)
 		}
+		_, memoHits := warmHash(pt.path)
+		want(t, r, key("opt", "prefix_memo_hits"), memoHits)
 		if !pt.negative {
 			// A prefix check cache miss falls back to the baseline's walk.
 			want(t, r, key("opt-miss+slow", "slow_walks"), ops)

@@ -98,6 +98,7 @@ func (r *Report) putWalk(prefix string, d dircache.CacheStats) {
 	r.put(prefix+"/fast_neg", float64(d.FastNeg))
 	r.put(prefix+"/slow_walks", float64(d.SlowWalks))
 	r.put(prefix+"/hashed_bytes", float64(d.HashedBytes))
+	r.put(prefix+"/prefix_memo_hits", float64(d.PrefixMemoHits))
 	r.put(prefix+"/dotdot_checks", float64(d.DotDotChecks))
 }
 

@@ -144,6 +144,10 @@ type Core struct {
 	// the kernel keeps them (Kernel.DLHTs).
 	regMu sync.Mutex
 	pccs  []pccReg
+
+	// memo holds the hash deltas of directory prefixes the scan has
+	// walked, so a warm scan hashes only a path's last component.
+	memo prefixMemo
 }
 
 // pccReg pairs a registered PCC with the credential it caches for.
@@ -160,6 +164,7 @@ func Install(k *vfs.Kernel, cfg Config) *Core {
 		cfg.Seed = 0x5ca1ab1e0ddba11 ^ (seedCounter.Add(1) * 0x9e3779b97f4a7c15)
 	}
 	c := &Core{cfg: cfg, k: k, key: sig.NewKey(cfg.Seed)}
+	c.memo.seed = cfg.Seed * 0x9e3779b97f4a7c15
 	c.admitAfter = cfg.AdmitAfter
 	if c.admitAfter == 0 {
 		c.admitAfter = 2

@@ -65,6 +65,28 @@ func (pc *pathCursor) push(comp string) bool {
 	return true
 }
 
+// resume stands the cursor where pushing a memoized prefix's components
+// would have: its delta applied, its depth counted. The components
+// themselves are not recorded, so nothing may pop after it — the scan
+// resumes only where the one component left is an ordinary name.
+func (pc *pathCursor) resume(e *memoEntry) {
+	pc.st.Apply(&e.d)
+	pc.n = e.depth
+}
+
+// last hashes the path's final component, which nothing pops: unlike
+// push it records nothing, so a resumed cursor deeper than the inline
+// stack does not spill.
+func (pc *pathCursor) last(comp string) bool {
+	if !pc.st.Fits(len(comp) + 1) {
+		return false
+	}
+	pc.n++
+	pc.st.AppendComponent(comp)
+	pc.hashed += len(comp) + 1
+	return true
+}
+
 // pop steps the cursor one component up ("..") — by un-hashing the last
 // pushed component when the scan has pushed any, else by climbing base
 // toward the task root. False means the base's state is unavailable.

@@ -15,12 +15,15 @@ import (
 )
 
 // TestWarmFastpathHashesPathOnce pins what HashedBytes (and so
-// sig.hashed_bytes_per_op) means: a warm TryFast hit hashes every
-// ordinary component of the requested path, with its separator, from the
-// walk start exactly once — "." and ".." hash nothing, and no scan starts
-// anywhere but at the walk start's stored state. The miss below the deep
-// directory comes first on purpose: a per-task prefix memo recorded on a
-// miss would make the next scan hash only a suffix.
+// sig.hashed_bytes_per_op) means: the bytes a walk actually feeds the
+// path hash. A warm TryFast hit whose directory prefix the memo holds
+// hashes its last component and one separator, and nothing else — the
+// prefix's bytes were hashed once, by the first scan that walked it from a
+// start of that length. A prefix with "." or ".." is never memoized, so
+// such a path hashes every ordinary component from the walk start, and
+// "." and ".." hash nothing. The miss below the deep directory comes
+// first: a miss leaves the prefix in the memo too, and a miss's path
+// changes nothing a later hit hashes.
 func TestWarmFastpathHashesPathOnce(t *testing.T) {
 	k, _, root := auditFixture(t)
 	for _, p := range []string{"/w", "/w/x", "/w/x/y", "/w/x/y/z"} {
@@ -44,11 +47,11 @@ func TestWarmFastpathHashesPathOnce(t *testing.T) {
 
 	for _, tc := range []struct {
 		name, cwd, path string
-		want            int
+		want, memo      int
 	}{
-		{"absolute", "/", "/w/x/y/z/f1", len("/w/x/y/z/f1")},
-		{"cwd-relative", "/w/x", "y/z/f1", len("/y/z/f1")},
-		{"dot-dot", "/", "/w/x/../x/./y/z/f1", len("/w/x") + len("/x/y/z/f1")},
+		{"absolute", "/", "/w/x/y/z/f1", len("/f1"), 1},
+		{"cwd-relative", "/w/x", "y/z/f1", len("/f1"), 1},
+		{"dot-dot", "/", "/w/x/../x/./y/z/f1", len("/w/x") + len("/x/y/z/f1"), 0},
 	} {
 		if err := root.Chdir(tc.cwd); err != nil {
 			t.Fatal(err)
@@ -68,6 +71,9 @@ func TestWarmFastpathHashesPathOnce(t *testing.T) {
 		}
 		if got := d.HashedBytes; got != int64(tc.want) {
 			t.Errorf("%s: warm hit hashed %d bytes of %q, want %d", tc.name, got, tc.path, tc.want)
+		}
+		if got := d.PrefixMemoHits; got != int64(tc.memo) {
+			t.Errorf("%s: warm hit took %d prefixes from the memo, want %d", tc.name, got, tc.memo)
 		}
 	}
 }

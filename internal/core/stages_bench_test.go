@@ -11,10 +11,13 @@ import (
 // BenchmarkFastpathStages times the pieces of one warm fastpath Stat apart
 // (DESIGN §5h's budget; `make bench-hotpath` runs it beside the
 // end-to-end BenchmarkStatDepth): the scan-and-hash loop at the four
-// depths of the sweep, then the stages whose cost does not depend on
-// depth — the DLHT probe, the freshness check, the check that the entry
-// still carries the probed key, the PCC probe, the walk's
-// epoch section, and one striped-counter update (a hit performs six).
+// depths of the sweep, hashing every component, then the warm scan at the
+// same depths — the prefix memo's lookup, the delta's application and the
+// last component (depth 1 has no prefix and hashes its one component) —
+// then the stages whose cost does not depend on depth: the DLHT probe,
+// the freshness check, the check that the entry still carries the probed
+// key, the PCC probe, the walk's epoch section, and one striped-counter
+// update (a hit performs seven).
 func BenchmarkFastpathStages(b *testing.B) {
 	_, c, root := auditFixture(b)
 	ns := root.Namespace()
@@ -44,6 +47,24 @@ func BenchmarkFastpathStages(b *testing.B) {
 					}
 				}
 				sinkIdx, sinkSig = cur.st.Sum()
+			}
+		})
+		b.Run(fmt.Sprintf("memo-hit/depth-%d", depth), func(b *testing.B) {
+			start := root.Root()
+			scan := func() {
+				var cur pathCursor
+				if !cur.init(c, start) {
+					b.Fatal("no start state")
+				}
+				if _, ok := c.scan(root, dl, pcc, &cur, path); !ok {
+					b.Fatal("scan fell back")
+				}
+				sinkIdx, sinkSig = cur.st.Sum()
+			}
+			scan() // the cold scan leaves the prefix in the memo
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scan()
 			}
 		})
 	}
@@ -97,9 +118,10 @@ func BenchmarkFastpathStages(b *testing.B) {
 		}
 	})
 	b.Run("striped-counter", func(b *testing.B) {
-		// One of the six atomic read-modify-writes a hit performs. Three
-		// are inside epoch-section above (enter, exit, lookups) and one
-		// inside pcc-probe (hits); hashedBytes and fastHits stand alone.
+		// One of the seven atomic read-modify-writes a memo-served hit
+		// performs. Three are inside epoch-section above (enter, exit,
+		// lookups), one inside pcc-probe (hits) and one inside memo-hit
+		// (prefixMemoHits); hashedBytes and fastHits stand alone.
 		for i := 0; i < b.N; i++ {
 			c.k.Count(vfs.NHashedBytes, 1)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"time"
 
 	"dircache/internal/fsapi"
@@ -60,8 +61,10 @@ func (fs *fastScan) lapTraced(d *time.Duration) {
 
 // TryFast implements vfs.Hooks: the §3.1 fastpath. It canonicalizes and
 // hashes the whole path in one pass (resuming from the start dentry's
-// stored state), performs a single DLHT probe, and authorizes the result
-// with one PCC probe — constant hash-table work regardless of path depth.
+// stored state, and warm, from the prefix memo's delta for everything
+// before the last component), performs a single DLHT probe, and
+// authorizes the result with one PCC probe — constant hash-table work
+// regardless of path depth.
 // Any uncertainty returns handled=false, falling back to the slow walk.
 //
 // This entry only owns the scratch: tryFast has too many exits for an
@@ -101,50 +104,11 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	}
 	fs.lap(&fs.ph.Init)
 
-	mustDir := fl&vfs.WalkDirectory != 0
-	sawTrailingSlash := false
-
-	for rem := path; ; {
-		var comp string
-		comp, rem = vfs.NextComponent(rem)
-		if comp == "" {
-			break
-		}
-		if len(comp) > 255 {
-			return vfs.PathRef{}, nil, false
-		}
-		sawTrailingSlash = len(rem) > 0
-		switch comp {
-		case ".":
-			// Linux evaluates search permission on the directory for a
-			// "." component too; a lexical skip must preserve that (it
-			// is observable when "." is the path's last effective step).
-			if !c.checkPrefixDir(t, dl, pcc, cur) {
-				return vfs.PathRef{}, nil, false
-			}
-			continue
-		case "..":
-			if !c.cfg.LexicalDotDot {
-				// Linux semantics (§4.2): verify search permission on
-				// the directory being exited with an extra fastpath
-				// lookup.
-				c.k.Count(vfs.NDotDotChecks, 1)
-				if !c.checkPrefixDir(t, dl, pcc, cur) {
-					return vfs.PathRef{}, nil, false
-				}
-			}
-			if !cur.pop(c, t) {
-				return vfs.PathRef{}, nil, false
-			}
-		default:
-			if !cur.push(comp) {
-				return vfs.PathRef{}, nil, false
-			}
-		}
+	trailing, ok := c.scan(t, dl, pcc, cur, path)
+	if !ok {
+		return vfs.PathRef{}, nil, false
 	}
-	if sawTrailingSlash {
-		mustDir = true
-	}
+	mustDir := fl&vfs.WalkDirectory != 0 || trailing
 	fs.lap(&fs.ph.ScanHash)
 
 	if cur.depth() == 0 {
@@ -293,6 +257,76 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 		return vfs.PathRef{}, fsapi.ENOTDIR, true
 	}
 	return vfs.PathRef{Mnt: mnt, D: d}, nil, true
+}
+
+// scan canonicalizes and hashes path into cur, which init has pointed at
+// the walk start. When the path's last component is an ordinary name, its
+// directory prefix's hash comes from the prefix memo if the memo has it,
+// and goes there once hashed if the prefix holds no "." or ".."; only the
+// last component is then hashed. Any other path is hashed whole. trailing
+// reports a '/' after the last component; false means the slow walk must
+// answer.
+func (c *Core) scan(t *vfs.Task, dl *dlht, pcc *PCC, cur *pathCursor, path string) (trailing, ok bool) {
+	slash := strings.LastIndexByte(path, '/')
+	last := path[slash+1:]
+	memo := slash > 0 && last != "" && last != "." && last != ".." && len(last) <= 255
+	var from sig.State
+	if memo {
+		prefix := path[:slash+1]
+		if e := c.memo.lookup(cur.st.Len(), prefix); e != nil {
+			cur.resume(e)
+			c.k.Count(vfs.NPrefixMemoHits, 1)
+			return false, cur.last(last)
+		}
+		from, path = cur.st, prefix
+	}
+	dots := false
+	for rem := path; ; {
+		var comp string
+		comp, rem = vfs.NextComponent(rem)
+		if comp == "" {
+			break
+		}
+		if len(comp) > 255 {
+			return false, false
+		}
+		trailing = len(rem) > 0
+		switch comp {
+		case ".":
+			// Linux evaluates search permission on the directory for a
+			// "." component too; a lexical skip must preserve that (it
+			// is observable when "." is the path's last effective step).
+			if !c.checkPrefixDir(t, dl, pcc, cur) {
+				return false, false
+			}
+			dots = true
+		case "..":
+			if !c.cfg.LexicalDotDot {
+				// Linux semantics (§4.2): verify search permission on
+				// the directory being exited with an extra fastpath
+				// lookup.
+				c.k.Count(vfs.NDotDotChecks, 1)
+				if !c.checkPrefixDir(t, dl, pcc, cur) {
+					return false, false
+				}
+			}
+			if !cur.pop(c, t) {
+				return false, false
+			}
+			dots = true
+		default:
+			if !cur.push(comp) {
+				return false, false
+			}
+		}
+	}
+	if !memo {
+		return trailing, true
+	}
+	if !dots && cur.depth() > 0 {
+		c.memo.publish(path, cur.st.Since(&from), cur.depth())
+	}
+	return false, cur.push(last)
 }
 
 // keyed reports whether d is still published under the key a probe just

@@ -63,31 +63,39 @@ func appendDirent(buf []byte, ino fsapi.NodeID, typ fsapi.FileType, name string)
 	return append(buf, name...)
 }
 
-// scanDirent decodes the record at off, returning the next offset.
-func scanDirent(buf []byte, off int) (ino fsapi.NodeID, typ fsapi.FileType, name string, next int) {
+// direntHeader decodes the header of the record at off: its ino (zero
+// for a tombstone), type and name length.
+func direntHeader(buf []byte, off int) (ino fsapi.NodeID, typ fsapi.FileType, nameLen int) {
 	v := uint64(0)
 	for i := 0; i < 8; i++ {
 		v |= uint64(buf[off+i]) << (8 * i)
 	}
-	nameLen := int(buf[off+8])
-	typ = fsapi.FileType(buf[off+9])
-	next = off + direntHdr + nameLen
-	if v != 0 {
-		name = string(buf[off+direntHdr : next])
-	}
-	return fsapi.NodeID(v), typ, name, next
+	return fsapi.NodeID(v), fsapi.FileType(buf[off+9]), int(buf[off+8])
 }
 
-// findDirent scans for name, returning its record offset or -1.
+// scanDirent decodes the record at off, name included, returning the next
+// offset.
+func scanDirent(buf []byte, off int) (ino fsapi.NodeID, typ fsapi.FileType, name string, next int) {
+	ino, typ, nameLen := direntHeader(buf, off)
+	next = off + direntHdr + nameLen
+	if ino != 0 {
+		name = string(buf[off+direntHdr : next])
+	}
+	return ino, typ, name, next
+}
+
+// findDirent scans for name, returning its record offset or -1. It decodes
+// each record's header and compares the name in place: a name is only
+// copied out of the log when a caller keeps it.
 func (n *node) findDirent(name string) (fsapi.NodeID, fsapi.FileType, int) {
 	buf := n.dirents
 	for off := 0; off < len(buf); {
-		ino, typ, _, next := scanDirent(buf, off)
-		if ino != 0 && int(buf[off+8]) == len(name) &&
-			string(buf[off+direntHdr:off+direntHdr+len(name)]) == name {
+		ino, typ, nameLen := direntHeader(buf, off)
+		if ino != 0 && nameLen == len(name) &&
+			string(buf[off+direntHdr:off+direntHdr+nameLen]) == name {
 			return ino, typ, off
 		}
-		off = next
+		off += direntHdr + nameLen
 	}
 	return 0, 0, -1
 }
@@ -190,23 +198,32 @@ func (fs *FS) addChildLocked(d *node, name string, id fsapi.NodeID) {
 	d.info.Size = int64(len(d.dirents))
 }
 
-// removeChildLocked tombstones name's dirent.
-func (d *node) removeChildLocked(name string) {
-	_, _, off := d.findDirent(name)
-	if off < 0 {
-		return
-	}
+// removeChildLocked tombstones the dirent findDirent found at off, then
+// compacts the log if tombstones dominate it — which moves every record,
+// so an offset found before the call is stale after it.
+func (d *node) removeChildLocked(off int) {
+	d.tombstoneLocked(off)
+	d.compactLocked()
+}
+
+// tombstoneLocked zeroes the ino of the dirent at off.
+func (d *node) tombstoneLocked(off int) {
 	for i := 0; i < 8; i++ {
 		d.dirents[off+i] = 0
 	}
 	d.live--
-	// Compact when tombstones dominate the log.
+}
+
+// compactLocked rewrites the log without its tombstones when they
+// dominate it.
+func (d *node) compactLocked() {
 	if d.live*3*direntHdr < len(d.dirents) && len(d.dirents) > 256 {
 		kept := make([]byte, 0, len(d.dirents)/2)
 		for o := 0; o < len(d.dirents); {
-			ino, typ, nm, next := scanDirent(d.dirents, o)
+			ino, _, nameLen := direntHeader(d.dirents, o)
+			next := o + direntHdr + nameLen
 			if ino != 0 {
-				kept = appendDirent(kept, ino, typ, nm)
+				kept = append(kept, d.dirents[o:next]...)
 			}
 			o = next
 		}
@@ -398,7 +415,7 @@ func (fs *FS) Unlink(dir fsapi.NodeID, name string) error {
 	if n.info.Mode.IsDir() {
 		return fsapi.EISDIR
 	}
-	d.removeChildLocked(name)
+	d.removeChildLocked(off)
 	fs.mtime++
 	d.info.Mtime = fs.mtime
 	fs.dropRefLocked(n)
@@ -425,7 +442,7 @@ func (fs *FS) Rmdir(dir fsapi.NodeID, name string) error {
 	if n.live != 0 {
 		return fsapi.ENOTEMPTY
 	}
-	d.removeChildLocked(name)
+	d.removeChildLocked(off)
 	d.info.Nlink--
 	fs.mtime++
 	d.info.Mtime = fs.mtime
@@ -468,7 +485,9 @@ func (fs *FS) Rename(odir fsapi.NodeID, oname string, ndir fsapi.NodeID, nname s
 		case tgt.info.Mode.IsDir() && tgt.live != 0:
 			return fsapi.ENOTEMPTY
 		}
-		nd.removeChildLocked(nname)
+		// Tombstone both records before either log compacts: od and nd
+		// may be one directory, whose offsets a compaction would move.
+		nd.tombstoneLocked(noff)
 		if tgt.info.Mode.IsDir() {
 			nd.info.Nlink--
 			delete(fs.nodes, tid)
@@ -477,7 +496,9 @@ func (fs *FS) Rename(odir fsapi.NodeID, oname string, ndir fsapi.NodeID, nname s
 		}
 	}
 
-	od.removeChildLocked(oname)
+	od.tombstoneLocked(ooff)
+	od.compactLocked()
+	nd.compactLocked()
 	fs.addChildLocked(nd, nname, id)
 	if src.info.Mode.IsDir() && od != nd {
 		od.info.Nlink--

@@ -77,6 +77,82 @@ func TestTombstoneCompaction(t *testing.T) {
 	}
 }
 
+// TestRenameAndUnlinkAcrossCompaction: the mutations find a record once
+// and tombstone it by offset, and a compaction moves every record. For
+// every count of unlinks either side of the compaction threshold, a
+// rename within the directory onto an existing name (two tombstones in
+// one log), a rename out of it and an unlink must leave each name
+// resolving to its own node and the listing holding exactly the names
+// left.
+func TestRenameAndUnlinkAcrossCompaction(t *testing.T) {
+	const files = 100
+	for unlinked := 40; unlinked <= 70; unlinked++ {
+		fs := New(Options{})
+		root := fs.Root().ID
+		other, err := fs.Mkdir(root, "other", fsapi.MkMode(fsapi.TypeDirectory, 0o755), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir, err := fs.Mkdir(root, "d", fsapi.MkMode(fsapi.TypeDirectory, 0o755), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := map[string]fsapi.NodeID{}
+		for i := 0; i < files; i++ {
+			name := fmt.Sprintf("f%03d", i)
+			fi, err := fs.Create(dir.ID, name, fsapi.MkMode(fsapi.TypeRegular, 0o644), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model[name] = fi.ID
+		}
+		check := func(step string) {
+			t.Helper()
+			for name, id := range model {
+				if fi, err := fs.Lookup(dir.ID, name); err != nil || fi.ID != id {
+					t.Fatalf("%d unlinked, after %s: Lookup(%q) = %d, %v; want %d", unlinked, step, name, fi.ID, err, id)
+				}
+			}
+			ents, _, _, err := fs.ReadDir(dir.ID, 0, -1)
+			if err != nil || len(ents) != len(model) {
+				t.Fatalf("%d unlinked, after %s: %d entries listed (%v), want %d", unlinked, step, len(ents), err, len(model))
+			}
+			for _, e := range ents {
+				if model[e.Name] != e.ID {
+					t.Fatalf("%d unlinked, after %s: listed %q -> %d, want %d", unlinked, step, e.Name, e.ID, model[e.Name])
+				}
+			}
+		}
+		for i := 0; i < unlinked; i++ {
+			name := fmt.Sprintf("f%03d", i)
+			if err := fs.Unlink(dir.ID, name); err != nil {
+				t.Fatal(err)
+			}
+			delete(model, name)
+		}
+		check("unlinks")
+		// Source after target in the log, then before it.
+		for _, mv := range [][2]string{{"f098", "f097"}, {"f090", "f095"}} {
+			if err := fs.Rename(dir.ID, mv[0], dir.ID, mv[1]); err != nil {
+				t.Fatal(err)
+			}
+			model[mv[1]] = model[mv[0]]
+			delete(model, mv[0])
+			check("rename " + mv[0] + " onto " + mv[1])
+		}
+		if err := fs.Rename(dir.ID, "f099", other.ID, "moved"); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, "f099")
+		check("rename out")
+		if err := fs.Unlink(dir.ID, "f096"); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, "f096")
+		check("unlink")
+	}
+}
+
 func TestNlinkAccounting(t *testing.T) {
 	fs := New(Options{})
 	root := fs.Root().ID

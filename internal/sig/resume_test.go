@@ -222,3 +222,48 @@ func TestSharedHolds(t *testing.T) {
 		t.Fatal("a Shared holds a state after Clear")
 	}
 }
+
+// TestDeltaMovesBetweenStarts is the property the fastpath's prefix memo
+// rests on: the delta some bytes added at one position, taken from one
+// start, is what they add to any other start at that position — different
+// accumulators, same length — so the memo can apply a prefix's delta to a
+// walk that starts anywhere as long as it starts that many bytes in.
+func TestDeltaMovesBetweenStarts(t *testing.T) {
+	k := NewKey(0xde17a)
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(40)
+		b1, b2 := make([]byte, n), make([]byte, n)
+		rng.Read(b1)
+		rng.Read(b2)
+		from1 := k.NewState().AppendString(string(b1))
+		from2 := k.NewState().AppendString(string(b2))
+		var tail strings.Builder
+		for i := rng.Intn(8); i >= 0; i-- {
+			tail.WriteByte('/')
+			tail.WriteString([]string{"a", "usr", "node_modules", strings.Repeat("z", 255)}[rng.Intn(4)])
+		}
+		if !from1.Fits(tail.Len()) {
+			continue
+		}
+		to1 := from1.AppendString(tail.String())
+		d := to1.Since(&from1)
+		if d.At() != n {
+			t.Fatalf("trial %d: delta starts at %d, want %d", trial, d.At(), n)
+		}
+		got := from2
+		got.Apply(&d)
+		if want := from2.AppendString(tail.String()); got != want {
+			t.Fatalf("trial %d: applying the delta of %q gives %+v, appending it gives %+v", trial, tail.String(), got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("applying a delta at another position did not panic")
+		}
+	}()
+	from := k.NewState()
+	to := from.AppendString("/a")
+	d := to.Since(&from)
+	to.Apply(&d)
+}

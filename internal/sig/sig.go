@@ -36,7 +36,11 @@
 //     appending is invertible: UnappendComponent subtracts exactly the
 //     terms AppendComponent added. The path cursor in internal/core keeps
 //     one State, grows it in place per component and shrinks it on "..",
-//     instead of saving a 48-byte State per component to restore.
+//     instead of saving a 48-byte State per component to restore. For the
+//     same reason what some bytes add at a position (a Delta) is the same
+//     whatever State they are added to, which lets the fastpath's prefix
+//     memo hand one directory prefix's hash to every walk that starts at
+//     the same length.
 //
 // There are therefore two ways to drive a State. The value methods
 // (AppendString, AppendByte) return a new State and leave the receiver
@@ -174,6 +178,44 @@ func (st *State) negate() {
 	for j := range st.acc {
 		st.acc[j] = -st.acc[j]
 	}
+}
+
+// Delta is what some bytes appended at one position add to a State: the
+// sum of their terms, which depend on each byte and its position alone
+// and so not on the accumulators they were added to. Applied to any State
+// at that position, it gives what appending the bytes would have.
+type Delta struct {
+	at, n int
+	acc   [lanes]uint64
+}
+
+// Since returns the delta that took from to st; st must be from extended
+// by appends alone (pops subtract terms they never added to from).
+func (st *State) Since(from *State) Delta {
+	if from.pos > st.pos || from.key != st.key {
+		panic("sig: delta of a state that does not extend its origin")
+	}
+	d := Delta{at: from.pos, n: st.pos - from.pos}
+	for j := range d.acc {
+		d.acc[j] = st.acc[j] - from.acc[j]
+	}
+	return d
+}
+
+// At returns the position the delta's bytes start at.
+func (d *Delta) At() int { return d.at }
+
+// Apply adds d in place, as appending its bytes would; st must be at d's
+// starting position.
+func (st *State) Apply(d *Delta) {
+	if st.pos != d.at {
+		panic("sig: delta applied at another position")
+	}
+	st.acc[0] += d.acc[0]
+	st.acc[1] += d.acc[1]
+	st.acc[2] += d.acc[2]
+	st.acc[3] += d.acc[3]
+	st.pos += d.n
 }
 
 // mix is the one hashing loop: it adds the terms of first and then of

@@ -52,6 +52,7 @@ const (
 	NLazyShootdowns
 	NKeptUnmoved
 	NHashedBytes
+	NPrefixMemoHits
 	NShortcutResumes
 	NChildHops
 	NBulkPopulations
@@ -133,7 +134,8 @@ type Stats struct {
 	LazyShootdowns  int64 // range marks discharged lazily on a descendant by probes/sweeps
 	KeptUnmoved     int64 // structural discharges that kept the entry: its path still names it
 
-	HashedBytes int64 // bytes fed to the path hash, all walks
+	HashedBytes    int64 // bytes actually fed to the path hash, all walks (a prefix memo hit feeds only the last component and its '/')
+	PrefixMemoHits int64 // fastpath scans that took their directory prefix's hash from the prefix memo
 	// ShortcutResumes, ChildHops and BulkPopulations always read 0: the
 	// directory-shortcut resume, the child hop and readdir-driven bulk
 	// population they counted are gone. The fields stay because

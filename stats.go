@@ -1,6 +1,7 @@
 package dircache
 
 import (
+	"dircache/internal/core"
 	"dircache/internal/lsm"
 	"dircache/internal/slab"
 	"dircache/internal/vfs"
@@ -41,15 +42,21 @@ type ArenaStats struct {
 // linked chain nodes, doublings and bucket-array bytes.
 type TableStats = vfs.TableStats
 
+// PrefixMemoStats sizes the fastpath's prefix memo: its fixed slots, the
+// directory prefixes it holds, and the bytes of both.
+type PrefixMemoStats = core.PrefixMemoStats
+
 // MemStats reports the memory picture behind the dentry cache — what a
 // System holds that grows with what it caches: per-arena occupancy for
 // the three arenas (dentries and baseline hash-chain nodes in the kernel;
-// DLHT chain nodes in the fastpath) and the
-// two hash tables' bucket arrays, plus the deferred-teardown queue depth
-// and the cumulative count of teardown records the sweeper has processed.
+// DLHT chain nodes in the fastpath), the
+// two hash tables' bucket arrays and the prefix memo, plus the
+// deferred-teardown queue depth and the cumulative count of teardown
+// records the sweeper has processed.
 type MemStats struct {
-	Table TableStats `json:"table"`
-	DLHT  TableStats `json:"dlht"` // zero when DirectLookup is off
+	Table      TableStats      `json:"table"`
+	DLHT       TableStats      `json:"dlht"`        // zero when DirectLookup is off
+	PrefixMemo PrefixMemoStats `json:"prefix_memo"` // zero when DirectLookup is off
 
 	Dentries   ArenaStats `json:"dentries"`
 	ChainNodes ArenaStats `json:"chain_nodes"`
@@ -77,24 +84,28 @@ func (s *System) MemStats() MemStats {
 	nodes, dlht := s.k.DLHTMemStats()
 	out.DLHTNodes = arenaStats(nodes)
 	out.DLHT = dlht
+	if s.core != nil {
+		out.PrefixMemo = s.core.PrefixMemoStats()
+	}
 	return out
 }
 
 // Bytes is what the snapshot accounts for: the two hash tables' bucket
-// arrays and the three arenas' slots. It is the part of a System's
-// footprint that follows the number of cached names; the fixed-size
-// structures beside it (the signature key, each PCC, telemetry's rings)
-// are listed in DESIGN §5g.
+// arrays, the prefix memo and the three arenas' slots. It is the part of a
+// System's footprint that follows the number of cached names, with the
+// memo's fixed 32 KB of slots; the fixed-size structures beside it (the
+// signature key, each PCC, telemetry's rings) are listed in DESIGN §5g.
 func (s MemStats) Bytes() int64 {
-	return s.Table.Bytes + s.DLHT.Bytes + s.Dentries.Bytes + s.ChainNodes.Bytes + s.DLHTNodes.Bytes
+	return s.Table.Bytes + s.DLHT.Bytes + s.PrefixMemo.Bytes + s.Dentries.Bytes + s.ChainNodes.Bytes + s.DLHTNodes.Bytes
 }
 
 // counters flattens the snapshot into the telemetry exporter's flat
 // counter namespace (source "mem"): per-arena occupancy gauges
 // (<arena>_live/_free/_limbo/_slots/_chunks/_bytes) and cumulative
 // reclamation traffic (<arena>_retired/_reclaimed), each hash table's
-// <table>_buckets/_entries/_resizes/_bytes, plus the teardown queue depth
-// and sweep total.
+// <table>_buckets/_entries/_resizes/_bytes, the prefix memo's
+// prefix_memo_slots/_entries/_bytes, plus the teardown queue depth and
+// sweep total.
 func (s MemStats) counters() map[string]int64 {
 	out := make(map[string]int64, 40)
 	arena := func(prefix string, a ArenaStats) {
@@ -118,6 +129,9 @@ func (s MemStats) counters() map[string]int64 {
 	}
 	table("table", s.Table)
 	table("dlht", s.DLHT)
+	out["prefix_memo_slots"] = int64(s.PrefixMemo.Slots)
+	out["prefix_memo_entries"] = s.PrefixMemo.Entries
+	out["prefix_memo_bytes"] = s.PrefixMemo.Bytes
 	out["limbo_queue"] = s.LimboQueue
 	out["swept"] = int64(s.Swept)
 	return out

@@ -30,7 +30,7 @@ help:
 	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable), FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors) and FuzzPrefixMemo over the fastpath's scan (cold and warm prefix memo both hash the canonical path)"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch; then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
-	@echo "  loc            the two line counts ROADMAP item 10 tracks (non-test Go: core+vfs, and everything outside benchmark/)"
+	@echo "  loc            the two line counts ROADMAP tracks (non-test Go: core+vfs, and everything outside benchmark/)"
 
 build:
 	$(GO) build ./...
@@ -122,10 +122,10 @@ bench-hotpath:
 # BenchmarkChmodSubtree runs once per row so that pin
 # holds at every subtree size, baseline and optimized. The last step reads
 # the compiler's own verdict: in the fastpath's files (the scan, the
-# cursor, the prefix memo, population) a defer must be open-coded (TryFast
-# once paid for a stack-allocated one) and nothing may move to the heap (a
-# cursor that escapes costs an allocation per walk that no test of a warm
-# path would otherwise name).
+# cursor, the prefix memo, population, the PCC probe) a defer must be
+# open-coded (TryFast once paid for a stack-allocated one) and nothing may
+# move to the heap (a cursor that escapes costs an allocation per walk
+# that no test of a warm path would otherwise name).
 memscale-smoke:
 	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestRenameRoundTripThenStat|TestEvictingCreatesReclaimSlab|TestChmodLoopReclaimsDLHTNodes|TestFreshSystemFootprint' -count=1 .
 	$(GO) test -run 'TestLexicalHashZeroAlloc' -count=1 ./internal/core
@@ -134,7 +134,7 @@ memscale-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkChmodSubtree' -benchtime=1x -benchmem . | \
 		tee /dev/stderr | awk '/allocs\/op/ { n++; if ($$(NF-1)+0 > 1) bad=1 } END { exit bad || n != 8 }'
 	@if $(GO) build -gcflags='-m -d=defer' ./internal/core 2>&1 | \
-		grep -E '/(tryfast|cursor|prefixmemo|populate)\.go:.*(-allocated defer|moved to heap)'; then \
+		grep -E '/(tryfast|cursor|prefixmemo|populate|pcc)\.go:.*(-allocated defer|moved to heap)'; then \
 		echo 'memscale-smoke: the fastpath has an allocated defer or a heap-moved local (above)'; exit 1; fi
 
 # 9P server smoke: boot dcserve on an ephemeral loopback port, run the
@@ -187,7 +187,7 @@ fuzz-smoke:
 dcbench:
 	$(GO) run ./cmd/dcbench -scale small
 
-# The two counts ROADMAP item 10 tracks, computed one way: lines of
+# The two counts ROADMAP tracks, computed one way: lines of
 # non-test Go under internal/core + internal/vfs, and lines of non-test
 # Go outside benchmark/ (and its build directory).
 loc:

@@ -311,7 +311,7 @@ other:  help  exit
 			return fmt.Errorf("telemetry off (restart dcsh with -telemetry)")
 		}
 		shown := 0
-		for _, name := range []string{"walk", "fastpath", "slowpath", "fs_lookup", "pcc_probe", "pcc_resize", "evict",
+		for _, name := range []string{"walk", "fastpath", "slowpath", "fs_lookup", "pcc_probe", "evict",
 			"miss_wait", "rename_invalidate", "chmod_seq_bump", "unlink_invalidate", "dlht_remove",
 			"ninep_attach", "ninep_walk", "ninep_open", "ninep_read", "ninep_stat", "ninep_clunk"} {
 			p50, p95, p99, ok := tl.HistogramQuantiles(name)

@@ -99,10 +99,6 @@ type Config struct {
 	// PCCBytes sizes each per-credential prefix check cache (0 = 64 KiB,
 	// the paper's configuration).
 	PCCBytes int
-	// PCCMaxBytes caps dynamic PCC growth under working-set pressure
-	// (0 = 32x PCCBytes; set equal to PCCBytes to pin the paper's fixed
-	// size).
-	PCCMaxBytes int
 	// SignatureSeed keys the path signature function; 0 draws a random
 	// per-System key, as the paper does at boot. Fix only for tests.
 	SignatureSeed uint64
@@ -160,7 +156,6 @@ func New(cfg Config) *System {
 		s.core = core.Install(k, core.Config{
 			Seed:           cfg.SignatureSeed,
 			PCCBytes:       cfg.PCCBytes,
-			PCCMaxBytes:    cfg.PCCMaxBytes,
 			DeepNegatives:  cfg.Features.DeepNegatives,
 			SymlinkAliases: cfg.Features.SymlinkAliases,
 			LexicalDotDot:  cfg.Features.LexicalDotDot,

@@ -136,7 +136,6 @@ func AblatePCC(sc Scale) (*Report, error) {
 		cfg := dircache.Optimized()
 		cfg.SignatureSeed = 0xcc
 		cfg.PCCBytes = pccBytes
-		cfg.PCCMaxBytes = pccBytes // pinned: reproduce the fixed-size sensitivity
 		ns, d, err := updatedbPass(cfg, sc)
 		if err != nil {
 			return nil, err

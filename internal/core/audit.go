@@ -215,10 +215,9 @@ func (c *Core) auditPCCs(ar *auditRun, pccs []pccReg) {
 		}
 	})
 	for _, reg := range pccs {
-		t := reg.p.table.Load()
-		for i := range t.sets {
+		for i := range reg.p.sets {
 			for w := 0; w < pccWays; w++ {
-				v := t.sets[i].ways[w].Load()
+				v := reg.p.sets[i].ways[w].Load()
 				if v&pccValid == 0 {
 					continue
 				}

@@ -19,10 +19,6 @@ type Config struct {
 	// PCCBytes sizes each per-credential prefix check cache (default
 	// 64 KiB, the paper's evaluated size).
 	PCCBytes int
-	// PCCMaxBytes caps dynamic PCC growth (the production resize policy
-	// the paper leaves as future work). 0 = 32x PCCBytes; set equal to
-	// PCCBytes to pin the size.
-	PCCMaxBytes int
 	// DeepNegatives enables §5.2's deep negative dentries (negative
 	// children under negative dentries and ENOTDIR dentries under files).
 	DeepNegatives bool
@@ -59,7 +55,8 @@ type Config struct {
 //     staled, and, if the mark's structural generation is newer too, its
 //     pre-mutation table entry and state dropped.
 //   - Touches counts slow-path populations declined by admission control;
-//     reset when the dentry changes identity (negative <-> positive).
+//     it starts at zero with the slot's tenant and survives a flip between
+//     negative and positive in place.
 //   - State is stored and cleared under Mu, loaded without it by TryFast. A
 //     dentry in a table always has one (the state its Sg sums).
 //   - MntP records the mount the signature was computed under, so a
@@ -195,19 +192,13 @@ func (c *Core) tele() *telemetry.Telemetry {
 // shootdown could have staled, so there is nothing to climb for.
 func (c *Core) NewDentry(d *vfs.Dentry) { fast(d).reset(c.shootGen.Load()) }
 
-// OnRecycle implements vfs.Hooks: the dentry changed identity (a positive
-// dentry went negative on unlink, or a negative one was re-created).
-// Admission touch counts from the previous identity must not carry over —
-// a freshly re-created file is a first-touch dentry again.
-func (c *Core) OnRecycle(d *vfs.Dentry) { fast(d).Touches.Store(0) }
-
 // pccFor returns the credential's PCC, creating it on first use (§4.1:
 // PCCs attach to immutable, shared cred structures).
 func (c *Core) pccFor(cr *cred.Cred) *PCC {
 	if v := cr.CacheLoad(); v != nil {
 		return v.(*PCC)
 	}
-	np := newPCC(c.cfg.PCCBytes, c.cfg.PCCMaxBytes)
+	np := newPCC(c.cfg.PCCBytes)
 	np.k = c.k
 	np.credID = cr.ID()
 	p := cr.CacheStoreIfAbsent(np).(*PCC)

@@ -8,7 +8,7 @@ package core
 type PCCStats struct {
 	CredID   uint64 `json:"cred_id"`
 	Entries  int    `json:"entries"`  // valid entries right now
-	Capacity int    `json:"capacity"` // current generation's capacity
+	Capacity int    `json:"capacity"` // the fixed table's capacity
 	Hits     int64  `json:"hits"`
 	Misses   int64  `json:"misses"`
 }

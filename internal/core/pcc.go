@@ -50,87 +50,55 @@ type pccSet struct {
 	lru  atomic.Uint32
 }
 
-// pccTable is one fixed-size generation of the cache; the PCC swaps in a
-// larger generation when the working set outgrows it.
-type pccTable struct {
+// PCC is a per-credential prefix check cache (§3.1): the paper's fixed
+// table of 4-way sets, 64 KiB by default. Lookups and inserts are
+// lock-free. A working set larger than the table costs no slow walk: a
+// PCC miss on a DLHT hit is answered by re-checking the prefix in place
+// (recheckPrefix).
+type PCC struct {
 	sets []pccSet
 	mask uint32
-}
-
-func newPCCTable(entries int) *pccTable {
-	nsets := 1
-	for nsets*pccWays < entries {
-		nsets <<= 1
-	}
-	return &pccTable{sets: make([]pccSet, nsets), mask: uint32(nsets - 1)}
-}
-
-// setFor mixes the dentry ID into a set index.
-func (t *pccTable) setFor(dentryID uint64) *pccSet {
-	h := dentryID * 0x9e3779b97f4a7c15
-	return &t.sets[uint32(h>>33)&t.mask]
-}
-
-// PCC is a per-credential prefix check cache (§3.1). Lookups and inserts
-// are lock-free. The table starts at the paper's evaluated 64 KiB and —
-// implementing the production policy the paper leaves as future work
-// ("dynamically resize the PCC up to a maximum working set") — doubles
-// when sustained capacity evictions show the working set has outgrown it,
-// up to a configurable ceiling.
-type PCC struct {
-	table    atomic.Pointer[pccTable]
-	maxSets  int
-	resizing atomic.Bool
 
 	// hits is bumped on every fastpath authorization; striped so that
 	// concurrent hits on one shared credential (the common server shape:
 	// many worker goroutines, one uid) don't serialize on a counter line.
 	hits   stripe.Int64
 	misses stripe.Int64
-	// windowEvict drives the resize heuristic (noteEviction); it only needs
-	// to be approximately monotonic between resets, which a striped counter
-	// is.
-	windowEvict stripe.Int64
 
 	// credID is the owning credential's ID — the subject under which
-	// flush/resize events are journaled. Zero for unattached unit-test
-	// PCCs.
+	// flush events are journaled. Zero for unattached unit-test PCCs.
 	credID uint64
 
-	// k, when set, is the owning kernel: flushes and resizes are counted
-	// in its counters (PCCFlushes, PCCResizes), and the (rare) generation
-	// copy is timed into its telemetry's HistPCCResize. Written once
+	// k, when set, is the owning kernel: flushes are counted in its
+	// counters (PCCFlushes) and journaled in its telemetry. Written once
 	// before the PCC is published to its credential; nil in unit tests
 	// that build a PCC directly.
 	k *vfs.Kernel
 }
 
 // newPCC builds a PCC holding roughly bytes of entries (default 64 KiB,
-// the paper's evaluated size), growable up to maxBytes (default 32x; pass
-// maxBytes == bytes to pin the size, as the PCC-sensitivity ablation does).
-func newPCC(bytes, maxBytes int) *PCC {
+// the paper's evaluated size).
+func newPCC(bytes int) *PCC {
 	if bytes <= 0 {
 		bytes = 64 << 10
 	}
-	if maxBytes <= 0 {
-		maxBytes = 32 * bytes
+	nsets := 1
+	for nsets*pccWays < bytes/pccEntryBytes {
+		nsets <<= 1
 	}
-	if maxBytes < bytes {
-		maxBytes = bytes
-	}
-	p := &PCC{}
-	t := newPCCTable(bytes / pccEntryBytes)
-	p.table.Store(t)
-	max := newPCCTable(maxBytes / pccEntryBytes)
-	p.maxSets = len(max.sets)
-	return p
+	return &PCC{sets: make([]pccSet, nsets), mask: uint32(nsets - 1)}
+}
+
+// setFor mixes the dentry ID into a set index.
+func (p *PCC) setFor(dentryID uint64) *pccSet {
+	h := dentryID * 0x9e3779b97f4a7c15
+	return &p.sets[uint32(h>>33)&p.mask]
 }
 
 // Lookup reports whether (dentryID, seq) has a valid cached prefix check.
 func (p *PCC) Lookup(dentryID, seq uint64) bool {
 	want := pccPack(dentryID, seq)
-	t := p.table.Load()
-	s := t.setFor(dentryID)
+	s := p.setFor(dentryID)
 	for w := 0; w < pccWays; w++ {
 		if s.ways[w].Load() == want {
 			touch(s, w)
@@ -142,87 +110,20 @@ func (p *PCC) Lookup(dentryID, seq uint64) bool {
 	return false
 }
 
-// noteEviction drives the resize policy: when a window of capacity
-// evictions larger than the table accumulates, the working set has cycled
-// the cache at least once — double it. What counts is an insert that had to
-// displace another dentry's entry. A lookup miss does not: most are
-// revocations (a seq bump staled the dentry's own entry, which the insert
-// that follows overwrites in place) or first touches that land in an empty
-// way, and neither says the table is too small — since a permission change
-// keeps DLHT entries, every revoked descendant that is re-read is such a
-// miss.
-func (p *PCC) noteEviction(t *pccTable) {
-	if len(t.sets) >= p.maxSets {
-		return
-	}
-	p.windowEvict.Add(1)
-	if p.windowEvict.Load() < int64(len(t.sets)*pccWays*2) {
-		return
-	}
-	if !p.resizing.CompareAndSwap(false, true) {
-		return
-	}
-	defer p.resizing.Store(false)
-	cur := p.table.Load()
-	if cur != t || len(cur.sets) >= p.maxSets {
-		return
-	}
-	var tel *telemetry.Telemetry
-	var copyStart int64
-	if p.k != nil {
-		if tel = p.k.Telemetry(); tel.On() {
-			copyStart = telemetry.Now()
-		} else {
-			tel = nil
-		}
-	}
-	bigger := newPCCTable(len(cur.sets) * pccWays * 2)
-	// Carry live entries over (rehash by ID bits reconstructed from the
-	// packed word's low 32 bits; sufficient because setFor only consumes
-	// those bits).
-	for i := range cur.sets {
-		for w := 0; w < pccWays; w++ {
-			v := cur.sets[i].ways[w].Load()
-			if v&pccValid == 0 {
-				continue
-			}
-			id := v & 0xffffffff
-			ns := bigger.setFor(id)
-			for nw := 0; nw < pccWays; nw++ {
-				if ns.ways[nw].Load() == 0 {
-					ns.ways[nw].Store(v)
-					break
-				}
-			}
-		}
-	}
-	p.table.Store(bigger)
-	p.windowEvict.Reset()
-	if p.k != nil {
-		p.k.Count(vfs.NPCCResizes, 1)
-	}
-	if tel != nil {
-		tel.Record(telemetry.HistPCCResize, telemetry.Since(copyStart))
-		tel.Emit(telemetry.JPCCResize, p.credID, int64(len(bigger.sets)*pccWays), telemetry.NoteNone)
-	}
-}
-
 // Insert records a passed prefix check for (dentryID, seq), replacing a
 // stale entry for the same dentry or the LRU way.
 func (p *PCC) Insert(dentryID, seq uint64) {
-	packed := pccPack(dentryID, seq)
-	t := p.table.Load()
-	s := t.setFor(dentryID)
+	s := p.setFor(dentryID)
 	idBits := dentryID & 0xffffffff
 	// Prefer a way already holding this dentry (stale seq), then an
 	// invalid way, then the LRU victim.
-	victim, evicts := -1, true
+	victim := -1
 	var oldest uint32
 	ages := s.lru.Load()
 	for w := 0; w < pccWays; w++ {
 		cur := s.ways[w].Load()
 		if cur&pccValid == 0 || cur&0xffffffff == idBits {
-			victim, evicts = w, false
+			victim = w
 			break
 		}
 		age := (ages >> (8 * w)) & 0xff
@@ -234,11 +135,8 @@ func (p *PCC) Insert(dentryID, seq uint64) {
 			victim = w
 		}
 	}
-	s.ways[victim].Store(packed)
+	s.ways[victim].Store(pccPack(dentryID, seq))
 	touch(s, victim)
-	if evicts {
-		p.noteEviction(t)
-	}
 }
 
 // touch ages every way and zeroes the touched one (racy by design).
@@ -268,17 +166,16 @@ func (p *PCC) Stats() (hits, misses int64) {
 	return p.hits.Load(), p.misses.Load()
 }
 
-// Entries returns the current capacity in entries.
-func (p *PCC) Entries() int { return len(p.table.Load().sets) * pccWays }
+// Entries returns the capacity in entries.
+func (p *PCC) Entries() int { return len(p.sets) * pccWays }
 
 // Occupancy counts the currently valid entries (approximate under
 // concurrent inserts).
 func (p *PCC) Occupancy() int {
-	t := p.table.Load()
 	n := 0
-	for i := range t.sets {
+	for i := range p.sets {
 		for w := 0; w < pccWays; w++ {
-			if t.sets[i].ways[w].Load()&pccValid != 0 {
+			if p.sets[i].ways[w].Load()&pccValid != 0 {
 				n++
 			}
 		}
@@ -288,11 +185,10 @@ func (p *PCC) Occupancy() int {
 
 // Invalidate clears every entry (used on seq wraparound and in tests).
 func (p *PCC) Invalidate() {
-	t := p.table.Load()
 	cleared := int64(0)
-	for i := range t.sets {
+	for i := range p.sets {
 		for w := 0; w < pccWays; w++ {
-			if t.sets[i].ways[w].Swap(0)&pccValid != 0 {
+			if p.sets[i].ways[w].Swap(0)&pccValid != 0 {
 				cleared++
 			}
 		}

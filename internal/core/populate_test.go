@@ -111,54 +111,6 @@ func TestAdmissionAfterThree(t *testing.T) {
 	}
 }
 
-func TestAdmissionRecycleResetsTouches(t *testing.T) {
-	_, _, root := admission(t, 0)
-	if err := root.Mkdir("/r", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	const p = "/r/f"
-	if err := root.Create(p, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := root.Stat(p); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := root.Walk("/r", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := ref.D.Child("f")
-	if d == nil {
-		t.Fatal("no cached dentry for /r/f")
-	}
-	if got := fast(d).Touches.Load(); got == 0 {
-		t.Fatal("stat did not touch the dentry")
-	}
-	// Unlink recycles the dentry into a negative in place
-	// (AggressiveNegatives); the identity flip must reset the touch count
-	// so the new identity earns admission from scratch.
-	if err := root.Unlink(p); err != nil {
-		t.Fatal(err)
-	}
-	if !d.IsNegative() {
-		t.Fatal("unlink did not recycle the dentry to a negative")
-	}
-	if got := fast(d).Touches.Load(); got != 0 {
-		t.Fatalf("negative recycle kept %d touches", got)
-	}
-	// Positivize (re-create at the same path) is the other identity flip.
-	fast(d).Touches.Store(5)
-	if err := root.Create(p, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if d.IsNegative() {
-		t.Fatal("create did not positivize the cached negative")
-	}
-	if got := fast(d).Touches.Load(); got != 0 {
-		t.Fatalf("positivize kept %d touches", got)
-	}
-}
-
 func TestAdmissionDeepNegativeChain(t *testing.T) {
 	k, _, root := admission(t, 0)
 	if err := root.Mkdir("/dn", 0o755); err != nil {

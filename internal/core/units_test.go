@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dircache/internal/cred"
 	"dircache/internal/fsapi"
@@ -16,7 +18,7 @@ import (
 )
 
 func TestPCCBasics(t *testing.T) {
-	p := newPCC(1<<10, 1<<10)
+	p := newPCC(1 << 10)
 	if p.Entries() <= 0 {
 		t.Fatal("no capacity")
 	}
@@ -39,7 +41,7 @@ func TestPCCBasics(t *testing.T) {
 }
 
 func TestPCCEvictionKeepsRecent(t *testing.T) {
-	p := newPCC(64, 64) // 8 entries, 2 sets
+	p := newPCC(64) // 8 entries, 2 sets
 	// Insert far more than capacity; the last-inserted must survive.
 	for i := uint64(1); i <= 100; i++ {
 		p.Insert(i, 1)
@@ -59,7 +61,7 @@ func TestPCCEvictionKeepsRecent(t *testing.T) {
 }
 
 func TestPCCInvalidate(t *testing.T) {
-	p := newPCC(512, 512)
+	p := newPCC(512)
 	for i := uint64(1); i < 20; i++ {
 		p.Insert(i, 0)
 	}
@@ -74,7 +76,7 @@ func TestPCCInvalidate(t *testing.T) {
 func TestPCCProperty(t *testing.T) {
 	// Insert-then-lookup with matching seq always hits immediately after
 	// insertion (no intervening inserts).
-	p := newPCC(4<<10, 4<<10)
+	p := newPCC(4 << 10)
 	f := func(id, seq uint64) bool {
 		p.Insert(id, seq)
 		return p.Lookup(id, seq)
@@ -85,7 +87,7 @@ func TestPCCProperty(t *testing.T) {
 }
 
 func TestPCCConcurrent(t *testing.T) {
-	p := newPCC(64<<10, 64<<10)
+	p := newPCC(64 << 10)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -299,36 +301,10 @@ func TestSignatureSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestPCCDynamicResize(t *testing.T) {
-	// A working set larger than the initial table must trigger growth
-	// (the production resize policy), after which the set fits.
-	p := newPCC(1<<10, 64<<10) // 128 entries initial, 8192 max
-	const ws = 1024
-	for round := 0; round < 40; round++ {
-		for id := uint64(1); id <= ws; id++ {
-			if !p.Lookup(id, 1) {
-				p.Insert(id, 1)
-			}
-		}
-	}
-	if p.Entries() < ws {
-		t.Fatalf("PCC grew to %d entries; working set %d", p.Entries(), ws)
-	}
-	// Steady state: the working set should now mostly hit.
-	hits0, miss0 := p.Stats()
-	for id := uint64(1); id <= ws; id++ {
-		if !p.Lookup(id, 1) {
-			p.Insert(id, 1)
-		}
-	}
-	hits1, miss1 := p.Stats()
-	if hits1-hits0 < (miss1-miss0)*4 {
-		t.Fatalf("post-resize hit ratio poor: +%d hits, +%d misses", hits1-hits0, miss1-miss0)
-	}
-}
-
-func TestPCCPinnedNeverResizes(t *testing.T) {
-	p := newPCC(1<<10, 1<<10)
+// TestPCCFixedCapacity: the PCC is the paper's fixed table. However many
+// distinct dentries pass through it, its capacity stays what newPCC sized.
+func TestPCCFixedCapacity(t *testing.T) {
+	p := newPCC(1 << 10)
 	for round := 0; round < 50; round++ {
 		for id := uint64(1); id <= 2048; id++ {
 			if !p.Lookup(id, 1) {
@@ -337,6 +313,24 @@ func TestPCCPinnedNeverResizes(t *testing.T) {
 		}
 	}
 	if n := p.Entries(); n != 1<<10/pccEntryBytes {
-		t.Fatalf("pinned PCC resized to %d entries", n)
+		t.Fatalf("1 KiB PCC holds %d entries, want %d", n, 1<<10/pccEntryBytes)
+	}
+}
+
+// TestNewPCCAllocatesOneTable: building a PCC allocates its table and
+// little else — no second, larger table sized only to be measured.
+func TestNewPCCAllocatesOneTable(t *testing.T) {
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	keep := make([]*PCC, n)
+	for i := range keep {
+		keep[i] = newPCC(0)
+	}
+	runtime.ReadMemStats(&after)
+	table := uint64(len(keep[0].sets)) * uint64(unsafe.Sizeof(pccSet{}))
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 2*table {
+		t.Fatalf("newPCC(0) allocates %d B; its table is %d B", per, table)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // The coherence event journal records every invalidation-relevant mutation
 // of the directory cache: seq bumps with their subtree size, global
-// invalidation-epoch bumps, DLHT insert/remove/sweep, PCC flush/resize,
+// invalidation-epoch bumps, DLHT insert/remove/sweep, PCC flush,
 // DIR_COMPLETE transitions, and LRU evictions. Where the histograms say
 // how long coherence work took, the journal says *what* fired and *why* —
 // the raw material for the invariant auditor (internal/audit) and for
@@ -59,9 +59,6 @@ const (
 	// JPCCFlush: a prefix check cache was flushed whole. Ref =
 	// credential ID, Aux = entries discarded.
 	JPCCFlush
-	// JPCCResize: a prefix check cache grew (generation copy). Ref =
-	// credential ID, Aux = new capacity in entries.
-	JPCCResize
 	// JDirComplete: DIR_COMPLETE was set on a directory (its cached
 	// children are authoritative). Ref = directory dentry ID.
 	JDirComplete
@@ -93,7 +90,7 @@ const (
 
 var journalKindNames = [NumJournalKinds]string{
 	"seq_bump", "epoch_bump", "dlht_insert", "dlht_remove", "dlht_sweep",
-	"pcc_flush", "pcc_resize", "dir_complete", "dir_incomplete", "evict",
+	"pcc_flush", "dir_complete", "dir_incomplete", "evict",
 	"admit_defer", "admit", "batch_shoot", "coalesce",
 }
 

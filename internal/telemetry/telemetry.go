@@ -38,8 +38,6 @@ const (
 	// HistPCC is the latency of the fastpath's final PCC authorization
 	// probe.
 	HistPCC
-	// HistPCCResize is the latency of a PCC generation copy (rare).
-	HistPCCResize
 	// HistEvict is the latency of one victim selection by the shrinker's
 	// clock hand: the slab slots it stepped over plus the claims.
 	HistEvict
@@ -90,7 +88,7 @@ const (
 )
 
 var histNames = [NumHistograms]string{
-	"walk", "fastpath", "slowpath", "fs_lookup", "pcc_probe", "pcc_resize", "evict",
+	"walk", "fastpath", "slowpath", "fs_lookup", "pcc_probe", "evict",
 	"rename_invalidate", "chmod_seq_bump", "unlink_invalidate", "dlht_remove",
 	"miss_wait",
 	"ninep_attach", "ninep_walk", "ninep_open", "ninep_read", "ninep_stat", "ninep_clunk",
@@ -102,7 +100,6 @@ var histHelp = [NumHistograms]string{
 	"latency of component-at-a-time slow walks",
 	"latency of low-level FS lookup calls",
 	"latency of the fastpath PCC authorization probe",
-	"latency of PCC table growth (generation copy)",
 	"latency of one victim selection by the shrinker's clock hand",
 	"subtree invalidation latency of rename/mount mutations",
 	"subtree seq-bump latency of chmod/chown/label mutations",

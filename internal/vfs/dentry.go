@@ -8,7 +8,7 @@
 //   - Config feature flags enable the VFS-level hit-rate optimizations
 //     (§5): directory completeness caching and aggressive negative
 //     dentries.
-//   - The Hooks interface (ten methods) lets internal/core install the §3
+//   - The Hooks interface (nine methods) lets internal/core install the §3
 //     fastpath (DLHT + PCC + signatures), coherence callbacks, symlink
 //     aliasing and deep negative dentries. The VFS declares the fastpath's
 //     per-dentry state (FastDentry, embedded in every Dentry as the paper

@@ -111,7 +111,7 @@ func (m Mutation) End() {
 }
 
 // Hooks is the seam through which internal/core installs the paper's §3/§4
-// fastpath, in ten methods. The DLHTs it fills belong to the kernel
+// fastpath, in nine methods. The DLHTs it fills belong to the kernel
 // (Namespace.DLHT), which reaps their node arena with its own. All methods
 // must be safe for concurrent use. A nil Hooks means the unmodified baseline.
 type Hooks interface {
@@ -159,12 +159,6 @@ type Hooks interface {
 	// final unlink teardown), for the hooks to drop what they keep for it
 	// (its DLHT entry): the sweeper that later retires its slot calls none.
 	OnEvict(d *Dentry)
-
-	// OnRecycle is called when a dentry changes identity in place: a
-	// positive dentry going negative after unlink, or a negative dentry
-	// being re-created. Hooks reset per-identity bookkeeping (admission
-	// touch counts) that must not carry over.
-	OnRecycle(d *Dentry)
 }
 
 // Kernel owns the entire VFS state: the dentry cache, mount namespaces,

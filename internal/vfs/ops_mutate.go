@@ -99,9 +99,6 @@ func (k *Kernel) positivize(d *Dentry, ino *Inode) {
 		k.killSubtreeLocked(c)
 	}
 	d.clearFlags(DNegative | DDeepNegative | DNotDir)
-	if k.hooks != nil {
-		k.hooks.OnRecycle(d)
-	}
 	if isDir && k.cfg.DirCompleteness {
 		d.setFlags(DComplete)
 		if tel := k.journal(); tel != nil {
@@ -473,9 +470,6 @@ func (k *Kernel) dentryGone(d *Dentry, ino *Inode) {
 		// listing no longer reflects its children.
 		if p := d.Parent(); p != nil {
 			p.invalidateList()
-		}
-		if k.hooks != nil {
-			k.hooks.OnRecycle(d)
 		}
 	} else {
 		k.killDentryKeepComplete(d)

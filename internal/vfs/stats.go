@@ -45,7 +45,6 @@ const (
 	NStaleTokens
 	NDLHTSweeps
 	NPCCFlushes
-	NPCCResizes
 	NAdmitted
 	NDeferred
 	NBatchShootdowns
@@ -125,7 +124,6 @@ type Stats struct {
 	StaleTokens int64 // cache publishes declined due to racing mutations
 	DLHTSweeps  int64 // derived: dead DLHT nodes dropped by inserts and doublings
 	PCCFlushes  int64 // whole-PCC invalidations (seq wraparound)
-	PCCResizes  int64 // PCC generation growths
 
 	// Admission control and batched shootdown.
 	Admitted        int64 // populations allowed on a dentry's Nth touch

@@ -12,14 +12,14 @@ import (
 	"dircache/internal/memfs"
 )
 
-// TestHooksHasTenMethods pins the fastpath seam: initialize a dentry's
+// TestHooksHasNineMethods pins the fastpath seam: initialize a dentry's
 // fast state, find, populate (three calls), alias, the mutation bracket's
-// two edges, evict and recycle. What the fastpath keeps beside the
-// dentries — each namespace's DLHT and its node arena — is the kernel's,
-// and needs no hook to be reaped.
-func TestHooksHasTenMethods(t *testing.T) {
-	if n := reflect.TypeOf((*Hooks)(nil)).Elem().NumMethod(); n != 10 {
-		t.Fatalf("vfs.Hooks has %d methods, want 10", n)
+// two edges, and evict. What the fastpath keeps beside the dentries — each
+// namespace's DLHT and its node arena — is the kernel's, and needs no hook
+// to be reaped.
+func TestHooksHasNineMethods(t *testing.T) {
+	if n := reflect.TypeOf((*Hooks)(nil)).Elem().NumMethod(); n != 9 {
+		t.Fatalf("vfs.Hooks has %d methods, want 9", n)
 	}
 }
 

@@ -183,7 +183,7 @@ func (tl *Telemetry) EventCounts() map[string]uint64 {
 }
 
 // JournalEvent is one coherence journal record: an invalidation-relevant
-// mutation (seq/epoch bump, DLHT insert/remove/sweep, PCC flush/resize,
+// mutation (seq/epoch bump, DLHT insert/remove/sweep, PCC flush,
 // DIR_COMPLETE transition, eviction) with its time and its place in the
 // dump's timeline.
 type JournalEvent = telemetry.Event
@@ -229,7 +229,7 @@ func (tl *Telemetry) Raw() *telemetry.Telemetry {
 
 // HistogramQuantiles reports the estimated p50/p95/p99 of the named
 // latency histogram. Names: "walk", "fastpath", "slowpath", "fs_lookup",
-// "pcc_probe", "pcc_resize", "evict", "miss_wait", the mutation-side
+// "pcc_probe", "evict", "miss_wait", the mutation-side
 // cost centers "rename_invalidate", "chmod_seq_bump", "unlink_invalidate",
 // "dlht_remove", and the 9P server's per-op centers "ninep_attach",
 // "ninep_walk", "ninep_open", "ninep_read", "ninep_stat", "ninep_clunk".

@@ -28,7 +28,7 @@ help:
 	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, a rename round trip + stat below it at the round trip's allocations with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop retires no DLHT node, a System with 1000 files holds <= 1.5 MB of tables, prefix memo and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
 	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable), FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors) and FuzzPrefixMemo over the fastpath's scan (cold and warm prefix memo both hash the canonical path)"
-	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch; then the tier's three benchmarks once each"
+	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch and dcshard on a baseline server; then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
 	@echo "  loc            the two line counts ROADMAP tracks (non-test Go: core+vfs, and everything outside benchmark/)"
 
@@ -159,7 +159,7 @@ serve-smoke:
 # nothing reads their numbers here.
 shard-smoke:
 	$(GO) test -race -count=1 ./internal/coherence/... ./internal/shard/
-	$(GO) test -race -run 'TestPipeline' -count=1 ./internal/ninep/
+	$(GO) test -race -run 'TestPipeline|TestDcshard' -count=1 ./internal/ninep/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterStat|BenchmarkPeerApplyPerm' -benchtime=1x ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkJournalEmit' -benchtime=1x ./internal/telemetry/
 

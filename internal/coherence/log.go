@@ -18,9 +18,10 @@ const Capacity = 4096
 
 // Record is one published invalidation: the cached view of Path (and
 // everything under it, and its parent's listing) may be wrong on any
-// peer. Note names the cause (the vfs invalidation reason, "create" or
-// "rename-dst"); a peer applies a "perm" in place and discards its view
-// of Path for any other (vfs.InvalidateCachedPath).
+// peer. The namespace operation that changed Path writes it (vfs, after
+// its backend call), and Note names the cause: a vfs invalidation reason,
+// "create" or "rename-dst". A peer applies a "perm" in place and discards
+// its view of Path for any other (vfs.InvalidateCachedPath).
 type Record struct {
 	ID   uint64 // dense from 1, in publication order
 	Path string

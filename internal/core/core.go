@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dircache/internal/coherence"
 	"dircache/internal/cred"
 	"dircache/internal/sig"
 	"dircache/internal/telemetry"
@@ -124,14 +123,6 @@ type Core struct {
 	// admitAfter caches Config.AdmitAfter with the default applied.
 	admitAfter int
 
-	// coh, when set, is the coherence log peer shards read (DESIGN §8):
-	// every root invalidation that did not itself come from a peer
-	// publishes the mutated dentry's path there when its mutation
-	// completes. Nil unless the System is
-	// a shard: PathTo walks the parent chain and allocates, a cost only
-	// sharded deployments should pay.
-	coh atomic.Pointer[coherence.Log]
-
 	// regMu guards pccs, which registers every live PCC (with its owning
 	// credential) so that a per-dentry version counter wrapping its
 	// truncated width can invalidate all of them — the paper's §3.1
@@ -141,6 +132,11 @@ type Core struct {
 	// the kernel keeps them (Kernel.DLHTs).
 	regMu sync.Mutex
 	pccs  []pccReg
+
+	// The pad puts memo.sets on a cache line (TestMemoSetsAligned): a Core
+	// is one large, page-aligned allocation, and a 32-byte set that
+	// straddled two lines would cost its probes a second miss.
+	_ [8]byte
 
 	// memo holds the hash deltas of directory prefixes the scan has
 	// walked, so a warm scan hashes only a path's last component.
@@ -261,45 +257,15 @@ func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) vfs.Mutation {
 	if tel != nil {
 		tel.Record(invalHist(why), telemetry.Since(start))
 	}
-	m := vfs.Mutation{Hooks: c, D: d, Why: why}
-	// Peer-applied invalidations never enter the log: republishing them
-	// would bounce every invalidation between shards forever.
-	if c.coh.Load() != nil && !why.Remote() {
-		// The path is read now, before a rename moves d, and published only
-		// once the mutation is done: a peer that applied the record any
-		// earlier could re-read the backend's old state and cache it for good.
-		m.Path = d.PathTo()
-	}
-	return m
+	return vfs.Mutation{Hooks: c, D: d, Why: why}
 }
 
-// EndMutation implements vfs.Hooks: the closing epoch bump and, on a
-// shard, the mutated path's publication to the coherence log.
+// EndMutation implements vfs.Hooks: the closing epoch bump.
 func (c *Core) EndMutation(m vfs.Mutation) {
 	epoch := c.epoch.Add(epochEdge - 1)
 	if tel := c.tele(); tel != nil {
 		tel.Emit(telemetry.JEpochBump, m.D.ID(), int64(epoch), m.Why.Note()|telemetry.NoteEnd)
 	}
-	if m.Path != "" {
-		c.coh.Load().Publish(m.Path, m.Why.String())
-	}
-}
-
-// EnableCoherence attaches the coherence log (see the coh field) on first
-// call.
-func (c *Core) EnableCoherence() {
-	if c.coh.Load() == nil {
-		c.coh.CompareAndSwap(nil, coherence.New())
-	}
-}
-
-// Coherence returns the coherence log: nil until EnableCoherence, and on
-// the nil Core of a System built without the fastpath.
-func (c *Core) Coherence() *coherence.Log {
-	if c == nil {
-		return nil
-	}
-	return c.coh.Load()
 }
 
 // shoot is the one shootdown every mutation takes (DESIGN §5d). d's seq

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"dircache/internal/sig"
 	"dircache/internal/vfs"
@@ -209,6 +210,16 @@ func FuzzPrefixMemo(f *testing.F) {
 		// checks the sum, which a delta moved to other positions breaks.
 		run(t, memoTwins[(int(sel)+1)%len(memoTwins)][0], path)
 	})
+}
+
+// TestMemoSetsAligned: every set of a live Core's memo lies in one cache
+// line. A field added above the memo moves it; resize Core's pad to match.
+func TestMemoSetsAligned(t *testing.T) {
+	_, c, _ := auditFixture(t)
+	if addr := uintptr(unsafe.Pointer(&c.memo.sets)); addr%64 != 0 {
+		t.Fatalf("memo.sets at %#x, %d bytes past a cache line (Core offset %d)",
+			addr, addr%64, unsafe.Offsetof(c.memo)+unsafe.Offsetof(c.memo.sets))
+	}
 }
 
 // TestPrefixMemoCollisionMisses: a set holds four prefixes that hash to

@@ -1015,7 +1015,6 @@ func (c *conn) finishCreate(f *fidEntry, req *Fcall, path string, of *dircache.F
 	if err := f.setOpen(path, req.Mode, of); err != nil {
 		return nil, err
 	}
-	c.srv.sys.PublishCoherence(path, "create")
 	return &Fcall{Type: MsgRcreate, Qid: f.qid, Iounit: c.iounit()}, nil
 }
 
@@ -1231,7 +1230,6 @@ func (c *conn) twstat(req *Fcall) (*Fcall, error) {
 			return nil, err
 		}
 		f.path = dst
-		c.srv.sys.PublishCoherence(dst, "rename-dst")
 	}
 	return &Fcall{Type: MsgRwstat}, nil
 }

@@ -378,12 +378,55 @@ func TestServerUsersMap(t *testing.T) {
 	}
 }
 
+// TestDcshardOnBaselineServer: a server over the unmodified baseline cache
+// (dcserve -baseline) speaks 9P2000.dcshard like any other, and its log
+// carries the creates its clients make. Shard coherence is the namespace's,
+// so it needs no fastpath core.
+func TestDcshardOnBaselineServer(t *testing.T) {
+	sys := dircache.New(dircache.Baseline())
+	root := sys.Start(dircache.RootCreds())
+	mustMkdirAll(t, root, "/srv", 0o755)
+	root.Exit()
+	srv, err := Serve(sys, "127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c, err := DialShard(srv.Addr().String())
+	if err != nil {
+		t.Fatalf("DialShard: %v", err)
+	}
+	defer c.Close()
+	fid, err := c.Attach("root", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := fid.WalkPath("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.Create("new.txt", 0o644, OWrite); err != nil {
+		t.Fatalf("Tcreate: %v", err)
+	}
+	dir.Clunk()
+	recs, next, fell, err := c.Journal(0)
+	if err != nil || fell || next != 1 || len(recs) != 1 || recs[0].Path != "/srv/new.txt" || recs[0].Note != "create" {
+		t.Fatalf("Journal after one create: recs=%+v next=%d fell=%v err=%v", recs, next, fell, err)
+	}
+}
+
 // TestJournalSpansManyReplies pends more coherence records than one
 // msize holds: every truncated Rjournal rewinds its cursor to the last
 // record it shipped, so the client's re-poll loop must deliver each
 // record exactly once, in order, and without claiming it fell behind.
 func TestJournalSpansManyReplies(t *testing.T) {
 	sys, srv := startServer(t, Config{MaxMsize: MinMsize})
+	root := sys.Start(dircache.RootCreds())
+	defer root.Exit()
+	// The oversized record's parents exist before the log does: shard
+	// coherence starts with the dcshard Tversion.
+	deep := "/" + strings.Repeat("x", MinMsize/3)
+	mustMkdirAll(t, root, deep+deep, 0o755)
 	c, err := DialShard(srv.Addr().String())
 	if err != nil {
 		t.Fatalf("DialShard: %v", err)
@@ -392,7 +435,9 @@ func TestJournalSpansManyReplies(t *testing.T) {
 
 	const pending = 200 // ~40 bytes each against 488 bytes of payload per reply
 	for i := 0; i < pending; i++ {
-		sys.PublishCoherence(fmt.Sprintf("/srv/app/static/js/f%03d", i), "create")
+		if err := root.Create(fmt.Sprintf("/srv/app/static/js/f%03d", i), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := c.RPCs()
 	recs, next, fell, err := c.Journal(0)
@@ -416,7 +461,9 @@ func TestJournalSpansManyReplies(t *testing.T) {
 
 	// A record no reply can carry is not retried forever: the subscriber
 	// is told it fell behind, and its cursor moves past the record.
-	sys.PublishCoherence("/"+strings.Repeat("x", MinMsize), "create")
+	if err := root.Mkdir(deep+deep+deep, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if recs, after, fell, err := c.Journal(next); err != nil || !fell || len(recs) != 0 || after != next+1 {
 		t.Fatalf("oversized record: %d records, cursor %d, fell=%v, err=%v; want fell-behind at %d",
 			len(recs), after, fell, err, next+1)

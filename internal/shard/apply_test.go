@@ -50,7 +50,8 @@ func newTier(t *testing.T, wire bool) *tier {
 }
 
 // raw is a root process straight on the shard that owns path: what it
-// does reaches the backend and that shard's cache and publishes nothing.
+// does reaches the backend and that shard's cache, and what it publishes
+// runApplyCase drops before the mutation under test.
 func (tr *tier) raw(path string) *dircache.Process {
 	return tr.systems[tr.router.Owner(path)].Start(dircache.RootCreds())
 }
@@ -154,8 +155,8 @@ var applyCases = []applyCase{
 		mutate: func(r *Router) error { return r.Chmod("/srv/d", 0) }},
 	{note: "rename", path: "/srv/d", create: rawDirD,
 		mutate: func(r *Router) error { return r.Rename("/srv/d", "/srv/moved") }},
-	// An unlink publishes only when something is cached below the name:
-	// the ENOTDIR negative the owner's stat of g.txt/x leaves.
+	// With something cached below the name — the ENOTDIR negative the
+	// owner's stat of g.txt/x leaves — the unlink's record is its bracket's.
 	{note: "unlink", path: "/srv/d/g.txt", create: rawFile("/srv/d/g.txt"),
 		before: func(t *testing.T, tr *tier) {
 			p := tr.raw("/srv/d/g.txt")

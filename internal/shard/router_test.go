@@ -184,10 +184,9 @@ func TestRouterFellBehindFallback(t *testing.T) {
 	warm(t, g, files)
 	g.Router.Converge(0)
 
-	// Overrun shard 0's log between pumps: one more creation than it
-	// retains (each publishes exactly one record; removing an empty
-	// directory invalidates nothing and publishes none), so the record
-	// after the router's cursor is gone.
+	// Overrun shard 0's log between pumps: more creations than it retains
+	// (each publishes one record, and so does removing the empty
+	// directory), so the record after the router's cursor is gone.
 	l := g.Locals[0]
 	const churn = "/srv/app0/lib/pkg0/churn"
 	for i := 0; i <= coherence.Capacity; i++ {

@@ -56,9 +56,8 @@ type Doctorable interface {
 }
 
 // Local is a Shard over an in-process System. All operations run as root
-// through one Process; creations publish their path themselves (nothing
-// is invalidated locally when a binding appears, yet peers may hold
-// negatives or authoritative listings the new binding falsifies).
+// through one Process and publish nothing themselves: the System's
+// namespace operations write its coherence log.
 type Local struct {
 	Sys *dircache.System
 	p   *dircache.Process
@@ -78,55 +77,14 @@ func (l *Local) ReadDir(path string) ([]dircache.DirEntry, error) {
 func (l *Local) ReadFile(path string) ([]byte, error) { return l.p.ReadFile(path) }
 
 func (l *Local) WriteFile(path string, data []byte, perm uint32) error {
-	if err := l.p.WriteFile(path, data, perm); err != nil {
-		return err
-	}
-	l.Sys.PublishCoherence(path, "create")
-	return nil
+	return l.p.WriteFile(path, data, perm)
 }
-
-func (l *Local) Mkdir(path string, perm uint32) error {
-	if err := l.p.Mkdir(path, perm); err != nil {
-		return err
-	}
-	l.Sys.PublishCoherence(path, "create")
-	return nil
-}
-
-// MkdirAll publishes every prefix of path: any of the ancestors may have
-// been created by this call, and a peer may hold a stale negative or an
-// authoritative listing for each one.
-func (l *Local) MkdirAll(path string, perm uint32) error {
-	if err := l.p.MkdirAll(path, perm); err != nil {
-		return err
-	}
-	for i := 1; i < len(path); i++ {
-		if path[i] == '/' {
-			l.Sys.PublishCoherence(path[:i], "create")
-		}
-	}
-	l.Sys.PublishCoherence(path, "create")
-	return nil
-}
-
-// Rename publishes the destination path explicitly: the record the
-// rename's own invalidation publishes carries the source path — PathTo
-// runs before the move — but peers may also hold stale state at
-// the destination (a negative dentry the move just falsified, a complete
-// listing of the destination parent).
-func (l *Local) Rename(oldPath, newPath string) error {
-	if err := l.p.Rename(oldPath, newPath); err != nil {
-		return err
-	}
-	l.Sys.PublishCoherence(newPath, "rename-dst")
-	return nil
-}
-
-func (l *Local) Unlink(path string) error { return l.p.Unlink(path) }
-func (l *Local) Rmdir(path string) error  { return l.p.Rmdir(path) }
-func (l *Local) Chmod(path string, perm uint32) error {
-	return l.p.Chmod(path, perm)
-}
+func (l *Local) Mkdir(path string, perm uint32) error    { return l.p.Mkdir(path, perm) }
+func (l *Local) MkdirAll(path string, perm uint32) error { return l.p.MkdirAll(path, perm) }
+func (l *Local) Rename(oldPath, newPath string) error    { return l.p.Rename(oldPath, newPath) }
+func (l *Local) Unlink(path string) error                { return l.p.Unlink(path) }
+func (l *Local) Rmdir(path string) error                 { return l.p.Rmdir(path) }
+func (l *Local) Chmod(path string, perm uint32) error    { return l.p.Chmod(path, perm) }
 
 func (l *Local) EventsSince(cursor uint64) ([]coherence.Record, uint64, bool) {
 	return l.Sys.EventsSince(cursor)

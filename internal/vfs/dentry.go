@@ -357,9 +357,16 @@ func (d *Dentry) reset(id uint64, self slab.Ref, sb *Super) {
 // this dentry's sb), for diagnostics and signature (re)construction. It is
 // not canonical across mounts; callers that need a namespace path must
 // compose mounts themselves.
-func (d *Dentry) PathTo() string {
+func (d *Dentry) PathTo() string { return d.pathWith("") }
+
+// pathWith is PathTo with name, unless empty, appended as one more
+// component: the path of a binding under d.
+func (d *Dentry) pathWith(name string) string {
 	var comps []string
 	n := 0
+	if name != "" {
+		comps, n = append(comps, name), len(name)+1
+	}
 	for cur := d; cur != nil; {
 		pn := cur.pn.Load()
 		if pn.parent == nil {

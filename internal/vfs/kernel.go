@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dircache/internal/coherence"
 	"dircache/internal/fsapi"
 	"dircache/internal/lsm"
 	"dircache/internal/sig"
@@ -92,21 +93,27 @@ func (i Invalidation) PermOnly() bool { return i == InvalPerm || i == InvalRemot
 func (i Invalidation) Remote() bool { return i == InvalRemote || i == InvalRemotePerm }
 
 // Mutation is the open bracket BeginMutation returns — a value, so opening
-// one allocates nothing. The zero Mutation (no hooks installed) ends as a
-// no-op.
+// one allocates nothing. The zero Mutation ends as a no-op.
 type Mutation struct {
 	Hooks Hooks
 	D     *Dentry
 	Why   Invalidation
-	// Path is D's path as BeginMutation read it, for hooks that publish it
-	// once the mutation is done (a shard's coherence log); "" otherwise.
-	Path string
+	// log and path: on a shard, its coherence log and D's path as the
+	// kernel read it when the bracket opened, which End publishes.
+	log  *coherence.Log
+	path string
 }
 
-// End closes the bracket: call it when the change is complete.
+// End closes the bracket: call it when the change is complete. On a shard
+// it then publishes the mutated path, and only then: a peer that applied
+// the record any earlier could re-read the backend's old state and cache
+// it for good.
 func (m Mutation) End() {
 	if m.Hooks != nil {
 		m.Hooks.EndMutation(m)
+	}
+	if m.log != nil {
+		m.log.Publish(m.path, m.Why.String())
 	}
 }
 
@@ -246,6 +253,13 @@ type Kernel struct {
 	// exist. Introspection needs a dedicated counter because placeholders
 	// are deliberately invisible to the LRU-based dentry iteration.
 	inLookupCount atomic.Int64
+
+	// coh, when set, is the coherence log peer shards read (DESIGN §8):
+	// every namespace operation that falsifies a path's cached answer
+	// publishes the path there once its backend call is done. Nil unless
+	// the kernel is a shard: PathTo walks the parent chain and allocates,
+	// a cost only sharded deployments should pay.
+	coh atomic.Pointer[coherence.Log]
 }
 
 // InLookupCount reports how many in-lookup placeholders currently exist.
@@ -704,12 +718,19 @@ func (k *Kernel) DropCaches() int {
 	}
 }
 
-// beginMutation invokes the hooks' BeginMutation if installed.
+// beginMutation opens a mutation bracket on d: the hooks' BeginMutation if
+// installed and, on a shard, d's path read now, before a rename moves d,
+// for End to publish. Peer-applied invalidations never enter the log:
+// republishing them would bounce every invalidation between shards forever.
 func (k *Kernel) beginMutation(d *Dentry, why Invalidation) Mutation {
-	if k.hooks == nil {
-		return Mutation{}
+	m := Mutation{D: d, Why: why}
+	if k.hooks != nil {
+		m = k.hooks.BeginMutation(d, why)
 	}
-	return k.hooks.BeginMutation(d, why)
+	if log := k.coh.Load(); log != nil && !why.Remote() {
+		m.log, m.path = log, d.PathTo()
+	}
+	return m
 }
 
 // renameWriteLock enters a structural-change critical section: the rename

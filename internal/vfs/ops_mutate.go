@@ -176,8 +176,11 @@ func (k *Kernel) discardDentry(d *Dentry) {
 // installNewChild creates and wires a positive dentry for a just-created
 // node. If a negative dentry is cached at the name it is positivized
 // instead. Returns nil when the parent dentry died under the create (the
-// node exists in the FS; the next walk finds it).
+// node exists in the FS; the next walk finds it). Every creation reaches it
+// after its backend call, so it publishes the new path: a peer may hold a
+// negative dentry or a complete listing that the binding falsifies.
 func (k *Kernel) installNewChild(parent PathRef, name string, info fsapi.NodeInfo) *Dentry {
+	defer k.publish(parent.D, name, "create")
 	sb := parent.D.sb
 	ino := sb.inodeFor(info)
 	if d := k.childDentryForCreate(parent.D, name); d != nil {
@@ -371,7 +374,8 @@ func (t *Task) unlink(path string) error {
 	// valid, so no fastpath shootdown is needed (§3.2 invalidates only
 	// path- or permission-changing mutations) — unless cached children
 	// (ENOTDIR deep negatives, symlink aliases) hang below it.
-	if d.nkids.Load() > 0 {
+	bracket := d.nkids.Load() > 0
+	if bracket {
 		end := k.beginMutation(d, InvalUnlink)
 		defer end.End()
 	}
@@ -381,6 +385,9 @@ func (t *Task) unlink(path string) error {
 	defer k.cacheMutEnd()
 	if err := parent.D.sb.fs.Unlink(parent.D.Inode().ID(), name); err != nil {
 		return err
+	}
+	if !bracket {
+		k.publish(d, "", InvalUnlink.String()) // peers may hold it positive
 	}
 	k.dentryGone(d, ino)
 	k.refreshInode(parent.D)
@@ -421,7 +428,8 @@ func (t *Task) rmdir(path string) error {
 	// Like unlink: the removed directory flips negative in place. Cached
 	// (necessarily negative) children are torn down individually below;
 	// a full shootdown is only needed when they exist.
-	if d.nkids.Load() > 0 {
+	bracket := d.nkids.Load() > 0
+	if bracket {
 		end := k.beginMutation(d, InvalUnlink)
 		defer end.End()
 	}
@@ -431,6 +439,9 @@ func (t *Task) rmdir(path string) error {
 	defer k.cacheMutEnd()
 	if err := parent.D.sb.fs.Rmdir(parent.D.Inode().ID(), name); err != nil {
 		return err
+	}
+	if !bracket {
+		k.publish(d, "", InvalUnlink.String()) // as in unlink
 	}
 	// The FS guaranteed emptiness; cached children can only be negatives —
 	// drop them along with the dentry or its negative conversion.
@@ -638,6 +649,12 @@ func (t *Task) rename(oldpath, newpath string) error {
 		k.refreshInode(newParent.D)
 	}
 	k.refreshInode(d)
+	if target == nil {
+		// A replaced target's bracket names the destination; a free one
+		// is named by nothing else, yet a peer may hold a negative dentry
+		// there or a complete listing of its parent.
+		k.publish(newParent.D, newName, "rename-dst")
+	}
 	return nil
 }
 

@@ -3,18 +3,41 @@ package vfs
 import (
 	"strings"
 
+	"dircache/internal/coherence"
 	"dircache/internal/telemetry"
 )
 
-// Remote invalidation: the entry points a sharded deployment uses to apply
-// a peer cache instance's mutations locally. A shard that learns (via the
-// coherence log subscription) that another shard mutated a path it may
-// have cached applies the record it was sent (paper §3.2): a permission
-// change bumps sequence numbers and re-reads the directory's attributes,
-// the dentries below it stay; a structural change — or any record this
-// instance cannot apply in place — discards the cached view of the path
-// wholesale, fail-closed, and the next walk re-reads ground truth from the
-// shared backend.
+// Sharded coherence: a kernel that is one shard of a sharded namespace
+// publishes each path its own operations falsify to its coherence log —
+// no caller publishes anything (DESIGN §8 lists what each operation
+// publishes) — and applies the records its peers publish.
+//
+// Applying a record (paper §3.2): a permission change bumps sequence
+// numbers and re-reads the directory's attributes, the dentries below it
+// stay; a structural change — or any record this instance cannot apply in
+// place — discards the cached view of the path wholesale, fail-closed, and
+// the next walk re-reads ground truth from the shared backend.
+
+// EnableCoherence makes the kernel a shard: from here on its namespace
+// operations publish to its coherence log (the coh field). Idempotent.
+func (k *Kernel) EnableCoherence() {
+	if k.coh.Load() == nil {
+		k.coh.CompareAndSwap(nil, coherence.New())
+	}
+}
+
+// Coherence returns the coherence log: nil until EnableCoherence.
+func (k *Kernel) Coherence() *coherence.Log { return k.coh.Load() }
+
+// publish appends the path of name under d (d's own path when name is
+// "") to the coherence log of a shard, for a change no open bracket names;
+// a no-op on any other kernel. Callers publish once the backend call has
+// succeeded, for the reason Mutation.End gives.
+func (k *Kernel) publish(d *Dentry, name, note string) {
+	if log := k.coh.Load(); log != nil {
+		log.Publish(d.pathWith(name), note)
+	}
+}
 
 // RootDentry returns the root dentry of the kernel's initial namespace.
 func (k *Kernel) RootDentry() *Dentry {
@@ -31,8 +54,8 @@ func splitAbs(path string) []string {
 }
 
 // InvalidateCachedPath applies a peer-originated coherence record: path,
-// and note naming what the peer did to it (an Invalidation's String, or
-// the shard tier's "create" / "rename-dst"). The descent to path reads
+// and note naming what the peer's kernel did to it (an Invalidation's
+// String, "create" or "rename-dst"). The descent to path reads
 // cached dentries only, because a path this instance never cached cannot
 // be stale here:
 //

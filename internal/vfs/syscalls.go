@@ -138,7 +138,8 @@ func (t *Task) Chmod(path string, mode fsapi.Mode) error {
 	if err := mayWriteMnt(ref.Mnt); err != nil {
 		return err
 	}
-	if ino.Mode().IsDir() {
+	isDir := ino.Mode().IsDir()
+	if isDir {
 		// A permission change retires nothing — the directory's table entry
 		// and its descendants' stay (§3.2) — so unlike unlink, rmdir and
 		// rename it ends without a reap.
@@ -153,6 +154,9 @@ func (t *Task) Chmod(path string, mode fsapi.Mode) error {
 		return err
 	}
 	ino.applyInfo(info)
+	if !isDir {
+		t.k.publish(ref.D, "", InvalPerm.String()) // peers may hold the old mode
+	}
 	return nil
 }
 
@@ -179,7 +183,8 @@ func (t *Task) Chown(path string, uid, gid uint32) error {
 	if err := mayWriteMnt(ref.Mnt); err != nil {
 		return err
 	}
-	if ino.Mode().IsDir() {
+	isDir := ino.Mode().IsDir()
+	if isDir {
 		end := t.k.beginMutation(ref.D, InvalPerm)
 		defer end.End()
 	}
@@ -190,6 +195,9 @@ func (t *Task) Chown(path string, uid, gid uint32) error {
 		return err
 	}
 	ino.applyInfo(info)
+	if !isDir {
+		t.k.publish(ref.D, "", InvalPerm.String()) // as in Chmod
+	}
 	return nil
 }
 
@@ -234,11 +242,15 @@ func (t *Task) SetLabel(path, label string) error {
 	if ino == nil {
 		return fsapi.ENOENT
 	}
-	if ino.Mode().IsDir() {
+	isDir := ino.Mode().IsDir()
+	if isDir {
 		end := t.k.beginMutation(ref.D, InvalPerm)
 		defer end.End()
 	}
 	ino.SetLabel(label)
+	if !isDir {
+		t.k.publish(ref.D, "", InvalPerm.String()) // as in Chmod
+	}
 	return nil
 }
 

@@ -7,46 +7,36 @@ import (
 )
 
 // Shard support: the hooks internal/shard uses to run N System instances
-// as one sharded namespace. Each shard publishes the paths whose cached
-// answers its mutations falsify into its coherence log (internal/coherence,
-// read by cursor) and applies the records its peers publish: a permission
-// change in place, anything else by discarding its cached view of the
-// affected path — fail-closed.
+// as one sharded namespace. Each shard's namespace operations publish the
+// paths whose cached answers they falsify into its coherence log
+// (internal/coherence, read by cursor), and the shard applies the records
+// its peers publish: a permission change in place, anything else by
+// discarding its cached view of the affected path — fail-closed.
 
 // CoherenceRecord is one published invalidation: a path whose cached view
 // may be wrong on every peer, and why.
 type CoherenceRecord = coherence.Record
 
 // EnableShardCoherence prepares the System to act as one shard of a
-// sharded namespace: from here on every mutation's root invalidation
-// publishes the mutated path to the System's coherence log. It needs the
-// fastpath core (Features.DirectLookup) and nothing else — telemetry can
-// be on or off. Idempotent.
-func (s *System) EnableShardCoherence() { s.core.EnableCoherence() }
-
-// PublishCoherence publishes path for a mutation that invalidates nothing
-// locally and so reaches the log no other way — a creation or a rename's
-// destination: no dentry is shot down when a binding appears, yet a peer
-// shard may hold a negative dentry or an authoritative listing that the
-// new binding falsifies. A no-op until EnableShardCoherence.
-func (s *System) PublishCoherence(path, note string) {
-	if log := s.core.Coherence(); log != nil {
-		log.Publish(path, note)
-	}
-}
+// sharded namespace: from here on every namespace operation that falsifies
+// a path's cached answer — a creation, an unlink, a rename's source and
+// destination, a permission change — publishes the path to the System's
+// coherence log once its backend call is done (DESIGN §8). Any
+// configuration can be a shard, with telemetry on or off. Idempotent.
+func (s *System) EnableShardCoherence() { s.k.EnableCoherence() }
 
 // EventsSince reads the System's coherence log from cursor: records with
 // ID > cursor in ID order, the next cursor, and fellBehind = true when the
 // log overwrote records the reader never saw (the reader must fall back
 // to RemoteInvalidateAll).
 func (s *System) EventsSince(cursor uint64) (recs []CoherenceRecord, next uint64, fellBehind bool) {
-	return s.core.Coherence().Since(cursor)
+	return s.k.Coherence().Since(cursor)
 }
 
 // CoherencePending is how many records of the coherence log a reader at
 // cursor has yet to account for; see coherence.Log.Pending for a cursor
 // the log cannot serve.
-func (s *System) CoherencePending(cursor uint64) int { return s.core.Coherence().Pending(cursor) }
+func (s *System) CoherencePending(cursor uint64) int { return s.k.Coherence().Pending(cursor) }
 
 // RemoteInvalidate applies a peer shard's coherence record to this
 // System's cache. A "perm" record on a cached, positive path revokes every

@@ -27,7 +27,7 @@ help:
 	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
 	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, a rename round trip + stat below it at the round trip's allocations with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop retires no DLHT node, a System with 1000 files holds <= 1.5 MB of tables, prefix memo and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
-	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable), FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors) and FuzzPrefixMemo over the fastpath's scan (cold and warm prefix memo both hash the canonical path)"
+	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable), FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors), FuzzPrefixMemo over the fastpath's scan (cold and warm prefix memo both hash the canonical path) and FuzzRingLog over the one drop-oldest ring (against a slice model)"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch and dcshard on a baseline server; then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
 	@echo "  loc            the two line counts ROADMAP tracks (non-test Go: core+vfs, and everything outside benchmark/)"
@@ -153,12 +153,12 @@ serve-smoke:
 # rename-vs-walk), and the 2-shard over-the-wire tier (dcshard journal
 # subscription + Tshoot fallback), the differential table of what a peer
 # does per record note and the walkers-vs-remote-chmod storm — plus the
-# coherence log they all read and the ninep pipelined-dispatch tests the
-# journal stream rides on. The last two lines run the benchmarks DESIGN §6
-# and §8 quote for one iteration each, so they keep compiling and running;
-# nothing reads their numbers here.
+# coherence log they all read, the ring under it, and the ninep
+# pipelined-dispatch tests the journal stream rides on. The last two
+# lines run the benchmarks DESIGN §6 and §8 quote for one iteration each,
+# so they keep compiling and running; nothing reads their numbers here.
 shard-smoke:
-	$(GO) test -race -count=1 ./internal/coherence/... ./internal/shard/
+	$(GO) test -race -count=1 ./internal/ringlog/ ./internal/coherence/ ./internal/shard/
 	$(GO) test -race -run 'TestPipeline|TestDcshard' -count=1 ./internal/ninep/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterStat|BenchmarkPeerApplyPerm' -benchtime=1x ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkJournalEmit' -benchtime=1x ./internal/telemetry/
@@ -174,13 +174,16 @@ shard-smoke:
 # runt or over-msize size[4]. The fastpath's scan, fed arbitrary paths
 # from working directories of four depths: cold and warm prefix memo
 # alike, it hashes the lexically canonical path, and a prefix learned from
-# one start serves another of the same length. A failing input lands in
+# one start serves another of the same length. The one drop-oldest ring,
+# fed random appends and cursors: Since, Pending, Retained and Counts say
+# what a plain slice of every append says. A failing input lands in
 # the package's testdata directory, where every later `go test` replays
 # it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/ninep
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/ninep
 	$(GO) test -run '^$$' -fuzz '^FuzzPrefixMemo$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRingLog$$' -fuzztime 10s ./internal/ringlog
 
 # Every paper table and figure, printed. Numbers kept over time come
 # from benchmark/ (bash benchmark/run.sh), not from this target.

@@ -106,7 +106,7 @@ func run(addr string, baseline bool, seed, users string, msize uint32, poolIdle 
 		// export its counters under the per-shard source name ("shard0")
 		// too: tier dashboards scrape the same key shape from every
 		// endpoint and from a multi-shard dcsh.
-		sys.Telemetry().RegisterSystems("shard", sys)
+		dircache.RegisterSystems(sys.Telemetry(), "shard", sys)
 		serveFn := sys.Telemetry().Serve
 		if pprofOn {
 			serveFn = sys.Telemetry().ServeDebug

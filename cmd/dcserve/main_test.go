@@ -88,7 +88,7 @@ func TestServeSmoke(t *testing.T) {
 	// A warm stat is Twalk + Tstat: the clunk of the never-opened fid
 	// rides the next Twalk, which leaves the server's fid table where it
 	// was.
-	tel := (<-sysC).Telemetry().Raw()
+	tel := (<-sysC).Telemetry()
 	fidsLive := func() int64 {
 		var doc struct {
 			Stats map[string]map[string]int64 `json:"stats"`
@@ -206,7 +206,7 @@ func TestServeTraceSmoke(t *testing.T) {
 	if !c.Traced() {
 		t.Fatal("dctrace extension not negotiated")
 	}
-	c.SetTelemetry(tel.Raw())
+	c.SetTelemetry(tel)
 	root, err := c.Attach("root", "")
 	if err != nil {
 		t.Fatalf("Attach: %v", err)
@@ -221,7 +221,7 @@ func TestServeTraceSmoke(t *testing.T) {
 	}
 	f.Clunk()
 
-	traces, _ := tel.Raw().SlowTraces()
+	traces, _ := tel.SlowTraces()
 	groups := telemetry.StitchTraces(traces)
 	var stitched []*telemetry.StitchedTrace
 	for i := range groups {
@@ -269,7 +269,7 @@ func TestServeTraceSmoke(t *testing.T) {
 		t.Fatalf("missing sibling took %d RPCs, want 1 (the partial Rwalk carries the errno)", n)
 	}
 
-	traces, _ = tel.Raw().SlowTraces()
+	traces, _ = tel.SlowTraces()
 	groups = telemetry.StitchTraces(traces)
 	sawWarm := false
 	for i := range groups {

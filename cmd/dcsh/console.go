@@ -65,6 +65,7 @@ type topShot struct {
 	ops                    int64             // total 9P ops (when serving)
 	errs                   int64
 	evDrop, trDrop, slDrop uint64
+	slKept                 int // flight-recorded traces retained
 
 	// Per-shard samples (len > 1 only when -shards built a tier).
 	shards []dircache.CacheStats
@@ -95,12 +96,10 @@ func topSnapshot(systems []*dircache.System) topShot {
 			s.lag = shardRouter.Lag()
 		}
 	}
-	_, slDrop := tl.SlowTraces()
-	s.slDrop = slDrop
-	raw := tl.Raw()
+	s.slDrop, s.slKept = tl.SlowDropped(), tl.SlowCount()
 	for _, name := range append([]string{"walk"}, topOps...) {
 		if id, ok := telemetry.HistIDByName(name); ok {
-			s.hist[name] = raw.SnapshotHist(id).Count
+			s.hist[name] = tl.SnapshotHist(id).Count
 		}
 	}
 	if nineSrv != nil {
@@ -205,8 +204,7 @@ func renderTop(sys *dircache.System, prev, cur topShot, tick, ticks int) {
 	fmt.Printf("drops   journal %d (+%d)   trace ring %d (+%d)   flight %d (+%d)   slow retained %d\n",
 		cur.evDrop, cur.evDrop-prev.evDrop,
 		cur.trDrop, cur.trDrop-prev.trDrop,
-		cur.slDrop, cur.slDrop-prev.slDrop,
-		func() int { tr, _ := tl.SlowTraces(); return len(tr) }())
+		cur.slDrop, cur.slDrop-prev.slDrop, cur.slKept)
 
 	// The sharded tier: one row per shard. coherence-lag is how many
 	// records the shard's coherence log holds that its peers have not

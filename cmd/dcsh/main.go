@@ -85,7 +85,7 @@ func main() {
 	}
 	fmt.Printf("dcsh: simulated kernel with %s directory cache. Type 'help'.\n", mode)
 	if *shards > 1 {
-		sys.Telemetry().RegisterSystems("shard", shardSystems...)
+		dircache.RegisterSystems(sys.Telemetry(), "shard", shardSystems...)
 		fmt.Printf("sharded tier: %d systems over one backend; shell drives shard 0 ('top' shows per-shard rows, 'pump' converges)\n", *shards)
 	}
 	if *metricsAddr != "" {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dircache"
+	"dircache/internal/telemetry"
 )
 
 // The bench tests run each experiment once at SmallScale and assert the
@@ -300,7 +301,7 @@ func TestCoherenceRemovesEntry(t *testing.T) {
 	if err := coherenceTree(p); err != nil {
 		t.Fatal(err)
 	}
-	removes := func() uint64 { return sys.Telemetry().EventCounts()["dlht_remove"] }
+	removes := func() uint64 { return sys.Telemetry().EventCounts()[telemetry.JDLHTRemove] }
 
 	const gone = "/src/d0/f0"
 	for i := 0; i < 2; i++ { // past admission control

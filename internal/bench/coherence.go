@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dircache"
+	"dircache/internal/telemetry"
 )
 
 // Coherence measures the observability subsystem itself: it drives a
@@ -115,19 +116,21 @@ func Coherence(sc Scale) (*Report, error) {
 
 	r := newReport("coherence", "coherence event journal and invariant audit under mutation storm",
 		"event kind", "count", "events/sec")
-	kinds := make([]string, 0, len(counts))
+	var kinds []telemetry.JournalKind
 	var total uint64
 	for k, n := range counts {
-		kinds = append(kinds, k)
+		if n > 0 {
+			kinds = append(kinds, telemetry.JournalKind(k))
+		}
 		total += n
 	}
-	sort.Strings(kinds)
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i].String() < kinds[j].String() })
 	secs := elapsed.Seconds()
 	for _, k := range kinds {
-		n := counts[k]
-		r.add(k, fmt.Sprintf("%d", n), fmt.Sprintf("%.0f", float64(n)/secs))
-		r.put("events/"+k, float64(n))
-		r.put("rate/"+k, float64(n)/secs)
+		n, name := counts[k], k.String()
+		r.add(name, fmt.Sprintf("%d", n), fmt.Sprintf("%.0f", float64(n)/secs))
+		r.put("events/"+name, float64(n))
+		r.put("rate/"+name, float64(n)/secs)
 	}
 	dropRate := 0.0
 	if total > 0 {

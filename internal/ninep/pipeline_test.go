@@ -1,10 +1,13 @@
 package ninep
 
 import (
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"dircache"
 )
 
 // rawConn drives the wire by hand — the package Client is synchronous, so
@@ -224,5 +227,62 @@ func TestPipelineConcurrentClientsSameFidTable(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatalf("concurrent client op: %v", err)
+	}
+}
+
+// tagCheckConn is the write side of a connection that, as each response
+// frame is written, records whether the server still holds the frame's
+// tag in flight. Only Write is ever called on it.
+type tagCheckConn struct {
+	net.Conn
+	c      *conn
+	writes int
+	held   []uint16
+}
+
+func (w *tagCheckConn) Write(p []byte) (int, error) {
+	tag := binary.LittleEndian.Uint16(p[5:7])
+	w.c.mu.Lock()
+	if _, ok := w.c.inflight[tag]; ok {
+		w.held = append(w.held, tag)
+	}
+	w.c.mu.Unlock()
+	w.writes++
+	return len(p), nil
+}
+
+// TestTagFreedBeforeReplyWritten: a client may reuse a tag the moment
+// its answer arrives, so the worker frees the tag before the answer's
+// frame goes out — else the reuse races the worker's cleanup and reads
+// "duplicate tag". The requests are fed to a resident worker the way the
+// reader feeds them, and the connection's Write looks at the in-flight
+// table as each frame is written.
+func TestTagFreedBeforeReplyWritten(t *testing.T) {
+	srv := NewServer(dircache.New(dircache.Optimized()), Config{})
+	w := &tagCheckConn{}
+	c := &conn{
+		srv: srv, nc: w, msize: DefaultMsize,
+		fids: map[uint32]*fidEntry{}, procs: map[string]*connProc{},
+		inflight: map[uint16]chan struct{}{}, work: make(chan Fcall),
+	}
+	w.c = c
+	c.workerWG.Add(1)
+	go c.worker()
+	const n = 8
+	for tag := uint16(1); tag <= n; tag++ {
+		c.mu.Lock()
+		c.inflight[tag] = nil
+		c.mu.Unlock()
+		c.reqs.Add(1)
+		c.busy.Add(1)
+		c.work <- Fcall{Type: MsgTclunk, Tag: tag, Fid: 99} // unknown fid: an Rerror
+	}
+	close(c.work)
+	c.workerWG.Wait()
+	if w.writes != n || len(w.held) != 0 {
+		t.Fatalf("%d frames written; tags still in flight as their answers were written: %v", w.writes, w.held)
+	}
+	if len(c.inflight) != 0 {
+		t.Fatalf("tags left in flight after every answer: %v", c.inflight)
 	}
 }

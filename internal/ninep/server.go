@@ -110,7 +110,7 @@ func NewServer(sys *dircache.System, cfg Config) *Server {
 		pool:   sys.NewProcessPool(cfg.PoolIdle),
 		idents: map[string]*dircache.Identity{},
 		conns:  map[*conn]struct{}{},
-		tel:    sys.Telemetry().Raw(),
+		tel:    sys.Telemetry(),
 	}
 	if s.tel != nil {
 		s.tel.RegisterStats("ninep", s.statCounters)
@@ -367,7 +367,8 @@ type conn struct {
 	mu    sync.Mutex // fids, procs, inflight
 	fids  map[uint32]*fidEntry
 	procs map[string]*connProc
-	// inflight holds every dispatched tag until its response is written.
+	// inflight holds every dispatched tag until its response is about to
+	// be written (respond, under wmu).
 	// The channel is nil until a Tflush needs to wait on the tag.
 	inflight map[uint16]chan struct{}
 
@@ -457,7 +458,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			// Version resets the session: barrier on everything in
 			// flight, then handle serially.
 			c.reqs.Wait()
-			c.respond(nil, req.Tag, c.dispatch(&req))
+			c.respond(nil, req.Tag, c.dispatch(&req), false)
 		case MsgTflush:
 			c.tflush(&req)
 		default:
@@ -469,7 +470,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			c.mu.Unlock()
 			if dup {
 				c.srv.stats.ops.Add(1)
-				c.respond(nil, req.Tag, &Fcall{Type: MsgRerror, Ename: "duplicate tag"})
+				c.respond(nil, req.Tag, &Fcall{Type: MsgRerror, Ename: "duplicate tag"}, false)
 				continue
 			}
 			c.reqs.Add(1)
@@ -503,14 +504,7 @@ func (c *conn) worker() {
 		// answer and sends the next request, the reader must count this
 		// worker as free and wait for it rather than spawn another.
 		c.busy.Add(-1)
-		out = c.respond(out, req.Tag, resp)
-		c.mu.Lock()
-		flushed := c.inflight[req.Tag]
-		delete(c.inflight, req.Tag)
-		c.mu.Unlock()
-		if flushed != nil {
-			close(flushed)
-		}
+		out = c.respond(out, req.Tag, resp, true)
 		c.reqs.Done()
 	}
 }
@@ -530,7 +524,7 @@ func (c *conn) tflush(req *Fcall) {
 	}
 	c.mu.Unlock()
 	if !inflight {
-		c.respond(nil, req.Tag, &Fcall{Type: MsgRflush})
+		c.respond(nil, req.Tag, &Fcall{Type: MsgRflush}, false)
 		return
 	}
 	tag := req.Tag
@@ -538,14 +532,20 @@ func (c *conn) tflush(req *Fcall) {
 	go func() {
 		defer c.reqs.Done()
 		<-settled
-		c.respond(nil, tag, &Fcall{Type: MsgRflush})
+		c.respond(nil, tag, &Fcall{Type: MsgRflush}, false)
 	}()
 }
 
 // respond encodes resp under tag into buf (nil for a one-off) and writes
 // the frame, serialized against concurrent workers by the write mutex. It
 // returns the buffer so a worker can reuse it for its next response.
-func (c *conn) respond(buf []byte, tag uint16, resp *Fcall) []byte {
+//
+// settle is set for the answer to a dispatched tag: the tag leaves the
+// in-flight table under the write mutex, before the frame can reach the
+// client — which may reuse the tag the moment it reads its answer — and a
+// Tflush waiting on it is woken once the frame is written, so its Rflush
+// (which takes the write mutex too) follows the flushed reply.
+func (c *conn) respond(buf []byte, tag uint16, resp *Fcall, settle bool) []byte {
 	resp.Tag = tag
 	out, err := AppendMarshal(buf[:0], resp)
 	if err != nil {
@@ -558,8 +558,18 @@ func (c *conn) respond(buf []byte, tag uint16, resp *Fcall) []byte {
 		c.srv.stats.errorsSent.Add(1)
 	}
 	c.wmu.Lock()
+	var flushed chan struct{}
+	if settle {
+		c.mu.Lock()
+		flushed = c.inflight[tag]
+		delete(c.inflight, tag)
+		c.mu.Unlock()
+	}
 	_, werr := c.nc.Write(out)
 	c.wmu.Unlock()
+	if flushed != nil {
+		close(flushed)
+	}
 	if werr == nil {
 		c.srv.stats.bytesWritten.Add(int64(len(out)))
 	}

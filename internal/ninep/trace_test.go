@@ -13,7 +13,7 @@ import (
 // stitch into one end-to-end trace by their shared wire trace id.
 func TestTraceStitchAcrossWire(t *testing.T) {
 	sys, srv := startServer(t, Config{})
-	tel := sys.Telemetry().Raw()
+	tel := sys.Telemetry()
 	tel.SetTraceSample(1)
 	tel.SetSlowThreshold(0) // flight-record every completed span
 
@@ -94,7 +94,7 @@ func hasOrigin(g *telemetry.StitchedTrace, origin string) bool {
 // — the walk succeeds and no server span is opened.
 func TestStockPeerFallback(t *testing.T) {
 	sys, srv := startServer(t, Config{})
-	tel := sys.Telemetry().Raw()
+	tel := sys.Telemetry()
 	tel.SetTraceSample(1)
 	tel.SetSlowThreshold(0)
 

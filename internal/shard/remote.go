@@ -230,9 +230,14 @@ func (r *Remote) EventsSince(cursor uint64) ([]coherence.Record, uint64, bool) {
 }
 
 // Pending reads the records and counts them: the wire has no cheaper
-// question to ask.
+// question to ask. A reader that fell behind, or a dead stream, owes a
+// whole-cache drop and reads as coherence.Capacity, as a Local's log says
+// (ringlog.Log.Pending).
 func (r *Remote) Pending(cursor uint64) int {
-	recs, _, _ := r.EventsSince(cursor)
+	recs, _, fell := r.EventsSince(cursor)
+	if fell {
+		return coherence.Capacity
+	}
 	return len(recs)
 }
 

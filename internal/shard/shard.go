@@ -27,9 +27,11 @@ type Shard interface {
 	Chmod(path string, perm uint32) error
 
 	// EventsSince reads the shard's coherence log from cursor (records in
-	// ID order, next cursor, fellBehind); see coherence.Log.Since.
+	// ID order, next cursor, fellBehind); see ringlog.Log.Since.
 	EventsSince(cursor uint64) ([]coherence.Record, uint64, bool)
-	// Pending reports how many records the log holds past cursor.
+	// Pending reports how many records the log holds past cursor, and
+	// coherence.Capacity where EventsSince would report fell-behind
+	// (ringlog.Log.Pending).
 	Pending(cursor uint64) int
 	// Invalidate applies one record of a peer's coherence log to this
 	// shard's cache (System.RemoteInvalidate); returns dentries discarded.

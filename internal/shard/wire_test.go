@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dircache"
+	"dircache/internal/coherence"
 	"dircache/internal/fsapi"
 	"dircache/internal/ninep"
 )
@@ -225,5 +226,35 @@ func TestWireDeadStreamFailsClosed(t *testing.T) {
 	g.Router.Pump()
 	if _, _, after := g.Router.Stats(); after != before+1 {
 		t.Fatalf("pump over a dead stream took %d fallbacks, want 1", after-before)
+	}
+}
+
+// TestWirePendingNeverWraps is TestPendingNeverWraps over the wire: a
+// Remote's Pending follows the ring's contract, so a cursor past the
+// head, and then a dead stream, read as the log's capacity — a reader
+// owed a whole-cache drop — and never as caught up.
+func TestWirePendingNeverWraps(t *testing.T) {
+	g := newWireGroup(t, 2)
+	if err := g.Router.Mkdir("/srv", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	r := g.Remotes[g.Router.Owner("/srv")]
+	if got := r.Pending(0); got != 1 {
+		t.Fatalf("Pending(0) = %d after one record", got)
+	}
+	if got := r.Pending(1); got != 0 {
+		t.Fatalf("Pending(head) = %d", got)
+	}
+	for _, cursor := range []uint64{2, 1 << 40, ^uint64(0)} {
+		if got := r.Pending(cursor); got != coherence.Capacity {
+			t.Errorf("Pending(%d) past the head = %d, want the log's capacity %d", cursor, got, coherence.Capacity)
+		}
+		if _, _, fell := r.EventsSince(cursor); !fell {
+			t.Errorf("EventsSince(%d) past the head did not report fell-behind", cursor)
+		}
+	}
+	r.Close()
+	if got := r.Pending(0); got != coherence.Capacity {
+		t.Errorf("Pending(0) on a dead stream = %d, want the log's capacity %d", got, coherence.Capacity)
 	}
 }

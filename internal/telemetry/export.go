@@ -219,7 +219,7 @@ func (t *Telemetry) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE dircache_slow_traces_dropped_total counter\n")
 	fmt.Fprintf(w, "dircache_slow_traces_dropped_total %d\n", t.SlowDropped())
 
-	perKind, _ := t.EventCounts()
+	perKind := t.EventCounts()
 	fmt.Fprintf(w, "# HELP dircache_journal_events_total coherence events emitted, by kind\n")
 	fmt.Fprintf(w, "# TYPE dircache_journal_events_total counter\n")
 	for k, n := range perKind {
@@ -360,7 +360,7 @@ func (t *Telemetry) MetricsJSON() []byte {
 		Stats: t.statsSnapshot(), Traces: t.TraceCount(), TracesDrop: t.TracesDropped(),
 		Slow: t.SlowCount(), SlowDrop: t.SlowDropped(),
 	}
-	perKind, _ := t.EventCounts()
+	perKind := t.EventCounts()
 	doc.Journal = journalJSON{Emitted: make(map[string]uint64, len(perKind)), Dropped: t.EventsDropped()}
 	for k, n := range perKind {
 		doc.Journal.Emitted[JournalKind(k).String()] = n

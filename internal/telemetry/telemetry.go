@@ -17,6 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dircache/internal/ringlog"
 )
 
 // HistID names one latency histogram.
@@ -155,8 +157,9 @@ type Telemetry struct {
 	traceID atomic.Uint64
 
 	hists   [NumHistograms]Histogram
-	ring    *traceRing
-	flight  *flightRecorder
+	ring    *ringlog.Log[*WalkTrace] // sampled traces
+	flight  *ringlog.Log[*WalkTrace] // slow and anomalous traces (flight.go)
+	slowNS  atomic.Int64             // the flight recorder's threshold
 	journal *Journal
 
 	statsMu sync.Mutex
@@ -166,12 +169,16 @@ type Telemetry struct {
 // New builds a Telemetry (initially disabled — call Enable).
 func New(o Options) *Telemetry {
 	t := &Telemetry{
-		ring:    newTraceRing(traceSlots),
-		flight:  newFlightRecorder(traceSlots, o.SlowNS),
+		ring:    ringlog.New[*WalkTrace](traceSlots, nil),
+		flight:  ringlog.New[*WalkTrace](traceSlots, nil),
 		journal: newJournal(journalSlots),
 		stats:   make(map[string]func() map[string]int64),
 	}
 	t.sampleN.Store(int64(o.TraceSample))
+	if o.SlowNS <= 0 {
+		o.SlowNS = defaultSlowNS
+	}
+	t.slowNS.Store(o.SlowNS)
 	return t
 }
 
@@ -267,8 +274,8 @@ func (t *Telemetry) FinishSpan(tr *WalkTrace, err error, d time.Duration) {
 		tr.Outcome = err.Error()
 	}
 	tr.ext = false
-	t.ring.push(tr)
-	t.flight.offer(tr)
+	t.ring.Append(tr)
+	t.offerSlow(tr)
 }
 
 // FinishWalk completes tr (nil-safe). A plain sampled trace is pushed
@@ -289,8 +296,8 @@ func (t *Telemetry) FinishWalk(tr *WalkTrace, fastpath bool, err error, d time.D
 	if tr.scratch {
 		tr = tr.clone()
 	}
-	t.ring.push(tr)
-	t.flight.offer(tr)
+	t.ring.Append(tr)
+	t.offerSlow(tr)
 }
 
 func outcomeText(err error) string {
@@ -302,17 +309,42 @@ func outcomeText(err error) string {
 
 // SetSlowThreshold changes the flight recorder's slow threshold: completed
 // walks and wire spans at least this slow are retained.
-func (t *Telemetry) SetSlowThreshold(d time.Duration) { t.flight.slowNS.Store(d.Nanoseconds()) }
+func (t *Telemetry) SetSlowThreshold(d time.Duration) { t.slowNS.Store(d.Nanoseconds()) }
 
 // SlowThreshold returns the flight recorder's slow threshold.
-func (t *Telemetry) SlowThreshold() time.Duration { return time.Duration(t.flight.slowNS.Load()) }
+func (t *Telemetry) SlowThreshold() time.Duration { return time.Duration(t.slowNS.Load()) }
 
 // SlowTraces returns the flight recorder's retained traces (oldest
 // first) and how many qualifying traces were dropped to make room.
-func (t *Telemetry) SlowTraces() ([]*WalkTrace, uint64) { return t.flight.ring.dump() }
+func (t *Telemetry) SlowTraces() ([]*WalkTrace, uint64) { return t.flight.Retained() }
 
 // SlowCount returns how many traces the flight recorder retains.
-func (t *Telemetry) SlowCount() int { return t.flight.ring.count() }
+func (t *Telemetry) SlowCount() int {
+	n, _ := t.flight.Counts()
+	return n
+}
+
+// HistogramQuantiles reports the estimated p50/p95/p99 of the named
+// latency histogram. Names: "walk", "fastpath", "slowpath", "fs_lookup",
+// "pcc_probe", "evict", "miss_wait", the mutation-side
+// cost centers "rename_invalidate", "chmod_seq_bump", "unlink_invalidate",
+// "dlht_remove", and the 9P server's per-op centers "ninep_attach",
+// "ninep_walk", "ninep_open", "ninep_read", "ninep_stat", "ninep_clunk".
+// "walk", "fastpath", "slowpath" and "pcc_probe" hold one walk in eight
+// and every traced walk (two clock reads per walk is what leaving them on
+// would cost); the CacheStats counters count walks. ok is false for an
+// unknown name or an empty histogram.
+func (t *Telemetry) HistogramQuantiles(name string) (p50, p95, p99 time.Duration, ok bool) {
+	id, ok := HistIDByName(name)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	s := t.SnapshotHist(id)
+	if s.Count == 0 {
+		return 0, 0, 0, false
+	}
+	return s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99), true
+}
 
 // Snapshot returns merged copies of every histogram.
 func (t *Telemetry) Snapshot() []HistSnapshot {
@@ -353,10 +385,11 @@ func (t *Telemetry) Emit(kind JournalKind, ref uint64, aux int64, note Note) {
 // how many were dropped to make room.
 func (t *Telemetry) Events() ([]Event, uint64) { return t.journal.dump() }
 
-// EventCounts returns how many events have been emitted per kind (the
-// counts include events since dropped from the ring) and the total.
-func (t *Telemetry) EventCounts() (perKind [NumJournalKinds]uint64, total uint64) {
-	return t.journal.countsSnapshot()
+// EventCounts returns how many events have been emitted per kind, indexed
+// by JournalKind (the counts include events since dropped from the ring).
+func (t *Telemetry) EventCounts() [NumJournalKinds]uint64 {
+	perKind, _ := t.journal.countsSnapshot()
+	return perKind
 }
 
 // EventsDropped returns how many journal events have been dropped.
@@ -364,19 +397,28 @@ func (t *Telemetry) EventsDropped() uint64 { return t.journal.droppedCount() }
 
 // Traces returns the retained traces (oldest first) and how many were
 // dropped by the ring.
-func (t *Telemetry) Traces() ([]*WalkTrace, uint64) { return t.ring.dump() }
+func (t *Telemetry) Traces() ([]*WalkTrace, uint64) { return t.ring.Retained() }
 
 // TraceCount returns how many traces the ring currently retains.
-func (t *Telemetry) TraceCount() int { return t.ring.count() }
+func (t *Telemetry) TraceCount() int {
+	n, _ := t.ring.Counts()
+	return n
+}
 
 // TracesDropped returns how many sampled traces the ring has overwritten
 // — the drop counter the exporter surfaces so storm load no longer loses
 // traces silently.
-func (t *Telemetry) TracesDropped() uint64 { return t.ring.dropped() }
+func (t *Telemetry) TracesDropped() uint64 {
+	_, dropped := t.ring.Counts()
+	return dropped
+}
 
 // SlowDropped returns how many qualifying traces the flight recorder has
 // overwritten.
-func (t *Telemetry) SlowDropped() uint64 { return t.flight.ring.dropped() }
+func (t *Telemetry) SlowDropped() uint64 {
+	_, dropped := t.flight.Counts()
+	return dropped
+}
 
 // RegisterStats adds a named counter source the exporter will include
 // (e.g. a System's CacheStats). Re-registering a source replaces it.

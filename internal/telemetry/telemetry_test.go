@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dircache/internal/ringlog"
 )
 
 // TestBucketBoundaries checks the bucket function against its boundary
@@ -98,16 +100,16 @@ func TestHistogramQuantiles(t *testing.T) {
 // TestTraceRingWraparound fills the ring past capacity and checks
 // drop-oldest ordering.
 func TestTraceRingWraparound(t *testing.T) {
-	r := newTraceRing(4)
+	r := ringlog.New[*WalkTrace](4, nil)
 	for i := 1; i <= 10; i++ {
-		r.push(&WalkTrace{ID: uint64(i)})
+		r.Append(&WalkTrace{ID: uint64(i)})
 	}
-	traces, dropped := r.dump()
+	traces, dropped := r.Retained()
 	if dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", dropped)
 	}
-	if len(traces) != 4 || r.count() != 4 {
-		t.Fatalf("retained %d/%d, want 4", len(traces), r.count())
+	if n, _ := r.Counts(); len(traces) != 4 || n != 4 {
+		t.Fatalf("retained %d/%d, want 4", len(traces), n)
 	}
 	for i, tr := range traces {
 		if want := uint64(7 + i); tr.ID != want {
@@ -115,10 +117,10 @@ func TestTraceRingWraparound(t *testing.T) {
 		}
 	}
 	// Partial fill keeps insertion order without phantom entries.
-	r2 := newTraceRing(4)
-	r2.push(&WalkTrace{ID: 1})
-	r2.push(&WalkTrace{ID: 2})
-	traces, dropped = r2.dump()
+	r2 := ringlog.New[*WalkTrace](4, nil)
+	r2.Append(&WalkTrace{ID: 1})
+	r2.Append(&WalkTrace{ID: 2})
+	traces, dropped = r2.Retained()
 	if dropped != 0 || len(traces) != 2 || traces[0].ID != 1 || traces[1].ID != 2 {
 		t.Fatalf("partial dump wrong: dropped=%d traces=%v", dropped, traces)
 	}
@@ -163,7 +165,7 @@ func TestSampleWalk(t *testing.T) {
 // gate for the subsystem.
 func TestConcurrentRecordExport(t *testing.T) {
 	tel := New(Options{TraceSample: 2})
-	tel.ring = newTraceRing(8)
+	tel.ring = ringlog.New[*WalkTrace](8, nil)
 	tel.Enable()
 	tel.RegisterStats("test", func() map[string]int64 { return map[string]int64{"x": 1} })
 	var writers sync.WaitGroup

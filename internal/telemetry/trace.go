@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // TraceEvent is one step of a sampled walk: a component resolved, a hash
 // table probe, a negative-dentry answer, a seqlock retry, and so on.
@@ -114,63 +111,4 @@ func (tr *WalkTrace) clone() *WalkTrace {
 	c.ext = false
 	c.Events = append([]TraceEvent(nil), tr.Events...)
 	return &c
-}
-
-// traceRing is a fixed-size drop-oldest buffer of completed traces.
-// Completed traces arrive at the trace sampling rate (1-in-N walks), so a
-// mutex here is far off the hot path.
-type traceRing struct {
-	mu    sync.Mutex
-	buf   []*WalkTrace // fixed capacity; slot = total % len(buf)
-	total uint64       // traces ever pushed; excess over len(buf) were dropped
-}
-
-func newTraceRing(capacity int) *traceRing {
-	return &traceRing{buf: make([]*WalkTrace, capacity)}
-}
-
-// push stores tr, overwriting the oldest trace once the ring is full.
-func (r *traceRing) push(tr *WalkTrace) {
-	r.mu.Lock()
-	r.buf[r.total%uint64(len(r.buf))] = tr
-	r.total++
-	r.mu.Unlock()
-}
-
-// dump returns the retained traces, oldest first, plus the count of
-// traces dropped to make room.
-func (r *traceRing) dump() (traces []*WalkTrace, dropped uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := uint64(len(r.buf))
-	if r.total <= n {
-		return append([]*WalkTrace(nil), r.buf[:r.total]...), 0
-	}
-	traces = make([]*WalkTrace, 0, n)
-	start := r.total % n
-	traces = append(traces, r.buf[start:]...)
-	traces = append(traces, r.buf[:start]...)
-	return traces, r.total - n
-}
-
-// count returns how many traces are retained.
-func (r *traceRing) count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total < uint64(len(r.buf)) {
-		return int(r.total)
-	}
-	return len(r.buf)
-}
-
-// dropped returns how many traces the ring has overwritten. Unlike dump
-// it takes no copies, so the exporter can surface the drop count as a
-// cheap gauge instead of silently losing sampled traces under storm load.
-func (r *traceRing) dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := uint64(len(r.buf)); r.total > n {
-		return r.total - n
-	}
-	return 0
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dircache/internal/ringlog"
 )
 
 // TestFlightRecorderQualification pins the admission rule: a completed
@@ -49,7 +51,7 @@ func TestFlightRecorderQualification(t *testing.T) {
 // load must not lose traces silently.
 func TestFlightRecorderWraparoundReportsDrops(t *testing.T) {
 	tel := New(Options{TraceSample: 1, SlowNS: 1})
-	tel.flight.ring = newTraceRing(8)
+	tel.flight = ringlog.New[*WalkTrace](8, nil)
 	tel.Enable()
 	for i := 0; i < 24; i++ {
 		tr := tel.StartWalk(nil, fmt.Sprintf("/w%d", i))
@@ -84,7 +86,7 @@ func TestFlightRecorderWraparoundReportsDrops(t *testing.T) {
 // TestTraceRingDropCounter does the same for the sampled trace ring.
 func TestTraceRingDropCounter(t *testing.T) {
 	tel := New(Options{TraceSample: 1})
-	tel.ring = newTraceRing(4)
+	tel.ring = ringlog.New[*WalkTrace](4, nil)
 	tel.Enable()
 	for i := 0; i < 10; i++ {
 		tr := tel.StartWalk(nil, "/p")
@@ -102,7 +104,7 @@ func TestTraceRingDropCounter(t *testing.T) {
 // bounded".
 func TestConcurrentScrapesRaceSpanCompletion(t *testing.T) {
 	tel := New(Options{TraceSample: 1, SlowNS: 1})
-	tel.ring, tel.flight.ring = newTraceRing(16), newTraceRing(8)
+	tel.ring, tel.flight = ringlog.New[*WalkTrace](16, nil), ringlog.New[*WalkTrace](8, nil)
 	tel.Enable()
 
 	const writers, scrapes = 4, 50

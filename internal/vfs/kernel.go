@@ -113,7 +113,7 @@ func (m Mutation) End() {
 		m.Hooks.EndMutation(m)
 	}
 	if m.log != nil {
-		m.log.Publish(m.path, m.Why.String())
+		m.log.Append(coherence.Record{Path: m.path, Note: m.Why.String()})
 	}
 }
 

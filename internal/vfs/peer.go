@@ -35,7 +35,7 @@ func (k *Kernel) Coherence() *coherence.Log { return k.coh.Load() }
 // succeeded, for the reason Mutation.End gives.
 func (k *Kernel) publish(d *Dentry, name, note string) {
 	if log := k.coh.Load(); log != nil {
-		log.Publish(d.pathWith(name), note)
+		log.Append(coherence.Record{Path: d.pathWith(name), Note: note})
 	}
 }
 

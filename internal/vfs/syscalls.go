@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"dircache/internal/cred"
 	"dircache/internal/fsapi"
 	"dircache/internal/lsm"
 )
@@ -122,6 +123,25 @@ func (t *Task) Readlink(path string) (string, error) {
 // cached prefix checks below the directory (§3.2) — the deliberately
 // expensive case Figure 7 measures.
 func (t *Task) Chmod(path string, mode fsapi.Mode) error {
+	m := mode.Perm()
+	return t.setPerm(path, func(c *cred.Cred, ino *Inode) bool {
+		return c.IsRoot() || c.UID == ino.UID()
+	}, fsapi.SetAttr{Mode: &m})
+}
+
+// Chown updates ownership; like chmod on directories it invalidates
+// descendant prefix checks.
+func (t *Task) Chown(path string, uid, gid uint32) error {
+	return t.setPerm(path, func(c *cred.Cred, ino *Inode) bool {
+		// Unprivileged chown: only a no-op owner "change" to the same uid
+		// with a group the caller belongs to.
+		return c.IsRoot() || c.UID == ino.UID() && uid == ino.UID() && c.InGroup(gid)
+	}, fsapi.SetAttr{UID: &uid, GID: &gid})
+}
+
+// setPerm is Chmod's and Chown's body: allowed is the ownership rule (EPERM
+// when it says no) and attr the attributes to set.
+func (t *Task) setPerm(path string, allowed func(*cred.Cred, *Inode) bool, attr fsapi.SetAttr) error {
 	defer t.k.leaveSection(t.k.gate.Enter(), t.k.lru.Epoch())
 	ref, err := t.walkInSection(PathRef{}, path, 0)
 	if err != nil {
@@ -131,8 +151,7 @@ func (t *Task) Chmod(path string, mode fsapi.Mode) error {
 	if ino == nil {
 		return fsapi.ENOENT
 	}
-	c := t.Cred()
-	if !c.IsRoot() && c.UID != ino.UID() {
+	if !allowed(t.Cred(), ino) {
 		return fsapi.EPERM
 	}
 	if err := mayWriteMnt(ref.Mnt); err != nil {
@@ -148,55 +167,13 @@ func (t *Task) Chmod(path string, mode fsapi.Mode) error {
 	}
 	unlock := t.k.lockBig()
 	defer unlock()
-	m := mode.Perm()
-	info, err := ref.D.sb.fs.SetAttr(ino.ID(), fsapi.SetAttr{Mode: &m})
+	info, err := ref.D.sb.fs.SetAttr(ino.ID(), attr)
 	if err != nil {
 		return err
 	}
 	ino.applyInfo(info)
 	if !isDir {
 		t.k.publish(ref.D, "", InvalPerm.String()) // peers may hold the old mode
-	}
-	return nil
-}
-
-// Chown updates ownership; like chmod on directories it invalidates
-// descendant prefix checks.
-func (t *Task) Chown(path string, uid, gid uint32) error {
-	defer t.k.leaveSection(t.k.gate.Enter(), t.k.lru.Epoch())
-	ref, err := t.walkInSection(PathRef{}, path, 0)
-	if err != nil {
-		return err
-	}
-	ino := ref.D.Inode()
-	if ino == nil {
-		return fsapi.ENOENT
-	}
-	c := t.Cred()
-	if !c.IsRoot() {
-		// Unprivileged chown: only a no-op owner "change" to the same uid
-		// with a group the caller belongs to.
-		if c.UID != ino.UID() || uid != ino.UID() || !c.InGroup(gid) {
-			return fsapi.EPERM
-		}
-	}
-	if err := mayWriteMnt(ref.Mnt); err != nil {
-		return err
-	}
-	isDir := ino.Mode().IsDir()
-	if isDir {
-		end := t.k.beginMutation(ref.D, InvalPerm)
-		defer end.End()
-	}
-	unlock := t.k.lockBig()
-	defer unlock()
-	info, err := ref.D.sb.fs.SetAttr(ino.ID(), fsapi.SetAttr{UID: &uid, GID: &gid})
-	if err != nil {
-		return err
-	}
-	ino.applyInfo(info)
-	if !isDir {
-		t.k.publish(ref.D, "", InvalPerm.String()) // as in Chmod
 	}
 	return nil
 }
@@ -249,7 +226,7 @@ func (t *Task) SetLabel(path, label string) error {
 	}
 	ino.SetLabel(label)
 	if !isDir {
-		t.k.publish(ref.D, "", InvalPerm.String()) // as in Chmod
+		t.k.publish(ref.D, "", InvalPerm.String()) // as in setPerm
 	}
 	return nil
 }

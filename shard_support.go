@@ -34,7 +34,7 @@ func (s *System) EventsSince(cursor uint64) (recs []CoherenceRecord, next uint64
 }
 
 // CoherencePending is how many records of the coherence log a reader at
-// cursor has yet to account for; see coherence.Log.Pending for a cursor
+// cursor has yet to account for; see ringlog.Log.Pending for a cursor
 // the log cannot serve.
 func (s *System) CoherencePending(cursor uint64) int { return s.k.Coherence().Pending(cursor) }
 
@@ -98,9 +98,8 @@ func (s *System) CachedClaim(path string) CachedClaim {
 // per-shard source names ("<prefix>0", "<prefix>1", ...), so the metrics
 // exporter and dcsh top render one row per shard instead of silently
 // showing only shard 0.
-func (tl *Telemetry) RegisterSystems(prefix string, systems ...*System) {
+func RegisterSystems(tl *Telemetry, prefix string, systems ...*System) {
 	for i, sys := range systems {
-		sys := sys
-		tl.t.RegisterStats(fmt.Sprintf("%s%d", prefix, i), func() map[string]int64 { return sys.Stats().Map() })
+		tl.RegisterStats(fmt.Sprintf("%s%d", prefix, i), func() map[string]int64 { return sys.Stats().Map() })
 	}
 }

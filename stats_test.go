@@ -143,7 +143,7 @@ func TestShardSourcesMatchSystem(t *testing.T) {
 	cfg.Telemetry = TelemetryOptions{Enabled: true}
 	sys := New(cfg)
 	tl := sys.Telemetry()
-	tl.RegisterSystems("shard", sys, New(Optimized()))
+	RegisterSystems(tl, "shard", sys, New(Optimized()))
 	stats := metricsStats(t, tl)
 	for _, src := range []string{"shard0", "shard1"} {
 		if got, want := len(stats[src]), len(stats["system"]); got != want {

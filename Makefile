@@ -25,9 +25,9 @@ help:
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
 	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
-	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, a rename round trip + stat below it at the round trip's allocations with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop retires no DLHT node, a System with 1000 files holds <= 1.5 MB of tables, prefix memo and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
+	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, a rename round trip + stat below it at the round trip's allocations with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop removes no DLHT entry, a System with 1000 files holds <= 1.5 MB of tables, prefix memo and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
-	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable), FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors), FuzzPrefixMemo over the fastpath's scan (cold and warm prefix memo both hash the canonical path) and FuzzRingLog over the one drop-oldest ring (against a slice model)"
+	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable), FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors), FuzzPrefixMemo over the fastpath's scan (cold and warm prefix memo both hash the canonical path), FuzzRingLog over the one drop-oldest ring (against a slice model) and FuzzTable over the intrusive hash table (no cycle, every chain filed right, answers like a map)"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch and dcshard on a baseline server; then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
 	@echo "  loc            the two line counts ROADMAP tracks (non-test Go: core+vfs, and everything outside benchmark/)"
@@ -97,16 +97,16 @@ bench-hotpath:
 	$(GO) test -short -run '^$$' -bench BenchmarkShrink -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench BenchmarkFastpathStages -benchmem -count 3 ./internal/core
 
-# The slab gate: dentries (with the fastpath's per-dentry state embedded)
-# and DLHT chain nodes live in slab arenas, so a warm fastpath walk must
-# not allocate —
+# The slab gate: dentries (with the fastpath's per-dentry state embedded,
+# and both hash tables' chains threaded through them) live in one slab
+# arena, so a warm fastpath walk must not allocate —
 # testing.AllocsPerRun asserts exactly 0, and the parallel walk benchmark
 # must report 0 allocs/op (awk gates the -benchmem column so a regression
 # fails the target, not just prints a number) — and evicted slots must
 # come back: 9600 creates into a 4096-dentry cache reclaim as they go and
 # never use more dentry slots than the capacity and a quarter, and a loop
-# of nothing but chmod/chown/setlabel of one directory retires no DLHT node
-# at all (a permission change keeps the table entries). What a System holds
+# of nothing but chmod/chown/setlabel of one directory removes no DLHT
+# entry at all (a permission change keeps the table entries). What a System holds
 # follows what it caches: an optimized one with 1000 files accounts for at
 # most 1.5 MB of hash table, prefix memo and arena bytes
 # (TestFreshSystemFootprint). A warm walk whose prefix comes from the
@@ -127,7 +127,7 @@ bench-hotpath:
 # move to the heap (a cursor that escapes costs an allocation per walk
 # that no test of a warm path would otherwise name).
 memscale-smoke:
-	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestRenameRoundTripThenStat|TestEvictingCreatesReclaimSlab|TestChmodLoopReclaimsDLHTNodes|TestFreshSystemFootprint' -count=1 .
+	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestRenameRoundTripThenStat|TestEvictingCreatesReclaimSlab|TestChmodLoopKeepsDLHTEntries|TestFreshSystemFootprint' -count=1 .
 	$(GO) test -run 'TestLexicalHashZeroAlloc' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelWalk/optimized/goroutines-1$$' -benchtime 2000x -benchmem . | \
 		tee /dev/stderr | awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad=1 } END { exit bad }'
@@ -176,7 +176,11 @@ shard-smoke:
 # alike, it hashes the lexically canonical path, and a prefix learned from
 # one start serves another of the same length. The one drop-oldest ring,
 # fed random appends and cursors: Since, Pending, Retained and Counts say
-# what a plain slice of every append says. A failing input lands in
+# what a plain slice of every append says. The intrusive hash table of
+# either kind, fed random inserts, removes, kills, re-publishes and
+# doublings: every chain ends (no cycle), reaches only linked entries
+# filed under its bucket, and the table answers like a map model. A
+# failing input lands in
 # the package's testdata directory, where every later `go test` replays
 # it.
 fuzz-smoke:
@@ -184,6 +188,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/ninep
 	$(GO) test -run '^$$' -fuzz '^FuzzPrefixMemo$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRingLog$$' -fuzztime 10s ./internal/ringlog
+	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s ./internal/vfs
 
 # Every paper table and figure, printed. Numbers kept over time come
 # from benchmark/ (bash benchmark/run.sh), not from this target.

@@ -235,7 +235,7 @@ func TestEvictingReadsReclaimSlab(t *testing.T) {
 			t.Fatalf("scan evicted %d dentries; the working set should not fit", ev)
 		}
 		m := sys.MemStats()
-		return m.Dentries.Limbo + m.ChainNodes.Limbo + m.FastDentries.Limbo + m.DLHTNodes.Limbo + m.LimboQueue
+		return m.Dentries.Limbo + m.LimboQueue
 	}
 	const bound = 4 * 256 // four of the kernel's 256-slot reap batches
 	short, long := scan(2), scan(20)
@@ -284,11 +284,9 @@ func TestEvictingCreatesReclaimSlab(t *testing.T) {
 // TestFreshSystemFootprint: what a System holds follows what it caches. The
 // hash table starts at a thousand buckets and an arena's first chunk at a
 // thousand slots, so an optimized System with a thousand files accounts for
-// 0.46 MB of table, memo and arena bytes, the namespace's DLHT buckets
-// (12 KB) and the prefix memo's fixed 32 KB of slots among them; with the
-// table and chunks sized for millions of names it was
-// 6.3 MB, 5.6 of them before the first create. The bound is there so that
-// fixed cost cannot come back unnoticed.
+// 0.36 MB of table, memo and arena bytes, the namespace's DLHT buckets
+// (12 KB) and the prefix memo's fixed 32 KB of slots among them. The bound
+// is there so that fixed cost cannot come back unnoticed.
 func TestFreshSystemFootprint(t *testing.T) {
 	cfg := dircache.Optimized()
 	cfg.SignatureSeed = 1
@@ -313,7 +311,7 @@ func TestFreshSystemFootprint(t *testing.T) {
 		t.Fatalf("the retired fast-dentry arena reads %+v: fast state lives in the dentry's slot", m.FastDentries)
 	}
 	if m.DLHT.Buckets == 0 || m.DLHT.Bytes > 16<<10 {
-		t.Fatalf("the DLHT's bucket array holds %d bytes for %d entries, want <= 16 KB (it was 2^16 heads, 258 KB, at any size): %+v", m.DLHT.Bytes, m.DLHT.Entries, m.DLHT)
+		t.Fatalf("the DLHT's bucket array holds %d bytes for %d entries, want <= 16 KB: %+v", m.DLHT.Bytes, m.DLHT.Entries, m.DLHT)
 	}
 	if pm := m.PrefixMemo; pm.Slots == 0 || pm.Entries == 0 || pm.Bytes < int64(pm.Slots)*8 {
 		t.Fatalf("the prefix memo is not accounted for: %+v", pm)
@@ -324,17 +322,15 @@ func TestFreshSystemFootprint(t *testing.T) {
 	}
 }
 
-// TestChmodLoopReclaimsDLHTNodes: a permission change retires no DLHT
-// node — the directory's entry and its descendants' stay in the table, so
-// Chmod, Chown and SetLabel end without the reap unlink, rmdir and rename
-// end with and a loop of nothing else leaves the node arena's limbo empty
-// (when the shootdown unpublished for every reason, 50 000 chmods left
-// 50 000 nodes in limbo across 7 chunks until a reap was added to them).
+// TestChmodLoopKeepsDLHTEntries: a permission change removes no DLHT
+// entry — the directory's entry and its descendants' stay in the table, so
+// a loop of nothing but Chmod, Chown and SetLabel leaves the table's entry
+// count where it was and publishes nothing anew.
 // The second arm is why a range mark's class is a generation and not a
 // sticky bit: a directory renamed once must not turn every later chmod
-// structural, or each round would retire its re-read children's nodes
-// with nothing behind it to reclaim them.
-func TestChmodLoopReclaimsDLHTNodes(t *testing.T) {
+// structural, or each round would drop its re-read children's entries and
+// walk slowly to publish them again.
+func TestChmodLoopKeepsDLHTEntries(t *testing.T) {
 	cfg := dircache.Optimized()
 	cfg.SignatureSeed = 1
 	sys := dircache.New(cfg)
@@ -342,10 +338,19 @@ func TestChmodLoopReclaimsDLHTNodes(t *testing.T) {
 	if err := p.MkdirAll("/srv/www", 0o755); err != nil {
 		t.Fatal(err)
 	}
+	for i := 0; i < 2; i++ { // admission publishes on the second touch
+		if _, err := p.Stat("/srv/www"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ops := []func() error{
 		func() error { return p.Chmod("/srv/www", 0o755) },
 		func() error { return p.Chown("/srv/www", 0, 0) },
 		func() error { return p.SetLabel("/srv/www", "web_t") },
+	}
+	entries, pops := sys.MemStats().DLHT.Entries, sys.Stats().Populations
+	if entries == 0 {
+		t.Fatal("nothing published: the loop exercises nothing")
 	}
 	const rounds = 20000
 	for i := 0; i < rounds; i++ {
@@ -353,8 +358,8 @@ func TestChmodLoopReclaimsDLHTNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m := sys.MemStats().DLHTNodes; m.Retired != 0 || m.Limbo != 0 {
-		t.Fatalf("after %d permission changes: DLHT nodes retired=%d limbo=%d, want 0 and 0", rounds, m.Retired, m.Limbo)
+	if e, n := sys.MemStats().DLHT.Entries, sys.Stats().Populations; e != entries || n != pops {
+		t.Fatalf("after %d permission changes: DLHT entries %d -> %d, populations +%d; want both unchanged", rounds, entries, e, n-pops)
 	}
 
 	if err := p.WriteFile("/srv/www/index", nil, 0o644); err != nil {
@@ -377,12 +382,12 @@ func TestChmodLoopReclaimsDLHTNodes(t *testing.T) {
 	for i := 0; i < 4; i++ { // discharge the rename's mark, republish under the new path
 		round("/srv/web")
 	}
-	before, slow := sys.MemStats().DLHTNodes.Retired, sys.Stats().SlowWalks
+	entries, pops, slow := sys.MemStats().DLHT.Entries, sys.Stats().Populations, sys.Stats().SlowWalks
 	for i := 0; i < rounds/10; i++ {
 		round("/srv/web")
 	}
-	if m := sys.MemStats().DLHTNodes; m.Retired != before || sys.Stats().SlowWalks != slow {
-		t.Fatalf("%d {chmod, stat below it} rounds on a once-renamed directory retired %d DLHT nodes over %d slow walks, want 0 and 0",
-			rounds/10, m.Retired-before, sys.Stats().SlowWalks-slow)
+	if e, st := sys.MemStats().DLHT.Entries, sys.Stats(); e != entries || st.Populations != pops || st.SlowWalks != slow {
+		t.Fatalf("%d {chmod, stat below it} rounds on a once-renamed directory: DLHT entries %d -> %d, %d populations over %d slow walks, want none",
+			rounds/10, entries, e, st.Populations-pops, st.SlowWalks-slow)
 	}
 }

@@ -182,25 +182,14 @@ func renderTop(sys *dircache.System, prev, cur topShot, tick, ticks int) {
 			fmt.Println()
 		}
 	}
-	memSum := func(m dircache.MemStats) (live, slots, free, limbo, reclaimed int64) {
-		for _, a := range []dircache.ArenaStats{m.Dentries, m.ChainNodes, m.DLHTNodes} {
-			live += a.Live
-			slots += int64(a.Slots)
-			free += a.Free
-			limbo += a.Limbo
-			reclaimed += int64(a.Reclaimed)
-		}
-		return
-	}
-	live, slots, free, limbo, rec := memSum(cur.mem)
-	_, _, _, _, prevRec := memSum(prev.mem)
+	a := cur.mem.Dentries
 	occ := 0.0
-	if slots > 0 {
-		occ = 100 * float64(live) / float64(slots)
+	if a.Slots > 0 {
+		occ = 100 * float64(a.Live) / float64(a.Slots)
 	}
 	fmt.Printf("mem     %8d live slots (occ %.1f%%)   free %d   limbo %d (+%d queued)   reclaim %.0f/s   sweep %.0f/s\n",
-		live, occ, free, limbo, cur.mem.LimboQueue,
-		rate(prevRec, rec), rate(int64(prev.mem.Swept), int64(cur.mem.Swept)))
+		a.Live, occ, a.Free, a.Limbo, cur.mem.LimboQueue,
+		rate(int64(prev.mem.Dentries.Reclaimed), int64(a.Reclaimed)), rate(int64(prev.mem.Swept), int64(cur.mem.Swept)))
 	fmt.Printf("drops   journal %d (+%d)   trace ring %d (+%d)   flight %d (+%d)   slow retained %d\n",
 		cur.evDrop, cur.evDrop-prev.evDrop,
 		cur.trDrop, cur.trDrop-prev.trDrop,

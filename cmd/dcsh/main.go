@@ -285,17 +285,13 @@ other:  help  exit
 		fmt.Printf("range marks   %d, discharged lazily %d (%d structural kept: path unmoved)\n", st.BatchShootdowns, st.LazyShootdowns, st.KeptUnmoved)
 		fmt.Printf("path hash     %d bytes hashed, %d prefixes from the memo\n", st.HashedBytes, st.PrefixMemoHits)
 		m := sys.MemStats()
-		live := m.Dentries.Live + m.ChainNodes.Live + m.DLHTNodes.Live
-		slots := int64(m.Dentries.Slots + m.ChainNodes.Slots + m.DLHTNodes.Slots)
-		free := m.Dentries.Free + m.ChainNodes.Free + m.DLHTNodes.Free
-		limbo := m.Dentries.Limbo + m.ChainNodes.Limbo + m.DLHTNodes.Limbo
-		reclaimed := m.Dentries.Reclaimed + m.ChainNodes.Reclaimed + m.DLHTNodes.Reclaimed
+		a := m.Dentries
 		occ := 0.0
-		if slots > 0 {
-			occ = 100 * float64(live) / float64(slots)
+		if a.Slots > 0 {
+			occ = 100 * float64(a.Live) / float64(a.Slots)
 		}
 		fmt.Printf("mem           %d/%d slab slots live (%.1f%%), free %d, limbo %d (+%d queued), %d reclaimed, %d swept\n",
-			live, slots, occ, free, limbo, m.LimboQueue, reclaimed, m.Swept)
+			a.Live, a.Slots, occ, a.Free, a.Limbo, m.LimboQueue, a.Reclaimed, m.Swept)
 		fmt.Printf("table         %d entries in %d buckets (%d doublings), dlht %d in %d (%d), prefix memo %d in %d; tables + memo + arenas hold %d KB\n",
 			m.Table.Entries, m.Table.Buckets, m.Table.Resizes, m.DLHT.Entries, m.DLHT.Buckets, m.DLHT.Resizes, m.PrefixMemo.Entries, m.PrefixMemo.Slots, m.Bytes()>>10)
 	case "buckets":

@@ -20,7 +20,7 @@ type CacheIntrospection = vfs.CacheIntrospection
 type FastpathIntrospection = core.Introspection
 
 // DLHTIntrospection snapshots one direct lookup hash table.
-type DLHTIntrospection = core.DLHTStats
+type DLHTIntrospection = vfs.ChainShape
 
 // PCCIntrospection snapshots one credential's prefix check cache.
 type PCCIntrospection = core.PCCStats

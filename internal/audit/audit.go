@@ -148,12 +148,12 @@ func stampsEqual(a, b []uint64) bool {
 //     at all shows here and nowhere else).
 //   - detached: every live cached dentry is reachable from its parent's
 //     child map under its own name.
-//   - slab_liveness: every child-map entry and hash-chain reference
-//     resolves against the slab arenas under the generation discipline —
-//     no live structure reaches a free or recycled slot, and no resolving
-//     reference disagrees with its dentry about identity (an ABA
-//     breach). The pass drains the lazy teardown queue first
-//     (ReclaimAll) so legitimately-dead leftovers don't mask real bugs.
+//   - slab_liveness: every child-map entry resolves against the slab
+//     arena under the generation discipline, and every dentry a chain of
+//     either hash table reaches is a live slot filed where it belongs,
+//     every cached dentry a table holds by its own account is reached —
+//     no live structure reaches a free or recycled slot (an ABA breach).
+//     The pass drains the lazy teardown queue first (ReclaimAll).
 //   - dir_complete: a DIR_COMPLETE directory's cached children exactly
 //     cover the low-level FS listing (§5.1's contract — serving readdir
 //     from the cache is only sound if nothing is missing or extra).
@@ -252,11 +252,8 @@ func (a *Auditor) checkLRU(r *Report) {
 	}
 }
 
-// checkSlabLiveness delegates to the kernel's arena-reference scan: every
-// child-map entry must resolve to a live slot of matching generation, and
-// every hash-chain reference that resolves must agree with its dentry
-// about identity. Unresolvable chain refs are lazy-teardown leftovers and pass;
-// Run's ReclaimAll pre-pass keeps them from hiding anything.
+// checkSlabLiveness delegates to the kernel's arena-reference scan of the
+// child maps and both hash tables' chains (Kernel.CheckSlabLiveness).
 func (a *Auditor) checkSlabLiveness(r *Report) {
 	limit := a.Limit - len(r.Findings)
 	if limit <= 0 {

@@ -12,8 +12,8 @@ import (
 )
 
 // Memory-scale experiment: can the cache hold millions of dentries
-// without GC collapse? Dentries, fast-dentries, and hash-chain nodes
-// live in slab arenas — a handful of large chunks the collector scans
+// without GC collapse? Dentries, with their fast state and both hash
+// tables' chain links inside, live in a slab arena — a handful of large chunks the collector scans
 // as single objects — so the marginal cost of a cached entry is slots,
 // not GC-visible pointers (DESIGN §5g).
 //

@@ -47,8 +47,8 @@ func (ar *auditRun) add(f audit.Finding) {
 //     backend answers, and publishing one would let the fastpath serve a
 //     dentry whose inode/negativity is not yet decided.
 //   - dlht_placement: every live table entry round-trips through its
-//     dentry's fastpath state — the dentry believes it is in this table,
-//     at this bucket, under this signature.
+//     dentry's fastpath state — the dentry believes it is in this table
+//     and holds a state, its key, whose index its link is filed under.
 //   - dlht_stale: no entry's published version predates the dentry's
 //     current version (ISSUE invariant "no DLHT entry's stored seq
 //     predates its directory's last bump"): every seq bump either removes
@@ -65,10 +65,6 @@ func (ar *auditRun) add(f audit.Finding) {
 //     after fresh() must re-verify). Skipped once any task has chrooted:
 //     entries memoize task-root-relative checks the auditor cannot
 //     reconstruct.
-//   - slab_liveness (DLHT half; the LRU/hash-chain half runs in the
-//     auditor's kernel-side pass): every chain node whose
-//     generation-tagged dentry ref resolves must name a dentry agreeing
-//     it occupies that slot — no recycled slab slot is reachable.
 //   - journal_dlht: per-subject journal striping retains each subject's
 //     newest events, so if the newest retained insert/remove event for a
 //     dentry is a remove, the dentry must not be in any table.
@@ -96,14 +92,6 @@ func (c *Core) AuditFindings(limit int) ([]audit.Finding, map[string]int) {
 	c.SweepStale()
 
 	c.auditDLHTs(ar, c.k.AliasingEpoch() == 0)
-	for _, dl := range c.k.DLHTs() {
-		// slab_liveness, DLHT half: chain nodes whose packed dentry ref
-		// resolves must agree with the dentry about its slot. (The LRU and
-		// vfs hash-chain half runs in the auditor's kernel-side pass.)
-		ar.checked["slab_liveness"] += c.auditSlabRefs(dl, func(d *vfs.Dentry, detail string) {
-			ar.add(audit.Finding{Check: "slab_liveness", Ref: d.ID(), Path: d.PathTo(), Detail: detail})
-		})
-	}
 	if c.k.ChrootCount() == 0 {
 		c.auditPCCs(ar, c.registered())
 	}
@@ -114,7 +102,7 @@ func (c *Core) AuditFindings(limit int) ([]audit.Finding, map[string]int) {
 // auditDLHTs checks placement, version, and (optionally) signature for
 // every live entry of every table.
 func (c *Core) auditDLHTs(ar *auditRun, aliasFree bool) {
-	c.forEachEntry(func(dl *dlht, idx uint16, sg sig.Signature, d *vfs.Dentry) {
+	c.forEachEntry(func(dl *dlht, d *vfs.Dentry) {
 		ar.checked["dlht_in_lookup"]++
 		if d.Flags()&vfs.DInLookup != 0 {
 			ar.add(audit.Finding{Check: "dlht_in_lookup", Ref: d.ID(), Path: d.PathTo(),
@@ -123,8 +111,9 @@ func (c *Core) auditDLHTs(ar *auditRun, aliasFree bool) {
 		}
 		ar.checked["dlht_placement"]++
 		fd := fast(d)
+		var key sig.State
 		fd.Mu.Lock()
-		inTable, fidx, fsg, pubSeq := fd.InTable, fd.Idx, fd.Sg, fd.PubSeq
+		inTable, keyed, filed, pubSeq := fd.InTable.Load(), fd.State.Load(c.key, &key), fd.Link.Hash(), fd.PubSeq
 		mnt := fd.MntP.Load()
 		seq := fd.Seq.Load()
 		fd.Mu.Unlock()
@@ -133,9 +122,9 @@ func (c *Core) auditDLHTs(ar *auditRun, aliasFree bool) {
 			ar.add(audit.Finding{Check: "dlht_placement", Ref: d.ID(), Path: d.PathTo(),
 				Detail: "dentry does not believe it is in this table"})
 			return
-		case fidx != idx || fsg != sg:
+		case !keyed || uint32(key.Index()) != filed:
 			ar.add(audit.Finding{Check: "dlht_placement", Ref: d.ID(), Path: d.PathTo(),
-				Detail: fmt.Sprintf("dentry's recorded slot (bucket %d) disagrees with its table node (bucket %d)", fidx, idx)})
+				Detail: fmt.Sprintf("dentry is filed under %d, and its key (stored: %v) under another", filed, keyed)})
 			return
 		}
 		ar.checked["dlht_stale"]++
@@ -160,7 +149,8 @@ func (c *Core) auditDLHTs(ar *auditRun, aliasFree bool) {
 		if !ok {
 			return // racing detach; the stamp decides whether that matters
 		}
-		if ridx, rsg := st.Sum(); ridx != idx || rsg != sg {
+		kidx, ksg := key.Sum()
+		if ridx, rsg := st.Sum(); ridx != kidx || rsg != ksg {
 			ar.add(audit.Finding{Check: "dlht_sig", Ref: d.ID(), Path: d.PathTo(),
 				Detail: "stored signature does not match a from-scratch recompute of the canonical path"})
 		}
@@ -291,7 +281,7 @@ func (c *Core) auditJournal(ar *auditRun) {
 		return
 	}
 	live := map[uint64]struct{}{}
-	c.forEachEntry(func(_ *dlht, _ uint16, _ sig.Signature, d *vfs.Dentry) {
+	c.forEachEntry(func(_ *dlht, d *vfs.Dentry) {
 		live[d.ID()] = struct{}{}
 	})
 	events, _ := tel.Events()

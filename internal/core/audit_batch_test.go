@@ -241,9 +241,9 @@ func TestKilledNegativeAnswersNothing(t *testing.T) {
 		t.Fatal("no signature state for /a")
 	}
 	fd := fast(live.D)
-	was := fd.InTable
+	was := fd.InTable.Load()
 	c.publish(walker.Namespace().DLHT(), live, &st, token)
-	if fd.InTable != was {
+	if fd.InTable.Load() != was {
 		t.Fatal("publish accepted a pre-rename token")
 	}
 	if got := c.k.Stats().StaleTokens - stale; got != 2 {

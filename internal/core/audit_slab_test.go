@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dircache/internal/audit"
+	"dircache/internal/vfs"
 )
 
 // TestAuditCatchesPrematureFree injects the slab bug class slab_liveness
@@ -60,5 +63,56 @@ func TestAuditCatchesPrematureFree(t *testing.T) {
 	}
 	if _, err := root.Stat("/a/b/c/file"); err != nil {
 		t.Fatalf("stat after repair: %v", err)
+	}
+}
+
+// evictKeepsEntry is Core with OnEvict's unlink taken out: the kill still
+// bumps the dentry's seq, and leaves its DLHT entry linked.
+type evictKeepsEntry struct{ *Core }
+
+func (e evictKeepsEntry) OnEvict(d *vfs.Dentry) { fast(d).Seq.Add(1) }
+
+// TestAuditCatchesLinkedRetire injects a kill that skips the DLHT unlink:
+// the table's chains run through the dentries, so the sweeper must not
+// retire a slot a chain still reaches — recycled, it would splice its new
+// tenant into a stranger's chain. The slot stays, dead and chained, where
+// lookups skip it, and the auditor's chain pass reports it.
+func TestAuditCatchesLinkedRetire(t *testing.T) {
+	k, c, root := auditFixture(t)
+	for i := 0; i < 3; i++ {
+		if _, err := root.Stat("/a/b/c/file"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := root.Walk("/a/b/c/file", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fast(ref.D).Link.InChain() {
+		t.Fatal("/a/b/c/file is not in the DLHT: the test exercises nothing")
+	}
+	aud := audit.New(k, c)
+	if r := aud.RunUntilValid(5); !r.Valid || r.Violations() != 0 {
+		t.Fatalf("audit not clean before injection: %s", r.Summary())
+	}
+
+	k.SetHooks(evictKeepsEntry{c})
+	k.DropCaches()
+	if k.DentryFromRef(ref.D.SelfRef()) != ref.D || !ref.D.IsDead() {
+		t.Fatal("the sweeper retired a slot still linked into a DLHT")
+	}
+	r := aud.RunUntilValid(5)
+	if !r.Valid {
+		t.Fatalf("no valid audit pass after injection: %s", r.Summary())
+	}
+	caught := false
+	for _, f := range r.Findings {
+		caught = caught || f.Check == "slab_liveness" && strings.Contains(f.Detail, fmt.Sprintf("dentry #%d ", ref.D.ID()))
+	}
+	if !caught {
+		t.Fatalf("auditor did not report the dead slot still in a DLHT chain: %s", r.Summary())
+	}
+	if _, err := root.Stat("/a/b/c/file"); err != nil {
+		t.Fatalf("stat past the dead entry: %v", err)
 	}
 }

@@ -39,10 +39,11 @@ type Config struct {
 
 // fastDentry is the per-dentry fastpath state — the paper's struct
 // fast_dentry (Figure 5), which vfs embeds in every dentry: the resumable
-// signature state of the dentry's canonical path, the signature and DLHT
-// index, a version counter (Seq) that invalidates PCC entries, the mount
-// pointer, and — for symlinks — the cached resolution target. vfs declares
-// the layout; every method and invariant on it is here.
+// signature state of the dentry's canonical path, which is also its DLHT
+// entry's key, a version counter (Seq) that invalidates PCC entries, the
+// mount pointer, and — for symlinks — the cached resolution target. vfs declares
+// the layout and threads the DLHT's chains through Link; every other
+// method and invariant on it is here.
 //
 //   - ValidGen is the range-shootdown generation the state is known valid
 //     against. The hot-path freshness check is one load and compare against
@@ -57,7 +58,7 @@ type Config struct {
 //     it starts at zero with the slot's tenant and survives a flip between
 //     negative and positive in place.
 //   - State is stored and cleared under Mu, loaded without it by TryFast. A
-//     dentry in a table always has one (the state its Sg sums).
+//     dentry in a table always has one, its key: filed under its Index.
 //   - MntP records the mount the signature was computed under, so a
 //     fastpath hit can report mount options without a tree walk (§4.3).
 //   - Target caches a followed symlink's (or alias's) resolution (§4.2
@@ -84,9 +85,7 @@ func (fd *fastDentry) reset(gen uint64) {
 	fd.ValidGen.Store(gen)
 	fd.ShootMark.Store(0)
 	fd.Touches.Store(0)
-	fd.Idx = 0
-	fd.Sg = sig.Signature{}
-	fd.InTable = nil
+	fd.InTable.Store(nil)
 	fd.State.Clear()
 	fd.MntP.Store(nil)
 	fd.Target.Store(0)
@@ -152,11 +151,15 @@ type pccReg struct {
 var seedCounter atomic.Uint64
 
 // Install wires a Core into k and returns it. Call once, before tasks run.
+// A Core built from a given seed shares its key with every other built
+// from the same one (sig.SharedKey); a drawn seed's key is its own.
 func Install(k *vfs.Kernel, cfg Config) *Core {
+	key := sig.SharedKey
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x5ca1ab1e0ddba11 ^ (seedCounter.Add(1) * 0x9e3779b97f4a7c15)
+		key = sig.NewKey
 	}
-	c := &Core{cfg: cfg, k: k, key: sig.NewKey(cfg.Seed)}
+	c := &Core{cfg: cfg, k: k, key: key(cfg.Seed)}
 	c.memo.seed = cfg.Seed * 0x9e3779b97f4a7c15
 	c.admitAfter = cfg.AdmitAfter
 	if c.admitAfter == 0 {
@@ -383,20 +386,21 @@ func (c *Core) unpublish(d *vfs.Dentry, why telemetry.Note) {
 // names; with telemetry on the removal is timed and journaled. The caller
 // holds fd.Mu.
 func (c *Core) dropEntry(d *vfs.Dentry, fd *fastDentry, why telemetry.Note) {
-	t := fd.InTable
+	t := fd.InTable.Load()
 	if t == nil {
 		return
 	}
-	fd.InTable = nil
 	tel := c.tele()
-	if tel == nil {
-		t.Remove(uint64(fd.Idx), fd.Sg, d)
-		return
+	var start int64
+	if tel != nil {
+		start = telemetry.Now()
 	}
-	start := telemetry.Now()
-	t.Remove(uint64(fd.Idx), fd.Sg, d)
-	tel.Record(telemetry.HistDLHTRemove, telemetry.Since(start))
-	tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.Idx), why)
+	t.Remove(d)
+	fd.InTable.Store(nil)
+	if tel != nil {
+		tel.Record(telemetry.HistDLHTRemove, telemetry.Since(start))
+		tel.Emit(telemetry.JDLHTRemove, d.ID(), int64(fd.Link.Hash()), why)
+	}
 }
 
 // fresh reports whether d's table entry and signature state postdate every
@@ -483,10 +487,9 @@ func (c *Core) keepUnmoved(d *vfs.Dentry, vg, e1 uint64) bool {
 	}
 	st.AppendComponent(name)
 	c.k.Count(vfs.NHashedBytes, int64(len(name)+1))
-	idx, sg := st.Sum()
 	fd.Mu.Lock()
 	defer fd.Mu.Unlock()
-	if fd.InTable == nil || fd.Idx != idx || fd.Sg != sg || c.epoch.Load() != e1 {
+	if fd.InTable.Load() == nil || !fd.State.Holds(&st) || c.epoch.Load() != e1 {
 		return false
 	}
 	c.bumpSeq(fd)
@@ -532,7 +535,7 @@ func (c *Core) markedAbove(d *vfs.Dentry, vg uint64) (at *vfs.Dentry, structural
 // number of entries discarded.
 func (c *Core) SweepStale() int {
 	n := 0
-	c.forEachEntry(func(_ *dlht, _ uint16, _ sig.Signature, d *vfs.Dentry) {
+	c.forEachEntry(func(_ *dlht, d *vfs.Dentry) {
 		if !c.fresh(d) {
 			n++
 		}
@@ -556,11 +559,9 @@ func invalHist(why vfs.Invalidation) telemetry.HistID {
 }
 
 // OnEvict implements vfs.Hooks: the dentry is dead. The seq bump stales
-// the PCC entries naming it, and its table entry goes now rather than when
-// the sweeper retires the slot. Left in place the node would fail closed —
-// lookups skip dead dentries — but keep its arena slot, and count toward
-// the table's next doubling, until an insert into its bucket swept it, and
-// every probe of that bucket would walk past it (DESIGN §5g measures it).
+// the PCC entries naming it, and its table entry goes now: the chain runs
+// through the dentry's own slot, which the sweeper will not retire while
+// it is still linked.
 func (c *Core) OnEvict(d *vfs.Dentry) {
 	fast(d).Seq.Add(1)
 	c.unpublish(d, telemetry.NoteReclaim)
@@ -646,7 +647,6 @@ func (c *Core) publish(dl *dlht, ref vfs.PathRef, st *sig.State, token uint64) {
 	// (it bumps seq), or the stamp would hide the mark from every later
 	// fresh() and leave other credentials' PCC entries for d standing.
 	_ = c.fresh(ref.D)
-	idx, sg := st.Sum()
 	fd.Mu.Lock()
 	defer fd.Mu.Unlock()
 	// Load the shootdown generation BEFORE validating the token: a batch
@@ -659,8 +659,8 @@ func (c *Core) publish(dl *dlht, ref vfs.PathRef, st *sig.State, token uint64) {
 		c.k.Count(vfs.NStaleTokens, 1)
 		return
 	}
-	if fd.InTable != nil {
-		if fd.InTable == dl && fd.Sg == sg {
+	if in := fd.InTable.Load(); in != nil {
+		if in == dl && fd.State.Holds(st) {
 			fd.MntP.Store(ref.Mnt)
 			fd.ValidGen.Store(gen)
 			return // already published under this signature
@@ -669,14 +669,22 @@ func (c *Core) publish(dl *dlht, ref vfs.PathRef, st *sig.State, token uint64) {
 		c.dropEntry(ref.D, fd, telemetry.NoteResign)
 		fd.Seq.Add(1)
 	}
+	// The state is the entry's key, and probes filter on it: it is stored
+	// before the entry is linked. A dentry killed since the check above is
+	// refused, and the kill's OnEvict has already run or waits on Mu.
 	fd.State.Store(st)
-	fd.Idx, fd.Sg = idx, sg
 	fd.MntP.Store(ref.Mnt)
 	fd.PubSeq = fd.Seq.Load()
 	fd.ValidGen.Store(gen)
-	c.insert(dl, idx, sg, ref.D)
-	fd.InTable = dl
+	idx := st.Index()
+	if !dl.Insert(uint64(idx), ref.D) {
+		return
+	}
+	fd.InTable.Store(dl)
 	c.k.Count(vfs.NPopulations, 1)
+	if tel := c.tele(); tel != nil {
+		tel.Emit(telemetry.JDLHTInsert, ref.D.ID(), int64(idx), telemetry.NoteNone)
+	}
 }
 
 // dentrySeq returns d's current fastpath version (for PCC entries).

@@ -396,8 +396,8 @@ func TestSlotReuseResetsFastState(t *testing.T) {
 	}
 	fd := fast(l.D)
 	var st sig.State
-	if fd.Seq.Load() == 0 || fd.Target.Load() == 0 || fd.InTable == nil || !fd.State.Load(c.key, &st) {
-		t.Fatalf("the link's fast state is not all set up: seq %d, target %#x, in a table %v", fd.Seq.Load(), fd.Target.Load(), fd.InTable != nil)
+	if fd.Seq.Load() == 0 || fd.Target.Load() == 0 || fd.InTable.Load() == nil || !fd.State.Load(c.key, &st) {
+		t.Fatalf("the link's fast state is not all set up: seq %d, target %#x, in a table %v", fd.Seq.Load(), fd.Target.Load(), fd.InTable.Load() != nil)
 	}
 	pcc := c.pccFor(root.Cred())
 	oldID, oldSeq, old := l.D.ID(), dentrySeq(l.D), l.D.SelfRef()
@@ -424,7 +424,6 @@ func TestSlotReuseResetsFastState(t *testing.T) {
 		t.Fatal("the slot was never reused")
 	}
 	nfd := fast(d)
-	var zero sig.Signature
 	for _, f := range []struct {
 		name string
 		bad  bool
@@ -434,9 +433,8 @@ func TestSlotReuseResetsFastState(t *testing.T) {
 		{"Touches", nfd.Touches.Load() != 0},
 		{"MntP", nfd.MntP.Load() != nil},
 		{"State", nfd.State.Load(c.key, &st)},
-		{"Idx", nfd.Idx != 0},
-		{"Sg", nfd.Sg != zero},
-		{"InTable", nfd.InTable != nil},
+		{"Link", nfd.Link.InChain()},
+		{"InTable", nfd.InTable.Load() != nil},
 		{"Target", nfd.Target.Load() != 0},
 		{"TargetSeq", nfd.TargetSeq.Load() != 0},
 		{"PubSeq", nfd.PubSeq != 0},

@@ -330,7 +330,7 @@ func TestLexicalHashZeroAlloc(t *testing.T) {
 			t.Fatalf("pathState+publish (%s) allocates: %.2f allocs/op, want 0", name, avg)
 		}
 	}
-	if fast(leaf.D).InTable != dl {
+	if fast(leaf.D).InTable.Load() != dl {
 		t.Fatal("the leaf was never published")
 	}
 }

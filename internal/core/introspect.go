@@ -1,5 +1,7 @@
 package core
 
+import "dircache/internal/vfs"
+
 // Fastpath-structure introspection: occupancy and shape snapshots of the
 // DLHTs and PCCs, the other half of the cache introspection API (the
 // dentry-cache half is vfs.Kernel.Introspect).
@@ -16,18 +18,23 @@ type PCCStats struct {
 // Introspection is a point-in-time snapshot of the fastpath structures.
 // Gathered lock-free; counts are approximate under concurrent churn.
 type Introspection struct {
-	Epoch    uint64      `json:"epoch"`     // invalidation epoch word (low 16 bits: mutations in flight)
-	ShootGen uint64      `json:"shoot_gen"` // batch-shootdown generation counter
-	DLHTs    []DLHTStats `json:"dlhts"`     // one per mount namespace
-	PCCs     []PCCStats  `json:"pccs"`      // one per credential
+	Epoch    uint64           `json:"epoch"`     // invalidation epoch word (low 16 bits: mutations in flight)
+	ShootGen uint64           `json:"shoot_gen"` // batch-shootdown generation counter
+	DLHTs    []vfs.ChainShape `json:"dlhts"`     // one per mount namespace
+	PCCs     []PCCStats       `json:"pccs"`      // one per credential
 }
 
-// Introspect snapshots every DLHT and every registered PCC.
+// Introspect snapshots every DLHT and every registered PCC. A DLHT
+// collision is two live entries agreeing on as many of the index's 16
+// bits as the table has grown to use, which the paper's signature budget
+// accepts.
 func (c *Core) Introspect() Introspection {
 	in := Introspection{Epoch: c.epoch.Load(), ShootGen: c.shootGen.Load()}
+	ep := c.k.Gate().Enter()
 	for _, dl := range c.k.DLHTs() {
-		in.DLHTs = append(in.DLHTs, c.introspectDLHT(dl))
+		in.DLHTs = append(in.DLHTs, dl.Shape())
 	}
+	c.k.Gate().Exit(ep)
 	for _, reg := range c.registered() {
 		hits, misses := reg.p.Stats()
 		in.PCCs = append(in.PCCs, PCCStats{

@@ -20,7 +20,7 @@ func (c *Core) admitPopulate(d *vfs.Dentry) bool {
 	fd := fast(d)
 	n := fd.Touches.Add(1)
 	fd.Mu.Lock()
-	published := fd.InTable != nil
+	published := fd.InTable.Load() != nil
 	fd.Mu.Unlock()
 	if published {
 		// Already paid for (e.g. an unlinked file's dentry recycled to a

@@ -206,7 +206,7 @@ func TestRevocationThroughRangeMark(t *testing.T) {
 					}
 					fd := fast(d)
 					fd.Mu.Lock()
-					published := fd.InTable != nil && fd.PubSeq == fd.Seq.Load()
+					published := fd.InTable.Load() != nil && fd.PubSeq == fd.Seq.Load()
 					fd.Mu.Unlock()
 					if !published {
 						t.Errorf("%s: /%s lost its table entry (or its pubSeq stamp) to a permission change", stage, p)
@@ -327,8 +327,7 @@ func TestAliasDotCheckHonoursRangeMark(t *testing.T) {
 			for _, comp := range []string{"top", "link", "c"} {
 				cur.push(comp)
 			}
-			idx, sg := cur.st.Sum()
-			if d := dl.Lookup(uint64(idx), sg); d == nil || d.Flags()&vfs.DAlias == 0 {
+			if d := probe(dl, &cur.st); d == nil || d.Flags()&vfs.DAlias == 0 {
 				t.Fatalf("the table holds %v for /top/link/c, want its alias dentry", d)
 			}
 			if !r.c.checkPrefixDir(u, dl, pcc, &cur) {

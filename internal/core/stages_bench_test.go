@@ -75,14 +75,14 @@ func BenchmarkFastpathStages(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	idx, sg := c.key.HashString(path)
-	d := dl.Lookup(uint64(idx), sg)
+	st := c.key.NewState().AppendString(path)
+	d := probe(dl, &st)
 	if d == nil {
 		b.Fatal(path + " not published")
 	}
 	b.Run("dlht-probe", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if dl.Lookup(uint64(idx), sg) != d {
+			if probe(dl, &st) != d {
 				b.Fatal("probe missed")
 			}
 		}

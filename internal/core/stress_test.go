@@ -127,8 +127,8 @@ func TestStressFastpathVsMutate(t *testing.T) {
 // time (a permission change keeps table entries, so nobody removes them):
 // nil is a reader caught on an array whose chains were not yet, or no
 // longer, complete. Afterwards the DLHT has grown and not past the index's
-// width, and the auditor — dlht_placement reads each node's full 16-bit
-// index against the dentry's — is clean.
+// width, and the auditor — dlht_placement reads each entry's filed 16-bit
+// index against its key's — is clean.
 func TestDLHTResizeVsTryFast(t *testing.T) {
 	const (
 		resident = 128
@@ -147,13 +147,12 @@ func TestDLHTResizeVsTryFast(t *testing.T) {
 		t.Fatalf("a new DLHT holds %+v, want 1024 buckets", st)
 	}
 	paths := make([]string, resident)
-	idxs := make([]uint16, resident)
-	sgs := make([]sig.Signature, resident)
+	sts := make([]sig.State, resident)
 	want := make([]*vfs.Dentry, resident)
-	probe := func(n int) *vfs.Dentry {
+	probeN := func(n int) *vfs.Dentry {
 		ep := k.Gate().Enter()
 		defer k.Gate().Exit(ep)
-		return dl.Lookup(uint64(idxs[n]), sgs[n])
+		return probe(dl, &sts[n])
 	}
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/res/r%03d", i)
@@ -165,8 +164,8 @@ func TestDLHTResizeVsTryFast(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = ref.D
-		idxs[i], sgs[i] = c.key.HashString(paths[i])
-		if probe(i) != ref.D {
+		sts[i] = c.key.NewState().AppendString(paths[i])
+		if probeN(i) != ref.D {
 			t.Fatalf("%s was walked and is not in the DLHT", paths[i])
 		}
 	}
@@ -181,7 +180,7 @@ func TestDLHTResizeVsTryFast(t *testing.T) {
 			task := k.NewTask(cred.Root())
 			for i := g; !done.Load(); i++ {
 				n := i % resident
-				if got := probe(n); got != want[n] {
+				if got := probeN(n); got != want[n] {
 					t.Errorf("probe of resident %s returned %v, want dentry #%d", paths[n], got, want[n].ID())
 					return
 				}

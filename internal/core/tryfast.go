@@ -124,11 +124,10 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 		return cur.base, nil, true
 	}
 
-	idx, sg := cur.st.Sum()
 	// Read before the probe, for recheckPrefix: a token still valid after
 	// its climb vouches for everything from this lookup on.
 	token := c.epoch.Load()
-	d := dl.Lookup(uint64(idx), sg)
+	d := probe(dl, &cur.st)
 	fs.lap(&fs.ph.HashLookup)
 	// Range-shootdown freshness: one generation compare on the hot path;
 	// a stale entry (covered by a range shootdown) is lazily discarded and
@@ -329,14 +328,15 @@ func (c *Core) scan(t *vfs.Task, dl *dlht, pcc *PCC, cur *pathCursor, path strin
 	return false, cur.push(last)
 }
 
-// keyed reports whether d is still published under the key a probe just
-// found it by, the key st sums to. fresh vouches for d's current entry,
-// not for the node the probe read: a walker descheduled between the two
-// can find d under a key that another walk has since discarded — a rename
-// moved d — and re-published under d's new path, stamping ValidGen as it
-// did. Every publish stores the state its key sums beside the key, and
-// every unpublish clears it with the key, so d still holds st exactly when
-// its entry is the one the probe found.
+// keyed reports whether d is published under st's key: the probe filtered
+// on lane 0 and the table, and fresh vouches for d's current entry, not the
+// one the probe found — a walker descheduled between the two can find d
+// under a key that another walk has since discarded (a rename moved d) and
+// re-published under d's new path, stamping ValidGen as it did. The stored
+// state is the entry's key: every publish stores it before linking the
+// entry, every unpublish clears it with the entry, and nothing else
+// stores one but the state of d's path as the tree spells it, so d holds
+// st only while st's path names d.
 func (c *Core) keyed(d *vfs.Dentry, st *sig.State) bool {
 	return fast(d).State.Holds(st)
 }
@@ -351,9 +351,8 @@ func (c *Core) checkPrefixDir(t *vfs.Task, dl *dlht, pcc *PCC, cur *pathCursor) 
 	if cur.depth() == 0 {
 		d = cur.base.D // cwd/root chain: referenced directories
 	} else {
-		idx, sg := cur.st.Sum()
 		token := c.epoch.Load() // before the probe, as in tryFast
-		d = dl.Lookup(uint64(idx), sg)
+		d = probe(dl, &cur.st)
 		if d == nil {
 			c.k.Count(vfs.NDLHTMisses, 1)
 			return false

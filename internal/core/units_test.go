@@ -13,7 +13,6 @@ import (
 	"dircache/internal/fsapi"
 	"dircache/internal/memfs"
 	"dircache/internal/sig"
-	"dircache/internal/slab"
 	"dircache/internal/vfs"
 )
 
@@ -104,10 +103,22 @@ func TestPCCConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// file links d into h under st's key as publish does: the state stored
+// first, then the entry filed under its index and InTable naming h.
+func file(h *dlht, d *vfs.Dentry, st *sig.State) {
+	fileAt(h, d, st, uint64(st.Index()))
+}
+
+// fileAt is file under a chosen hash.
+func fileAt(h *dlht, d *vfs.Dentry, st *sig.State, hash uint64) {
+	fast(d).State.Store(st)
+	h.Insert(hash, d)
+	fast(d).InTable.Store(h)
+}
+
 func TestDLHTBasics(t *testing.T) {
-	key := sig.NewKey(9)
 	k := vfs.NewKernel(vfs.Config{}, newTestFS())
-	Install(k, Config{Seed: 9})
+	c := Install(k, Config{Seed: 9, AdmitAfter: 1 << 30})
 	h := testDLHT(k)
 	root := k.NewTask(cred.Root())
 	if err := root.Mkdir("/d", 0o755); err != nil {
@@ -117,37 +128,35 @@ func TestDLHTBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, sg := key.HashString("/d")
-	if h.Lookup(uint64(idx), sg) != nil {
+	st := c.key.NewState().AppendString("/d")
+	if probe(h, &st) != nil {
 		t.Fatal("empty DLHT hit")
 	}
-	h.Insert(uint64(idx), sg, ref.D)
-	if h.Lookup(uint64(idx), sg) != ref.D {
+	file(h, ref.D, &st)
+	if probe(h, &st) != ref.D || !c.keyed(ref.D, &st) {
 		t.Fatal("inserted dentry missing")
 	}
 	if n := h.Stats().Entries; n != 1 {
 		t.Fatalf("len %d", n)
 	}
-	// Different signature in the same bucket must not match.
-	other := sg
-	other.W[1] ^= 1
-	if h.Lookup(uint64(idx), other) != nil {
+	// Another path's lane 0 in the same bucket must not match.
+	other := c.key.NewState().AppendString("/e")
+	if h.Lookup(uint64(st.Index()), other.Lane0()) != nil {
 		t.Fatal("wrong-signature hit")
 	}
-	h.Remove(uint64(idx), sg, ref.D)
-	if h.Lookup(uint64(idx), sg) != nil || h.Stats().Entries != 0 {
+	h.Remove(ref.D)
+	if probe(h, &st) != nil || h.Stats().Entries != 0 {
 		t.Fatal("remove failed")
 	}
 }
 
 func TestDLHTChainRemoveMiddle(t *testing.T) {
 	k := vfs.NewKernel(vfs.Config{}, newTestFS())
-	Install(k, Config{Seed: 10})
+	c := Install(k, Config{Seed: 10, AdmitAfter: 1 << 30})
 	h := testDLHT(k)
 	root := k.NewTask(cred.Root())
 	var refs []vfs.PathRef
-	var sigs []sig.Signature
-	key := sig.NewKey(10)
+	var sts []sig.State
 	for i := 0; i < 5; i++ {
 		p := fmt.Sprintf("/d%d", i)
 		if err := root.Mkdir(p, 0o755); err != nil {
@@ -155,13 +164,13 @@ func TestDLHTChainRemoveMiddle(t *testing.T) {
 		}
 		ref, _ := root.Walk(p, 0)
 		refs = append(refs, ref)
-		_, sg := key.HashString(p)
-		sigs = append(sigs, sg)
-		h.Insert(77, sg, ref.D) // same bucket: exercise chaining
+		st := c.key.NewState().AppendString(p)
+		sts = append(sts, st)
+		fileAt(h, ref.D, &st, 77) // same bucket: exercise chaining
 	}
-	h.Remove(77, sigs[2], refs[2].D)
+	h.Remove(refs[2].D)
 	for i := 0; i < 5; i++ {
-		got := h.Lookup(77, sigs[i])
+		got := h.Lookup(77, sts[i].Lane0())
 		if i == 2 && got != nil {
 			t.Fatal("removed entry found")
 		}
@@ -178,7 +187,7 @@ func TestDLHTChainRemoveMiddle(t *testing.T) {
 // still found.
 func TestDLHTStopsAtIndexWidth(t *testing.T) {
 	k := vfs.NewKernel(vfs.Config{}, newTestFS())
-	Install(k, Config{Seed: 11})
+	c := Install(k, Config{Seed: 11, AdmitAfter: 1 << 30})
 	root := k.NewTask(cred.Root())
 	h := root.Namespace().DLHT()
 	if st := h.Stats(); st.Buckets != 1<<10 || st.Bytes > 16<<10 {
@@ -189,12 +198,12 @@ func TestDLHTStopsAtIndexWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 1<<sig.IndexBits + 1<<12
-	key := func(i int) (uint16, sig.Signature) {
-		return uint16(i * 40503), sig.Signature{W: [4]uint64{uint64(i), 1, 2, 3}}
-	}
-	for i := 0; i < n; i++ {
-		idx, sg := key(i)
-		h.Insert(uint64(idx), sg, ref.D)
+	ds := make([]*vfs.Dentry, n)
+	sts := make([]sig.State, n)
+	for i := range ds {
+		ds[i] = k.AddSpecialNegative(ref.D, fmt.Sprintf("n%d", i), false)
+		sts[i] = c.key.NewState().AppendString(fmt.Sprintf("/n%d", i))
+		fileAt(h, ds[i], &sts[i], uint64(uint16(i*40503)))
 	}
 	if st := h.Stats(); st.Buckets != 1<<sig.IndexBits || st.Resizes != 6 || st.Entries != n {
 		t.Fatalf("after %d inserts: %+v, want 65536 buckets after 6 doublings", n, st)
@@ -202,16 +211,16 @@ func TestDLHTStopsAtIndexWidth(t *testing.T) {
 	ep := k.Gate().Enter()
 	defer k.Gate().Exit(ep)
 	for i := 0; i < n; i += 61 {
-		if idx, sg := key(i); h.Lookup(uint64(idx), sg) != ref.D {
+		if h.Lookup(uint64(uint16(i*40503)), sts[i].Lane0()) != ds[i] {
 			t.Fatalf("entry %d lost across the doublings", i)
 		}
 	}
 }
 
-// testDLHT returns a DLHT of k's dentries that no namespace uses, with an
-// arena of its own.
+// testDLHT returns a DLHT of k's dentries that no task walks: a cloned
+// namespace's, with nobody in it.
 func testDLHT(k *vfs.Kernel) *dlht {
-	return vfs.NewTable(k, slab.New[vfs.TableNode[sig.Signature]](k.Gate(), slab.Options{}), 1<<sig.IndexBits)
+	return k.NewTask(cred.Root()).UnshareNamespace().DLHT()
 }
 
 func newTestFS() fsapi.FileSystem {
@@ -298,6 +307,21 @@ func TestSignatureSeedsDiffer(t *testing.T) {
 	_, s2 := c2.key.HashString("/etc/passwd")
 	if s1 == s2 {
 		t.Fatal("two boots produced identical signatures")
+	}
+}
+
+// TestSignatureKeySharedPerSeed: Cores built from one given seed share
+// one key schedule (136 KB each) — a sharded tier's shards and oracle are
+// five — while drawn seeds keep keys of their own.
+func TestSignatureKeySharedPerSeed(t *testing.T) {
+	install := func(seed uint64) *Core {
+		return Install(vfs.NewKernel(vfs.Config{}, newTestFS()), Config{Seed: seed})
+	}
+	if a, b := install(0x5eed), install(0x5eed); a.key != b.key {
+		t.Fatal("two Cores of one seed hold two keys")
+	}
+	if a, b := install(0), install(0); a.key == b.key {
+		t.Fatal("two Cores of drawn seeds share a key")
 	}
 }
 

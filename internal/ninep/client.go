@@ -33,6 +33,9 @@ type Client struct {
 	// pending[:npending] (under mu) are clunked fids the next Twalk carries.
 	pending  [MaxWalkNames]uint32
 	npending uint8
+	// taken (under mu) holds every fid handed out and not yet released to
+	// the server, so a wrapped counter skips the ones still in use.
+	taken map[uint32]bool
 
 	trace bool                 // server negotiated the dctrace extension
 	shard bool                 // server negotiated the dcshard extension
@@ -96,7 +99,7 @@ func dial(addr, version string) (*Client, error) {
 // newClient wraps an established connection; until Tversion settles the
 // msize it is the one the client offers.
 func newClient(nc net.Conn) *Client {
-	return &Client{nc: nc, fr: frameReader{r: nc}, msize: DefaultMsize}
+	return &Client{nc: nc, fr: frameReader{r: nc}, msize: DefaultMsize, taken: map[uint32]bool{}}
 }
 
 // SetTelemetry attaches a span sink: Walk/Open/Stat RPCs then open
@@ -165,6 +168,9 @@ func (c *Client) rpc(req, resp *Fcall) error {
 	c.wbuf = out
 	if _, err := c.nc.Write(out); err != nil {
 		return err
+	}
+	for _, n := range req.Clunks[:req.Nclunk] {
+		delete(c.taken, n) // the clunk is on its way
 	}
 	body, err := c.fr.next(c.msize)
 	if err != nil {
@@ -235,17 +241,28 @@ type Fid struct {
 	effects bool // opened on a file or with ORCLOSE, so clunking it has effects
 }
 
-// fid allocates a fid number. NoFid is skipped when the counter wraps: to
-// rpc it is a clunked Fid, to Tattach "no auth fid".
+// fid allocates a fid number from the counter. Once it wraps, a fid still
+// taken is skipped — the attach fid, one whose clunk waits in pending —
+// and so is NoFid: to rpc it is a clunked Fid, to Tattach "no auth fid".
 func (c *Client) fid() uint32 {
 	c.mu.Lock()
-	if c.nextFid == NoFid {
-		c.nextFid = 0
+	defer c.mu.Unlock()
+	for {
+		n := c.nextFid
+		c.nextFid++
+		if !c.taken[n] && n != NoFid {
+			c.taken[n] = true
+			return n
+		}
 	}
-	n := c.nextFid
-	c.nextFid++
+}
+
+// release returns fid n to the counter: the server never bound it, or
+// has been sent its clunk.
+func (c *Client) release(n uint32) {
+	c.mu.Lock()
+	delete(c.taken, n)
 	c.mu.Unlock()
-	return n
 }
 
 // Attach establishes a fid at the aname subtree root ("" = "/") under
@@ -254,6 +271,7 @@ func (c *Client) Attach(uname, aname string) (*Fid, error) {
 	n := c.fid()
 	var resp Fcall
 	if err := c.rpc(&Fcall{Type: MsgTattach, Fid: n, Afid: NoFid, Uname: uname, Aname: aname}, &resp); err != nil {
+		c.release(n)
 		return nil, err
 	}
 	return &Fid{c: c, n: n, Qid: resp.Qid}, nil
@@ -304,6 +322,7 @@ func (f *Fid) walk(span *telemetry.WalkTrace, names []string) (*Fid, error) {
 			cur.Clunk() // on the dc dialects it rides the next Twalk
 		}
 		if err != nil {
+			c.release(n) // a failed walk binds no newfid
 			return nil, err
 		}
 		q := f.Qid
@@ -473,11 +492,12 @@ func (f *Fid) Clunk() error {
 	if deferred {
 		return nil
 	}
+	defer c.release(n)
 	return c.call(&Fcall{Type: MsgTclunk, Fid: n})
 }
 
 // Remove deletes the object and clunks the fid.
 func (f *Fid) Remove() error {
-	defer func() { f.n = NoFid }()
+	defer func() { f.c.release(f.n); f.n = NoFid }()
 	return f.c.call(&Fcall{Type: MsgTremove, Fid: f.n})
 }

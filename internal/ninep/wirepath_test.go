@@ -795,6 +795,51 @@ func TestFidCounterSkipsNoFid(t *testing.T) {
 	}
 }
 
+// TestFidCounterSkipsTakenFids: once the counter wraps it would hand out
+// fid 0 again, which the attach still holds, and the server would answer
+// the walk that reuses it "fid already in use". With the root at fid 0
+// and the counter one short of NoFid, the first walk takes NoFid-1 and
+// the second skips NoFid and the root to take 1. On the dc dialects the
+// second walk's clunk then waits in pending for the next Twalk, so a
+// counter set back to 1 skips it too; plain 9P2000 sent it at once.
+func TestFidCounterSkipsTakenFids(t *testing.T) {
+	_, srv := startServer(t, Config{})
+	for _, version := range []string{VersionTrace, Version} {
+		c, _ := dialVersion(t, srv, version)
+		root, err := c.Attach("root", "")
+		if err != nil || root.n != 0 {
+			t.Fatalf("%s: attach took fid %d, %v; want 0", version, root.n, err)
+		}
+		c.nextFid = NoFid - 1
+		var got []uint32
+		walk := func() {
+			t.Helper()
+			f, err := root.WalkPath("srv/app")
+			if err != nil {
+				t.Fatalf("%s: walk %d after the wrap: %v", version, len(got), err)
+			}
+			got = append(got, f.n)
+			if _, err := f.Stat(); err != nil {
+				t.Fatalf("%s: Stat of fid %d: %v", version, f.n, err)
+			}
+			if err := f.Clunk(); err != nil {
+				t.Fatalf("%s: Clunk of fid %d: %v", version, f.n, err)
+			}
+		}
+		walk()
+		walk()
+		c.nextFid = 1
+		walk()
+		want := []uint32{NoFid - 1, 1, 2}
+		if version == Version {
+			want[2] = 1
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: walks got fids %v, want %v", version, got, want)
+		}
+	}
+}
+
 // --- directory listings ------------------------------------------------------
 
 // TestReadDirRoundTrips: Walk + Open + ReadDir + Clunk lists exactly what an

@@ -54,7 +54,7 @@ type Ring struct {
 
 // NewRing builds a ring over shards 0..n-1.
 func NewRing(n int) *Ring {
-	r := &Ring{key: sig.NewKey(RouteSeed)}
+	r := &Ring{key: sig.SharedKey(RouteSeed)}
 	for id := 0; id < n; id++ {
 		r.AddShard(id)
 	}

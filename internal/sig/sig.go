@@ -51,6 +51,7 @@ package sig
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -115,6 +116,31 @@ func NewKey(seed uint64) *Key {
 		}
 	}
 	return key
+}
+
+// sharedKeys caches SharedKey's keys, at most four: a process builds its
+// Systems from one seed or a few.
+var sharedKeys struct {
+	sync.Mutex
+	m map[uint64]*Key
+}
+
+// SharedKey returns NewKey(seed), one key for every caller naming a seed
+// still cached: a key is immutable and 136 KB, and Systems built from one
+// fixed seed (a sharded tier's shards and oracle) need only one. A
+// per-boot random seed gains nothing from it; call NewKey.
+func SharedKey(seed uint64) *Key {
+	sharedKeys.Lock()
+	defer sharedKeys.Unlock()
+	k := sharedKeys.m[seed]
+	if k == nil {
+		if len(sharedKeys.m) >= 4 || sharedKeys.m == nil {
+			sharedKeys.m = map[uint64]*Key{}
+		}
+		k = NewKey(seed)
+		sharedKeys.m[seed] = k
+	}
+	return k
 }
 
 // State is the resumable intermediate hash state: the byte position reached
@@ -278,6 +304,15 @@ func (st *State) Sum() (idx uint16, s Signature) {
 	return idx, s
 }
 
+// Index is the DLHT bucket index Sum returns, computed alone.
+func (st *State) Index() uint16 {
+	return uint16(st.acc[0] + st.key.k[0][0]*(uint64(st.pos)+1))
+}
+
+// Lane0 returns lane 0's accumulator, which a DLHT probe filters on: with
+// the length it fixes the index and the 48 signature bits of lane 0.
+func (st *State) Lane0() uint64 { return st.acc[0] }
+
 // HashString is a convenience: hash an entire string from scratch.
 func (k *Key) HashString(s string) (uint16, Signature) {
 	st := k.NewState().AppendString(s)
@@ -346,6 +381,10 @@ func (sh *Shared) Holds(st *State) bool {
 		sh.acc[2].Load() == st.acc[2] && sh.acc[3].Load() == st.acc[3] &&
 		sh.hdr.Load() == h
 }
+
+// Lane0 returns the stored lane-0 accumulator outside the seqlock: a
+// filter, which Holds confirms.
+func (sh *Shared) Lane0() uint64 { return sh.acc[0].Load() }
 
 // Store publishes *st; storing what is already held writes nothing. The
 // caller holds the owner's lock.

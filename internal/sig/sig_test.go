@@ -128,6 +128,27 @@ func TestLane1IsTheSignaturesLane(t *testing.T) {
 	}
 }
 
+// TestIndexIsTheSumsIndex: Index computes Sum's index alone, and a key
+// SharedKey hands out is NewKey's for the seed, the same one each time.
+func TestIndexIsTheSumsIndex(t *testing.T) {
+	for _, seed := range []uint64{1, 11, 0x5ead_c0de_0001} {
+		k := SharedKey(seed)
+		if k != SharedKey(seed) {
+			t.Fatalf("seed %#x: SharedKey made a second key", seed)
+		}
+		for _, s := range []string{"", "/", "/srv", "/srv/app3/lib/pkg17"} {
+			st := k.NewState().AppendString(s)
+			idx, sg := st.Sum()
+			if got := st.Index(); got != idx {
+				t.Errorf("seed %#x: Index(%q) = %d, Sum's index %d", seed, s, got, idx)
+			}
+			if _, want := NewKey(seed).HashString(s); sg != want {
+				t.Errorf("seed %#x: the shared key signs %q differently from NewKey's", seed, s)
+			}
+		}
+	}
+}
+
 func TestNoCollisionsOnRealisticCorpus(t *testing.T) {
 	// Generate a corpus of realistic path strings and verify zero
 	// collisions across both signature and (index, signature) pairs.

@@ -27,8 +27,7 @@ type gateStripe struct {
 }
 
 // Gate is a shared epoch clock. One Gate serves every arena of a kernel:
-// a single Enter/Exit pair per operation protects dentries, hash-table
-// nodes, and DLHT nodes alike.
+// a single Enter/Exit pair per operation protects every slot it reads.
 type Gate struct {
 	global  atomic.Uint64
 	stripes [stripe.Stripes]gateStripe

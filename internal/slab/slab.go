@@ -1,7 +1,7 @@
 // Package slab provides chunked, index-addressed object arenas with
 // free-lists and epoch-based reclamation. It exists to take the directory
-// cache's bulk state — dentries, hash-table chain nodes, DLHT entries —
-// out of the general-purpose GC heap: at millions of entries, a heap of
+// cache's bulk state — the dentries, which both hash tables chain
+// through — out of the general-purpose GC heap: at millions of entries, a heap of
 // individually tracked objects makes the garbage collector the hot path
 // (every mark phase touches every dentry). An arena stores objects in
 // large chunks, so the GC scans chunk headers instead of entries, and a

@@ -10,7 +10,7 @@ import (
 
 // The coherence event journal records every invalidation-relevant mutation
 // of the directory cache: seq bumps with their subtree size, global
-// invalidation-epoch bumps, DLHT insert/remove/sweep, PCC flush,
+// invalidation-epoch bumps, DLHT insert/remove, PCC flush,
 // DIR_COMPLETE transitions, and LRU evictions. Where the histograms say
 // how long coherence work took, the journal says *what* fired and *why* —
 // the raw material for the invariant auditor (internal/audit) and for
@@ -53,9 +53,6 @@ const (
 	// JDLHTRemove: a signature entry was removed (shootdown, eviction,
 	// alias retarget). Ref = dentry ID, Aux = bucket index.
 	JDLHTRemove
-	// JDLHTSweep: an insert swept dead nodes out of a bucket chain.
-	// Aux = nodes swept.
-	JDLHTSweep
 	// JPCCFlush: a prefix check cache was flushed whole. Ref =
 	// credential ID, Aux = entries discarded.
 	JPCCFlush
@@ -89,7 +86,7 @@ const (
 )
 
 var journalKindNames = [NumJournalKinds]string{
-	"seq_bump", "epoch_bump", "dlht_insert", "dlht_remove", "dlht_sweep",
+	"seq_bump", "epoch_bump", "dlht_insert", "dlht_remove",
 	"pcc_flush", "dir_complete", "dir_incomplete", "evict",
 	"admit_defer", "admit", "batch_shoot", "coalesce",
 }

@@ -12,10 +12,10 @@
 //     fastpath (DLHT + PCC + signatures), coherence callbacks, symlink
 //     aliasing and deep negative dentries. The VFS declares the fastpath's
 //     per-dentry state (FastDentry, embedded in every Dentry as the paper
-//     embeds struct fast_dentry) but never reads or writes it, and owns its
-//     per-namespace state: each Namespace's DLHT is a Table the kernel
-//     creates with the namespace and whose node arena it reaps with its
-//     own. The algorithms and their invariants live in internal/core.
+//     embeds struct fast_dentry) but touches only the DLHT's chains in it,
+//     and owns its per-namespace state: each Namespace's DLHT is a Table
+//     the kernel creates with the namespace. The algorithms and their
+//     invariants live in internal/core.
 package vfs
 
 import (
@@ -70,6 +70,8 @@ const (
 	// DCACHE_REFERENCED). The hand clears it and moves on; it evicts only a
 	// dentry it finds without it.
 	DReferenced
+	// DQueued: queued for the sweeper, once even if two kills reach it.
+	DQueued
 )
 
 // parentName is the atomically-swapped (parent, name) pair, so the
@@ -94,6 +96,11 @@ type Dentry struct {
 
 	pn    atomic.Pointer[parentName]
 	flags atomic.Uint32
+
+	// hlink chains the dentry through the (parent, name) table, and hkey
+	// is the name hash it was filed under: the word a probe filters on.
+	hlink Link
+	hkey  atomic.Uint64
 
 	inode atomic.Pointer[Inode]
 	sb    *Super
@@ -326,6 +333,8 @@ func (d *Dentry) invalidateList() {
 
 // reset reinitializes a freshly allocated (possibly recycled) arena slot
 // for a new tenant; the fast state is the Hooks' to reset (NewDentry).
+// The chain links need none: a slot is retired only unlinked, and a link
+// or tag word is read only once an insert has written it.
 // Every other field is restored to its zero state explicitly rather than
 // by struct assignment: the embedded mutex must not be copied over, and
 // stale contents from the previous tenant (flags, link body, child map)

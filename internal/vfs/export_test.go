@@ -11,14 +11,15 @@ func (k *Kernel) TableProbe(parent *Dentry, name string) *Dentry {
 	e := k.gate.Enter()
 	defer k.gate.Exit(e)
 	defer k.lockBig()()
-	return k.table.lookup(parent.id, name)
+	return k.table.lookup(parent, name)
 }
 
-// PlantDeadShadow links a chain node for (parent, name) that names a dead
-// dentry no other structure knows — what lazy teardown leaves in a chain
-// until the next insert into its bucket, or the sweeper, takes it out.
+// PlantDeadShadow links a dentry for (parent, name) into the table that
+// then dies, known to no other structure but the sweeper's queue — what
+// teardown leaves in a chain until the sweeper unlinks it.
 func (k *Kernel) PlantDeadShadow(parent *Dentry, name string) {
 	d := k.newDentry(parent.sb, parent, name)
+	k.table.insert(d)
 	d.setFlags(DDead)
-	k.table.insert(parent.id, name, d)
+	k.retireLater(d)
 }

@@ -1,7 +1,5 @@
 package vfs
 
-import "dircache/internal/slab"
-
 // SyncMode selects the synchronization era of the dentry hash table,
 // reproducing the progression Figure 2 of the paper charts across Linux
 // releases.
@@ -32,13 +30,6 @@ func (m SyncMode) String() string {
 	return "unknown"
 }
 
-// nameKey is the dentry hashtable's key: a parent dentry's id and a
-// component name.
-type nameKey struct {
-	parentID uint64
-	name     string
-}
-
 // hashKey mixes (parentID, name) FNV-style, standing in for Linux's
 // full_name_hash over the parent pointer and component.
 func hashKey(parentID uint64, name string) uint64 {
@@ -58,36 +49,45 @@ func hashKey(parentID uint64, name string) uint64 {
 
 // hashTable is the (parent dentry, component name)-keyed dentry index —
 // the structure Linux calls the dentry hashtable — as a Table with a
-// selectable synchronization era and no ceiling on its growth.
+// selectable synchronization era, chained through Dentry.hlink and tagged
+// by the full 64-bit name hash each dentry keeps in hkey.
 type hashTable struct {
 	mode SyncMode
-	*Table[nameKey]
+	*Table
 }
 
 func newHashTable(mode SyncMode, k *Kernel) *hashTable {
-	nodes := slab.New[TableNode[nameKey]](k.gate, slab.Options{})
-	return &hashTable{mode: mode, Table: NewTable(k, nodes, 0)}
+	return &hashTable{mode: mode, Table: newTable(k, false, linked)}
 }
 
-// lookup finds the live dentry for (parentID, name), or nil. In
-// SyncBucketLock mode the bucket lock is held for the probe, and a grow
-// cannot replace the array under a held bucket; in the other modes the
-// probe is lock-free (SyncBigLock relies on the kernel-wide lock held by
-// the caller). Callers are inside an epoch section.
-func (t *hashTable) lookup(parentID uint64, name string) *Dentry {
-	hash := hashKey(parentID, name)
+// lookup finds the live dentry for (parent, name), or nil. In
+// SyncBucketLock mode the bucket lock is held for the probe; otherwise it
+// is lock-free (SyncBigLock relies on the caller's kernel-wide lock). A
+// hit is checked against the dentry's own (parent, name): a rename in
+// flight or a hash collision reads as a miss, which the caller answers
+// from parent's child map. Callers are inside an epoch section.
+func (t *hashTable) lookup(parent *Dentry, name string) *Dentry {
+	hash := hashKey(parent.id, name)
 	if t.mode == SyncBucketLock {
-		defer t.lockBucket(hash).mu.Unlock()
+		b, _ := t.lockBucket(hash)
+		defer b.mu.Unlock()
 	}
-	return t.Lookup(hash, nameKey{parentID, name})
+	d := t.Lookup(hash, hash)
+	if d == nil {
+		return nil
+	}
+	if pn := d.pn.Load(); pn.parent != parent || pn.name != name {
+		return nil
+	}
+	return d
 }
 
-// insert adds d under (parentID, name); dcache insertions happen under the
-// parent's lock, so no live entry for the key is present.
-func (t *hashTable) insert(parentID uint64, name string, d *Dentry) {
-	t.Insert(hashKey(parentID, name), nameKey{parentID, name}, d)
-}
-
-func (t *hashTable) remove(parentID uint64, name string, d *Dentry) {
-	t.Remove(hashKey(parentID, name), nameKey{parentID, name}, d)
+// insert files d under its current (parent, name); dcache insertions
+// happen under the parent's lock, so no live entry for the key is
+// present.
+func (t *hashTable) insert(d *Dentry) {
+	pn := d.pn.Load()
+	hash := hashKey(pn.parent.id, pn.name)
+	d.hkey.Store(hash)
+	t.Insert(hash, d)
 }

@@ -119,7 +119,7 @@ func (m Mutation) End() {
 
 // Hooks is the seam through which internal/core installs the paper's §3/§4
 // fastpath, in nine methods. The DLHTs it fills belong to the kernel
-// (Namespace.DLHT), which reaps their node arena with its own. All methods
+// (Namespace.DLHT) and chain through the dentries they hold. All methods
 // must be safe for concurrent use. A nil Hooks means the unmodified baseline.
 type Hooks interface {
 	// NewDentry is called once per new tenant of a dentry slot, before the
@@ -163,8 +163,10 @@ type Hooks interface {
 	EndMutation(m Mutation)
 
 	// OnEvict is called when a dentry leaves the cache (LRU eviction or
-	// final unlink teardown), for the hooks to drop what they keep for it
-	// (its DLHT entry): the sweeper that later retires its slot calls none.
+	// final unlink teardown), for the hooks to drop what they keep for it:
+	// its DLHT entry must be unlinked by the time it returns, because the
+	// sweeper that later retires the slot calls none, and refuses to
+	// retire a slot still linked.
 	OnEvict(d *Dentry)
 }
 
@@ -176,28 +178,26 @@ type Kernel struct {
 	lru   lruList
 	lsm   lsm.Stack
 
-	// gate is the epoch clock shared by every slab arena of this kernel:
-	// dentries, the dentry table's chain nodes and the DLHTs'. Every
-	// exported operation that may touch arena-backed objects runs inside
-	// one Enter/Exit section.
+	// gate is the epoch clock of the kernel's slab arena. Every exported
+	// operation that may touch arena-backed objects runs inside one
+	// Enter/Exit section.
 	gate *slab.Gate
 
-	// dentries is the dentry slab arena: the cache's bulk storage.
+	// dentries is the dentry slab arena: the cache's bulk storage, and
+	// both tables' chain links.
 	dentries *slab.Arena[Dentry]
 
-	// dlhtNodes holds the chain nodes of every namespace's DLHT, and dlhts
-	// lists those tables, oldest first, for the hooks' statistics, audits
-	// and sweeps. A kernel without hooks creates no table.
-	dlhtNodes *slab.Arena[TableNode[sig.Signature]]
-	dlhtMu    sync.Mutex
-	dlhts     []*Table[sig.Signature]
+	// dlhts lists every namespace's DLHT, oldest first, for the hooks'
+	// statistics, audits and sweeps. A kernel without hooks creates none.
+	dlhtMu sync.Mutex
+	dlhts  []*Table
 
 	// limbo is the lazy-teardown work queue: dentries killed by
 	// unlink/rmdir/rename/eviction whose hash-table removal and slot
 	// retirement are deferred off the mutation's critical path. The
 	// sweeper (reapSome / ReclaimAll) drains it in batches.
 	limboMu   sync.Mutex
-	limbo     []dentryLimbo
+	limbo     []slab.Ref
 	limboHead int
 	limboLen  atomic.Int64
 	swept     atomic.Uint64 // cumulative dentries processed by the sweeper
@@ -282,7 +282,6 @@ func NewKernel(cfg Config, rootFS fsapi.FileSystem) *Kernel {
 	k := &Kernel{cfg: cfg, supers: make(map[fsapi.FileSystem]*Super)}
 	k.gate = slab.NewGate()
 	k.dentries = slab.New[Dentry](k.gate, slab.Options{})
-	k.dlhtNodes = slab.New[TableNode[sig.Signature]](k.gate, slab.Options{})
 	k.table = newHashTable(cfg.SyncMode, k)
 	k.lru.arena = k.dentries
 	k.lru.tel = &k.tel
@@ -312,8 +311,8 @@ func (k *Kernel) SetHooks(h Hooks) {
 
 // newDLHT creates a namespace's direct lookup hash table, which stops
 // growing at the 2^16 buckets its signatures' index can address.
-func (k *Kernel) newDLHT() *Table[sig.Signature] {
-	t := NewTable(k, k.dlhtNodes, 1<<sig.IndexBits)
+func (k *Kernel) newDLHT() *Table {
+	t := newTable(k, true, 1<<sig.IndexBits)
 	k.dlhtMu.Lock()
 	k.dlhts = append(k.dlhts, t)
 	k.dlhtMu.Unlock()
@@ -321,10 +320,10 @@ func (k *Kernel) newDLHT() *Table[sig.Signature] {
 }
 
 // DLHTs returns every namespace's DLHT, oldest first.
-func (k *Kernel) DLHTs() []*Table[sig.Signature] {
+func (k *Kernel) DLHTs() []*Table {
 	k.dlhtMu.Lock()
 	defer k.dlhtMu.Unlock()
-	return append([]*Table[sig.Signature](nil), k.dlhts...)
+	return append([]*Table(nil), k.dlhts...)
 }
 
 // Hooks returns the installed hooks (nil for baseline).
@@ -405,25 +404,17 @@ func (k *Kernel) allocDentry(sb *Super, parent *Dentry, name string, ino *Inode)
 	return d
 }
 
-// dentryLimbo is one deferred-teardown record: everything the sweeper
-// needs to finish tearing a killed dentry down without touching its
-// (possibly already re-created) parent. The key identity is captured at
-// kill time because the dentry's pn may be gone by the time the sweeper
-// runs.
-type dentryLimbo struct {
-	ref      slab.Ref
-	parentID uint64
-	name     string
-	inTable  bool
-}
-
-// retireLater queues a killed dentry for the sweeper. The dentry must
-// already be dead, detached from its parent's child map, and out of the
-// LRU; what remains — hash-table chain removal, hook-state reclamation,
-// and the slab-slot retire — is batched off the mutation path.
-func (k *Kernel) retireLater(d *Dentry, parentID uint64, name string, inTable bool) {
+// retireLater queues a killed dentry's ref for the sweeper, once per
+// tenant. The dentry must already be dead, detached from its parent's
+// child map, out of the LRU and out of every DLHT; what remains — the
+// (parent, name) chain unlink and the slot's retire — is batched off the
+// mutation path.
+func (k *Kernel) retireLater(d *Dentry) {
+	if DentryFlags(d.flags.Or(uint32(DQueued)))&DQueued != 0 {
+		return
+	}
 	k.limboMu.Lock()
-	k.limbo = append(k.limbo, dentryLimbo{ref: d.self, parentID: parentID, name: name, inTable: inTable})
+	k.limbo = append(k.limbo, d.self)
 	k.limboMu.Unlock()
 	k.limboLen.Add(1)
 }
@@ -434,9 +425,9 @@ const reapBatch = 256
 
 // reapStride is how many mutation tails pass between reclaim passes.
 // Sweeping stays threshold-driven (limbo depth), but the free-list
-// replenishment pass — three arenas' worth of epoch nudges and lock
-// acquisitions — is paced so a burst of unlinks pays it 1/32nd of the
-// time with proportionally larger batches, not on every operation.
+// replenishment pass — an epoch nudge and the arena's lock — is paced so
+// a burst of unlinks pays it 1/32nd of the time with proportionally
+// larger batches, not on every operation.
 const reapStride = 32
 
 // reapSome opportunistically drains the teardown queue and, every
@@ -451,15 +442,11 @@ func (k *Kernel) reapSome() {
 	}
 }
 
-// reclaimArenas returns grace-elapsed slots to the arenas' free-lists.
+// reclaimArenas returns grace-elapsed slots to the arena's free-list.
 // It only makes progress outside epoch sections: a caller's own section
 // pins the epoch clock one step short of the slots it just retired.
-// The DLHT nodes' budget is twice the others': inserts sweep dead nodes,
-// and doublings retire a whole table's, in bursts.
 func (k *Kernel) reclaimArenas() {
 	k.dentries.Reclaim(reapStride * reapBatch)
-	k.table.nodes.Reclaim(reapStride * reapBatch)
-	k.dlhtNodes.Reclaim(2 * reapStride * reapBatch)
 }
 
 // leaveSection exits the epoch section a walk or create-type operation
@@ -476,11 +463,11 @@ func (k *Kernel) leaveSection(ep, evictions uint64) {
 	}
 }
 
-// sweepLimbo processes up to max deferred-teardown records: hash-table
-// chain unlink, then the dentry slot's retirement — fast state included —
-// into the arena's grace-period limbo. Records whose dentry has been
-// re-pinned (impossible for dead dentries today, but cheap to tolerate)
-// or whose slot already retired are skipped.
+// sweepLimbo processes up to max deferred-teardown records: the (parent,
+// name) chain unlink, then the slot's retirement — fast state included —
+// into the arena's limbo. A record is its tenant's only one, so its slot is
+// still the tenant's (or retired by InjectPrematureFree, and still
+// unlinked); one still in a DLHT chain stays dead and chained (DESIGN §5c).
 func (k *Kernel) sweepLimbo(max int) int {
 	n := 0
 	for n < max {
@@ -491,7 +478,7 @@ func (k *Kernel) sweepLimbo(max int) int {
 			k.limboMu.Unlock()
 			break
 		}
-		rec := k.limbo[k.limboHead]
+		ref := k.limbo[k.limboHead]
 		k.limboHead++
 		if k.limboHead > 4096 && k.limboHead == len(k.limbo) {
 			k.limbo = k.limbo[:0]
@@ -499,14 +486,14 @@ func (k *Kernel) sweepLimbo(max int) int {
 		}
 		k.limboMu.Unlock()
 		n++
-		d := k.dentries.Resolve(rec.ref)
-		if d == nil {
-			continue // slot already retired (double-kill race)
+		if g := k.dentries.GenOf(ref.H); g != ref.G && g != ref.G+1 {
+			continue // recycled since an injected early retire
 		}
-		if rec.inTable {
-			k.table.remove(rec.parentID, rec.name, d)
+		d := k.dentries.Get(ref.H)
+		k.table.Remove(d)
+		if !d.fast.Link.InChain() {
+			k.dentries.Retire(ref)
 		}
-		k.dentries.Retire(rec.ref)
 	}
 	if n > 0 {
 		k.limboLen.Add(int64(-n))
@@ -528,8 +515,6 @@ func (k *Kernel) ReclaimAll() {
 	for i := 0; i < 3; i++ {
 		k.gate.TryAdvance()
 		k.dentries.Reclaim(1 << 20)
-		k.table.nodes.Reclaim(1 << 20)
-		k.dlhtNodes.Reclaim(1 << 20)
 	}
 }
 
@@ -545,42 +530,55 @@ func (k *Kernel) DentryFromRef(r slab.Ref) *Dentry {
 	return k.dentries.Resolve(r)
 }
 
-// MemStats reports slab-arena occupancy for telemetry: the dentry and
-// hash-chain arenas' live/free/limbo slot counts plus the kernel
-// teardown queue depth and cumulative sweep count.
-func (k *Kernel) MemStats() (dentries, chainNodes slab.Stats, limbo int64, swept uint64) {
-	return k.dentries.Stats(), k.table.nodes.Stats(), k.limboLen.Load(), k.swept.Load()
+// MemStats reports slab-arena occupancy for telemetry: the dentry arena's
+// live/free/limbo slot counts plus the kernel teardown queue depth and
+// cumulative sweep count.
+func (k *Kernel) MemStats() (dentries slab.Stats, limbo int64, swept uint64) {
+	return k.dentries.Stats(), k.limboLen.Load(), k.swept.Load()
 }
 
 // TableStats reports the (parent, name) hash table's size and growth.
 func (k *Kernel) TableStats() TableStats { return k.table.Stats() }
 
-// DLHTMemStats reports the DLHT node arena and every DLHT's size and
-// growth, summed; both are zero on a kernel without hooks.
-func (k *Kernel) DLHTMemStats() (nodes slab.Stats, tables TableStats) {
+// DLHTStats reports every DLHT's size and growth, summed; zero on a
+// kernel without hooks.
+func (k *Kernel) DLHTStats() (tables TableStats) {
 	for _, t := range k.DLHTs() {
 		tables.Add(t.Stats())
 	}
-	return k.dlhtNodes.Stats(), tables
+	return tables
 }
 
 // CheckSlabLiveness scans the references the cache holds into the dentry
-// arena — every cached dentry's child map, every hash-table chain — for
-// ones that do not resolve to an in-use slab slot of matching generation,
-// the invariant the auditor's slab_liveness check enforces: lazy teardown
-// may leave *dead* chain nodes behind (they fail Resolve and are skipped),
-// but a child map never outlives its entry's slot (detach precedes
-// retirement on every teardown path), no structure may hold a reference
-// that resolves to a *different* tenant, and no cache member may be dead.
-// Returns how many references were examined plus at most limit violation
-// descriptions. Callers should drain the teardown queue first (ReclaimAll)
-// so legitimately-dead leftovers don't mask real bugs; the check itself
-// pins an epoch section.
+// arena, the invariant the auditor's slab_liveness check enforces: a child
+// map never outlives its entry's slot (detach precedes retirement on every
+// teardown path), a chain of either table reaches only slots misfiled
+// passes, every cached dentry a table holds by its own account is reached,
+// and no cache member is dead. Returns how many references were examined
+// and at most limit violations. Callers drain the teardown queue first
+// (ReclaimAll); the check pins an epoch section.
 func (k *Kernel) CheckSlabLiveness(limit int) (int, []string) {
 	e := k.gate.Enter()
 	defer k.gate.Exit(e)
 	checked := 0
 	var out []string
+	for _, t := range append(k.DLHTs(), k.table.Table) {
+		reached := map[*Dentry]bool{}
+		a := t.buckets.Load()
+		t.scan(a, func(i int, d *Dentry) bool {
+			checked++
+			reached[d] = true
+			if why := t.misfiled(len(a.b), i, d); why != "" {
+				out = append(out, fmt.Sprintf("table: bucket %d reaches dentry #%d (handle %d), but %s", i, d.ID(), d.self.H, why))
+			}
+			return len(out) < limit
+		})
+		k.lru.forEach(func(d *Dentry) {
+			if len(out) < limit && !reached[d] && t.holds(d) {
+				out = append(out, fmt.Sprintf("table: dentry #%d is in the table by its own account, but no chain reaches it", d.ID()))
+			}
+		})
+	}
 	// Cache members: membership lives in the slot, so a member always
 	// resolves; it must not be dead (every kill leaves the LRU in the same
 	// bracket it sets DDead in), and each child its map names must still
@@ -603,42 +601,12 @@ func (k *Kernel) CheckSlabLiveness(limit int) (int, []string) {
 		}
 		d.mu.Unlock()
 	})
-	if len(out) >= limit {
-		return checked, out
-	}
-	// Hash chains: a node's dref may legitimately fail to resolve (lazy
-	// teardown: dentry slot retired before the chain node is swept), but
-	// when it does resolve, generations must match exactly — Resolve
-	// already enforces that — and a resolving live dentry must agree
-	// that it is this (parentID, name): a mismatch means the slot was
-	// recycled while the stale node still matched by generation, i.e. an
-	// ABA breach.
-	k.table.Scan(func(_ uint32, key nameKey, dref slab.Ref, d *Dentry) bool {
-		checked++
-		if d == nil {
-			return true // dead leftover awaiting sweep: legitimate
-		}
-		if d.self != dref {
-			out = append(out, fmt.Sprintf("table: chain node (%d,%q) resolves to dentry #%d with mismatched self ref", key.parentID, key.name, d.ID()))
-		} else if !d.IsDead() {
-			pn := d.pn.Load()
-			pid := uint64(0)
-			if pn != nil && pn.parent != nil {
-				pid = pn.parent.ID()
-			}
-			if pn == nil || pn.parent == nil || pid != key.parentID || pn.name != key.name {
-				out = append(out, fmt.Sprintf("table: chain node (%d,%q) resolves to live dentry #%d which is (%d,%q)", key.parentID, key.name, d.ID(), pid, pn.name))
-			}
-		}
-		return len(out) < limit
-	})
 	return checked, out
 }
 
 // InjectPrematureFree retires d's slab slot in place — the hash chains and
-// its parent's child map still reference it, and Len() still counts it — and
-// forces
-// reclamation so the slot lands on the free-list while live structures
+// its parent's child map still reference it, and Len() still counts it —
+// and forces reclamation so the slot lands on the free-list while live structures
 // can still reach it. Test-only seam: it fabricates the premature-free
 // bug class (a use-after-free, in C terms) that the auditor's
 // slab_liveness check exists to catch. Never call it outside a test.
@@ -688,11 +656,7 @@ func (k *Kernel) Shrink(n int) int {
 		if k.hooks != nil {
 			k.hooks.OnEvict(d)
 		}
-		var pid uint64
-		if pn.parent != nil {
-			pid = pn.parent.id
-		}
-		k.retireLater(d, pid, pn.name, pn.parent != nil)
+		k.retireLater(d)
 	}
 	k.cacheMutEnd()
 	k.gate.Exit(e)

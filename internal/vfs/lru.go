@@ -53,10 +53,18 @@ func (l *lruList) add(d *Dentry) {
 // remove takes d out of the cache's accounting (unlink/teardown path). The
 // flag flip decides who removed it, so a duplicate remove — or one racing
 // the shrinker's claim — counts nothing and ticks no epoch.
+// It is a CompareAndSwap loop, not And's result: go1.24.0 on amd64 can
+// clobber a live register in that And (killRecurse lost its kernel to it).
 func (l *lruList) remove(d *Dentry) {
-	if DentryFlags(d.flags.And(^uint32(DInLRU|DReferenced)))&DInLRU != 0 {
-		l.count.Add(-1)
-		l.epoch.Add(1)
+	for {
+		old := d.flags.Load()
+		if d.flags.CompareAndSwap(old, old&^uint32(DInLRU|DReferenced)) {
+			if DentryFlags(old)&DInLRU != 0 {
+				l.count.Add(-1)
+				l.epoch.Add(1)
+			}
+			return
+		}
 	}
 }
 

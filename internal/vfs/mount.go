@@ -2,8 +2,6 @@ package vfs
 
 import (
 	"sync"
-
-	"dircache/internal/sig"
 )
 
 // MountFlags carry the permission-relevant mount options the fastpath must
@@ -71,7 +69,7 @@ type Namespace struct {
 
 	// dlht is set once, before the namespace is reachable: by SetHooks for
 	// the initial namespace, by clone for the others.
-	dlht *Table[sig.Signature]
+	dlht *Table
 
 	mu     sync.RWMutex
 	mounts map[mkey]*Mount
@@ -91,7 +89,7 @@ func (ns *Namespace) RootMount() *Mount {
 // DLHT returns the namespace's direct lookup hash table: full-path
 // signatures to dentries (§3.1, one per namespace §4.3), filled and
 // emptied by the installed hooks. Nil while no hooks are installed.
-func (ns *Namespace) DLHT() *Table[sig.Signature] { return ns.dlht }
+func (ns *Namespace) DLHT() *Table { return ns.dlht }
 
 // MountAt returns the mount covering dentry d in mount m within this
 // namespace, or nil (exported for the fastpath hooks).

@@ -14,7 +14,7 @@ import (
 // since the caller's walk returned it: the caller, which has changed
 // nothing yet, redoes the operation from its walk (redoEvicted).
 func (k *Kernel) lookupChild(parent PathRef, name string) (*Dentry, error) {
-	if d := k.table.lookup(parent.D.id, name); d != nil && !d.IsDead() {
+	if d := k.table.lookup(parent.D, name); d != nil && !d.IsDead() {
 		k.Count(NCacheHits, 1)
 		d.MarkReferenced()
 		if d.IsNegative() {
@@ -42,7 +42,7 @@ func (k *Kernel) lookupChild(parent PathRef, name string) (*Dentry, error) {
 // resolves; creating against it would mistake a transient placeholder for
 // an existing entry, so we wait for the resolution and re-read.
 func (k *Kernel) childDentryForCreate(parent *Dentry, name string) *Dentry {
-	if d := k.table.lookup(parent.id, name); d != nil && !d.IsDead() {
+	if d := k.table.lookup(parent, name); d != nil && !d.IsDead() {
 		return d
 	}
 	d := parent.child(name)
@@ -82,8 +82,8 @@ func (k *Kernel) positivize(d *Dentry, ino *Inode) {
 		// walk used to stop above them); as a positive dentry it must be
 		// findable there.
 		pn := d.pn.Load()
-		if pn.parent != nil && k.table.lookup(pn.parent.id, pn.name) != d {
-			k.table.insert(pn.parent.id, pn.name, d)
+		if pn.parent != nil {
+			k.table.insert(d)
 		}
 	}
 	d.mu.Lock()
@@ -149,17 +149,14 @@ func (k *Kernel) killRecurse(d *Dentry) int {
 	// Deep-negative children (unlink of a file with cached ENOTDIR
 	// children, alias children of a symlink).
 	d.EachChild(func(c *Dentry) { n += k.killRecurse(c) })
-	pn := d.pn.Load()
-	var pid uint64
-	if pn.parent != nil {
-		pid = pn.parent.id
+	if pn := d.pn.Load(); pn.parent != nil {
 		pn.parent.detachChild(pn.name, d)
 	}
 	k.lru.remove(d)
 	if k.hooks != nil {
 		k.hooks.OnEvict(d)
 	}
-	k.retireLater(d, pid, pn.name, pn.parent != nil)
+	k.retireLater(d)
 	return n
 }
 
@@ -170,7 +167,7 @@ func (k *Kernel) killRecurse(d *Dentry) int {
 func (k *Kernel) discardDentry(d *Dentry) {
 	d.setFlags(DDead)
 	k.lru.remove(d)
-	k.retireLater(d, 0, "", false)
+	k.retireLater(d)
 }
 
 // installNewChild creates and wires a positive dentry for a just-created
@@ -608,7 +605,7 @@ func (t *Task) rename(oldpath, newpath string) error {
 		if k.hooks != nil {
 			k.hooks.OnEvict(target)
 		}
-		k.retireLater(target, newParent.D.id, newName, true)
+		k.retireLater(target)
 		if tIno != nil {
 			if info, err := tIno.sb.fs.GetNode(tIno.ID()); err == nil {
 				tIno.applyInfo(info)
@@ -624,14 +621,14 @@ func (t *Task) rename(oldpath, newpath string) error {
 	// walk's in-lookup placeholder installed while this rename ran) is
 	// displaced by the attach and dies before the insert, or it would
 	// shadow the moved dentry in the caches.
-	k.table.remove(oldParent.D.id, oldName, d)
+	k.table.Remove(d)
 	oldParent.D.detachChild(oldName, d)
 	d.pn.Store(&parentName{parent: newParent.D, name: newName})
 	if resid, ok := newParent.D.attachChild(d); ok {
 		if resid != nil {
 			k.killSubtreeLocked(resid)
 		}
-		k.table.insert(newParent.D.id, newName, d)
+		k.table.insert(d)
 	} else {
 		// The destination directory's dentry died under the rename: the
 		// moved subtree leaves the cache and the next walk re-reads it.

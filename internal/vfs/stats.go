@@ -43,7 +43,6 @@ const (
 	NDeepNegDentries
 	NSeqBumps
 	NStaleTokens
-	NDLHTSweeps
 	NPCCFlushes
 	NAdmitted
 	NDeferred
@@ -65,7 +64,7 @@ const (
 // Every field is counted by its Counter except these, which Kernel.Stats
 // fills in: Dentries (a gauge, the cached dentries right now); TryFast
 // (FastHits + DLHTMisses + PCCMisses: every fastpath attempt ends in one
-// of the three); DLHTSweeps (the DLHTs' own sweep totals).
+// of the three).
 //
 // Snapshot consistency: counters are maintained in striped per-goroutine
 // cells and read without stopping the world, so a snapshot taken while
@@ -122,7 +121,6 @@ type Stats struct {
 	// Coherence internals.
 	SeqBumps    int64 // per-dentry version bumps (mutation roots + lazily discarded descendants)
 	StaleTokens int64 // cache publishes declined due to racing mutations
-	DLHTSweeps  int64 // derived: dead DLHT nodes dropped by inserts and doublings
 	PCCFlushes  int64 // whole-PCC invalidations (seq wraparound)
 
 	// Admission control and batched shootdown.
@@ -231,7 +229,5 @@ func (k *Kernel) Stats() Stats {
 	}
 	out.Dentries = int64(k.DentryCount())
 	out.TryFast = out.FastHits + out.DLHTMisses + out.PCCMisses
-	_, dlhts := k.DLHTMemStats()
-	out.DLHTSweeps = int64(dlhts.Sweeps)
 	return out
 }

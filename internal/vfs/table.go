@@ -8,280 +8,330 @@ import (
 	"dircache/internal/slab"
 )
 
-// TableNode is one chain node: pointer-free, stored in a slab arena and
-// linked by handles, so the GC sees chunk headers instead of one object per
-// entry. The dentry is a generation-tagged packed ref — once its slot is
-// retired the ref stops resolving, so a stale node invalidates itself
-// instead of aliasing the slot's next tenant. Fields are written before the
-// node is published and frozen thereafter; removal unlinks it in place, and
-// a reader already on it keeps a coherent view, because contents and link
-// survive until the grace period ends and the slot is recycled.
-type TableNode[K comparable] struct {
-	key  K
-	dref uint64 // packed slab.Ref of the dentry
-	next atomic.Uint32
-	// hash is the low half of the hash the entry was filed under, kept in
-	// what was padding: probes compare it, and a doubling splits on it.
-	hash uint32
+// Link is one table's chain link, embedded in the dentry it chains as
+// Linux's d_hash is: next[p] is the next entry's dentry-arena handle (0
+// ends the chain) in bucket arrays of parity p, and hash the hash the
+// entry is filed under, with the linked bit while it is in a chain. Only
+// the table writes them, under a bucket lock.
+type Link struct {
+	next [2]atomic.Uint32
+	hash atomic.Uint32
 }
+
+// linked marks a Link that is in a chain. Filed hashes keep the 31 bits
+// below it, which is why no table grows past 1<<31 buckets.
+const linked = 1 << 31
+
+// InChain reports whether the link is in a chain of some table.
+func (l *Link) InChain() bool { return l.hash.Load()&linked != 0 }
+
+// Hash returns the hash the entry was last filed under.
+func (l *Link) Hash() uint32 { return l.hash.Load() &^ linked }
 
 type tbucket struct {
 	mu   sync.Mutex // writers; also the dentry table's readers in SyncBucketLock mode
 	head atomic.Uint32
 }
 
-// Table is the slab-chained hash table both of the cache's indexes are: the
-// dentry hashtable keyed by (parent, name) that the slow walk probes, and
-// the paper's direct lookup hash table (§3.1) keyed by full-path signature.
-// Chains are prepend-on-insert, readers are lock-free inside an epoch
-// section, and dead or unresolvable entries are skipped, not terminal:
-// teardown is lazy, so a dead node stays chained until the next insert
-// into its bucket or the next doubling drops it, or a Remove takes it out.
-//
-// A table is sized by what it holds (DESIGN §5c has the reasoning and the
-// measurements): it starts at tableMinBuckets and doubles whenever the
-// nodes linked into it outnumber its buckets, up to its ceiling if it has
-// one, so below the ceiling the mean chain is at most one node; it never
-// shrinks. One resizer at a time (growMu) locks every bucket of the
-// current array, copies each chain's live nodes into an array of twice the
-// size using fresh nodes — old bucket i splits into new buckets i and
-// i+len, in chain order — publishes it with one store, unlocks, and retires
-// the old nodes through the arena's epoch gate. Writers re-check the array pointer after
-// locking a bucket and start over if it moved, so nothing is ever linked
-// into or unlinked from a superseded array: a lock-free reader that loaded
-// the old pointer probes chains frozen exactly as they were copied, intact
-// until every section from the resize's epoch has exited, and pays for
-// resizing with one extra pointer load per probe and nothing else.
-type Table[K comparable] struct {
-	buckets    atomic.Pointer[[]tbucket] // power-of-two length; replaced under growMu
-	nodes      *slab.Arena[TableNode[K]]
+// tarray is one bucket array and the parity of the next words its chains
+// are threaded through.
+type tarray struct {
+	b      []tbucket
+	parity int
+}
+
+// Table is the intrusive hash table both of the cache's indexes are
+// (DESIGN §5c): the (parent, name) dentry hashtable, chained through
+// Dentry.hlink, and the paper's DLHT (§3.1), chained through
+// FastDentry.Link. A probe filters on the dentry's tag word — the name
+// hash in hkey, or the stored signature state's lane 0 — and the owner
+// makes the exact check. Readers are lock-free inside an epoch section.
+// The table doubles when its entries outnumber its buckets, up to its
+// ceiling, threading the chains anew through the next words of the other
+// parity, so readers still on the old array find its chains intact. A
+// relink in place can divert a reader standing on the entry: into another
+// bucket, which sends it back to its own (probe), or another namespace's
+// DLHT (holds). What slips past costs a false miss the owner answers from
+// an authoritative source; a probe gives up after probeHops entries. A
+// slot is never retired while linked (sweepLimbo enforces it), so a probe
+// reads a handle's slot with Get, with no generation check.
+type Table struct {
+	buckets    atomic.Pointer[tarray] // power-of-two length; replaced under growMu
 	dentries   *slab.Arena[Dentry]
-	maxBuckets int // the array stops doubling here; 0 = no ceiling
+	dlht       bool // chained through FastDentry.Link and tagged by the state's lane 0
+	maxBuckets int  // the array stops doubling here
 
 	// What only writers touch sits a cache line away: every probe loads the
 	// fields above, and every insert and remove writes entries.
 	_       [64]byte
+	gate    *slab.Gate
 	growMu  sync.Mutex
-	entries atomic.Int64 // chain nodes linked, dead leftovers included
+	grown   atomic.Uint64 // the epoch the last doubling published its array in
+	entries atomic.Int64  // dentries linked, dead ones awaiting the sweeper included
 	resizes atomic.Uint64
-	sweeps  atomic.Uint64 // dead nodes inserts swept and doublings dropped
 }
 
-// tableMinBuckets is the size of a new table: 12 KB, a thousand entries
-// before the first doubling.
+// tableMinBuckets is a new table's size: 12 KB, a thousand entries.
 const tableMinBuckets = 1 << 10
 
-// NewTable returns an empty table of k's dentries whose chain nodes come
-// from nodes (tables may share an arena). maxBuckets is the instantiation's
-// ceiling, a power of two from tableMinBuckets to 1<<31, or 0 for none.
-func NewTable[K comparable](k *Kernel, nodes *slab.Arena[TableNode[K]], maxBuckets int) *Table[K] {
-	t := &Table[K]{nodes: nodes, dentries: k.dentries, maxBuckets: maxBuckets}
-	bs := make([]tbucket, tableMinBuckets)
-	t.buckets.Store(&bs)
+// probeHops caps one probe's walk. A chain reaches it legitimately only
+// in a DLHT at its 1<<16-bucket ceiling holding some 2^26 entries.
+const probeHops = 1 << 10
+
+// newTable returns an empty table of k's dentries; dlht selects the DLHT's
+// link and tag. maxBuckets is a power of two, tableMinBuckets to 1<<31.
+func newTable(k *Kernel, dlht bool, maxBuckets int) *Table {
+	t := &Table{dentries: k.dentries, dlht: dlht, maxBuckets: maxBuckets, gate: k.gate}
+	t.buckets.Store(&tarray{b: make([]tbucket, tableMinBuckets)})
 	return t
 }
 
-// lockBucket locks and returns hash's bucket in the current array. A
-// resize holds every old bucket's lock until its array is published, so a
-// bucket locked here while the pointer still names its array is current
-// for as long as the lock is held.
-func (t *Table[K]) lockBucket(hash uint64) *tbucket {
+// link returns d's link in this kind of table.
+func (t *Table) link(d *Dentry) *Link {
+	if t.dlht {
+		return &d.fast.Link
+	}
+	return &d.hlink
+}
+
+// tag returns the word a probe of this kind of table filters d on.
+func (t *Table) tag(d *Dentry) uint64 {
+	if t.dlht {
+		return d.fast.State.Lane0()
+	}
+	return d.hkey.Load()
+}
+
+// lockBucket locks and returns hash's bucket in the current array, and
+// the array. A resize holds every old bucket's lock until its array is
+// published, so a bucket locked here while the pointer still names its
+// array is current for as long as the lock is held.
+func (t *Table) lockBucket(hash uint64) (*tbucket, *tarray) {
 	for {
-		p := t.buckets.Load()
-		b := &(*p)[hash&uint64(len(*p)-1)]
+		a := t.buckets.Load()
+		b := &a.b[hash&uint64(len(a.b)-1)]
 		b.mu.Lock()
-		if t.buckets.Load() == p {
-			return b
+		if t.buckets.Load() == a {
+			return b, a
 		}
 		b.mu.Unlock()
 	}
 }
 
-// live resolves a node's dentry, or nil when its slot has been retired or
-// recycled (generation mismatch) or the dentry is dead.
-func (t *Table[K]) live(dref uint64) *Dentry {
-	if d := t.dentries.Resolve(slab.Unpack(dref)); d != nil && !d.IsDead() {
-		return d
-	}
-	return nil
-}
-
-// Lookup returns the live dentry filed under (hash, key), or nil: an entry
-// is found under the hash it was inserted with (the DLHT's is not a function
-// of its key). Lock-free; the caller is inside an epoch section (every walk
+// Lookup returns the first live dentry in hash's chain whose tag is tag,
+// or nil; the caller's exact check decides whether it is the entry
+// wanted. Lock-free; the caller is inside an epoch section (every walk
 // is).
-func (t *Table[K]) Lookup(hash uint64, key K) *Dentry {
-	bs := *t.buckets.Load()
-	for h := bs[hash&uint64(len(bs)-1)].head.Load(); h != 0; {
-		n := t.nodes.Get(slab.Handle(h))
-		if n.hash == uint32(hash) && n.key == key {
-			if d := t.live(n.dref); d != nil {
-				return d
-			}
+func (t *Table) Lookup(hash, tag uint64) *Dentry {
+	a := t.buckets.Load()
+	i := hash & uint64(len(a.b)-1)
+	return t.probe(a, i, a.b[i].head.Load(), tag)
+}
+
+// probe is Lookup in a's bucket i from handle h on, for at most probeHops
+// entries. Insert files an entry before it links it, so an entry filed
+// under another bucket once its next word is read may have been relinked
+// under the probe, which then starts the bucket's chain again.
+func (t *Table) probe(a *tarray, i uint64, h uint32, tag uint64) *Dentry {
+	for n := 0; h != 0 && n < probeHops; n++ {
+		d := t.dentries.Get(slab.Handle(h))
+		if t.tag(d) == tag && !d.IsDead() && (!t.dlht || t.holds(d)) {
+			return d
 		}
-		h = n.next.Load()
+		l := t.link(d)
+		if h = l.next[a.parity].Load(); uint64(l.Hash())&uint64(len(a.b)-1) != i {
+			h = a.b[i].head.Load()
+		}
 	}
 	return nil
 }
 
-// Insert files d under key and reports how many dead nodes it swept from
-// the bucket on the way: it holds the bucket's lock already, so a chain
-// collects no more dead nodes than arrive between two inserts. The caller
-// guarantees no live entry for the key is present. The insert that takes
-// the entry count past the bucket count doubles the table on its way out.
-func (t *Table[K]) Insert(hash uint64, key K, d *Dentry) (swept int) {
-	r, n := t.nodes.Alloc()
-	n.key, n.dref, n.hash = key, d.self.Pack(), uint32(hash)
-	b := t.lockBucket(hash)
-	swept = t.unlink(b, true, func(c *TableNode[K]) bool { return t.live(c.dref) == nil })
-	n.next.Store(b.head.Load())
-	b.head.Store(uint32(r.H))
-	b.mu.Unlock()
-	if swept > 0 {
-		t.sweeps.Add(uint64(swept))
+// Insert files d under hash, after the caller has set its tag, and
+// reports whether it is linked. A dead dentry is refused: the link is
+// marked before the flag is read, and a kill sets the flag before its
+// sweeper reads the link, so the sweeper never retires a slot linked
+// after. A dentry already in a chain stays there (twice would make a
+// cycle). An insert past the load factor doubles the table.
+func (t *Table) Insert(hash uint64, d *Dentry) bool {
+	l := t.link(d)
+	b, a := t.lockBucket(hash)
+	if l.InChain() {
+		b.mu.Unlock()
+		return true
 	}
-	if t.overfull(t.entries.Add(int64(1-swept)), len(*t.buckets.Load())) {
+	l.hash.Store(uint32(hash)&^linked | linked)
+	if d.IsDead() {
+		l.hash.Store(uint32(hash) &^ linked)
+		b.mu.Unlock()
+		return false
+	}
+	l.next[a.parity].Store(b.head.Load())
+	b.head.Store(uint32(d.self.H))
+	b.mu.Unlock()
+	if t.overfull(t.entries.Add(1), len(a.b)) {
 		t.grow()
+	} else if t.gate.Current() < t.grown.Load()+2 {
+		t.gate.TryAdvance() // ready the clock for the next doubling
 	}
-	return swept
+	return true
 }
 
-// Remove unlinks the entry for (key, d) in place, if there is one.
-func (t *Table[K]) Remove(hash uint64, key K, d *Dentry) {
-	want := d.self.Pack()
-	b := t.lockBucket(hash)
-	n := t.unlink(b, false, func(c *TableNode[K]) bool { return c.dref == want && c.key == key })
-	b.mu.Unlock()
-	t.entries.Add(int64(-n))
-}
-
-// unlink takes the nodes match accepts — all of them, or only the first —
-// out of b's chain, which the caller has locked, retires their slots into
-// the arena's grace-period limbo and returns how many there were.
-func (t *Table[K]) unlink(b *tbucket, all bool, match func(*TableNode[K]) bool) int {
-	removed := 0
-	link := &b.head
-	for h := link.Load(); h != 0; h = link.Load() {
-		n := t.nodes.Get(slab.Handle(h))
-		if !match(n) {
-			link = &n.next
-			continue
-		}
-		link.Store(n.next.Load())
-		t.nodes.Retire(slab.Ref{H: slab.Handle(h), G: t.nodes.GenOf(slab.Handle(h))})
-		removed++
-		if !all {
-			break
-		}
+// Remove unlinks d in place, if it is in a chain of this table. d keeps
+// its next word, so a reader standing on it walks on to its old
+// successor.
+func (t *Table) Remove(d *Dentry) {
+	l := t.link(d)
+	hw := l.hash.Load()
+	if hw&linked == 0 {
+		return
 	}
-	return removed
+	b, a := t.lockBucket(uint64(hw &^ linked))
+	defer b.mu.Unlock()
+	if l.hash.Load() != hw {
+		return // a racing insert saw d dead and took its mark back
+	}
+	for at := &b.head; ; {
+		h := at.Load()
+		if h == 0 {
+			return
+		}
+		if slab.Handle(h) == d.self.H {
+			at.Store(l.next[a.parity].Load())
+			l.hash.Store(hw &^ linked)
+			t.entries.Add(-1)
+			return
+		}
+		at = &t.link(t.dentries.Get(slab.Handle(h))).next[a.parity]
+	}
 }
 
-// scan is the table's one chain iterator: every node of bs, bucket by
-// bucket in chain order, until fn returns false. A node's link is read
-// before fn sees it, so fn may retire it.
-func (t *Table[K]) scan(bs []tbucket, fn func(bucket int, h slab.Handle, n *TableNode[K]) bool) {
-	for i := range bs {
-		for h := bs[i].head.Load(); h != 0; {
-			n := t.nodes.Get(slab.Handle(h))
-			next := n.next.Load()
-			if !fn(i, slab.Handle(h), n) {
+// scan is the table's one chain iterator: every entry of a, bucket by
+// bucket in chain order, until fn returns false. A chain is cut off after
+// probeHops entries, as a probe is.
+func (t *Table) scan(a *tarray, fn func(bucket int, d *Dentry) bool) {
+	for i := range a.b {
+		h := a.b[i].head.Load()
+		for n := 0; h != 0 && n < probeHops; n++ {
+			d := t.dentries.Get(slab.Handle(h))
+			if !fn(i, d) {
 				return
 			}
-			h = next
+			h = t.link(d).next[a.parity].Load()
 		}
 	}
 }
 
-// Scan calls fn for every chain node of the current array, with the hash
-// it was filed under and the dentry its ref resolves to — dead ones included, nil for a retired slot: the
-// auditors' raw view — until fn returns false. The caller holds an epoch
-// section. Lock-free, so it may observe concurrent inserts and removes; a
-// scan that a grow overtakes finishes on the array it started with.
-func (t *Table[K]) Scan(fn func(hash uint32, key K, dref slab.Ref, d *Dentry) bool) {
-	t.scan(*t.buckets.Load(), func(_ int, _ slab.Handle, n *TableNode[K]) bool {
-		dref := slab.Unpack(n.dref)
-		return fn(n.hash, n.key, dref, t.dentries.Resolve(dref))
-	})
+// Scan calls fn for every entry of the current array, dead ones included:
+// lock-free in the caller's epoch section, so approximate under writers.
+func (t *Table) Scan(fn func(d *Dentry)) {
+	t.scan(t.buckets.Load(), func(_ int, d *Dentry) bool { fn(d); return true })
 }
 
-func (t *Table[K]) overfull(entries int64, buckets int) bool {
-	return entries > int64(buckets) && buckets != t.maxBuckets
+// misfiled says what is wrong with d having been reached from bucket of a
+// buckets-long array, or "": its slot is not live, it is not marked
+// linked or is filed under another bucket, or it is not what its chain
+// says — a live dentry whose tag is not its (parent, name)'s hash, or a
+// DLHT entry dead (its kill left it linked) or in another table.
+func (t *Table) misfiled(buckets, bucket int, d *Dentry) string {
+	l := t.link(d)
+	switch pn := d.pn.Load(); {
+	case t.dentries.Resolve(d.self) != d:
+		return "its slot was retired or recycled while linked"
+	case !l.InChain():
+		return "its link is not marked linked"
+	case int(l.Hash())&(buckets-1) != bucket:
+		return "it is filed under another bucket"
+	case !t.dlht && !d.IsDead() && (pn.parent == nil || d.hkey.Load() != hashKey(pn.parent.id, pn.name)):
+		return "its tag is not its (parent, name)'s hash"
+	case t.dlht && (d.IsDead() || !t.holds(d)):
+		return "it is dead or in another table by its own account"
+	}
+	return ""
+}
+
+// holds reports whether d is in t by its own account: its link marked, or
+// for a DLHT its InTable naming t, which a DLHT probe checks: the DLHTs
+// share FastDentry.Link, so a relink can divert it (DESIGN §5c).
+func (t *Table) holds(d *Dentry) bool {
+	if !t.dlht {
+		return d.hlink.InChain()
+	}
+	return d.fast.InTable.Load() == t
+}
+
+func (t *Table) overfull(entries int64, buckets int) bool {
+	return entries > int64(buckets) && buckets < t.maxBuckets
 }
 
 // grow doubles the table if it is still over its load factor and under
-// its ceiling (the protocol is on Table). The copy is O(entries) once per
-// doubling, so Insert stays amortized O(1). A node whose dentry is dead or
-// whose slot was retired is not copied: every bucket is locked, so this is
-// the one moment the whole table can be swept at once.
-func (t *Table[K]) grow() {
+// its ceiling, once the readers of the array before the current one are
+// gone: every insert since the last doubling nudged the epoch clock toward
+// that, and only a reader pinned since holds it back. O(entries).
+func (t *Table) grow() {
+	for t.gate.Current() < t.grown.Load()+2 {
+		if !t.gate.TryAdvance() {
+			return
+		}
+	}
 	t.growMu.Lock()
 	defer t.growMu.Unlock()
-	old := *t.buckets.Load()
-	if !t.overfull(t.entries.Load(), len(old)) {
+	old := t.buckets.Load()
+	if !t.overfull(t.entries.Load(), len(old.b)) || t.gate.Current() < t.grown.Load()+2 {
 		return // a concurrent insert's grow already made room
 	}
-	for i := range old {
-		old[i].mu.Lock()
+	for i := range old.b {
+		old.b[i].mu.Lock()
 	}
-	next := make([]tbucket, 2*len(old))
-	// Old bucket i feeds new buckets i and i+len(old), selected by the hash
-	// bit the wider mask adds; each is appended to in chain order.
-	var tails [2]*atomic.Uint32
-	cur, dropped := -1, 0
-	t.scan(old, func(i int, _ slab.Handle, o *TableNode[K]) bool {
-		if i != cur {
-			cur, tails = i, [2]*atomic.Uint32{&next[i].head, &next[i+len(old)].head}
+	t.double(old)
+	for i := range old.b {
+		old.b[i].mu.Unlock()
+	}
+}
+
+// double publishes an array twice old's size, its chains threaded through
+// the next words of the other parity; the caller holds every bucket of
+// old. Old bucket i feeds new buckets i and i+len(old), selected by the
+// hash bit the wider mask adds, each appended to in chain order. Old's
+// own links are only read.
+func (t *Table) double(old *tarray) {
+	next := &tarray{b: make([]tbucket, 2*len(old.b)), parity: 1 - old.parity}
+	for i := range old.b {
+		tails := [2]*atomic.Uint32{&next.b[i].head, &next.b[i+len(old.b)].head}
+		for h := old.b[i].head.Load(); h != 0; {
+			l := t.link(t.dentries.Get(slab.Handle(h)))
+			half := 0
+			if int(l.Hash())&len(old.b) != 0 {
+				half = 1
+			}
+			tails[half].Store(h)
+			tails[half] = &l.next[next.parity]
+			h = l.next[old.parity].Load()
 		}
-		if t.live(o.dref) == nil {
-			dropped++
-			return true
-		}
-		r, n := t.nodes.Alloc()
-		n.key, n.dref, n.hash = o.key, o.dref, o.hash
-		n.next.Store(0)
-		half := 0
-		if int(o.hash)&len(old) != 0 {
-			half = 1
-		}
-		tails[half].Store(uint32(r.H))
-		tails[half] = &n.next
-		return true
-	})
-	t.buckets.Store(&next)
+		tails[0].Store(0)
+		tails[1].Store(0)
+	}
+	t.buckets.Store(next)
+	t.grown.Store(t.gate.Current())
 	t.resizes.Add(1)
-	t.entries.Add(int64(-dropped))
-	t.sweeps.Add(uint64(dropped))
-	for i := range old {
-		old[i].mu.Unlock()
-	}
-	// The old chains are frozen, and scan reads a node before fn retires
-	// it, so this walk needs no section of its own.
-	t.scan(old, func(_ int, h slab.Handle, _ *TableNode[K]) bool {
-		t.nodes.Retire(slab.Ref{H: h, G: t.nodes.GenOf(h)})
-		return true
-	})
 }
 
 // TableStats describes one table's bucket array, or several tables'
-// summed. Entries counts the chain nodes linked into it (they live in the
-// node arena); below the ceiling Entries <= Buckets once an insert returns.
+// summed. Entries counts the dentries linked into it: at most Buckets
+// below the ceiling, unless a pinned reader holds a doubling back (grow).
 type TableStats struct {
 	Buckets int64  `json:"buckets"`
 	Entries int64  `json:"entries"`
 	Resizes uint64 `json:"resizes"` // doublings so far; a table never shrinks
-	Sweeps  uint64 `json:"sweeps"`  // dead nodes swept by inserts or dropped by doublings
 	Bytes   int64  `json:"bytes"`   // the bucket array alone
 }
 
 // Stats snapshots the table's size and growth.
-func (t *Table[K]) Stats() TableStats {
-	n := int64(len(*t.buckets.Load()))
+func (t *Table) Stats() TableStats {
+	n := int64(len(t.buckets.Load().b))
 	return TableStats{
 		Buckets: n,
 		Entries: t.entries.Load(),
 		Resizes: t.resizes.Load(),
-		Sweeps:  t.sweeps.Load(),
 		Bytes:   n * int64(unsafe.Sizeof(tbucket{})),
 	}
 }
@@ -291,7 +341,6 @@ func (s *TableStats) Add(o TableStats) {
 	s.Buckets += o.Buckets
 	s.Entries += o.Entries
 	s.Resizes += o.Resizes
-	s.Sweeps += o.Sweeps
 	s.Bytes += o.Bytes
 }
 
@@ -300,7 +349,7 @@ func (s *TableStats) Add(o TableStats) {
 type ChainShape struct {
 	Buckets     int `json:"buckets"`
 	Entries     int `json:"entries"`      // live entries seen by the scan
-	Dead        int `json:"dead"`         // torn-down nodes still chained, not yet swept
+	Dead        int `json:"dead"`         // dead entries still chained, awaiting the sweeper
 	UsedBuckets int `json:"used_buckets"` // buckets with >= 1 live entry
 	Chain1      int `json:"chain_1"`      // used buckets with exactly 1 live entry
 	Chain2      int `json:"chain_2"`
@@ -311,9 +360,9 @@ type ChainShape struct {
 
 // Shape walks every chain and reports the distribution. Lock-free and
 // approximate under concurrency; the caller holds an epoch section.
-func (t *Table[K]) Shape() (s ChainShape) {
-	bs := *t.buckets.Load()
-	s.Buckets = len(bs)
+func (t *Table) Shape() (s ChainShape) {
+	a := t.buckets.Load()
+	s.Buckets = len(a.b)
 	cur, live := -1, 0
 	tally := func() {
 		switch {
@@ -328,15 +377,15 @@ func (t *Table[K]) Shape() (s ChainShape) {
 		s.Entries += live
 		live = 0
 	}
-	t.scan(bs, func(i int, _ slab.Handle, n *TableNode[K]) bool {
+	t.scan(a, func(i int, d *Dentry) bool {
 		if i != cur {
 			tally()
 			cur = i
 		}
-		if t.live(n.dref) != nil {
-			live++
-		} else {
+		if d.IsDead() {
 			s.Dead++
+		} else {
+			live++
 		}
 		return true
 	})

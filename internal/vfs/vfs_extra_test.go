@@ -15,8 +15,8 @@ import (
 // TestHooksHasNineMethods pins the fastpath seam: initialize a dentry's
 // fast state, find, populate (three calls), alias, the mutation bracket's
 // two edges, and evict. What the fastpath keeps beside the dentries — each
-// namespace's DLHT and its node arena — is the kernel's, and needs no hook
-// to be reaped.
+// namespace's DLHT, chained through them — is the kernel's, and needs no
+// hook to be reaped.
 func TestHooksHasNineMethods(t *testing.T) {
 	if n := reflect.TypeOf((*Hooks)(nil)).Elem().NumMethod(); n != 9 {
 		t.Fatalf("vfs.Hooks has %d methods, want 9", n)
@@ -355,26 +355,29 @@ func TestHashTableEraSemantics(t *testing.T) {
 	for _, mode := range []SyncMode{SyncRCU, SyncBucketLock, SyncBigLock} {
 		k, root := newKernel(t, Config{SyncMode: mode})
 		ht := newHashTable(mode, k)
-		root.Create("/etc/probe", 0o644)
-		ref, err := root.Walk("/etc/probe", 0)
+		ref, err := root.Walk("/etc", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ht.insert(1, "probe", ref.D)
-		ht.insert(1, "probe2", ref.D)
-		if got := ht.lookup(1, "probe"); got != ref.D {
+		probe := k.newDentry(ref.D.sb, ref.D, "probe")
+		probe2 := k.newDentry(ref.D.sb, ref.D, "probe2")
+		ht.insert(probe)
+		ht.insert(probe2)
+		if got := ht.lookup(ref.D, "probe"); got != probe {
 			t.Fatalf("%v: lookup lost entry", mode)
 		}
-		ht.remove(1, "probe", ref.D)
-		if ht.lookup(1, "probe") != nil {
+		ht.Remove(probe)
+		if ht.lookup(ref.D, "probe") != nil {
 			t.Fatalf("%v: removed entry found", mode)
 		}
-		if ht.lookup(1, "probe2") != ref.D {
+		if ht.lookup(ref.D, "probe2") != probe2 {
 			t.Fatalf("%v: sibling lost on remove", mode)
 		}
-		// Removing a non-existent entry is a no-op.
-		ht.remove(1, "ghost", ref.D)
-		_ = k
+		// Removing an entry not in the table is a no-op.
+		ht.Remove(probe)
+		if ht.lookup(ref.D, "probe2") != probe2 || ht.Stats().Entries != 1 {
+			t.Fatalf("%v: a second remove disturbed the table", mode)
+		}
 	}
 	if SyncRCU.String() != "rcu" || SyncBigLock.String() != "biglock" ||
 		SyncBucketLock.String() != "bucketlock" {
@@ -522,5 +525,23 @@ func TestNoInsertUnderDeadParent(t *testing.T) {
 		if n := v.nkids.Load(); n != 0 {
 			t.Fatalf("claimed victim %q holds %d children", v.Name(), n)
 		}
+	}
+}
+
+// TestRetireLaterQueuesOnce: a dentry two kills reach is queued for the
+// sweeper once, so the sweeper retires its slot once and never reads it
+// again, when a new tenant may be moving in.
+func TestRetireLaterQueuesOnce(t *testing.T) {
+	k, _ := newKernel(t, Config{})
+	k.ReclaimAll()
+	d := testDentry(k)
+	d.setFlags(DDead)
+	k.retireLater(d)
+	k.retireLater(d)
+	if n := k.limboLen.Load(); n != 1 {
+		t.Fatalf("two kills queued %d records, want 1", n)
+	}
+	if n := k.sweepLimbo(8); n != 1 || k.DentryFromRef(d.self) != nil {
+		t.Fatalf("the sweeper processed %d records and left the slot live: %v", n, k.DentryFromRef(d.self) != nil)
 	}
 }

@@ -10,10 +10,10 @@ import (
 // CacheStats is a snapshot of the directory cache counters: the VFS-level
 // counters every configuration reports, plus fastpath counters, which read
 // zero when DirectLookup is off. Every field is counted where its event
-// happens except Dentries (a gauge: the cached dentries right now),
-// TryFast (FastHits + DLHTMisses + PCCMisses) and DLHTSweeps (the DLHTs'
-// own sweep totals), which the snapshot fills in, and ShortcutResumes,
-// ChildHops and BulkPopulations, which always read 0. Delta subtracts two
+// happens except Dentries (a gauge: the cached dentries right now) and
+// TryFast (FastHits + DLHTMisses + PCCMisses), which the snapshot fills
+// in, and ShortcutResumes, ChildHops and BulkPopulations, which always
+// read 0. Delta subtracts two
 // snapshots field by field (Dentries passes through); see vfs.Stats on
 // what a snapshot taken while walks are in flight promises.
 type CacheStats = vfs.Stats
@@ -39,7 +39,7 @@ type ArenaStats struct {
 
 // TableStats describes a hash table's bucket array — the (parent, name)
 // table the slow walk probes, or every namespace's DLHT summed: buckets,
-// linked chain nodes, doublings and bucket-array bytes.
+// linked entries, doublings and bucket-array bytes.
 type TableStats = vfs.TableStats
 
 // PrefixMemoStats sizes the fastpath's prefix memo: its fixed slots, the
@@ -47,25 +47,24 @@ type TableStats = vfs.TableStats
 type PrefixMemoStats = core.PrefixMemoStats
 
 // MemStats reports the memory picture behind the dentry cache — what a
-// System holds that grows with what it caches: per-arena occupancy for
-// the three arenas (dentries and baseline hash-chain nodes in the kernel;
-// DLHT chain nodes in the fastpath), the
-// two hash tables' bucket arrays and the prefix memo, plus the
-// deferred-teardown queue depth and the cumulative count of teardown
-// records the sweeper has processed.
+// System holds that grows with what it caches: the dentry arena's
+// occupancy (both hash tables chain through the dentries, so it is the
+// one arena), the two hash tables' bucket arrays and the prefix memo,
+// plus the deferred-teardown queue depth and the cumulative count of
+// teardown records the sweeper has processed.
 type MemStats struct {
 	Table      TableStats      `json:"table"`
 	DLHT       TableStats      `json:"dlht"`        // zero when DirectLookup is off
 	PrefixMemo PrefixMemoStats `json:"prefix_memo"` // zero when DirectLookup is off
 
-	Dentries   ArenaStats `json:"dentries"`
-	ChainNodes ArenaStats `json:"chain_nodes"`
-	// FastDentries is retired and always zero: the fastpath's per-dentry
-	// state lives in the dentry's own slot (Dentries). Kept while a reader
-	// outside this module still names it.
+	Dentries ArenaStats `json:"dentries"`
+	// ChainNodes, FastDentries and DLHTNodes are retired and always zero:
+	// the (parent, name) table and the DLHT chain through the dentries,
+	// and the fastpath's per-dentry state lives in the dentry's own slot
+	// (Dentries). Kept while a reader outside this module still names them.
+	ChainNodes   ArenaStats `json:"chain_nodes"`
 	FastDentries ArenaStats `json:"fast_dentries"`
-	// DLHTNodes is zero when DirectLookup is off.
-	DLHTNodes ArenaStats `json:"dlht_nodes"`
+	DLHTNodes    ArenaStats `json:"dlht_nodes"`
 
 	LimboQueue int64  `json:"limbo_queue"` // dentries killed but not yet swept
 	Swept      uint64 `json:"swept"`       // cumulative teardown records processed
@@ -73,17 +72,14 @@ type MemStats struct {
 
 // MemStats snapshots slab-arena occupancy and teardown-queue state.
 func (s *System) MemStats() MemStats {
-	d, cn, limbo, swept := s.k.MemStats()
+	d, limbo, swept := s.k.MemStats()
 	out := MemStats{
 		Table:      s.k.TableStats(),
+		DLHT:       s.k.DLHTStats(),
 		Dentries:   arenaStats(d),
-		ChainNodes: arenaStats(cn),
 		LimboQueue: limbo,
 		Swept:      swept,
 	}
-	nodes, dlht := s.k.DLHTMemStats()
-	out.DLHTNodes = arenaStats(nodes)
-	out.DLHT = dlht
 	if s.core != nil {
 		out.PrefixMemo = s.core.PrefixMemoStats()
 	}
@@ -91,36 +87,32 @@ func (s *System) MemStats() MemStats {
 }
 
 // Bytes is what the snapshot accounts for: the two hash tables' bucket
-// arrays, the prefix memo and the three arenas' slots. It is the part of a
+// arrays, the prefix memo and the dentry arena's slots. It is the part of a
 // System's footprint that follows the number of cached names, with the
 // memo's fixed 32 KB of slots; the fixed-size structures beside it (the
 // signature key, each PCC, telemetry's rings) are listed in DESIGN §5g.
 func (s MemStats) Bytes() int64 {
-	return s.Table.Bytes + s.DLHT.Bytes + s.PrefixMemo.Bytes + s.Dentries.Bytes + s.ChainNodes.Bytes + s.DLHTNodes.Bytes
+	return s.Table.Bytes + s.DLHT.Bytes + s.PrefixMemo.Bytes + s.Dentries.Bytes
 }
 
 // counters flattens the snapshot into the telemetry exporter's flat
-// counter namespace (source "mem"): per-arena occupancy gauges
-// (<arena>_live/_free/_limbo/_slots/_chunks/_bytes) and cumulative
-// reclamation traffic (<arena>_retired/_reclaimed), each hash table's
+// counter namespace (source "mem"): the dentry arena's occupancy gauges
+// (dentries_live/_free/_limbo/_slots/_chunks/_bytes) and cumulative
+// reclamation traffic (dentries_retired/_reclaimed), each hash table's
 // <table>_buckets/_entries/_resizes/_bytes, the prefix memo's
 // prefix_memo_slots/_entries/_bytes, plus the teardown queue depth and
 // sweep total.
 func (s MemStats) counters() map[string]int64 {
 	out := make(map[string]int64, 40)
-	arena := func(prefix string, a ArenaStats) {
-		out[prefix+"_chunks"] = int64(a.Chunks)
-		out[prefix+"_slots"] = int64(a.Slots)
-		out[prefix+"_bytes"] = a.Bytes
-		out[prefix+"_live"] = a.Live
-		out[prefix+"_free"] = a.Free
-		out[prefix+"_limbo"] = a.Limbo
-		out[prefix+"_retired"] = int64(a.Retired)
-		out[prefix+"_reclaimed"] = int64(a.Reclaimed)
-	}
-	arena("dentries", s.Dentries)
-	arena("chain_nodes", s.ChainNodes)
-	arena("dlht_nodes", s.DLHTNodes)
+	a := s.Dentries
+	out["dentries_chunks"] = int64(a.Chunks)
+	out["dentries_slots"] = int64(a.Slots)
+	out["dentries_bytes"] = a.Bytes
+	out["dentries_live"] = a.Live
+	out["dentries_free"] = a.Free
+	out["dentries_limbo"] = a.Limbo
+	out["dentries_retired"] = int64(a.Retired)
+	out["dentries_reclaimed"] = int64(a.Reclaimed)
 	table := func(prefix string, t TableStats) {
 		out[prefix+"_buckets"] = t.Buckets
 		out[prefix+"_entries"] = t.Entries

@@ -116,7 +116,7 @@ func (s *System) DisableTelemetry() {
 }
 
 // JournalEvent is one coherence journal record: an invalidation-relevant
-// mutation (seq/epoch bump, DLHT insert/remove/sweep, PCC flush,
+// mutation (seq/epoch bump, DLHT insert/remove, PCC flush,
 // DIR_COMPLETE transition, eviction) with its time and its place in the
 // dump's timeline.
 type JournalEvent = telemetry.Event

@@ -130,9 +130,9 @@ memscale-smoke:
 	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestRenameRoundTripThenStat|TestEvictingCreatesReclaimSlab|TestChmodLoopKeepsDLHTEntries|TestFreshSystemFootprint' -count=1 .
 	$(GO) test -run 'TestLexicalHashZeroAlloc' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelWalk/optimized/goroutines-1$$' -benchtime 2000x -benchmem . | \
-		tee /dev/stderr | awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad=1 } END { exit bad }'
+		tee -a /dev/stderr | awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad=1 } END { exit bad }'
 	$(GO) test -run '^$$' -bench 'BenchmarkChmodSubtree' -benchtime=1x -benchmem . | \
-		tee /dev/stderr | awk '/allocs\/op/ { n++; if ($$(NF-1)+0 > 1) bad=1 } END { exit bad || n != 8 }'
+		tee -a /dev/stderr | awk '/allocs\/op/ { n++; if ($$(NF-1)+0 > 1) bad=1 } END { exit bad || n != 8 }'
 	@if $(GO) build -gcflags='-m -d=defer' ./internal/core 2>&1 | \
 		grep -E '/(tryfast|cursor|prefixmemo|populate|pcc)\.go:.*(-allocated defer|moved to heap)'; then \
 		echo 'memscale-smoke: the fastpath has an allocated defer or a heap-moved local (above)'; exit 1; fi

@@ -2,9 +2,11 @@ package dircache_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dircache"
+	"dircache/internal/shard"
 )
 
 // TestWarmWalkZeroAlloc is the alloc-regression gate behind
@@ -286,10 +288,84 @@ func TestEvictingCreatesReclaimSlab(t *testing.T) {
 // thousand slots, so an optimized System with a thousand files accounts for
 // 0.36 MB of table, memo and arena bytes, the namespace's DLHT buckets
 // (12 KB) and the prefix memo's fixed 32 KB of slots among them. The bound
-// is there so that fixed cost cannot come back unnoticed.
+// is there so that fixed cost cannot come back unnoticed. Telemetry and the
+// coherence log pay for what they hold too: with telemetry on, the same
+// System's telemetry holds 48 KB (histogram cells only for the stripes that
+// recorded, the journal grown to its 2000 events), and a four-shard group
+// with a thousand files, which has not audited and so has built no oracle,
+// 2.4 MB of heap, 0.12 MB of it telemetry and coherence logs. Each arm's
+// bound is about twice its figure, which the test logs.
 func TestFreshSystemFootprint(t *testing.T) {
 	cfg := dircache.Optimized()
 	cfg.SignatureSeed = 1
+	t.Run("optimized", func(t *testing.T) {
+		m := footprintOf(t, cfg)
+		if m.Table.Entries < 1000 || m.Dentries.Live < 1000 {
+			t.Fatalf("the files are not all cached: %+v", m)
+		}
+		if m.FastDentries != (dircache.ArenaStats{}) {
+			t.Fatalf("the retired fast-dentry arena reads %+v: fast state lives in the dentry's slot", m.FastDentries)
+		}
+		if m.DLHT.Buckets == 0 || m.DLHT.Bytes > 16<<10 {
+			t.Fatalf("the DLHT's bucket array holds %d bytes for %d entries, want <= 16 KB: %+v", m.DLHT.Bytes, m.DLHT.Entries, m.DLHT)
+		}
+		if pm := m.PrefixMemo; pm.Slots == 0 || pm.Entries == 0 || pm.Bytes < int64(pm.Slots)*8 {
+			t.Fatalf("the prefix memo is not accounted for: %+v", pm)
+		}
+		if m.Telemetry != (dircache.TelemetryFootprint{}) || m.Coherence != (dircache.CoherenceFootprint{}) {
+			t.Fatalf("a System without telemetry or peers accounts for %+v and %+v", m.Telemetry, m.Coherence)
+		}
+		const bound = 3 << 19 // 1.5 MB
+		t.Logf("tables, memo and arenas: %d KB", m.Bytes()>>10)
+		if got := m.Bytes(); got > bound {
+			t.Fatalf("tables, memo and arenas hold %d bytes for 1000 files, want <= %d: %+v", got, bound, m)
+		}
+	})
+	t.Run("telemetry", func(t *testing.T) {
+		tcfg := cfg
+		tcfg.Telemetry.Enabled = true
+		tf := footprintOf(t, tcfg).Telemetry
+		t.Logf("telemetry: %d KB, %+v", tf.Bytes>>10, tf)
+		if tf.JournalSlots == 0 || tf.Bytes > 96<<10 {
+			t.Fatalf("telemetry of a System with 1000 files: %+v, want journal slots, all in <= 96 KB", tf)
+		}
+	})
+	t.Run("group", func(t *testing.T) {
+		before := heapAlloc()
+		g := shard.NewLocalGroup(4, cfg, shard.Options{})
+		defer g.Close()
+		if err := g.Router.Mkdir("/d", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1000; i++ {
+			p := fmt.Sprintf("/d/f%03d", i)
+			if err := g.Router.WriteFile(p, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.Router.Stat(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !g.Router.Converge(0) {
+			t.Fatal("the group did not converge")
+		}
+		heap := heapAlloc() - before
+		var logs int64
+		for _, sys := range g.Systems {
+			m := sys.MemStats()
+			logs += m.Telemetry.Bytes + m.Coherence.Bytes
+		}
+		t.Logf("group: %d KB of heap, %d KB of it telemetry and coherence logs", heap>>10, logs>>10)
+		if heap > 5<<20 || logs > 256<<10 {
+			t.Fatalf("a four-shard group with 1000 files holds %d bytes of heap (want <= 5 MB), %d of telemetry and coherence logs (want <= 256 KB)", heap, logs)
+		}
+		runtime.KeepAlive(g)
+	})
+}
+
+// footprintOf builds a System of cfg, creates and stats a thousand files
+// in one directory, and returns its MemStats.
+func footprintOf(t *testing.T, cfg dircache.Config) dircache.MemStats {
 	sys := dircache.New(cfg)
 	p := sys.Start(dircache.RootCreds())
 	if err := p.Mkdir("/d", 0o755); err != nil {
@@ -303,23 +379,16 @@ func TestFreshSystemFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := sys.MemStats()
-	if m.Table.Entries < 1000 || m.Dentries.Live < 1000 {
-		t.Fatalf("the files are not all cached: %+v", m)
-	}
-	if m.FastDentries != (dircache.ArenaStats{}) {
-		t.Fatalf("the retired fast-dentry arena reads %+v: fast state lives in the dentry's slot", m.FastDentries)
-	}
-	if m.DLHT.Buckets == 0 || m.DLHT.Bytes > 16<<10 {
-		t.Fatalf("the DLHT's bucket array holds %d bytes for %d entries, want <= 16 KB: %+v", m.DLHT.Bytes, m.DLHT.Entries, m.DLHT)
-	}
-	if pm := m.PrefixMemo; pm.Slots == 0 || pm.Entries == 0 || pm.Bytes < int64(pm.Slots)*8 {
-		t.Fatalf("the prefix memo is not accounted for: %+v", pm)
-	}
-	const bound = 3 << 19 // 1.5 MB
-	if got := m.Bytes(); got > bound {
-		t.Fatalf("tables, memo and arenas hold %d bytes for 1000 files, want <= %d: %+v", got, bound, m)
-	}
+	return sys.MemStats()
+}
+
+// heapAlloc is the live heap after two collections.
+func heapAlloc() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // TestChmodLoopKeepsDLHTEntries: a permission change removes no DLHT

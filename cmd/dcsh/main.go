@@ -294,6 +294,9 @@ other:  help  exit
 			a.Live, a.Slots, occ, a.Free, a.Limbo, m.LimboQueue, a.Reclaimed, m.Swept)
 		fmt.Printf("table         %d entries in %d buckets (%d doublings), dlht %d in %d (%d), prefix memo %d in %d; tables + memo + arenas hold %d KB\n",
 			m.Table.Entries, m.Table.Buckets, m.Table.Resizes, m.DLHT.Entries, m.DLHT.Buckets, m.DLHT.Resizes, m.PrefixMemo.Entries, m.PrefixMemo.Slots, m.Bytes()>>10)
+		tf, cf := m.Telemetry, m.Coherence
+		fmt.Printf("telemetry     %d histogram cells, %d journal and %d trace slots: %d KB; coherence log %d slots, %d path bytes: %d KB\n",
+			tf.HistCells, tf.JournalSlots, tf.TraceSlots, tf.Bytes>>10, cf.Slots, cf.PathBytes, cf.Bytes>>10)
 	case "buckets":
 		empty, one, two, more := sys.BucketStats()
 		total := empty + one + two + more

@@ -7,10 +7,15 @@
 // noticing.
 package coherence
 
-import "dircache/internal/ringlog"
+import (
+	"unsafe"
+
+	"dircache/internal/ringlog"
+)
 
 // Capacity is the number of records a Log retains: a reader may lag its
-// writer by this many mutations before it must drop its whole cache.
+// writer by this many mutations before it must drop its whole cache. The
+// Log's buffer grows to it as records arrive (ringlog.Log).
 const Capacity = 4096
 
 // Record is one published invalidation: the cached view of Path (and
@@ -33,4 +38,24 @@ type Log = ringlog.Log[Record]
 // its sequence number as its ID.
 func New() *Log {
 	return ringlog.New(Capacity, func(r *Record, seq uint64) { r.ID = seq })
+}
+
+// Footprint is what a Log holds: the slots its buffer has grown to and the
+// bytes of the paths its retained records carry.
+type Footprint struct {
+	Slots     int   `json:"slots"`
+	PathBytes int64 `json:"path_bytes"`
+	Bytes     int64 `json:"bytes"` // the slots and the path bytes
+}
+
+// Size reports l's footprint (nil-safe: zero).
+func Size(l *Log) Footprint {
+	if l == nil {
+		return Footprint{}
+	}
+	var f Footprint
+	l.Each(func(r *Record) { f.PathBytes += int64(len(r.Path)) })
+	f.Slots = l.Slots()
+	f.Bytes = int64(f.Slots)*int64(unsafe.Sizeof(Record{})) + f.PathBytes
+	return f
 }

@@ -103,3 +103,39 @@ func TestCaughtUpSinceDoesNotAllocate(t *testing.T) {
 		t.Fatalf("caught-up Since allocates %v times per call", n)
 	}
 }
+
+// TestPendingWhileGrowing: a log still growing toward Capacity keeps the
+// contract of a full one. A cursor it never issued is fell-behind, and
+// Pending reads Capacity, not the buffer's current length; a cursor inside
+// what it holds reads its distance. Footprint follows the buffer, not the
+// retention.
+func TestPendingWhileGrowing(t *testing.T) {
+	l := New()
+	head := publish(l, 100)
+	f := Size(l)
+	if f.Slots < 100 || f.Slots >= Capacity {
+		t.Fatalf("after 100 records the log has %d slots, want at least 100 and fewer than %d", f.Slots, Capacity)
+	}
+	if want := int64(len("/p1")*9 + len("/p10")*90 + len("/p100")); f.PathBytes != want {
+		t.Fatalf("path bytes %d, want %d", f.PathBytes, want)
+	}
+	for _, cursor := range []uint64{head + 1, 2 * head, ^uint64(0)} {
+		if got := l.Pending(cursor); got != Capacity {
+			t.Errorf("Pending(%d) at head %d = %d, want Capacity %d", cursor, head, got, Capacity)
+		}
+		if recs, next, fell := l.Since(cursor); !fell || recs != nil || next != head {
+			t.Errorf("Since(%d) at head %d: fell=%v, %d records, next %d", cursor, head, fell, len(recs), next)
+		}
+	}
+	for _, cursor := range []uint64{0, 1, 50, head} {
+		if got := l.Pending(cursor); got != int(head-cursor) {
+			t.Errorf("Pending(%d) at head %d = %d, want %d", cursor, head, got, head-cursor)
+		}
+		if recs, next, fell := l.Since(cursor); fell || uint64(len(recs)) != head-cursor || next != head {
+			t.Errorf("Since(%d) at head %d: fell=%v, %d records, next %d", cursor, head, fell, len(recs), next)
+		}
+	}
+	if Size(nil) != (Footprint{}) {
+		t.Error("a System without peers has a coherence footprint")
+	}
+}

@@ -16,21 +16,31 @@ import (
 // assigned under mu, so item seq always sits in slot seq % len(buf) and a
 // reader computes what it missed from two numbers, head and its own
 // cursor.
+//
+// The buffer starts at minSlots and doubles, up to the capacity, when an
+// append would otherwise drop: a log costs what it holds, and one that is
+// never written past a few items never pays for its retention. Retention
+// is the capacity whatever the buffer's length, and nothing is dropped
+// until the buffer has reached it.
 type Log[T any] struct {
 	// head is the newest item's sequence number (0 = nothing appended).
 	// It is stored after the slot is written, still under mu; a reader
 	// whose cursor equals it returns without taking the lock.
-	head  atomic.Uint64
-	mu    sync.Mutex
-	buf   []T
-	stamp func(*T, uint64)
+	head     atomic.Uint64
+	mu       sync.Mutex
+	buf      []T
+	capacity int
+	stamp    func(*T, uint64)
 }
+
+// minSlots is the buffer a Log starts with.
+const minSlots = 8
 
 // New returns an empty Log retaining capacity items. A non-nil stamp is
 // called under the lock on each appended item, in its slot, with the
 // item's sequence number (coherence records carry theirs as their ID).
 func New[T any](capacity int, stamp func(item *T, seq uint64)) *Log[T] {
-	return &Log[T]{buf: make([]T, capacity), stamp: stamp}
+	return &Log[T]{buf: make([]T, min(capacity, minSlots)), capacity: capacity, stamp: stamp}
 }
 
 // Append stores v, overwriting the oldest item once the ring is full, and
@@ -38,6 +48,9 @@ func New[T any](capacity int, stamp func(item *T, seq uint64)) *Log[T] {
 func (l *Log[T]) Append(v T) uint64 {
 	l.mu.Lock()
 	seq := l.head.Load() + 1
+	if seq > uint64(len(l.buf)) && len(l.buf) < l.capacity {
+		l.grow(seq - 1)
+	}
 	slot := &l.buf[seq%uint64(len(l.buf))]
 	*slot = v
 	if l.stamp != nil {
@@ -46,6 +59,28 @@ func (l *Log[T]) Append(v T) uint64 {
 	l.head.Store(seq)
 	l.mu.Unlock()
 	return seq
+}
+
+// grow doubles the buffer, up to the capacity, under mu. Nothing has been
+// dropped yet, so items 1..head are all there, each moving from slot
+// seq % old length to slot seq % new length.
+func (l *Log[T]) grow(head uint64) {
+	buf := make([]T, min(2*len(l.buf), l.capacity))
+	for seq := uint64(1); seq <= head; seq++ {
+		buf[seq%uint64(len(buf))] = l.buf[seq%uint64(len(l.buf))]
+	}
+	l.buf = buf
+}
+
+// Slots is the length of the ring's buffer: what it holds now, from
+// minSlots up to the capacity.
+func (l *Log[T]) Slots() int {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.buf)
 }
 
 // Head returns the newest item's sequence number: how many items were
@@ -77,8 +112,8 @@ func (l *Log[T]) Pending(cursor uint64) int {
 		return 0
 	}
 	head := l.head.Load()
-	if cursor > head || head-cursor > uint64(len(l.buf)) {
-		return len(l.buf)
+	if cursor > head || head-cursor > uint64(l.capacity) {
+		return l.capacity
 	}
 	return int(head - cursor)
 }
@@ -128,16 +163,28 @@ func (l *Log[T]) Retained() (items []T, dropped uint64) {
 	return l.between(first, head), first - 1
 }
 
+// Each calls f on every retained item, oldest first, under the lock.
+func (l *Log[T]) Each(f func(*T)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	head := l.head.Load()
+	n := uint64(len(l.buf))
+	for seq := l.oldest(head); seq <= head; seq++ {
+		f(&l.buf[seq%n])
+	}
+}
+
 // oldest is the sequence number of the oldest item retained at head.
 func (l *Log[T]) oldest(head uint64) uint64 {
-	if n := uint64(len(l.buf)); head > n {
+	if n := uint64(l.capacity); head > n {
 		return head - n + 1
 	}
 	return 1
 }
 
 // between returns items first..last in order (nil when there are none).
-// Caller holds mu.
+// Caller holds mu. They are all in the buffer: it is shorter than the
+// capacity only while nothing has been dropped.
 func (l *Log[T]) between(first, last uint64) []T {
 	if first > last {
 		return nil

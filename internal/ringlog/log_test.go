@@ -119,27 +119,40 @@ func TestFellBehindBoundary(t *testing.T) {
 	}
 }
 
-// FuzzRingLog drives a ring of 1–16 slots with random appends and reads
+// FuzzRingLog drives a ring of 1–64 slots with random appends and reads
 // from random cursors — behind the retention, inside it, at the head and
 // past it — against a plain slice of everything ever appended: Since,
-// Pending, Retained and Counts must all say what the slice says.
+// Pending, Retained, Each and Counts must all say what the slice says. The
+// buffer must start at minSlots (or the capacity, if smaller) and double,
+// capped at the capacity, exactly when an append would otherwise drop, so
+// a capacity above minSlots crosses every doubling on its way to full.
 func FuzzRingLog(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21}) // every cursor around a wrapped ring of 3
 	f.Add([]byte{0, 1, 0, 1, 0, 1})
 	f.Add([]byte{15, 0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 255, 1, 33})
+	// A ring of 40 read from far behind at every append: 8, 16, 32, 40
+	// slots, then wrapped.
+	f.Add(append([]byte{39}, slices.Repeat([]byte{0, 255}, 50)...))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
 		}
-		n := int(ops[0]%16) + 1
+		n := int(ops[0]%64) + 1
 		l := newRecLog(n)
 		var all []rec // the model: every record ever appended, in order
+		slots := min(n, minSlots)
 		for i, op := range ops[1:] {
 			head := uint64(len(all))
 			if op%2 == 0 {
 				all = append(all, rec{ID: head + 1, Path: fmt.Sprintf("/%d", i)})
 				if seq := l.Append(rec{Path: all[head].Path}); seq != head+1 {
 					t.Fatalf("Append %d returned %d", head+1, seq)
+				}
+				if len(all) > slots && slots < n {
+					slots = min(2*slots, n)
+				}
+				if got := l.Slots(); got != slots {
+					t.Fatalf("cap %d head %d: %d slots, want %d", n, head+1, got, slots)
 				}
 				continue
 			}
@@ -174,6 +187,11 @@ func FuzzRingLog(f *testing.F) {
 			kept, dropped := l.Retained()
 			if dropped != oldest-1 || !slices.Equal(kept, all[oldest-1:]) {
 				t.Fatalf("cap %d head %d: Retained = %v, %d dropped; want %v, %d", n, head, kept, dropped, all[oldest-1:], oldest-1)
+			}
+			var each []rec
+			l.Each(func(r *rec) { each = append(each, *r) })
+			if !slices.Equal(each, kept) {
+				t.Fatalf("cap %d head %d: Each visits %v, Retained says %v", n, head, each, kept)
 			}
 			if retained, dropped := l.Counts(); retained != len(kept) || dropped != oldest-1 {
 				t.Fatalf("cap %d head %d: Counts = %d, %d; want %d, %d", n, head, retained, dropped, len(kept), oldest-1)

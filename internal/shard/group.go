@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"sync"
+
 	"dircache"
 	"dircache/internal/audit"
 	"dircache/internal/fsapi"
@@ -10,13 +12,16 @@ import (
 // backend (each with its own private directory cache — the sharded-tier
 // model collapsed into one address space), a Router fronting them, and a
 // cache-less oracle Process over the same backend serving the cross-shard
-// audit's ground truth.
+// audit's ground truth. The oracle is built on the first Truth or Audit:
+// a group that never audits never pays for it.
 type Group struct {
 	Backend *dircache.Backend
 	Systems []*dircache.System
 	Locals  []*Local
 	Router  *Router
 
+	ocfg   dircache.Config
+	once   sync.Once
 	oracle *dircache.System
 	op     *dircache.Process
 }
@@ -44,20 +49,27 @@ func NewLocalGroup(n int, base dircache.Config, opt Options) *Group {
 		shards = append(shards, l)
 	}
 	g.Router = NewRouter(shards, opt)
-	// The oracle is a separate System over the same backend; dropped cold
-	// before each audit, its answers are ground truth.
-	ocfg := base
-	ocfg.Root = backend
-	ocfg.Telemetry = dircache.TelemetryOptions{}
-	g.oracle = dircache.New(ocfg)
-	g.op = g.oracle.Start(dircache.RootCreds())
+	g.ocfg = base
+	g.ocfg.Root = backend
+	g.ocfg.Telemetry = dircache.TelemetryOptions{}
 	return g
+}
+
+// oracleProc returns the oracle's process, building the oracle on first
+// use: a separate System over the same backend; dropped cold before each
+// audit, its answers are ground truth.
+func (g *Group) oracleProc() *dircache.Process {
+	g.once.Do(func() {
+		g.oracle = dircache.New(g.ocfg)
+		g.op = g.oracle.Start(dircache.RootCreds())
+	})
+	return g.op
 }
 
 // Truth reports ground truth for path by asking the shared backend
 // through the cold oracle. Call Group.Audit instead for a full pass.
 func (g *Group) Truth(path string) (bool, error) {
-	_, err := g.op.Lstat(path)
+	_, err := g.oracleProc().Lstat(path)
 	if err == nil {
 		return true, nil
 	}
@@ -71,13 +83,17 @@ func (g *Group) Truth(path string) (bool, error) {
 // cross-shard checks against a freshly cold oracle plus each shard's own
 // doctor.
 func (g *Group) Audit() []audit.Finding {
+	g.oracleProc()
 	g.oracle.DropCaches()
 	return g.Router.Audit(g.Truth)
 }
 
-// Close closes the router (and so every shard) and the oracle.
+// Close closes the router (and so every shard) and the oracle, if it was
+// built. It must not race a Truth or an Audit.
 func (g *Group) Close() error {
 	err := g.Router.Close()
-	g.op.Exit()
+	if g.op != nil {
+		g.op.Exit()
+	}
 	return err
 }

@@ -140,3 +140,39 @@ func TestMkdirAllPublishesWhatItCreates(t *testing.T) {
 		t.Errorf("the peer's stat of the new directory: %v", err)
 	}
 }
+
+// TestGroupBuildsOracleOnFirstAudit: a group builds its cache-less oracle
+// on the first Truth or Audit, not before, builds it once, and closes
+// whether it audited or not.
+func TestGroupBuildsOracleOnFirstAudit(t *testing.T) {
+	idle := NewLocalGroup(2, dircache.Optimized(), Options{})
+	if idle.oracle != nil {
+		t.Fatal("a new group already holds an oracle")
+	}
+	if err := idle.Close(); err != nil {
+		t.Fatalf("closing a group that never audited: %v", err)
+	}
+
+	g := NewLocalGroup(2, dircache.Optimized(), Options{})
+	t.Cleanup(func() { g.Close() })
+	must(t, g.Router.Mkdir("/srv", 0o755))
+	if g.oracle != nil {
+		t.Fatal("a mutation built the oracle")
+	}
+	if ok, err := g.Truth("/srv"); !ok || err != nil {
+		t.Fatalf("Truth(/srv) = %v, %v", ok, err)
+	}
+	oracle := g.oracle
+	if oracle == nil {
+		t.Fatal("Truth did not build the oracle")
+	}
+	if !g.Router.Converge(0) {
+		t.Fatal("did not converge")
+	}
+	if f := g.Audit(); len(f) != 0 {
+		t.Fatalf("audit: %v", f)
+	}
+	if g.oracle != oracle {
+		t.Fatal("Audit built a second oracle")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dircache/internal/stripe"
 )
@@ -60,19 +61,37 @@ type histCell struct {
 	_      [56]byte
 }
 
+// exemplarArray is a histogram's bucket exemplars.
+type exemplarArray [NumBuckets]atomic.Uint64
+
 // Histogram is a lock-free striped latency histogram in the spirit of
 // internal/stripe: recorders bump one cell picked by a per-goroutine
 // hash, readers sum all cells. Snapshots are racy the same way striped
 // counter sums are — each bucket is monotonic, so a snapshot is a valid,
 // instantaneously slightly stale distribution. The zero value is ready.
+//
+// A stripe's cell is allocated on that stripe's first Record, and the
+// exemplar array on the first traced one: a histogram nothing records
+// into costs its pointers, and one a single goroutine records into costs
+// the cells its call depths hash to, not Stripes of them.
 type Histogram struct {
-	cells [stripe.Stripes]histCell
+	cells [stripe.Stripes]atomic.Pointer[histCell]
 
 	// exemplars[b] is the most recent trace ID whose observation landed
 	// in bucket b — the link from a quantile back to a flight-recorder
 	// trace. One shared array (not striped): last-writer-wins is exactly
 	// the semantic wanted, and only traced observations write it.
-	exemplars [NumBuckets]atomic.Uint64
+	exemplars atomic.Pointer[exemplarArray]
+}
+
+// loadOrNew returns *p, storing a new zero T there first if it is nil.
+// Callers racing to store lose to one compare-and-swap and all use its T.
+func loadOrNew[T any](p *atomic.Pointer[T]) *T {
+	if v := p.Load(); v != nil {
+		return v
+	}
+	p.CompareAndSwap(nil, new(T))
+	return p.Load()
 }
 
 // Record adds one observation. Negative durations (clock steps) clamp to
@@ -82,7 +101,7 @@ func (h *Histogram) Record(d time.Duration) {
 	if d > 0 {
 		ns = uint64(d)
 	}
-	c := &h.cells[stripe.Index()]
+	c := loadOrNew(&h.cells[stripe.Index()])
 	c.counts[bucketOf(ns)].Add(1)
 	c.sum.Add(ns)
 }
@@ -95,28 +114,47 @@ func (h *Histogram) RecordEx(d time.Duration, traceID uint64) {
 		ns = uint64(d)
 	}
 	b := bucketOf(ns)
-	c := &h.cells[stripe.Index()]
+	c := loadOrNew(&h.cells[stripe.Index()])
 	c.counts[b].Add(1)
 	c.sum.Add(ns)
 	if traceID != 0 {
-		h.exemplars[b].Store(traceID)
+		loadOrNew(&h.exemplars)[b].Store(traceID)
 	}
 }
 
 // Reset zeroes every cell. Like stripe.Int64.Reset it is only approximate
 // under concurrent Records; callers use it to scope a measurement window,
-// not for accounting.
+// not for accounting. Cells stay allocated.
 func (h *Histogram) Reset() {
 	for i := range h.cells {
-		c := &h.cells[i]
+		c := h.cells[i].Load()
+		if c == nil {
+			continue
+		}
 		for b := range c.counts {
 			c.counts[b].Store(0)
 		}
 		c.sum.Store(0)
 	}
-	for b := range h.exemplars {
-		h.exemplars[b].Store(0)
+	if ex := h.exemplars.Load(); ex != nil {
+		for b := range ex {
+			ex[b].Store(0)
+		}
 	}
+}
+
+// footprint is how many cells the histogram has allocated, and their
+// bytes with the exemplar array's.
+func (h *Histogram) footprint() (cells int, bytes int64) {
+	for i := range h.cells {
+		if h.cells[i].Load() != nil {
+			cells++
+		}
+	}
+	if h.exemplars.Load() != nil {
+		bytes = int64(unsafe.Sizeof(exemplarArray{}))
+	}
+	return cells, bytes + int64(cells)*int64(unsafe.Sizeof(histCell{}))
 }
 
 // HistSnapshot is a merged point-in-time copy of a Histogram.
@@ -128,11 +166,14 @@ type HistSnapshot struct {
 	Sum       uint64             // total nanoseconds
 }
 
-// Snapshot merges all stripes.
+// Snapshot merges the stripes that have cells.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	for i := range h.cells {
-		c := &h.cells[i]
+		c := h.cells[i].Load()
+		if c == nil {
+			continue
+		}
 		for b := range c.counts {
 			n := c.counts[b].Load()
 			s.Counts[b] += n
@@ -140,8 +181,10 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		}
 		s.Sum += c.sum.Load()
 	}
-	for b := range s.Exemplars {
-		s.Exemplars[b] = h.exemplars[b].Load()
+	if ex := h.exemplars.Load(); ex != nil {
+		for b := range s.Exemplars {
+			s.Exemplars[b] = ex[b].Load()
+		}
 	}
 	return s
 }

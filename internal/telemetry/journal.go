@@ -16,7 +16,7 @@ import (
 // the raw material for the invariant auditor (internal/audit) and for
 // post-mortems of stale-entry or cold-fastpath reports.
 //
-// Like the trace ring it is fixed-size and drops oldest, but it is striped:
+// Like the trace ring it is bounded and drops oldest, but it is striped:
 // mutations arrive from every writer in a stress run, and a single mutex
 // ring would serialize them. Nothing is shared between stripes on the
 // emitting side — no global sequence, no global counters; a dump re-merges
@@ -205,21 +205,22 @@ type journalStripe struct {
 // Journal is the striped coherence event ring.
 type Journal struct {
 	stripes [stripe.Stripes]journalStripe
+	// per is each stripe ring's capacity. A ring starts empty and doubles
+	// from one block when a flush would otherwise overwrite, so a stripe
+	// costs what it holds until it holds per events; only then does it
+	// drop oldest.
+	per int
 }
 
-// newJournal sizes each stripe's ring to the power of two that holds its
-// share of capacity (and at least one block), so the journal retains at
-// least capacity events.
+// newJournal sizes each stripe's ring capacity to the power of two that
+// holds its share of capacity (and at least one block), so the journal
+// retains at least capacity events.
 func newJournal(capacity int) *Journal {
 	per := blockSlots
 	for per*stripe.Stripes < capacity {
 		per <<= 1
 	}
-	j := &Journal{}
-	for i := range j.stripes {
-		j.stripes[i].ring = make([]slot, per)
-	}
-	return j
+	return &Journal{per: per}
 }
 
 // emit appends one event: one clock read, one stripe lock, one 32-byte
@@ -236,10 +237,23 @@ func (j *Journal) emit(kind JournalKind, ref uint64, aux int64, note Note) {
 	s.block[s.total&(blockSlots-1)] = slot{t: t, ref: ref, aux: aux, kind: kind, note: note}
 	s.total++
 	if s.total&(blockSlots-1) == 0 {
-		copy(s.ring[(s.total-blockSlots)&uint64(len(s.ring)-1):], s.block[:])
+		at := s.total - blockSlots
+		if at == uint64(len(s.ring)) && len(s.ring) < j.per {
+			s.grow(j.per)
+		}
+		copy(s.ring[at&uint64(len(s.ring)-1):], s.block[:])
 	}
 	s.counts[kind]++
 	s.mu.Unlock()
+}
+
+// grow doubles the stripe's ring (from one block), up to per, when the
+// next block would overwrite its oldest. Nothing has been dropped yet, so
+// event i sits at ring[i] and keeps its index. The caller holds s.mu.
+func (s *journalStripe) grow(per int) {
+	ring := make([]slot, min(max(2*len(s.ring), blockSlots), per))
+	copy(ring, s.ring)
+	s.ring = ring
 }
 
 // dropped is how many of the stripe's events the ring has overwritten. The
@@ -313,6 +327,17 @@ func (j *Journal) countsSnapshot() (perKind [NumJournalKinds]uint64, total uint6
 		s.mu.Unlock()
 	}
 	return perKind, total
+}
+
+// slots is how many slots the stripes' rings have grown to.
+func (j *Journal) slots() (n int) {
+	for i := range j.stripes {
+		s := &j.stripes[i]
+		s.mu.Lock()
+		n += len(s.ring)
+		s.mu.Unlock()
+	}
+	return n
 }
 
 func (j *Journal) droppedCount() (dropped uint64) {

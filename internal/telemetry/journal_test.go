@@ -77,6 +77,51 @@ func TestJournalPerSubjectSuffix(t *testing.T) {
 	}
 }
 
+// TestJournalStripeGrowth follows one stripe from empty through every
+// doubling of its ring to full and past the wrap. After each event: the
+// ring is as long as the blocks flushed so far need (from one block,
+// doubling, up to the stripe's capacity) and drops nothing until it is
+// full, retained + dropped is everything emitted, and what is retained
+// about each of three subjects sharing the stripe is the newest run of its
+// events, in order.
+func TestJournalStripeGrowth(t *testing.T) {
+	const per = 4 * blockSlots
+	j := newJournal(per * stripe.Stripes)
+	s := &j.stripes[0]
+	if j.per != per || s.ring != nil {
+		t.Fatalf("fresh journal: per %d, stripe ring %d slots", j.per, len(s.ring))
+	}
+	subjects := []uint64{0, stripe.Stripes, 2 * stripe.Stripes} // one stripe
+	for i := 1; i <= 3*per; i++ {
+		j.emit(JDLHTInsert, subjects[i%len(subjects)], int64(i), NoteNone)
+		flushed := i &^ (blockSlots - 1)
+		want := 0
+		for want < flushed {
+			want = max(2*want, blockSlots)
+		}
+		want = min(want, per)
+		if len(s.ring) != want {
+			t.Fatalf("after %d events the ring has %d slots, want %d", i, len(s.ring), want)
+		}
+		events, dropped := j.dump()
+		if wantDropped := max(flushed-per, 0); dropped != uint64(wantDropped) || len(events)+int(dropped) != i {
+			t.Fatalf("after %d events: %d retained, %d dropped, want %d dropped", i, len(events), dropped, wantDropped)
+		}
+		last := map[uint64]int64{}
+		for _, ev := range events {
+			if prev, ok := last[ev.Ref]; ok && ev.Aux != prev+int64(len(subjects)) {
+				t.Fatalf("after %d events: subject %d's event %d follows %d", i, ev.Ref, ev.Aux, prev)
+			}
+			last[ev.Ref] = ev.Aux
+		}
+		for k := 0; k < len(subjects) && k < i; k++ {
+			if newest := int64(i - k); last[subjects[newest%int64(len(subjects))]] != newest {
+				t.Fatalf("after %d events: event %d, the newest about its subject, is not retained", i, newest)
+			}
+		}
+	}
+}
+
 // TestJournalDumpRendering: the dump names what the ring stores as a byte,
 // tells a mutation's closing epoch bump from its opening one by NoteEnd —
 // not by the epoch's parity, which overlapping mutations share — and
@@ -132,7 +177,9 @@ func TestNowIsMonotonic(t *testing.T) {
 }
 
 // TestJournalEmitZeroAlloc: leaving telemetry on must not put an
-// allocation on any mutation.
+// allocation on any mutation. A stripe's ring allocates only when it
+// doubles — six times in a default journal's life — so the whole-number
+// per-event average AllocsPerRun reports is zero from the first event.
 func TestJournalEmitZeroAlloc(t *testing.T) {
 	tel := New(Options{})
 	tel.Enable()

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dircache/internal/ringlog"
 )
@@ -141,7 +142,8 @@ type Options struct {
 
 // Ring capacities: the trace ring and the slow-walk flight recorder each
 // keep traceSlots traces, the coherence event journal journalSlots events
-// split across its stripes. All three drop oldest.
+// split across its stripes. All three drop oldest, and each grows to its
+// capacity as it fills (Footprint).
 const (
 	traceSlots   = 256
 	journalSlots = 4096
@@ -369,6 +371,38 @@ func (t *Telemetry) ResetHistograms() {
 	for i := range t.hists {
 		t.hists[i].Reset()
 	}
+}
+
+// Footprint is what a Telemetry holds: the histogram cells its recorders
+// have allocated, the slots its journal's stripe rings and its trace rings
+// have grown to, and in Bytes those, the exemplar arrays traced records
+// allocated, its own struct and the journal's (histogram pointers, stripe
+// blocks). The traces a ring slot points at are not counted.
+type Footprint struct {
+	HistCells    int   `json:"hist_cells"`    // striped histogram cells allocated
+	JournalSlots int   `json:"journal_slots"` // journal stripe ring slots
+	TraceSlots   int   `json:"trace_slots"`   // trace ring and flight recorder slots
+	Bytes        int64 `json:"bytes"`
+}
+
+// Footprint sizes what the Telemetry holds now (nil-safe: zero).
+func (t *Telemetry) Footprint() Footprint {
+	if t == nil {
+		return Footprint{}
+	}
+	f := Footprint{
+		JournalSlots: t.journal.slots(),
+		TraceSlots:   t.ring.Slots() + t.flight.Slots(),
+		Bytes:        int64(unsafe.Sizeof(*t) + unsafe.Sizeof(*t.journal)),
+	}
+	for i := range t.hists {
+		cells, bytes := t.hists[i].footprint()
+		f.HistCells += cells
+		f.Bytes += bytes
+	}
+	f.Bytes += int64(f.JournalSlots)*int64(unsafe.Sizeof(slot{})) +
+		int64(f.TraceSlots)*int64(unsafe.Sizeof((*WalkTrace)(nil)))
+	return f
 }
 
 // Emit records one coherence event in the journal. Nil-safe and gated on

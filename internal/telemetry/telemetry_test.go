@@ -12,8 +12,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dircache/internal/ringlog"
+	"dircache/internal/stripe"
 )
 
 // TestBucketBoundaries checks the bucket function against its boundary
@@ -94,6 +96,64 @@ func TestHistogramQuantiles(t *testing.T) {
 	h.Record(-time.Second)
 	if got := h.Snapshot().Count; got != 111 {
 		t.Fatalf("count after negative record = %d", got)
+	}
+}
+
+// TestHistogramCellsOnFirstRecord: a histogram allocates a stripe's cell
+// on that stripe's first record and its exemplar array on the first traced
+// one, so a fresh Telemetry holds no cell; goroutines racing their first
+// records lose no observation; Reset zeroes the cells and keeps them.
+func TestHistogramCellsOnFirstRecord(t *testing.T) {
+	tel := New(Options{})
+	tel.Enable()
+	f := tel.Footprint()
+	if f.HistCells != 0 || f.JournalSlots != 0 || f.TraceSlots != 16 || f.Bytes > 16<<10 {
+		t.Fatalf("fresh telemetry: %+v", f)
+	}
+	// The stripe hashes a stack address, so records from one frame share a
+	// cell and one from another depth may take a second.
+	for _, d := range []time.Duration{time.Microsecond, time.Millisecond} {
+		tel.Record(HistFSLookup, d)
+	}
+	one := tel.Footprint()
+	if cell := int64(unsafe.Sizeof(histCell{})); one.HistCells != 1 || one.Bytes != f.Bytes+cell {
+		t.Fatalf("two records from one frame: %d cells in %d bytes, want 1 cell of %d", one.HistCells, one.Bytes-f.Bytes, cell)
+	}
+	tel.RecordEx(HistFSLookup, time.Millisecond, 9)
+	ex := tel.Footprint()
+	if ex.HistCells > 2 || ex.Bytes < one.Bytes+int64(unsafe.Sizeof(exemplarArray{})) {
+		t.Fatalf("a traced record: %d cells, %d more bytes, want at most 2 cells and an exemplar array", ex.HistCells, ex.Bytes-one.Bytes)
+	}
+	if s := tel.SnapshotHist(HistFSLookup); s.Count != 3 || s.QuantileExemplar(1) != 9 {
+		t.Fatalf("snapshot: count %d, exemplar %d", s.Count, s.QuantileExemplar(1))
+	}
+
+	const goroutines, each = 4 * stripe.Stripes, 100
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			for i := 0; i < each; i++ {
+				tel.Record(HistEvict, time.Duration(i))
+			}
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	if s := tel.SnapshotHist(HistEvict); s.Count != goroutines*each {
+		t.Fatalf("racing first records: count %d, want %d", s.Count, goroutines*each)
+	}
+	cells := tel.Footprint().HistCells
+	if cells < 2 || cells > 2+stripe.Stripes {
+		t.Fatalf("%d cells after one histogram's records and %d goroutines' of another", cells, goroutines)
+	}
+	tel.ResetHistograms()
+	exemplars := tel.SnapshotHist(HistFSLookup).Exemplars
+	if f := tel.Footprint(); f.HistCells != cells || tel.SnapshotHist(HistEvict).Count != 0 || exemplars != [NumBuckets]uint64{} {
+		t.Fatalf("after Reset: %+v, evict count %d", f, tel.SnapshotHist(HistEvict).Count)
 	}
 }
 

@@ -331,6 +331,18 @@ func (d *Dentry) invalidateList() {
 	d.mu.Unlock()
 }
 
+// setInode stores ino in d, which takes over the name inodeFor took on
+// it, and gives back the name d's previous inode held. Once retireLater has
+// queued d it has given d's name back, so ino's goes back at once. The
+// caller holds d.mu, which retireLater takes to queue.
+func (d *Dentry) setInode(ino *Inode) {
+	old := d.inode.Swap(ino)
+	if d.Flags()&DQueued != 0 {
+		old = ino
+	}
+	old.put()
+}
+
 // reset reinitializes a freshly allocated (possibly recycled) arena slot
 // for a new tenant; the fast state is the Hooks' to reset (NewDentry).
 // The chain links need none: a slot is retired only unlinked, and a link

@@ -23,8 +23,15 @@ type Inode struct {
 	mtime atomic.Uint64
 
 	// label is the object security label consumed by LSM modules (the
-	// analogue of a cached security xattr).
-	label atomic.Value // string
+	// analogue of a cached security xattr); nil reads as unlabeled. A
+	// pointer, not an atomic.Value, keeps the Inode in a 64-byte size
+	// class with names beside it.
+	label atomic.Pointer[string]
+
+	// names counts the names inodeFor handed out and put has not taken
+	// back: one per live dentry naming the inode (hard links share it),
+	// plus one per caller between inodeFor and setInode. Under sb.mu.
+	names int32
 }
 
 // ID returns the low-level FS node ID (inode number).
@@ -53,14 +60,14 @@ func (ino *Inode) Mtime() uint64 { return ino.mtime.Load() }
 
 // Label returns the object security label ("" if unlabeled).
 func (ino *Inode) Label() string {
-	if v := ino.label.Load(); v != nil {
-		return v.(string)
+	if p := ino.label.Load(); p != nil {
+		return *p
 	}
 	return ""
 }
 
 // SetLabel stores the object security label.
-func (ino *Inode) SetLabel(l string) { ino.label.Store(l) }
+func (ino *Inode) SetLabel(l string) { ino.label.Store(&l) }
 
 // View renders the inode for LSM hooks.
 func (ino *Inode) View() lsm.InodeView {
@@ -98,7 +105,9 @@ func (ino *Inode) Info() fsapi.NodeInfo {
 
 // Super is a mounted file system instance: the low-level FS, its inode
 // cache, and the root of its dentry tree. Bind mounts share a Super; each
-// Mount points at one.
+// Mount points at one. The inode cache holds an inode while a cached
+// dentry names it (Inode.names): like i_count, the last dentry that goes
+// takes the inode with it.
 type Super struct {
 	id   uint64
 	k    *Kernel // owning kernel: resolves packed dentry refs (alias targets)
@@ -120,7 +129,9 @@ func (sb *Super) Caps() fsapi.Capabilities { return sb.caps }
 // Root returns the root dentry of the superblock's dentry tree.
 func (sb *Super) Root() *Dentry { return sb.root }
 
-// inodeFor returns the cached Inode for info.ID, creating or refreshing it.
+// inodeFor returns the cached Inode for info.ID, creating or refreshing it,
+// with a name taken on it for the dentry the caller stores it in. A caller
+// that ends up storing it nowhere gives the name back with put.
 func (sb *Super) inodeFor(info fsapi.NodeInfo) *Inode {
 	sb.mu.Lock()
 	ino, ok := sb.icache[info.ID]
@@ -128,9 +139,25 @@ func (sb *Super) inodeFor(info fsapi.NodeInfo) *Inode {
 		ino = &Inode{sb: sb, id: info.ID}
 		sb.icache[info.ID] = ino
 	}
+	ino.names++
 	sb.mu.Unlock()
 	ino.applyInfo(info)
 	return ino
+}
+
+// put gives back one name inodeFor took (nil-safe). The cache forgets the
+// inode with its last name, unless forgetInode already did and a newer
+// Inode holds the ID.
+func (ino *Inode) put() {
+	if ino == nil {
+		return
+	}
+	sb := ino.sb
+	sb.mu.Lock()
+	if ino.names--; ino.names == 0 && sb.icache[ino.id] == ino {
+		delete(sb.icache, ino.id)
+	}
+	sb.mu.Unlock()
 }
 
 // forgetInode drops an inode from the cache once its last name is gone.

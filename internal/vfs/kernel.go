@@ -396,7 +396,7 @@ func (k *Kernel) newDentry(sb *Super, parent *Dentry, name string) *Dentry {
 func (k *Kernel) allocDentry(sb *Super, parent *Dentry, name string, ino *Inode) *Dentry {
 	d := k.newDentry(sb, parent, name)
 	if ino != nil {
-		d.inode.Store(ino)
+		d.inode.Store(ino) // unpublished: d takes over inodeFor's name
 	} else {
 		d.setFlags(DNegative)
 	}
@@ -405,14 +405,19 @@ func (k *Kernel) allocDentry(sb *Super, parent *Dentry, name string, ino *Inode)
 }
 
 // retireLater queues a killed dentry's ref for the sweeper, once per
-// tenant. The dentry must already be dead, detached from its parent's
-// child map, out of the LRU and out of every DLHT; what remains — the
-// (parent, name) chain unlink and the slot's retire — is batched off the
-// mutation path.
+// tenant, and gives back its inode's name. The dentry must already be
+// dead, detached from its parent's child map, out of the LRU and out of
+// every DLHT; what remains — the (parent, name) chain unlink and the
+// slot's retire — is batched off the mutation path.
 func (k *Kernel) retireLater(d *Dentry) {
-	if DentryFlags(d.flags.Or(uint32(DQueued)))&DQueued != 0 {
+	d.mu.Lock()
+	queued := DentryFlags(d.flags.Or(uint32(DQueued)))&DQueued != 0
+	ino := d.inode.Load()
+	d.mu.Unlock()
+	if queued {
 		return
 	}
+	ino.put()
 	k.limboMu.Lock()
 	k.limbo = append(k.limbo, d.self)
 	k.limboMu.Unlock()

@@ -93,7 +93,7 @@ func (k *Kernel) positivize(d *Dentry, ino *Inode) {
 			kids = append(kids, c)
 		}
 	}
-	d.inode.Store(ino)
+	d.setInode(ino)
 	d.mu.Unlock()
 	for _, c := range kids {
 		k.killSubtreeLocked(c)
@@ -185,6 +185,7 @@ func (k *Kernel) installNewChild(parent PathRef, name string, info fsapi.NodeInf
 			k.positivize(d, ino)
 			return d
 		}
+		ino.put()
 		return d // concurrent creation already installed it
 	}
 	k.cacheMutBegin()
@@ -465,7 +466,7 @@ func (k *Kernel) dentryGone(d *Dentry, ino *Inode) {
 		d.EachChild(func(c *Dentry) { k.killSubtreeLocked(c) })
 		wasComplete := d.Flags()&DComplete != 0
 		d.mu.Lock()
-		d.inode.Store(nil)
+		d.setInode(nil)
 		d.setFlags(DNegative)
 		d.clearFlags(DComplete | DUnhydrated)
 		d.mu.Unlock()

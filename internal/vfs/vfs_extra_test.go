@@ -545,3 +545,125 @@ func TestRetireLaterQueuesOnce(t *testing.T) {
 		t.Fatalf("the sweeper processed %d records and left the slot live: %v", n, k.DentryFromRef(d.self) != nil)
 	}
 }
+
+// checkInodeNames: the superblock's inode cache holds exactly the inodes
+// its live cached dentries name, each with one name per such dentry.
+func checkInodeNames(t *testing.T, sb *Super) {
+	t.Helper()
+	want := map[*Inode]int32{}
+	var visit func(d *Dentry)
+	visit = func(d *Dentry) {
+		if ino := d.Inode(); ino != nil && !d.IsDead() {
+			want[ino]++
+		}
+		d.EachChild(visit)
+	}
+	visit(sb.root)
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	if len(sb.icache) != len(want) {
+		t.Fatalf("the inode cache holds %d inodes, the cached dentries name %d", len(sb.icache), len(want))
+	}
+	for id, ino := range sb.icache {
+		if n, ok := want[ino]; !ok || ino.names != n {
+			t.Fatalf("inode %d holds %d names, %d cached dentries name it", id, ino.names, n)
+		}
+	}
+}
+
+// TestInodeCacheFollowsDentries: an inode leaves the cache with the last
+// cached dentry that names it. 3 000 files walked through a 256-dentry
+// cache leave no more inodes behind than dentries, DropCaches leaves the
+// pinned ones' only, and hard links share one inode through eviction and
+// re-lookup, so a chmod through one name shows through the other.
+func TestInodeCacheFollowsDentries(t *testing.T) {
+	k, root := newKernel(t, Config{CacheCapacity: 256})
+	sb := k.initNS.root.sb
+	if err := root.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		p := fmt.Sprintf("/d/f%04d", i)
+		if err := root.Create(p, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := root.Stat(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.ReclaimAll()
+	checkInodeNames(t, sb)
+	k.DropCaches()
+	checkInodeNames(t, sb)
+	if n := len(sb.icache); n > 2 {
+		t.Fatalf("after DropCaches the inode cache holds %d inodes", n)
+	}
+
+	if err := root.Create("/d/a", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Link("/d/a", "/d/b"); err != nil {
+		t.Fatal(err)
+	}
+	inode := func(p string) *Inode {
+		ref, err := root.Walk(p, WalkNoFollow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref.D.Inode()
+	}
+	if inode("/d/a") != inode("/d/b") {
+		t.Fatal("two hard links hold two inodes")
+	}
+	checkInodeNames(t, sb)
+	k.DropCaches()
+	b := inode("/d/b")
+	if b != inode("/d/a") {
+		t.Fatal("after eviction and re-lookup the hard links hold two inodes")
+	}
+	if err := root.Chmod("/d/b", 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := root.Stat("/d/a"); err != nil || st.Mode.Perm() != 0o600 {
+		t.Fatalf("chmod through /d/b: /d/a reads %v, %v", st.Mode.Perm(), err)
+	}
+	checkInodeNames(t, sb)
+	if err := root.Unlink("/d/a"); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := root.Stat("/d/b"); err != nil || st.Nlink != 1 {
+		t.Fatalf("after unlinking /d/a, /d/b reads nlink %d, %v", st.Nlink, err)
+	}
+	k.ReclaimAll()
+	checkInodeNames(t, sb)
+}
+
+// TestSetInodeAfterRetire: an inode stored in a dentry before its kill is
+// given back by retireLater, and one stored after it (a hydration or a
+// positivize losing a race with the kill) is given back at once: in either
+// order the inode leaves the cache, and no name is given back twice.
+func TestSetInodeAfterRetire(t *testing.T) {
+	k, _ := newKernel(t, Config{})
+	sb := k.initNS.root.sb
+	for _, before := range []bool{true, false} {
+		d := testDentry(k)
+		ino := sb.inodeFor(fsapi.NodeInfo{ID: 1 << 40})
+		set := func() {
+			d.mu.Lock()
+			d.setInode(ino)
+			d.mu.Unlock()
+		}
+		if before {
+			set()
+		}
+		d.setFlags(DDead)
+		k.retireLater(d)
+		if !before {
+			set()
+		}
+		k.retireLater(d)
+		if ino.names != 0 || sb.icache[ino.id] != nil {
+			t.Fatalf("stored before the kill %v: %d names left, cached %v", before, ino.names, sb.icache[ino.id] != nil)
+		}
+	}
+}

@@ -643,7 +643,7 @@ func (k *Kernel) hydrate(d *Dentry) error {
 		return fsapi.ESTALE
 	}
 	k.Count(NHydrations, 1)
-	d.inode.Store(d.sb.inodeFor(info))
+	d.setInode(d.sb.inodeFor(info))
 	d.clearFlags(DUnhydrated)
 	return nil
 }
@@ -787,10 +787,13 @@ func (k *Kernel) resolvePositive(parent *Dentry, comp string, d *Dentry, il *inL
 		// the placeholder: the outcome is stale, everyone retries.
 		parent.mu.Unlock()
 		k.cacheMutEnd()
+		ino.put()
 		k.finishInLookup(il, errSeqRetry)
 		return nil, errSeqRetry
 	}
-	d.inode.Store(ino)
+	d.mu.Lock()
+	d.setInode(ino)
+	d.mu.Unlock()
 	d.clearFlags(DInLookup)
 	parent.mu.Unlock()
 	k.table.insert(d)

@@ -1,9 +1,11 @@
 package dircache
 
 import (
+	"dircache/internal/coherence"
 	"dircache/internal/core"
 	"dircache/internal/lsm"
 	"dircache/internal/slab"
+	"dircache/internal/telemetry"
 	"dircache/internal/vfs"
 )
 
@@ -46,12 +48,22 @@ type TableStats = vfs.TableStats
 // directory prefixes it holds, and the bytes of both.
 type PrefixMemoStats = core.PrefixMemoStats
 
+// TelemetryFootprint sizes an attached telemetry subsystem: the histogram
+// cells its recorders allocated and the slots its journal and trace rings
+// have grown to, with their bytes.
+type TelemetryFootprint = telemetry.Footprint
+
+// CoherenceFootprint sizes a System's coherence log: the slots it has
+// grown to and the path bytes its retained records carry.
+type CoherenceFootprint = coherence.Footprint
+
 // MemStats reports the memory picture behind the dentry cache — what a
 // System holds that grows with what it caches: the dentry arena's
 // occupancy (both hash tables chain through the dentries, so it is the
 // one arena), the two hash tables' bucket arrays and the prefix memo,
 // plus the deferred-teardown queue depth and the cumulative count of
-// teardown records the sweeper has processed.
+// teardown records the sweeper has processed — and, beside them, what its
+// telemetry and coherence log have grown to.
 type MemStats struct {
 	Table      TableStats      `json:"table"`
 	DLHT       TableStats      `json:"dlht"`        // zero when DirectLookup is off
@@ -68,6 +80,9 @@ type MemStats struct {
 
 	LimboQueue int64  `json:"limbo_queue"` // dentries killed but not yet swept
 	Swept      uint64 `json:"swept"`       // cumulative teardown records processed
+
+	Telemetry TelemetryFootprint `json:"telemetry"` // zero with no telemetry attached
+	Coherence CoherenceFootprint `json:"coherence"` // zero on a System without peers
 }
 
 // MemStats snapshots slab-arena occupancy and teardown-queue state.
@@ -79,6 +94,8 @@ func (s *System) MemStats() MemStats {
 		Dentries:   arenaStats(d),
 		LimboQueue: limbo,
 		Swept:      swept,
+		Telemetry:  s.k.Telemetry().Footprint(),
+		Coherence:  coherence.Size(s.k.Coherence()),
 	}
 	if s.core != nil {
 		out.PrefixMemo = s.core.PrefixMemoStats()
@@ -89,8 +106,9 @@ func (s *System) MemStats() MemStats {
 // Bytes is what the snapshot accounts for: the two hash tables' bucket
 // arrays, the prefix memo and the dentry arena's slots. It is the part of a
 // System's footprint that follows the number of cached names, with the
-// memo's fixed 32 KB of slots; the fixed-size structures beside it (the
-// signature key, each PCC, telemetry's rings) are listed in DESIGN §5g.
+// memo's fixed 32 KB of slots; Telemetry and Coherence size themselves,
+// and the fixed-size structures beside them (the signature key, each PCC)
+// are listed in DESIGN §5g.
 func (s MemStats) Bytes() int64 {
 	return s.Table.Bytes + s.DLHT.Bytes + s.PrefixMemo.Bytes + s.Dentries.Bytes
 }
@@ -100,8 +118,9 @@ func (s MemStats) Bytes() int64 {
 // (dentries_live/_free/_limbo/_slots/_chunks/_bytes) and cumulative
 // reclamation traffic (dentries_retired/_reclaimed), each hash table's
 // <table>_buckets/_entries/_resizes/_bytes, the prefix memo's
-// prefix_memo_slots/_entries/_bytes, plus the teardown queue depth and
-// sweep total.
+// prefix_memo_slots/_entries/_bytes, the teardown queue depth and sweep
+// total, telemetry_hist_cells/_journal_slots/_trace_slots/_bytes
+// and coherence_slots/_path_bytes/_bytes.
 func (s MemStats) counters() map[string]int64 {
 	out := make(map[string]int64, 40)
 	a := s.Dentries
@@ -126,6 +145,14 @@ func (s MemStats) counters() map[string]int64 {
 	out["prefix_memo_bytes"] = s.PrefixMemo.Bytes
 	out["limbo_queue"] = s.LimboQueue
 	out["swept"] = int64(s.Swept)
+	tf := s.Telemetry
+	out["telemetry_hist_cells"] = int64(tf.HistCells)
+	out["telemetry_journal_slots"] = int64(tf.JournalSlots)
+	out["telemetry_trace_slots"] = int64(tf.TraceSlots)
+	out["telemetry_bytes"] = tf.Bytes
+	out["coherence_slots"] = int64(s.Coherence.Slots)
+	out["coherence_path_bytes"] = s.Coherence.PathBytes
+	out["coherence_bytes"] = s.Coherence.Bytes
 	return out
 }
 

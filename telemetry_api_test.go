@@ -87,6 +87,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		`dircache_stat{source="mem",name="table_entries"}`,
 		`dircache_stat{source="mem",name="table_resizes"}`,
 		`dircache_stat{source="mem",name="table_bytes"}`,
+		`dircache_stat{source="mem",name="telemetry_bytes"}`,
+		`dircache_stat{source="mem",name="coherence_bytes"}`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics output missing %q", want)

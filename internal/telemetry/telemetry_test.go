@@ -111,18 +111,19 @@ func TestHistogramCellsOnFirstRecord(t *testing.T) {
 		t.Fatalf("fresh telemetry: %+v", f)
 	}
 	// The stripe hashes a stack address, so records from one frame share a
-	// cell and one from another depth may take a second.
+	// cell unless the stack moved between them (a growth or a GC shrink),
+	// and one from another depth may take another.
 	for _, d := range []time.Duration{time.Microsecond, time.Millisecond} {
 		tel.Record(HistFSLookup, d)
 	}
 	one := tel.Footprint()
-	if cell := int64(unsafe.Sizeof(histCell{})); one.HistCells != 1 || one.Bytes != f.Bytes+cell {
-		t.Fatalf("two records from one frame: %d cells in %d bytes, want 1 cell of %d", one.HistCells, one.Bytes-f.Bytes, cell)
+	if cell := int64(unsafe.Sizeof(histCell{})); one.HistCells < 1 || one.HistCells > 2 || one.Bytes != f.Bytes+int64(one.HistCells)*cell {
+		t.Fatalf("two records from one frame: %d cells in %d bytes, want 1 or 2 cells of %d", one.HistCells, one.Bytes-f.Bytes, cell)
 	}
 	tel.RecordEx(HistFSLookup, time.Millisecond, 9)
 	ex := tel.Footprint()
-	if ex.HistCells > 2 || ex.Bytes < one.Bytes+int64(unsafe.Sizeof(exemplarArray{})) {
-		t.Fatalf("a traced record: %d cells, %d more bytes, want at most 2 cells and an exemplar array", ex.HistCells, ex.Bytes-one.Bytes)
+	if ex.HistCells > one.HistCells+1 || ex.Bytes < one.Bytes+int64(unsafe.Sizeof(exemplarArray{})) {
+		t.Fatalf("a traced record: %d cells after %d, %d more bytes, want at most one more cell and an exemplar array", ex.HistCells, one.HistCells, ex.Bytes-one.Bytes)
 	}
 	if s := tel.SnapshotHist(HistFSLookup); s.Count != 3 || s.QuantileExemplar(1) != 9 {
 		t.Fatalf("snapshot: count %d, exemplar %d", s.Count, s.QuantileExemplar(1))
@@ -147,7 +148,7 @@ func TestHistogramCellsOnFirstRecord(t *testing.T) {
 		t.Fatalf("racing first records: count %d, want %d", s.Count, goroutines*each)
 	}
 	cells := tel.Footprint().HistCells
-	if cells < 2 || cells > 2+stripe.Stripes {
+	if cells < 2 || cells > ex.HistCells+stripe.Stripes {
 		t.Fatalf("%d cells after one histogram's records and %d goroutines' of another", cells, goroutines)
 	}
 	tel.ResetHistograms()

@@ -343,6 +343,22 @@ func (d *Dentry) setInode(ino *Inode) {
 	old.put()
 }
 
+// holdInode takes a name on ino for an open file, as an open file holds
+// i_count: the inode stays cached while the handle is open, whatever
+// becomes of d. It fails if d no longer holds ino, or if retireLater has
+// queued d and so may have given back the name that kept ino cached.
+func (d *Dentry) holdInode(ino *Inode) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.inode.Load() != ino || d.Flags()&DQueued != 0 {
+		return false
+	}
+	ino.sb.mu.Lock()
+	ino.names++
+	ino.sb.mu.Unlock()
+	return true
+}
+
 // reset reinitializes a freshly allocated (possibly recycled) arena slot
 // for a new tenant; the fast state is the Hooks' to reset (NewDentry).
 // The chain links need none: a slot is retired only unlinked, and a link

@@ -58,6 +58,7 @@ func (f *File) Close() error {
 		return fsapi.EBADF
 	}
 	f.closed = true
+	f.ino.put()
 	f.ref.D.Unref()
 	if f.release != nil {
 		f.release()
@@ -107,7 +108,7 @@ func (f *File) Write(p []byte) (int, error) {
 	n, err := f.ref.D.sb.fs.WriteAt(f.ino.ID(), p, f.pos)
 	f.pos += int64(n)
 	if err == nil {
-		f.t.k.refreshInode(f.ref.D)
+		f.ino.refresh() // f.ref.D may have lost it to an unlink
 	}
 	return n, err
 }

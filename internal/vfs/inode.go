@@ -28,9 +28,10 @@ type Inode struct {
 	// class with names beside it.
 	label atomic.Pointer[string]
 
-	// names counts the names inodeFor handed out and put has not taken
-	// back: one per live dentry naming the inode (hard links share it),
-	// plus one per caller between inodeFor and setInode. Under sb.mu.
+	// names counts the names inodeFor and holdInode handed out and put has
+	// not taken back: one per live dentry naming the inode (hard links
+	// share it) and one per open File, plus one per caller between inodeFor
+	// and setInode. Under sb.mu.
 	names int32
 }
 
@@ -90,6 +91,17 @@ func (ino *Inode) applyInfo(info fsapi.NodeInfo) {
 	ino.mtime.Store(info.Mtime)
 }
 
+// refresh re-reads the metadata from the backend and reports whether the
+// backend still knows the node.
+func (ino *Inode) refresh() bool {
+	info, err := ino.sb.fs.GetNode(ino.id)
+	if err != nil {
+		return false
+	}
+	ino.applyInfo(info)
+	return true
+}
+
 // Info snapshots the cached metadata as a NodeInfo.
 func (ino *Inode) Info() fsapi.NodeInfo {
 	return fsapi.NodeInfo{
@@ -106,8 +118,8 @@ func (ino *Inode) Info() fsapi.NodeInfo {
 // Super is a mounted file system instance: the low-level FS, its inode
 // cache, and the root of its dentry tree. Bind mounts share a Super; each
 // Mount points at one. The inode cache holds an inode while a cached
-// dentry names it (Inode.names): like i_count, the last dentry that goes
-// takes the inode with it.
+// dentry names it or an open File uses it (Inode.names): like i_count, the
+// last of them that goes takes the inode with it.
 type Super struct {
 	id   uint64
 	k    *Kernel // owning kernel: resolves packed dentry refs (alias targets)

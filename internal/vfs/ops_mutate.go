@@ -498,15 +498,7 @@ func (k *Kernel) dentryGone(d *Dentry, ino *Inode) {
 // the backend still knows it.
 func (k *Kernel) refreshInode(d *Dentry) bool {
 	ino := d.Inode()
-	if ino == nil {
-		return false
-	}
-	info, err := d.sb.fs.GetNode(ino.ID())
-	if err != nil {
-		return false
-	}
-	ino.applyInfo(info)
-	return true
+	return ino != nil && ino.refresh()
 }
 
 // Rename moves oldpath to newpath (same mount only), carrying the paper's
@@ -811,6 +803,9 @@ func (t *Task) openAtOnce(at PathRef, path string, flags OpenFlag, mode fsapi.Mo
 		ino.applyInfo(info)
 	}
 
+	if !ref.D.holdInode(ino) {
+		return nil, errSeqRetry // the dentry lost its inode: walk again
+	}
 	f := &File{t: t, ref: ref, ino: ino, flags: flags}
 	ref.D.Ref()
 	if r, ok := ref.D.sb.fs.(fsapi.NodeRetainer); ok {

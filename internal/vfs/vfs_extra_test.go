@@ -667,3 +667,68 @@ func TestSetInodeAfterRetire(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenFileHoldsInode: an open File keeps its inode cached after its
+// dentry goes, so a handle opened through an unlinked hard link and a
+// handle on the other link share one inode. Both appends survive, and the
+// first handle's fstat sees a chmod made through the other name; in
+// either unlink mode (the dentry killed, or turned negative in place).
+func TestOpenFileHoldsInode(t *testing.T) {
+	for _, aggressive := range []bool{false, true} {
+		k, root := newKernel(t, Config{AggressiveNegatives: aggressive})
+		sb := k.initNS.root.sb
+		if err := root.Mkdir("/d", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Create("/d/a", 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Link("/d/a", "/d/b"); err != nil {
+			t.Fatal(err)
+		}
+		fa, err := root.Open("/d/a", O_WRONLY|O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Unlink("/d/a"); err != nil {
+			t.Fatal(err)
+		}
+		k.DropCaches()
+		fb, err := root.Open("/d/b", O_WRONLY|O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fa.ino != fb.ino {
+			t.Fatalf("aggressive %v: the two handles hold two inodes", aggressive)
+		}
+		if _, err := fb.Write([]byte("bbb")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fa.Write([]byte("aa")); err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Chmod("/d/b", 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := fa.Stat(); err != nil || st.Mode.Perm() != 0o600 || st.Size != 5 {
+			t.Fatalf("aggressive %v: fstat after a chmod through /d/b reads mode %v size %d, %v", aggressive, st.Mode.Perm(), st.Size, err)
+		}
+		for _, f := range []*File{fa, fb} {
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fr, err := root.Open("/d/b", O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 16)
+		n, _ := fr.Read(buf)
+		if got := string(buf[:n]); got != "bbbaa" {
+			t.Fatalf("aggressive %v: /d/b holds %q, want both appends", aggressive, got)
+		}
+		fr.Close()
+		k.ReclaimAll()
+		checkInodeNames(t, sb)
+	}
+}

@@ -31,6 +31,8 @@ help:
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch and dcshard on a baseline server; then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
 	@echo "  loc            the two line counts ROADMAP tracks (non-test Go: core+vfs, and everything outside benchmark/)"
+	@echo "metric catalog: testdata/metric_catalog.txt lists every series /metrics exports (TestMetricCatalog, part of check);"
+	@echo "  after a deliberate change to the series, regenerate it with: $(GO) test -run TestMetricCatalog -update ."
 
 build:
 	$(GO) build ./...

@@ -7,6 +7,7 @@ import (
 
 	"dircache"
 	"dircache/internal/shard"
+	"dircache/internal/telemetry"
 )
 
 // TestWarmWalkZeroAlloc is the alloc-regression gate behind
@@ -90,6 +91,64 @@ func TestWarmWalkZeroAlloc(t *testing.T) {
 		if avg != 0 {
 			t.Fatalf("%s: warm walk allocates: %.2f allocs/op (want 0 — the slab arenas exist so this path never touches the GC heap)", tc.name, avg)
 		}
+	}
+}
+
+// TestWalkTimingSample: with telemetry on, a walk is timed when the count
+// its own Add returned is one past a multiple of eight, so 2000 stats from
+// one frame record exactly 250 walk observations — in every build, the
+// race detector's included, where the count and a second read of it
+// would sit at different stack depths and so on different stripes.
+func TestWalkTimingSample(t *testing.T) {
+	cfg := dircache.Optimized()
+	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true}
+	sys := dircache.New(cfg)
+	p := sys.Start(dircache.RootCreds())
+	if err := p.MkdirAll("/a/b", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	tl := sys.Telemetry()
+	before := tl.SnapshotHist(telemetry.HistWalk).Count
+	for i := 0; i < 2000; i++ {
+		if _, err := p.Stat("/a/b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tl.SnapshotHist(telemetry.HistWalk).Count - before; got != 250 {
+		t.Fatalf("2000 stats recorded %d walk observations, want 250", got)
+	}
+}
+
+// TestTracedStatAllocs: a sampled walk allocates its trace and the
+// trace's event array, and the ring keeps that trace as it is — a warm
+// stat traced at every walk allocates 2, at one component or at twenty.
+func TestTracedStatAllocs(t *testing.T) {
+	cfg := dircache.Optimized()
+	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true, TraceSample: 1}
+	sys := dircache.New(cfg)
+	p := sys.Start(dircache.RootCreds())
+	deep := ""
+	for i := 0; i < 20; i++ {
+		deep += fmt.Sprintf("/p%02d", i)
+	}
+	if err := p.MkdirAll(deep, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/p00", deep} {
+		stat := func() {
+			if _, err := p.Stat(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			stat()
+		}
+		if avg := testing.AllocsPerRun(500, stat); avg > 2 {
+			t.Errorf("a traced warm stat of %s allocates %.2f, want <= 2", path, avg)
+		}
+	}
+	if sys.Telemetry().TraceCount() == 0 {
+		t.Fatal("no walk was traced")
 	}
 }
 
@@ -326,8 +385,8 @@ func TestFreshSystemFootprint(t *testing.T) {
 		tcfg.Telemetry.Enabled = true
 		tf := footprintOf(t, tcfg).Telemetry
 		t.Logf("telemetry: %d KB, %+v", tf.Bytes>>10, tf)
-		if tf.JournalSlots == 0 || tf.Bytes > 96<<10 {
-			t.Fatalf("telemetry of a System with 1000 files: %+v, want journal slots, all in <= 96 KB", tf)
+		if tf.JournalSlots == 0 || tf.HistCells == 0 || tf.Bytes > 96<<10 {
+			t.Fatalf("telemetry of a System with 1000 files: %+v, want journal slots and histogram cells, all in <= 96 KB", tf)
 		}
 	})
 	t.Run("group", func(t *testing.T) {

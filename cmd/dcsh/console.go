@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"dircache"
@@ -60,9 +61,9 @@ type topShot struct {
 	at                     time.Time
 	st                     dircache.CacheStats
 	mem                    dircache.MemStats
-	hist                   map[string]uint64 // histogram observation counts
-	users                  map[string]int64  // per-principal 9P ops (when serving)
-	ops                    int64             // total 9P ops (when serving)
+	hist                   map[telemetry.HistID]uint64 // topOps' observation counts
+	users                  map[string]int64            // per-principal 9P ops (when serving)
+	ops                    int64                       // total 9P ops (when serving)
 	errs                   int64
 	evDrop, trDrop, slDrop uint64
 	slKept                 int // flight-recorded traces retained
@@ -74,7 +75,10 @@ type topShot struct {
 }
 
 // topOps are the 9P per-op cost centers shown as rate columns.
-var topOps = []string{"ninep_attach", "ninep_walk", "ninep_open", "ninep_read", "ninep_stat", "ninep_clunk"}
+var topOps = []telemetry.HistID{
+	telemetry.HistServeAttach, telemetry.HistServeWalk, telemetry.HistServeOpen,
+	telemetry.HistServeRead, telemetry.HistServeStat, telemetry.HistServeClunk,
+}
 
 func topSnapshot(systems []*dircache.System) topShot {
 	sys := systems[0]
@@ -83,7 +87,7 @@ func topSnapshot(systems []*dircache.System) topShot {
 		at:     time.Now(),
 		st:     sys.Stats(),
 		mem:    sys.MemStats(),
-		hist:   map[string]uint64{},
+		hist:   map[telemetry.HistID]uint64{},
 		evDrop: tl.EventsDropped(),
 		trDrop: tl.TracesDropped(),
 	}
@@ -97,10 +101,8 @@ func topSnapshot(systems []*dircache.System) topShot {
 		}
 	}
 	s.slDrop, s.slKept = tl.SlowDropped(), tl.SlowCount()
-	for _, name := range append([]string{"walk"}, topOps...) {
-		if id, ok := telemetry.HistIDByName(name); ok {
-			s.hist[name] = tl.SnapshotHist(id).Count
-		}
+	for _, id := range topOps {
+		s.hist[id] = tl.SnapshotHist(id).Count
 	}
 	if nineSrv != nil {
 		st := nineSrv.Stats()
@@ -151,9 +153,9 @@ func renderTop(sys *dircache.System, prev, cur topShot, tick, ticks int) {
 	fmt.Printf("assists %8.0f coalesced/s\n", rate(prev.st.MissCoalesced, cur.st.MissCoalesced))
 
 	fmt.Printf("stages ")
-	for _, name := range []string{"walk", "fastpath", "slowpath", "fs_lookup"} {
-		if p50, _, p99, ok := tl.HistogramQuantiles(name); ok {
-			fmt.Printf("  %s p50 %v p99 %v", name, p50, p99)
+	for _, id := range []telemetry.HistID{telemetry.HistWalk, telemetry.HistFastpath, telemetry.HistSlowpath, telemetry.HistFSLookup} {
+		if p50, _, p99, ok := tl.HistogramQuantiles(id.Name()); ok {
+			fmt.Printf("  %s p50 %v p99 %v", id.Name(), p50, p99)
 		}
 	}
 	fmt.Println()
@@ -163,9 +165,9 @@ func renderTop(sys *dircache.System, prev, cur topShot, tick, ticks int) {
 			rate(prev.ops, cur.ops), rate(prev.errs, cur.errs),
 			nineSrv.Stats().PoolIdle, nineSrv.Stats().PoolReuses, nineSrv.Stats().PoolGets)
 		fmt.Printf("        per-op/s:")
-		for _, name := range topOps {
-			if r := float64(cur.hist[name]-prev.hist[name]) / sec; r > 0 {
-				fmt.Printf("  %s %.0f", name[len("ninep_"):], r)
+		for _, id := range topOps {
+			if r := float64(cur.hist[id]-prev.hist[id]) / sec; r > 0 {
+				fmt.Printf("  %s %.0f", strings.TrimPrefix(id.Name(), "ninep_"), r)
 			}
 		}
 		fmt.Println()

@@ -33,6 +33,7 @@ import (
 	"dircache"
 	"dircache/internal/ninep"
 	"dircache/internal/shard"
+	"dircache/internal/telemetry"
 )
 
 // nineSrv is the shell's live 9P listener ('serve' command / -serve flag).
@@ -310,9 +311,8 @@ other:  help  exit
 			return fmt.Errorf("telemetry off (restart dcsh with -telemetry)")
 		}
 		shown := 0
-		for _, name := range []string{"walk", "fastpath", "slowpath", "fs_lookup", "pcc_probe", "evict",
-			"miss_wait", "rename_invalidate", "chmod_seq_bump", "unlink_invalidate", "dlht_remove",
-			"ninep_attach", "ninep_walk", "ninep_open", "ninep_read", "ninep_stat", "ninep_clunk"} {
+		for id := range telemetry.NumHistograms {
+			name := id.Name()
 			p50, p95, p99, ok := tl.HistogramQuantiles(name)
 			if !ok {
 				continue

@@ -11,8 +11,6 @@ type PCCStats struct {
 	CredID   uint64 `json:"cred_id"`
 	Entries  int    `json:"entries"`  // valid entries right now
 	Capacity int    `json:"capacity"` // the fixed table's capacity
-	Hits     int64  `json:"hits"`
-	Misses   int64  `json:"misses"`
 }
 
 // Introspection is a point-in-time snapshot of the fastpath structures.
@@ -36,13 +34,10 @@ func (c *Core) Introspect() Introspection {
 	}
 	c.k.Gate().Exit(ep)
 	for _, reg := range c.registered() {
-		hits, misses := reg.p.Stats()
 		in.PCCs = append(in.PCCs, PCCStats{
 			CredID:   reg.cr.ID(),
 			Entries:  reg.p.Occupancy(),
 			Capacity: reg.p.Entries(),
-			Hits:     hits,
-			Misses:   misses,
 		})
 	}
 	return in

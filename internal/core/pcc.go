@@ -10,7 +10,6 @@ package core
 import (
 	"sync/atomic"
 
-	"dircache/internal/stripe"
 	"dircache/internal/telemetry"
 	"dircache/internal/vfs"
 )
@@ -59,12 +58,6 @@ type PCC struct {
 	sets []pccSet
 	mask uint32
 
-	// hits is bumped on every fastpath authorization; striped so that
-	// concurrent hits on one shared credential (the common server shape:
-	// many worker goroutines, one uid) don't serialize on a counter line.
-	hits   stripe.Int64
-	misses stripe.Int64
-
 	// credID is the owning credential's ID — the subject under which
 	// flush events are journaled. Zero for unattached unit-test PCCs.
 	credID uint64
@@ -102,11 +95,9 @@ func (p *PCC) Lookup(dentryID, seq uint64) bool {
 	for w := 0; w < pccWays; w++ {
 		if s.ways[w].Load() == want {
 			touch(s, w)
-			p.hits.Add(1)
 			return true
 		}
 	}
-	p.misses.Add(1)
 	return false
 }
 
@@ -159,11 +150,6 @@ func touch(s *pccSet, w int) {
 		return
 	}
 	s.lru.Store(bumped)
-}
-
-// Stats reports hit/miss counters.
-func (p *PCC) Stats() (hits, misses int64) {
-	return p.hits.Load(), p.misses.Load()
 }
 
 // Entries returns the capacity in entries.

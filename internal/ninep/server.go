@@ -81,19 +81,19 @@ type serverStats struct {
 // ServerStats is a snapshot of the server counters. ConnsLive and
 // FidsLive are gauges; everything else is cumulative.
 type ServerStats struct {
-	ConnsTotal   int64
-	ConnsLive    int64
-	Attaches     int64
-	FidsLive     int64
-	Ops          int64
-	Walks        int64
-	WalkNames    int64
-	ErrorsSent   int64
-	BytesRead    int64
-	BytesWritten int64
-	PoolGets     int64
-	PoolReuses   int64
-	PoolIdle     int64 // Processes currently parked in the pool
+	ConnsTotal   int64 `json:"conns_total"`
+	ConnsLive    int64 `json:"conns_live"`
+	Attaches     int64 `json:"attaches"`
+	FidsLive     int64 `json:"fids_live"`
+	Ops          int64 `json:"ops"`
+	Walks        int64 `json:"walks"`
+	WalkNames    int64 `json:"walk_names"`
+	ErrorsSent   int64 `json:"errors_sent"`
+	BytesRead    int64 `json:"bytes_read"`
+	BytesWritten int64 `json:"bytes_written"`
+	PoolGets     int64 `json:"pool_gets"`
+	PoolReuses   int64 `json:"pool_reuses"`
+	PoolIdle     int64 `json:"pool_idle"` // Processes currently parked in the pool
 }
 
 // NewServer builds a server for sys (not yet listening).
@@ -182,25 +182,11 @@ func (s *Server) UserOps() map[string]int64 {
 	return out
 }
 
+// statCounters is the server's counter source ("ninep"): ServerStats by
+// its json names, and one ops_user_<uname> row per attached user.
 func (s *Server) statCounters() map[string]int64 {
-	st := s.Stats()
-	m := s.UserOps()
-	out := map[string]int64{
-		"conns_total":   st.ConnsTotal,
-		"conns_live":    st.ConnsLive,
-		"attaches":      st.Attaches,
-		"fids_live":     st.FidsLive,
-		"ops":           st.Ops,
-		"walks":         st.Walks,
-		"walk_names":    st.WalkNames,
-		"errors_sent":   st.ErrorsSent,
-		"bytes_read":    st.BytesRead,
-		"bytes_written": st.BytesWritten,
-		"pool_gets":     st.PoolGets,
-		"pool_reuses":   st.PoolReuses,
-		"pool_idle":     st.PoolIdle,
-	}
-	for uname, n := range m {
+	out := telemetry.Flatten(s.Stats())
+	for uname, n := range s.UserOps() {
 		out["ops_user_"+uname] = n
 	}
 	return out

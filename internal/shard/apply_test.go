@@ -15,7 +15,7 @@ import (
 // tier is a two-shard deployment as the apply tests see it: each shard's
 // System (probed directly, so a peer answers from its own cache), the
 // router in front, and a cold oracle over the same backend. It is built
-// once in process (Local shards) and once over loopback 9P (Remote
+// once in process (Local shards) and once over loopback 9P (Wire
 // shards, records applied by Tshoot).
 type tier struct {
 	systems []*dircache.System
@@ -190,7 +190,7 @@ const (
 
 // TestPeerAppliesRecord is the differential table for the peer's apply
 // path: five notes × four peer states × two credentials, through Local
-// shards and through loopback Remote shards. After the mutation and ONE
+// shards and through loopback Wire shards. After the mutation and ONE
 // pump, every shard's own answers — attributes, names and errnos, fast
 // path and slow — equal the cold oracle's; the audit is clean; every
 // record reached every peer. A "perm" record on a cached path must do that
@@ -330,7 +330,7 @@ func runApplyCase(t *testing.T, wire bool, c applyCase, held string) {
 		return err == nil, nil
 	}
 	if wire {
-		truth = nil // Remote shards are opaque to the stale probe
+		truth = nil // Wire shards are opaque to the stale probe
 		for i, sys := range tr.systems {
 			for _, f := range sys.Doctor().Findings {
 				findings = append(findings, fmt.Sprintf("shard %d: %v", i, f))

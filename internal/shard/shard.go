@@ -10,7 +10,7 @@ import (
 // slice of the namespace, publishes its invalidation-relevant mutations
 // through its coherence log, and applies the records its peers publish —
 // a permission change in place, a structural one by discarding its cached
-// view of the path. Implemented by Local (an in-process System) and Remote
+// view of the path. Implemented by Local (an in-process System) and Wire
 // (a dcserve endpoint over 9P).
 type Shard interface {
 	// Metadata operations, absolute canonical paths.
@@ -45,7 +45,7 @@ type Shard interface {
 
 // Prober is implemented by shards that can report their cache's current
 // claim about a path without consulting the backend — the cross-shard
-// auditor's stale-read probe. Remote shards do not implement it (a wire
+// auditor's stale-read probe. Wire shards do not implement it (a wire
 // stat would populate the server cache and mask staleness).
 type Prober interface {
 	Claim(path string) dircache.CachedClaim

@@ -10,21 +10,21 @@ import (
 	"dircache/internal/ninep"
 )
 
-// Remote is a Shard over a dcserve endpoint speaking the 9P2000.dcshard
-// extension: metadata ops ride the ordinary 9P verbs, the coherence
-// subscription rides Tjournal, and peer invalidations ride Tshoot. It
-// deliberately implements neither Prober nor Doctorable — probing a
-// remote cache over the wire would walk it (populating what it meant to
-// observe), so the cross-shard auditor treats remote shards as opaque
-// and relies on lag plus the server's own doctor.
-type Remote struct {
+// Wire is a Shard reached over 9P: a dcserve endpoint speaking the
+// 9P2000.dcshard extension. Metadata ops ride the ordinary 9P verbs, the
+// coherence subscription rides Tjournal, and peer invalidations ride
+// Tshoot. It deliberately implements neither Prober nor Doctorable —
+// probing a remote cache over the wire would walk it (populating what it
+// meant to observe), so the cross-shard auditor treats wire shards as
+// opaque and relies on lag plus the server's own doctor.
+type Wire struct {
 	c    *ninep.Client
 	root *ninep.Fid
 }
 
-// DialRemote connects to addr and attaches as uname ("" = root),
+// DialWire connects to addr and attaches as uname ("" = root),
 // requiring the dcshard extension.
-func DialRemote(addr, uname string) (*Remote, error) {
+func DialWire(addr, uname string) (*Wire, error) {
 	c, err := ninep.DialShard(addr)
 	if err != nil {
 		return nil, err
@@ -37,11 +37,11 @@ func DialRemote(addr, uname string) (*Remote, error) {
 		c.Close()
 		return nil, err
 	}
-	return &Remote{c: c, root: root}, nil
+	return &Wire{c: c, root: root}, nil
 }
 
 // walk derives a fid at path; the caller clunks it.
-func (r *Remote) walk(path string) (*ninep.Fid, error) {
+func (r *Wire) walk(path string) (*ninep.Fid, error) {
 	return r.root.WalkPath(path)
 }
 
@@ -69,7 +69,7 @@ func infoOf(st ninep.Stat) dircache.FileInfo {
 	return fi
 }
 
-func (r *Remote) Lstat(path string) (dircache.FileInfo, error) {
+func (r *Wire) Lstat(path string) (dircache.FileInfo, error) {
 	f, err := r.walk(path)
 	if err != nil {
 		return dircache.FileInfo{}, err
@@ -84,9 +84,9 @@ func (r *Remote) Lstat(path string) (dircache.FileInfo, error) {
 
 // Stat is Lstat over the wire: the server's walk resolves symlink-free
 // canonical paths, which is all the router routes.
-func (r *Remote) Stat(path string) (dircache.FileInfo, error) { return r.Lstat(path) }
+func (r *Wire) Stat(path string) (dircache.FileInfo, error) { return r.Lstat(path) }
 
-func (r *Remote) ReadDir(path string) ([]dircache.DirEntry, error) {
+func (r *Wire) ReadDir(path string) ([]dircache.DirEntry, error) {
 	f, err := r.walk(path)
 	if err != nil {
 		return nil, err
@@ -113,7 +113,7 @@ func (r *Remote) ReadDir(path string) ([]dircache.DirEntry, error) {
 	return ents, nil
 }
 
-func (r *Remote) ReadFile(path string) ([]byte, error) {
+func (r *Wire) ReadFile(path string) ([]byte, error) {
 	f, err := r.walk(path)
 	if err != nil {
 		return nil, err
@@ -125,7 +125,7 @@ func (r *Remote) ReadFile(path string) ([]byte, error) {
 	return f.ReadAll()
 }
 
-func (r *Remote) WriteFile(path string, data []byte, perm uint32) error {
+func (r *Wire) WriteFile(path string, data []byte, perm uint32) error {
 	// Existing file: truncate-and-write through its fid.
 	if f, err := r.walk(path); err == nil {
 		defer f.Clunk()
@@ -149,7 +149,7 @@ func (r *Remote) WriteFile(path string, data []byte, perm uint32) error {
 	return err
 }
 
-func (r *Remote) Mkdir(path string, perm uint32) error {
+func (r *Wire) Mkdir(path string, perm uint32) error {
 	dir, name := splitPath(path)
 	f, err := r.walk(dir)
 	if err != nil {
@@ -159,7 +159,7 @@ func (r *Remote) Mkdir(path string, perm uint32) error {
 	return f.Create(name, perm&0o777|ninep.DMDir, ninep.ORead)
 }
 
-func (r *Remote) MkdirAll(path string, perm uint32) error {
+func (r *Wire) MkdirAll(path string, perm uint32) error {
 	mk := func(p string) error {
 		err := r.Mkdir(p, perm)
 		if err != nil && fsapi.ToErrno(err) == fsapi.EEXIST {
@@ -181,7 +181,7 @@ func (r *Remote) MkdirAll(path string, perm uint32) error {
 // rename 9P2000 expresses. The router keeps rename-heavy roots pinned, so
 // cross-directory moves never need to cross the wire; one that does
 // arrive reports EINVAL rather than guessing.
-func (r *Remote) Rename(oldPath, newPath string) error {
+func (r *Wire) Rename(oldPath, newPath string) error {
 	od, _ := splitPath(oldPath)
 	nd, name := splitPath(newPath)
 	if od != nd {
@@ -197,7 +197,7 @@ func (r *Remote) Rename(oldPath, newPath string) error {
 	return f.Wstat(st)
 }
 
-func (r *Remote) remove(path string) error {
+func (r *Wire) remove(path string) error {
 	f, err := r.walk(path)
 	if err != nil {
 		return err
@@ -205,10 +205,10 @@ func (r *Remote) remove(path string) error {
 	return f.Remove() // Tremove clunks win or lose
 }
 
-func (r *Remote) Unlink(path string) error { return r.remove(path) }
-func (r *Remote) Rmdir(path string) error  { return r.remove(path) }
+func (r *Wire) Unlink(path string) error { return r.remove(path) }
+func (r *Wire) Rmdir(path string) error  { return r.remove(path) }
 
-func (r *Remote) Chmod(path string, perm uint32) error {
+func (r *Wire) Chmod(path string, perm uint32) error {
 	f, err := r.walk(path)
 	if err != nil {
 		return err
@@ -219,7 +219,7 @@ func (r *Remote) Chmod(path string, perm uint32) error {
 	return f.Wstat(st)
 }
 
-func (r *Remote) EventsSince(cursor uint64) ([]coherence.Record, uint64, bool) {
+func (r *Wire) EventsSince(cursor uint64) ([]coherence.Record, uint64, bool) {
 	recs, next, fell, err := r.c.Journal(cursor)
 	if err != nil {
 		// A dead journal stream must not read as "caught up": report
@@ -233,7 +233,7 @@ func (r *Remote) EventsSince(cursor uint64) ([]coherence.Record, uint64, bool) {
 // question to ask. A reader that fell behind, or a dead stream, owes a
 // whole-cache drop and reads as coherence.Capacity, as a Local's log says
 // (ringlog.Log.Pending).
-func (r *Remote) Pending(cursor uint64) int {
+func (r *Wire) Pending(cursor uint64) int {
 	recs, _, fell := r.EventsSince(cursor)
 	if fell {
 		return coherence.Capacity
@@ -241,17 +241,17 @@ func (r *Remote) Pending(cursor uint64) int {
 	return len(recs)
 }
 
-func (r *Remote) Invalidate(rec coherence.Record) int {
+func (r *Wire) Invalidate(rec coherence.Record) int {
 	n, _ := r.c.Shoot(rec.Path, rec.Note)
 	return n
 }
 
-func (r *Remote) InvalidateAll() int {
+func (r *Wire) InvalidateAll() int {
 	n, _ := r.c.Shoot("", "")
 	return n
 }
 
-func (r *Remote) Close() error { return r.c.Close() }
+func (r *Wire) Close() error { return r.c.Close() }
 
 func splitPath(p string) (dir, name string) {
 	i := strings.LastIndexByte(p, '/')

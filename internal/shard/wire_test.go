@@ -11,12 +11,12 @@ import (
 )
 
 // wireGroup is the over-the-wire deployment: n Systems sharing one
-// backend, each behind its own 9P server, fronted by Remote shards.
+// backend, each behind its own 9P server, fronted by Wire shards.
 type wireGroup struct {
 	Backend *dircache.Backend
 	Systems []*dircache.System
 	Servers []*ninep.Server
-	Remotes []*Remote
+	Wires   []*Wire
 	Router  *Router
 }
 
@@ -34,13 +34,13 @@ func newWireGroup(t *testing.T, n int) *wireGroup {
 		if err != nil {
 			t.Fatalf("Serve shard %d: %v", i, err)
 		}
-		rem, err := DialRemote(srv.Addr().String(), "root")
+		rem, err := DialWire(srv.Addr().String(), "root")
 		if err != nil {
-			t.Fatalf("DialRemote shard %d: %v", i, err)
+			t.Fatalf("DialWire shard %d: %v", i, err)
 		}
 		g.Systems = append(g.Systems, sys)
 		g.Servers = append(g.Servers, srv)
-		g.Remotes = append(g.Remotes, rem)
+		g.Wires = append(g.Wires, rem)
 		shards = append(shards, rem)
 	}
 	g.Router = NewRouter(shards, Options{})
@@ -54,7 +54,7 @@ func newWireGroup(t *testing.T, n int) *wireGroup {
 }
 
 // TestWireShardTier: the 2-shard over-the-wire deployment — route ops
-// through Remote shards, storm same-directory renames, converge over the
+// through Wire shards, storm same-directory renames, converge over the
 // Tjournal/Tshoot legs, and verify no endpoint serves the old names.
 func TestWireShardTier(t *testing.T) {
 	g := newWireGroup(t, 2)
@@ -66,7 +66,7 @@ func TestWireShardTier(t *testing.T) {
 	for a := 0; a < 2; a++ {
 		for p := 0; p < 4; p++ {
 			dir := fmt.Sprintf("/srv/app%d/lib/pkg%d", a, p)
-			if err := g.Remotes[0].MkdirAll(dir, 0o755); err != nil {
+			if err := g.Wires[0].MkdirAll(dir, 0o755); err != nil {
 				t.Fatalf("MkdirAll %s: %v", dir, err)
 			}
 			files = append(files, dir+"/file.go")
@@ -86,7 +86,7 @@ func TestWireShardTier(t *testing.T) {
 
 	// Warm EVERY endpoint's cache on every path, so each server holds the
 	// soon-to-be-stale subtree as walk ancestors.
-	for _, rem := range g.Remotes {
+	for _, rem := range g.Wires {
 		for _, f := range files {
 			if _, err := rem.Lstat(f); err != nil {
 				t.Fatalf("warm Lstat %s: %v", f, err)
@@ -98,7 +98,7 @@ func TestWireShardTier(t *testing.T) {
 	// Tread marked eof; the directory fid's clunk rides the next Twalk) and
 	// a file read 4 (the open file's Tclunk is sent).
 	rpcs := func() (n int64) {
-		for _, rem := range g.Remotes {
+		for _, rem := range g.Wires {
 			n += rem.c.RPCs()
 		}
 		return n
@@ -144,7 +144,7 @@ func TestWireShardTier(t *testing.T) {
 	// the old names, in one RPC (the partial Rwalk carries the errno), and
 	// resolves the new ones in two (Twalk, Tstat: the fid's clunk rides the
 	// next Twalk).
-	for ri, rem := range g.Remotes {
+	for ri, rem := range g.Wires {
 		for a := 0; a < 2; a++ {
 			old := fmt.Sprintf("/srv/app%d/lib/pkg0/file.go", a)
 			niu := fmt.Sprintf("/srv/app%d-moved/lib/pkg0/file.go", a)
@@ -181,22 +181,22 @@ func TestWireShardTier(t *testing.T) {
 // from the backend.
 func TestWireShootdownFallback(t *testing.T) {
 	g := newWireGroup(t, 2)
-	if err := g.Remotes[0].MkdirAll("/srv/data", 0o755); err != nil {
+	if err := g.Wires[0].MkdirAll("/srv/data", 0o755); err != nil {
 		t.Fatalf("MkdirAll: %v", err)
 	}
-	if err := g.Remotes[1].WriteFile("/srv/data/f.txt", []byte("x"), 0o644); err != nil {
+	if err := g.Wires[1].WriteFile("/srv/data/f.txt", []byte("x"), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	if !g.Router.Converge(0) {
 		t.Fatal("creations did not converge")
 	}
-	if _, err := g.Remotes[0].Lstat("/srv/data/f.txt"); err != nil {
+	if _, err := g.Wires[0].Lstat("/srv/data/f.txt"); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
-	if n := g.Remotes[0].InvalidateAll(); n == 0 {
+	if n := g.Wires[0].InvalidateAll(); n == 0 {
 		t.Fatal("InvalidateAll dropped nothing despite a warm cache")
 	}
-	if _, err := g.Remotes[0].Lstat("/srv/data/f.txt"); err != nil {
+	if _, err := g.Wires[0].Lstat("/srv/data/f.txt"); err != nil {
 		t.Fatalf("Lstat after full shootdown: %v", err)
 	}
 }
@@ -206,18 +206,18 @@ func TestWireShootdownFallback(t *testing.T) {
 // router drops the peers' caches instead of trusting them.
 func TestWireDeadStreamFailsClosed(t *testing.T) {
 	g := newWireGroup(t, 2)
-	if err := g.Remotes[0].MkdirAll("/srv/data", 0o755); err != nil {
+	if err := g.Wires[0].MkdirAll("/srv/data", 0o755); err != nil {
 		t.Fatalf("MkdirAll: %v", err)
 	}
 	if !g.Router.Converge(0) {
 		t.Fatal("creations did not converge")
 	}
-	_, cursor, fell := g.Remotes[0].EventsSince(0)
+	_, cursor, fell := g.Wires[0].EventsSince(0)
 	if fell || cursor == 0 {
 		t.Fatalf("live stream: cursor=%d fell=%v", cursor, fell)
 	}
-	g.Remotes[0].Close()
-	recs, next, fell := g.Remotes[0].EventsSince(cursor)
+	g.Wires[0].Close()
+	recs, next, fell := g.Wires[0].EventsSince(cursor)
 	if !fell || len(recs) != 0 || next != cursor {
 		t.Fatalf("dead stream: %d records, next=%d (cursor %d), fell=%v; want fell-behind at the same cursor",
 			len(recs), next, cursor, fell)
@@ -230,7 +230,7 @@ func TestWireDeadStreamFailsClosed(t *testing.T) {
 }
 
 // TestWirePendingNeverWraps is TestPendingNeverWraps over the wire: a
-// Remote's Pending follows the ring's contract, so a cursor past the
+// Wire's Pending follows the ring's contract, so a cursor past the
 // head, and then a dead stream, read as the log's capacity — a reader
 // owed a whole-cache drop — and never as caught up.
 func TestWirePendingNeverWraps(t *testing.T) {
@@ -238,7 +238,7 @@ func TestWirePendingNeverWraps(t *testing.T) {
 	if err := g.Router.Mkdir("/srv", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	r := g.Remotes[g.Router.Owner("/srv")]
+	r := g.Wires[g.Router.Owner("/srv")]
 	if got := r.Pending(0); got != 1 {
 		t.Fatalf("Pending(0) = %d after one record", got)
 	}

@@ -1,31 +1,20 @@
-// Package stripe provides cache-line-padded striped counters for hot-path
-// statistics. A conventional shared atomic.Int64 turns every counter bump
-// into a read-modify-write on one cache line; with many cores walking paths
-// concurrently that line ping-pongs between cores and the "free" counter
-// becomes a global serialization point (the effect §6.5 of the paper
-// measures for locks applies just as much to shared counters). Striping
-// spreads each logical counter over several padded cells; writers pick a
-// cell with a cheap per-goroutine hash and readers sum all cells.
-//
-// Sums are racy snapshots: a reader may observe cell A before and cell B
-// after a concurrent increment. All counters striped this way are
-// monotonic event counts, for which an instantaneous cross-cell cut is
-// already meaningless; the snapshot is exact whenever no writer is
-// mid-flight.
+// Package stripe picks a goroutine's stripe for hot-path state that is
+// spread over several cache-line-separated cells: the kernel's counter
+// table, the telemetry histograms and journal, and the slab's epoch gate.
+// A conventional shared atomic turns every bump into a read-modify-write
+// on one cache line; with many cores walking paths concurrently that line
+// ping-pongs between cores and becomes a global serialization point (the
+// effect §6.5 of the paper measures for locks applies just as much to
+// shared counters). Writers pick a cell with a cheap per-goroutine hash
+// (Index) and readers sum all cells.
 package stripe
 
-import (
-	"sync/atomic"
-	"unsafe"
-)
+import "unsafe"
 
 // Stripes is the number of cells per counter. Power of two so Index can
 // mask. Eight covers the core counts the paper evaluates (Figure 8 tops
 // out at 12 threads) without bloating every Kernel by much.
 const Stripes = 8
-
-// cacheLine is the common x86/arm64 coherence granule.
-const cacheLine = 64
 
 // Index returns this goroutine's stripe in [0, Stripes). It hashes the
 // address of a stack local: goroutine stacks are distinct allocations, so
@@ -40,37 +29,4 @@ func Index() int {
 	// Skip the low bits (frame alignment), then fold two windows so both
 	// stack-segment and frame-offset entropy contribute.
 	return int(((p >> 6) ^ (p >> 14)) & (Stripes - 1))
-}
-
-// cell is one padded counter cell; the padding keeps neighbouring cells on
-// different cache lines so writers never share.
-type cell struct {
-	v atomic.Int64
-	_ [cacheLine - 8]byte
-}
-
-// Int64 is a striped monotonic counter. The zero value is ready to use.
-type Int64 struct {
-	cells [Stripes]cell
-}
-
-// Add adds n to the calling goroutine's cell.
-func (c *Int64) Add(n int64) { c.cells[Index()].v.Add(n) }
-
-// Load returns the racy sum of all cells.
-func (c *Int64) Load() int64 {
-	var sum int64
-	for i := range c.cells {
-		sum += c.cells[i].v.Load()
-	}
-	return sum
-}
-
-// Reset zeroes every cell. Only approximate under concurrent Adds (a bump
-// can land in an already-cleared cell or be wiped); callers use it for
-// windowed heuristics, not accounting.
-func (c *Int64) Reset() {
-	for i := range c.cells {
-		c.cells[i].v.Store(0)
-	}
 }

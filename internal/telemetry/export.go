@@ -157,7 +157,7 @@ func float64HistQuantile(h *metrics.Float64Histogram, q float64) float64 {
 func (t *Telemetry) WritePrometheus(w io.Writer) {
 	for id, s := range t.Snapshot() {
 		name := "dircache_" + s.Name + "_latency_seconds"
-		fmt.Fprintf(w, "# HELP %s %s\n", name, histHelp[id])
+		fmt.Fprintf(w, "# HELP %s %s\n", name, histTable[id].help)
 		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 		var cum uint64
 		for b := 0; b < NumBuckets-1; b++ {

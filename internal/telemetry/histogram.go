@@ -122,9 +122,9 @@ func (h *Histogram) RecordEx(d time.Duration, traceID uint64) {
 	}
 }
 
-// Reset zeroes every cell. Like stripe.Int64.Reset it is only approximate
-// under concurrent Records; callers use it to scope a measurement window,
-// not for accounting. Cells stay allocated.
+// Reset zeroes every cell. It is only approximate under concurrent
+// Records; callers use it to scope a measurement window, not for
+// accounting. Cells stay allocated.
 func (h *Histogram) Reset() {
 	for i := range h.cells {
 		c := h.cells[i].Load()

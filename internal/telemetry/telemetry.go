@@ -14,6 +14,8 @@
 package telemetry
 
 import (
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,40 +92,35 @@ const (
 	NumHistograms
 )
 
-var histNames = [NumHistograms]string{
-	"walk", "fastpath", "slowpath", "fs_lookup", "pcc_probe", "evict",
-	"rename_invalidate", "chmod_seq_bump", "unlink_invalidate", "dlht_remove",
-	"miss_wait",
-	"ninep_attach", "ninep_walk", "ninep_open", "ninep_read", "ninep_stat", "ninep_clunk",
-}
-
-var histHelp = [NumHistograms]string{
-	"end-to-end path walk latency",
-	"latency of walks answered by the whole-path fastpath",
-	"latency of component-at-a-time slow walks",
-	"latency of low-level FS lookup calls",
-	"latency of the fastpath PCC authorization probe",
-	"latency of one victim selection by the shrinker's clock hand",
-	"subtree invalidation latency of rename/mount mutations",
-	"subtree seq-bump latency of chmod/chown/label mutations",
-	"invalidation latency of unlink/rmdir mutations",
-	"latency of one DLHT entry removal",
-	"wait of a coalesced miss on a concurrent in-flight lookup",
-	"9P server Tversion/Tauth/Tattach handling latency",
-	"9P server Twalk handling latency",
-	"9P server Topen/Tcreate handling latency",
-	"9P server Tread/Twrite handling latency",
-	"9P server Tstat/Twstat handling latency",
-	"9P server Tclunk/Tremove/Tflush handling latency",
+// histTable names each histogram for the exporter and says what it times,
+// in HistID order.
+var histTable = [NumHistograms]struct{ name, help string }{
+	{"walk", "end-to-end path walk latency"},
+	{"fastpath", "latency of walks answered by the whole-path fastpath"},
+	{"slowpath", "latency of component-at-a-time slow walks"},
+	{"fs_lookup", "latency of low-level FS lookup calls"},
+	{"pcc_probe", "latency of the fastpath PCC authorization probe"},
+	{"evict", "latency of one victim selection by the shrinker's clock hand"},
+	{"rename_invalidate", "subtree invalidation latency of rename/mount mutations"},
+	{"chmod_seq_bump", "subtree seq-bump latency of chmod/chown/label mutations"},
+	{"unlink_invalidate", "invalidation latency of unlink/rmdir mutations"},
+	{"dlht_remove", "latency of one DLHT entry removal"},
+	{"miss_wait", "wait of a coalesced miss on a concurrent in-flight lookup"},
+	{"ninep_attach", "9P server Tversion/Tauth/Tattach handling latency"},
+	{"ninep_walk", "9P server Twalk handling latency"},
+	{"ninep_open", "9P server Topen/Tcreate handling latency"},
+	{"ninep_read", "9P server Tread/Twrite handling latency"},
+	{"ninep_stat", "9P server Tstat/Twstat handling latency"},
+	{"ninep_clunk", "9P server Tclunk/Tremove/Tflush handling latency"},
 }
 
 // Name returns the histogram's exporter name.
-func (id HistID) Name() string { return histNames[id] }
+func (id HistID) Name() string { return histTable[id].name }
 
 // HistIDByName resolves an exporter name back to its ID.
 func HistIDByName(name string) (HistID, bool) {
-	for i, n := range histNames {
-		if n == name {
+	for i, h := range histTable {
+		if h.name == name {
 			return HistID(i), true
 		}
 	}
@@ -215,9 +212,7 @@ func (t *Telemetry) RecordEx(id HistID, d time.Duration, traceID uint64) {
 }
 
 // Sampled reports whether the next walk falls in the 1-in-N sample,
-// advancing the sampling counter. Callers that pass only decide where
-// the trace lives (per-Task scratch or a fresh allocation) and call
-// StartWalk.
+// advancing the sampling counter. Callers that pass call StartWalk.
 func (t *Telemetry) Sampled() bool {
 	n := t.sampleN.Load()
 	if n <= 0 {
@@ -226,16 +221,18 @@ func (t *Telemetry) Sampled() bool {
 	return n == 1 || t.walkSeq.Add(1)%uint64(n) == 0
 }
 
-// StartWalk begins a sampled walk trace in the caller-owned scratch —
-// reset in place (fresh ID, retained Events capacity) so the walk path
-// allocates nothing; FinishWalk pushes a private copy and leaves the
-// scratch reusable. A nil scratch falls back to a fresh allocation.
-func (t *Telemetry) StartWalk(scratch *WalkTrace, path string) *WalkTrace {
-	if scratch == nil {
-		return &WalkTrace{ID: t.traceID.Add(1), Path: path, Start: time.Now()}
+// traceEvents is a fresh walk trace's Events capacity: enough for a
+// fastpath walk's probes, so a sampled walk allocates the trace and one
+// event array.
+const traceEvents = 8
+
+// StartWalk begins a sampled walk trace. The walking goroutine owns it
+// until FinishWalk pushes it into the ring.
+func (t *Telemetry) StartWalk(path string) *WalkTrace {
+	return &WalkTrace{
+		ID: t.traceID.Add(1), Path: path, Start: time.Now(),
+		Events: make([]TraceEvent, 0, traceEvents),
 	}
-	scratch.reset(t.traceID.Add(1), path)
-	return scratch
 }
 
 // StartSpan opens an externally owned span of an end-to-end trace: a 9P
@@ -281,9 +278,9 @@ func (t *Telemetry) FinishSpan(tr *WalkTrace, err error, d time.Duration) {
 }
 
 // FinishWalk completes tr (nil-safe). A plain sampled trace is pushed
-// into the ring (a scratch trace as a private copy) and offered to the
-// flight recorder; an externally owned span only gains a kernel-walk
-// summary event — its owner pushes it via FinishSpan.
+// into the ring and offered to the flight recorder; an externally owned
+// span only gains a kernel-walk summary event — its owner pushes it via
+// FinishSpan.
 func (t *Telemetry) FinishWalk(tr *WalkTrace, fastpath bool, err error, d time.Duration) {
 	if tr == nil {
 		return
@@ -295,9 +292,6 @@ func (t *Telemetry) FinishWalk(tr *WalkTrace, fastpath bool, err error, d time.D
 	}
 	tr.DurNS = d.Nanoseconds()
 	tr.Outcome = outcomeText(err)
-	if tr.scratch {
-		tr = tr.clone()
-	}
 	t.ring.Append(tr)
 	t.offerSlow(tr)
 }
@@ -326,12 +320,8 @@ func (t *Telemetry) SlowCount() int {
 	return n
 }
 
-// HistogramQuantiles reports the estimated p50/p95/p99 of the named
-// latency histogram. Names: "walk", "fastpath", "slowpath", "fs_lookup",
-// "pcc_probe", "evict", "miss_wait", the mutation-side
-// cost centers "rename_invalidate", "chmod_seq_bump", "unlink_invalidate",
-// "dlht_remove", and the 9P server's per-op centers "ninep_attach",
-// "ninep_walk", "ninep_open", "ninep_read", "ninep_stat", "ninep_clunk".
+// HistogramQuantiles reports the estimated p50/p95/p99 of the latency
+// histogram of that name (HistID.Name).
 // "walk", "fastpath", "slowpath" and "pcc_probe" hold one walk in eight
 // and every traced walk (two clock reads per walk is what leaving them on
 // would cost); the CacheStats counters count walks. ok is false for an
@@ -353,7 +343,7 @@ func (t *Telemetry) Snapshot() []HistSnapshot {
 	out := make([]HistSnapshot, NumHistograms)
 	for i := range out {
 		out[i] = t.hists[i].Snapshot()
-		out[i].Name = histNames[i]
+		out[i].Name = histTable[i].name
 	}
 	return out
 }
@@ -361,7 +351,7 @@ func (t *Telemetry) Snapshot() []HistSnapshot {
 // SnapshotHist returns one histogram's merged snapshot.
 func (t *Telemetry) SnapshotHist(id HistID) HistSnapshot {
 	s := t.hists[id].Snapshot()
-	s.Name = histNames[id]
+	s.Name = histTable[id].name
 	return s
 }
 
@@ -460,6 +450,37 @@ func (t *Telemetry) RegisterStats(source string, fn func() map[string]int64) {
 	t.statsMu.Lock()
 	t.stats[source] = fn
 	t.statsMu.Unlock()
+}
+
+// Flatten turns a snapshot struct into a counter source's flat namespace:
+// each exported integer field is one counter, named by its json tag or,
+// without one, by its field name; a nested struct's counters take its
+// name and "_" as a prefix; a field tagged `json:"-"` is left out.
+func Flatten(v any) map[string]int64 {
+	out := make(map[string]int64)
+	flatten(out, "", reflect.ValueOf(v))
+	return out
+}
+
+func flatten(out map[string]int64, prefix string, v reflect.Value) {
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !f.IsExported() || name == "-" {
+			continue
+		}
+		if name == "" {
+			name = f.Name
+		}
+		switch fv := v.Field(i); fv.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			out[prefix+name] = fv.Int()
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			out[prefix+name] = int64(fv.Uint())
+		case reflect.Struct:
+			flatten(out, prefix+name+"_", fv)
+		}
+	}
 }
 
 // UnregisterStats removes a counter source.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -194,7 +195,7 @@ func TestSampleWalk(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if tel.Sampled() {
 			n++
-			tel.FinishWalk(tel.StartWalk(nil, "/x"), false, nil, time.Microsecond)
+			tel.FinishWalk(tel.StartWalk("/x"), false, nil, time.Microsecond)
 		}
 	}
 	if n != 25 {
@@ -237,7 +238,7 @@ func TestConcurrentRecordExport(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				tel.Record(HistID(i%int(NumHistograms)), time.Duration(i)*time.Nanosecond)
 				if tel.Sampled() {
-					tr := tel.StartWalk(nil, "/a/b")
+					tr := tel.StartWalk("/a/b")
 					tr.Event(EvComponent, "a")
 					tel.FinishWalk(tr, i%2 == 0, nil, time.Duration(i))
 				}
@@ -337,7 +338,7 @@ func TestPrometheusOutput(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	tel := New(Options{TraceSample: 1})
 	tel.Enable()
-	tr := tel.StartWalk(nil, "/a/b/c")
+	tr := tel.StartWalk("/a/b/c")
 	tr.Event(EvComponent, "a")
 	tr.Event(EvComponent, "b")
 	tr.EventDur(EvFSLookup, "c", 123*time.Nanosecond)
@@ -397,5 +398,33 @@ func TestHistIDByName(t *testing.T) {
 	}
 	if _, ok := HistIDByName("nope"); ok {
 		t.Fatal("HistIDByName accepted unknown name")
+	}
+}
+
+// TestFlatten pins the naming rule every counter source shares: the json
+// tag, else the field name; nested structs joined with "_"; `json:"-"`,
+// unexported and non-integer fields left out.
+func TestFlatten(t *testing.T) {
+	type inner struct {
+		Slots uint64 `json:"slots"`
+		Bytes int32
+	}
+	v := struct {
+		Lookups int64
+		Live    int   `json:"live,omitempty"`
+		Table   inner `json:"table"`
+		Inner   inner
+		Retired inner   `json:"-"`
+		Ratio   float64 `json:"ratio"`
+		Name    string
+		hidden  int64
+	}{Lookups: 1, Live: 2, Table: inner{3, 4}, Inner: inner{5, 6}, Retired: inner{7, 8}, hidden: 9}
+	want := map[string]int64{
+		"Lookups": 1, "live": 2,
+		"table_slots": 3, "table_Bytes": 4,
+		"Inner_slots": 5, "Inner_Bytes": 6,
+	}
+	if got := Flatten(v); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Flatten = %v, want %v", got, want)
 	}
 }

@@ -62,9 +62,6 @@ type WalkTrace struct {
 	Anomaly  string       `json:"anomaly,omitempty"` // anomalous-path marker (flight recorder keeps these)
 	Events   []TraceEvent `json:"events"`
 
-	// scratch marks a per-Task reusable trace: FinishWalk pushes a
-	// private copy and leaves this one to be reset by the next sample.
-	scratch bool
 	// ext marks an externally owned span (a 9P server dispatch): the
 	// kernel walk annotates it but its owner finishes and pushes it.
 	ext bool
@@ -94,21 +91,4 @@ func (tr *WalkTrace) SetAnomaly(kind string) {
 		return
 	}
 	tr.Anomaly = kind
-}
-
-// reset rearms a scratch trace for a new sample, keeping the Events
-// backing array so steady-state sampled walks stop allocating.
-func (tr *WalkTrace) reset(id uint64, path string) {
-	ev := tr.Events[:0]
-	*tr = WalkTrace{ID: id, Path: path, Start: time.Now(), Events: ev, scratch: true}
-}
-
-// clone returns a private immutable copy (pushed into rings in place of
-// a scratch trace, which its Task will reuse).
-func (tr *WalkTrace) clone() *WalkTrace {
-	c := *tr
-	c.scratch = false
-	c.ext = false
-	c.Events = append([]TraceEvent(nil), tr.Events...)
-	return &c
 }

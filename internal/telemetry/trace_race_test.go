@@ -18,19 +18,19 @@ func TestFlightRecorderQualification(t *testing.T) {
 	tel := New(Options{TraceSample: 1, SlowNS: int64(time.Millisecond)})
 	tel.Enable()
 
-	fast := tel.StartWalk(nil, "/fast")
+	fast := tel.StartWalk("/fast")
 	tel.FinishWalk(fast, true, nil, 10*time.Microsecond)
 	if n := tel.SlowCount(); n != 0 {
 		t.Fatalf("fast clean walk flight-recorded: %d retained", n)
 	}
 
-	slow := tel.StartWalk(nil, "/slow")
+	slow := tel.StartWalk("/slow")
 	tel.FinishWalk(slow, false, nil, 5*time.Millisecond)
 	if n := tel.SlowCount(); n != 1 {
 		t.Fatalf("slow walk not flight-recorded: %d retained", n)
 	}
 
-	anom := tel.StartWalk(nil, "/anomalous")
+	anom := tel.StartWalk("/anomalous")
 	anom.SetAnomaly(AnomRefWalk)
 	tel.FinishWalk(anom, false, nil, 10*time.Microsecond)
 	if n := tel.SlowCount(); n != 2 {
@@ -54,7 +54,7 @@ func TestFlightRecorderWraparoundReportsDrops(t *testing.T) {
 	tel.flight = ringlog.New[*WalkTrace](8, nil)
 	tel.Enable()
 	for i := 0; i < 24; i++ {
-		tr := tel.StartWalk(nil, fmt.Sprintf("/w%d", i))
+		tr := tel.StartWalk(fmt.Sprintf("/w%d", i))
 		tel.FinishWalk(tr, false, nil, time.Millisecond)
 	}
 	traces, dropped := tel.SlowTraces()
@@ -89,7 +89,7 @@ func TestTraceRingDropCounter(t *testing.T) {
 	tel.ring = ringlog.New[*WalkTrace](4, nil)
 	tel.Enable()
 	for i := 0; i < 10; i++ {
-		tr := tel.StartWalk(nil, "/p")
+		tr := tel.StartWalk("/p")
 		tel.FinishWalk(tr, true, nil, time.Microsecond)
 	}
 	if got := tel.TracesDropped(); got != 6 {
@@ -115,15 +115,14 @@ func TestConcurrentScrapesRaceSpanCompletion(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var scratch WalkTrace
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				// In-process walk against per-goroutine scratch.
-				tr := tel.StartWalk(&scratch, fmt.Sprintf("/g%d/%d", w, i))
+				// In-process walk.
+				tr := tel.StartWalk(fmt.Sprintf("/g%d/%d", w, i))
 				tr.Event(EvDLHTHit, "probe")
 				tr.EventDur(EvCoalesceWait, "c", time.Microsecond)
 				if i%3 == 0 {

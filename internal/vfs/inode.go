@@ -130,6 +130,9 @@ type Super struct {
 
 	mu     sync.Mutex
 	icache map[fsapi.NodeID]*Inode
+	// deletes counts icache deletions since the map was last rebuilt
+	// (forget). Under mu.
+	deletes int
 }
 
 // FS returns the low-level file system.
@@ -167,7 +170,7 @@ func (ino *Inode) put() {
 	sb := ino.sb
 	sb.mu.Lock()
 	if ino.names--; ino.names == 0 && sb.icache[ino.id] == ino {
-		delete(sb.icache, ino.id)
+		sb.forget(ino.id)
 	}
 	sb.mu.Unlock()
 }
@@ -175,6 +178,27 @@ func (ino *Inode) put() {
 // forgetInode drops an inode from the cache once its last name is gone.
 func (sb *Super) forgetInode(id fsapi.NodeID) {
 	sb.mu.Lock()
-	delete(sb.icache, id)
+	sb.forget(id)
 	sb.mu.Unlock()
+}
+
+// icacheRebuildSlack is how many deletes past twice the live entries
+// forget lets a map carry before it rebuilds it.
+const icacheRebuildSlack = 1024
+
+// forget deletes id from the cache (sb.mu held). A Go map keeps a deleted
+// slot as a tombstone until the map grows, so a cache that evicts as fast
+// as it fills would keep its tombstones: once the deletes since the last
+// rebuild pass 2·len+icacheRebuildSlack, the live entries move to a fresh
+// map.
+func (sb *Super) forget(id fsapi.NodeID) {
+	delete(sb.icache, id)
+	if sb.deletes++; sb.deletes <= 2*len(sb.icache)+icacheRebuildSlack {
+		return
+	}
+	fresh := make(map[fsapi.NodeID]*Inode, len(sb.icache))
+	for id, ino := range sb.icache {
+		fresh[id] = ino
+	}
+	sb.icache, sb.deletes = fresh, 0
 }

@@ -164,18 +164,6 @@ func (s Stats) Delta(prev Stats) Stats {
 	return out
 }
 
-// Map flattens the snapshot into field name → value, the telemetry
-// exporter's flat counter namespace: field names become metric label
-// values verbatim.
-func (s Stats) Map() map[string]int64 {
-	out := make(map[string]int64, numCounters)
-	v := reflect.ValueOf(s)
-	for id := range numCounters {
-		out[v.Type().Field(int(id)).Name] = v.Field(int(id)).Int()
-	}
-	return out
-}
-
 // HitRate returns the fraction of lookups that never reached the
 // low-level file system (the paper's hit%).
 func (s Stats) HitRate() float64 {

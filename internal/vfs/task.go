@@ -29,13 +29,6 @@ type Task struct {
 	segScratch []segment
 	segBusy    atomic.Bool
 
-	// traceScratch is the per-task span scratch: a reusable WalkTrace so
-	// sampled walks append stage events with zero walk-path allocations
-	// (FinishWalk pushes a private copy). traceBusy guards it the same
-	// way segBusy guards segScratch.
-	traceScratch *telemetry.WalkTrace
-	traceBusy    atomic.Bool
-
 	// armedTrace is a server-installed span for the task's next walk:
 	// the 9P dispatch arms it so the kernel walk annotates the wire span
 	// in place, stitching client RPC, server dispatch, and walk stages
@@ -54,26 +47,6 @@ func (t *Task) takeArmedTrace() *telemetry.WalkTrace {
 		return nil
 	}
 	return t.armedTrace.Swap(nil)
-}
-
-// acquireTrace returns the task's reusable span scratch (nil if an
-// overlapping walk on the same task holds it — the sampler then
-// allocates a throwaway trace instead).
-func (t *Task) acquireTrace() (*telemetry.WalkTrace, bool) {
-	if t.traceBusy.CompareAndSwap(false, true) {
-		if t.traceScratch == nil {
-			t.traceScratch = &telemetry.WalkTrace{}
-		}
-		return t.traceScratch, true
-	}
-	return nil, false
-}
-
-// releaseTrace returns the span scratch to the task.
-func (t *Task) releaseTrace(held bool) {
-	if held {
-		t.traceBusy.Store(false)
-	}
 }
 
 // acquireSegs returns a 1-length segment stack for a slow walk: the

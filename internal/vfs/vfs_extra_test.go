@@ -668,6 +668,45 @@ func TestSetInodeAfterRetire(t *testing.T) {
 	}
 }
 
+// TestInodeCacheRebuilds: streaming 4 000 files through a 256-dentry
+// cache deletes thousands of inodes from the superblock's map, and the map
+// is rebuilt whenever the deletes since the last rebuild pass twice its
+// live entries and icacheRebuildSlack, so the count of deletes it carries
+// never exceeds that and resets on the way; the rebuilt map holds the
+// same inodes with the same names.
+func TestInodeCacheRebuilds(t *testing.T) {
+	k, root := newKernel(t, Config{CacheCapacity: 256})
+	sb := k.initNS.root.sb
+	if err := root.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rebuilds, last := 0, 0
+	for i := 0; i < 4000; i++ {
+		p := fmt.Sprintf("/d/f%04d", i)
+		if err := root.Create(p, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := root.Stat(p); err != nil {
+			t.Fatal(err)
+		}
+		sb.mu.Lock()
+		n, live := sb.deletes, len(sb.icache)
+		sb.mu.Unlock()
+		if n > 2*live+icacheRebuildSlack {
+			t.Fatalf("after %d files the inode cache carries %d deletes beside %d live inodes", i+1, n, live)
+		}
+		if n < last {
+			rebuilds++
+		}
+		last = n
+	}
+	if rebuilds == 0 {
+		t.Fatalf("4000 files through a 256-dentry cache never rebuilt the inode cache (%d deletes pending)", last)
+	}
+	k.ReclaimAll()
+	checkInodeNames(t, sb)
+}
+
 // TestOpenFileHoldsInode: an open File keeps its inode cached after its
 // dentry goes, so a handle opened through an unlinked hard link and a
 // handle on the other link share one inode. Both appends survive, and the

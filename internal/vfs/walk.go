@@ -33,11 +33,12 @@ const (
 )
 
 // walkTimedEvery is the share of walks that are timed with telemetry on:
-// one in this many per statistics stripe, plus every traced walk. Timing a
-// walk takes two clock reads, 30–40 ns each where the clock is a vDSO
-// call — a fifth of a warm walk between them (DESIGN §6). The latency
-// distribution of one walk in eight is the distribution; the counters,
-// not the histograms, count walks.
+// one in this many per statistics stripe (picked on the value the walk's
+// count returns), plus every traced walk. Timing a walk takes two clock
+// reads, 30–40 ns each where the clock is a vDSO call — a fifth of a warm
+// walk between them (DESIGN §6). The latency distribution of one walk in
+// eight is the distribution; the counters, not the histograms, count
+// walks.
 const walkTimedEvery = 8
 
 // WalkFailure is the structured ENOENT/ENOTDIR result of a slow walk. It
@@ -155,7 +156,10 @@ func (t *Task) WalkFrom(at PathRef, path string, fl WalkFlags) (PathRef, error) 
 // walkInSection is WalkFrom's body, run inside its epoch section.
 func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, error) {
 	k := t.k
-	k.Count(NLookups, 1)
+	// One Add counts the walk and, with telemetry on, picks the timing
+	// sample below: a second read of the stripe could land on another
+	// cell when it runs at another stack depth.
+	n := k.stats.cell()[NLookups].Add(1)
 	if path == "" {
 		return PathRef{}, fsapi.ENOENT
 	}
@@ -177,7 +181,6 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 	tel := k.tel.Load()
 	var walkStart int64 // nonzero on a timed walk
 	var tr *telemetry.WalkTrace
-	var trHeld bool
 	if !tel.On() {
 		tel = nil
 	} else {
@@ -187,13 +190,9 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 			// Its owner finishes it; FinishWalk only appends a summary.
 			tr = armed
 		} else if tel.Sampled() {
-			var scratch *telemetry.WalkTrace
-			scratch, trHeld = t.acquireTrace()
-			tr = tel.StartWalk(scratch, path)
+			tr = tel.StartWalk(path)
 		}
-		// The stripe's walk count, bumped above, picks the sample; read
-		// again here so that a walk with telemetry off carries nothing.
-		if tr != nil || k.stats.cell()[NLookups].Load()%walkTimedEvery == 1 {
+		if tr != nil || n%walkTimedEvery == 1 {
 			walkStart = telemetry.Now()
 			fl |= WalkTimed
 		}
@@ -202,7 +201,7 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 	if k.hooks != nil && fl&WalkNoFast == 0 {
 		if res, err, handled := k.hooks.TryFast(t, start, path, fl, tr); handled {
 			if tel != nil {
-				t.walkDone(tel, tr, trHeld, walkStart, telemetry.HistFastpath, err)
+				walkDone(tel, tr, walkStart, telemetry.HistFastpath, err)
 			}
 			return res, err
 		}
@@ -226,26 +225,26 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 		}
 	}
 	if tel != nil {
-		t.walkDone(tel, tr, trHeld, walkStart, telemetry.HistSlowpath, err)
+		walkDone(tel, tr, walkStart, telemetry.HistSlowpath, err)
 	}
 	return res, err
 }
 
 // walkDone is the telemetry tail of a walk: a timed walk (start nonzero —
 // every traced one is) goes into the histogram of the path it took and
-// the walk histogram, and its trace, if any, is finished and released.
-func (t *Task) walkDone(tel *telemetry.Telemetry, tr *telemetry.WalkTrace, trHeld bool, start int64, took telemetry.HistID, err error) {
-	if start != 0 {
-		d := telemetry.Since(start)
-		var trID uint64
-		if tr != nil {
-			trID = tr.ID
-		}
-		tel.RecordEx(took, d, trID)
-		tel.RecordEx(telemetry.HistWalk, d, trID)
-		tel.FinishWalk(tr, took == telemetry.HistFastpath, err, d)
+// the walk histogram, and its trace, if any, is finished.
+func walkDone(tel *telemetry.Telemetry, tr *telemetry.WalkTrace, start int64, took telemetry.HistID, err error) {
+	if start == 0 {
+		return
 	}
-	t.releaseTrace(trHeld)
+	d := telemetry.Since(start)
+	var trID uint64
+	if tr != nil {
+		trID = tr.ID
+	}
+	tel.RecordEx(took, d, trID)
+	tel.RecordEx(telemetry.HistWalk, d, trID)
+	tel.FinishWalk(tr, took == telemetry.HistFastpath, err, d)
 }
 
 // walkSlow dispatches on the synchronization era.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dircache/internal/coherence"
+	"dircache/internal/telemetry"
 )
 
 // Shard support: the hooks internal/shard uses to run N System instances
@@ -100,6 +101,6 @@ func (s *System) CachedClaim(path string) CachedClaim {
 // showing only shard 0.
 func RegisterSystems(tl *Telemetry, prefix string, systems ...*System) {
 	for i, sys := range systems {
-		tl.RegisterStats(fmt.Sprintf("%s%d", prefix, i), func() map[string]int64 { return sys.Stats().Map() })
+		tl.RegisterStats(fmt.Sprintf("%s%d", prefix, i), func() map[string]int64 { return telemetry.Flatten(sys.Stats()) })
 	}
 }

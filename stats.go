@@ -73,10 +73,11 @@ type MemStats struct {
 	// ChainNodes, FastDentries and DLHTNodes are retired and always zero:
 	// the (parent, name) table and the DLHT chain through the dentries,
 	// and the fastpath's per-dentry state lives in the dentry's own slot
-	// (Dentries). Kept while a reader outside this module still names them.
-	ChainNodes   ArenaStats `json:"chain_nodes"`
-	FastDentries ArenaStats `json:"fast_dentries"`
-	DLHTNodes    ArenaStats `json:"dlht_nodes"`
+	// (Dentries). Kept while a reader outside this module still names
+	// them; neither JSON nor the exporter shows them.
+	ChainNodes   ArenaStats `json:"-"`
+	FastDentries ArenaStats `json:"-"`
+	DLHTNodes    ArenaStats `json:"-"`
 
 	LimboQueue int64  `json:"limbo_queue"` // dentries killed but not yet swept
 	Swept      uint64 `json:"swept"`       // cumulative teardown records processed
@@ -111,49 +112,6 @@ func (s *System) MemStats() MemStats {
 // are listed in DESIGN §5g.
 func (s MemStats) Bytes() int64 {
 	return s.Table.Bytes + s.DLHT.Bytes + s.PrefixMemo.Bytes + s.Dentries.Bytes
-}
-
-// counters flattens the snapshot into the telemetry exporter's flat
-// counter namespace (source "mem"): the dentry arena's occupancy gauges
-// (dentries_live/_free/_limbo/_slots/_chunks/_bytes) and cumulative
-// reclamation traffic (dentries_retired/_reclaimed), each hash table's
-// <table>_buckets/_entries/_resizes/_bytes, the prefix memo's
-// prefix_memo_slots/_entries/_bytes, the teardown queue depth and sweep
-// total, telemetry_hist_cells/_journal_slots/_trace_slots/_bytes
-// and coherence_slots/_path_bytes/_bytes.
-func (s MemStats) counters() map[string]int64 {
-	out := make(map[string]int64, 40)
-	a := s.Dentries
-	out["dentries_chunks"] = int64(a.Chunks)
-	out["dentries_slots"] = int64(a.Slots)
-	out["dentries_bytes"] = a.Bytes
-	out["dentries_live"] = a.Live
-	out["dentries_free"] = a.Free
-	out["dentries_limbo"] = a.Limbo
-	out["dentries_retired"] = int64(a.Retired)
-	out["dentries_reclaimed"] = int64(a.Reclaimed)
-	table := func(prefix string, t TableStats) {
-		out[prefix+"_buckets"] = t.Buckets
-		out[prefix+"_entries"] = t.Entries
-		out[prefix+"_resizes"] = int64(t.Resizes)
-		out[prefix+"_bytes"] = t.Bytes
-	}
-	table("table", s.Table)
-	table("dlht", s.DLHT)
-	out["prefix_memo_slots"] = int64(s.PrefixMemo.Slots)
-	out["prefix_memo_entries"] = s.PrefixMemo.Entries
-	out["prefix_memo_bytes"] = s.PrefixMemo.Bytes
-	out["limbo_queue"] = s.LimboQueue
-	out["swept"] = int64(s.Swept)
-	tf := s.Telemetry
-	out["telemetry_hist_cells"] = int64(tf.HistCells)
-	out["telemetry_journal_slots"] = int64(tf.JournalSlots)
-	out["telemetry_trace_slots"] = int64(tf.TraceSlots)
-	out["telemetry_bytes"] = tf.Bytes
-	out["coherence_slots"] = int64(s.Coherence.Slots)
-	out["coherence_path_bytes"] = s.Coherence.PathBytes
-	out["coherence_bytes"] = s.Coherence.Bytes
-	return out
 }
 
 func arenaStats(v slab.Stats) ArenaStats {

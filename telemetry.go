@@ -67,10 +67,10 @@ func (s *System) Telemetry() *Telemetry { return s.k.Telemetry() }
 // GC stop-the-world pause).
 func (s *System) EnableTelemetry(o TelemetryOptions) *Telemetry {
 	t := telemetry.New(o.rawOptions())
-	t.RegisterStats("system", func() map[string]int64 { return s.Stats().Map() })
+	t.RegisterStats("system", func() map[string]int64 { return telemetry.Flatten(s.Stats()) })
 	t.RegisterStats("inspect", func() map[string]int64 { return s.Inspect().counters() })
 	t.RegisterStats("mem", func() map[string]int64 {
-		out := s.MemStats().counters()
+		out := telemetry.Flatten(s.MemStats())
 		out["gc_max_pause_ns"] = gcMaxPauseNS()
 		return out
 	})

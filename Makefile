@@ -28,7 +28,7 @@ help:
 	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, a rename round trip + stat below it at the round trip's allocations with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop removes no DLHT entry, a System with 1000 files holds <= 1.5 MB of tables, prefix memo and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
 	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable), FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors), FuzzPrefixMemo over the fastpath's scan (cold and warm prefix memo both hash the canonical path), FuzzRingLog over the one drop-oldest ring (against a slice model) and FuzzTable over the intrusive hash table (no cycle, every chain filed right, answers like a map)"
-	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch and dcshard on a baseline server; then the tier's three benchmarks once each"
+	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch, version negotiation and the coherence-log subscription (lazy start, baseline server); then the tier's three benchmarks once each"
 	@echo "  dcbench        print every paper table and figure at small scale (numbers kept over time: bash benchmark/run.sh)"
 	@echo "  loc            the two line counts ROADMAP tracks (non-test Go: core+vfs, and everything outside benchmark/)"
 	@echo "metric catalog: testdata/metric_catalog.txt lists every series /metrics exports (TestMetricCatalog, part of check);"
@@ -152,16 +152,17 @@ serve-smoke:
 # Sharded-tier smoke under the race detector: the whole internal/shard
 # suite — ring placement properties, the 4-shard in-process tier
 # (routing, rename storms, converge, injected-bug detection, racing
-# rename-vs-walk), and the 2-shard over-the-wire tier (dcshard journal
+# rename-vs-walk), and the 2-shard over-the-wire tier (9P2000.dc journal
 # subscription + Tshoot fallback), the differential table of what a peer
 # does per record note and the walkers-vs-remote-chmod storm — plus the
-# coherence log they all read, the ring under it, and the ninep
-# pipelined-dispatch tests the journal stream rides on. The last two
+# coherence log they all read, the ring under it, and the ninep tests the
+# journal stream rides on: pipelined dispatch, version negotiation, and
+# the subscription that starts a server's log. The last two
 # lines run the benchmarks DESIGN §6 and §8 quote for one iteration each,
 # so they keep compiling and running; nothing reads their numbers here.
 shard-smoke:
 	$(GO) test -race -count=1 ./internal/ringlog/ ./internal/coherence/ ./internal/shard/
-	$(GO) test -race -run 'TestPipeline|TestDcshard' -count=1 ./internal/ninep/
+	$(GO) test -race -run 'TestPipeline|TestJournal|TestCoherenceLog|TestVersionNegotiation' -count=1 ./internal/ninep/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterStat|BenchmarkPeerApplyPerm' -benchtime=1x ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkJournalEmit' -benchtime=1x ./internal/telemetry/
 

@@ -204,7 +204,7 @@ func TestServeTraceSmoke(t *testing.T) {
 	}
 	defer c.Close()
 	if !c.Traced() {
-		t.Fatal("dctrace extension not negotiated")
+		t.Fatal("dc extension not negotiated")
 	}
 	c.SetTelemetry(tel)
 	root, err := c.Attach("root", "")

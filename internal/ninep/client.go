@@ -37,42 +37,22 @@ type Client struct {
 	// the server, so a wrapped counter skips the ones still in use.
 	taken map[uint32]bool
 
-	trace bool                 // server negotiated the dctrace extension
-	shard bool                 // server negotiated the dcshard extension
-	tel   *telemetry.Telemetry // client-side span sink (SetTelemetry)
+	dc  bool                 // server negotiated the dc extension
+	tel *telemetry.Telemetry // client-side span sink (SetTelemetry)
 }
 
 // Dial connects to a dcserve address and negotiates the protocol
-// version, offering the dctrace extension. A stock 9P2000 server
-// answers "9P2000" and the client silently runs untraced.
+// version, offering the dc extension. A stock 9P2000 server answers
+// "9P2000" and the client runs without the extension's trailers and
+// messages.
 func Dial(addr string) (*Client, error) {
-	return dial(addr, VersionTrace)
-}
-
-// DialShard connects offering the dcshard extension — the journal
-// subscription and remote shootdown the sharded tier's wire leg rides
-// on — and fails if the server does not speak it (a shard peer that
-// cannot propagate invalidations is not a peer).
-func DialShard(addr string) (*Client, error) {
-	c, err := dial(addr, VersionShard)
-	if err != nil {
-		return nil, err
-	}
-	if !c.shard {
-		c.Close()
-		return nil, fmt.Errorf("server does not speak %q", VersionShard)
-	}
-	return c, nil
-}
-
-func dial(addr, version string) (*Client, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	c := newClient(nc)
 	var resp Fcall
-	if err := c.rpc(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: version}, &resp); err != nil {
+	if err := c.rpc(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: VersionDC}, &resp); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -81,13 +61,10 @@ func dial(addr, version string) (*Client, error) {
 		return nil, fmt.Errorf("server negotiated msize %d, offered %d", resp.Msize, DefaultMsize)
 	}
 	switch resp.Version {
-	case VersionShard:
-		c.trace = true
-		c.shard = true
-	case VersionTrace:
-		c.trace = true
+	case VersionDC:
+		c.dc = true
 	case Version:
-		// plain 9P2000 peer: fall back, never send trace ids
+		// plain 9P2000 peer: fall back, never send a trailer
 	default:
 		nc.Close()
 		return nil, fmt.Errorf("server speaks %q, want %q", resp.Version, Version)
@@ -105,16 +82,16 @@ func newClient(nc net.Conn) *Client {
 // SetTelemetry attaches a span sink: Walk/Open/Stat RPCs then open
 // client-origin spans (subject to the sink's sampling rate) carrying a
 // wire trace id the server's span stitches to — when the server
-// negotiated dctrace. Pass nil to detach.
+// negotiated dc. Pass nil to detach.
 func (c *Client) SetTelemetry(tel *telemetry.Telemetry) { c.tel = tel }
 
-// Traced reports whether the server negotiated the dctrace extension.
-func (c *Client) Traced() bool { return c.trace }
+// Traced reports whether the server negotiated the dc extension.
+func (c *Client) Traced() bool { return c.dc }
 
 // startSpan opens a client RPC span and allocates the wire trace id it
 // carries (span.RemoteID). Nil when tracing is off or unsampled.
 func (c *Client) startSpan(op string) (*telemetry.WalkTrace, time.Time) {
-	if !c.trace || !c.tel.On() || !c.tel.Sampled() {
+	if !c.dc || !c.tel.On() || !c.tel.Sampled() {
 		return nil, time.Time{}
 	}
 	wid := c.tel.NextTraceID()
@@ -200,8 +177,9 @@ func (c *Client) call(req *Fcall) error {
 
 // Journal reads the server's coherence log from cursor, returning the
 // records, the next cursor, and whether the cursor fell behind the log's
-// retention (dcshard only). The RjournalMore flag is absorbed internally:
-// truncated batches are re-polled until drained.
+// retention (dc only; the first Tjournal starts the server's log). The
+// RjournalMore flag is absorbed internally: truncated batches are
+// re-polled until drained.
 func (c *Client) Journal(cursor uint64) ([]coherence.Record, uint64, bool, error) {
 	var out []coherence.Record
 	fell := false
@@ -223,7 +201,7 @@ func (c *Client) Journal(cursor uint64) ([]coherence.Record, uint64, bool, error
 
 // Shoot applies a coherence record — path and the note saying what a peer
 // did to it — on the server ("" or "/" drops everything), returning the
-// dentry count discarded (dcshard only).
+// dentry count discarded (dc only).
 func (c *Client) Shoot(path, note string) (int, error) {
 	var resp Fcall
 	if err := c.rpc(&Fcall{Type: MsgTshoot, Name: path, Aname: note}, &resp); err != nil {
@@ -279,7 +257,7 @@ func (c *Client) Attach(uname, aname string) (*Fid, error) {
 
 // Walk derives a new fid by walking names from f. Empty names clones f.
 // A partial walk (fewer qids than names) binds no fid and fails, in the
-// same RPC, with the errno the dc dialects' Rwalk carries in its trailing
+// same RPC, with the errno the dc Rwalk carries in its trailing
 // errno[4]; a stock 9P2000 peer's bare partial Rwalk reads as ENOENT, as
 // Linux v9fs reads one.
 func (f *Fid) Walk(names ...string) (*Fid, error) {
@@ -314,12 +292,12 @@ func (f *Fid) walk(span *telemetry.WalkTrace, names []string) (*Fid, error) {
 		}
 		if err == nil && len(resp.Wqid) < len(batch) {
 			err = fsapi.ENOENT
-			if c.trace && resp.Errno != 0 {
+			if c.dc && resp.Errno != 0 {
 				err = fsapi.Errno(resp.Errno)
 			}
 		}
 		if owned {
-			cur.Clunk() // on the dc dialects it rides the next Twalk
+			cur.Clunk() // on the dc dialect it rides the next Twalk
 		}
 		if err != nil {
 			c.release(n) // a failed walk binds no newfid
@@ -400,7 +378,7 @@ func (f *Fid) Read(b []byte, offset uint64) (int, error) {
 }
 
 // ReadAll drains the fid from offset 0 (file or directory payload) until
-// an empty Rread or, on the dc dialects, one marked eof. Each Rread's Data
+// an empty Rread or, on the dc dialect, one marked eof. Each Rread's Data
 // is already a copy out of the frame, so the first becomes the result and
 // later ones are appended to it.
 func (f *Fid) ReadAll() ([]byte, error) {
@@ -416,7 +394,7 @@ func (f *Fid) ReadAll() ([]byte, error) {
 		} else {
 			out = append(out, resp.Data...)
 		}
-		if len(resp.Data) == 0 || f.c.trace && resp.EOF {
+		if len(resp.Data) == 0 || f.c.dc && resp.EOF {
 			return out, nil
 		}
 	}
@@ -475,7 +453,7 @@ func (f *Fid) ReadDir() ([]Stat, error) {
 }
 
 // Clunk releases the fid; using f afterwards fails with EBADF, unsent. On
-// the dc dialects a never-opened fid, or a directory opened without
+// the dc dialect a never-opened fid, or a directory opened without
 // ORCLOSE, is only a path to the server, so its clunk rides the next Twalk;
 // an opened file, an ORCLOSE fid, every fid on plain 9P2000 and a clunk
 // finding MaxWalkNames pending send a Tclunk.
@@ -483,7 +461,7 @@ func (f *Fid) Clunk() error {
 	c, n := f.c, f.n
 	f.n = NoFid
 	c.mu.Lock()
-	deferred := n != NoFid && c.trace && !f.effects && int(c.npending) < len(c.pending)
+	deferred := n != NoFid && c.dc && !f.effects && int(c.npending) < len(c.pending)
 	if deferred {
 		c.pending[c.npending] = n
 		c.npending++

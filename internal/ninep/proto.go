@@ -52,7 +52,7 @@ const (
 	MsgRwstat
 )
 
-// 9P2000.dcshard vendor-extension message types: the coherence-log
+// 9P2000.dc vendor-extension message types: the coherence-log
 // subscription and the remote shootdown, numbered above the 9P2000 range.
 const (
 	// MsgTjournal asks for coherence-log records after a cursor (carried
@@ -110,23 +110,21 @@ func MsgName(t uint8) string {
 const (
 	// Version is the protocol identifier negotiated by Tversion.
 	Version = "9P2000"
-	// VersionTrace is the dctrace vendor extension: 9P2000 plus optional
-	// trailers — a trace-id[8] on Twalk, Topen and Tstat (span stitching);
-	// an errno[4] on a partial Rwalk (9P2000.u's Rerror field), so a missing
-	// name is one RPC; after Twalk's trace id (0 if untraced) nclunk[2]
-	// fid[4]*nclunk, fids whose clunk has no effect clunked before the walk,
-	// so a stat is two RPCs; and an eof[1] on an Rread that reached the end
-	// of the fid's data, so a listing needs no empty read to end it.
-	// Negotiated by exact match at Tversion; a stock 9P2000 peer on
-	// either side falls back to the base protocol (the extra fields are sent
-	// only once negotiated; a length-framed decoder skips a trailing field).
-	VersionTrace = "9P2000.dctrace"
-	// VersionShard is the dcshard vendor extension: everything in dctrace
-	// plus the Tjournal/Rjournal coherence-log subscription and the
-	// Tshoot/Rshoot remote shootdown — the wire legs of the sharded
-	// metadata tier. Negotiated by exact match at Tversion; negotiating it
-	// also turns on shard coherence on the serving System.
-	VersionShard = "9P2000.dcshard"
+	// VersionDC is the dc vendor extension, 9P2000 plus optional trailers
+	// and two messages. The trailers: a trace-id[8] on Twalk, Topen and
+	// Tstat (span stitching); an errno[4] on a partial Rwalk (9P2000.u's
+	// Rerror field), so a missing name is one RPC; after Twalk's trace id
+	// (0 if untraced) nclunk[2] fid[4]*nclunk, fids whose clunk has no
+	// effect clunked before the walk, so a stat is two RPCs; and an eof[1]
+	// on an Rread that reached the end of the fid's data, so a listing
+	// needs no empty read to end it. The messages: the Tjournal/Rjournal
+	// coherence-log subscription (the server's log starts with its first
+	// Tjournal) and the Tshoot/Rshoot remote shootdown, the wire legs of
+	// the sharded metadata tier. Negotiated by exact match at Tversion; a
+	// stock 9P2000 peer on either side falls back to the base protocol
+	// (the extra fields are sent only once negotiated; a length-framed
+	// decoder skips a trailing field).
+	VersionDC = "9P2000.dc"
 	// VersionUnknown is the Rversion reply to an unsupported version.
 	VersionUnknown = "unknown"
 	// NoTag is the Tversion tag.
@@ -240,11 +238,11 @@ type Fcall struct {
 	Newfid  uint32 // Twalk
 	Wname   []string
 	Wqid    []Qid
-	Errno   uint32 // partial Rwalk on the dc dialects: why it stopped (errno[4] trailer, when nonzero)
+	Errno   uint32 // partial Rwalk on the dc dialect: why it stopped (errno[4] trailer, when nonzero)
 	Qid     Qid    // Rattach, Ropen, Rcreate, Rauth
 	Mode    uint8  // Topen, Tcreate
 	Nclunk  uint8  // Twalk (see Clunks), in Mode's padding: Fcall stays a 448-byte malloc
-	EOF     bool   // Rread on the dc dialects: the read reached the end (eof[1] trailer, when set); padding too
+	EOF     bool   // Rread on the dc dialect: the read reached the end (eof[1] trailer, when set); padding too
 	Perm    uint32 // Tcreate
 	Name    string // Tcreate
 	Iounit  uint32 // Ropen, Rcreate
@@ -253,15 +251,15 @@ type Fcall struct {
 	Data    []byte // Rread, Twrite
 	Stat    Stat   // Rstat, Twstat
 
-	// TraceID is the dctrace extension's end-to-end trace id, carried as
+	// TraceID is the dc extension's end-to-end trace id, carried as
 	// a trailing u64 on Twalk/Topen/Tstat when nonzero (and only after
-	// VersionTrace was negotiated). Zero means untraced.
+	// VersionDC was negotiated). Zero means untraced.
 	TraceID uint64
 
 	// Clunks[:Nclunk] is a dc Twalk's clunk list; an array, so no codec allocates.
 	Clunks [MaxWalkNames]uint32
 
-	// Journal carries Rjournal's record batch (dcshard extension). The
+	// Journal carries Rjournal's record batch (dc extension). The
 	// cursor rides in Offset (both directions), the flag bits in Mode,
 	// the Tshoot record's path in Name and its note in Aname, and the
 	// Rshoot drop count in Count.
@@ -484,10 +482,10 @@ func AppendMarshal(dst []byte, f *Fcall) ([]byte, error) {
 			e.str(n)
 		}
 		if f.TraceID != 0 || f.Nclunk > 0 {
-			e.u64(f.TraceID) // dctrace trailing trace-id[8]
+			e.u64(f.TraceID) // dc trailing trace-id[8]
 		}
 		if f.Nclunk > 0 {
-			e.u16(uint16(f.Nclunk)) // dc dialects' clunk list
+			e.u16(uint16(f.Nclunk)) // dc clunk list
 			for _, fid := range f.Clunks[:f.Nclunk] {
 				e.u32(fid)
 			}
@@ -498,13 +496,13 @@ func AppendMarshal(dst []byte, f *Fcall) ([]byte, error) {
 			e.qid(q)
 		}
 		if f.Errno != 0 {
-			e.u32(f.Errno) // dc dialects' trailing errno[4]
+			e.u32(f.Errno) // dc trailing errno[4]
 		}
 	case MsgTopen:
 		e.u32(f.Fid)
 		e.u8(f.Mode)
 		if f.TraceID != 0 {
-			e.u64(f.TraceID) // dctrace trailing trace-id[8]
+			e.u64(f.TraceID) // dc trailing trace-id[8]
 		}
 	case MsgRopen, MsgRcreate:
 		e.qid(f.Qid)
@@ -522,7 +520,7 @@ func AppendMarshal(dst []byte, f *Fcall) ([]byte, error) {
 		e.u32(uint32(len(f.Data)))
 		e.buf = append(e.buf, f.Data...)
 		if f.EOF {
-			e.u8(1) // dc dialects' trailing eof[1]
+			e.u8(1) // dc trailing eof[1]
 		}
 	case MsgTwrite:
 		e.u32(f.Fid)
@@ -536,7 +534,7 @@ func AppendMarshal(dst []byte, f *Fcall) ([]byte, error) {
 	case MsgTstat:
 		e.u32(f.Fid)
 		if f.TraceID != 0 {
-			e.u64(f.TraceID) // dctrace trailing trace-id[8]
+			e.u64(f.TraceID) // dc trailing trace-id[8]
 		}
 	case MsgRclunk, MsgRremove, MsgRwstat:
 	case MsgRstat:
@@ -661,7 +659,7 @@ func (f *Fcall) unmarshal(buf []byte) error {
 		if len(d.buf) < 8 {
 			break
 		}
-		f.TraceID, _ = d.u64() // dctrace trace-id[8]; then the clunk list, whole or an error
+		f.TraceID, _ = d.u64() // dc trace-id[8]; then the clunk list, whole or an error
 		if len(d.buf) > 0 {
 			if n, err = d.u16(); err == nil && n > MaxWalkNames {
 				err = fmt.Errorf("ninep: Twalk with %d clunks (max %d)", n, MaxWalkNames)
@@ -685,7 +683,7 @@ func (f *Fcall) unmarshal(buf []byte) error {
 			}
 		}
 		if len(d.buf) > 0 {
-			f.Errno, err = d.u32() // dc dialects' trailing errno[4]
+			f.Errno, err = d.u32() // dc trailing errno[4]
 		}
 	case MsgTopen:
 		if f.Fid, err = d.u32(); err != nil {
@@ -695,7 +693,7 @@ func (f *Fcall) unmarshal(buf []byte) error {
 			return err
 		}
 		if len(d.buf) >= 8 {
-			f.TraceID, _ = d.u64() // dctrace trailing trace-id[8]
+			f.TraceID, _ = d.u64() // dc trailing trace-id[8]
 		}
 	case MsgRopen, MsgRcreate:
 		if f.Qid, err = d.qid(); err != nil {
@@ -733,7 +731,7 @@ func (f *Fcall) unmarshal(buf []byte) error {
 		switch trailer := d.buf[n:]; len(trailer) {
 		case 0:
 		case 1:
-			f.EOF = trailer[0] != 0 // dc dialects' trailing eof[1]
+			f.EOF = trailer[0] != 0 // dc trailing eof[1]
 		default:
 			err = fmt.Errorf("ninep: Rread with %d bytes after its data", len(trailer))
 		}
@@ -761,7 +759,7 @@ func (f *Fcall) unmarshal(buf []byte) error {
 			return err
 		}
 		if len(d.buf) >= 8 {
-			f.TraceID, _ = d.u64() // dctrace trailing trace-id[8]
+			f.TraceID, _ = d.u64() // dc trailing trace-id[8]
 		}
 	case MsgRclunk, MsgRremove, MsgRwstat:
 	case MsgRstat:

@@ -93,23 +93,23 @@ func TestCodecRoundTrips(t *testing.T) {
 		{Type: MsgRflush, Tag: 3},
 		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2, Wname: []string{"a", "b", "c"}},
 		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2},                                                    // clone: zero names
-		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2, Wname: []string{"a"}, TraceID: 0x1122334455667788}, // dctrace
+		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2, Wname: []string{"a"}, TraceID: 0x1122334455667788}, // dc
 		{Type: MsgRwalk, Tag: 4, Wqid: []Qid{qid, {Type: QTFile, Version: 1, Path: 42}}},
 		{Type: MsgRwalk, Tag: 4},                                                 // clone response: zero qids
-		{Type: MsgRwalk, Tag: 4, Wqid: []Qid{qid}, Errno: uint32(fsapi.ENOTDIR)}, // dc dialects: a partial walk's errno
-		// dc dialects' clunk lists, behind trace id 0 and a real one
+		{Type: MsgRwalk, Tag: 4, Wqid: []Qid{qid}, Errno: uint32(fsapi.ENOTDIR)}, // dc: a partial walk's errno
+		// the dc dialect's clunk lists, behind trace id 0 and a real one
 		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2, Wname: []string{"a"}, Clunks: [MaxWalkNames]uint32{5}, Nclunk: 1},
 		{Type: MsgTwalk, Tag: 4, Fid: 1, Newfid: 2, TraceID: 3, Clunks: [MaxWalkNames]uint32{9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24}, Nclunk: MaxWalkNames},
 		{Type: MsgTopen, Tag: 5, Fid: 2, Mode: ORdWr | OTrunc},
-		{Type: MsgTopen, Tag: 5, Fid: 2, Mode: ORead, TraceID: 99}, // dctrace
+		{Type: MsgTopen, Tag: 5, Fid: 2, Mode: ORead, TraceID: 99}, // dc
 		{Type: MsgRopen, Tag: 5, Qid: qid, Iounit: 8168},
 		{Type: MsgTcreate, Tag: 6, Fid: 2, Name: "f.txt", Perm: 0o644, Mode: OWrite},
 		{Type: MsgRcreate, Tag: 6, Qid: qid, Iounit: 8168},
 		{Type: MsgTread, Tag: 7, Fid: 2, Offset: 1 << 40, Count: 8192},
 		{Type: MsgRread, Tag: 7, Data: []byte("hello, 9P")},
 		{Type: MsgRread, Tag: 7, Data: []byte{}},                     // EOF
-		{Type: MsgRread, Tag: 7, Data: []byte("the end"), EOF: true}, // dc dialects: the read reached the end
-		{Type: MsgRread, Tag: 7, EOF: true},                          // dc dialects: nothing was left
+		{Type: MsgRread, Tag: 7, Data: []byte("the end"), EOF: true}, // dc: the read reached the end
+		{Type: MsgRread, Tag: 7, EOF: true},                          // dc: nothing was left
 		{Type: MsgTwrite, Tag: 8, Fid: 2, Offset: 0, Data: []byte{0, 1, 2, 255}},
 		{Type: MsgRwrite, Tag: 8, Count: 4},
 		{Type: MsgTclunk, Tag: 9, Fid: 2},
@@ -117,12 +117,12 @@ func TestCodecRoundTrips(t *testing.T) {
 		{Type: MsgTremove, Tag: 10, Fid: 2},
 		{Type: MsgRremove, Tag: 10},
 		{Type: MsgTstat, Tag: 11, Fid: 1},
-		{Type: MsgTstat, Tag: 11, Fid: 1, TraceID: 7}, // dctrace
+		{Type: MsgTstat, Tag: 11, Fid: 1, TraceID: 7}, // dc
 		{Type: MsgRstat, Tag: 11, Stat: st},
 		{Type: MsgTwstat, Tag: 12, Fid: 1, Stat: EmptyStat()},
 		{Type: MsgRwstat, Tag: 12},
-		{Type: MsgTshoot, Tag: 13, Name: "/srv/app/lib", Aname: "perm"}, // dcshard: a record's path and note
-		{Type: MsgTshoot, Tag: 13},                                      // dcshard: drop everything
+		{Type: MsgTshoot, Tag: 13, Name: "/srv/app/lib", Aname: "perm"}, // dc: a record's path and note
+		{Type: MsgTshoot, Tag: 13},                                      // dc: drop everything
 		{Type: MsgRshoot, Tag: 13, Count: 9},
 	}
 	norm := func(x *Fcall) {

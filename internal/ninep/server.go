@@ -347,8 +347,7 @@ type conn struct {
 	srv   *Server
 	nc    net.Conn
 	msize uint32 // negotiated; the reader refuses larger frames
-	trace bool   // a dc dialect negotiated: honor trace ids and Twalk clunk lists, mark Rread eof
-	shard bool   // dcshard negotiated: journal stream + remote shootdown
+	dc    bool   // 9P2000.dc negotiated: trace ids, Twalk clunk lists, Rread eof, Tjournal and Tshoot
 
 	mu    sync.Mutex // fids, procs, inflight
 	fids  map[uint32]*fidEntry
@@ -595,13 +594,13 @@ func histFor(t uint8) telemetry.HistID {
 }
 
 // dispatch handles one request and builds its response. A request
-// carrying a dctrace trace id gets a server span stitched (by that wire
+// carrying a dc trace id gets a server span stitched (by that wire
 // id) to the client's RPC span; the handler arms it on its Process so
 // the kernel walk it triggers annotates per-stage events in place.
 func (c *conn) dispatch(req *Fcall) *Fcall {
 	c.srv.stats.ops.Add(1)
 	var span *telemetry.WalkTrace
-	if c.trace && req.TraceID != 0 {
+	if c.dc && req.TraceID != 0 {
 		span = c.srv.tel.StartSpan("server", MsgName(req.Type), "", req.TraceID)
 	}
 	t0 := time.Now()
@@ -727,22 +726,10 @@ func (c *conn) tversion(req *Fcall) (*Fcall, error) {
 	}
 	c.msize = ms
 	ver := Version
-	c.trace = false
-	c.shard = false
+	c.dc = req.Version == VersionDC // exact: "9P2000.dc..." falls to the prefix rule
 	switch {
-	case req.Version == VersionShard:
-		// Exact matches only — checked before the 9P2000 prefix fallback,
-		// which both extensions would otherwise satisfy. dcshard implies
-		// dctrace and additionally opens the journal stream: negotiating it
-		// turns on shard coherence so Tjournal subscribers see this
-		// server's mutations.
-		ver = VersionShard
-		c.trace = true
-		c.shard = true
-		c.srv.sys.EnableShardCoherence()
-	case req.Version == VersionTrace:
-		ver = VersionTrace
-		c.trace = true
+	case c.dc:
+		ver = VersionDC
 	case !strings.HasPrefix(req.Version, Version):
 		ver = VersionUnknown
 	}
@@ -816,10 +803,10 @@ func (c *conn) lookupFid(n uint32) (*fidEntry, error) {
 // the entries the full walk just populated.
 // Only when the full walk fails does the server fall back to
 // component-at-a-time resolution to honor 9P partial-walk semantics.
-// On the dc dialects the clunk list is applied first (a list naming the
+// On the dc dialect the clunk list is applied first (a list naming the
 // source fid fails the walk with EBADF).
 func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
-	for i := 0; c.trace && i < int(req.Nclunk); i++ {
+	for i := 0; c.dc && i < int(req.Nclunk); i++ {
 		_ = c.clunkFid(req.Clunks[i]) // EBADF: an unknown fid is skipped
 	}
 	src, err := c.lookupFid(req.Fid)
@@ -903,7 +890,7 @@ func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 
 // twalkSlow implements 9P partial-walk semantics: resolve one name at a
 // time, stop at the first failure, and succeed with the prefix's qids
-// (error only when the very first name fails). On the dc dialects the
+// (error only when the very first name fails). On the dc dialect the
 // partial Rwalk also carries fullErr, the full-path Lstat's errno (it
 // follows the symlinks this loop stops at), or else the failing name's.
 func (c *conn) twalkSlow(req *Fcall, src *fidEntry, paths []string, fullErr error) (*Fcall, error) {
@@ -918,7 +905,7 @@ func (c *conn) twalkSlow(req *Fcall, src *fidEntry, paths []string, fullErr erro
 				return nil, err
 			}
 			resp := &Fcall{Type: MsgRwalk, Wqid: qids} // partial: newfid not created
-			if c.trace {
+			if c.dc {
 				resp.Errno = uint32(fsapi.ToErrno(cmp.Or(fullErr, err)))
 			}
 			return resp, nil
@@ -1041,7 +1028,7 @@ func (c *conn) tread(req *Fcall) (*Fcall, error) {
 	// The backends answer a read past the end short and without io.EOF,
 	// which io.ReaderAt's contract makes the same answer.
 	eof := errors.Is(err, io.EOF) || err == nil && n < len(buf)
-	return &Fcall{Type: MsgRread, Data: buf[:n], EOF: c.trace && eof}, nil
+	return &Fcall{Type: MsgRread, Data: buf[:n], EOF: c.dc && eof}, nil
 }
 
 // readDir serves directory reads from the listing setOpen took — a
@@ -1075,7 +1062,7 @@ func (c *conn) readDir(f *fidEntry, offset uint64, count uint32) (*Fcall, error)
 		return nil, fsapi.EINVAL
 	}
 	f.dirOff, f.dirRead = offset+uint64(n), true
-	return &Fcall{Type: MsgRread, Data: rest[:n], EOF: c.trace && n == len(rest)}, nil
+	return &Fcall{Type: MsgRread, Data: rest[:n], EOF: c.dc && n == len(rest)}, nil
 }
 
 func (c *conn) twrite(req *Fcall) (*Fcall, error) {
@@ -1230,18 +1217,21 @@ func (c *conn) twstat(req *Fcall) (*Fcall, error) {
 	return &Fcall{Type: MsgRwstat}, nil
 }
 
-// tjournal serves the coherence-log subscription (9P2000.dcshard only):
-// the records after the client's cursor (carried in Offset), the advanced
+// tjournal serves the coherence-log subscription (9P2000.dc only): the
+// records after the client's cursor (carried in Offset), the advanced
 // cursor and the fell-behind flag, straight from the System's log. The
+// first Tjournal starts the log, so a server nobody subscribes to keeps
+// none; a subscriber's first poll (cursor 0) precedes any record. The
 // batch is capped to the negotiated msize; a truncated batch sets
 // RjournalMore and rewinds the returned cursor to the last record
 // shipped, so the client's re-poll resumes there. A record that does not
 // fit an empty batch can never be shipped: the subscriber is told it fell
 // behind, which makes it drop everything that record could have named.
 func (c *conn) tjournal(req *Fcall) (*Fcall, error) {
-	if !c.shard {
-		return nil, protoErr("journal stream requires " + VersionShard)
+	if !c.dc {
+		return nil, protoErr("journal stream requires " + VersionDC)
 	}
+	c.srv.sys.EnableShardCoherence()
 	recs, next, fell := c.srv.sys.EventsSince(req.Offset)
 	resp := &Fcall{Type: MsgRjournal, Offset: next, Journal: recs}
 	if fell {
@@ -1268,8 +1258,8 @@ func (c *conn) tjournal(req *Fcall) (*Fcall, error) {
 // (System.RemoteInvalidate; "" or "/" = drop everything, the fail-closed
 // fallback), answering with the number of dentries discarded.
 func (c *conn) tshoot(req *Fcall) (*Fcall, error) {
-	if !c.shard {
-		return nil, protoErr("shootdown requires " + VersionShard)
+	if !c.dc {
+		return nil, protoErr("shootdown requires " + VersionDC)
 	}
 	var n int
 	if req.Name == "" || req.Name == "/" {

@@ -129,7 +129,7 @@ func TestServerPartialWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	// srv/app exist, "missing" does not: Rwalk must carry exactly 2 qids
-	// and the errno of "missing" (dctrace is negotiated), and not bind
+	// and the errno of "missing" (dc is negotiated), and not bind
 	// newfid.
 	var resp Fcall
 	err = c.rpc(&Fcall{Type: MsgTwalk, Fid: root.n, Newfid: 99,
@@ -378,11 +378,12 @@ func TestServerUsersMap(t *testing.T) {
 	}
 }
 
-// TestDcshardOnBaselineServer: a server over the unmodified baseline cache
-// (dcserve -baseline) speaks 9P2000.dcshard like any other, and its log
-// carries the creates its clients make. Shard coherence is the namespace's,
-// so it needs no fastpath core.
-func TestDcshardOnBaselineServer(t *testing.T) {
+// TestJournalOnBaselineServer: a server over the unmodified baseline cache
+// (dcserve -baseline) serves the coherence-log subscription like any
+// other, and its log carries the creates its clients make once a
+// subscriber started it. Shard coherence is the namespace's, so it needs
+// no fastpath core.
+func TestJournalOnBaselineServer(t *testing.T) {
 	sys := dircache.New(dircache.Baseline())
 	root := sys.Start(dircache.RootCreds())
 	mustMkdirAll(t, root, "/srv", 0o755)
@@ -392,11 +393,14 @@ func TestDcshardOnBaselineServer(t *testing.T) {
 		t.Fatalf("Serve: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	c, err := DialShard(srv.Addr().String())
+	c, err := Dial(srv.Addr().String())
 	if err != nil {
-		t.Fatalf("DialShard: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
+	if recs, next, fell, err := c.Journal(0); err != nil || fell || next != 0 || len(recs) != 0 {
+		t.Fatalf("subscribing Journal: recs=%+v next=%d fell=%v err=%v", recs, next, fell, err)
+	}
 	fid, err := c.Attach("root", "")
 	if err != nil {
 		t.Fatal(err)
@@ -415,6 +419,97 @@ func TestDcshardOnBaselineServer(t *testing.T) {
 	}
 }
 
+// TestCoherenceLogStartsWithFirstJournal: a 9P2000.dc client that never
+// subscribes costs the server no coherence log — its creates and removes
+// publish nothing — and the first Tjournal starts the log, which numbers
+// its records from there.
+func TestCoherenceLogStartsWithFirstJournal(t *testing.T) {
+	sys, srv := startServer(t, Config{})
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	root, err := c.Attach("root", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := func(name string) *Fid {
+		t.Helper()
+		f, err := root.WalkPath("srv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Create(name, 0o644, OWrite); err != nil {
+			t.Fatalf("Tcreate %s: %v", name, err)
+		}
+		return f
+	}
+	for _, name := range []string{"a.txt", "b.txt"} {
+		if err := create(name).Remove(); err != nil {
+			t.Fatalf("Tremove %s: %v", name, err)
+		}
+	}
+	if fp := sys.MemStats().Coherence; fp != (dircache.CoherenceFootprint{}) {
+		t.Fatalf("coherence log before any Tjournal: %+v, want none", fp)
+	}
+	if recs, next, fell := sys.EventsSince(0); len(recs) != 0 || next != 0 || fell {
+		t.Fatalf("EventsSince(0) before any Tjournal: recs=%+v next=%d fell=%v", recs, next, fell)
+	}
+
+	if recs, next, fell, err := c.Journal(0); err != nil || fell || next != 0 || len(recs) != 0 {
+		t.Fatalf("subscribing Journal: recs=%+v next=%d fell=%v err=%v", recs, next, fell, err)
+	}
+	create("c.txt").Clunk()
+	recs, next, fell, err := c.Journal(0)
+	if err != nil || fell || next != 1 || len(recs) != 1 {
+		t.Fatalf("Journal after one create: recs=%+v next=%d fell=%v err=%v", recs, next, fell, err)
+	}
+	if r := recs[0]; r.ID != 1 || r.Path != "/srv/c.txt" || r.Note != "create" {
+		t.Fatalf("first record is %+v, want ID 1 create of /srv/c.txt", r)
+	}
+}
+
+// TestVersionNegotiation: the Rversion each offered version gets. Only
+// the exact string 9P2000.dc negotiates the extension; any other 9P2000
+// variant, the two retired dialects that extended its name among them,
+// gets plain 9P2000, on which Tjournal and Tshoot are refused and leave
+// the server's coherence log unbuilt.
+func TestVersionNegotiation(t *testing.T) {
+	sys, srv := startServer(t, Config{})
+	for _, row := range []struct{ offer, want string }{
+		{"9P2000", Version},
+		{"9P2000.dc", VersionDC},
+		{VersionDC + "trace", Version},
+		{VersionDC + "shard", Version},
+		{"9P2000.L", Version},
+		{"9P1999", VersionUnknown},
+	} {
+		r := rawDial(t, srv)
+		r.send(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: row.offer})
+		if resp := r.recv(); resp.Type != MsgRversion || resp.Version != row.want {
+			t.Fatalf("Tversion %q: got %s %q, want Rversion %q", row.offer, MsgName(resp.Type), resp.Version, row.want)
+		}
+		if row.want != Version {
+			continue
+		}
+		for _, req := range []*Fcall{{Type: MsgTjournal, Tag: 1}, {Type: MsgTshoot, Tag: 2, Name: "/"}} {
+			r.send(req)
+			if resp := r.recv(); resp.Type != MsgRerror || resp.Tag != req.Tag {
+				t.Fatalf("%s on %q: got %s, want Rerror", MsgName(req.Type), row.offer, MsgName(resp.Type))
+			}
+		}
+	}
+	p := sys.Start(dircache.RootCreds())
+	defer p.Exit()
+	if err := p.Create("/srv/after.txt", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if recs, _, _ := sys.EventsSince(0); len(recs) != 0 || sys.MemStats().Coherence != (dircache.CoherenceFootprint{}) {
+		t.Fatalf("refused Tjournals built the coherence log: %+v", recs)
+	}
+}
+
 // TestJournalSpansManyReplies pends more coherence records than one
 // msize holds: every truncated Rjournal rewinds its cursor to the last
 // record it shipped, so the client's re-poll loop must deliver each
@@ -424,14 +519,17 @@ func TestJournalSpansManyReplies(t *testing.T) {
 	root := sys.Start(dircache.RootCreds())
 	defer root.Exit()
 	// The oversized record's parents exist before the log does: shard
-	// coherence starts with the dcshard Tversion.
+	// coherence starts with the first Tjournal.
 	deep := "/" + strings.Repeat("x", MinMsize/3)
 	mustMkdirAll(t, root, deep+deep, 0o755)
-	c, err := DialShard(srv.Addr().String())
+	c, err := Dial(srv.Addr().String())
 	if err != nil {
-		t.Fatalf("DialShard: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
+	if _, _, _, err := c.Journal(0); err != nil {
+		t.Fatalf("subscribing Journal: %v", err)
+	}
 
 	const pending = 200 // ~40 bytes each against 488 bytes of payload per reply
 	for i := 0; i < pending; i++ {

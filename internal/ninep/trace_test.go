@@ -23,7 +23,7 @@ func TestTraceStitchAcrossWire(t *testing.T) {
 	}
 	defer c.Close()
 	if !c.Traced() {
-		t.Fatal("dctrace extension not negotiated against our own server")
+		t.Fatal("dc extension not negotiated against our own server")
 	}
 	c.SetTelemetry(tel)
 
@@ -89,7 +89,7 @@ func hasOrigin(g *telemetry.StitchedTrace, origin string) bool {
 }
 
 // TestStockPeerFallback checks both halves of the silent-fallback
-// contract: a stock 9P2000 client gets a stock reply (no dctrace), and
+// contract: a stock 9P2000 client gets a stock reply (no dc), and
 // a trace id sent on an un-negotiated connection is decoded but ignored
 // — the walk succeeds and no server span is opened.
 func TestStockPeerFallback(t *testing.T) {

@@ -37,15 +37,15 @@ func frameStream() []*Fcall {
 		return b
 	}
 	msgs := []*Fcall{
-		{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: VersionTrace},
+		{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: VersionDC},
 		{Type: MsgTwalk, Tag: 1, Fid: 0, Newfid: 1, Wname: []string{"srv", "app", "config", "app.conf"}},
 		{Type: MsgTwalk, Tag: 1, Fid: 0, Newfid: 2, Wname: []string{"srv"}, Clunks: [MaxWalkNames]uint32{1, 7}, Nclunk: 2}, // dc clunk list behind trace id 0
 		{Type: MsgTwalk, Tag: 1, Fid: 0, Newfid: 3, Wname: []string{"srv", "app"}, TraceID: 42, Clunks: [MaxWalkNames]uint32{2}, Nclunk: 1},
 		{Type: MsgRwalk, Tag: 1, Wqid: []Qid{{Type: QTDir, Path: 1}, {Path: 2}}},
-		{Type: MsgRwalk, Tag: 1, Wqid: []Qid{{Type: QTDir, Path: 1}}, Errno: uint32(fsapi.ENOENT)}, // dc dialects' trailer
+		{Type: MsgRwalk, Tag: 1, Wqid: []Qid{{Type: QTDir, Path: 1}}, Errno: uint32(fsapi.ENOENT)}, // dc trailer
 		{Type: MsgTstat, Tag: 2, Fid: 1, TraceID: 42},
 		{Type: MsgRstat, Tag: 2, Stat: Stat{Name: "app.conf", UID: "1000", GID: "1000", MUID: "1000", Length: 13}},
-		{Type: MsgRread, Tag: 3, Data: []byte("listen=:9099\n"), EOF: true}, // dc dialects' trailer
+		{Type: MsgRread, Tag: 3, Data: []byte("listen=:9099\n"), EOF: true}, // dc trailer
 	}
 	// Mid-size frames whose sizes do not divide the buffer, so some start
 	// near its end.
@@ -366,6 +366,13 @@ func (c *countConn) Read(p []byte) (int, error) {
 // and counts the bytes it reads.
 func dialVersion(t *testing.T, srv *Server, version string) (*Client, *countConn) {
 	t.Helper()
+	return dialAnswered(t, srv, version, version)
+}
+
+// dialAnswered is dialVersion for a client that offers ask and must be
+// answered got.
+func dialAnswered(t *testing.T, srv *Server, ask, got string) (*Client, *countConn) {
+	t.Helper()
 	nc, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -374,16 +381,16 @@ func dialVersion(t *testing.T, srv *Server, version string) (*Client, *countConn
 	c := newClient(cc)
 	t.Cleanup(func() { c.Close() })
 	var resp Fcall
-	if err := c.rpc(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: version}, &resp); err != nil || resp.Version != version {
-		t.Fatalf("Tversion %q: got %q, %v", version, resp.Version, err)
+	if err := c.rpc(&Fcall{Type: MsgTversion, Tag: NoTag, Msize: DefaultMsize, Version: ask}, &resp); err != nil || resp.Version != got {
+		t.Fatalf("Tversion %q: got %q, %v, want %q", ask, resp.Version, err, got)
 	}
-	c.trace = version != Version
+	c.dc = got == VersionDC
 	return c, cc
 }
 
 // TestWalkErrnoParity: a walk that fails past its first name is answered
 // in one RPC by a partial Rwalk that binds no fid and sends no Rerror. On
-// the dc dialects the Rwalk's errno[4] trailer carries the errno an
+// the dc dialect the Rwalk's errno[4] trailer carries the errno an
 // in-process Lstat of the same path gets; on plain 9P2000 no trailer is on
 // the wire and the walk reads ENOENT. A first-name failure is an Rerror
 // with the exact errno on every dialect. A 20-name walk failing in its
@@ -420,7 +427,7 @@ func TestWalkErrnoParity(t *testing.T) {
 		{"missing name past a symlinked directory", "srv/lnk/nope", 1},
 		{"first name", "nope/srv", -1},
 	}
-	for _, version := range []string{VersionTrace, VersionShard, Version} {
+	for _, version := range []string{VersionDC, Version} {
 		c, cc := dialVersion(t, srv, version)
 		fid, err := c.Attach("1000", "")
 		if err != nil {
@@ -464,7 +471,7 @@ func TestWalkErrnoParity(t *testing.T) {
 		}
 	}
 
-	c, _ := dialVersion(t, srv, VersionTrace)
+	c, _ := dialVersion(t, srv, VersionDC)
 	fid, err := c.Attach("1000", "")
 	if err != nil {
 		t.Fatal(err)
@@ -491,26 +498,30 @@ func TestWalkErrnoParity(t *testing.T) {
 
 // --- deferred clunks --------------------------------------------------------
 
-// TestDeferredClunk: on a dc dialect the Clunk of a never-opened fid, or of
+// TestDeferredClunk: on the dc dialect the Clunk of a never-opened fid, or of
 // a directory opened without ORCLOSE, sends nothing and the next Twalk
 // carries it to the server; on plain 9P2000, for an opened file, for every
 // ORCLOSE fid, and for a clunk finding the pending list full, Clunk is a
 // Tclunk that has taken effect when it returns. On both, a clunked Fid
-// answers EBADF without asking.
+// answers EBADF without asking. A client offering the retired trace
+// dialect's string is answered 9P2000 and clunks as a plain one.
 func TestDeferredClunk(t *testing.T) {
 	sys, srv := startServer(t, Config{})
 	p := sys.Start(dircache.RootCreds())
 	defer p.Exit()
 	fids := func() int64 { return srv.Stats().FidsLive }
-	for _, version := range []string{VersionTrace, Version} {
-		c, _ := dialVersion(t, srv, version)
+	for _, dialect := range []struct{ ask, got string }{
+		{VersionDC, VersionDC}, {Version, Version}, {VersionDC + "trace", Version},
+	} {
+		version := dialect.ask
+		c, _ := dialAnswered(t, srv, version, dialect.got)
 		root, err := c.Attach("root", "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		// pick is dcv on the dc dialect and plain on 9P2000.
 		pick := func(dcv, plain int64) int64 {
-			if version != Version {
+			if dialect.got == VersionDC {
 				return dcv
 			}
 			return plain
@@ -703,7 +714,7 @@ func TestHostileClunkList(t *testing.T) {
 	}
 
 	r := rawDial(t, srv)
-	r.handshake(VersionTrace) // fid 0 at "/", fid 1 at app.conf
+	r.handshake(VersionDC) // fid 0 at "/", fid 1 at app.conf
 	errs := srv.Stats().ErrorsSent
 	r.send(walk(0, 2, 999))
 	expect(r, "walk with an unknown fid in its list", MsgRwalk)
@@ -761,7 +772,7 @@ func TestHostileClunkList(t *testing.T) {
 // walks either side of the wrap both get fids that stat and clunk.
 func TestFidCounterSkipsNoFid(t *testing.T) {
 	_, srv := startServer(t, Config{})
-	for _, version := range []string{VersionTrace, Version} {
+	for _, version := range []string{VersionDC, Version} {
 		c, _ := dialVersion(t, srv, version)
 		c.nextFid = NoFid - 2
 		root, err := c.Attach("root", "")
@@ -799,12 +810,12 @@ func TestFidCounterSkipsNoFid(t *testing.T) {
 // fid 0 again, which the attach still holds, and the server would answer
 // the walk that reuses it "fid already in use". With the root at fid 0
 // and the counter one short of NoFid, the first walk takes NoFid-1 and
-// the second skips NoFid and the root to take 1. On the dc dialects the
+// the second skips NoFid and the root to take 1. On the dc dialect the
 // second walk's clunk then waits in pending for the next Twalk, so a
 // counter set back to 1 skips it too; plain 9P2000 sent it at once.
 func TestFidCounterSkipsTakenFids(t *testing.T) {
 	_, srv := startServer(t, Config{})
-	for _, version := range []string{VersionTrace, Version} {
+	for _, version := range []string{VersionDC, Version} {
 		c, _ := dialVersion(t, srv, version)
 		root, err := c.Attach("root", "")
 		if err != nil || root.n != 0 {
@@ -843,7 +854,7 @@ func TestFidCounterSkipsTakenFids(t *testing.T) {
 // --- directory listings ------------------------------------------------------
 
 // TestReadDirRoundTrips: Walk + Open + ReadDir + Clunk lists exactly what an
-// in-process ReadDir + Lstat sees, in 3 RPCs on the dc dialects (the last
+// in-process ReadDir + Lstat sees, in 3 RPCs on the dc dialect (the last
 // Rread is marked eof and the clunk rides the next Twalk) and 5 on plain
 // 9P2000, whose Rread frames carry no trailer. A listing larger than one
 // read at MinMsize is marked eof on its last Rread only; a read too small
@@ -883,7 +894,7 @@ func TestReadDirRoundTrips(t *testing.T) {
 		return want
 	}
 
-	for _, version := range []string{VersionTrace, VersionShard, Version} {
+	for _, version := range []string{VersionDC, Version} {
 		c, _ := dialVersion(t, srv, version)
 		root, err := c.Attach("root", "")
 		if err != nil {
@@ -934,7 +945,7 @@ func TestReadDirRoundTrips(t *testing.T) {
 		}
 		return r
 	}
-	for _, version := range []string{VersionTrace, Version} {
+	for _, version := range []string{VersionDC, Version} {
 		for _, names := range [][]string{{"srv", "big"}, {"srv", "app", "config", "app.conf"}} {
 			r := open(version, names...)
 			var data []byte
@@ -988,7 +999,7 @@ func TestReadDirRoundTrips(t *testing.T) {
 
 	mustMkdirAll(t, p, "/srv/gone", 0o755)
 	mustWrite(t, p, "/srv/gone/x", "x")
-	c, _ := dialVersion(t, srv, VersionTrace)
+	c, _ := dialVersion(t, srv, VersionDC)
 	root, err := c.Attach("root", "")
 	if err != nil {
 		t.Fatal(err)
@@ -1037,7 +1048,7 @@ func TestReadDirRoundTrips(t *testing.T) {
 func TestPipelinedRewinds(t *testing.T) {
 	_, srv := startServer(t, Config{})
 	r := rawDial(t, srv)
-	r.handshake(VersionTrace)
+	r.handshake(VersionDC)
 	r.send(&Fcall{Type: MsgTwalk, Tag: 3, Fid: 0, Newfid: 2, Wname: []string{"srv", "app"}})
 	if resp := r.recv(); resp.Type != MsgRwalk {
 		t.Fatalf("walk: got %s (%s)", MsgName(resp.Type), resp.Ename)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // Wire is a Shard reached over 9P: a dcserve endpoint speaking the
-// 9P2000.dcshard extension. Metadata ops ride the ordinary 9P verbs, the
+// 9P2000.dc extension. Metadata ops ride the ordinary 9P verbs, the
 // coherence subscription rides Tjournal, and peer invalidations ride
 // Tshoot. It deliberately implements neither Prober nor Doctorable —
 // probing a remote cache over the wire would walk it (populating what it
@@ -22,12 +23,19 @@ type Wire struct {
 	root *ninep.Fid
 }
 
-// DialWire connects to addr and attaches as uname ("" = root),
-// requiring the dcshard extension.
+// DialWire connects to addr, subscribes to its coherence log and attaches
+// as uname ("" = root). The subscription starts the server's log before
+// DialWire returns; a peer that does not speak 9P2000.dc, or refuses the
+// subscription, is refused here — a shard that cannot propagate
+// invalidations is not a peer.
 func DialWire(addr, uname string) (*Wire, error) {
-	c, err := ninep.DialShard(addr)
+	c, err := ninep.Dial(addr)
 	if err != nil {
 		return nil, err
+	}
+	if _, _, _, err := c.Journal(0); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("%s: coherence subscription: %w", addr, err)
 	}
 	if uname == "" {
 		uname = "root"

@@ -1,8 +1,13 @@
 package shard
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"testing"
+	"time"
 
 	"dircache"
 	"dircache/internal/coherence"
@@ -256,5 +261,66 @@ func TestWirePendingNeverWraps(t *testing.T) {
 	r.Close()
 	if got := r.Pending(0); got != coherence.Capacity {
 		t.Errorf("Pending(0) on a dead stream = %d, want the log's capacity %d", got, coherence.Capacity)
+	}
+}
+
+// TestDialWireRefusesPlainPeer: a peer that answers Tversion with plain
+// 9P2000 cannot carry the coherence subscription, so DialWire fails at
+// dial and hangs up, rather than failing at the router's first Pump.
+func TestDialWireRefusesPlainPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// The stub is a stock 9P2000 server: it answers Tversion with
+	// "9P2000", accepts any Tattach, refuses every other message, and
+	// serves until the client hangs up.
+	hungUp := make(chan error, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			hungUp <- err
+			return
+		}
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		for {
+			var size [4]byte
+			if _, err := io.ReadFull(nc, size[:]); err != nil {
+				hungUp <- err
+				return
+			}
+			body := make([]byte, binary.LittleEndian.Uint32(size[:])-4)
+			if _, err := io.ReadFull(nc, body); err != nil {
+				hungUp <- err
+				return
+			}
+			req, err := ninep.Unmarshal(body)
+			if err != nil {
+				hungUp <- err
+				return
+			}
+			resp := &ninep.Fcall{Type: ninep.MsgRerror, Tag: req.Tag, Ename: "unknown message type"}
+			switch req.Type {
+			case ninep.MsgTversion:
+				resp = &ninep.Fcall{Type: ninep.MsgRversion, Tag: req.Tag, Msize: req.Msize, Version: ninep.Version}
+			case ninep.MsgTattach:
+				resp = &ninep.Fcall{Type: ninep.MsgRattach, Tag: req.Tag, Qid: ninep.Qid{Type: ninep.QTDir}}
+			}
+			out, err := ninep.Marshal(resp)
+			if err != nil {
+				hungUp <- err
+				return
+			}
+			nc.Write(out)
+		}
+	}()
+	if w, err := DialWire(ln.Addr().String(), "root"); err == nil {
+		w.Close()
+		t.Fatal("DialWire accepted a plain 9P2000 peer")
+	}
+	if err := <-hungUp; !errors.Is(err, io.EOF) {
+		t.Fatalf("stub peer ended with %v, want the client to hang up (EOF)", err)
 	}
 }

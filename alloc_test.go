@@ -100,14 +100,12 @@ func TestWarmWalkZeroAlloc(t *testing.T) {
 // race detector's included, where the count and a second read of it
 // would sit at different stack depths and so on different stripes.
 func TestWalkTimingSample(t *testing.T) {
-	cfg := dircache.Optimized()
-	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true}
-	sys := dircache.New(cfg)
+	sys := dircache.New(dircache.Optimized())
+	tl := sys.EnableTelemetry(dircache.TelemetryOptions{})
 	p := sys.Start(dircache.RootCreds())
 	if err := p.MkdirAll("/a/b", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	tl := sys.Telemetry()
 	before := tl.SnapshotHist(telemetry.HistWalk).Count
 	for i := 0; i < 2000; i++ {
 		if _, err := p.Stat("/a/b"); err != nil {
@@ -123,9 +121,8 @@ func TestWalkTimingSample(t *testing.T) {
 // trace's event array, and the ring keeps that trace as it is — a warm
 // stat traced at every walk allocates 2, at one component or at twenty.
 func TestTracedStatAllocs(t *testing.T) {
-	cfg := dircache.Optimized()
-	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true, TraceSample: 1}
-	sys := dircache.New(cfg)
+	sys := dircache.New(dircache.Optimized())
+	sys.EnableTelemetry(dircache.TelemetryOptions{TraceSample: 1})
 	p := sys.Start(dircache.RootCreds())
 	deep := ""
 	for i := 0; i < 20; i++ {
@@ -358,7 +355,7 @@ func TestFreshSystemFootprint(t *testing.T) {
 	cfg := dircache.Optimized()
 	cfg.SignatureSeed = 1
 	t.Run("optimized", func(t *testing.T) {
-		m := footprintOf(t, cfg)
+		m := footprintOf(t, cfg, false)
 		if m.Table.Entries < 1000 || m.Dentries.Live < 1000 {
 			t.Fatalf("the files are not all cached: %+v", m)
 		}
@@ -381,9 +378,7 @@ func TestFreshSystemFootprint(t *testing.T) {
 		}
 	})
 	t.Run("telemetry", func(t *testing.T) {
-		tcfg := cfg
-		tcfg.Telemetry.Enabled = true
-		tf := footprintOf(t, tcfg).Telemetry
+		tf := footprintOf(t, cfg, true).Telemetry
 		t.Logf("telemetry: %d KB, %+v", tf.Bytes>>10, tf)
 		if tf.JournalSlots == 0 || tf.HistCells == 0 || tf.Bytes > 96<<10 {
 			t.Fatalf("telemetry of a System with 1000 files: %+v, want journal slots and histogram cells, all in <= 96 KB", tf)
@@ -422,10 +417,14 @@ func TestFreshSystemFootprint(t *testing.T) {
 	})
 }
 
-// footprintOf builds a System of cfg, creates and stats a thousand files
-// in one directory, and returns its MemStats.
-func footprintOf(t *testing.T, cfg dircache.Config) dircache.MemStats {
+// footprintOf builds a System of cfg, with telemetry attached when
+// telemetryOn, creates and stats a thousand files in one directory, and
+// returns its MemStats.
+func footprintOf(t *testing.T, cfg dircache.Config, telemetryOn bool) dircache.MemStats {
 	sys := dircache.New(cfg)
+	if telemetryOn {
+		sys.EnableTelemetry(dircache.TelemetryOptions{})
+	}
 	p := sys.Start(dircache.RootCreds())
 	if err := p.Mkdir("/d", 0o755); err != nil {
 		t.Fatal(err)

@@ -4,18 +4,13 @@
 //
 // Usage:
 //
-//	dcbench [-scale small|paper] [-list] [-json file]
-//	        [-telemetry] [-trace-sample n] [-metrics-addr host:port]
-//	        [experiment ...]
+//	dcbench [-scale small|paper] [-list] [-json file] [experiment ...]
 //
 // With no experiment arguments, every experiment runs in paper order.
 // -json additionally writes the selected reports' structured data to the
 // named file. Numbers kept over time come from benchmark/ (see
-// benchmark/README.md), not from this tool.
-// -telemetry attaches one
-// process-wide telemetry subsystem to every system the experiments build;
-// -metrics-addr serves its histograms and walk traces live over HTTP
-// while the run progresses.
+// benchmark/README.md), not from this tool, and the live view of a
+// running System (histograms, traces, /metrics) is dcsh's and dcserve's.
 // -list prints the experiment IDs.
 package main
 
@@ -26,7 +21,6 @@ import (
 	"os"
 	"time"
 
-	"dircache"
 	"dircache/internal/bench"
 )
 
@@ -34,44 +28,14 @@ func main() {
 	scale := flag.String("scale", "paper", "experiment scale: small or paper")
 	list := flag.Bool("list", false, "list experiments and exit")
 	jsonOut := flag.String("json", "", "write the selected reports' structured data to this file")
-	telemetryOn := flag.Bool("telemetry", false, "attach one process-wide telemetry subsystem to every system the experiments build")
-	traceSample := flag.Int("trace-sample", 64, "with -telemetry, trace 1-in-N walks into the trace ring (0 disables tracing)")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (e.g. localhost:9150); implies -telemetry")
-	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof and Go runtime metrics on the metrics endpoint; implies -telemetry (default address localhost:0)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dcbench [-scale small|paper] [-list] [-json file] [-telemetry] [-trace-sample n] [-metrics-addr host:port] [-pprof] [experiment ...]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: dcbench [-scale small|paper] [-list] [-json file] [experiment ...]\n\n")
 		fmt.Fprintf(os.Stderr, "experiments:\n")
 		for _, e := range bench.Experiments() {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.ID, e.Desc)
 		}
 	}
 	flag.Parse()
-
-	if *pprofOn && *metricsAddr == "" {
-		*metricsAddr = "localhost:0"
-	}
-	var tel *dircache.Telemetry
-	if *telemetryOn || *metricsAddr != "" {
-		tel = dircache.NewTelemetry(dircache.TelemetryOptions{TraceSample: *traceSample})
-		dircache.SetDefaultTelemetry(tel)
-		if *metricsAddr != "" {
-			serve := tel.Serve
-			if *pprofOn {
-				serve = tel.ServeDebug
-			}
-			srv, err := serve(*metricsAddr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcbench: metrics endpoint: %v\n", err)
-				os.Exit(2)
-			}
-			defer srv.Close()
-			fmt.Printf("telemetry: serving metrics on http://%s/metrics (traces at /traces, events at /events)\n", srv.Addr())
-			if *pprofOn {
-				fmt.Printf("telemetry: pprof on http://%s/debug/pprof/\n", srv.Addr())
-			}
-			fmt.Println()
-		}
-	}
 
 	if *list {
 		for _, e := range bench.Experiments() {
@@ -132,12 +96,6 @@ func main() {
 			failed++
 		} else {
 			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-	}
-	if tel != nil {
-		if p50, p95, p99, ok := tel.HistogramQuantiles("walk"); ok {
-			fmt.Printf("telemetry: walk latency p50=%v p95=%v p99=%v over %d traced walk(s) retained\n",
-				p50, p95, p99, tel.TraceCount())
 		}
 	}
 	if failed > 0 {

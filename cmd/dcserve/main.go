@@ -73,10 +73,8 @@ func run(addr string, baseline bool, seed, users string, msize uint32, poolIdle 
 	if baseline {
 		cfg = dircache.Baseline()
 	}
-	cfg.Telemetry = dircache.TelemetryOptions{
-		Enabled: true, TraceSample: traceSample, SlowNS: slowUS * 1000,
-	}
 	sys := dircache.New(cfg)
+	sys.EnableTelemetry(dircache.TelemetryOptions{TraceSample: traceSample, SlowNS: slowUS * 1000})
 	if testSysHook != nil {
 		testSysHook(sys)
 	}

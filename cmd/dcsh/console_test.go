@@ -13,9 +13,8 @@ import (
 // by accident, and 'slow' must dump the flight recorder once a traced
 // walk qualifies.
 func TestConsoleCommands(t *testing.T) {
-	cfg := dircache.Optimized()
-	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true, TraceSample: 1}
-	sys := dircache.New(cfg)
+	sys := dircache.New(dircache.Optimized())
+	sys.EnableTelemetry(dircache.TelemetryOptions{TraceSample: 1})
 	p := sys.Start(dircache.RootCreds())
 	defer p.Exit()
 	sys.Telemetry().SetSlowThreshold(0) // flight-record everything

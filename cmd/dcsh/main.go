@@ -57,12 +57,7 @@ func main() {
 	if *baseline {
 		cfg = dircache.Baseline()
 	}
-	if *telemetryOn || *metricsAddr != "" {
-		cfg.Telemetry = dircache.TelemetryOptions{
-			Enabled: true, TraceSample: *traceSample, SlowNS: *slowUS * 1000,
-		}
-	}
-	var sys *dircache.System
+	var systems []*dircache.System
 	if *shards > 1 {
 		// A sharded tier over one backend: shard 0 is the shell's kernel
 		// (NewLocalGroup gives every shard telemetry, for 'top' and
@@ -72,12 +67,18 @@ func main() {
 		// registers each shard as its own source.
 		g := shard.NewLocalGroup(*shards, cfg, shard.Options{})
 		defer g.Close()
-		sys = g.Systems[0]
+		systems = g.Systems
 		shardSystems = g.Systems
 		shardRouter = g.Router
 	} else {
-		sys = dircache.New(cfg)
+		systems = []*dircache.System{dircache.New(cfg)}
 	}
+	if *telemetryOn || *metricsAddr != "" {
+		for _, s := range systems {
+			s.EnableTelemetry(dircache.TelemetryOptions{TraceSample: *traceSample, SlowNS: *slowUS * 1000})
+		}
+	}
+	sys := systems[0]
 	p := sys.Start(dircache.RootCreds())
 
 	mode := "optimized"

@@ -33,7 +33,6 @@ package dircache
 
 import (
 	"dircache/internal/core"
-	"dircache/internal/telemetry"
 	"dircache/internal/vfs"
 )
 
@@ -112,9 +111,6 @@ type Config struct {
 	// Root supplies the root file system backend; nil means a fresh
 	// in-memory backend.
 	Root *Backend
-	// Telemetry opts into the observability subsystem (histograms, walk
-	// traces, metrics exporter). Zero value = off, zero-cost hot path.
-	Telemetry TelemetryOptions
 }
 
 // Baseline returns the unmodified-kernel configuration.
@@ -161,16 +157,6 @@ func New(cfg Config) *System {
 			LexicalDotDot:  cfg.Features.LexicalDotDot,
 			ForcePCCMiss:   cfg.ForcePCCMiss,
 		})
-	}
-	if cfg.Telemetry.Enabled {
-		s.EnableTelemetry(cfg.Telemetry)
-	} else if t := telemetry.Default(); t != nil {
-		// A process-wide default (installed by tools like dcbench) is
-		// shared across every System built while it is set: attach it so
-		// their walks feed one live exporter. Such Systems are often
-		// short-lived, so their CacheStats are not registered — the
-		// exporter would otherwise pin them.
-		s.k.SetTelemetry(t)
 	}
 	return s
 }

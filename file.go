@@ -56,7 +56,6 @@ type DirEntry struct {
 
 // File is an open file description.
 type File struct {
-	p *Process
 	f *vfs.File
 }
 

@@ -333,12 +333,12 @@ func listAll(fs fsapi.FileSystem, id fsapi.NodeID) (map[string]struct{}, error) 
 // DIR_COMPLETE flags: the journal's per-subject striping drops oldest
 // first, so the latest retained dir_complete/dir_incomplete event for a
 // directory is its true latest transition, and must match the flag. Only
-// meaningful when telemetry has been enabled since kernel start (an
+// meaningful when telemetry has been attached since kernel start (an
 // emission gap would leave stale latest events), so the check silently
-// skips when the journal is off.
+// skips when none is attached.
 func (a *Auditor) checkJournalDirComplete(r *Report) {
 	tel := a.k.Telemetry()
-	if !tel.On() {
+	if tel == nil {
 		return
 	}
 	// Snapshot live flags FIRST, then dump: an event recorded after the

@@ -294,9 +294,8 @@ func TestCoherenceShape(t *testing.T) {
 // the fastpath. The mutator's first round removes /src/churn's published
 // entry by renaming a new file over it.
 func TestCoherenceRemovesEntry(t *testing.T) {
-	cfg := dircache.Optimized()
-	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true}
-	sys := dircache.New(cfg)
+	sys := dircache.New(dircache.Optimized())
+	sys.EnableTelemetry(dircache.TelemetryOptions{})
 	p := sys.Start(dircache.RootCreds())
 	if err := coherenceTree(p); err != nil {
 		t.Fatal(err)

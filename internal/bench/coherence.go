@@ -18,9 +18,8 @@ import (
 // rate, and the verdict of the online invariant auditor — run
 // continuously during the storm and once more at quiescence.
 func Coherence(sc Scale) (*Report, error) {
-	cfg := dircache.Optimized()
-	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true}
-	sys := dircache.New(cfg)
+	sys := dircache.New(dircache.Optimized())
+	sys.EnableTelemetry(dircache.TelemetryOptions{})
 	p := sys.Start(dircache.RootCreds())
 
 	if err := coherenceTree(p); err != nil {

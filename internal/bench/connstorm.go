@@ -47,9 +47,8 @@ type connStormResult struct {
 func runConnStorm() (*connStormResult, error) {
 	cfg := dircache.Optimized()
 	cfg.SignatureSeed = 0x5e7e
-	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true}
 	sys := dircache.New(cfg)
-	tl := sys.Telemetry()
+	tl := sys.EnableTelemetry(dircache.TelemetryOptions{})
 
 	p := sys.Start(dircache.RootCreds())
 	tree, err := workload.GenerateDeepTree(p, "/srv", workload.DeepSpec{

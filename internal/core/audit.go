@@ -276,7 +276,7 @@ func (c *Core) reverifyPrefix(reg pccReg, d *vfs.Dentry) (string, bool) {
 // between the two snapshots yields a newer insert event, never a false
 // positive. Requires the journal (skipped when telemetry is off).
 func (c *Core) auditJournal(ar *auditRun) {
-	tel := c.tele()
+	tel := c.k.Telemetry()
 	if tel == nil {
 		return
 	}

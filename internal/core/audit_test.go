@@ -26,7 +26,6 @@ func auditFixture(t testing.TB) (*vfs.Kernel, *Core, *vfs.Task) {
 		AggressiveNegatives: true,
 	}, memfs.New(memfs.Options{}))
 	tel := telemetry.New(telemetry.Options{})
-	tel.Enable()
 	k.SetTelemetry(tel)
 	c := Install(k, Config{Seed: 42, DeepNegatives: true, SymlinkAliases: true})
 	root := k.NewTask(cred.Root())

@@ -176,16 +176,6 @@ func (c *Core) registered() []pccReg {
 	return append([]pccReg(nil), c.pccs...)
 }
 
-// tele returns the kernel's telemetry sink iff it is enabled, nil
-// otherwise — the usual one-load-one-branch detachment pattern.
-func (c *Core) tele() *telemetry.Telemetry {
-	tel := c.k.Telemetry()
-	if !tel.On() {
-		return nil
-	}
-	return tel
-}
-
 // NewDentry implements vfs.Hooks. The fresh dentry's ValidGen starts at
 // the current shootdown generation: it holds no state a past range
 // shootdown could have staled, so there is nothing to climb for.
@@ -248,7 +238,7 @@ func (c *Core) tokenValid(token uint64) bool {
 // shootdown is timed into the reason's mutation-side histogram and
 // journaled: one epoch_bump per edge, one seq_bump at the root.
 func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) vfs.Mutation {
-	tel := c.tele()
+	tel := c.k.Telemetry()
 	epoch := c.epoch.Add(epochEdge + 1)
 	c.k.Count(vfs.NInvalidations, 1)
 	var start int64
@@ -266,7 +256,7 @@ func (c *Core) BeginMutation(d *vfs.Dentry, why vfs.Invalidation) vfs.Mutation {
 // EndMutation implements vfs.Hooks: the closing epoch bump.
 func (c *Core) EndMutation(m vfs.Mutation) {
 	epoch := c.epoch.Add(epochEdge - 1)
-	if tel := c.tele(); tel != nil {
+	if tel := c.k.Telemetry(); tel != nil {
 		tel.Emit(telemetry.JEpochBump, m.D.ID(), int64(epoch), m.Why.Note()|telemetry.NoteEnd)
 	}
 }
@@ -390,7 +380,7 @@ func (c *Core) dropEntry(d *vfs.Dentry, fd *fastDentry, why telemetry.Note) {
 	if t == nil {
 		return
 	}
-	tel := c.tele()
+	tel := c.k.Telemetry()
 	var start int64
 	if tel != nil {
 		start = telemetry.Now()
@@ -682,7 +672,7 @@ func (c *Core) publish(dl *dlht, ref vfs.PathRef, st *sig.State, token uint64) {
 	}
 	fd.InTable.Store(dl)
 	c.k.Count(vfs.NPopulations, 1)
-	if tel := c.tele(); tel != nil {
+	if tel := c.k.Telemetry(); tel != nil {
 		tel.Emit(telemetry.JDLHTInsert, ref.D.ID(), int64(idx), telemetry.NoteNone)
 	}
 }

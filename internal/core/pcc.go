@@ -181,8 +181,6 @@ func (p *PCC) Invalidate() {
 	}
 	if p.k != nil {
 		p.k.Count(vfs.NPCCFlushes, 1)
-		if tel := p.k.Telemetry(); tel.On() {
-			tel.Emit(telemetry.JPCCFlush, p.credID, cleared, telemetry.NoteNone)
-		}
+		p.k.Telemetry().Emit(telemetry.JPCCFlush, p.credID, cleared, telemetry.NoteNone)
 	}
 }

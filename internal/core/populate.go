@@ -30,13 +30,13 @@ func (c *Core) admitPopulate(d *vfs.Dentry) bool {
 	}
 	if int(n) >= c.admitAfter {
 		c.k.Count(vfs.NAdmitted, 1)
-		if tel := c.tele(); tel != nil {
+		if tel := c.k.Telemetry(); tel != nil {
 			tel.Emit(telemetry.JAdmitted, d.ID(), int64(n), telemetry.NoteNth)
 		}
 		return true
 	}
 	c.k.Count(vfs.NDeferred, 1)
-	if tel := c.tele(); tel != nil {
+	if tel := c.k.Telemetry(); tel != nil {
 		tel.Emit(telemetry.JAdmitDefer, d.ID(), int64(n), telemetry.NoteNone)
 	}
 	return false

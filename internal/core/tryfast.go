@@ -91,9 +91,6 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	k := c.k
 
 	tel := k.Telemetry()
-	if !tel.On() {
-		tel = nil
-	}
 
 	dl := t.Namespace().DLHT()
 	pcc := c.pccFor(t.Cred())

@@ -91,7 +91,7 @@ func (c *Client) Traced() bool { return c.dc }
 // startSpan opens a client RPC span and allocates the wire trace id it
 // carries (span.RemoteID). Nil when tracing is off or unsampled.
 func (c *Client) startSpan(op string) (*telemetry.WalkTrace, time.Time) {
-	if !c.dc || !c.tel.On() || !c.tel.Sampled() {
+	if !c.dc || c.tel == nil || !c.tel.Sampled() {
 		return nil, time.Time{}
 	}
 	wid := c.tel.NextTraceID()

@@ -2,12 +2,16 @@ package ninep
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dircache"
+	"dircache/internal/telemetry"
 )
 
 // rawConn drives the wire by hand — the package Client is synchronous, so
@@ -230,6 +234,110 @@ func TestPipelineConcurrentClientsSameFidTable(t *testing.T) {
 	}
 }
 
+// TestPipelineTracedSpansStayPrivate: on one dc connection under one
+// uname, pipelined Tstats and Twalks to distinct paths, every other one
+// carrying a trace id, run concurrently on the connection's one Process.
+// Each traced request's server span must hold its own kernel walk and no
+// other: one walk summary, and every path or component an event names
+// belongs to the span's path. A span armed where an untraced or another
+// traced walk could take it fails this with a foreign path.
+func TestPipelineTracedSpansStayPrivate(t *testing.T) {
+	sys, srv := startServer(t, Config{})
+	p := sys.Start(dircache.RootCreds())
+	defer p.Exit()
+	const n, rounds = 32, 4
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/srv/t/d%02d/f%02d", i, i)
+		mustMkdirAll(t, p, fmt.Sprintf("/srv/t/d%02d", i), 0o755)
+		mustWrite(t, p, paths[i], "x")
+	}
+	r := rawDial(t, srv)
+	r.handshake(VersionDC)
+	statFid := func(i int) uint32 { return 100 + uint32(i) }
+	for i, path := range paths {
+		r.send(&Fcall{Type: MsgTwalk, Tag: 3, Fid: 0, Newfid: statFid(i), Wname: strings.Split(path[1:], "/")})
+		if resp := r.recv(); resp.Type != MsgRwalk {
+			t.Fatalf("walk to %s: %s (%s)", path, MsgName(resp.Type), resp.Ename)
+		}
+	}
+
+	traceID := func(round, i int) uint64 { return uint64(1000*(round+1) + i) }
+	for round := 0; round < rounds; round++ {
+		sys.DropCaches() // cold walks: slow-walk component events as well as the fastpath's
+		for i, path := range paths {
+			req := &Fcall{Type: MsgTstat, Tag: uint16(i), Fid: statFid(i)}
+			if i%4 >= 2 {
+				req = &Fcall{Type: MsgTwalk, Tag: uint16(i), Fid: 0, Newfid: 200 + uint32(i), Wname: strings.Split(path[1:], "/")}
+			}
+			if i%2 == 0 {
+				req.TraceID = traceID(round, i)
+			}
+			r.send(req)
+		}
+		for range paths {
+			if resp := r.recv(); resp.Type == MsgRerror {
+				t.Fatalf("tag %d: %s", resp.Tag, resp.Ename)
+			}
+		}
+		for i := 2; i < n; i += 4 {
+			for _, fid := range []uint32{200 + uint32(i), 200 + uint32(i+1)} {
+				r.send(&Fcall{Type: MsgTclunk, Tag: 3, Fid: fid})
+				if resp := r.recv(); resp.Type != MsgRclunk {
+					t.Fatalf("clunk %d: %s (%s)", fid, MsgName(resp.Type), resp.Ename)
+				}
+			}
+		}
+	}
+
+	spans := map[uint64]*telemetry.WalkTrace{}
+	traces, _ := sys.Telemetry().Traces()
+	for _, tr := range traces {
+		if tr.Origin == "server" {
+			spans[tr.RemoteID] = tr
+		}
+	}
+	if len(spans) != rounds*n/2 {
+		t.Fatalf("%d server spans, want one per traced request (%d)", len(spans), rounds*n/2)
+	}
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < n; i += 2 {
+			sp := spans[traceID(round, i)]
+			if sp == nil || sp.Path != paths[i] {
+				t.Fatalf("round %d: traced request to %s has span %+v", round, paths[i], sp)
+			}
+			checkSpanPrivate(t, sp)
+		}
+	}
+}
+
+// checkSpanPrivate fails unless sp holds exactly one kernel walk and every
+// path or component its events name is sp.Path or one of its components.
+func checkSpanPrivate(t *testing.T, sp *telemetry.WalkTrace) {
+	t.Helper()
+	comps := strings.Split(sp.Path[1:], "/")
+	walks, own := 0, 0
+	for _, ev := range sp.Events {
+		switch ev.Kind {
+		case telemetry.EvWalkDone:
+			walks++
+		case telemetry.EvDLHTHit, telemetry.EvDLHTMiss:
+			if ev.Detail != sp.Path {
+				t.Errorf("span for %s (%s) holds %s %s", sp.Path, sp.Op, ev.Kind, ev.Detail)
+			}
+			own++
+		case telemetry.EvComponent, telemetry.EvHashHit, telemetry.EvFSLookup:
+			if !slices.Contains(comps, ev.Detail) {
+				t.Errorf("span for %s (%s) holds %s %s", sp.Path, sp.Op, ev.Kind, ev.Detail)
+			}
+			own++
+		}
+	}
+	if walks != 1 || own == 0 {
+		t.Errorf("span for %s (%s) holds %d walks and %d events of its own: %+v", sp.Path, sp.Op, walks, own, sp.Events)
+	}
+}
+
 // tagCheckConn is the write side of a connection that, as each response
 // frame is written, records whether the server still holds the frame's
 // tag in flight. Only Write is ever called on it.
@@ -262,7 +370,7 @@ func TestTagFreedBeforeReplyWritten(t *testing.T) {
 	w := &tagCheckConn{}
 	c := &conn{
 		srv: srv, nc: w, msize: DefaultMsize,
-		fids: map[uint32]*fidEntry{}, procs: map[string]*connProc{},
+		fids: map[uint32]*fidEntry{}, procs: map[string]*dircache.Process{},
 		inflight: map[uint16]chan struct{}{}, work: make(chan Fcall),
 	}
 	w.c = c

@@ -42,7 +42,7 @@ type Server struct {
 	sys *dircache.System
 	cfg Config
 	lis net.Listener
-	tel *telemetry.Telemetry
+	tel *telemetry.Telemetry // where NewServer registered the "ninep" counter source
 
 	pool *dircache.ProcessPool
 
@@ -259,7 +259,6 @@ type fidEntry struct {
 	path    string // absolute, lexically maintained
 	uname   string // attach principal, for per-user op accounting
 	proc    *dircache.Process
-	cp      *connProc
 	qid     Qid
 	opened  bool           // by Topen or Tcreate
 	open    *dircache.File // an opened file's handle; nil for a directory
@@ -272,7 +271,7 @@ type fidEntry struct {
 // assign copies nf's state into f (the walk-in-place case), leaving f's
 // mutex alone.
 func (f *fidEntry) assign(nf *fidEntry) {
-	f.path, f.uname, f.proc, f.cp = nf.path, nf.uname, nf.proc, nf.cp
+	f.path, f.uname, f.proc = nf.path, nf.uname, nf.proc
 	f.qid, f.opened, f.open, f.rclose = nf.qid, nf.opened, nf.open, nf.rclose
 	f.dirBuf, f.dirOff, f.dirRead = nf.dirBuf, nf.dirOff, nf.dirRead
 }
@@ -325,16 +324,6 @@ func (f *fidEntry) list(ents []dircache.DirEntry) {
 	}
 }
 
-// connProc is a per-(connection, uname) Process plus the reader/writer
-// lock that keeps wire tracing sound under pipelining: a traced request
-// takes the write side (exclusive use of the Process while its span is
-// armed — concurrent walks on the Task would annotate into the wrong
-// span), untraced requests share the read side and run concurrently.
-type connProc struct {
-	mu sync.RWMutex
-	p  *dircache.Process
-}
-
 // maxInflight bounds the per-connection worker pool: enough overlap to
 // hide a slow walk behind its neighbors without letting one connection
 // monopolize the kernel.
@@ -351,7 +340,7 @@ type conn struct {
 
 	mu    sync.Mutex // fids, procs, inflight
 	fids  map[uint32]*fidEntry
-	procs map[string]*connProc
+	procs map[string]*dircache.Process
 	// inflight holds every dispatched tag until its response is about to
 	// be written (respond, under wmu).
 	// The channel is nil until a Tflush needs to wait on the tag.
@@ -388,7 +377,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		nc:       nc,
 		msize:    min(DefaultMsize, s.cfg.MaxMsize),
 		fids:     map[uint32]*fidEntry{},
-		procs:    map[string]*connProc{},
+		procs:    map[string]*dircache.Process{},
 		inflight: map[uint16]chan struct{}{},
 		work:     make(chan Fcall),
 	}
@@ -412,8 +401,8 @@ func (s *Server) serveConn(nc net.Conn) {
 		c.reqs.Wait()
 		c.reset()
 		c.mu.Lock()
-		for uname, cp := range c.procs {
-			s.pool.Put(cp.p)
+		for uname, p := range c.procs {
+			s.pool.Put(p)
 			delete(c.procs, uname)
 		}
 		c.mu.Unlock()
@@ -593,15 +582,19 @@ func histFor(t uint8) telemetry.HistID {
 	}
 }
 
-// dispatch handles one request and builds its response. A request
-// carrying a dc trace id gets a server span stitched (by that wire
-// id) to the client's RPC span; the handler arms it on its Process so
-// the kernel walk it triggers annotates per-stage events in place.
+// dispatch handles one request and builds its response. It records into
+// the telemetry attached to the System when the request arrives, so a
+// detached System's server stops recording as its walks do. A request
+// carrying a dc trace id gets a server span stitched (by that wire id) to
+// the client's RPC span; the handler walks on a fork with it armed
+// (lstatTraced, openTraced), so the kernel walk annotates per-stage
+// events in place.
 func (c *conn) dispatch(req *Fcall) *Fcall {
 	c.srv.stats.ops.Add(1)
+	tel := c.srv.sys.Telemetry()
 	var span *telemetry.WalkTrace
 	if c.dc && req.TraceID != 0 {
-		span = c.srv.tel.StartSpan("server", MsgName(req.Type), "", req.TraceID)
+		span = tel.StartSpan("server", MsgName(req.Type), "", req.TraceID)
 	}
 	t0 := time.Now()
 	resp, err := c.handle(req, span)
@@ -610,9 +603,9 @@ func (c *conn) dispatch(req *Fcall) *Fcall {
 	if span != nil {
 		spanID = span.ID
 	}
-	c.srv.tel.RecordEx(histFor(req.Type), d, spanID)
+	tel.RecordEx(histFor(req.Type), d, spanID)
 	if span != nil {
-		c.srv.tel.FinishSpan(span, err, d)
+		tel.FinishSpan(span, err, d)
 	}
 	if err != nil {
 		return &Fcall{Type: MsgRerror, Ename: ErrnoEname(err)}
@@ -663,28 +656,33 @@ func (c *conn) handle(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 	}
 }
 
-// lockProc takes the fid's Process for the handler's duration. A traced
-// request takes it exclusively and arms its span — the armed trace is a
-// single per-Task slot, so a concurrent walk on the same Process would
-// annotate its stages into the wrong span. Untraced requests share the
-// read side and run concurrently.
-func (c *conn) lockProc(cp *connProc, span *telemetry.WalkTrace) {
-	if span != nil {
-		cp.mu.Lock()
-		cp.p.ArmTrace(span)
-		return
+// lstatTraced is p.Lstat(path). A traced request (span non-nil) runs it
+// on a private fork of p with span armed: the armed span is one slot per
+// Task, so a Task of its own keeps it to this request's walk while the
+// connection's other requests walk on p. The fork shares p's credentials,
+// and so its PCC, and is exited before the call returns.
+func lstatTraced(p *dircache.Process, path string, span *telemetry.WalkTrace) (dircache.FileInfo, error) {
+	if span == nil {
+		return p.Lstat(path)
 	}
-	cp.mu.RLock()
+	fork := p.Fork()
+	fork.ArmTrace(span)
+	fi, err := fork.Lstat(path)
+	fork.Exit()
+	return fi, err
 }
 
-// unlockProc undoes lockProc for the same span.
-func (c *conn) unlockProc(cp *connProc, span *telemetry.WalkTrace) {
-	if span != nil {
-		cp.p.ArmTrace(nil)
-		cp.mu.Unlock()
-		return
+// openTraced is p.Open(path, flags, 0), traced like lstatTraced. A File
+// uses only its kernel, so one opened through the fork outlives it.
+func openTraced(p *dircache.Process, path string, flags dircache.OpenFlag, span *telemetry.WalkTrace) (*dircache.File, error) {
+	if span == nil {
+		return p.Open(path, flags, 0)
 	}
-	cp.mu.RUnlock()
+	fork := p.Fork()
+	fork.ArmTrace(span)
+	of, err := fork.Open(path, flags, 0)
+	fork.Exit()
+	return of, err
 }
 
 // insertFid installs nf at n, failing if n is busy. The install-time check
@@ -739,26 +737,26 @@ func (c *conn) tversion(req *Fcall) (*Fcall, error) {
 // procFor returns the connection's Process for uname, checking one out of
 // the pool on first use. Connections attached under several unames hold
 // one Process per uname, each carrying that principal's shared identity.
-func (c *conn) procFor(uname string) (*connProc, error) {
+func (c *conn) procFor(uname string) (*dircache.Process, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cp, ok := c.procs[uname]; ok {
-		return cp, nil
+	if p, ok := c.procs[uname]; ok {
+		return p, nil
 	}
 	id, err := c.srv.identity(uname)
 	if err != nil {
 		return nil, protoErr(err.Error())
 	}
-	cp := &connProc{p: c.srv.pool.Get(id)}
-	c.procs[uname] = cp
-	return cp, nil
+	p := c.srv.pool.Get(id)
+	c.procs[uname] = p
+	return p, nil
 }
 
 func (c *conn) tattach(req *Fcall) (*Fcall, error) {
 	if req.Afid != NoFid {
 		return nil, protoErr("authentication not required")
 	}
-	cp, err := c.procFor(req.Uname)
+	p, err := c.procFor(req.Uname)
 	if err != nil {
 		return nil, err
 	}
@@ -766,16 +764,14 @@ func (c *conn) tattach(req *Fcall) (*Fcall, error) {
 	if req.Aname != "" && req.Aname != "/" {
 		root = cleanAbs(req.Aname)
 	}
-	cp.mu.RLock()
-	fi, err := cp.p.Stat(root)
-	cp.mu.RUnlock()
+	fi, err := p.Stat(root)
 	if err != nil {
 		return nil, err
 	}
 	if !fi.IsDir() {
 		return nil, fsapi.ENOTDIR
 	}
-	nf := &fidEntry{path: root, uname: req.Uname, proc: cp.p, cp: cp, qid: qidOf(fi)}
+	nf := &fidEntry{path: root, uname: req.Uname, proc: p, qid: qidOf(fi)}
 	if err := c.insertFid(req.Fid, nf); err != nil {
 		return nil, err
 	}
@@ -823,7 +819,7 @@ func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 
 	if len(req.Wname) == 0 { // clone
 		if req.Newfid != req.Fid {
-			nf := &fidEntry{path: src.path, uname: src.uname, proc: src.proc, cp: src.cp, qid: src.qid}
+			nf := &fidEntry{path: src.path, uname: src.uname, proc: src.proc, qid: src.qid}
 			if err := c.insertFid(req.Newfid, nf); err != nil {
 				return nil, err
 			}
@@ -854,18 +850,15 @@ func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 		paths[i] = cur
 	}
 
-	c.lockProc(src.cp, span)
-	defer c.unlockProc(src.cp, span)
-
 	final := paths[len(paths)-1]
 	qids := make([]Qid, 0, len(paths))
 	if span != nil {
-		// The armed span is consumed by the walk the full-path Lstat
-		// triggers, so the per-prefix qid read-backs (and any twalkSlow
-		// fallback steps) stay out of it.
+		// Only the full-path Lstat walks on the traced fork, so the
+		// per-prefix qid read-backs (and any twalkSlow fallback steps)
+		// stay out of the span.
 		span.Path = full
 	}
-	fi, err := src.proc.Lstat(full) // the one multi-component walk
+	fi, err := lstatTraced(src.proc, full, span) // the one multi-component walk
 	if err == nil {
 		for _, p := range paths[:len(paths)-1] {
 			pfi, perr := src.proc.Lstat(p)
@@ -877,7 +870,7 @@ func (c *conn) twalk(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 			qids = append(qids, qidOf(pfi))
 		}
 		qids = append(qids, qidOf(fi))
-		nf := &fidEntry{path: final, uname: src.uname, proc: src.proc, cp: src.cp, qid: qidOf(fi)}
+		nf := &fidEntry{path: final, uname: src.uname, proc: src.proc, qid: qidOf(fi)}
 		if req.Newfid == req.Fid {
 			src.assign(nf)
 		} else if err := c.insertFid(req.Newfid, nf); err != nil {
@@ -913,7 +906,7 @@ func (c *conn) twalkSlow(req *Fcall, src *fidEntry, paths []string, fullErr erro
 		qids = append(qids, qidOf(fi))
 	}
 	last := paths[len(paths)-1]
-	nf := &fidEntry{path: last, uname: src.uname, proc: src.proc, cp: src.cp, qid: qids[len(qids)-1]}
+	nf := &fidEntry{path: last, uname: src.uname, proc: src.proc, qid: qids[len(qids)-1]}
 	if req.Newfid == req.Fid {
 		src.assign(nf)
 	} else if err := c.insertFid(req.Newfid, nf); err != nil {
@@ -936,12 +929,10 @@ func (c *conn) topen(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.lockProc(f.cp, span)
-	defer c.unlockProc(f.cp, span)
 	if span != nil {
 		span.Path = f.path
 	}
-	of, err := f.proc.Open(f.path, flags, 0)
+	of, err := openTraced(f.proc, f.path, flags, span)
 	if err != nil {
 		return nil, err
 	}
@@ -958,8 +949,6 @@ func (c *conn) tcreate(req *Fcall) (*Fcall, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c.lockProc(f.cp, nil)
-	defer c.unlockProc(f.cp, nil)
 	if f.opened {
 		return nil, protoErr("fid already open")
 	}
@@ -1008,8 +997,6 @@ func (c *conn) tread(req *Fcall) (*Fcall, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c.lockProc(f.cp, nil)
-	defer c.unlockProc(f.cp, nil)
 	if !f.opened {
 		return nil, protoErr("fid not open")
 	}
@@ -1072,8 +1059,6 @@ func (c *conn) twrite(req *Fcall) (*Fcall, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c.lockProc(f.cp, nil)
-	defer c.unlockProc(f.cp, nil)
 	if !f.opened {
 		return nil, protoErr("fid not open")
 	}
@@ -1106,9 +1091,7 @@ func (c *conn) clunkFid(n uint32) error {
 		f.open.Close()
 	}
 	if f.rclose {
-		c.lockProc(f.cp, nil)
 		f.remove() // best-effort, like Plan 9
-		c.unlockProc(f.cp, nil)
 	}
 	return nil
 }
@@ -1133,8 +1116,6 @@ func (c *conn) tremove(req *Fcall) (*Fcall, error) {
 	if f.open != nil {
 		f.open.Close()
 	}
-	c.lockProc(f.cp, nil)
-	defer c.unlockProc(f.cp, nil)
 	if err := f.remove(); err != nil {
 		return nil, err
 	}
@@ -1148,12 +1129,10 @@ func (c *conn) tstat(req *Fcall, span *telemetry.WalkTrace) (*Fcall, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c.lockProc(f.cp, span)
-	defer c.unlockProc(f.cp, span)
 	if span != nil {
 		span.Path = f.path
 	}
-	fi, err := f.proc.Lstat(f.path)
+	fi, err := lstatTraced(f.proc, f.path, span)
 	if err != nil {
 		return nil, err
 	}
@@ -1167,8 +1146,6 @@ func (c *conn) twstat(req *Fcall) (*Fcall, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c.lockProc(f.cp, nil)
-	defer c.unlockProc(f.cp, nil)
 	st := req.Stat
 	if st.Mode != noChange32 {
 		if err := f.proc.Chmod(f.path, st.Mode&0o777); err != nil {

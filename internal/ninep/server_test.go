@@ -16,7 +16,7 @@ import (
 func startServer(t *testing.T, cfg Config) (*dircache.System, *Server) {
 	t.Helper()
 	sys := dircache.New(dircache.Optimized())
-	sys.EnableTelemetry(dircache.TelemetryOptions{Enabled: true})
+	sys.EnableTelemetry(dircache.TelemetryOptions{})
 	root := sys.Start(dircache.RootCreds())
 	defer root.Exit()
 	mustMkdirAll(t, root, "/srv/app/config", 0o755)

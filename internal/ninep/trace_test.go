@@ -2,6 +2,8 @@ package ninep
 
 import (
 	"net"
+	"slices"
+	"strings"
 	"testing"
 
 	"dircache/internal/telemetry"
@@ -76,6 +78,61 @@ func TestTraceStitchAcrossWire(t *testing.T) {
 	}
 	if !sawWalkStage {
 		t.Error("server Twalk span was not annotated by the kernel walk (no backend lookup stage)")
+	}
+}
+
+// TestDetachSilencesServer: DisableTelemetry detaches a served System's
+// telemetry, and its server stops recording as its walks do. Wire Tstats
+// after the detach, traced ones included, move no ninep_* histogram and
+// add no trace to the handle a caller kept.
+func TestDetachSilencesServer(t *testing.T) {
+	sys, srv := startServer(t, Config{})
+	tel := sys.Telemetry()
+	tel.SetTraceSample(1)
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetTelemetry(telemetry.New(telemetry.Options{TraceSample: 1}))
+	root, err := c.Attach("root", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := root.WalkPath("srv/app/config/app.conf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Clunk()
+	served := func() (counts []uint64) {
+		for _, h := range tel.Snapshot() {
+			if strings.HasPrefix(h.Name, "ninep_") {
+				counts = append(counts, h.Count)
+			}
+		}
+		return counts
+	}
+	stats := func() {
+		for i := 0; i < 8; i++ {
+			if _, err := f.Stat(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	before, traces := served(), tel.TraceCount()
+	stats()
+	if slices.Equal(served(), before) || tel.TraceCount() == traces {
+		t.Fatal("an attached System's server recorded nothing")
+	}
+	sys.DisableTelemetry()
+	before, traces = served(), tel.TraceCount()
+	stats()
+	if got := served(); !slices.Equal(got, before) {
+		t.Errorf("detached: ninep histogram counts moved %v -> %v", before, got)
+	}
+	if got := tel.TraceCount(); got != traces {
+		t.Errorf("detached: traces %d -> %d", traces, got)
 	}
 }
 

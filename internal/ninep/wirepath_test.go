@@ -20,6 +20,7 @@ import (
 
 	"dircache"
 	"dircache/internal/fsapi"
+	"dircache/internal/telemetry"
 )
 
 // --- framing ----------------------------------------------------------
@@ -1082,6 +1083,14 @@ func TestPipelinedRewinds(t *testing.T) {
 // Tclunk was a round trip of its own. The readdir row was 35 (3.9 KB)
 // while a listing ended in an empty Tread and built a Stat and a
 // MarshalStat slice per entry; it is 28 (2.8 KB).
+//
+// A fourth row repeats the walk+stat+clunk from a client tracing every
+// RPC, so each Twalk and Tstat carries a trace id and the server opens a
+// span for it. It measured 24 while a traced request armed its span on
+// the connection's Process under a lock. Walking on a private fork may add
+// at most the fork's Task and Process to each of the two traced RPCs, so
+// its budget is 28; it measures 26, as the fork's Process stays on the
+// stack.
 func TestWireAllocBudget(t *testing.T) {
 	sys, srv := startServer(t, Config{})
 	c, err := Dial(srv.Addr().String())
@@ -1099,6 +1108,16 @@ func TestWireAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		return f
+	}
+	tc, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	tc.SetTelemetry(telemetry.New(telemetry.Options{TraceSample: 1}))
+	troot, err := tc.Attach("1000", "")
+	if err != nil {
+		t.Fatal(err)
 	}
 	rows := []struct {
 		name   string
@@ -1129,6 +1148,18 @@ func TestWireAllocBudget(t *testing.T) {
 		{"wire walk to a missing name", 10, func() {
 			if _, err := root.Walk("srv", "app", "nope"); !errors.Is(err, fsapi.ENOENT) {
 				t.Fatalf("missing name: %v", err)
+			}
+		}},
+		{"traced warm wire walk+stat+clunk", 28, func() {
+			f, err := troot.Walk("srv", "app", "config", "app.conf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Stat(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Clunk(); err != nil {
+				t.Fatal(err)
 			}
 		}},
 	}

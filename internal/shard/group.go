@@ -27,9 +27,10 @@ type Group struct {
 }
 
 // NewLocalGroup builds n shards over one shared backend. base supplies
-// the per-shard cache configuration (Root and Telemetry are overridden:
-// each shard gets the shared backend and telemetry of its own, which the
-// shard's Doctor cross-checks and dcsh top read; coherence needs neither).
+// the per-shard cache configuration (Root is overridden with the shared
+// backend). Each shard gets telemetry of its own, which the shard's Doctor
+// cross-checks and dcsh top read; coherence needs neither. The oracle has
+// none.
 func NewLocalGroup(n int, base dircache.Config, opt Options) *Group {
 	g := &Group{}
 	backend := base.Root
@@ -41,8 +42,8 @@ func NewLocalGroup(n int, base dircache.Config, opt Options) *Group {
 	for i := 0; i < n; i++ {
 		cfg := base
 		cfg.Root = backend
-		cfg.Telemetry.Enabled = true
 		sys := dircache.New(cfg)
+		sys.EnableTelemetry(dircache.TelemetryOptions{})
 		l := NewLocal(sys)
 		g.Systems = append(g.Systems, sys)
 		g.Locals = append(g.Locals, l)
@@ -51,7 +52,6 @@ func NewLocalGroup(n int, base dircache.Config, opt Options) *Group {
 	g.Router = NewRouter(shards, opt)
 	g.ocfg = base
 	g.ocfg.Root = backend
-	g.ocfg.Telemetry = dircache.TelemetryOptions{}
 	return g
 }
 

@@ -182,7 +182,6 @@ func TestNowIsMonotonic(t *testing.T) {
 // per-event average AllocsPerRun reports is zero from the first event.
 func TestJournalEmitZeroAlloc(t *testing.T) {
 	tel := New(Options{})
-	tel.Enable()
 	i := 0
 	if avg := testing.AllocsPerRun(1000, func() {
 		tel.Emit(JDLHTInsert, uint64(i), int64(i), NoteNth)

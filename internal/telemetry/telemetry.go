@@ -4,11 +4,12 @@
 // registered counter sources) in Prometheus text format and JSON.
 //
 // The contract with the hot path mirrors the paper's "measurement must
-// not perturb the measured system" discipline: a disabled Telemetry costs
-// the VFS a single atomic pointer load and branch per walk (the kernel
-// detaches the pointer entirely), and an enabled one records through
-// striped, cache-line-padded cells (internal/stripe) so concurrent
-// walkers never contend on a shared counter line. Traces are sampled
+// not perturb the measured system" discipline: a Telemetry records exactly
+// while it is attached to a kernel, and there is no other switch. A
+// kernel without one pays a single atomic pointer load and branch per
+// walk; an attached one records through striped, cache-line-padded cells
+// (internal/stripe) so concurrent walkers never contend on a shared
+// counter line. Traces are sampled
 // 1-in-N and assembled privately by the walking goroutine; only the final
 // push into the ring takes a (cold) mutex.
 package telemetry
@@ -147,10 +148,10 @@ const (
 )
 
 // Telemetry owns the histograms, the trace ring, and the registered
-// counter sources. All methods are safe for concurrent use; Record and On
-// are additionally nil-safe so callers can keep a possibly-nil pointer.
+// counter sources. All methods are safe for concurrent use; the recording
+// ones (Record, RecordEx, StartSpan, NextTraceID, Emit) are additionally
+// nil-safe so callers can keep a possibly-nil pointer: nil is "off".
 type Telemetry struct {
-	enabled atomic.Bool
 	sampleN atomic.Int64
 	walkSeq atomic.Uint64 // sampling counter
 	traceID atomic.Uint64
@@ -165,7 +166,7 @@ type Telemetry struct {
 	stats   map[string]func() map[string]int64
 }
 
-// New builds a Telemetry (initially disabled — call Enable).
+// New builds a Telemetry, recording from the start.
 func New(o Options) *Telemetry {
 	t := &Telemetry{
 		ring:    ringlog.New[*WalkTrace](traceSlots, nil),
@@ -181,22 +182,12 @@ func New(o Options) *Telemetry {
 	return t
 }
 
-// Enable turns recording on.
-func (t *Telemetry) Enable() { t.enabled.Store(true) }
-
-// Disable turns recording off. Attached kernels additionally detach the
-// pointer so the walk hot path pays only the nil check.
-func (t *Telemetry) Disable() { t.enabled.Store(false) }
-
-// On reports whether recording is active. Nil-safe.
-func (t *Telemetry) On() bool { return t != nil && t.enabled.Load() }
-
 // SetTraceSample changes the 1-in-N trace sampling rate (0 disables).
 func (t *Telemetry) SetTraceSample(n int) { t.sampleN.Store(int64(n)) }
 
 // Record adds one latency observation to the histogram.
 func (t *Telemetry) Record(id HistID, d time.Duration) {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return
 	}
 	t.hists[id].Record(d)
@@ -205,7 +196,7 @@ func (t *Telemetry) Record(id HistID, d time.Duration) {
 // RecordEx is Record plus a bucket exemplar: the observation's bucket
 // remembers traceID (0 = no trace, plain Record).
 func (t *Telemetry) RecordEx(id HistID, d time.Duration, traceID uint64) {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return
 	}
 	t.hists[id].RecordEx(d, traceID)
@@ -240,9 +231,9 @@ func (t *Telemetry) StartWalk(path string) *WalkTrace {
 // correlated across the wire by remoteID. The kernel walk annotates a
 // server span in place (FinishWalk sees ext and appends a summary
 // instead of pushing); the owner completes it with FinishSpan. Returns
-// nil when recording is off.
+// nil on a nil Telemetry.
 func (t *Telemetry) StartSpan(origin, op, path string, remoteID uint64) *WalkTrace {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return nil
 	}
 	return &WalkTrace{
@@ -254,7 +245,7 @@ func (t *Telemetry) StartSpan(origin, op, path string, remoteID uint64) *WalkTra
 // NextTraceID allocates a wire trace ID (the client side of StartSpan
 // stamps it on the outgoing T-message before the span exists).
 func (t *Telemetry) NextTraceID() uint64 {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return 0
 	}
 	return t.traceID.Add(1)
@@ -395,11 +386,10 @@ func (t *Telemetry) Footprint() Footprint {
 	return f
 }
 
-// Emit records one coherence event in the journal. Nil-safe and gated on
-// Enable like Record, so mutation paths can call it unconditionally on a
-// possibly-nil pointer.
+// Emit records one coherence event in the journal. Nil-safe like Record,
+// so mutation paths can call it unconditionally on a possibly-nil pointer.
 func (t *Telemetry) Emit(kind JournalKind, ref uint64, aux int64, note Note) {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return
 	}
 	t.journal.emit(kind, ref, aux, note)
@@ -504,14 +494,3 @@ func (t *Telemetry) statsSnapshot() map[string]map[string]int64 {
 	}
 	return out
 }
-
-// defaultTel is the process-wide instance: commands like dcbench install
-// one so that every System their experiments construct feeds a single
-// live exporter without threading a pointer through each config.
-var defaultTel atomic.Pointer[Telemetry]
-
-// SetDefault installs (or, with nil, clears) the process-wide default.
-func SetDefault(t *Telemetry) { defaultTel.Store(t) }
-
-// Default returns the process-wide default, or nil.
-func Default() *Telemetry { return defaultTel.Load() }

@@ -106,7 +106,6 @@ func TestHistogramQuantiles(t *testing.T) {
 // records lose no observation; Reset zeroes the cells and keeps them.
 func TestHistogramCellsOnFirstRecord(t *testing.T) {
 	tel := New(Options{})
-	tel.Enable()
 	f := tel.Footprint()
 	if f.HistCells != 0 || f.JournalSlots != 0 || f.TraceSlots != 16 || f.Bytes > 16<<10 {
 		t.Fatalf("fresh telemetry: %+v", f)
@@ -190,7 +189,6 @@ func TestTraceRingWraparound(t *testing.T) {
 
 func TestSampleWalk(t *testing.T) {
 	tel := New(Options{TraceSample: 4})
-	tel.Enable()
 	n := 0
 	for i := 0; i < 100; i++ {
 		if tel.Sampled() {
@@ -205,17 +203,14 @@ func TestSampleWalk(t *testing.T) {
 	if tel.Sampled() {
 		t.Fatal("sampling disabled but a walk was sampled")
 	}
-	// Disabled telemetry still ignores Record without panicking, and a
-	// nil receiver is safe for the hot-path helpers.
-	tel.Disable()
-	tel.Record(HistWalk, time.Second)
-	if got := tel.SnapshotHist(HistWalk).Count; got != 0 {
-		t.Fatalf("disabled Record still counted: %d", got)
-	}
+	// A nil receiver — a kernel with nothing attached — is safe for the
+	// hot-path helpers and records nothing.
 	var nilTel *Telemetry
 	nilTel.Record(HistWalk, time.Second)
-	if nilTel.On() {
-		t.Fatal("nil telemetry reports On")
+	nilTel.RecordEx(HistWalk, time.Second, 1)
+	nilTel.Emit(JDLHTInsert, 1, 1, NoteNone)
+	if nilTel.StartSpan("server", "Tstat", "/x", 1) != nil || nilTel.NextTraceID() != 0 {
+		t.Fatal("nil telemetry opens a span")
 	}
 	var nilTr *WalkTrace
 	nilTr.Event(EvComponent, "x")
@@ -228,7 +223,6 @@ func TestSampleWalk(t *testing.T) {
 func TestConcurrentRecordExport(t *testing.T) {
 	tel := New(Options{TraceSample: 2})
 	tel.ring = ringlog.New[*WalkTrace](8, nil)
-	tel.Enable()
 	tel.RegisterStats("test", func() map[string]int64 { return map[string]int64{"x": 1} })
 	var writers sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -271,7 +265,6 @@ func TestConcurrentRecordExport(t *testing.T) {
 // cumulative buckets, monotonic le values, sum/count present.
 func TestPrometheusOutput(t *testing.T) {
 	tel := New(Options{TraceSample: 1})
-	tel.Enable()
 	for i := 0; i < 50; i++ {
 		tel.Record(HistWalk, time.Duration(i)*time.Microsecond)
 	}
@@ -337,7 +330,6 @@ func TestPrometheusOutput(t *testing.T) {
 // TestServeEndpoints starts the live exporter and fetches each route.
 func TestServeEndpoints(t *testing.T) {
 	tel := New(Options{TraceSample: 1})
-	tel.Enable()
 	tr := tel.StartWalk("/a/b/c")
 	tr.Event(EvComponent, "a")
 	tr.Event(EvComponent, "b")

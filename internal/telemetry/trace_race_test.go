@@ -16,7 +16,6 @@ import (
 // took an anomalous path.
 func TestFlightRecorderQualification(t *testing.T) {
 	tel := New(Options{TraceSample: 1, SlowNS: int64(time.Millisecond)})
-	tel.Enable()
 
 	fast := tel.StartWalk("/fast")
 	tel.FinishWalk(fast, true, nil, 10*time.Microsecond)
@@ -52,7 +51,6 @@ func TestFlightRecorderQualification(t *testing.T) {
 func TestFlightRecorderWraparoundReportsDrops(t *testing.T) {
 	tel := New(Options{TraceSample: 1, SlowNS: 1})
 	tel.flight = ringlog.New[*WalkTrace](8, nil)
-	tel.Enable()
 	for i := 0; i < 24; i++ {
 		tr := tel.StartWalk(fmt.Sprintf("/w%d", i))
 		tel.FinishWalk(tr, false, nil, time.Millisecond)
@@ -87,7 +85,6 @@ func TestFlightRecorderWraparoundReportsDrops(t *testing.T) {
 func TestTraceRingDropCounter(t *testing.T) {
 	tel := New(Options{TraceSample: 1})
 	tel.ring = ringlog.New[*WalkTrace](4, nil)
-	tel.Enable()
 	for i := 0; i < 10; i++ {
 		tr := tel.StartWalk("/p")
 		tel.FinishWalk(tr, true, nil, time.Microsecond)
@@ -105,7 +102,6 @@ func TestTraceRingDropCounter(t *testing.T) {
 func TestConcurrentScrapesRaceSpanCompletion(t *testing.T) {
 	tel := New(Options{TraceSample: 1, SlowNS: 1})
 	tel.ring, tel.flight = ringlog.New[*WalkTrace](16, nil), ringlog.New[*WalkTrace](8, nil)
-	tel.Enable()
 
 	const writers, scrapes = 4, 50
 	var wg sync.WaitGroup

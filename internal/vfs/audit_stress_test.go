@@ -32,7 +32,6 @@ func TestAuditInvariantDuringWalkStress(t *testing.T) {
 	// Telemetry from kernel start: the journal cross-checks assume no
 	// emission gap.
 	tel := telemetry.New(telemetry.Options{})
-	tel.Enable()
 	k.SetTelemetry(tel)
 
 	root := k.NewTask(cred.Root())

@@ -219,7 +219,7 @@ func (f *File) ReadDir(n int) ([]fsapi.DirEntry, error) {
 			k.cacheMutBegin()
 			d.setFlags(DComplete)
 			k.cacheMutEnd()
-			if tel := k.journal(); tel != nil {
+			if tel := k.Telemetry(); tel != nil {
 				tel.Emit(telemetry.JDirComplete, d.ID(), 0, telemetry.NoteReaddir)
 			}
 		}

@@ -1,10 +1,8 @@
 package vfs
 
-import "dircache/internal/telemetry"
-
 // This file is the VFS half of the coherence-observability layer: the
-// cache-structure stamp audit passes validate against, the journal
-// emission helper, and the dentry-cache introspection snapshot.
+// cache-structure stamp audit passes validate against and the dentry-cache
+// introspection snapshot.
 
 // cacheMutBegin / cacheMutEnd bracket every multi-step structural change
 // to the dentry cache (insert, teardown, rename move, eviction,
@@ -34,17 +32,6 @@ func (k *Kernel) CoherenceStamp() (seq uint64, quiet bool) {
 
 // ChrootCount reports how many Chroot calls have happened kernel-wide.
 func (k *Kernel) ChrootCount() uint64 { return k.chrootCount.Load() }
-
-// journal returns the telemetry sink iff it is attached and enabled, nil
-// otherwise. Mutation paths load it once and emit through the non-nil
-// pointer; the disabled cost stays one atomic load + branch.
-func (k *Kernel) journal() *telemetry.Telemetry {
-	tel := k.tel.Load()
-	if !tel.On() {
-		return nil
-	}
-	return tel
-}
 
 // ForEachDentry calls fn for every dentry currently in the cache: every
 // slab slot whose tenant carries DInLRU. No lock is held while fn runs, so

@@ -648,7 +648,7 @@ func (k *Kernel) Shrink(n int) int {
 	e := k.gate.Enter()
 	k.cacheMutBegin()
 	victims := k.lru.victims(n)
-	tel := k.journal()
+	tel := k.Telemetry()
 	for _, d := range victims {
 		pn := d.pn.Load()
 		if pn.parent != nil {

@@ -30,7 +30,7 @@ type lruList struct {
 
 	// tel points at the owning kernel's telemetry pointer (nil for a
 	// zero-value lruList, as used by tests): victim selection is timed into
-	// HistEvict when a telemetry subsystem is attached and enabled.
+	// HistEvict when a telemetry subsystem is attached.
 	tel *atomic.Pointer[telemetry.Telemetry]
 
 	// handMu serializes evictors; hits, inserts and removals never take it.
@@ -104,10 +104,8 @@ func (l *lruList) victims(n int) []*Dentry {
 	var tel *telemetry.Telemetry
 	var scanStart int64
 	if l.tel != nil {
-		if tel = l.tel.Load(); tel.On() {
+		if tel = l.tel.Load(); tel != nil {
 			scanStart = telemetry.Now()
-		} else {
-			tel = nil
 		}
 	}
 	out := make([]*Dentry, 0, min(n, 512)) // maybeShrink's batch in one allocation

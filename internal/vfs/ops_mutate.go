@@ -101,7 +101,7 @@ func (k *Kernel) positivize(d *Dentry, ino *Inode) {
 	d.clearFlags(DNegative | DDeepNegative | DNotDir)
 	if isDir && k.cfg.DirCompleteness {
 		d.setFlags(DComplete)
-		if tel := k.journal(); tel != nil {
+		if tel := k.Telemetry(); tel != nil {
 			tel.Emit(telemetry.JDirComplete, d.ID(), 0, telemetry.NoteCreate)
 		}
 	}
@@ -128,7 +128,7 @@ func (k *Kernel) killDentryKeepComplete(d *Dentry) {
 func (k *Kernel) killSubtreeLocked(d *Dentry) int {
 	n := k.killRecurse(d)
 	k.Count(NEvictions, int64(n))
-	if tel := k.journal(); tel != nil {
+	if tel := k.Telemetry(); tel != nil {
 		tel.Emit(telemetry.JEvict, d.ID(), int64(n), telemetry.NoteTeardown)
 	}
 	return n
@@ -196,7 +196,7 @@ func (k *Kernel) installNewChild(parent PathRef, name string, info fsapi.NodeInf
 	}
 	res := k.installDedup(parent.D, name, d, true)
 	if res == d && info.Mode.IsDir() && k.cfg.DirCompleteness {
-		if tel := k.journal(); tel != nil {
+		if tel := k.Telemetry(); tel != nil {
 			tel.Emit(telemetry.JDirComplete, d.ID(), 0, telemetry.NoteCreate)
 		}
 	}
@@ -471,7 +471,7 @@ func (k *Kernel) dentryGone(d *Dentry, ino *Inode) {
 		d.clearFlags(DComplete | DUnhydrated)
 		d.mu.Unlock()
 		if wasComplete {
-			if tel := k.journal(); tel != nil {
+			if tel := k.Telemetry(); tel != nil {
 				tel.Emit(telemetry.JDirIncomplete, d.ID(), 0, telemetry.NoteGone)
 			}
 		}
@@ -592,7 +592,7 @@ func (t *Task) rename(oldpath, newpath string) error {
 		target.EachChild(func(c *Dentry) { k.killSubtreeLocked(c) })
 		newParent.D.detachChild(newName, target)
 		k.lru.remove(target)
-		if tel := k.journal(); tel != nil {
+		if tel := k.Telemetry(); tel != nil {
 			tel.Emit(telemetry.JEvict, target.ID(), 0, telemetry.NoteRenameTarget)
 		}
 		if k.hooks != nil {

@@ -159,7 +159,7 @@ func (k *Kernel) dropCompleteness(d *Dentry) {
 	d.clearFlags(DComplete)
 	d.invalidateList()
 	if wasComplete {
-		if tel := k.journal(); tel != nil {
+		if tel := k.Telemetry(); tel != nil {
 			tel.Emit(telemetry.JDirIncomplete, d.ID(), 0, telemetry.NoteRemote)
 		}
 	}

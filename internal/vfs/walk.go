@@ -176,14 +176,11 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 	}
 
 	// Telemetry: when detached this is the entire cost — one atomic load
-	// and one branch. When attached but disabled, On() folds it to nil so
-	// the rest of the walk takes the same nil-pointer paths.
+	// and one branch; the rest of the walk takes the nil-pointer paths.
 	tel := k.tel.Load()
 	var walkStart int64 // nonzero on a timed walk
 	var tr *telemetry.WalkTrace
-	if !tel.On() {
-		tel = nil
-	} else {
+	if tel != nil {
 		if armed := t.takeArmedTrace(); armed != nil {
 			// A wire span armed by the 9P server: annotate it in place so
 			// the walk's stage events stitch into the end-to-end trace.
@@ -712,7 +709,7 @@ func (k *Kernel) missLookup(cur PathRef, comp string, tr *telemetry.WalkTrace) (
 func (k *Kernel) joinInLookup(d *Dentry, il *inLookupState, comp string, tr *telemetry.WalkTrace) (*Dentry, error) {
 	sc := k.stats.cell()
 	sc[NMissCoalesced].Add(1)
-	tel := k.journal()
+	tel := k.Telemetry()
 	select {
 	case <-il.done:
 		// Resolved between our child-map read and here: adopt for free.
@@ -757,7 +754,7 @@ func (k *Kernel) resolveMiss(parent *Dentry, pIno *Inode, comp string, d *Dentry
 	k.Count(NFSLookups, 1)
 	tel := k.tel.Load()
 	var fsStart int64
-	if tel.On() {
+	if tel != nil {
 		fsStart = telemetry.Now()
 	}
 	info, err := parent.sb.fs.Lookup(pIno.ID(), comp)

@@ -65,9 +65,8 @@ func metricCatalog(page []byte) []string {
 // a change to how snapshots become series cannot rename, add or drop one
 // unnoticed. Regenerate it with `go test -run TestMetricCatalog -update .`.
 func TestMetricCatalog(t *testing.T) {
-	cfg := dircache.Optimized()
-	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true}
-	sys := dircache.New(cfg)
+	sys := dircache.New(dircache.Optimized())
+	sys.EnableTelemetry(dircache.TelemetryOptions{})
 	p := sys.Start(dircache.RootCreds())
 	if err := p.Mkdir("/a", 0o755); err != nil {
 		t.Fatal(err)

@@ -140,7 +140,7 @@ func (p *Process) Open(path string, flags OpenFlag, perm uint32) (*File, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &File{p: p, f: f}, nil
+	return &File{f: f}, nil
 }
 
 // Create makes an empty regular file (failing if it exists).
@@ -334,7 +334,7 @@ func (p *Process) OpenAt(dirf *File, path string, flags OpenFlag, perm uint32) (
 	if err != nil {
 		return nil, err
 	}
-	return &File{p: p, f: f}, nil
+	return &File{f: f}, nil
 }
 
 // Mkstemp creates a uniquely named file in dir with the given prefix,

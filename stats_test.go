@@ -112,9 +112,8 @@ func TestCacheStatsCountersCoverage(t *testing.T) {
 		}
 	}
 
-	cfg := Optimized()
-	cfg.Telemetry = TelemetryOptions{Enabled: true}
-	sys := New(cfg)
+	sys := New(Optimized())
+	sys.EnableTelemetry(TelemetryOptions{})
 	p := sys.Start(RootCreds())
 	if err := p.MkdirAll("/a/b", 0o755); err != nil {
 		t.Fatal(err)
@@ -139,10 +138,8 @@ func TestCacheStatsCountersCoverage(t *testing.T) {
 // TestShardSourcesMatchSystem: RegisterSystems exports each shard's
 // counters under the same names as the system source, and nothing else.
 func TestShardSourcesMatchSystem(t *testing.T) {
-	cfg := Optimized()
-	cfg.Telemetry = TelemetryOptions{Enabled: true}
-	sys := New(cfg)
-	tl := sys.Telemetry()
+	sys := New(Optimized())
+	tl := sys.EnableTelemetry(TelemetryOptions{})
 	RegisterSystems(tl, "shard", sys, New(Optimized()))
 	stats := metricsStats(t, tl)
 	for _, src := range []string{"shard0", "shard1"} {

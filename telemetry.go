@@ -8,16 +8,12 @@ import (
 )
 
 // TelemetryOptions configures the observability subsystem (latency
-// histograms, sampled walk traces, and the metrics exporter). The zero
-// value leaves telemetry off entirely: the walk hot path then pays one
-// atomic pointer load and one branch, nothing else.
+// histograms, sampled walk traces, and the metrics exporter) that
+// System.EnableTelemetry attaches. A System without one attached pays one
+// atomic pointer load and one branch per walk, nothing else.
 type TelemetryOptions struct {
-	// Enabled attaches a telemetry subsystem to the System at
-	// construction and starts recording.
-	Enabled bool
 	// TraceSample records the full event sequence of 1-in-N walks into
-	// the trace ring (0 disables tracing, 1 traces every walk). Only
-	// meaningful with Enabled.
+	// the trace ring (0 disables tracing, 1 traces every walk).
 	TraceSample int
 	// SlowNS is the flight recorder's slow threshold in nanoseconds
 	// (0 = 1ms); SetSlowThreshold changes it.
@@ -35,38 +31,18 @@ type Telemetry = telemetry.Telemetry
 // MetricsServer is a live HTTP metrics endpoint started by Telemetry.Serve.
 type MetricsServer = telemetry.Server
 
-// NewTelemetry builds a standalone telemetry subsystem, already
-// recording, not yet attached to any System. Pair with
-// SetDefaultTelemetry to share one exporter across many Systems.
-func NewTelemetry(o TelemetryOptions) *Telemetry {
-	t := telemetry.New(o.rawOptions())
-	t.Enable()
-	return t
-}
-
-func (o TelemetryOptions) rawOptions() telemetry.Options {
-	return telemetry.Options{TraceSample: o.TraceSample, SlowNS: o.SlowNS}
-}
-
-// SetDefaultTelemetry installs tl (nil clears) as the process-wide
-// default: every System built afterwards whose own Config.Telemetry is
-// not enabled attaches to it, so one live exporter observes them all.
-// Tools like dcbench use this to expose metrics for the Systems their
-// experiments construct.
-func SetDefaultTelemetry(tl *Telemetry) { telemetry.SetDefault(tl) }
-
 // Telemetry returns the System's attached telemetry subsystem, or nil
 // when none is attached.
 func (s *System) Telemetry() *Telemetry { return s.k.Telemetry() }
 
 // EnableTelemetry attaches a freshly built telemetry subsystem to the
-// System (replacing any previous one) and starts recording. The System's
+// System (replacing any previous one); it records while attached. The System's
 // CacheStats are registered with the exporter under source "system",
 // its slab-arena occupancy under source "mem" (per-arena live/free/
 // limbo gauges, reclamation counters, and the process's worst observed
 // GC stop-the-world pause).
 func (s *System) EnableTelemetry(o TelemetryOptions) *Telemetry {
-	t := telemetry.New(o.rawOptions())
+	t := telemetry.New(telemetry.Options{TraceSample: o.TraceSample, SlowNS: o.SlowNS})
 	t.RegisterStats("system", func() map[string]int64 { return telemetry.Flatten(s.Stats()) })
 	t.RegisterStats("inspect", func() map[string]int64 { return s.Inspect().counters() })
 	t.RegisterStats("mem", func() map[string]int64 {
@@ -74,7 +50,6 @@ func (s *System) EnableTelemetry(o TelemetryOptions) *Telemetry {
 		out["gc_max_pause_ns"] = gcMaxPauseNS()
 		return out
 	})
-	t.Enable()
 	s.k.SetTelemetry(t)
 	return t
 }
@@ -108,12 +83,7 @@ func gcMaxPauseNS() int64 {
 // the zero-cost hot path. In-flight walks finish against the instance
 // they observed at entry; its accumulated data remains readable through
 // any retained *Telemetry handle.
-func (s *System) DisableTelemetry() {
-	if t := s.k.Telemetry(); t != nil {
-		t.Disable()
-	}
-	s.k.SetTelemetry(nil)
-}
+func (s *System) DisableTelemetry() { s.k.SetTelemetry(nil) }
 
 // JournalEvent is one coherence journal record: an invalidation-relevant
 // mutation (seq/epoch bump, DLHT insert/remove, PCC flush,

@@ -33,12 +33,10 @@ func walkSome(t *testing.T, sys *dircache.System) {
 }
 
 func TestTelemetryEndToEnd(t *testing.T) {
-	cfg := dircache.Optimized()
-	cfg.Telemetry = dircache.TelemetryOptions{Enabled: true, TraceSample: 1}
-	sys := dircache.New(cfg)
-	tl := sys.Telemetry()
-	if tl == nil {
-		t.Fatal("Telemetry() == nil on an enabled system")
+	sys := dircache.New(dircache.Optimized())
+	tl := sys.EnableTelemetry(dircache.TelemetryOptions{TraceSample: 1})
+	if sys.Telemetry() != tl {
+		t.Fatal("Telemetry() is not the instance EnableTelemetry attached")
 	}
 	walkSome(t, sys)
 
@@ -182,34 +180,6 @@ func checkPrometheusParseable(t *testing.T, body string) {
 	}
 	if sc.Err() != nil {
 		t.Fatal(sc.Err())
-	}
-}
-
-func TestDefaultTelemetrySharedAcrossSystems(t *testing.T) {
-	tl := dircache.NewTelemetry(dircache.TelemetryOptions{TraceSample: 1})
-	dircache.SetDefaultTelemetry(tl)
-	defer dircache.SetDefaultTelemetry(nil)
-
-	a := dircache.New(dircache.Optimized())
-	b := dircache.New(dircache.Baseline())
-	walkSome(t, a)
-	walkSome(t, b)
-	if tl.TraceCount() == 0 {
-		t.Fatal("default telemetry saw no walks")
-	}
-	if _, _, _, ok := tl.HistogramQuantiles("walk"); !ok {
-		t.Fatal("default telemetry walk histogram empty")
-	}
-
-	// Explicitly-enabled config takes precedence over the default.
-	cfg := dircache.Baseline()
-	cfg.Telemetry.Enabled = true
-	own := dircache.New(cfg)
-	if own.Telemetry() == nil {
-		t.Fatal("own telemetry not attached")
-	}
-	if own.Telemetry().TraceCount() != 0 && own.Telemetry() == nil {
-		t.Fatal("unexpected sharing")
 	}
 }
 

@@ -21,11 +21,11 @@ help:
 	@echo "  vet            go vet ./... and gofmt -l . (fails on any unformatted file)"
 	@echo "  race           race-detector pass over every package"
 	@echo "  audit          invariant-auditor tests (concurrent + injected-bug) under -race"
-	@echo "  stress         longer -race soak of the stress tests, the revocation table and the prefix re-check's phase tests, then the audit storms x20 and internal/bench x5, all beside one busy spinner per CPU"
+	@echo "  stress         longer -race soak of the stress tests, the revocation table, the prefix re-check's phase tests and the resumed walk's rename/chmod window tests, then the audit storms x20 and internal/bench x5, all beside one busy spinner per CPU"
 	@echo "  bench          root benchmarks (includes BenchmarkParallelWalk)"
 	@echo "  bench-parallel lookup-scalability curve at 1/2/4/8 goroutines"
 	@echo "  bench-hotpath  warm Stat at depth 1/4/8/16, chmod over 1/10/100/1000 published descendants and ShrinkCache(256) per victim on 1k/4k/64k cached dentries, baseline vs optimized, and the fastpath's stages apart, with -benchmem (the DESIGN 5h budget, Fig 7's chmod curve, 5c's eviction cost)"
-	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, a rename round trip + stat below it at the round trip's allocations with no slow walk, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop removes no DLHT entry, a System with 1000 files holds <= 1.5 MB of tables, prefix memo and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
+	@echo "  memscale-smoke slab gate: warm walks and population at 0 allocs/op (AllocsPerRun tests + BenchmarkParallelWalk -benchmem), chmod + stat behind its range mark at <= 1 with no slow walk, a rename round trip + stat below it at the round trip's allocations with no slow walk, a cold stat resumed at its warm directory at no more than the full slow walk's allocations, BenchmarkChmodSubtree at 1 alloc/op, a create-only evicting build uses no more dentry slots than capacity and a quarter, a chmod-only loop removes no DLHT entry, a System with 1000 files holds <= 1.5 MB of tables, prefix memo and arenas, and the compiler keeps the fastpath's cursor on the stack with no allocated defer"
 	@echo "  serve-smoke    boot dcserve on loopback: 9P client round trips + end-to-end trace stitching on /slow"
 	@echo "  fuzz-smoke     10 s each of FuzzUnmarshal over the 9P decoder (no panic, a truncated Rwalk errno or Twalk clunk list is an error, so is an Rread with more than its eof byte after its data, decode/re-marshal/decode is stable), FuzzFrameReader over the frame splitter (random short reads, same frames as the reference, runt and over-msize frames are errors), FuzzPrefixMemo over the fastpath's scan (cold and warm prefix memo both hash the canonical path), FuzzRingLog over the one drop-oldest ring (against a slice model) and FuzzTable over the intrusive hash table (no cycle, every chain filed right, answers like a map)"
 	@echo "  shard-smoke    sharded tier under -race: 4 in-process shards + 2-shard over-the-wire (route, rename storm, converge, audit clean), the peer-apply table and chmod storm, pipelined dispatch, traced spans included, version negotiation and the coherence-log subscription (lazy start, baseline server); then the tier's three benchmarks once each"
@@ -65,8 +65,9 @@ audit:
 ci: vet check bench-test race audit serve-smoke shard-smoke memscale-smoke fuzz-smoke loc
 
 # Longer soak of just the stress tests (several runs, full iteration
-# count), with the differential revocation table and the prefix re-check's
-# deterministic phase tests beside the storm that races the same paths,
+# count), with the differential revocation table, the prefix re-check's
+# deterministic phase tests and the resumed walk's rename and chmod
+# window tests beside the storms that race the same paths,
 # then the auditor's storms twenty times over, then internal/bench's
 # counted-work tests (its coherence storm among them) five times. All of
 # it runs while one busy `yes` per CPU competes for the processors: the
@@ -76,7 +77,7 @@ ci: vet check bench-test race audit serve-smoke shard-smoke memscale-smoke fuzz-
 stress:
 	@spin=; for i in $$(seq $$(nproc)); do yes > /dev/null & spin="$$spin $$!"; done; \
 	trap 'kill $$spin' EXIT; \
-	$(GO) test -race -run 'Stress|TestRevocationThroughRangeMark|TestRecheck' -count=3 ./internal/vfs/... ./internal/core/... && \
+	$(GO) test -race -run 'Stress|TestRevocationThroughRangeMark|TestRecheck|TestResume' -count=3 ./internal/vfs/... ./internal/core/... && \
 	$(GO) test -run 'TestAuditInvariant' -count=20 ./internal/vfs/... ./internal/core/... && \
 	$(GO) test -count=5 ./internal/bench
 
@@ -120,7 +121,9 @@ bench-hotpath:
 # allocate 1 between them (SetAttr's *Mode, the cache-less kernel's too)
 # and never slow-walk, and a rename of a directory away and back then a
 # stat below it allocates no more than the two renames alone and never
-# slow-walks either (the entry re-derives its key and stays);
+# slow-walks either (the entry re-derives its key and stays), and a
+# cold stat that resumes at its warm directory allocates no more than
+# the full slow walk of the same stat (the hand-off is a stack value);
 # BenchmarkChmodSubtree runs once per row so that pin
 # holds at every subtree size, baseline and optimized. The last step reads
 # the compiler's own verdict: in the fastpath's files (the scan, the
@@ -129,7 +132,7 @@ bench-hotpath:
 # move to the heap (a cursor that escapes costs an allocation per walk
 # that no test of a warm path would otherwise name).
 memscale-smoke:
-	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestRenameRoundTripThenStat|TestEvictingCreatesReclaimSlab|TestChmodLoopKeepsDLHTEntries|TestFreshSystemFootprint' -count=1 .
+	$(GO) test -run 'TestWarmWalkZeroAlloc|TestChmodThenStatAllocs|TestRenameRoundTripThenStat|TestResumedStatAllocs|TestEvictingCreatesReclaimSlab|TestChmodLoopKeepsDLHTEntries|TestFreshSystemFootprint' -count=1 .
 	$(GO) test -run 'TestLexicalHashZeroAlloc' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelWalk/optimized/goroutines-1$$' -benchtime 2000x -benchmem . | \
 		tee -a /dev/stderr | awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad=1 } END { exit bad }'

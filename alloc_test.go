@@ -94,6 +94,60 @@ func TestWarmWalkZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestResumedStatAllocs: a stat that misses the DLHT under a directory the
+// DLHT and the PCC hold walks only its last component (vfs.Resume) and
+// allocates nothing the full slow walk of the same stat does not: the
+// hand-off is a value on the walk's stack. Every run stats a file no walk
+// has looked up since the caches were dropped — one backend Lookup each —
+// under warm, whose stats resume, and under its twin cold, which no walk
+// has ended at and whose stats walk the whole path.
+func TestResumedStatAllocs(t *testing.T) {
+	const runs = 200
+	cfg := dircache.Optimized()
+	cfg.SignatureSeed = 1
+	sys := dircache.New(cfg)
+	p := sys.Start(dircache.RootCreds())
+	for _, dir := range []string{"/a/b/c/d/e/f/warm", "/a/b/c/d/e/f/cold"} {
+		if err := p.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= runs; i++ {
+			if err := p.WriteFile(fmt.Sprintf("%s/f%03d", dir, i), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sys.DropCaches()
+	// One stat brings cold back into the cache, below admission's second
+	// touch; three publish and memoize warm.
+	for i, dir := range []string{"/a/b/c/d/e/f/cold", "/a/b/c/d/e/f/warm", "/a/b/c/d/e/f/warm", "/a/b/c/d/e/f/warm"} {
+		if _, err := p.Stat(dir); err != nil {
+			t.Fatal(i, err)
+		}
+	}
+	measure := func(dir string) (float64, dircache.CacheStats) {
+		n := 0
+		before := sys.Stats()
+		avg := testing.AllocsPerRun(runs, func() {
+			if _, err := p.Stat(fmt.Sprintf("%s/f%03d", dir, n)); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		})
+		return avg, sys.Stats().Delta(before)
+	}
+	full, df := measure("/a/b/c/d/e/f/cold")
+	resumed, dr := measure("/a/b/c/d/e/f/warm")
+	if df.ResumedWalks != 0 || df.FSLookups != runs+1 || dr.ResumedWalks != runs+1 || dr.FSLookups != runs+1 {
+		t.Fatalf("full walks: %d resumed, %d backend lookups; resumed walks: %d resumed, %d backend lookups; want 0, %d; %d, %d",
+			df.ResumedWalks, df.FSLookups, dr.ResumedWalks, dr.FSLookups, runs+1, runs+1, runs+1)
+	}
+	t.Logf("allocations per cold stat: %.2f resumed, %.2f walking the whole path", resumed, full)
+	if resumed > full {
+		t.Fatalf("a resumed cold stat allocates %.2f, the full slow walk of one %.2f", resumed, full)
+	}
+}
+
 // TestWalkTimingSample: with telemetry on, a walk is timed when the count
 // its own Add returned is one past a multiple of eight, so 2000 stats from
 // one frame record exactly 250 walk observations — in every build, the

@@ -278,7 +278,7 @@ other:  help  exit
 		st := sys.Stats()
 		fmt.Printf("lookups       %d\n", st.Lookups)
 		fmt.Printf("fastpath hits %d (%d negative, %d with the prefix re-checked in place)\n", st.FastHits, st.FastNeg, st.PrefixRechecks)
-		fmt.Printf("slow walks    %d (%d components)\n", st.SlowWalks, st.Components)
+		fmt.Printf("slow walks    %d (%d resumed at their directory, %d components)\n", st.SlowWalks, st.ResumedWalks, st.Components)
 		fmt.Printf("fs lookups    %d (hit rate %.1f%%)\n", st.FSLookups, st.HitRate()*100)
 		fmt.Printf("negative hits %d, completeness shortcuts %d\n", st.NegativeHits, st.CompleteShort)
 		fmt.Printf("readdir       %d cached / %d from FS\n", st.ReaddirCached, st.ReaddirFS)

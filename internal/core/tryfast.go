@@ -32,13 +32,14 @@ func parentRef(t *vfs.Task, ref vfs.PathRef) vfs.PathRef {
 	}
 }
 
-// fastScan is the per-call scratch of one TryFast: the path cursor and,
-// when PhaseTrace is on, the clock that splits the call into the Fig-3
-// phases. It lives in TryFast's frame and is passed down by pointer, so
-// the one flush and the one phase record happen in one place whatever
-// exit tryFast takes.
+// fastScan is the per-call scratch of one TryFast: the path cursor, the
+// hand-off a DLHT miss leaves for the slow walk and, when PhaseTrace is
+// on, the clock that splits the call into the Fig-3 phases. It lives in
+// TryFast's frame and is passed down by pointer, so the one flush and the
+// one phase record happen in one place whatever exit tryFast takes.
 type fastScan struct {
 	cur     pathCursor
+	rs      vfs.Resume
 	tracing bool
 	start   time.Time     // TryFast's entry
 	done    time.Duration // time since start already given to a phase
@@ -66,12 +67,15 @@ func (fs *fastScan) lapTraced(d *time.Duration) {
 // authorizes the result with one PCC probe — constant hash-table work
 // regardless of path depth.
 // Any uncertainty returns handled=false, falling back to the slow walk.
+// A DLHT miss on a path whose directory the table and the PCC do hold
+// hands that directory over as a vfs.Resume (resumeAt): the slow walk then
+// walks only the last component, not the whole path again.
 //
 // This entry only owns the scratch: tryFast has too many exits for an
 // open-coded defer, so the hashed-byte flush and the phase record sit
 // here, after it returns. Every handled walk reaches the phase sink —
 // negative hits, ENOTDIR and "the start directory itself" included.
-func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkFlags, tr *telemetry.WalkTrace) (vfs.PathRef, error, bool) {
+func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkFlags, tr *telemetry.WalkTrace) (vfs.PathRef, error, bool, vfs.Resume) {
 	fs := fastScan{tracing: c.k.PhaseTraceOn()}
 	if fs.tracing {
 		fs.start = time.Now()
@@ -82,7 +86,7 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 		fs.lapTraced(&fs.ph.Finalize)
 		c.k.RecordPhases(fs.ph)
 	}
-	return ref, err, handled
+	return ref, err, handled, fs.rs
 }
 
 // tryFast is TryFast's body; it reports its phases and hashed bytes
@@ -134,6 +138,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	if d == nil || !c.fresh(d) || !c.keyed(d, &cur.st) {
 		c.k.Count(vfs.NDLHTMisses, 1)
 		tr.Event(telemetry.EvDLHTMiss, path)
+		fs.rs = c.resumeAt(dl, pcc, cur, path, token)
 		return vfs.PathRef{}, nil, false
 	}
 	tr.Event(telemetry.EvDLHTHit, path)
@@ -253,6 +258,46 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 		return vfs.PathRef{}, fsapi.ENOTDIR, true
 	}
 	return vfs.PathRef{Mnt: mnt, D: d}, nil, true
+}
+
+// resumeAt is a DLHT miss's one extra probe (DESIGN §5c): the path's
+// directory, when the DLHT and the PCC vouch for it under the checks a hit
+// makes, is handed to the slow walk, which then resolves only the last
+// component there. Only an ordinary last name qualifies (the one component
+// the cursor can un-hash), only below the start, and only in the era whose
+// walks validate the rename seq read here, before the probe. token is the
+// one read before the full path's probe.
+//
+// Out of line: a hit never gets here.
+//
+//go:noinline
+func (c *Core) resumeAt(dl *dlht, pcc *PCC, cur *pathCursor, path string, token uint64) vfs.Resume {
+	last := path[strings.LastIndexByte(path, '/')+1:]
+	if cur.depth() < 2 || last == "" || last == "." || last == ".." || len(last) > 255 {
+		return vfs.Resume{}
+	}
+	cur.st.UnappendComponent(last)
+	seq, ok := c.k.ResumeSeq()
+	if !ok {
+		return vfs.Resume{}
+	}
+	// A negative or symlink dentry is no directory; an unhydrated one's
+	// type is a readdir hint, and an alias's is its target's.
+	d := probe(dl, &cur.st)
+	if d == nil || !c.fresh(d) || !c.keyed(d, &cur.st) ||
+		d.Flags()&(vfs.DAlias|vfs.DUnhydrated) != 0 || !d.IsDir() {
+		return vfs.Resume{}
+	}
+	fd := fast(d)
+	if !pcc.Lookup(d.ID(), fd.Seq.Load()) {
+		return vfs.Resume{}
+	}
+	mnt := fd.MntP.Load()
+	if mnt == nil || d.IsDead() || d.Super().Caps().Revalidate {
+		return vfs.Resume{}
+	}
+	d.MarkReferenced()
+	return vfs.Resume{Parent: vfs.PathRef{Mnt: mnt, D: d}, Seq: seq, Token: token}
 }
 
 // scan canonicalizes and hashes path into cur, which init has pointed at

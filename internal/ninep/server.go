@@ -42,7 +42,12 @@ type Server struct {
 	sys *dircache.System
 	cfg Config
 	lis net.Listener
-	tel *telemetry.Telemetry // where NewServer registered the "ninep" counter source
+
+	// tel is the telemetry the "ninep" counter source is registered on:
+	// the instance attached when the server was built, then the one a
+	// request found attached (follow). telMu orders the moves.
+	telMu sync.Mutex
+	tel   atomic.Pointer[telemetry.Telemetry]
 
 	pool *dircache.ProcessPool
 
@@ -110,12 +115,29 @@ func NewServer(sys *dircache.System, cfg Config) *Server {
 		pool:   sys.NewProcessPool(cfg.PoolIdle),
 		idents: map[string]*dircache.Identity{},
 		conns:  map[*conn]struct{}{},
-		tel:    sys.Telemetry(),
 	}
-	if s.tel != nil {
-		s.tel.RegisterStats("ninep", s.statCounters)
-	}
+	s.follow(sys.Telemetry())
 	return s
+}
+
+// follow registers the "ninep" counter source on tel and takes it off the
+// instance it was on, unless it is on tel already: a System's telemetry
+// can be re-attached (EnableTelemetry) or detached while it is served, and
+// the source goes where the requests record. Close follows nil.
+func (s *Server) follow(tel *telemetry.Telemetry) {
+	s.telMu.Lock()
+	defer s.telMu.Unlock()
+	old := s.tel.Load()
+	if old == tel {
+		return
+	}
+	if old != nil {
+		old.UnregisterStats("ninep")
+	}
+	if tel != nil {
+		tel.RegisterStats("ninep", s.statCounters)
+	}
+	s.tel.Store(tel)
 }
 
 // Serve listens on addr ("host:port"; ":0" for ephemeral) and serves
@@ -207,9 +229,7 @@ func (s *Server) Close() error {
 	}
 	s.connMu.Unlock()
 	s.connWG.Wait()
-	if s.tel != nil {
-		s.tel.UnregisterStats("ninep")
-	}
+	s.follow(nil)
 	return err
 }
 
@@ -584,7 +604,8 @@ func histFor(t uint8) telemetry.HistID {
 
 // dispatch handles one request and builds its response. It records into
 // the telemetry attached to the System when the request arrives, so a
-// detached System's server stops recording as its walks do. A request
+// detached System's server stops recording as its walks do, and a
+// re-attached one's gets the server's counter source (follow). A request
 // carrying a dc trace id gets a server span stitched (by that wire id) to
 // the client's RPC span; the handler walks on a fork with it armed
 // (lstatTraced, openTraced), so the kernel walk annotates per-stage
@@ -592,6 +613,9 @@ func histFor(t uint8) telemetry.HistID {
 func (c *conn) dispatch(req *Fcall) *Fcall {
 	c.srv.stats.ops.Add(1)
 	tel := c.srv.sys.Telemetry()
+	if tel != c.srv.tel.Load() {
+		c.srv.follow(tel)
+	}
 	var span *telemetry.WalkTrace
 	if c.dc && req.TraceID != 0 {
 		span = tel.StartSpan("server", MsgName(req.Type), "", req.TraceID)

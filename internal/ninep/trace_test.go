@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dircache"
 	"dircache/internal/telemetry"
 )
 
@@ -78,6 +79,49 @@ func TestTraceStitchAcrossWire(t *testing.T) {
 	}
 	if !sawWalkStage {
 		t.Error("server Twalk span was not annotated by the kernel walk (no backend lookup stage)")
+	}
+}
+
+// TestReattachMovesCounterSource: EnableTelemetry on a served System
+// attaches a new instance, and the first request after it moves the
+// server's "ninep" counter source there, off the instance it replaced;
+// Close then takes it off the instance it was last on, so neither lists it.
+func TestReattachMovesCounterSource(t *testing.T) {
+	sys, srv := startServer(t, Config{})
+	old := sys.Telemetry()
+	exported := func(tel *telemetry.Telemetry) bool {
+		var b strings.Builder
+		tel.WritePrometheus(&b)
+		return strings.Contains(b.String(), `source="ninep"`)
+	}
+	if !exported(old) {
+		t.Fatal(`the instance attached at NewServer has no source="ninep" counters`)
+	}
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	root, err := c.Attach("root", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := sys.EnableTelemetry(dircache.TelemetryOptions{})
+	f, err := root.WalkPath("srv/app/config/app.conf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Clunk()
+	if !exported(fresh) {
+		t.Error(`after a request, the re-attached instance has no source="ninep" counters`)
+	}
+	if exported(old) {
+		t.Error(`after a request, the replaced instance still lists source="ninep"`)
+	}
+	c.Close()
+	srv.Close()
+	if exported(fresh) || exported(old) {
+		t.Errorf(`after Close: source="ninep" still registered (re-attached %v, replaced %v)`, exported(fresh), exported(old))
 	}
 }
 

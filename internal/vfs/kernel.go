@@ -131,7 +131,15 @@ type Hooks interface {
 	// outcome (err may be ENOENT from a negative hit). tr is the walk's
 	// sampled telemetry trace — nil on almost every call — to which the
 	// hooks append their probe events.
-	TryFast(t *Task, start PathRef, path string, fl WalkFlags, tr *telemetry.WalkTrace) (res PathRef, err error, handled bool)
+	//
+	// An unhandled walk may hand over a Resume: the directory of the
+	// path's last component, which the hooks' DLHT and PCC vouch for, when
+	// that component is an ordinary name with no '/' after it. The slow
+	// walk then resolves only the last component there, under the
+	// Resume's rename seq, and gives its token with the original start and
+	// path to EndSlowLookup/EndSlowNegative; a changed seq sends it back to
+	// the full walk from start (DESIGN §5c).
+	TryFast(t *Task, start PathRef, path string, fl WalkFlags, tr *telemetry.WalkTrace) (res PathRef, err error, handled bool, rs Resume)
 
 	// BeginSlow returns an invalidation-epoch token before a slow walk.
 	BeginSlow() uint64
@@ -718,6 +726,14 @@ func (k *Kernel) renameWriteUnlock() {
 func (k *Kernel) readSeqBegin() (uint64, bool) {
 	s := k.renameSeq.Load()
 	return s, s&1 == 0
+}
+
+// ResumeSeq opens the optimistic read a Resume runs under: the rename seq,
+// and ok when a resumed walk may be validated against it — the era walks
+// optimistically (SyncRCU) and no rename is in progress.
+func (k *Kernel) ResumeSeq() (seq uint64, ok bool) {
+	seq, ok = k.readSeqBegin()
+	return seq, ok && k.cfg.SyncMode == SyncRCU
 }
 
 func (k *Kernel) readSeqValid(s uint64) bool {

@@ -51,6 +51,7 @@ const (
 	NKeptUnmoved
 	NHashedBytes
 	NPrefixMemoHits
+	NResumedWalks
 	NShortcutResumes
 	NChildHops
 	NBulkPopulations
@@ -132,6 +133,7 @@ type Stats struct {
 
 	HashedBytes    int64 // bytes actually fed to the path hash, all walks (a prefix memo hit feeds only the last component and its '/')
 	PrefixMemoHits int64 // fastpath scans that took their directory prefix's hash from the prefix memo
+	ResumedWalks   int64 // slow walks that resolved only the last component, from the directory a fastpath miss handed over
 	// ShortcutResumes, ChildHops and BulkPopulations always read 0: the
 	// directory-shortcut resume, the child hop and readdir-driven bulk
 	// population they counted are gone. The fields stay because

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"strings"
 	"time"
 
 	"dircache/internal/fsapi"
@@ -61,6 +62,20 @@ func (f *WalkFailure) Error() string { return f.Errno.Error() }
 
 // Unwrap lets errors.Is match the underlying Errno.
 func (f *WalkFailure) Unwrap() error { return f.Errno }
+
+// Resume is a fastpath miss's hand-off to the slow walk (Hooks.TryFast,
+// DESIGN §5c): the directory the path's last component is looked up in,
+// found and authorized by the hooks, so the slow walk resolves that one
+// component — the path after its last '/', an ordinary name — instead of
+// the whole path. A nil Parent.D means no hand-off. It is a value the walk
+// carries on its stack, never Task state: two goroutines may walk one Task
+// at once (see segBusy). It is four words, so TryFast's results still fit
+// the registers a call returns in.
+type Resume struct {
+	Parent PathRef // the last component's directory
+	Seq    uint64  // the rename seq, read before the hooks looked Parent up
+	Token  uint64  // the hooks' invalidation token, read before their first probe
+}
 
 // errSeqRetry aborts an optimistic walk that observed torn state.
 var errSeqRetry = errors.New("vfs: optimistic walk retry")
@@ -195,22 +210,28 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 		}
 	}
 
+	var rs Resume
 	if k.hooks != nil && fl&WalkNoFast == 0 {
-		if res, err, handled := k.hooks.TryFast(t, start, path, fl, tr); handled {
+		res, err, handled, resume := k.hooks.TryFast(t, start, path, fl, tr)
+		if handled {
 			if tel != nil {
 				walkDone(tel, tr, walkStart, telemetry.HistFastpath, err)
 			}
 			return res, err
 		}
+		rs = resume
 	}
 
-	tr.Event(telemetry.EvSlowWalk, "")
 	k.Count(NSlowWalks, 1)
-	var token uint64
-	if k.hooks != nil {
-		token = k.hooks.BeginSlow()
+	res, lexical, err, resumed := k.walkResumed(t, rs, path, fl, tr)
+	token := rs.Token
+	if !resumed {
+		tr.Event(telemetry.EvSlowWalk, "")
+		if k.hooks != nil {
+			token = k.hooks.BeginSlow()
+		}
+		res, lexical, err = k.walkSlow(t, start, path, fl, tr)
 	}
-	res, lexical, err := k.walkSlow(t, start, path, fl, tr)
 	if k.hooks != nil {
 		if err == nil {
 			k.hooks.EndSlowLookup(token, t, start, path, lexical, res)
@@ -225,6 +246,27 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 		walkDone(tel, tr, walkStart, telemetry.HistSlowpath, err)
 	}
 	return res, err
+}
+
+// walkResumed runs a Resume: one optimistic walk of path's last component
+// from rs.Parent, validated against the rename seq the hooks read before
+// they found Parent. A rename since then may have moved Parent off the
+// path, and torn state (errSeqRetry) proves nothing either; both return
+// ok=false, as a zero Resume does, and the caller walks the whole path
+// from its start.
+func (k *Kernel) walkResumed(t *Task, rs Resume, path string, fl WalkFlags, tr *telemetry.WalkTrace) (res, lexical PathRef, err error, ok bool) {
+	if rs.Parent.D == nil {
+		return PathRef{}, PathRef{}, nil, false
+	}
+	tr.Event(telemetry.EvSlowWalk, "resumed")
+	res, lexical, err = k.walkOnce(t, rs.Parent, path[strings.LastIndexByte(path, '/')+1:], fl, tr)
+	if err == errSeqRetry || !k.readSeqValid(rs.Seq) {
+		k.Count(NRetryWalks, 1)
+		tr.Event(telemetry.EvSeqRetry, "resume")
+		return PathRef{}, PathRef{}, nil, false
+	}
+	k.Count(NResumedWalks, 1)
+	return res, lexical, err, true
 }
 
 // walkDone is the telemetry tail of a walk: a timed walk (start nonzero —

@@ -34,7 +34,10 @@ type pathCursor struct {
 	comps  [cursorInline]string
 	xcomps []string // overflow components cursorInline.. (heap)
 
-	hashed int // bytes appended to the signature state during this scan
+	// The walk's tallies, which flush counts in one add.
+	hashed int  // bytes appended to the signature state during this scan
+	memo   bool // the prefix memo served the scan's directory prefix
+	hit    bool // the walk was answered from the fastpath
 }
 
 // init points the cursor at start, resuming the hash from start's
@@ -106,10 +109,9 @@ func (pc *pathCursor) pop(c *Core, t *vfs.Task) bool {
 	return true
 }
 
-// flush folds the cursor's hashed-byte count into the core's counters;
-// the cursor's owner calls it once, after the scan, on every exit.
+// flush counts the cursor's tallies — hashed bytes, a memo-served prefix,
+// a hit — in one add; the cursor's owner calls it once, after the scan,
+// on every exit.
 func (pc *pathCursor) flush(c *Core) {
-	if pc.hashed != 0 {
-		c.k.Count(vfs.NHashedBytes, int64(pc.hashed))
-	}
+	c.k.CountFast(pc.hit, pc.memo, pc.hashed)
 }

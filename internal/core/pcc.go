@@ -38,16 +38,24 @@ func pccPack(dentryID, seq uint64) uint64 {
 const pccWays = 4
 
 // pccEntryBytes is the in-memory footprint of one entry used when sizing
-// from a byte budget: the 8-byte packed word (the per-set LRU byte is
-// folded into the set's shared lru word, not charged per entry).
+// from a byte budget: the 8-byte packed word (a way's LRU rank is a byte
+// of the set's shared lru word, not charged per entry).
 const pccEntryBytes = 8
 
-// pccSet is one 4-way set. The lru word holds 4 packed 8-bit ages; it is
-// updated racily, exactly like the paper's LRU bytes.
+// pccSet is one 4-way set. The lru word holds the ways' exact LRU ranks,
+// one per byte (byte w is way w's rank: 0 newest, pccWays-1 the victim),
+// a permutation of 0..3 stored xor pccRanks0 so the zero word of a fresh
+// set is already one. It is updated racily, like the paper's LRU bytes: a
+// concurrent touch may be lost, but every store writes a permutation made
+// from the one its writer loaded, so the word always decodes to one.
 type pccSet struct {
 	ways [pccWays]atomic.Uint64
 	lru  atomic.Uint32
 }
+
+// pccRanks0 is the identity ranking (way w has rank w), the value the
+// zero lru word stands for.
+const pccRanks0 = 0x03020100
 
 // PCC is a per-credential prefix check cache (§3.1): the paper's fixed
 // table of 4-way sets, 64 KiB by default. Lookups and inserts are
@@ -94,7 +102,9 @@ func (p *PCC) Lookup(dentryID, seq uint64) bool {
 	s := p.setFor(dentryID)
 	for w := 0; w < pccWays; w++ {
 		if s.ways[w].Load() == want {
-			touch(s, w)
+			if s.rank(w) != 0 {
+				s.touch(w)
+			}
 			return true
 		}
 	}
@@ -107,49 +117,48 @@ func (p *PCC) Insert(dentryID, seq uint64) {
 	s := p.setFor(dentryID)
 	idBits := dentryID & 0xffffffff
 	// Prefer a way already holding this dentry (stale seq), then an
-	// invalid way, then the LRU victim.
+	// invalid way, then the least recently used one.
 	victim := -1
-	var oldest uint32
-	ages := s.lru.Load()
 	for w := 0; w < pccWays; w++ {
-		cur := s.ways[w].Load()
-		if cur&pccValid == 0 || cur&0xffffffff == idBits {
+		if cur := s.ways[w].Load(); cur&pccValid == 0 || cur&0xffffffff == idBits {
 			victim = w
 			break
 		}
-		age := (ages >> (8 * w)) & 0xff
-		// Equal-age ties pick the later way; fine for an LRU
-		// approximation. (oldest starts at 0, so age >= oldest also
-		// covers the first, victim == -1 iteration.)
-		if age >= oldest {
-			oldest = age
-			victim = w
+	}
+	if victim < 0 {
+		// One load: a touch racing this could move rank pccWays-1.
+		ranks := s.lru.Load() ^ pccRanks0
+		for victim = pccWays - 1; victim > 0 && ranks>>(8*victim)&0xff != pccWays-1; victim-- {
 		}
 	}
 	s.ways[victim].Store(pccPack(dentryID, seq))
-	touch(s, victim)
+	if s.rank(victim) != 0 {
+		s.touch(victim)
+	}
 }
 
-// touch ages every way and zeroes the touched one (racy by design).
-func touch(s *pccSet, w int) {
-	ages := s.lru.Load()
-	// Saturating increment of each byte, then clear way w.
-	bumped := ages
+// rank returns way w's LRU rank.
+func (s *pccSet) rank(w int) uint32 { return (s.lru.Load() ^ pccRanks0) >> (8 * w) & 0xff }
+
+// touch makes way w, which is not already rank 0, the set's newest: it
+// takes rank 0 and every way younger than it gets one older, so a
+// permutation stays one. Its callers test the rank first, inline: a hit
+// on the newest way writes nothing, and repeated hits on one set leave
+// its line shared by every core probing it.
+//
+//go:noinline
+func (s *pccSet) touch(w int) {
+	ranks := s.lru.Load() ^ pccRanks0
+	r := ranks >> (8 * w) & 0xff
+	var out uint32
 	for i := 0; i < pccWays; i++ {
-		b := (ages >> (8 * i)) & 0xff
-		if b < 0xff {
+		b := ranks >> (8 * i) & 0xff
+		if b < r {
 			b++
 		}
-		bumped = bumped&^(0xff<<(8*i)) | b<<(8*i)
+		out |= b << (8 * i)
 	}
-	bumped &^= 0xff << (8 * w)
-	if bumped == ages {
-		// Steady-state hit: way w is already newest and the others are
-		// saturated. Skipping the store keeps repeated hits from writing
-		// a cache line that every core probing this set also reads.
-		return
-	}
-	s.lru.Store(bumped)
+	s.lru.Store(out&^(0xff<<(8*w)) ^ pccRanks0)
 }
 
 // Entries returns the capacity in entries.

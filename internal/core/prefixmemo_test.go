@@ -161,6 +161,7 @@ func FuzzPrefixMemo(f *testing.F) {
 		hits := c.k.Sum(vfs.NPrefixMemoHits)
 		var p pass
 		p.trailing, p.ok = c.scan(task, dl, pcc, &cur, path)
+		cur.flush(c) // the scan's memo hit is counted by the flush, as TryFast's is
 		p.depth, p.hashed, p.memoHits = cur.depth(), cur.hashed, c.k.Sum(vfs.NPrefixMemoHits)-hits
 		if !p.ok {
 			return p, pos0

@@ -126,8 +126,9 @@ func TestStressFastpathVsMutate(t *testing.T) {
 // straight at the table. A direct probe must return exactly the resident dentry every
 // time (a permission change keeps table entries, so nobody removes them):
 // nil is a reader caught on an array whose chains were not yet, or no
-// longer, complete. Afterwards the DLHT has grown and not past the index's
-// width, and the auditor — dlht_placement reads each entry's filed 16-bit
+// longer, complete. Afterwards, once the readers have stopped and two more
+// paths are published, the DLHT has grown and not past the index's width,
+// and the auditor — dlht_placement reads each entry's filed 16-bit
 // index against its key's — is clean.
 func TestDLHTResizeVsTryFast(t *testing.T) {
 	const (
@@ -227,6 +228,21 @@ func TestDLHTResizeVsTryFast(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
+	// Table.grow lets a reader pinned since the last doubling hold the
+	// next one back, and the readers may have stayed pinned through the
+	// writer's last insert. With them stopped, a doubling still due lands
+	// on the next publishes: two, because a publish's own walk section
+	// pins the epoch it entered in, one of the two the gate must leave
+	// behind before the table may double.
+	for i := 0; i < 2; i++ {
+		p := fmt.Sprintf("/w00/h%d", i)
+		if err := root.Create(p, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := root.Stat(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	after := dl.Stats()
 	if got := after.Resizes - before.Resizes; got < 4 || after.Entries > after.Buckets || after.Buckets > 1<<sig.IndexBits {

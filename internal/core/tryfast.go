@@ -72,7 +72,8 @@ func (fs *fastScan) lapTraced(d *time.Duration) {
 // walks only the last component, not the whole path again.
 //
 // This entry only owns the scratch: tryFast has too many exits for an
-// open-coded defer, so the hashed-byte flush and the phase record sit
+// open-coded defer, so the flush of the walk's tallies (its hit, a
+// memo-served prefix, its hashed bytes: one add) and the phase record sit
 // here, after it returns. Every handled walk reaches the phase sink —
 // negative hits, ENOTDIR and "the start directory itself" included.
 func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkFlags, tr *telemetry.WalkTrace) (vfs.PathRef, error, bool, vfs.Resume) {
@@ -89,8 +90,8 @@ func (c *Core) TryFast(t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkF
 	return ref, err, handled, fs.rs
 }
 
-// tryFast is TryFast's body; it reports its phases and hashed bytes
-// through fs and leaves delivering them to its caller.
+// tryFast is TryFast's body; it reports its phases and tallies through fs
+// and leaves delivering them to its caller.
 func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string, fl vfs.WalkFlags, tr *telemetry.WalkTrace) (vfs.PathRef, error, bool) {
 	k := c.k
 
@@ -119,9 +120,11 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 			return vfs.PathRef{}, nil, false
 		}
 		if mustDir && !cur.base.D.IsDir() {
+			// Handled, but no hit: a lookup neither path counts.
+			k.Count(vfs.NLookups, 1)
 			return vfs.PathRef{}, fsapi.ENOTDIR, true
 		}
-		k.Count(vfs.NFastHits, 1)
+		cur.hit = true
 		return cur.base, nil, true
 	}
 
@@ -180,7 +183,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 			errno = fsapi.ENOTDIR
 		}
 		d.MarkReferenced()
-		k.Count(vfs.NFastHits, 1)
+		cur.hit = true
 		k.Count(vfs.NFastNeg, 1)
 		return vfs.PathRef{}, errno, true
 	}
@@ -253,7 +256,7 @@ func (c *Core) tryFast(fs *fastScan, t *vfs.Task, start vfs.PathRef, path string
 	// answered here, which the slow walk never sees again, would be the
 	// coldest ones the shrinker finds.
 	d.MarkReferenced()
-	k.Count(vfs.NFastHits, 1)
+	cur.hit = true
 	if mustDir && !d.IsDir() {
 		return vfs.PathRef{}, fsapi.ENOTDIR, true
 	}
@@ -316,7 +319,7 @@ func (c *Core) scan(t *vfs.Task, dl *dlht, pcc *PCC, cur *pathCursor, path strin
 		prefix := path[:slash+1]
 		if e := c.memo.lookup(cur.st.Len(), prefix); e != nil {
 			cur.resume(e)
-			c.k.Count(vfs.NPrefixMemoHits, 1)
+			cur.memo = true
 			return false, cur.last(last)
 		}
 		from, path = cur.st, prefix

@@ -23,3 +23,20 @@ func (k *Kernel) PlantDeadShadow(parent *Dentry, name string) {
 	d.setFlags(DDead)
 	k.retireLater(d)
 }
+
+// PreloadPacked stands every field of every stripe's packed word gap below
+// its top bit, the carry point, and moves the difference into or out of
+// the field's statsCell counter, so Stats reads the same before and after
+// and the next gap adds to a stripe's field carry. The kernel must be
+// quiescent.
+func (k *Kernel) PreloadPacked(gap uint64) {
+	for i := range k.stats.cells {
+		s := &k.stats.cells[i]
+		for _, f := range packedFields {
+			v := s.packed.Load() >> f.shift & (1<<f.bits - 1)
+			d := int64(1<<(f.bits-1)-gap) - int64(v)
+			s.packed.Add(uint64(d) << f.shift)
+			s.statsCell[f.id].Add(-d)
+		}
+	}
+}

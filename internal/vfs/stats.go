@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 
 	"dircache/internal/stripe"
@@ -9,8 +10,9 @@ import (
 
 // Counter names one directory cache counter: the index of its Stats
 // field. The list below is the only declaration of the cache's counters;
-// vfs and the fastpath hooks bump them by ID (Kernel.Count), and
-// Kernel.Stats sums them into the field of the same index.
+// vfs and the fastpath hooks bump them by ID (Kernel.Count, and
+// Kernel.CountFast for a fastpath walk's tallies), and Kernel.Stats sums
+// them into the field of the same index.
 type Counter int
 
 // The counters, in Stats field order: constant NX is field X.
@@ -65,7 +67,17 @@ const (
 // Every field is counted by its Counter except these, which Kernel.Stats
 // fills in: Dentries (a gauge, the cached dentries right now); TryFast
 // (FastHits + DLHTMisses + PCCMisses: every fastpath attempt ends in one
-// of the three).
+// of the three); Lookups (FastHits + SlowWalks + the walks neither path
+// sees, which NLookups counts: an empty path, ENAMETOOLONG, and a path
+// that is its start directory answered ENOTDIR).
+//
+// A fastpath walk counts its hit, its memo-served prefix and its hashed
+// bytes in one add to a packed word of its stripe (Kernel.CountFast); a
+// field there carries half its range into the counter of its name when it
+// reaches its top bit. A snapshot reads each such counter and its packed
+// share as one pair, under a seqcount only carriers and readers touch, so
+// a carry never shows half done: the fields stay exact at quiescence and
+// monotonic in between.
 //
 // Snapshot consistency: counters are maintained in striped per-goroutine
 // cells and read without stopping the world, so a snapshot taken while
@@ -178,6 +190,37 @@ func (s Stats) HitRate() float64 {
 // statsCell is one stripe's worth of counters, indexed by Counter.
 type statsCell [numCounters]atomic.Int64
 
+// The packed word's fields (Kernel.CountFast): fast hits and memo hits in
+// 20 bits each, hashed bytes in 24. A field carries at its top bit, about
+// a million hits apart per stripe (a warm hit hashes ~10 bytes).
+const (
+	packHitShift   = 0
+	packMemoShift  = 20
+	packBytesShift = 40
+	packTops       = 1<<(packMemoShift-1) | 1<<(packBytesShift-1) | 1<<63
+)
+
+// packedFields lists the packed word's fields: the Counter each belongs
+// to, its shift and its width.
+var packedFields = [...]struct {
+	id          Counter
+	shift, bits uint
+}{
+	{NFastHits, packHitShift, packMemoShift - packHitShift},
+	{NPrefixMemoHits, packMemoShift, packBytesShift - packMemoShift},
+	{NHashedBytes, packBytesShift, 64 - packBytesShift},
+}
+
+// statsStripe is one stripe. Its first three words take 16 of the 64
+// bytes that keep one stripe's written words a line from the next one's.
+type statsStripe struct {
+	packed atomic.Uint64 // a fastpath walk's tallies, packedFields
+	seq    atomic.Uint32 // odd while a carrier moves a field's half into statsCell
+	timed  atomic.Uint32 // walks counted for the timing sample (walkTimedEvery)
+	statsCell
+	_ [64 - 16]byte
+}
+
 // stripedStats spreads the counters over cache-line-separated cells so
 // concurrent walks on different cores don't serialize on shared counter
 // lines (the same false/true-sharing effect §6.5 measures for locks).
@@ -186,26 +229,91 @@ type statsCell [numCounters]atomic.Int64
 // a valid (if instantaneously slightly stale) cumulative total; see Stats
 // on cross-field skew.
 type stripedStats struct {
-	cells [stripe.Stripes]struct {
-		statsCell
-		_ [64]byte // keep neighbouring cells off one another's lines
-	}
+	cells [stripe.Stripes]statsStripe
 }
 
-// cell returns the calling goroutine's stripe. Hot paths that bump several
-// counters per walk call it once and reuse the pointer.
-func (s *stripedStats) cell() *statsCell {
-	return &s.cells[stripe.Index()].statsCell
-}
+// stripe returns the calling goroutine's stripe.
+func (s *stripedStats) stripe() *statsStripe { return &s.cells[stripe.Index()] }
+
+// cell returns the calling goroutine's stripe's counters. Hot paths that
+// bump several counters per walk call it once and reuse the pointer.
+func (s *stripedStats) cell() *statsCell { return &s.stripe().statsCell }
 
 // Count adds n to counter id in the calling goroutine's stripe.
 func (k *Kernel) Count(id Counter, n int64) { k.stats.cell()[id].Add(n) }
 
-// Sum reads one counter: its stripes summed.
+// CountFast adds one fastpath walk's tallies in one add: a hit (FastHits),
+// a prefix served by the memo (PrefixMemoHits) and the bytes it hashed,
+// a few KB at most against the 2^23 of headroom above that field's top
+// bit. A field the add took to its top bit carries.
+func (k *Kernel) CountFast(hit, memo bool, hashed int) {
+	d := uint64(hashed) << packBytesShift
+	if hit {
+		d |= 1 << packHitShift
+	}
+	if memo {
+		d |= 1 << packMemoShift
+	}
+	if d == 0 {
+		return
+	}
+	s := k.stats.stripe()
+	n := s.packed.Add(d)
+	if crossed := n &^ (n - d) & packTops; crossed != 0 {
+		s.carry(crossed)
+	}
+}
+
+// carry moves half of each field whose top bit is in crossed — the fields
+// this stripe's last add took across it — into its statsCell counter.
+// Carriers take the seqcount odd one at a time, so a reader that finds it
+// even and unchanged around its two loads saw no carry half done. The
+// adds landing meanwhile stay in the field, whose other half is their
+// headroom.
+//
+//go:noinline
+func (s *statsStripe) carry(crossed uint64) {
+	for {
+		if q := s.seq.Load(); q&1 == 0 && s.seq.CompareAndSwap(q, q+1) {
+			break
+		}
+		runtime.Gosched()
+	}
+	for _, f := range packedFields {
+		if half := uint64(1) << (f.bits - 1); crossed&(half<<f.shift) != 0 {
+			s.statsCell[f.id].Add(int64(half))
+			s.packed.Add(-(half << f.shift))
+		}
+	}
+	s.seq.Add(1)
+}
+
+// load reads counter id of one stripe: for a packed field, its statsCell
+// counter plus its packed share, read as one pair that no carry tore.
+func (s *statsStripe) load(id Counter) int64 {
+	for _, f := range packedFields {
+		if f.id != id {
+			continue
+		}
+		for {
+			if q := s.seq.Load(); q&1 == 0 {
+				full, p := s.statsCell[id].Load(), s.packed.Load()
+				if s.seq.Load() == q {
+					return full + int64(p>>f.shift&(1<<f.bits-1))
+				}
+			}
+			runtime.Gosched()
+		}
+	}
+	return s.statsCell[id].Load()
+}
+
+// Sum reads one counter: its stripes summed. Lookups reads only the walks
+// neither path saw (Stats derives the field).
 func (k *Kernel) Sum(id Counter) int64 {
 	var n int64
 	for i := range k.stats.cells {
-		n += k.stats.cells[i].statsCell[id].Load()
+		n += k.stats.cells[i].load(id)
 	}
 	return n
 }
@@ -217,6 +325,7 @@ func (k *Kernel) Stats() Stats {
 	for id := range numCounters {
 		v.Field(int(id)).SetInt(k.Sum(id))
 	}
+	out.Lookups += out.FastHits + out.SlowWalks
 	out.Dentries = int64(k.DentryCount())
 	out.TryFast = out.FastHits + out.DLHTMisses + out.PCCMisses
 	return out

@@ -34,8 +34,9 @@ const (
 )
 
 // walkTimedEvery is the share of walks that are timed with telemetry on:
-// one in this many per statistics stripe (picked on the value the walk's
-// count returns), plus every traced walk. Timing a walk takes two clock
+// one in this many per statistics stripe (picked on the value the add to
+// the stripe's own timing count returns, an add only a walk with telemetry
+// attached makes), plus every traced walk. Timing a walk takes two clock
 // reads, 30–40 ns each where the clock is a vDSO call — a fifth of a warm
 // walk between them (DESIGN §6). The latency distribution of one walk in
 // eight is the distribution; the counters, not the histograms, count
@@ -171,14 +172,14 @@ func (t *Task) WalkFrom(at PathRef, path string, fl WalkFlags) (PathRef, error) 
 // walkInSection is WalkFrom's body, run inside its epoch section.
 func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, error) {
 	k := t.k
-	// One Add counts the walk and, with telemetry on, picks the timing
-	// sample below: a second read of the stripe could land on another
-	// cell when it runs at another stack depth.
-	n := k.stats.cell()[NLookups].Add(1)
+	// Lookups is derived (Stats): a walk counts as a fastpath hit or a
+	// slow walk, and only the two it rejects here count as lookups.
 	if path == "" {
+		k.Count(NLookups, 1)
 		return PathRef{}, fsapi.ENOENT
 	}
 	if len(path) >= MaxPath {
+		k.Count(NLookups, 1)
 		return PathRef{}, fsapi.ENAMETOOLONG
 	}
 	var start PathRef
@@ -204,6 +205,9 @@ func (t *Task) walkInSection(at PathRef, path string, fl WalkFlags) (PathRef, er
 		} else if tel.Sampled() {
 			tr = tel.StartWalk(path)
 		}
+		// One Add both counts and picks the sample: a second read of
+		// the stripe could land on another cell at another stack depth.
+		n := k.stats.stripe().timed.Add(1)
 		if tr != nil || n%walkTimedEvery == 1 {
 			walkStart = telemetry.Now()
 			fl |= WalkTimed

@@ -12,8 +12,9 @@ import (
 // CacheStats is a snapshot of the directory cache counters: the VFS-level
 // counters every configuration reports, plus fastpath counters, which read
 // zero when DirectLookup is off. Every field is counted where its event
-// happens except Dentries (a gauge: the cached dentries right now) and
-// TryFast (FastHits + DLHTMisses + PCCMisses), which the snapshot fills
+// happens except Dentries (a gauge: the cached dentries right now),
+// TryFast (FastHits + DLHTMisses + PCCMisses) and Lookups (FastHits +
+// SlowWalks + the walks rejected before either), which the snapshot fills
 // in, and ShortcutResumes, ChildHops and BulkPopulations, which always
 // read 0. Delta subtracts two
 // snapshots field by field (Dentries passes through); see vfs.Stats on
